@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-serve bench-cache bench-quant bench-deep bench-swap microbench
+.PHONY: build test check race benchmark benchmark-compare bench bench-serve bench-cache bench-quant bench-deep bench-swap microbench
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,18 @@ check:
 
 race:
 	$(GO) vet ./... && $(GO) test -race ./internal/parallel/... ./internal/serve/... ./internal/shard/...
+
+# The repository's one benchmark (benchmark/README.md): all four
+# workloads on seed 1, every end-to-end metric printed with its unit.
+# The only basis for a performance claim.
+benchmark:
+	$(GO) run ./benchmark run -seed 1
+
+# Compare two result files written by `go run ./benchmark run -o`:
+#   make benchmark-compare BASE=base.json NEW=new.json
+# One row per workload × metric; exits 1 on any "worse".
+benchmark-compare:
+	$(GO) run ./benchmark compare $(BASE) $(NEW)
 
 # Committed perf artifact: kernel + end-to-end report as BENCH_<n>.json
 # at the repo root (see scripts/bench.sh and DESIGN.md §9).
@@ -52,6 +64,9 @@ bench-deep:
 bench-swap:
 	./scripts/bench.sh swap
 
-# In-place Go microbenchmarks (no artifact).
+# In-place Go microbenchmarks (no artifact): the tensor kernel suite,
+# then the attention kernel against its explicit-projection reference
+# (absorbed vs batched-matmul, DESIGN.md §6.1).
 microbench:
 	$(GO) test -bench=. -benchmem ./internal/tensor/
+	$(GO) test -run '^$$' -bench BenchmarkAttentionKernels -benchmem .

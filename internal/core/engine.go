@@ -1020,6 +1020,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 			hm = e.model.LayerForwardWith(ar, l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
 		}
 		e.observe(stats.OpAttention, StageAttention, device.TensorOp, 8, start)
+		e.opt.Collector.Count("attention_rows", int64(nm))
 
 		if cache != nil && e.dyn != nil &&
 			(e.dyn.Mutations() != epoch || e.staleByAppend(missTs, wm, aseq)) {

@@ -184,6 +184,9 @@ type WarmStartResult struct {
 	Cold    time.Duration
 	Warm    time.Duration
 	WarmHit float64 // average hit rate over the measured batches
+	// Cache misses (rows recomputed) over the measured batches, summed
+	// over layers: the deterministic quantity behind the two timings.
+	ColdMisses, WarmMisses int64
 }
 
 // Speedup returns cold/warm.
@@ -261,8 +264,18 @@ func WarmStart(w io.Writer, s Setup, name string, batches int) (*WarmStartResult
 	res := &WarmStartResult{
 		Dataset: name, Batches: (len(tail) + s.BatchSize - 1) / s.BatchSize,
 		Cold: coldT, Warm: warmT, WarmHit: warmHR.Average(),
+		ColdMisses: cacheMisses(coldEng), WarmMisses: cacheMisses(restored),
 	}
-	fprintf(w, "Warm start (%s, last %d batches): cold %.3fs, warm %.3fs (%.2fx), warm hit rate %.1f%%\n",
-		name, res.Batches, coldT.Seconds(), warmT.Seconds(), res.Speedup(), 100*res.WarmHit)
+	fprintf(w, "Warm start (%s, last %d batches): cold %.3fs, warm %.3fs (%.2fx), warm hit rate %.1f%%, misses %d -> %d\n",
+		name, res.Batches, coldT.Seconds(), warmT.Seconds(), res.Speedup(), 100*res.WarmHit, res.ColdMisses, res.WarmMisses)
 	return res, nil
+}
+
+// cacheMisses sums the engine's cache misses over all cached layers.
+func cacheMisses(e *core.Engine) int64 {
+	var n int64
+	for _, ls := range e.LayerCacheStats() {
+		n += ls.Misses
+	}
+	return n
 }

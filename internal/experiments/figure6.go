@@ -37,6 +37,9 @@ type Figure6Row struct {
 	Labels   []string
 	Runtimes []time.Duration
 	Speedups []float64 // relative to the baseline step
+	// AttnRows is the number of rows each step sent through attention in
+	// one run: the deterministic quantity behind the runtimes.
+	AttnRows []int64
 }
 
 // Figure6 runs the accumulative ablation for the given datasets (the
@@ -58,9 +61,17 @@ func Figure6(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Figure6Ro
 		wl.SetBatchSize(s.BatchSize)
 		row := Figure6Row{Dataset: name, Device: kind}
 		for _, st := range steps {
-			mean, _ := MeasureRuns(wl, st.Options, kind, s.Runs)
+			runs := max(s.Runs, 1)
+			var total time.Duration
+			var attnRows int64
+			for i := 0; i < runs; i++ {
+				res := RunInference(wl, st.Options, kind)
+				total += res.Runtime
+				attnRows = res.Collector.Counter("attention_rows") // same every run
+			}
 			row.Labels = append(row.Labels, st.Label)
-			row.Runtimes = append(row.Runtimes, mean)
+			row.Runtimes = append(row.Runtimes, total/time.Duration(runs))
+			row.AttnRows = append(row.AttnRows, attnRows)
 		}
 		base := row.Runtimes[0]
 		for _, rt := range row.Runtimes {

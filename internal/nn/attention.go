@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
@@ -68,104 +69,245 @@ func (a *TemporalAttention) ForwardWith(ar *tensor.Arena, q, kv *tensor.Tensor, 
 }
 
 func (a *TemporalAttention) forward(ar *tensor.Arena, q, kv *tensor.Tensor, k int, mask []bool, wantWeights bool) (*tensor.Tensor, *tensor.Tensor) {
-	n := q.Dim(0)
+	var weights *tensor.Tensor
+	if wantWeights {
+		weights = tensor.New(q.Dim(0), a.Heads, k) // diagnostics path: heap is fine
+	}
+	qp := a.WQ.ForwardWith(ar, q) // (n, embed)
+	ctx := absorbedAttention(ar, a.WK, a.WV, a.Heads, qp, kv, k, mask, weights)
+	return a.WO.ForwardWith(ar, ctx), weights
+}
+
+// absorbedAttention is the attention core shared by the float and int8
+// operators: given the projected queries qp (n, E) and the raw neighbor
+// messages kv (n*k, KDim) it returns the per-head context (n, E) that
+// feeds WO, without ever projecting a kv row (DESIGN.md §6). With one
+// query per target the K/V projections fold into the query side. Per
+// target i and head h (rows h·hd..(h+1)·hd of WK, WV):
+//
+//	q̃_h = WK_hᵀ·qp_h        c_h = qp_h·bK_h
+//	s_j  = scale·(q̃_h·z_j + c_h)         valid slots only
+//	α    = softmax(s)
+//	z̄_h = Σ_j α_j z_j                     valid slots only
+//	ctx_h = WV_h·z̄_h + bV_h               (Σα = 1: the bias enters once)
+//
+// A target without a valid slot gets a zero context and reads none of
+// its kv rows. weights, when non-nil, is (n, heads, k) and receives α,
+// with zeros on padded slots.
+//
+// Every output element is a fixed-order sum over the target's own qp
+// row, kv rows and mask: the parallel row split decides only when a
+// target is computed, never in which order its terms are added, so a
+// target's bits do not depend on the batch around it.
+func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tensor.Tensor, k int, mask []bool, weights *tensor.Tensor) *tensor.Tensor {
+	n, e := qp.Dim(0), qp.Dim(1)
+	kDim := kv.Dim(1)
 	if kv.Dim(0) != n*k {
 		panic(fmt.Sprintf("nn: attention kv rows %d != n*k %d", kv.Dim(0), n*k))
 	}
 	if len(mask) != n*k {
 		panic(fmt.Sprintf("nn: attention mask len %d != n*k %d", len(mask), n*k))
 	}
-	qp := a.WQ.ForwardWith(ar, q)  // (n, embed)
-	kp := a.WK.ForwardWith(ar, kv) // (n*k, embed)
-	vp := a.WV.ForwardWith(ar, kv) // (n*k, embed)
-	hd := a.EmbedDim / a.Heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
-
-	ctx := ar.TensorZero(n, a.EmbedDim)
-	var weights *tensor.Tensor
-	if wantWeights {
-		weights = tensor.New(n, a.Heads, k) // diagnostics path: heap is fine
+	// The kernel strides the weight rows by kDim and e directly; a
+	// mismatch would read the wrong rows rather than fail.
+	if wk.W.Dim(1) != kDim || wv.W.Dim(1) != kDim {
+		panic(fmt.Sprintf("nn: attention kv width %d != WK/WV input width %d/%d", kDim, wk.W.Dim(1), wv.W.Dim(1)))
 	}
-	// One score row per target, drawn before any fan-out: parallel chunk
-	// bodies index disjoint rows instead of allocating private buffers,
-	// and the arena is never bumped inside the parallel region.
-	scoresAll := ar.Float32s(n * k)
-
-	qd, kd, vd, cd := qp.Data(), kp.Data(), vp.Data(), ctx.Data()
-	// The closure exists only on the fan-out branch so the serial path
-	// stays allocation-free (see the same pattern in tensor's kernels).
+	if wk.W.Dim(0) != e || wv.W.Dim(0) != e || e%heads != 0 {
+		panic(fmt.Sprintf("nn: attention query width %d != WK/WV output width %d/%d, or not divisible by heads %d",
+			e, wk.W.Dim(0), wv.W.Dim(0), heads))
+	}
+	hd := e / heads
+	ctx := ar.Tensor(n, e) // every row is written below
+	c := attnCore{
+		heads: heads, hd: hd, e: e, k: k, kDim: kDim,
+		scale: float32(1 / math.Sqrt(float64(hd))),
+		wk:    wk.W.Data(), wv: wv.W.Data(),
+		qp: qp.Data(), kv: kv.Data(), mask: mask, ctx: ctx.Data(),
+		// All scratch is drawn before any fan-out: chunk bodies index
+		// disjoint rows and the arena is never bumped inside the
+		// parallel region. qz holds one head's q̃ and then, in place, z̄.
+		qz:     ar.Float32s(n * kDim),
+		scores: ar.Float32s(n * k),
+	}
+	if wk.B != nil {
+		c.bk = wk.B.Data()
+	}
+	if wv.B != nil {
+		c.bv = wv.B.Data()
+	}
+	if weights != nil {
+		c.weights = weights.Data()
+	}
+	// The method value (a heap copy of c) exists only on the fan-out
+	// branch so the serial path stays allocation-free.
 	if n >= parallel.MinParallelWork && parallel.Degree() > 1 {
-		parallel.ForChunked(n, 0, func(lo, hi int) {
-			attnRows(qd, kd, vd, cd, scoresAll, mask, weights, lo, hi, k, hd, a.Heads, a.EmbedDim, scale, wantWeights)
-		})
+		parallel.ForChunked(n, 0, c.rows)
 	} else {
-		attnRows(qd, kd, vd, cd, scoresAll, mask, weights, 0, n, k, hd, a.Heads, a.EmbedDim, scale, wantWeights)
+		c.rows(0, n)
 	}
-	return a.WO.ForwardWith(ar, ctx), weights
+	return ctx
 }
 
-// attnRows computes the fused score/softmax/weighted-sum loop for
-// targets [lo,hi), writing per-head context into cd. It is a free
-// function so the float and int8-quantized attention operators share
-// one implementation — only the projections differ between them.
-func attnRows(qd, kd, vd, cd, scoresAll []float32, mask []bool, weights *tensor.Tensor, lo, hi, k, hd, heads, embedDim int, scale float32, wantWeights bool) {
+// attnCore carries the operands of one absorbedAttention call into its
+// row kernel.
+type attnCore struct {
+	heads, hd, e, k, kDim int
+	scale                 float32
+	wk, bk, wv, bv        []float32 // (E, KDim) weights, (E) biases or nil
+	qp, kv, ctx           []float32
+	mask                  []bool
+	weights               []float32 // (n, heads, k) or nil
+	qz, scores            []float32
+}
+
+// rows computes context rows [lo,hi), one target at a time.
+func (c attnCore) rows(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		scores := scoresAll[i*k : (i+1)*k]
-		for h := 0; h < heads; h++ {
-			qrow := qd[i*embedDim+h*hd : i*embedDim+(h+1)*hd]
-			// Scores for valid slots.
-			maxv := float32(math.Inf(-1))
-			any := false
-			for j := 0; j < k; j++ {
-				p := i*k + j
-				if !mask[p] {
-					continue
-				}
-				krow := kd[p*embedDim+h*hd : p*embedDim+(h+1)*hd]
-				var s float32
-				for d, qv := range qrow {
-					s += qv * krow[d]
-				}
-				s *= scale
-				scores[j] = s
-				any = true
-				if s > maxv {
-					maxv = s
-				}
+		c.row(i)
+	}
+}
+
+// row computes target i's context: per head, absorb WK into the query,
+// score and softmax over the valid kv rows, sum those rows by weight,
+// and project the sum through WV. Padded kv rows are never read.
+func (c attnCore) row(i int) {
+	k, kd, hd := c.k, c.kDim, c.hd
+	mask := c.mask[i*k : (i+1)*k]
+	ctx := c.ctx[i*c.e : (i+1)*c.e]
+	if !slices.Contains(mask, true) {
+		clear(ctx)
+		if c.weights != nil {
+			clear(c.weights[i*c.heads*k : (i+1)*c.heads*k])
+		}
+		return
+	}
+	scores := c.scores[i*k : (i+1)*k]
+	zs := c.kv[i*k*kd : (i+1)*k*kd]
+	qt := c.qz[i*kd : (i+1)*kd]
+	for h := 0; h < c.heads; h++ {
+		qh := c.qp[i*c.e+h*hd : i*c.e+(h+1)*hd]
+		// q̃_h = Σ_d qp[h·hd+d]·WK[h·hd+d,:], d ascending.
+		clear(qt)
+		addRowsScaled(qt, qh, c.wk[h*hd*kd:(h+1)*hd*kd])
+		var ch float32
+		if c.bk != nil {
+			ch = dot(qh, c.bk[h*hd:(h+1)*hd])
+		}
+		maxv := float32(math.Inf(-1))
+		for j, ok := range mask {
+			if !ok {
+				continue
 			}
-			out := cd[i*embedDim+h*hd : i*embedDim+(h+1)*hd]
-			if !any {
-				continue // zero context for neighbor-less targets
-			}
-			// Stable softmax over valid slots.
-			var sum float64
-			for j := 0; j < k; j++ {
-				if !mask[i*k+j] {
-					continue
-				}
-				e := math.Exp(float64(scores[j] - maxv))
-				scores[j] = float32(e)
-				sum += e
-			}
-			inv := float32(1 / sum)
-			for j := 0; j < k; j++ {
-				p := i*k + j
-				if !mask[p] {
-					if wantWeights {
-						weights.Set(0, i, h, j)
-					}
-					continue
-				}
-				alpha := scores[j] * inv
-				if wantWeights {
-					weights.Set(alpha, i, h, j)
-				}
-				vrow := vd[p*embedDim+h*hd : p*embedDim+(h+1)*hd]
-				for d, vv := range vrow {
-					out[d] += alpha * vv
-				}
+			s := (dot(qt, zs[j*kd:(j+1)*kd]) + ch) * c.scale
+			scores[j] = s
+			if s > maxv {
+				maxv = s
 			}
 		}
+		// Stable softmax over valid slots.
+		var sum float64
+		for j, ok := range mask {
+			if !ok {
+				continue
+			}
+			ex := math.Exp(float64(scores[j] - maxv))
+			scores[j] = float32(ex)
+			sum += ex
+		}
+		inv := float32(1 / sum)
+		// z̄_h replaces q̃_h in place.
+		clear(qt)
+		for j, ok := range mask {
+			var alpha float32
+			if ok {
+				alpha = scores[j] * inv
+				axpy(alpha, zs[j*kd:(j+1)*kd], qt)
+			}
+			if c.weights != nil {
+				c.weights[(i*c.heads+h)*k+j] = alpha
+			}
+		}
+		// ctx_h = WV_h·z̄_h + bV_h.
+		rowDots(ctx[h*hd:(h+1)*hd], c.wv[h*hd*kd:(h+1)*hd*kd], qt)
+		if c.bv != nil {
+			for d := h * hd; d < (h+1)*hd; d++ {
+				ctx[d] += c.bv[d]
+			}
+		}
+	}
+}
+
+// addRowsScaled adds Σ_r a[r]·w[r,:] to y, r ascending per element, for
+// the (len(a), len(y)) row-major w. Four rows share one pass over y:
+// the scalar loops are bound by loads and stores, and this takes y's
+// traffic from two accesses per multiply-add to a half.
+func addRowsScaled(y, a, w []float32) {
+	m := len(y)
+	r := 0
+	for ; r+4 <= len(a); r += 4 {
+		a0, a1, a2, a3 := a[r], a[r+1], a[r+2], a[r+3]
+		w0, w1, w2, w3 := w[r*m:][:m], w[(r+1)*m:][:m], w[(r+2)*m:][:m], w[(r+3)*m:][:m]
+		for x, v := range y {
+			y[x] = v + a0*w0[x] + a1*w1[x] + a2*w2[x] + a3*w3[x]
+		}
+	}
+	for ; r < len(a); r++ {
+		axpy(a[r], w[r*m:(r+1)*m], y)
+	}
+}
+
+// rowDots writes out[r] = w[r,:]·x for the (len(out), len(x)) row-major
+// w, every element one sequential sum over x. Four rows share one pass
+// over x, each with its own accumulator.
+func rowDots(out, w, x []float32) {
+	m := len(x)
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		w0, w1, w2, w3 := w[r*m:][:m], w[(r+1)*m:][:m], w[(r+2)*m:][:m], w[(r+3)*m:][:m]
+		var s0, s1, s2, s3 float32
+		for i, v := range x {
+			s0 += v * w0[i]
+			s1 += v * w1[i]
+			s2 += v * w2[i]
+			s3 += v * w3[i]
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		wr := w[r*m:][:m]
+		var s float32
+		for i, v := range x {
+			s += v * wr[i]
+		}
+		out[r] = s
+	}
+}
+
+// dot returns Σ a[x]·b[x] over four interleaved partial sums, combined
+// in a fixed order.
+func dot(a, b []float32) float32 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float32
+	x := 0
+	for ; x+4 <= len(a); x += 4 {
+		s0 += a[x] * b[x]
+		s1 += a[x+1] * b[x+1]
+		s2 += a[x+2] * b[x+2]
+		s3 += a[x+3] * b[x+3]
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; x < len(a); x++ {
+		s += a[x] * b[x]
+	}
+	return s
+}
+
+// axpy adds alpha·x to y element-wise.
+func axpy(alpha float32, x, y []float32) {
+	x = x[:len(y)]
+	for i, v := range y {
+		y[i] = v + alpha*x[i]
 	}
 }
 

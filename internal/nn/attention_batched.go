@@ -7,14 +7,14 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// ForwardBatched is an alternative attention kernel built on batched
-// matrix multiplication instead of the fused per-target loop of
-// Forward. It exists as a kernel ablation (DESIGN.md §6): the batched
-// formulation is how a tensor-framework implementation (like the
-// original PyTorch TGOpt) expresses attention, paying for operand
-// reshuffling into (batch, m, k) layout; the fused loop streams the
-// projections in place. Outputs are identical within float tolerance;
-// BenchmarkAttentionKernels compares their cost.
+// ForwardBatched is the explicit-projection attention kernel: it
+// projects every neighbor row through WK and WV and expresses scores
+// and the weighted sum as batched matrix multiplications, the way a
+// tensor-framework implementation (like the original PyTorch TGOpt)
+// does. No inference path calls it. It is the reference the absorbed
+// kernel of Forward is tested against (outputs agree within float
+// tolerance) and its comparator in BenchmarkAttentionKernels
+// (DESIGN.md §6.1).
 func (a *TemporalAttention) ForwardBatched(q, kv *tensor.Tensor, k int, mask []bool) *tensor.Tensor {
 	return a.ForwardBatchedWith(nil, q, kv, k, mask)
 }

@@ -202,18 +202,20 @@ func TestAttentionMaskedSlotsDoNotInfluenceOutput(t *testing.T) {
 		mask[i] = i%k < 2 // slots 2,3 masked
 	}
 	out1, _ := a.Forward(q, kv, k, mask, false)
-	// Scramble the masked rows: output must not change.
+	// Poison the masked rows: a padded slot is never read, so not one
+	// output bit may change (NaN would spread through any arithmetic).
 	kv2 := kv.Clone()
+	nan := float32(math.NaN())
 	for i := 0; i < n*k; i++ {
 		if !mask[i] {
 			for j := 0; j < 10; j++ {
-				kv2.Set(float32(r.NormFloat64()*100), i, j)
+				kv2.Set(nan, i, j)
 			}
 		}
 	}
 	out2, _ := a.Forward(q, kv2, k, mask, false)
-	if !out1.AllClose(out2, 1e-6) {
-		t.Fatal("masked slot contents leaked into attention output")
+	if at := sameBits(out1.Data(), out2.Data()); at >= 0 {
+		t.Fatalf("masked slot contents leaked into attention output (element %d)", at)
 	}
 }
 
@@ -357,31 +359,5 @@ func TestAccuracy(t *testing.T) {
 	}
 	if Accuracy(nil, nil) != 0 {
 		t.Fatal("empty Accuracy should be 0")
-	}
-}
-
-func TestForwardBatchedMatchesFusedKernel(t *testing.T) {
-	a := newAttn(t, 2, 16, 20)
-	r := tensor.NewRNG(30)
-	n, k := 50, 7
-	q := tensor.Randn(r, n, 16)
-	kv := tensor.Randn(r, n*k, 20)
-	mask := make([]bool, n*k)
-	for i := range mask {
-		mask[i] = r.Float64() > 0.25
-	}
-	fused, _ := a.Forward(q, kv, k, mask, false)
-	batched := a.ForwardBatched(q, kv, k, mask)
-	if d := fused.MaxAbsDiff(batched); d > 1e-5 {
-		t.Fatalf("kernels diverge by %g", d)
-	}
-	// Fully masked target agrees too.
-	for i := 0; i < k; i++ {
-		mask[i] = false
-	}
-	fused2, _ := a.Forward(q, kv, k, mask, false)
-	batched2 := a.ForwardBatched(q, kv, k, mask)
-	if d := fused2.MaxAbsDiff(batched2); d > 1e-5 {
-		t.Fatalf("masked-row kernels diverge by %g", d)
 	}
 }

@@ -1,12 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-
-	"tgopt/internal/parallel"
-	"tgopt/internal/tensor"
-)
+import "tgopt/internal/tensor"
 
 // This file holds the int8 inference variants of the forward-only
 // layers (DESIGN.md §14). Weights are quantized ONCE, at model load or
@@ -46,28 +40,15 @@ func (l *QuantLinear) Bytes() int {
 	return b
 }
 
-// quantRows quantizes x's rows into arena scratch and returns the
-// packed activation triple consumed by tensor.QuantLinearInto. Callers
-// that feed the same activations to several QuantLinears (attention's
-// kv into WK and WV) quantize once and reuse the triple.
-func quantRows(ar *tensor.Arena, x *tensor.Tensor) (q []uint8, scales []float32, sums []int32) {
-	m, k := x.Dim(0), x.Dim(1)
-	q = ar.Bytes(m * k)
-	scales = ar.Float32s(m)
-	sums = ar.Int32s(m)
-	tensor.QuantizeRowsInto(x, q, scales, sums)
-	return q, scales, sums
-}
-
 // ForwardWith computes x·Wᵀ+b through the int8 kernel, with every
-// intermediate and the output drawn from ar (heap when ar is nil).
+// intermediate and the output drawn from ar (heap when ar is nil). x's
+// rows are quantized into arena scratch first.
 func (l *QuantLinear) ForwardWith(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	q, scales, sums := quantRows(ar, x)
-	return l.forwardQuantized(ar, q, scales, sums, x.Dim(0))
-}
-
-// forwardQuantized runs the kernel over pre-quantized activations.
-func (l *QuantLinear) forwardQuantized(ar *tensor.Arena, q []uint8, scales []float32, sums []int32, m int) *tensor.Tensor {
+	m, k := x.Dim(0), x.Dim(1)
+	q := ar.Bytes(m * k)
+	scales := ar.Float32s(m)
+	sums := ar.Int32s(m)
+	tensor.QuantizeRowsInto(x, q, scales, sums)
 	dst := ar.Tensor(m, l.Out())
 	tensor.QuantLinearInto(q, scales, sums, m, l.W, l.B, dst)
 	return dst
@@ -97,21 +78,23 @@ func (m *QuantMergeLayer) ForwardWith(ar *tensor.Arena, a, b *tensor.Tensor) *te
 	return m.FC2.ForwardWith(ar, h)
 }
 
-// QuantTemporalAttention is TemporalAttention with all four projections
-// quantized. The attention core — scores, softmax, weighted value sum —
-// runs in float32 over the dequantized projections via the same
-// attnRows loop as the float operator; only the matmuls change. The kv
-// activations are quantized once and shared by the WK and WV kernels.
+// QuantTemporalAttention is TemporalAttention with the two per-target
+// projections, WQ and WO, quantized. Keys and values go through the same
+// absorbedAttention core as the float operator, over the float WK/WV
+// (shared with the source operator, not copied): the core never
+// projects the n·k neighbor rows, so there is no tall matmul left for
+// int8 to speed up, and the kv activations are never quantized.
 type QuantTemporalAttention struct {
 	Heads    int
 	EmbedDim int
 	QDim     int
 	KDim     int
 
-	WQ, WK, WV, WO *QuantLinear
+	WQ, WO *QuantLinear
+	WK, WV *Linear
 }
 
-// QuantizeAttention quantizes a's projections.
+// QuantizeAttention quantizes a's query and output projections.
 func QuantizeAttention(a *TemporalAttention) *QuantTemporalAttention {
 	return &QuantTemporalAttention{
 		Heads:    a.Heads,
@@ -119,48 +102,29 @@ func QuantizeAttention(a *TemporalAttention) *QuantTemporalAttention {
 		QDim:     a.QDim,
 		KDim:     a.KDim,
 		WQ:       QuantizeLinear(a.WQ),
-		WK:       QuantizeLinear(a.WK),
-		WV:       QuantizeLinear(a.WV),
 		WO:       QuantizeLinear(a.WO),
+		WK:       a.WK,
+		WV:       a.WV,
 	}
 }
 
-// Bytes returns the resident size of all four quantized projections.
+// Bytes returns the resident size of the weights the operator reads:
+// the two packed int8 projections plus the float32 WK and WV.
 func (a *QuantTemporalAttention) Bytes() int {
-	return a.WQ.Bytes() + a.WK.Bytes() + a.WV.Bytes() + a.WO.Bytes()
+	b := a.WQ.Bytes() + a.WO.Bytes()
+	for _, l := range []*Linear{a.WK, a.WV} {
+		for _, p := range l.Params() {
+			b += 4 * p.Len()
+		}
+	}
+	return b
 }
 
 // ForwardWith mirrors TemporalAttention.ForwardWith: n targets with k
 // neighbor slots each, kv row i*k+j is slot j of target i, mask marks
 // valid slots. Returns (n, embedDim) drawn from ar.
 func (a *QuantTemporalAttention) ForwardWith(ar *tensor.Arena, q, kv *tensor.Tensor, k int, mask []bool) *tensor.Tensor {
-	n := q.Dim(0)
-	if kv.Dim(0) != n*k {
-		panic(fmt.Sprintf("nn: quant attention kv rows %d != n*k %d", kv.Dim(0), n*k))
-	}
-	if len(mask) != n*k {
-		panic(fmt.Sprintf("nn: quant attention mask len %d != n*k %d", len(mask), n*k))
-	}
 	qp := a.WQ.ForwardWith(ar, q)
-	// kv feeds both the key and value projections: quantize its rows
-	// once and run two kernels over the shared packed bytes.
-	kq, kscales, ksums := quantRows(ar, kv)
-	kp := a.WK.forwardQuantized(ar, kq, kscales, ksums, n*k)
-	vp := a.WV.forwardQuantized(ar, kq, kscales, ksums, n*k)
-	hd := a.EmbedDim / a.Heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
-
-	ctx := ar.TensorZero(n, a.EmbedDim)
-	scoresAll := ar.Float32s(n * k)
-
-	qd, kd, vd, cd := qp.Data(), kp.Data(), vp.Data(), ctx.Data()
-	if n >= parallel.MinParallelWork && parallel.Degree() > 1 {
-		heads, embedDim := a.Heads, a.EmbedDim
-		parallel.ForChunked(n, 0, func(lo, hi int) {
-			attnRows(qd, kd, vd, cd, scoresAll, mask, nil, lo, hi, k, hd, heads, embedDim, scale, false)
-		})
-	} else {
-		attnRows(qd, kd, vd, cd, scoresAll, mask, nil, 0, n, k, hd, a.Heads, a.EmbedDim, scale, false)
-	}
+	ctx := absorbedAttention(ar, a.WK, a.WV, a.Heads, qp, kv, k, mask, nil)
 	return a.WO.ForwardWith(ar, ctx)
 }

@@ -5,12 +5,15 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// QuantModel is the int8 inference view of a Model: every attention
-// projection, merge layer, and the affinity head carry pre-packed int8
-// weights (quantized once here, never per request), while feature
-// tables and the time encoder stay shared with the float model. The
+// QuantModel is the int8 inference view of a Model: the per-target
+// projections (attention WQ/WO, the merge layers, the affinity head)
+// carry pre-packed int8 weights (quantized once here, never per
+// request), while feature tables, the time encoder and the attention
+// WK/WV stay shared with the float model — the absorbed attention core
+// (DESIGN.md §6) is one float32 code path for both precisions. The
 // forward math mirrors Model.LayerForwardWith exactly — concatenation,
-// softmax, and ReLU run in float32; only the matmuls are quantized.
+// the attention core, and ReLU run in float32; only the per-target
+// matmuls are quantized.
 type QuantModel struct {
 	M        *Model
 	Attn     []*nn.QuantTemporalAttention // Attn[l-1] serves layer l
@@ -31,8 +34,9 @@ func QuantizeModel(m *Model) *QuantModel {
 	return qm
 }
 
-// WeightBytes returns the packed int8 weight footprint (all layers plus
-// the affinity head), for the stats surface.
+// WeightBytes returns the resident footprint of the weights the int8
+// path reads (all layers plus the affinity head: packed int8 matrices,
+// float32 biases, and the float32 WK/WV), for the stats surface.
 func (qm *QuantModel) WeightBytes() int {
 	var b int
 	for l := range qm.Attn {

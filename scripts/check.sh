@@ -52,6 +52,9 @@ go run ./cmd/tgopt-bench quantacc -max-ap-delta 0.01 > /dev/null
 echo "== bench smoke (compile + one iteration of every benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./internal/graph/ > /dev/null
 
+echo "== benchmark smoke (go test ./benchmark: every workload's code path at small op counts, BENCHMARK.json in step with metrics.go)"
+go test -count=1 ./benchmark
+
 echo "== serve load smoke (tgopt-bench serve, tiny closed loop)"
 go run ./cmd/tgopt-bench serve -conc 1,4 -requests 10 -warmup 2 > /dev/null
 
