@@ -221,9 +221,70 @@ type Cache struct {
 	promoteDrops atomic.Int64
 
 	promoteCh chan promoteReq
+	promoting promoteGate
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+}
+
+// promoteGate counts the promotions queued or being applied. The
+// promote worker moves entries between the tiers behind the caller's
+// back — a promotion demotes a victim, the demotion can compact a spill
+// segment — so a test that asserts on tier contents first waits here
+// for the count to reach zero (Cache.quiesce), and may keep the worker
+// parked across the assertion.
+type promoteGate struct {
+	mu      sync.Mutex
+	changed sync.Cond // pending reached zero, or held was cleared
+	pending int
+	held    bool
+}
+
+// enter counts a promotion about to be queued.
+func (g *promoteGate) enter() {
+	g.mu.Lock()
+	g.pending++
+	g.mu.Unlock()
+}
+
+// leave retires a promotion: applied, dropped, or never queued.
+func (g *promoteGate) leave() {
+	g.mu.Lock()
+	g.pending--
+	if g.pending == 0 {
+		g.changed.Broadcast()
+	}
+	g.mu.Unlock()
+}
+
+// admit parks the worker while a quiesce holds the tiers still.
+func (g *promoteGate) admit() {
+	g.mu.Lock()
+	for g.held {
+		g.changed.Wait()
+	}
+	g.mu.Unlock()
+}
+
+// quiesce blocks until every promotion queued so far has been applied —
+// the victim's demotion and any spill compaction it triggers included,
+// both run on the promote worker — and returns with the worker parked:
+// promotions queued from then on wait until resume is called. Test
+// hook; resume must be called before Close.
+func (c *Cache) quiesce() (resume func()) {
+	g := &c.promoting
+	g.mu.Lock()
+	for g.pending > 0 {
+		g.changed.Wait()
+	}
+	g.held = true
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		g.held = false
+		g.changed.Broadcast()
+		g.mu.Unlock()
+	}
 }
 
 type promoteReq struct {
@@ -312,6 +373,7 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 	}
 	if c.spill != nil {
 		c.promoteCh = make(chan promoteReq, 256)
+		c.promoting.changed.L = &c.promoting.mu
 		c.stop = make(chan struct{})
 		c.wg.Add(1)
 		go c.promoteLoop()
@@ -483,10 +545,12 @@ func (c *Cache) maybePromote(key uint64, vec []float32, gen uint64) {
 	}
 	v := make([]float32, len(vec))
 	copy(v, vec)
+	c.promoting.enter()
 	select {
 	case c.promoteCh <- promoteReq{key: key, vec: v, gen: gen}:
 	default:
 		c.promoteDrops.Add(1)
+		c.promoting.leave()
 	}
 }
 
@@ -498,7 +562,9 @@ func (c *Cache) promoteLoop() {
 		case <-c.stop:
 			return
 		case req := <-c.promoteCh:
+			c.promoting.admit()
 			c.promoteOne(req)
+			c.promoting.leave()
 		}
 	}
 }

@@ -163,6 +163,13 @@ func TestTieredCacheSpillServesEvictedEntries(t *testing.T) {
 		t.Fatalf("spill holds %d, want %d", sp.Len(), n-4)
 	}
 
+	// Park the promote worker for the rest of the test: every spill hit
+	// below queues a promotion, and one applied mid-batch demotes a hot
+	// entry the batch has not reached yet — a hot hit becomes a spill
+	// hit, or a miss while the entry is between the tiers' locks.
+	resume := c.quiesce()
+	defer resume()
+
 	// Every key is still served, with the right bytes.
 	dst := tensor.New(n, 2)
 	hits := make([]bool, n)
@@ -322,6 +329,10 @@ func TestTieredCacheSurvivesRestart(t *testing.T) {
 		if row.At(0, 0) != float32(k) {
 			t.Fatalf("key %d: got %g want %d", k, row.At(0, 0), k)
 		}
+		// The hit queued a promotion whose demotion can compact the
+		// recovered segment; a Get racing that is a miss by contract.
+		// Let it land before the next lookup.
+		c2.quiesce()()
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"tgopt/internal/nn"
+	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 )
 
@@ -92,53 +94,53 @@ func (tt *TimeTable) EncodeInto(dts []float64, dst *tensor.Tensor) int {
 	return tt.EncodeIntoWith(nil, dts, dst)
 }
 
-// EncodeIntoWith is EncodeInto drawing the miss-path scratch from ar
-// (heap when ar is nil), so a steady-state batch with out-of-window
-// deltas still allocates nothing.
-func (tt *TimeTable) EncodeIntoWith(ar *tensor.Arena, dts []float64, dst *tensor.Tensor) int {
-	d := tt.Dim()
+// EncodeIntoWith is EncodeInto on the arena path. Hits and misses are
+// served in one pass over the rows — a miss is encoded straight into
+// its destination row, so there is no miss scratch to draw and ar goes
+// unused; the parameter stays for the callers that thread an arena
+// through every *With call. The row loop parallelizes when
+// parallel.WillFanOut(len(dts)): out-of-window deltas are d cosines
+// each, and no window covers a stream whose deltas span six decades.
+func (tt *TimeTable) EncodeIntoWith(_ *tensor.Arena, dts []float64, dst *tensor.Tensor) int {
 	data := dst.Data()
-	hitCount := 0
-	missIdx := ar.Int32s(len(dts))
-	nm := 0
-	if tt.qtable != nil {
-		// Quantized rows dequantize on copy-out: one multiply per
-		// element instead of a copy, still branch- and allocation-free.
-		for i, dt := range dts {
-			idx := int(dt)
-			if dt >= 0 && float64(idx) == dt && idx < tt.window {
-				tensor.DequantizeVecInto(tt.qtable[idx*d:(idx+1)*d], tt.qscales[idx], data[i*d:(i+1)*d])
-				hitCount++
-				continue
-			}
-			missIdx[nm] = int32(i)
-			nm++
-		}
-	} else {
-		tab := tt.table.Data()
-		for i, dt := range dts {
-			idx := int(dt)
-			if dt >= 0 && float64(idx) == dt && idx < tt.window {
-				copy(data[i*d:(i+1)*d], tab[idx*d:(idx+1)*d])
-				hitCount++
-				continue
-			}
-			missIdx[nm] = int32(i)
-			nm++
-		}
+	// Closure and counter built only on the fan-out branch, so the
+	// serial path stays allocation-free.
+	if parallel.WillFanOut(len(dts)) {
+		var hits atomic.Int64
+		parallel.ForChunked(len(dts), 0, func(lo, hi int) {
+			hits.Add(int64(tt.encodeRows(dts, data, lo, hi)))
+		})
+		return int(hits.Load())
 	}
-	if nm > 0 {
-		missDts := ar.Float64s(nm)
-		for j, i := range missIdx[:nm] {
-			missDts[j] = dts[i]
-		}
-		missEnc := ar.Tensor(nm, d)
-		tt.enc.EncodeInto(missDts, missEnc)
-		for j, i := range missIdx[:nm] {
-			copy(data[int(i)*d:(int(i)+1)*d], missEnc.Data()[j*d:(j+1)*d])
-		}
+	return tt.encodeRows(dts, data, 0, len(dts))
+}
+
+// encodeRows fills rows [lo,hi) of data and returns their table hits.
+func (tt *TimeTable) encodeRows(dts []float64, data []float32, lo, hi int) int {
+	d := tt.Dim()
+	var tab []float32
+	if tt.table != nil {
+		tab = tt.table.Data()
 	}
-	return hitCount
+	hits := 0
+	for i := lo; i < hi; i++ {
+		dt := dts[i]
+		row := data[i*d : (i+1)*d]
+		idx := int(dt)
+		if dt >= 0 && float64(idx) == dt && idx < tt.window {
+			if tab != nil {
+				copy(row, tab[idx*d:(idx+1)*d])
+			} else {
+				// Quantized rows dequantize on copy-out: one multiply
+				// per element instead of a copy.
+				tensor.DequantizeVecInto(tt.qtable[idx*d:(idx+1)*d], tt.qscales[idx], row)
+			}
+			hits++
+			continue
+		}
+		tt.enc.EncodeRow(dt, row)
+	}
+	return hits
 }
 
 // Encode is EncodeInto with allocation.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"tgopt/internal/nn"
+	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 )
 
@@ -89,4 +91,81 @@ func TestTimeTableWindowPanic(t *testing.T) {
 		}
 	}()
 	NewTimeTable(nn.NewTimeEncoder(4), 0)
+}
+
+// mixedDeltas returns n deltas of which roughly a quarter hit a
+// 1000-wide window; the misses are integral and out of window,
+// fractional, or negative.
+func mixedDeltas(n int) []float64 {
+	r := tensor.NewRNG(13)
+	dts := make([]float64, n)
+	for i := range dts {
+		switch r.Intn(8) {
+		case 0, 1:
+			dts[i] = float64(r.Intn(1000))
+		case 2:
+			dts[i] = float64(r.Intn(1000)) + 0.25
+		case 3:
+			dts[i] = -float64(r.Intn(50) + 1)
+		default:
+			dts[i] = float64(1000 + r.Intn(5_000_000))
+		}
+	}
+	return dts
+}
+
+// TestTimeTableParallelMatchesSerialBitwise: the row split decides only
+// which goroutine encodes a row. Float and int8 tables, either side of
+// the fan-out cut-off: same bits, same hit count.
+func TestTimeTableParallelMatchesSerialBitwise(t *testing.T) {
+	enc := nn.NewTimeEncoder(16)
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	for name, tt := range map[string]*TimeTable{"float32": NewTimeTable(enc, 1000), "int8": NewTimeTableQuant(enc, 1000)} {
+		for _, n := range []int{1, parallel.MinParallelWork - 1, parallel.MinParallelWork, 3000} {
+			dts := mixedDeltas(n)
+			parallel.SetDegree(1)
+			serial := tensor.New(n, 16)
+			wantHits := tt.EncodeIntoWith(nil, dts, serial)
+			for _, degree := range []int{2, 4} {
+				parallel.SetDegree(degree)
+				split := tensor.New(n, 16)
+				split.Fill(float32(math.NaN()))
+				if hits := tt.EncodeIntoWith(nil, dts, split); hits != wantHits {
+					t.Fatalf("%s n=%d degree %d: %d hits, serial %d", name, n, degree, hits, wantHits)
+				}
+				for i, v := range split.Data() {
+					if math.Float32bits(v) != math.Float32bits(serial.Data()[i]) {
+						t.Fatalf("%s n=%d degree %d: element %d differs from the serial encoding", name, n, degree, i)
+					}
+				}
+			}
+		}
+	}
+	// The encoder's own entry point splits the same way.
+	dts := mixedDeltas(3000)
+	parallel.SetDegree(1)
+	serial := enc.Encode(dts)
+	parallel.SetDegree(2)
+	if d := enc.Encode(dts).MaxAbsDiff(serial); d != 0 {
+		t.Fatalf("TimeEncoder.EncodeInto degree 2 vs 1: diff %g", d)
+	}
+}
+
+// TestTimeTableEncodeAllocs: a miss is encoded in place, so below the
+// fan-out cut-off the call never touches the heap at any degree — even
+// without an arena; past it, it costs one fork-join and the shared hit
+// counter.
+func TestTimeTableEncodeAllocs(t *testing.T) {
+	tt := NewTimeTable(nn.NewTimeEncoder(16), 1000)
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	for _, tc := range []struct{ degree, n, max int }{{1, 64, 0}, {2, 64, 0}, {1, 512, 0}, {2, 512, 8}} {
+		parallel.SetDegree(tc.degree)
+		dts := mixedDeltas(tc.n)
+		dst := tensor.New(tc.n, 16)
+		if allocs := testing.AllocsPerRun(20, func() { tt.EncodeIntoWith(nil, dts, dst) }); allocs > float64(tc.max) {
+			t.Errorf("degree %d n=%d: %v allocs/op, want <= %d", tc.degree, tc.n, allocs, tc.max)
+		}
+	}
 }

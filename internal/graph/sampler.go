@@ -138,7 +138,7 @@ func (s *Sampler) SampleTo(b *Batch, nodes []int32, ts []float64) {
 		panic("graph: SampleTo batch buffers sized wrong")
 	}
 	b.K = s.k
-	if n >= parallel.MinParallelWork && parallel.Degree() > 1 {
+	if parallel.WillFanOut(n) {
 		// Capture a copy of the header (the slices still share backing
 		// arrays) so the caller's *Batch does not leak into the escaping
 		// closure — hot callers keep the Batch on their stack.

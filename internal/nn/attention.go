@@ -108,8 +108,33 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 	if len(mask) != n*k {
 		panic(fmt.Sprintf("nn: attention mask len %d != n*k %d", len(mask), n*k))
 	}
-	// The kernel strides the weight rows by kDim and e directly; a
-	// mismatch would read the wrong rows rather than fail.
+	c := newAttnCore(wk, wv, heads, e, k, kDim)
+	ctx := ar.Tensor(n, e) // every row is written below
+	c.qp, c.kv, c.mask, c.ctx = qp.Data(), kv.Data(), mask, ctx.Data()
+	// All scratch is drawn before any fan-out: chunk bodies index
+	// disjoint rows and the arena is never bumped inside the parallel
+	// region. qz holds one head's q̃ and then, in place, z̄.
+	c.qz = ar.Float32s(n * kDim)
+	c.scores = ar.Float32s(n * k)
+	if weights != nil {
+		c.weights = weights.Data()
+	}
+	// The method value (a heap copy of c) exists only on the fan-out
+	// branch so the serial path stays allocation-free.
+	if parallel.WillFanOut(n) {
+		parallel.ForChunked(n, 0, c.rows)
+	} else {
+		c.rows(0, n)
+	}
+	return ctx
+}
+
+// newAttnCore binds the core to its WK/WV weights for queries of width
+// e, k slots per target and kv rows of width kDim; the caller points
+// qp, kv, mask, ctx, qz and scores at its rows. The kernel strides the
+// weight rows by kDim and e directly — a mismatch would read the wrong
+// rows rather than fail — so the widths are checked here.
+func newAttnCore(wk, wv *Linear, heads, e, k, kDim int) attnCore {
 	if wk.W.Dim(1) != kDim || wv.W.Dim(1) != kDim {
 		panic(fmt.Sprintf("nn: attention kv width %d != WK/WV input width %d/%d", kDim, wk.W.Dim(1), wv.W.Dim(1)))
 	}
@@ -118,17 +143,10 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 			e, wk.W.Dim(0), wv.W.Dim(0), heads))
 	}
 	hd := e / heads
-	ctx := ar.Tensor(n, e) // every row is written below
 	c := attnCore{
 		heads: heads, hd: hd, e: e, k: k, kDim: kDim,
 		scale: float32(1 / math.Sqrt(float64(hd))),
 		wk:    wk.W.Data(), wv: wv.W.Data(),
-		qp: qp.Data(), kv: kv.Data(), mask: mask, ctx: ctx.Data(),
-		// All scratch is drawn before any fan-out: chunk bodies index
-		// disjoint rows and the arena is never bumped inside the
-		// parallel region. qz holds one head's q̃ and then, in place, z̄.
-		qz:     ar.Float32s(n * kDim),
-		scores: ar.Float32s(n * k),
 	}
 	if wk.B != nil {
 		c.bk = wk.B.Data()
@@ -136,21 +154,11 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 	if wv.B != nil {
 		c.bv = wv.B.Data()
 	}
-	if weights != nil {
-		c.weights = weights.Data()
-	}
-	// The method value (a heap copy of c) exists only on the fan-out
-	// branch so the serial path stays allocation-free.
-	if n >= parallel.MinParallelWork && parallel.Degree() > 1 {
-		parallel.ForChunked(n, 0, c.rows)
-	} else {
-		c.rows(0, n)
-	}
-	return ctx
+	return c
 }
 
-// attnCore carries the operands of one absorbedAttention call into its
-// row kernel.
+// attnCore carries the attention operands into the row kernel: a whole
+// batch for absorbedAttention, one tile at a time for the layer pass.
 type attnCore struct {
 	heads, hd, e, k, kDim int
 	scale                 float32

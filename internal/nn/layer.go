@@ -1,0 +1,255 @@
+package nn
+
+import (
+	"fmt"
+
+	"tgopt/internal/parallel"
+	"tgopt/internal/tensor"
+)
+
+// This file is the one forward path of a TGAT layer (Eqs. 4–7) at both
+// precisions: a single row-parallel pass in which a worker carries a
+// tile of targets through q assembly → WQ → absorbed attention → WO →
+// merge concat → FC1 → ReLU → FC2 while the tile's intermediates are
+// cache-resident (DESIGN.md §6.2). The public ops — Linear, MergeLayer,
+// TemporalAttention.ForwardWith — run the same row kernels one op at a
+// time; composing them gives the same bits, one whole-batch pass and
+// one fork-join per op.
+
+// layerTile is the number of targets a worker takes through the whole
+// layer before starting the next. At the benchmark shape a tile's
+// intermediates are ~185 KB, of which the assembled kv rows are 120 KB:
+// resident in L2 from assembly to the attention core's last read.
+const layerTile = 32
+
+// rowLinear is what the layer pass is parameterised by: x·Wᵀ+b over a
+// run of rows, serially on the calling goroutine. *Linear and
+// *QuantLinear implement it.
+type rowLinear interface {
+	In() int
+	Out() int
+	// rows computes dst (m, Out) from x (m, In). qs is int8 activation
+	// scratch for at least m rows of In; float layers ignore it.
+	rows(x []float32, m int, dst []float32, qs quantScratch)
+}
+
+// quantScratch is the activation scratch of tensor.QuantLinearRows.
+type quantScratch struct {
+	q      []uint8
+	scales []float32
+	sums   []int32
+}
+
+func (l *Linear) rows(x []float32, m int, dst []float32, _ quantScratch) {
+	tensor.LinearRows(x, m, l.W, l.B, dst)
+}
+
+func (l *QuantLinear) rows(x []float32, m int, dst []float32, qs quantScratch) {
+	tensor.QuantLinearRows(x, m, l.W, l.B, dst, qs.q[:m*l.In()], qs.scales[:m], qs.sums[:m])
+}
+
+// LayerForwardWith runs one TGAT layer for n targets with k neighbor
+// slots each: attention of z_i = hTgt ‖ tEnc0 over z_j = hNgh ‖ eFeat ‖
+// tEncD, then FFN(attention ‖ hTgt).
+//
+//	hTgt   (n, d)      tEnc0  (n, dt)
+//	hNgh   (n*k, d)    eFeat  (n*k, de)    tEncD  (n*k, dt)
+//	mask   len n*k     false marks padded slots
+//
+// It returns (n, merge out) drawn from ar (heap when ar is nil), bitwise
+// what merge.ForwardWith(attn.ForwardWith(q, kv), hTgt) returns over the
+// concatenated q and kv. Rows of hNgh, eFeat and tEncD under a padded
+// slot are never read.
+func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	return layerForward(ar, layerOps{
+		wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2,
+		wk: attn.WK, wv: attn.WV, heads: attn.Heads,
+	}, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+}
+
+// QuantLayerForwardWith is LayerForwardWith with the four per-target
+// projections through the int8 kernel; the attention core, the concats
+// and the ReLU are the float32 ones.
+func QuantLayerForwardWith(ar *tensor.Arena, attn *QuantTemporalAttention, merge *QuantMergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	return layerForward(ar, layerOps{
+		wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2,
+		wk: attn.WK, wv: attn.WV, heads: attn.Heads,
+		quantIn: max(attn.WQ.In(), attn.WO.In(), merge.FC1.In(), merge.FC2.In()),
+	}, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+}
+
+// layerOps names the projections of one layer.
+type layerOps struct {
+	wq, wo, fc1, fc2 rowLinear
+	wk, wv           *Linear
+	heads            int
+	quantIn          int // widest int8 projection input; 0 at float32
+}
+
+func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	n, d := hTgt.Dim(0), hTgt.Dim(1)
+	de, dt := eFeat.Dim(1), tEnc0.Dim(1)
+	if tEnc0.Dim(0) != n || hNgh.Dim(0) != n*k || eFeat.Dim(0) != n*k || tEncD.Dim(0) != n*k || len(mask) != n*k {
+		panic(fmt.Sprintf("nn: layer rows: %d targets × %d slots, got tEnc0 %d hNgh %d eFeat %d tEncD %d mask %d",
+			n, k, tEnc0.Dim(0), hNgh.Dim(0), eFeat.Dim(0), tEncD.Dim(0), len(mask)))
+	}
+	if hNgh.Dim(1) != d || tEncD.Dim(1) != dt {
+		panic(fmt.Sprintf("nn: layer widths: hNgh %d != hTgt %d, or tEncD %d != tEnc0 %d", hNgh.Dim(1), d, tEncD.Dim(1), dt))
+	}
+	e := ops.wq.Out()
+	if ops.wq.In() != d+dt || ops.wo.In() != e || ops.fc1.In() != ops.wo.Out()+d || ops.fc2.In() != ops.fc1.Out() {
+		panic(fmt.Sprintf("nn: layer projections do not chain: WQ %d→%d, WO %d→%d, FC1 %d→%d, FC2 %d→%d over node width %d, time width %d",
+			ops.wq.In(), e, ops.wo.In(), ops.wo.Out(), ops.fc1.In(), ops.fc1.Out(), ops.fc2.In(), ops.fc2.Out(), d, dt))
+	}
+	out := ar.Tensor(n, ops.fc2.Out()) // every row is written below
+	p := layerPass{
+		layerOps: ops,
+		core:     newAttnCore(ops.wk, ops.wv, ops.heads, e, k, d+de+dt),
+		d:        d, de: de, dt: dt,
+		hTgt: hTgt.Data(), hNgh: hNgh.Data(), eFeat: eFeat.Data(),
+		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
+		out:   out.Data(),
+		tile:  min(layerTile, n),
+		chunk: n,
+	}
+	fanOut := parallel.WillFanOut(n)
+	slots := 1
+	if fanOut {
+		// Two chunks per worker, each a whole number of tiles; chunk c
+		// works in scratch slot c, so no two workers share a slot.
+		chunks := 2 * parallel.Degree()
+		p.chunk = (n + chunks*layerTile - 1) / (chunks * layerTile) * layerTile
+		slots = (n + p.chunk - 1) / p.chunk
+	}
+	// All scratch is drawn here, before any fan-out: the arena is never
+	// bumped inside the parallel region.
+	p.f32 = ar.Float32s(slots * p.tileFloats())
+	if ops.quantIn > 0 {
+		p.qs = quantScratch{
+			q:      ar.Bytes(slots * p.tile * ops.quantIn),
+			scales: ar.Float32s(slots * p.tile),
+			sums:   ar.Int32s(slots * p.tile),
+		}
+	}
+	// The method value (a heap copy of p) exists only on the fan-out
+	// branch so the serial path stays allocation-free.
+	if fanOut {
+		parallel.ForChunked(n, p.chunk, p.rows)
+	} else {
+		p.rows(0, n)
+	}
+	return out
+}
+
+// layerPass carries the operands of one layerForward call into its
+// tile kernel.
+type layerPass struct {
+	layerOps
+	core      attnCore // weights and widths; runTile points it at a tile
+	d, de, dt int      // node, edge and time widths
+
+	hTgt, hNgh, eFeat, tEnc0, tEncD []float32
+	mask                            []bool
+	out                             []float32
+
+	tile  int // targets per tile
+	chunk int // targets per fan-out chunk; chunk c uses scratch slot c
+	f32   []float32
+	qs    quantScratch
+}
+
+// tileFloats is the float32 scratch one tile needs: q, qp, kv, the
+// core's qz and scores, ctx, the WO output, the merge input and the
+// FC1 output.
+func (p layerPass) tileFloats() int {
+	c := p.core
+	perTarget := (p.d + p.dt) + c.e + c.k*c.kDim + c.kDim + c.k + c.e + p.wo.Out() + p.fc1.In() + p.fc1.Out()
+	return p.tile * perTarget
+}
+
+// rows computes output rows [lo,hi) tile by tile, in the scratch slot
+// of the chunk that starts at lo.
+func (p layerPass) rows(lo, hi int) {
+	slot := lo / p.chunk
+	buf := p.f32[slot*p.tileFloats():][:p.tileFloats()]
+	carve := func(perTarget int) []float32 {
+		s := buf[:p.tile*perTarget]
+		buf = buf[len(s):]
+		return s
+	}
+	c := p.core
+	t := layerScratch{
+		q: carve(p.d + p.dt), qp: carve(c.e), kv: carve(c.k * c.kDim),
+		qz: carve(c.kDim), scores: carve(c.k), ctx: carve(c.e),
+		ao: carve(p.wo.Out()), x: carve(p.fc1.In()), h: carve(p.fc1.Out()),
+	}
+	if p.quantIn > 0 {
+		t.qs = quantScratch{
+			q:      p.qs.q[slot*p.tile*p.quantIn:][:p.tile*p.quantIn],
+			scales: p.qs.scales[slot*p.tile:][:p.tile],
+			sums:   p.qs.sums[slot*p.tile:][:p.tile],
+		}
+	}
+	for ; lo < hi; lo += p.tile {
+		p.runTile(t, lo, min(lo+p.tile, hi))
+	}
+}
+
+// layerScratch is one slot's tile-local buffers, each sized for a full
+// tile.
+type layerScratch struct {
+	q, qp, kv, qz, scores, ctx, ao, x, h []float32
+	qs                                   quantScratch
+}
+
+// runTile takes targets [lo,hi) through the whole layer.
+func (p layerPass) runTile(t layerScratch, lo, hi int) {
+	m := hi - lo
+	d, de, dt, k := p.d, p.de, p.dt, p.core.k
+	qd, kd := d+dt, p.core.kDim
+
+	// z_i = h_i ‖ Φ(0), then the query projection.
+	for r := 0; r < m; r++ {
+		i := lo + r
+		row := t.q[r*qd : (r+1)*qd]
+		copy(row, p.hTgt[i*d:(i+1)*d])
+		copy(row[d:], p.tEnc0[i*dt:(i+1)*dt])
+	}
+	qp := t.qp[:m*p.core.e]
+	p.wq.rows(t.q[:m*qd], m, qp, t.qs)
+
+	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only: the core never
+	// reads a padded slot's row, so it is never assembled.
+	mask := p.mask[lo*k : hi*k]
+	for s, ok := range mask {
+		if !ok {
+			continue
+		}
+		g := lo*k + s
+		row := t.kv[s*kd : (s+1)*kd]
+		copy(row, p.hNgh[g*d:(g+1)*d])
+		copy(row[d:], p.eFeat[g*de:(g+1)*de])
+		copy(row[d+de:], p.tEncD[g*dt:(g+1)*dt])
+	}
+
+	c := p.core
+	c.qp, c.kv, c.mask = qp, t.kv, mask
+	c.ctx, c.qz, c.scores = t.ctx, t.qz, t.scores
+	c.rows(0, m)
+
+	// FFN(WO·ctx ‖ h_i).
+	aw := p.wo.Out()
+	ao := t.ao[:m*aw]
+	p.wo.rows(t.ctx[:m*c.e], m, ao, t.qs)
+	xw := aw + d
+	for r := 0; r < m; r++ {
+		row := t.x[r*xw : (r+1)*xw]
+		copy(row, ao[r*aw:(r+1)*aw])
+		copy(row[aw:], p.hTgt[(lo+r)*d:(lo+r+1)*d])
+	}
+	h := t.h[:m*p.fc1.Out()]
+	p.fc1.rows(t.x[:m*xw], m, h, t.qs)
+	tensor.ReLUFloats(h)
+	ow := p.fc2.Out()
+	p.fc2.rows(h, m, p.out[lo*ow:hi*ow], t.qs)
+}

@@ -1,0 +1,236 @@
+package nn
+
+import (
+	"testing"
+
+	"tgopt/internal/parallel"
+	"tgopt/internal/tensor"
+)
+
+// layerFixture is a pool of targets for the layer tests: per target one
+// hTgt/tEnc0 row and k hNgh/eFeat/tEncD rows, with edgeMask's all-
+// padded, one-slot and dense targets first. Rows under padded slots hold
+// NaN: the pass must never let one reach an output.
+type layerFixture struct {
+	k, d, de, dt                    int
+	attn                            *TemporalAttention
+	merge                           *MergeLayer
+	qattn                           *QuantTemporalAttention
+	qmerge                          *QuantMergeLayer
+	hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor
+	mask                            []bool
+}
+
+func newLayerFixture(pool int) *layerFixture {
+	const heads, d, de, dt, k = 2, 8, 6, 4, 5
+	r := tensor.NewRNG(97)
+	f := &layerFixture{k: k, d: d, de: de, dt: dt}
+	f.attn = NewTemporalAttention(r, heads, d+dt, d+de+dt)
+	f.merge = NewMergeLayer(r, d+dt, d, 10, d)
+	for _, l := range []*Linear{f.attn.WQ, f.attn.WK, f.attn.WV, f.attn.WO, f.merge.FC1, f.merge.FC2} {
+		copy(l.B.Data(), tensor.Randn(r, l.Out()).Data())
+	}
+	f.qattn = QuantizeAttention(f.attn)
+	f.qmerge = QuantizeMergeLayer(f.merge)
+	f.hTgt = tensor.Randn(r, pool, d)
+	f.tEnc0 = tensor.Randn(r, pool, dt)
+	f.hNgh = tensor.Randn(r, pool*k, d)
+	f.eFeat = tensor.Randn(r, pool*k, de)
+	f.tEncD = tensor.Randn(r, pool*k, dt)
+	f.mask = edgeMask(r, pool, k)
+	nan := float32(0)
+	nan /= nan
+	for s, ok := range f.mask {
+		if !ok {
+			for _, t := range []*tensor.Tensor{f.hNgh, f.eFeat, f.tEncD} {
+				row := t.Row(s)
+				for j := range row {
+					row[j] = nan
+				}
+			}
+		}
+	}
+	return f
+}
+
+// batch gathers the given pool targets, in that order, into layer
+// inputs.
+func (f *layerFixture) batch(ids []int) (hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) {
+	n, k := len(ids), f.k
+	hTgt, tEnc0 = tensor.New(n, f.d), tensor.New(n, f.dt)
+	hNgh, eFeat, tEncD = tensor.New(n*k, f.d), tensor.New(n*k, f.de), tensor.New(n*k, f.dt)
+	mask = make([]bool, 0, n*k)
+	for p, i := range ids {
+		copy(hTgt.Row(p), f.hTgt.Row(i))
+		copy(tEnc0.Row(p), f.tEnc0.Row(i))
+		for j := 0; j < k; j++ {
+			copy(hNgh.Row(p*k+j), f.hNgh.Row(i*k+j))
+			copy(eFeat.Row(p*k+j), f.eFeat.Row(i*k+j))
+			copy(tEncD.Row(p*k+j), f.tEncD.Row(i*k+j))
+		}
+		mask = append(mask, f.mask[i*k:(i+1)*k]...)
+	}
+	return
+}
+
+// fused runs the tile pass over the given targets at one precision.
+func (f *layerFixture) fused(ar *tensor.Arena, quant bool, ids []int) []float32 {
+	hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(ids)
+	if quant {
+		return QuantLayerForwardWith(ar, f.qattn, f.qmerge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask).Data()
+	}
+	return LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask).Data()
+}
+
+// composed runs the same layer one public op at a time over the
+// whole-batch q and kv. ConcatColsInto copies the NaN rows of padded
+// slots into kv; the attention core skips them.
+func (f *layerFixture) composed(quant bool, ids []int) []float32 {
+	hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(ids)
+	q := tensor.New(len(ids), f.d+f.dt)
+	tensor.ConcatColsInto(q, hTgt, tEnc0)
+	kv := tensor.New(len(ids)*f.k, f.d+f.de+f.dt)
+	tensor.ConcatColsInto(kv, hNgh, eFeat, tEncD)
+	if quant {
+		return f.qmerge.ForwardWith(nil, f.qattn.ForwardWith(nil, q, kv, f.k, mask), hTgt).Data()
+	}
+	return f.merge.ForwardWith(nil, f.attn.ForwardWith(nil, q, kv, f.k, mask), hTgt).Data()
+}
+
+func seq(n, pool, stride, off int) []int {
+	ids := make([]int, n)
+	for p := range ids {
+		ids[p] = (p*stride + off) % pool
+	}
+	return ids
+}
+
+// TestLayerPassMatchesComposedOpsBitwise: the fused pass changes when a
+// row is computed, never the order its terms are added, so it returns
+// the bits of the layer composed from the public ops — float32 against
+// the float ops, int8 against the int8 ops — serial and fanned out.
+func TestLayerPassMatchesComposedOpsBitwise(t *testing.T) {
+	const pool = 64
+	f := newLayerFixture(pool)
+	defer parallel.SetDegree(parallel.SetDegree(2))
+	for _, quant := range []bool{false, true} {
+		for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
+			ids := seq(n, pool, 5, 1)
+			got := f.fused(nil, quant, ids)
+			want := f.composed(quant, ids)
+			if at := sameBits(got, want); at >= 0 {
+				t.Fatalf("quant=%v n=%d: fused pass differs from the composed ops at element %d (%v vs %v)", quant, n, at, got[at], want[at])
+			}
+			for _, v := range got {
+				if v != v {
+					t.Fatalf("quant=%v n=%d: a padded slot's NaN reached the output", quant, n)
+				}
+			}
+		}
+	}
+}
+
+// TestLayerRowIndependenceBitwise extends the attention core's
+// row-independence pin to the whole layer: a target's output bits
+// depend only on its own rows and mask — not on the batch length (one
+// target, either side of a tile boundary, either side of the fan-out
+// cut-off), its position in the batch, the scratch slot its chunk was
+// given, or the parallel degree. The all-padded and one-slot targets
+// sit at pool ids 0 and 1 and land on every kind of position.
+func TestLayerRowIndependenceBitwise(t *testing.T) {
+	const pool = 48
+	f := newLayerFixture(pool)
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	for _, quant := range []bool{false, true} {
+		alone := make([][]float32, pool)
+		for i := range alone {
+			alone[i] = f.fused(nil, quant, []int{i})
+		}
+		w := len(alone[0])
+		ar := tensor.NewArena() // reused dirty across calls, as the engine's is
+		for _, degree := range []int{1, 2, 4} {
+			parallel.SetDegree(degree)
+			for _, n := range []int{1, layerTile - 1, layerTile, layerTile + 1, 255, 256, 1000} {
+				// Strides coprime to the pool walk every target through
+				// every residue of position mod tile.
+				for _, stride := range []int{1, 7} {
+					ids := seq(n, pool, stride, n%pool)
+					ar.Reset()
+					out := f.fused(ar, quant, ids)
+					for p, i := range ids {
+						if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
+							t.Fatalf("quant=%v degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
+								quant, degree, n, i, p, at)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLayerPassAllocs: below the fan-out cut-off the pass is serial at
+// any degree and must not touch the heap once the arena is warm; past
+// it a call costs the fork-join (the pass's heap copy and one spawned
+// worker at degree 2; thirty allocations before the fusion), nothing
+// per tile.
+func TestLayerPassAllocs(t *testing.T) {
+	const pool = 64
+	f := newLayerFixture(pool)
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	ar := tensor.NewArena()
+	for _, quant := range []bool{false, true} {
+		for _, tc := range []struct{ degree, n, max int }{
+			{1, 64, 0}, {2, 64, 0}, {1, 512, 0}, {2, 512, 3},
+		} {
+			parallel.SetDegree(tc.degree)
+			hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(seq(tc.n, pool, 5, 0))
+			run := func() {
+				ar.Reset()
+				if quant {
+					QuantLayerForwardWith(ar, f.qattn, f.qmerge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+				} else {
+					LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+				}
+			}
+			run() // warm the arena
+			if allocs := testing.AllocsPerRun(20, run); allocs > float64(tc.max) {
+				t.Errorf("quant=%v degree=%d n=%d: %v allocs/op, want <= %d", quant, tc.degree, tc.n, allocs, tc.max)
+			}
+		}
+	}
+}
+
+// TestLayerPassRejectsMismatchedShapes: the tile kernel indexes raw
+// slices by the widths it was given, so inputs that do not chain must
+// panic up front.
+func TestLayerPassRejectsMismatchedShapes(t *testing.T) {
+	f := newLayerFixture(8)
+	hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch([]int{0, 1, 2})
+	for name, call := range map[string]func(){
+		"short mask": func() { LayerForwardWith(nil, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask[1:]) },
+		"hNgh rows": func() {
+			LayerForwardWith(nil, f.attn, f.merge, f.k, hTgt, tensor.New(4, f.d), eFeat, tEnc0, tEncD, mask)
+		},
+		"tEncD width": func() {
+			LayerForwardWith(nil, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tensor.New(3*f.k, f.dt+1), mask)
+		},
+		"wrong merge": func() {
+			LayerForwardWith(nil, f.attn, NewMergeLayer(tensor.NewRNG(1), 3, f.d, 4, 4), f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+		},
+		"eFeat narrow": func() {
+			LayerForwardWith(nil, f.attn, f.merge, f.k, hTgt, hNgh, tensor.New(3*f.k, f.de-1), tEnc0, tEncD, mask)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

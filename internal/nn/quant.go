@@ -1,6 +1,9 @@
 package nn
 
-import "tgopt/internal/tensor"
+import (
+	"tgopt/internal/parallel"
+	"tgopt/internal/tensor"
+)
 
 // This file holds the int8 inference variants of the forward-only
 // layers (DESIGN.md §14). Weights are quantized ONCE, at model load or
@@ -41,16 +44,23 @@ func (l *QuantLinear) Bytes() int {
 }
 
 // ForwardWith computes x·Wᵀ+b through the int8 kernel, with every
-// intermediate and the output drawn from ar (heap when ar is nil). x's
-// rows are quantized into arena scratch first.
+// intermediate and the output drawn from ar (heap when ar is nil). Each
+// chunk of rows is quantized into arena scratch and multiplied in the
+// same pass; the row loop parallelizes when parallel.WillFanOut(m).
 func (l *QuantLinear) ForwardWith(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	m, k := x.Dim(0), x.Dim(1)
-	q := ar.Bytes(m * k)
-	scales := ar.Float32s(m)
-	sums := ar.Int32s(m)
-	tensor.QuantizeRowsInto(x, q, scales, sums)
-	dst := ar.Tensor(m, l.Out())
-	tensor.QuantLinearInto(q, scales, sums, m, l.W, l.B, dst)
+	m, k, n := x.Dim(0), x.Dim(1), l.Out()
+	qs := quantScratch{q: ar.Bytes(m * k), scales: ar.Float32s(m), sums: ar.Int32s(m)}
+	dst := ar.Tensor(m, n)
+	xd, dd := x.Data(), dst.Data()
+	// Closure built only on the fan-out branch, so the serial path
+	// stays allocation-free.
+	if parallel.WillFanOut(m) {
+		parallel.ForChunked(m, 0, func(lo, hi int) {
+			l.rows(xd[lo*k:hi*k], hi-lo, dd[lo*n:hi*n], quantScratch{q: qs.q[lo*k:], scales: qs.scales[lo:], sums: qs.sums[lo:]})
+		})
+	} else {
+		l.rows(xd, m, dd, qs)
+	}
 	return dst
 }
 

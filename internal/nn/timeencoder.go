@@ -13,6 +13,7 @@ package nn
 import (
 	"math"
 
+	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 )
 
@@ -51,15 +52,35 @@ func (te *TimeEncoder) Encode(dts []float64) *tensor.Tensor {
 
 // EncodeInto is Encode writing into a preallocated (len(dts), d_t)
 // tensor. The hot path of the baseline model calls this per batch; TGOpt
-// mostly replaces it with table lookups (§4.3).
+// mostly replaces it with table lookups (§4.3). Rows are independent —
+// d_t cosines each — so the row loop parallelizes when
+// parallel.WillFanOut(len(dts)).
 func (te *TimeEncoder) EncodeInto(dts []float64, dst *tensor.Tensor) {
+	data := dst.Data()
+	// Closure built only on the fan-out branch, so the serial path
+	// stays allocation-free.
+	if parallel.WillFanOut(len(dts)) {
+		parallel.ForChunked(len(dts), 0, func(lo, hi int) { te.encodeRows(dts, data, lo, hi) })
+	} else {
+		te.encodeRows(dts, data, 0, len(dts))
+	}
+}
+
+func (te *TimeEncoder) encodeRows(dts []float64, data []float32, lo, hi int) {
 	d := te.Dim()
+	for i := lo; i < hi; i++ {
+		te.EncodeRow(dts[i], data[i*d:(i+1)*d])
+	}
+}
+
+// EncodeRow writes Φ(dt) into row (length d_t): the one place the
+// encoding is evaluated, shared by EncodeInto and the time table's miss
+// path.
+func (te *TimeEncoder) EncodeRow(dt float64, row []float32) {
 	om, ph := te.Omega.Data(), te.Phi.Data()
-	for i, dt := range dts {
-		row := dst.Data()[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			row[j] = float32(math.Cos(dt*float64(om[j]) + float64(ph[j])))
-		}
+	row = row[:len(om)]
+	for j, w := range om {
+		row[j] = float32(math.Cos(dt*float64(w) + float64(ph[j])))
 	}
 }
 

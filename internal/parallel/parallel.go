@@ -67,19 +67,24 @@ func (p *WorkerPanic) Error() string {
 }
 
 // capture runs fn, recording a recovered panic into first (keeping only
-// the earliest). An already-wrapped *WorkerPanic (from a nested parallel
-// region re-raising) is forwarded without double-wrapping.
+// the earliest).
 func capture(first *atomic.Pointer[WorkerPanic], fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			wp, ok := r.(*WorkerPanic)
-			if !ok {
-				wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
-			}
-			first.CompareAndSwap(nil, wp)
-		}
-	}()
+	defer record(first)
 	fn()
+}
+
+// record must be deferred directly: it recovers the deferring
+// function's panic into first, keeping only the earliest. An
+// already-wrapped *WorkerPanic (from a nested parallel region
+// re-raising) is forwarded without double-wrapping.
+func record(first *atomic.Pointer[WorkerPanic]) {
+	if r := recover(); r != nil {
+		wp, ok := r.(*WorkerPanic)
+		if !ok {
+			wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
+		}
+		first.CompareAndSwap(nil, wp)
+	}
 }
 
 // rethrow re-raises the first captured panic, if any.
@@ -98,6 +103,15 @@ func For(n int, body func(i int)) {
 			body(i)
 		}
 	})
+}
+
+// WillFanOut reports whether ForChunked(n, 0, body) will run chunks on
+// more than one goroutine. It is the one cut-off every kernel consults:
+// the body closure escapes through ForChunked, so callers on a
+// zero-allocation path build it only when this is true and call their
+// row kernel directly otherwise.
+func WillFanOut(n int) bool {
+	return n >= MinParallelWork && Degree() > 1
 }
 
 // ForChunked splits [0, n) into contiguous chunks and executes
@@ -136,33 +150,61 @@ func ForChunked(n, chunk int, body func(lo, hi int)) {
 	if workers > nchunks-1 {
 		workers = nchunks - 1
 	}
-	var next atomic.Int64
-	var first atomic.Pointer[WorkerPanic]
-	run := func() {
-		for first.Load() == nil {
-			c := int(next.Add(1)) - 1
-			if c >= nchunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
+	fj := forkJoinPool.Get().(*forkJoin)
+	fj.n, fj.chunk, fj.nchunks, fj.body = n, chunk, nchunks, body
+	fj.next.Store(0)
+	fj.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			capture(&first, run)
-		}()
+		go fj.work()
 	}
-	capture(&first, run)
-	wg.Wait()
-	rethrow(&first)
+	fj.run()
+	fj.wg.Wait()
+	// Every worker has left run: the state can go back to the pool
+	// before the panic, if any, unwinds this frame.
+	wp := fj.first.Swap(nil)
+	fj.body = nil
+	forkJoinPool.Put(fj)
+	if wp != nil {
+		panic(wp)
+	}
+}
+
+// forkJoin is the shared state of one ForChunked fan-out. It is pooled:
+// a fan-out then costs the caller's body closure plus one closure per
+// spawned worker, not a counter, a panic slot, a WaitGroup and two
+// closures of its own. Nested fan-outs each check out their own.
+type forkJoin struct {
+	n, chunk, nchunks int
+	body              func(lo, hi int)
+	next              atomic.Int64
+	first             atomic.Pointer[WorkerPanic]
+	wg                sync.WaitGroup
+}
+
+var forkJoinPool = sync.Pool{New: func() any { return new(forkJoin) }}
+
+// work is a spawned worker's whole life.
+func (fj *forkJoin) work() {
+	defer fj.wg.Done()
+	fj.run()
+}
+
+// run pulls chunks off the shared counter until they run out or a
+// sibling has panicked, capturing its own panic into fj.first.
+func (fj *forkJoin) run() {
+	defer record(&fj.first)
+	for fj.first.Load() == nil {
+		c := int(fj.next.Add(1)) - 1
+		if c >= fj.nchunks {
+			return
+		}
+		lo := c * fj.chunk
+		hi := lo + fj.chunk
+		if hi > fj.n {
+			hi = fj.n
+		}
+		fj.body(lo, hi)
+	}
 }
 
 // Do runs the given functions, potentially concurrently, and returns when

@@ -403,3 +403,55 @@ func TestNestedParallelForcedDegree(t *testing.T) {
 		t.Fatalf("nested executed %d, want %d", count.Load(), want)
 	}
 }
+
+// TestForChunkedFanOutAllocs pins the price of one fan-out: the fork-
+// join state is pooled, so what is left is the caller's body closure
+// and the closure of the one spawned worker.
+func TestForChunkedFanOutAllocs(t *testing.T) {
+	prev := SetDegree(2)
+	defer SetDegree(prev)
+	var sink atomic.Int64
+	n := 4 * MinParallelWork
+	if !WillFanOut(n) {
+		t.Fatalf("WillFanOut(%d) false at degree 2", n)
+	}
+	fanOut := func() {
+		ForChunked(n, 0, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+	}
+	fanOut() // fill the pool
+	if allocs := testing.AllocsPerRun(50, fanOut); allocs > 2 {
+		t.Errorf("fan-out costs %v allocs, want <= 2", allocs)
+	}
+	// Below the cut-off nothing escapes and nothing is spawned.
+	small := MinParallelWork - 1
+	if WillFanOut(small) {
+		t.Fatalf("WillFanOut(%d) true", small)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		ForChunked(small, 0, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+	}); allocs > 1 {
+		t.Errorf("serial ForChunked costs %v allocs, want <= 1 (the body)", allocs)
+	}
+}
+
+// TestForChunkedStateReusedAfterPanic: the pooled state must come back
+// clean after a fan-out that panicked — no stale panic, no stale body.
+func TestForChunkedStateReusedAfterPanic(t *testing.T) {
+	prev := SetDegree(2)
+	defer SetDegree(prev)
+	for round := 0; round < 20; round++ {
+		func() {
+			defer func() {
+				if _, ok := recover().(*WorkerPanic); !ok {
+					t.Fatal("panic not re-raised as *WorkerPanic")
+				}
+			}()
+			ForChunked(MinParallelWork*2, 8, func(lo, hi int) { panic("boom") })
+		}()
+		var total atomic.Int64
+		ForChunked(MinParallelWork*2, 8, func(lo, hi int) { total.Add(int64(hi - lo)) })
+		if total.Load() != MinParallelWork*2 {
+			t.Fatalf("round %d: after a panicked fan-out the next covered %d of %d", round, total.Load(), MinParallelWork*2)
+		}
+	}
+}

@@ -260,7 +260,10 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	armed.Store(false)
 
 	// The poisoned group's shards crashed; the supervisor restarts them
-	// and the pool settles back to full clean 200s.
+	// and the pool settles back to full clean 200s. The healthy replicas
+	// can serve that 200 before any rebuild has finished, so wait for
+	// the rebuilds themselves before reading the restart counters.
+	s.router.WaitRestarts()
 	waitForServe(t, 5*time.Second, func() bool {
 		body, code, err := postBody(on.URL, "/v1/embed", req)
 		return err == nil && code == 200 && bytes.Equal(body, want)
@@ -304,7 +307,6 @@ func TestServeShardedPartialResponse(t *testing.T) {
 			t.Fatalf("/metrics missing %q", series)
 		}
 	}
-	_ = s
 }
 
 // stallEmbedder stalls every shard while armed — used to open every

@@ -183,6 +183,11 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 			t.Fatalf("post-restart slab[%d] = %v, want %v (not bitwise identical)", i, res.Slab[i], want[i])
 		}
 	}
+	// The victim may have panicked again between its first restart and
+	// the disarm — healthy replicas serve the clean embeds above while
+	// that second rebuild is still in flight — so wait for the
+	// supervisor before reading the breaker it leaves half-open.
+	r.WaitRestarts()
 	if got := r.Stats().Shards[vid].Breaker; got != "closed" && got != "half-open" {
 		t.Fatalf("victim breaker = %s after recovery", got)
 	}

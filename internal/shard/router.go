@@ -123,8 +123,15 @@ type Router struct {
 	swapMu  sync.RWMutex
 	version atomic.Uint64
 
-	closed    atomic.Bool
-	restartWG sync.WaitGroup
+	closed atomic.Bool
+
+	// rebuilds counts supervisor rebuilds in flight and rebuildDone
+	// signals the count reaching zero. Not a WaitGroup: WaitRestarts
+	// may be waiting at zero while a crash arms the next rebuild, the
+	// one interleaving WaitGroup forbids.
+	rebuildMu   sync.Mutex
+	rebuildDone sync.Cond
+	rebuilds    int
 
 	hedges        atomic.Int64
 	hedgeWins     atomic.Int64
@@ -172,6 +179,7 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		ring:     newRing(cfg.Shards),
 		log:      append([]graph.Edge(nil), dyn.Edges()...),
 	}
+	r.rebuildDone.L = &r.rebuildMu
 	r.version.Store(cfg.ModelVersion)
 	if cfg.SnapshotDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
@@ -744,7 +752,7 @@ func (r *Router) StaleStoreSkips() int64 {
 // every engine. Safe to call more than once.
 func (r *Router) Close() error {
 	r.closed.Store(true)
-	r.restartWG.Wait()
+	r.WaitRestarts()
 	var first error
 	for _, s := range r.shards {
 		if c := s.swapCore(nil); c != nil {

@@ -47,12 +47,35 @@ func (r *Router) crash(s *Shard, cause error) {
 	if !s.restarting.CompareAndSwap(false, true) {
 		return
 	}
-	r.restartWG.Add(1)
+	r.rebuildMu.Lock()
+	r.rebuilds++
+	r.rebuildMu.Unlock()
 	go func() {
-		defer r.restartWG.Done()
-		defer s.restarting.Store(false)
+		defer func() {
+			s.restarting.Store(false)
+			r.rebuildMu.Lock()
+			r.rebuilds--
+			if r.rebuilds == 0 {
+				r.rebuildDone.Broadcast()
+			}
+			r.rebuildMu.Unlock()
+		}()
 		r.restart(s, cause)
 	}()
+}
+
+// WaitRestarts blocks until no supervisor rebuild is in flight: every
+// crash observed before the call has either been rebuilt (its Restarts
+// counter bumped, its breaker half-open) or abandoned because the
+// router closed. A leg reports its panic to the supervisor before it
+// returns, so after a degraded response this waits for exactly the
+// rebuilds that response's failures armed.
+func (r *Router) WaitRestarts() {
+	r.rebuildMu.Lock()
+	for r.rebuilds > 0 {
+		r.rebuildDone.Wait()
+	}
+	r.rebuildMu.Unlock()
 }
 
 // restart rebuilds a crashed shard from the edge log and its last

@@ -18,12 +18,17 @@ func ReLU(a *Tensor) *Tensor {
 
 // ReLUInPlace clamps every element of a to max(0, v) and returns a.
 func ReLUInPlace(a *Tensor) *Tensor {
-	for i, v := range a.data {
+	ReLUFloats(a.data)
+	return a
+}
+
+// ReLUFloats is ReLUInPlace over a raw slice.
+func ReLUFloats(x []float32) {
+	for i, v := range x {
 		if v < 0 {
-			a.data[i] = 0
+			x[i] = 0
 		}
 	}
-	return a
 }
 
 // LeakyReLU returns a where a > 0, otherwise slope*a. TGAT's attention

@@ -23,8 +23,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // four output rows while it sits in registers/L1 — the register
 // blocking that makes the dense path memory-bandwidth-, not
 // latency-bound. The inner loop is branch-free; use MatMulSparseInto
-// when A is known to be mostly zero. The row loop parallelizes above
-// ParallelThresholds.MatMulRows.
+// when A is known to be mostly zero. The row loop parallelizes when
+// parallel.WillFanOut(m).
 func MatMulInto(a, b, dst *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -38,7 +38,7 @@ func MatMulInto(a, b, dst *Tensor) {
 	// The closure is built only on the fan-out branch: creating it
 	// unconditionally would heap-allocate it on the serial path too
 	// (it escapes through ForChunked), breaking the zero-alloc contract.
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
+	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) { matmulRows(ad, bd, cd, lo, hi, k, n) })
 	} else {
 		matmulRows(ad, bd, cd, 0, m, k, n)
@@ -137,7 +137,7 @@ func MatMulPackedInto(a, b, dst *Tensor, pack []float32) {
 	packB(b.data, k, n, pack)
 	ad, cd := a.data, dst.data
 	pk := pack
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
+	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) { matmulPackedRows(ad, pk, cd, lo, hi, k, n) })
 	} else {
 		matmulPackedRows(ad, pk, cd, 0, m, k, n)
@@ -268,7 +268,7 @@ func MatMulSparseInto(a, b, dst *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulSparseInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
 	ad, bd, cd := a.data, b.data, dst.data
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
+	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) { matmulSparseRows(ad, bd, cd, lo, hi, k, n) })
 	} else {
 		matmulSparseRows(ad, bd, cd, 0, m, k, n)
@@ -324,7 +324,7 @@ func MatMulTInto(a, b, dst *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
 	ad, bd, cd := a.data, b.data, dst.data
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
+	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) { matmulTRows(ad, bd, cd, lo, hi, k, n) })
 	} else {
 		matmulTRows(ad, bd, cd, 0, m, k, n)
@@ -388,12 +388,11 @@ func BatchedMatMul(a, b *Tensor) *Tensor {
 
 // BatchedMatMulInto computes C[b] = A[b]·B[b] into dst (B,m,n),
 // overwriting it. Batches are independent; the batch loop parallelizes
-// above ParallelThresholds.BatchedMatMulBatches with a serial blocked
-// kernel per batch.
+// when parallel.WillFanOut(bs), with a serial blocked kernel per batch.
 func BatchedMatMulInto(a, b, dst *Tensor) {
 	bs, m, k, n := batchedCheck("BatchedMatMulInto", a, b, dst)
 	ad, bd, cd := a.data, b.data, dst.data
-	if bs >= ParallelThresholds.BatchedMatMulBatches && parallel.Degree() > 1 {
+	if parallel.WillFanOut(bs) {
 		parallel.ForChunked(bs, 0, func(lo, hi int) { batchedRange(ad, bd, cd, lo, hi, m, k, n) })
 	} else {
 		batchedRange(ad, bd, cd, 0, bs, m, k, n)
@@ -414,7 +413,7 @@ func batchedRange(a, b, c []float32, lo, hi, m, k, n int) {
 func BatchedMatMulSparseInto(a, b, dst *Tensor) {
 	bs, m, k, n := batchedCheck("BatchedMatMulSparseInto", a, b, dst)
 	ad, bd, cd := a.data, b.data, dst.data
-	if bs >= ParallelThresholds.BatchedMatMulBatches && parallel.Degree() > 1 {
+	if parallel.WillFanOut(bs) {
 		parallel.ForChunked(bs, 0, func(lo, hi int) { batchedSparseRange(ad, bd, cd, lo, hi, m, k, n) })
 	} else {
 		batchedSparseRange(ad, bd, cd, 0, bs, m, k, n)
@@ -447,17 +446,55 @@ func batchedCheck(op string, a, b, dst *Tensor) (bs, m, k, n int) {
 // (bias may be nil). This matches the PyTorch nn.Linear weight layout so
 // trained parameters round-trip naturally.
 func Linear(x, w, bias *Tensor) *Tensor {
-	out := MatMulT(x, w)
-	if bias != nil {
-		AddRowBiasInPlace(out, bias)
+	if x.Rank() != 2 || w.Rank() != 2 {
+		panic("tensor: Linear requires rank-2 operands")
 	}
+	out := New(x.shape[0], w.shape[0])
+	LinearInto(x, w, bias, out)
 	return out
 }
 
-// LinearInto is Linear writing into dst (n, out), overwriting it.
+// LinearInto is Linear writing into dst (n, out), overwriting it. The
+// row loop parallelizes when parallel.WillFanOut(n); each chunk is one
+// LinearRows call, so the bias rides in the same pass as the product.
 func LinearInto(x, w, bias, dst *Tensor) {
-	MatMulTInto(x, w, dst)
-	if bias != nil {
-		AddRowBiasInPlace(dst, bias)
+	if x.Rank() != 2 || w.Rank() != 2 {
+		panic("tensor: LinearInto requires rank-2 operands")
 	}
+	m, k := x.shape[0], x.shape[1]
+	n := w.shape[0]
+	if w.shape[1] != k {
+		panic(fmt.Sprintf("tensor: LinearInto inner dimension mismatch %v x %v", x.shape, w.shape))
+	}
+	if dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: LinearInto dst shape %v, want [%d %d]", dst.shape, m, n))
+	}
+	xd, cd := x.data, dst.data
+	// Closure built only on the fan-out branch; see MatMulInto.
+	if parallel.WillFanOut(m) {
+		parallel.ForChunked(m, 0, func(lo, hi int) { LinearRows(xd[lo*k:hi*k], hi-lo, w, bias, cd[lo*n:hi*n]) })
+	} else {
+		LinearRows(xd, m, w, bias, cd)
+	}
+}
+
+// LinearRows computes dst = x·Wᵀ + bias for the m rows of x (m, in)
+// into dst (m, out), serially on the calling goroutine: the row-range
+// kernel under LinearInto, for callers already inside a parallel region
+// (the fused layer pass hands it one tile at a time). Every output
+// element is one fixed-order sum over its own x row, so a row's bits do
+// not depend on which call computes it. bias may be nil.
+func LinearRows(x []float32, m int, w, bias *Tensor, dst []float32) {
+	n, k := w.shape[0], w.shape[1]
+	if len(x) != m*k || len(dst) != m*n {
+		panic(fmt.Sprintf("tensor: LinearRows x/dst lengths %d/%d, want %d/%d", len(x), len(dst), m*k, m*n))
+	}
+	matmulTRows(x, w.data, dst, 0, m, k, n)
+	if bias == nil {
+		return
+	}
+	if bias.Len() != n {
+		panic(fmt.Sprintf("tensor: LinearRows bias length %d, want %d", bias.Len(), n))
+	}
+	addRowBias(dst, bias.data)
 }

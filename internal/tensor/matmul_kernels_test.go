@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tgopt/internal/parallel"
@@ -229,10 +230,10 @@ func TestMatMulIntoParallelMatchesSerial(t *testing.T) {
 }
 
 // The steady-state allocation contract of the hot kernels: writing into
-// preallocated destinations never touches the heap.
+// preallocated destinations never touches the heap — at degree 2 as
+// well, since m = 128 is below the fan-out cut-off and the escaping
+// body closure is built only past it.
 func TestKernelAllocs(t *testing.T) {
-	prev := parallel.SetDegree(1)
-	defer parallel.SetDegree(prev)
 	r := NewRNG(20)
 	a := Randn(r, 128, 96)
 	b := Randn(r, 96, 64)
@@ -240,15 +241,47 @@ func TestKernelAllocs(t *testing.T) {
 	dst := New(128, 64)
 	pack := make([]float32, PackedScratchLen(96, 64))
 	bias := Randn(r, 64)
-	for name, fn := range map[string]func(){
-		"MatMulInto":       func() { MatMulInto(a, b, dst) },
-		"MatMulPackedInto": func() { MatMulPackedInto(a, b, dst, pack) },
-		"MatMulSparseInto": func() { MatMulSparseInto(a, b, dst) },
-		"MatMulTInto":      func() { MatMulTInto(a, bt, dst) },
-		"LinearInto":       func() { LinearInto(a, bt, bias, dst) },
-	} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+	ba := Randn(r, 128, 2, 8)
+	bb := Randn(r, 128, 8, 4)
+	bdst := New(128, 2, 4)
+	for _, degree := range []int{1, 2} {
+		prev := parallel.SetDegree(degree)
+		for name, fn := range map[string]func(){
+			"MatMulInto":        func() { MatMulInto(a, b, dst) },
+			"MatMulPackedInto":  func() { MatMulPackedInto(a, b, dst, pack) },
+			"MatMulSparseInto":  func() { MatMulSparseInto(a, b, dst) },
+			"MatMulTInto":       func() { MatMulTInto(a, bt, dst) },
+			"LinearInto":        func() { LinearInto(a, bt, bias, dst) },
+			"BatchedMatMulInto": func() { BatchedMatMulInto(ba, bb, bdst) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("degree %d %s: %v allocs/op, want 0", degree, name, allocs)
+			}
+		}
+		parallel.SetDegree(prev)
+	}
+}
+
+// TestLinearRowsMatchesLinearInto: any row range computed by the serial
+// row kernel carries the bits the whole-batch call gives those rows,
+// with and without a bias, above and below the fan-out cut-off.
+func TestLinearRowsMatchesLinearInto(t *testing.T) {
+	r := NewRNG(22)
+	const m, k, n = 600, 24, 17
+	x := Randn(r, m, k)
+	w := Randn(r, n, k)
+	for _, bias := range []*Tensor{nil, Randn(r, n)} {
+		want := New(m, n)
+		LinearInto(x, w, bias, want)
+		for _, rg := range [][2]int{{0, 1}, {5, 38}, {31, 32}, {250, 600}, {0, 600}} {
+			lo, hi := rg[0], rg[1]
+			got := make([]float32, (hi-lo)*n)
+			LinearRows(x.Data()[lo*k:hi*k], hi-lo, w, bias, got)
+			for i, v := range got {
+				if math.Float32bits(v) != math.Float32bits(want.Data()[lo*n+i]) {
+					t.Fatalf("rows [%d,%d) bias=%v: element %d differs from LinearInto", lo, hi, bias != nil, i)
+				}
+			}
 		}
 	}
 }
@@ -369,12 +402,6 @@ func TestMatMulPackedScratchTooSmall(t *testing.T) {
 	a := Randn(r, 4, 8)
 	b := Randn(r, 8, 8)
 	MatMulPackedInto(a, b, New(4, 8), make([]float32, 1))
-}
-
-func TestParallelThresholdDefaults(t *testing.T) {
-	if ParallelThresholds.MatMulRows != 64 || ParallelThresholds.BatchedMatMulBatches != 8 {
-		t.Errorf("unexpected defaults %+v", ParallelThresholds)
-	}
 }
 
 func ExampleMatMulPackedInto() {

@@ -109,12 +109,19 @@ func AddRowBiasInPlace(a, bias *Tensor) *Tensor {
 	if bias.Len() != w {
 		panic(fmt.Sprintf("tensor: AddRowBiasInPlace bias length %d != trailing dim %d", bias.Len(), w))
 	}
-	for base := 0; base < len(a.data); base += w {
-		for j := 0; j < w; j++ {
-			a.data[base+j] += bias.data[j]
+	addRowBias(a.data, bias.data)
+	return a
+}
+
+// addRowBias adds bias to every len(bias)-wide row of data.
+func addRowBias(data, bias []float32) {
+	w := len(bias)
+	for base := 0; base < len(data); base += w {
+		row := data[base : base+w]
+		for j, b := range bias {
+			row[j] += b
 		}
 	}
-	return a
 }
 
 // Sum returns the sum of all elements (accumulated in float64 for

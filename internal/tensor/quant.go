@@ -156,14 +156,17 @@ func QuantizeRowsInto(x *Tensor, q []uint8, scales []float32, sums []int32) {
 	if x.Rank() != 2 {
 		panic("tensor: QuantizeRowsInto requires a rank-2 input")
 	}
-	m, k := x.shape[0], x.shape[1]
+	quantizeRows(x.data, x.shape[0], x.shape[1], q, scales, sums)
+}
+
+// quantizeRows is QuantizeRowsInto over a raw (m, k) row-major slice.
+func quantizeRows(xd []float32, m, k int, q []uint8, scales []float32, sums []int32) {
 	if k > quantMaxK {
 		panic(fmt.Sprintf("tensor: QuantizeRowsInto inner dimension %d exceeds %d", k, quantMaxK))
 	}
-	if len(q) < m*k || len(scales) < m || len(sums) < m {
+	if len(xd) != m*k || len(q) < m*k || len(scales) < m || len(sums) < m {
 		panic("tensor: QuantizeRowsInto scratch too small")
 	}
-	xd := x.data
 	for i := 0; i < m; i++ {
 		row := xd[i*k : i*k+k]
 		inv, scale := rowQuantScale(row)
@@ -184,12 +187,33 @@ func QuantizeRowsInto(x *Tensor, q []uint8, scales []float32, sums []int32) {
 	}
 }
 
+// QuantLinearRows is LinearRows through the int8 kernel: it quantizes
+// the m rows of x (m, w.In) into the caller's q/scales/sums scratch
+// (m·w.In, m and m elements) and computes dst = dequant(x·Wᵀ) + bias
+// into dst (m, w.Out), serially on the calling goroutine. Quantization
+// is per row and the integer sums are exact, so a row's bits do not
+// depend on which call computes it or on the row it is paired with.
+func QuantLinearRows(x []float32, m int, w *QuantMat, bias *Tensor, dst []float32, q []uint8, scales []float32, sums []int32) {
+	if len(dst) != m*w.Out {
+		panic(fmt.Sprintf("tensor: QuantLinearRows dst length %d, want %d", len(dst), m*w.Out))
+	}
+	quantizeRows(x, m, w.In, q, scales, sums)
+	var bd []float32
+	if bias != nil {
+		if bias.Len() != w.Out {
+			panic(fmt.Sprintf("tensor: QuantLinearRows bias length %d, want %d", bias.Len(), w.Out))
+		}
+		bd = bias.data
+	}
+	quantLinearRows(q, scales, sums, w, bd, dst, 0, m)
+}
+
 // QuantLinearInto computes dst = dequant(x·Wᵀ) + bias for pre-quantized
 // activations (q, scales, sums from QuantizeRowsInto; m rows) against a
 // packed weight matrix. bias may be nil. dst must be (m, w.Out) and is
-// fully overwritten. The row loop parallelizes above
-// ParallelThresholds.MatMulRows; all scratch is caller-provided, so the
-// call performs zero steady-state allocations.
+// fully overwritten. The row loop parallelizes when
+// parallel.WillFanOut(m); all scratch is caller-provided, so the call
+// performs zero steady-state allocations.
 func QuantLinearInto(q []uint8, scales []float32, sums []int32, m int, w *QuantMat, bias, dst *Tensor) {
 	k, n := w.In, w.Out
 	if len(q) < m*k || len(scales) < m || len(sums) < m {
@@ -207,7 +231,7 @@ func QuantLinearInto(q []uint8, scales []float32, sums []int32, m int, w *QuantM
 	}
 	cd := dst.data
 	// Closure built only on the fan-out branch; see MatMulInto.
-	if m >= ParallelThresholds.MatMulRows && parallel.Degree() > 1 {
+	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) {
 			quantLinearRows(q, scales, sums, w, bd, cd, lo, hi)
 		})

@@ -208,11 +208,35 @@ func TestMatMulAutoMatchesBlocked(t *testing.T) {
 	}
 }
 
+// TestQuantLinearRowsMatchesQuantLinearInto: the fused quantize+kernel
+// row call gives any row range the bits of the two-step whole-batch
+// path, odd ranges (a single-row tail, a different pairing) included.
+func TestQuantLinearRowsMatchesQuantLinearInto(t *testing.T) {
+	r := NewRNG(38)
+	const m, k, n = 301, 40, 24
+	x := Randn(r, m, k)
+	w := QuantizeMat(Randn(r, n, k))
+	bias := Randn(r, n)
+	q, scales, sums := quantizeActivations(x)
+	want := New(m, n)
+	QuantLinearInto(q, scales, sums, m, w, bias, want)
+	for _, rg := range [][2]int{{0, 1}, {1, 2}, {5, 38}, {6, 39}, {0, 301}} {
+		lo, hi := rg[0], rg[1]
+		rows := hi - lo
+		got := make([]float32, rows*n)
+		QuantLinearRows(x.Data()[lo*k:hi*k], rows, w, bias, got, make([]uint8, rows*k), make([]float32, rows), make([]int32, rows))
+		for i, v := range got {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[lo*n+i]) {
+				t.Fatalf("rows [%d,%d): element %d differs from QuantLinearInto", lo, hi, i)
+			}
+		}
+	}
+}
+
 // The int8 kernels share the float kernels' steady-state contract:
-// with caller-provided scratch, zero heap allocations.
+// with caller-provided scratch, zero heap allocations — at degree 2 as
+// well, m = 128 being below the fan-out cut-off.
 func TestQuantKernelAllocs(t *testing.T) {
-	prev := parallel.SetDegree(1)
-	defer parallel.SetDegree(prev)
 	r := NewRNG(37)
 	x := Randn(r, 128, 96)
 	w := QuantizeMat(Randn(r, 64, 96))
@@ -223,15 +247,20 @@ func TestQuantKernelAllocs(t *testing.T) {
 	dst := New(128, 64)
 	qv := make([]int8, 96)
 	fv := make([]float32, 96)
-	for name, fn := range map[string]func(){
-		"QuantizeRowsInto": func() { QuantizeRowsInto(x, q, scales, sums) },
-		"QuantLinearInto":  func() { QuantLinearInto(q, scales, sums, 128, w, bias, dst) },
-		"QuantizeVecInto":  func() { QuantizeVecInto(x.Data()[:96], qv) },
-		"DequantizeVec":    func() { DequantizeVecInto(qv, 0.01, fv) },
-	} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+	for _, degree := range []int{1, 2} {
+		prev := parallel.SetDegree(degree)
+		for name, fn := range map[string]func(){
+			"QuantizeRowsInto": func() { QuantizeRowsInto(x, q, scales, sums) },
+			"QuantLinearInto":  func() { QuantLinearInto(q, scales, sums, 128, w, bias, dst) },
+			"QuantLinearRows":  func() { QuantLinearRows(x.Data(), 128, w, bias, dst.Data(), q, scales, sums) },
+			"QuantizeVecInto":  func() { QuantizeVecInto(x.Data()[:96], qv) },
+			"DequantizeVec":    func() { DequantizeVecInto(qv, 0.01, fv) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("degree %d %s: %v allocs/op, want 0", degree, name, allocs)
+			}
 		}
+		parallel.SetDegree(prev)
 	}
 }
 

@@ -75,15 +75,11 @@ func (m *Model) LayerForward(l int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tens
 
 // LayerForwardWith is LayerForward with every intermediate and the
 // output drawn from ar (heap when ar is nil). The result is invalidated
-// by ar.Reset.
+// by ar.Reset. The layer is one row-parallel pass over tiles of targets
+// (nn.LayerForwardWith): neither z_i nor z_j is materialised for the
+// batch.
 func (m *Model) LayerForwardWith(ar *tensor.Arena, l int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
-	n := hTgt.Dim(0)
-	q := ar.Tensor(n, m.Cfg.QDim()) // z_i(t)
-	tensor.ConcatColsInto(q, hTgt, tEnc0)
-	kv := ar.Tensor(hNgh.Dim(0), m.Cfg.KDim()) // z_j(t)
-	tensor.ConcatColsInto(kv, hNgh, eFeat, tEncD)
-	attnOut := m.Attn[l-1].ForwardWith(ar, q, kv, m.Cfg.NumNeighbors, mask)
-	return m.Merge[l-1].ForwardWith(ar, attnOut, hTgt) // FFN(r_i ‖ h_i)
+	return nn.LayerForwardWith(ar, m.Attn[l-1], m.Merge[l-1], m.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
 }
 
 // Embed computes baseline (unoptimized) temporal embeddings at the top

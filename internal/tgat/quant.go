@@ -11,9 +11,9 @@ import (
 // request), while feature tables, the time encoder and the attention
 // WK/WV stay shared with the float model — the absorbed attention core
 // (DESIGN.md §6) is one float32 code path for both precisions. The
-// forward math mirrors Model.LayerForwardWith exactly — concatenation,
-// the attention core, and ReLU run in float32; only the per-target
-// matmuls are quantized.
+// forward pass is Model.LayerForwardWith's — concatenation, the
+// attention core, and ReLU run in float32; only the per-target matmuls
+// are quantized.
 type QuantModel struct {
 	M        *Model
 	Attn     []*nn.QuantTemporalAttention // Attn[l-1] serves layer l
@@ -45,17 +45,11 @@ func (qm *QuantModel) WeightBytes() int {
 	return b + qm.Affinity.Bytes()
 }
 
-// LayerForwardWith is Model.LayerForwardWith through the int8 kernels.
-// See that method for the shape contract.
+// LayerForwardWith is Model.LayerForwardWith with the per-target
+// projections through the int8 kernels: the same tile pass, the same
+// shape contract.
 func (qm *QuantModel) LayerForwardWith(ar *tensor.Arena, l int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
-	m := qm.M
-	n := hTgt.Dim(0)
-	q := ar.Tensor(n, m.Cfg.QDim()) // z_i(t)
-	tensor.ConcatColsInto(q, hTgt, tEnc0)
-	kv := ar.Tensor(hNgh.Dim(0), m.Cfg.KDim()) // z_j(t)
-	tensor.ConcatColsInto(kv, hNgh, eFeat, tEncD)
-	attnOut := qm.Attn[l-1].ForwardWith(ar, q, kv, m.Cfg.NumNeighbors, mask)
-	return qm.Merge[l-1].ForwardWith(ar, attnOut, hTgt) // FFN(r_i ‖ h_i)
+	return nn.QuantLayerForwardWith(ar, qm.Attn[l-1], qm.Merge[l-1], qm.M.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
 }
 
 // ScoreWith is Model.ScoreWith through the int8 affinity head.

@@ -1,12 +1,13 @@
 package tgat
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
-	"tgopt/internal/parallel"
 
 	"tgopt/internal/dataset"
 	"tgopt/internal/graph"
+	"tgopt/internal/parallel"
 	"tgopt/internal/stats"
 	"tgopt/internal/tensor"
 )
@@ -101,6 +102,59 @@ func TestLayerForwardShape(t *testing.T) {
 	if out.HasNaN() {
 		t.Fatal("LayerForward produced NaN")
 	}
+}
+
+// TestLayerForwardMatchesComposedOps: Model.LayerForwardWith and
+// QuantModel.LayerForwardWith are the fused tile pass; each must return,
+// bit for bit, the layer composed from its own public ops over the
+// whole-batch q and kv — at every layer, below and above the fan-out
+// cut-off.
+func TestLayerForwardMatchesComposedOps(t *testing.T) {
+	ds := testDataset(t)
+	m := testModel(t, ds)
+	qm := QuantizeModel(m)
+	defer parallel.SetDegree(parallel.SetDegree(2))
+	r := tensor.NewRNG(5)
+	k := m.Cfg.NumNeighbors
+	for _, n := range []int{5, 300} {
+		hTgt := tensor.Randn(r, n, 16)
+		hNgh := tensor.Randn(r, n*k, 16)
+		eFeat := tensor.Randn(r, n*k, 16)
+		tEnc0 := m.Time.Encode(make([]float64, n))
+		deltas := make([]float64, n*k)
+		mask := make([]bool, n*k)
+		for i := range deltas {
+			deltas[i] = float64(r.Intn(20000))
+			mask[i] = i >= k && r.Float64() > 0.3 // target 0 all padded
+		}
+		tEncD := m.Time.Encode(deltas)
+		q := tensor.ConcatCols(hTgt, tEnc0)
+		kv := tensor.ConcatCols(hNgh, eFeat, tEncD)
+		for l := 1; l <= m.Cfg.Layers; l++ {
+			got := m.LayerForwardWith(nil, l, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+			want := m.Merge[l-1].ForwardWith(nil, m.Attn[l-1].ForwardWith(nil, q, kv, k, mask), hTgt)
+			if !sameBits(got, want) {
+				t.Fatalf("float32 layer %d n=%d: fused pass differs from the composed ops", l, n)
+			}
+			got = qm.LayerForwardWith(nil, l, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+			want = qm.Merge[l-1].ForwardWith(nil, qm.Attn[l-1].ForwardWith(nil, q, kv, k, mask), hTgt)
+			if !sameBits(got, want) {
+				t.Fatalf("int8 layer %d n=%d: fused pass differs from the composed ops", l, n)
+			}
+		}
+	}
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data() {
+		if math.Float32bits(v) != math.Float32bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEmbedShapesAndDeterminism(t *testing.T) {

@@ -18,10 +18,18 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrency-sensitive + fault-injection packages)"
+race_start=$SECONDS
 go test -race ./internal/parallel/... ./internal/serve/... ./internal/core/... \
     ./internal/batcher/... ./internal/graph/... ./internal/shard/... \
     ./internal/stats/... ./internal/checkpoint/... ./internal/faultfs/... \
     ./internal/trainer/... ./internal/tensor/... ./internal/nn/... ./internal/tgat/...
+# The fused layer pass, the row-parallel time encoding and the pooled
+# fork-join state at one, two and four Ps: the bitwise row-independence
+# and parallel-vs-serial pins must hold whatever the scheduler does.
+go test -race -count=1 -cpu 1,2,4 \
+    -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestQuantLinearRows|TestKernelAllocs|TestQuantKernelAllocs|TestForChunked' \
+    ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
+echo "   race stanza wall time: $((SECONDS - race_start)) s"
 
 echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot; race-enabled)"
 go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestServeSharded|TestServeHealth' \
