@@ -15,40 +15,25 @@
 //	tgopt-bench train-dedup                # §7 training-time dedup
 //	tgopt-bench warmstart                  # cache persistence warm start
 //	tgopt-bench batchsweep                 # batch-size sensitivity
-//	tgopt-bench perf [-o BENCH.json]       # kernel + end-to-end perf report
-//	tgopt-bench serve [-o BENCH.json]      # closed-loop serving load: throughput
-//	                                       # and latency vs concurrency, batching on/off
-//	tgopt-bench cachesweep [-o BENCH.json] # memo-cache hit rate vs byte budget,
-//	                                       # FIFO vs TinyLFU admission
-//	tgopt-bench quant [-o BENCH.json]      # int8 vs float32: kernel MB/s, e2e
-//	                                       # ns/edge and hit rate at equal budgets
-//	tgopt-bench deepsweep [-o BENCH.json]  # 3-layer serving under live ingest:
-//	                                       # transitive invalidation vs deep clear-all
-//	tgopt-bench swapsweep [-o BENCH.json]  # online-learning hot-swap under load:
-//	                                       # cache re-warm cost, swap pause, bitwise
-//	                                       # post-swap spot checks
-//	tgopt-bench quantacc [-max-ap-delta d] # int8 accuracy harness: AP/accuracy
-//	                                       # delta + max-abs embedding delta
 //	tgopt-bench all                        # everything above, CPU + GPU
 //
 // Figure subcommands accept --plot <dir> (SVG output) and --csv <dir>
 // (machine-readable results). The synthetic workloads are scaled-down
 // analogues of the paper's Table 2 datasets; --scale controls the
 // factor (see EXPERIMENTS.md).
+//
+// This is the paper reproduction, not the performance record: how fast
+// the engine and the server are is measured by benchmark/ alone (see
+// benchmark/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	"tgopt/internal/dataset"
 	"tgopt/internal/experiments"
-	"tgopt/internal/perfbench"
 )
 
 func main() {
@@ -72,16 +57,6 @@ func main() {
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	plotDir := fs.String("plot", "", "also write figure SVGs into this directory")
 	csvDir := fs.String("csv", "", "also write machine-readable result CSVs into this directory")
-	out := fs.String("o", "", "perf/serve: write the JSON report here instead of stdout")
-	conc := fs.String("conc", "1,8,32", "serve: comma-separated closed-loop client counts")
-	reqs := fs.Int("requests", 400, "serve: measured requests per client per level")
-	warmup := fs.Int("warmup", 30, "serve: unmeasured warmup requests per client per level")
-	pool := fs.Int("pool", 48, "serve: distinct (node, ts) targets shared by all clients")
-	targets := fs.Int("targets", 4, "serve: targets per embed request")
-	rotate := fs.Int("rotate", 64, "serve: advance the query timestamp every N requests (0 = static times)")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "serve: batcher flush window")
-	batchMax := fs.Int("batch-max", 256, "serve: batcher size trigger")
-	maxAPDelta := fs.Float64("max-ap-delta", 0, "quantacc: exit non-zero if |AP(float32) - AP(int8)| exceeds this (0 disables the gate)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -207,40 +182,6 @@ func main() {
 	case "batchsweep":
 		_, err = experiments.BatchSweep(w, setup, one(focus, "jodie-lastfm", *ds),
 			[]int{50, 100, 200, 400, 800})
-	case "perf":
-		err = runPerf(setup, one(focus, "snap-msg", *ds), *runs, *out)
-	case "serve":
-		cfg := perfbench.ServeLoadConfig{
-			RequestsPerClient: *reqs,
-			WarmupPerClient:   *warmup,
-			TargetsPerRequest: *targets,
-			TargetPool:        *pool,
-			RotateEvery:       *rotate,
-			Window:            *batchWindow,
-			MaxBatch:          *batchMax,
-			Seed:              *seed,
-		}
-		if cfg.Concurrency, err = parseConc(*conc); err == nil {
-			err = runServe(setup, one(focus, "snap-msg", *ds), cfg, *out)
-		}
-	case "cachesweep":
-		cfg := perfbench.DefaultCacheSweepConfig()
-		cfg.Seed = *seed
-		err = runCacheSweep(cfg, *out)
-	case "deepsweep":
-		cfg := perfbench.DefaultDeepSweepConfig()
-		cfg.Seed = *seed
-		cfg.Runs = *runs
-		err = runDeepSweep(cfg, *out)
-	case "swapsweep":
-		cfg := perfbench.DefaultSwapSweepConfig()
-		cfg.Seed = *seed
-		cfg.Runs = *runs
-		err = runSwapSweep(cfg, *out)
-	case "quant":
-		err = runQuant(setup, one(focus, "snap-msg", *ds), *runs, *out)
-	case "quantacc":
-		err = runQuantAcc(setup, one(focus, "snap-msg", *ds), *maxAPDelta, *out)
 	case "all":
 		err = runAll(setup, selected, focus, *plotDir, *csvDir)
 	default:
@@ -414,228 +355,8 @@ func runAll(setup experiments.Setup, selected, focus []string, plotDir, csvDir s
 	return nil
 }
 
-// runPerf executes the committed performance suite (kernels, attention,
-// end-to-end stream inference) and writes the JSON report to out, or
-// stdout when out is empty. A one-line summary always goes to stderr so
-// scripted runs stay observable.
-func runPerf(setup experiments.Setup, name string, runs int, out string) error {
-	rep, err := perfbench.Run(setup, name, runs)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	for _, r := range rep.Results {
-		if r.NsPerEdge > 0 {
-			fmt.Fprintf(os.Stderr, "perf: %s %.0f ns/edge (%d edges, %.0f allocs/pass)\n",
-				r.Name, r.NsPerEdge, r.Edges, r.AllocsPerOp)
-		}
-	}
-	return nil
-}
-
-// parseConc parses the serve subcommand's comma-separated client counts.
-func parseConc(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -conc element %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runServe executes the closed-loop serving benchmark and writes the
-// JSON report to out (stdout when empty), with a per-level summary line
-// on stderr.
-func runServe(setup experiments.Setup, name string, cfg perfbench.ServeLoadConfig, out string) error {
-	rep, err := perfbench.RunServe(setup, name, cfg)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	for _, l := range rep.Levels {
-		mode := "off"
-		if l.Batching {
-			mode = "on "
-		}
-		fmt.Fprintf(os.Stderr, "serve: conc=%-3d batch=%s %8.0f req/s  p50=%7.0fus p99=%7.0fus coalesce=%.2f\n",
-			l.Concurrency, mode, l.Throughput, l.P50us, l.P99us, l.CoalesceRatio)
-	}
-	fmt.Fprintf(os.Stderr, "serve: speedup at max concurrency %.2fx\n", rep.SpeedupMaxConc)
-	return nil
-}
-
-// runCacheSweep executes the FIFO-vs-TinyLFU hit-rate sweep and writes
-// the JSON report to out (stdout when empty), one summary line per
-// budget on stderr.
-func runCacheSweep(cfg perfbench.CacheSweepConfig, out string) error {
-	rep, err := perfbench.RunCacheSweep(cfg)
-	if err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	for _, p := range rep.Points {
-		fmt.Fprintf(os.Stderr, "cachesweep: budget=%8d entries=%6d fifo=%.4f tinylfu=%.4f (%+.4f)\n",
-			p.BudgetBytes, p.Entries, p.FIFOHitRate, p.TinyLFUHitRate, p.Improvement)
-	}
-	return nil
-}
-
-// runDeepSweep executes the deep-layer invalidation sweep (BENCH_5:
-// 3-layer serving under live ingest, selective transitive invalidation
-// vs the conservative deep clear) and writes the JSON report to out
-// (stdout when empty), with a summary on stderr.
-func runDeepSweep(cfg perfbench.DeepSweepConfig, out string) error {
-	rep, err := perfbench.RunDeepSweep(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeReport(rep, out); err != nil {
-		return err
-	}
-	for _, p := range rep.Points {
-		fmt.Fprintf(os.Stderr,
-			"deepsweep: rate=%4d/1000 (%d ingests, %d late) deep-hit sel=%.4f clr=%.4f (%+.4f) ns/edge sel=%.0f clr=%.0f (%.2fx)\n",
-			p.RatePer1000, p.Ingests, p.LateEdges,
-			p.Selective.DeepHitRate, p.ClearAll.DeepHitRate, p.HitRateGain,
-			p.Selective.NsPerEdge, p.ClearAll.NsPerEdge, p.Speedup)
-	}
-	if !rep.AllPointsPass {
-		return fmt.Errorf("deepsweep: acceptance failed — selective did not beat clear-all at every rate")
-	}
-	return nil
-}
-
-// runSwapSweep executes the hot-swap sweep (BENCH_6: cache re-warm
-// cost and swap pause at several swap cadences, plus bitwise post-swap
-// spot checks against fixed-params references) and writes the JSON
-// report to out (stdout when empty), with a summary on stderr.
-func runSwapSweep(cfg perfbench.SwapSweepConfig, out string) error {
-	rep, err := perfbench.RunSwapSweep(cfg)
-	if err != nil {
-		return err
-	}
-	if err := writeReport(rep, out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "swapsweep: baseline hit-rate %.4f, %.0f ns/query\n",
-		rep.BaselineHitRate, rep.BaselineNsPerQuery)
-	for _, p := range rep.Points {
-		fmt.Fprintf(os.Stderr,
-			"swapsweep: every=%4d (%d swaps) hit=%.4f post-swap=%.4f steady=%.4f pause=%.0fus spot=%d/%d\n",
-			p.SwapEvery, p.Swaps, p.HitRate, p.PostSwapHitRate, p.SteadyHitRate,
-			p.MeanSwapPauseUs, p.SpotChecks-p.SpotCheckFailures, p.SpotChecks)
-	}
-	if !rep.AllPointsPass {
-		return fmt.Errorf("swapsweep: acceptance failed — a post-swap spot check diverged or the cache never re-warmed")
-	}
-	return nil
-}
-
-// runQuant executes the quantized-path suite (BENCH_4: kernel MB/s at
-// both precisions, e2e ns/edge and cache hit rate at equal byte
-// budgets, embedded accuracy report) and writes the JSON report to out
-// (stdout when empty), with a summary on stderr.
-func runQuant(setup experiments.Setup, name string, runs int, out string) error {
-	rep, err := perfbench.RunQuant(setup, name, runs)
-	if err != nil {
-		return err
-	}
-	if err := writeReport(rep, out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "quant: kernel int8/float32 %.2fx MB/s\n", rep.KernelSpeedup)
-	for _, p := range rep.Budgets {
-		fmt.Fprintf(os.Stderr, "quant: budget=%8d hit-rate float32=%.4f (%d entries) int8=%.4f (%d entries)\n",
-			p.BudgetBytes, p.Float32HitRate, p.Float32Entries, p.Int8HitRate, p.Int8Entries)
-	}
-	for _, r := range rep.Results {
-		if r.NsPerEdge > 0 {
-			fmt.Fprintf(os.Stderr, "quant: %s %.0f ns/edge (budget %d B)\n", r.Name, r.NsPerEdge, rep.E2EBudgetBytes)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "quant: e2e int8 speedup %.2fx, AP delta %.4f, max-abs embed delta %.4f\n",
-		rep.E2ESpeedup, rep.Acc.APDelta, rep.Acc.MaxAbsEmbedDelta)
-	return nil
-}
-
-// runQuantAcc executes the int8-vs-float32 accuracy harness, writes
-// the JSON report to out (stdout when empty), and — when maxAPDelta is
-// positive — fails if the AP drop exceeds it (the check.sh gate).
-func runQuantAcc(setup experiments.Setup, name string, maxAPDelta float64, out string) error {
-	rep, err := perfbench.RunQuantAcc(setup, name)
-	if err != nil {
-		return err
-	}
-	if err := writeReport(rep, out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "quantacc: AP float32=%.4f int8=%.4f delta=%.4f acc float32=%.4f int8=%.4f\n",
-		rep.APFloat32, rep.APInt8, rep.APDelta, rep.AccFloat32, rep.AccInt8)
-	fmt.Fprintf(os.Stderr, "quantacc: max-abs embed delta %.4f, max-abs logit delta %.4f\n",
-		rep.MaxAbsEmbedDelta, rep.MaxAbsLogitDelta)
-	if maxAPDelta > 0 && rep.APDelta > maxAPDelta {
-		return fmt.Errorf("quantacc: AP delta %.4f exceeds -max-ap-delta %.4f", rep.APDelta, maxAPDelta)
-	}
-	return nil
-}
-
-// writeReport marshals a JSON report to out, or stdout when out is
-// empty.
-func writeReport(rep any, out string) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	return err
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: tgopt-bench <table1|table2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|sampling|train-dedup|batchsweep|warmstart|perf|serve|cachesweep|quant|quantacc|deepsweep|swapsweep|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: tgopt-bench <table1|table2|fig3|fig4|fig5|fig6|fig7|table3|table4|table5|sampling|train-dedup|batchsweep|warmstart|all> [flags]
 run "tgopt-bench fig5 -h" for flags`)
 }
 

@@ -343,6 +343,9 @@ func TestBatcherPanicPublishesErrors(t *testing.T) {
 		}()
 	}
 	waitUntil(t, "pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+	// A caller arriving after the panic retired the key would start a
+	// second pass, which blocks on the gate for good.
+	waitUntil(t, "second caller coalesced", func() bool { return b.Stats().Coalesced == 1 })
 	f.gate <- struct{}{}
 	for i := 0; i < 2; i++ {
 		select {

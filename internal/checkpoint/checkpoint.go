@@ -47,8 +47,7 @@ var (
 	// decoded and no state was applied.
 	ErrCorrupt = errors.New("corrupt checkpoint")
 	// ErrNotCheckpoint reports a file that does not start with the
-	// envelope magic — usually a legacy pre-envelope snapshot that the
-	// caller may want to parse with its old reader.
+	// envelope magic; no reader parses bytes the checksum does not cover.
 	ErrNotCheckpoint = errors.New("not a checkpoint file")
 )
 

@@ -16,17 +16,12 @@ import (
 // payload × 1.16).
 const cacheEntryOverhead = 64
 
-// EntriesForBudget converts a byte budget into a hot-tier item limit
-// for dim-wide float32 entries — the vector payload plus per-item
-// bookkeeping, the same accounting UsedBytes reports. Always at least 1.
-func EntriesForBudget(budget int64, dim int) int {
-	return EntriesForBudgetQuant(budget, dim, false)
-}
-
-// EntriesForBudgetQuant is EntriesForBudget for either entry format.
-// Int8 entries are roughly 4× smaller, so the same byte budget admits
-// roughly 4× the items — the capacity half of the quantization win
-// (BENCH_4's hit-rate-at-budget section measures it).
+// EntriesForBudgetQuant converts a byte budget into a hot-tier item
+// limit for dim-wide entries of either format — the vector payload plus
+// per-item bookkeeping, the same accounting UsedBytes reports. Always
+// at least 1. Int8 entries are roughly 4× smaller, so the same byte
+// budget admits roughly 4× the items — the capacity half of the
+// quantization win.
 func EntriesForBudgetQuant(budget int64, dim int, quant bool) int {
 	n := int(budget / int64(entryCodec{dim: dim, quant: quant}.entryBytes()))
 	if n < 1 {
@@ -35,37 +30,21 @@ func EntriesForBudgetQuant(budget int64, dim int, quant bool) int {
 	return n
 }
 
-// CacheSplitPolicy selects how a total cache budget (item limit and
-// spill bytes) divides across per-layer caches when a deep model
-// caches more than one layer.
-type CacheSplitPolicy int
-
-const (
-	// CacheSplitWeighted (the default) gives layer l a share
-	// proportional to k^(top−l): every layer-(l+1) miss fans out into
-	// k layer-l lookups, so lower layers see roughly k× the traffic of
-	// the layer above and deserve a proportionally larger share of the
-	// budget. Dedup and deep hits pull the real ratio below k, but the
-	// geometric shape is right and measurably beats the flat split on
-	// deep-model hit rate (BENCH_5).
-	CacheSplitWeighted CacheSplitPolicy = iota
-	// CacheSplitEven restores the flat split: every cached layer gets
-	// total/cached — the pre-weighting behavior, kept as an escape
-	// hatch for workloads whose reuse concentrates in the deep layers.
-	CacheSplitEven
-)
-
 // splitWeights returns the relative budget weights for cached layers
-// 1..top under the policy (index 0 unused). Weights are floats so a
-// large k at depth cannot overflow.
-func splitWeights(k, top int, policy CacheSplitPolicy) []float64 {
+// 1..top (index 0 unused). Layer l's share is proportional to
+// k^(top−l): every layer-(l+1) miss fans out into k layer-l lookups, so
+// lower layers see roughly k× the traffic of the layer above and
+// deserve a proportionally larger share of the budget. Dedup and deep
+// hits pull the real ratio below k, but the geometric shape is right
+// and measurably beat a flat split on deep-model hit rate. Weights are
+// floats so a large k at depth cannot overflow.
+func splitWeights(k, top int) []float64 {
 	w := make([]float64, top+1)
 	for l := 1; l <= top; l++ {
-		if policy == CacheSplitEven || k < 2 {
-			w[l] = 1
+		w[l] = 1
+		if k < 2 {
 			continue
 		}
-		w[l] = 1
 		for i := 0; i < top-l; i++ {
 			w[l] *= float64(k)
 		}
@@ -75,8 +54,8 @@ func splitWeights(k, top int, policy CacheSplitPolicy) []float64 {
 
 // SplitCacheLimit divides a total item limit across cached layers
 // 1..top (index 0 unused); every cached layer gets at least 1.
-func SplitCacheLimit(total, k, top int, policy CacheSplitPolicy) []int {
-	w := splitWeights(k, top, policy)
+func SplitCacheLimit(total, k, top int) []int {
+	w := splitWeights(k, top)
 	sum := 0.0
 	for _, x := range w {
 		sum += x
@@ -93,12 +72,12 @@ func SplitCacheLimit(total, k, top int, policy CacheSplitPolicy) []int {
 
 // SplitCacheBudget is SplitCacheLimit for byte budgets (the spill
 // tier); a non-positive total stays 0 (unbounded) for every layer.
-func SplitCacheBudget(total int64, k, top int, policy CacheSplitPolicy) []int64 {
+func SplitCacheBudget(total int64, k, top int) []int64 {
 	per := make([]int64, top+1)
 	if total <= 0 {
 		return per
 	}
-	w := splitWeights(k, top, policy)
+	w := splitWeights(k, top)
 	sum := 0.0
 	for _, x := range w {
 		sum += x

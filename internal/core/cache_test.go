@@ -272,36 +272,31 @@ func TestCacheFifoCompaction(t *testing.T) {
 }
 
 func TestSplitCacheLimitPolicies(t *testing.T) {
-	// Weighted (default): layer l weighs k^(top-l). k=4, top=2 →
-	// weights 4:1, so a 1000-entry budget splits 800/200.
-	per := SplitCacheLimit(1000, 4, 2, CacheSplitWeighted)
+	// Layer l weighs k^(top-l). k=4, top=2 → weights 4:1, so a
+	// 1000-entry budget splits 800/200.
+	per := SplitCacheLimit(1000, 4, 2)
 	if len(per) != 3 || per[1] != 800 || per[2] != 200 {
 		t.Fatalf("weighted split = %v, want [_ 800 200]", per)
 	}
-	// Even: flat shares, the pre-weighting behavior.
-	per = SplitCacheLimit(1000, 4, 2, CacheSplitEven)
-	if per[1] != 500 || per[2] != 500 {
-		t.Fatalf("even split = %v, want [_ 500 500]", per)
-	}
-	// Degenerate fan-out (k < 2) degrades to even regardless of policy.
-	per = SplitCacheLimit(1000, 1, 2, CacheSplitWeighted)
+	// Degenerate fan-out (k < 2) degrades to even.
+	per = SplitCacheLimit(1000, 1, 2)
 	if per[1] != 500 || per[2] != 500 {
 		t.Fatalf("k=1 split = %v, want even", per)
 	}
 	// Single cached layer takes everything; tiny budgets floor at 1.
-	if per = SplitCacheLimit(1000, 4, 1, CacheSplitWeighted); per[1] != 1000 {
+	if per = SplitCacheLimit(1000, 4, 1); per[1] != 1000 {
 		t.Fatalf("single-layer split = %v", per)
 	}
-	if per = SplitCacheLimit(1, 4, 3, CacheSplitWeighted); per[1] < 1 || per[2] < 1 || per[3] < 1 {
+	if per = SplitCacheLimit(1, 4, 3); per[1] < 1 || per[2] < 1 || per[3] < 1 {
 		t.Fatalf("tiny budget split %v starved a layer", per)
 	}
 
 	// Byte budgets: same shape, and non-positive totals stay unbounded.
-	bb := SplitCacheBudget(1000, 4, 2, CacheSplitWeighted)
+	bb := SplitCacheBudget(1000, 4, 2)
 	if bb[1] != 800 || bb[2] != 200 {
 		t.Fatalf("weighted byte split = %v", bb)
 	}
-	bb = SplitCacheBudget(0, 4, 2, CacheSplitWeighted)
+	bb = SplitCacheBudget(0, 4, 2)
 	if bb[1] != 0 || bb[2] != 0 {
 		t.Fatalf("unbounded byte split = %v, want zeros", bb)
 	}

@@ -29,15 +29,9 @@ type Options struct {
 
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
 	// the paper's setting). With more than one cached layer the limit
-	// is divided across per-layer caches per CacheSplit.
+	// is divided across per-layer caches in proportion to expected
+	// lookup traffic (SplitCacheLimit).
 	CacheLimit int
-	// CacheSplit selects how CacheLimit and CacheSpillMaxBytes divide
-	// across per-layer caches when more than one layer is cached. The
-	// zero value is CacheSplitWeighted — layer l's share is
-	// proportional to k^(top−l), matching expected lookup traffic
-	// (every layer-(l+1) miss fans out into k layer-l lookups);
-	// CacheSplitEven restores the flat split.
-	CacheSplit CacheSplitPolicy
 	// CacheBudgetBytes, when > 0, overrides CacheLimit with an explicit
 	// hot-tier byte budget: the item limit becomes
 	// budget / (4·NodeDim + entry overhead). This is the operator-facing
@@ -74,7 +68,7 @@ type Options struct {
 	// tier, spill tier, snapshots) as per-vector-scaled int8 (~4× more
 	// entries per byte budget), and quantizes the precomputed time
 	// table. Outputs differ from float32 by quantization error only;
-	// the quantacc harness bounds the downstream AP delta.
+	// experiments.TestQuantAPWithinGate bounds the downstream AP delta.
 	Quant QuantMode
 
 	// Collector receives per-operation timings (Table 3). Optional.
@@ -110,12 +104,6 @@ type Options struct {
 	// over a graph.Dynamic with a lateness window enables this
 	// automatically.
 	TrackTargets bool
-
-	// DeepClearAll disables transitive deep-layer invalidation: every
-	// late insert or future-displacing append clears the l ≥ 2 caches
-	// whole, as before PR 9. Operational escape hatch, and the
-	// baseline leg of the deepsweep benchmark (BENCH_5).
-	DeepClearAll bool
 
 	// ModelVersion is the version of the parameters the engine starts
 	// serving. It stamps spill segments and cache snapshots so state
@@ -263,8 +251,8 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		if m.Cfg.Layers == 1 {
 			top = 1 // single-layer models cache their only layer
 		}
-		per := SplitCacheLimit(opt.CacheLimit, m.Cfg.NumNeighbors, top, opt.CacheSplit)
-		spillPer := SplitCacheBudget(opt.CacheSpillMaxBytes, m.Cfg.NumNeighbors, top, opt.CacheSplit)
+		per := SplitCacheLimit(opt.CacheLimit, m.Cfg.NumNeighbors, top)
+		spillPer := SplitCacheBudget(opt.CacheSpillMaxBytes, m.Cfg.NumNeighbors, top)
 		fsys := opt.SpillFS
 		if fsys == nil {
 			fsys = checkpoint.OS{}
@@ -274,7 +262,7 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 			var sp *SpillStore
 			if opt.CacheSpillDir != "" {
 				var err error
-				sp, err = NewSpillStoreVersioned(fsys, filepath.Join(opt.CacheSpillDir, fmt.Sprintf("layer%d", l)), m.Cfg.NodeDim, spillPer[l], quant, opt.ModelVersion)
+				sp, err = NewSpillStore(fsys, filepath.Join(opt.CacheSpillDir, fmt.Sprintf("layer%d", l)), m.Cfg.NodeDim, spillPer[l], quant, opt.ModelVersion)
 				if err != nil {
 					panic("core: opening cache spill dir: " + err.Error())
 				}
@@ -523,9 +511,8 @@ func (e *Engine) InvalidateEdge(eidx int32) int {
 // lie strictly between t and t': the most-recent-k window is then full
 // of newer edges and the insert cannot surface in it. Deeper cached
 // layers propagate the same refinement transitively through their
-// recorded support sets instead of clearing whole (DESIGN.md §15;
-// Options.DeepClearAll restores the conservative clear). Returns the
-// number of entries removed.
+// recorded support sets instead of clearing whole (DESIGN.md §15).
+// Returns the number of entries removed.
 //
 // Without Options.TrackTargets there is no index to consult, so the
 // only sound response is dropping every cache; enable tracking on any
@@ -600,7 +587,7 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	// A shed support record means some deep entry's dependencies are
 	// unknown: fall back to the conservative clear this one time (the
 	// deep indexes reset with it, so tracking restarts clean).
-	deepClear := e.opt.DeepClearAll || e.supportsShed()
+	deepClear := e.supportsShed()
 	k := e.model.Cfg.NumNeighbors
 	endpoints := [2]int32{u, v}
 	n := 2

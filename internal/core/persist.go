@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -15,10 +14,10 @@ import (
 // process would otherwise pay the full warm-up cost again (Figure 7
 // shows hit rates take a while to climb).
 //
-// A cache blob is little-endian. The current (v2) layout snapshots one
-// shard at a time, each section's count taken under that shard's lock
-// while its entries are serialized, so concurrent stores and evictions
-// can never make a header disagree with the entries actually written:
+// A cache blob is little-endian. The layout snapshots one shard at a
+// time, each section's count taken under that shard's lock while its
+// entries are serialized, so concurrent stores and evictions can never
+// make a header disagree with the entries actually written:
 //
 //	magic    uint32 = 0x32434754 ("TGC2") | 0x31514754 ("TGQ1")
 //	dim      uint32
@@ -31,16 +30,15 @@ import (
 // precision, so a float32 cache refuses a TGQ1 blob — and vice versa —
 // with a clear error instead of misreading the bytes.
 //
-// The legacy (v1, "TGCC") layout — a single global count followed by
-// all float32 entries — is still read, never written.
-//
 // Engine snapshots wrap the per-layer blobs in a checkpoint envelope
 // (internal/checkpoint): CRC32-checksummed and atomically replaced, so
 // a crash mid-save preserves the previous snapshot and corruption is
-// detected before any entry reaches a live cache.
+// detected before any entry reaches a live cache. Nothing that bypasses
+// the checksum is parsed: a file without the envelope, an envelope of
+// an older snapshot version and a pre-section ("TGCC") blob are all
+// refused with an error and the caches left as they were.
 
 const (
-	cacheMagicV1 uint32 = 0x54474343 // "TGCC": global count header (legacy)
 	cacheMagicV2 uint32 = 0x32434754 // "TGC2": per-shard sections
 	cacheMagicQ1 uint32 = 0x31514754 // "TGQ1": per-shard sections, int8 payloads
 	// cacheSectionEnd terminates the v2 section list. Section counts
@@ -49,12 +47,8 @@ const (
 
 	// cacheSnapshotVersion is the engine snapshot's envelope version.
 	// Version 3 prefixed the layer stream with the model version the
-	// entries were computed under; version-2 snapshots load as model
-	// version 0 (the pre-swap-era default).
+	// entries were computed under.
 	cacheSnapshotVersion uint32 = 3
-
-	// cacheSnapshotVersionV2 is the previous, unversioned-model layout.
-	cacheSnapshotVersionV2 uint32 = 2
 )
 
 // WriteTo serializes every cached entry as a v2 blob. Each shard's
@@ -122,12 +116,11 @@ func (c *Cache) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadFrom loads entries written by WriteTo (either blob version) into
-// the cache on top of any existing contents, evicting per the usual
-// FIFO policy if the limit is exceeded. The stored dimension must
-// match. The load is all-or-nothing: the stream is fully parsed into a
-// staging area first, so a mid-stream error leaves the cache exactly
-// as it was.
+// ReadFrom loads entries written by WriteTo into the cache on top of
+// any existing contents, evicting per the usual FIFO policy if the
+// limit is exceeded. The stored dimension must match. The load is
+// all-or-nothing: the stream is fully parsed into a staging area first,
+// so a mid-stream error leaves the cache exactly as it was.
 func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	br := bufio.NewReader(r)
 	var n int64
@@ -142,7 +135,7 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 		return n, err
 	}
 	switch magic {
-	case cacheMagicV1, cacheMagicV2:
+	case cacheMagicV2:
 		if c.codec.quant {
 			return n, fmt.Errorf("core: cache snapshot is float32, cache runs int8-quantized — re-warm instead of loading across precisions")
 		}
@@ -168,39 +161,22 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	var payloads []byte
 	ps := c.codec.payloadSize()
 	rec := make([]byte, 8+ps)
-	readEntries := func(count uint32) error {
+	for {
+		count, err := get32()
+		if err != nil {
+			return n, fmt.Errorf("core: cache section header: %w", err)
+		}
+		if count == cacheSectionEnd {
+			break
+		}
 		for i := uint32(0); i < count; i++ {
 			k, err := io.ReadFull(br, rec)
 			n += int64(k)
 			if err != nil {
-				return fmt.Errorf("core: cache entry %d: %w", len(keys), err)
+				return n, fmt.Errorf("core: cache entry %d: %w", len(keys), err)
 			}
 			keys = append(keys, binary.LittleEndian.Uint64(rec))
 			payloads = append(payloads, rec[8:]...)
-		}
-		return nil
-	}
-	switch magic {
-	case cacheMagicV1:
-		count, err := get32()
-		if err != nil {
-			return n, err
-		}
-		if err := readEntries(count); err != nil {
-			return n, err
-		}
-	default: // cacheMagicV2, cacheMagicQ1: per-shard sections
-		for {
-			count, err := get32()
-			if err != nil {
-				return n, fmt.Errorf("core: cache section header: %w", err)
-			}
-			if count == cacheSectionEnd {
-				break
-			}
-			if err := readEntries(count); err != nil {
-				return n, err
-			}
 		}
 	}
 
@@ -302,8 +278,9 @@ func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 // architecture (cached layers and embedding width) must match. The
 // load is all-or-nothing across every layer: entries are parsed into
 // staging caches and committed only after the whole snapshot validates,
-// so a corrupt file leaves the engine's caches untouched. Both current
-// (enveloped, checksummed) and legacy (raw v1) snapshot files load.
+// so a corrupt file leaves the engine's caches untouched. Only
+// enveloped, checksummed snapshots of the current version load; a file
+// without the envelope is checkpoint.ErrNotCheckpoint.
 func (e *Engine) LoadCaches(path string) error {
 	return e.LoadCachesFS(checkpoint.OS{}, path)
 }
@@ -319,52 +296,22 @@ func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	// validated against cannot change while entries are committed.
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
-	err := checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
-		switch version {
-		case cacheSnapshotVersion:
-			// v3: model-version stamp precedes the layer stream. A
-			// snapshot taken under other parameters is refused — its
-			// memos would be bitwise-wrong under the current model.
-			var mv [8]byte
-			if _, err := io.ReadFull(r, mv[:]); err != nil {
-				return err
-			}
-			if v := binary.LittleEndian.Uint64(mv[:]); v != e.version.Load() {
-				return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.version.Load())
-			}
-			return e.loadCacheStream(r)
-		case cacheSnapshotVersionV2:
-			// v2: no model stamp; treat as version 0, loadable only by a
-			// version-0 engine (fresh boots that never swapped).
-			if v := e.version.Load(); v != 0 {
-				return fmt.Errorf("core: unversioned (v2) cache snapshot, engine serves model version %d", v)
-			}
-			return e.loadCacheStream(r)
-		default:
+	return checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
+		if version != cacheSnapshotVersion {
 			return fmt.Errorf("core: cache snapshot version %d, engine reads %d", version, cacheSnapshotVersion)
 		}
+		// The model-version stamp precedes the layer stream. A snapshot
+		// taken under other parameters is refused — its memos would be
+		// bitwise-wrong under the current model.
+		var mv [8]byte
+		if _, err := io.ReadFull(r, mv[:]); err != nil {
+			return err
+		}
+		if v := binary.LittleEndian.Uint64(mv[:]); v != e.version.Load() {
+			return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.version.Load())
+		}
+		return e.loadCacheStream(r)
 	})
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		return e.loadCachesLegacy(fsys, path)
-	}
-	return err
-}
-
-// loadCachesLegacy reads a pre-envelope snapshot file: the same layer
-// stream, with v1 cache blobs and no checksum.
-func (e *Engine) loadCachesLegacy(fsys checkpoint.FS, path string) error {
-	if v := e.version.Load(); v != 0 {
-		return fmt.Errorf("core: legacy cache snapshot, engine serves model version %d", v)
-	}
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := e.loadCacheStream(bufio.NewReader(f)); err != nil {
-		return fmt.Errorf("core: legacy snapshot %s: %w", path, err)
-	}
-	return nil
 }
 
 // loadCacheStream parses a layer stream into staging caches and

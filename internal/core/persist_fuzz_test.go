@@ -8,7 +8,7 @@ import (
 )
 
 // fuzzSeedBlobs builds representative cache-blob inputs: a valid v2
-// blob, a valid legacy v1 blob, and mutations of each. The same blobs
+// blob, a (refused) legacy v1 blob, and mutations of each. The same blobs
 // back the checked-in corpus under testdata/fuzz.
 func fuzzSeedBlobs() [][]byte {
 	c := NewCache(16, 3, 4)

@@ -3,19 +3,23 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"tgopt/internal/checkpoint"
 	"tgopt/internal/faultfs"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
-// legacyV1Blob builds a pre-envelope cache blob: global-count header,
-// as the v1 writer produced it.
+// legacyV1Blob builds a pre-section ("TGCC") cache blob: global-count
+// header, as the v1 writer produced it. No reader accepts it any more;
+// the refusal tests and the fuzz seeds keep feeding it in.
 func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 	var buf bytes.Buffer
 	put32 := func(v uint32) {
@@ -23,7 +27,7 @@ func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 		binary.LittleEndian.PutUint32(b[:], v)
 		buf.Write(b[:])
 	}
-	put32(cacheMagicV1)
+	put32(0x54474343) // "TGCC"
 	put32(uint32(dim))
 	put32(uint32(len(keys)))
 	rec := make([]byte, 8+4*dim)
@@ -120,31 +124,27 @@ func TestCacheReadFromAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestCacheReadFromLegacyV1Blob: the un-sectioned v1 layout is refused
+// by its magic, and the refusal leaves the cache exactly as it was.
 func TestCacheReadFromLegacyV1Blob(t *testing.T) {
 	keys := []uint64{11, 22, 33}
 	vals := [][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	blob := legacyV1Blob(3, keys, vals)
 	c := NewCache(10, 3, 2)
-	if _, err := c.ReadFrom(bytes.NewReader(blob)); err != nil {
-		t.Fatalf("legacy v1 blob rejected: %v", err)
+	c.Store([]uint64{7}, tensor.Ones(1, 3))
+	if _, err := c.ReadFrom(bytes.NewReader(blob)); err == nil {
+		t.Fatal("legacy v1 blob accepted")
 	}
-	dst := tensor.New(3, 3)
-	if _, nh := c.Lookup(keys, dst); nh != 3 {
-		t.Fatalf("restored %d/3 legacy entries", nh)
+	if c.Len() != 1 || !c.Contains(7) {
+		t.Fatalf("refused v1 blob changed the cache: len=%d", c.Len())
 	}
-	for i := range keys {
-		for j, want := range vals[i] {
-			if dst.At(i, j) != want {
-				t.Fatalf("entry %d col %d = %v, want %v", i, j, dst.At(i, j), want)
-			}
+	for _, k := range keys {
+		if c.Contains(k) {
+			t.Fatalf("refused v1 blob leaked key %d into the cache", k)
 		}
 	}
 }
 
-// TestSaveCachesAtomicUnderWriteFaults proves the engine-level
-// invariant: whatever fault the file system injects during a snapshot
-// — a short write at any offset, a failed create, fsync, or rename —
-// the previous on-disk snapshot remains fully loadable.
 func TestSaveCachesAtomicUnderWriteFaults(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 400)
 	eng := NewEngine(m, s, OptAll())
@@ -249,45 +249,60 @@ func TestLoadCachesCorruptLeavesEngineCold(t *testing.T) {
 	}
 }
 
-// TestLoadCachesLegacyFile: snapshot files written before the envelope
-// (raw layer stream with v1 blobs) must keep loading.
+// TestLoadCachesLegacyFile: nothing that bypasses the checksummed
+// envelope is parsed. A pre-envelope file (raw layer stream), an
+// envelope of the previous snapshot version, and a current envelope
+// wrapping a v1 blob are each refused with the engine left cold.
 func TestLoadCachesLegacyFile(t *testing.T) {
-	ds, m, s := engineTestSetup(t, 300)
-	_ = ds
-	var buf bytes.Buffer
+	_, m, s := engineTestSetup(t, 300)
+	var stream bytes.Buffer
 	put32 := func(v uint32) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
+		stream.Write(b[:])
 	}
 	put32(1) // one cached layer
 	put32(1) // layer 1
 	keys := []uint64{5, 6}
 	vals := [][]float32{make([]float32, 16), make([]float32, 16)}
 	vals[0][0], vals[1][0] = 1.5, 2.5
-	buf.Write(legacyV1Blob(16, keys, vals))
-	path := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	stream.Write(legacyV1Blob(16, keys, vals))
+	envelope := func(version uint32, prefix []byte) []byte {
+		b, err := checkpoint.Encode(version, func(w io.Writer) error {
+			if _, err := w.Write(prefix); err != nil {
+				return err
+			}
+			_, err := w.Write(stream.Bytes())
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	eng := NewEngine(m, s, OptAll())
-	if err := eng.LoadCaches(path); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if eng.CacheLen() != 2 {
-		t.Fatalf("restored %d legacy entries, want 2", eng.CacheLen())
-	}
-
-	// A truncated legacy file (no checksum to catch it) must still be
-	// all-or-nothing: parse fails, zero entries applied.
-	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cold := NewEngine(m, s, OptAll())
-	if err := cold.LoadCaches(path); err == nil {
-		t.Fatal("truncated legacy snapshot accepted")
-	}
-	if cold.CacheLen() != 0 {
-		t.Fatalf("truncated legacy snapshot half-applied %d entries", cold.CacheLen())
+	for _, tc := range []struct {
+		name    string
+		file    []byte
+		wantErr error
+	}{
+		{"pre-envelope raw stream", stream.Bytes(), checkpoint.ErrNotCheckpoint},
+		{"envelope version 2", envelope(2, nil), nil},
+		{"current envelope, v1 blob", envelope(cacheSnapshotVersion, make([]byte, 8)), nil},
+	} {
+		path := filepath.Join(t.TempDir(), "legacy.bin")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng := NewEngine(m, s, OptAll())
+		err := eng.LoadCaches(path)
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if n := eng.CacheLen(); n != 0 {
+			t.Fatalf("%s: refused snapshot applied %d entries", tc.name, n)
+		}
 	}
 }

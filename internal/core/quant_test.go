@@ -70,9 +70,6 @@ func TestEntriesForBudgetQuant(t *testing.T) {
 	if q <= f {
 		t.Fatalf("int8 entries %d not above float32 %d at equal budget", q, f)
 	}
-	if f != EntriesForBudget(budget, dim) {
-		t.Fatal("EntriesForBudget disagrees with EntriesForBudgetQuant(false)")
-	}
 	wantF := budget / (4*dim + cacheEntryOverhead)
 	wantQ := budget / (4 + dim + cacheEntryOverhead)
 	if f != wantF || q != wantQ {
@@ -142,7 +139,7 @@ func TestQuantEngineSteadyStateAllocs(t *testing.T) {
 
 // TestQuantEngineCloseToBaseline: the int8 engine's embeddings track
 // the float baseline within quantization error — the end-to-end
-// correctness bound behind the quantacc harness.
+// correctness bound behind experiments.TestQuantAPWithinGate.
 func TestQuantEngineCloseToBaseline(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 600)
 	base := tgat.StreamInference(ds.Graph, m, 100, m.BaselineEmbedFunc(s))
@@ -287,7 +284,7 @@ func TestQuantEngineRefusesFloatSnapshot(t *testing.T) {
 // record is a miss, never a wrong embedding.
 func TestQuantSpillBitFlipIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := NewSpillStoreWith(checkpoint.OS{}, dir, 2, 0, true)
+	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +330,7 @@ func TestQuantSpillBitFlipIsAMiss(t *testing.T) {
 // is ever decoded under the wrong codec.
 func TestQuantSpillPrecisionChangeIsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := NewSpillStoreWith(checkpoint.OS{}, dir, 2, 0, true)
+	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +340,7 @@ func TestQuantSpillPrecisionChangeIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsp, err := NewSpillStoreWith(checkpoint.OS{}, dir, 2, 0, false)
+	fsp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

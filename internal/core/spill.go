@@ -129,29 +129,18 @@ type SpillStore struct {
 // int8-quantized records (dims are far below 2³¹, so the bit is free).
 const spillQuantFlag = 1 << 31
 
-// NewSpillStore opens (or creates) a float32 cold tier under dir,
-// recovering every valid sealed segment already present. Segments that
-// fail envelope validation — torn by a crash mid-seal that somehow
-// bypassed the atomic rename, or bit-flipped at rest — are deleted and
-// counted, never indexed. maxBytes <= 0 means unbounded.
-func NewSpillStore(fsys checkpoint.FS, dir string, dim int, maxBytes int64) (*SpillStore, error) {
-	return NewSpillStoreWith(fsys, dir, dim, maxBytes, false)
-}
-
-// NewSpillStoreWith is NewSpillStore with an explicit record precision:
-// quant stores scale-prefixed int8 payloads instead of float32 vectors.
-// Existing segments of the other precision are dropped during recovery
-// (counted as corrupt), mirroring how any unreadable segment is a miss.
-func NewSpillStoreWith(fsys checkpoint.FS, dir string, dim int, maxBytes int64, quant bool) (*SpillStore, error) {
-	return NewSpillStoreVersioned(fsys, dir, dim, maxBytes, quant, 0)
-}
-
-// NewSpillStoreVersioned is NewSpillStoreWith with an explicit model
-// version: segments written under a different model version — an
-// earlier process generation, or the tier's own pre-swap output — are
-// dropped during recovery exactly like corrupt ones, since spilled
-// embeddings are only valid for the parameters that computed them.
-func NewSpillStoreVersioned(fsys checkpoint.FS, dir string, dim int, maxBytes int64, quant bool, modelVer uint64) (*SpillStore, error) {
+// NewSpillStore opens (or creates) a cold tier under dir, recovering
+// every valid sealed segment already present. Segments that fail
+// envelope validation — torn by a crash mid-seal that somehow bypassed
+// the atomic rename, or bit-flipped at rest — are deleted and counted,
+// never indexed. maxBytes <= 0 means unbounded. quant stores
+// scale-prefixed int8 payloads instead of float32 vectors; segments of
+// the other precision, and segments written under a different model
+// version — an earlier process generation, or the tier's own pre-swap
+// output — are dropped during recovery exactly like corrupt ones, since
+// spilled embeddings are only valid for the precision and parameters
+// that computed them.
+func NewSpillStore(fsys checkpoint.FS, dir string, dim int, maxBytes int64, quant bool, modelVer uint64) (*SpillStore, error) {
 	if fsys == nil {
 		fsys = checkpoint.OS{}
 	}

@@ -50,7 +50,7 @@ func TestSpillSealCrashDropsEntriesNeverCorrupts(t *testing.T) {
 	// once the disk recovers.
 	fs := faultfs.NewFS()
 	dir := t.TempDir()
-	sp, err := NewSpillStore(fs, dir, 1, 0)
+	sp, err := NewSpillStore(fs, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSpillSealCrashDropsEntriesNeverCorrupts(t *testing.T) {
 
 	// No torn file survived: everything on disk revalidates, and a
 	// fresh store over the same dir recovers with zero corruption.
-	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0)
+	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSpillBitFlipIsAMissNeverAPromotion(t *testing.T) {
 	// miss (recompute) — never as corrupt bytes handed to a caller or
 	// promoted into the hot tier.
 	dir := t.TempDir()
-	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSpillBitFlipIsAMissNeverAPromotion(t *testing.T) {
 
 func TestSpillRecoveryDeletesCorruptSegments(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSpillRecoveryDeletesCorruptSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0)
+	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTieredCacheUnderWriteFaults(t *testing.T) {
 	// serving — hot tier unaffected, spilled entries degrade to misses,
 	// every hit bit-exact, and counters stay consistent.
 	fs := faultfs.NewFS()
-	sp, err := NewSpillStore(fs, t.TempDir(), 1, 0)
+	sp, err := NewSpillStore(fs, t.TempDir(), 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSpillRecoveryScanGoesThroughInjectedFS(t *testing.T) {
 	// store that silently read the real filesystem would make the
 	// crash-injection tests above vacuous for the scan itself.
 	dir := t.TempDir()
-	sp, err := NewSpillStore(faultfs.NewFS(), dir, 1, 0)
+	sp, err := NewSpillStore(faultfs.NewFS(), dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,13 +243,13 @@ func TestSpillRecoveryScanGoesThroughInjectedFS(t *testing.T) {
 
 	fs := faultfs.NewFS()
 	fs.FailReadDir = true
-	if _, err := NewSpillStore(fs, dir, 1, 0); err == nil {
+	if _, err := NewSpillStore(fs, dir, 1, 0, false, 0); err == nil {
 		t.Fatal("recovery scan bypassed the injected FS (ReadDir fault invisible)")
 	}
 
 	fs = faultfs.NewFS()
 	fs.FailMkdirAll = true
-	if _, err := NewSpillStore(fs, filepath.Join(dir, "sub"), 1, 0); err == nil {
+	if _, err := NewSpillStore(fs, filepath.Join(dir, "sub"), 1, 0, false, 0); err == nil {
 		t.Fatal("spill dir creation bypassed the injected FS (MkdirAll fault invisible)")
 	}
 
@@ -257,7 +257,7 @@ func TestSpillRecoveryScanGoesThroughInjectedFS(t *testing.T) {
 	// never the data: recovery still indexes every record.
 	fs = faultfs.NewFS()
 	fs.FailStat = true
-	sp3, err := NewSpillStore(fs, dir, 1, 0)
+	sp3, err := NewSpillStore(fs, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,6 +115,12 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 					}
 				}
 			}
+			// The swap emptied the memo cache, not disabled it: the
+			// post-swap pass re-warmed it, so a repeat hits.
+			hits := eng.CacheStats().Hits
+			if eng.Embed(nodes, ts); eng.CacheStats().Hits == hits {
+				t.Fatal("repeat Embed after the swap missed the re-warmed cache")
+			}
 		})
 	}
 }
@@ -130,7 +136,7 @@ func TestSpillRecoveryRejectsOtherVersion(t *testing.T) {
 
 	// Same version across restart: entries survive.
 	dirSame := t.TempDir()
-	sp, err := NewSpillStoreVersioned(checkpoint.OS{}, dirSame, dim, 0, false, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, dirSame, dim, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestSpillRecoveryRejectsOtherVersion(t *testing.T) {
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := NewSpillStoreVersioned(checkpoint.OS{}, dirSame, dim, 0, false, 0)
+	re, err := NewSpillStore(checkpoint.OS{}, dirSame, dim, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestSpillRecoveryRejectsOtherVersion(t *testing.T) {
 
 	// Version advanced across restart: every old segment is discarded.
 	dirSwap := t.TempDir()
-	sp, err = NewSpillStoreVersioned(checkpoint.OS{}, dirSwap, dim, 0, false, 0)
+	sp, err = NewSpillStore(checkpoint.OS{}, dirSwap, dim, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestSpillRecoveryRejectsOtherVersion(t *testing.T) {
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err = NewSpillStoreVersioned(checkpoint.OS{}, dirSwap, dim, 0, false, 1)
+	re, err = NewSpillStore(checkpoint.OS{}, dirSwap, dim, 0, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestZipfTraceTinyLFUBeatsFIFO(t *testing.T) {
 
 func newTestSpill(t *testing.T, dim int) *SpillStore {
 	t.Helper()
-	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), dim, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), dim, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTieredCachePromoteGenerationFence(t *testing.T) {
 
 func TestTieredCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	sp, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestTieredCacheSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0)
+	sp2, err := NewSpillStore(checkpoint.OS{}, dir, 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestTieredCacheSurvivesRestart(t *testing.T) {
 }
 
 func TestSpillBudgetDropsOldestSegments(t *testing.T) {
-	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), 1, 2048)
+	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), 1, 2048, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestSpillBudgetDropsOldestSegments(t *testing.T) {
 }
 
 func TestSpillCompaction(t *testing.T) {
-	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), 1, 0)
+	sp, err := NewSpillStore(checkpoint.OS{}, t.TempDir(), 1, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

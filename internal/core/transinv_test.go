@@ -145,28 +145,6 @@ func TestTransitiveInvalidateAppendDeepExactness(t *testing.T) {
 	}
 }
 
-func TestDeepClearAllRestoresConservativeClear(t *testing.T) {
-	opt := transOpt()
-	opt.DeepClearAll = true
-	_, dyn, eng, stream := transSetup(t, 200, opt)
-	total := len(stream)
-	tLate := (stream[total-20].Time + stream[total-19].Time) / 2
-	u, v := stream[total-20].Src, stream[total-19].Dst
-	if u == v {
-		v = stream[total-18].Dst
-	}
-	if _, _, err := dyn.Ingest(graph.Edge{Src: u, Dst: v, Time: tLate, Idx: int32(total + 1)}); err != nil {
-		t.Fatal(err)
-	}
-	eng.InvalidateLateEdge(u, v, tLate)
-	if n := eng.CacheFor(2).Len(); n != 0 {
-		t.Fatalf("DeepClearAll left %d layer-2 entries", n)
-	}
-	if eng.CacheFor(1).Len() == 0 {
-		t.Fatal("DeepClearAll must not clear layer 1 (still selective there)")
-	}
-}
-
 func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	// Shedding only arises on retained (nil-alive) middle-layer indexes,
 	// i.e. models with L >= 4. Simulate the overflow directly instead of

@@ -184,14 +184,27 @@ func TestFigure5SpeedupOnRepetitiveData(t *testing.T) {
 
 func TestFigure5SimulatedGPU(t *testing.T) {
 	s := tinySetup()
-	rows, err := Figure5(nil, s, []string{"jodie-lastfm"}, GPU)
-	if err != nil {
-		t.Fatal(err)
+	// The simulated runtime is the cost model applied to measured host
+	// op timings, and a quiet box puts the speedup at 1.1–1.3×: one
+	// sample a side fails whenever another package's tests preempt the
+	// optimized run. Contention only ever adds time, so compare each
+	// side's fastest of three samples.
+	var best Figure5Row
+	for i := 0; i < 3; i++ {
+		rows, err := Figure5(nil, s, []string{"jodie-lastfm"}, GPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0].Baseline <= 0 || rows[0].Optimized <= 0 {
+			t.Fatal("simulated runtimes not positive")
+		}
+		if i == 0 {
+			best = rows[0]
+		}
+		best.Baseline = min(best.Baseline, rows[0].Baseline)
+		best.Optimized = min(best.Optimized, rows[0].Optimized)
 	}
-	if rows[0].Baseline <= 0 || rows[0].Optimized <= 0 {
-		t.Fatal("simulated runtimes not positive")
-	}
-	if sp := rows[0].Speedup(); sp <= 1.0 {
+	if sp := best.Speedup(); sp <= 1.0 {
 		t.Fatalf("simulated GPU speedup = %.2fx, want > 1", sp)
 	}
 }

@@ -291,16 +291,6 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := tensor.FromSlice([]float32{2}, 1)
-	opt := NewSGD([]*tensor.Tensor{p}, 0.5)
-	g := tensor.FromSlice([]float32{1}, 1)
-	opt.Step([]*tensor.Tensor{g})
-	if p.Data()[0] != 1.5 {
-		t.Fatalf("SGD step wrong: %v", p.Data()[0])
-	}
-}
-
 func TestBCEWithLogitsKnownValues(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0, 0}, 2)
 	loss := BCEWithLogits(logits, []float32{1, 0})

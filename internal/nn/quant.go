@@ -34,15 +34,6 @@ func (l *QuantLinear) In() int { return l.W.In }
 // Out returns the output dimension.
 func (l *QuantLinear) Out() int { return l.W.Out }
 
-// Bytes returns the resident size of the quantized weights plus bias.
-func (l *QuantLinear) Bytes() int {
-	b := l.W.Bytes()
-	if l.B != nil {
-		b += 4 * l.B.Len()
-	}
-	return b
-}
-
 // ForwardWith computes x·Wᵀ+b through the int8 kernel, with every
 // intermediate and the output drawn from ar (heap when ar is nil). Each
 // chunk of rows is quantized into arena scratch and multiplied in the
@@ -75,9 +66,6 @@ type QuantMergeLayer struct {
 func QuantizeMergeLayer(m *MergeLayer) *QuantMergeLayer {
 	return &QuantMergeLayer{FC1: QuantizeLinear(m.FC1), FC2: QuantizeLinear(m.FC2)}
 }
-
-// Bytes returns the resident size of both quantized projections.
-func (m *QuantMergeLayer) Bytes() int { return m.FC1.Bytes() + m.FC2.Bytes() }
 
 // ForwardWith mirrors MergeLayer.ForwardWith through the int8 kernels.
 func (m *QuantMergeLayer) ForwardWith(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
@@ -116,18 +104,6 @@ func QuantizeAttention(a *TemporalAttention) *QuantTemporalAttention {
 		WK:       a.WK,
 		WV:       a.WV,
 	}
-}
-
-// Bytes returns the resident size of the weights the operator reads:
-// the two packed int8 projections plus the float32 WK and WV.
-func (a *QuantTemporalAttention) Bytes() int {
-	b := a.WQ.Bytes() + a.WO.Bytes()
-	for _, l := range []*Linear{a.WK, a.WV} {
-		for _, p := range l.Params() {
-			b += 4 * p.Len()
-		}
-	}
-	return b
 }
 
 // ForwardWith mirrors TemporalAttention.ForwardWith: n targets with k

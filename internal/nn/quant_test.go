@@ -35,9 +35,6 @@ func TestQuantLinearCloseToFloatLayer(t *testing.T) {
 	if ql.In() != 48 || ql.Out() != 24 {
 		t.Fatalf("quant linear dims %dx%d, want 48x24", ql.In(), ql.Out())
 	}
-	if ql.Bytes() <= 0 {
-		t.Fatal("quant linear Bytes() not positive")
-	}
 	x := tensor.Randn(r, 32, 48)
 	want := lin.ForwardWith(nil, x)
 	got := ql.ForwardWith(nil, x)
@@ -58,9 +55,6 @@ func TestQuantMergeLayerCloseToFloat(t *testing.T) {
 	// so the tolerance is looser than the single-layer case.
 	if d := got.MaxAbsDiff(want); d > relTol(want, 0.1) {
 		t.Errorf("QuantMergeLayer diff %g exceeds tol %g", d, relTol(want, 0.1))
-	}
-	if qm.Bytes() >= 4*(16+16)*40+4*40*16+4*(40+16) {
-		t.Errorf("QuantMergeLayer Bytes() %d not smaller than float weights", qm.Bytes())
 	}
 }
 

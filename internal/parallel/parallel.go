@@ -3,24 +3,22 @@
 // temporal neighbor sampling, and the concurrent embedding cache.
 //
 // It plays the role that OpenMP and Intel TBB play in the original TGOpt
-// C++ extension. The primitives are deliberately simple: structured
-// fork-join parallel-for helpers that spawn a bounded number of
-// goroutines, and a Pool for long-lived background tasks. The fork-join
-// helpers also run chunks on the calling goroutine, so nesting them
-// never deadlocks; it merely oversubscribes slightly, which the Go
-// scheduler absorbs. All helpers fall back to a serial loop when the
-// configured parallelism is 1 or the trip count is too small to amortize
-// goroutine startup.
+// C++ extension. The one primitive is deliberately simple: a structured
+// fork-join parallel-for (ForChunked) that spawns a bounded number of
+// goroutines. It also runs chunks on the calling goroutine, so nesting
+// it never deadlocks; it merely oversubscribes slightly, which the Go
+// scheduler absorbs. It falls back to a serial loop when the configured
+// parallelism is 1 or the trip count is too small to amortize goroutine
+// startup.
 //
 // # Panic propagation
 //
-// A panic inside a parallel body or pool task never wedges the caller:
-// worker goroutines recover, the remaining workers drain, and the first
+// A panic inside a parallel body never wedges the caller: worker
+// goroutines recover, the remaining workers drain, and the first
 // recovered panic is re-raised on the calling goroutine — as a
 // *WorkerPanic carrying the original value and worker stack — once every
-// sibling has finished (ForChunked/Do) or when Wait/Close is called
-// (Pool). Serial fallback paths run the body on the calling goroutine,
-// so their panics propagate natively, unwrapped.
+// sibling has finished. The serial fallback runs the body on the
+// calling goroutine, so its panics propagate natively, unwrapped.
 package parallel
 
 import (
@@ -54,9 +52,8 @@ func SetDegree(n int) int {
 }
 
 // WorkerPanic wraps a panic recovered from a parallel worker goroutine.
-// It is re-raised on the goroutine that called ForChunked/Do (or
-// Pool.Wait/Close), where the worker's own stack is already gone; Stack
-// preserves it for debugging.
+// It is re-raised on the goroutine that called ForChunked, where the
+// worker's own stack is already gone; Stack preserves it for debugging.
 type WorkerPanic struct {
 	Value any    // the value passed to panic on the worker
 	Stack []byte // the worker's stack at the point of the panic
@@ -64,13 +61,6 @@ type WorkerPanic struct {
 
 func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("parallel: worker panic: %v", p.Value)
-}
-
-// capture runs fn, recording a recovered panic into first (keeping only
-// the earliest).
-func capture(first *atomic.Pointer[WorkerPanic], fn func()) {
-	defer record(first)
-	fn()
 }
 
 // record must be deferred directly: it recovers the deferring
@@ -85,24 +75,6 @@ func record(first *atomic.Pointer[WorkerPanic]) {
 		}
 		first.CompareAndSwap(nil, wp)
 	}
-}
-
-// rethrow re-raises the first captured panic, if any.
-func rethrow(first *atomic.Pointer[WorkerPanic]) {
-	if wp := first.Load(); wp != nil {
-		panic(wp)
-	}
-}
-
-// For executes body(i) for every i in [0, n), potentially in parallel.
-// body must be safe to call concurrently for distinct i. For returns
-// after every iteration has completed.
-func For(n int, body func(i int)) {
-	ForChunked(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
 }
 
 // WillFanOut reports whether ForChunked(n, 0, body) will run chunks on
@@ -204,117 +176,5 @@ func (fj *forkJoin) run() {
 			hi = fj.n
 		}
 		fj.body(lo, hi)
-	}
-}
-
-// Do runs the given functions, potentially concurrently, and returns when
-// all have finished. It is a structured fork-join for heterogeneous
-// tasks; the last function runs on the calling goroutine. If any
-// function panics, the rest still run to completion and the first panic
-// is re-raised as a *WorkerPanic after all have finished.
-func Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
-	if Degree() == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var first atomic.Pointer[WorkerPanic]
-	for _, fn := range fns[:len(fns)-1] {
-		fn := fn
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			capture(&first, fn)
-		}()
-	}
-	capture(&first, fns[len(fns)-1])
-	wg.Wait()
-	rethrow(&first)
-}
-
-// Pool is a fixed-size set of workers executing closures from a queue.
-// It is intended for long-lived background work (for example the
-// asynchronous cache-store drain in the device experiments), not for the
-// fork-join loops above. The zero value is not usable; construct with
-// NewPool.
-type Pool struct {
-	workers int
-	tasks   chan func()
-	wg      sync.WaitGroup
-	closed  atomic.Bool
-	first   atomic.Pointer[WorkerPanic]
-}
-
-// NewPool creates a pool with n workers. If n <= 0 it uses GOMAXPROCS.
-func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{
-		workers: n,
-		tasks:   make(chan func(), 4*n),
-	}
-	for i := 0; i < n; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	for task := range p.tasks {
-		p.runTask(task)
-	}
-}
-
-// runTask executes one task, releasing the WaitGroup slot even when the
-// task panics — a panicking task must never wedge Wait — and records the
-// first panic for Wait/Close to re-raise.
-func (p *Pool) runTask(task func()) {
-	defer p.wg.Done()
-	capture(&p.first, task)
-}
-
-// Workers reports the number of workers in the pool.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task. It panics if the pool has been closed.
-func (p *Pool) Submit(task func()) {
-	if p.closed.Load() {
-		panic("parallel: Submit on closed Pool")
-	}
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until all submitted tasks have completed. If any task
-// panicked since the last Wait, the first recorded panic is re-raised
-// here as a *WorkerPanic; the record is cleared, so the pool stays
-// usable after the caller recovers.
-func (p *Pool) Wait() {
-	p.wg.Wait()
-	if wp := p.first.Swap(nil); wp != nil {
-		panic(wp)
-	}
-}
-
-// Close shuts the pool down after draining in-flight tasks. Submitting
-// after Close panics. Close is idempotent. Like Wait, Close re-raises
-// the first unconsumed task panic after the drain completes.
-func (p *Pool) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		p.wg.Wait()
-		close(p.tasks)
-	}
-	if wp := p.first.Swap(nil); wp != nil {
-		panic(wp)
 	}
 }

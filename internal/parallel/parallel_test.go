@@ -7,18 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, MinParallelWork - 1, MinParallelWork, 4096} {
-		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times, want 1", n, i, c)
-			}
-		}
-	}
-}
-
 func TestForChunkedCoversAllIndicesExactlyOnce(t *testing.T) {
 	prop := func(n uint16, chunk uint8) bool {
 		nn := int(n) % 5000
@@ -62,29 +50,14 @@ func TestForChunkedZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllFunctions(t *testing.T) {
-	var count atomic.Int32
-	fns := make([]func(), 17)
-	for i := range fns {
-		fns[i] = func() { count.Add(1) }
-	}
-	Do(fns...)
-	if count.Load() != 17 {
-		t.Fatalf("ran %d functions, want 17", count.Load())
-	}
-	Do() // no-op
-	Do(func() { count.Add(1) })
-	if count.Load() != 18 {
-		t.Fatalf("single-function Do did not run")
-	}
-}
-
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	var count atomic.Int64
-	For(600, func(i int) {
-		ForChunked(600, 50, func(lo, hi int) {
-			count.Add(int64(hi - lo))
-		})
+	ForChunked(600, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ForChunked(600, 50, func(lo, hi int) {
+				count.Add(int64(hi - lo))
+			})
+		}
 	})
 	if count.Load() != 600*600 {
 		t.Fatalf("nested loops executed %d iterations, want %d", count.Load(), 600*600)
@@ -99,9 +72,9 @@ func TestSetDegreeSerialFallback(t *testing.T) {
 	}
 	// In serial mode the body must still cover everything, on this goroutine.
 	n := 0
-	For(1000, func(i int) { n++ }) // not atomic: safe only because serial
+	ForChunked(1000, 10, func(lo, hi int) { n += hi - lo }) // not atomic: safe only because serial
 	if n != 1000 {
-		t.Fatalf("serial For executed %d iterations, want 1000", n)
+		t.Fatalf("serial ForChunked executed %d iterations, want 1000", n)
 	}
 }
 
@@ -115,88 +88,6 @@ func TestSetDegreeResetsToGOMAXPROCS(t *testing.T) {
 		t.Fatalf("Degree() = %d after reset, want >= 1", Degree())
 	}
 	SetDegree(prev)
-}
-
-func TestPoolRunsSubmittedTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int32
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Wait()
-	if count.Load() != 100 {
-		t.Fatalf("pool ran %d tasks, want 100", count.Load())
-	}
-}
-
-func TestPoolCloseIdempotentAndSubmitPanics(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() {})
-	p.Close()
-	p.Close() // must not panic
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Close did not panic")
-		}
-	}()
-	p.Submit(func() {})
-}
-
-func TestPoolDefaultSize(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if p.Workers() < 1 {
-		t.Fatalf("Workers() = %d, want >= 1", p.Workers())
-	}
-}
-
-func TestPoolPanicDoesNotWedgeWait(t *testing.T) {
-	p := NewPool(2)
-	var ran atomic.Int32
-	p.Submit(func() { panic("task boom") })
-	for i := 0; i < 10; i++ {
-		p.Submit(func() { ran.Add(1) })
-	}
-	// The regression: before panic recovery, a panicking task killed its
-	// worker without calling Done, so Wait blocked forever. Now Wait must
-	// return (by re-raising the first panic as a *WorkerPanic).
-	recovered := func() (r any) {
-		defer func() { r = recover() }()
-		p.Wait()
-		return nil
-	}()
-	wp, ok := recovered.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("Wait recovered %T %v, want *WorkerPanic", recovered, recovered)
-	}
-	if wp.Value != "task boom" {
-		t.Fatalf("WorkerPanic.Value = %v", wp.Value)
-	}
-	if len(wp.Stack) == 0 {
-		t.Fatal("WorkerPanic.Stack empty")
-	}
-	if ran.Load() != 10 {
-		t.Fatalf("non-panicking tasks ran %d times, want 10", ran.Load())
-	}
-	// The panic record was consumed: the pool remains usable.
-	p.Submit(func() { ran.Add(1) })
-	p.Wait()
-	if ran.Load() != 11 {
-		t.Fatal("pool unusable after recovered panic")
-	}
-	p.Close()
-}
-
-func TestPoolPanicSurfacesAtClose(t *testing.T) {
-	p := NewPool(1)
-	p.Submit(func() { panic("late boom") })
-	defer func() {
-		if _, ok := recover().(*WorkerPanic); !ok {
-			t.Fatal("Close did not re-raise the unconsumed task panic")
-		}
-	}()
-	p.Close()
 }
 
 func TestForChunkedPanicPropagates(t *testing.T) {
@@ -220,43 +111,16 @@ func TestForChunkedPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestDoPanicPropagates(t *testing.T) {
-	prev := SetDegree(4)
-	defer SetDegree(prev)
-	var ran atomic.Int32
-	recovered := func() (r any) {
-		defer func() { r = recover() }()
-		Do(
-			func() { ran.Add(1) },
-			func() { panic("do boom") },
-			func() { ran.Add(1) },
-			func() { ran.Add(1) },
-		)
-		return nil
-	}()
-	wp, ok := recovered.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("recovered %T, want *WorkerPanic", recovered)
-	}
-	if wp.Value != "do boom" {
-		t.Fatalf("WorkerPanic.Value = %v", wp.Value)
-	}
-	if ran.Load() != 3 {
-		t.Fatalf("sibling functions ran %d times, want 3", ran.Load())
-	}
-}
-
 func TestNestedPanicNotDoubleWrapped(t *testing.T) {
 	prev := SetDegree(4)
 	defer SetDegree(prev)
 	recovered := func() (r any) {
 		defer func() { r = recover() }()
-		Do(
-			func() {
+		ForChunked(MinParallelWork*2, MinParallelWork, func(lo, hi int) {
+			if lo == 0 {
 				ForChunked(MinParallelWork*2, 3, func(lo, hi int) { panic("inner") })
-			},
-			func() {},
-		)
+			}
+		})
 		return nil
 	}()
 	wp, ok := recovered.(*WorkerPanic)
@@ -375,28 +239,16 @@ func TestForChunkedExplicitChunkParallel(t *testing.T) {
 	}
 }
 
-func TestDoParallelPathForced(t *testing.T) {
-	prev := SetDegree(4)
-	defer SetDegree(prev)
-	var count atomic.Int32
-	fns := make([]func(), 9)
-	for i := range fns {
-		fns[i] = func() { count.Add(1) }
-	}
-	Do(fns...)
-	if count.Load() != 9 {
-		t.Fatalf("ran %d of 9", count.Load())
-	}
-}
-
 func TestNestedParallelForcedDegree(t *testing.T) {
 	prev := SetDegree(3)
 	defer SetDegree(prev)
 	var count atomic.Int64
-	For(MinParallelWork*2, func(i int) {
-		ForChunked(MinParallelWork*2, 0, func(lo, hi int) {
-			count.Add(int64(hi - lo))
-		})
+	ForChunked(MinParallelWork*2, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ForChunked(MinParallelWork*2, 0, func(lo, hi int) {
+				count.Add(int64(hi - lo))
+			})
+		}
 	})
 	want := int64(MinParallelWork * 2 * MinParallelWork * 2)
 	if count.Load() != want {

@@ -50,9 +50,8 @@ func BenchmarkMatMulSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkMatMulKernels compares the dense kernel variants on the
-// tall-skinny shape the layer-1 projections produce, plus a mostly-zero
-// operand for the sparse kernel's home turf. This is the benchmark the
-// kernel doc comments cite for the default choices.
+// tall-skinny shape the layer-1 projections produce. This is the
+// benchmark the kernel doc comments cite for the default choices.
 func BenchmarkMatMulKernels(b *testing.B) {
 	r := NewRNG(4)
 	const m, k, n = 4096, 96, 64
@@ -86,24 +85,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		b.SetBytes(bytes)
 		for i := 0; i < b.N; i++ {
 			MatMulPackedInto(a, w, dst, pack)
-		}
-	})
-	b.Run("sparse/dense-input", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			MatMulSparseInto(a, w, dst)
-		}
-	})
-	sp := a.Clone()
-	for i := range sp.data {
-		if i%8 != 0 {
-			sp.data[i] = 0
-		}
-	}
-	b.Run("sparse/87pct-zero", func(b *testing.B) {
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			MatMulSparseInto(sp, w, dst)
 		}
 	})
 }

@@ -22,9 +22,8 @@ func MatMul(a, b *Tensor) *Tensor {
 // rows at a time in i-k-j order, so each streamed B row is reused for
 // four output rows while it sits in registers/L1 — the register
 // blocking that makes the dense path memory-bandwidth-, not
-// latency-bound. The inner loop is branch-free; use MatMulSparseInto
-// when A is known to be mostly zero. The row loop parallelizes when
-// parallel.WillFanOut(m).
+// latency-bound. The inner loop is branch-free. The row loop
+// parallelizes when parallel.WillFanOut(m).
 func MatMulInto(a, b, dst *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -86,25 +85,6 @@ func matmulRows(a, b, c []float32, lo, hi, k, n int) {
 	}
 }
 
-// MatMulAutoInto computes dst = A·B choosing the dense kernel by
-// measured throughput. pack may be nil or a PackedScratchLen(k, n)
-// scratch slice; it is accepted so callers holding packed scratch can
-// switch kernels without an API change, but the current heuristic never
-// uses it.
-//
-// Benchmark guard: BENCH_1.json (m=2048, k=96, n=64, the attention
-// shape) measured kernel/matmul_blocked at 216.6 MB/s and
-// kernel/matmul_packed at 195.5 MB/s — the packed kernel's O(k·n)
-// repack pass and panel-boundary stores cost more than its extra
-// register blocking buys at every shape the TGAT layers produce, so
-// the blocked kernel is the dense default for all sizes. If a future
-// BENCH_<n>.json shows the packed kernel winning on some shape, encode
-// that shape test here rather than at call sites.
-func MatMulAutoInto(a, b, dst *Tensor, pack []float32) {
-	_ = pack
-	MatMulInto(a, b, dst)
-}
-
 // PackedScratchLen returns the scratch length MatMulPackedInto needs
 // for a B operand of shape (k, n).
 func PackedScratchLen(k, n int) int { return k * ((n + 3) &^ 3) }
@@ -115,11 +95,12 @@ func PackedScratchLen(k, n int) int { return k * ((n + 3) &^ 3) }
 // accumulators in registers. pack must have at least
 // PackedScratchLen(k, n) elements — pass an arena slice to keep the
 // call allocation-free. The packing cost is O(k·n), amortized over m
-// rows. Despite the extra register blocking, BENCH_1.json measured this
-// kernel ~10% slower than MatMulInto at the tall-skinny attention shape
-// (195.5 vs 216.6 MB/s) — the repack pass plus panel-boundary stores
-// outweigh the blocking — so the dense default (MatMulAutoInto) does
-// not select it. It is kept for shapes a future benchmark may surface.
+// rows. Despite the extra register blocking this kernel measured ~10%
+// slower than MatMulInto at the tall-skinny attention shape (m=2048,
+// k=96, n=64: 195.5 vs 216.6 MB/s) — the repack pass plus
+// panel-boundary stores outweigh the blocking — so no inference path
+// selects it; the tensor.matmul_packed_gflops probe of the benchmark
+// keeps pricing it.
 func MatMulPackedInto(a, b, dst *Tensor, pack []float32) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
@@ -249,34 +230,14 @@ func storePanelRow(row []float32, j0 int, v0, v1, v2, v3 float32) {
 	}
 }
 
-// MatMulSparseInto computes dst = A·B skipping zero A entries — the
-// kernel the dense path used before register blocking. It only pays off
-// when A is genuinely sparse (≳80% zeros, e.g. the masked attention
-// weights of mostly-padded neighborhoods; see BenchmarkMatMulKernels/
-// sparse). Skipping a zero entry drops the 0·b term, so results are
-// bitwise-identical to the dense kernel only for finite B; with ±Inf or
-// NaN in B the dense kernel would produce NaN where this one produces
+// matmulSparseRows computes rows [lo,hi) of c = a·b, skipping zero a
+// entries. It only pays off when a is genuinely sparse (≳80% zeros, e.g.
+// the masked attention weights of mostly-padded neighborhoods).
+// Skipping a zero entry drops the 0·b term, so results are
+// bitwise-identical to the dense kernel only for finite b; with ±Inf or
+// NaN in b the dense kernel would produce NaN where this one produces
 // 0. All operands on the inference path are finite (the engine's
 // HasNaN guard), so the substitution is legal there.
-func MatMulSparseInto(a, b, dst *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulSparseInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	ad, bd, cd := a.data, b.data, dst.data
-	if parallel.WillFanOut(m) {
-		parallel.ForChunked(m, 0, func(lo, hi int) { matmulSparseRows(ad, bd, cd, lo, hi, k, n) })
-	} else {
-		matmulSparseRows(ad, bd, cd, 0, m, k, n)
-	}
-}
-
-// matmulSparseRows computes rows [lo,hi) of c = a·b, skipping zero a
-// entries.
 func matmulSparseRows(a, b, c []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : i*k+k]
@@ -409,7 +370,7 @@ func batchedRange(a, b, c []float32, lo, hi, m, k, n int) {
 // BatchedMatMulSparseInto is BatchedMatMulInto skipping zero A entries.
 // The batched attention kernel uses it for the α·V product, where the
 // masked softmax zeroes every padded neighbor slot — A is genuinely
-// sparse there. Legality caveats as MatMulSparseInto.
+// sparse there. Legality caveats as matmulSparseRows.
 func BatchedMatMulSparseInto(a, b, dst *Tensor) {
 	bs, m, k, n := batchedCheck("BatchedMatMulSparseInto", a, b, dst)
 	ad, bd, cd := a.data, b.data, dst.data

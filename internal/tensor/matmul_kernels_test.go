@@ -107,12 +107,12 @@ func TestMatMulSparseMatchesNaive(t *testing.T) {
 		}
 		b := Randn(r, s.k, s.n)
 		want := matmulNaive(a, b)
-		got := New(s.m, s.n)
+		got := New(1, s.m, s.n)
 		got.Fill(999)
-		MatMulSparseInto(a, b, got)
+		BatchedMatMulSparseInto(a.Reshape(1, s.m, s.k), b.Reshape(1, s.k, s.n), got)
 		// Skipping the zero terms never changes a finite sum: bitwise.
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulSparseInto %dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
+		if d := got.Reshape(s.m, s.n).MaxAbsDiff(want); d != 0 {
+			t.Errorf("BatchedMatMulSparseInto 1x%dx%dx%d: max diff %g from naive", s.m, s.k, s.n, d)
 		}
 	}
 }
@@ -247,12 +247,12 @@ func TestKernelAllocs(t *testing.T) {
 	for _, degree := range []int{1, 2} {
 		prev := parallel.SetDegree(degree)
 		for name, fn := range map[string]func(){
-			"MatMulInto":        func() { MatMulInto(a, b, dst) },
-			"MatMulPackedInto":  func() { MatMulPackedInto(a, b, dst, pack) },
-			"MatMulSparseInto":  func() { MatMulSparseInto(a, b, dst) },
-			"MatMulTInto":       func() { MatMulTInto(a, bt, dst) },
-			"LinearInto":        func() { LinearInto(a, bt, bias, dst) },
-			"BatchedMatMulInto": func() { BatchedMatMulInto(ba, bb, bdst) },
+			"MatMulInto":              func() { MatMulInto(a, b, dst) },
+			"MatMulPackedInto":        func() { MatMulPackedInto(a, b, dst, pack) },
+			"MatMulTInto":             func() { MatMulTInto(a, bt, dst) },
+			"LinearInto":              func() { LinearInto(a, bt, bias, dst) },
+			"BatchedMatMulInto":       func() { BatchedMatMulInto(ba, bb, bdst) },
+			"BatchedMatMulSparseInto": func() { BatchedMatMulSparseInto(ba, bb, bdst) },
 		} {
 			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 				t.Errorf("degree %d %s: %v allocs/op, want 0", degree, name, allocs)
@@ -369,7 +369,9 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 // GetArena/PutArena must be race-free under concurrent checkout (the
 // -race gate exercises this).
 func TestArenaPoolConcurrent(t *testing.T) {
-	parallel.For(64, func(i int) {
+	prev := parallel.SetDegree(4)
+	defer parallel.SetDegree(prev)
+	parallel.ForChunked(parallel.MinParallelWork, 1, func(i, _ int) {
 		ar := GetArena()
 		tt := ar.Tensor(8, 8)
 		tt.Fill(float32(i))

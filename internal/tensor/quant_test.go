@@ -187,27 +187,6 @@ func TestQuantLinearParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMatMulAutoMatchesBlocked(t *testing.T) {
-	r := NewRNG(36)
-	for _, s := range kernelShapes {
-		a := Randn(r, s.m, s.k)
-		b := Randn(r, s.k, s.n)
-		want := New(s.m, s.n)
-		MatMulInto(a, b, want)
-		got := New(s.m, s.n)
-		got.Fill(999)
-		MatMulAutoInto(a, b, got, nil)
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulAutoInto(nil pack) %dx%dx%d: diff %g", s.m, s.k, s.n, d)
-		}
-		got.Fill(999)
-		MatMulAutoInto(a, b, got, make([]float32, PackedScratchLen(s.k, s.n)))
-		if d := got.MaxAbsDiff(want); d != 0 {
-			t.Errorf("MatMulAutoInto(pack) %dx%dx%d: diff %g", s.m, s.k, s.n, d)
-		}
-	}
-}
-
 // TestQuantLinearRowsMatchesQuantLinearInto: the fused quantize+kernel
 // row call gives any row range the bits of the two-step whole-batch
 // path, odd ranges (a single-row tail, a different pairing) included.
@@ -282,8 +261,7 @@ func TestArenaInt8AndByteSlabs(t *testing.T) {
 }
 
 // BenchmarkQuantVsFloatLinear measures the int8 packed kernel against
-// the float32 kernels at the BENCH_1 attention shape; BENCH_4's kernel
-// section is generated from the same pairing via perfbench. Every
+// the float32 kernels at the attention shape (m=2048, k=96, n=64). Every
 // sub-benchmark uses the same float-equivalent byte volume, so MB/s
 // compares element throughput directly. Like the float kernel lines,
 // the int8 line measures the matmul itself — the per-batch activation

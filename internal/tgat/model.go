@@ -3,10 +3,8 @@ package tgat
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"tgopt/internal/checkpoint"
@@ -259,7 +257,8 @@ func (m *Model) Params() []*tensor.Tensor {
 }
 
 // paramsVersion is the envelope version of a parameter checkpoint
-// (v2: checksummed checkpoint envelope; v1 was the raw tensor stream).
+// (v2: checksummed checkpoint envelope; the raw tensor stream that
+// preceded it is no longer read).
 const paramsVersion uint32 = 2
 
 // SaveParams writes all trainable parameters to path as an atomic,
@@ -293,34 +292,11 @@ func (m *Model) SaveParamsFS(fsys checkpoint.FS, path string) error {
 // The architecture (and hence the parameter list) must match. The load
 // is all-or-nothing: every tensor is parsed and shape-checked before
 // the first one is applied, so a corrupt or mismatched checkpoint
-// leaves the model's parameters untouched. Both current (enveloped,
-// checksummed) and legacy (raw stream) checkpoint files load.
+// leaves the model's parameters untouched. Only enveloped, checksummed
+// checkpoints load; a file without the envelope is
+// checkpoint.ErrNotCheckpoint.
 func (m *Model) LoadParams(path string) error {
-	err := checkpoint.Read(path, func(version uint32, r io.Reader) error {
-		if version != paramsVersion {
-			return fmt.Errorf("tgat: checkpoint version %d, model reads %d", version, paramsVersion)
-		}
-		return m.loadParamStream(r)
-	})
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		// Pre-envelope checkpoint: same stream, no checksum.
-		f, ferr := os.Open(path)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		if err := m.loadParamStream(bufio.NewReader(f)); err != nil {
-			return fmt.Errorf("tgat: legacy checkpoint %s: %w", path, err)
-		}
-		return nil
-	}
-	return err
-}
-
-// loadParamStream parses a parameter stream into staging tensors and
-// applies them only after every one has been read and validated.
-func (m *Model) loadParamStream(r io.Reader) error {
-	sp, err := m.parseParamStream(r)
+	sp, err := m.ParseParamsFS(checkpoint.OS{}, path)
 	if err != nil {
 		return err
 	}

@@ -34,17 +34,6 @@ func QuantizeModel(m *Model) *QuantModel {
 	return qm
 }
 
-// WeightBytes returns the resident footprint of the weights the int8
-// path reads (all layers plus the affinity head: packed int8 matrices,
-// float32 biases, and the float32 WK/WV), for the stats surface.
-func (qm *QuantModel) WeightBytes() int {
-	var b int
-	for l := range qm.Attn {
-		b += qm.Attn[l].Bytes() + qm.Merge[l].Bytes()
-	}
-	return b + qm.Affinity.Bytes()
-}
-
 // LayerForwardWith is Model.LayerForwardWith with the per-target
 // projections through the int8 kernels: the same tile pass, the same
 // shape contract.
