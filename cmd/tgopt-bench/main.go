@@ -34,6 +34,7 @@ import (
 
 	"tgopt/internal/dataset"
 	"tgopt/internal/experiments"
+	"tgopt/internal/tensor"
 )
 
 func main() {
@@ -94,6 +95,7 @@ func main() {
 	}
 
 	w := os.Stdout
+	fmt.Fprintf(w, "kernels: %s\n", tensor.Kernels())
 	var err error
 	switch cmd {
 	case "table1":

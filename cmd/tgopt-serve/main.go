@@ -35,6 +35,7 @@ import (
 	"tgopt/internal/serve"
 	"tgopt/internal/shard"
 	"tgopt/internal/swap"
+	"tgopt/internal/tensor"
 	"tgopt/internal/trainer"
 )
 
@@ -239,6 +240,7 @@ func main() {
 		log.Printf("out-of-order ingest: off (out-of-order edges are dropped against the watermark)")
 	}
 	log.Printf("inference precision: %s", opt.Quant)
+	log.Printf("kernels: %s", tensor.Kernels())
 	if *batchOff {
 		log.Printf("cross-request batching: off")
 	} else {

@@ -17,6 +17,9 @@ type Table4Cell struct {
 	Runtime time.Duration
 	Bytes   int64
 	HitRate float64
+	// AttnRows is the number of rows the run sent through attention: the
+	// deterministic quantity behind Runtime.
+	AttnRows int64
 }
 
 // Table4 sweeps the cache limit for each named dataset on the simulated
@@ -53,7 +56,8 @@ func Table4(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Table4Cell
 			rowCells = append(rowCells, Table4Cell{
 				Dataset: name, Limit: limit,
 				Runtime: res.Runtime, Bytes: res.Engine.CacheBytes(),
-				HitRate: res.HitRate.Average(),
+				HitRate:  res.HitRate.Average(),
+				AttnRows: res.Collector.Counter("attention_rows"),
 			})
 		}
 		cells = append(cells, rowCells...)

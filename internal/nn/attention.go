@@ -108,7 +108,7 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 	if len(mask) != n*k {
 		panic(fmt.Sprintf("nn: attention mask len %d != n*k %d", len(mask), n*k))
 	}
-	c := newAttnCore(wk, wv, heads, e, k, kDim)
+	c := newAttnCore(ar, wk, wv, heads, e, k, kDim)
 	ctx := ar.Tensor(n, e) // every row is written below
 	c.qp, c.kv, c.mask, c.ctx = qp.Data(), kv.Data(), mask, ctx.Data()
 	// All scratch is drawn before any fan-out: chunk bodies index
@@ -133,8 +133,10 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 // e, k slots per target and kv rows of width kDim; the caller points
 // qp, kv, mask, ctx, qz and scores at its rows. The kernel strides the
 // weight rows by kDim and e directly — a mismatch would read the wrong
-// rows rather than fail — so the widths are checked here.
-func newAttnCore(wk, wv *Linear, heads, e, k, kDim int) attnCore {
+// rows rather than fail — so the widths are checked here. Where the
+// process runs the vector kernels, WVᵀ is packed into ar for the life of
+// this core (DESIGN.md §6.3): the caller is still outside any fan-out.
+func newAttnCore(ar *tensor.Arena, wk, wv *Linear, heads, e, k, kDim int) attnCore {
 	if wk.W.Dim(1) != kDim || wv.W.Dim(1) != kDim {
 		panic(fmt.Sprintf("nn: attention kv width %d != WK/WV input width %d/%d", kDim, wk.W.Dim(1), wv.W.Dim(1)))
 	}
@@ -147,6 +149,7 @@ func newAttnCore(wk, wv *Linear, heads, e, k, kDim int) attnCore {
 		heads: heads, hd: hd, e: e, k: k, kDim: kDim,
 		scale: float32(1 / math.Sqrt(float64(hd))),
 		wk:    wk.W.Data(), wv: wv.W.Data(),
+		wvT: tensor.PackLinear(ar, wv.W),
 	}
 	if wk.B != nil {
 		c.bk = wk.B.Data()
@@ -163,6 +166,7 @@ type attnCore struct {
 	heads, hd, e, k, kDim int
 	scale                 float32
 	wk, bk, wv, bv        []float32 // (E, KDim) weights, (E) biases or nil
+	wvT                   []float32 // (KDim, E) pack of wv: non-nil selects the vector kernels
 	qp, kv, ctx           []float32
 	mask                  []bool
 	weights               []float32 // (n, heads, k) or nil
@@ -178,7 +182,10 @@ func (c attnCore) rows(lo, hi int) {
 
 // row computes target i's context: per head, absorb WK into the query,
 // score and softmax over the valid kv rows, sum those rows by weight,
-// and project the sum through WV. Padded kv rows are never read.
+// and project the sum through WV. Padded kv rows are never read. Each of
+// the four leaves runs either as the scalar function at the bottom of
+// this file or, when the core holds the WVᵀ pack, as the vector kernel
+// that gives every element the same sum in the same order.
 func (c attnCore) row(i int) {
 	k, kd, hd := c.k, c.kDim, c.hd
 	mask := c.mask[i*k : (i+1)*k]
@@ -190,24 +197,40 @@ func (c attnCore) row(i int) {
 		}
 		return
 	}
+	vec := c.wvT != nil
 	scores := c.scores[i*k : (i+1)*k]
 	zs := c.kv[i*k*kd : (i+1)*k*kd]
 	qt := c.qz[i*kd : (i+1)*kd]
 	for h := 0; h < c.heads; h++ {
 		qh := c.qp[i*c.e+h*hd : i*c.e+(h+1)*hd]
 		// q̃_h = Σ_d qp[h·hd+d]·WK[h·hd+d,:], d ascending.
+		wkh := c.wk[h*hd*kd : (h+1)*hd*kd]
 		clear(qt)
-		addRowsScaled(qt, qh, c.wk[h*hd*kd:(h+1)*hd*kd])
+		if vec {
+			tensor.AccumRows(qt, qh, wkh, kd)
+		} else {
+			addRowsScaled(qt, qh, wkh)
+		}
 		var ch float32
 		if c.bk != nil {
 			ch = dot(qh, c.bk[h*hd:(h+1)*hd])
+		}
+		// q̃_h·z_j for the valid slots, then the scaled scores in place.
+		if vec {
+			tensor.DotRows(scores, qt, zs, kd, mask)
+		} else {
+			for j, ok := range mask {
+				if ok {
+					scores[j] = dot(qt, zs[j*kd:(j+1)*kd])
+				}
+			}
 		}
 		maxv := float32(math.Inf(-1))
 		for j, ok := range mask {
 			if !ok {
 				continue
 			}
-			s := (dot(qt, zs[j*kd:(j+1)*kd]) + ch) * c.scale
+			s := (scores[j] + ch) * c.scale
 			scores[j] = s
 			if s > maxv {
 				maxv = s
@@ -224,23 +247,44 @@ func (c attnCore) row(i int) {
 			sum += ex
 		}
 		inv := float32(1 / sum)
-		// z̄_h replaces q̃_h in place.
-		clear(qt)
 		for j, ok := range mask {
 			var alpha float32
 			if ok {
 				alpha = scores[j] * inv
-				axpy(alpha, zs[j*kd:(j+1)*kd], qt)
+				scores[j] = alpha
 			}
 			if c.weights != nil {
 				c.weights[(i*c.heads+h)*k+j] = alpha
 			}
 		}
+		// z̄_h = Σ_j α_j z_j, j ascending, replaces q̃_h in place: one
+		// accumulate per run of valid slots, or one axpy per slot.
+		clear(qt)
+		for j := 0; j < k; j++ {
+			if !mask[j] {
+				continue
+			}
+			if !vec {
+				axpy(scores[j], zs[j*kd:(j+1)*kd], qt)
+				continue
+			}
+			j0 := j
+			for j < k && mask[j] {
+				j++
+			}
+			tensor.AccumRows(qt, scores[j0:j], zs[j0*kd:j*kd], kd)
+		}
 		// ctx_h = WV_h·z̄_h + bV_h.
-		rowDots(ctx[h*hd:(h+1)*hd], c.wv[h*hd*kd:(h+1)*hd*kd], qt)
+		ctxh := ctx[h*hd : (h+1)*hd]
+		if vec {
+			clear(ctxh)
+			tensor.AccumRows(ctxh, qt, c.wvT[h*hd:], c.e)
+		} else {
+			rowDots(ctxh, c.wv[h*hd*kd:(h+1)*hd*kd], qt)
+		}
 		if c.bv != nil {
-			for d := h * hd; d < (h+1)*hd; d++ {
-				ctx[d] += c.bv[d]
+			for d, b := range c.bv[h*hd : (h+1)*hd] {
+				ctxh[d] += b
 			}
 		}
 	}

@@ -28,9 +28,13 @@ const layerTile = 32
 type rowLinear interface {
 	In() int
 	Out() int
-	// rows computes dst (m, Out) from x (m, In). qs is int8 activation
-	// scratch for at least m rows of In; float layers ignore it.
-	rows(x []float32, m int, dst []float32, qs quantScratch)
+	// pack returns the weights in the layout the process's vector kernel
+	// reads, drawn from ar, or nil when rows reads them as they are.
+	pack(ar *tensor.Arena) []float32
+	// rows computes dst (m, Out) from x (m, In). wt is what pack
+	// returned; qs is int8 activation scratch for at least m rows of In,
+	// which float layers ignore.
+	rows(x []float32, m int, dst []float32, wt []float32, qs quantScratch)
 }
 
 // quantScratch is the activation scratch of tensor.QuantLinearRows.
@@ -40,11 +44,16 @@ type quantScratch struct {
 	sums   []int32
 }
 
-func (l *Linear) rows(x []float32, m int, dst []float32, _ quantScratch) {
-	tensor.LinearRows(x, m, l.W, l.B, dst)
+func (l *Linear) pack(ar *tensor.Arena) []float32 { return tensor.PackLinear(ar, l.W) }
+
+func (l *Linear) rows(x []float32, m int, dst []float32, wt []float32, _ quantScratch) {
+	tensor.LinearRowsPacked(x, m, l.W, wt, l.B, dst)
 }
 
-func (l *QuantLinear) rows(x []float32, m int, dst []float32, qs quantScratch) {
+// The int8 kernel reads QuantMat's own packed lanes.
+func (l *QuantLinear) pack(*tensor.Arena) []float32 { return nil }
+
+func (l *QuantLinear) rows(x []float32, m int, dst []float32, _ []float32, qs quantScratch) {
 	tensor.QuantLinearRows(x, m, l.W, l.B, dst, qs.q[:m*l.In()], qs.scales[:m], qs.sums[:m])
 }
 
@@ -104,8 +113,9 @@ func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc
 	out := ar.Tensor(n, ops.fc2.Out()) // every row is written below
 	p := layerPass{
 		layerOps: ops,
-		core:     newAttnCore(ops.wk, ops.wv, ops.heads, e, k, d+de+dt),
-		d:        d, de: de, dt: dt,
+		core:     newAttnCore(ar, ops.wk, ops.wv, ops.heads, e, k, d+de+dt),
+		wqT:      ops.wq.pack(ar), woT: ops.wo.pack(ar), fc1T: ops.fc1.pack(ar), fc2T: ops.fc2.pack(ar),
+		d: d, de: de, dt: dt,
 		hTgt: hTgt.Data(), hNgh: hNgh.Data(), eFeat: eFeat.Data(),
 		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
 		out:   out.Data(),
@@ -121,8 +131,9 @@ func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc
 		p.chunk = (n + chunks*layerTile - 1) / (chunks * layerTile) * layerTile
 		slots = (n + p.chunk - 1) / p.chunk
 	}
-	// All scratch is drawn here, before any fan-out: the arena is never
-	// bumped inside the parallel region.
+	// All scratch is drawn before any fan-out — the weight packs above,
+	// read-only to every tile, and the tile slots here: the arena is
+	// never bumped inside the parallel region.
 	p.f32 = ar.Float32s(slots * p.tileFloats())
 	if ops.quantIn > 0 {
 		p.qs = quantScratch{
@@ -147,6 +158,9 @@ type layerPass struct {
 	layerOps
 	core      attnCore // weights and widths; runTile points it at a tile
 	d, de, dt int      // node, edge and time widths
+	// What each projection's pack returned: this call's own copies, so a
+	// swap or an optimizer step between calls is seen by the next one.
+	wqT, woT, fc1T, fc2T []float32
 
 	hTgt, hNgh, eFeat, tEnc0, tEncD []float32
 	mask                            []bool
@@ -216,7 +230,7 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 		copy(row[d:], p.tEnc0[i*dt:(i+1)*dt])
 	}
 	qp := t.qp[:m*p.core.e]
-	p.wq.rows(t.q[:m*qd], m, qp, t.qs)
+	p.wq.rows(t.q[:m*qd], m, qp, p.wqT, t.qs)
 
 	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only: the core never
 	// reads a padded slot's row, so it is never assembled.
@@ -240,7 +254,7 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 	// FFN(WO·ctx ‖ h_i).
 	aw := p.wo.Out()
 	ao := t.ao[:m*aw]
-	p.wo.rows(t.ctx[:m*c.e], m, ao, t.qs)
+	p.wo.rows(t.ctx[:m*c.e], m, ao, p.woT, t.qs)
 	xw := aw + d
 	for r := 0; r < m; r++ {
 		row := t.x[r*xw : (r+1)*xw]
@@ -248,8 +262,8 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 		copy(row[aw:], p.hTgt[(lo+r)*d:(lo+r+1)*d])
 	}
 	h := t.h[:m*p.fc1.Out()]
-	p.fc1.rows(t.x[:m*xw], m, h, t.qs)
+	p.fc1.rows(t.x[:m*xw], m, h, p.fc1T, t.qs)
 	tensor.ReLUFloats(h)
 	ow := p.fc2.Out()
-	p.fc2.rows(h, m, p.out[lo*ow:hi*ow], t.qs)
+	p.fc2.rows(h, m, p.out[lo*ow:hi*ow], p.fc2T, t.qs)
 }

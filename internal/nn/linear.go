@@ -29,14 +29,15 @@ func (l *Linear) Out() int { return l.W.Dim(0) }
 
 // Forward applies the layer to x of shape (n, in), producing (n, out).
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return tensor.Linear(x, l.W, l.B)
+	return l.ForwardWith(nil, x)
 }
 
-// ForwardWith is Forward with the output drawn from ar (heap when ar is
-// nil). The result is invalidated by ar.Reset.
+// ForwardWith is Forward with the output, and the per-call weight pack
+// of the vector kernel, drawn from ar (heap when ar is nil). The result
+// is invalidated by ar.Reset.
 func (l *Linear) ForwardWith(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	dst := ar.Tensor(x.Dim(0), l.Out())
-	tensor.LinearInto(x, l.W, l.B, dst)
+	tensor.LinearIntoWith(ar, x, l.W, l.B, dst)
 	return dst
 }
 

@@ -47,10 +47,10 @@ func (l *QuantLinear) ForwardWith(ar *tensor.Arena, x *tensor.Tensor) *tensor.Te
 	// stays allocation-free.
 	if parallel.WillFanOut(m) {
 		parallel.ForChunked(m, 0, func(lo, hi int) {
-			l.rows(xd[lo*k:hi*k], hi-lo, dd[lo*n:hi*n], quantScratch{q: qs.q[lo*k:], scales: qs.scales[lo:], sums: qs.sums[lo:]})
+			l.rows(xd[lo*k:hi*k], hi-lo, dd[lo*n:hi*n], nil, quantScratch{q: qs.q[lo*k:], scales: qs.scales[lo:], sums: qs.sums[lo:]})
 		})
 	} else {
-		l.rows(xd, m, dd, qs)
+		l.rows(xd, m, dd, nil, qs)
 	}
 	return dst
 }

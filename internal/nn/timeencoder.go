@@ -77,11 +77,8 @@ func (te *TimeEncoder) encodeRows(dts []float64, data []float32, lo, hi int) {
 // encoding is evaluated, shared by EncodeInto and the time table's miss
 // path.
 func (te *TimeEncoder) EncodeRow(dt float64, row []float32) {
-	om, ph := te.Omega.Data(), te.Phi.Data()
-	row = row[:len(om)]
-	for j, w := range om {
-		row[j] = float32(math.Cos(dt*float64(w) + float64(ph[j])))
-	}
+	om := te.Omega.Data()
+	tensor.CosRow(row[:len(om)], dt, om, te.Phi.Data())
 }
 
 // EncodeScalar computes Φ(dt) as a single d_t vector.

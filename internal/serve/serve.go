@@ -677,13 +677,13 @@ type statsResponse struct {
 	// ClientCancels (499-style) and Unavailable (real 503s) split the
 	// failed-computation accounting by cause; QuorumRejects and
 	// Partials are the sharded degradation counters.
-	ClientCancels int64                 `json:"client_cancels"`
-	Unavailable   int64                 `json:"unavailable"`
-	QuorumRejects int64                 `json:"quorum_rejects,omitempty"`
-	Partials      int64                 `json:"partial_responses,omitempty"`
-	Snapshots     int64                 `json:"snapshots"`
-	SnapErrors    int64                 `json:"snapshot_errors"`
-	Ingest        ingestStats           `json:"ingest"`
+	ClientCancels int64       `json:"client_cancels"`
+	Unavailable   int64       `json:"unavailable"`
+	QuorumRejects int64       `json:"quorum_rejects,omitempty"`
+	Partials      int64       `json:"partial_responses,omitempty"`
+	Snapshots     int64       `json:"snapshots"`
+	SnapErrors    int64       `json:"snapshot_errors"`
+	Ingest        ingestStats `json:"ingest"`
 	// Model reports the online-learning loop: the params version
 	// serving, successful hot-swaps, rejected (rolled-back) swaps, and
 	// when the last swap landed.

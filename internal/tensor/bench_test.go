@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tgopt/internal/parallel"
@@ -97,6 +98,68 @@ func BenchmarkMatMulT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulT(x, w)
 	}
+}
+
+// BenchmarkLeafKernels prices the leaf kernels of DESIGN.md §6.3 at the
+// benchmark shape (a 32-target tile, widths 64 and 96, ten slots). The
+// sub-benchmark named after Kernels() runs what the process dispatches
+// to — "avx2" here, "generic" under -tags purego — and "scalar" is the
+// Go loop it reproduces, where this package has one.
+func BenchmarkLeafKernels(b *testing.B) {
+	r := NewRNG(6)
+	const m, k, n, slots = 32, 96, 64, 10
+	x := Randn(r, m, k)
+	w := Randn(r, n, k)
+	bias := Randn(r, n)
+	dst := make([]float32, m*n)
+	ar := NewArena()
+	b.Run("linear/scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LinearRows(x.data, m, w, bias, dst)
+		}
+	})
+	b.Run("linear/"+Kernels(), func(b *testing.B) {
+		wt := PackLinear(ar, w)
+		for i := 0; i < b.N; i++ {
+			LinearRowsPacked(x.data, m, w, wt, bias, dst)
+		}
+	})
+	b.Run("pack/"+Kernels(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ar.Reset()
+			PackLinear(ar, w)
+		}
+	})
+	y := make([]float32, k)
+	b.Run("accum/"+Kernels(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AccumRows(y, x.data[:m], w.data, k)
+		}
+	})
+	mask := make([]bool, slots)
+	for j := range mask {
+		mask[j] = true
+	}
+	out := make([]float32, slots)
+	b.Run("dot/"+Kernels(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotRows(out, y, w.data, k, mask)
+		}
+	})
+	om, ph, row := tgatOmega(32), make([]float32, 32), make([]float32, 32)
+	b.Run("cos/scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dt := float64(20_000 + i)
+			for j := range row {
+				row[j] = float32(math.Cos(dt*float64(om[j]) + float64(ph[j])))
+			}
+		}
+	})
+	b.Run("cos/"+Kernels(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			CosRow(row, float64(20_000+i), om, ph)
+		}
+	})
 }
 
 func BenchmarkSoftmax(b *testing.B) {

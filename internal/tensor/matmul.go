@@ -419,6 +419,18 @@ func Linear(x, w, bias *Tensor) *Tensor {
 // row loop parallelizes when parallel.WillFanOut(n); each chunk is one
 // LinearRows call, so the bias rides in the same pass as the product.
 func LinearInto(x, w, bias, dst *Tensor) {
+	linearInto(x, w, nil, bias, dst)
+}
+
+// LinearIntoWith is LinearInto through the process's vector kernel,
+// where it has one: Wᵀ is packed into scratch drawn from ar (heap when
+// ar is nil) for this call alone, before any fan-out. Same bits as
+// LinearInto.
+func LinearIntoWith(ar *Arena, x, w, bias, dst *Tensor) {
+	linearInto(x, w, PackLinear(ar, w), bias, dst)
+}
+
+func linearInto(x, w *Tensor, wt []float32, bias, dst *Tensor) {
 	if x.Rank() != 2 || w.Rank() != 2 {
 		panic("tensor: LinearInto requires rank-2 operands")
 	}
@@ -433,9 +445,9 @@ func LinearInto(x, w, bias, dst *Tensor) {
 	xd, cd := x.data, dst.data
 	// Closure built only on the fan-out branch; see MatMulInto.
 	if parallel.WillFanOut(m) {
-		parallel.ForChunked(m, 0, func(lo, hi int) { LinearRows(xd[lo*k:hi*k], hi-lo, w, bias, cd[lo*n:hi*n]) })
+		parallel.ForChunked(m, 0, func(lo, hi int) { LinearRowsPacked(xd[lo*k:hi*k], hi-lo, w, wt, bias, cd[lo*n:hi*n]) })
 	} else {
-		LinearRows(xd, m, w, bias, cd)
+		LinearRowsPacked(xd, m, w, wt, bias, cd)
 	}
 }
 
@@ -446,11 +458,35 @@ func LinearInto(x, w, bias, dst *Tensor) {
 // element is one fixed-order sum over its own x row, so a row's bits do
 // not depend on which call computes it. bias may be nil.
 func LinearRows(x []float32, m int, w, bias *Tensor, dst []float32) {
+	LinearRowsPacked(x, m, w, nil, bias, dst)
+}
+
+// LinearRowsPacked is LinearRows with wt = PackLinear(·, w): the first
+// out&^3 columns of each row are AccumRows over Wᵀ — lanes across the
+// outputs, each output the sequential sum from +0 that matmulTRows
+// gives it — and the out%4 tail columns keep matmulTRows' dot32, whose
+// sum associates differently. A nil wt is the scalar kernel throughout.
+func LinearRowsPacked(x []float32, m int, w *Tensor, wt []float32, bias *Tensor, dst []float32) {
 	n, k := w.shape[0], w.shape[1]
 	if len(x) != m*k || len(dst) != m*n {
 		panic(fmt.Sprintf("tensor: LinearRows x/dst lengths %d/%d, want %d/%d", len(x), len(dst), m*k, m*n))
 	}
-	matmulTRows(x, w.data, dst, 0, m, k, n)
+	if wt == nil {
+		matmulTRows(x, w.data, dst, 0, m, k, n)
+	} else {
+		if len(wt) != n*k {
+			panic(fmt.Sprintf("tensor: LinearRowsPacked pack length %d, want %d", len(wt), n*k))
+		}
+		n4 := n &^ 3
+		for i := 0; i < m; i++ {
+			xr, dr := x[i*k:(i+1)*k], dst[i*n:(i+1)*n]
+			clear(dr[:n4])
+			AccumRows(dr[:n4], xr, wt, n)
+			for j := n4; j < n; j++ {
+				dr[j] = dot32(xr, w.data[j*k:(j+1)*k])
+			}
+		}
+	}
 	if bias == nil {
 		return
 	}

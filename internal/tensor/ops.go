@@ -113,16 +113,21 @@ func AddRowBiasInPlace(a, bias *Tensor) *Tensor {
 	return a
 }
 
-// addRowBias adds bias to every len(bias)-wide row of data.
+// addRowBias adds bias to every len(bias)-wide row of data. The vector
+// kernel takes the leading columns as row += 1·bias: the product is
+// exact, so the sum is the scalar loop's.
 func addRowBias(data, bias []float32) {
 	w := len(bias)
 	for base := 0; base < len(data); base += w {
 		row := data[base : base+w]
-		for j, b := range bias {
-			row[j] += b
+		for j := accumRowsVec(row, unit, bias, w); j < w; j++ {
+			row[j] += bias[j]
 		}
 	}
 }
+
+// unit is the one coefficient of addRowBias's accumulate.
+var unit = []float32{1}
 
 // Sum returns the sum of all elements (accumulated in float64 for
 // stability).

@@ -8,8 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== go vet"
+echo "== go vet (asmdecl checks the .s files against their Go declarations) + gofmt"
 go vet ./...
+test -z "$(gofmt -l .)" || { echo "gofmt -l . prints:"; gofmt -l .; exit 1; }
 
 echo "== go build"
 go build ./...
@@ -30,6 +31,12 @@ go test -race -count=1 -cpu 1,2,4 \
     -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestQuantLinearRows|TestKernelAllocs|TestQuantKernelAllocs|TestForChunked' \
     ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
 echo "   race stanza wall time: $((SECONDS - race_start)) s"
+
+echo "== portable kernels (the scalar leaves run, not just compile: purego tests, arm64 cross-build of the generic files)"
+portable_start=$SECONDS
+go test -count=1 -tags purego ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
+GOOS=linux GOARCH=arm64 go build ./...
+echo "   portable stanza wall time: $((SECONDS - portable_start)) s"
 
 echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot; race-enabled)"
 go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestServeSharded|TestServeHealth' \
@@ -56,12 +63,13 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./i
 echo "== benchmark smoke (go test ./benchmark: every workload's code path at small op counts, BENCHMARK.json in step with metrics.go)"
 go test -count=1 ./benchmark
 
-echo "== fuzz smoke (persistence parsers + ingest bodies, seed corpus + 5s each)"
+echo "== fuzz smoke (persistence parsers, ingest bodies, the cosine kernel; seed corpus + 5s each)"
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/checkpoint/
 go test -run='^$' -fuzz='^FuzzCacheReadFrom$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzLoadParams$' -fuzztime=5s ./internal/tgat/
 go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzTransitiveInvalidate$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzSwapManifest$' -fuzztime=5s ./internal/swap/
+go test -run='^$' -fuzz='^FuzzCosRow$' -fuzztime=5s ./internal/tensor/
 
 echo "OK (total wall time: ${SECONDS} s)"
