@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tgopt/internal/graph"
 	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -42,18 +43,31 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	tracked := OptAll()
 	tracked.TrackTargets = true
 
+	// The same model over a live graph: after warmup every target is
+	// answered by the top-layer memo, and the all-hit pass — stamp read,
+	// striped lookups, row copies — must allocate nothing either.
+	dyn := graph.NewDynamic(ds.Graph.NumNodes())
+	for _, e := range ds.Graph.Edges() {
+		if _, err := dyn.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
+
 	cases := []struct {
-		name  string
-		model *tgat.Model
-		opt   Options
+		name    string
+		model   *tgat.Model
+		sampler *graph.Sampler
+		opt     Options
 	}{
-		{"baseline", m, Options{}},
-		{"optall", m, OptAll()},
-		{"optall-3layer-tracked", m3, tracked},
+		{"baseline", m, s, Options{}},
+		{"optall", m, s, OptAll()},
+		{"optall-3layer-tracked", m3, s, tracked},
+		{"optall-live-memo-hit", m, live, tracked},
 	}
 	for _, tc := range cases {
 		m := tc.model
-		eng := NewEngine(m, s, tc.opt)
+		eng := NewEngine(m, tc.sampler, tc.opt)
 		ar := tensor.NewArena()
 		nb := len(nodes) / 2
 		run := func() {
@@ -69,8 +83,14 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			run()
 		}
+		memo := eng.TopMemoStats()
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Errorf("%s: EmbedWith allocated %v times/op in steady state, want 0", tc.name, allocs)
+		}
+		if tc.sampler == live {
+			if st := eng.TopMemoStats(); st.Lookups == memo.Lookups || st.Hits-memo.Hits != st.Lookups-memo.Lookups {
+				t.Errorf("%s: measured runs were not all memo hits: %+v → %+v", tc.name, memo, st)
+			}
 		}
 	}
 }

@@ -166,10 +166,18 @@ type Engine struct {
 	sampler *graph.Sampler
 	opt     Options
 	// caches[l] is the memoization cache for layer l outputs; only
-	// layers 1..L-1 are cached (§4.2.2: the top layer's output is never
-	// re-consumed, so caching it would waste the budget).
+	// layers 1..L-1 are cached (§4.2.2: on a stream the top layer's
+	// output is never re-consumed, so caching it would waste the budget).
 	caches []*Cache
-	ttable *TimeTable
+	// topMemo memoizes the top layer's rows where that premise fails: an
+	// engine over a live graph serves requests, and requests re-ask the
+	// same ⟨node, t⟩. Nil on static-sampler engines. memoEpoch is the
+	// engine half of its validity stamp (see memoStamp): every path that
+	// repairs or drops memo state bumps it as its last step, so a row
+	// computed while such a path ran can never be served after it.
+	topMemo   *topMemo
+	memoEpoch atomic.Int64
+	ttable    *TimeTable
 	// qmodel is the packed int8 view of model (Options.Quant ==
 	// QuantInt8); nil on the float path. Weights are quantized once
 	// here, never per request.
@@ -281,6 +289,10 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		e.deps = NewDepTracker()
 	}
 	e.dyn = s.Dynamic()
+	e.memoEpoch.Store(1) // zeroed memo slots carry epoch 0 and never match
+	if e.dyn != nil && e.caches != nil && e.caches[m.Cfg.Layers] == nil {
+		e.topMemo = newTopMemo(m.Cfg.NodeDim)
+	}
 	if opt.TrackTargets && opt.EnableCache {
 		top := 0
 		for l, c := range e.caches {
@@ -404,6 +416,7 @@ func (e *Engine) FinishSwap(version uint64) {
 		e.deps.Reset()
 	}
 	e.version.Store(version)
+	e.memoEpoch.Add(1)
 }
 
 // SwapParams atomically swaps this engine to a new parameter version:
@@ -471,6 +484,7 @@ func (e *Engine) Deps() *DepTracker { return e.deps }
 // cleared conservatively. Returns the number of entries removed
 // selectively. Panics unless dependency tracking is enabled.
 func (e *Engine) InvalidateNode(v int32) int {
+	defer e.memoEpoch.Add(1)
 	if e.deps == nil {
 		panic("core: InvalidateNode requires Options.TrackDependencies")
 	}
@@ -490,6 +504,7 @@ func (e *Engine) InvalidateNode(v int32) int {
 // its sampled subgraph, so maximal reuse is preserved. Semantics as
 // InvalidateNode.
 func (e *Engine) InvalidateEdge(eidx int32) int {
+	defer e.memoEpoch.Add(1)
 	if e.deps == nil {
 		panic("core: InvalidateEdge requires Options.TrackDependencies")
 	}
@@ -518,6 +533,7 @@ func (e *Engine) InvalidateEdge(eidx int32) int {
 // only sound response is dropping every cache; enable tracking on any
 // engine serving a stream with a lateness window.
 func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
+	defer e.memoEpoch.Add(1)
 	if e.hook != nil {
 		e.hook(u, v, t)
 	}
@@ -543,6 +559,7 @@ func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
 // every cache is cleared, as in InvalidateLateEdge; engines serving
 // appends should always enable tracking.
 func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
+	defer e.memoEpoch.Add(1)
 	if e.hook != nil {
 		e.hook(u, v, t)
 	}
@@ -917,6 +934,20 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		e.opt.Collector.Count("cache_lookups", int64(n))
 	}
 
+	// Top layer on a live graph: answer re-asked targets from the memo.
+	// The stamp is read once, before the lookup; a row hits only if it
+	// was stored under exactly this stamp, and the rows computed below
+	// are stored only if the stamp still reads the same afterwards — so
+	// an all-hit pass samples, looks up, encodes and attends nothing.
+	var memo *topMemo
+	var stamp memoStamp
+	if l == cfg.Layers && e.topMemo != nil {
+		memo = e.topMemo
+		stamp = e.memoStamp()
+		hitMask = ar.Bools(n)
+		nhits = memo.lookup(stamp, nodes, ts, h, hitMask)
+	}
+
 	if nhits < n {
 		// Shrink to the misses (line 10 of Algorithm 1).
 		missNodes, missTs := nodes, ts
@@ -1066,6 +1097,16 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 				e.chargeTransfer(stats.OpCacheStore, device.DtoD, int64(nm*d*4), nm)
 			} else {
 				e.chargeTransfer(stats.OpCacheStore, device.DtoH, int64(nm*d*4), 1)
+			}
+		}
+
+		if memo != nil {
+			if e.memoStamp() == stamp {
+				memo.store(stamp, missNodes, missTs, hm)
+			} else {
+				// A write landed while the pass ran: the rows may predate
+				// it, and the stamp they were computed under is gone.
+				memo.staleSkips.Add(int64(nm))
 			}
 		}
 

@@ -296,6 +296,10 @@ func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	// validated against cannot change while entries are committed.
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
+	// Loaded rows change what the lower layers answer: top-layer memo
+	// rows computed before or while they were absorbed must not outlive
+	// the load.
+	defer e.memoEpoch.Add(1)
 	return checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
 		if version != cacheSnapshotVersion {
 			return fmt.Errorf("core: cache snapshot version %d, engine reads %d", version, cacheSnapshotVersion)

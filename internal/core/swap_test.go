@@ -115,10 +115,20 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 					}
 				}
 			}
-			// The swap emptied the memo cache, not disabled it: the
-			// post-swap pass re-warmed it, so a repeat hits.
+			// The swap emptied the memo state, not disabled it: the
+			// post-swap pass re-warmed it, so an identical repeat is
+			// answered by the top-layer memo and a repeat at a later time
+			// — which the memo cannot answer — hits the layer-1 cache.
+			memoHits := eng.TopMemoStats().Hits
+			if eng.Embed(nodes, ts); eng.TopMemoStats().Hits == memoHits {
+				t.Fatal("identical repeat Embed after the swap missed the top-layer memo")
+			}
+			later := make([]float64, len(ts))
+			for i := range ts {
+				later[i] = ts[i] + 1
+			}
 			hits := eng.CacheStats().Hits
-			if eng.Embed(nodes, ts); eng.CacheStats().Hits == hits {
+			if eng.Embed(nodes, later); eng.CacheStats().Hits == hits {
 				t.Fatal("repeat Embed after the swap missed the re-warmed cache")
 			}
 		})

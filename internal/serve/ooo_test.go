@@ -493,7 +493,8 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 		{Src: 2, Dst: 4, Time: 30, Idx: 3},
 	})
 	embedRows(t, ts.URL, []int32{1, 2, 3}, []float64{40, 40, 40})
-	embedRows(t, ts.URL, []int32{1, 2, 3}, []float64{40, 40, 40}) // all-hit pass
+	embedRows(t, ts.URL, []int32{1, 2, 3}, []float64{40, 40, 40}) // all-hit pass: top-layer memo
+	embedRows(t, ts.URL, []int32{1, 2, 3}, []float64{41, 41, 41}) // later t: misses the memo, re-reads layers 2 and 1
 
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -530,6 +531,9 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 	if sr.CacheLayers[1].Hits == 0 {
 		t.Fatal("layer-2 cache never hit across the repeat pass")
 	}
+	if tm := sr.Cache.TopMemo; tm.Hits != 3 || tm.Lookups != 9 || tm.Stores != 6 {
+		t.Fatalf("identical repeat not answered by the top-layer memo: %+v", tm)
+	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -543,6 +547,10 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 		`tgopt_cache_layer_entries{layer="2"}`,
 		`tgopt_cache_layer_hits_total{layer="2"}`,
 		`tgopt_cache_layer_lookups_total{layer="1"}`,
+		"tgopt_top_memo_lookups_total 9",
+		"tgopt_top_memo_hits_total 3",
+		"tgopt_top_memo_stores_total 6",
+		"tgopt_top_memo_stale_skips_total 0",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())

@@ -260,6 +260,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_cache_spill_dropped_segments_total", "Spill segments dropped whole to honor the byte budget.", float64(cs.Spill.DroppedSegments))
 	write("tgopt_cache_spill_compactions_total", "Spill segment compactions.", float64(cs.Spill.Compactions))
 	s.writeLayerCacheMetrics(&b)
+	tm := s.topMemoStats()
+	write("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", float64(tm.Lookups))
+	write("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", float64(tm.Hits))
+	write("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", float64(tm.Stores))
+	write("tgopt_top_memo_stale_skips_total", "Top-layer rows computed but not stored because a write landed during their pass.", float64(tm.StaleSkips))
 	write("tgopt_requests_total", "API requests handled.", float64(s.requests.Load()))
 	write("tgopt_ingested_total", "Edges accepted via /v1/ingest.", float64(s.ingested.Load()))
 	write("tgopt_ingest_late_accepted_total", "Out-of-order edges absorbed inside the lateness window.", float64(s.dyn.LateAccepted()))
@@ -656,14 +661,22 @@ func scoreLogits(logits *tensor.Tensor, nb int) scoreResponse {
 	return resp
 }
 
+// cacheSection is the "cache" object of /v1/stats: the memo caches'
+// aggregate counters plus the top-layer memo's, which is not a Cache
+// and so has no cache_layers entry.
+type cacheSection struct {
+	core.CacheStats
+	TopMemo core.TopMemoStats `json:"top_memo"`
+}
+
 type statsResponse struct {
-	NumNodes   int             `json:"num_nodes"`
-	NumEdges   int             `json:"num_edges"`
-	MaxTime    float64         `json:"max_time"`
-	CacheItems int             `json:"cache_items"`
-	CacheBytes int64           `json:"cache_bytes"`
-	HitRate    float64         `json:"hit_rate"`
-	Cache      core.CacheStats `json:"cache"`
+	NumNodes   int          `json:"num_nodes"`
+	NumEdges   int          `json:"num_edges"`
+	MaxTime    float64      `json:"max_time"`
+	CacheItems int          `json:"cache_items"`
+	CacheBytes int64        `json:"cache_bytes"`
+	HitRate    float64      `json:"hit_rate"`
+	Cache      cacheSection `json:"cache"`
 	// CacheLayers breaks the cache section down per memoized layer
 	// (summed across shards in sharded mode); deep layers (>= 2) only
 	// appear when serving a model with -layers >= 3.
@@ -730,7 +743,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheItems:    s.cacheLen(),
 		CacheBytes:    s.cacheBytes(),
 		HitRate:       s.hitRate.Average(),
-		Cache:         s.cacheStats(),
+		Cache:         cacheSection{s.cacheStats(), s.topMemoStats()},
 		CacheLayers:   s.layerCacheStats(),
 		Requests:      s.requests.Load(),
 		Ingested:      s.ingested.Load(),
@@ -789,23 +802,33 @@ func (s *Server) validNodes(w http.ResponseWriter, nodes []int32) bool {
 	return true
 }
 
+// maxRequestBytes bounds a request body: far above any batch the
+// engine is sized for, far below what would hurt the process.
+const maxRequestBytes = 16 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return false
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
 }
 
-// writeJSON encodes v to a buffer first, so an encoding failure can
-// still produce a clean 500 — encoding straight into the ResponseWriter
-// would have already committed a 200 header and a partial body.
+// writeJSON encodes v in full before anything reaches the client, so
+// an encoding failure can still produce a clean 500 — encoding straight
+// into a bare ResponseWriter would have already committed a 200 header
+// and a partial body.
 func writeJSON(w http.ResponseWriter, v any) {
 	writeJSONStatus(w, http.StatusOK, v)
 }
@@ -813,6 +836,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 // writeJSONStatus is writeJSON with an explicit status code (degraded
 // partial responses go out as 206).
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+	if bw, ok := w.(*bufferedResponse); ok {
+		// Behind the middleware w already is a buffer: encode into it
+		// directly. Encode marshals into the encoder's pooled state and
+		// issues one Write, only on success — so the body is allocated
+		// once at its final size, and a value encoding/json refuses
+		// leaves it untouched for the 500.
+		if err := json.NewEncoder(&bw.body).Encode(v); err != nil {
+			httpError(w, http.StatusInternalServerError, "encode error: %v", err)
+			return
+		}
+		bw.header.Set("Content-Type", "application/json")
+		bw.WriteHeader(code)
+		return
+	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		httpError(w, http.StatusInternalServerError, "encode error: %v", err)

@@ -239,7 +239,10 @@ func TestServeStats(t *testing.T) {
 	_, ts := testServer(t)
 	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 2, Time: 1}, {Src: 2, Dst: 3, Time: 2}})
 	post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1, 2, 1, 2}, Times: []float64{5, 5, 5, 5}})
+	// The identical repeat is answered by the top-layer memo; the repeat
+	// at a later time is not, and re-reads its neighbours at layer 1.
 	post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1, 2}, Times: []float64{5, 5}})
+	post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1, 2}, Times: []float64{6, 6}})
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +257,9 @@ func TestServeStats(t *testing.T) {
 	}
 	if sr.CacheItems == 0 {
 		t.Fatal("stats show empty cache after embeds")
+	}
+	if tm := sr.Cache.TopMemo; tm.Hits != 2 || tm.Lookups != 6 || tm.Stores != 4 || tm.StaleSkips != 0 {
+		t.Fatalf("identical repeat not answered by the top-layer memo: %+v", tm)
 	}
 	if sr.HitRate <= 0 {
 		t.Fatal("repeated embed produced no cache hits")

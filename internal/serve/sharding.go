@@ -82,6 +82,13 @@ func (s *Server) layerCacheStats() []core.LayerCacheStats {
 	return s.engine.LayerCacheStats()
 }
 
+func (s *Server) topMemoStats() core.TopMemoStats {
+	if s.router != nil {
+		return s.router.TopMemoStats()
+	}
+	return s.engine.TopMemoStats()
+}
+
 func (s *Server) staleStoreSkips() int64 {
 	if s.router != nil {
 		return s.router.StaleStoreSkips()

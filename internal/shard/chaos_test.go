@@ -108,11 +108,19 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 		}
 	}
 	var completed atomic.Int64
+	total := int64(workers * perWorker)
+	// armed closes once the panic is armed. Workers hold at the quarter
+	// mark until then: a workload that answers from memo finishes in less
+	// than one waitFor poll, and the fault must land while load flows.
+	armed := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
+				if completed.Load() >= total/4 {
+					<-armed
+				}
 				ctx, cancel := context.WithTimeout(context.Background(), reqTimeout)
 				start := time.Now()
 				res, err := r.Embed(ctx, nodes, ts)
@@ -138,9 +146,9 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 	// arbitrarily fast), keep it armed until the victim demonstrably
 	// panicked, then disarm and let the supervisor bring it back while
 	// the remaining load keeps flowing.
-	total := int64(workers * perWorker)
 	waitFor(t, 10*time.Second, func() bool { return completed.Load() >= total/4 })
 	mode.Store(chaosPanic)
+	close(armed)
 	waitFor(t, 10*time.Second, func() bool {
 		return r.shards[int(victim.Load())].panics.Load() > 0
 	})

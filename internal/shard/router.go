@@ -301,10 +301,14 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 	}
 
 	// Group target indices by primary shard.
-	groups := make(map[int][]int)
+	groups := make([][]int, len(r.shards))
+	last := 0
 	for i, v := range nodes {
 		sid := r.ring.Owner(v)
 		groups[sid] = append(groups[sid], i)
+		if sid > last {
+			last = sid
+		}
 	}
 
 	var (
@@ -312,31 +316,42 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 		degraded []int
 		wg       sync.WaitGroup
 	)
-	for sid, idxs := range groups {
-		wg.Add(1)
-		go func(sid int, idxs []int) {
-			defer wg.Done()
-			gn := make([]int32, len(idxs))
-			gt := make([]float64, len(idxs))
-			for j, i := range idxs {
-				gn[j], gt[j] = nodes[i], ts[i]
-			}
-			legCtx, cancel := r.legContext(ctx)
-			defer cancel()
-			rows, err := r.callWithFailover(legCtx, sid, gn, gt)
-			if err != nil {
-				r.degradedTgts.Add(int64(len(idxs)))
-				mu.Lock()
-				degraded = append(degraded, idxs...)
-				mu.Unlock()
-				return
-			}
-			d := r.dim
-			for j, i := range idxs {
-				copy(res.Slab[i*d:(i+1)*d], rows[j*d:(j+1)*d])
-			}
-		}(sid, idxs)
+	leg := func(sid int, idxs []int) {
+		gn := make([]int32, len(idxs))
+		gt := make([]float64, len(idxs))
+		for j, i := range idxs {
+			gn[j], gt[j] = nodes[i], ts[i]
+		}
+		legCtx, cancel := r.legContext(ctx)
+		defer cancel()
+		rows, err := r.callWithFailover(legCtx, sid, gn, gt)
+		if err != nil {
+			r.degradedTgts.Add(int64(len(idxs)))
+			mu.Lock()
+			degraded = append(degraded, idxs...)
+			mu.Unlock()
+			return
+		}
+		d := r.dim
+		for j, i := range idxs {
+			copy(res.Slab[i*d:(i+1)*d], rows[j*d:(j+1)*d])
+		}
 	}
+	// The last non-empty leg runs on the caller's goroutine: it would
+	// only wait for it anyway, and the engine pass behind it keeps its
+	// own goroutine or batcher, so the leg stays cancelable and
+	// panic-isolated.
+	for sid, idxs := range groups[:last] {
+		if len(idxs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			leg(sid, idxs)
+		}()
+	}
+	leg(last, groups[last])
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// The caller's own deadline/cancel expired; partials would be
@@ -734,6 +749,17 @@ func (r *Router) LayerCacheStats() []core.LayerCacheStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Layer < out[j].Layer })
 	return out
+}
+
+// TopMemoStats sums the top-layer memo counters across the pool.
+func (r *Router) TopMemoStats() core.TopMemoStats {
+	var agg core.TopMemoStats
+	for _, s := range r.shards {
+		if c := s.currentCore(); c != nil {
+			agg.Add(c.eng.TopMemoStats())
+		}
+	}
+	return agg
 }
 
 // StaleStoreSkips sums the append-staleness store rejections across the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -449,5 +450,86 @@ func TestRouterDeadlineNeverHangs(t *testing.T) {
 	// stalled shards.
 	if err == nil && !res.Partial {
 		t.Fatal("stalled shards produced a clean full response")
+	}
+}
+
+// TestRouterTopMemoAcrossShards: every shard engine keeps its own
+// top-layer memo, the router sums their counters, a request whose
+// targets all hash to one shard (the leg the caller's goroutine runs
+// itself) is answered from that shard's memo alone, and a replicated
+// write leaves no shard serving a pre-write row.
+func TestRouterTopMemoAcrossShards(t *testing.T) {
+	m := testModel(t)
+	edges := testEdges(60)
+	r := newTestRouter(t, m, edges, Config{Shards: 3})
+	ctx := context.Background()
+	sameSlab := func(label string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: slab[%d] = %v, want %v", label, i, got[i], want[i])
+			}
+		}
+	}
+
+	nodes, ts := embedQuery() // 12 targets, 9 distinct ⟨node, t⟩
+	want := referenceSlab(t, m, edges, nodes, ts)
+	for _, label := range []string{"first ask", "re-ask"} {
+		res, err := r.Embed(ctx, nodes, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSlab(label, res.Slab, want)
+	}
+	if st := r.TopMemoStats(); st.Lookups != 18 || st.Hits != 9 || st.Stores != 9 || st.StaleSkips != 0 {
+		t.Fatalf("pool-wide memo counters after ask + re-ask: %+v", st)
+	}
+
+	// One shard's nodes only.
+	owner := r.Owner(nodes[0])
+	var one []int32
+	for v := int32(1); v < testNodes; v++ {
+		if r.Owner(v) == owner {
+			one = append(one, v)
+		}
+	}
+	oneTs := make([]float64, len(one))
+	for i := range oneTs {
+		oneTs[i] = 700
+	}
+	wantOne := referenceSlab(t, m, edges, one, oneTs)
+	before := make([]core.TopMemoStats, 0, 3)
+	for _, e := range r.Engines() {
+		before = append(before, e.TopMemoStats())
+	}
+	for _, label := range []string{"single-shard ask", "single-shard re-ask"} {
+		res, err := r.Embed(ctx, one, oneTs)
+		if err != nil || res.Partial {
+			t.Fatalf("%s: err=%v partial=%v", label, err, res != nil && res.Partial)
+		}
+		sameSlab(label, res.Slab, wantOne)
+	}
+	for i, e := range r.Engines() {
+		want := int64(0)
+		if i == owner {
+			want = int64(2 * len(one))
+		}
+		if d := e.TopMemoStats().Lookups - before[i].Lookups; d != want {
+			t.Fatalf("shard %d saw %d memo lookups, want %d (the request's one owner is shard %d)", i, d, want, owner)
+		}
+	}
+
+	// A replicated append under the asked time: no shard may answer the
+	// next ask from its memo, and the answer is the post-write one.
+	extra := graph.Edge{Src: 1, Dst: 5, Time: 850}
+	r.Apply(extra, graph.IngestAppended)
+	hits := r.TopMemoStats().Hits
+	res, err := r.Embed(ctx, nodes, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSlab("after the write", res.Slab, referenceSlab(t, m, append(append([]graph.Edge(nil), edges...), extra), nodes, ts))
+	if got := r.TopMemoStats().Hits - hits; got != 0 {
+		t.Fatalf("first ask after a replicated write hit %d memo rows", got)
 	}
 }

@@ -30,6 +30,9 @@ go test -race ./internal/parallel/... ./internal/serve/... ./internal/core/... \
 go test -race -count=1 -cpu 1,2,4 \
     -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestQuantLinearRows|TestKernelAllocs|TestQuantKernelAllocs|TestForChunked' \
     ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
+# The top-layer memo's bitwise pins and its readers-vs-writers stress
+# test, repeated: a stamp race shows only on some schedules.
+go test -race -count=5 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
 echo "   race stanza wall time: $((SECONDS - race_start)) s"
 
 echo "== portable kernels (the scalar leaves run, not just compile: purego tests, arm64 cross-build of the generic files)"
