@@ -70,7 +70,7 @@ func main() {
 	breakerThreshold := flag.Float64("breaker-threshold", 0.5, "per-shard breaker: failure rate that opens the breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "per-shard breaker: open duration before half-open probes")
 	breakerProbes := flag.Int("breaker-probes", 3, "per-shard breaker: consecutive half-open successes required to re-close")
-	quant := flag.String("quant", "float32", "inference precision: float32 (default) or int8 (packed kernels + ~4x denser memo cache; see DESIGN.md §14)")
+	quant := flag.String("quant", "float32", "format of memoized rows and the time table: float32 (default) or int8 (scale + codes, dequantized on read; 1.9x the cache entries per byte at dim 32, 2.7x at 96; compute stays float32; see DESIGN.md §14)")
 	swapDir := flag.String("swap-dir", "", "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §16)")
 	swapInterval := flag.Duration("swap-interval", 0, "swap loop cadence: poll -swap-dir (or fine-tune, with -swap-train) this often (0 disables the loop; boot-time load still happens)")
 	swapTrain := flag.Bool("swap-train", false, "run the fine-tuner in-process: each -swap-interval, train a clone of the serving model on the watermarked prefix of the live stream, publish it into -swap-dir, and hot-swap to it")
@@ -239,7 +239,7 @@ func main() {
 	} else {
 		log.Printf("out-of-order ingest: off (out-of-order edges are dropped against the watermark)")
 	}
-	log.Printf("inference precision: %s", opt.Quant)
+	log.Printf("row format at rest: %s (compute is float32)", opt.Quant)
 	log.Printf("kernels: %s", tensor.Kernels())
 	if *batchOff {
 		log.Printf("cross-request batching: off")

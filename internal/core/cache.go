@@ -19,9 +19,7 @@ const cacheEntryOverhead = 64
 // EntriesForBudgetQuant converts a byte budget into a hot-tier item
 // limit for dim-wide entries of either format — the vector payload plus
 // per-item bookkeeping, the same accounting UsedBytes reports. Always
-// at least 1. Int8 entries are roughly 4× smaller, so the same byte
-// budget admits roughly 4× the items — the capacity half of the
-// quantization win.
+// at least 1. See QuantInt8 for what the int8 format buys per budget.
 func EntriesForBudgetQuant(budget int64, dim int, quant bool) int {
 	n := int(budget / int64(entryCodec{dim: dim, quant: quant}.entryBytes()))
 	if n < 1 {
@@ -147,8 +145,8 @@ type CacheConfig struct {
 	// promoted back. The cache takes ownership — Cache.Close seals it.
 	// Its dim and quant mode must match the cache's.
 	Spill *SpillStore
-	// Quant stores entries int8-quantized (scale + codes, ~4× smaller)
-	// instead of float32. See QuantInt8.
+	// Quant stores entries int8-quantized (scale + codes) instead of
+	// float32. See QuantInt8.
 	Quant bool
 }
 

@@ -9,20 +9,21 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// QuantMode selects the numeric precision of the inference path
-// (DESIGN.md §14). It is a serve-time choice, not a model property:
-// the same trained float32 weights serve either mode, quantized once
-// at engine construction when int8 is selected.
+// QuantMode selects the format of rows at rest (DESIGN.md §14). It is a
+// serve-time choice, not a model property: the same float32 weights
+// compute every row in either mode.
 type QuantMode int
 
 const (
-	// QuantOff is the default float32 path, bit-identical to every
-	// release before the quantized path existed.
+	// QuantOff stores float32 rows: what an engine serves is bitwise the
+	// baseline.
 	QuantOff QuantMode = iota
-	// QuantInt8 runs attention projections through the packed int8
-	// kernels and stores memo-cache entries (hot tier, spill tier, and
-	// snapshots) as per-vector-scaled int8 — about 4× smaller, so the
-	// same byte budget holds about 4× the entries.
+	// QuantInt8 stores memo-cache entries (hot tier, spill tier,
+	// snapshots) and the precomputed time table as one float32 scale +
+	// int8 codes per row, encoded on store and dequantized on read. The
+	// payload is 4+d bytes against 4·d (3.56× at d = 32, 3.84× at 96);
+	// with the 64 accounted bytes of per-entry bookkeeping a byte budget
+	// holds 1.92× the entries at d = 32 and 2.73× at d = 96.
 	QuantInt8
 )
 

@@ -61,14 +61,14 @@ type Options struct {
 	// TimeWindow is the precomputed Δt window (default 10,000).
 	TimeWindow int
 
-	// Quant selects the inference precision (DESIGN.md §14). QuantOff
-	// (the default) is the unchanged float32 path. QuantInt8 packs the
-	// model's projection weights once at engine construction and runs
-	// them through the int8 kernels, stores memo-cache entries (hot
-	// tier, spill tier, snapshots) as per-vector-scaled int8 (~4× more
-	// entries per byte budget), and quantizes the precomputed time
-	// table. Outputs differ from float32 by quantization error only;
-	// experiments.TestQuantAPWithinGate bounds the downstream AP delta.
+	// Quant selects the format of rows at rest (DESIGN.md §14). QuantOff
+	// (the default) stores float32. QuantInt8 stores memo-cache entries
+	// (hot tier, spill tier, snapshots) and the precomputed time table
+	// as per-row-scaled int8, dequantized on read, so CacheBudgetBytes
+	// holds more entries; every layer is computed in float32 either
+	// way. Outputs differ from float32 only through rows read back from
+	// an int8 store; experiments.TestQuantAPWithinGate bounds the
+	// downstream AP delta.
 	Quant QuantMode
 
 	// Collector receives per-operation timings (Table 3). Optional.
@@ -178,11 +178,7 @@ type Engine struct {
 	topMemo   *topMemo
 	memoEpoch atomic.Int64
 	ttable    *TimeTable
-	// qmodel is the packed int8 view of model (Options.Quant ==
-	// QuantInt8); nil on the float path. Weights are quantized once
-	// here, never per request.
-	qmodel *tgat.QuantModel
-	deps   *DepTracker
+	deps      *DepTracker
 	// layerTargets[l] indexes layer l's cached keys by target node and
 	// layerSupports[l] (l ≥ 2) indexes them by support node — the
 	// (node, time) pairs whose layer-(l−1) embeddings the entry
@@ -243,9 +239,6 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	e.maxEmbedBits.Store(math.Float64bits(math.Inf(-1)))
 	e.version.Store(opt.ModelVersion)
 	quant := opt.Quant == QuantInt8
-	if quant {
-		e.qmodel = tgat.QuantizeModel(m)
-	}
 	if opt.EnableCache {
 		if s.Strategy() != graph.MostRecent {
 			panic("core: the memoization cache requires most-recent sampling (§3.2)")
@@ -344,21 +337,12 @@ func (e *Engine) Options() Options { return e.opt }
 // Model returns the underlying TGAT model.
 func (e *Engine) Model() *tgat.Model { return e.model }
 
-// Quant returns the engine's inference precision.
-func (e *Engine) Quant() QuantMode { return e.opt.Quant }
-
-// ScoreWith computes link-prediction logits through the engine's
-// precision: the packed int8 affinity head on the quantized path, the
-// float head otherwise. Servers must score through this seam rather
-// than the model directly, so -quant changes the whole request path.
-// The pass holds the swap barrier's read side: a concurrent parameter
-// hot-swap waits it out rather than tearing its tensors.
+// ScoreWith computes link-prediction logits with the model's affinity
+// head while holding the swap barrier's read side: a concurrent
+// parameter hot-swap waits the pass out rather than tearing its tensors.
 func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
-	if e.qmodel != nil {
-		return e.qmodel.ScoreWith(ar, hSrc, hDst)
-	}
 	return e.model.ScoreWith(ar, hSrc, hDst)
 }
 
@@ -377,8 +361,8 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 
 // FinishSwap completes a parameter swap on this engine while SwapLock
 // is held and the shared model already carries the new parameters:
-// the packed int8 weights are re-quantized from the swapped tensors,
-// every memo-cache layer is dropped and its spill tier re-stamped with
+// the time table is rebuilt from the swapped encoder, every memo-cache
+// layer is dropped and its spill tier re-stamped with
 // the new version (hot tier, spill segments, and — through the
 // generation fence Clear bumps — pending promote-on-hit enqueues), the
 // target/support/dependency indexes reset with them, and the served
@@ -387,9 +371,6 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 // invalidation event (the PR 5/9 epoch machinery keyed on model
 // version).
 func (e *Engine) FinishSwap(version uint64) {
-	if e.qmodel != nil {
-		e.qmodel = tgat.QuantizeModel(e.model)
-	}
 	if e.ttable != nil {
 		if e.opt.Quant == QuantInt8 {
 			e.ttable = NewTimeTableQuant(e.model.Time, e.opt.TimeWindow)
@@ -1031,12 +1012,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(nm*k*cfg.EdgeDim*4), 1)
 
 		start = time.Now()
-		var hm *tensor.Tensor
-		if e.qmodel != nil {
-			hm = e.qmodel.LayerForwardWith(ar, l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-		} else {
-			hm = e.model.LayerForwardWith(ar, l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-		}
+		hm := e.model.LayerForwardWith(ar, l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
 		e.observe(stats.OpAttention, StageAttention, device.TensorOp, 8, start)
 		e.opt.Collector.Count("attention_rows", int64(nm))
 

@@ -62,9 +62,8 @@ func swapTestEngine(t *testing.T, m *tgat.Model, opt Options) *Engine {
 // TestEngineSwapBitwiseEquivalence pins the hot-swap contract on one
 // engine: after SwapParams, rows are bitwise-identical to a fresh
 // engine built directly on the new parameters — no stale memo (hot or
-// spill), no stale packed weights, no stale precomputed time table
-// survives the swap. Exercised at both serving precisions because int8
-// re-derives the most state (packed kernels + quantized time table).
+// spill), no stale precomputed time table survives the swap. Exercised
+// at both row formats: int8 rebuilds a quantized time table.
 func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -7,11 +7,11 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// This file is the one forward path of a TGAT layer (Eqs. 4–7) at both
-// precisions: a single row-parallel pass in which a worker carries a
-// tile of targets through q assembly → WQ → absorbed attention → WO →
-// merge concat → FC1 → ReLU → FC2 while the tile's intermediates are
-// cache-resident (DESIGN.md §6.2). The public ops — Linear, MergeLayer,
+// This file is the one forward path of a TGAT layer (Eqs. 4–7): a
+// single row-parallel pass in which a worker carries a tile of targets
+// through q assembly → WQ → absorbed attention → WO → merge concat →
+// FC1 → ReLU → FC2 while the tile's intermediates are cache-resident
+// (DESIGN.md §6.2). The public ops — Linear, MergeLayer,
 // TemporalAttention.ForwardWith — run the same row kernels one op at a
 // time; composing them gives the same bits, one whole-batch pass and
 // one fork-join per op.
@@ -21,41 +21,6 @@ import (
 // intermediates are ~185 KB, of which the assembled kv rows are 120 KB:
 // resident in L2 from assembly to the attention core's last read.
 const layerTile = 32
-
-// rowLinear is what the layer pass is parameterised by: x·Wᵀ+b over a
-// run of rows, serially on the calling goroutine. *Linear and
-// *QuantLinear implement it.
-type rowLinear interface {
-	In() int
-	Out() int
-	// pack returns the weights in the layout the process's vector kernel
-	// reads, drawn from ar, or nil when rows reads them as they are.
-	pack(ar *tensor.Arena) []float32
-	// rows computes dst (m, Out) from x (m, In). wt is what pack
-	// returned; qs is int8 activation scratch for at least m rows of In,
-	// which float layers ignore.
-	rows(x []float32, m int, dst []float32, wt []float32, qs quantScratch)
-}
-
-// quantScratch is the activation scratch of tensor.QuantLinearRows.
-type quantScratch struct {
-	q      []uint8
-	scales []float32
-	sums   []int32
-}
-
-func (l *Linear) pack(ar *tensor.Arena) []float32 { return tensor.PackLinear(ar, l.W) }
-
-func (l *Linear) rows(x []float32, m int, dst []float32, wt []float32, _ quantScratch) {
-	tensor.LinearRowsPacked(x, m, l.W, wt, l.B, dst)
-}
-
-// The int8 kernel reads QuantMat's own packed lanes.
-func (l *QuantLinear) pack(*tensor.Arena) []float32 { return nil }
-
-func (l *QuantLinear) rows(x []float32, m int, dst []float32, _ []float32, qs quantScratch) {
-	tensor.QuantLinearRows(x, m, l.W, l.B, dst, qs.q[:m*l.In()], qs.scales[:m], qs.sums[:m])
-}
 
 // LayerForwardWith runs one TGAT layer for n targets with k neighbor
 // slots each: attention of z_i = hTgt ‖ tEnc0 over z_j = hNgh ‖ eFeat ‖
@@ -70,32 +35,7 @@ func (l *QuantLinear) rows(x []float32, m int, dst []float32, _ []float32, qs qu
 // concatenated q and kv. Rows of hNgh, eFeat and tEncD under a padded
 // slot are never read.
 func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
-	return layerForward(ar, layerOps{
-		wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2,
-		wk: attn.WK, wv: attn.WV, heads: attn.Heads,
-	}, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
-}
-
-// QuantLayerForwardWith is LayerForwardWith with the four per-target
-// projections through the int8 kernel; the attention core, the concats
-// and the ReLU are the float32 ones.
-func QuantLayerForwardWith(ar *tensor.Arena, attn *QuantTemporalAttention, merge *QuantMergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
-	return layerForward(ar, layerOps{
-		wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2,
-		wk: attn.WK, wv: attn.WV, heads: attn.Heads,
-		quantIn: max(attn.WQ.In(), attn.WO.In(), merge.FC1.In(), merge.FC2.In()),
-	}, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
-}
-
-// layerOps names the projections of one layer.
-type layerOps struct {
-	wq, wo, fc1, fc2 rowLinear
-	wk, wv           *Linear
-	heads            int
-	quantIn          int // widest int8 projection input; 0 at float32
-}
-
-func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	ops := layerOps{wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2}
 	n, d := hTgt.Dim(0), hTgt.Dim(1)
 	de, dt := eFeat.Dim(1), tEnc0.Dim(1)
 	if tEnc0.Dim(0) != n || hNgh.Dim(0) != n*k || eFeat.Dim(0) != n*k || tEncD.Dim(0) != n*k || len(mask) != n*k {
@@ -113,8 +53,9 @@ func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc
 	out := ar.Tensor(n, ops.fc2.Out()) // every row is written below
 	p := layerPass{
 		layerOps: ops,
-		core:     newAttnCore(ar, ops.wk, ops.wv, ops.heads, e, k, d+de+dt),
-		wqT:      ops.wq.pack(ar), woT: ops.wo.pack(ar), fc1T: ops.fc1.pack(ar), fc2T: ops.fc2.pack(ar),
+		core:     newAttnCore(ar, attn.WK, attn.WV, attn.Heads, e, k, d+de+dt),
+		wqT:      tensor.PackLinear(ar, ops.wq.W), woT: tensor.PackLinear(ar, ops.wo.W),
+		fc1T: tensor.PackLinear(ar, ops.fc1.W), fc2T: tensor.PackLinear(ar, ops.fc2.W),
 		d: d, de: de, dt: dt,
 		hTgt: hTgt.Data(), hNgh: hNgh.Data(), eFeat: eFeat.Data(),
 		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
@@ -135,13 +76,6 @@ func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc
 	// read-only to every tile, and the tile slots here: the arena is
 	// never bumped inside the parallel region.
 	p.f32 = ar.Float32s(slots * p.tileFloats())
-	if ops.quantIn > 0 {
-		p.qs = quantScratch{
-			q:      ar.Bytes(slots * p.tile * ops.quantIn),
-			scales: ar.Float32s(slots * p.tile),
-			sums:   ar.Int32s(slots * p.tile),
-		}
-	}
 	// The method value (a heap copy of p) exists only on the fan-out
 	// branch so the serial path stays allocation-free.
 	if fanOut {
@@ -152,13 +86,18 @@ func layerForward(ar *tensor.Arena, ops layerOps, k int, hTgt, hNgh, eFeat, tEnc
 	return out
 }
 
-// layerPass carries the operands of one layerForward call into its
+// layerOps names the four per-target projections of one layer.
+type layerOps struct {
+	wq, wo, fc1, fc2 *Linear
+}
+
+// layerPass carries the operands of one LayerForwardWith call into its
 // tile kernel.
 type layerPass struct {
 	layerOps
 	core      attnCore // weights and widths; runTile points it at a tile
 	d, de, dt int      // node, edge and time widths
-	// What each projection's pack returned: this call's own copies, so a
+	// tensor.PackLinear of each projection: this call's own copies, so a
 	// swap or an optimizer step between calls is seen by the next one.
 	wqT, woT, fc1T, fc2T []float32
 
@@ -169,7 +108,6 @@ type layerPass struct {
 	tile  int // targets per tile
 	chunk int // targets per fan-out chunk; chunk c uses scratch slot c
 	f32   []float32
-	qs    quantScratch
 }
 
 // tileFloats is the float32 scratch one tile needs: q, qp, kv, the
@@ -197,13 +135,6 @@ func (p layerPass) rows(lo, hi int) {
 		qz: carve(c.kDim), scores: carve(c.k), ctx: carve(c.e),
 		ao: carve(p.wo.Out()), x: carve(p.fc1.In()), h: carve(p.fc1.Out()),
 	}
-	if p.quantIn > 0 {
-		t.qs = quantScratch{
-			q:      p.qs.q[slot*p.tile*p.quantIn:][:p.tile*p.quantIn],
-			scales: p.qs.scales[slot*p.tile:][:p.tile],
-			sums:   p.qs.sums[slot*p.tile:][:p.tile],
-		}
-	}
 	for ; lo < hi; lo += p.tile {
 		p.runTile(t, lo, min(lo+p.tile, hi))
 	}
@@ -213,7 +144,6 @@ func (p layerPass) rows(lo, hi int) {
 // tile.
 type layerScratch struct {
 	q, qp, kv, qz, scores, ctx, ao, x, h []float32
-	qs                                   quantScratch
 }
 
 // runTile takes targets [lo,hi) through the whole layer.
@@ -230,7 +160,7 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 		copy(row[d:], p.tEnc0[i*dt:(i+1)*dt])
 	}
 	qp := t.qp[:m*p.core.e]
-	p.wq.rows(t.q[:m*qd], m, qp, p.wqT, t.qs)
+	tensor.LinearRowsPacked(t.q[:m*qd], m, p.wq.W, p.wqT, p.wq.B, qp)
 
 	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only: the core never
 	// reads a padded slot's row, so it is never assembled.
@@ -254,7 +184,7 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 	// FFN(WO·ctx ‖ h_i).
 	aw := p.wo.Out()
 	ao := t.ao[:m*aw]
-	p.wo.rows(t.ctx[:m*c.e], m, ao, p.woT, t.qs)
+	tensor.LinearRowsPacked(t.ctx[:m*c.e], m, p.wo.W, p.woT, p.wo.B, ao)
 	xw := aw + d
 	for r := 0; r < m; r++ {
 		row := t.x[r*xw : (r+1)*xw]
@@ -262,8 +192,8 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 		copy(row[aw:], p.hTgt[(lo+r)*d:(lo+r+1)*d])
 	}
 	h := t.h[:m*p.fc1.Out()]
-	p.fc1.rows(t.x[:m*xw], m, h, p.fc1T, t.qs)
+	tensor.LinearRowsPacked(t.x[:m*xw], m, p.fc1.W, p.fc1T, p.fc1.B, h)
 	tensor.ReLUFloats(h)
 	ow := p.fc2.Out()
-	p.fc2.rows(h, m, p.out[lo*ow:hi*ow], p.fc2T, t.qs)
+	tensor.LinearRowsPacked(h, m, p.fc2.W, p.fc2T, p.fc2.B, p.out[lo*ow:hi*ow])
 }

@@ -15,8 +15,6 @@ type layerFixture struct {
 	k, d, de, dt                    int
 	attn                            *TemporalAttention
 	merge                           *MergeLayer
-	qattn                           *QuantTemporalAttention
-	qmerge                          *QuantMergeLayer
 	hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor
 	mask                            []bool
 }
@@ -30,8 +28,6 @@ func newLayerFixture(pool int) *layerFixture {
 	for _, l := range []*Linear{f.attn.WQ, f.attn.WK, f.attn.WV, f.attn.WO, f.merge.FC1, f.merge.FC2} {
 		copy(l.B.Data(), tensor.Randn(r, l.Out()).Data())
 	}
-	f.qattn = QuantizeAttention(f.attn)
-	f.qmerge = QuantizeMergeLayer(f.merge)
 	f.hTgt = tensor.Randn(r, pool, d)
 	f.tEnc0 = tensor.Randn(r, pool, dt)
 	f.hNgh = tensor.Randn(r, pool*k, d)
@@ -73,27 +69,21 @@ func (f *layerFixture) batch(ids []int) (hTgt, hNgh, eFeat, tEnc0, tEncD *tensor
 	return
 }
 
-// fused runs the tile pass over the given targets at one precision.
-func (f *layerFixture) fused(ar *tensor.Arena, quant bool, ids []int) []float32 {
+// fused runs the tile pass over the given targets.
+func (f *layerFixture) fused(ar *tensor.Arena, ids []int) []float32 {
 	hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(ids)
-	if quant {
-		return QuantLayerForwardWith(ar, f.qattn, f.qmerge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask).Data()
-	}
 	return LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask).Data()
 }
 
 // composed runs the same layer one public op at a time over the
 // whole-batch q and kv. ConcatColsInto copies the NaN rows of padded
 // slots into kv; the attention core skips them.
-func (f *layerFixture) composed(quant bool, ids []int) []float32 {
+func (f *layerFixture) composed(ids []int) []float32 {
 	hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(ids)
 	q := tensor.New(len(ids), f.d+f.dt)
 	tensor.ConcatColsInto(q, hTgt, tEnc0)
 	kv := tensor.New(len(ids)*f.k, f.d+f.de+f.dt)
 	tensor.ConcatColsInto(kv, hNgh, eFeat, tEncD)
-	if quant {
-		return f.qmerge.ForwardWith(nil, f.qattn.ForwardWith(nil, q, kv, f.k, mask), hTgt).Data()
-	}
 	return f.merge.ForwardWith(nil, f.attn.ForwardWith(nil, q, kv, f.k, mask), hTgt).Data()
 }
 
@@ -107,24 +97,22 @@ func seq(n, pool, stride, off int) []int {
 
 // TestLayerPassMatchesComposedOpsBitwise: the fused pass changes when a
 // row is computed, never the order its terms are added, so it returns
-// the bits of the layer composed from the public ops — float32 against
-// the float ops, int8 against the int8 ops — serial and fanned out.
+// the bits of the layer composed from the public ops, serial and fanned
+// out.
 func TestLayerPassMatchesComposedOpsBitwise(t *testing.T) {
 	const pool = 64
 	f := newLayerFixture(pool)
 	defer parallel.SetDegree(parallel.SetDegree(2))
-	for _, quant := range []bool{false, true} {
-		for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
-			ids := seq(n, pool, 5, 1)
-			got := f.fused(nil, quant, ids)
-			want := f.composed(quant, ids)
-			if at := sameBits(got, want); at >= 0 {
-				t.Fatalf("quant=%v n=%d: fused pass differs from the composed ops at element %d (%v vs %v)", quant, n, at, got[at], want[at])
-			}
-			for _, v := range got {
-				if v != v {
-					t.Fatalf("quant=%v n=%d: a padded slot's NaN reached the output", quant, n)
-				}
+	for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
+		ids := seq(n, pool, 5, 1)
+		got := f.fused(nil, ids)
+		want := f.composed(ids)
+		if at := sameBits(got, want); at >= 0 {
+			t.Fatalf("n=%d: fused pass differs from the composed ops at element %d (%v vs %v)", n, at, got[at], want[at])
+		}
+		for _, v := range got {
+			if v != v {
+				t.Fatalf("n=%d: a padded slot's NaN reached the output", n)
 			}
 		}
 	}
@@ -142,27 +130,25 @@ func TestLayerRowIndependenceBitwise(t *testing.T) {
 	f := newLayerFixture(pool)
 	prev := parallel.Degree()
 	defer parallel.SetDegree(prev)
-	for _, quant := range []bool{false, true} {
-		alone := make([][]float32, pool)
-		for i := range alone {
-			alone[i] = f.fused(nil, quant, []int{i})
-		}
-		w := len(alone[0])
-		ar := tensor.NewArena() // reused dirty across calls, as the engine's is
-		for _, degree := range []int{1, 2, 4} {
-			parallel.SetDegree(degree)
-			for _, n := range []int{1, layerTile - 1, layerTile, layerTile + 1, 255, 256, 1000} {
-				// Strides coprime to the pool walk every target through
-				// every residue of position mod tile.
-				for _, stride := range []int{1, 7} {
-					ids := seq(n, pool, stride, n%pool)
-					ar.Reset()
-					out := f.fused(ar, quant, ids)
-					for p, i := range ids {
-						if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
-							t.Fatalf("quant=%v degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
-								quant, degree, n, i, p, at)
-						}
+	alone := make([][]float32, pool)
+	for i := range alone {
+		alone[i] = f.fused(nil, []int{i})
+	}
+	w := len(alone[0])
+	ar := tensor.NewArena() // reused dirty across calls, as the engine's is
+	for _, degree := range []int{1, 2, 4} {
+		parallel.SetDegree(degree)
+		for _, n := range []int{1, layerTile - 1, layerTile, layerTile + 1, 255, 256, 1000} {
+			// Strides coprime to the pool walk every target through
+			// every residue of position mod tile.
+			for _, stride := range []int{1, 7} {
+				ids := seq(n, pool, stride, n%pool)
+				ar.Reset()
+				out := f.fused(ar, ids)
+				for p, i := range ids {
+					if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
+						t.Fatalf("degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
+							degree, n, i, p, at)
 					}
 				}
 			}
@@ -181,24 +167,18 @@ func TestLayerPassAllocs(t *testing.T) {
 	prev := parallel.Degree()
 	defer parallel.SetDegree(prev)
 	ar := tensor.NewArena()
-	for _, quant := range []bool{false, true} {
-		for _, tc := range []struct{ degree, n, max int }{
-			{1, 64, 0}, {2, 64, 0}, {1, 512, 0}, {2, 512, 3},
-		} {
-			parallel.SetDegree(tc.degree)
-			hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(seq(tc.n, pool, 5, 0))
-			run := func() {
-				ar.Reset()
-				if quant {
-					QuantLayerForwardWith(ar, f.qattn, f.qmerge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
-				} else {
-					LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
-				}
-			}
-			run() // warm the arena
-			if allocs := testing.AllocsPerRun(20, run); allocs > float64(tc.max) {
-				t.Errorf("quant=%v degree=%d n=%d: %v allocs/op, want <= %d", quant, tc.degree, tc.n, allocs, tc.max)
-			}
+	for _, tc := range []struct{ degree, n, max int }{
+		{1, 64, 0}, {2, 64, 0}, {1, 512, 0}, {2, 512, 3},
+	} {
+		parallel.SetDegree(tc.degree)
+		hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(seq(tc.n, pool, 5, 0))
+		run := func() {
+			ar.Reset()
+			LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+		}
+		run() // warm the arena
+		if allocs := testing.AllocsPerRun(20, run); allocs > float64(tc.max) {
+			t.Errorf("degree=%d n=%d: %v allocs/op, want <= %d", tc.degree, tc.n, allocs, tc.max)
 		}
 	}
 }

@@ -58,12 +58,6 @@ type Server struct {
 	model   *tgat.Model
 	engine  *core.Engine
 	hitRate *stats.HitRate
-	// quant is the serving precision; qmodel is the packed int8 model
-	// view when quant == core.QuantInt8 (scoring must match the
-	// engines' embedding precision, including in sharded mode where
-	// the per-request affinity head runs here, not in a shard).
-	quant  core.QuantMode
-	qmodel *tgat.QuantModel
 
 	// router, when non-nil (NewSharded), partitions serving across N
 	// fault-isolated engine shards; engine and batcher are then nil and
@@ -135,10 +129,6 @@ func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
 		dyn:     dyn,
 		model:   model,
 		hitRate: stats.NewHitRate(10),
-		quant:   opt.Quant,
-	}
-	if opt.Quant == core.QuantInt8 {
-		s.qmodel = tgat.QuantizeModel(model)
 	}
 	s.modelVersion.Store(opt.ModelVersion)
 	opt.HitRate = s.hitRate
@@ -606,7 +596,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		ar := tensor.GetArena()
 		hSrc := ar.Wrap(slab[:nb*d], nb, d)
 		hDst := ar.Wrap(slab[nb*d:], nb, d)
-		resp = scoreLogits(s.scoreWith(ar, hSrc, hDst), nb)
+		resp = scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
 		tensor.PutArena(ar)
 		if len(degraded) > 0 {
 			// A pair is degraded if either endpoint row was (targets are
@@ -633,20 +623,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		h := s.engine.EmbedWith(ar, nodes, ts)
 		hSrc := ar.Wrap(h.Data()[:nb*d], nb, d)
 		hDst := ar.Wrap(h.Data()[nb*d:], nb, d)
-		resp = scoreLogits(s.scoreWith(ar, hSrc, hDst), nb)
+		resp = scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
 		tensor.PutArena(ar)
 	}
 	writeJSON(w, resp)
-}
-
-// scoreWith runs the affinity head at the server's precision. It is
-// mode-agnostic: the engine is nil in sharded mode, so the server holds
-// its own packed head instead of borrowing an engine's.
-func (s *Server) scoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
-	if s.qmodel != nil {
-		return s.qmodel.ScoreWith(ar, hSrc, hDst)
-	}
-	return s.model.ScoreWith(ar, hSrc, hDst)
 }
 
 // scoreLogits renders an affinity-head output column into the score

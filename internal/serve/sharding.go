@@ -27,10 +27,6 @@ func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg sha
 		dyn:     dyn,
 		model:   model,
 		hitRate: stats.NewHitRate(10),
-		quant:   opt.Quant,
-	}
-	if opt.Quant == core.QuantInt8 {
-		s.qmodel = tgat.QuantizeModel(model)
 	}
 	s.modelVersion.Store(opt.ModelVersion)
 	cfg.ModelVersion = opt.ModelVersion // pool and server agree on the boot version

@@ -147,6 +147,25 @@ func TestServeShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestServeInt8ShardedScoresAsUnsharded: one affinity head in every
+// serving configuration. On cold caches no memoized row has been read
+// back yet and both sides quantize the same time table, so an int8 pool
+// and an int8 single engine answer the same /v1/score body byte for
+// byte.
+func TestServeInt8ShardedScoresAsUnsharded(t *testing.T) {
+	score := func(shards int) []byte {
+		_, ts := buildSwapServer(t, swapSeedModel(t, 2), core.QuantInt8, shards)
+		body, code, err := postBody(ts.URL, "/v1/score", scoreRequest{Pairs: swapQueryPairs})
+		if err != nil || code != 200 {
+			t.Fatalf("%d shards: score code %d err %v", shards, code, err)
+		}
+		return body
+	}
+	if single, sharded := score(0), score(3); !bytes.Equal(sharded, single) {
+		t.Fatalf("int8 sharded body differs from int8 single\nsharded: %s\nsingle:  %s", sharded, single)
+	}
+}
+
 func getJSON(t *testing.T, url string, v any) {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -9,7 +9,6 @@ import (
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/swap"
-	"tgopt/internal/tgat"
 	"tgopt/internal/trainer"
 )
 
@@ -52,9 +51,8 @@ func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
 // rollbacks. The commit runs under the server's request gate (no
 // in-flight embed/score/ingest/explain straddles it) plus the engine or
 // pool barrier underneath, and re-derives every params-dependent
-// structure: packed int8 weights (including the server's own affinity
-// head), precomputed time tables, and the memo caches across hot tier,
-// spill segments, and pending promotions (stamped with the new version
+// structure: precomputed time tables, and the memo caches across hot
+// tier, spill segments, and pending promotions (stamped with the new version
 // so pre-swap spill segments read as misses even after a restart).
 //
 // In sharded mode the pool reads the checkpoint through its own
@@ -65,11 +63,6 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	if s.router != nil {
 		s.swapGate.Lock()
 		err := s.router.SwapParams(path, version)
-		if err == nil && s.qmodel != nil {
-			// The server's own packed affinity head must follow the
-			// engines' weights (sharded scoring runs it here).
-			s.qmodel = tgat.QuantizeModel(s.model)
-		}
 		s.swapGate.Unlock()
 		if err != nil {
 			s.rollbacks.Add(1)
@@ -85,9 +78,6 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 		}
 		s.swapGate.Lock()
 		s.engine.SwapParams(version, func() { s.model.ApplyParams(sp) })
-		if s.qmodel != nil {
-			s.qmodel = tgat.QuantizeModel(s.model)
-		}
 		s.swapGate.Unlock()
 	}
 	s.modelVersion.Store(version)

@@ -565,8 +565,8 @@ func (r *Router) ParamsVersion() uint64 { return r.version.Load() }
 // supervisor rebuilds drained, new ones blocked) and every live
 // engine's own swap gate, the shared model's tensors are rewritten
 // once and each engine re-derives its version-dependent state —
-// re-packed int8 weights, re-built time tables, memo caches dropped
-// and re-stamped across hot tier, spill, and pending promotes
+// re-built time tables, memo caches dropped and re-stamped across hot
+// tier, spill, and pending promotes
 // (core.Engine.FinishSwap). Crashed shards are absent by design:
 // their supervisor rebuild reads the shared model and the advanced
 // pool version, so they come back on the new parameters.

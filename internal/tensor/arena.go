@@ -32,8 +32,6 @@ type Arena struct {
 	i32     slabs[int32]
 	u64     slabs[uint64]
 	bls     slabs[bool]
-	i8      slabs[int8]
-	byt     slabs[uint8]
 }
 
 // slabs reuses typed scratch slices slot-by-slot: the i-th request
@@ -90,8 +88,6 @@ func (a *Arena) Reset() {
 	a.i32.i = 0
 	a.u64.i = 0
 	a.bls.i = 0
-	a.i8.i = 0
-	a.byt.i = 0
 }
 
 // Tensor returns a tensor of the given shape with UNINITIALIZED
@@ -193,22 +189,6 @@ func (a *Arena) Uint64s(n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return a.u64.get(n)
-}
-
-// Int8s returns an uninitialized scratch slice of length n.
-func (a *Arena) Int8s(n int) []int8 {
-	if a == nil {
-		return make([]int8, n)
-	}
-	return a.i8.get(n)
-}
-
-// Bytes returns an uninitialized scratch slice of length n.
-func (a *Arena) Bytes(n int) []uint8 {
-	if a == nil {
-		return make([]uint8, n)
-	}
-	return a.byt.get(n)
 }
 
 // Bools returns an uninitialized scratch slice of length n.

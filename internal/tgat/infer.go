@@ -34,9 +34,9 @@ type StreamResult struct {
 	Batches int
 }
 
-// Scorer computes affinity logits for paired embedding rows. *Model,
-// *QuantModel, and core.Engine all satisfy it, so the stream driver can
-// score at whichever precision produced the embeddings.
+// Scorer computes affinity logits for paired embedding rows. *Model and
+// core.Engine satisfy it; the engine's is the model's head read under
+// its swap gate, so a stream scores with the weights that embedded it.
 type Scorer interface {
 	ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor
 }
@@ -71,9 +71,8 @@ func StreamInferenceArena(g *graph.Graph, m *Model, batchSize, workers int, embe
 }
 
 // StreamInferenceArenaScored is StreamInferenceArena scoring through an
-// explicit Scorer instead of the model's float affinity head — the int8
-// path passes the engine (or QuantModel) so embeddings and logits come
-// from the same precision.
+// explicit Scorer instead of m's own affinity head — a caller passes
+// the engine so embeddings and logits come from one model version.
 func StreamInferenceArenaScored(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedArenaFunc, scorer Scorer) *StreamResult {
 	edges := g.Edges()
 	nBatches := (len(edges) + batchSize - 1) / batchSize

@@ -28,7 +28,7 @@ go test -race ./internal/parallel/... ./internal/serve/... ./internal/core/... \
 # fork-join state at one, two and four Ps: the bitwise row-independence
 # and parallel-vs-serial pins must hold whatever the scheduler does.
 go test -race -count=1 -cpu 1,2,4 \
-    -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestQuantLinearRows|TestKernelAllocs|TestQuantKernelAllocs|TestForChunked' \
+    -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestKernelAllocs|TestForChunked' \
     ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
 # The top-layer memo's bitwise pins and its readers-vs-writers stress
 # test, repeated: a stamp race shows only on some schedules.
@@ -57,8 +57,8 @@ go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|T
     ./internal/serve/ ./internal/shard/ ./internal/core/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
 
-echo "== quantized-path gate (int8 kernels/cache/snapshots under race; AP within 1pp of float32)"
-go test -race -count=1 -run 'TestQuant' ./internal/core/ ./internal/nn/ ./internal/tensor/ ./internal/experiments/
+echo "== int8 row-format gate (cache/spill/snapshot/time-table round-trips under race; AP within 1 pp)"
+go test -race -count=1 -run 'TestQuant|TestEntriesForBudgetQuant' ./internal/core/ ./internal/tensor/ ./internal/experiments/
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./internal/graph/ > /dev/null
