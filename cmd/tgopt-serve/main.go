@@ -66,10 +66,6 @@ func main() {
 	shards := flag.Int("shards", 1, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")
 	shardQuorum := flag.Int("shard-quorum", 1, "healthy shards required to accept a request (below it: 503 + Retry-After)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a shard leg to a replica after max(this, the shard's observed p99) (0 disables hedged reads)")
-	breakerWindow := flag.Int("breaker-window", 64, "per-shard breaker: rolling outcome window")
-	breakerThreshold := flag.Float64("breaker-threshold", 0.5, "per-shard breaker: failure rate that opens the breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 500*time.Millisecond, "per-shard breaker: open duration before half-open probes")
-	breakerProbes := flag.Int("breaker-probes", 3, "per-shard breaker: consecutive half-open successes required to re-close")
 	quant := flag.String("quant", "float32", "format of memoized rows and the time table: float32 (default) or int8 (scale + codes, dequantized on read; 1.9x the cache entries per byte at dim 32, 2.7x at 96; compute stays float32; see DESIGN.md §14)")
 	swapDir := flag.String("swap-dir", "", "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §16)")
 	swapInterval := flag.Duration("swap-interval", 0, "swap loop cadence: poll -swap-dir (or fine-tune, with -swap-train) this often (0 disables the loop; boot-time load still happens)")
@@ -145,35 +141,23 @@ func main() {
 	}
 	var srv *serve.Server
 	if *shards > 1 {
-		// Sharded serving plane: batching (when on) runs per shard, and
-		// -cache-file names the per-shard snapshot DIRECTORY instead of
-		// a single snapshot file.
-		cfg := shard.Config{
-			Shards:     *shards,
-			Quorum:     *shardQuorum,
-			HedgeDelay: *hedgeDelay,
-			Breaker: shard.BreakerConfig{
-				Window:    *breakerWindow,
-				Threshold: *breakerThreshold,
-				Cooldown:  *breakerCooldown,
-				Probes:    *breakerProbes,
-			},
+		// Sharded serving plane: -cache-file names the per-shard
+		// snapshot DIRECTORY instead of a single snapshot file.
+		srv, err = serve.NewSharded(wl.Model, dyn, opt, shard.Config{
+			Shards:      *shards,
+			Quorum:      *shardQuorum,
+			HedgeDelay:  *hedgeDelay,
 			SnapshotDir: *cacheFile,
 			Logf:        log.Printf,
-		}
-		if !*batchOff {
-			cfg.Batch = &batcher.Config{Window: *batchWindow, MaxBatch: *batchMax}
-		}
-		var err error
-		srv, err = serve.NewSharded(wl.Model, dyn, opt, cfg)
+		})
 		if err != nil {
 			fatal(err)
 		}
 	} else {
 		srv = serve.New(wl.Model, dyn, opt)
-		if !*batchOff {
-			srv.SetBatching(batcher.Config{Window: *batchWindow, MaxBatch: *batchMax})
-		}
+	}
+	if !*batchOff {
+		srv.SetBatching(batcher.Config{Window: *batchWindow, MaxBatch: *batchMax}) // per shard when sharded
 	}
 	srv.SetLimits(serve.Limits{Timeout: *timeout, MaxInFlight: *maxInflight})
 
@@ -247,8 +231,7 @@ func main() {
 		log.Printf("cross-request batching: window=%s max=%d", *batchWindow, *batchMax)
 	}
 	if srv.Sharded() {
-		log.Printf("sharding: %d shards, quorum %d, hedge-delay %s, breaker window=%d threshold=%g cooldown=%s probes=%d",
-			*shards, *shardQuorum, *hedgeDelay, *breakerWindow, *breakerThreshold, *breakerCooldown, *breakerProbes)
+		log.Printf("sharding: %d shards, quorum %d, hedge-delay %s", *shards, *shardQuorum, *hedgeDelay)
 		log.Printf("cache: policy=%s per-shard (divided from hot-limit %d)", *cachePolicy, opt.CacheLimit)
 	} else if *spillDir != "" {
 		log.Printf("cache: policy=%s hot-limit=%d cold tier at %s (budget %d bytes)",
@@ -265,17 +248,10 @@ func main() {
 	stopSwaps()     // no swap may land between drain and the final save
 	stopSnapshots() // quiesce the snapshotter before the final save
 	if *cacheFile != "" {
-		if srv.Sharded() {
-			if err := srv.Router().SaveSnapshots(); err != nil {
-				log.Printf("shard snapshot save failed: %v", err)
-			} else {
-				log.Printf("saved per-shard snapshots (%d memoized embeddings) under %s",
-					srv.Router().CacheLen(), *cacheFile)
-			}
-		} else if err := srv.Engine().SaveCaches(*cacheFile); err != nil {
+		if err := srv.SaveSnapshot(*cacheFile); err != nil {
 			log.Printf("cache save failed: %v", err)
 		} else {
-			log.Printf("saved %d memoized embeddings to %s", srv.Engine().CacheLen(), *cacheFile)
+			log.Printf("saved %d memoized embeddings to %s", srv.CacheLen(), *cacheFile)
 		}
 	}
 	// Stop the promotion workers and seal the spill tier's open segments

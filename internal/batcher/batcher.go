@@ -490,6 +490,21 @@ func (s Snapshot) CoalesceRatio() float64 {
 	return float64(s.Coalesced) / float64(s.Enqueued)
 }
 
+// Add accumulates another batcher's counters: a server with a batcher
+// per core reports their sum.
+func (s *Snapshot) Add(o Snapshot) {
+	s.Enqueued += o.Enqueued
+	s.Coalesced += o.Coalesced
+	s.Batches += o.Batches
+	s.FlushSize += o.FlushSize
+	s.FlushWindow += o.FlushWindow
+	s.FlushIdle += o.FlushIdle
+	s.FlushDrain += o.FlushDrain
+	s.Panics += o.Panics
+	s.RetireCalls += o.RetireCalls
+	s.Retired += o.Retired
+}
+
 // Stats returns the batcher's counters.
 func (b *Batcher) Stats() Snapshot {
 	return Snapshot{

@@ -1,0 +1,305 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"tgopt/internal/batcher"
+	"tgopt/internal/checkpoint"
+	"tgopt/internal/core"
+	"tgopt/internal/shard"
+)
+
+// backendMode is one of the four configurations every handler-level
+// contract must hold in: the single core and the shard pool, each with
+// and without cross-request batching.
+type backendMode struct {
+	name    string
+	shards  int
+	batched bool
+}
+
+var backendModes = []backendMode{
+	{"unsharded", 0, false},
+	{"unsharded+batched", 0, true},
+	{"2-shards", 2, false},
+	{"2-shards+batched", 2, true},
+}
+
+// newServer builds a server in this mode over testModelDyn's fixture.
+// snap is where its cache snapshots live ("" for none): the snapshot
+// file of a single core, the per-shard snapshot directory of a pool.
+func (m backendMode) newServer(t *testing.T, snap string) (*Server, *httptest.Server) {
+	t.Helper()
+	model, dyn := testModelDyn(t)
+	var s *Server
+	if m.shards > 0 {
+		var err error
+		s, err = NewSharded(model, dyn, core.OptAll(), shard.Config{Shards: m.shards, SnapshotDir: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		s = New(model, dyn, core.OptAll())
+	}
+	if m.batched {
+		s.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32})
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// forEachBackend runs f as one subtest per backendMode; mk builds a
+// fresh server in the subtest's mode.
+func forEachBackend(t *testing.T, f func(t *testing.T, m backendMode, mk func(snap string) (*Server, *httptest.Server))) {
+	for _, m := range backendModes {
+		t.Run(m.name, func(t *testing.T) {
+			f(t, m, func(snap string) (*Server, *httptest.Server) { return m.newServer(t, snap) })
+		})
+	}
+}
+
+// backendScript is a fixed ingest/embed/score sequence: a warm-up, a
+// re-ask (the top-layer memo's case), and an in-order append landing
+// under the asked time, which must change exactly the rows it reaches.
+// It returns the read responses' bodies in order.
+func backendScript(t *testing.T, url string) [][]byte {
+	t.Helper()
+	embed := embedRequest{
+		Nodes: []int32{7, 1, 7, 3, 5, 2, 8, 1, 6, 4, 2, 7},
+		Times: []float64{90, 90, 90, 95, 95, 90, 95, 90, 95, 95, 90, 90},
+	}
+	score := scoreRequest{Pairs: []edgeJSON{{Src: 1, Dst: 2, Time: 90}, {Src: 3, Dst: 8, Time: 95}, {Src: 7, Dst: 7, Time: 90}}}
+	var bodies [][]byte
+	read := func(path string, req any) {
+		t.Helper()
+		body, code, err := postBody(url, path, req)
+		if err != nil || code != 200 {
+			t.Fatalf("%s: code %d err %v (%s)", path, code, err, body)
+		}
+		bodies = append(bodies, body)
+	}
+	ingest(t, url, shardTestEdges)
+	read("/v1/embed", embed)
+	read("/v1/score", score)
+	read("/v1/embed", embed)
+	ingest(t, url, []edgeJSON{{Src: 7, Dst: 3, Time: 85}})
+	read("/v1/embed", embed)
+	read("/v1/score", score)
+	return bodies
+}
+
+// TestBackendScriptBitwiseAcrossModes: which backend computes a
+// response is not observable in it.
+func TestBackendScriptBitwiseAcrossModes(t *testing.T) {
+	got := map[string][][]byte{}
+	forEachBackend(t, func(t *testing.T, m backendMode, mk func(string) (*Server, *httptest.Server)) {
+		_, ts := mk("")
+		got[m.name] = backendScript(t, ts.URL)
+	})
+	want := got[backendModes[0].name]
+	if bytes.Equal(want[2], want[3]) {
+		t.Fatal("the append under the asked time changed no embed row: the script exercises no invalidation")
+	}
+	for _, m := range backendModes[1:] {
+		for i := range want {
+			if !bytes.Equal(got[m.name][i], want[i]) {
+				t.Errorf("%s: response %d differs from %s\n got: %s\nwant: %s", m.name, i, backendModes[0].name, got[m.name][i], want[i])
+			}
+		}
+	}
+}
+
+// metricFamilies scrapes /metrics and checks the exposition parses:
+// every sample is `name[{labels}] <float>` and belongs to a family a
+// HELP and a TYPE line announced. It returns the family names.
+func metricFamilies(t *testing.T, url string) map[string]bool {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	help, typ, sampled := map[string]bool{}, map[string]string{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# HELP ") && len(f) >= 4:
+			help[f[2]] = true
+		case strings.HasPrefix(line, "# TYPE ") && len(f) == 4:
+			typ[f[2]] = f[3]
+		case len(f) == 2:
+			name, _, _ := strings.Cut(f[0], "{")
+			if _, err := strconv.ParseFloat(f[1], 64); err != nil {
+				t.Errorf("sample %q: value does not parse: %v", line, err)
+			}
+			family := name
+			if typ[family] == "" { // a summary's _sum / _count series
+				family = strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+			}
+			if !help[family] || typ[family] == "" {
+				t.Errorf("sample %q has no HELP/TYPE for family %q", line, family)
+			}
+			sampled[family] = true
+		default:
+			t.Errorf("unparseable exposition line %q", line)
+		}
+	}
+	for family := range typ {
+		if !sampled[family] {
+			t.Errorf("family %q is announced but has no sample", family)
+		}
+	}
+	return sampled
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestBackendMetricsAndStatsShape: /metrics parses and /v1/stats has
+// the same top-level keys in every mode. The only differences are the
+// ones the mode names — the batching section and tgopt_batch_* families
+// exactly when batching is on (sharded or not: they used to vanish
+// under -shards), the shards section and shard-health families exactly
+// when there is a pool — and shards.batching is the top-level section's
+// counters.
+func TestBackendMetricsAndStatsShape(t *testing.T) {
+	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
+	isShard := func(f string) bool {
+		for _, p := range []string{"tgopt_shard", "tgopt_hedge", "tgopt_routed_around", "tgopt_partial_responses", "tgopt_degraded_targets", "tgopt_quorum_rejects", "tgopt_replica_divergence"} {
+			if strings.HasPrefix(f, p) {
+				return true
+			}
+		}
+		return false
+	}
+	common := map[string]string{} // mode -> the families / keys every mode must share
+	forEachBackend(t, func(t *testing.T, m backendMode, mk func(string) (*Server, *httptest.Server)) {
+		_, ts := mk("")
+		backendScript(t, ts.URL)
+
+		var rest []string
+		batch, pool := 0, 0
+		for _, f := range sortedKeys(metricFamilies(t, ts.URL)) {
+			switch {
+			case isBatch(f):
+				batch++
+			case isShard(f):
+				pool++
+			default:
+				rest = append(rest, f)
+			}
+		}
+		if (batch > 0) != m.batched || (m.batched && batch != 7) {
+			t.Errorf("%d tgopt_batch_* families with batched=%v, want 7 exactly when batched", batch, m.batched)
+		}
+		if (pool > 0) != (m.shards > 0) {
+			t.Errorf("%d shard-health families with %d shards", pool, m.shards)
+		}
+
+		var st map[string]json.RawMessage
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		if _, ok := st["batching"]; ok != m.batched {
+			t.Errorf("stats has batching section = %v with batched=%v", ok, m.batched)
+		}
+		if _, ok := st["shards"]; ok != (m.shards > 0) {
+			t.Errorf("stats has shards section = %v with %d shards", ok, m.shards)
+		}
+		if m.batched {
+			var top batchStats
+			if err := json.Unmarshal(st["batching"], &top); err != nil {
+				t.Fatal(err)
+			}
+			if top.Enqueued == 0 || top.Batches == 0 || top.MaxBatch != 32 || top.WindowMs != 2 {
+				t.Errorf("batching section not live: %+v", top)
+			}
+			if m.shards > 0 {
+				var pool shard.RouterStats
+				if err := json.Unmarshal(st["shards"], &pool); err != nil {
+					t.Fatal(err)
+				}
+				if b := pool.Batching; b == nil || b.Enqueued != top.Enqueued || b.Coalesced != top.Coalesced ||
+					b.Batches != top.Batches || b.Retired != top.Retired {
+					t.Errorf("shards.batching %+v differs from batching %+v", b, top)
+				}
+			}
+		}
+		delete(st, "batching")
+		delete(st, "shards")
+		common[m.name] = strings.Join(rest, " ") + "\n" + strings.Join(sortedKeys(st), " ")
+	})
+	for _, m := range backendModes[1:] {
+		if common[m.name] != common[backendModes[0].name] {
+			t.Errorf("%s and %s differ beyond the batching and shards sections:\n%s\n--\n%s",
+				m.name, backendModes[0].name, common[m.name], common[backendModes[0].name])
+		}
+	}
+}
+
+// TestBackendSwapPrepareRunsOutsideTheRequestGate: parsing a published
+// checkpoint (once per shard: N file reads and CRC checks) must not
+// stall traffic — only the commit takes the request gate. The pool's
+// prepare hook issues an embed through the handler and needs its 200
+// before prepare returns; with the gate held around prepare that embed
+// can only finish after the hook gives up.
+func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
+	model, dyn := swapSeedModel(t, 2), swapSeedDyn(t)
+	path := filepath.Join(t.TempDir(), "params-1.tgp")
+	if err := swapSeedModel(t, 3).SaveParamsFS(checkpoint.OS{}, path); err != nil {
+		t.Fatal(err)
+	}
+	var handler http.Handler
+	served := make(chan int, 1)
+	s, err := NewSharded(model, dyn, core.OptAll(), shard.Config{
+		Shards: 2,
+		SwapFS: func(id int) checkpoint.FS {
+			if id != 0 {
+				return nil
+			}
+			code := make(chan int, 1)
+			go func() {
+				code <- recordJSON(t, handler, http.MethodPost, "/v1/embed",
+					embedRequest{Nodes: swapQueryNodes, Times: swapQueryTimes}, nil)
+			}()
+			select {
+			case c := <-code:
+				served <- c
+			case <-time.After(2 * time.Second):
+				served <- 0
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	handler = s.Handler()
+	if err := s.SwapParams(checkpoint.OS{}, path, 1); err != nil {
+		t.Fatal(err)
+	}
+	if code := <-served; code != http.StatusOK {
+		t.Fatalf("embed issued during swap prepare: status %d (0 = still blocked after 2s), want 200", code)
+	}
+	if v := s.ModelVersion(); v != 1 {
+		t.Fatalf("version after swap = %d, want 1", v)
+	}
+}

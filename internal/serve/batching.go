@@ -4,33 +4,51 @@ import (
 	"time"
 
 	"tgopt/internal/batcher"
+	"tgopt/internal/shard"
+	"tgopt/internal/stats"
 )
 
 // SetBatching enables cross-request dynamic micro-batching: /v1/embed
-// and /v1/score stop calling the engine directly and instead enqueue
-// their targets into a shared batcher that fuses concurrent requests
-// into single engine passes with single-flight deduplication (see
-// package batcher). Call before Handler, like SetLimits; it is not safe
-// to toggle while requests are in flight.
-func (s *Server) SetBatching(cfg batcher.Config) {
-	b := batcher.New(s.engine, s.model.Cfg.NodeDim, cfg)
-	s.batcher = b
-	// Close the single-flight read-your-writes gap: when a history edit
-	// (late insert or watermark-crossing append) invalidates cached
-	// state, in-flight computations for the touched endpoints at newer
-	// query times must retire too — they were computed against the
-	// pre-edit history, and a request arriving after the ingest
-	// acknowledgement must not attach to them. The engine calls the
-	// hook before its own cache scan.
-	s.engine.SetInvalidationHook(func(u, v int32, t float64) {
-		b.RetireTargets([]int32{u, v}, t)
-	})
+// and /v1/score targets are enqueued into a batcher per core that fuses
+// concurrent requests into single engine passes with single-flight
+// deduplication (see package batcher). Call before Handler, like
+// SetLimits; it is not safe to toggle while requests are in flight.
+func (s *Server) SetBatching(cfg batcher.Config) { s.backend.SetBatching(cfg) }
+
+// Batcher returns an unsharded server's batcher; nil when batching is
+// off, and in sharded mode, where every shard has its own.
+func (s *Server) Batcher() *batcher.Batcher {
+	if c, ok := s.backend.(*shard.Core); ok {
+		return c.Batcher()
+	}
+	return nil
 }
 
-// Batcher returns the serving batcher, or nil when batching is off.
-func (s *Server) Batcher() *batcher.Batcher { return s.batcher }
+// batchTotals is one scrape's view of the live batchers: counters
+// summed over cores, occupancy and queue wait merged bucket by bucket.
+type batchTotals struct {
+	cfg batcher.Config
+	batcher.Snapshot
+	occupancy stats.CountHistogram
+	queueWait stats.Histogram
+}
 
-// batchStats is the JSON rendering of the batcher's state on /v1/stats.
+// batchTotals returns nil while batching is off.
+func (s *Server) batchTotals() *batchTotals {
+	bs := s.backend.Batchers()
+	if len(bs) == 0 {
+		return nil
+	}
+	t := &batchTotals{cfg: bs[0].Config()} // SetBatching gave every core the same
+	for _, b := range bs {
+		t.Add(b.Stats())
+		t.occupancy.Merge(b.Occupancy())
+		t.queueWait.Merge(b.QueueWait())
+	}
+	return t
+}
+
+// batchStats is the JSON rendering of the batchers' state on /v1/stats.
 type batchStats struct {
 	WindowMs      float64 `json:"window_ms"`
 	MaxBatch      int     `json:"max_batch"`
@@ -52,33 +70,29 @@ type batchStats struct {
 	QueueWaitP99  float64 `json:"queue_wait_p99_us"`
 }
 
-// batchStatsJSON snapshots the batcher for /v1/stats, nil when off.
-func (s *Server) batchStatsJSON() *batchStats {
-	b := s.batcher
-	if b == nil {
+// json renders the totals for /v1/stats, nil when batching is off.
+func (t *batchTotals) json() *batchStats {
+	if t == nil {
 		return nil
 	}
-	snap := b.Stats()
-	occ := b.Occupancy()
-	qw := b.QueueWait()
 	return &batchStats{
-		WindowMs:      float64(b.Config().Window) / float64(time.Millisecond),
-		MaxBatch:      b.Config().MaxBatch,
-		Enqueued:      snap.Enqueued,
-		Coalesced:     snap.Coalesced,
-		CoalesceRatio: snap.CoalesceRatio(),
-		Batches:       snap.Batches,
-		FlushSize:     snap.FlushSize,
-		FlushWindow:   snap.FlushWindow,
-		FlushIdle:     snap.FlushIdle,
-		FlushDrain:    snap.FlushDrain,
-		Panics:        snap.Panics,
-		RetireCalls:   snap.RetireCalls,
-		Retired:       snap.Retired,
-		OccupancyMean: occ.Mean(),
-		OccupancyP50:  occ.Quantile(0.5),
-		OccupancyP99:  occ.Quantile(0.99),
-		QueueWaitP50:  float64(qw.Quantile(0.5)) / float64(time.Microsecond),
-		QueueWaitP99:  float64(qw.Quantile(0.99)) / float64(time.Microsecond),
+		WindowMs:      float64(t.cfg.Window) / float64(time.Millisecond),
+		MaxBatch:      t.cfg.MaxBatch,
+		Enqueued:      t.Enqueued,
+		Coalesced:     t.Coalesced,
+		CoalesceRatio: t.CoalesceRatio(),
+		Batches:       t.Batches,
+		FlushSize:     t.FlushSize,
+		FlushWindow:   t.FlushWindow,
+		FlushIdle:     t.FlushIdle,
+		FlushDrain:    t.FlushDrain,
+		Panics:        t.Panics,
+		RetireCalls:   t.RetireCalls,
+		Retired:       t.Retired,
+		OccupancyMean: t.occupancy.Mean(),
+		OccupancyP50:  t.occupancy.Quantile(0.5),
+		OccupancyP99:  t.occupancy.Quantile(0.99),
+		QueueWaitP50:  float64(t.queueWait.Quantile(0.5)) / float64(time.Microsecond),
+		QueueWaitP99:  float64(t.queueWait.Quantile(0.99)) / float64(time.Microsecond),
 	}
 }

@@ -30,9 +30,6 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 // at the start of graceful shutdown, before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -46,6 +43,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	pool := s.shardHealth()
 	switch {
 	case s.draining.Load():
 		w.Header().Set("Retry-After", "1")
@@ -53,10 +51,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "warm-start not complete")
-	case s.router != nil && s.router.HealthyShards() < s.router.Quorum():
+	case pool != nil && pool.Healthy < pool.Quorum:
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable,
-			"%d healthy shards of %d, quorum %d", s.router.HealthyShards(), s.router.Shards(), s.router.Quorum())
+			"%d healthy shards of %d, quorum %d", pool.Healthy, len(pool.Shards), pool.Quorum)
 	default:
 		writeJSON(w, map[string]string{"status": "ready"})
 	}

@@ -34,9 +34,6 @@ func (s *Server) SetLimits(l Limits) {
 	}
 }
 
-// Limits returns the configured request bounds.
-func (s *Server) Limits() Limits { return s.limits }
-
 // exemptFromLimits reports whether a request bypasses the in-flight
 // semaphore and deadline: observability endpoints must stay scrapeable
 // while the serving path is saturated, which is exactly when their data

@@ -235,7 +235,7 @@ func serveOOOConvergence(t *testing.T, layers, total int) {
 		// The deep cache must have survived the churn selectively — a
 		// clear-all policy would leave it rebuilt but proves nothing; a
 		// zero here means deep memoization never engaged at all.
-		if c := oooSrv.engine.CacheFor(2); c == nil || c.Len() == 0 {
+		if c := oooSrv.Engine().CacheFor(2); c == nil || c.Len() == 0 {
 			t.Fatal("layer-2 cache empty after converged deep serving")
 		}
 	}

@@ -43,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
@@ -56,26 +55,21 @@ import (
 type Server struct {
 	dyn     *graph.Dynamic
 	model   *tgat.Model
-	engine  *core.Engine
 	hitRate *stats.HitRate
 
-	// router, when non-nil (NewSharded), partitions serving across N
-	// fault-isolated engine shards; engine and batcher are then nil and
-	// embed/score scatter-gather through it (sharding.go).
-	router *shard.Router
-
-	// batcher, when non-nil (SetBatching), fuses concurrent embed and
-	// score targets into shared engine passes with single-flight dedup.
-	batcher *batcher.Batcher
+	// backend computes, invalidates, swaps and snapshots: one shard.Core
+	// over dyn (New) or a shard.Router over N replicas of it
+	// (NewSharded). Nothing below the constructors depends on which.
+	backend backend
 
 	// swapGate is the request-level hot-swap barrier (swap.go): embed,
 	// score, ingest, and explain hold the read side for their whole
-	// handler body, SwapParams' commit takes the write side. The engine
-	// and router have their own gates, but this one is still needed —
-	// /v1/score runs embedSlab and the affinity head as two separate
-	// calls, and a swap landing between them would score new-version
-	// logits over old-version embeddings. Lock order: swapGate before
-	// the router's swapMu before any engine's gate.
+	// handler body, SwapParams' commit takes the write side. The backend
+	// has its own gates, but this one is still needed — /v1/score runs
+	// embedSlab and the affinity head as two separate calls, and a swap
+	// landing between them would score new-version logits over
+	// old-version embeddings. Lock order: swapGate before the backend's
+	// (DESIGN.md §13).
 	swapGate sync.RWMutex
 	// modelVersion is the params version currently serving; swaps,
 	// rollbacks, and lastSwapUnix are the /v1/stats "model" section.
@@ -121,42 +115,42 @@ type Server struct {
 	snapshotErrors atomic.Int64
 }
 
-// New builds a server over a model and a (possibly pre-populated)
-// dynamic graph. opt's Collector/HitRate are overridden with the
-// server's own instrumentation.
-func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
+// newServer is the part of New and NewSharded that does not depend on
+// the backend.
+func newServer(model *tgat.Model, dyn *graph.Dynamic, bootVersion uint64) *Server {
 	s := &Server{
 		dyn:     dyn,
 		model:   model,
 		hitRate: stats.NewHitRate(10),
 	}
-	s.modelVersion.Store(opt.ModelVersion)
+	s.modelVersion.Store(bootVersion)
+	return s
+}
+
+// New builds a server over a model and a (possibly pre-populated)
+// dynamic graph, computing on one shard.Core over that graph. opt's
+// HitRate is overridden with the server's own instrumentation.
+func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
+	s := newServer(model, dyn, opt.ModelVersion)
 	opt.HitRate = s.hitRate
-	// The server always keeps the per-node key index: late-edge
-	// invalidation needs it to be targeted rather than a full cache
-	// clear, and even a purely chronological stream needs it — an
-	// append must be able to selectively drop memos served at *future*
-	// timestamps whose sampled windows it lands in (InvalidateAppend).
-	opt.TrackTargets = true
-	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
-	s.engine = core.NewEngine(model, sampler, opt)
+	s.backend = shard.NewCore(model, dyn, opt)
 	return s
 }
 
 // Engine exposes the underlying TGOpt engine (cache persistence,
 // introspection). Nil in sharded mode — use Router then.
-func (s *Server) Engine() *core.Engine { return s.engine }
-
-// Close releases the engine's background resources: it stops the
-// cache promotion workers and seals the spill tier's open segments so
-// spilled entries survive a restart. In sharded mode it closes every
-// shard. Call it after the HTTP server has drained.
-func (s *Server) Close() error {
-	if s.router != nil {
-		return s.router.Close()
+func (s *Server) Engine() *core.Engine {
+	if c, ok := s.backend.(*shard.Core); ok {
+		return c.Engine()
 	}
-	return s.engine.Close()
+	return nil
 }
+
+// Close releases the backend's background resources: it stops every
+// engine's cache promotion workers and seals the spill tier's open
+// segments so spilled entries survive a restart. Call it after the
+// HTTP server has drained.
+func (s *Server) Close() error { return s.backend.Close() }
 
 // Handler returns the HTTP handler for the API, wrapped in the serving
 // middleware (admission control, deadlines, panic recovery — see wrap).
@@ -228,12 +222,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write := func(name, help string, value float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, value)
 	}
+	et := s.engineTotals()
 	write("tgopt_graph_nodes", "Nodes in the serving graph.", float64(s.dyn.NumNodes()))
 	write("tgopt_graph_edges", "Interactions ingested.", float64(s.dyn.NumEdges()))
-	write("tgopt_cache_items", "Memoized embeddings resident.", float64(s.cacheLen()))
-	write("tgopt_cache_bytes", "Estimated cache footprint in bytes.", float64(s.cacheBytes()))
+	write("tgopt_cache_items", "Memoized embeddings resident.", float64(et.items))
+	write("tgopt_cache_bytes", "Estimated cache footprint in bytes.", float64(et.bytes))
 	write("tgopt_cache_hit_rate", "Average embedding cache hit rate.", s.hitRate.Average())
-	cs := s.cacheStats()
+	cs := et.cache
 	write("tgopt_cache_lookups_total", "Memo cache lookups (hot tier).", float64(cs.Lookups))
 	write("tgopt_cache_hits_total", "Memo cache hot-tier hits.", float64(cs.Hits))
 	write("tgopt_cache_misses_total", "Memo cache hot-tier misses.", float64(cs.Misses))
@@ -249,8 +244,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_cache_spill_corrupt_segments_total", "Spill segments discarded at recovery for failed validation.", float64(cs.Spill.CorruptSegments))
 	write("tgopt_cache_spill_dropped_segments_total", "Spill segments dropped whole to honor the byte budget.", float64(cs.Spill.DroppedSegments))
 	write("tgopt_cache_spill_compactions_total", "Spill segment compactions.", float64(cs.Spill.Compactions))
-	s.writeLayerCacheMetrics(&b)
-	tm := s.topMemoStats()
+	writeLayerCacheMetrics(&b, et.layers)
+	tm := et.topMemo
 	write("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", float64(tm.Lookups))
 	write("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", float64(tm.Hits))
 	write("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", float64(tm.Stores))
@@ -261,7 +256,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_ingest_late_dropped_total", "Edges dropped below the low-watermark.", float64(s.dyn.LateDropped()))
 	write("tgopt_ingest_watermark", "Low-watermark: edges older than this are dropped.", s.dyn.Watermark())
 	write("tgopt_cache_invalidated_total", "Memoized embeddings dropped by late-edge invalidation.", float64(s.invalidated.Load()))
-	write("tgopt_cache_stale_store_skips_total", "Memo stores skipped or rolled back because a mutation raced the compute.", float64(s.staleStoreSkips()))
+	write("tgopt_cache_stale_store_skips_total", "Memo stores skipped or rolled back because a mutation raced the compute.", float64(et.staleSkips))
 	write("tgopt_inflight_requests", "Requests currently executing.", float64(s.inflight.Load()))
 	write("tgopt_rejected_total", "Requests rejected with 429 at the in-flight limit.", float64(s.rejected.Load()))
 	write("tgopt_timeouts_total", "Requests that exceeded the deadline (504).", float64(s.timeouts.Load()))
@@ -274,51 +269,45 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_model_swaps_total", "Successful parameter hot-swaps since boot.", float64(s.swaps.Load()))
 	write("tgopt_model_rollbacks_total", "Hot-swaps rejected (corrupt or failed snapshot); the previous version kept serving.", float64(s.rollbacks.Load()))
 	write("tgopt_model_last_swap_timestamp_seconds", "Unix time of the last successful hot-swap (0 = never).", float64(s.lastSwapUnix.Load()))
-	if bs := s.batchStatsJSON(); bs != nil {
-		write("tgopt_batch_enqueued_total", "Targets enqueued into the micro-batcher.", float64(bs.Enqueued))
-		write("tgopt_batch_coalesced_total", "Targets deduplicated onto an in-flight computation.", float64(bs.Coalesced))
-		write("tgopt_batch_coalesce_ratio", "Fraction of targets served by single-flight dedup.", bs.CoalesceRatio)
-		write("tgopt_batch_passes_total", "Fused engine passes executed.", float64(bs.Batches))
-		write("tgopt_batch_panics_total", "Fused passes that panicked (recovered to errors).", float64(bs.Panics))
+	if bt := s.batchTotals(); bt != nil {
+		write("tgopt_batch_enqueued_total", "Targets enqueued into the micro-batcher.", float64(bt.Enqueued))
+		write("tgopt_batch_coalesced_total", "Targets deduplicated onto an in-flight computation.", float64(bt.Coalesced))
+		write("tgopt_batch_coalesce_ratio", "Fraction of targets served by single-flight dedup.", bt.CoalesceRatio())
+		write("tgopt_batch_passes_total", "Fused engine passes executed.", float64(bt.Batches))
+		write("tgopt_batch_panics_total", "Fused passes that panicked (recovered to errors).", float64(bt.Panics))
 		fmt.Fprintf(&b, "# HELP tgopt_batch_occupancy Unique targets per fused pass.\n# TYPE tgopt_batch_occupancy summary\n")
-		occ := s.batcher.Occupancy()
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-			fmt.Fprintf(&b, "tgopt_batch_occupancy{quantile=%q} %d\n", q.label, occ.Quantile(q.q))
+		for _, q := range summaryQuantiles {
+			fmt.Fprintf(&b, "tgopt_batch_occupancy{quantile=%q} %d\n", q.label, bt.occupancy.Quantile(q.q))
 		}
-		fmt.Fprintf(&b, "tgopt_batch_occupancy_sum %d\ntgopt_batch_occupancy_count %d\n", occ.Sum(), occ.Count())
+		fmt.Fprintf(&b, "tgopt_batch_occupancy_sum %d\ntgopt_batch_occupancy_count %d\n", bt.occupancy.Sum(), bt.occupancy.Count())
 		fmt.Fprintf(&b, "# HELP tgopt_batch_queue_wait_seconds Enqueue-to-flush wait.\n# TYPE tgopt_batch_queue_wait_seconds summary\n")
-		qw := s.batcher.QueueWait()
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
-			fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds{quantile=%q} %g\n", q.label, qw.Quantile(q.q).Seconds())
+		for _, q := range summaryQuantiles {
+			fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds{quantile=%q} %g\n", q.label, bt.queueWait.Quantile(q.q).Seconds())
 		}
-		fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds_sum %g\ntgopt_batch_queue_wait_seconds_count %d\n", qw.Sum().Seconds(), qw.Count())
+		fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds_sum %g\ntgopt_batch_queue_wait_seconds_count %d\n", bt.queueWait.Sum().Seconds(), bt.queueWait.Count())
 	}
-	if s.router != nil {
-		s.writeShardMetrics(&b, write)
+	if st := s.shardHealth(); st != nil {
+		writeShardMetrics(&b, write, st)
 	}
 	fmt.Fprintf(&b, "# HELP tgopt_stage_latency_seconds Engine per-stage latency quantiles.\n")
 	fmt.Fprintf(&b, "# TYPE tgopt_stage_latency_seconds summary\n")
-	hists := s.stageSnapshots()
 	for _, st := range core.Stages {
-		h := hists[st]
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}} {
+		h := et.stages[st]
+		for _, q := range summaryQuantiles {
 			fmt.Fprintf(&b, "tgopt_stage_latency_seconds{stage=%q,quantile=%q} %g\n",
-				st, q.label, snapshotQuantile(h, q.q).Seconds())
+				st, q.label, h.Quantile(q.q).Seconds())
 		}
-		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_sum{stage=%q} %g\n", st, h.Sum.Seconds())
-		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_count{stage=%q} %d\n", st, h.Count)
+		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_sum{stage=%q} %g\n", st, h.Sum().Seconds())
+		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_count{stage=%q} %d\n", st, h.Count())
 	}
 	io.WriteString(w, b.String())
 }
+
+// summaryQuantiles are the quantiles every /metrics summary reports.
+var summaryQuantiles = []struct {
+	label string
+	q     float64
+}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
 
 // edgeJSON is the wire form of one interaction.
 type edgeJSON struct {
@@ -372,7 +361,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer s.swapGate.RUnlock()
 	var resp ingestResponse
 	for i, e := range req.Edges {
-		res, _, err := s.dyn.Ingest(graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx})
+		edge := graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx}
+		res, _, err := s.dyn.Ingest(edge)
 		if err != nil {
 			s.ingested.Add(int64(resp.Accepted + resp.Late))
 			httpError(w, http.StatusBadRequest,
@@ -383,43 +373,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch res {
 		case graph.IngestAppended:
 			resp.Accepted++
-			n := s.invalidateFor(e, res)
-			resp.Invalidated += n
-			s.invalidated.Add(int64(n))
 		case graph.IngestLate:
 			resp.Late++
-			n := s.invalidateFor(e, res)
-			resp.Invalidated += n
-			s.invalidated.Add(int64(n))
 		case graph.IngestDropped:
 			resp.Dropped++
+			continue
 		}
+		// The graph took the edge: the backend drops the memoized
+		// embeddings it could reach (a Router also replicates it to
+		// every shard through its edge log).
+		n := s.backend.Apply(edge, res)
+		resp.Invalidated += n
+		s.invalidated.Add(int64(n))
 	}
 	s.ingested.Add(int64(resp.Accepted + resp.Late))
 	resp.NumEdges = s.dyn.NumEdges()
 	resp.MaxTime = s.dyn.MaxTime()
 	resp.Watermark = s.dyn.Watermark()
 	writeJSON(w, resp)
-}
-
-// invalidateFor runs the cache invalidation an accepted edge requires.
-// Single-engine mode invalidates the one engine directly; sharded mode
-// broadcasts the edge to every live replica through the router's edge
-// log (which also covers per-shard invalidation and restart replay).
-// A chronological append can still invalidate: memos served at
-// timestamps beyond the new edge were computed before it and their
-// sampled windows may now be wrong. The engine's watermark fast path
-// makes this a single atomic load when no future-time memo exists (the
-// steady state).
-func (s *Server) invalidateFor(e edgeJSON, res graph.IngestResult) int {
-	edge := graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx}
-	if s.router != nil {
-		return s.router.Apply(edge, res)
-	}
-	if res == graph.IngestLate {
-		return s.engine.InvalidateLateEdge(e.Src, e.Dst, e.Time)
-	}
-	return s.engine.InvalidateAppend(e.Src, e.Dst, e.Time)
 }
 
 type embedRequest struct {
@@ -478,38 +449,19 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 }
 
 // embedSlab computes the embeddings of the given targets as one backing
-// slab (row i at [i*d, (i+1)*d)) — scatter-gathered across the shard
-// pool in sharded mode (degraded lists the rows no shard could serve),
-// through the batcher when batching is on, else by a direct engine pass
-// on a pooled arena. On failure it writes the error response and
-// returns ok=false.
+// slab (row i at [i*d, (i+1)*d)); degraded lists the rows a shard pool
+// could not serve. On failure it writes the error response and returns
+// ok=false.
 func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, nodes []int32, ts []float64) (slab []float32, degraded []int, ok bool) {
-	if s.router != nil {
-		res, err := s.router.Embed(r.Context(), nodes, ts)
-		if err != nil {
-			s.writeEmbedError(w, err)
-			return nil, nil, false
-		}
-		if res.Partial {
-			s.partials.Add(1)
-		}
-		return res.Slab, res.Degraded, true
+	slab, degraded, err := s.backend.EmbedRows(r.Context(), nodes, ts)
+	if err != nil {
+		s.writeEmbedError(w, err)
+		return nil, nil, false
 	}
-	if s.batcher != nil {
-		slab, err := s.batcher.Embed(r.Context(), nodes, ts)
-		if err != nil {
-			s.writeEmbedError(w, err)
-			return nil, nil, false
-		}
-		return slab, nil, true
+	if len(degraded) > 0 {
+		s.partials.Add(1)
 	}
-	d := s.model.Cfg.NodeDim
-	ar := tensor.GetArena()
-	h := s.engine.EmbedWith(ar, nodes, ts)
-	slab = make([]float32, len(nodes)*d)
-	copy(slab, h.Data()[:len(nodes)*d])
-	tensor.PutArena(ar)
-	return slab, nil, true
+	return slab, degraded, true
 }
 
 // statusClientClosedRequest is the de-facto status (nginx's 499) for
@@ -582,49 +534,35 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	// swap could land between them and mix versions inside one logit.
 	s.swapGate.RLock()
 	defer s.swapGate.RUnlock()
+	// The src‖dst embeddings come out of the backend as one slab; only
+	// the tiny affinity head runs per-request.
+	slab, degraded, ok := s.embedSlab(w, r, nodes, ts)
+	if !ok {
+		return
+	}
 	d := s.model.Cfg.NodeDim
-	var resp scoreResponse
-	switch {
-	case s.router != nil || s.batcher != nil:
-		// Sharded or batched path: the src‖dst embeddings come out of
-		// the scatter-gather (or the shared fused pass); only the tiny
-		// affinity head runs per-request.
-		slab, degraded, ok := s.embedSlab(w, r, nodes, ts)
-		if !ok {
-			return
+	ar := tensor.GetArena()
+	hSrc := ar.Wrap(slab[:nb*d], nb, d)
+	hDst := ar.Wrap(slab[nb*d:], nb, d)
+	resp := scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
+	tensor.PutArena(ar)
+	if len(degraded) > 0 {
+		// A pair is degraded if either endpoint row was (targets are
+		// laid out src[0..nb) ‖ dst[0..nb)). Its score was computed
+		// over a zero row and is meaningless: zero the placeholders.
+		bad := map[int]bool{}
+		for _, i := range degraded {
+			bad[i%nb] = true
 		}
-		ar := tensor.GetArena()
-		hSrc := ar.Wrap(slab[:nb*d], nb, d)
-		hDst := ar.Wrap(slab[nb*d:], nb, d)
-		resp = scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
-		tensor.PutArena(ar)
-		if len(degraded) > 0 {
-			// A pair is degraded if either endpoint row was (targets are
-			// laid out src[0..nb) ‖ dst[0..nb)). Its score was computed
-			// over a zero row and is meaningless: zero the placeholders.
-			bad := map[int]bool{}
-			for _, i := range degraded {
-				bad[i%nb] = true
+		for i := range resp.Logits {
+			if bad[i] {
+				resp.Logits[i], resp.Probs[i] = 0, 0
+				resp.Degraded = append(resp.Degraded, i)
 			}
-			for i := range resp.Logits {
-				if bad[i] {
-					resp.Logits[i], resp.Probs[i] = 0, 0
-					resp.Degraded = append(resp.Degraded, i)
-				}
-			}
-			resp.Partial = true
-			writeJSONStatus(w, http.StatusPartialContent, resp)
-			return
 		}
-	default:
-		// Full arena hot path: embed src‖dst, split, score — zero heap
-		// allocations in the engine once the pooled arenas are warm.
-		ar := tensor.GetArena()
-		h := s.engine.EmbedWith(ar, nodes, ts)
-		hSrc := ar.Wrap(h.Data()[:nb*d], nb, d)
-		hDst := ar.Wrap(h.Data()[nb*d:], nb, d)
-		resp = scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
-		tensor.PutArena(ar)
+		resp.Partial = true
+		writeJSONStatus(w, http.StatusPartialContent, resp)
+		return
 	}
 	writeJSON(w, resp)
 }
@@ -658,8 +596,8 @@ type statsResponse struct {
 	HitRate    float64      `json:"hit_rate"`
 	Cache      cacheSection `json:"cache"`
 	// CacheLayers breaks the cache section down per memoized layer
-	// (summed across shards in sharded mode); deep layers (>= 2) only
-	// appear when serving a model with -layers >= 3.
+	// (summed across cores); deep layers (>= 2) only appear when
+	// serving a model with -layers >= 3.
 	CacheLayers []core.LayerCacheStats `json:"cache_layers,omitempty"`
 	Requests    int64                  `json:"requests"`
 	Ingested    int64                  `json:"ingested"`
@@ -716,15 +654,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	et := s.engineTotals()
 	resp := statsResponse{
 		NumNodes:      s.dyn.NumNodes(),
 		NumEdges:      s.dyn.NumEdges(),
 		MaxTime:       s.dyn.MaxTime(),
-		CacheItems:    s.cacheLen(),
-		CacheBytes:    s.cacheBytes(),
+		CacheItems:    et.items,
+		CacheBytes:    et.bytes,
 		HitRate:       s.hitRate.Average(),
-		Cache:         cacheSection{s.cacheStats(), s.topMemoStats()},
-		CacheLayers:   s.layerCacheStats(),
+		Cache:         cacheSection{et.cache, et.topMemo},
+		CacheLayers:   et.layers,
 		Requests:      s.requests.Load(),
 		Ingested:      s.ingested.Load(),
 		InFlight:      s.inflight.Load(),
@@ -743,15 +682,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LateAccepted:    s.dyn.LateAccepted(),
 			LateDropped:     s.dyn.LateDropped(),
 			Invalidated:     s.invalidated.Load(),
-			StaleStoreSkips: s.staleStoreSkips(),
+			StaleStoreSkips: et.staleSkips,
 		},
 		Model:    s.modelStatsJSON(),
-		Stages:   s.stageStatsJSON(),
-		Batching: s.batchStatsJSON(),
-	}
-	if s.router != nil {
-		rs := s.router.Stats()
-		resp.Shards = &rs
+		Stages:   et.stageStatsJSON(),
+		Batching: s.batchTotals().json(),
+		Shards:   s.shardHealth(),
 	}
 	writeJSON(w, resp)
 }

@@ -118,7 +118,7 @@ func TestServeEmbedMatchesEngineDirectly(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
-	want := s.engine.Embed([]int32{5}, []float64{3})
+	want := s.Engine().Embed([]int32{5}, []float64{3})
 	for j := 0; j < 16; j++ {
 		if er.Embeddings[0][j] != want.At(0, j) {
 			t.Fatalf("served embedding differs at %d", j)

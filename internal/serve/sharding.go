@@ -3,12 +3,10 @@ package serve
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
-	"tgopt/internal/stats"
 	"tgopt/internal/tgat"
 )
 
@@ -23,185 +21,42 @@ import (
 // cache capacities are derived from it so total footprint matches the
 // unsharded deployment.
 func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg shard.Config) (*Server, error) {
-	s := &Server{
-		dyn:     dyn,
-		model:   model,
-		hitRate: stats.NewHitRate(10),
-	}
-	s.modelVersion.Store(opt.ModelVersion)
-	cfg.ModelVersion = opt.ModelVersion // pool and server agree on the boot version
-	opt.HitRate = s.hitRate             // concurrency-safe; shared across shards
+	s := newServer(model, dyn, opt.ModelVersion)
+	opt.HitRate = s.hitRate // concurrency-safe; shared across shards
 	r, err := shard.NewRouter(model, dyn, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.router = r
+	s.backend = r
 	return s, nil
 }
 
 // Router exposes the shard router in sharded mode (nil otherwise).
-func (s *Server) Router() *shard.Router { return s.router }
+func (s *Server) Router() *shard.Router {
+	r, _ := s.backend.(*shard.Router)
+	return r
+}
 
 // Sharded reports whether this server scatter-gathers across a shard
 // pool.
-func (s *Server) Sharded() bool { return s.router != nil }
+func (s *Server) Sharded() bool { return s.Router() != nil }
 
-// The helpers below make cache/engine introspection mode-agnostic:
-// single-engine mode reads the one engine, sharded mode aggregates
-// across the pool.
-
-func (s *Server) cacheLen() int {
-	if s.router != nil {
-		return s.router.CacheLen()
+// shardHealth snapshots the pool's per-shard breaker/crash/restart
+// state and the router's hedge/degradation counters — what a Router
+// has and a single Core does not. Nil on an unsharded server.
+func (s *Server) shardHealth() *shard.RouterStats {
+	r := s.Router()
+	if r == nil {
+		return nil
 	}
-	return s.engine.CacheLen()
-}
-
-func (s *Server) cacheBytes() int64 {
-	if s.router != nil {
-		return s.router.CacheBytes()
-	}
-	return s.engine.CacheBytes()
-}
-
-func (s *Server) cacheStats() core.CacheStats {
-	if s.router != nil {
-		return s.router.CacheStats()
-	}
-	return s.engine.CacheStats()
-}
-
-func (s *Server) layerCacheStats() []core.LayerCacheStats {
-	if s.router != nil {
-		return s.router.LayerCacheStats()
-	}
-	return s.engine.LayerCacheStats()
-}
-
-func (s *Server) topMemoStats() core.TopMemoStats {
-	if s.router != nil {
-		return s.router.TopMemoStats()
-	}
-	return s.engine.TopMemoStats()
-}
-
-func (s *Server) staleStoreSkips() int64 {
-	if s.router != nil {
-		return s.router.StaleStoreSkips()
-	}
-	return s.engine.StaleStoreSkips()
-}
-
-// stageSnapshots returns per-stage latency snapshots: the single
-// engine's histograms, or bucket-wise merges across every live shard
-// (per-shard histogram geometry is identical, so counts add).
-func (s *Server) stageSnapshots() map[string]stats.HistogramSnapshot {
-	if s.router == nil {
-		out := make(map[string]stats.HistogramSnapshot, len(core.Stages))
-		for st, h := range s.engine.StageStats() {
-			out[st] = h.Snapshot()
-		}
-		return out
-	}
-	out := make(map[string]stats.HistogramSnapshot, len(core.Stages))
-	for _, eng := range s.router.Engines() {
-		for st, h := range eng.StageStats() {
-			snap := h.Snapshot()
-			agg, ok := out[st]
-			if !ok {
-				out[st] = snap
-				continue
-			}
-			agg.Count += snap.Count
-			agg.Sum += snap.Sum
-			for i := range agg.Counts {
-				agg.Counts[i] += snap.Counts[i]
-			}
-			out[st] = agg
-		}
-	}
-	return out
-}
-
-// snapshotQuantile mirrors stats.Histogram.Quantile over a (possibly
-// merged) snapshot: the upper bound of the first bucket whose
-// cumulative count reaches q·Count.
-func snapshotQuantile(h stats.HistogramSnapshot, q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.Count))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			return h.Bounds[i]
-		}
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
-// stageStatsJSON renders the per-stage latency snapshots for /v1/stats.
-func (s *Server) stageStatsJSON() map[string]stageStats {
-	snaps := s.stageSnapshots()
-	out := make(map[string]stageStats, len(snaps))
-	for st, h := range snaps {
-		out[st] = stageStats{
-			Count:   h.Count,
-			TotalMs: float64(h.Sum) / float64(time.Millisecond),
-			P50us:   float64(snapshotQuantile(h, 0.5)) / float64(time.Microsecond),
-			P90us:   float64(snapshotQuantile(h, 0.9)) / float64(time.Microsecond),
-			P99us:   float64(snapshotQuantile(h, 0.99)) / float64(time.Microsecond),
-		}
-	}
-	return out
-}
-
-// writeLayerCacheMetrics renders the per-layer memo-cache breakdown as
-// layer-labeled series (summed across shards in sharded mode). The
-// per-layer families are named tgopt_cache_layer_* — distinct from the
-// unlabeled tgopt_cache_* aggregates so each Prometheus family stays
-// either fully labeled or fully unlabeled.
-func (s *Server) writeLayerCacheMetrics(b *strings.Builder) {
-	layers := s.layerCacheStats()
-	if len(layers) == 0 {
-		return
-	}
-	for _, series := range []struct {
-		name, help string
-		value      func(core.LayerCacheStats) float64
-	}{
-		{"tgopt_cache_layer_entries", "Memoized embeddings resident in RAM for the layer.", func(v core.LayerCacheStats) float64 { return float64(v.Items) }},
-		{"tgopt_cache_layer_bytes", "Approximate RAM footprint of the layer's cache.", func(v core.LayerCacheStats) float64 { return float64(v.Bytes) }},
-		{"tgopt_cache_layer_lookups_total", "Layer cache lookups.", func(v core.LayerCacheStats) float64 { return float64(v.Lookups) }},
-		{"tgopt_cache_layer_hits_total", "Layer cache hits (RAM tier).", func(v core.LayerCacheStats) float64 { return float64(v.Hits) }},
-		{"tgopt_cache_layer_misses_total", "Layer cache misses.", func(v core.LayerCacheStats) float64 { return float64(v.Misses) }},
-		{"tgopt_cache_layer_spill_hits_total", "Layer lookups served from the disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.SpillHits) }},
-		{"tgopt_cache_layer_admit_rejected_total", "Layer stores rejected by TinyLFU admission.", func(v core.LayerCacheStats) float64 { return float64(v.AdmitRejected) }},
-		{"tgopt_cache_layer_spill_entries", "Entries resident in the layer's disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.Spill.Entries) }},
-		{"tgopt_cache_layer_spill_bytes", "Bytes resident in the layer's disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.Spill.Bytes) }},
-	} {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", series.name, series.help, series.name)
-		for _, v := range layers {
-			fmt.Fprintf(b, "%s{layer=\"%d\"} %g\n", series.name, v.Layer, series.value(v))
-		}
-	}
+	st := r.Stats()
+	return &st
 }
 
 // writeShardMetrics renders the shard pool's health onto /metrics:
 // router-level counters plus per-shard labeled series for breaker
 // state and restart accounting.
-func (s *Server) writeShardMetrics(b *strings.Builder, write func(name, help string, value float64)) {
-	st := s.router.Stats()
+func writeShardMetrics(b *strings.Builder, write func(name, help string, value float64), st *shard.RouterStats) {
 	write("tgopt_shards", "Configured shard count.", float64(len(st.Shards)))
 	write("tgopt_shards_healthy", "Shards currently eligible for traffic (not crashed, breaker not open).", float64(st.Healthy))
 	write("tgopt_shard_quorum", "Healthy shards required to accept requests.", float64(st.Quorum))

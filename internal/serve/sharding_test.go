@@ -61,10 +61,8 @@ func waitForServe(t *testing.T, timeout time.Duration, cond func() bool) {
 // per-shard single-flight dedup must demonstrably fire.
 func TestServeShardedEquivalence(t *testing.T) {
 	_, off := testServer(t)
-	sOn, on := shardedServer(t, shard.Config{
-		Shards: 4,
-		Batch:  &batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32},
-	})
+	sOn, on := shardedServer(t, shard.Config{Shards: 4})
+	sOn.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32})
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)
 
@@ -282,7 +280,7 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	// and the pool settles back to full clean 200s. The healthy replicas
 	// can serve that 200 before any rebuild has finished, so wait for
 	// the rebuilds themselves before reading the restart counters.
-	s.router.WaitRestarts()
+	s.Router().WaitRestarts()
 	waitForServe(t, 5*time.Second, func() bool {
 		body, code, err := postBody(on.URL, "/v1/embed", req)
 		return err == nil && code == 200 && bytes.Equal(body, want)
@@ -351,29 +349,7 @@ func (p stallEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 // half-open probes admitted by the quorum check's Eligible semantics).
 func TestServeHealthEndpoints(t *testing.T) {
 	t.Run("lifecycle", func(t *testing.T) {
-		s, ts := testServer(t)
-		if code := getCode(t, ts.URL+"/healthz"); code != 200 {
-			t.Fatalf("/healthz = %d, want 200", code)
-		}
-		if code := getCode(t, ts.URL+"/readyz"); code != 503 {
-			t.Fatalf("/readyz before SetReady = %d, want 503", code)
-		}
-		s.SetReady()
-		if code := getCode(t, ts.URL+"/readyz"); code != 200 {
-			t.Fatalf("/readyz after SetReady = %d, want 200", code)
-		}
-		s.BeginDrain()
-		resp, err := http.Get(ts.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("/readyz draining = %d (Retry-After %q), want 503 with hint", resp.StatusCode, resp.Header.Get("Retry-After"))
-		}
-		if code := getCode(t, ts.URL+"/healthz"); code != 200 {
-			t.Fatal("/healthz must stay 200 while draining")
-		}
+		forEachBackend(t, readyzLifecycle)
 	})
 
 	t.Run("quorum", func(t *testing.T) {
@@ -430,6 +406,35 @@ func TestServeHealthEndpoints(t *testing.T) {
 			t.Fatalf("/readyz after recovery = %d, want 200", code)
 		}
 	})
+}
+
+// readyzLifecycle is the /healthz and /readyz contract that does not
+// depend on shard health: not ready until SetReady, not ready again
+// once draining, alive throughout.
+func readyzLifecycle(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+	s, ts := mk("")
+	if code := getCode(t, ts.URL+"/healthz"); code != 200 {
+		t.Fatalf("/healthz = %d, want 200", code)
+	}
+	if code := getCode(t, ts.URL+"/readyz"); code != 503 {
+		t.Fatalf("/readyz before SetReady = %d, want 503", code)
+	}
+	s.SetReady()
+	if code := getCode(t, ts.URL+"/readyz"); code != 200 {
+		t.Fatalf("/readyz after SetReady = %d, want 200", code)
+	}
+	s.BeginDrain()
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("/readyz draining = %d (Retry-After %q), want 503 with hint", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if code := getCode(t, ts.URL+"/healthz"); code != 200 {
+		t.Fatal("/healthz must stay 200 while draining")
+	}
 }
 
 func getCode(t *testing.T, url string) int {

@@ -7,28 +7,21 @@ import (
 	"time"
 )
 
-// WarmStart loads a cache snapshot saved by a previous process. A
-// missing file is a normal cold start; a corrupt or unreadable one is
-// logged and also starts cold — the engine's LoadCaches is
-// all-or-nothing, so a damaged snapshot never half-populates the cache.
-// A serving process must come up either way, which is why no error is
-// returned.
+// WarmStart loads the cache snapshot a previous process saved: the
+// file at path, or in sharded mode each shard's own under the router's
+// snapshot directory. A missing snapshot is a normal cold start; a
+// corrupt or unreadable one is logged and also starts cold — the
+// engine's LoadCaches is all-or-nothing, so a damaged snapshot never
+// half-populates a cache. A serving process must come up either way,
+// which is why no error is returned.
 func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if s.router != nil {
-		// Sharded mode: each shard warms from its own snapshot in the
-		// router's snapshot directory (path is implied by the router
-		// config; load problems are counted in its snapshot_errors).
-		warmed := s.router.WarmStart()
-		logf("warm-started %d of %d shards (%d memoized embeddings)",
-			warmed, s.router.Shards(), s.router.CacheLen())
-		return
-	}
-	switch err := s.engine.LoadCaches(path); {
+	switch warmed, err := s.backend.WarmStart(path); {
 	case err == nil:
-		logf("warm-started %d memoized embeddings from %s", s.engine.CacheLen(), path)
+		logf("warm-started %d memoized embeddings from %s (%d of %d cores)",
+			s.CacheLen(), path, warmed, len(s.backend.Engines()))
 	case errors.Is(err, fs.ErrNotExist):
 		logf("no warm cache at %s; starting cold", path)
 	default:
@@ -37,22 +30,26 @@ func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
 	}
 }
 
-// saveSnapshot writes the cache snapshot for whichever serving plane
-// is active: the single engine's snapshot at path, or one snapshot per
-// shard in the router's snapshot directory.
-func (s *Server) saveSnapshot(path string) error {
-	if s.router != nil {
-		return s.router.SaveSnapshots()
+// CacheLen returns the memoized embeddings resident across the
+// server's engines.
+func (s *Server) CacheLen() (n int) {
+	for _, eng := range s.backend.Engines() {
+		n += eng.CacheLen()
 	}
-	return s.engine.SaveCaches(path)
+	return n
 }
 
-// StartSnapshots begins periodic background cache snapshots to path
+// SaveSnapshot writes the cache snapshot WarmStart reads: the single
+// engine's at path, or one per shard in the router's snapshot
+// directory. Saves go through the atomic checkpoint writer, so a crash
+// mid-snapshot (or a snapshot racing ingestion) always leaves the
+// previous snapshot intact on disk.
+func (s *Server) SaveSnapshot(path string) error { return s.backend.SaveSnapshot(path) }
+
+// StartSnapshots begins periodic background SaveSnapshot calls to path
 // and returns a stop function that halts the snapshotter and waits for
-// any in-progress save. Saves go through the atomic checkpoint writer,
-// so a crash mid-snapshot (or a snapshot racing ingestion) always
-// leaves the previous snapshot intact on disk. Failures are counted
-// (snapshot_errors in /v1/stats) and logged, never fatal.
+// any in-progress save. Failures are counted (snapshot_errors in
+// /v1/stats) and logged, never fatal.
 func (s *Server) StartSnapshots(path string, interval time.Duration, logf func(format string, args ...any)) (stop func()) {
 	if path == "" || interval <= 0 {
 		return func() {}
@@ -60,6 +57,21 @@ func (s *Server) StartSnapshots(path string, interval time.Duration, logf func(f
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	return every(interval, func() {
+		if err := s.SaveSnapshot(path); err != nil {
+			s.snapshotErrors.Add(1)
+			logf("cache snapshot to %s failed: %v", path, err)
+		} else {
+			s.snapshotSaves.Add(1)
+		}
+	})
+}
+
+// every runs tick on its own goroutine once per interval — the
+// snapshotter's and the swap loop's cadence — until the returned stop
+// is called. stop waits out a tick in progress and may be called more
+// than once.
+func every(interval time.Duration, tick func()) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -72,12 +84,7 @@ func (s *Server) StartSnapshots(path string, interval time.Duration, logf func(f
 			case <-done:
 				return
 			case <-t.C:
-				if err := s.saveSnapshot(path); err != nil {
-					s.snapshotErrors.Add(1)
-					logf("cache snapshot to %s failed: %v", path, err)
-				} else {
-					s.snapshotSaves.Add(1)
-				}
+				tick()
 			}
 		}
 	}()

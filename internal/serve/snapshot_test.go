@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,26 +33,31 @@ func warmCache(t *testing.T, s *Server, url string) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("embed failed: %d %s", resp.StatusCode, body)
 	}
-	if s.Engine().CacheLen() == 0 {
+	if s.CacheLen() == 0 {
 		t.Fatal("embed requests populated no cache entries")
 	}
 }
 
+// TestServeWarmStartRoundTrip: what SaveSnapshot writes, WarmStart of a
+// second process in the same mode restores — one file for a single
+// core, a directory of per-shard snapshots for a pool.
 func TestServeWarmStartRoundTrip(t *testing.T) {
-	s, ts := testServer(t)
-	warmCache(t, s, ts.URL)
-	path := filepath.Join(t.TempDir(), "cache.bin")
-	if err := s.Engine().SaveCaches(path); err != nil {
-		t.Fatal(err)
-	}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		path := filepath.Join(t.TempDir(), "cache.bin")
+		s, ts := mk(path)
+		warmCache(t, s, ts.URL)
+		if err := s.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
 
-	s2, ts2 := testServer(t)
-	ingest(t, ts2.URL, snapshotEdges())
-	var lines []string
-	s2.WarmStart(path, func(f string, a ...any) { lines = append(lines, f) })
-	if got, want := s2.Engine().CacheLen(), s.Engine().CacheLen(); got != want {
-		t.Fatalf("warm start restored %d entries, want %d (log: %v)", got, want, lines)
-	}
+		s2, ts2 := mk(path)
+		ingest(t, ts2.URL, snapshotEdges())
+		var lines []string
+		s2.WarmStart(path, func(f string, a ...any) { lines = append(lines, f) })
+		if got, want := s2.CacheLen(), s.CacheLen(); got != want {
+			t.Fatalf("warm start restored %d entries, want %d (log: %v)", got, want, lines)
+		}
+	})
 }
 
 // TestServeWarmStartColdOnMissingAndCorrupt: the serving process must

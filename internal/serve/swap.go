@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sync"
 	"time"
 
 	"tgopt/internal/checkpoint"
@@ -44,42 +43,33 @@ func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
 
 // SwapParams atomically swaps the serving model to the params
 // checkpoint at path, as the given version. Prepare-then-commit: the
-// checkpoint is parsed and fully validated (envelope CRC, tensor count,
-// every shape) before any serving state is touched, so a corrupt or
-// torn snapshot rolls back trivially — nothing was mutated, the
-// previous version keeps serving, and the attempt is counted in
-// rollbacks. The commit runs under the server's request gate (no
-// in-flight embed/score/ingest/explain straddles it) plus the engine or
-// pool barrier underneath, and re-derives every params-dependent
-// structure: precomputed time tables, and the memo caches across hot
-// tier, spill segments, and pending promotions (stamped with the new version
-// so pre-swap spill segments read as misses even after a restart).
+// backend parses and fully validates the checkpoint (envelope CRC,
+// tensor count, every shape — once per shard, through each shard's own
+// file system, in a pool) with nothing locked and traffic flowing, so a
+// corrupt or torn snapshot rolls back trivially — nothing was mutated,
+// the previous version keeps serving, and the attempt is counted in
+// rollbacks. Only the commit runs under the server's request gate (no
+// in-flight embed/score/ingest/explain straddles it) plus the backend's
+// barriers underneath, and re-derives every params-dependent structure:
+// precomputed time tables, and the memo caches across hot tier, spill
+// segments, and pending promotions (stamped with the new version so
+// pre-swap spill segments read as misses even after a restart).
 //
-// In sharded mode the pool reads the checkpoint through its own
-// configured file system (shard.Config.FS / SwapFS) and fsys only
-// covers the single-engine path; pass checkpoint.OS{} (or nil) outside
-// tests.
+// fsys is the file system path is read through (nil: checkpoint.OS);
+// fault tests inject faultfs.
 func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) error {
-	if s.router != nil {
-		s.swapGate.Lock()
-		err := s.router.SwapParams(path, version)
-		s.swapGate.Unlock()
-		if err != nil {
-			s.rollbacks.Add(1)
-			return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
-				version, s.modelVersion.Load(), err)
-		}
-	} else {
-		sp, err := s.model.ParseParamsFS(fsys, path)
-		if err != nil {
-			s.rollbacks.Add(1)
-			return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
-				version, s.modelVersion.Load(), err)
-		}
-		s.swapGate.Lock()
-		s.engine.SwapParams(version, func() { s.model.ApplyParams(sp) })
-		s.swapGate.Unlock()
+	if fsys == nil {
+		fsys = checkpoint.OS{}
 	}
+	sp, err := s.backend.PrepareSwap(fsys, path)
+	if err != nil {
+		s.rollbacks.Add(1)
+		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
+			version, s.modelVersion.Load(), err)
+	}
+	s.swapGate.Lock()
+	s.backend.CommitSwap(sp, version)
+	s.swapGate.Unlock()
 	s.modelVersion.Store(version)
 	s.swaps.Add(1)
 	s.lastSwapUnix.Store(time.Now().Unix())
@@ -119,26 +109,7 @@ func (s *Server) StartSwapLoop(cfg SwapConfig) (stop func()) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				s.swapTick(cfg)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
+	return every(cfg.Interval, func() { s.swapTick(cfg) })
 }
 
 // swapTick is one loop iteration: train-publish-swap, or poll-swap.

@@ -244,7 +244,7 @@ func TestChaosRestartFromSnapshot(t *testing.T) {
 			if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.SaveSnapshots(); err != nil {
+			if err := r.SaveSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
 			if corrupt {

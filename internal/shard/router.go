@@ -26,7 +26,7 @@ var ErrNoQuorum = errors.New("shard: healthy shards below quorum")
 // Config sizes the shard pool and its robustness envelope.
 type Config struct {
 	// Shards is the number of failure domains (>= 2; a single-engine
-	// deployment should use core.Engine directly).
+	// deployment holds one Core directly).
 	Shards int
 	// Quorum is the minimum number of healthy shards required to accept
 	// a request at all (default 1 — availability-first: serve whatever
@@ -39,10 +39,6 @@ type Config struct {
 	HedgeDelay time.Duration
 	// Breaker configures every shard's circuit breaker.
 	Breaker BreakerConfig
-	// Batch, when non-nil, gives every shard its own single-flight
-	// batcher with this config (targets always hash to the same
-	// primary, so dedup keeps working across requests in sharded mode).
-	Batch *batcher.Config
 	// SnapshotDir, when non-empty, is where per-shard cache snapshots
 	// (shard-N.tgc) and their edge-log positions (shard-N.pos) live.
 	SnapshotDir string
@@ -50,15 +46,11 @@ type Config struct {
 	// fault tests inject faultfs.FS.
 	FS checkpoint.FS
 	// SwapFS, when non-nil, overrides the file system one shard's
-	// prepare phase reads a params checkpoint through during
-	// SwapParams (nil return falls back to FS). Fault tests inject a
-	// bit-flipping faultfs for exactly one shard to prove the
-	// all-or-nothing rollback.
+	// PrepareSwap reads a params checkpoint through (nil return falls
+	// back to the caller's). Fault tests inject a bit-flipping faultfs
+	// for exactly one shard to prove the all-or-nothing rollback.
 	SwapFS func(shard int) checkpoint.FS
-	// ModelVersion is the params version the pool boots serving (see
-	// core.Options.ModelVersion); SwapParams advances it.
-	ModelVersion uint64
-	// WrapEmbedder, when non-nil, wraps each shard's engine before the
+	// WrapEmbedder, when non-nil, wraps each shard's engine before a
 	// batcher is attached — the chaos tests use it to inject panics
 	// into exactly one failure domain.
 	WrapEmbedder func(shard int, e core.Embedder) core.Embedder
@@ -101,6 +93,9 @@ type Router struct {
 	opt   core.Options // per-shard options (cache limits already divided)
 	cfg   Config
 	dim   int
+	// batch is the per-core batcher config SetBatching recorded, nil
+	// while batching is off; supervisor rebuilds read it.
+	batch *batcher.Config
 
 	numNodes int
 	lateness float64
@@ -117,9 +112,9 @@ type Router struct {
 	// swapMu is the pool-wide hot-swap barrier: Embed holds the read
 	// side across its whole scatter-gather (no response ever mixes
 	// rows from two model versions) and so does a supervisor rebuild
-	// (a core built mid-commit would pack stale weights); SwapParams'
-	// commit phase takes the write side. Lock order: swapMu before
-	// ingestMu before any engine's swap gate — never the reverse.
+	// (a core built mid-commit would pack stale weights); CommitSwap
+	// takes the write side. Lock order: swapMu before ingestMu before
+	// any engine's swap gate — never the reverse.
 	swapMu  sync.RWMutex
 	version atomic.Uint64
 
@@ -158,11 +153,10 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		return nil, fmt.Errorf("shard: need at least 2 shards, got %d", cfg.Shards)
 	}
 	cfg = cfg.withDefaults()
-	opt.TrackTargets = true
 	if opt.CacheLimit <= 0 {
 		opt.CacheLimit = 2_000_000 // engine default, divided below
 	}
-	opt.CacheLimit = maxInt(1, opt.CacheLimit/cfg.Shards)
+	opt.CacheLimit = max(1, opt.CacheLimit/cfg.Shards)
 	if opt.CacheBudgetBytes > 0 {
 		opt.CacheBudgetBytes /= int64(cfg.Shards)
 	}
@@ -180,7 +174,7 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		log:      append([]graph.Edge(nil), dyn.Edges()...),
 	}
 	r.rebuildDone.L = &r.rebuildMu
-	r.version.Store(cfg.ModelVersion)
+	r.version.Store(opt.ModelVersion) // the boot version; CommitSwap advances it
 	if cfg.SnapshotDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 			return nil, fmt.Errorf("shard: snapshot dir: %w", err)
@@ -198,18 +192,11 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	return r, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// buildCore constructs one shard's replica + engine + batcher from a
+// buildCore constructs one shard's replica and the Core over it from a
 // prefix of the edge log. Engine construction panics (bad spill dir,
 // …) are converted to errors so a failed rebuild cannot take the
 // supervisor down with it.
-func (r *Router) buildCore(id int, prefix []graph.Edge) (c *shardCore, err error) {
+func (r *Router) buildCore(id int, prefix []graph.Edge) (c *Core, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
@@ -234,30 +221,29 @@ func (r *Router) buildCore(id int, prefix []graph.Edge) (c *shardCore, err error
 	// the restart path hold swapMu's read side, which keeps this
 	// consistent with the shared tensors across the build.
 	opt.ModelVersion = r.version.Load()
-	sampler := graph.NewDynamicSampler(dyn, r.model.Cfg.NumNeighbors, graph.MostRecent, 0)
-	eng := core.NewEngine(r.model, sampler, opt)
-	emb := core.Embedder(eng)
+	c = NewCore(r.model, dyn, opt)
 	if r.cfg.WrapEmbedder != nil {
-		emb = r.cfg.WrapEmbedder(id, emb)
+		c.emb = r.cfg.WrapEmbedder(id, c.emb)
 	}
-	sc := &shardCore{dyn: dyn, eng: eng, emb: emb}
-	if r.cfg.Batch != nil {
-		sc.bat = batcher.New(emb, r.dim, *r.cfg.Batch)
-		eng.SetInvalidationHook(func(u, v int32, t float64) {
-			sc.bat.RetireTargets([]int32{u, v}, t)
-		})
+	if r.batch != nil {
+		c.SetBatching(*r.batch)
 	}
-	return sc, nil
+	return c, nil
+}
+
+// SetBatching gives every core its own single-flight batcher (targets
+// always hash to the same primary, so dedup keeps working across
+// requests) and records cfg for the cores supervisor restarts build.
+// Call before traffic, like Core.SetBatching.
+func (r *Router) SetBatching(cfg batcher.Config) {
+	r.batch = &cfg
+	for _, s := range r.shards {
+		s.currentCore().SetBatching(cfg)
+	}
 }
 
 // Dim returns the embedding width of gathered rows.
 func (r *Router) Dim() int { return r.dim }
-
-// Shards returns the pool size.
-func (r *Router) Shards() int { return len(r.shards) }
-
-// Quorum returns the healthy-shard count required to accept requests.
-func (r *Router) Quorum() int { return r.cfg.Quorum }
 
 // Owner returns the primary shard for a node id (exposed for tests and
 // introspection).
@@ -274,17 +260,27 @@ func (r *Router) HealthyShards() int {
 	return n
 }
 
-// Embed scatters (nodes, ts) across the pool by ring owner and gathers
-// the rows back in exact input order. Shard failures degrade the
-// affected rows (Result.Degraded, zero-filled slab regions) instead of
-// failing the request; only a below-quorum pool (ErrNoQuorum) or the
-// caller's own context expiring fail the whole call.
+// Embed is EmbedRows gathered into a Result.
 func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Result, error) {
+	slab, degraded, err := r.EmbedRows(ctx, nodes, ts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Slab: slab, Degraded: degraded, Partial: len(degraded) > 0}, nil
+}
+
+// EmbedRows scatters (nodes, ts) across the pool by ring owner and
+// gathers the rows back in exact input order as one len(nodes)×dim
+// slab. Shard failures degrade the affected rows (listed in degraded,
+// their slab regions zero) instead of failing the request; only a
+// below-quorum pool (ErrNoQuorum) or the caller's own context expiring
+// fail the whole call.
+func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error) {
 	if len(nodes) != len(ts) {
-		return nil, fmt.Errorf("shard: %d nodes vs %d times", len(nodes), len(ts))
+		return nil, nil, fmt.Errorf("shard: %d nodes vs %d times", len(nodes), len(ts))
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The whole scatter-gather runs under the pool swap barrier: a
 	// params swap committing between two legs of one request would
@@ -293,11 +289,11 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 	defer r.swapMu.RUnlock()
 	if h := r.HealthyShards(); h < r.cfg.Quorum {
 		r.quorumRejects.Add(1)
-		return nil, fmt.Errorf("%w: %d healthy of %d, quorum %d", ErrNoQuorum, h, len(r.shards), r.cfg.Quorum)
+		return nil, nil, fmt.Errorf("%w: %d healthy of %d, quorum %d", ErrNoQuorum, h, len(r.shards), r.cfg.Quorum)
 	}
-	res := &Result{Slab: make([]float32, len(nodes)*r.dim)}
+	slab = make([]float32, len(nodes)*r.dim)
 	if len(nodes) == 0 {
-		return res, nil
+		return slab, nil, nil
 	}
 
 	// Group target indices by primary shard.
@@ -312,9 +308,8 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 	}
 
 	var (
-		mu       sync.Mutex
-		degraded []int
-		wg       sync.WaitGroup
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
 	leg := func(sid int, idxs []int) {
 		gn := make([]int32, len(idxs))
@@ -334,7 +329,7 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 		}
 		d := r.dim
 		for j, i := range idxs {
-			copy(res.Slab[i*d:(i+1)*d], rows[j*d:(j+1)*d])
+			copy(slab[i*d:(i+1)*d], rows[j*d:(j+1)*d])
 		}
 	}
 	// The last non-empty leg runs on the caller's goroutine: it would
@@ -356,15 +351,13 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 	if err := ctx.Err(); err != nil {
 		// The caller's own deadline/cancel expired; partials would be
 		// misleading (legs were cut short, not shards unhealthy).
-		return nil, err
+		return nil, nil, err
 	}
 	if len(degraded) > 0 {
 		sort.Ints(degraded)
-		res.Degraded = degraded
-		res.Partial = true
 		r.partials.Add(1)
 	}
-	return res, nil
+	return slab, degraded, nil
 }
 
 // legContext budgets one scatter leg at 90% of the caller's remaining
@@ -527,7 +520,7 @@ func (r *Router) Apply(e graph.Edge, want graph.IngestResult) (invalidated int) 
 // applyToCore ingests one edge into a replica and runs the matching
 // cache invalidation, counting divergence from the authoritative
 // outcome.
-func applyToCore(c *shardCore, e graph.Edge, want graph.IngestResult, divergence *atomic.Int64) int {
+func applyToCore(c *Core, e graph.Edge, want graph.IngestResult, divergence *atomic.Int64) int {
 	res, _, err := c.dyn.Ingest(e)
 	if err != nil {
 		if divergence != nil {
@@ -538,67 +531,60 @@ func applyToCore(c *shardCore, e graph.Edge, want graph.IngestResult, divergence
 	if divergence != nil && res != want {
 		divergence.Add(1)
 	}
-	switch res {
-	case graph.IngestAppended:
-		return c.eng.InvalidateAppend(e.Src, e.Dst, e.Time)
-	case graph.IngestLate:
-		return c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
-	}
-	return 0
+	return c.Apply(e, res)
 }
 
 // ParamsVersion returns the model version the pool currently serves.
 func (r *Router) ParamsVersion() uint64 { return r.version.Load() }
 
-// SwapParams atomically swaps the whole pool to the params checkpoint
-// at path, as the given version, in two phases:
-//
-// Prepare: every shard parses and validates its own read of the
-// checkpoint through its own file system (Config.SwapFS). Validation
-// covers the envelope CRC, the tensor count, and every shape, so a
-// nil-error prepare means the commit below cannot fail. Any shard
-// failing — a bit-flipped replica of the file, a torn read — aborts
-// the swap before anything mutates: all-or-nothing, the old version
-// keeps serving everywhere.
-//
-// Commit: under the pool swap barrier (in-flight scatter-gathers and
-// supervisor rebuilds drained, new ones blocked) and every live
-// engine's own swap gate, the shared model's tensors are rewritten
-// once and each engine re-derives its version-dependent state —
-// re-built time tables, memo caches dropped and re-stamped across hot
-// tier, spill, and pending promotes
-// (core.Engine.FinishSwap). Crashed shards are absent by design:
-// their supervisor rebuild reads the shared model and the advanced
-// pool version, so they come back on the new parameters.
-func (r *Router) SwapParams(path string, version uint64) error {
-	staged := make([]*tgat.StagedParams, len(r.shards))
+// PrepareSwap is the first phase of swapping the whole pool to the
+// params checkpoint at path: every shard parses and validates its own
+// read of the file through its own file system (Config.SwapFS, else
+// fsys). Validation covers the envelope CRC, the tensor count, and
+// every shape, so a nil error means CommitSwap cannot fail. Any shard
+// failing — a bit-flipped replica of the file, a torn read — aborts the
+// swap before anything mutates: all-or-nothing, the old version keeps
+// serving everywhere. Nothing is locked, so traffic flows meanwhile.
+func (r *Router) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParams, error) {
+	var staged *tgat.StagedParams
 	for i := range r.shards {
-		fsys := r.cfg.FS
+		shardFS := fsys
 		if r.cfg.SwapFS != nil {
 			if f := r.cfg.SwapFS(i); f != nil {
-				fsys = f
+				shardFS = f
 			}
 		}
-		sp, err := r.model.ParseParamsFS(fsys, path)
+		sp, err := r.model.ParseParamsFS(shardFS, path)
 		if err != nil {
-			return fmt.Errorf("shard: swap prepare failed on shard %d, rolled back pool-wide: %w", i, err)
+			return nil, fmt.Errorf("shard: swap prepare failed on shard %d, rolled back pool-wide: %w", i, err)
 		}
-		staged[i] = sp
+		// All prepares validated against the same architecture, so any
+		// staged copy commits; they are byte-identical when every
+		// replica of the file is intact.
+		if staged == nil {
+			staged = sp
+		}
 	}
+	return staged, nil
+}
 
+// CommitSwap is the second phase: under the pool swap barrier
+// (in-flight scatter-gathers and supervisor rebuilds drained, new ones
+// blocked) and every live engine's own swap gate, the shared model's
+// tensors are rewritten once and each engine re-derives its
+// version-dependent state — re-built time tables, memo caches dropped
+// and re-stamped across hot tier, spill, and pending promotes
+// (core.Engine.FinishSwap). Crashed shards are absent by design: their
+// supervisor rebuild reads the shared model and the advanced pool
+// version, so they come back on the new parameters.
+func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
-	var locked []*core.Engine
-	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			c.eng.SwapLock()
-			locked = append(locked, c.eng)
-		}
+	locked := r.Engines()
+	for _, eng := range locked {
+		eng.SwapLock()
 	}
-	// All prepares validated against the same architecture, so any
-	// staged copy commits; they are byte-identical when every replica
-	// of the file is intact.
-	r.model.ApplyParams(staged[0])
+	r.model.ApplyParams(sp)
 	for _, eng := range locked {
 		eng.FinishSwap(version)
 	}
@@ -606,7 +592,6 @@ func (r *Router) SwapParams(path string, version uint64) error {
 		locked[i].SwapUnlock()
 	}
 	r.version.Store(version)
-	return nil
 }
 
 // RouterStats is the router-level health snapshot for /v1/stats.
@@ -652,24 +637,10 @@ func (r *Router) Stats() RouterStats {
 	for _, s := range r.shards {
 		st.Shards = append(st.Shards, s.status())
 	}
-	if r.cfg.Batch != nil {
+	if r.batch != nil {
 		agg := &batcher.Snapshot{}
-		for _, s := range r.shards {
-			c := s.currentCore()
-			if c == nil || c.bat == nil {
-				continue
-			}
-			b := c.bat.Stats()
-			agg.Enqueued += b.Enqueued
-			agg.Coalesced += b.Coalesced
-			agg.Batches += b.Batches
-			agg.FlushSize += b.FlushSize
-			agg.FlushWindow += b.FlushWindow
-			agg.FlushIdle += b.FlushIdle
-			agg.FlushDrain += b.FlushDrain
-			agg.Panics += b.Panics
-			agg.RetireCalls += b.RetireCalls
-			agg.Retired += b.Retired
+		for _, b := range r.Batchers() {
+			agg.Add(b.Stats())
 		}
 		st.Batching = agg
 	}
@@ -677,7 +648,7 @@ func (r *Router) Stats() RouterStats {
 }
 
 // Engines returns the live shards' engines (crashed shards omitted) —
-// the serving layer aggregates stage-latency histograms across them.
+// the serving layer sums cache, memo and stage figures across them.
 func (r *Router) Engines() []*core.Engine {
 	out := make([]*core.Engine, 0, len(r.shards))
 	for _, s := range r.shards {
@@ -688,90 +659,30 @@ func (r *Router) Engines() []*core.Engine {
 	return out
 }
 
-// CacheLen sums live memo entries across the pool.
-func (r *Router) CacheLen() int {
-	n := 0
+// Batchers returns the live shards' batchers, none while batching is
+// off.
+func (r *Router) Batchers() []*batcher.Batcher {
+	var out []*batcher.Batcher
 	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			n += c.eng.CacheLen()
+		if c := s.currentCore(); c != nil && c.bat != nil {
+			out = append(out, c.bat)
 		}
 	}
-	return n
-}
-
-// CacheBytes sums resident memo bytes across the pool.
-func (r *Router) CacheBytes() int64 {
-	var n int64
-	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			n += c.eng.CacheBytes()
-		}
-	}
-	return n
-}
-
-// CacheStats sums the tiered-cache counters across the pool.
-func (r *Router) CacheStats() core.CacheStats {
-	var agg core.CacheStats
-	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			agg.Add(c.eng.CacheStats())
-		}
-	}
-	return agg
-}
-
-// LayerCacheStats merges the per-layer cache counters across the pool:
-// every shard runs the same cached-layer layout, so same-layer sections
-// add field by field. Returned in layer order.
-func (r *Router) LayerCacheStats() []core.LayerCacheStats {
-	var out []core.LayerCacheStats
-	for _, s := range r.shards {
-		c := s.currentCore()
-		if c == nil {
-			continue
-		}
-		for _, ls := range c.eng.LayerCacheStats() {
-			merged := false
-			for i := range out {
-				if out[i].Layer == ls.Layer {
-					out[i].Items += ls.Items
-					out[i].Bytes += ls.Bytes
-					out[i].CacheStats.Add(ls.CacheStats)
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				out = append(out, ls)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Layer < out[j].Layer })
 	return out
 }
 
-// TopMemoStats sums the top-layer memo counters across the pool.
-func (r *Router) TopMemoStats() core.TopMemoStats {
-	var agg core.TopMemoStats
-	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			agg.Add(c.eng.TopMemoStats())
-		}
-	}
-	return agg
-}
-
-// StaleStoreSkips sums the append-staleness store rejections across the
-// pool.
-func (r *Router) StaleStoreSkips() int64 {
-	var n int64
-	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			n += c.eng.StaleStoreSkips()
-		}
+// CacheLen sums live memo entries across the pool.
+func (r *Router) CacheLen() int {
+	n := 0
+	for _, eng := range r.Engines() {
+		n += eng.CacheLen()
 	}
 	return n
+}
+
+// LayerCacheStats merges the per-layer cache counters across the pool.
+func (r *Router) LayerCacheStats() []core.LayerCacheStats {
+	return MergeLayerCacheStats(r.Engines())
 }
 
 // Close tears the pool down: waits out in-flight restarts, then closes
@@ -782,7 +693,7 @@ func (r *Router) Close() error {
 	var first error
 	for _, s := range r.shards {
 		if c := s.swapCore(nil); c != nil {
-			if err := c.close(); err != nil && first == nil {
+			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -95,6 +95,16 @@ func newTestRouter(t *testing.T, m *tgat.Model, edges []graph.Edge, cfg Config) 
 	return r
 }
 
+// poolTopMemoStats sums the top-layer memo counters over the pool's
+// live engines, as the serving layer does per scrape.
+func poolTopMemoStats(r *Router) core.TopMemoStats {
+	var agg core.TopMemoStats
+	for _, e := range r.Engines() {
+		agg.Add(e.TopMemoStats())
+	}
+	return agg
+}
+
 // embedQuery is a mixed query batch with duplicates and repeated nodes
 // at different times, exercising gather ordering.
 func embedQuery() ([]int32, []float64) {
@@ -144,10 +154,8 @@ func TestRouterBatchedMatchesUnsharded(t *testing.T) {
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
 
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 4,
-		Batch:  &batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 64},
-	})
+	r := newTestRouter(t, m, edges, Config{Shards: 4})
+	r.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 64})
 
 	const reqs = 16
 	errs := make(chan error, reqs)
@@ -396,7 +404,7 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	if _, err := r1.Embed(context.Background(), nodes, ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.SaveSnapshots(); err != nil {
+	if err := r1.SaveSnapshot(dir); err != nil {
 		t.Fatal(err)
 	}
 	if r1.CacheLen() == 0 {
@@ -408,7 +416,7 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	extra := []graph.Edge{{Src: 1, Dst: 5, Time: 850}, {Src: 3, Dst: 9, Time: 950}}
 	all := append(append([]graph.Edge(nil), edges...), extra...)
 	r2 := newTestRouter(t, m, all, Config{Shards: 3, SnapshotDir: dir})
-	if warmed := r2.WarmStart(); warmed != 3 {
+	if warmed, _ := r2.WarmStart(dir); warmed != 3 {
 		t.Fatalf("warmed %d shards, want 3", warmed)
 	}
 	want := referenceSlab(t, m, all, nodes, ts)
@@ -481,7 +489,7 @@ func TestRouterTopMemoAcrossShards(t *testing.T) {
 		}
 		sameSlab(label, res.Slab, want)
 	}
-	if st := r.TopMemoStats(); st.Lookups != 18 || st.Hits != 9 || st.Stores != 9 || st.StaleSkips != 0 {
+	if st := poolTopMemoStats(r); st.Lookups != 18 || st.Hits != 9 || st.Stores != 9 || st.StaleSkips != 0 {
 		t.Fatalf("pool-wide memo counters after ask + re-ask: %+v", st)
 	}
 
@@ -523,13 +531,13 @@ func TestRouterTopMemoAcrossShards(t *testing.T) {
 	// next ask from its memo, and the answer is the post-write one.
 	extra := graph.Edge{Src: 1, Dst: 5, Time: 850}
 	r.Apply(extra, graph.IngestAppended)
-	hits := r.TopMemoStats().Hits
+	hits := poolTopMemoStats(r).Hits
 	res, err := r.Embed(ctx, nodes, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSlab("after the write", res.Slab, referenceSlab(t, m, append(append([]graph.Edge(nil), edges...), extra), nodes, ts))
-	if got := r.TopMemoStats().Hits - hits; got != 0 {
+	if got := poolTopMemoStats(r).Hits - hits; got != 0 {
 		t.Fatalf("first ask after a replicated write hit %d memo rows", got)
 	}
 }

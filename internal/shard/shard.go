@@ -1,11 +1,14 @@
-// Package shard partitions a TGOpt serving engine into N independent
-// failure domains. Each shard owns a complete replica of the edge
-// stream (a private graph.Dynamic), its own engine with private memo
-// caches and arena pool, and — when batching is enabled — its own
-// single-flight batcher. Compute and memo state are partitioned by a
-// consistent hash over node ids; storage is deliberately replicated,
-// which is what lets any shard compute any target bitwise-identically
-// and makes fallback and hedged reads sound.
+// Package shard holds serving's compute plane. A Core is the unit: one
+// engine over one dynamic graph, an optional single-flight batcher, and
+// the embed / invalidate / swap / snapshot operations serving asks of
+// the pair. An unsharded server runs one Core over its graph. A Router
+// partitions serving into N independent failure domains, each a Shard
+// owning a Core over a complete replica of the edge stream (a private
+// graph.Dynamic) with private memo caches and arena pool. Compute and
+// memo state are partitioned by a consistent hash over node ids;
+// storage is deliberately replicated, which is what lets any shard
+// compute any target bitwise-identically and makes fallback and hedged
+// reads sound.
 //
 // A Router scatter-gathers embed calls across the shards under a
 // robustness envelope: per-shard deadline budgets, a rolling-error-rate
@@ -19,55 +22,16 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tgopt/internal/batcher"
-	"tgopt/internal/core"
-	"tgopt/internal/graph"
 	"tgopt/internal/stats"
-	"tgopt/internal/tensor"
 )
-
-// errShardPanic wraps a panic recovered on a shard's direct (unbatched)
-// compute path. The batched path surfaces batcher.ErrPassPanicked
-// instead; isPanic recognizes both.
-var errShardPanic = errors.New("shard: engine pass panicked")
 
 // ErrShardDown is returned for calls that reach a shard whose core has
 // been torn down for restart.
 var ErrShardDown = errors.New("shard: shard is down for restart")
-
-// isPanic reports whether err means the shard's engine panicked (on
-// either the direct or the batched path) — the signal that tears the
-// shard down and triggers a supervisor restart.
-func isPanic(err error) bool {
-	return errors.Is(err, errShardPanic) || errors.Is(err, batcher.ErrPassPanicked)
-}
-
-// shardCore is the replaceable heart of a shard: the edge-stream
-// replica, the engine over it, and the optional batcher. A crash
-// discards the whole core (a panic may have poisoned its locks) and the
-// supervisor swaps in a freshly built one.
-type shardCore struct {
-	dyn *graph.Dynamic
-	eng *core.Engine
-	emb core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
-	bat *batcher.Batcher
-}
-
-// close releases the core's engine resources. A crashed core may be in
-// an arbitrary state, so the close is panic-protected.
-func (c *shardCore) close() (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("shard: core close panicked: %v", rec)
-		}
-	}()
-	return c.eng.Close()
-}
 
 // Shard is one failure domain: a core plus the health machinery the
 // router consults (breaker, latency histogram, crash flags).
@@ -78,7 +42,7 @@ type Shard struct {
 	// coreMu guards the core pointer swap on restart; calls hold RLock
 	// only long enough to copy the pointer, never across compute.
 	coreMu sync.RWMutex
-	core   *shardCore
+	core   *Core
 
 	breaker *Breaker
 	lat     *stats.Histogram // per-leg latency, feeds the hedge delay
@@ -97,14 +61,14 @@ type Shard struct {
 }
 
 // currentCore returns the live core, or nil while torn down.
-func (s *Shard) currentCore() *shardCore {
+func (s *Shard) currentCore() *Core {
 	s.coreMu.RLock()
 	defer s.coreMu.RUnlock()
 	return s.core
 }
 
 // swapCore installs a rebuilt core and returns the old one.
-func (s *Shard) swapCore(c *shardCore) *shardCore {
+func (s *Shard) swapCore(c *Core) *Core {
 	s.coreMu.Lock()
 	defer s.coreMu.Unlock()
 	old := s.core
@@ -135,48 +99,9 @@ func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float3
 	}
 	s.calls.Add(1)
 	start := time.Now()
-	var slab []float32
-	var err error
-	if c.bat != nil {
-		slab, err = c.bat.Embed(ctx, nodes, ts)
-	} else {
-		slab, err = s.direct(ctx, c, nodes, ts)
-	}
+	slab, _, err := c.EmbedRows(ctx, nodes, ts)
 	s.observe(start, err)
 	return slab, err
-}
-
-// direct is the unbatched compute path: the engine pass runs in its own
-// goroutine (the shard's panic domain) while the caller stays
-// cancelable on ctx.
-func (s *Shard) direct(ctx context.Context, c *shardCore, nodes []int32, ts []float64) ([]float32, error) {
-	type result struct {
-		slab []float32
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				// The arena is deliberately not returned to the pool: a
-				// panic mid-pass may have left it in an arbitrary state.
-				ch <- result{nil, fmt.Errorf("%w: %v", errShardPanic, rec)}
-			}
-		}()
-		ar := tensor.GetArena()
-		h := c.emb.EmbedWith(ar, nodes, ts)
-		d := c.emb.Dim()
-		slab := make([]float32, len(nodes)*d)
-		copy(slab, h.Data()[:len(slab)])
-		tensor.PutArena(ar)
-		ch <- result{slab, nil}
-	}()
-	select {
-	case r := <-ch:
-		return r.slab, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // observe classifies one finished leg for the breaker and counters, and

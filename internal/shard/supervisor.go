@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"time"
 
@@ -135,7 +136,7 @@ func (r *Router) restartOnce(s *Shard) bool {
 
 	if old != nil {
 		// Close what can be closed; a poisoned core may refuse.
-		if cerr := old.close(); cerr != nil {
+		if cerr := old.Close(); cerr != nil {
 			r.cfg.Logf("shard %d: old core close: %v", s.id, cerr)
 		}
 	}
@@ -149,13 +150,15 @@ func (r *Router) snapshotPaths(id int) (cache, pos string) {
 		filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.pos", id))
 }
 
-// SaveSnapshots persists every live shard's memo caches plus the edge-
-// log position the snapshot is valid for. The position is captured
-// BEFORE the cache save starts: entries stored concurrently with the
-// save against newer edges are then redundantly re-invalidated on
-// restore, which is safe — recording the position after the save could
-// silently skip invalidations instead.
-func (r *Router) SaveSnapshots() error {
+// SaveSnapshot persists every live shard's memo caches plus the edge-
+// log position the snapshot is valid for, under Config.SnapshotDir —
+// fixed at construction because supervisor restarts read it, so the
+// path a single Core would write to is not consulted. The position is
+// captured BEFORE the cache save starts: entries stored concurrently
+// with the save against newer edges are then redundantly re-invalidated
+// on restore, which is safe — recording the position after the save
+// could silently skip invalidations instead.
+func (r *Router) SaveSnapshot(_ string) error {
 	if r.cfg.SnapshotDir == "" {
 		return fmt.Errorf("shard: no snapshot dir configured")
 	}
@@ -188,14 +191,14 @@ func (r *Router) SaveSnapshots() error {
 	return first
 }
 
-// WarmStart loads every shard's snapshot at boot (before traffic).
-// Missing snapshots cold-start silently; corrupt ones are counted and
-// cold-start. Returns the number of shards warmed.
-func (r *Router) WarmStart() int {
+// WarmStart loads every shard's snapshot from Config.SnapshotDir at
+// boot (before traffic). Missing snapshots cold-start silently; corrupt
+// ones are logged, counted and cold-start. Returns the number of shards
+// warmed, and fs.ErrNotExist when that is none.
+func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	if r.cfg.SnapshotDir == "" {
-		return 0
+		return 0, fmt.Errorf("shard: no snapshot dir configured: %w", fs.ErrNotExist)
 	}
-	warmed := 0
 	// Same barrier as restartOnce: snapshot loads validate their stored
 	// model-version stamp against the engine's, so a swap landing
 	// mid-warm must not interleave.
@@ -213,7 +216,10 @@ func (r *Router) WarmStart() int {
 			warmed++
 		}
 	}
-	return warmed
+	if warmed == 0 {
+		return 0, fmt.Errorf("shard: no loadable snapshot under %s: %w", r.cfg.SnapshotDir, fs.ErrNotExist)
+	}
+	return warmed, nil
 }
 
 // loadSnapshot warms one freshly built core from the shard's last
@@ -223,7 +229,7 @@ func (r *Router) WarmStart() int {
 // snapshot may hold entries those edges already invalidated in the
 // live engine. Any problem means cold start (correctness never
 // depends on the snapshot).
-func (r *Router) loadSnapshot(id int, c *shardCore, prefix []graph.Edge) bool {
+func (r *Router) loadSnapshot(id int, c *Core, prefix []graph.Edge) bool {
 	if r.cfg.SnapshotDir == "" {
 		return false
 	}

@@ -21,6 +21,17 @@ import (
 // testModelSeed is testModel with a caller-chosen parameter seed, so a
 // second seed stands in for a newly fine-tuned version of the same
 // architecture.
+// swapPool is the two-phase pool swap as serving drives it: prepare
+// with nothing locked, then commit.
+func swapPool(r *Router, path string, version uint64) error {
+	sp, err := r.PrepareSwap(checkpoint.OS{}, path)
+	if err != nil {
+		return err
+	}
+	r.CommitSwap(sp, version)
+	return nil
+}
+
 func testModelSeed(t *testing.T, seed uint64) *tgat.Model {
 	t.Helper()
 	const maxEdges = 4096
@@ -118,7 +129,7 @@ func TestRouterSwapAllOrNothing(t *testing.T) {
 	})
 	requireSlabEqual(t, "pre-swap", poolSlab(t, r, nodes, ts), wantOld)
 
-	err = r.SwapParams(good, 1)
+	err = swapPool(r, good, 1)
 	if err == nil {
 		t.Fatal("swap with a corrupt shard replica committed")
 	}
@@ -137,7 +148,7 @@ func TestRouterSwapAllOrNothing(t *testing.T) {
 
 	// Same call with the fault cleared: commits pool-wide.
 	faulty.Store(false)
-	if err := r.SwapParams(good, 1); err != nil {
+	if err := swapPool(r, good, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := r.ParamsVersion(); v != 1 {
@@ -165,7 +176,7 @@ func TestRestartAfterSwapServesCurrentVersion(t *testing.T) {
 
 	r := newTestRouter(t, m, edges, Config{Shards: 3})
 	poolSlab(t, r, nodes, ts) // warm
-	if err := r.SwapParams(path, 5); err != nil {
+	if err := swapPool(r, path, 5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,7 +267,7 @@ func TestRouterSwapDuringTraffic(t *testing.T) {
 		if version%2 == 0 {
 			p = pathA
 		}
-		if err := r.SwapParams(p, version); err != nil {
+		if err := swapPool(r, p, version); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -271,7 +282,7 @@ func TestRouterSwapDuringTraffic(t *testing.T) {
 	// 12 swaps: final version even → params A... the parity rule above
 	// says even versions load pathA.
 	requireSlabEqual(t, "converged", poolSlab(t, r, nodes, ts), wantA)
-	if err := r.SwapParams(pathB, version+1); err != nil {
+	if err := swapPool(r, pathB, version+1); err != nil {
 		t.Fatal(err)
 	}
 	requireSlabEqual(t, "final", poolSlab(t, r, nodes, ts), wantB)

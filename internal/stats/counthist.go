@@ -58,6 +58,19 @@ func (h *CountHistogram) Observe(v int64) {
 	h.buckets[countBucketIdx(v)].Add(1)
 }
 
+// Merge adds o's observations into h, bucket by bucket, like
+// Histogram.Merge.
+func (h *CountHistogram) Merge(o *CountHistogram) {
+	if h == nil || o == nil {
+		return
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+}
+
 // Count returns the number of observations.
 func (h *CountHistogram) Count() int64 {
 	if h == nil {

@@ -129,6 +129,22 @@ func (h *Histogram) Mean() time.Duration {
 	return time.Duration(h.sum.Load() / n)
 }
 
+// Merge adds o's observations into h, bucket by bucket (every Histogram
+// has the same geometry, so counts add): a server reports one latency
+// distribution over the histograms of all its engines. o may be live:
+// as with Snapshot, Count can then differ from the bucket total by the
+// few observations in flight.
+func (h *Histogram) Merge(o *Histogram) {
+	if h == nil || o == nil {
+		return
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+}
+
 // Reset clears all observations. Concurrent Observes may be partially
 // lost; Reset is intended for between-run bookkeeping, not hot paths.
 func (h *Histogram) Reset() {

@@ -143,3 +143,37 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Fatalf("bucket total = %d, want %d", total, workers*per)
 	}
 }
+
+// TestHistogramMergeIsThePooledDistribution: merging per-engine
+// histograms gives exactly the histogram of all their observations, for
+// durations and for counts.
+func TestHistogramMergeIsThePooledDistribution(t *testing.T) {
+	a, b, pooled, merged := NewHistogram(), NewHistogram(), NewHistogram(), NewHistogram()
+	ca, cb, cpooled, cmerged := NewCountHistogram(), NewCountHistogram(), NewCountHistogram(), NewCountHistogram()
+	for i := 0; i < 200; i++ {
+		h, c := a, ca
+		if i%3 == 0 {
+			h, c = b, cb
+		}
+		d := time.Duration(i*i) * time.Microsecond
+		h.Observe(d)
+		pooled.Observe(d)
+		c.Observe(int64(i))
+		cpooled.Observe(int64(i))
+	}
+	merged.Merge(a)
+	merged.Merge(b)
+	merged.Merge(nil)
+	cmerged.Merge(ca)
+	cmerged.Merge(cb)
+	cmerged.Merge(nil)
+	if merged.Count() != pooled.Count() || merged.Sum() != pooled.Sum() ||
+		cmerged.Count() != cpooled.Count() || cmerged.Sum() != cpooled.Sum() {
+		t.Fatalf("merged totals differ from pooled: %d/%v vs %d/%v", merged.Count(), merged.Sum(), pooled.Count(), pooled.Sum())
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if merged.Quantile(q) != pooled.Quantile(q) || cmerged.Quantile(q) != cpooled.Quantile(q) {
+			t.Fatalf("q=%v: merged %v/%d, pooled %v/%d", q, merged.Quantile(q), cmerged.Quantile(q), pooled.Quantile(q), cpooled.Quantile(q))
+		}
+	}
+}

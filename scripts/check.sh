@@ -15,6 +15,15 @@ test -z "$(gofmt -l .)" || { echo "gofmt -l . prints:"; gofmt -l .; exit 1; }
 echo "== go build"
 go build ./...
 
+echo "== one backend (internal/serve asks its backend, never which backend it has)"
+nontest() { ls "$1"/*.go | grep -v _test.go; }
+if grep -nE 'router (!=|==) nil|engine (!=|==) nil' $(nontest internal/serve); then
+    echo "internal/serve forks on its backend again: the lines above"; exit 1
+fi
+for pkg in core serve shard; do
+    printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
+done
+
 echo "== go test"
 go test ./...
 
@@ -41,8 +50,8 @@ go test -count=1 -tags purego ./internal/tensor/ ./internal/nn/ ./internal/tgat/
 GOOS=linux GOARCH=arm64 go build ./...
 echo "   portable stanza wall time: $((SECONDS - portable_start)) s"
 
-echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot; race-enabled)"
-go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestServeSharded|TestServeHealth' \
+echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot, every handler contract on all four backends; race-enabled)"
+go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeWarmStart' \
     ./internal/shard/... ./internal/serve/...
 
 echo "== spill-tier fault injection (crash mid-seal, bit flips, torn segments; race-enabled)"
