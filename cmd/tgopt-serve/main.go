@@ -91,7 +91,6 @@ func main() {
 	// swaps must come back serving version N, not the boot checkpoint.
 	// A corrupt published snapshot falls back to whatever -model (or
 	// init) provided rather than refusing to boot.
-	bootVersion := uint64(0)
 	if *swapDir != "" {
 		v, p, err := swap.Latest(checkpoint.OS{}, *swapDir)
 		switch {
@@ -99,8 +98,7 @@ func main() {
 			if sp, perr := wl.Model.ParseParamsFS(checkpoint.OS{}, p); perr != nil {
 				log.Printf("swap: published v%d unreadable (%v); serving boot params as v0", v, perr)
 			} else {
-				wl.Model.ApplyParams(sp)
-				bootVersion = v
+				wl.Model.ApplyParams(sp, v)
 				log.Printf("swap: booted on published params v%d from %s", v, *swapDir)
 			}
 		case errors.Is(err, fs.ErrNotExist):
@@ -135,7 +133,6 @@ func main() {
 	}
 	opt.CacheSpillDir = *spillDir
 	opt.CacheSpillMaxBytes = *spillMax
-	opt.ModelVersion = bootVersion
 	if opt.Quant, err = core.ParseQuantMode(*quant); err != nil {
 		fatal(err)
 	}
@@ -254,8 +251,8 @@ func main() {
 			log.Printf("saved %d memoized embeddings to %s", srv.CacheLen(), *cacheFile)
 		}
 	}
-	// Stop the promotion workers and seal the spill tier's open segments
-	// so spilled entries are recovered on the next boot.
+	// Seal the spill tier's open segments so spilled entries are
+	// recovered on the next boot.
 	if err := srv.Close(); err != nil {
 		log.Printf("cache close failed: %v", err)
 	}

@@ -141,8 +141,8 @@ type CacheConfig struct {
 	Policy CachePolicy
 	// Spill, when set, is the cold tier: entries evicted from (or
 	// refused admission to) the hot tier are appended there, hot-tier
-	// misses fall through to it, and spill hits are asynchronously
-	// promoted back. The cache takes ownership — Cache.Close seals it.
+	// misses fall through to it, and a spill hit is promoted back by its
+	// lookup. The cache takes ownership — Cache.Close seals it.
 	// Its dim and quant mode must match the cache's.
 	Spill *SpillStore
 	// Quant stores entries int8-quantized (scale + codes) instead of
@@ -175,9 +175,8 @@ type CacheStats struct {
 // item limit enforced per shard under either FIFO or TinyLFU
 // admission), optionally backed by an on-disk SpillStore (the cold
 // tier) that receives evicted entries and serves hot-tier misses, with
-// async promote-on-hit. Sharding keeps Store and Lookup
-// parallelizable, mirroring the concurrent hash table of the C++
-// implementation.
+// promote-on-hit. Sharding keeps Store and Lookup parallelizable,
+// mirroring the concurrent hash table of the C++ implementation.
 type Cache struct {
 	dim    int
 	codec  entryCodec
@@ -187,87 +186,21 @@ type Cache struct {
 	policy CachePolicy
 	spill  *SpillStore
 
-	// gen invalidation fence: bumped by Remove/Clear before entries
-	// leave the tiers, checked by the promote worker under the shard
-	// lock, so a promotion raced by an invalidation can never
-	// resurrect a removed entry.
-	gen atomic.Uint64
+	// gen fences entries moving between the tiers against invalidation.
+	// Remove and Clear, one at a time (invMu), bump it on entry and on
+	// exit, so it is odd exactly while one runs. A move — a promotion, or
+	// an evicted victim's demotion — loads gen before it reads its source
+	// tier and commits under its destination tier's lock only if gen was
+	// even and has not moved: no invalidation overlapped the move, and
+	// one that starts later takes that lock afterwards and finds the
+	// entry. A move that fails the check drops the entry (a miss next
+	// time), so nothing ever lands behind the scan that removed it.
+	gen   atomic.Uint64
+	invMu sync.Mutex
 
 	spillHits    atomic.Int64
 	promotes     atomic.Int64
 	promoteDrops atomic.Int64
-
-	promoteCh chan promoteReq
-	promoting promoteGate
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-}
-
-// promoteGate counts the promotions queued or being applied. The
-// promote worker moves entries between the tiers behind the caller's
-// back — a promotion demotes a victim, the demotion can compact a spill
-// segment — so a test that asserts on tier contents first waits here
-// for the count to reach zero (Cache.quiesce), and may keep the worker
-// parked across the assertion.
-type promoteGate struct {
-	mu      sync.Mutex
-	changed sync.Cond // pending reached zero, or held was cleared
-	pending int
-	held    bool
-}
-
-// enter counts a promotion about to be queued.
-func (g *promoteGate) enter() {
-	g.mu.Lock()
-	g.pending++
-	g.mu.Unlock()
-}
-
-// leave retires a promotion: applied, dropped, or never queued.
-func (g *promoteGate) leave() {
-	g.mu.Lock()
-	g.pending--
-	if g.pending == 0 {
-		g.changed.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-// admit parks the worker while a quiesce holds the tiers still.
-func (g *promoteGate) admit() {
-	g.mu.Lock()
-	for g.held {
-		g.changed.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// quiesce blocks until every promotion queued so far has been applied —
-// the victim's demotion and any spill compaction it triggers included,
-// both run on the promote worker — and returns with the worker parked:
-// promotions queued from then on wait until resume is called. Test
-// hook; resume must be called before Close.
-func (c *Cache) quiesce() (resume func()) {
-	g := &c.promoting
-	g.mu.Lock()
-	for g.pending > 0 {
-		g.changed.Wait()
-	}
-	g.held = true
-	g.mu.Unlock()
-	return func() {
-		g.mu.Lock()
-		g.held = false
-		g.changed.Broadcast()
-		g.mu.Unlock()
-	}
-}
-
-type promoteReq struct {
-	key uint64
-	vec []float32
-	gen uint64
 }
 
 type cacheShard struct {
@@ -348,13 +281,6 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 			s.sketch = newFreqSketch(s.limit)
 		}
 	}
-	if c.spill != nil {
-		c.promoteCh = make(chan promoteReq, 256)
-		c.promoting.changed.L = &c.promoting.mu
-		c.stop = make(chan struct{})
-		c.wg.Add(1)
-		go c.promoteLoop()
-	}
 	return c
 }
 
@@ -380,9 +306,6 @@ func (c *Cache) Policy() CachePolicy { return c.policy }
 // Quant reports whether entries are stored int8-quantized.
 func (c *Cache) Quant() bool { return c.codec.quant }
 
-// SpillStore returns the cold tier, or nil.
-func (c *Cache) SpillStore() *SpillStore { return c.spill }
-
 // Len returns the current hot-tier item count across all shards.
 func (c *Cache) Len() int {
 	total := 0
@@ -406,10 +329,7 @@ func (c *Cache) UsedBytes() int64 {
 // guarantees).
 func (c *Cache) Stats() CacheStats {
 	var st CacheStats
-	// The spillHits atomic is read before the shard sweep: a spill hit's
-	// miss is counted (under its shard lock) before spillHits is bumped,
-	// so loading spillHits first guarantees every counted spill hit's
-	// miss makes the snapshot — SpillHits <= Misses holds.
+	// Read before the shard sweep, so SpillHits <= Misses (see CacheStats).
 	st.SpillHits = c.spillHits.Load()
 	st.Promotes = c.promotes.Load()
 	st.PromoteDrops = c.promoteDrops.Load()
@@ -448,7 +368,7 @@ func (c *Cache) Lookup(keys []uint64, dst *tensor.Tensor) ([]bool, int) {
 // pass dirty arena scratch). Returns the hit count. Hot-tier misses
 // fall through to the spill tier when one is configured; a spill hit
 // counts toward the returned total (it is a memo hit — the recompute
-// is avoided) and queues an async promotion back into the hot tier.
+// is avoided) and is promoted back into the hot tier before returning.
 func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
 	if dst.Dim(0) != len(keys) || dst.Dim(1) != c.dim {
 		panic("core: cache Lookup dst shape mismatch")
@@ -489,16 +409,15 @@ func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi i
 		}
 		s.mu.Unlock()
 		if !ok && c.spill != nil {
-			// The fence generation is captured BEFORE the spill read: an
-			// invalidation (Remove/Clear) that completes anywhere between
-			// this load and the promote worker's re-check bumps gen, so
-			// the promotion is dropped instead of resurrecting the entry.
+			// Loaded BEFORE the spill read: an invalidation that runs
+			// anywhere between this load and promote's re-check moves gen,
+			// and the promotion is dropped, not applied behind it.
 			gen := c.gen.Load()
 			row := data[i*c.dim : (i+1)*c.dim]
 			if c.spill.Get(key, row) {
 				ok = true
 				c.spillHits.Add(1)
-				c.maybePromote(key, row, gen)
+				c.promote(key, row, gen)
 			}
 		}
 		hits[i] = ok
@@ -509,66 +428,46 @@ func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi i
 	return local
 }
 
-// maybePromote queues an async promotion of a spill hit back into the
-// hot tier. gen is the fence generation the caller loaded before its
-// spill read (not loaded here — by now an invalidation may already have
-// completed, and a post-invalidation generation would pass the fence
-// and resurrect the removed entry). The channel send never blocks the
-// serving path: a full queue just drops the promotion (the entry stays
-// served from the cold tier).
-func (c *Cache) maybePromote(key uint64, vec []float32, gen uint64) {
-	if c.promoteCh == nil {
-		return
-	}
-	v := make([]float32, len(vec))
-	copy(v, vec)
-	c.promoting.enter()
-	select {
-	case c.promoteCh <- promoteReq{key: key, vec: v, gen: gen}:
-	default:
-		c.promoteDrops.Add(1)
-		c.promoting.leave()
-	}
-}
-
-// promoteLoop is the cold→hot promotion worker.
-func (c *Cache) promoteLoop() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case req := <-c.promoteCh:
-			c.promoting.admit()
-			c.promoteOne(req)
-			c.promoting.leave()
-		}
-	}
-}
-
-// promoteOne re-inserts a spill hit into the hot tier. The generation
-// fence is re-checked under the shard lock: if any invalidation ran
-// since the spill read, the promotion is dropped — a removed entry is
-// never resurrected. An admission-rejected promotion is simply left in
-// the cold tier (it is already there; no re-spill churn).
-func (c *Cache) promoteOne(req promoteReq) {
-	s := c.shardFor(req.key)
+// promote re-inserts a spill hit into the hot tier, on the goroutine
+// that read it. gen is the fence value the caller loaded before its
+// spill read (not here — by now an invalidation may have completed, and
+// a post-invalidation value would pass); it is re-checked under the
+// shard lock. A dropped or admission-rejected promotion is simply left
+// to the cold tier (no re-spill churn). The displaced victim is demoted
+// after the lock is released, as in storeOne.
+func (c *Cache) promote(key uint64, vec []float32, gen uint64) {
+	s := c.shardFor(key)
 	s.mu.Lock()
-	if c.gen.Load() != req.gen {
-		s.mu.Unlock()
-		c.promoteDrops.Add(1)
-		return
+	admitted := false
+	var victimKey uint64
+	var victimPayload []byte
+	if gen&1 == 0 && c.gen.Load() == gen {
+		victimKey, victimPayload, admitted = c.insertLocked(s, key, vec)
 	}
-	victimKey, victimPayload, admitted := c.insertLocked(s, req.key, req.vec)
 	s.mu.Unlock()
 	if !admitted {
 		c.promoteDrops.Add(1)
 		return
 	}
 	c.promotes.Add(1)
-	if victimPayload != nil && c.spill != nil {
-		c.spill.putPayload(victimKey, victimPayload)
+	c.demote(victimKey, victimPayload, gen)
+}
+
+// demote moves an evicted payload to the cold tier byte-for-byte (the
+// tiers share the entry codec: no re-encode, no second quantization)
+// unless an invalidation overlapped the move: gen was loaded before the
+// eviction and the spill tier re-checks it under its own lock.
+func (c *Cache) demote(key uint64, payload []byte, gen uint64) {
+	if payload != nil && gen&1 == 0 {
+		c.spill.putPayload(key, payload, &c.gen, gen)
 	}
+}
+
+// invalidating brackets Remove and Clear on a tiered cache (see gen).
+func (c *Cache) invalidating() (done func()) {
+	c.invMu.Lock()
+	c.gen.Add(1)
+	return func() { c.gen.Add(1); c.invMu.Unlock() }
 }
 
 // Store inserts each (key, row of h) pair, evicting the oldest entries
@@ -603,6 +502,7 @@ func (c *Cache) storeRange(keys []uint64, data []float32, lo, hi int) {
 // runs under a shard lock).
 func (c *Cache) storeOne(key uint64, vec []float32) {
 	s := c.shardFor(key)
+	gen := c.gen.Load()
 	s.mu.Lock()
 	victimKey, victimPayload, admitted := c.insertLocked(s, key, vec)
 	s.mu.Unlock()
@@ -611,11 +511,8 @@ func (c *Cache) storeOne(key uint64, vec []float32) {
 	}
 	if !admitted {
 		c.spill.Put(key, vec)
-	} else if victimPayload != nil {
-		// The evicted payload moves to the cold tier byte-for-byte: the
-		// tiers share the entry codec, so no re-encode (and for int8, no
-		// second quantization) happens on the demotion path.
-		c.spill.putPayload(victimKey, victimPayload)
+	} else {
+		c.demote(victimKey, victimPayload, gen)
 	}
 }
 
@@ -748,14 +645,14 @@ func (s *cacheShard) compactLocked() {
 // how many were actually removed (present in at least one tier).
 // Removed keys' FIFO occurrences are marked dead (and compacted away
 // under churn) so eviction order stays correct if the same keys are
-// stored again. The generation fence is bumped first, so in-flight
-// promotions of the removed keys are dropped rather than applied.
+// stored again. Moves of the removed keys in flight between the tiers on
+// other goroutines are dropped, not applied (see gen).
 func (c *Cache) Remove(keys []uint64) int {
 	if len(keys) == 0 {
 		return 0
 	}
 	if c.spill != nil {
-		c.gen.Add(1)
+		defer c.invalidating()()
 	}
 	removed := 0
 	for _, key := range keys {
@@ -777,7 +674,7 @@ func (c *Cache) Remove(keys []uint64) int {
 // frequency sketches; counters are cumulative and keep counting).
 func (c *Cache) Clear() {
 	if c.spill != nil {
-		c.gen.Add(1)
+		defer c.invalidating()()
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -797,13 +694,11 @@ func (c *Cache) Clear() {
 	}
 }
 
-// SetModelVersion drops every entry from both tiers and stamps the
-// spill tier so segments written from now on carry the new model
-// version — the invalidation event of a parameter hot-swap. The
-// generation fence is bumped by Clear before any entry leaves, so
-// in-flight promote-on-hit enqueues of pre-swap entries are dropped
-// at the worker's re-check instead of resurrecting old-model rows.
-func (c *Cache) SetModelVersion(v uint64) {
+// Restamp drops every entry from both tiers and stamps the spill tier
+// so segments written from now on carry params version v — the
+// invalidation event of a parameter hot-swap. The caller holds the
+// engine's swap gate, so no lookup (and no promotion) runs across it.
+func (c *Cache) Restamp(v uint64) {
 	c.Clear()
 	if c.spill != nil {
 		c.spill.SetModelVersion(v)
@@ -851,19 +746,12 @@ func (c *Cache) Contains(key uint64) bool {
 	return ok
 }
 
-// Close stops the promotion worker and seals the spill tier's open
-// segment so spilled entries survive a restart. Safe to call more than
-// once; a nil-spill cache's Close is a no-op.
+// Close seals the spill tier's open segment so spilled entries survive
+// a restart. Safe to call more than once; a nil-spill cache's Close is
+// a no-op.
 func (c *Cache) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		if c.stop != nil {
-			close(c.stop)
-			c.wg.Wait()
-		}
-		if c.spill != nil {
-			err = c.spill.Close()
-		}
-	})
-	return err
+	if c.spill == nil {
+		return nil
+	}
+	return c.spill.Close()
 }

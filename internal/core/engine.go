@@ -48,7 +48,7 @@ type Options struct {
 	// evicted from the hot tier spill to append-only segment files
 	// under this directory (one subdirectory per cached layer, since
 	// ⟨node, t⟩ keys collide across layers), hot-tier misses fall
-	// through to it, and spill hits are promoted back asynchronously.
+	// through to it, and a spill hit is promoted back by its lookup.
 	CacheSpillDir string
 	// CacheSpillMaxBytes bounds the cold tier's on-disk footprint
 	// (split across cached layers); <= 0 means unbounded. When the
@@ -104,12 +104,6 @@ type Options struct {
 	// over a graph.Dynamic with a lateness window enables this
 	// automatically.
 	TrackTargets bool
-
-	// ModelVersion is the version of the parameters the engine starts
-	// serving. It stamps spill segments and cache snapshots so state
-	// computed under other parameters is refused at recovery, and it
-	// seeds ParamsVersion for the hot-swap protocol (SwapParams).
-	ModelVersion uint64
 }
 
 // OptAll returns Options with all three optimizations enabled at the
@@ -172,7 +166,7 @@ type Engine struct {
 	// topMemo memoizes the top layer's rows where that premise fails: an
 	// engine over a live graph serves requests, and requests re-ask the
 	// same ⟨node, t⟩. Nil on static-sampler engines. memoEpoch is the
-	// engine half of its validity stamp (see memoStamp): every path that
+	// engine half of its validity stamp (see passFence): every path that
 	// repairs or drops memo state bumps it as its last step, so a row
 	// computed while such a path ran can never be served after it.
 	topMemo   *topMemo
@@ -214,9 +208,8 @@ type Engine struct {
 	// pass holds the read side for its whole duration, and SwapLock
 	// takes the write side, so a swap can never tear a request — no
 	// request observes a mix of old- and new-version tensors (DESIGN.md
-	// §16). version is the model version currently served.
+	// §16). The version served is the model's own (tgat.Model.Version).
 	swapGate sync.RWMutex
-	version  atomic.Uint64
 	// stages holds always-on per-stage latency histograms (one atomic
 	// observation per op, so the cost is negligible next to the ops).
 	stages map[string]*stats.Histogram
@@ -237,7 +230,6 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		panic("core: sampler k differs from model NumNeighbors")
 	}
 	e.maxEmbedBits.Store(math.Float64bits(math.Inf(-1)))
-	e.version.Store(opt.ModelVersion)
 	quant := opt.Quant == QuantInt8
 	if opt.EnableCache {
 		if s.Strategy() != graph.MostRecent {
@@ -263,7 +255,7 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 			var sp *SpillStore
 			if opt.CacheSpillDir != "" {
 				var err error
-				sp, err = NewSpillStore(fsys, filepath.Join(opt.CacheSpillDir, fmt.Sprintf("layer%d", l)), m.Cfg.NodeDim, spillPer[l], quant, opt.ModelVersion)
+				sp, err = NewSpillStore(fsys, filepath.Join(opt.CacheSpillDir, fmt.Sprintf("layer%d", l)), m.Cfg.NodeDim, spillPer[l], quant, m.Version())
 				if err != nil {
 					panic("core: opening cache spill dir: " + err.Error())
 				}
@@ -346,31 +338,31 @@ func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.
 	return e.model.ScoreWith(ar, hSrc, hDst)
 }
 
-// ParamsVersion returns the model version the engine currently serves.
-func (e *Engine) ParamsVersion() uint64 { return e.version.Load() }
+// ParamsVersion returns the model version the engine currently serves:
+// the shared model's, which stamps spill segments and cache snapshots so
+// state computed under other parameters is refused at recovery.
+func (e *Engine) ParamsVersion() uint64 { return e.model.Version() }
 
 // SwapLock acquires the hot-swap barrier's write side: every in-flight
 // embed/score pass drains first and new passes block until SwapUnlock.
-// While held, the caller may mutate the shared model's parameter
-// tensors (tgat.ApplyParams) and must then call FinishSwap on every
-// engine sharing them before unlocking.
+// While held, the caller may rewrite the shared model's parameters
+// (tgat.ApplyParams) and must then call FinishSwap on every engine
+// sharing them before unlocking.
 func (e *Engine) SwapLock() { e.swapGate.Lock() }
 
 // SwapUnlock releases the hot-swap barrier.
 func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 
 // FinishSwap completes a parameter swap on this engine while SwapLock
-// is held and the shared model already carries the new parameters:
-// the time table is rebuilt from the swapped encoder, every memo-cache
-// layer is dropped and its spill tier re-stamped with
-// the new version (hot tier, spill segments, and — through the
-// generation fence Clear bumps — pending promote-on-hit enqueues), the
-// target/support/dependency indexes reset with them, and the served
-// version advances. Memoized embeddings are only valid for the
-// parameters that computed them, so the version bump is the cache-wide
-// invalidation event (the PR 5/9 epoch machinery keyed on model
-// version).
-func (e *Engine) FinishSwap(version uint64) {
+// is held and the shared model already carries the new parameters and
+// their version: the time table is rebuilt from the swapped encoder,
+// every memo-cache layer is dropped and its spill tier re-stamped with
+// the model's version (no pass runs under SwapLock, so no promotion is
+// in flight to outlive the drop), and the target/support/dependency
+// indexes reset with them. Memoized embeddings are only valid for the
+// parameters that computed them, so a swap is the cache-wide
+// invalidation event.
+func (e *Engine) FinishSwap() {
 	if e.ttable != nil {
 		if e.opt.Quant == QuantInt8 {
 			e.ttable = NewTimeTableQuant(e.model.Time, e.opt.TimeWindow)
@@ -380,7 +372,7 @@ func (e *Engine) FinishSwap(version uint64) {
 	}
 	for _, c := range e.caches {
 		if c != nil {
-			c.SetModelVersion(version)
+			c.Restamp(e.model.Version())
 		}
 	}
 	for _, tix := range e.layerTargets {
@@ -396,22 +388,21 @@ func (e *Engine) FinishSwap(version uint64) {
 	if e.deps != nil {
 		e.deps.Reset()
 	}
-	e.version.Store(version)
 	e.memoEpoch.Add(1)
 }
 
-// SwapParams atomically swaps this engine to a new parameter version:
-// apply mutates the shared model's tensors (typically
+// SwapParams atomically swaps this engine to new parameters: apply
+// mutates the shared model's tensors and version (typically
 // tgat.ApplyParams) under the barrier, then FinishSwap invalidates
 // every version-dependent derived structure. Single-engine
 // deployments use this directly; a shard pool coordinates the same
-// three steps across engines itself (shard.Router.SwapParams), since
+// three steps across engines itself (shard.Router.CommitSwap), since
 // all its engines share one model.
-func (e *Engine) SwapParams(version uint64, apply func()) {
+func (e *Engine) SwapParams(apply func()) {
 	e.SwapLock()
 	defer e.SwapUnlock()
 	apply()
-	e.FinishSwap(version)
+	e.FinishSwap()
 }
 
 // CacheFor returns the memoization cache serving layer l, or nil.
@@ -695,23 +686,61 @@ func (e *Engine) clearDeepCaches() {
 	}
 }
 
-// staleByAppend reports whether this batch's memo stores are unsafe
-// because an append landed after the pre-sampling snapshot — aseq is
-// the append sequence and wm the stream clock captured then — while
-// the batch embedded timestamps beyond the watermark (only future-time
-// rows can have sampled a window the append lands in). The guard
-// compares the append sequence, not MaxTime: an append at exactly the
-// current stream clock changes adjacency without advancing MaxTime (or
-// the mutation epoch), and equal timestamps are common in
-// coarse-grained event streams. Any append accepted after the snapshot
-// carries a time >= wm, so rows at t' > wm conservatively cover every
-// window it could displace.
-func (e *Engine) staleByAppend(missTs []float64, wm float64, aseq int64) bool {
-	if e.dyn == nil || e.dyn.Appends() == aseq {
+// passFence is what one level of an embed pass holds against the live
+// graph moving under it, read once where the level starts computing —
+// before the memo lookup, before it samples. What the level computes is
+// kept only if the fence still holds afterwards, by the rule of the
+// store that keeps it: moved for the top-layer memo, staleFor for a
+// layer cache. A static-graph engine's fence always holds.
+type passFence struct {
+	e             *Engine
+	muts, appends int64   // dyn.Mutations(), dyn.Appends()
+	wm            float64 // dyn.MaxTime(); read only for staleFor (it takes the graph lock)
+	epoch         int64   // e.memoEpoch
+}
+
+func (e *Engine) openFence(withClock bool) passFence {
+	f := passFence{e: e}
+	if e.dyn != nil {
+		f.muts, f.appends, f.epoch = e.dyn.Mutations(), e.dyn.Appends(), e.memoEpoch.Load()
+		if withClock {
+			f.wm = e.dyn.MaxTime()
+		}
+	}
+	return f
+}
+
+// stamp is the fence as a memo row's validity stamp.
+func (f passFence) stamp() memoStamp { return memoStamp{g: f.muts + f.appends, e: f.epoch} }
+
+// moved is the memo's rule: anything changed. The counters only grow, so
+// reads that agree with the fence bracket an interval in which none moved.
+func (f passFence) moved() bool {
+	return f.e.openFence(false).stamp() != f.stamp()
+}
+
+// staleFor is the cache's rule for a level that embedded the
+// timestamps ts: a history rewrite landed (the sampled neighborhoods may
+// predate it, and storing them would resurrect just-invalidated state),
+// or an append landed while a row lies beyond the opening watermark — a
+// row at a *future* timestamp may have sampled a window the append lands
+// in, and InvalidateAppend's scan can run before the row is indexed. The
+// append sequence, not MaxTime, detects the append (one at exactly the
+// stream clock leaves MaxTime unchanged). Any append after the fence
+// opened carries a time >= wm, so rows at t' > wm cover its every window.
+func (f passFence) staleFor(ts []float64) bool {
+	dyn := f.e.dyn
+	if dyn == nil {
 		return false
 	}
-	for _, mt := range missTs {
-		if mt > wm {
+	if dyn.Mutations() != f.muts {
+		return true
+	}
+	if dyn.Appends() == f.appends {
+		return false
+	}
+	for _, t := range ts {
+		if t > f.wm {
 			return true
 		}
 	}
@@ -760,9 +789,9 @@ func (e *Engine) LayerCacheStats() []LayerCacheStats {
 	return out
 }
 
-// Close stops the caches' promotion workers and seals their spill
-// tiers so spilled entries survive a restart. Engines without a spill
-// tier need not be closed; Close is then a no-op.
+// Close seals the caches' spill tiers so spilled entries survive a
+// restart. Engines without a spill tier need not be closed; Close is
+// then a no-op.
 func (e *Engine) Close() error {
 	var first error
 	for _, c := range e.caches {
@@ -915,18 +944,19 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		e.opt.Collector.Count("cache_lookups", int64(n))
 	}
 
+	// What this level may keep is computed from here on (wm: cache misses only).
+	fence := e.openFence(cache != nil && nhits < n)
+
 	// Top layer on a live graph: answer re-asked targets from the memo.
-	// The stamp is read once, before the lookup; a row hits only if it
-	// was stored under exactly this stamp, and the rows computed below
-	// are stored only if the stamp still reads the same afterwards — so
-	// an all-hit pass samples, looks up, encodes and attends nothing.
+	// A row hits only if it was stored under exactly this level's fence
+	// stamp, and the rows computed below are stored only if the fence has
+	// not moved afterwards — so an all-hit pass samples, looks up, encodes
+	// and attends nothing.
 	var memo *topMemo
-	var stamp memoStamp
 	if l == cfg.Layers && e.topMemo != nil {
 		memo = e.topMemo
-		stamp = e.memoStamp()
 		hitMask = ar.Bools(n)
-		nhits = memo.lookup(stamp, nodes, ts, h, hitMask)
+		nhits = memo.lookup(fence.stamp(), nodes, ts, h, hitMask)
 	}
 
 	if nhits < n {
@@ -960,26 +990,6 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		}
 		nm := len(missNodes)
 		k := cfg.NumNeighbors
-
-		// Snapshot the history-rewrite epoch before sampling: if a late
-		// insert or deletion lands while this batch computes, the
-		// sampled neighborhoods may predate it and must not be memoized
-		// (the store below would resurrect just-invalidated state).
-		// The append sequence plus time watermark close the same race
-		// for chronological appends, which do not bump the epoch: a
-		// batch embedding *future* timestamps (t' beyond the watermark)
-		// that raced an append may have sampled pre-append windows, and
-		// InvalidateAppend's scan can run before the entries are
-		// indexed — so those stores are skipped or rolled back too. The
-		// sequence (not MaxTime) detects the append, since an append at
-		// exactly the stream clock leaves MaxTime unchanged.
-		var epoch, aseq int64
-		var wm float64
-		if cache != nil && e.dyn != nil {
-			epoch = e.dyn.Mutations()
-			aseq = e.dyn.Appends()
-			wm = e.dyn.MaxTime()
-		}
 
 		start := time.Now()
 		b := graph.Batch{
@@ -1016,13 +1026,10 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		e.observe(stats.OpAttention, StageAttention, device.TensorOp, 8, start)
 		e.opt.Collector.Count("attention_rows", int64(nm))
 
-		if cache != nil && e.dyn != nil &&
-			(e.dyn.Mutations() != epoch || e.staleByAppend(missTs, wm, aseq)) {
-			// A history rewrite (or an append racing a future-time
-			// batch) landed while this batch computed: the results may
-			// be built on pre-rewrite neighborhoods. Recompute-next-time
-			// is cheap, a stale memo would be permanent, so skip
-			// memoizing the whole batch.
+		if cache != nil && fence.staleFor(missTs) {
+			// The graph moved under this batch (passFence.staleFor).
+			// Recompute-next-time is cheap, a stale memo would be
+			// permanent, so skip memoizing the whole batch.
 			e.staleSkips.Add(1)
 		} else if cache != nil {
 			if e.deps != nil {
@@ -1059,14 +1066,15 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 					}
 				}
 			}
-			if e.dyn != nil && (e.dyn.Mutations() != epoch || e.staleByAppend(missTs, wm, aseq)) {
-				// A rewrite (or a watermark-crossing append) raced the
-				// store itself. Its invalidation scan may have run
-				// before our entries were indexed, so roll the whole
-				// batch back: once the entries are both stored and
-				// indexed (checked-epoch and watermark unchanged), any
-				// later rewrite is guaranteed to see them.
+			if fence.staleFor(missTs) {
+				// The graph moved during the store itself, and its
+				// invalidation scan may have run before our entries
+				// were indexed, so roll the whole batch back: once they
+				// are stored and indexed with the fence still holding,
+				// any later rewrite is guaranteed to see them. Until then
+				// they could be hit, so the rollback moves the epoch too.
 				cache.Remove(missKeys)
+				e.memoEpoch.Add(1)
 				e.staleSkips.Add(1)
 			}
 			if e.opt.CacheOnDevice {
@@ -1077,8 +1085,8 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		}
 
 		if memo != nil {
-			if e.memoStamp() == stamp {
-				memo.store(stamp, missNodes, missTs, hm)
+			if !fence.moved() {
+				memo.store(fence.stamp(), missNodes, missTs, hm)
 			} else {
 				// A write landed while the pass ran: the rows may predate
 				// it, and the stamp they were computed under is gone.

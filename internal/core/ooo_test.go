@@ -360,8 +360,8 @@ func TestStaleByAppendDetectsEqualTimeAppend(t *testing.T) {
 	// guard, and a future-time batch racing it could memoize pre-append
 	// windows. The guard now compares the append sequence.
 	_, dyn, eng, stream := oooSetup(t, 0)
-	wm := dyn.MaxTime()
-	aseq := dyn.Appends()
+	fence := eng.openFence(true)
+	wm, aseq := fence.wm, fence.appends
 	last := stream[len(stream)-1]
 
 	if _, err := dyn.Append(graph.Edge{Src: last.Src, Dst: last.Dst, Time: wm}); err != nil {
@@ -373,16 +373,16 @@ func TestStaleByAppendDetectsEqualTimeAppend(t *testing.T) {
 	if dyn.Appends() == aseq {
 		t.Fatal("equal-time append did not advance the append sequence")
 	}
-	if !eng.staleByAppend([]float64{wm + 1}, wm, aseq) {
+	if !fence.staleFor([]float64{wm + 1}) {
 		t.Fatal("equal-time append invisible to the staleness guard (seed behavior)")
 	}
 	// Rows at or below the watermark cannot have sampled the new edge's
 	// window and stay memoizable.
-	if eng.staleByAppend([]float64{wm}, wm, aseq) {
+	if fence.staleFor([]float64{wm}) {
 		t.Fatal("non-future rows flagged stale by an equal-time append")
 	}
-	// A snapshot taken after the append sees nothing stale.
-	if eng.staleByAppend([]float64{wm + 1}, wm, dyn.Appends()) {
+	// A fence opened after the append sees nothing stale.
+	if eng.openFence(true).staleFor([]float64{wm + 1}) {
 		t.Fatal("guard fired with no append since the snapshot")
 	}
 }

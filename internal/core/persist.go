@@ -245,7 +245,7 @@ func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 		// Payload: model version, number of cached layers, then
 		// (layer, blob) pairs.
 		var mv [8]byte
-		binary.LittleEndian.PutUint64(mv[:], e.version.Load())
+		binary.LittleEndian.PutUint64(mv[:], e.model.Version())
 		if _, err := w.Write(mv[:]); err != nil {
 			return err
 		}
@@ -311,8 +311,8 @@ func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 		if _, err := io.ReadFull(r, mv[:]); err != nil {
 			return err
 		}
-		if v := binary.LittleEndian.Uint64(mv[:]); v != e.version.Load() {
-			return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.version.Load())
+		if v := binary.LittleEndian.Uint64(mv[:]); v != e.model.Version() {
+			return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.model.Version())
 		}
 		return e.loadCacheStream(r)
 	})

@@ -317,11 +317,16 @@ func (sp *SpillStore) putLocked(key uint64, vec []float32) {
 }
 
 // putPayload spills an already-encoded entry payload — the hot tier's
-// eviction path, which hands over its stored bytes without a re-encode.
-func (sp *SpillStore) putPayload(key uint64, payload []byte) {
-	sp.puts.Add(1)
+// eviction path, which hands over its stored bytes without a re-encode —
+// unless fence no longer reads gen under the store lock: an invalidation
+// overlapped the entry's move between the tiers (Cache.gen).
+func (sp *SpillStore) putPayload(key uint64, payload []byte, fence *atomic.Uint64, gen uint64) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	if fence.Load() != gen {
+		return
+	}
+	sp.puts.Add(1)
 	sp.putPayloadLocked(key, payload)
 	if len(sp.open) >= sp.segTarget {
 		sp.sealLocked()
@@ -644,13 +649,6 @@ func (sp *SpillStore) SetModelVersion(v uint64) {
 	}
 	sp.modelVer = v
 	sp.resetOpenLocked()
-}
-
-// ModelVersion returns the version stamped into new segments.
-func (sp *SpillStore) ModelVersion() uint64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.modelVer
 }
 
 // Stats snapshots the cold tier's counters.

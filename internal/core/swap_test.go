@@ -33,6 +33,24 @@ func swapTestModel(t *testing.T, seed uint64) *tgat.Model {
 	return m
 }
 
+// swapTestModelAt is swapTestModel carrying the given params version,
+// set the only way a version is ever set: by applying a staged
+// checkpoint (here the model's own parameters) as that version.
+func swapTestModelAt(t *testing.T, seed, version uint64) *tgat.Model {
+	t.Helper()
+	m := swapTestModel(t, seed)
+	path := filepath.Join(t.TempDir(), "params.tgp")
+	if err := m.SaveParamsFS(checkpoint.OS{}, path); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := m.ParseParamsFS(checkpoint.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ApplyParams(sp, version)
+	return m
+}
+
 func swapTestDyn(t *testing.T, n int) *graph.Dynamic {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -99,7 +117,7 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.SwapParams(1, func() { mA.ApplyParams(sp) })
+			eng.SwapParams(func() { mA.ApplyParams(sp, 1) })
 			if eng.ParamsVersion() != 1 {
 				t.Fatalf("version after swap: %d", eng.ParamsVersion())
 			}
@@ -199,9 +217,10 @@ func TestSpillRecoveryRejectsOtherVersion(t *testing.T) {
 // refused (cold start, never silent staleness).
 func TestCacheSnapshotVersionStamp(t *testing.T) {
 	opt := OptAll()
-	opt.ModelVersion = 3
-	m := swapTestModel(t, 2)
-	eng := swapTestEngine(t, m, opt)
+	eng := swapTestEngine(t, swapTestModelAt(t, 2, 3), opt)
+	if eng.ParamsVersion() != 3 {
+		t.Fatalf("engine over a v3 model serves v%d", eng.ParamsVersion())
+	}
 	nodes := []int32{1, 5, 3}
 	ts := []float64{1000, 1000, 1000}
 	eng.Embed(nodes, ts)
@@ -213,7 +232,7 @@ func TestCacheSnapshotVersionStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	same := swapTestEngine(t, swapTestModel(t, 2), opt)
+	same := swapTestEngine(t, swapTestModelAt(t, 2, 3), opt)
 	if err := same.LoadCachesFS(checkpoint.OS{}, path); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +240,7 @@ func TestCacheSnapshotVersionStamp(t *testing.T) {
 		t.Fatal("same-version snapshot loaded no entries")
 	}
 
-	optOther := opt
-	optOther.ModelVersion = 4
-	other := swapTestEngine(t, swapTestModel(t, 2), optOther)
+	other := swapTestEngine(t, swapTestModelAt(t, 2, 4), opt)
 	err := other.LoadCachesFS(checkpoint.OS{}, path)
 	if err == nil {
 		t.Fatal("v3 snapshot accepted by a v4 engine")

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/tensor"
@@ -163,13 +165,6 @@ func TestTieredCacheSpillServesEvictedEntries(t *testing.T) {
 		t.Fatalf("spill holds %d, want %d", sp.Len(), n-4)
 	}
 
-	// Park the promote worker for the rest of the test: every spill hit
-	// below queues a promotion, and one applied mid-batch demotes a hot
-	// entry the batch has not reached yet — a hot hit becomes a spill
-	// hit, or a miss while the entry is between the tiers' locks.
-	resume := c.quiesce()
-	defer resume()
-
 	// Every key is still served, with the right bytes.
 	dst := tensor.New(n, 2)
 	hits := make([]bool, n)
@@ -189,8 +184,15 @@ func TestTieredCacheSpillServesEvictedEntries(t *testing.T) {
 	if st.SpillHits > st.Misses {
 		t.Fatalf("spill hits %d exceed hot-tier misses %d", st.SpillHits, st.Misses)
 	}
-	if st.SpillHits != int64(n-4) {
-		t.Fatalf("spill hits %d, want %d", st.SpillHits, n-4)
+	// The scan is synchronous and FIFO: each of the n-4 spilled keys is
+	// promoted as it is read, which demotes the oldest hot entry, so by
+	// the time the scan reaches the four keys that started hot they are
+	// spill hits too — and every promotion is applied, none dropped.
+	if st.SpillHits != int64(n) || st.Promotes != int64(n) || st.PromoteDrops != 0 {
+		t.Fatalf("spill hits %d promotes %d drops %d, want %d %d 0", st.SpillHits, st.Promotes, st.PromoteDrops, n, n)
+	}
+	if c.Len() != 4 {
+		t.Fatalf("hot tier holds %d after the scan, want 4", c.Len())
 	}
 
 	// Contains and Keys reach the cold tier.
@@ -215,24 +217,14 @@ func TestTieredCachePromoteOnHit(t *testing.T) {
 	if !hits[0] {
 		t.Fatal("spilled key not served")
 	}
-	// The promotion is async; wait for the worker.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := c.shardFor(1)
-		s.mu.Lock()
-		_, resident := s.m[1]
-		s.mu.Unlock()
-		if resident {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("key never promoted to the hot tier (promotes=%d drops=%d)",
-				c.Stats().Promotes, c.Stats().PromoteDrops)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if c.Stats().Promotes == 0 {
-		t.Fatal("promotion not counted")
+	// The lookup that read the key promoted it: it is hot on return.
+	s := c.shardFor(1)
+	s.mu.Lock()
+	_, resident := s.m[1]
+	s.mu.Unlock()
+	if st := c.Stats(); !resident || st.Promotes != 1 {
+		t.Fatalf("key not promoted by its lookup (resident=%v promotes=%d drops=%d)",
+			resident, st.Promotes, st.PromoteDrops)
 	}
 }
 
@@ -274,9 +266,9 @@ func TestTieredCachePromoteGenerationFence(t *testing.T) {
 	defer c.Close()
 	c.Store([]uint64{1, 2, 3, 4}, tensor.Ones(4, 1))
 
-	stale := promoteReq{key: 1, vec: []float32{1}, gen: c.gen.Load()}
+	stale := c.gen.Load()
 	c.Remove([]uint64{1}) // bumps gen, removes from both tiers
-	c.promoteOne(stale)
+	c.promote(1, []float32{1}, stale)
 	if c.Contains(1) {
 		t.Fatal("stale promotion resurrected a removed entry")
 	}
@@ -284,8 +276,7 @@ func TestTieredCachePromoteGenerationFence(t *testing.T) {
 		t.Fatal("stale promotion not counted as dropped")
 	}
 	// A current-generation promotion still works.
-	fresh := promoteReq{key: 9, vec: []float32{9}, gen: c.gen.Load()}
-	c.promoteOne(fresh)
+	c.promote(9, []float32{9}, c.gen.Load())
 	if !c.Contains(9) {
 		t.Fatal("current-generation promotion was dropped")
 	}
@@ -329,10 +320,6 @@ func TestTieredCacheSurvivesRestart(t *testing.T) {
 		if row.At(0, 0) != float32(k) {
 			t.Fatalf("key %d: got %g want %d", k, row.At(0, 0), k)
 		}
-		// The hit queued a promotion whose demotion can compact the
-		// recovered segment; a Get racing that is a miss by contract.
-		// Let it land before the next lookup.
-		c2.quiesce()()
 	}
 }
 
@@ -477,10 +464,10 @@ func TestTieredCachePromoteGenCapturedBeforeSpillRead(t *testing.T) {
 	// window between SpillStore.Get returning and that load handed the
 	// promotion a post-invalidation generation, so it passed the fence
 	// in promoteOne and resurrected the just-removed entry. The
-	// generation is now captured before the spill read and threaded
-	// through maybePromote; this pins the threading: a promotion
-	// enqueued *after* an invalidation, but carrying a pre-invalidation
-	// generation, must be dropped by the worker.
+	// generation is now captured before the spill read and handed to
+	// promote; this pins the threading: a promotion applied *after* an
+	// invalidation, but carrying a pre-invalidation generation, must be
+	// dropped at the re-check.
 	sp := newTestSpill(t, 1)
 	c := NewCacheWith(CacheConfig{Limit: 2, Dim: 1, Shards: 1, Policy: CacheFIFO, Spill: sp})
 	defer c.Close()
@@ -493,28 +480,113 @@ func TestTieredCachePromoteGenCapturedBeforeSpillRead(t *testing.T) {
 	if !sp.Get(1, row) {
 		t.Fatal("precondition: key 1 not in spill tier")
 	}
-	// …then a Remove completes fully before the promotion is enqueued.
+	// …then a Remove completes fully before the promotion is applied.
 	c.Remove([]uint64{1})
 	drops := c.Stats().PromoteDrops
-	c.maybePromote(1, row, gen)
-
-	waitFor(t, "stale promotion drained", func() bool {
-		return c.Stats().PromoteDrops > drops
-	})
+	c.promote(1, row, gen)
+	if c.Stats().PromoteDrops != drops+1 {
+		t.Fatal("stale promotion not counted as dropped")
+	}
 	if c.Contains(1) {
 		t.Fatal("promotion with a pre-invalidation generation resurrected the entry")
 	}
 }
 
-// waitFor polls cond for up to two seconds.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// TestTieredCacheRemovedKeyStaysGoneUnderRace stresses the move fence
+// from outside: lookups (each one a spill read and a promotion attempt),
+// stores and removes of one spilled key race freely with stores of other
+// keys (which evict it again, so its demotion is in flight too), then a
+// last Remove runs while the lookups and the churn are still going.
+// Whatever the interleaving, once that Remove has returned the key is in
+// neither tier and no lookup serves it — a promotion or demotion that
+// read its source before the Remove is dropped, not applied behind it.
+func TestTieredCacheRemovedKeyStaysGoneUnderRace(t *testing.T) {
+	const key = uint64(1)
+	rounds := 150
+	if testing.Short() {
+		rounds = 30
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	sp := newTestSpill(t, 1)
+	c := NewCacheWith(CacheConfig{Limit: 2, Dim: 1, Shards: 1, Policy: CacheFIFO, Spill: sp})
+	defer c.Close()
+	one := tensor.Ones(1, 1)
+	yield := func() {} // the spinning goroutines share one P politely, or race on several
+	if runtime.GOMAXPROCS(0) == 1 {
+		yield = runtime.Gosched
+	}
+	for round := 0; round < rounds; round++ {
+		// The key starts each round in the cold tier only.
+		c.Store([]uint64{key}, one)
+		c.Store([]uint64{100, 101}, tensor.Ones(2, 1))
+		if !sp.Contains(key) {
+			t.Fatalf("round %d: key not spilled", round)
+		}
+		var removed atomic.Bool
+		var after, served atomic.Int64 // lookups begun after the last Remove returned, and those that hit
+		var writers, readers sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 2; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				row := tensor.New(1, 1)
+				hits := make([]bool, 1)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					yield()
+					late := removed.Load()
+					hit := c.LookupInto([]uint64{key}, row, hits) == 1
+					if late {
+						after.Add(1)
+						if hit {
+							served.Add(1)
+						}
+					}
+				}
+			}()
+		}
+		readers.Add(1)
+		go func() { // churn: evicts whatever the lookups promote
+			defer readers.Done()
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				yield()
+				c.Store([]uint64{200 + i%4}, one)
+			}
+		}()
+		writers.Add(2)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 8; i++ {
+				c.Store([]uint64{key}, one)
+			}
+		}()
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 8; i++ {
+				c.Remove([]uint64{key})
+			}
+		}()
+		writers.Wait()
+		c.Remove([]uint64{key}) // the lookups are still running
+		removed.Store(true)
+		gone := !c.Contains(key)
+		for after.Load() < 4 { // every lookup that straddled the Remove has finished
+			runtime.Gosched()
+		}
+		close(stop)
+		readers.Wait()
+		if !gone || c.Contains(key) || served.Load() != 0 {
+			t.Fatalf("round %d: removed key resident (at return %v, after %v) or served (%d lookups)",
+				round, !gone, c.Contains(key), served.Load())
+		}
+	}
 }

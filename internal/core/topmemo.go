@@ -146,10 +146,3 @@ func (e *Engine) TopMemoStats() TopMemoStats {
 		StaleSkips: m.staleSkips.Load(),
 	}
 }
-
-// memoStamp reads the current stamp. The two halves are read one after
-// the other, which is enough: both only grow, so two reads that agree
-// bracket an interval in which neither moved.
-func (e *Engine) memoStamp() memoStamp {
-	return memoStamp{g: e.dyn.Mutations() + e.dyn.Appends(), e: e.memoEpoch.Load()}
-}

@@ -203,8 +203,8 @@ func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.eng.SwapParams(1, func() { f.m.ApplyParams(sp) })
-			f.ref.SwapParams(1, func() {})
+			f.eng.SwapParams(func() { f.m.ApplyParams(sp, 1) })
+			f.ref.SwapParams(func() {})
 			f.check("params swap", nodes, ts)
 
 			snap := filepath.Join(t.TempDir(), "caches.tgc")

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,11 +40,19 @@ var backendModes = []backendMode{
 // file of a single core, the per-shard snapshot directory of a pool.
 func (m backendMode) newServer(t *testing.T, snap string) (*Server, *httptest.Server) {
 	t.Helper()
+	return m.newServerWith(t, shard.Config{SnapshotDir: snap})
+}
+
+// newServerWith is newServer with the rest of the pool's configuration
+// (fault injection) chosen by the caller; a single core ignores it.
+func (m backendMode) newServerWith(t *testing.T, cfg shard.Config) (*Server, *httptest.Server) {
+	t.Helper()
 	model, dyn := testModelDyn(t)
 	var s *Server
 	if m.shards > 0 {
 		var err error
-		s, err = NewSharded(model, dyn, core.OptAll(), shard.Config{Shards: m.shards, SnapshotDir: snap})
+		cfg.Shards = m.shards
+		s, err = NewSharded(model, dyn, core.OptAll(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,4 +311,94 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 	if v := s.ModelVersion(); v != 1 {
 		t.Fatalf("version after swap = %d, want 1", v)
 	}
+}
+
+// TestBackendOneModelVersion: the params version is a property of the
+// shared model, so every place that reports it — Server.ModelVersion,
+// /v1/stats model.version and shards.model_version, tgopt_model_version
+// and each live engine — reads one number: at boot, after a swap, and
+// after the supervisor has rebuilt crashed shards on the swapped model.
+func TestBackendOneModelVersion(t *testing.T) {
+	const poisoned = 3
+	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
+		var armed atomic.Bool
+		s, ts := m.newServerWith(t, shard.Config{
+			WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+				return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
+			},
+		})
+		ingest(t, ts.URL, shardTestEdges)
+		check := func(when string, want uint64) {
+			t.Helper()
+			var sr statsResponse
+			getJSON(t, ts.URL+"/v1/stats", &sr)
+			got := map[string]uint64{"Server.ModelVersion": s.ModelVersion(), "stats model.version": sr.Model.Version}
+			if sr.Shards != nil {
+				got["stats shards.model_version"] = sr.Shards.ModelVersion
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			for _, line := range strings.Split(buf.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, "tgopt_model_version "); ok {
+					f, _ := strconv.ParseFloat(v, 64)
+					got["tgopt_model_version"] = uint64(f)
+				}
+			}
+			engs := s.backend.Engines()
+			if len(engs) != max(m.shards, 1) {
+				t.Fatalf("%s: %d live engines, want %d", when, len(engs), max(m.shards, 1))
+			}
+			for i, eng := range engs {
+				got["engine "+strconv.Itoa(i)] = eng.ParamsVersion()
+			}
+			if _, ok := got["tgopt_model_version"]; !ok {
+				t.Fatalf("%s: /metrics has no tgopt_model_version", when)
+			}
+			for where, v := range got {
+				if v != want {
+					t.Errorf("%s: %s = %d, want %d (all: %v)", when, where, v, want, got)
+				}
+			}
+		}
+		swapTo := func(seed, version uint64) {
+			t.Helper()
+			path := filepath.Join(t.TempDir(), "params.tgp")
+			if err := swapSeedModel(t, seed).SaveParamsFS(checkpoint.OS{}, path); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SwapParams(checkpoint.OS{}, path, version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("boot", 0)
+		swapTo(3, 5)
+		check("after swap", 5)
+
+		if r := s.Router(); r != nil {
+			// Crash every shard that sees the poisoned target, let the
+			// supervisor rebuild them, and ask again.
+			armed.Store(true)
+			req := embedRequest{Nodes: []int32{1, 2, poisoned, 4}, Times: []float64{90, 90, 90, 90}}
+			if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != http.StatusPartialContent {
+				t.Fatalf("poisoned embed: code %d err %v, want 206", code, err)
+			}
+			armed.Store(false)
+			r.WaitRestarts()
+			waitForServe(t, 5*time.Second, func() bool {
+				var restarts int64
+				for _, st := range r.Stats().Shards {
+					restarts += st.Restarts
+				}
+				return restarts > 0 && len(r.Engines()) == m.shards
+			})
+			check("after supervisor rebuild", 5)
+		}
+		swapTo(9, 6)
+		check("after second swap", 6)
+	})
 }

@@ -71,9 +71,8 @@ type Server struct {
 	// old-version embeddings. Lock order: swapGate before the backend's
 	// (DESIGN.md §13).
 	swapGate sync.RWMutex
-	// modelVersion is the params version currently serving; swaps,
-	// rollbacks, and lastSwapUnix are the /v1/stats "model" section.
-	modelVersion atomic.Uint64
+	// swaps, rollbacks, and lastSwapUnix are the /v1/stats "model"
+	// section, beside the version model itself carries.
 	swaps        atomic.Int64
 	rollbacks    atomic.Int64
 	lastSwapUnix atomic.Int64
@@ -97,12 +96,10 @@ type Server struct {
 	// Embed/score failure accounting, split by cause so dashboards can
 	// tell "the client hung up" (499) from "we could not serve" (503):
 	// clientCancels counts abandoned requests, unavailable counts
-	// server-side failures, quorumRejects the below-quorum 503s, and
-	// partials the 206 degraded responses.
+	// server-side failures. The below-quorum 503s and the 206 degraded
+	// responses are counted where they are decided, in the Router.
 	clientCancels atomic.Int64
 	unavailable   atomic.Int64
-	quorumRejects atomic.Int64
-	partials      atomic.Int64
 
 	// Readiness state for /readyz (health.go): ready flips on once
 	// warm-start (or explicit SetReady) completes; draining flips on at
@@ -117,21 +114,15 @@ type Server struct {
 
 // newServer is the part of New and NewSharded that does not depend on
 // the backend.
-func newServer(model *tgat.Model, dyn *graph.Dynamic, bootVersion uint64) *Server {
-	s := &Server{
-		dyn:     dyn,
-		model:   model,
-		hitRate: stats.NewHitRate(10),
-	}
-	s.modelVersion.Store(bootVersion)
-	return s
+func newServer(model *tgat.Model, dyn *graph.Dynamic) *Server {
+	return &Server{dyn: dyn, model: model, hitRate: stats.NewHitRate(10)}
 }
 
 // New builds a server over a model and a (possibly pre-populated)
 // dynamic graph, computing on one shard.Core over that graph. opt's
 // HitRate is overridden with the server's own instrumentation.
 func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
-	s := newServer(model, dyn, opt.ModelVersion)
+	s := newServer(model, dyn)
 	opt.HitRate = s.hitRate
 	s.backend = shard.NewCore(model, dyn, opt)
 	return s
@@ -146,10 +137,9 @@ func (s *Server) Engine() *core.Engine {
 	return nil
 }
 
-// Close releases the backend's background resources: it stops every
-// engine's cache promotion workers and seals the spill tier's open
-// segments so spilled entries survive a restart. Call it after the
-// HTTP server has drained.
+// Close closes the backend: every engine's open spill segments are
+// sealed so spilled entries survive a restart. Call it after the HTTP
+// server has drained.
 func (s *Server) Close() error { return s.backend.Close() }
 
 // Handler returns the HTTP handler for the API, wrapped in the serving
@@ -265,7 +255,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_unavailable_total", "Computations failed server-side (503), client cancels excluded.", float64(s.unavailable.Load()))
 	write("tgopt_snapshots_total", "Background cache snapshots written.", float64(s.snapshotSaves.Load()))
 	write("tgopt_snapshot_errors_total", "Cache snapshot or warm-start failures.", float64(s.snapshotErrors.Load()))
-	write("tgopt_model_version", "Params version currently serving.", float64(s.modelVersion.Load()))
+	write("tgopt_model_version", "Params version currently serving.", float64(s.model.Version()))
 	write("tgopt_model_swaps_total", "Successful parameter hot-swaps since boot.", float64(s.swaps.Load()))
 	write("tgopt_model_rollbacks_total", "Hot-swaps rejected (corrupt or failed snapshot); the previous version kept serving.", float64(s.rollbacks.Load()))
 	write("tgopt_model_last_swap_timestamp_seconds", "Unix time of the last successful hot-swap (0 = never).", float64(s.lastSwapUnix.Load()))
@@ -458,9 +448,6 @@ func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, nodes []int32
 		s.writeEmbedError(w, err)
 		return nil, nil, false
 	}
-	if len(degraded) > 0 {
-		s.partials.Add(1)
-	}
 	return slab, degraded, true
 }
 
@@ -486,7 +473,6 @@ func (s *Server) writeEmbedError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "request exceeded its deadline: %v", err)
 	case errors.Is(err, shard.ErrNoQuorum):
-		s.quorumRejects.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "degraded below quorum: %v", err)
 	default:
@@ -607,7 +593,7 @@ type statsResponse struct {
 	Panics      int64                  `json:"panics"`
 	// ClientCancels (499-style) and Unavailable (real 503s) split the
 	// failed-computation accounting by cause; QuorumRejects and
-	// Partials are the sharded degradation counters.
+	// Partials repeat the router's degradation counters (Shards).
 	ClientCancels int64       `json:"client_cancels"`
 	Unavailable   int64       `json:"unavailable"`
 	QuorumRejects int64       `json:"quorum_rejects,omitempty"`
@@ -655,6 +641,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	et := s.engineTotals()
+	shards := s.shardHealth()
 	resp := statsResponse{
 		NumNodes:      s.dyn.NumNodes(),
 		NumEdges:      s.dyn.NumEdges(),
@@ -672,8 +659,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Panics:        s.panics.Load(),
 		ClientCancels: s.clientCancels.Load(),
 		Unavailable:   s.unavailable.Load(),
-		QuorumRejects: s.quorumRejects.Load(),
-		Partials:      s.partials.Load(),
 		Snapshots:     s.snapshotSaves.Load(),
 		SnapErrors:    s.snapshotErrors.Load(),
 		Ingest: ingestStats{
@@ -687,7 +672,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Model:    s.modelStatsJSON(),
 		Stages:   et.stageStatsJSON(),
 		Batching: s.batchTotals().json(),
-		Shards:   s.shardHealth(),
+		Shards:   shards,
+	}
+	if shards != nil {
+		resp.QuorumRejects, resp.Partials = shards.QuorumRejects, shards.PartialResponses
 	}
 	writeJSON(w, resp)
 }

@@ -27,15 +27,16 @@ type modelStats struct {
 
 func (s *Server) modelStatsJSON() modelStats {
 	return modelStats{
-		Version:      s.modelVersion.Load(),
+		Version:      s.model.Version(),
 		Swaps:        s.swaps.Load(),
 		Rollbacks:    s.rollbacks.Load(),
 		LastSwapUnix: s.lastSwapUnix.Load(),
 	}
 }
 
-// ModelVersion returns the params version currently serving.
-func (s *Server) ModelVersion() uint64 { return s.modelVersion.Load() }
+// ModelVersion returns the params version currently serving: the one
+// the shared model carries, so it moves with the tensors, under the gate.
+func (s *Server) ModelVersion() uint64 { return s.model.Version() }
 
 // SwapRollbacks returns how many swaps were rejected with the previous
 // version kept serving.
@@ -51,9 +52,9 @@ func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
 // rollbacks. Only the commit runs under the server's request gate (no
 // in-flight embed/score/ingest/explain straddles it) plus the backend's
 // barriers underneath, and re-derives every params-dependent structure:
-// precomputed time tables, and the memo caches across hot tier, spill
-// segments, and pending promotions (stamped with the new version so
-// pre-swap spill segments read as misses even after a restart).
+// precomputed time tables, and the memo caches across hot tier and
+// spill segments (stamped with the new version so pre-swap spill
+// segments read as misses even after a restart).
 //
 // fsys is the file system path is read through (nil: checkpoint.OS);
 // fault tests inject faultfs.
@@ -65,12 +66,11 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	if err != nil {
 		s.rollbacks.Add(1)
 		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
-			version, s.modelVersion.Load(), err)
+			version, s.model.Version(), err)
 	}
 	s.swapGate.Lock()
 	s.backend.CommitSwap(sp, version)
 	s.swapGate.Unlock()
-	s.modelVersion.Store(version)
 	s.swaps.Add(1)
 	s.lastSwapUnix.Store(time.Now().Unix())
 	return nil
@@ -122,7 +122,7 @@ func (s *Server) swapTick(cfg SwapConfig) {
 			}
 			return // nothing published yet
 		}
-		if v == s.modelVersion.Load() {
+		if v == s.model.Version() {
 			return
 		}
 		if err := s.SwapParams(cfg.FS, path, v); err != nil {
@@ -142,7 +142,7 @@ func (s *Server) swapTick(cfg SwapConfig) {
 		cfg.Logf("swap: fine-tune skipped: %v", err)
 		return
 	}
-	version := s.modelVersion.Load() + 1
+	version := s.model.Version() + 1
 	if v, _, lerr := swap.Latest(cfg.FS, cfg.Dir); lerr == nil && v >= version {
 		version = v + 1 // never republish an existing version number
 	}

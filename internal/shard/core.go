@@ -158,7 +158,7 @@ func (c *Core) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParams,
 // rewritten, and every version-dependent structure is re-derived
 // (core.Engine.FinishSwap).
 func (c *Core) CommitSwap(sp *tgat.StagedParams, version uint64) {
-	c.eng.SwapParams(version, func() { c.model.ApplyParams(sp) })
+	c.eng.SwapParams(func() { c.model.ApplyParams(sp, version) })
 }
 
 // SaveSnapshot writes the engine's memo caches to path through the
@@ -174,9 +174,8 @@ func (c *Core) WarmStart(path string) (int, error) {
 	return 1, nil
 }
 
-// Close stops the engine's cache promotion workers and seals the spill
-// tier's open segments. A crashed core may be in an arbitrary state, so
-// the close is panic-protected.
+// Close seals the engine's spill tiers' open segments. A crashed core
+// may be in an arbitrary state, so the close is panic-protected.
 func (c *Core) Close() (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {

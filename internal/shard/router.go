@@ -115,8 +115,7 @@ type Router struct {
 	// (a core built mid-commit would pack stale weights); CommitSwap
 	// takes the write side. Lock order: swapMu before ingestMu before
 	// any engine's swap gate — never the reverse.
-	swapMu  sync.RWMutex
-	version atomic.Uint64
+	swapMu sync.RWMutex
 
 	closed atomic.Bool
 
@@ -174,7 +173,6 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		log:      append([]graph.Edge(nil), dyn.Edges()...),
 	}
 	r.rebuildDone.L = &r.rebuildMu
-	r.version.Store(opt.ModelVersion) // the boot version; CommitSwap advances it
 	if cfg.SnapshotDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
 			return nil, fmt.Errorf("shard: snapshot dir: %w", err)
@@ -215,12 +213,10 @@ func (r *Router) buildCore(id int, prefix []graph.Edge) (c *Core, err error) {
 	if opt.CacheSpillDir != "" {
 		opt.CacheSpillDir = filepath.Join(opt.CacheSpillDir, fmt.Sprintf("shard-%d", id))
 	}
-	// The rebuilt engine serves whatever version the shared model
-	// carries NOW — not the boot-time one — so spill recovery and
-	// snapshot loads validate against the current version. Callers on
-	// the restart path hold swapMu's read side, which keeps this
-	// consistent with the shared tensors across the build.
-	opt.ModelVersion = r.version.Load()
+	// The rebuilt engine reads the shared model's version, so spill
+	// recovery and snapshot loads validate against what the model holds
+	// now. Callers on the restart path hold swapMu's read side, which
+	// keeps tensors and version still across the build.
 	c = NewCore(r.model, dyn, opt)
 	if r.cfg.WrapEmbedder != nil {
 		c.emb = r.cfg.WrapEmbedder(id, c.emb)
@@ -535,7 +531,7 @@ func applyToCore(c *Core, e graph.Edge, want graph.IngestResult, divergence *ato
 }
 
 // ParamsVersion returns the model version the pool currently serves.
-func (r *Router) ParamsVersion() uint64 { return r.version.Load() }
+func (r *Router) ParamsVersion() uint64 { return r.model.Version() }
 
 // PrepareSwap is the first phase of swapping the whole pool to the
 // params checkpoint at path: every shard parses and validates its own
@@ -571,12 +567,11 @@ func (r *Router) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParam
 // CommitSwap is the second phase: under the pool swap barrier
 // (in-flight scatter-gathers and supervisor rebuilds drained, new ones
 // blocked) and every live engine's own swap gate, the shared model's
-// tensors are rewritten once and each engine re-derives its
+// tensors and version are rewritten once and each engine re-derives its
 // version-dependent state — re-built time tables, memo caches dropped
-// and re-stamped across hot tier, spill, and pending promotes
-// (core.Engine.FinishSwap). Crashed shards are absent by design: their
-// supervisor rebuild reads the shared model and the advanced pool
-// version, so they come back on the new parameters.
+// and re-stamped across hot tier and spill (core.Engine.FinishSwap).
+// Crashed shards are absent by design: their supervisor rebuild reads
+// the shared model, so they come back on the new parameters.
 func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
@@ -584,14 +579,13 @@ func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
 	for _, eng := range locked {
 		eng.SwapLock()
 	}
-	r.model.ApplyParams(sp)
+	r.model.ApplyParams(sp, version)
 	for _, eng := range locked {
-		eng.FinishSwap(version)
+		eng.FinishSwap()
 	}
 	for i := len(locked) - 1; i >= 0; i-- {
 		locked[i].SwapUnlock()
 	}
-	r.version.Store(version)
 }
 
 // RouterStats is the router-level health snapshot for /v1/stats.
@@ -632,7 +626,7 @@ func (r *Router) Stats() RouterStats {
 		SnapshotSaves:    r.snapshotSaves.Load(),
 		SnapshotErrors:   r.snapshotErrors.Load(),
 		SnapshotLoads:    r.snapshotLoads.Load(),
-		ModelVersion:     r.version.Load(),
+		ModelVersion:     r.model.Version(),
 	}
 	for _, s := range r.shards {
 		st.Shards = append(st.Shards, s.status())

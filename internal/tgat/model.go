@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/graph"
@@ -26,6 +27,11 @@ type Model struct {
 	Attn     []*nn.TemporalAttention // Attn[l-1] serves layer l
 	Merge    []*nn.MergeLayer        // Merge[l-1] serves layer l
 	Affinity *nn.MergeLayer          // link-prediction head -> 1 logit
+
+	// version names the parameter values the tensors above hold. It is
+	// written only by ApplyParams, next to the tensors it describes, so
+	// every engine, router and server sharing the model reads one number.
+	version atomic.Uint64
 }
 
 // NewModel creates a model with Xavier-initialized parameters over the
@@ -300,7 +306,7 @@ func (m *Model) LoadParams(path string) error {
 	if err != nil {
 		return err
 	}
-	m.ApplyParams(sp)
+	m.ApplyParams(sp, m.Version())
 	return nil
 }
 
@@ -361,14 +367,20 @@ func (m *Model) ParseParamsFS(fsys checkpoint.FS, path string) (*StagedParams, e
 }
 
 // ApplyParams copies a staged checkpoint into the model's parameter
-// tensors. The tensors mutate in place, so every engine sharing this
-// model sees the new values; callers must hold the engines' swap
-// barriers (core.Engine.SwapLock) around the call.
-func (m *Model) ApplyParams(sp *StagedParams) {
+// tensors and names the result version. The tensors mutate in place, so
+// every engine sharing this model sees the new values and the new
+// version; callers must hold the engines' swap barriers
+// (core.Engine.SwapLock) around the call.
+func (m *Model) ApplyParams(sp *StagedParams, version uint64) {
 	for i, p := range m.Params() {
 		p.CopyFrom(sp.tensors[i])
 	}
+	m.version.Store(version)
 }
+
+// Version returns the version of the parameters the model holds: 0
+// until an ApplyParams names another.
+func (m *Model) Version() uint64 { return m.version.Load() }
 
 // Clone returns a model with the same architecture and feature tables
 // (shared — they are immutable dataset state) but private copies of

@@ -20,9 +20,20 @@ nontest() { ls "$1"/*.go | grep -v _test.go; }
 if grep -nE 'router (!=|==) nil|engine (!=|==) nil' $(nontest internal/serve); then
     echo "internal/serve forks on its backend again: the lines above"; exit 1
 fi
-for pkg in core serve shard; do
+for pkg in core serve shard tgat; do
     printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
 done
+
+echo "== one version holder, no promote worker (tgat.Model carries the params version; a spill hit is promoted by its lookup)"
+if grep -nE '(modelVersion|version) +atomic\.Uint64' internal/core/engine.go $(nontest internal/shard) $(nontest internal/serve); then
+    echo "a second stored params version: the lines above"; exit 1
+fi
+if grep -n 'ModelVersion' internal/core/engine.go; then
+    echo "internal/core/engine.go copies the params version again: the lines above"; exit 1
+fi
+if grep -nE 'promoteCh|promoteGate|promoteLoop|quiesce' $(nontest internal/core); then
+    echo "internal/core grew a promote worker again: the lines above"; exit 1
+fi
 
 echo "== go test"
 go test ./...
@@ -55,7 +66,8 @@ go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBacke
     ./internal/shard/... ./internal/serve/...
 
 echo "== spill-tier fault injection (crash mid-seal, bit flips, torn segments; race-enabled)"
-go test -race -count=1 -run 'TestSpill|TestTieredCache|TestBatcherRetire' ./internal/core/ ./internal/batcher/
+go test -race -count=5 -run 'TestTieredCache' ./internal/core/
+go test -race -count=1 -run 'TestSpill|TestBatcherRetire' ./internal/core/ ./internal/batcher/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness; race-enabled)"
 go test -race -count=1 -run 'TestTransitive|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep' \
