@@ -88,8 +88,10 @@ const DefaultMaxBatch = 256
 // DefaultWindow is the flush window used by the serving CLI default.
 const DefaultWindow = 2 * time.Millisecond
 
-// flight is one in-flight ⟨node, t⟩ computation. done is closed exactly
-// once, after row/err are set; waiters must only read them after done.
+// flight is one in-flight ⟨node, t⟩ computation. done is its cohort's
+// channel — shared by every flight of one pending batch — and is closed
+// exactly once, after every flight's row/err is set; waiters must only
+// read them after done.
 type flight struct {
 	node int32
 	t    float64
@@ -108,6 +110,7 @@ type Batcher struct {
 
 	mu         sync.Mutex
 	pending    []*flight          // the batch currently accumulating
+	cohort     chan struct{}      // pending's done channel; nil while pending is empty
 	flights    map[uint64]*flight // memo key -> pending or executing flight
 	running    int                // fused passes currently executing
 	batchGen   uint64             // invalidates stale window timers
@@ -193,7 +196,10 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 			waits[i] = f
 			continue
 		}
-		f := &flight{node: nodes[i], t: ts[i], enq: now, done: make(chan struct{})}
+		if b.cohort == nil {
+			b.cohort = make(chan struct{})
+		}
+		f := &flight{node: nodes[i], t: ts[i], enq: now, done: b.cohort}
 		b.flights[key] = f
 		b.pending = append(b.pending, f)
 		waits[i] = f
@@ -232,10 +238,10 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 		// batcher has nothing else runnable and proceeds immediately.
 		runtime.Gosched()
 		b.mu.Lock()
-		fs := b.takeLocked()
+		fs, done := b.takeLocked()
 		b.mu.Unlock()
 		if len(fs) > 0 { // a size flush may have raced the capture
-			b.runPass(fs)
+			b.runPass(fs, done)
 		}
 		b.mu.Lock()
 		b.running--
@@ -273,13 +279,14 @@ func (b *Batcher) scheduleLocked() {
 	go b.runLoop()
 }
 
-// takeLocked claims the pending batch for execution. Callers hold b.mu.
-func (b *Batcher) takeLocked() []*flight {
-	run := b.pending
-	b.pending = nil
+// takeLocked claims the pending batch and its cohort channel for
+// execution. Callers hold b.mu.
+func (b *Batcher) takeLocked() ([]*flight, chan struct{}) {
+	run, done := b.pending, b.cohort
+	b.pending, b.cohort = nil, nil
 	b.batchGen++ // any armed window timer is now stale
 	b.timerArmed = false
-	return run
+	return run, done
 }
 
 // runLoop is one runner: it captures and executes fused passes until the
@@ -297,7 +304,7 @@ func (b *Batcher) runLoop() {
 	for {
 		runtime.Gosched() // let runnable callers join this cohort
 		b.mu.Lock()
-		fs := b.takeLocked()
+		fs, done := b.takeLocked()
 		if len(fs) == 0 {
 			b.running--
 			b.mu.Unlock()
@@ -308,7 +315,7 @@ func (b *Batcher) runLoop() {
 		}
 		first = false
 		b.mu.Unlock()
-		b.runPass(fs)
+		b.runPass(fs, done)
 	}
 }
 
@@ -339,21 +346,18 @@ func (b *Batcher) armTimerLocked() {
 
 // runPass executes one fused pass over the claimed flights and
 // publishes each result row (or a recovered panic as an error) to its
-// waiters.
-func (b *Batcher) runPass(fs []*flight) {
+// waiters by closing the cohort's done channel, once, on either path.
+func (b *Batcher) runPass(fs []*flight, done chan struct{}) {
 	start := time.Now()
-	published := false
 	defer func() {
 		if rec := recover(); rec != nil {
 			b.panics.Add(1)
-			if !published {
-				err := fmt.Errorf("%w: %v", ErrPassPanicked, rec)
-				for _, f := range fs {
-					f.err = err
-					close(f.done)
-				}
+			err := fmt.Errorf("%w: %v", ErrPassPanicked, rec)
+			for _, f := range fs {
+				f.err = err
 			}
 		}
+		close(done)
 
 		b.mu.Lock()
 		// Retire the flights so later requests for the same keys start
@@ -396,12 +400,8 @@ func (b *Batcher) runPass(fs []*flight) {
 	for i, f := range fs {
 		f.row = slab[i*b.dim : (i+1)*b.dim]
 	}
-	published = true
 	b.batches.Add(1)
 	b.occupancy.Observe(int64(nm))
-	for _, f := range fs {
-		close(f.done)
-	}
 }
 
 // RetireTargets removes from the single-flight table every in-flight

@@ -189,7 +189,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // exactly when batching is on (sharded or not: they used to vanish
 // under -shards), the shards section and shard-health families exactly
 // when there is a pool — and shards.batching is the top-level section's
-// counters.
+// counters. The wire section agrees with the tgopt_wire_* series and,
+// sitting above the backend, reads the same in every mode.
 func TestBackendMetricsAndStatsShape(t *testing.T) {
 	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
@@ -251,9 +252,29 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 				}
 			}
 		}
+		var wire wireStats
+		if err := json.Unmarshal(st["wire"], &wire); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		rows, _ := strconv.ParseInt(afterLine(buf.String(), "tgopt_wire_rows_total "), 10, 64)
+		hits, _ := strconv.ParseInt(afterLine(buf.String(), "tgopt_wire_row_text_hits_total "), 10, 64)
+		if (wireStats{rows, hits}) != wire {
+			t.Errorf("/metrics wire rows %d, row-text hits %d; /v1/stats wire %+v", rows, hits, wire)
+		}
+		if wire.Rows != 36 || wire.RowTextHits < 12 {
+			t.Errorf("wire %+v after three 12-row embeds, the second a repeat of the first: want 36 rows, >= 12 hits", wire)
+		}
+
 		delete(st, "batching")
 		delete(st, "shards")
-		common[m.name] = strings.Join(rest, " ") + "\n" + strings.Join(sortedKeys(st), " ")
+		common[m.name] = strings.Join(rest, " ") + "\n" + strings.Join(sortedKeys(st), " ") + "\n" + string(st["wire"])
 	})
 	for _, m := range backendModes[1:] {
 		if common[m.name] != common[backendModes[0].name] {

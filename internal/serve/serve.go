@@ -62,6 +62,10 @@ type Server struct {
 	// (NewSharded). Nothing below the constructors depends on which.
 	backend backend
 
+	// wire formats /v1/embed rows (wire.go); it sits above the backend
+	// and outlives swaps, ingest and shard restarts unchanged.
+	wire *rowTextMemo
+
 	// swapGate is the request-level hot-swap barrier (swap.go): embed,
 	// score, ingest, and explain hold the read side for their whole
 	// handler body, SwapParams' commit takes the write side. The backend
@@ -115,7 +119,7 @@ type Server struct {
 // newServer is the part of New and NewSharded that does not depend on
 // the backend.
 func newServer(model *tgat.Model, dyn *graph.Dynamic) *Server {
-	return &Server{dyn: dyn, model: model, hitRate: stats.NewHitRate(10)}
+	return &Server{dyn: dyn, model: model, hitRate: stats.NewHitRate(10), wire: newRowTextMemo(model.Cfg.NodeDim)}
 }
 
 // New builds a server over a model and a (possibly pre-populated)
@@ -240,6 +244,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", float64(tm.Hits))
 	write("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", float64(tm.Stores))
 	write("tgopt_top_memo_stale_skips_total", "Top-layer rows computed but not stored because a write landed during their pass.", float64(tm.StaleSkips))
+	ws := s.wire.stats()
+	write("tgopt_wire_rows_total", "Embedding rows encoded into /v1/embed responses.", float64(ws.Rows))
+	write("tgopt_wire_row_text_hits_total", "Encoded embedding rows whose text was copied from the row-text memo instead of formatted.", float64(ws.RowTextHits))
 	write("tgopt_requests_total", "API requests handled.", float64(s.requests.Load()))
 	write("tgopt_ingested_total", "Edges accepted via /v1/ingest.", float64(s.ingested.Load()))
 	write("tgopt_ingest_late_accepted_total", "Out-of-order edges absorbed inside the lateness window.", float64(s.dyn.LateAccepted()))
@@ -418,24 +425,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Response rows sub-slice the single backing slab instead of
-	// allocating one []float32 per row.
-	d := s.model.Cfg.NodeDim
-	out := make([][]float32, len(req.Nodes))
-	for i := range out {
-		out[i] = slab[i*d : (i+1)*d]
-	}
-	resp := embedResponse{Embeddings: out}
-	if len(degraded) > 0 {
-		resp.Partial = true
-		resp.Degraded = degraded
-		for _, i := range degraded {
-			out[i] = nil
-		}
-		writeJSONStatus(w, http.StatusPartialContent, resp)
-		return
-	}
-	writeJSON(w, resp)
+	s.writeEmbed(w, slab, degraded)
 }
 
 // embedSlab computes the embeddings of the given targets as one backing
@@ -547,10 +537,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Partial = true
-		writeJSONStatus(w, http.StatusPartialContent, resp)
-		return
 	}
-	writeJSON(w, resp)
+	writeScore(w, resp)
 }
 
 // scoreLogits renders an affinity-head output column into the score
@@ -581,6 +569,9 @@ type statsResponse struct {
 	CacheBytes int64        `json:"cache_bytes"`
 	HitRate    float64      `json:"hit_rate"`
 	Cache      cacheSection `json:"cache"`
+	// Wire counts the /v1/embed rows encoded and those whose text the
+	// row-text memo held.
+	Wire wireStats `json:"wire"`
 	// CacheLayers breaks the cache section down per memoized layer
 	// (summed across cores); deep layers (>= 2) only appear when
 	// serving a model with -layers >= 3.
@@ -650,6 +641,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheBytes:    et.bytes,
 		HitRate:       s.hitRate.Average(),
 		Cache:         cacheSection{et.cache, et.topMemo},
+		Wire:          s.wire.stats(),
 		CacheLayers:   et.layers,
 		Requests:      s.requests.Load(),
 		Ingested:      s.ingested.Load(),

@@ -108,45 +108,68 @@ func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 }
 
 // TestWriteJSONEncodeFailureIsAClean500: a value encoding/json refuses
-// (a NaN logit) must yield a 500 whose body is the error object alone —
-// behind the middleware's buffered writer, where the response is encoded
-// in place, and on a bare ResponseWriter.
+// (a NaN logit, a NaN in an embedding row) must yield a 500 whose body is
+// the error object alone — behind the middleware's buffered writer, where
+// the response is encoded in place, and on a bare ResponseWriter — and
+// the append encoders must send the same 500 as writeJSON does.
 func TestWriteJSONEncodeFailureIsAClean500(t *testing.T) {
+	const want500 = `{"error":"encode error: json: unsupported value: NaN"}` + "\n"
 	bad := scoreResponse{Logits: []float64{0.5, math.NaN()}, Probs: []float64{0.6, 0.5}}
-	checkBody := func(label string, code int, ctype string, body []byte) {
-		t.Helper()
-		if code != http.StatusInternalServerError {
-			t.Fatalf("%s: status %d, want 500", label, code)
-		}
-		if ctype != "application/json" {
-			t.Fatalf("%s: content type %q", label, ctype)
-		}
-		var e map[string]string
-		dec := json.NewDecoder(bytes.NewReader(body))
-		if err := dec.Decode(&e); err != nil || e["error"] == "" {
-			t.Fatalf("%s: body is not one error object: %q (%v)", label, body, err)
-		}
-		if dec.More() || bytes.Contains(body, []byte("logits")) {
-			t.Fatalf("%s: partial body leaked ahead of the 500: %q", label, body)
+	// The NaN sits in the second row, so the first is formatted (and
+	// memoized) before the encoder meets it.
+	badSlab := []float32{0.25, -1, 0.5, float32(math.NaN())}
+	s := &Server{wire: newRowTextMemo(2)}
+	for _, tc := range []struct {
+		label, leak string
+		write       func(http.ResponseWriter)
+	}{
+		{"writeJSON score", "logits", func(w http.ResponseWriter) { writeJSON(w, bad) }},
+		{"writeScore", "logits", func(w http.ResponseWriter) { writeScore(w, bad) }},
+		{"writeEmbed", "embeddings", func(w http.ResponseWriter) { s.writeEmbed(w, badSlab, nil) }},
+	} {
+		bw := &bufferedResponse{header: make(http.Header)}
+		tc.write(bw)
+		rec := httptest.NewRecorder()
+		tc.write(rec)
+		for _, got := range []struct {
+			path  string
+			code  int
+			ctype string
+			body  []byte
+		}{
+			{"buffered", bw.code, bw.header.Get("Content-Type"), bw.body.Bytes()},
+			{"bare", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes()},
+		} {
+			if got.code != http.StatusInternalServerError || got.ctype != "application/json" {
+				t.Fatalf("%s, %s: status %d, content type %q; want 500 application/json", tc.label, got.path, got.code, got.ctype)
+			}
+			if string(got.body) != want500 || bytes.Contains(got.body, []byte(tc.leak)) {
+				t.Fatalf("%s, %s: body %q, want the error object alone: %q", tc.label, got.path, got.body, want500)
+			}
 		}
 	}
 
-	bw := &bufferedResponse{header: make(http.Header)}
-	writeJSON(bw, bad)
-	checkBody("buffered", bw.code, bw.header.Get("Content-Type"), bw.body.Bytes())
-
-	rec := httptest.NewRecorder()
-	writeJSON(rec, bad)
-	checkBody("bare", rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())
-
 	// The buffered and the bare path write the same bytes on success.
-	ok := scoreResponse{Logits: []float64{0.5}, Probs: []float64{0.6}}
-	bw = &bufferedResponse{header: make(http.Header)}
-	writeJSONStatus(bw, http.StatusPartialContent, ok)
-	rec = httptest.NewRecorder()
-	writeJSONStatus(rec, http.StatusPartialContent, ok)
-	if bw.code != rec.Code || !bytes.Equal(bw.body.Bytes(), rec.Body.Bytes()) || bw.header.Get("Content-Type") != rec.Header().Get("Content-Type") {
-		t.Fatalf("buffered response (%d %q) differs from the bare one (%d %q)", bw.code, bw.body.Bytes(), rec.Code, rec.Body.Bytes())
+	for _, tc := range []struct {
+		label string
+		write func(http.ResponseWriter)
+	}{
+		{"writeJSONStatus", func(w http.ResponseWriter) {
+			writeJSONStatus(w, http.StatusPartialContent, scoreResponse{Logits: []float64{0.5}, Probs: []float64{0.6}})
+		}},
+		{"writeScore", func(w http.ResponseWriter) {
+			writeScore(w, scoreResponse{Logits: []float64{0.5}, Probs: []float64{0.6}, Partial: true, Degraded: []int{0}})
+		}},
+		{"writeEmbed", func(w http.ResponseWriter) { s.writeEmbed(w, []float32{0.25, -1, 0.5, 2}, []int{1}) }},
+		{"writeEmbed 200", func(w http.ResponseWriter) { s.writeEmbed(w, []float32{0.25, -1, 0.5, 2}, nil) }},
+	} {
+		bw := &bufferedResponse{header: make(http.Header)}
+		tc.write(bw)
+		rec := httptest.NewRecorder()
+		tc.write(rec)
+		if bw.code != rec.Code || !bytes.Equal(bw.body.Bytes(), rec.Body.Bytes()) || bw.header.Get("Content-Type") != rec.Header().Get("Content-Type") {
+			t.Fatalf("%s: buffered response (%d %q) differs from the bare one (%d %q)", tc.label, bw.code, bw.body.Bytes(), rec.Code, rec.Body.Bytes())
+		}
 	}
 }
 

@@ -53,6 +53,9 @@ go test -race -count=1 -cpu 1,2,4 \
 # The top-layer memo's bitwise pins and its readers-vs-writers stress
 # test, repeated: a stamp race shows only on some schedules.
 go test -race -count=5 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
+# The row-text memo under concurrent store/hit/evict, the encoders' byte
+# identity, and the batcher's one-channel-per-cohort publication.
+go test -race -count=3 -run 'TestWire|TestBatcher' ./internal/serve ./internal/batcher
 echo "   race stanza wall time: $((SECONDS - race_start)) s"
 
 echo "== portable kernels (the scalar leaves run, not just compile: purego tests, arm64 cross-build of the generic files)"
@@ -87,11 +90,12 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./i
 echo "== benchmark smoke (go test ./benchmark: every workload's code path at small op counts, BENCHMARK.json in step with metrics.go)"
 go test -count=1 ./benchmark
 
-echo "== fuzz smoke (persistence parsers, ingest bodies, the cosine kernel; seed corpus + 5s each)"
+echo "== fuzz smoke (persistence parsers, ingest bodies, the response encoders, the cosine kernel; seed corpus + 5s each)"
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/checkpoint/
 go test -run='^$' -fuzz='^FuzzCacheReadFrom$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzLoadParams$' -fuzztime=5s ./internal/tgat/
 go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/serve/
+go test -run='^$' -fuzz='^FuzzWireEncode$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzTransitiveInvalidate$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzSwapManifest$' -fuzztime=5s ./internal/swap/
 go test -run='^$' -fuzz='^FuzzCosRow$' -fuzztime=5s ./internal/tensor/
