@@ -31,8 +31,9 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	ts := []float64{4e4, 4e4, 3e4, 4e4, 4.5e4, 2e4, 3.5e4, 4.2e4}
 
 	// A 3-layer model exercises the deep-memo dependency recording
-	// (target + support indexes, DESIGN.md §15): recording happens only
-	// on the miss/store path, so the all-hit steady state must stay
+	// (target + support indexes, DESIGN.md §15), over the live graph
+	// below since a static sampler builds no index: recording happens
+	// only on the miss/store path, so the all-hit steady state must stay
 	// allocation-free there too.
 	cfg3 := engineTestConfig()
 	cfg3.Layers = 3
@@ -62,7 +63,7 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	}{
 		{"baseline", m, s, Options{}},
 		{"optall", m, s, OptAll()},
-		{"optall-3layer-tracked", m3, s, tracked},
+		{"optall-3layer-tracked", m3, live, tracked},
 		{"optall-live-memo-hit", m, live, tracked},
 	}
 	for _, tc := range cases {

@@ -100,9 +100,10 @@ type Options struct {
 	// ⟨node, t⟩ keys; deeper cached layers (models with L > 2)
 	// additionally record their sampled support set (at most k support
 	// records per entry), enabling transitive selective invalidation
-	// instead of the conservative deep clear (DESIGN.md §15). Serving
-	// over a graph.Dynamic with a lateness window enables this
-	// automatically.
+	// instead of the conservative deep clear (DESIGN.md §15). Records
+	// retire once the live graph's watermark passes them. An engine over
+	// a static sampler builds no index — no edge can arrive — and keeps
+	// the whole-cache fallback. Serving enables this automatically.
 	TrackTargets bool
 }
 
@@ -179,14 +180,14 @@ type Engine struct {
 	// aggregated (Options.TrackTargets). dyn is the live graph when
 	// serving a stream. Together they implement selective staleness
 	// invalidation for late inserts and appends, transitively across
-	// cached layers (DESIGN.md §15). Support indexes for middle layers
-	// (2 ≤ l < top) retain records past eviction: an upper entry may
-	// still depend on an evicted value, and losing its record would
-	// break rule-(iii) propagation; the retained lists are capped, and
-	// an overflow forces the conservative deep clear.
+	// cached layers (DESIGN.md §15). Every index keeps a record until
+	// the watermark floor passes it (indexFloor), cached or not: an
+	// upper entry may still depend on an evicted value.
 	layerTargets  []*TargetIndex
 	layerSupports []*SupportIndex
 	dyn           *graph.Dynamic
+	// keepAll pins indexFloor at −∞ (tests: the no-retirement baseline).
+	keepAll bool
 	// staleSkips counts memoizations abandoned because the graph's
 	// mutation epoch advanced between sampling and store: the sampled
 	// neighborhoods may predate a history rewrite, so caching the
@@ -278,33 +279,17 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	if e.dyn != nil && e.caches != nil && e.caches[m.Cfg.Layers] == nil {
 		e.topMemo = newTopMemo(m.Cfg.NodeDim)
 	}
-	if opt.TrackTargets && opt.EnableCache {
-		top := 0
-		for l, c := range e.caches {
-			if c != nil {
-				top = l
-			}
-		}
+	if opt.TrackTargets && opt.EnableCache && e.dyn != nil {
 		e.layerTargets = make([]*TargetIndex, len(e.caches))
 		e.layerSupports = make([]*SupportIndex, len(e.caches))
 		for l, c := range e.caches {
 			if c == nil {
 				continue
 			}
-			e.layerTargets[l] = NewTargetIndex(c.Contains)
-			if l < 2 {
-				continue
+			e.layerTargets[l] = NewTargetIndex()
+			if l >= 2 { // deep layers also track supports
+				e.layerSupports[l] = NewSupportIndex()
 			}
-			// Deep layers also track supports. The top layer's records
-			// serve only rules (ii)/(iii) against itself, so pruning
-			// against its own liveness is sound; middle layers feed
-			// rule-(iii) propagation upward and must retain records
-			// past eviction (nil probe, capped — see SupportIndex).
-			alive := c.Contains
-			if l < top {
-				alive = nil
-			}
-			e.layerSupports[l] = NewSupportIndex(alive)
 		}
 	}
 	if opt.EnableTimePrecompute {
@@ -561,22 +546,17 @@ func (e *Engine) SetInvalidationHook(fn func(u, v int32, t float64)) {
 // is itself a layer-(l−1) entry dropped in the previous pass. Rule
 // (ii) makes the propagation exact for L = 3 — layer-1 values depend
 // only on their own window and immutable layer-0 features — and rule
-// (iii) carries deeper models, relying on middle-layer record
-// retention (see SupportIndex).
+// (iii) carries deeper models, relying on support records outliving
+// the eviction of their entries (see SupportIndex).
 func (e *Engine) invalidateNewer(u, v int32, t float64) int {
-	if e.layerTargets == nil {
-		removed := e.CacheLen()
-		for _, c := range e.caches {
-			if c != nil {
-				c.Clear()
-			}
-		}
-		return removed
+	// A shed record means some entry's dependencies are unknown: that
+	// layer and every layer above it clear this one time (their indexes
+	// reset with them, so tracking restarts clean). With no index at all
+	// every layer clears.
+	clearFrom, floor := 1, 0.0
+	if e.layerTargets != nil {
+		clearFrom, floor = e.shedFrom(), e.indexFloor(t)
 	}
-	// A shed support record means some deep entry's dependencies are
-	// unknown: fall back to the conservative clear this one time (the
-	// deep indexes reset with it, so tracking restarts clean).
-	deepClear := e.supportsShed()
 	k := e.model.Cfg.NumNeighbors
 	endpoints := [2]int32{u, v}
 	n := 2
@@ -601,26 +581,21 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 		if c == nil {
 			continue
 		}
-		if l >= 2 && deepClear {
-			removed += c.Len()
-			c.Clear()
-			e.layerTargets[l].Reset()
-			if six := e.layerSupports[l]; six != nil {
-				six.Reset()
-			}
+		if l >= clearFrom {
+			removed += e.clearLayer(l)
 			continue
 		}
 		var drop []uint64
 		tix := e.layerTargets[l]
 		for _, w := range endpoints[:n] {
-			drop = append(drop, tix.CollectNewer(w, t, displacesWindow(w))...)
+			drop = append(drop, tix.CollectNewer(w, t, floor, displacesWindow(w))...)
 		}
 		if six := e.layerSupports[l]; six != nil {
 			for _, w := range endpoints[:n] {
-				drop = append(drop, six.CollectWindow(w, t, displacesWindow(w))...)
+				drop = append(drop, six.CollectWindow(w, t, floor, displacesWindow(w))...)
 			}
 			for _, lower := range displaced {
-				drop = append(drop, six.CollectUpper(lower)...)
+				drop = append(drop, six.CollectUpper(lower, floor)...)
 			}
 		}
 		removed += c.Remove(drop)
@@ -631,24 +606,41 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	return removed
 }
 
-// supportsShed reports whether any retained support index dropped a
-// record at its cap since the last reset.
-func (e *Engine) supportsShed() bool {
-	for _, six := range e.layerSupports {
-		if six != nil && six.Shed() {
-			return true
+// shedFrom returns the lowest cached layer whose target or support
+// index shed a record since its last reset, or len(e.caches) if none.
+func (e *Engine) shedFrom() int {
+	for l := 1; l < len(e.caches); l++ {
+		if tix, six := e.TargetsFor(l), e.SupportsFor(l); (tix != nil && tix.Shed()) || (six != nil && six.Shed()) {
+			return l
 		}
 	}
-	return false
+	return len(e.caches)
+}
+
+// indexFloor is the retirement floor of the invalidation indexes, read
+// once per store batch (t = +Inf) and once per invalidation of an edge
+// at t: ⌊watermark⌋, the integer floor keeping CollectUpper's truncated
+// Key match sound. Every edge the graph accepts carries a time at or
+// above the watermark, which never moves back (graph.Dynamic.SetLateness),
+// and collection needs a record time above the edge's, so no write can
+// reach a record below the floor. That takes each edge's invalidation
+// to run before the graph accepts the next edge, as /v1/ingest and
+// shard.Router.Apply do. An edge replayed after a snapshot load may lie
+// below the watermark: the floor then drops to ⌊t⌋, and replays run in
+// time order (shard.Router.loadSnapshot).
+func (e *Engine) indexFloor(t float64) float64 {
+	if e.keepAll {
+		return math.Inf(-1)
+	}
+	if w := e.dyn.Watermark(); w < t {
+		t = w
+	}
+	return math.Floor(t)
 }
 
 // StaleStoreSkips returns how many batch memoizations were abandoned
 // (or rolled back) because a history rewrite raced the computation.
 func (e *Engine) StaleStoreSkips() int64 { return e.staleSkips.Load() }
-
-// Targets returns layer 1's per-node key index, or nil when
-// Options.TrackTargets is off.
-func (e *Engine) Targets() *TargetIndex { return e.TargetsFor(1) }
 
 // TargetsFor returns layer l's per-node key index, or nil.
 func (e *Engine) TargetsFor(l int) *TargetIndex {
@@ -667,23 +659,29 @@ func (e *Engine) SupportsFor(l int) *SupportIndex {
 	return e.layerSupports[l]
 }
 
-// clearDeepCaches drops every deep (l ≥ 2) cache whole and resets the
-// matching indexes — the conservative response on the paths without
-// transitive dependency information (DepTracker invalidations and
-// snapshot loads).
+// clearDeepCaches drops every deep (l ≥ 2) cache whole — the
+// conservative response on the DepTracker paths, which carry no
+// transitive dependency information.
 func (e *Engine) clearDeepCaches() {
 	for l := 2; l < len(e.caches); l++ {
-		if e.caches[l] == nil {
-			continue
-		}
-		e.caches[l].Clear()
-		if e.layerTargets != nil && e.layerTargets[l] != nil {
-			e.layerTargets[l].Reset()
-		}
-		if six := e.SupportsFor(l); six != nil {
-			six.Reset()
+		if e.caches[l] != nil {
+			e.clearLayer(l)
 		}
 	}
+}
+
+// clearLayer empties layer l's cache and resets its indexes, returning
+// the number of entries dropped.
+func (e *Engine) clearLayer(l int) int {
+	n := e.caches[l].Len()
+	e.caches[l].Clear()
+	if tix := e.TargetsFor(l); tix != nil {
+		tix.Reset()
+	}
+	if six := e.SupportsFor(l); six != nil {
+		six.Reset()
+	}
+	return n
 }
 
 // passFence is what one level of an embed pass holds against the live
@@ -768,6 +766,8 @@ type LayerCacheStats struct {
 	Layer int   `json:"layer"`
 	Items int   `json:"items"`
 	Bytes int64 `json:"bytes"`
+	// IndexRecords counts the layer's live target and support records.
+	IndexRecords int `json:"index_records"`
 	CacheStats
 }
 
@@ -779,12 +779,14 @@ func (e *Engine) LayerCacheStats() []LayerCacheStats {
 		if c == nil {
 			continue
 		}
-		out = append(out, LayerCacheStats{
-			Layer:      l,
-			Items:      c.Len(),
-			Bytes:      c.UsedBytes(),
-			CacheStats: c.Stats(),
-		})
+		ls := LayerCacheStats{Layer: l, Items: c.Len(), Bytes: c.UsedBytes(), CacheStats: c.Stats()}
+		if tix := e.TargetsFor(l); tix != nil {
+			ls.IndexRecords = tix.Len()
+		}
+		if six := e.SupportsFor(l); six != nil {
+			ls.IndexRecords += six.Len()
+		}
+		out = append(out, ls)
 	}
 	return out
 }
@@ -1045,23 +1047,22 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 			start = time.Now()
 			cache.Store(missKeys, hm)
 			e.observe(stats.OpCacheStore, StageCacheStore, device.HostOp, 0, start)
-			if e.layerTargets != nil {
+			if tix := e.TargetsFor(l); tix != nil {
 				// Index per-target, and — for deep layers — per
 				// support: the (node, time) pairs whose layer-(l−1)
 				// embeddings this entry aggregated, read straight off
 				// the sampled batch (padding slots carry node 0).
 				// Recording only runs on the miss path, so the all-hit
 				// steady state stays allocation-free.
-				if tix := e.layerTargets[l]; tix != nil {
-					for i := 0; i < nm; i++ {
-						tix.Record(missNodes[i], missKeys[i], missTs[i])
-					}
+				floor := e.indexFloor(math.Inf(1))
+				for i := 0; i < nm; i++ {
+					tix.Record(missNodes[i], missKeys[i], missTs[i], floor)
 				}
 				if six := e.layerSupports[l]; six != nil {
 					for i := 0; i < nm; i++ {
 						base := i * k
 						for j := 0; j < k; j++ {
-							six.Record(b.Nghs[base+j], missKeys[i], b.Times[base+j])
+							six.Record(b.Nghs[base+j], missKeys[i], b.Times[base+j], floor)
 						}
 					}
 				}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // SupportIndex is the transitive half of deep-layer invalidation
 // (DESIGN.md §15). For a cached layer l ≥ 2 it records, under every
@@ -23,186 +20,41 @@ import (
 // the previous pass (identified by its cache key) drags every upper
 // entry that recorded it as a support.
 //
-// Like TargetIndex, records for keys that age out of the cache linger
-// harmlessly (removing an evicted key is a no-op) until the occasional
-// liveness prune. Middle layers of deep models (2 ≤ l < top) are built
-// with a nil liveness probe instead: their records must outlive
-// eviction, because an upper entry may still depend on the evicted
-// value (see Engine docs on retention). Those retained lists carry a
-// hard per-node cap; a record dropped at the cap sets the shed flag
-// and the next invalidation falls back to a conservative deep clear.
-type SupportIndex struct {
-	alive  func(uint64) bool // nil: retain past eviction (capped)
-	shed   atomic.Bool
-	shards [targetIndexShards]supportShard
-}
+// Retention is TargetIndex's: a record lives until the watermark floor
+// passes it, whether or not its upper entry is still cached — an upper
+// entry may depend on an evicted lower value, and rule (iii) must still
+// reach it — under the same per-node cap and shed fallback.
+type SupportIndex struct{ nodeIndex }
 
-type supportShard struct {
-	mu sync.Mutex
-	m  map[int32][]supportRec
-}
-
-type supportRec struct {
-	upper uint64  // layer-l cache key of the dependent entry
-	st    float64 // the consumed support value's query time
-}
-
-// supportNodeCap bounds a retained (nil-alive) node's record list.
-// Past it, recording sheds and transitive tracking is declared
-// incomplete — invalidation then clears the deep caches whole, which
-// is exactly the pre-transitive behavior, so the cap degrades
-// gracefully rather than growing without bound on pathological hubs.
-const supportNodeCap = 1 << 16
-
-// NewSupportIndex creates an empty index. alive reports whether an
-// upper key is still cached and enables pruning; nil retains records
-// past eviction under the per-node cap.
-func NewSupportIndex(alive func(uint64) bool) *SupportIndex {
-	ix := &SupportIndex{alive: alive}
-	for i := range ix.shards {
-		ix.shards[i].m = make(map[int32][]supportRec)
-	}
+// NewSupportIndex creates an empty index.
+func NewSupportIndex() *SupportIndex {
+	ix := &SupportIndex{}
+	ix.init()
 	return ix
-}
-
-func (ix *SupportIndex) shardFor(v int32) *supportShard {
-	h := uint64(uint32(v)) * 0x9E3779B97F4A7C15
-	return &ix.shards[(h>>32)%targetIndexShards]
-}
-
-// Record registers that the layer-l entry under upper consumed the
-// support value ⟨s, st⟩. Padding slots (s == 0) are skipped.
-func (ix *SupportIndex) Record(s int32, upper uint64, st float64) {
-	if s == 0 {
-		return
-	}
-	sh := ix.shardFor(s)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.m[s]
-	if ix.alive == nil && len(list) >= supportNodeCap {
-		ix.shed.Store(true)
-		return
-	}
-	list = append(list, supportRec{upper, st})
-	if ix.alive != nil && len(list) >= 1024 && len(list)%1024 == 0 {
-		w := 0
-		for _, r := range list {
-			if ix.alive(r.upper) {
-				list[w] = r
-				w++
-			}
-		}
-		list = list[:w]
-	}
-	sh.m[s] = list
 }
 
 // CollectWindow removes and returns the upper keys recorded under node
 // s whose support time lies strictly after t and for which drop
-// approves the displacement (nil drop approves everything). Records
-// at or before t, and ones drop declines, stay indexed.
-func (ix *SupportIndex) CollectWindow(s int32, t float64, drop func(upper uint64, st float64) bool) []uint64 {
-	sh := ix.shardFor(s)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.m[s]
-	if len(list) == 0 {
-		return nil
-	}
-	var out []uint64
-	w := 0
-	for _, r := range list {
-		if r.st > t && (drop == nil || drop(r.upper, r.st)) {
-			out = append(out, r.upper)
-			continue
-		}
-		list[w] = r
-		w++
-	}
-	if w == 0 {
-		delete(sh.m, s)
-	} else {
-		sh.m[s] = list[:w]
-	}
-	return out
+// approves the displacement (nil drop approves everything), retiring
+// the records below floor it passes. Records at or before t, and ones
+// drop declines, stay indexed.
+func (ix *SupportIndex) CollectWindow(s int32, t, floor float64, drop func(upper uint64, st float64) bool) []uint64 {
+	return ix.collect(s, t, floor, drop)
 }
 
 // CollectUpper removes and returns the upper keys that recorded the
-// displaced lower-layer entry under cache key lower as a support. The
-// support's (node, time) identity is matched through the same Key
-// encoding the caches use, so the comparison shares Key's documented
-// domain (integral timestamps fitting 32 bits) — outside it the cache
-// keying itself already forfeits its guarantees.
-func (ix *SupportIndex) CollectUpper(lower uint64) []uint64 {
+// displaced lower-layer entry under cache key lower as a support,
+// retiring the records below floor it passes. The support's (node,
+// time) identity is matched through the same Key encoding the caches
+// use, so the comparison shares Key's documented domain (integral
+// timestamps fitting 32 bits) — outside it the cache keying itself
+// already forfeits its guarantees. The floor is an integer for this
+// match: a displaced key's time truncates to at least ⌊watermark⌋, so
+// every record sharing that key survives retirement.
+func (ix *SupportIndex) CollectUpper(lower uint64, floor float64) []uint64 {
 	s := int32(lower >> 32)
 	if s == 0 {
 		return nil
 	}
-	sh := ix.shardFor(s)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	list := sh.m[s]
-	if len(list) == 0 {
-		return nil
-	}
-	var out []uint64
-	w := 0
-	for _, r := range list {
-		if Key(s, r.st) == lower {
-			out = append(out, r.upper)
-			continue
-		}
-		list[w] = r
-		w++
-	}
-	if w == 0 {
-		delete(sh.m, s)
-	} else {
-		sh.m[s] = list[:w]
-	}
-	return out
-}
-
-// Shed reports whether a retained record was ever dropped at the
-// per-node cap — the signal that transitive tracking is incomplete and
-// invalidation must fall back to the conservative deep clear.
-func (ix *SupportIndex) Shed() bool { return ix.shed.Load() }
-
-// Reset drops every record and clears the shed flag. Called after a
-// conservative deep clear: the records describe entries that no longer
-// exist.
-func (ix *SupportIndex) Reset() {
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[int32][]supportRec)
-		sh.mu.Unlock()
-	}
-	ix.shed.Store(false)
-}
-
-// Len returns the number of indexed records (diagnostics).
-func (ix *SupportIndex) Len() int {
-	total := 0
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		for _, list := range sh.m {
-			total += len(list)
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// Reset drops every record. Called alongside a conservative deep
-// clear of the layer this index serves.
-func (ix *TargetIndex) Reset() {
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		s.mu.Lock()
-		s.m = make(map[int32][]keyAt)
-		s.mu.Unlock()
-	}
+	return ix.collect(s, math.Inf(-1), floor, func(_ uint64, st float64) bool { return Key(s, st) == lower })
 }

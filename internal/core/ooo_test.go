@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"tgopt/internal/graph"
@@ -56,16 +58,16 @@ func TestCacheRemoveChurnCompactsFIFO(t *testing.T) {
 }
 
 func TestTargetIndexRecordCollect(t *testing.T) {
-	ix := NewTargetIndex(nil)
-	ix.Record(5, 100, 10)
-	ix.Record(5, 101, 20)
-	ix.Record(5, 102, 30)
-	ix.Record(7, 103, 5)
-	ix.Record(0, 999, 1) // padding node: ignored
+	ix := NewTargetIndex()
+	ix.Record(5, 100, 10, 0)
+	ix.Record(5, 101, 20, 0)
+	ix.Record(5, 102, 30, 0)
+	ix.Record(7, 103, 5, 0)
+	ix.Record(0, 999, 1, 0) // padding node: ignored
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	got := ix.CollectNewer(5, 15, nil)
+	got := ix.CollectNewer(5, 15, 0, nil)
 	if len(got) != 2 {
 		t.Fatalf("CollectNewer(5, 15) = %v, want keys 101,102", got)
 	}
@@ -74,32 +76,39 @@ func TestTargetIndexRecordCollect(t *testing.T) {
 		t.Fatalf("wrong keys collected: %v", got)
 	}
 	// Collected entries left the index; older ones stayed.
-	if rest := ix.CollectNewer(5, 0, nil); len(rest) != 1 || rest[0] != 100 {
+	if rest := ix.CollectNewer(5, 0, 0, nil); len(rest) != 1 || rest[0] != 100 {
 		t.Fatalf("second collect = %v, want [100]", rest)
 	}
 	// Other nodes are untouched.
-	if keys := ix.CollectNewer(7, 0, nil); len(keys) != 1 || keys[0] != 103 {
+	if keys := ix.CollectNewer(7, 0, 0, nil); len(keys) != 1 || keys[0] != 103 {
 		t.Fatalf("node 7 = %v", keys)
 	}
 	// A declining drop predicate keeps candidates indexed.
-	ix.Record(9, 200, 50)
-	if keys := ix.CollectNewer(9, 0, func(uint64, float64) bool { return false }); len(keys) != 0 {
+	ix.Record(9, 200, 50, 0)
+	if keys := ix.CollectNewer(9, 0, 0, func(uint64, float64) bool { return false }); len(keys) != 0 {
 		t.Fatalf("declined candidates collected: %v", keys)
 	}
-	if keys := ix.CollectNewer(9, 0, nil); len(keys) != 1 || keys[0] != 200 {
+	if keys := ix.CollectNewer(9, 0, 0, nil); len(keys) != 1 || keys[0] != 200 {
 		t.Fatal("declined candidate was dropped from the index")
 	}
 }
 
 func TestTargetIndexPrunesEvictedKeys(t *testing.T) {
-	// With a liveness probe, a hot node's list compacts as it grows
-	// instead of accumulating entries for long-evicted keys.
-	ix := NewTargetIndex(func(key uint64) bool { return key%2 == 0 })
-	for i := 0; i < 4096; i++ {
-		ix.Record(1, uint64(i), float64(i))
+	// A hot node no edge touches is compacted as it grows instead of
+	// accumulating records no write can reach: the 1024th record carries
+	// a floor of 1000, which retires every record below it.
+	ix := NewTargetIndex()
+	for i := 0; i < 1023; i++ {
+		ix.Record(1, uint64(i), float64(i), 0)
 	}
-	if n := ix.Len(); n >= 4096 || n == 0 {
-		t.Fatalf("Len = %d after recording 4096 half-dead keys", n)
+	ix.Record(1, 1023, 1023, 1000)
+	if n := ix.Len(); n != 24 {
+		t.Fatalf("Len = %d after the every-1024 compaction at floor 1000, want 24", n)
+	}
+	// A scan at floor 0 retires nothing, so every key it sees survived
+	// the compaction.
+	if got := ix.CollectNewer(1, math.Inf(-1), 0, nil); len(got) != 24 || slices.Min(got) != 1000 {
+		t.Fatalf("CollectNewer after compaction = %v, want keys 1000..1023", got)
 	}
 }
 
@@ -151,7 +160,7 @@ func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Eng
 		}
 		eng.Embed(ns, ts)
 	}
-	if eng.CacheLen() == 0 || eng.Targets().Len() == 0 {
+	if eng.CacheLen() == 0 || eng.TargetsFor(1).Len() == 0 {
 		t.Fatal("warming pass cached nothing / indexed nothing")
 	}
 	return m, dyn, eng, stream

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"tgopt/internal/checkpoint"
 )
@@ -369,7 +370,9 @@ func (e *Engine) loadCacheStream(r io.Reader) error {
 // the layer-1 cache after a snapshot load, so late-edge invalidation
 // also covers warm-started entries. Keys decode exactly within Key's
 // documented domain (integral timestamps fitting 32 bits); outside it
-// the cache keying itself already forfeits its guarantees.
+// the cache keying itself already forfeits its guarantees. Every key is
+// recorded, below the watermark too: the edges a restore replays may
+// predate it (Engine.indexFloor), and the next scans retire the rest.
 func (e *Engine) rebuildTargetIndex() {
 	ix := e.TargetsFor(1)
 	if ix == nil {
@@ -380,6 +383,6 @@ func (e *Engine) rebuildTargetIndex() {
 		return
 	}
 	for _, key := range c.Keys() {
-		ix.Record(int32(key>>32), key, float64(uint32(key)))
+		ix.Record(int32(key>>32), key, float64(uint32(key)), math.Inf(-1))
 	}
 }

@@ -146,9 +146,9 @@ func TestTransitiveInvalidateAppendDeepExactness(t *testing.T) {
 }
 
 func TestSupportShedFallsBackToDeepClear(t *testing.T) {
-	// Shedding only arises on retained (nil-alive) middle-layer indexes,
-	// i.e. models with L >= 4. Simulate the overflow directly instead of
-	// building one: flood a retained-style record list past the cap.
+	// Shedding only arises when the watermark floor never passes a hot
+	// node's records. Simulate the overflow directly instead of running
+	// one: flood a record list past the cap.
 	_, dyn, eng, stream := transSetup(t, 200, transOpt())
 	six := eng.SupportsFor(2)
 	if six == nil {
@@ -157,9 +157,9 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	if six.Shed() {
 		t.Fatal("shed flag set before overflow")
 	}
-	retained := NewSupportIndex(nil)
-	for i := 0; i <= supportNodeCap; i++ {
-		retained.Record(7, uint64(i), float64(i))
+	retained := NewSupportIndex()
+	for i := 0; i <= nodeRecordCap; i++ {
+		retained.Record(7, uint64(i), float64(i), 0)
 	}
 	if !retained.Shed() {
 		t.Fatal("cap overflow did not shed")
@@ -186,39 +186,39 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 }
 
 func TestSupportIndexRecordCollect(t *testing.T) {
-	ix := NewSupportIndex(nil)
-	ix.Record(0, 1, 1) // padding: skipped
+	ix := NewSupportIndex()
+	ix.Record(0, 1, 1, 0) // padding: skipped
 	if ix.Len() != 0 {
 		t.Fatal("padding node recorded")
 	}
 	k10 := Key(3, 10)
 	k20 := Key(3, 20)
-	ix.Record(3, 100, 10)
-	ix.Record(3, 101, 20)
-	ix.Record(3, 102, 20)
-	ix.Record(4, 200, 15)
+	ix.Record(3, 100, 10, 0)
+	ix.Record(3, 101, 20, 0)
+	ix.Record(3, 102, 20, 0)
+	ix.Record(4, 200, 15, 0)
 
 	// CollectWindow: strictly-after t, drop consulted per record.
-	got := ix.CollectWindow(3, 10, func(upper uint64, st float64) bool { return upper != 102 })
+	got := ix.CollectWindow(3, 10, 0, func(upper uint64, st float64) bool { return upper != 102 })
 	if len(got) != 1 || got[0] != 101 {
 		t.Fatalf("CollectWindow = %v, want [101]", got)
 	}
-	if got := ix.CollectWindow(3, 10, nil); len(got) != 1 || got[0] != 102 {
+	if got := ix.CollectWindow(3, 10, 0, nil); len(got) != 1 || got[0] != 102 {
 		t.Fatalf("declined record not retained: %v", got)
 	}
 	// Record at st == t is not displaced (window is strictly-before-t').
-	if got := ix.CollectWindow(3, 10, nil); len(got) != 0 {
+	if got := ix.CollectWindow(3, 10, 0, nil); len(got) != 0 {
 		t.Fatalf("st == t collected: %v", got)
 	}
 
 	// CollectUpper matches through the Key encoding.
-	if got := ix.CollectUpper(k20); len(got) != 0 {
+	if got := ix.CollectUpper(k20, 0); len(got) != 0 {
 		t.Fatalf("drained key matched again: %v", got)
 	}
-	if got := ix.CollectUpper(k10); len(got) != 1 || got[0] != 100 {
+	if got := ix.CollectUpper(k10, 0); len(got) != 1 || got[0] != 100 {
 		t.Fatalf("CollectUpper(k10) = %v, want [100]", got)
 	}
-	if got := ix.CollectUpper(Key(4, 15)); len(got) != 1 || got[0] != 200 {
+	if got := ix.CollectUpper(Key(4, 15), 0); len(got) != 1 || got[0] != 200 {
 		t.Fatalf("CollectUpper(4@15) = %v, want [200]", got)
 	}
 	if ix.Len() != 0 {
@@ -226,8 +226,8 @@ func TestSupportIndexRecordCollect(t *testing.T) {
 	}
 
 	// Reset clears records and the shed flag.
-	for i := 0; i <= supportNodeCap; i++ {
-		ix.Record(9, uint64(i), float64(i))
+	for i := 0; i <= nodeRecordCap; i++ {
+		ix.Record(9, uint64(i), float64(i), 0)
 	}
 	if !ix.Shed() {
 		t.Fatal("overflow did not shed")
@@ -239,19 +239,27 @@ func TestSupportIndexRecordCollect(t *testing.T) {
 }
 
 func TestSupportIndexAlivePrune(t *testing.T) {
-	alive := func(upper uint64) bool { return upper%2 == 0 }
-	ix := NewSupportIndex(alive)
-	// The prune triggers at multiples of 1024 records under one node;
-	// after crossing it, dead (odd) uppers must be gone.
+	// A support record is alive until the watermark floor passes it. The
+	// every-1024 compaction under one node retires the dead ones even if
+	// no edge ever scans that node.
+	ix := NewSupportIndex()
 	for i := 0; i < 1500; i++ {
-		ix.Record(5, uint64(i), float64(i))
+		floor := 0.0
+		if i >= 1023 {
+			floor = 1000
+		}
+		ix.Record(5, uint64(i), float64(i), floor)
 	}
-	n := ix.Len()
-	if n >= 1024 {
-		t.Fatalf("liveness prune never ran: %d records retained", n)
+	if n := ix.Len(); n != 500 {
+		t.Fatalf("Len = %d after the compaction at floor 1000, want 500", n)
 	}
-	if got := ix.CollectUpper(Key(5, 3)); len(got) != 0 {
+	// A zero floor retires nothing on this scan, so a miss means the
+	// compaction already dropped the record.
+	if got := ix.CollectUpper(Key(5, 3), 0); len(got) != 0 {
 		t.Fatalf("pruned record still indexed: %v", got)
+	}
+	if got := ix.CollectUpper(Key(5, 1200), 0); len(got) != 1 || got[0] != 1200 {
+		t.Fatalf("CollectUpper(5@1200) = %v, want [1200]", got)
 	}
 }
 

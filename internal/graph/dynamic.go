@@ -115,13 +115,19 @@ func (d *Dynamic) MaxTime() float64 {
 // SetLateness configures the bounded-lateness reordering window. Edges
 // arriving with timestamps in [MaxTime−w, MaxTime) are accepted by
 // sorted insert; older ones are dropped against the watermark. Zero
-// (the default) keeps the strict chronological contract.
+// (the default) keeps the strict chronological contract. Set it before
+// the first edge: afterwards it panics, because a wider window would
+// move the watermark back, and the caches above retire state the
+// watermark has passed (core.TargetIndex).
 func (d *Dynamic) SetLateness(w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic("graph: lateness window must be finite and >= 0")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.appends.Load()+d.lateAccepted.Load() > 0 {
+		panic("graph: SetLateness after the graph has held an edge")
+	}
 	d.lateness = w
 }
 
@@ -133,7 +139,8 @@ func (d *Dynamic) Lateness() float64 {
 }
 
 // Watermark returns the stream's low-watermark MaxTime − Lateness: the
-// oldest timestamp a late edge may carry and still be accepted.
+// oldest timestamp a late edge may carry and still be accepted. It never
+// moves back.
 func (d *Dynamic) Watermark() float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

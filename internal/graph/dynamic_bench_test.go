@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// buildStream appends n chronological edges and returns the graph plus
-// the assigned edge ids. The node count scales with n so the mean
+// buildStream appends n chronological edges to a graph with the given
+// lateness window and returns the graph plus the assigned edge ids. The node count scales with n so the mean
 // degree stays constant across sizes — the benchmarks then isolate the
 // stream-size-dependent cost (the log E searches) from the O(degree)
 // adjacency rebuild.
-func buildStream(b *testing.B, n int) (*Dynamic, []int32) {
+func buildStream(b *testing.B, n int, lateness float64) (*Dynamic, []int32) {
 	b.Helper()
 	nodes := n / 100
 	d := NewDynamic(nodes)
+	d.SetLateness(lateness)
 	ids := make([]int32, n)
 	for i := 0; i < n; i++ {
 		idx, err := d.Append(Edge{Src: int32(1 + i%(nodes-1)), Dst: int32(2 + i%(nodes-2)), Time: float64(i)})
@@ -31,7 +32,7 @@ func buildStream(b *testing.B, n int) (*Dynamic, []int32) {
 func BenchmarkDeleteEdge(b *testing.B) {
 	for _, size := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("E=%d", size), func(b *testing.B) {
-			d, ids := buildStream(b, size)
+			d, ids := buildStream(b, size, 0)
 			nodes := size / 100
 			// Delete and re-append in pairs so the stream size stays
 			// steady across iterations.
@@ -57,9 +58,8 @@ func BenchmarkDeleteEdge(b *testing.B) {
 func BenchmarkInsertLate(b *testing.B) {
 	for _, window := range []float64{100, 1000} {
 		b.Run(fmt.Sprintf("window=%g", window), func(b *testing.B) {
-			d, _ := buildStream(b, 50_000)
+			d, _ := buildStream(b, 50_000, window)
 			nodes := 50_000 / 100
-			d.SetLateness(window)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm := d.MaxTime() - window/2

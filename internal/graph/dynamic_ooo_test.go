@@ -95,6 +95,39 @@ func TestDynamicWatermarkDrop(t *testing.T) {
 	}
 }
 
+// TestDynamicSetLatenessAfterEdgePanics: the watermark never moves back,
+// so the window is fixed once the graph has held an edge — appended or
+// late, and even after every edge is deleted again.
+func TestDynamicSetLatenessAfterEdgePanics(t *testing.T) {
+	panics := func(d *Dynamic, w float64) (p bool) {
+		defer func() { p = recover() != nil }()
+		d.SetLateness(w)
+		return false
+	}
+	d := NewDynamic(3)
+	if panics(d, 5) || panics(d, 50) {
+		t.Fatal("SetLateness on an empty graph panicked")
+	}
+	if _, err := d.InsertLate(Edge{Src: 1, Dst: 2, Time: -10}); err != nil {
+		t.Fatal(err) // late against the empty graph's clock of 0
+	}
+	if !panics(d, 500) {
+		t.Fatal("SetLateness after a late insert did not panic")
+	}
+	d = NewDynamic(3)
+	idx, err := d.Append(Edge{Src: 1, Dst: 2, Time: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DeleteEdge(idx)
+	if !panics(d, 500) {
+		t.Fatal("SetLateness after an append, since deleted, did not panic")
+	}
+	if w := d.Watermark(); w != 100 {
+		t.Fatalf("Watermark = %v after the refused SetLateness, want 100", w)
+	}
+}
+
 func TestDynamicIngestDispatch(t *testing.T) {
 	d := NewDynamic(4)
 	d.SetLateness(50)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -190,7 +191,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // under -shards), the shards section and shard-health families exactly
 // when there is a pool — and shards.batching is the top-level section's
 // counters. The wire section agrees with the tgopt_wire_* series and,
-// sitting above the backend, reads the same in every mode.
+// sitting above the backend, reads the same in every mode; each cached
+// layer's index_records agrees with its tgopt_cache_layer_index_records.
 func TestBackendMetricsAndStatsShape(t *testing.T) {
 	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
@@ -270,6 +272,16 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		}
 		if wire.Rows != 36 || wire.RowTextHits < 12 {
 			t.Errorf("wire %+v after three 12-row embeds, the second a repeat of the first: want 36 rows, >= 12 hits", wire)
+		}
+		var layers []core.LayerCacheStats
+		if err := json.Unmarshal(st["cache_layers"], &layers); err != nil || len(layers) == 0 {
+			t.Fatalf("cache_layers %s: %v", st["cache_layers"], err)
+		}
+		for _, ls := range layers {
+			series := afterLine(buf.String(), fmt.Sprintf("tgopt_cache_layer_index_records{layer=%q} ", strconv.Itoa(ls.Layer)))
+			if n, err := strconv.Atoi(series); err != nil || n != ls.IndexRecords || n == 0 {
+				t.Errorf("layer %d: /metrics index records %q, /v1/stats %d; want equal and nonzero", ls.Layer, series, ls.IndexRecords)
+			}
 		}
 
 		delete(st, "batching")

@@ -75,6 +75,11 @@ type Server struct {
 	// old-version embeddings. Lock order: swapGate before the backend's
 	// (DESIGN.md §13).
 	swapGate sync.RWMutex
+	// ingestMu serializes /v1/ingest, so each edge's invalidation runs
+	// before the graph accepts the next: the invalidation indexes retire
+	// records at the watermark, and an edge accepted but not yet applied
+	// must not see the watermark moved past it (core.TargetIndex).
+	ingestMu sync.Mutex
 	// swaps, rollbacks, and lastSwapUnix are the /v1/stats "model"
 	// section, beside the version model itself carries.
 	swaps        atomic.Int64
@@ -356,6 +361,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// accounting attributable to one model version.
 	s.swapGate.RLock()
 	defer s.swapGate.RUnlock()
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	var resp ingestResponse
 	for i, e := range req.Edges {
 		edge := graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx}

@@ -199,6 +199,7 @@ func MergeLayerCacheStats(engs []*core.Engine) []core.LayerCacheStats {
 			}
 			out[i].Items += ls.Items
 			out[i].Bytes += ls.Bytes
+			out[i].IndexRecords += ls.IndexRecords
 			out[i].CacheStats.Add(ls.CacheStats)
 		}
 	}

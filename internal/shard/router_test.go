@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -428,6 +429,75 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 		if res.Slab[i] != want[i] {
 			t.Fatalf("warm-started slab[%d] = %v, want %v", i, res.Slab[i], want[i])
 		}
+	}
+}
+
+// TestRouterSnapshotReplayBelowWatermark: the edges a warm start replays
+// may predate the replica's watermark. Here an append touching v, then a
+// late edge under v's asked times, then an append that moves the
+// watermark past them all follow the snapshot; the restored entries the
+// late edge displaced must still be dropped, whatever the append's
+// replay retired.
+func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
+	m := testModel(t)
+	edges := testEdges(40) // times 10..400
+	v := edges[len(edges)-1].Src
+	w := v%testNodes + 1
+	later := []graph.Edge{
+		{Src: v, Dst: w, Time: 410},
+		{Src: v, Dst: w, Time: 375},  // late: the watermark is 310
+		{Src: w, Dst: w, Time: 1000}, // the watermark moves to 900
+	}
+	nodes, ts := []int32{v, v}, []float64{380, 390}
+	dir := t.TempDir()
+	graphOf := func(edges []graph.Edge) *graph.Dynamic {
+		dyn := graph.NewDynamic(testNodes)
+		dyn.SetLateness(100)
+		for _, e := range edges {
+			if _, _, err := dyn.Ingest(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dyn
+	}
+	fresh := func(edges []graph.Edge) []float32 {
+		dyn := graphOf(edges)
+		return core.NewEngine(m, graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), core.OptAll()).Embed(nodes, ts).Data()
+	}
+	router := func() *Router {
+		r, err := NewRouter(m, graphOf(edges), core.OptAll(), Config{Shards: 2, SnapshotDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	r1 := router()
+	if _, err := r1.Embed(context.Background(), nodes, ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	// A second process boots on the snapshot's stream, absorbs the later
+	// edges in arrival order, and only then warm-starts.
+	r2 := router()
+	for _, e := range later {
+		r2.Apply(e, graph.IngestAppended)
+	}
+	want := fresh(append(slices.Clone(edges), later...))
+	if slices.Equal(want, fresh(edges)) {
+		t.Fatal("the late edge changed no asked row: the test exercises no invalidation")
+	}
+	if warmed, _ := r2.WarmStart(dir); warmed != 2 {
+		t.Fatalf("warmed %d shards, want 2", warmed)
+	}
+	res, err := r2.Embed(context.Background(), nodes, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Slab, want) {
+		t.Fatal("warm-started rows differ from a fresh engine's: a restored entry the late edge displaced survived")
 	}
 }
 

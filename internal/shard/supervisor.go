@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"tgopt/internal/checkpoint"
@@ -252,8 +254,13 @@ func (r *Router) loadSnapshot(id int, c *Core, prefix []graph.Edge) bool {
 	}
 	// InvalidateLateEdge rather than InvalidateAppend: the latter's
 	// no-future-memos fast path would skip the scan on a fresh engine,
-	// and the restored entries are exactly such future memos.
-	for _, e := range prefix[pos:] {
+	// and the restored entries are exactly such future memos. The
+	// replayed edges may predate the replica's watermark, so they run in
+	// time order: each scan retires only records below its own edge,
+	// which no later replay can reach (core.Engine's indexFloor).
+	replay := slices.Clone(prefix[pos:])
+	slices.SortStableFunc(replay, func(a, b graph.Edge) int { return cmp.Compare(a.Time, b.Time) })
+	for _, e := range replay {
 		c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
 	}
 	r.snapshotLoads.Add(1)

@@ -72,9 +72,9 @@ echo "== spill-tier fault injection (crash mid-seal, bit flips, torn segments; r
 go test -race -count=5 -run 'TestTieredCache' ./internal/core/
 go test -race -count=1 -run 'TestSpill|TestBatcherRetire' ./internal/core/ ./internal/batcher/
 
-echo "== deep-invalidation gate (3-layer transitive invalidation exactness; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep' \
-    ./internal/core/ ./internal/serve/
+echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
+go test -race -count=1 -run 'TestTransitive|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark' \
+    ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
 go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|TestEngineSwap|TestSpillRecoveryRejects|TestCacheSnapshotVersion' \
