@@ -60,7 +60,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 256, "max concurrently-executing requests (0 = unlimited; excess gets 429)")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for draining in-flight requests")
 	batchWindow := flag.Duration("batch-window", batcher.DefaultWindow, "max wait before flushing a partial cross-request batch (only applies while another fused pass is executing)")
-	batchMax := flag.Int("batch-max", batcher.DefaultMaxBatch, "flush a cross-request batch at this many unique targets")
+	batchMax := flag.Int("batch-max", batcher.DefaultMaxBatch, "flush a cross-request batch at this many targets")
 	batchOff := flag.Bool("batch-off", false, "disable cross-request micro-batching (each request runs its own engine pass)")
 	lateness := flag.Float64("lateness", 0, "out-of-order tolerance: accept late edges within this many time units of the stream maximum (0 = strict chronological ingest; older edges are dropped against the watermark)")
 	shards := flag.Int("shards", 1, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")

@@ -2,8 +2,8 @@ package batcher
 
 import (
 	"context"
-	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,22 +15,25 @@ import (
 
 const fakeDim = 4
 
-// fakeEmbedder produces deterministic rows from (node, ts) and, when
-// gated, blocks each EmbedWith call until the test sends a token —
-// letting tests hold a pass "executing" while they drive the queue.
+// fakeEmbedder produces deterministic rows from (node, ts) and the
+// history version it reads at pass start, and, when gated, blocks each
+// EmbedWith call until the test sends a token — letting tests hold a
+// pass "executing" while they drive the queue.
 type fakeEmbedder struct {
-	gate chan struct{}
+	gate    chan struct{}
+	version atomic.Int64 // bumped by a test to stand in for an acknowledged write
 
 	mu      sync.Mutex
 	calls   [][]int32 // node list of each pass, in call order
 	panicOn bool
 }
 
-func fakeRow(node int32, t float64, j int) float32 {
-	return float32(node)*100 + float32(t) + float32(j)
+func fakeRowAt(version int64, node int32, t float64, j int) float32 {
+	return float32(version)*10000 + float32(node)*100 + float32(t) + float32(j)
 }
 
 func (f *fakeEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
+	version := f.version.Load()
 	f.mu.Lock()
 	f.calls = append(f.calls, append([]int32(nil), nodes...))
 	doPanic := f.panicOn
@@ -44,7 +47,7 @@ func (f *fakeEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 	out := ar.Tensor(len(nodes), fakeDim)
 	for i := range nodes {
 		for j := 0; j < fakeDim; j++ {
-			out.Set(fakeRow(nodes[i], ts[i], j), i, j)
+			out.Set(fakeRowAt(version, nodes[i], ts[i], j), i, j)
 		}
 	}
 	return out
@@ -84,7 +87,7 @@ func checkSlab(t *testing.T, slab []float32, nodes []int32, ts []float64) {
 	}
 	for i := range nodes {
 		for j := 0; j < fakeDim; j++ {
-			if got, want := slab[i*fakeDim+j], fakeRow(nodes[i], ts[i], j); got != want {
+			if got, want := slab[i*fakeDim+j], fakeRowAt(0, nodes[i], ts[i], j); got != want {
 				t.Fatalf("row %d col %d: got %v, want %v", i, j, got, want)
 			}
 		}
@@ -116,12 +119,16 @@ func TestBatcherDuplicateTargetsWithinRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSlab(t, slab, []int32{5, 5, 9}, []float64{1, 1, 1})
-	if got := f.call(0); len(got) != 2 {
-		t.Fatalf("fused pass saw %v, want the 2 unique targets", got)
+	// The batcher concatenates; deduplication is the engine's (§4.1).
+	if got := f.call(0); len(got) != 3 {
+		t.Fatalf("fused pass saw %v, want all 3 targets", got)
 	}
 	s := b.Stats()
-	if s.Enqueued != 3 || s.Coalesced != 1 {
-		t.Fatalf("stats %+v: duplicate within a request must coalesce", s)
+	if s.Enqueued != 3 || s.Coalesced != 0 {
+		t.Fatalf("stats %+v: a lone request joins no one's cohort", s)
+	}
+	if b.Occupancy().Sum() != 3 {
+		t.Fatalf("occupancy sum %d, want 3 (duplicates included)", b.Occupancy().Sum())
 	}
 }
 
@@ -142,7 +149,7 @@ func TestBatcherSizeTrigger(t *testing.T) {
 		}()
 	}
 	embed(1) // idle flush; blocks inside the fake
-	waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
 	for n := int32(2); n <= 5; n++ {
 		embed(n) // queues behind the executing pass
 	}
@@ -175,7 +182,7 @@ func TestBatcherWindowTrigger(t *testing.T) {
 		}()
 	}
 	embed(1)
-	waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
 	embed(2)
 	embed(3)
 	// Far below MaxBatch: only the window timer can flush these two.
@@ -206,7 +213,7 @@ func TestBatcherDrainAfterPass(t *testing.T) {
 		}()
 	}
 	embed(1)
-	waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
 	embed(2)
 	embed(3)
 	embed(4)
@@ -223,18 +230,21 @@ func TestBatcherDrainAfterPass(t *testing.T) {
 	}
 }
 
-func TestBatcherSingleFlight(t *testing.T) {
+func TestBatcherFusesQueuedRequests(t *testing.T) {
+	// Requests queued behind an executing pass run as one pass — the
+	// concatenation of their targets, duplicates included — and every
+	// caller gets its own correct rows.
 	f := &fakeEmbedder{gate: make(chan struct{})}
 	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
-	const waiters = 16
+	const queued = 16
 	var wg sync.WaitGroup
-	results := make([][]float32, waiters+1)
-	for i := 0; i <= waiters; i++ {
+	results := make([][]float32, queued+1)
+	for i := 0; i <= queued; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
+			slab, err := b.Embed(context.Background(), []int32{42, int32(i)}, []float64{7, 7})
 			if err != nil {
 				t.Error(err)
 				return
@@ -242,30 +252,70 @@ func TestBatcherSingleFlight(t *testing.T) {
 			results[i] = slab
 		}()
 		if i == 0 {
-			waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+			waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
 		}
 	}
-	// Everyone requested the same (node, ts): all later arrivals must
-	// attach to the executing flight, never queue a duplicate slot.
-	waitUntil(t, "all waiters coalesced", func() bool { return b.Stats().Coalesced == waiters })
-	if p, _ := b.InFlight(); p != 0 {
-		t.Fatalf("%d targets pending; duplicates of an executing flight must not queue", p)
+	waitUntil(t, "all requests queued", func() bool { p, _ := b.InFlight(); return p == 2*queued })
+	f.gate <- struct{}{} // finish pass 1; completion drains the queue
+	waitUntil(t, "fused pass", func() bool { return f.numCalls() == 2 })
+	if got := f.call(1); len(got) != 2*queued {
+		t.Fatalf("fused pass had %d targets, want %d", len(got), 2*queued)
 	}
 	f.gate <- struct{}{}
 	wg.Wait()
-	if f.numCalls() != 1 {
-		t.Fatalf("%d passes for one key, want exactly 1 (single-flight)", f.numCalls())
-	}
 	for i, slab := range results {
-		checkSlab(t, slab, []int32{42}, []float64{7})
-		_ = i
+		checkSlab(t, slab, []int32{42, int32(i)}, []float64{7, 7})
 	}
 	s := b.Stats()
-	if s.Enqueued != waiters+1 || s.Coalesced != waiters || s.Batches != 1 {
+	// The first queued request opened pass 2; the other queued-1 joined it.
+	if s.Enqueued != 2*(queued+1) || s.Coalesced != 2*(queued-1) || s.Batches != 2 || s.FlushDrain != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if r := s.CoalesceRatio(); r <= 0.9 {
-		t.Fatalf("coalesce ratio %v", r)
+	if b.QueueWait().Count() != queued+1 {
+		t.Fatalf("queue wait observed %d times, want once per request (%d)", b.QueueWait().Count(), queued+1)
+	}
+}
+
+func TestBatcherReadYourWrites(t *testing.T) {
+	// A request that arrives after a write was acknowledged must see it,
+	// even while a pass over the same ⟨node, t⟩ that predates the write
+	// is still executing: the request queues for a pass captured after
+	// it enqueued, never joining the running one. The gate holds one
+	// token per pass, so releasing a second pass cannot block if a
+	// batcher never starts one.
+	f := &fakeEmbedder{gate: make(chan struct{}, 2)}
+	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
+	first := make(chan []float32, 1)
+	go func() {
+		slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- slab
+	}()
+	waitUntil(t, "pass 1 executing", func() bool { return f.numCalls() == 1 })
+
+	f.version.Add(1) // the acknowledged write
+
+	second := make(chan []float32, 1)
+	go func() {
+		slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
+		if err != nil {
+			t.Error(err)
+		}
+		second <- slab
+	}()
+	waitUntil(t, "second request enqueued", func() bool { return b.Stats().Enqueued == 2 })
+	f.gate <- struct{}{}
+	f.gate <- struct{}{}
+	if slab := <-first; slab[0] != fakeRowAt(0, 42, 7, 0) {
+		t.Fatalf("pass 1 row %v, want the pre-write row", slab)
+	}
+	slab := <-second
+	for j := 0; j < fakeDim; j++ {
+		if want := fakeRowAt(1, 42, 7, j); slab[j] != want {
+			t.Fatalf("post-write request col %d = %v, want %v (served a pass that predates the write)", j, slab[j], want)
+		}
 	}
 }
 
@@ -280,28 +330,28 @@ func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
+	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
 
-	// A waiter on the executing flight whose context is cancelled must
-	// return promptly even though the pass is still blocked.
+	// A queued caller whose context is cancelled must return promptly
+	// even though the pass ahead of it is still blocked.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelled := make(chan error, 1)
 	go func() {
 		_, err := b.Embed(ctx, []int32{1}, []float64{1})
 		cancelled <- err
 	}()
-	waitUntil(t, "cancelled waiter attached", func() bool { return b.Stats().Coalesced == 1 })
+	waitUntil(t, "cancelled caller queued", func() bool { p, _ := b.InFlight(); return p == 1 })
 	cancel()
 	select {
 	case err := <-cancelled:
 		if err != context.Canceled {
-			t.Fatalf("cancelled waiter returned %v", err)
+			t.Fatalf("cancelled caller returned %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled waiter stuck")
+		t.Fatal("cancelled caller stuck")
 	}
 
-	// A patient waiter on the same flight still gets the result.
+	// A patient caller in the same cohort still gets the result.
 	patient := make(chan []float32, 1)
 	go func() {
 		slab, err := b.Embed(context.Background(), []int32{1}, []float64{1})
@@ -310,57 +360,56 @@ func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
 		}
 		patient <- slab
 	}()
-	waitUntil(t, "patient waiter attached", func() bool { return b.Stats().Coalesced == 2 })
-	f.gate <- struct{}{}
+	waitUntil(t, "patient caller queued", func() bool { p, _ := b.InFlight(); return p == 2 })
+	f.gate <- struct{}{} // pass 1
+	f.gate <- struct{}{} // the drain pass carrying both queued callers
 	select {
 	case slab := <-patient:
 		checkSlab(t, slab, []int32{1}, []float64{1})
 	case <-time.After(2 * time.Second):
-		t.Fatal("patient waiter stuck after cancellation of a sibling")
+		t.Fatal("patient caller stuck after cancellation of a sibling")
 	}
 	wg.Wait()
-	// The registry must be fully retired: no leaked flights.
-	waitUntil(t, "registry drained", func() bool {
+	waitUntil(t, "queue drained", func() bool {
 		p, r := b.InFlight()
 		return p == 0 && r == 0
 	})
-	b.mu.Lock()
-	leaked := len(b.flights)
-	b.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d flights leaked in the registry", leaked)
-	}
 }
 
 func TestBatcherPanicPublishesErrors(t *testing.T) {
 	f := &fakeEmbedder{gate: make(chan struct{}), panicOn: true}
 	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := b.Embed(context.Background(), []int32{9}, []float64{3})
-			errs <- err
-		}()
+	errs := make(chan error, 3)
+	embed := func() {
+		_, err := b.Embed(context.Background(), []int32{9}, []float64{3})
+		errs <- err
 	}
-	waitUntil(t, "pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
-	// A caller arriving after the panic retired the key would start a
-	// second pass, which blocks on the gate for good.
-	waitUntil(t, "second caller coalesced", func() bool { return b.Stats().Coalesced == 1 })
+	go embed()
+	waitUntil(t, "pass executing", func() bool { return f.numCalls() == 1 })
+	// Two more callers share the next cohort; its panic reaches both.
+	go embed()
+	go embed()
+	waitUntil(t, "two callers queued", func() bool { p, _ := b.InFlight(); return p == 2 })
 	f.gate <- struct{}{}
-	for i := 0; i < 2; i++ {
+	f.gate <- struct{}{}
+	for i := 0; i < 3; i++ {
 		select {
 		case err := <-errs:
 			if err == nil {
-				t.Fatal("waiter of a panicked pass got a nil error")
+				t.Fatal("caller of a panicked pass got a nil error")
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("waiter stuck after pass panic")
+			t.Fatal("caller stuck after pass panic")
 		}
 	}
-	if b.Stats().Panics != 1 {
-		t.Fatalf("panics = %d", b.Stats().Panics)
+	if b.Stats().Panics != 2 {
+		t.Fatalf("panics = %d, want 2", b.Stats().Panics)
 	}
-	// The key must be retired so a retry recomputes cleanly.
+	waitUntil(t, "queue drained", func() bool {
+		p, r := b.InFlight()
+		return p == 0 && r == 0
+	})
+	// A retry recomputes cleanly.
 	f.mu.Lock()
 	f.panicOn = false
 	f.mu.Unlock()
@@ -437,178 +486,4 @@ func TestBatcherMatchesEngineBitwise(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestBatcherRetireTargetsBreaksSingleFlight(t *testing.T) {
-	// Read-your-writes: once a history edit retires an in-flight key, a
-	// request arriving after the edit must start a fresh pass against
-	// the post-edit graph — never attach to the executing pre-edit one.
-	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		checkSlab(t, slab, []int32{42}, []float64{7})
-	}()
-	waitUntil(t, "first pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
-
-	// An edit at t=7 does not retire the t=7 flight (only strictly newer
-	// query times read the edited window)…
-	if got := b.RetireTargets([]int32{42}, 7); got != 0 {
-		t.Fatalf("edit at the flight's own time retired %d flights, want 0", got)
-	}
-	// …an edit beneath it does.
-	if got := b.RetireTargets([]int32{42}, 5); got != 1 {
-		t.Fatalf("retired %d flights, want 1", got)
-	}
-	if s := b.Stats(); s.RetireCalls != 2 || s.Retired != 1 {
-		t.Fatalf("retire stats %+v", s)
-	}
-
-	// Same (node, ts) again: must queue a new slot, not coalesce into
-	// the executing retired flight.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		checkSlab(t, slab, []int32{42}, []float64{7})
-	}()
-	waitUntil(t, "post-retire request queued", func() bool { p, _ := b.InFlight(); return p == 1 })
-	if got := b.Stats().Coalesced; got != 0 {
-		t.Fatalf("post-retire request coalesced into the retired flight (%d)", got)
-	}
-
-	f.gate <- struct{}{} // release the pre-edit pass
-	waitUntil(t, "second pass executing", func() bool { return f.numCalls() == 2 })
-	f.gate <- struct{}{} // release the post-edit pass
-	wg.Wait()
-	if f.numCalls() != 2 {
-		t.Fatalf("%d passes, want 2 (retire must break single-flight)", f.numCalls())
-	}
-	// The successor flight was created under the same key after the
-	// retire; the retired pass's cleanup must not orphan it. (The pass
-	// marks itself done just after publishing results, so poll.)
-	waitUntil(t, "flight table drained", func() bool {
-		p, r := b.InFlight()
-		return p == 0 && r == 0
-	})
-}
-
-func TestBatcherRetireTargetsConcurrentChurn(t *testing.T) {
-	// Race pin (run with -race): embeds and retires interleaving freely
-	// must neither race nor wedge, and every result stays correct.
-	f := &fakeEmbedder{}
-	b := New(f, fakeDim, Config{MaxBatch: 8})
-	stop := make(chan struct{})
-	var retirer sync.WaitGroup
-	retirer.Add(1)
-	go func() {
-		defer retirer.Done()
-		tm := 0.0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				b.RetireTargets([]int32{1, 2, 3, 4}, tm)
-				tm += 0.25
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				node := int32(1 + (w+i)%4)
-				ts := float64(i)
-				slab, err := b.Embed(context.Background(), []int32{node}, []float64{ts})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				checkSlab(t, slab, []int32{node}, []float64{ts})
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	retirer.Wait()
-	// A runner publishes its rows, then takes the lock once more to find
-	// the queue empty and retire: the last waiter can return before it
-	// has. Leaked means still there once the runners have had their turn.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p, r := b.InFlight()
-		if p == 0 && r == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("leaked flights after churn: pending=%d running=%d", p, r)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestRetireTargetsFastPathBound(t *testing.T) {
-	// The engine's invalidation hook calls RetireTargets on every
-	// chronological append. With no future-time work in flight the call
-	// must exit on the atomic time bound without taking the batcher
-	// lock — and the bound must reset once the flight table drains, or
-	// one long-gone future flight would leave every later append paying
-	// the locked scan forever.
-	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
-
-	if got := math.Float64frombits(b.maxFlightT.Load()); !math.IsInf(got, -1) {
-		t.Fatalf("fresh batcher bound %v, want -Inf", got)
-	}
-	if got := b.RetireTargets([]int32{1}, 0); got != 0 {
-		t.Fatalf("idle retire = %d, want 0", got)
-	}
-
-	// A future-time flight raises the bound, so an edit beneath it still
-	// takes the slow path and retires it.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		slab, err := b.Embed(context.Background(), []int32{7}, []float64{100})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		checkSlab(t, slab, []int32{7}, []float64{100})
-	}()
-	waitUntil(t, "pass executing", func() bool { _, r := b.InFlight(); return r == 1 })
-	if got := math.Float64frombits(b.maxFlightT.Load()); got != 100 {
-		t.Fatalf("bound %v, want 100", got)
-	}
-	if got := b.RetireTargets([]int32{7}, 50); got != 1 {
-		t.Fatalf("retired %d, want 1", got)
-	}
-	// The retire emptied the table, so the bound is -Inf again and the
-	// next append's hook is back to the O(1) exit.
-	if got := math.Float64frombits(b.maxFlightT.Load()); !math.IsInf(got, -1) {
-		t.Fatalf("bound after drain %v, want -Inf", got)
-	}
-	if got := b.RetireTargets([]int32{7}, 50); got != 0 {
-		t.Fatalf("post-drain retire = %d, want 0", got)
-	}
-
-	f.gate <- struct{}{} // release the retired pass; it publishes normally
-	wg.Wait()
 }

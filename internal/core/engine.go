@@ -199,12 +199,6 @@ type Engine struct {
 	// consults it so the steady-state append (no future-time memos
 	// outstanding) costs one atomic load.
 	maxEmbedBits atomic.Uint64
-	// hook, when set, is told the endpoints and time of every targeted
-	// invalidation before the cache scan runs — the batcher retires
-	// matching in-flight computations so a result computed against the
-	// pre-insert history can never serve a post-insert waiter. Set it
-	// before serving starts; it is read without synchronization.
-	hook func(u, v int32, t float64)
 	// swapGate is the parameter hot-swap barrier: every embed and score
 	// pass holds the read side for its whole duration, and SwapLock
 	// takes the write side, so a swap can never tear a request — no
@@ -491,9 +485,6 @@ func (e *Engine) InvalidateEdge(eidx int32) int {
 // engine serving a stream with a lateness window.
 func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
-	if e.hook != nil {
-		e.hook(u, v, t)
-	}
 	if e.caches == nil {
 		return 0
 	}
@@ -509,17 +500,12 @@ func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
 // serving event, so the scan is gated on a monotonic bound over every
 // embedded query timestamp: when no future-time memo can exist (the
 // common case — queries at t' ≤ now), the call costs one atomic load.
-// The batcher retire hook still fires first: an in-flight future-time
-// computation is invisible to the memo bound.
 //
 // Without Options.TrackTargets the selective scan is impossible and
 // every cache is cleared, as in InvalidateLateEdge; engines serving
 // appends should always enable tracking.
 func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
-	if e.hook != nil {
-		e.hook(u, v, t)
-	}
 	if e.caches == nil {
 		return 0
 	}
@@ -527,13 +513,6 @@ func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
 		return 0
 	}
 	return e.invalidateNewer(u, v, t)
-}
-
-// SetInvalidationHook installs the callback invoked at the start of
-// every targeted invalidation (late insert or append). Call it once
-// during setup, before any concurrent use of the engine.
-func (e *Engine) SetInvalidationHook(fn func(u, v int32, t float64)) {
-	e.hook = fn
 }
 
 // invalidateNewer is the shared selective-invalidation body behind

@@ -358,6 +358,75 @@ func TestTopMemoStraddlingPassStoresNothing(t *testing.T) {
 	}
 }
 
+// TestTransitiveRollbackBuildsNoLayer2Entry: at L = 3, a layer-2 pass
+// aggregates the layer-1 rows its recursion computed. Park that
+// recursion after its layer-1 store and before its index records land
+// (on the layer-1 target index's locks), move the graph, and let it
+// finish: the layer-1 store rolls back, and the layer-2 entries built
+// from its rows must not be stored either. They are not, because the
+// layer-2 fence opened before the recursion's and the graph's counters
+// only grow, so the move the inner check saw is one the outer check sees.
+// No invalidation scan runs, so any surviving entry would be served.
+func TestTransitiveRollbackBuildsNoLayer2Entry(t *testing.T) {
+	for _, move := range []string{"append", "late"} {
+		t.Run(move, func(t *testing.T) {
+			f := newTopMemoFixture(t, 3, QuantOff)
+			f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to keep
+			l1, l2 := f.eng.caches[1], f.eng.caches[2]
+			len1, len2 := l1.Len(), l2.Len()
+			skips := f.eng.staleSkips.Load()
+
+			tix := f.eng.layerTargets[1]
+			for i := range tix.shards {
+				tix.shards[i].mu.Lock()
+			}
+			// Ahead of the clock, so the append below lands in their windows.
+			nodes, ts := []int32{3, 4, 5}, []float64{f.now + 100, f.now + 100, f.now + 100}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				f.eng.Embed(nodes, ts)
+			}()
+			for l1.Len() == len1 { // stored, now blocked on the index
+				runtime.Gosched()
+			}
+			var err error
+			switch move {
+			case "append":
+				_, err = f.dyn.Append(graph.Edge{Src: 3, Dst: 4, Time: f.now + 5, Idx: f.nextIdx})
+			case "late":
+				var res graph.IngestResult
+				res, _, err = f.dyn.Ingest(graph.Edge{Src: 3, Dst: 4, Time: f.now - 10, Idx: f.nextIdx})
+				if err == nil && res != graph.IngestLate {
+					t.Fatalf("late insert classified %v", res)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.nextIdx++
+			for i := range tix.shards {
+				tix.shards[i].mu.Unlock()
+			}
+			<-done
+
+			if l1.Len() != len1 {
+				t.Fatalf("layer 1 holds %d entries after the rollback, want %d", l1.Len(), len1)
+			}
+			if l2.Len() != len2 {
+				t.Fatalf("layer 2 holds %d entries built from rolled-back rows, want %d", l2.Len(), len2)
+			}
+			if got := f.eng.staleSkips.Load() - skips; got != 2 {
+				t.Fatalf("%d stale skips, want 2 (the layer-1 rollback and the layer-2 skip)", got)
+			}
+			s := graph.NewDynamicSampler(f.dyn, f.m.Cfg.NumNeighbors, graph.MostRecent, 0)
+			if got, want := f.eng.Embed(nodes, ts), f.m.BaselineEmbedFunc(s)(nodes, ts); !sameBits(got, want) {
+				t.Fatal("re-ask after the rollback differs from the baseline on the current graph")
+			}
+		})
+	}
+}
+
 // TestTopMemoAbsentOnStaticSampler: stream, experiment and tgopt-infer
 // engines sample an immutable graph and must not grow a memo.
 func TestTopMemoAbsentOnStaticSampler(t *testing.T) {

@@ -249,7 +249,7 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 					t.Fatal(err)
 				}
 				if b := pool.Batching; b == nil || b.Enqueued != top.Enqueued || b.Coalesced != top.Coalesced ||
-					b.Batches != top.Batches || b.Retired != top.Retired {
+					b.Batches != top.Batches || b.Panics != top.Panics {
 					t.Errorf("shards.batching %+v differs from batching %+v", b, top)
 				}
 			}

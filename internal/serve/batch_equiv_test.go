@@ -122,7 +122,7 @@ func TestServeBatchedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The batcher must actually have coalesced under this workload.
+	// The batcher must actually have run under this workload.
 	resp, err := http.Get(on.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestServeBatchedEquivalence(t *testing.T) {
 
 // TestServeBatchedCancellation cancels requests mid-batch and checks
 // that sibling requests sharing the fused pass still complete correctly
-// and the server keeps serving — no stuck waiters, no leaked flights.
+// and the server keeps serving — no stuck waiters.
 func TestServeBatchedCancellation(t *testing.T) {
 	off, on := batchedAndSerialServers(t, batcher.Config{Window: 5 * time.Millisecond, MaxBatch: 64})
 

@@ -10,9 +10,9 @@ import (
 
 // SetBatching enables cross-request dynamic micro-batching: /v1/embed
 // and /v1/score targets are enqueued into a batcher per core that fuses
-// concurrent requests into single engine passes with single-flight
-// deduplication (see package batcher). Call before Handler, like
-// SetLimits; it is not safe to toggle while requests are in flight.
+// concurrent requests into single engine passes (see package batcher).
+// Call before Handler, like SetLimits; it is not safe to toggle while
+// requests are in flight.
 func (s *Server) SetBatching(cfg batcher.Config) { s.backend.SetBatching(cfg) }
 
 // Batcher returns an unsharded server's batcher; nil when batching is
@@ -61,8 +61,6 @@ type batchStats struct {
 	FlushIdle     int64   `json:"flush_idle"`
 	FlushDrain    int64   `json:"flush_drain"`
 	Panics        int64   `json:"panics"`
-	RetireCalls   int64   `json:"retire_calls"`
-	Retired       int64   `json:"retired"`
 	OccupancyMean float64 `json:"occupancy_mean"`
 	OccupancyP50  int64   `json:"occupancy_p50"`
 	OccupancyP99  int64   `json:"occupancy_p99"`
@@ -87,8 +85,6 @@ func (t *batchTotals) json() *batchStats {
 		FlushIdle:     t.FlushIdle,
 		FlushDrain:    t.FlushDrain,
 		Panics:        t.Panics,
-		RetireCalls:   t.RetireCalls,
-		Retired:       t.Retired,
 		OccupancyMean: t.occupancy.Mean(),
 		OccupancyP50:  t.occupancy.Quantile(0.5),
 		OccupancyP99:  t.occupancy.Quantile(0.99),

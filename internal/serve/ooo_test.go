@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
@@ -318,95 +317,64 @@ func TestServeIngestAppendInvalidatesFutureMemo(t *testing.T) {
 	// perfectly chronological append under an already-served future-time
 	// embedding left the memo stale, and the server re-served the
 	// pre-append value forever. Same shape as the late-edge pin above,
-	// but with a strictly in-order ingest.
-	const nodes, dim = 20, 16
-	m := oooModel(t, nodes, 64, dim)
+	// but with a strictly in-order ingest. Batched, it is also the
+	// read-your-writes pin: the embed after the acknowledged append must
+	// not be answered by a pass that predates it.
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		_, ts := mk("")
+		ingest(t, ts.URL, []edgeJSON{
+			{Src: 1, Dst: 2, Time: 10, Idx: 1},
+			{Src: 1, Dst: 3, Time: 20, Idx: 2},
+			{Src: 2, Dst: 4, Time: 30, Idx: 3},
+		})
+		// Serve ⟨1, 40⟩ ahead of the stream head: memoized at t=40.
+		before := embedRows(t, ts.URL, []int32{1}, []float64{40})[0]
 
-	build := func() (*Server, *httptest.Server) {
-		dyn := graph.NewDynamic(nodes) // no lateness: every edge appends
-		srv := New(m, dyn, core.OptAll())
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return srv, ts
-	}
-	_, ts := build()
-	ingest(t, ts.URL, []edgeJSON{
-		{Src: 1, Dst: 2, Time: 10, Idx: 1},
-		{Src: 1, Dst: 3, Time: 20, Idx: 2},
-		{Src: 2, Dst: 4, Time: 30, Idx: 3},
-	})
-	// Serve ⟨1, 40⟩ ahead of the stream head: memoized at t=40.
-	before := embedRows(t, ts.URL, []int32{1}, []float64{40})[0]
-
-	// Chronological append at t=35 touching node 1 — inside the sampled
-	// window of the cached query.
-	resp, body := post(t, ts.URL+"/v1/ingest", ingestRequest{Edges: []edgeJSON{{Src: 1, Dst: 5, Time: 35, Idx: 4}}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("append ingest: %d %s", resp.StatusCode, body)
-	}
-	var ir ingestResponse
-	if err := json.Unmarshal(body, &ir); err != nil {
-		t.Fatal(err)
-	}
-	if ir.Accepted != 1 || ir.Late != 0 {
-		t.Fatalf("append misclassified: %s", body)
-	}
-	if ir.Invalidated == 0 {
-		t.Fatal("chronological append under a future-time memo invalidated nothing (the seed behavior)")
-	}
-
-	after := embedRows(t, ts.URL, []int32{1}, []float64{40})[0]
-	changed := false
-	for j := range after {
-		if math.Float32bits(after[j]) != math.Float32bits(before[j]) {
-			changed = true
-			break
+		// Chronological append at t=35 touching node 1 — inside the sampled
+		// window of the cached query.
+		resp, body := post(t, ts.URL+"/v1/ingest", ingestRequest{Edges: []edgeJSON{{Src: 1, Dst: 5, Time: 35, Idx: 4}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append ingest: %d %s", resp.StatusCode, body)
 		}
-	}
-	if !changed {
-		t.Fatal("embedding unchanged after in-window append (stale memo served)")
-	}
-
-	// Control: a server that had all four edges before the first query
-	// must agree bitwise.
-	_, ctlTS := build()
-	ingest(t, ctlTS.URL, []edgeJSON{
-		{Src: 1, Dst: 2, Time: 10, Idx: 1},
-		{Src: 1, Dst: 3, Time: 20, Idx: 2},
-		{Src: 2, Dst: 4, Time: 30, Idx: 3},
-		{Src: 1, Dst: 5, Time: 35, Idx: 4},
-	})
-	want := embedRows(t, ctlTS.URL, []int32{1}, []float64{40})[0]
-	for j := range want {
-		if math.Float32bits(after[j]) != math.Float32bits(want[j]) {
-			t.Fatalf("dim %d: post-append value %v != sorted control %v", j, after[j], want[j])
+		var ir ingestResponse
+		if err := json.Unmarshal(body, &ir); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
+		if ir.Accepted != 1 || ir.Late != 0 {
+			t.Fatalf("append misclassified: %s", body)
+		}
+		if ir.Invalidated == 0 {
+			t.Fatal("chronological append under a future-time memo invalidated nothing (the seed behavior)")
+		}
 
-func TestServeAppendInvalidationReachesBatcher(t *testing.T) {
-	// Wiring pin for the read-your-writes fix: with batching on, every
-	// invalidating ingest (append or late) must call RetireTargets on
-	// the serving batcher — in-flight single-flight keys for the touched
-	// endpoints are computed against pre-edit history and must not be
-	// joined by requests that arrive after the ingest acknowledgement.
-	const nodes, dim = 20, 16
-	m := oooModel(t, nodes, 64, dim)
-	dyn := graph.NewDynamic(nodes)
-	srv := New(m, dyn, core.OptAll())
-	srv.SetBatching(batcher.Config{})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+		after := embedRows(t, ts.URL, []int32{1}, []float64{40})[0]
+		changed := false
+		for j := range after {
+			if math.Float32bits(after[j]) != math.Float32bits(before[j]) {
+				changed = true
+				break
+			}
+		}
+		if !changed {
+			t.Fatal("embedding unchanged after in-window append (stale memo served)")
+		}
 
-	ingest(t, ts.URL, []edgeJSON{
-		{Src: 1, Dst: 2, Time: 10, Idx: 1},
-		{Src: 1, Dst: 3, Time: 20, Idx: 2},
+		// Control: a server that had all four edges before the first query
+		// must agree bitwise.
+		_, ctlTS := mk("")
+		ingest(t, ctlTS.URL, []edgeJSON{
+			{Src: 1, Dst: 2, Time: 10, Idx: 1},
+			{Src: 1, Dst: 3, Time: 20, Idx: 2},
+			{Src: 2, Dst: 4, Time: 30, Idx: 3},
+			{Src: 1, Dst: 5, Time: 35, Idx: 4},
+		})
+		want := embedRows(t, ctlTS.URL, []int32{1}, []float64{40})[0]
+		for j := range want {
+			if math.Float32bits(after[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("dim %d: post-append value %v != sorted control %v", j, after[j], want[j])
+			}
+		}
 	})
-	embedRows(t, ts.URL, []int32{1}, []float64{30})
-	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 4, Time: 25, Idx: 3}})
-	if got := srv.Batcher().Stats().RetireCalls; got == 0 {
-		t.Fatal("invalidating append never reached Batcher.RetireTargets (hook unwired)")
-	}
 }
 
 func TestServeStatsReportIngestSection(t *testing.T) {

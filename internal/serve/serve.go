@@ -273,16 +273,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_model_last_swap_timestamp_seconds", "Unix time of the last successful hot-swap (0 = never).", float64(s.lastSwapUnix.Load()))
 	if bt := s.batchTotals(); bt != nil {
 		write("tgopt_batch_enqueued_total", "Targets enqueued into the micro-batcher.", float64(bt.Enqueued))
-		write("tgopt_batch_coalesced_total", "Targets deduplicated onto an in-flight computation.", float64(bt.Coalesced))
-		write("tgopt_batch_coalesce_ratio", "Fraction of targets served by single-flight dedup.", bt.CoalesceRatio())
+		write("tgopt_batch_coalesced_total", "Targets that joined a fused pass another request opened.", float64(bt.Coalesced))
+		write("tgopt_batch_coalesce_ratio", "Fraction of targets that joined a fused pass another request opened.", bt.CoalesceRatio())
 		write("tgopt_batch_passes_total", "Fused engine passes executed.", float64(bt.Batches))
 		write("tgopt_batch_panics_total", "Fused passes that panicked (recovered to errors).", float64(bt.Panics))
-		fmt.Fprintf(&b, "# HELP tgopt_batch_occupancy Unique targets per fused pass.\n# TYPE tgopt_batch_occupancy summary\n")
+		fmt.Fprintf(&b, "# HELP tgopt_batch_occupancy Targets per fused pass.\n# TYPE tgopt_batch_occupancy summary\n")
 		for _, q := range summaryQuantiles {
 			fmt.Fprintf(&b, "tgopt_batch_occupancy{quantile=%q} %d\n", q.label, bt.occupancy.Quantile(q.q))
 		}
 		fmt.Fprintf(&b, "tgopt_batch_occupancy_sum %d\ntgopt_batch_occupancy_count %d\n", bt.occupancy.Sum(), bt.occupancy.Count())
-		fmt.Fprintf(&b, "# HELP tgopt_batch_queue_wait_seconds Enqueue-to-flush wait.\n# TYPE tgopt_batch_queue_wait_seconds summary\n")
+		fmt.Fprintf(&b, "# HELP tgopt_batch_queue_wait_seconds Enqueue-to-flush wait per request.\n# TYPE tgopt_batch_queue_wait_seconds summary\n")
 		for _, q := range summaryQuantiles {
 			fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds{quantile=%q} %g\n", q.label, bt.queueWait.Quantile(q.q).Seconds())
 		}
@@ -680,8 +680,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // validTimes rejects non-finite timestamps with 400: NaN/Inf truncate
-// to arbitrary low bits in the memo key (core.Key), poisoning the cache
-// and the single-flight registry with unreachable-yet-resident entries.
+// to arbitrary low bits in the memo key (core.Key), poisoning the caches
+// with unreachable-yet-resident entries.
 func (s *Server) validTimes(w http.ResponseWriter, ts []float64) bool {
 	for _, t := range ts {
 		if math.IsNaN(t) || math.IsInf(t, 0) {

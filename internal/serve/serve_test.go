@@ -164,7 +164,7 @@ func TestServeValidation(t *testing.T) {
 
 func TestServeRejectsNonFiniteTimes(t *testing.T) {
 	// Non-finite times would truncate to arbitrary low bits in the memo
-	// key, poisoning the cache and the single-flight registry. JSON has
+	// key, poisoning the caches. JSON has
 	// no NaN/Inf literals, so over the wire they can only appear as
 	// out-of-range numbers like 1e999 — rejected at decode — but the
 	// handler-level guard must hold for any transport.

@@ -26,9 +26,8 @@ func isPanic(err error) bool {
 }
 
 // Core is the one compute unit under serving: an engine over one
-// dynamic graph, an optional single-flight batcher with the engine's
-// invalidation hook wired to it, and what a serving plane asks of the
-// pair — embed, invalidate for an edge, swap params, snapshot. An
+// dynamic graph, an optional batcher in front of the engine, and what a
+// serving plane asks of the pair — embed, invalidate for an edge, swap params, snapshot. An
 // unsharded server holds one over the authoritative graph; a Router
 // holds one per shard over a replica and discards it whole on a crash
 // (a panic may have poisoned its locks). A Core has no replica, ring,
@@ -71,23 +70,11 @@ func (c *Core) Batchers() []*batcher.Batcher {
 	return []*batcher.Batcher{c.bat}
 }
 
-// SetBatching routes EmbedRows through a single-flight micro-batcher
-// that fuses concurrent requests into shared engine passes (package
-// batcher). Call before traffic; it is not safe to toggle while
-// requests are in flight.
+// SetBatching routes EmbedRows through a micro-batcher that fuses
+// concurrent requests into shared engine passes (package batcher). Call
+// before traffic; it is not safe to toggle while requests are in flight.
 func (c *Core) SetBatching(cfg batcher.Config) {
-	b := batcher.New(c.emb, c.eng.Dim(), cfg)
-	c.bat = b
-	// Close the single-flight read-your-writes gap: when a history edit
-	// (late insert or watermark-crossing append) invalidates cached
-	// state, in-flight computations for the touched endpoints at newer
-	// query times must retire too — they were computed against the
-	// pre-edit history, and a request arriving after the ingest
-	// acknowledgement must not attach to them. The engine calls the
-	// hook before its own cache scan.
-	c.eng.SetInvalidationHook(func(u, v int32, t float64) {
-		b.RetireTargets([]int32{u, v}, t)
-	})
+	c.bat = batcher.New(c.emb, c.eng.Dim(), cfg)
 }
 
 // EmbedRows computes the embeddings of the targets as one slab, row i

@@ -227,9 +227,10 @@ func (r *Router) buildCore(id int, prefix []graph.Edge) (c *Core, err error) {
 	return c, nil
 }
 
-// SetBatching gives every core its own single-flight batcher (targets
-// always hash to the same primary, so dedup keeps working across
-// requests) and records cfg for the cores supervisor restarts build.
+// SetBatching gives every core its own batcher (targets always hash to
+// the same primary, so a repeated target meets its duplicates in one
+// engine's passes and memo) and records cfg for the cores supervisor
+// restarts build.
 // Call before traffic, like Core.SetBatching.
 func (r *Router) SetBatching(cfg batcher.Config) {
 	r.batch = &cfg

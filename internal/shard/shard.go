@@ -1,5 +1,5 @@
 // Package shard holds serving's compute plane. A Core is the unit: one
-// engine over one dynamic graph, an optional single-flight batcher, and
+// engine over one dynamic graph, an optional batcher, and
 // the embed / invalidate / swap / snapshot operations serving asks of
 // the pair. An unsharded server runs one Core over its graph. A Router
 // partitions serving into N independent failure domains, each a Shard

@@ -20,9 +20,14 @@ nontest() { ls "$1"/*.go | grep -v _test.go; }
 if grep -nE 'router (!=|==) nil|engine (!=|==) nil' $(nontest internal/serve); then
     echo "internal/serve forks on its backend again: the lines above"; exit 1
 fi
-for pkg in core serve shard tgat; do
+for pkg in batcher core serve shard tgat; do
     printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
 done
+
+echo "== one dedup (the engine's §4.1 filter; the batcher concatenates, and no engine hook reaches into it)"
+if grep -nE 'RetireTargets|SetInvalidationHook|map\[uint64\]\*flight' $(nontest internal/batcher) $(nontest internal/core) $(nontest internal/shard); then
+    echo "single-flight attach or its invalidation hook is back: the lines above"; exit 1
+fi
 
 echo "== one version holder, no promote worker (tgat.Model carries the params version; a spill hit is promoted by its lookup)"
 if grep -nE '(modelVersion|version) +atomic\.Uint64' internal/core/engine.go $(nontest internal/shard) $(nontest internal/serve); then
@@ -70,7 +75,7 @@ go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBacke
 
 echo "== spill-tier fault injection (crash mid-seal, bit flips, torn segments; race-enabled)"
 go test -race -count=5 -run 'TestTieredCache' ./internal/core/
-go test -race -count=1 -run 'TestSpill|TestBatcherRetire' ./internal/core/ ./internal/batcher/
+go test -race -count=1 -run 'TestSpill' ./internal/core/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
 go test -race -count=1 -run 'TestTransitive|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark' \
