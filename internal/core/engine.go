@@ -11,6 +11,7 @@ import (
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/device"
 	"tgopt/internal/graph"
+	"tgopt/internal/nn"
 	"tgopt/internal/stats"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -173,7 +174,11 @@ type Engine struct {
 	topMemo   *topMemo
 	memoEpoch atomic.Int64
 	ttable    *TimeTable
-	deps      *DepTracker
+	// packs[l-1] is layer l's weight pack (tgat.Model.PackLayers). Like
+	// ttable it is derived from the parameters, so it is built once per
+	// params version: in NewEngine and again in FinishSwap.
+	packs []nn.LayerPack
+	deps  *DepTracker
 	// layerTargets[l] indexes layer l's cached keys by target node and
 	// layerSupports[l] (l ≥ 2) indexes them by support node — the
 	// (node, time) pairs whose layer-(l−1) embeddings the entry
@@ -213,7 +218,9 @@ type Engine struct {
 // NewEngine creates an engine over a trained model and a most-recent
 // sampler. Using a Uniform sampler with EnableCache panics: memoization
 // is only sound when re-sampling a target reproduces the same temporal
-// subgraph (§3.2, §7).
+// subgraph (§3.2, §7). The engine packs the model's layer weights here,
+// so their values may change afterwards only through SwapParams (or
+// SwapLock, ApplyParams and FinishSwap).
 func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{model: m, sampler: s, opt: opt}
@@ -225,6 +232,7 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		panic("core: sampler k differs from model NumNeighbors")
 	}
 	e.maxEmbedBits.Store(math.Float64bits(math.Inf(-1)))
+	e.packs = m.PackLayers()
 	quant := opt.Quant == QuantInt8
 	if opt.EnableCache {
 		if s.Strategy() != graph.MostRecent {
@@ -334,11 +342,11 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 
 // FinishSwap completes a parameter swap on this engine while SwapLock
 // is held and the shared model already carries the new parameters and
-// their version: the time table is rebuilt from the swapped encoder,
-// every memo-cache layer is dropped and its spill tier re-stamped with
-// the model's version (no pass runs under SwapLock, so no promotion is
-// in flight to outlive the drop), and the target/support/dependency
-// indexes reset with them. Memoized embeddings are only valid for the
+// their version: the time table and the layers' weight packs are
+// rebuilt from the swapped parameters, every memo-cache layer is dropped
+// and its spill tier re-stamped with the model's version (no pass runs
+// under SwapLock, so no promotion is in flight to outlive the drop), and
+// the target/support/dependency indexes reset with them. Memoized embeddings are only valid for the
 // parameters that computed them, so a swap is the cache-wide
 // invalidation event.
 func (e *Engine) FinishSwap() {
@@ -349,6 +357,7 @@ func (e *Engine) FinishSwap() {
 			e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
 		}
 	}
+	e.packs = e.model.PackLayers()
 	for _, c := range e.caches {
 		if c != nil {
 			c.Restamp(e.model.Version())
@@ -1003,7 +1012,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(nm*k*cfg.EdgeDim*4), 1)
 
 		start = time.Now()
-		hm := e.model.LayerForwardWith(ar, l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
+		hm := e.model.LayerForwardPacked(ar, l, &e.packs[l-1], hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
 		e.observe(stats.OpAttention, StageAttention, device.TensorOp, 8, start)
 		e.opt.Collector.Count("attention_rows", int64(nm))
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,14 +31,14 @@ var ErrStale = errors.New("graph: edge time below the low-watermark")
 // epoch; cache layers above (core.Engine) use the epoch plus selective
 // invalidation to stay exact — see DESIGN.md §11.
 //
-// Dynamic is safe for concurrent use: mutations take a write lock,
-// sampling takes read locks. Windows returned to samplers alias the
-// adjacency arrays, so history-rewriting mutations (InsertLate,
-// DeleteEdge) replace the affected arrays copy-on-write instead of
-// shifting them in place; appends only extend the suffix. Embeddings
-// memoized for a target ⟨i, t⟩ remain valid across appends of edges at
-// times ≥ t (the §3.2 property); late inserts require the selective
-// invalidation above.
+// Dynamic is safe for concurrent use: mutations take the write lock,
+// and a Sampler holds the read lock for a whole SampleTo call, copying
+// every window into its Batch before it lets go. No adjacency slice is
+// read outside the lock, so history-rewriting mutations (InsertLate,
+// DeleteEdge) shift the affected suffix in place and appends keep their
+// amortized capacity. Embeddings memoized for a target ⟨i, t⟩ remain
+// valid across appends of edges at times ≥ t (the §3.2 property); late
+// inserts require the selective invalidation above.
 type Dynamic struct {
 	mu       sync.RWMutex
 	numNodes int
@@ -253,10 +254,9 @@ func (d *Dynamic) appendLocked(e Edge) (int32, error) {
 // A late insert rewrites history: it advances the Mutations epoch, and
 // callers holding a TGOpt engine over this graph must invalidate the
 // dependent memoized embeddings (core.Engine.InvalidateLateEdge) to
-// preserve semantics. Cost is O(window + degree) — the stream shift is
-// bounded by the lateness window, and the affected adjacency arrays are
-// rebuilt copy-on-write so concurrent samplers keep reading the
-// untouched old arrays.
+// preserve semantics. Cost is O(window) plus the log-degree searches:
+// the stream and both endpoints' adjacency shift only the suffix the
+// lateness window bounds, in place under the write lock.
 func (d *Dynamic) InsertLate(e Edge) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -282,9 +282,9 @@ func (d *Dynamic) insertLateLocked(e Edge) (int32, error) {
 	d.edges = append(d.edges, Edge{})
 	copy(d.edges[pos+1:], d.edges[pos:])
 	d.edges[pos] = e
-	d.adj[e.Src].insertCOW(e.Dst, e.Idx, e.Time)
+	d.adj[e.Src].insert(e.Dst, e.Idx, e.Time)
 	if e.Dst != e.Src {
-		d.adj[e.Dst].insertCOW(e.Src, e.Idx, e.Time)
+		d.adj[e.Dst].insert(e.Src, e.Idx, e.Time)
 	}
 	d.byIdx[e.Idx] = e.Time
 	d.lateAccepted.Add(1)
@@ -292,51 +292,27 @@ func (d *Dynamic) insertLateLocked(e Edge) (int32, error) {
 	return e.Idx, nil
 }
 
-// insertCOW inserts a neighbor slot at its time-sorted position into
-// fresh backing arrays. Concurrent samplers hold prefixes of the old
-// arrays (handed out by window under the read lock); rebuilding instead
-// of shifting in place keeps those snapshots immutable.
-func (a *dynAdj) insertCOW(ngh, eidx int32, t float64) {
-	n := len(a.times)
-	pos := sort.Search(n, func(i int) bool { return a.times[i] > t })
-	nghs := make([]int32, n+1)
-	eidxs := make([]int32, n+1)
-	times := make([]float64, n+1)
-	copy(nghs, a.nghs[:pos])
-	copy(eidxs, a.eidxs[:pos])
-	copy(times, a.times[:pos])
-	nghs[pos], eidxs[pos], times[pos] = ngh, eidx, t
-	copy(nghs[pos+1:], a.nghs[pos:])
-	copy(eidxs[pos+1:], a.eidxs[pos:])
-	copy(times[pos+1:], a.times[pos:])
-	a.nghs, a.eidxs, a.times = nghs, eidxs, times
+// insert places a neighbor slot after every slot at or before time t,
+// shifting the suffix in place.
+func (a *dynAdj) insert(ngh, eidx int32, t float64) {
+	pos := sort.Search(len(a.times), func(i int) bool { return a.times[i] > t })
+	a.nghs = slices.Insert(a.nghs, pos, ngh)
+	a.eidxs = slices.Insert(a.eidxs, pos, eidx)
+	a.times = slices.Insert(a.times, pos, t)
 }
 
-// removeCOW deletes the slot holding edge eidx, rebuilding the arrays
-// copy-on-write (see insertCOW). Reports whether the slot existed.
-func (a *dynAdj) removeCOW(eidx int32) bool {
-	pos := -1
-	for i := range a.eidxs {
+// remove deletes the slot of edge eidx at time t, shifting the suffix in
+// place, and reports whether the slot existed.
+func (a *dynAdj) remove(eidx int32, t float64) bool {
+	for i := sort.SearchFloat64s(a.times, t); i < len(a.times) && a.times[i] == t; i++ {
 		if a.eidxs[i] == eidx {
-			pos = i
-			break
+			a.nghs = slices.Delete(a.nghs, i, i+1)
+			a.eidxs = slices.Delete(a.eidxs, i, i+1)
+			a.times = slices.Delete(a.times, i, i+1)
+			return true
 		}
 	}
-	if pos < 0 {
-		return false
-	}
-	n := len(a.times)
-	nghs := make([]int32, n-1)
-	eidxs := make([]int32, n-1)
-	times := make([]float64, n-1)
-	copy(nghs, a.nghs[:pos])
-	copy(eidxs, a.eidxs[:pos])
-	copy(times, a.times[:pos])
-	copy(nghs[pos:], a.nghs[pos+1:])
-	copy(eidxs[pos:], a.eidxs[pos+1:])
-	copy(times[pos:], a.times[pos+1:])
-	a.nghs, a.eidxs, a.times = nghs, eidxs, times
-	return true
+	return false
 }
 
 // IngestResult classifies how Ingest disposed of an edge.
@@ -391,14 +367,10 @@ func (d *Dynamic) Ingest(e Edge) (IngestResult, int32, error) {
 	return IngestLate, idx, err
 }
 
-// window returns the temporal prefix N(v, t), implementing the
-// adjacency interface. The returned slices are snapshots of the prefix
-// at call time: appends only extend the suffix, and history-rewriting
-// mutations replace the arrays copy-on-write, so the prefix a caller
-// holds is never mutated underneath it.
-func (d *Dynamic) window(v int32, t float64) (nghs, eidxs []int32, times []float64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+// windowLocked returns the temporal prefix N(v, t). The slices alias
+// the adjacency arrays, which mutations shift in place: the caller holds
+// d.mu and reads them before releasing it.
+func (d *Dynamic) windowLocked(v int32, t float64) (nghs, eidxs []int32, times []float64) {
 	if int(v) >= len(d.adj) {
 		return nil, nil, nil
 	}
@@ -409,7 +381,9 @@ func (d *Dynamic) window(v int32, t float64) (nghs, eidxs []int32, times []float
 
 // TemporalDegree returns |N(v, t)|.
 func (d *Dynamic) TemporalDegree(v int32, t float64) int {
-	nghs, _, _ := d.window(v, t)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	nghs, _, _ := d.windowLocked(v, t)
 	return len(nghs)
 }
 
@@ -467,9 +441,9 @@ func (d *Dynamic) DeleteEdge(eidx int32) bool {
 	if d.deadEdges > 1024 && d.deadEdges > len(d.edges)/2 {
 		d.compactEdgesLocked()
 	}
-	d.adj[e.Src].removeCOW(eidx)
+	d.adj[e.Src].remove(eidx, t)
 	if e.Dst != e.Src {
-		d.adj[e.Dst].removeCOW(eidx)
+		d.adj[e.Dst].remove(eidx, t)
 	}
 	delete(d.byIdx, eidx)
 	d.mutations.Add(1)

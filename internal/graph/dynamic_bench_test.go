@@ -54,7 +54,9 @@ func BenchmarkDeleteEdge(b *testing.B) {
 }
 
 // BenchmarkInsertLate measures sorted insertion of an edge trailing the
-// stream clock by half the lateness window.
+// stream clock by half the lateness window, spread over the nodes and
+// then always at one hub of degree ≥ 4 096: the insert shifts only the
+// suffix, so the hub costs about what a small node does.
 func BenchmarkInsertLate(b *testing.B) {
 	for _, window := range []float64{100, 1000} {
 		b.Run(fmt.Sprintf("window=%g", window), func(b *testing.B) {
@@ -69,4 +71,22 @@ func BenchmarkInsertLate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("hub", func(b *testing.B) {
+		const hubDegree = 4096
+		d := NewDynamic(hubDegree + 1)
+		d.SetLateness(100)
+		for i := 0; i < hubDegree; i++ {
+			if _, err := d.Append(Edge{Src: 1, Dst: int32(2 + i), Time: float64(i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tm := d.MaxTime() - 50
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.InsertLate(Edge{Src: 1, Dst: int32(2 + i%hubDegree), Time: tm}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tgopt/internal/tensor"
@@ -344,82 +345,119 @@ func TestDynamicCountBetween(t *testing.T) {
 }
 
 func TestDynamicConcurrentMutationsAndSampling(t *testing.T) {
-	// Race-detector workout: appends, late inserts, deletions, and
-	// sampling all hit one Dynamic concurrently. Correctness here is
-	// "no race, no panic, temporal constraint holds"; equivalence under
-	// concurrency is pinned end-to-end in internal/serve.
+	// Appends, late inserts, deletions, and sampling all hit one Dynamic
+	// concurrently. Late inserts and deletes shift adjacency in place, so
+	// a sampler that read it outside the graph's lock would tear: a slot
+	// mixing two edges' fields, or a window out of time order. Both are
+	// checked on every sample, so a torn read fails a plain run, not only
+	// one under -race. Equivalence under concurrency is pinned end-to-end
+	// in internal/serve.
+	const rounds = 4000 // samples taken while the writers run
 	d := NewDynamic(16)
 	d.SetLateness(200)
+	// Every edge a writer hands the graph is recorded first, under its
+	// explicit id, so any id a sampler can see is already here.
+	var producedMu sync.Mutex
+	produced := make(map[int32]Edge)
+	write := func(e Edge, apply func(Edge) (int32, error)) error {
+		producedMu.Lock()
+		produced[e.Idx] = e
+		producedMu.Unlock()
+		_, err := apply(e)
+		return err
+	}
+	// Append i is edge id 1+i at time 10i; late edges take ids from
+	// 1<<30 up.
+	var last atomic.Int64 // the newest append's i
+	appendEdge := func(i int) error {
+		if err := write(Edge{Src: int32(1 + i%15), Dst: int32(2 + i%14), Time: float64(i * 10), Idx: int32(1 + i)}, d.Append); err != nil {
+			return err
+		}
+		last.Store(int64(i))
+		return nil
+	}
 	for i := 0; i < 100; i++ {
-		d.Append(Edge{Src: int32(1 + i%15), Dst: int32(2 + i%14), Time: float64(i * 10)})
+		if err := appendEdge(i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := NewDynamicSampler(d, 5, MostRecent, 0)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	wg.Add(1)
-	go func() { // appender drives the clock forward
-		defer wg.Done()
-		for i := 100; i < 1200; i++ {
-			if _, err := d.Append(Edge{Src: int32(1 + i%15), Dst: int32(2 + i%14), Time: float64(i * 10)}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		close(stop)
-	}()
-	wg.Add(1)
-	go func() { // late inserter trails the clock inside the window
-		defer wg.Done()
-		r := tensor.NewRNG(3)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			hi := d.MaxTime()
-			tm := hi - r.Float64()*150
-			if tm < 0 {
-				continue
-			}
-			if _, err := d.InsertLate(Edge{Src: int32(1 + r.Intn(15)), Dst: int32(1 + r.Intn(15)), Time: tm}); err != nil && !errors.Is(err, ErrStale) {
-				t.Errorf("InsertLate: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // deleter removes arbitrary live ids
-		defer wg.Done()
-		r := tensor.NewRNG(4)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			d.DeleteEdge(int32(1 + r.Intn(1200)))
-		}
-	}()
-	for done := false; !done; {
-		select {
-		case <-stop:
-			done = true
-		default:
-		}
-		ts := []float64{300, 700, 999}
-		b := s.Sample([]int32{1, 7, 15}, ts)
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 5; j++ {
-				p := i*5 + j
-				if b.Valid[p] && b.Times[p] >= ts[i] {
-					t.Fatal("temporal constraint violated under concurrent mutations")
+	stop := make(chan struct{}) // the sampler is done
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters() // a failed check must not leave them running
+	writer := func(step func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
 				}
 			}
-		}
+		}()
 	}
-	wg.Wait()
+	writer(func() error { return appendEdge(int(last.Load()) + 1) }) // drives the clock forward
+	lateRNG, lateIdx := tensor.NewRNG(3), int32(1<<30)
+	writer(func() error { // trails the clock inside the window
+		tm := d.MaxTime() - lateRNG.Float64()*150
+		lateIdx++
+		e := Edge{Src: int32(1 + lateRNG.Intn(15)), Dst: int32(1 + lateRNG.Intn(15)), Time: tm, Idx: lateIdx}
+		if err := write(e, d.InsertLate); err != nil && !errors.Is(err, ErrStale) {
+			return err
+		}
+		return nil
+	})
+	delRNG := tensor.NewRNG(4)
+	writer(func() error { // deletes among the newest appends, where the windows end
+		d.DeleteEdge(int32(1 + int(last.Load()) - delRNG.Intn(100)))
+		return nil
+	})
+	// Targets span every node, at a fixed early time and just behind, at
+	// and ahead of the clock, where the late inserts and deletes land.
+	nodes := make([]int32, 0, 4*15)
+	for v := int32(1); v <= 15; v++ {
+		nodes = append(nodes, v, v, v, v)
+	}
+	ts := make([]float64, len(nodes))
+	for round := 0; round < rounds; round++ {
+		clock := d.MaxTime()
+		for i := range ts {
+			ts[i] = [4]float64{700, clock - 100, clock, clock + 1}[i%4]
+		}
+		b := s.Sample(nodes, ts)
+		producedMu.Lock()
+		for i, v := range nodes {
+			prev := math.Inf(-1)
+			for j := 0; j < 5; j++ {
+				p := i*5 + j
+				if !b.Valid[p] {
+					continue
+				}
+				e, ok := produced[b.EIdxs[p]]
+				if !ok || e.Time != b.Times[p] ||
+					!(e.Src == v && e.Dst == b.Nghs[p] || e.Dst == v && e.Src == b.Nghs[p]) {
+					producedMu.Unlock()
+					t.Fatalf("target %d slot %d reads (ngh %d, edge %d, time %v): no edge the writers produced (edge %d is %+v)",
+						v, j, b.Nghs[p], b.EIdxs[p], b.Times[p], b.EIdxs[p], e)
+				}
+				if b.Times[p] >= ts[i] || b.Times[p] < prev {
+					producedMu.Unlock()
+					t.Fatalf("target ⟨%d, %v⟩ slot %d at time %v after %v: window out of order or past its time",
+						v, ts[i], j, b.Times[p], prev)
+				}
+				prev = b.Times[p]
+			}
+		}
+		producedMu.Unlock()
+	}
+	stopWriters()
 	// The stream must still be sorted and consistent with the id index.
 	edges := d.Edges()
 	if !sort.SliceIsSorted(edges, func(i, j int) bool { return edges[i].Time < edges[j].Time }) {
@@ -431,6 +469,34 @@ func TestDynamicConcurrentMutationsAndSampling(t *testing.T) {
 			t.Fatalf("duplicate edge id %d in stream", e.Idx)
 		}
 		seen[e.Idx] = true
+	}
+}
+
+// TestDynamicLateEditsAtHubAllocateNothing: a late insert and a delete
+// shift the endpoints' adjacency in place, so at a node of degree 4 096
+// neither copies its arrays. The edge stream and the id index grow
+// amortized, so an insert-then-delete pair allocates nothing on average.
+func TestDynamicLateEditsAtHubAllocateNothing(t *testing.T) {
+	const hubDegree = 4096
+	d := NewDynamic(hubDegree + 1)
+	d.SetLateness(100)
+	for i := 0; i < hubDegree; i++ {
+		if _, err := d.Append(Edge{Src: 1, Dst: int32(2 + i), Time: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := d.MaxTime() - 50
+	allocs := testing.AllocsPerRun(1000, func() {
+		idx, err := d.InsertLate(Edge{Src: 1, Dst: 2, Time: late})
+		if err != nil || !d.DeleteEdge(idx) {
+			t.Fatalf("late insert %d (%v) or its delete failed", idx, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("late insert + delete at a hub of degree %d: %v allocs per pair, want 0", hubDegree, allocs)
+	}
+	if got := d.TemporalDegree(1, math.Inf(1)); got != hubDegree {
+		t.Fatalf("hub degree %d after the pairs, want %d", got, hubDegree)
 	}
 }
 

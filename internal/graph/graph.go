@@ -133,8 +133,8 @@ func (g *Graph) neighborhood(v int32, t float64) (lo, hi int32) {
 }
 
 // window returns the temporal prefix N(v, t) of node v's adjacency as
-// time-sorted slices, implementing the adjacency interface shared with
-// Dynamic. The slices alias internal storage and must not be mutated.
+// time-sorted slices. The slices alias internal storage and must not be
+// mutated.
 func (g *Graph) window(v int32, t float64) (nghs, eidxs []int32, times []float64) {
 	lo, hi := g.neighborhood(v, t)
 	return g.nghs[lo:hi], g.eidxs[lo:hi], g.times[lo:hi]

@@ -33,13 +33,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// adjacency is the minimal temporal-adjacency view samplers need: the
-// time-sorted prefix N(v, t). Graph (immutable T-CSR) and Dynamic
-// (streaming) both implement it.
-type adjacency interface {
-	window(v int32, t float64) (nghs, eidxs []int32, times []float64)
-}
-
 // Batch holds a flattened sampled neighborhood for n target
 // node–timestamp pairs with k neighbor slots each. Slot j of target i is
 // at position i*K+j. Unfilled slots are padded with node 0, edge 0,
@@ -64,8 +57,8 @@ func (b *Batch) NumTargets() int {
 // NghLookup operation of the paper's Algorithm 1. It is safe for
 // concurrent use: sampling state is per-call.
 type Sampler struct {
-	adj      adjacency
-	g        *Graph // nil when sampling a Dynamic
+	g        *Graph   // nil when sampling a Dynamic
+	d        *Dynamic // nil when sampling a Graph
 	k        int
 	strategy Strategy
 	seed     uint64
@@ -78,18 +71,20 @@ func NewSampler(g *Graph, k int, strategy Strategy, seed uint64) *Sampler {
 	if k < 1 {
 		panic("graph: sampler k must be >= 1")
 	}
-	return &Sampler{adj: g, g: g, k: k, strategy: strategy, seed: seed}
+	return &Sampler{g: g, k: k, strategy: strategy, seed: seed}
 }
 
-// NewDynamicSampler creates a sampler over a streaming graph. Appends
-// made between (or during) Sample calls are observed by subsequent
-// sampling but — thanks to the strict t_j < t constraint — never change
-// the neighborhood of an already-sampled target.
+// NewDynamicSampler creates a sampler over a streaming graph. Each
+// Sample call reads one graph state: it holds the graph's read lock
+// throughout, so writes land between calls, never inside one. Appends
+// are observed by later calls but — thanks to the strict t_j < t
+// constraint — never change the neighborhood of an already-sampled
+// target.
 func NewDynamicSampler(d *Dynamic, k int, strategy Strategy, seed uint64) *Sampler {
 	if k < 1 {
 		panic("graph: sampler k must be >= 1")
 	}
-	return &Sampler{adj: d, k: k, strategy: strategy, seed: seed}
+	return &Sampler{d: d, k: k, strategy: strategy, seed: seed}
 }
 
 // K returns the per-target neighbor budget.
@@ -104,10 +99,7 @@ func (s *Sampler) Graph() *Graph { return s.g }
 
 // Dynamic returns the underlying streaming graph, or nil when the
 // sampler was built over an immutable Graph.
-func (s *Sampler) Dynamic() *Dynamic {
-	d, _ := s.adj.(*Dynamic)
-	return d
-}
+func (s *Sampler) Dynamic() *Dynamic { return s.d }
 
 // Sample draws the temporal neighborhoods of the given node–timestamp
 // targets. The per-target work is independent and is parallelized
@@ -128,7 +120,8 @@ func (s *Sampler) Sample(nodes []int32, ts []float64) *Batch {
 // SampleTo is Sample writing into b, whose slices must already have
 // length n*k (typically drawn from a tensor.Arena by the hot inference
 // path). Every slot of every slice is written — callers may pass dirty
-// reused buffers.
+// reused buffers. Over a Dynamic, the whole call holds the graph's read
+// lock: every window is copied into b under it, from one graph state.
 func (s *Sampler) SampleTo(b *Batch, nodes []int32, ts []float64) {
 	if len(nodes) != len(ts) {
 		panic("graph: Sample nodes/ts length mismatch")
@@ -138,6 +131,10 @@ func (s *Sampler) SampleTo(b *Batch, nodes []int32, ts []float64) {
 		panic("graph: SampleTo batch buffers sized wrong")
 	}
 	b.K = s.k
+	if s.d != nil {
+		s.d.mu.RLock()
+		defer s.d.mu.RUnlock()
+	}
 	if parallel.WillFanOut(n) {
 		// Capture a copy of the header (the slices still share backing
 		// arrays) so the caller's *Batch does not leak into the escaping
@@ -170,7 +167,13 @@ func (s *Sampler) sampleOne(v int32, t float64, b *Batch, i int) {
 	if v == 0 {
 		return
 	}
-	nghs, eidxs, times := s.adj.window(v, t)
+	var nghs, eidxs []int32
+	var times []float64
+	if s.d != nil {
+		nghs, eidxs, times = s.d.windowLocked(v, t)
+	} else {
+		nghs, eidxs, times = s.g.window(v, t)
+	}
 	count := len(nghs)
 	if count == 0 {
 		return

@@ -108,7 +108,7 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 	if len(mask) != n*k {
 		panic(fmt.Sprintf("nn: attention mask len %d != n*k %d", len(mask), n*k))
 	}
-	c := newAttnCore(ar, wk, wv, heads, e, k, kDim)
+	c := newAttnCore(wk, wv, tensor.PackLinear(ar, wv.W), heads, e, k, kDim)
 	ctx := ar.Tensor(n, e) // every row is written below
 	c.qp, c.kv, c.mask, c.ctx = qp.Data(), kv.Data(), mask, ctx.Data()
 	// All scratch is drawn before any fan-out: chunk bodies index
@@ -133,10 +133,9 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 // e, k slots per target and kv rows of width kDim; the caller points
 // qp, kv, mask, ctx, qz and scores at its rows. The kernel strides the
 // weight rows by kDim and e directly — a mismatch would read the wrong
-// rows rather than fail — so the widths are checked here. Where the
-// process runs the vector kernels, WVᵀ is packed into ar for the life of
-// this core (DESIGN.md §6.3): the caller is still outside any fan-out.
-func newAttnCore(ar *tensor.Arena, wk, wv *Linear, heads, e, k, kDim int) attnCore {
+// rows rather than fail — so the widths are checked here. wvT is
+// tensor.PackLinear of wv (DESIGN.md §6.3): nil runs the scalar leaves.
+func newAttnCore(wk, wv *Linear, wvT []float32, heads, e, k, kDim int) attnCore {
 	if wk.W.Dim(1) != kDim || wv.W.Dim(1) != kDim {
 		panic(fmt.Sprintf("nn: attention kv width %d != WK/WV input width %d/%d", kDim, wk.W.Dim(1), wv.W.Dim(1)))
 	}
@@ -148,8 +147,7 @@ func newAttnCore(ar *tensor.Arena, wk, wv *Linear, heads, e, k, kDim int) attnCo
 	c := attnCore{
 		heads: heads, hd: hd, e: e, k: k, kDim: kDim,
 		scale: float32(1 / math.Sqrt(float64(hd))),
-		wk:    wk.W.Data(), wv: wv.W.Data(),
-		wvT: tensor.PackLinear(ar, wv.W),
+		wk:    wk.W.Data(), wv: wv.W.Data(), wvT: wvT,
 	}
 	if wk.B != nil {
 		c.bk = wk.B.Data()

@@ -171,10 +171,11 @@ func TestAttentionCoreVectorMatchesScalarBitwise(t *testing.T) {
 			}
 		}
 		run := func(vector bool) (ctx, weights []float32) {
-			c := newAttnCore(nil, wk, wv, tc.heads, tc.e, tc.k, tc.kDim)
-			if !vector {
-				c.wvT = nil
+			var wvT []float32
+			if vector {
+				wvT = tensor.PackLinear(nil, wv.W)
 			}
+			c := newAttnCore(wk, wv, wvT, tc.heads, tc.e, tc.k, tc.kDim)
 			c.qp, c.kv, c.mask = qp.Data(), kv.Data(), mask
 			c.ctx = make([]float32, n*tc.e)
 			c.weights = make([]float32, n*tc.heads*tc.k)

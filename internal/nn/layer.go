@@ -33,8 +33,35 @@ const layerTile = 32
 // It returns (n, merge out) drawn from ar (heap when ar is nil), bitwise
 // what merge.ForwardWith(attn.ForwardWith(q, kv), hTgt) returns over the
 // concatenated q and kv. Rows of hNgh, eFeat and tEncD under a padded
-// slot are never read.
+// slot are never read. The layer's weights are packed into ar for this
+// call; LayerForwardPacked is the same pass over packs made earlier.
 func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	pack := PackLayer(ar, attn, merge)
+	return LayerForwardPacked(ar, attn, merge, &pack, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+}
+
+// LayerPack holds tensor.PackLinear of the five projections a layer pass
+// runs through the vector kernels: WQ, WV, WO, FC1 and FC2. A nil entry,
+// as in the zero LayerPack, runs that projection's scalar kernel to the
+// same bits. A pack is a copy: it is stale after any write to the
+// weights it was made from.
+type LayerPack struct {
+	wq, wv, wo, fc1, fc2 []float32
+}
+
+// PackLayer packs attn's and merge's projections into ar (heap when ar
+// is nil).
+func PackLayer(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer) LayerPack {
+	return LayerPack{
+		wq: tensor.PackLinear(ar, attn.WQ.W), wv: tensor.PackLinear(ar, attn.WV.W),
+		wo: tensor.PackLinear(ar, attn.WO.W), fc1: tensor.PackLinear(ar, merge.FC1.W),
+		fc2: tensor.PackLinear(ar, merge.FC2.W),
+	}
+}
+
+// LayerForwardPacked is LayerForwardWith over pack, which PackLayer made
+// from attn and merge's current weights.
+func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, pack *LayerPack, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
 	ops := layerOps{wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2}
 	n, d := hTgt.Dim(0), hTgt.Dim(1)
 	de, dt := eFeat.Dim(1), tEnc0.Dim(1)
@@ -53,9 +80,8 @@ func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLay
 	out := ar.Tensor(n, ops.fc2.Out()) // every row is written below
 	p := layerPass{
 		layerOps: ops,
-		core:     newAttnCore(ar, attn.WK, attn.WV, attn.Heads, e, k, d+de+dt),
-		wqT:      tensor.PackLinear(ar, ops.wq.W), woT: tensor.PackLinear(ar, ops.wo.W),
-		fc1T: tensor.PackLinear(ar, ops.fc1.W), fc2T: tensor.PackLinear(ar, ops.fc2.W),
+		core:     newAttnCore(attn.WK, attn.WV, pack.wv, attn.Heads, e, k, d+de+dt),
+		wqT:      pack.wq, woT: pack.wo, fc1T: pack.fc1, fc2T: pack.fc2,
 		d: d, de: de, dt: dt,
 		hTgt: hTgt.Data(), hNgh: hNgh.Data(), eFeat: eFeat.Data(),
 		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
@@ -72,9 +98,9 @@ func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLay
 		p.chunk = (n + chunks*layerTile - 1) / (chunks * layerTile) * layerTile
 		slots = (n + p.chunk - 1) / p.chunk
 	}
-	// All scratch is drawn before any fan-out — the weight packs above,
-	// read-only to every tile, and the tile slots here: the arena is
-	// never bumped inside the parallel region.
+	// All scratch — the tile slots here — is drawn before any fan-out, so
+	// the arena is never bumped inside the parallel region; the weight
+	// packs are read-only to every tile.
 	p.f32 = ar.Float32s(slots * p.tileFloats())
 	// The method value (a heap copy of p) exists only on the fan-out
 	// branch so the serial path stays allocation-free.
@@ -91,15 +117,13 @@ type layerOps struct {
 	wq, wo, fc1, fc2 *Linear
 }
 
-// layerPass carries the operands of one LayerForwardWith call into its
+// layerPass carries the operands of one LayerForwardPacked call into its
 // tile kernel.
 type layerPass struct {
 	layerOps
-	core      attnCore // weights and widths; runTile points it at a tile
-	d, de, dt int      // node, edge and time widths
-	// tensor.PackLinear of each projection: this call's own copies, so a
-	// swap or an optimizer step between calls is seen by the next one.
-	wqT, woT, fc1T, fc2T []float32
+	core                 attnCore  // weights and widths; runTile points it at a tile
+	d, de, dt            int       // node, edge and time widths
+	wqT, woT, fc1T, fc2T []float32 // the LayerPack's entries: nil runs the scalar kernel
 
 	hTgt, hNgh, eFeat, tEnc0, tEncD []float32
 	mask                            []bool

@@ -152,8 +152,10 @@ func transpose(dst, src []float32, rows, cols int) {
 // from ar (heap when ar is nil): the layout in which AccumRows runs a
 // projection with its lanes across the outputs. It returns nil — use
 // the scalar kernel — where the process runs no vector kernels or w has
-// fewer than four outputs. The pack is a copy: it belongs to the call
-// that made it and must not outlive a write to w.
+// fewer than four outputs. The pack is a copy, valid until the next
+// write to w: the public ops pack per call, and core.Engine packs its
+// layers once per params version (nn.PackLayer), rebuilding them after
+// a swap.
 func PackLinear(ar *Arena, w *Tensor) []float32 {
 	if w.Rank() != 2 {
 		panic("tensor: PackLinear requires a rank-2 weight")

@@ -86,6 +86,23 @@ func (m *Model) LayerForwardWith(ar *tensor.Arena, l int, hTgt, hNgh, eFeat, tEn
 	return nn.LayerForwardWith(ar, m.Attn[l-1], m.Merge[l-1], m.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
 }
 
+// PackLayers returns each layer's weight packs (nn.PackLayer), indexed
+// l−1 and drawn from the heap. They hold the parameters' current values:
+// a holder rebuilds them after every ApplyParams.
+func (m *Model) PackLayers() []nn.LayerPack {
+	packs := make([]nn.LayerPack, m.Cfg.Layers)
+	for l := range packs {
+		packs[l] = nn.PackLayer(nil, m.Attn[l], m.Merge[l])
+	}
+	return packs
+}
+
+// LayerForwardPacked is LayerForwardWith over layer l's entry of a
+// PackLayers result made since the last ApplyParams.
+func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+	return nn.LayerForwardPacked(ar, m.Attn[l-1], m.Merge[l-1], pack, m.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+}
+
 // Embed computes baseline (unoptimized) temporal embeddings at the top
 // layer for the given node–timestamp targets, recursively expanding the
 // L-hop temporal subgraph exactly as the original TGAT implementation

@@ -40,6 +40,11 @@ if grep -nE 'promoteCh|promoteGate|promoteLoop|quiesce' $(nontest internal/core)
     echo "internal/core grew a promote worker again: the lines above"; exit 1
 fi
 
+echo "== one pack per params version (the engine's layer pass reads packs built in NewEngine/FinishSwap, never repacks)"
+if grep -nE 'PackLinear|LayerForwardWith' $(nontest internal/core); then
+    echo "internal/core reaches a per-call weight pack again: the lines above"; exit 1
+fi
+
 echo "== go test"
 go test ./...
 
@@ -55,6 +60,11 @@ go test -race ./internal/parallel/... ./internal/serve/... ./internal/core/... \
 go test -race -count=1 -cpu 1,2,4 \
     -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestKernelAllocs|TestForChunked' \
     ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
+# Late edges and deletes shift adjacency in place under the write lock;
+# a sampler reads it only under the read lock. The torn-read checks must
+# hold at one, two and four Ps.
+go test -race -count=1 -cpu 1,2,4 \
+    -run 'TestDynamicConcurrentMutationsAndSampling|TestDynamicLateEditsAtHubAllocateNothing' ./internal/graph/
 # The top-layer memo's bitwise pins and its readers-vs-writers stress
 # test, repeated: a stamp race shows only on some schedules.
 go test -race -count=5 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
