@@ -65,7 +65,7 @@ func main() {
 	lateness := flag.Float64("lateness", 0, "out-of-order tolerance: accept late edges within this many time units of the stream maximum (0 = strict chronological ingest; older edges are dropped against the watermark)")
 	shards := flag.Int("shards", 1, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")
 	shardQuorum := flag.Int("shard-quorum", 1, "healthy shards required to accept a request (below it: 503 + Retry-After)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a shard leg to a replica after max(this, the shard's observed p99) (0 disables hedged reads)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a shard leg to another shard after max(this, the shard's observed p99) (0 disables hedged reads)")
 	quant := flag.String("quant", "float32", "format of memoized rows and the time table: float32 (default) or int8 (scale + codes, dequantized on read; 1.9x the cache entries per byte at dim 32, 2.7x at 96; compute stays float32; see DESIGN.md §14)")
 	swapDir := flag.String("swap-dir", "", "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §16)")
 	swapInterval := flag.Duration("swap-interval", 0, "swap loop cadence: poll -swap-dir (or fine-tune, with -swap-train) this often (0 disables the loop; boot-time load still happens)")

@@ -492,3 +492,17 @@ func (d *Dynamic) Edges() []Edge {
 	defer d.mu.RUnlock()
 	return d.copyEdgesLocked()
 }
+
+// EdgesFrom returns a copy of the live edges at time t or later, in
+// chronological order: a binary search plus a suffix copy.
+func (d *Dynamic) EdgesFrom(t float64) []Edge {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var out []Edge
+	for _, e := range d.edges[sort.Search(len(d.edges), func(i int) bool { return d.edges[i].Time >= t }):] {
+		if e.Idx != edgeTombstone {
+			out = append(out, e)
+		}
+	}
+	return out
+}

@@ -16,8 +16,8 @@ import (
 )
 
 // backend is the compute plane under the handlers. *shard.Core (one
-// engine over the authoritative graph) and *shard.Router (N replica
-// cores behind a scatter-gather) both satisfy it as they are; their
+// engine over the server's graph) and *shard.Router (N cores over that
+// graph behind a scatter-gather) both satisfy it as they are; their
 // methods say what each call means there. Engines and Batchers are the
 // live cores' parts, for the per-scrape totals.
 type backend interface {

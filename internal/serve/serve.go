@@ -58,8 +58,8 @@ type Server struct {
 	hitRate *stats.HitRate
 
 	// backend computes, invalidates, swaps and snapshots: one shard.Core
-	// over dyn (New) or a shard.Router over N replicas of it
-	// (NewSharded). Nothing below the constructors depends on which.
+	// over dyn (New) or a shard.Router of N cores over it (NewSharded).
+	// Nothing below the constructors depends on which.
 	backend backend
 
 	// wire formats /v1/embed rows (wire.go); it sits above the backend
@@ -384,8 +384,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		// The graph took the edge: the backend drops the memoized
-		// embeddings it could reach (a Router also replicates it to
-		// every shard through its edge log).
+		// embeddings it could reach (a Router, on every shard).
 		n := s.backend.Apply(edge, res)
 		resp.Invalidated += n
 		s.invalidated.Add(int64(n))

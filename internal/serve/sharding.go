@@ -12,14 +12,13 @@ import (
 
 // NewSharded builds a server whose serving plane is partitioned into
 // cfg.Shards fault-isolated engine shards behind a scatter-gather
-// router (package shard): each shard owns a full replica of the edge
-// stream plus its private memo caches, a circuit breaker routes around
-// failures, and a supervisor restarts crashed shards from their last
-// snapshot. dyn stays the authoritative graph for /v1/ingest,
-// /v1/stats, and /v1/explain; the router replicates accepted edges to
-// every shard. opt is the same engine option set New takes — per-shard
-// cache capacities are derived from it so total footprint matches the
-// unsharded deployment.
+// router (package shard): every shard's engine samples dyn and keeps
+// its private memo caches, a circuit breaker routes around failures,
+// and a supervisor restarts crashed shards from their last snapshot.
+// /v1/ingest writes dyn, and the router runs each accepted edge's
+// invalidation on every shard. opt is the same engine option set New
+// takes — per-shard cache capacities are derived from it so total
+// footprint matches the unsharded deployment.
 func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg shard.Config) (*Server, error) {
 	s := newServer(model, dyn)
 	opt.HitRate = s.hitRate // concurrency-safe; shared across shards
@@ -66,7 +65,6 @@ func writeShardMetrics(b *strings.Builder, write func(name, help string, value f
 	write("tgopt_partial_responses_total", "Responses served degraded (HTTP 206).", float64(st.PartialResponses))
 	write("tgopt_degraded_targets_total", "Individual targets degraded in partial responses.", float64(st.DegradedTargets))
 	write("tgopt_quorum_rejects_total", "Requests rejected 503 because healthy shards fell below quorum.", float64(st.QuorumRejects))
-	write("tgopt_replica_divergence_total", "Replica ingest outcomes disagreeing with the authoritative graph.", float64(st.Divergence))
 	write("tgopt_shard_snapshot_saves_total", "Per-shard cache snapshots written.", float64(st.SnapshotSaves))
 	write("tgopt_shard_snapshot_errors_total", "Per-shard snapshot save/load failures.", float64(st.SnapshotErrors))
 	write("tgopt_shard_snapshot_loads_total", "Shards warm-started from a snapshot.", float64(st.SnapshotLoads))

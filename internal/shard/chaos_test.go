@@ -192,7 +192,7 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 		}
 	}
 	// The victim may have panicked again between its first restart and
-	// the disarm — healthy replicas serve the clean embeds above while
+	// the disarm — healthy shards serve the clean embeds above while
 	// that second rebuild is still in flight — so wait for the
 	// supervisor before reading the breaker it leaves half-open.
 	r.WaitRestarts()
@@ -298,9 +298,9 @@ func TestChaosRestartFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestChaosIngestDuringRestart pins the edge-log catch-up: edges
-// applied while a shard is down are replayed before its rebuilt core
-// goes live, so post-restart rows reflect the full stream.
+// TestChaosIngestDuringRestart pins that a restart misses no write:
+// edges the graph takes while a shard is down are in the graph its
+// rebuilt core samples, so post-restart rows reflect the full stream.
 func TestChaosIngestDuringRestart(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40)
@@ -322,8 +322,8 @@ func TestChaosIngestDuringRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash the victim, then broadcast edges while it is (possibly
-	// still) down.
+	// Crash the victim, then ingest edges while it is (possibly still)
+	// down.
 	mode.Store(chaosPanic)
 	if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestChaosIngestDuringRestart(t *testing.T) {
 		{Src: 3, Dst: nodes[0], Time: 950},
 	}
 	for _, e := range extra {
-		r.Apply(e, graph.IngestAppended)
+		ingest(t, r, e)
 	}
 
 	waitFor(t, 2*time.Second, func() bool {
@@ -353,7 +353,7 @@ func TestChaosIngestDuringRestart(t *testing.T) {
 	}
 	for i := range want {
 		if res.Slab[i] != want[i] {
-			t.Fatalf("slab[%d] = %v, want %v (restarted shard missed a logged edge)", i, res.Slab[i], want[i])
+			t.Fatalf("slab[%d] = %v, want %v (restarted shard missed an ingested edge)", i, res.Slab[i], want[i])
 		}
 	}
 }

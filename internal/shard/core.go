@@ -27,14 +27,14 @@ func isPanic(err error) bool {
 
 // Core is the one compute unit under serving: an engine over one
 // dynamic graph, an optional batcher in front of the engine, and what a
-// serving plane asks of the pair — embed, invalidate for an edge, swap params, snapshot. An
-// unsharded server holds one over the authoritative graph; a Router
-// holds one per shard over a replica and discards it whole on a crash
-// (a panic may have poisoned its locks). A Core has no replica, ring,
-// breaker, edge log or supervisor: it answers or it fails.
+// serving plane asks of the pair — embed, invalidate for an edge, swap
+// params, snapshot. An unsharded server holds one over its graph; a
+// Router holds one per shard over that same graph and discards it whole
+// on a crash (a panic may have poisoned its engine's locks; the graph's
+// are released by defer). A Core has no ring, breaker or supervisor: it
+// answers or it fails.
 type Core struct {
 	model *tgat.Model
-	dyn   *graph.Dynamic
 	eng   *core.Engine
 	emb   core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
 	bat   *batcher.Batcher
@@ -49,7 +49,7 @@ func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Core {
 	opt.TrackTargets = true
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
-	return &Core{model: model, dyn: dyn, eng: eng, emb: eng}
+	return &Core{model: model, eng: eng, emb: eng}
 }
 
 // Engine returns the core's engine (cache persistence, introspection).

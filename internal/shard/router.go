@@ -40,7 +40,8 @@ type Config struct {
 	// Breaker configures every shard's circuit breaker.
 	Breaker BreakerConfig
 	// SnapshotDir, when non-empty, is where per-shard cache snapshots
-	// (shard-N.tgc) and their edge-log positions (shard-N.pos) live.
+	// (shard-N.tgc) and the graph watermark each was saved at
+	// (shard-N.pos) live.
 	SnapshotDir string
 	// FS overrides the snapshot file system (default checkpoint.OS);
 	// fault tests inject faultfs.FS.
@@ -85,29 +86,26 @@ type Result struct {
 }
 
 // Router owns the shard pool: it scatters embed calls by ring owner,
-// gathers rows back in request order, replicates ingest to every live
-// shard through an append-only edge log, and supervises crashed shards
-// back to life.
+// gathers rows back in request order, runs every accepted edge's
+// invalidation on each live shard, and supervises crashed shards back
+// to life.
 type Router struct {
 	model *tgat.Model
-	opt   core.Options // per-shard options (cache limits already divided)
+	dyn   *graph.Dynamic // the server's graph, which every core samples
+	opt   core.Options   // per-shard options (cache limits already divided)
 	cfg   Config
 	dim   int
 	// batch is the per-core batcher config SetBatching recorded, nil
 	// while batching is off; supervisor rebuilds read it.
 	batch *batcher.Config
 
-	numNodes int
-	lateness float64
-
 	ring   *ring
 	shards []*Shard
 
-	// ingestMu orders the edge log: every broadcast Apply and every
-	// restart's catch-up replay runs under it, so a rebuilt shard can
-	// never miss an edge.
+	// ingestMu orders Apply against snapshot loads: a restart's load,
+	// watermark replay and core swap, and a WarmStart, run under it, so
+	// no edge falls between a replay and the core going live.
 	ingestMu sync.Mutex
-	log      []graph.Edge
 
 	// swapMu is the pool-wide hot-swap barrier: Embed holds the read
 	// side across its whole scatter-gather (no response ever mixes
@@ -133,20 +131,19 @@ type Router struct {
 	degradedTgts  atomic.Int64
 	partials      atomic.Int64
 	quorumRejects atomic.Int64
-	divergence    atomic.Int64
 
 	snapshotSaves  atomic.Int64
 	snapshotErrors atomic.Int64
 	snapshotLoads  atomic.Int64
 }
 
-// NewRouter builds the shard pool. Every shard gets a full replica of
-// dyn's current edge stream (the router's edge log is seeded from it);
-// dyn itself stays untouched and should not be mutated afterwards —
-// stream new edges through Apply instead. opt is the engine option set
-// a single-engine deployment would use: per-shard cache capacities are
-// derived by dividing the configured limits by the shard count, so the
-// pool's total memo footprint matches the unsharded engine's.
+// NewRouter builds the shard pool over dyn, the server's graph: every
+// shard's core samples it, so any shard computes any target bitwise
+// alike. The caller ingests each new edge into dyn and then calls Apply.
+// opt is the engine option set a single-engine deployment would use:
+// per-shard cache capacities are derived by dividing the configured
+// limits by the shard count, so the pool's total memo footprint matches
+// the unsharded engine's.
 func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config) (*Router, error) {
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("shard: need at least 2 shards, got %d", cfg.Shards)
@@ -163,14 +160,12 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		opt.CacheSpillMaxBytes /= int64(cfg.Shards)
 	}
 	r := &Router{
-		model:    model,
-		opt:      opt,
-		cfg:      cfg,
-		dim:      model.Cfg.NodeDim,
-		numNodes: dyn.NumNodes(),
-		lateness: dyn.Lateness(),
-		ring:     newRing(cfg.Shards),
-		log:      append([]graph.Edge(nil), dyn.Edges()...),
+		model: model,
+		dyn:   dyn,
+		opt:   opt,
+		cfg:   cfg,
+		dim:   model.Cfg.NodeDim,
+		ring:  newRing(cfg.Shards),
 	}
 	r.rebuildDone.L = &r.rebuildMu
 	if cfg.SnapshotDir != "" {
@@ -179,7 +174,7 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		c, err := r.buildCore(i, r.log)
+		c, err := r.buildCore(i)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -190,25 +185,15 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	return r, nil
 }
 
-// buildCore constructs one shard's replica and the Core over it from a
-// prefix of the edge log. Engine construction panics (bad spill dir,
-// …) are converted to errors so a failed rebuild cannot take the
-// supervisor down with it.
-func (r *Router) buildCore(id int, prefix []graph.Edge) (c *Core, err error) {
+// buildCore constructs one shard's Core over the router's graph. Engine
+// construction panics (bad spill dir, …) are converted to errors so a
+// failed rebuild cannot take the supervisor down with it.
+func (r *Router) buildCore(id int) (c *Core, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
 		}
 	}()
-	dyn := graph.NewDynamic(r.numNodes)
-	if r.lateness > 0 {
-		dyn.SetLateness(r.lateness)
-	}
-	for _, e := range prefix {
-		if _, _, ierr := dyn.Ingest(e); ierr != nil {
-			return nil, fmt.Errorf("shard: replica replay: %w", ierr)
-		}
-	}
 	opt := r.opt
 	if opt.CacheSpillDir != "" {
 		opt.CacheSpillDir = filepath.Join(opt.CacheSpillDir, fmt.Sprintf("shard-%d", id))
@@ -217,7 +202,7 @@ func (r *Router) buildCore(id int, prefix []graph.Edge) (c *Core, err error) {
 	// recovery and snapshot loads validate against what the model holds
 	// now. Callers on the restart path hold swapMu's read side, which
 	// keeps tensors and version still across the build.
-	c = NewCore(r.model, dyn, opt)
+	c = NewCore(r.model, r.dyn, opt)
 	if r.cfg.WrapEmbedder != nil {
 		c.emb = r.cfg.WrapEmbedder(id, c.emb)
 	}
@@ -371,7 +356,7 @@ func (r *Router) legContext(ctx context.Context) (context.Context, context.Cance
 
 // callWithFailover runs one group on its primary shard, hedging and
 // failing over to the next admitting shard per config. Any shard can
-// serve any group because every replica holds the full stream.
+// serve any group because every core samples the same graph.
 func (r *Router) callWithFailover(ctx context.Context, primary int, gn []int32, gt []float64) ([]float32, error) {
 	p := r.shards[primary]
 	if !p.Admit() {
@@ -490,45 +475,23 @@ func (r *Router) hedged(ctx context.Context, primary int, gn []int32, gt []float
 	}
 }
 
-// Apply replicates one accepted edge to every live shard and returns
-// the summed count of memo entries selectively invalidated across the
-// pool. want is the ingest outcome the authoritative graph reported;
-// a replica disagreeing is counted as divergence (a tripwire, not a
-// failure — the replica's own decision stands for its caches).
-// Crashed shards are skipped; they catch up from the edge log when the
-// supervisor rebuilds them.
-func (r *Router) Apply(e graph.Edge, want graph.IngestResult) (invalidated int) {
+// Apply runs, on every live shard, the invalidation an edge requires
+// once the router's graph has taken it with outcome res, and returns the
+// summed count of memo entries dropped across the pool. Crashed shards
+// are skipped: a restart builds its core over the graph as it then is,
+// and its snapshot replay covers every edge taken since the save.
+func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
-	r.log = append(r.log, e)
 	for _, s := range r.shards {
 		if s.crashed.Load() {
 			continue
 		}
-		c := s.currentCore()
-		if c == nil {
-			continue
+		if c := s.currentCore(); c != nil {
+			invalidated += c.Apply(e, res)
 		}
-		invalidated += applyToCore(c, e, want, &r.divergence)
 	}
 	return invalidated
-}
-
-// applyToCore ingests one edge into a replica and runs the matching
-// cache invalidation, counting divergence from the authoritative
-// outcome.
-func applyToCore(c *Core, e graph.Edge, want graph.IngestResult, divergence *atomic.Int64) int {
-	res, _, err := c.dyn.Ingest(e)
-	if err != nil {
-		if divergence != nil {
-			divergence.Add(1)
-		}
-		return 0
-	}
-	if divergence != nil && res != want {
-		divergence.Add(1)
-	}
-	return c.Apply(e, res)
 }
 
 // ParamsVersion returns the model version the pool currently serves.
@@ -601,7 +564,6 @@ type RouterStats struct {
 	DegradedTargets  int64 `json:"degraded_targets"`
 	PartialResponses int64 `json:"partial_responses"`
 	QuorumRejects    int64 `json:"quorum_rejects"`
-	Divergence       int64 `json:"replica_divergence"`
 
 	SnapshotSaves  int64 `json:"snapshot_saves"`
 	SnapshotErrors int64 `json:"snapshot_errors"`
@@ -623,7 +585,6 @@ func (r *Router) Stats() RouterStats {
 		DegradedTargets:  r.degradedTgts.Load(),
 		PartialResponses: r.partials.Load(),
 		QuorumRejects:    r.quorumRejects.Load(),
-		Divergence:       r.divergence.Load(),
 		SnapshotSaves:    r.snapshotSaves.Load(),
 		SnapshotErrors:   r.snapshotErrors.Load(),
 		SnapshotLoads:    r.snapshotLoads.Load(),

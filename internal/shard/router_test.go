@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,6 +16,7 @@ import (
 	"time"
 
 	"tgopt/internal/batcher"
+	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
@@ -81,6 +86,33 @@ func referenceSlab(t *testing.T, m *tgat.Model, edges []graph.Edge, nodes []int3
 	out := make([]float32, len(nodes)*m.Cfg.NodeDim)
 	copy(out, h.Data()[:len(out)])
 	return out
+}
+
+// lateGraph is seededDynamic with a lateness window of 100.
+func lateGraph(t *testing.T, edges []graph.Edge) *graph.Dynamic {
+	t.Helper()
+	dyn := graph.NewDynamic(testNodes)
+	dyn.SetLateness(100)
+	for _, e := range edges {
+		if _, _, err := dyn.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dyn
+}
+
+// ingest is /v1/ingest's write: the router's graph takes e, then Apply
+// runs its invalidation on every live shard. It returns how many memo
+// entries that dropped. A failed ingest is reported with t.Error, so the
+// helper is safe on a goroutine other than the test's.
+func ingest(t *testing.T, r *Router, e graph.Edge) int {
+	t.Helper()
+	res, _, err := r.dyn.Ingest(e)
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	return r.Apply(e, res)
 }
 
 func newTestRouter(t *testing.T, m *tgat.Model, edges []graph.Edge, cfg Config) *Router {
@@ -191,10 +223,10 @@ func TestRouterBatchedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestRouterIngestInvalidatesReplicas pins that Apply keeps every
-// replica's caches exact: embeddings after a broadcast append match a
-// reference engine that saw the same stream.
-func TestRouterIngestInvalidatesReplicas(t *testing.T) {
+// TestRouterIngestInvalidatesEveryShard pins that Apply keeps every
+// shard's caches exact: embeddings after an append match a reference
+// engine that saw the same stream.
+func TestRouterIngestInvalidatesEveryShard(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40)
 	r := newTestRouter(t, m, edges, Config{Shards: 3})
@@ -209,8 +241,12 @@ func TestRouterIngestInvalidatesReplicas(t *testing.T) {
 		{Src: 1, Dst: 5, Time: 850},
 		{Src: 3, Dst: 9, Time: 950},
 	}
+	invalidated := 0
 	for _, e := range extra {
-		r.Apply(e, graph.IngestAppended)
+		invalidated += ingest(t, r, e)
+	}
+	if invalidated == 0 {
+		t.Fatal("appends under the asked times invalidated nothing")
 	}
 	all := append(append([]graph.Edge(nil), edges...), extra...)
 	want := referenceSlab(t, m, all, nodes, ts)
@@ -222,9 +258,6 @@ func TestRouterIngestInvalidatesReplicas(t *testing.T) {
 		if res.Slab[i] != want[i] {
 			t.Fatalf("post-ingest slab[%d] = %v, want %v", i, res.Slab[i], want[i])
 		}
-	}
-	if d := r.Stats().Divergence; d != 0 {
-		t.Fatalf("replica divergence = %d, want 0", d)
 	}
 }
 
@@ -342,7 +375,7 @@ func (s *slowEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 }
 
 // TestRouterHedgedRead pins hedging: a stalled primary is beaten by a
-// hedge to a healthy replica, the result is still bitwise correct, and
+// hedge to a healthy shard, the result is still bitwise correct, and
 // the hedge counters move.
 func TestRouterHedgedRead(t *testing.T) {
 	m := testModel(t)
@@ -390,8 +423,9 @@ func TestRouterHedgedRead(t *testing.T) {
 }
 
 // TestRouterSnapshotRoundTrip pins warm restarts: snapshots saved with
-// their log position reload into a fresh router and serve bitwise-
-// identical rows, with stale entries invalidated via the log delta.
+// the graph's watermark reload into a fresh router and serve bitwise-
+// identical rows, with stale entries invalidated by replaying the edges
+// at or past it.
 func TestRouterSnapshotRoundTrip(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40)
@@ -430,7 +464,7 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRouterSnapshotReplayBelowWatermark: the edges a warm start replays
-// may predate the replica's watermark. Here an append touching v, then a
+// may predate the graph's watermark. Here an append touching v, then a
 // late edge under v's asked times, then an append that moves the
 // watermark past them all follow the snapshot; the restored entries the
 // late edge displaced must still be dropped, whatever the append's
@@ -447,22 +481,12 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 	}
 	nodes, ts := []int32{v, v}, []float64{380, 390}
 	dir := t.TempDir()
-	graphOf := func(edges []graph.Edge) *graph.Dynamic {
-		dyn := graph.NewDynamic(testNodes)
-		dyn.SetLateness(100)
-		for _, e := range edges {
-			if _, _, err := dyn.Ingest(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dyn
-	}
 	fresh := func(edges []graph.Edge) []float32 {
-		dyn := graphOf(edges)
+		dyn := lateGraph(t, edges)
 		return core.NewEngine(m, graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), core.OptAll()).Embed(nodes, ts).Data()
 	}
 	router := func() *Router {
-		r, err := NewRouter(m, graphOf(edges), core.OptAll(), Config{Shards: 2, SnapshotDir: dir})
+		r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 2, SnapshotDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +504,7 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 	// edges in arrival order, and only then warm-starts.
 	r2 := router()
 	for _, e := range later {
-		r2.Apply(e, graph.IngestAppended)
+		ingest(t, r2, e)
 	}
 	want := fresh(append(slices.Clone(edges), later...))
 	if slices.Equal(want, fresh(edges)) {
@@ -495,6 +519,122 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 	}
 	if !slices.Equal(res.Slab, want) {
 		t.Fatal("warm-started rows differ from a fresh engine's: a restored entry the late edge displaced survived")
+	}
+}
+
+// TestRouterRestartReplaysFromWatermark pins the warm restart over the
+// shared graph. After a snapshot, the graph takes a late edge and an
+// append, each changing an asked row, and every live shard invalidates
+// for them. Then the owner crashes, and its rebuilt core loads the
+// pre-write snapshot: only replaying the edges at or past the saved
+// watermark makes its rows the reference's.
+func TestRouterRestartReplaysFromWatermark(t *testing.T) {
+	m := testModel(t)
+	edges := testEdges(40) // times 10..400
+	for i := range edges {
+		// Explicit ids, so the time-sorted reference stream gives every
+		// edge the features it has in the router's arrival-order graph.
+		edges[i].Idx = int32(i + 1)
+	}
+	v := edges[len(edges)-1].Src
+	w := v%testNodes + 1
+	late := graph.Edge{Src: v, Dst: w, Time: 375, Idx: 41} // the watermark is 300
+	appended := graph.Edge{Src: w, Dst: v, Time: 410, Idx: 42}
+	nodes, ts := []int32{v, v}, []float64{390, 420}
+	sorted := func(extra ...graph.Edge) []graph.Edge {
+		all := append(slices.Clone(edges), extra...)
+		slices.SortStableFunc(all, func(a, b graph.Edge) int { return cmp.Compare(a.Time, b.Time) })
+		return all
+	}
+	want := referenceSlab(t, m, sorted(late, appended), nodes, ts)
+	for _, without := range [][]graph.Edge{sorted(appended), sorted(late)} {
+		if slices.Equal(referenceSlab(t, m, without, nodes, ts), want) {
+			t.Fatal("an ingested edge changed no asked row: the test exercises no replay")
+		}
+	}
+
+	dir := t.TempDir()
+	r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 3, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	poolSlab(t, r, nodes, ts) // warm
+	if err := r.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, r, late)
+	ingest(t, r, appended)
+	if n := r.dyn.LateAccepted(); n != 1 {
+		t.Fatalf("graph accepted %d late edges, want 1", n)
+	}
+
+	owner := r.shards[r.Owner(v)]
+	r.crash(owner, errors.New("injected crash"))
+	r.WaitRestarts()
+	if owner.restarts.Load() != 1 || owner.crashed.Load() {
+		t.Fatalf("owner restarts = %d, crashed = %v", owner.restarts.Load(), owner.crashed.Load())
+	}
+	if n := r.Stats().SnapshotLoads; n != 1 {
+		t.Fatalf("snapshot loads = %d, want 1: the restart started cold", n)
+	}
+	calls := owner.calls.Load()
+	got := poolSlab(t, r, nodes, ts)
+	if owner.calls.Load() == calls {
+		t.Fatal("the rebuilt owner served no leg: the check below would not reach its caches")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("rows after the warm restart differ from the reference: a restored entry an ingested edge displaced survived")
+	}
+}
+
+// TestRouterSnapshotRefusesUntrustedSidecar: a warm start trusts a .pos
+// sidecar only as a watermark it can replay from. A version-1 sidecar
+// (an edge count), a NaN watermark and one past the graph's clock are
+// each a cold start counted in snapshot_errors, and the pool serves the
+// reference rows.
+func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
+	m := testModel(t)
+	edges := testEdges(40)
+	nodes, ts := embedQuery()
+	want := referenceSlab(t, m, edges, nodes, ts)
+	for _, tc := range []struct {
+		name    string
+		version uint32
+		bits    uint64
+	}{
+		{"edge-count-v1", 1, uint64(len(edges))},
+		{"nan", posVersion, math.Float64bits(math.NaN())},
+		{"past-the-clock", posVersion, math.Float64bits(1e9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := newTestRouter(t, m, edges, Config{Shards: 2, SnapshotDir: dir})
+			poolSlab(t, r1, nodes, ts)
+			if err := r1.SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			for i := range r1.shards {
+				_, pos := r1.snapshotPaths(i)
+				err := checkpoint.WriteFS(checkpoint.OS{}, pos, tc.version, func(w io.Writer) error {
+					return binary.Write(w, binary.LittleEndian, tc.bits)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			r2 := newTestRouter(t, m, edges, Config{Shards: 2, SnapshotDir: dir})
+			if warmed, err := r2.WarmStart(dir); warmed != 0 || !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("WarmStart = %d, %v; want 0 shards and a cold start", warmed, err)
+			}
+			if st := r2.Stats(); st.SnapshotLoads != 0 || st.SnapshotErrors != 2 {
+				t.Fatalf("snapshot loads = %d, errors = %d; want 0 and 2", st.SnapshotLoads, st.SnapshotErrors)
+			}
+			if n := r2.CacheLen(); n != 0 {
+				t.Fatalf("%d entries resident after a refused warm start", n)
+			}
+			requireSlabEqual(t, "cold start", poolSlab(t, r2, nodes, ts), want)
+		})
 	}
 }
 
@@ -531,8 +671,8 @@ func TestRouterDeadlineNeverHangs(t *testing.T) {
 // TestRouterTopMemoAcrossShards: every shard engine keeps its own
 // top-layer memo, the router sums their counters, a request whose
 // targets all hash to one shard (the leg the caller's goroutine runs
-// itself) is answered from that shard's memo alone, and a replicated
-// write leaves no shard serving a pre-write row.
+// itself) is answered from that shard's memo alone, and a write leaves
+// no shard serving a pre-write row.
 func TestRouterTopMemoAcrossShards(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(60)
@@ -594,10 +734,10 @@ func TestRouterTopMemoAcrossShards(t *testing.T) {
 		}
 	}
 
-	// A replicated append under the asked time: no shard may answer the
-	// next ask from its memo, and the answer is the post-write one.
+	// An append under the asked time: no shard may answer the next ask
+	// from its memo, and the answer is the post-write one.
 	extra := graph.Edge{Src: 1, Dst: 5, Time: 850}
-	r.Apply(extra, graph.IngestAppended)
+	ingest(t, r, extra)
 	hits := poolTopMemoStats(r).Hits
 	res, err := r.Embed(ctx, nodes, ts)
 	if err != nil {
@@ -605,6 +745,6 @@ func TestRouterTopMemoAcrossShards(t *testing.T) {
 	}
 	sameSlab("after the write", res.Slab, referenceSlab(t, m, append(append([]graph.Edge(nil), edges...), extra), nodes, ts))
 	if got := poolTopMemoStats(r).Hits - hits; got != 0 {
-		t.Fatalf("first ask after a replicated write hit %d memo rows", got)
+		t.Fatalf("first ask after a write hit %d memo rows", got)
 	}
 }

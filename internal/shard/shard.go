@@ -3,20 +3,19 @@
 // the embed / invalidate / swap / snapshot operations serving asks of
 // the pair. An unsharded server runs one Core over its graph. A Router
 // partitions serving into N independent failure domains, each a Shard
-// owning a Core over a complete replica of the edge stream (a private
-// graph.Dynamic) with private memo caches and arena pool. Compute and
-// memo state are partitioned by a consistent hash over node ids;
-// storage is deliberately replicated, which is what lets any shard
-// compute any target bitwise-identically and makes fallback and hedged
-// reads sound.
+// owning a Core with private memo caches and arena pool; every core
+// samples the server's one graph. Compute and memo state are
+// partitioned by a consistent hash over node ids; the graph is shared,
+// which is what lets any shard compute any target bitwise-identically
+// and makes fallback and hedged reads sound.
 //
 // A Router scatter-gathers embed calls across the shards under a
 // robustness envelope: per-shard deadline budgets, a rolling-error-rate
 // circuit breaker per shard, optional hedged reads after a p99-derived
 // delay, and degraded partial responses when a shard cannot answer. A
-// supervisor rebuilds a crashed shard from its last cache snapshot plus
-// the router's edge log while the breaker routes traffic around it.
-// See DESIGN.md §13.
+// supervisor rebuilds a crashed shard's core over the live graph and
+// warms it from its last cache snapshot while the breaker routes
+// traffic around it. See DESIGN.md §13.
 package shard
 
 import (
@@ -152,7 +151,6 @@ type Status struct {
 
 	CacheItems int   `json:"cache_items"`
 	CacheBytes int64 `json:"cache_bytes"`
-	GraphEdges int   `json:"graph_edges"`
 
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
@@ -178,7 +176,6 @@ func (s *Shard) status() Status {
 	if c := s.currentCore(); c != nil {
 		st.CacheItems = c.eng.CacheLen()
 		st.CacheBytes = c.eng.CacheBytes()
-		st.GraphEdges = c.dyn.NumEdges()
 	}
 	return st
 }

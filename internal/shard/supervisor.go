@@ -1,17 +1,16 @@
 package shard
 
 import (
-	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"tgopt/internal/checkpoint"
-	"tgopt/internal/graph"
 )
 
 // Supervisor: a shard whose engine panics is torn down wholesale (the
@@ -19,24 +18,24 @@ import (
 // nothing from it is reused) and rebuilt in the background:
 //
 //  1. crash() trips the breaker (ForceOpen) and marks the shard
-//     crashed, so the router routes around it and broadcast ingest
-//     stops touching the old core.
-//  2. The restart goroutine captures the edge-log length n, builds a
-//     fresh replica + engine from log[:n], and warms its caches from
-//     the shard's last snapshot (validating the snapshot's log
-//     position and re-running invalidation for the edges it predates).
-//  3. Under ingestMu it replays log[n:] — edges broadcast while the
-//     rebuild ran — swaps the core in, and clears crashed, so no edge
-//     is ever missed between replay and the first live Apply.
+//     crashed, so the router routes around it and Apply stops touching
+//     the old core.
+//  2. The restart goroutine builds a fresh engine over the router's
+//     graph, which already holds every edge taken so far.
+//  3. Under ingestMu it warms the caches from the shard's last snapshot
+//     (re-running invalidation for every edge at or past the watermark
+//     the snapshot recorded), swaps the core in, and clears crashed, so
+//     no edge falls between the replay and the first live Apply.
 //  4. The breaker moves Open → HalfOpen: traffic is re-admitted by
 //     probes rather than a thundering herd.
 
 // restartBackoff paces rebuild attempts after a failed rebuild.
 const restartBackoff = 100 * time.Millisecond
 
-// posVersion is the envelope version of the .pos sidecar (an 8-byte
-// little-endian edge-log position).
-const posVersion uint32 = 1
+// posVersion is the envelope version of the .pos sidecar: the graph's
+// watermark at save time, as 8 little-endian float64 bytes. Version 1
+// held an edge count and is refused.
+const posVersion uint32 = 2
 
 // crash tears a shard down and schedules a single-flight restart. It
 // is safe to call from any number of concurrent observers; only the
@@ -81,8 +80,8 @@ func (r *Router) WaitRestarts() {
 	r.rebuildMu.Unlock()
 }
 
-// restart rebuilds a crashed shard from the edge log and its last
-// cache snapshot. It retries with backoff until the rebuild succeeds
+// restart rebuilds a crashed shard over the router's graph from its
+// last cache snapshot. It retries with backoff until the rebuild succeeds
 // or the router closes.
 func (r *Router) restart(s *Shard, cause error) {
 	r.cfg.Logf("shard %d: crashed (%v); rebuilding", s.id, cause)
@@ -109,29 +108,17 @@ func (r *Router) restart(s *Shard, cause error) {
 func (r *Router) restartOnce(s *Shard) bool {
 	r.swapMu.RLock()
 	defer r.swapMu.RUnlock()
-	// Capture a stable prefix of the log. Appends may grow r.log past n
-	// concurrently, but entries below n are immutable and the full
-	// slice expression pins the prefix against reallocation races.
-	r.ingestMu.Lock()
-	n := len(r.log)
-	prefix := r.log[:n:n]
-	r.ingestMu.Unlock()
-
-	c, err := r.buildCore(s.id, prefix)
+	c, err := r.buildCore(s.id)
 	if err != nil {
 		r.cfg.Logf("shard %d: rebuild failed: %v", s.id, err)
 		return false
 	}
-	r.loadSnapshot(s.id, c, prefix)
-
-	// Catch up on edges broadcast during the rebuild and swap the core
-	// in atomically with respect to Apply, so none are missed.
+	// Apply skips a crashed shard, so the load, its replay and the swap
+	// share one ingestMu hold: an edge Applied before the hold is in the
+	// graph the replay reads, and one Applied after it reaches the new
+	// core.
 	r.ingestMu.Lock()
-	for _, e := range r.log[n:] {
-		// nil divergence counter: replay trusts the replica's own
-		// ingest decision, there is no authoritative outcome to check.
-		applyToCore(c, e, graph.IngestDropped, nil)
-	}
+	r.loadSnapshot(s.id, c)
 	old := s.swapCore(c)
 	s.crashed.Store(false)
 	r.ingestMu.Unlock()
@@ -145,25 +132,28 @@ func (r *Router) restartOnce(s *Shard) bool {
 	return true
 }
 
-// snapshotPaths returns the cache blob and log-position sidecar paths
-// for a shard.
+// snapshotPaths returns the cache blob and watermark sidecar paths for
+// a shard.
 func (r *Router) snapshotPaths(id int) (cache, pos string) {
 	return filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.tgc", id)),
 		filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.pos", id))
 }
 
-// SaveSnapshot persists every live shard's memo caches plus the edge-
-// log position the snapshot is valid for, under Config.SnapshotDir —
-// fixed at construction because supervisor restarts read it, so the
-// path a single Core would write to is not consulted. The position is
-// captured BEFORE the cache save starts: entries stored concurrently
-// with the save against newer edges are then redundantly re-invalidated
-// on restore, which is safe — recording the position after the save
-// could silently skip invalidations instead.
+// SaveSnapshot persists every live shard's memo caches plus the graph
+// watermark W they are valid from, under Config.SnapshotDir — fixed at
+// construction because supervisor restarts read it, so the path a
+// single Core would write to is not consulted. W is read once, BEFORE
+// any cache save starts. The watermark never moves back, so every edge
+// the graph takes afterwards has time ≥ W, and so does the one edge
+// /v1/ingest may have taken but not yet Applied (each edge is Applied
+// before the next is taken). A restore that re-invalidates every edge
+// at or past W therefore covers each edge the saved entries predate;
+// that some of them were already applied is redundant, and safe.
 func (r *Router) SaveSnapshot(_ string) error {
 	if r.cfg.SnapshotDir == "" {
 		return fmt.Errorf("shard: no snapshot dir configured")
 	}
+	w := r.dyn.Watermark()
 	var first error
 	for _, s := range r.shards {
 		if s.crashed.Load() {
@@ -173,13 +163,10 @@ func (r *Router) SaveSnapshot(_ string) error {
 		if c == nil {
 			continue
 		}
-		r.ingestMu.Lock()
-		pos := int64(len(r.log))
-		r.ingestMu.Unlock()
 		cachePath, posPath := r.snapshotPaths(s.id)
 		err := c.eng.SaveCachesFS(r.cfg.FS, cachePath)
 		if err == nil {
-			err = writePos(r.cfg.FS, posPath, pos)
+			err = writeWatermark(r.cfg.FS, posPath, w)
 		}
 		if err != nil {
 			r.snapshotErrors.Add(1)
@@ -201,20 +188,20 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	if r.cfg.SnapshotDir == "" {
 		return 0, fmt.Errorf("shard: no snapshot dir configured: %w", fs.ErrNotExist)
 	}
-	// Same barrier as restartOnce: snapshot loads validate their stored
+	// Same barriers as restartOnce: snapshot loads validate their stored
 	// model-version stamp against the engine's, so a swap landing
-	// mid-warm must not interleave.
+	// mid-warm must not interleave, and an Apply must not land between a
+	// load and its replay.
 	r.swapMu.RLock()
 	defer r.swapMu.RUnlock()
 	r.ingestMu.Lock()
-	prefix := r.log[:len(r.log):len(r.log)]
-	r.ingestMu.Unlock()
+	defer r.ingestMu.Unlock()
 	for _, s := range r.shards {
 		c := s.currentCore()
 		if c == nil {
 			continue
 		}
-		if r.loadSnapshot(s.id, c, prefix) {
+		if r.loadSnapshot(s.id, c) {
 			warmed++
 		}
 	}
@@ -224,73 +211,70 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	return warmed, nil
 }
 
-// loadSnapshot warms one freshly built core from the shard's last
-// snapshot, if it exists, validates, and is not newer than the log
-// prefix the core was built from. Edges in log[pos:] — ingested after
-// the snapshot was taken — get their invalidation re-run, since the
-// snapshot may hold entries those edges already invalidated in the
-// live engine. Any problem means cold start (correctness never
-// depends on the snapshot).
-func (r *Router) loadSnapshot(id int, c *Core, prefix []graph.Edge) bool {
+// loadSnapshot warms a core from the shard's last snapshot, if it
+// exists and validates, then re-runs invalidation for every edge the
+// graph holds at or past the watermark W the snapshot recorded: the
+// snapshot may hold entries those edges invalidated in the live engine
+// after the save. A missing snapshot file is a silent cold start; an
+// unreadable one, a NaN W or a W past the graph's clock is a counted
+// cold start (correctness never depends on the snapshot). Callers hold
+// ingestMu.
+func (r *Router) loadSnapshot(id int, c *Core) bool {
 	if r.cfg.SnapshotDir == "" {
 		return false
 	}
 	cachePath, posPath := r.snapshotPaths(id)
-	pos, err := readPos(r.cfg.FS, posPath)
+	w, err := readWatermark(r.cfg.FS, posPath)
+	if err == nil && (math.IsNaN(w) || w > r.dyn.MaxTime()) {
+		err = fmt.Errorf("watermark %v outside the graph's clock %v", w, r.dyn.MaxTime())
+	}
+	if err == nil {
+		err = c.eng.LoadCachesFS(r.cfg.FS, cachePath)
+	}
 	if err != nil {
-		return false // no (or unreadable) sidecar: cold start
-	}
-	if pos < 0 || pos > int64(len(prefix)) {
-		// Snapshot is ahead of the prefix this core knows about (or
-		// nonsense); replaying invalidations would be unsound.
-		r.snapshotErrors.Add(1)
-		r.cfg.Logf("shard %d: snapshot position %d outside log (%d); cold start", id, pos, len(prefix))
-		return false
-	}
-	if err := c.eng.LoadCachesFS(r.cfg.FS, cachePath); err != nil {
-		r.snapshotErrors.Add(1)
-		r.cfg.Logf("shard %d: snapshot load: %v; cold start", id, err)
+		if !errors.Is(err, fs.ErrNotExist) {
+			r.snapshotErrors.Add(1)
+			r.cfg.Logf("shard %d: snapshot load: %v; cold start", id, err)
+		}
 		return false
 	}
 	// InvalidateLateEdge rather than InvalidateAppend: the latter's
 	// no-future-memos fast path would skip the scan on a fresh engine,
-	// and the restored entries are exactly such future memos. The
-	// replayed edges may predate the replica's watermark, so they run in
-	// time order: each scan retires only records below its own edge,
-	// which no later replay can reach (core.Engine's indexFloor).
-	replay := slices.Clone(prefix[pos:])
-	slices.SortStableFunc(replay, func(a, b graph.Edge) int { return cmp.Compare(a.Time, b.Time) })
-	for _, e := range replay {
+	// and the restored entries are exactly such future memos. The graph
+	// keeps its edges in time order, so each scan retires only records
+	// below its own edge, which no later replay can reach (core.Engine's
+	// indexFloor).
+	for _, e := range r.dyn.EdgesFrom(w) {
 		c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
 	}
 	r.snapshotLoads.Add(1)
 	return true
 }
 
-// writePos persists an edge-log position through the checkpoint
-// envelope (checksummed, atomically replaced).
-func writePos(fsys checkpoint.FS, path string, pos int64) error {
-	return checkpoint.WriteFS(fsys, path, posVersion, func(w io.Writer) error {
+// writeWatermark persists a watermark through the checkpoint envelope
+// (checksummed, atomically replaced).
+func writeWatermark(fsys checkpoint.FS, path string, w float64) error {
+	return checkpoint.WriteFS(fsys, path, posVersion, func(wr io.Writer) error {
 		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(pos))
-		_, err := w.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
+		_, err := wr.Write(buf[:])
 		return err
 	})
 }
 
-// readPos reads a position written by writePos.
-func readPos(fsys checkpoint.FS, path string) (int64, error) {
-	var pos int64
+// readWatermark reads a watermark written by writeWatermark.
+func readWatermark(fsys checkpoint.FS, path string) (float64, error) {
+	var w float64
 	err := checkpoint.ReadFS(fsys, path, func(version uint32, rd io.Reader) error {
 		if version != posVersion {
-			return fmt.Errorf("shard: pos sidecar version %d", version)
+			return fmt.Errorf("shard: pos sidecar version %d, want %d", version, posVersion)
 		}
 		var buf [8]byte
 		if _, err := io.ReadFull(rd, buf[:]); err != nil {
 			return err
 		}
-		pos = int64(binary.LittleEndian.Uint64(buf[:]))
+		w = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 		return nil
 	})
-	return pos, err
+	return w, err
 }

@@ -256,7 +256,7 @@ func TestRouterSwapDuringTraffic(t *testing.T) {
 			default:
 			}
 			tm += 10
-			r.Apply(graph.Edge{Src: 2, Dst: 3, Time: tm}, graph.IngestAppended)
+			ingest(t, r, graph.Edge{Src: 2, Dst: 3, Time: tm})
 		}
 	}()
 

@@ -24,6 +24,11 @@ for pkg in batcher core serve shard tgat; do
     printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
 done
 
+echo "== one graph (every shard's core samples the server's graph; internal/shard builds and writes none of its own)"
+if grep -nE 'graph\.NewDynamic\(|\.Ingest\(' $(nontest internal/shard); then
+    echo "internal/shard keeps a graph of its own again: the lines above"; exit 1
+fi
+
 echo "== one dedup (the engine's §4.1 filter; the batcher concatenates, and no engine hook reaches into it)"
 if grep -nE 'RetireTargets|SetInvalidationHook|map\[uint64\]\*flight' $(nontest internal/batcher) $(nontest internal/core) $(nontest internal/shard); then
     echo "single-flight attach or its invalidation hook is back: the lines above"; exit 1
