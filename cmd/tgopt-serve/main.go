@@ -50,10 +50,8 @@ func main() {
 	empty := flag.Bool("empty", false, "start with an empty graph instead of pre-ingesting history")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
-	cacheBudget := flag.Int64("cache-budget", 0, "hot-tier cache byte budget (overrides -cache-limit; 0 = use the item limit)")
-	cachePolicy := flag.String("cache-policy", "tinylfu", "hot-tier eviction policy: tinylfu (sketch-based admission) or fifo (the paper's policy)")
-	spillDir := flag.String("cache-spill-dir", "", "spill evicted cache entries to append-only segment files under this directory (empty = no cold tier)")
-	spillMax := flag.Int64("cache-spill-max", 0, "cold-tier on-disk byte budget (0 = unbounded; oldest segments dropped first)")
+	cacheBudget := flag.Int64("cache-budget", 0, "cache byte budget (overrides -cache-limit; 0 = use the item limit)")
+	cachePolicy := flag.String("cache-policy", "tinylfu", "cache eviction policy: tinylfu (sketch-based admission) or fifo (the paper's policy)")
 	cacheFile := flag.String("cache-file", "", "warm-start file: load memoized embeddings at boot, save on SIGINT/SIGTERM")
 	snapInterval := flag.Duration("snapshot-interval", 0, "background cache snapshot cadence to -cache-file (0 disables; snapshots are atomic, a crash never corrupts the file)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 disables; exceeded requests get 504)")
@@ -131,8 +129,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -cache-policy %q (want tinylfu or fifo)", *cachePolicy))
 	}
-	opt.CacheSpillDir = *spillDir
-	opt.CacheSpillMaxBytes = *spillMax
 	if opt.Quant, err = core.ParseQuantMode(*quant); err != nil {
 		fatal(err)
 	}
@@ -229,12 +225,9 @@ func main() {
 	}
 	if srv.Sharded() {
 		log.Printf("sharding: %d shards, quorum %d, hedge-delay %s", *shards, *shardQuorum, *hedgeDelay)
-		log.Printf("cache: policy=%s per-shard (divided from hot-limit %d)", *cachePolicy, opt.CacheLimit)
-	} else if *spillDir != "" {
-		log.Printf("cache: policy=%s hot-limit=%d cold tier at %s (budget %d bytes)",
-			*cachePolicy, srv.Engine().Options().CacheLimit, *spillDir, *spillMax)
+		log.Printf("cache: policy=%s per-shard (divided from limit %d)", *cachePolicy, opt.CacheLimit)
 	} else {
-		log.Printf("cache: policy=%s hot-limit=%d (no cold tier)", *cachePolicy, srv.Engine().Options().CacheLimit)
+		log.Printf("cache: policy=%s limit=%d", *cachePolicy, srv.Engine().Options().CacheLimit)
 	}
 	log.Printf("endpoints: POST /v1/ingest /v1/embed /v1/score /v1/explain, GET /v1/stats /metrics /healthz /readyz")
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -250,11 +243,6 @@ func main() {
 		} else {
 			log.Printf("saved %d memoized embeddings to %s", srv.CacheLen(), *cacheFile)
 		}
-	}
-	// Seal the spill tier's open segments so spilled entries are
-	// recovered on the next boot.
-	if err := srv.Close(); err != nil {
-		log.Printf("cache close failed: %v", err)
 	}
 	log.Printf("tgopt-serve: stopped")
 }

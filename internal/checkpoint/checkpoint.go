@@ -58,11 +58,10 @@ type File interface {
 	Close() error
 }
 
-// FS abstracts the file-system operations of the atomic write path —
-// plus the directory scanning a multi-file store (core.SpillStore)
-// needs to recover after a crash — so tests can inject faults (see
-// internal/faultfs) and every read a recovery performs goes through
-// the same injectable surface as the writes. OS is the real one.
+// FS abstracts the file-system operations of the atomic write path so
+// tests can inject faults (see internal/faultfs) and every read a
+// recovery performs goes through the same injectable surface as the
+// writes. OS is the real one.
 type FS interface {
 	Create(name string) (File, error)
 	Open(name string) (io.ReadCloser, error)
@@ -71,12 +70,9 @@ type FS interface {
 	// SyncDir fsyncs the directory so a completed rename survives a
 	// power loss.
 	SyncDir(dir string) error
-	// MkdirAll, ReadDir and Stat back crash recovery of multi-file
-	// stores: creating the store directory, enumerating its surviving
-	// files, and sizing them.
+	// MkdirAll creates the directory files are published into (shard
+	// snapshots, swap params).
 	MkdirAll(dir string, perm os.FileMode) error
-	ReadDir(dir string) ([]os.DirEntry, error)
-	Stat(name string) (os.FileInfo, error)
 }
 
 // OS is the real file system.
@@ -87,8 +83,6 @@ func (OS) Open(name string) (io.ReadCloser, error)     { return os.Open(name) }
 func (OS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
 func (OS) Remove(name string) error                    { return os.Remove(name) }
 func (OS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
-func (OS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
-func (OS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
 
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -18,8 +18,8 @@ const (
 	// QuantOff stores float32 rows: what an engine serves is bitwise the
 	// baseline.
 	QuantOff QuantMode = iota
-	// QuantInt8 stores memo-cache entries (hot tier, spill tier,
-	// snapshots) and the precomputed time table as one float32 scale +
+	// QuantInt8 stores memo-cache entries (in RAM and in snapshots)
+	// and the precomputed time table as one float32 scale +
 	// int8 codes per row, encoded on store and dequantized on read. The
 	// payload is 4+d bytes against 4·d (3.56× at d = 32, 3.84× at 96);
 	// with the 64 accounted bytes of per-entry bookkeeping a byte budget
@@ -47,9 +47,7 @@ func ParseQuantMode(s string) (QuantMode, error) {
 }
 
 // entryCodec fixes the serialized embedding format shared by the memo
-// cache's hot-tier payloads, the spill tier's record bodies, and the
-// snapshot blobs, so an entry moves between tiers by copying bytes —
-// never by re-encoding. Two formats exist:
+// cache's payloads and the snapshot blobs. Two formats exist:
 //
 //	float32: dim × little-endian float32     (4·dim bytes)
 //	int8:    scale float32, dim × int8 codes (4 + dim bytes)
@@ -69,13 +67,9 @@ func (c entryCodec) payloadSize() int {
 	return 4 * c.dim
 }
 
-// entryBytes returns the accounted hot-tier footprint of one entry:
+// entryBytes returns the accounted in-RAM footprint of one entry:
 // payload plus per-item bookkeeping (see cacheEntryOverhead).
 func (c entryCodec) entryBytes() int { return c.payloadSize() + cacheEntryOverhead }
-
-// recSize returns the spill-tier on-disk record size: key + payload +
-// record CRC.
-func (c entryCodec) recSize() int64 { return 8 + int64(c.payloadSize()) + 4 }
 
 // encode serializes vec into dst (len ≥ payloadSize).
 func (c entryCodec) encode(vec []float32, dst []byte) {

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tgopt/internal/checkpoint"
 	"tgopt/internal/device"
 	"tgopt/internal/graph"
 	"tgopt/internal/nn"
@@ -34,37 +31,23 @@ type Options struct {
 	// lookup traffic (SplitCacheLimit).
 	CacheLimit int
 	// CacheBudgetBytes, when > 0, overrides CacheLimit with an explicit
-	// hot-tier byte budget: the item limit becomes
+	// cache byte budget: the item limit becomes
 	// budget / (4·NodeDim + entry overhead). This is the operator-facing
 	// knob (-cache-budget): capacity planning talks in bytes, not items.
 	CacheBudgetBytes int64
 	// CacheShards controls cache concurrency (default 16).
 	CacheShards int
-	// CachePolicy picks the hot-tier eviction policy. The zero value is
+	// CachePolicy picks the cache eviction policy. The zero value is
 	// CacheTinyLFU — sketch-based admission that keeps heavy hitters
 	// resident under skewed reuse; CacheFIFO restores the paper's
 	// original policy.
 	CachePolicy CachePolicy
-	// CacheSpillDir, when non-empty, enables the cold tier: entries
-	// evicted from the hot tier spill to append-only segment files
-	// under this directory (one subdirectory per cached layer, since
-	// ⟨node, t⟩ keys collide across layers), hot-tier misses fall
-	// through to it, and a spill hit is promoted back by its lookup.
-	CacheSpillDir string
-	// CacheSpillMaxBytes bounds the cold tier's on-disk footprint
-	// (split across cached layers); <= 0 means unbounded. When the
-	// budget is exceeded the oldest segments are dropped whole.
-	CacheSpillMaxBytes int64
-	// SpillFS overrides the file system the spill tier writes through
-	// (default checkpoint.OS). Tests inject faultfs.FS here to prove
-	// the no-corrupt-promotion invariant under crashes.
-	SpillFS checkpoint.FS
 	// TimeWindow is the precomputed Δt window (default 10,000).
 	TimeWindow int
 
 	// Quant selects the format of rows at rest (DESIGN.md §14). QuantOff
 	// (the default) stores float32. QuantInt8 stores memo-cache entries
-	// (hot tier, spill tier, snapshots) and the precomputed time table
+	// (in RAM and in snapshots) and the precomputed time table
 	// as per-row-scaled int8, dequantized on read, so CacheBudgetBytes
 	// holds more entries; every layer is computed in float32 either
 	// way. Outputs differ from float32 only through rows read back from
@@ -248,27 +231,13 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 			top = 1 // single-layer models cache their only layer
 		}
 		per := SplitCacheLimit(opt.CacheLimit, m.Cfg.NumNeighbors, top)
-		spillPer := SplitCacheBudget(opt.CacheSpillMaxBytes, m.Cfg.NumNeighbors, top)
-		fsys := opt.SpillFS
-		if fsys == nil {
-			fsys = checkpoint.OS{}
-		}
 		e.caches = make([]*Cache, m.Cfg.Layers+1)
 		for l := 1; l <= top; l++ {
-			var sp *SpillStore
-			if opt.CacheSpillDir != "" {
-				var err error
-				sp, err = NewSpillStore(fsys, filepath.Join(opt.CacheSpillDir, fmt.Sprintf("layer%d", l)), m.Cfg.NodeDim, spillPer[l], quant, m.Version())
-				if err != nil {
-					panic("core: opening cache spill dir: " + err.Error())
-				}
-			}
 			e.caches[l] = NewCacheWith(CacheConfig{
 				Limit:  per[l],
 				Dim:    m.Cfg.NodeDim,
 				Shards: opt.CacheShards,
 				Policy: opt.CachePolicy,
-				Spill:  sp,
 				Quant:  quant,
 			})
 		}
@@ -326,8 +295,8 @@ func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.
 }
 
 // ParamsVersion returns the model version the engine currently serves:
-// the shared model's, which stamps spill segments and cache snapshots so
-// state computed under other parameters is refused at recovery.
+// the shared model's, which stamps cache snapshots so state computed
+// under other parameters is refused at load.
 func (e *Engine) ParamsVersion() uint64 { return e.model.Version() }
 
 // SwapLock acquires the hot-swap barrier's write side: every in-flight
@@ -343,12 +312,10 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 // FinishSwap completes a parameter swap on this engine while SwapLock
 // is held and the shared model already carries the new parameters and
 // their version: the time table and the layers' weight packs are
-// rebuilt from the swapped parameters, every memo-cache layer is dropped
-// and its spill tier re-stamped with the model's version (no pass runs
-// under SwapLock, so no promotion is in flight to outlive the drop), and
-// the target/support/dependency indexes reset with them. Memoized embeddings are only valid for the
-// parameters that computed them, so a swap is the cache-wide
-// invalidation event.
+// rebuilt from the swapped parameters, every memo-cache layer is
+// cleared, and the target/support/dependency indexes reset with them.
+// Memoized embeddings are only valid for the parameters that computed
+// them, so a swap is the cache-wide invalidation event.
 func (e *Engine) FinishSwap() {
 	if e.ttable != nil {
 		if e.opt.Quant == QuantInt8 {
@@ -360,7 +327,7 @@ func (e *Engine) FinishSwap() {
 	e.packs = e.model.PackLayers()
 	for _, c := range e.caches {
 		if c != nil {
-			c.Restamp(e.model.Version())
+			c.Clear()
 		}
 	}
 	for _, tix := range e.layerTargets {
@@ -733,9 +700,8 @@ func (f passFence) staleFor(ts []float64) bool {
 	return false
 }
 
-// CacheStats aggregates the per-layer cache counters (hot-tier
-// hit/miss, spill, promote, admission; see CacheStats). Zero when the
-// cache is disabled.
+// CacheStats aggregates the per-layer cache counters (hit/miss and
+// admission; see CacheStats). Zero when the cache is disabled.
 func (e *Engine) CacheStats() CacheStats {
 	var agg CacheStats
 	for _, c := range e.caches {
@@ -777,22 +743,6 @@ func (e *Engine) LayerCacheStats() []LayerCacheStats {
 		out = append(out, ls)
 	}
 	return out
-}
-
-// Close seals the caches' spill tiers so spilled entries survive a
-// restart. Engines without a spill tier need not be closed; Close is
-// then a no-op.
-func (e *Engine) Close() error {
-	var first error
-	for _, c := range e.caches {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // EmbedFunc adapts the engine to the inference driver's signature.

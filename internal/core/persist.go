@@ -183,7 +183,7 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 
 	// Commit: the stream parsed cleanly; only now do entries enter the
 	// live cache. Payloads re-enter through the decoded path so TinyLFU
-	// admission and spill cascades behave exactly like live stores.
+	// admission behaves exactly like live stores.
 	vec := make([]float32, c.dim)
 	for i, key := range keys {
 		c.codec.decode(payloads[i*ps:(i+1)*ps], vec)

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"tgopt/internal/checkpoint"
-	"tgopt/internal/faultfs"
 	"tgopt/internal/nn"
 	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
@@ -322,85 +320,6 @@ func TestQuantEngineRefusesFloatSnapshot(t *testing.T) {
 	}
 	if err := fEng.LoadCaches(qPath); err == nil {
 		t.Fatal("float32 engine loaded an int8 snapshot")
-	}
-}
-
-// TestQuantSpillBitFlipIsAMiss extends the no-corrupt-promotion
-// invariant to int8 spill records: at-rest corruption of a quantized
-// record is a miss, never a wrong embedding.
-func TestQuantSpillBitFlipIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.segTarget = 1 // every put seals its own segment
-	fillSpill(sp, 8)
-	if sp.Stats().Segments != 8 {
-		t.Fatalf("expected 8 sealed segments, got %d", sp.Stats().Segments)
-	}
-	// Flip a bit in key 3's payload: envelope header (16) + dim header
-	// (4) + record key (8) puts it at the scale float of the payload.
-	if err := faultfs.FlipBit(sp.segPath(2), (16+4+8)*8); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float32, 2)
-	if sp.Get(3, dst) {
-		t.Fatal("bit-flipped int8 record served as a hit")
-	}
-	if sp.Stats().CorruptRecords == 0 {
-		t.Fatal("corruption not counted")
-	}
-	// Remaining records reconstruct within the quantization step.
-	readable := 0
-	for k := uint64(1); k <= 8; k++ {
-		if !sp.Get(k, dst) {
-			continue
-		}
-		readable++
-		for _, x := range dst {
-			d := float64(x) - float64(k)
-			if d > float64(k)/127+1e-6 || -d > float64(k)/127+1e-6 {
-				t.Fatalf("key %d: int8 spill value %g outside quant tolerance", k, x)
-			}
-		}
-	}
-	if readable != 7 {
-		t.Fatalf("%d/8 records readable after one flip, want 7", readable)
-	}
-}
-
-// TestQuantSpillPrecisionChangeIsCorruption: a spill directory written
-// at one precision reopened at the other is treated as corrupt — the
-// segments are dropped and counted, entries become misses, and nothing
-// is ever decoded under the wrong codec.
-func TestQuantSpillPrecisionChangeIsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	sp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.segTarget = 1
-	fillSpill(sp, 6)
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fsp, err := NewSpillStore(checkpoint.OS{}, dir, 2, 0, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fsp.Stats().CorruptSegments; got == 0 {
-		t.Fatal("precision change not detected as segment corruption")
-	}
-	dst := make([]float32, 2)
-	for k := uint64(1); k <= 6; k++ {
-		if fsp.Get(k, dst) {
-			t.Fatalf("key %d decoded across precisions", k)
-		}
-	}
-	if err := fsp.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

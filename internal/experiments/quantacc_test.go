@@ -48,7 +48,6 @@ func TestQuantAPWithinGate(t *testing.T) {
 		opt := optAllScaled(setup)
 		opt.Quant = q
 		s := &side{eng: core.NewEngine(w.Model, w.Sampler, opt), ar: tensor.NewArena(), scores: make([]float64, 2*n)}
-		defer s.eng.Close()
 		sides = append(sides, s)
 	}
 	labels := make([]bool, 2*n)

@@ -101,16 +101,13 @@ type FS struct {
 	// full disk or a crash mid-write.
 	WriteLimit int
 	WriteErr   error
-	// FailCreate / FailSync / FailRename / FailSyncDir / FailMkdirAll /
-	// FailReadDir / FailStat make the corresponding operation return
-	// ErrInjected.
+	// FailCreate / FailSync / FailRename / FailSyncDir / FailMkdirAll
+	// make the corresponding operation return ErrInjected.
 	FailCreate   bool
 	FailSync     bool
 	FailRename   bool
 	FailSyncDir  bool
 	FailMkdirAll bool
-	FailReadDir  bool
-	FailStat     bool
 
 	written int
 }
@@ -189,20 +186,6 @@ func (fs *FS) MkdirAll(dir string, perm os.FileMode) error {
 		return ErrInjected
 	}
 	return os.MkdirAll(dir, perm)
-}
-
-func (fs *FS) ReadDir(dir string) ([]os.DirEntry, error) {
-	if fs.FailReadDir {
-		return nil, ErrInjected
-	}
-	return os.ReadDir(dir)
-}
-
-func (fs *FS) Stat(name string) (os.FileInfo, error) {
-	if fs.FailStat {
-		return nil, ErrInjected
-	}
-	return os.Stat(name)
 }
 
 // FlipBit flips one bit of the file at path in place, modeling at-rest

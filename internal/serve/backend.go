@@ -30,7 +30,6 @@ type backend interface {
 	WarmStart(path string) (warmed int, err error)
 	Engines() []*core.Engine
 	Batchers() []*batcher.Batcher
-	Close() error
 }
 
 // engineTotals is one scrape's view of the live engines: every cache,
@@ -104,12 +103,9 @@ func writeLayerCacheMetrics(b *strings.Builder, layers []core.LayerCacheStats) {
 		{"tgopt_cache_layer_bytes", "Approximate RAM footprint of the layer's cache.", func(v core.LayerCacheStats) float64 { return float64(v.Bytes) }},
 		{"tgopt_cache_layer_index_records", "Live invalidation-index records (target + support) for the layer.", func(v core.LayerCacheStats) float64 { return float64(v.IndexRecords) }},
 		{"tgopt_cache_layer_lookups_total", "Layer cache lookups.", func(v core.LayerCacheStats) float64 { return float64(v.Lookups) }},
-		{"tgopt_cache_layer_hits_total", "Layer cache hits (RAM tier).", func(v core.LayerCacheStats) float64 { return float64(v.Hits) }},
+		{"tgopt_cache_layer_hits_total", "Layer cache hits.", func(v core.LayerCacheStats) float64 { return float64(v.Hits) }},
 		{"tgopt_cache_layer_misses_total", "Layer cache misses.", func(v core.LayerCacheStats) float64 { return float64(v.Misses) }},
-		{"tgopt_cache_layer_spill_hits_total", "Layer lookups served from the disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.SpillHits) }},
 		{"tgopt_cache_layer_admit_rejected_total", "Layer stores rejected by TinyLFU admission.", func(v core.LayerCacheStats) float64 { return float64(v.AdmitRejected) }},
-		{"tgopt_cache_layer_spill_entries", "Entries resident in the layer's disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.Spill.Entries) }},
-		{"tgopt_cache_layer_spill_bytes", "Bytes resident in the layer's disk spill tier.", func(v core.LayerCacheStats) float64 { return float64(v.Spill.Bytes) }},
 	} {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", series.name, series.help, series.name)
 		for _, v := range layers {

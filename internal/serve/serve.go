@@ -146,10 +146,15 @@ func (s *Server) Engine() *core.Engine {
 	return nil
 }
 
-// Close closes the backend: every engine's open spill segments are
-// sealed so spilled entries survive a restart. Call it after the HTTP
-// server has drained.
-func (s *Server) Close() error { return s.backend.Close() }
+// Close stops a sharded server's supervisor, so no shard restarts after
+// it returns; an unsharded server has nothing to stop. Call it after the
+// HTTP server has drained. The error is always nil.
+func (s *Server) Close() error {
+	if r := s.Router(); r != nil {
+		r.Close()
+	}
+	return nil
+}
 
 // Handler returns the HTTP handler for the API, wrapped in the serving
 // middleware (admission control, deadlines, panic recovery — see wrap).
@@ -228,21 +233,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_cache_bytes", "Estimated cache footprint in bytes.", float64(et.bytes))
 	write("tgopt_cache_hit_rate", "Average embedding cache hit rate.", s.hitRate.Average())
 	cs := et.cache
-	write("tgopt_cache_lookups_total", "Memo cache lookups (hot tier).", float64(cs.Lookups))
-	write("tgopt_cache_hits_total", "Memo cache hot-tier hits.", float64(cs.Hits))
-	write("tgopt_cache_misses_total", "Memo cache hot-tier misses.", float64(cs.Misses))
-	write("tgopt_cache_spill_hits_total", "Hot-tier misses served from the disk spill tier.", float64(cs.SpillHits))
-	write("tgopt_cache_promotes_total", "Spilled entries promoted back into the hot tier.", float64(cs.Promotes))
-	write("tgopt_cache_promote_drops_total", "Promotions dropped (queue full or raced an invalidation).", float64(cs.PromoteDrops))
+	write("tgopt_cache_lookups_total", "Memo cache lookups.", float64(cs.Lookups))
+	write("tgopt_cache_hits_total", "Memo cache hits.", float64(cs.Hits))
+	write("tgopt_cache_misses_total", "Memo cache misses.", float64(cs.Misses))
 	write("tgopt_cache_admit_rejected_total", "Stores refused admission by the TinyLFU filter.", float64(cs.AdmitRejected))
-	write("tgopt_cache_spill_entries", "Entries resident in the spill tier.", float64(cs.Spill.Entries))
-	write("tgopt_cache_spill_segments", "Sealed spill segment files on disk.", float64(cs.Spill.Segments))
-	write("tgopt_cache_spill_bytes", "Spill tier footprint in bytes (sealed + open).", float64(cs.Spill.Bytes))
-	write("tgopt_cache_spill_seal_errors_total", "Spill segment seal failures (entries dropped, never half-indexed).", float64(cs.Spill.SealErrors))
-	write("tgopt_cache_spill_corrupt_records_total", "Spill records that failed CRC validation (served as misses).", float64(cs.Spill.CorruptRecords))
-	write("tgopt_cache_spill_corrupt_segments_total", "Spill segments discarded at recovery for failed validation.", float64(cs.Spill.CorruptSegments))
-	write("tgopt_cache_spill_dropped_segments_total", "Spill segments dropped whole to honor the byte budget.", float64(cs.Spill.DroppedSegments))
-	write("tgopt_cache_spill_compactions_total", "Spill segment compactions.", float64(cs.Spill.Compactions))
 	writeLayerCacheMetrics(&b, et.layers)
 	tm := et.topMemo
 	write("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", float64(tm.Lookups))

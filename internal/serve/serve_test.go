@@ -357,6 +357,12 @@ func TestServeMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q in:\n%s", metric, body)
 		}
 	}
+	// The cache has one tier: no disk-tier or promotion series.
+	for _, gone := range []string{"tgopt_cache_spill", "tgopt_cache_promote", "tgopt_cache_layer_spill"} {
+		if strings.Contains(body, gone) {
+			t.Fatalf("metrics carry a %s* series:\n%s", gone, body)
+		}
+	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}

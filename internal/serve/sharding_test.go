@@ -318,6 +318,11 @@ func TestServeShardedPartialResponse(t *testing.T) {
 			t.Fatalf("/metrics missing %q", series)
 		}
 	}
+	for _, gone := range []string{"tgopt_cache_spill", "tgopt_cache_promote", "tgopt_cache_layer_spill"} {
+		if strings.Contains(metrics, gone) {
+			t.Fatalf("/metrics carries a %s* series", gone)
+		}
+	}
 }
 
 // stallEmbedder stalls every shard while armed — used to open every

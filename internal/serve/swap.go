@@ -52,9 +52,7 @@ func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
 // rollbacks. Only the commit runs under the server's request gate (no
 // in-flight embed/score/ingest/explain straddles it) plus the backend's
 // barriers underneath, and re-derives every params-dependent structure:
-// precomputed time tables, and the memo caches across hot tier and
-// spill segments (stamped with the new version so pre-swap spill
-// segments read as misses even after a restart).
+// precomputed time tables and the memo caches.
 //
 // fsys is the file system path is read through (nil: checkpoint.OS);
 // fault tests inject faultfs.

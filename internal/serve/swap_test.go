@@ -390,8 +390,8 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 	}
 
 	// Converge on B and require exact final-state equality: a stale
-	// cache entry (hot, spill, or promoted) from any earlier version
-	// would break the bitwise match.
+	// cache entry from any earlier version would break the bitwise
+	// match.
 	version++
 	if version%2 == 0 {
 		version++

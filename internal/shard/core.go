@@ -161,17 +161,6 @@ func (c *Core) WarmStart(path string) (int, error) {
 	return 1, nil
 }
 
-// Close seals the engine's spill tiers' open segments. A crashed core
-// may be in an arbitrary state, so the close is panic-protected.
-func (c *Core) Close() (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("shard: core close panicked: %v", rec)
-		}
-	}()
-	return c.eng.Close()
-}
-
 // MergeLayerCacheStats sums per-layer cache counters across the cores
 // of one server. They run the same cached-layer layout and each engine
 // reports in layer order, so section i of one adds to section i of the

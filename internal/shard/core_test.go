@@ -38,7 +38,6 @@ func TestCoreDirectPassCancelAndPanic(t *testing.T) {
 	want := referenceSlab(t, m, edges, nodes, ts)
 
 	c := NewCore(m, seededDynamic(t, edges), core.OptAll())
-	defer c.Close()
 	gate := &gateEmbedder{Embedder: c.emb, entered: make(chan struct{}, 1), open: make(chan struct{})}
 	var armed atomic.Bool
 	c.emb = &panicEmbedder{Embedder: gate, armed: armed.Load}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,9 +155,6 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	if opt.CacheBudgetBytes > 0 {
 		opt.CacheBudgetBytes /= int64(cfg.Shards)
 	}
-	if opt.CacheSpillMaxBytes > 0 {
-		opt.CacheSpillMaxBytes /= int64(cfg.Shards)
-	}
 	r := &Router{
 		model: model,
 		dyn:   dyn,
@@ -186,23 +182,19 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 }
 
 // buildCore constructs one shard's Core over the router's graph. Engine
-// construction panics (bad spill dir, …) are converted to errors so a
-// failed rebuild cannot take the supervisor down with it.
+// construction panics are converted to errors so a failed rebuild
+// cannot take the supervisor down with it.
 func (r *Router) buildCore(id int) (c *Core, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
 		}
 	}()
-	opt := r.opt
-	if opt.CacheSpillDir != "" {
-		opt.CacheSpillDir = filepath.Join(opt.CacheSpillDir, fmt.Sprintf("shard-%d", id))
-	}
-	// The rebuilt engine reads the shared model's version, so spill
-	// recovery and snapshot loads validate against what the model holds
-	// now. Callers on the restart path hold swapMu's read side, which
-	// keeps tensors and version still across the build.
-	c = NewCore(r.model, r.dyn, opt)
+	// The rebuilt engine reads the shared model's version, so snapshot
+	// loads validate against what the model holds now. Callers on the
+	// restart path hold swapMu's read side, which keeps tensors and
+	// version still across the build.
+	c = NewCore(r.model, r.dyn, r.opt)
 	if r.cfg.WrapEmbedder != nil {
 		c.emb = r.cfg.WrapEmbedder(id, c.emb)
 	}
@@ -487,9 +479,7 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 		if s.crashed.Load() {
 			continue
 		}
-		if c := s.currentCore(); c != nil {
-			invalidated += c.Apply(e, res)
-		}
+		invalidated += s.currentCore().Apply(e, res)
 	}
 	return invalidated
 }
@@ -533,7 +523,7 @@ func (r *Router) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParam
 // blocked) and every live engine's own swap gate, the shared model's
 // tensors and version are rewritten once and each engine re-derives its
 // version-dependent state — re-built time tables, memo caches dropped
-// and re-stamped across hot tier and spill (core.Engine.FinishSwap).
+// (core.Engine.FinishSwap).
 // Crashed shards are absent by design: their supervisor rebuild reads
 // the shared model, so they come back on the new parameters.
 func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
@@ -603,14 +593,12 @@ func (r *Router) Stats() RouterStats {
 	return st
 }
 
-// Engines returns the live shards' engines (crashed shards omitted) —
-// the serving layer sums cache, memo and stage figures across them.
+// Engines returns the shards' current engines — the serving layer sums
+// cache, memo and stage figures across them.
 func (r *Router) Engines() []*core.Engine {
 	out := make([]*core.Engine, 0, len(r.shards))
 	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil {
-			out = append(out, c.eng)
-		}
+		out = append(out, s.currentCore().eng)
 	}
 	return out
 }
@@ -620,7 +608,7 @@ func (r *Router) Engines() []*core.Engine {
 func (r *Router) Batchers() []*batcher.Batcher {
 	var out []*batcher.Batcher
 	for _, s := range r.shards {
-		if c := s.currentCore(); c != nil && c.bat != nil {
+		if c := s.currentCore(); c.bat != nil {
 			out = append(out, c.bat)
 		}
 	}
@@ -641,18 +629,10 @@ func (r *Router) LayerCacheStats() []core.LayerCacheStats {
 	return MergeLayerCacheStats(r.Engines())
 }
 
-// Close tears the pool down: waits out in-flight restarts, then closes
-// every engine. Safe to call more than once.
-func (r *Router) Close() error {
+// Close stops the supervisor: no shard restarts after it returns, and
+// the restarts already in flight have finished. Safe to call more than
+// once.
+func (r *Router) Close() {
 	r.closed.Store(true)
 	r.WaitRestarts()
-	var first error
-	for _, s := range r.shards {
-		if c := s.swapCore(nil); c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }

@@ -81,7 +81,6 @@ func referenceSlab(t *testing.T, m *tgat.Model, edges []graph.Edge, nodes []int3
 	dyn := seededDynamic(t, edges)
 	sampler := graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(m, sampler, core.OptAll())
-	defer eng.Close()
 	h := eng.Embed(nodes, ts)
 	out := make([]float32, len(nodes)*m.Cfg.NodeDim)
 	copy(out, h.Data()[:len(out)])

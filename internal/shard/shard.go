@@ -59,20 +59,19 @@ type Shard struct {
 	restarts atomic.Int64
 }
 
-// currentCore returns the live core, or nil while torn down.
+// currentCore returns the shard's core: the one built at construction,
+// or the supervisor's latest rebuild.
 func (s *Shard) currentCore() *Core {
 	s.coreMu.RLock()
 	defer s.coreMu.RUnlock()
 	return s.core
 }
 
-// swapCore installs a rebuilt core and returns the old one.
-func (s *Shard) swapCore(c *Core) *Core {
+// setCore installs a rebuilt core.
+func (s *Shard) setCore(c *Core) {
 	s.coreMu.Lock()
-	defer s.coreMu.Unlock()
-	old := s.core
 	s.core = c
-	return old
+	s.coreMu.Unlock()
 }
 
 // Admit reports whether the shard may take a call right now (not
@@ -90,7 +89,7 @@ func (s *Shard) Admit() bool {
 // breaker. The returned slab is len(nodes)×dim, row i for nodes[i].
 func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float32, error) {
 	c := s.currentCore()
-	if c == nil || s.crashed.Load() {
+	if s.crashed.Load() {
 		err := ErrShardDown
 		s.errs.Add(1)
 		s.breaker.Record(OutcomeFailure)
@@ -173,9 +172,8 @@ func (s *Shard) status() Status {
 		LatencyP50Ms:     float64(s.lat.Quantile(0.5)) / float64(time.Millisecond),
 		LatencyP99Ms:     float64(s.lat.Quantile(0.99)) / float64(time.Millisecond),
 	}
-	if c := s.currentCore(); c != nil {
-		st.CacheItems = c.eng.CacheLen()
-		st.CacheBytes = c.eng.CacheBytes()
-	}
+	c := s.currentCore()
+	st.CacheItems = c.eng.CacheLen()
+	st.CacheBytes = c.eng.CacheBytes()
 	return st
 }

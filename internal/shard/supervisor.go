@@ -119,16 +119,9 @@ func (r *Router) restartOnce(s *Shard) bool {
 	// core.
 	r.ingestMu.Lock()
 	r.loadSnapshot(s.id, c)
-	old := s.swapCore(c)
+	s.setCore(c)
 	s.crashed.Store(false)
 	r.ingestMu.Unlock()
-
-	if old != nil {
-		// Close what can be closed; a poisoned core may refuse.
-		if cerr := old.Close(); cerr != nil {
-			r.cfg.Logf("shard %d: old core close: %v", s.id, cerr)
-		}
-	}
 	return true
 }
 
@@ -160,9 +153,6 @@ func (r *Router) SaveSnapshot(_ string) error {
 			continue
 		}
 		c := s.currentCore()
-		if c == nil {
-			continue
-		}
 		cachePath, posPath := r.snapshotPaths(s.id)
 		err := c.eng.SaveCachesFS(r.cfg.FS, cachePath)
 		if err == nil {
@@ -197,11 +187,7 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 	for _, s := range r.shards {
-		c := s.currentCore()
-		if c == nil {
-			continue
-		}
-		if r.loadSnapshot(s.id, c) {
+		if r.loadSnapshot(s.id, s.currentCore()) {
 			warmed++
 		}
 	}

@@ -3,7 +3,7 @@ package tensor
 import "math"
 
 // Int8 symmetric quantization, the row format of core's int8 stores
-// (hot tier, spill records, snapshots, the time table). A float32 row x
+// (memo-cache entries, snapshots, the time table). A float32 row x
 // is stored as q[i] = clamp(round(x[i]/s), -127, 127) with one scale
 // s = maxabs/127 per row, so dequantization is the single multiply
 // s·q[i] and the representable error is bounded by s/2 per element.
@@ -70,7 +70,7 @@ func DequantizeVecInto(q []int8, scale float32, dst []float32) {
 
 // QuantizeVecBytes is QuantizeVecInto writing the int8 codes into a
 // byte slice (two's complement), the representation the memo cache's
-// quantized entry payloads and spill records use.
+// quantized entry payloads use.
 func QuantizeVecBytes(src []float32, dst []byte) float32 {
 	if len(dst) < len(src) {
 		panic("tensor: QuantizeVecBytes dst too small")

@@ -34,15 +34,17 @@ if grep -nE 'RetireTargets|SetInvalidationHook|map\[uint64\]\*flight' $(nontest 
     echo "single-flight attach or its invalidation hook is back: the lines above"; exit 1
 fi
 
-echo "== one version holder, no promote worker (tgat.Model carries the params version; a spill hit is promoted by its lookup)"
+echo "== one version holder (tgat.Model carries the params version; the engine, the shards and the server copy none)"
 if grep -nE '(modelVersion|version) +atomic\.Uint64' internal/core/engine.go $(nontest internal/shard) $(nontest internal/serve); then
     echo "a second stored params version: the lines above"; exit 1
 fi
 if grep -n 'ModelVersion' internal/core/engine.go; then
     echo "internal/core/engine.go copies the params version again: the lines above"; exit 1
 fi
-if grep -nE 'promoteCh|promoteGate|promoteLoop|quiesce' $(nontest internal/core); then
-    echo "internal/core grew a promote worker again: the lines above"; exit 1
+
+echo "== one cache tier (core.Cache is one in-RAM table: no disk tier, nothing promoted or demoted between tiers)"
+if grep -niE 'SpillStore|CacheSpill|spill|promote' $(nontest internal/core) $(nontest internal/serve) $(nontest internal/shard) $(find cmd -name '*.go' ! -name '*_test.go'); then
+    echo "a second cache tier is back: the lines above"; exit 1
 fi
 
 echo "== one pack per params version (the engine's layer pass reads packs built in NewEngine/FinishSwap, never repacks)"
@@ -88,20 +90,19 @@ echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot
 go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeWarmStart' \
     ./internal/shard/... ./internal/serve/...
 
-echo "== spill-tier fault injection (crash mid-seal, bit flips, torn segments; race-enabled)"
-go test -race -count=5 -run 'TestTieredCache' ./internal/core/
-go test -race -count=1 -run 'TestSpill' ./internal/core/
+echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
+go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates' ./internal/core/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
 go test -race -count=1 -run 'TestTransitive|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
-go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|TestEngineSwap|TestSpillRecoveryRejects|TestCacheSnapshotVersion' \
+go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|TestEngineSwap|TestCacheSnapshotVersion' \
     ./internal/serve/ ./internal/shard/ ./internal/core/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
 
-echo "== int8 row-format gate (cache/spill/snapshot/time-table round-trips under race; AP within 1 pp)"
+echo "== int8 row-format gate (cache/snapshot/time-table round-trips under race; AP within 1 pp)"
 go test -race -count=1 -run 'TestQuant|TestEntriesForBudgetQuant' ./internal/core/ ./internal/tensor/ ./internal/experiments/
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
