@@ -157,11 +157,13 @@ type Engine struct {
 	topMemo   *topMemo
 	memoEpoch atomic.Int64
 	ttable    *TimeTable
-	// packs[l-1] is layer l's weight pack (tgat.Model.PackLayers). Like
-	// ttable it is derived from the parameters, so it is built once per
+	// packs[l-1] is layer l's weight pack (tgat.Model.PackLayers) and
+	// scorePack the affinity head's (tgat.Model.PackScore). Like ttable
+	// they are derived from the parameters, so they are built once per
 	// params version: in NewEngine and again in FinishSwap.
-	packs []nn.LayerPack
-	deps  *DepTracker
+	packs     []nn.LayerPack
+	scorePack nn.MergePack
+	deps      *DepTracker
 	// layerTargets[l] indexes layer l's cached keys by target node and
 	// layerSupports[l] (l ≥ 2) indexes them by support node — the
 	// (node, time) pairs whose layer-(l−1) embeddings the entry
@@ -215,7 +217,7 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		panic("core: sampler k differs from model NumNeighbors")
 	}
 	e.maxEmbedBits.Store(math.Float64bits(math.Inf(-1)))
-	e.packs = m.PackLayers()
+	e.packs, e.scorePack = m.PackLayers(), m.PackScore()
 	quant := opt.Quant == QuantInt8
 	if opt.EnableCache {
 		if s.Strategy() != graph.MostRecent {
@@ -286,12 +288,13 @@ func (e *Engine) Options() Options { return e.opt }
 func (e *Engine) Model() *tgat.Model { return e.model }
 
 // ScoreWith computes link-prediction logits with the model's affinity
-// head while holding the swap barrier's read side: a concurrent
-// parameter hot-swap waits the pass out rather than tearing its tensors.
+// head, over the engine's pack of it, while holding the swap barrier's
+// read side: a concurrent parameter hot-swap waits the pass out rather
+// than tearing its tensors.
 func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
-	return e.model.ScoreWith(ar, hSrc, hDst)
+	return e.model.ScorePacked(ar, &e.scorePack, hSrc, hDst)
 }
 
 // ParamsVersion returns the model version the engine currently serves:
@@ -311,8 +314,8 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 
 // FinishSwap completes a parameter swap on this engine while SwapLock
 // is held and the shared model already carries the new parameters and
-// their version: the time table and the layers' weight packs are
-// rebuilt from the swapped parameters, every memo-cache layer is
+// their version: the time table and the layers' and score head's weight
+// packs are rebuilt from the swapped parameters, every memo-cache layer is
 // cleared, and the target/support/dependency indexes reset with them.
 // Memoized embeddings are only valid for the parameters that computed
 // them, so a swap is the cache-wide invalidation event.
@@ -324,7 +327,7 @@ func (e *Engine) FinishSwap() {
 			e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
 		}
 	}
-	e.packs = e.model.PackLayers()
+	e.packs, e.scorePack = e.model.PackLayers(), e.model.PackScore()
 	for _, c := range e.caches {
 		if c != nil {
 			c.Clear()
@@ -782,7 +785,16 @@ func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tenso
 	if e.caches != nil {
 		e.noteEmbedTimes(ts)
 	}
-	return e.embed(ar, e.model.Cfg.Layers, nodes, ts)
+	h := e.embed(ar, e.model.Cfg.Layers, nodes, ts)
+	if h.Idx == nil {
+		return h.Data
+	}
+	// §4.1 — restore the caller's batch (line 20). Below the top the
+	// layer pass reads the unique rows through the inverse index instead.
+	start := time.Now()
+	out := DedupInvertWith(ar, h.Data, h.Idx)
+	e.observe(stats.OpDedupInvert, StageDedup, device.HostOp, 0, start)
+	return out
 }
 
 // noteEmbedTimes advances the monotonic bound on embedded query
@@ -832,13 +844,19 @@ func (e *Engine) chargeTransfer(op string, dir device.Direction, bytes int64, ca
 	e.opt.Collector.Add(op, e.opt.Device.TransferTime(dir, bytes, calls))
 }
 
-func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *tensor.Tensor {
+// embed returns the layer-l embeddings of the targets as rows read in
+// place: at layer 0 the node feature table indexed by node id, above it
+// the level's unique rows indexed by §4.1's inverse index (dense when
+// dedup is off). The caller's layer pass reads them there; nothing is
+// gathered or re-expanded between levels.
+func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.Rows {
 	cfg := e.model.Cfg
 	d := cfg.NodeDim
 	if l == 0 {
 		start := time.Now()
-		h := gatherRows32(ar, e.model.NodeFeat, nodes)
+		h := featureRows(ar, e.model.NodeFeat, nodes)
 		e.observe(stats.OpFeatLookup, "", device.HostOp, 0, start)
+		// Device run: the rows the layer reads still cross to the device.
 		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(len(nodes)*d*4), 1)
 		return h
 	}
@@ -950,14 +968,13 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		copy(allNodes[nm:], b.Nghs)
 		copy(allTs[nm:], b.Times)
 		hAll := e.embed(ar, l-1, allNodes, allTs)
-		hTgt := ar.Wrap(hAll.Data()[:nm*d], nm, d)
-		hNgh := ar.Wrap(hAll.Data()[nm*d:], nm*k, d)
+		hTgt, hNgh := hAll.Slice(ar, 0, nm), hAll.Slice(ar, nm, nm+nm*k)
 
 		tEnc0 := e.encodeZeros(ar, nm)
 		tEncD := e.encodeDeltas(ar, missTs, &b, nm, k)
 
 		start = time.Now()
-		eFeat := gatherRows32(ar, e.model.EdgeFeat, b.EIdxs)
+		eFeat := featureRows(ar, e.model.EdgeFeat, b.EIdxs)
 		e.observe(stats.OpFeatLookup, "", device.HostOp, 0, start)
 		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(nm*k*cfg.EdgeDim*4), 1)
 
@@ -1045,13 +1062,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) *te
 		}
 	}
 
-	// §4.1 — restore the original batch shape (line 20).
-	if inv != nil {
-		start := time.Now()
-		h = DedupInvertWith(ar, h, inv)
-		e.observe(stats.OpDedupInvert, StageDedup, device.HostOp, 0, start)
-	}
-	return h
+	return nn.Rows{Data: h, Idx: inv}
 }
 
 // encodeZeros produces Φ(0) rows for n targets, from the precomputed
@@ -1110,22 +1121,13 @@ func (e *Engine) encodeDeltas(ar *tensor.Arena, ts []float64, b *graph.Batch, n,
 	return out
 }
 
-// gatherRows32 copies rows of t selected by 32-bit indices into an
-// arena tensor (heap when ar is nil).
-func gatherRows32(ar *tensor.Arena, t *tensor.Tensor, idx []int32) *tensor.Tensor {
-	w := t.Dim(1)
-	rows := t.Dim(0)
-	out := ar.Tensor(len(idx), w)
-	src := t.Data()
-	dst := out.Data()
-	for i, r := range idx {
-		// Edges ingested after the feature table was built have ids past
-		// its last row; they carry no features, so fall back to the
-		// all-zero padding row instead of reading out of bounds.
-		if int(r) >= rows || r < 0 {
-			r = 0
-		}
-		copy(dst[i*w:(i+1)*w], src[int(r)*w:(int(r)+1)*w])
+// featureRows returns the rows of a feature table that ids read, in
+// place: the table itself, indexed by each id's tgat.FeatureRow.
+func featureRows(ar *tensor.Arena, table *tensor.Tensor, ids []int32) nn.Rows {
+	idx := ar.Int32s(len(ids))
+	rows := table.Dim(0)
+	for i, id := range ids {
+		idx[i] = tgat.FeatureRow(id, rows)
 	}
-	return out
+	return nn.Rows{Data: table, Idx: idx}
 }

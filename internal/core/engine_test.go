@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"tgopt/internal/tensor"
@@ -67,6 +68,39 @@ func TestEngineSemanticsPreservation(t *testing.T) {
 			if diff > 1e-5 {
 				t.Fatalf("opts {dedup:%v cache:%v time:%v}: score %d differs by %g",
 					opt.EnableDedup, opt.EnableCache, opt.EnableTimePrecompute, i, diff)
+			}
+		}
+	}
+}
+
+// TestEngineDeepIndexedRowsMatchBaselineBitwise: at L = 3 with dedup on
+// and the layer caches warmed for part of the batch, each layer reads
+// its inputs in place through the level below's inverse index, and the
+// rows behind that index were assembled from cache hits and computed
+// misses (the missPos path). The result is the baseline's, bit for bit.
+func TestEngineDeepIndexedRowsMatchBaselineBitwise(t *testing.T) {
+	ds, _, s := engineTestSetup(t, 600)
+	cfg := engineTestConfig()
+	cfg.Layers = 3
+	m, err := tgat.NewModel(cfg, ds.NodeFeat, ds.EdgeFeat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(m, s, OptAll())
+	eng.Embed([]int32{1, 3, 5, 7, 26, 28}, []float64{4e4, 4e4, 4e4, 4e4, 4e4, 4e4})
+	before := eng.CacheFor(1).Stats()
+	nodes := []int32{1, 2, 3, 1, 26, 30, 7, 12, 2, 9, 33, 5}
+	ts := []float64{4e4, 4e4, 4e4, 4e4, 4e4, 3e4, 4e4, 4.2e4, 4e4, 4e4, 4e4, 4e4}
+	got := eng.Embed(nodes, ts)
+	after := eng.CacheFor(1).Stats()
+	if after.Hits == before.Hits || after.Misses == before.Misses {
+		t.Fatalf("layer-1 cache not partly warm for the measured pass: %+v → %+v", before, after)
+	}
+	want := m.Embed(s, nodes, ts, nil)
+	for i := range nodes {
+		for j := 0; j < cfg.NodeDim; j++ {
+			if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(i, j)) {
+				t.Fatalf("target %d col %d: engine %v, baseline %v", i, j, got.At(i, j), want.At(i, j))
 			}
 		}
 	}

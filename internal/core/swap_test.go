@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -128,6 +129,17 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 					if got.At(i, j) != want.At(i, j) {
 						t.Fatalf("row %d col %d: swapped %v vs fresh %v", i, j, got.At(i, j), want.At(i, j))
 					}
+				}
+			}
+			// The score head's held pack follows the swap too: scores over
+			// the same rows are the fresh engine's, bit for bit.
+			d := mA.Cfg.NodeDim
+			half := func(h *tensor.Tensor, i int) *tensor.Tensor { return tensor.FromSlice(h.Data()[i*3*d:(i+1)*3*d], 3, d) }
+			gotScore := eng.ScoreWith(nil, half(got, 0), half(got, 1))
+			wantScore := ref.ScoreWith(nil, half(want, 0), half(want, 1))
+			for i, v := range gotScore.Data() {
+				if math.Float32bits(v) != math.Float32bits(wantScore.Data()[i]) {
+					t.Fatalf("score %d: swapped %v vs fresh %v", i, v, wantScore.Data()[i])
 				}
 			}
 			// The swap emptied the memo state, not disabled it: the

@@ -22,6 +22,57 @@ import (
 // resident in L2 from assembly to the attention core's last read.
 const layerTile = 32
 
+// Rows is a layer input read where it lives: row i is Data's row
+// Idx[i], or Data's row i when Idx is nil. The engine hands the layer
+// pass its feature tables and its deduplicated embeddings this way, with
+// the node or edge ids and §4.1's inverse index as Idx, instead of
+// gathering them into batch-shaped copies.
+type Rows struct {
+	Data *tensor.Tensor // (rows, width)
+	Idx  []int32
+}
+
+// Len returns the number of rows the source addresses.
+func (r Rows) Len() int {
+	if r.Idx != nil {
+		return len(r.Idx)
+	}
+	return r.Data.Dim(0)
+}
+
+// Width returns the row width.
+func (r Rows) Width() int { return r.Data.Dim(1) }
+
+// Slice returns the source of rows [lo,hi), its header drawn from ar
+// (heap when ar is nil) when the rows are Data's own.
+func (r Rows) Slice(ar *tensor.Arena, lo, hi int) Rows {
+	if r.Idx != nil {
+		return Rows{Data: r.Data, Idx: r.Idx[lo:hi]}
+	}
+	w := r.Width()
+	return Rows{Data: ar.Wrap(r.Data.Data()[lo*w:hi*w], hi-lo, w)}
+}
+
+// src flattens the source for the tile loops.
+func (r Rows) src() rowSrc {
+	return rowSrc{data: r.Data.Data(), idx: r.Idx, w: r.Width()}
+}
+
+// rowSrc is a Rows as the tile loops read it.
+type rowSrc struct {
+	data []float32
+	idx  []int32
+	w    int
+}
+
+// row returns row i of the source.
+func (r rowSrc) row(i int) []float32 {
+	if r.idx != nil {
+		i = int(r.idx[i])
+	}
+	return r.data[i*r.w : (i+1)*r.w]
+}
+
 // LayerForwardWith runs one TGAT layer for n targets with k neighbor
 // slots each: attention of z_i = hTgt ‖ tEnc0 over z_j = hNgh ‖ eFeat ‖
 // tEncD, then FFN(attention ‖ hTgt).
@@ -34,10 +85,11 @@ const layerTile = 32
 // what merge.ForwardWith(attn.ForwardWith(q, kv), hTgt) returns over the
 // concatenated q and kv. Rows of hNgh, eFeat and tEncD under a padded
 // slot are never read. The layer's weights are packed into ar for this
-// call; LayerForwardPacked is the same pass over packs made earlier.
+// call; LayerForwardPacked is the same pass over packs made earlier, and
+// over row sources, of which these dense tensors are the nil-index case.
 func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
 	pack := PackLayer(ar, attn, merge)
-	return LayerForwardPacked(ar, attn, merge, &pack, k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+	return LayerForwardPacked(ar, attn, merge, &pack, k, Rows{Data: hTgt}, Rows{Data: hNgh}, Rows{Data: eFeat}, tEnc0, tEncD, mask)
 }
 
 // LayerPack holds tensor.PackLinear of the five projections a layer pass
@@ -60,17 +112,19 @@ func PackLayer(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer) Lay
 }
 
 // LayerForwardPacked is LayerForwardWith over pack, which PackLayer made
-// from attn and merge's current weights.
-func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, pack *LayerPack, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+// from attn and merge's current weights, reading hTgt, hNgh and eFeat
+// where they live. tEnc0 and tEncD are computed per call, so they are
+// dense.
+func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, pack *LayerPack, k int, hTgt, hNgh, eFeat Rows, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
 	ops := layerOps{wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2}
-	n, d := hTgt.Dim(0), hTgt.Dim(1)
-	de, dt := eFeat.Dim(1), tEnc0.Dim(1)
-	if tEnc0.Dim(0) != n || hNgh.Dim(0) != n*k || eFeat.Dim(0) != n*k || tEncD.Dim(0) != n*k || len(mask) != n*k {
+	n, d := hTgt.Len(), hTgt.Width()
+	de, dt := eFeat.Width(), tEnc0.Dim(1)
+	if tEnc0.Dim(0) != n || hNgh.Len() != n*k || eFeat.Len() != n*k || tEncD.Dim(0) != n*k || len(mask) != n*k {
 		panic(fmt.Sprintf("nn: layer rows: %d targets × %d slots, got tEnc0 %d hNgh %d eFeat %d tEncD %d mask %d",
-			n, k, tEnc0.Dim(0), hNgh.Dim(0), eFeat.Dim(0), tEncD.Dim(0), len(mask)))
+			n, k, tEnc0.Dim(0), hNgh.Len(), eFeat.Len(), tEncD.Dim(0), len(mask)))
 	}
-	if hNgh.Dim(1) != d || tEncD.Dim(1) != dt {
-		panic(fmt.Sprintf("nn: layer widths: hNgh %d != hTgt %d, or tEncD %d != tEnc0 %d", hNgh.Dim(1), d, tEncD.Dim(1), dt))
+	if hNgh.Width() != d || tEncD.Dim(1) != dt {
+		panic(fmt.Sprintf("nn: layer widths: hNgh %d != hTgt %d, or tEncD %d != tEnc0 %d", hNgh.Width(), d, tEncD.Dim(1), dt))
 	}
 	e := ops.wq.Out()
 	if ops.wq.In() != d+dt || ops.wo.In() != e || ops.fc1.In() != ops.wo.Out()+d || ops.fc2.In() != ops.fc1.Out() {
@@ -83,7 +137,7 @@ func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeL
 		core:     newAttnCore(attn.WK, attn.WV, pack.wv, attn.Heads, e, k, d+de+dt),
 		wqT:      pack.wq, woT: pack.wo, fc1T: pack.fc1, fc2T: pack.fc2,
 		d: d, de: de, dt: dt,
-		hTgt: hTgt.Data(), hNgh: hNgh.Data(), eFeat: eFeat.Data(),
+		hTgt: hTgt.src(), hNgh: hNgh.src(), eFeat: eFeat.src(),
 		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
 		out:   out.Data(),
 		tile:  min(layerTile, n),
@@ -125,9 +179,10 @@ type layerPass struct {
 	d, de, dt            int       // node, edge and time widths
 	wqT, woT, fc1T, fc2T []float32 // the LayerPack's entries: nil runs the scalar kernel
 
-	hTgt, hNgh, eFeat, tEnc0, tEncD []float32
-	mask                            []bool
-	out                             []float32
+	hTgt, hNgh, eFeat rowSrc // read where they live
+	tEnc0, tEncD      []float32
+	mask              []bool
+	out               []float32
 
 	tile  int // targets per tile
 	chunk int // targets per fan-out chunk; chunk c uses scratch slot c
@@ -180,14 +235,15 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 	for r := 0; r < m; r++ {
 		i := lo + r
 		row := t.q[r*qd : (r+1)*qd]
-		copy(row, p.hTgt[i*d:(i+1)*d])
+		copy(row, p.hTgt.row(i))
 		copy(row[d:], p.tEnc0[i*dt:(i+1)*dt])
 	}
 	qp := t.qp[:m*p.core.e]
 	tensor.LinearRowsPacked(t.q[:m*qd], m, p.wq.W, p.wqT, p.wq.B, qp)
 
-	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only: the core never
-	// reads a padded slot's row, so it is never assembled.
+	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only, each segment
+	// read from its source through its index: the core never reads a
+	// padded slot's row, so it is never assembled.
 	mask := p.mask[lo*k : hi*k]
 	for s, ok := range mask {
 		if !ok {
@@ -195,8 +251,8 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 		}
 		g := lo*k + s
 		row := t.kv[s*kd : (s+1)*kd]
-		copy(row, p.hNgh[g*d:(g+1)*d])
-		copy(row[d:], p.eFeat[g*de:(g+1)*de])
+		copy(row, p.hNgh.row(g))
+		copy(row[d:], p.eFeat.row(g))
 		copy(row[d+de:], p.tEncD[g*dt:(g+1)*dt])
 	}
 
@@ -213,7 +269,7 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 	for r := 0; r < m; r++ {
 		row := t.x[r*xw : (r+1)*xw]
 		copy(row, ao[r*aw:(r+1)*aw])
-		copy(row[aw:], p.hTgt[(lo+r)*d:(lo+r+1)*d])
+		copy(row[aw:], p.hTgt.row(lo+r))
 	}
 	h := t.h[:m*p.fc1.Out()]
 	tensor.LinearRowsPacked(t.x[:m*xw], m, p.fc1.W, p.fc1T, p.fc1.B, h)

@@ -10,17 +10,33 @@ import (
 // layerFixture is a pool of targets for the layer tests: per target one
 // hTgt/tEnc0 row and k hNgh/eFeat/tEncD rows, with edgeMask's all-
 // padded, one-slot and dense targets first. Rows under padded slots hold
-// NaN: the pass must never let one reach an output.
+// NaN: the pass must never let one reach an output. The *At tables hold
+// the same hTgt, hNgh and eFeat rows where the indexed form reads them
+// (scatterRows).
 type layerFixture struct {
 	k, d, de, dt                    int
 	attn                            *TemporalAttention
 	merge                           *MergeLayer
 	hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor
 	mask                            []bool
+
+	hTgtAt, hNghAt, eFeatAt *tensor.Tensor
 }
 
-func newLayerFixture(pool int) *layerFixture {
-	const heads, d, de, dt, k = 2, 8, 6, 4, 5
+// layerShape is the fixture's widths: 8/6/4 leaves every kernel a scalar
+// tail, 32/32/32 is the benchmark's node, edge and time widths, whole
+// vector blocks.
+type layerShape struct{ heads, d, de, dt, k int }
+
+var (
+	shape864    = layerShape{2, 8, 6, 4, 5}
+	shape323232 = layerShape{2, 32, 32, 32, 5}
+)
+
+func newLayerFixture(pool int) *layerFixture { return newLayerFixtureShape(pool, shape864) }
+
+func newLayerFixtureShape(pool int, sh layerShape) *layerFixture {
+	heads, d, de, dt, k := sh.heads, sh.d, sh.de, sh.dt, sh.k
 	r := tensor.NewRNG(97)
 	f := &layerFixture{k: k, d: d, de: de, dt: dt}
 	f.attn = NewTemporalAttention(r, heads, d+dt, d+de+dt)
@@ -34,20 +50,41 @@ func newLayerFixture(pool int) *layerFixture {
 	f.eFeat = tensor.Randn(r, pool*k, de)
 	f.tEncD = tensor.Randn(r, pool*k, dt)
 	f.mask = edgeMask(r, pool, k)
-	nan := float32(0)
-	nan /= nan
 	for s, ok := range f.mask {
 		if !ok {
 			for _, t := range []*tensor.Tensor{f.hNgh, f.eFeat, f.tEncD} {
-				row := t.Row(s)
-				for j := range row {
-					row[j] = nan
-				}
+				fillNaN(t.Row(s))
 			}
 		}
 	}
+	f.hTgtAt, f.hNghAt, f.eFeatAt = scatterRows(f.hTgt), scatterRows(f.hNgh), scatterRows(f.eFeat)
 	return f
 }
+
+func fillNaN(row []float32) {
+	nan := float32(0)
+	nan /= nan
+	for j := range row {
+		row[j] = nan
+	}
+}
+
+// scatterRows returns t's n rows in reverse order at the odd rows of a
+// (2n+1)-row table whose even rows, which no index points at, hold NaN.
+// Row r of t is row at(n, r) of the table.
+func scatterRows(t *tensor.Tensor) *tensor.Tensor {
+	n := t.Dim(0)
+	out := tensor.New(2*n+1, t.Dim(1))
+	for r := 0; r <= 2*n; r += 2 {
+		fillNaN(out.Row(r))
+	}
+	for r := 0; r < n; r++ {
+		copy(out.Row(int(at(n, r))), t.Row(r))
+	}
+	return out
+}
+
+func at(n, r int) int32 { return int32(2*(n-1-r) + 1) }
 
 // batch gathers the given pool targets, in that order, into layer
 // inputs.
@@ -75,6 +112,24 @@ func (f *layerFixture) fused(ar *tensor.Arena, ids []int) []float32 {
 	return LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask).Data()
 }
 
+// indexed runs the tile pass over the given targets with hTgt, hNgh and
+// eFeat read in place from the scattered tables through indices; a
+// target asked twice reads the same rows twice.
+func (f *layerFixture) indexed(ar *tensor.Arena, ids []int) []float32 {
+	n, k, pool := len(ids), f.k, f.hTgt.Dim(0)
+	_, _, _, tEnc0, tEncD, mask := f.batch(ids)
+	tgt, ngh := make([]int32, n), make([]int32, n*k)
+	for p, i := range ids {
+		tgt[p] = at(pool, i)
+		for j := 0; j < k; j++ {
+			ngh[p*k+j] = at(pool*k, i*k+j)
+		}
+	}
+	pack := PackLayer(ar, f.attn, f.merge)
+	return LayerForwardPacked(ar, f.attn, f.merge, &pack, k, Rows{Data: f.hTgtAt, Idx: tgt},
+		Rows{Data: f.hNghAt, Idx: ngh}, Rows{Data: f.eFeatAt, Idx: ngh}, tEnc0, tEncD, mask).Data()
+}
+
 // composed runs the same layer one public op at a time over the
 // whole-batch q and kv. ConcatColsInto copies the NaN rows of padded
 // slots into kv; the attention core skips them.
@@ -98,21 +153,25 @@ func seq(n, pool, stride, off int) []int {
 // TestLayerPassMatchesComposedOpsBitwise: the fused pass changes when a
 // row is computed, never the order its terms are added, so it returns
 // the bits of the layer composed from the public ops, serial and fanned
-// out.
+// out — over dense inputs and over inputs read in place through indices
+// (repeated past n = 64), at both fixture shapes.
 func TestLayerPassMatchesComposedOpsBitwise(t *testing.T) {
 	const pool = 64
-	f := newLayerFixture(pool)
 	defer parallel.SetDegree(parallel.SetDegree(2))
-	for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
-		ids := seq(n, pool, 5, 1)
-		got := f.fused(nil, ids)
-		want := f.composed(ids)
-		if at := sameBits(got, want); at >= 0 {
-			t.Fatalf("n=%d: fused pass differs from the composed ops at element %d (%v vs %v)", n, at, got[at], want[at])
-		}
-		for _, v := range got {
-			if v != v {
-				t.Fatalf("n=%d: a padded slot's NaN reached the output", n)
+	for _, sh := range []layerShape{shape864, shape323232} {
+		f := newLayerFixtureShape(pool, sh)
+		for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
+			ids := seq(n, pool, 5, 1)
+			want := f.composed(ids)
+			for form, got := range map[string][]float32{"dense": f.fused(nil, ids), "indexed": f.indexed(nil, ids)} {
+				if at := sameBits(got, want); at >= 0 {
+					t.Fatalf("%v %s n=%d: fused pass differs from the composed ops at element %d (%v vs %v)", sh, form, n, at, got[at], want[at])
+				}
+				for _, v := range got {
+					if v != v {
+						t.Fatalf("%v %s n=%d: a padded slot's or unindexed row's NaN reached the output", sh, form, n)
+					}
+				}
 			}
 		}
 	}
@@ -123,32 +182,42 @@ func TestLayerPassMatchesComposedOpsBitwise(t *testing.T) {
 // depend only on its own rows and mask — not on the batch length (one
 // target, either side of a tile boundary, either side of the fan-out
 // cut-off), its position in the batch, the scratch slot its chunk was
-// given, or the parallel degree. The all-padded and one-slot targets
-// sit at pool ids 0 and 1 and land on every kind of position.
+// given, the parallel degree, or whether its rows were read in place
+// through indices. The all-padded and one-slot targets sit at pool ids 0
+// and 1 and land on every kind of position.
 func TestLayerRowIndependenceBitwise(t *testing.T) {
 	const pool = 48
-	f := newLayerFixture(pool)
 	prev := parallel.Degree()
 	defer parallel.SetDegree(prev)
-	alone := make([][]float32, pool)
-	for i := range alone {
-		alone[i] = f.fused(nil, []int{i})
-	}
-	w := len(alone[0])
-	ar := tensor.NewArena() // reused dirty across calls, as the engine's is
-	for _, degree := range []int{1, 2, 4} {
-		parallel.SetDegree(degree)
-		for _, n := range []int{1, layerTile - 1, layerTile, layerTile + 1, 255, 256, 1000} {
-			// Strides coprime to the pool walk every target through
-			// every residue of position mod tile.
-			for _, stride := range []int{1, 7} {
-				ids := seq(n, pool, stride, n%pool)
-				ar.Reset()
-				out := f.fused(ar, ids)
-				for p, i := range ids {
-					if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
-						t.Fatalf("degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
-							degree, n, i, p, at)
+	for _, sh := range []layerShape{shape864, shape323232} {
+		f := newLayerFixtureShape(pool, sh)
+		alone := make([][]float32, pool)
+		for i := range alone {
+			alone[i] = f.fused(nil, []int{i})
+		}
+		w := len(alone[0])
+		ar := tensor.NewArena() // reused dirty across calls, as the engine's is
+		for _, degree := range []int{1, 2, 4} {
+			parallel.SetDegree(degree)
+			for _, n := range []int{1, layerTile - 1, layerTile, layerTile + 1, 255, 256, 1000} {
+				// Strides coprime to the pool walk every target through
+				// every residue of position mod tile.
+				for _, stride := range []int{1, 7} {
+					ids := seq(n, pool, stride, n%pool)
+					for _, form := range []string{"dense", "indexed"} {
+						ar.Reset()
+						var out []float32
+						if form == "dense" {
+							out = f.fused(ar, ids)
+						} else {
+							out = f.indexed(ar, ids)
+						}
+						for p, i := range ids {
+							if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
+								t.Fatalf("%v %s degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
+									sh, form, degree, n, i, p, at)
+							}
+						}
 					}
 				}
 			}

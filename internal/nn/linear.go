@@ -74,12 +74,35 @@ func (m *MergeLayer) Forward(a, b *tensor.Tensor) *tensor.Tensor {
 
 // ForwardWith is Forward with every intermediate and the output drawn
 // from ar (heap when ar is nil). The result is invalidated by ar.Reset.
+// The weights are packed into ar for this call.
 func (m *MergeLayer) ForwardWith(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
+	pack := PackMerge(ar, m)
+	return m.ForwardPacked(ar, &pack, a, b)
+}
+
+// MergePack holds tensor.PackLinear of a merge layer's FC1 and FC2; a
+// nil entry runs that projection's scalar kernel to the same bits. Like
+// LayerPack it is a copy, stale after any write to the weights.
+type MergePack struct {
+	fc1, fc2 []float32
+}
+
+// PackMerge packs m's projections into ar (heap when ar is nil).
+func PackMerge(ar *tensor.Arena, m *MergeLayer) MergePack {
+	return MergePack{fc1: tensor.PackLinear(ar, m.FC1.W), fc2: tensor.PackLinear(ar, m.FC2.W)}
+}
+
+// ForwardPacked is ForwardWith over pack, which PackMerge made from m's
+// current weights.
+func (m *MergeLayer) ForwardPacked(ar *tensor.Arena, pack *MergePack, a, b *tensor.Tensor) *tensor.Tensor {
 	x := ar.Tensor(a.Dim(0), a.Dim(1)+b.Dim(1))
 	tensor.ConcatColsInto(x, a, b)
-	h := m.FC1.ForwardWith(ar, x)
+	h := ar.Tensor(x.Dim(0), m.FC1.Out())
+	tensor.LinearIntoPacked(x, m.FC1.W, pack.fc1, m.FC1.B, h)
 	tensor.ReLUInPlace(h)
-	return m.FC2.ForwardWith(ar, h)
+	out := ar.Tensor(h.Dim(0), m.FC2.Out())
+	tensor.LinearIntoPacked(h, m.FC2.W, pack.fc2, m.FC2.B, out)
+	return out
 }
 
 // Params returns the trainable tensors of both sublayers.

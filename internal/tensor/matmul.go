@@ -430,6 +430,12 @@ func LinearIntoWith(ar *Arena, x, w, bias, dst *Tensor) {
 	linearInto(x, w, PackLinear(ar, w), bias, dst)
 }
 
+// LinearIntoPacked is LinearInto over wt = PackLinear(·, w), made since
+// the last write to w; a nil wt is LinearInto. Same bits.
+func LinearIntoPacked(x, w *Tensor, wt []float32, bias, dst *Tensor) {
+	linearInto(x, w, wt, bias, dst)
+}
+
 func linearInto(x, w *Tensor, wt []float32, bias, dst *Tensor) {
 	if x.Rank() != 2 || w.Rank() != 2 {
 		panic("tensor: LinearInto requires rank-2 operands")

@@ -98,8 +98,9 @@ func (m *Model) PackLayers() []nn.LayerPack {
 }
 
 // LayerForwardPacked is LayerForwardWith over layer l's entry of a
-// PackLayers result made since the last ApplyParams.
-func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+// PackLayers result made since the last ApplyParams, reading hTgt, hNgh
+// and eFeat where they live (nn.Rows).
+func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, hTgt, hNgh, eFeat nn.Rows, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
 	return nn.LayerForwardPacked(ar, m.Attn[l-1], m.Merge[l-1], pack, m.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
 }
 
@@ -167,20 +168,23 @@ func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64, col 
 	return out
 }
 
-// gatherRows32 is tensor.GatherRows for int32 indices.
+// FeatureRow returns the row of a feature table with the given number of
+// rows that id reads: id itself, or the all-zero padding row 0 for an id
+// past the table. Edges ingested after the table was built have such
+// ids; they carry no features. Every reader of NodeFeat and EdgeFeat
+// goes through this one rule.
+func FeatureRow(id int32, rows int) int32 {
+	if int(id) >= rows || id < 0 {
+		return 0
+	}
+	return id
+}
+
+// gatherRows32 copies the FeatureRow of every id into a new tensor.
 func gatherRows32(t *tensor.Tensor, idx []int32) *tensor.Tensor {
-	w := t.Dim(1)
-	rows := t.Dim(0)
-	out := tensor.New(len(idx), w)
-	src := t.Data()
-	dst := out.Data()
-	for i, r := range idx {
-		// Live-ingested edges have ids past the feature table; they
-		// carry no features, so use the all-zero padding row.
-		if int(r) >= rows || r < 0 {
-			r = 0
-		}
-		copy(dst[i*w:(i+1)*w], src[int(r)*w:(int(r)+1)*w])
+	out := tensor.New(len(idx), t.Dim(1))
+	for i, id := range idx {
+		copy(out.Row(i), t.Row(int(FeatureRow(id, t.Dim(0)))))
 	}
 	return out
 }
@@ -192,9 +196,21 @@ func (m *Model) Score(hSrc, hDst *tensor.Tensor) *tensor.Tensor {
 }
 
 // ScoreWith is Score with the output drawn from ar (heap when ar is
-// nil). The result is invalidated by ar.Reset.
+// nil). The result is invalidated by ar.Reset. The affinity head's
+// weights are packed into ar for this call.
 func (m *Model) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
 	return m.Affinity.ForwardWith(ar, hSrc, hDst)
+}
+
+// PackScore returns the affinity head's weight pack (nn.PackMerge),
+// drawn from the heap. Like PackLayers it holds the parameters' current
+// values: a holder rebuilds it after every ApplyParams.
+func (m *Model) PackScore() nn.MergePack { return nn.PackMerge(nil, m.Affinity) }
+
+// ScorePacked is ScoreWith over a PackScore result made since the last
+// ApplyParams.
+func (m *Model) ScorePacked(ar *tensor.Arena, pack *nn.MergePack, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
+	return m.Affinity.ForwardPacked(ar, pack, hSrc, hDst)
 }
 
 // Attribution is one neighbor's contribution to a target's top-layer
@@ -232,14 +248,7 @@ func (m *Model) Explain(s *graph.Sampler, node int32, t float64) (*tensor.Tensor
 		deltas[j] = t - b.Times[j]
 	}
 	tEncD := m.Time.Encode(deltas)
-	eFeat := tensor.New(k, m.Cfg.EdgeDim)
-	for j := 0; j < k; j++ {
-		row := int(b.EIdxs[j])
-		if row >= m.EdgeFeat.Dim(0) || row < 0 {
-			row = 0 // live-ingested edge: no features, use the padding row
-		}
-		copy(eFeat.Row(j), m.EdgeFeat.Row(row))
-	}
+	eFeat := gatherRows32(m.EdgeFeat, b.EIdxs)
 
 	q := tensor.ConcatCols(hTgt, tEnc0)
 	kv := tensor.ConcatCols(hNgh, eFeat, tEncD)

@@ -47,9 +47,19 @@ if grep -niE 'SpillStore|CacheSpill|spill|promote' $(nontest internal/core) $(no
     echo "a second cache tier is back: the lines above"; exit 1
 fi
 
-echo "== one pack per params version (the engine's layer pass reads packs built in NewEngine/FinishSwap, never repacks)"
-if grep -nE 'PackLinear|LayerForwardWith' $(nontest internal/core); then
+echo "== one pack per params version (the engine's layer pass and score head read packs built in NewEngine/FinishSwap, never repack)"
+if grep -nE 'PackLinear|LayerForwardWith|model\.ScoreWith' $(nontest internal/core); then
     echo "internal/core reaches a per-call weight pack again: the lines above"; exit 1
+fi
+
+echo "== the engine gathers no layer input (the layer pass reads feature tables and deduplicated rows in place; one DedupInvertWith restores the caller's batch)"
+if grep -n 'gatherRows32' $(nontest internal/core); then
+    echo "internal/core gathers a layer input again: the lines above"; exit 1
+fi
+engine_files=$(nontest internal/core | grep -v '/dedup.go$')
+if [ "$(grep -h 'DedupInvertWith(' $engine_files | wc -l)" -gt 1 ]; then
+    grep -n 'DedupInvertWith(' $engine_files
+    echo "internal/core re-expands a level below the top again: the lines above"; exit 1
 fi
 
 echo "== go test"
