@@ -9,7 +9,7 @@
 //	Figure 6  BenchmarkFig6Ablation/<step>
 //	Figure 7  regenerated by `tgopt-bench fig7` (count-based, not timed)
 //	Table 3   BenchmarkOps/* (per-operation microbenchmarks)
-//	Table 4   BenchmarkTable4CacheLimit/<limit>, BenchmarkRowFormat/<float32|int8>
+//	Table 4   BenchmarkTable4CacheLimit/<limit>
 //	Table 5   BenchmarkTable5Placement/<host|device>
 //	extra     BenchmarkCacheSharding, BenchmarkTimeWindow, BenchmarkSampler,
 //	          BenchmarkEvictionPolicy, BenchmarkAttentionKernels,
@@ -295,31 +295,6 @@ func BenchmarkTable4CacheLimit(b *testing.B) {
 				eng := core.NewEngine(wl.Model, wl.Sampler, opt)
 				tgat.StreamInference(wl.DS.Graph, wl.Model, 200, eng.EmbedFunc())
 			}
-		})
-	}
-}
-
-// BenchmarkRowFormat is what -quant int8 buys: both engines run the one
-// float32 layer pass over the Table 4 stream under one byte budget small
-// enough to evict, so ns/op prices the encode-on-store and
-// dequantize-on-read, and the int8 row format (4+d payload bytes against
-// 4·d) shows as more entries and more hits in the same resident bytes.
-func BenchmarkRowFormat(b *testing.B) {
-	wl := benchWorkload(b, "jodie-lastfm")
-	for _, quant := range []core.QuantMode{core.QuantOff, core.QuantInt8} {
-		b.Run(quant.String(), func(b *testing.B) {
-			var eng *core.Engine
-			for i := 0; i < b.N; i++ {
-				opt := core.OptAll()
-				opt.CacheBudgetBytes = 64 << 10
-				opt.Quant = quant
-				eng = core.NewEngine(wl.Model, wl.Sampler, opt)
-				tgat.StreamInference(wl.DS.Graph, wl.Model, 200, eng.EmbedFunc())
-			}
-			cs := eng.CacheStats()
-			b.ReportMetric(float64(cs.Hits)/float64(cs.Lookups), "hit-ratio")
-			b.ReportMetric(float64(eng.CacheLen()), "entries")
-			b.ReportMetric(float64(eng.CacheBytes()), "cache-bytes")
 		})
 	}
 }

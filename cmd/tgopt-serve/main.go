@@ -50,7 +50,6 @@ func main() {
 	empty := flag.Bool("empty", false, "start with an empty graph instead of pre-ingesting history")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
-	cacheBudget := flag.Int64("cache-budget", 0, "cache byte budget (overrides -cache-limit; 0 = use the item limit)")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "cache eviction policy: tinylfu (sketch-based admission) or fifo (the paper's policy)")
 	cacheFile := flag.String("cache-file", "", "warm-start file: load memoized embeddings at boot, save on SIGINT/SIGTERM")
 	snapInterval := flag.Duration("snapshot-interval", 0, "background cache snapshot cadence to -cache-file (0 disables; snapshots are atomic, a crash never corrupts the file)")
@@ -64,7 +63,6 @@ func main() {
 	shards := flag.Int("shards", 1, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")
 	shardQuorum := flag.Int("shard-quorum", 1, "healthy shards required to accept a request (below it: 503 + Retry-After)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a shard leg to another shard after max(this, the shard's observed p99) (0 disables hedged reads)")
-	quant := flag.String("quant", "float32", "format of memoized rows and the time table: float32 (default) or int8 (scale + codes, dequantized on read; 1.9x the cache entries per byte at dim 32, 2.7x at 96; compute stays float32; see DESIGN.md §14)")
 	swapDir := flag.String("swap-dir", "", "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §16)")
 	swapInterval := flag.Duration("swap-interval", 0, "swap loop cadence: poll -swap-dir (or fine-tune, with -swap-train) this often (0 disables the loop; boot-time load still happens)")
 	swapTrain := flag.Bool("swap-train", false, "run the fine-tuner in-process: each -swap-interval, train a clone of the serving model on the watermarked prefix of the live stream, publish it into -swap-dir, and hot-swap to it")
@@ -120,7 +118,6 @@ func main() {
 
 	opt := core.OptAll()
 	opt.CacheLimit = setup.EffectiveCacheLimit()
-	opt.CacheBudgetBytes = *cacheBudget
 	switch *cachePolicy {
 	case "tinylfu":
 		opt.CachePolicy = core.CacheTinyLFU
@@ -128,9 +125,6 @@ func main() {
 		opt.CachePolicy = core.CacheFIFO
 	default:
 		fatal(fmt.Errorf("unknown -cache-policy %q (want tinylfu or fifo)", *cachePolicy))
-	}
-	if opt.Quant, err = core.ParseQuantMode(*quant); err != nil {
-		fatal(err)
 	}
 	var srv *serve.Server
 	if *shards > 1 {
@@ -216,7 +210,6 @@ func main() {
 	} else {
 		log.Printf("out-of-order ingest: off (out-of-order edges are dropped against the watermark)")
 	}
-	log.Printf("row format at rest: %s (compute is float32)", opt.Quant)
 	log.Printf("kernels: %s", tensor.Kernels())
 	if *batchOff {
 		log.Printf("cross-request batching: off")

@@ -16,18 +16,6 @@ import (
 // payload × 1.16).
 const cacheEntryOverhead = 64
 
-// EntriesForBudgetQuant converts a byte budget into a cache item
-// limit for dim-wide entries of either format — the vector payload plus
-// per-item bookkeeping, the same accounting UsedBytes reports. Always
-// at least 1. See QuantInt8 for what the int8 format buys per budget.
-func EntriesForBudgetQuant(budget int64, dim int, quant bool) int {
-	n := int(budget / int64(entryCodec{dim: dim, quant: quant}.entryBytes()))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // splitWeights returns the relative budget weights for cached layers
 // 1..top (index 0 unused). Layer l's share is proportional to
 // k^(top−l): every layer-(l+1) miss fans out into k layer-l lookups, so
@@ -105,9 +93,6 @@ type CacheConfig struct {
 	Shards int
 	// Policy picks the eviction policy (default CacheTinyLFU).
 	Policy CachePolicy
-	// Quant stores entries int8-quantized (scale + codes) instead of
-	// float32. See QuantInt8.
-	Quant bool
 }
 
 // CacheStats is a point-in-time snapshot of the cache's counters. They
@@ -129,7 +114,6 @@ type CacheStats struct {
 // implementation.
 type Cache struct {
 	dim    int
-	codec  entryCodec
 	shards []cacheShard
 	mask   uint64
 	limit  int
@@ -138,9 +122,9 @@ type Cache struct {
 
 type cacheShard struct {
 	mu    sync.Mutex
-	limit int               // this shard's slice of the global limit; Σ limits == Cache.limit
-	m     map[uint64][]byte // entryCodec payloads
-	fifo  []uint64          // insertion order; head compacts lazily
+	limit int // this shard's slice of the global limit; Σ limits == Cache.limit
+	m     map[uint64][]float32
+	fifo  []uint64 // insertion order; head compacts lazily
 	head  int
 	// dead counts FIFO occurrences orphaned by Remove: re-storing a
 	// removed key appends a fresh occurrence, so the old one must be
@@ -192,7 +176,6 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 	}
 	c := &Cache{
 		dim:    cfg.Dim,
-		codec:  entryCodec{dim: cfg.Dim, quant: cfg.Quant},
 		shards: make([]cacheShard, ns),
 		mask:   uint64(ns - 1),
 		limit:  cfg.Limit,
@@ -201,7 +184,7 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 	base, rem := cfg.Limit/ns, cfg.Limit%ns
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.m = make(map[uint64][]byte)
+		s.m = make(map[uint64][]float32)
 		s.limit = base
 		if i < rem {
 			s.limit++
@@ -232,9 +215,6 @@ func (c *Cache) Limit() int { return c.limit }
 // Policy returns the eviction policy.
 func (c *Cache) Policy() CachePolicy { return c.policy }
 
-// Quant reports whether entries are stored int8-quantized.
-func (c *Cache) Quant() bool { return c.codec.quant }
-
 // Len returns the current item count across all shards.
 func (c *Cache) Len() int {
 	total := 0
@@ -250,7 +230,7 @@ func (c *Cache) Len() int {
 // UsedBytes estimates the resident footprint of the cached embeddings,
 // payload plus bookkeeping overhead.
 func (c *Cache) UsedBytes() int64 {
-	return int64(c.Len()) * int64(c.codec.entryBytes())
+	return int64(c.Len()) * int64(4*c.dim+cacheEntryOverhead)
 }
 
 // Stats snapshots the cache counters (see CacheStats for the exactness
@@ -318,7 +298,7 @@ func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi i
 		}
 		v, ok := s.m[key]
 		if ok {
-			c.codec.decode(v, data[i*c.dim:(i+1)*c.dim])
+			copy(data[i*c.dim:(i+1)*c.dim], v)
 			s.hits++
 		} else {
 			s.misses++
@@ -373,7 +353,7 @@ func (c *Cache) storeOne(key uint64, vec []float32) {
 // out of the sketch without a single real access.
 func (c *Cache) insertLocked(s *cacheShard, key uint64, vec []float32) {
 	if old, ok := s.m[key]; ok {
-		c.codec.encode(vec, old)
+		copy(old, vec)
 		return
 	}
 	if len(s.m) >= s.limit {
@@ -385,8 +365,8 @@ func (c *Cache) insertLocked(s *cacheShard, key uint64, vec []float32) {
 		}
 		s.evictOldestLocked()
 	}
-	v := make([]byte, c.codec.payloadSize())
-	c.codec.encode(vec, v)
+	v := make([]float32, c.dim)
+	copy(v, vec)
 	s.m[key] = v
 	s.fifo = append(s.fifo, key)
 }
@@ -506,7 +486,7 @@ func (c *Cache) Clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.m = make(map[uint64][]byte)
+		s.m = make(map[uint64][]float32)
 		s.fifo = nil
 		s.head = 0
 		s.dead = nil

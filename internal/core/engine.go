@@ -17,6 +17,10 @@ import (
 // Options configure the TGOpt engine. The zero value disables every
 // optimization, making the engine an instrumented re-implementation of
 // the baseline; OptAll enables everything with the paper's defaults.
+// No option trades exactness: every memoized row and time-table row is
+// the float32 row the pass computed, so on Key's exact domain (integral
+// times that fit 32 bits) any combination answers bitwise what the
+// baseline answers.
 type Options struct {
 	// EnableDedup turns on the §4.1 deduplication filter.
 	EnableDedup bool
@@ -26,15 +30,11 @@ type Options struct {
 	EnableTimePrecompute bool
 
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
-	// the paper's setting). With more than one cached layer the limit
+	// the paper's setting); each is accounted at 4·NodeDim + 64 bytes
+	// (Cache.UsedBytes). With more than one cached layer the limit
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
 	CacheLimit int
-	// CacheBudgetBytes, when > 0, overrides CacheLimit with an explicit
-	// cache byte budget: the item limit becomes
-	// budget / (4·NodeDim + entry overhead). This is the operator-facing
-	// knob (-cache-budget): capacity planning talks in bytes, not items.
-	CacheBudgetBytes int64
 	// CacheShards controls cache concurrency (default 16).
 	CacheShards int
 	// CachePolicy picks the cache eviction policy. The zero value is
@@ -44,16 +44,6 @@ type Options struct {
 	CachePolicy CachePolicy
 	// TimeWindow is the precomputed Δt window (default 10,000).
 	TimeWindow int
-
-	// Quant selects the format of rows at rest (DESIGN.md §14). QuantOff
-	// (the default) stores float32. QuantInt8 stores memo-cache entries
-	// (in RAM and in snapshots) and the precomputed time table
-	// as per-row-scaled int8, dequantized on read, so CacheBudgetBytes
-	// holds more entries; every layer is computed in float32 either
-	// way. Outputs differ from float32 only through rows read back from
-	// an int8 store; experiments.TestQuantAPWithinGate bounds the
-	// downstream AP delta.
-	Quant QuantMode
 
 	// Collector receives per-operation timings (Table 3). Optional.
 	Collector *stats.Collector
@@ -218,15 +208,9 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	}
 	e.maxEmbedBits.Store(math.Float64bits(math.Inf(-1)))
 	e.packs, e.scorePack = m.PackLayers(), m.PackScore()
-	quant := opt.Quant == QuantInt8
 	if opt.EnableCache {
 		if s.Strategy() != graph.MostRecent {
 			panic("core: the memoization cache requires most-recent sampling (§3.2)")
-		}
-		if opt.CacheBudgetBytes > 0 {
-			limit := EntriesForBudgetQuant(opt.CacheBudgetBytes, m.Cfg.NodeDim, quant)
-			opt.CacheLimit = limit
-			e.opt.CacheLimit = limit
 		}
 		top := m.Cfg.Layers - 1
 		if m.Cfg.Layers == 1 {
@@ -240,7 +224,6 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 				Dim:    m.Cfg.NodeDim,
 				Shards: opt.CacheShards,
 				Policy: opt.CachePolicy,
-				Quant:  quant,
 			})
 		}
 	}
@@ -266,11 +249,7 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		}
 	}
 	if opt.EnableTimePrecompute {
-		if quant {
-			e.ttable = NewTimeTableQuant(m.Time, opt.TimeWindow)
-		} else {
-			e.ttable = NewTimeTable(m.Time, opt.TimeWindow)
-		}
+		e.ttable = NewTimeTable(m.Time, opt.TimeWindow)
 		// Table residency: on a device run the table ships to device
 		// memory once, charged here.
 		if opt.Device != nil {
@@ -321,11 +300,7 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 // them, so a swap is the cache-wide invalidation event.
 func (e *Engine) FinishSwap() {
 	if e.ttable != nil {
-		if e.opt.Quant == QuantInt8 {
-			e.ttable = NewTimeTableQuant(e.model.Time, e.opt.TimeWindow)
-		} else {
-			e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
-		}
+		e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
 	}
 	e.packs, e.scorePack = e.model.PackLayers(), e.model.PackScore()
 	for _, c := range e.caches {

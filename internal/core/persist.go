@@ -20,16 +20,13 @@ import (
 // entries are serialized, so concurrent stores and evictions can never
 // make a header disagree with the entries actually written:
 //
-//	magic    uint32 = 0x32434754 ("TGC2") | 0x31514754 ("TGQ1")
+//	magic    uint32 = 0x32434754 ("TGC2")
 //	dim      uint32
-//	sections repeated { count uint32, count × { key uint64, payload } }
+//	sections repeated { count uint32, count × { key uint64, [dim]float32 } }
 //	end      uint32 = 0xFFFFFFFF
 //
-// The entry payload is the shared entry codec's format: [dim]float32
-// under TGC2, or {scale float32, [dim]int8} under TGQ1 (an
-// int8-quantized cache, ~4× smaller on disk). The magic states the
-// precision, so a float32 cache refuses a TGQ1 blob — and vice versa —
-// with a clear error instead of misreading the bytes.
+// Rows are stored exactly as the cache holds them, so a warm start
+// serves the same bits the cold run computed.
 //
 // Engine snapshots wrap the per-layer blobs in a checkpoint envelope
 // (internal/checkpoint): CRC32-checksummed and atomically replaced, so
@@ -41,7 +38,6 @@ import (
 
 const (
 	cacheMagicV2 uint32 = 0x32434754 // "TGC2": per-shard sections
-	cacheMagicQ1 uint32 = 0x31514754 // "TGQ1": per-shard sections, int8 payloads
 	// cacheSectionEnd terminates the v2 section list. Section counts
 	// are bounded by the cache limit, far below this sentinel.
 	cacheSectionEnd uint32 = 0xFFFFFFFF
@@ -69,32 +65,29 @@ func (c *Cache) WriteTo(w io.Writer) (int64, error) {
 		n += int64(k)
 		return err
 	}
-	magic := cacheMagicV2
-	if c.codec.quant {
-		magic = cacheMagicQ1
-	}
-	if err := put32(magic); err != nil {
+	if err := put32(cacheMagicV2); err != nil {
 		return n, err
 	}
 	if err := put32(uint32(c.dim)); err != nil {
 		return n, err
 	}
 	var scratch bytes.Buffer
-	rec := make([]byte, 8+c.codec.payloadSize())
+	rec := make([]byte, 8+4*c.dim)
 	for i := range c.shards {
 		s := &c.shards[i]
 		scratch.Reset()
 		count := uint32(0)
 		s.mu.Lock()
-		// Write in FIFO order so ages are approximately preserved. The
-		// stored payload IS the serialized form — both precisions.
+		// Write in FIFO order so ages are approximately preserved.
 		for _, key := range s.fifo[s.head:] {
 			v, ok := s.m[key]
 			if !ok {
 				continue
 			}
 			binary.LittleEndian.PutUint64(rec, key)
-			copy(rec[8:], v)
+			for j, x := range v {
+				binary.LittleEndian.PutUint32(rec[8+4*j:], math.Float32bits(x))
+			}
 			scratch.Write(rec)
 			count++
 		}
@@ -135,16 +128,7 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	switch magic {
-	case cacheMagicV2:
-		if c.codec.quant {
-			return n, fmt.Errorf("core: cache snapshot is float32, cache runs int8-quantized — re-warm instead of loading across precisions")
-		}
-	case cacheMagicQ1:
-		if !c.codec.quant {
-			return n, fmt.Errorf("core: cache snapshot is int8-quantized, cache runs float32 — re-warm instead of loading across precisions")
-		}
-	default:
+	if magic != cacheMagicV2 {
 		return n, fmt.Errorf("core: bad cache magic %#x", magic)
 	}
 	dim, err := get32()
@@ -159,9 +143,8 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	// grow by append: a hostile count in a truncated stream must not
 	// drive a huge allocation.
 	var keys []uint64
-	var payloads []byte
-	ps := c.codec.payloadSize()
-	rec := make([]byte, 8+ps)
+	var rows []float32
+	rec := make([]byte, 8+4*c.dim)
 	for {
 		count, err := get32()
 		if err != nil {
@@ -177,17 +160,17 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 				return n, fmt.Errorf("core: cache entry %d: %w", len(keys), err)
 			}
 			keys = append(keys, binary.LittleEndian.Uint64(rec))
-			payloads = append(payloads, rec[8:]...)
+			for j := 8; j < len(rec); j += 4 {
+				rows = append(rows, math.Float32frombits(binary.LittleEndian.Uint32(rec[j:])))
+			}
 		}
 	}
 
 	// Commit: the stream parsed cleanly; only now do entries enter the
-	// live cache. Payloads re-enter through the decoded path so TinyLFU
-	// admission behaves exactly like live stores.
-	vec := make([]float32, c.dim)
+	// live cache. Rows re-enter through storeOne so TinyLFU admission
+	// behaves exactly like live stores.
 	for i, key := range keys {
-		c.codec.decode(payloads[i*ps:(i+1)*ps], vec)
-		c.storeOne(key, vec)
+		c.storeOne(key, rows[i*c.dim:(i+1)*c.dim])
 	}
 	return n, nil
 }
@@ -201,22 +184,18 @@ func (c *Cache) cloneEmpty() *Cache {
 		Dim:    c.dim,
 		Shards: len(c.shards),
 		Policy: CacheFIFO,
-		Quant:  c.codec.quant,
 	})
 }
 
 // absorb merges every entry of other into c in other's FIFO order,
-// under c's usual limit semantics. other must have the same dim and
-// precision and is expected to be a private staging cache (it is read
-// without locking).
+// under c's usual limit semantics. other must have the same dim and is
+// expected to be a private staging cache (it is read without locking).
 func (c *Cache) absorb(other *Cache) {
-	vec := make([]float32, c.dim)
 	for i := range other.shards {
 		s := &other.shards[i]
 		for _, key := range s.fifo[s.head:] {
 			if v, ok := s.m[key]; ok {
-				c.codec.decode(v, vec)
-				c.storeOne(key, vec)
+				c.storeOne(key, v)
 			}
 		}
 	}

@@ -41,6 +41,32 @@ func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 	return buf.Bytes()
 }
 
+// legacyInt8Blob builds a cache blob as the retired int8 row format
+// wrote it: v2 sections under their own magic, each payload one float32
+// scale and dim int8 codes. No reader accepts it any more.
+func legacyInt8Blob(dim int, keys []uint64) []byte {
+	var buf bytes.Buffer
+	put32 := func(v uint32) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		buf.Write(b[:])
+	}
+	put32(0x31514754) // the int8 format's magic
+	put32(uint32(dim))
+	put32(uint32(len(keys)))
+	rec := make([]byte, 8+4+dim)
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(rec, k)
+		binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(0.5))
+		for j := 0; j < dim; j++ {
+			rec[12+j] = byte(int8(i + j))
+		}
+		buf.Write(rec)
+	}
+	put32(cacheSectionEnd)
+	return buf.Bytes()
+}
+
 // TestCacheWriteToConcurrentStores exercises the snapshot count race
 // the v1 format had: the header count was taken before the per-shard
 // iteration, so stores and evictions racing with WriteTo could make
@@ -124,24 +150,90 @@ func TestCacheReadFromAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestCacheReadFromLegacyV1Blob: the un-sectioned v1 layout is refused
-// by its magic, and the refusal leaves the cache exactly as it was.
+// TestCacheReadFromLegacyV1Blob: the un-sectioned v1 layout and the
+// retired int8 layout are refused by their magic, and the refusal leaves
+// the cache exactly as it was.
 func TestCacheReadFromLegacyV1Blob(t *testing.T) {
 	keys := []uint64{11, 22, 33}
 	vals := [][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	blob := legacyV1Blob(3, keys, vals)
-	c := NewCache(10, 3, 2)
-	c.Store([]uint64{7}, tensor.Ones(1, 3))
-	if _, err := c.ReadFrom(bytes.NewReader(blob)); err == nil {
-		t.Fatal("legacy v1 blob accepted")
-	}
-	if c.Len() != 1 || !c.Contains(7) {
-		t.Fatalf("refused v1 blob changed the cache: len=%d", c.Len())
-	}
-	for _, k := range keys {
-		if c.Contains(k) {
-			t.Fatalf("refused v1 blob leaked key %d into the cache", k)
+	for name, blob := range map[string][]byte{
+		"v1":   legacyV1Blob(3, keys, vals),
+		"int8": legacyInt8Blob(3, keys),
+	} {
+		c := NewCache(10, 3, 2)
+		c.Store([]uint64{7}, tensor.Ones(1, 3))
+		if _, err := c.ReadFrom(bytes.NewReader(blob)); err == nil {
+			t.Fatalf("legacy %s blob accepted", name)
 		}
+		if c.Len() != 1 || !c.Contains(7) {
+			t.Fatalf("refused %s blob changed the cache: len=%d", name, c.Len())
+		}
+		for _, k := range keys {
+			if c.Contains(k) {
+				t.Fatalf("refused %s blob leaked key %d into the cache", name, k)
+			}
+		}
+		got := tensor.New(1, 3)
+		c.LookupInto([]uint64{7}, got, make([]bool, 1))
+		if !sameBits(got, tensor.Ones(1, 3)) {
+			t.Fatalf("refused %s blob changed the resident row: %v", name, got.Data())
+		}
+	}
+}
+
+// TestCacheReadFromHandBuiltTGC2Blob pins the on-disk layout
+// independently of WriteTo: magic, dim, one section of key + dim
+// little-endian float32s, the end marker. The rows load bit for bit,
+// including a NaN payload, a negative zero and a subnormal.
+func TestCacheReadFromHandBuiltTGC2Blob(t *testing.T) {
+	keys := []uint64{0x0000_0005_0000_03E8, 1<<63 | 9}
+	rows := [][]float32{
+		{1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC0_1234)},
+		{math.SmallestNonzeroFloat32, -3.25e7, math.MaxFloat32},
+	}
+	var blob []byte
+	blob = binary.LittleEndian.AppendUint32(blob, 0x32434754) // "TGC2"
+	blob = binary.LittleEndian.AppendUint32(blob, 3)          // dim
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
+	for i, k := range keys {
+		blob = binary.LittleEndian.AppendUint64(blob, k)
+		for _, x := range rows[i] {
+			blob = binary.LittleEndian.AppendUint32(blob, math.Float32bits(x))
+		}
+	}
+	blob = binary.LittleEndian.AppendUint32(blob, 0xFFFF_FFFF) // end marker
+
+	c := NewCache(10, 3, 2)
+	n, err := c.ReadFrom(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(blob)) || c.Len() != len(keys) {
+		t.Fatalf("read %d of %d bytes, %d entries", n, len(blob), c.Len())
+	}
+	got := tensor.New(len(keys), 3)
+	if _, hits := c.Lookup(keys, got); hits != len(keys) {
+		t.Fatalf("%d of %d keys resident", hits, len(keys))
+	}
+	for i, row := range rows {
+		for j, x := range row {
+			if g := got.At(i, j); math.Float32bits(g) != math.Float32bits(x) {
+				t.Fatalf("key %#x elem %d: loaded bits %#x, blob bits %#x", keys[i], j, math.Float32bits(g), math.Float32bits(x))
+			}
+		}
+	}
+	// WriteTo reproduces the hand-built bytes: one resident section per
+	// occupied shard, so compare after a one-shard round trip.
+	one := NewCache(10, 3, 1)
+	if _, err := one.ReadFrom(bytes.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := one.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), blob) {
+		t.Fatalf("one-shard WriteTo differs from the hand-built blob\n got %x\nwant %x", out.Bytes(), blob)
 	}
 }
 

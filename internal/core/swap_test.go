@@ -79,87 +79,80 @@ func swapTestEngine(t *testing.T, m *tgat.Model, opt Options) *Engine {
 // TestEngineSwapBitwiseEquivalence pins the hot-swap contract on one
 // engine: after SwapParams, rows are bitwise-identical to a fresh
 // engine built directly on the new parameters — no stale memo, no
-// stale precomputed time table survives the swap. Exercised
-// at both row formats: int8 rebuilds a quantized time table.
+// stale precomputed time table survives the swap.
 func TestEngineSwapBitwiseEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		quant QuantMode
-	}{{"float32", QuantOff}, {"int8", QuantInt8}} {
-		t.Run(tc.name, func(t *testing.T) {
-			opt := OptAll()
-			opt.TimeWindow = 10_000
-			opt.Quant = tc.quant
+	t.Run("float32", func(t *testing.T) {
+		opt := OptAll()
+		opt.TimeWindow = 10_000
 
-			mA := swapTestModel(t, 2)
-			eng := swapTestEngine(t, mA, opt)
+		mA := swapTestModel(t, 2)
+		eng := swapTestEngine(t, mA, opt)
 
-			nodes := []int32{1, 5, 3, 1, 9, 12}
-			ts := []float64{1000, 1000, 1000, 900, 1000, 1000}
-			eng.Embed(nodes, ts) // warm the memo cache under version 0
-			eng.Embed(nodes, ts)
-			if eng.CacheLen() == 0 {
-				t.Fatal("cache did not warm")
-			}
-			if eng.ParamsVersion() != 0 {
-				t.Fatalf("boot version %d", eng.ParamsVersion())
-			}
+		nodes := []int32{1, 5, 3, 1, 9, 12}
+		ts := []float64{1000, 1000, 1000, 900, 1000, 1000}
+		eng.Embed(nodes, ts) // warm the memo cache under version 0
+		eng.Embed(nodes, ts)
+		if eng.CacheLen() == 0 {
+			t.Fatal("cache did not warm")
+		}
+		if eng.ParamsVersion() != 0 {
+			t.Fatalf("boot version %d", eng.ParamsVersion())
+		}
 
-			// Publish version-B params through a checkpoint file, the way
-			// the serving loop does.
-			dir := t.TempDir()
-			path := filepath.Join(dir, "params.tgp")
-			if err := swapTestModel(t, 9).SaveParamsFS(checkpoint.OS{}, path); err != nil {
-				t.Fatal(err)
-			}
-			sp, err := mA.ParseParamsFS(checkpoint.OS{}, path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.SwapParams(func() { mA.ApplyParams(sp, 1) })
-			if eng.ParamsVersion() != 1 {
-				t.Fatalf("version after swap: %d", eng.ParamsVersion())
-			}
+		// Publish version-B params through a checkpoint file, the way
+		// the serving loop does.
+		dir := t.TempDir()
+		path := filepath.Join(dir, "params.tgp")
+		if err := swapTestModel(t, 9).SaveParamsFS(checkpoint.OS{}, path); err != nil {
+			t.Fatal(err)
+		}
+		sp, err := mA.ParseParamsFS(checkpoint.OS{}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SwapParams(func() { mA.ApplyParams(sp, 1) })
+		if eng.ParamsVersion() != 1 {
+			t.Fatalf("version after swap: %d", eng.ParamsVersion())
+		}
 
-			got := eng.Embed(nodes, ts)
-			ref := swapTestEngine(t, swapTestModel(t, 9), opt)
-			want := ref.Embed(nodes, ts)
-			for i := range nodes {
-				for j := 0; j < mA.Cfg.NodeDim; j++ {
-					if got.At(i, j) != want.At(i, j) {
-						t.Fatalf("row %d col %d: swapped %v vs fresh %v", i, j, got.At(i, j), want.At(i, j))
-					}
+		got := eng.Embed(nodes, ts)
+		ref := swapTestEngine(t, swapTestModel(t, 9), opt)
+		want := ref.Embed(nodes, ts)
+		for i := range nodes {
+			for j := 0; j < mA.Cfg.NodeDim; j++ {
+				if got.At(i, j) != want.At(i, j) {
+					t.Fatalf("row %d col %d: swapped %v vs fresh %v", i, j, got.At(i, j), want.At(i, j))
 				}
 			}
-			// The score head's held pack follows the swap too: scores over
-			// the same rows are the fresh engine's, bit for bit.
-			d := mA.Cfg.NodeDim
-			half := func(h *tensor.Tensor, i int) *tensor.Tensor { return tensor.FromSlice(h.Data()[i*3*d:(i+1)*3*d], 3, d) }
-			gotScore := eng.ScoreWith(nil, half(got, 0), half(got, 1))
-			wantScore := ref.ScoreWith(nil, half(want, 0), half(want, 1))
-			for i, v := range gotScore.Data() {
-				if math.Float32bits(v) != math.Float32bits(wantScore.Data()[i]) {
-					t.Fatalf("score %d: swapped %v vs fresh %v", i, v, wantScore.Data()[i])
-				}
+		}
+		// The score head's held pack follows the swap too: scores over
+		// the same rows are the fresh engine's, bit for bit.
+		d := mA.Cfg.NodeDim
+		half := func(h *tensor.Tensor, i int) *tensor.Tensor { return tensor.FromSlice(h.Data()[i*3*d:(i+1)*3*d], 3, d) }
+		gotScore := eng.ScoreWith(nil, half(got, 0), half(got, 1))
+		wantScore := ref.ScoreWith(nil, half(want, 0), half(want, 1))
+		for i, v := range gotScore.Data() {
+			if math.Float32bits(v) != math.Float32bits(wantScore.Data()[i]) {
+				t.Fatalf("score %d: swapped %v vs fresh %v", i, v, wantScore.Data()[i])
 			}
-			// The swap emptied the memo state, not disabled it: the
-			// post-swap pass re-warmed it, so an identical repeat is
-			// answered by the top-layer memo and a repeat at a later time
-			// — which the memo cannot answer — hits the layer-1 cache.
-			memoHits := eng.TopMemoStats().Hits
-			if eng.Embed(nodes, ts); eng.TopMemoStats().Hits == memoHits {
-				t.Fatal("identical repeat Embed after the swap missed the top-layer memo")
-			}
-			later := make([]float64, len(ts))
-			for i := range ts {
-				later[i] = ts[i] + 1
-			}
-			hits := eng.CacheStats().Hits
-			if eng.Embed(nodes, later); eng.CacheStats().Hits == hits {
-				t.Fatal("repeat Embed after the swap missed the re-warmed cache")
-			}
-		})
-	}
+		}
+		// The swap emptied the memo state, not disabled it: the
+		// post-swap pass re-warmed it, so an identical repeat is
+		// answered by the top-layer memo and a repeat at a later time
+		// — which the memo cannot answer — hits the layer-1 cache.
+		memoHits := eng.TopMemoStats().Hits
+		if eng.Embed(nodes, ts); eng.TopMemoStats().Hits == memoHits {
+			t.Fatal("identical repeat Embed after the swap missed the top-layer memo")
+		}
+		later := make([]float64, len(ts))
+		for i := range ts {
+			later[i] = ts[i] + 1
+		}
+		hits := eng.CacheStats().Hits
+		if eng.Embed(nodes, later); eng.CacheStats().Hits == hits {
+			t.Fatal("repeat Embed after the swap missed the re-warmed cache")
+		}
+	})
 }
 
 // TestCacheSnapshotVersionStamp pins the snapshot side: a cache

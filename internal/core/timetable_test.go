@@ -115,29 +115,28 @@ func mixedDeltas(n int) []float64 {
 }
 
 // TestTimeTableParallelMatchesSerialBitwise: the row split decides only
-// which goroutine encodes a row. Float and int8 tables, either side of
-// the fan-out cut-off: same bits, same hit count.
+// which goroutine encodes a row. Either side of the fan-out cut-off:
+// same bits, same hit count.
 func TestTimeTableParallelMatchesSerialBitwise(t *testing.T) {
 	enc := nn.NewTimeEncoder(16)
 	prev := parallel.Degree()
 	defer parallel.SetDegree(prev)
-	for name, tt := range map[string]*TimeTable{"float32": NewTimeTable(enc, 1000), "int8": NewTimeTableQuant(enc, 1000)} {
-		for _, n := range []int{1, parallel.MinParallelWork - 1, parallel.MinParallelWork, 3000} {
-			dts := mixedDeltas(n)
-			parallel.SetDegree(1)
-			serial := tensor.New(n, 16)
-			wantHits := tt.EncodeIntoWith(nil, dts, serial)
-			for _, degree := range []int{2, 4} {
-				parallel.SetDegree(degree)
-				split := tensor.New(n, 16)
-				split.Fill(float32(math.NaN()))
-				if hits := tt.EncodeIntoWith(nil, dts, split); hits != wantHits {
-					t.Fatalf("%s n=%d degree %d: %d hits, serial %d", name, n, degree, hits, wantHits)
-				}
-				for i, v := range split.Data() {
-					if math.Float32bits(v) != math.Float32bits(serial.Data()[i]) {
-						t.Fatalf("%s n=%d degree %d: element %d differs from the serial encoding", name, n, degree, i)
-					}
+	tt := NewTimeTable(enc, 1000)
+	for _, n := range []int{1, parallel.MinParallelWork - 1, parallel.MinParallelWork, 3000} {
+		dts := mixedDeltas(n)
+		parallel.SetDegree(1)
+		serial := tensor.New(n, 16)
+		wantHits := tt.EncodeIntoWith(nil, dts, serial)
+		for _, degree := range []int{2, 4} {
+			parallel.SetDegree(degree)
+			split := tensor.New(n, 16)
+			split.Fill(float32(math.NaN()))
+			if hits := tt.EncodeIntoWith(nil, dts, split); hits != wantHits {
+				t.Fatalf("n=%d degree %d: %d hits, serial %d", n, degree, hits, wantHits)
+			}
+			for i, v := range split.Data() {
+				if math.Float32bits(v) != math.Float32bits(serial.Data()[i]) {
+					t.Fatalf("n=%d degree %d: element %d differs from the serial encoding", n, degree, i)
 				}
 			}
 		}

@@ -40,7 +40,7 @@ type topMemoSlot struct {
 // validated by a memoStamp. It holds no dependency records and has no
 // invalidation scan — a write invalidates every row by moving the stamp
 // — and lookups and stores allocate nothing. The stored row is the
-// float32 row the pass produced, whatever the engine's precision.
+// float32 row the pass produced, bit for bit.
 type topMemo struct {
 	dim   int
 	slots []topMemoSlot

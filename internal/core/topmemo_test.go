@@ -18,22 +18,19 @@ import (
 // topMemoFixture is one model over one live graph with two engines that
 // differ only in the memo: ref has it removed, so whatever ref returns
 // is the recompute the memo'd engine must match bit for bit. Both are
-// driven through the same writes, and ref computes each state once —
-// under QuantInt8 a second compute would read dequantized layer-1 hits
-// where the first read fresh floats, and the memo holds the first.
+// driven through the same writes.
 type topMemoFixture struct {
 	t        *testing.T
 	m        *tgat.Model
 	dyn      *graph.Dynamic
 	eng, ref *Engine
-	quant    QuantMode
 	now      float64
 	nextIdx  int32
 }
 
 const topMemoNodes = 30
 
-func newTopMemoFixture(t *testing.T, layers int, quant QuantMode) *topMemoFixture {
+func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 	t.Helper()
 	r := tensor.NewRNG(17)
 	const edges, d = 400, 16
@@ -50,9 +47,9 @@ func newTopMemoFixture(t *testing.T, layers int, quant QuantMode) *topMemoFixtur
 	}
 	dyn := graph.NewDynamic(topMemoNodes)
 	dyn.SetLateness(500)
-	f := &topMemoFixture{t: t, m: m, dyn: dyn, quant: quant, nextIdx: 1}
+	f := &topMemoFixture{t: t, m: m, dyn: dyn, nextIdx: 1}
 	// Integral times: core.Key is exact on them, so the lower caches are
-	// and the float32 engine equals the baseline bit for bit.
+	// and the engine equals the baseline bit for bit.
 	for i := 0; i < edges; i++ {
 		f.now += float64(1 + r.Intn(9))
 		src, dst := int32(1+r.Intn(topMemoNodes)), int32(1+r.Intn(topMemoNodes))
@@ -64,7 +61,6 @@ func newTopMemoFixture(t *testing.T, layers int, quant QuantMode) *topMemoFixtur
 	opt := OptAll()
 	opt.TrackTargets = true
 	opt.TrackDependencies = true
-	opt.Quant = quant
 	f.eng = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
 	f.ref = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
 	if f.eng.topMemo == nil {
@@ -111,8 +107,8 @@ func sameBits(a, b *tensor.Tensor) bool {
 
 // check asks the targets twice after a write: the first ask must miss
 // the memo whole, the second must be answered whole from it, and both
-// must be bitwise the recompute — ref's, and for float32 the baseline's
-// on the current graph. The second ask is also the "before" of the next
+// must be bitwise the recompute — ref's and the baseline's on the
+// current graph. The second ask is also the "before" of the next
 // write.
 func (f *topMemoFixture) check(label string, nodes []int32, ts []float64) {
 	f.t.Helper()
@@ -134,12 +130,10 @@ func (f *topMemoFixture) check(label string, nodes []int32, ts []float64) {
 	if !sameBits(second, want) {
 		f.t.Fatalf("%s: memo hit differs from the recompute", label)
 	}
-	if f.quant == QuantOff {
-		s := graph.NewDynamicSampler(f.dyn, f.m.Cfg.NumNeighbors, graph.MostRecent, 0)
-		base := f.m.BaselineEmbedFunc(s)(nodes, ts)
-		if !sameBits(second, base) {
-			f.t.Fatalf("%s: memo hit differs from the baseline on the current graph", label)
-		}
+	s := graph.NewDynamicSampler(f.dyn, f.m.Cfg.NumNeighbors, graph.MostRecent, 0)
+	base := f.m.BaselineEmbedFunc(s)(nodes, ts)
+	if !sameBits(second, base) {
+		f.t.Fatalf("%s: memo hit differs from the baseline on the current graph", label)
 	}
 }
 
@@ -150,10 +144,9 @@ func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		layers int
-		quant  QuantMode
-	}{{"float32", 2, QuantOff}, {"int8", 2, QuantInt8}, {"float32-3layer", 3, QuantOff}} {
+	}{{"float32", 2}, {"float32-3layer", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newTopMemoFixture(t, tc.layers, tc.quant)
+			f := newTopMemoFixture(t, tc.layers)
 			// Targets behind, at and ahead of the stream clock, so every
 			// append below lands at, ahead of and behind an asked t.
 			t0 := f.now
@@ -228,7 +221,7 @@ func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
 // TestTopMemoKeysOnTheFullTime: ⟨v, t⟩, ⟨v, t+0.25⟩ and ⟨v, t+2³²⟩ share
 // one core.Key and are three memo entries.
 func TestTopMemoKeysOnTheFullTime(t *testing.T) {
-	f := newTopMemoFixture(t, 2, QuantOff)
+	f := newTopMemoFixture(t, 2)
 	const v = 5
 	times := []float64{f.now, f.now + 0.25, f.now + (1 << 32)}
 	if Key(v, times[0]) != Key(v, times[1]) || Key(v, times[0]) != Key(v, times[2]) {
@@ -262,7 +255,7 @@ func TestTopMemoKeysOnTheFullTime(t *testing.T) {
 // TestTopMemoSlotCollisionEvicts: two targets that map to one slot
 // evict each other and are never served each other's row.
 func TestTopMemoSlotCollisionEvicts(t *testing.T) {
-	f := newTopMemoFixture(t, 2, QuantOff)
+	f := newTopMemoFixture(t, 2)
 	na, ta := int32(3), f.now
 	slot := topMemoSlotOf(na, math.Float64bits(ta))
 	nb, tb := int32(0), 0.0
@@ -304,7 +297,7 @@ search:
 func TestTopMemoStraddlingPassStoresNothing(t *testing.T) {
 	for _, move := range []string{"graph", "epoch"} {
 		t.Run(move, func(t *testing.T) {
-			f := newTopMemoFixture(t, 2, QuantOff)
+			f := newTopMemoFixture(t, 2)
 			f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to preserve
 			memo := f.eng.topMemo
 			slots := append([]topMemoSlot(nil), memo.slots...)
@@ -370,7 +363,7 @@ func TestTopMemoStraddlingPassStoresNothing(t *testing.T) {
 func TestTransitiveRollbackBuildsNoLayer2Entry(t *testing.T) {
 	for _, move := range []string{"append", "late"} {
 		t.Run(move, func(t *testing.T) {
-			f := newTopMemoFixture(t, 3, QuantOff)
+			f := newTopMemoFixture(t, 3)
 			f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to keep
 			l1, l2 := f.eng.caches[1], f.eng.caches[2]
 			len1, len2 := l1.Len(), l2.Len()
@@ -445,7 +438,7 @@ func TestTopMemoAbsentOnStaticSampler(t *testing.T) {
 // a moving "now". Once the writers stop, every target's answer — first
 // ask and memo hit — must equal the baseline on the final graph.
 func TestTopMemoStressReadersAndWriters(t *testing.T) {
-	f := newTopMemoFixture(t, 2, QuantOff)
+	f := newTopMemoFixture(t, 2)
 	eng := f.eng
 	const pool, perWriter = 64, 120
 	targets := make([]int32, pool)

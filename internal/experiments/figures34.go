@@ -31,6 +31,9 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 	}
 	opt := optAllScaled(s)
 	opt.CacheLimit = 1 << 30 // unbounded for the redundancy analysis
+	// Nothing is ever evicted, so admission never runs; a TinyLFU sketch
+	// sized for 2³⁰ entries would only cost 8 GiB of counters.
+	opt.CachePolicy = core.CacheFIFO
 	col := stats.NewCollector()
 	opt.Collector = col
 	eng := core.NewEngine(wl.Model, wl.Sampler, opt)

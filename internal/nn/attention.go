@@ -78,9 +78,9 @@ func (a *TemporalAttention) forward(ar *tensor.Arena, q, kv *tensor.Tensor, k in
 	return a.WO.ForwardWith(ar, ctx), weights
 }
 
-// absorbedAttention is the attention core shared by the float and int8
-// operators: given the projected queries qp (n, E) and the raw neighbor
-// messages kv (n*k, KDim) it returns the per-head context (n, E) that
+// absorbedAttention is the attention core of forward: given the
+// projected queries qp (n, E) and the raw neighbor messages kv
+// (n*k, KDim) it returns the per-head context (n, E) that
 // feeds WO, without ever projecting a kv row (DESIGN.md §6). With one
 // query per target the K/V projections fold into the query side. Per
 // target i and head h (rows h·hd..(h+1)·hd of WK, WV):

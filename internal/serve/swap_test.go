@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -96,14 +95,11 @@ func recordJSON(t *testing.T, h http.Handler, method, path string, body, out any
 }
 
 // swapRefRows computes the ground-truth embed rows and score logits for
-// one params seed at one precision, through the same JSON path the
-// hammered responses take (so comparisons are exact bitwise, encoding
-// included).
-func swapRefRows(t *testing.T, seed uint64, quant core.QuantMode) ([][]float32, []float64) {
+// one params seed, through the same JSON path the hammered responses
+// take (so comparisons are exact bitwise, encoding included).
+func swapRefRows(t *testing.T, seed uint64) ([][]float32, []float64) {
 	t.Helper()
-	opt := core.OptAll()
-	opt.Quant = quant
-	s := New(swapSeedModel(t, seed), swapSeedDyn(t), opt)
+	s := New(swapSeedModel(t, seed), swapSeedDyn(t), core.OptAll())
 	t.Cleanup(func() { s.Close() })
 	h := s.Handler()
 	var er embedResponse
@@ -146,46 +142,6 @@ func logitsEqual(a, b []float64) bool {
 	return true
 }
 
-// rowsDist and logitsDist are max-norm distances, +Inf on a shape
-// mismatch. Int8 serving stores quantized rows in the memo cache, so a
-// warm hit legitimately differs from a cold compute by the quantization
-// round-trip (~0.02 per element, measured) while distinct param
-// versions sit orders of magnitude apart (~2.9); classification by
-// nearest version with swapTol is therefore unambiguous, and the
-// fixture's gap is asserted at runtime.
-const swapTol = 0.15
-
-func rowsDist(a, b [][]float32) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var d float64
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return math.Inf(1)
-		}
-		for j := range a[i] {
-			if v := math.Abs(float64(a[i][j] - b[i][j])); v > d {
-				d = v
-			}
-		}
-	}
-	return d
-}
-
-func logitsDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var d float64
-	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
-
 // postE is the goroutine-safe post: hammer workers cannot t.Fatal.
 func postE(url string, body any) (int, []byte, error) {
 	b, err := json.Marshal(body)
@@ -206,10 +162,9 @@ func postE(url string, body any) (int, []byte, error) {
 
 // buildSwapServer builds the server under test over the shared fixture:
 // single-engine when shards == 0, a shard pool otherwise.
-func buildSwapServer(t *testing.T, m *tgat.Model, quant core.QuantMode, shards int) (*Server, *httptest.Server) {
+func buildSwapServer(t *testing.T, m *tgat.Model, shards int) (*Server, *httptest.Server) {
 	t.Helper()
 	opt := core.OptAll()
-	opt.Quant = quant
 	var (
 		s   *Server
 		err error
@@ -231,7 +186,7 @@ func buildSwapServer(t *testing.T, m *tgat.Model, quant core.QuantMode, shards i
 // TestServeSwapEquivalenceUnderLoad is the online-learning acceptance
 // test: hammer /v1/embed, /v1/score, and /v1/ingest while hot-swapping
 // params back and forth between two published versions, in every
-// serving configuration (single-engine and sharded, float32 and int8).
+// serving configuration (single-engine and sharded; every row float32).
 // Every response must be computed wholly under ONE version — bitwise
 // equal to a fresh server on that version's params — and after the
 // final swap the server must converge exactly onto the final params
@@ -241,32 +196,17 @@ func TestServeSwapEquivalenceUnderLoad(t *testing.T) {
 		name   string
 		shards int
 	}{{"single", 0}, {"sharded", 3}} {
-		for _, prec := range []struct {
-			name  string
-			quant core.QuantMode
-		}{{"float32", core.QuantOff}, {"int8", core.QuantInt8}} {
-			t.Run(mode.name+"/"+prec.name, func(t *testing.T) {
-				runSwapEquiv(t, mode.shards, prec.quant)
-			})
-		}
+		t.Run(mode.name+"/float32", func(t *testing.T) {
+			runSwapEquiv(t, mode.shards)
+		})
 	}
 }
 
-func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
-	rowsA, logitsA := swapRefRows(t, 2, quant)
-	rowsB, logitsB := swapRefRows(t, 9, quant)
+func runSwapEquiv(t *testing.T, shards int) {
+	rowsA, logitsA := swapRefRows(t, 2)
+	rowsB, logitsB := swapRefRows(t, 9)
 	if rowsEqual(rowsA, rowsB) {
 		t.Fatal("fixture degenerate: both versions produce identical rows")
-	}
-	if quant == core.QuantInt8 {
-		// The int8 hammers classify by nearest version with swapTol;
-		// that only detects tears if the versions sit far apart.
-		if g := rowsDist(rowsA, rowsB); g < 8*swapTol {
-			t.Fatalf("fixture row gap %v too small for tolerance classification", g)
-		}
-		if g := logitsDist(logitsA, logitsB); g < 8*swapTol {
-			t.Fatalf("fixture logit gap %v too small for tolerance classification", g)
-		}
 	}
 
 	dir := t.TempDir()
@@ -279,7 +219,7 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 		t.Fatal(err)
 	}
 
-	srv, ts := buildSwapServer(t, swapSeedModel(t, 2), quant, shards)
+	srv, ts := buildSwapServer(t, swapSeedModel(t, 2), shards)
 
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
@@ -301,11 +241,7 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 			}
 		}()
 	}
-	// Float32 responses must be bitwise one version's rows. Int8 warm
-	// hits carry quantization round-trip noise (the memo cache stores
-	// quantized vectors), so those classify by nearest version instead;
-	// the fixture gap asserted above keeps a mixed-version response —
-	// far from BOTH references — detectable either way.
+	// Every response must be bitwise one version's rows.
 	for i := 0; i < 3; i++ {
 		hammer(func() error {
 			code, body, err := postE(ts.URL+"/v1/embed", embedRequest{Nodes: swapQueryNodes, Times: swapQueryTimes})
@@ -319,12 +255,8 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 			if err := json.Unmarshal(body, &er); err != nil {
 				return err
 			}
-			if quant == core.QuantOff {
-				if !rowsEqual(er.Embeddings, rowsA) && !rowsEqual(er.Embeddings, rowsB) {
-					return fmt.Errorf("embed rows match neither version (mixed-version or stale-cache response)")
-				}
-			} else if math.Min(rowsDist(er.Embeddings, rowsA), rowsDist(er.Embeddings, rowsB)) > swapTol {
-				return fmt.Errorf("embed rows within tolerance of neither version (mixed-version or stale-cache response)")
+			if !rowsEqual(er.Embeddings, rowsA) && !rowsEqual(er.Embeddings, rowsB) {
+				return fmt.Errorf("embed rows match neither version (mixed-version or stale-cache response)")
 			}
 			return nil
 		})
@@ -342,12 +274,8 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 			if err := json.Unmarshal(body, &sr); err != nil {
 				return err
 			}
-			if quant == core.QuantOff {
-				if !logitsEqual(sr.Logits, logitsA) && !logitsEqual(sr.Logits, logitsB) {
-					return fmt.Errorf("score logits match neither version (embed/head version tear)")
-				}
-			} else if math.Min(logitsDist(sr.Logits, logitsA), logitsDist(sr.Logits, logitsB)) > swapTol {
-				return fmt.Errorf("score logits within tolerance of neither version (embed/head version tear)")
+			if !logitsEqual(sr.Logits, logitsA) && !logitsEqual(sr.Logits, logitsB) {
+				return fmt.Errorf("score logits match neither version (embed/head version tear)")
 			}
 			return nil
 		})
@@ -437,8 +365,8 @@ func runSwapEquiv(t *testing.T, shards int, quant core.QuantMode) {
 // the version, the tensors, and every served row stay exactly as they
 // were, and the attempt is counted.
 func TestServeSwapRollbackOnCorruptSnapshot(t *testing.T) {
-	rowsA, _ := swapRefRows(t, 2, core.QuantOff)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), core.QuantOff, 0)
+	rowsA, _ := swapRefRows(t, 2)
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
 
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "params-bad.tgp")
@@ -476,8 +404,8 @@ func TestServeSwapRollbackOnCorruptSnapshot(t *testing.T) {
 // -swap-dir path) is hot-swapped in by the background loop without a
 // restart.
 func TestServeSwapLoopPicksUpPublished(t *testing.T) {
-	rowsB, _ := swapRefRows(t, 9, core.QuantOff)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), core.QuantOff, 0)
+	rowsB, _ := swapRefRows(t, 9)
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
 
 	dir := t.TempDir()
 	stopLoop := srv.StartSwapLoop(SwapConfig{Dir: dir, Interval: 2 * time.Millisecond})
@@ -502,8 +430,8 @@ func TestServeSwapLoopPicksUpPublished(t *testing.T) {
 // stream, publishes the result into the swap directory, and hot-swaps
 // it in — and the served rows move off the boot params.
 func TestServeSwapLoopTrainerRole(t *testing.T) {
-	rowsA, _ := swapRefRows(t, 2, core.QuantOff)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), core.QuantOff, 0)
+	rowsA, _ := swapRefRows(t, 2)
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
 
 	tcfg := trainer.DefaultConfig()
 	tcfg.Epochs = 1

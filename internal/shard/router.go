@@ -140,9 +140,9 @@ type Router struct {
 // shard's core samples it, so any shard computes any target bitwise
 // alike. The caller ingests each new edge into dyn and then calls Apply.
 // opt is the engine option set a single-engine deployment would use:
-// per-shard cache capacities are derived by dividing the configured
-// limits by the shard count, so the pool's total memo footprint matches
-// the unsharded engine's.
+// the per-shard cache limit is the configured limit divided by the
+// shard count, so the pool's total memo footprint matches the
+// unsharded engine's.
 func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config) (*Router, error) {
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("shard: need at least 2 shards, got %d", cfg.Shards)
@@ -152,9 +152,6 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		opt.CacheLimit = 2_000_000 // engine default, divided below
 	}
 	opt.CacheLimit = max(1, opt.CacheLimit/cfg.Shards)
-	if opt.CacheBudgetBytes > 0 {
-		opt.CacheBudgetBytes /= int64(cfg.Shards)
-	}
 	r := &Router{
 		model: model,
 		dyn:   dyn,

@@ -101,7 +101,7 @@ func (r *Router) restart(s *Shard, cause error) {
 
 // restartOnce is one rebuild attempt. It runs under the pool swap
 // barrier's read side: a params swap committing mid-rebuild would
-// otherwise let this core pack int8 weights from half-written tensors
+// otherwise let this core pack its weights from half-written tensors
 // and warm caches stamped with a version the pool no longer serves.
 // Lock order (swapMu → ingestMu → engine gates) holds: the commit path
 // never takes ingestMu.

@@ -112,8 +112,10 @@ go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|T
     ./internal/serve/ ./internal/shard/ ./internal/core/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
 
-echo "== int8 row-format gate (cache/snapshot/time-table round-trips under race; AP within 1 pp)"
-go test -race -count=1 -run 'TestQuant|TestEntriesForBudgetQuant' ./internal/core/ ./internal/tensor/ ./internal/experiments/
+echo "== one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)"
+if grep -rnE 'QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes' --include='*.go' .; then
+    echo "a second row format is back: the lines above"; exit 1
+fi
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./internal/graph/ > /dev/null
