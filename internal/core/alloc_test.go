@@ -41,8 +41,6 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracked := OptAll()
-	tracked.TrackTargets = true
 
 	// The same model over a live graph: after warmup every target is
 	// answered by the top-layer memo, and the all-hit pass — stamp read,
@@ -63,8 +61,8 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	}{
 		{"baseline", m, s, Options{}},
 		{"optall", m, s, OptAll()},
-		{"optall-3layer-tracked", m3, live, tracked},
-		{"optall-live-memo-hit", m, live, tracked},
+		{"optall-3layer-indexed", m3, live, OptAll()},
+		{"optall-live-memo-hit", m, live, OptAll()},
 	}
 	for _, tc := range cases {
 		m := tc.model

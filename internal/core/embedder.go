@@ -23,14 +23,6 @@ type Embedder interface {
 	Dim() int
 }
 
-// Scorer is the link-scoring surface of a model: the affinity head
-// over a pair of embedding batches. *tgat.Model is the production
-// implementation; the serve layer consumes this interface so a future
-// multi-model registry can swap heads without touching handlers.
-type Scorer interface {
-	ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor
-}
-
 var _ Embedder = (*Engine)(nil)
 
 // Dim returns the width of the embedding rows the engine produces.

@@ -35,8 +35,6 @@ type Options struct {
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
 	CacheLimit int
-	// CacheShards controls cache concurrency (default 16).
-	CacheShards int
 	// CachePolicy picks the cache eviction policy. The zero value is
 	// CacheTinyLFU — sketch-based admission that keeps heavy hitters
 	// resident under skewed reuse; CacheFIFO restores the paper's
@@ -58,27 +56,6 @@ type Options struct {
 	// instead of host memory (the Table 5 comparison). Only meaningful
 	// with Device set.
 	CacheOnDevice bool
-
-	// TrackDependencies records which node and edge features each
-	// memoized embedding consumed, enabling the §7 extension of
-	// selective cache invalidation on node-feature changes and edge
-	// deletions (Engine.InvalidateNode / InvalidateEdge). Costs extra
-	// memory proportional to cached items × (k+1).
-	TrackDependencies bool
-
-	// TrackTargets maintains the per-node indexes that make
-	// out-of-order edge inserts sound under memoization
-	// (Engine.InvalidateLateEdge). The final cached layer costs one
-	// target record per cached entry — far cheaper than
-	// TrackDependencies' k+1 — listing, for every node, the cached
-	// ⟨node, t⟩ keys; deeper cached layers (models with L > 2)
-	// additionally record their sampled support set (at most k support
-	// records per entry), enabling transitive selective invalidation
-	// instead of the conservative deep clear (DESIGN.md §15). Records
-	// retire once the live graph's watermark passes them. An engine over
-	// a static sampler builds no index — no edge can arrive — and keeps
-	// the whole-cache fallback. Serving enables this automatically.
-	TrackTargets bool
 }
 
 // OptAll returns Options with all three optimizations enabled at the
@@ -96,9 +73,6 @@ func OptAll() Options {
 func (o Options) withDefaults() Options {
 	if o.CacheLimit <= 0 {
 		o.CacheLimit = 2_000_000
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
 	}
 	if o.TimeWindow <= 0 {
 		o.TimeWindow = 10_000
@@ -128,8 +102,8 @@ var Stages = []string{
 
 // Engine computes TGAT temporal embeddings with the redundancy-aware
 // optimizations of Algorithm 1. It is a drop-in replacement for the
-// baseline tgat.Model.Embed: same inputs, same outputs within
-// floating-point tolerance.
+// baseline tgat.Model.Embed: same inputs, and on Key's exact domain
+// (integral times that fit 32 bits) bitwise the same outputs.
 type Engine struct {
 	model   *tgat.Model
 	sampler *graph.Sampler
@@ -153,16 +127,17 @@ type Engine struct {
 	// params version: in NewEngine and again in FinishSwap.
 	packs     []nn.LayerPack
 	scorePack nn.MergePack
-	deps      *DepTracker
 	// layerTargets[l] indexes layer l's cached keys by target node and
 	// layerSupports[l] (l ≥ 2) indexes them by support node — the
 	// (node, time) pairs whose layer-(l−1) embeddings the entry
-	// aggregated (Options.TrackTargets). dyn is the live graph when
-	// serving a stream. Together they implement selective staleness
-	// invalidation for late inserts and appends, transitively across
-	// cached layers (DESIGN.md §15). Every index keeps a record until
-	// the watermark floor passes it (indexFloor), cached or not: an
-	// upper entry may still depend on an evicted value.
+	// aggregated. dyn is the live graph when serving a stream. Together
+	// they are the engine's one invalidation index: every cache-enabled
+	// engine over a live graph builds them, and they make late inserts,
+	// appends and deletions selective, transitively across cached layers
+	// (DESIGN.md §15). A static-sampler engine builds none: no edge can
+	// arrive. Every index keeps a record until the watermark floor
+	// passes it (indexFloor), cached or not: an upper entry may still
+	// depend on an evicted value.
 	layerTargets  []*TargetIndex
 	layerSupports []*SupportIndex
 	dyn           *graph.Dynamic
@@ -222,20 +197,16 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 			e.caches[l] = NewCacheWith(CacheConfig{
 				Limit:  per[l],
 				Dim:    m.Cfg.NodeDim,
-				Shards: opt.CacheShards,
 				Policy: opt.CachePolicy,
 			})
 		}
-	}
-	if opt.TrackDependencies && opt.EnableCache {
-		e.deps = NewDepTracker()
 	}
 	e.dyn = s.Dynamic()
 	e.memoEpoch.Store(1) // zeroed memo slots carry epoch 0 and never match
 	if e.dyn != nil && e.caches != nil && e.caches[m.Cfg.Layers] == nil {
 		e.topMemo = newTopMemo(m.Cfg.NodeDim)
 	}
-	if opt.TrackTargets && opt.EnableCache && e.dyn != nil {
+	if e.caches != nil && e.dyn != nil {
 		e.layerTargets = make([]*TargetIndex, len(e.caches))
 		e.layerSupports = make([]*SupportIndex, len(e.caches))
 		for l, c := range e.caches {
@@ -295,7 +266,7 @@ func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
 // is held and the shared model already carries the new parameters and
 // their version: the time table and the layers' and score head's weight
 // packs are rebuilt from the swapped parameters, every memo-cache layer is
-// cleared, and the target/support/dependency indexes reset with them.
+// cleared, and the target/support indexes reset with them.
 // Memoized embeddings are only valid for the parameters that computed
 // them, so a swap is the cache-wide invalidation event.
 func (e *Engine) FinishSwap() {
@@ -303,24 +274,7 @@ func (e *Engine) FinishSwap() {
 		e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
 	}
 	e.packs, e.scorePack = e.model.PackLayers(), e.model.PackScore()
-	for _, c := range e.caches {
-		if c != nil {
-			c.Clear()
-		}
-	}
-	for _, tix := range e.layerTargets {
-		if tix != nil {
-			tix.Reset()
-		}
-	}
-	for _, six := range e.layerSupports {
-		if six != nil {
-			six.Reset()
-		}
-	}
-	if e.deps != nil {
-		e.deps.Reset()
-	}
+	e.clearCaches()
 	e.memoEpoch.Add(1)
 }
 
@@ -377,48 +331,35 @@ func (e *Engine) StageStats() map[string]*stats.Histogram { return e.stages }
 // TimeTable returns the precomputed encoding table, or nil.
 func (e *Engine) TimeTable() *TimeTable { return e.ttable }
 
-// Deps returns the dependency tracker, or nil when
-// Options.TrackDependencies is off.
-func (e *Engine) Deps() *DepTracker { return e.deps }
-
-// InvalidateNode drops every memoized embedding whose computation
-// consumed node v's features — call it after mutating v's feature row
-// (the §7 node-feature-change event). The layer-1 cache is invalidated
-// selectively through the dependency tracker; deeper cached layers (for
-// models with L > 2) lack transitive key-to-key dependencies and are
-// cleared conservatively. Returns the number of entries removed
-// selectively. Panics unless dependency tracking is enabled.
+// InvalidateNode makes the memo cache exact again after node v's
+// feature row was written (the §7 node-feature-change event): it clears
+// every cached layer and returns the number of entries dropped. A
+// feature row is read at every time, below the watermark too, where the
+// index has retired its records, so no index can say which rows read it.
 func (e *Engine) InvalidateNode(v int32) int {
 	defer e.memoEpoch.Add(1)
-	if e.deps == nil {
-		panic("core: InvalidateNode requires Options.TrackDependencies")
-	}
-	removed := 0
-	if c := e.CacheFor(1); c != nil {
-		removed = c.Remove(e.deps.KeysForNode(v))
-	}
-	e.clearDeepCaches()
-	return removed
+	return e.clearCaches()
 }
 
-// InvalidateEdge drops every memoized embedding whose sampled temporal
-// subgraph included the 1-based edge id — call it after deleting the
-// interaction (the §7 edge-deletion event; see graph.Dynamic.DeleteEdge).
-// Embeddings that never sampled the edge are untouched: deleting an
-// interaction outside a target's most-recent-k window does not change
-// its sampled subgraph, so maximal reuse is preserved. Semantics as
-// InvalidateNode.
-func (e *Engine) InvalidateEdge(eidx int32) int {
+// InvalidateEdge makes the memo cache exact again after the interaction
+// (u, v, t) was deleted from the live graph (graph.Dynamic.DeleteEdge,
+// the §7 edge-deletion event). A deletion moves most-recent-k windows
+// exactly as a late insert at t does — CountBetween counts only edges
+// strictly between t and t', so the edge at t is excluded either way —
+// so it runs InvalidateLateEdge's rule, transitive rules included, and
+// every entry whose window never held the edge stays (reuse maximized,
+// §7). The exception is an edge below ⌊watermark⌋: records in
+// (t, ⌊watermark⌋) may already be retired, so that deletion clears every
+// layer. Returns the number of entries removed.
+func (e *Engine) InvalidateEdge(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
-	if e.deps == nil {
-		panic("core: InvalidateEdge requires Options.TrackDependencies")
+	if e.caches == nil {
+		return 0
 	}
-	removed := 0
-	if c := e.CacheFor(1); c != nil {
-		removed = c.Remove(e.deps.KeysForEdge(eidx))
+	if e.dyn != nil && t < math.Floor(e.dyn.Watermark()) {
+		return e.clearCaches()
 	}
-	e.clearDeepCaches()
-	return removed
+	return e.invalidateNewer(u, v, t)
 }
 
 // InvalidateLateEdge makes the memo cache exact again after an
@@ -434,9 +375,8 @@ func (e *Engine) InvalidateEdge(eidx int32) int {
 // recorded support sets instead of clearing whole (DESIGN.md §15).
 // Returns the number of entries removed.
 //
-// Without Options.TrackTargets there is no index to consult, so the
-// only sound response is dropping every cache; enable tracking on any
-// engine serving a stream with a lateness window.
+// A static-sampler engine has no index to consult, so there the only
+// sound response is dropping every cache.
 func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
 	if e.caches == nil {
@@ -454,10 +394,6 @@ func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
 // serving event, so the scan is gated on a monotonic bound over every
 // embedded query timestamp: when no future-time memo can exist (the
 // common case — queries at t' ≤ now), the call costs one atomic load.
-//
-// Without Options.TrackTargets the selective scan is impossible and
-// every cache is cleared, as in InvalidateLateEdge; engines serving
-// appends should always enable tracking.
 func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
 	if e.caches == nil {
@@ -470,22 +406,23 @@ func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
 }
 
 // invalidateNewer is the shared selective-invalidation body behind
-// InvalidateLateEdge and InvalidateAppend. Layers are processed bottom
-// up; a layer-l entry is dropped when (i) its own most-recent-k window
-// is displaced by the new edge — the PR 5 rule, now applied per layer
-// through layerTargets — or (ii) one of its recorded support values
+// InvalidateLateEdge, InvalidateAppend and InvalidateEdge. Layers are
+// processed bottom up; a layer-l entry is dropped when (i) its own
+// most-recent-k window is displaced by the written edge (found through
+// layerTargets), or (ii) one of its recorded support values
 // ⟨s, t_s⟩ with s ∈ {u, v} had its window displaced (the same
 // CountBetween refinement one hop down), or (iii) one of its supports
 // is itself a layer-(l−1) entry dropped in the previous pass. Rule
 // (ii) makes the propagation exact for L = 3 — layer-1 values depend
-// only on their own window and immutable layer-0 features — and rule
+// only on their own window and layer-0 features, whose writes clear
+// every layer (InvalidateNode) — and rule
 // (iii) carries deeper models, relying on support records outliving
 // the eviction of their entries (see SupportIndex).
 func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	// A shed record means some entry's dependencies are unknown: that
 	// layer and every layer above it clear this one time (their indexes
-	// reset with them, so tracking restarts clean). With no index at all
-	// every layer clears.
+	// reset with them, so tracking restarts clean). A static-sampler
+	// engine has no index, so every layer clears.
 	clearFrom, floor := 1, 0.0
 	if e.layerTargets != nil {
 		clearFrom, floor = e.shedFrom(), e.indexFloor(t)
@@ -496,14 +433,11 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	if u == v {
 		n = 1 // self-loop: one scan suffices
 	}
-	// The insert displaces the window of a value ⟨w, at⟩ only if fewer
+	// The write displaces the window of a value ⟨w, at⟩ only if fewer
 	// than k interactions separate it from the query time (CountBetween
-	// runs post-insert and excludes the new edge itself at time t).
+	// runs after the write and excludes the edge at time t either way).
 	displacesWindow := func(w int32) func(uint64, float64) bool {
 		return func(_ uint64, at float64) bool {
-			if e.dyn == nil {
-				return true
-			}
 			return e.dyn.CountBetween(w, t, at) < k
 		}
 	}
@@ -584,7 +518,7 @@ func (e *Engine) TargetsFor(l int) *TargetIndex {
 }
 
 // SupportsFor returns layer l's support index (l ≥ 2 on deep models
-// with Options.TrackTargets), or nil.
+// over a live graph), or nil.
 func (e *Engine) SupportsFor(l int) *SupportIndex {
 	if e.layerSupports == nil || l < 1 || l >= len(e.layerSupports) {
 		return nil
@@ -592,15 +526,16 @@ func (e *Engine) SupportsFor(l int) *SupportIndex {
 	return e.layerSupports[l]
 }
 
-// clearDeepCaches drops every deep (l ≥ 2) cache whole — the
-// conservative response on the DepTracker paths, which carry no
-// transitive dependency information.
-func (e *Engine) clearDeepCaches() {
-	for l := 2; l < len(e.caches); l++ {
-		if e.caches[l] != nil {
-			e.clearLayer(l)
+// clearCaches empties every cached layer and resets its indexes,
+// returning the number of entries dropped.
+func (e *Engine) clearCaches() int {
+	n := 0
+	for l, c := range e.caches {
+		if c != nil {
+			n += e.clearLayer(l)
 		}
 	}
+	return n
 }
 
 // clearLayer empties layer l's cache and resets its indexes, returning
@@ -964,16 +899,6 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			// permanent, so skip memoizing the whole batch.
 			e.staleSkips.Add(1)
 		} else if cache != nil {
-			if e.deps != nil {
-				// Dependency tracking is an opt-in diagnostic; its
-				// per-target slices stay on the heap deliberately.
-				for i := 0; i < nm; i++ {
-					depNodes := make([]int32, 0, k+1)
-					depNodes = append(depNodes, missNodes[i])
-					depNodes = append(depNodes, b.Nghs[i*k:(i+1)*k]...)
-					e.deps.Record(missKeys[i], depNodes, b.EIdxs[i*k:(i+1)*k])
-				}
-			}
 			start = time.Now()
 			cache.Store(missKeys, hm)
 			e.observe(stats.OpCacheStore, StageCacheStore, device.HostOp, 0, start)

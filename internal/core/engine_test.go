@@ -269,7 +269,6 @@ func TestEngineCacheLimitRespected(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 800)
 	opt := OptAll()
 	opt.CacheLimit = 32
-	opt.CacheShards = 4
 	eng := NewEngine(m, s, opt)
 	res := tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
 	if eng.CacheLen() > 32+4 {

@@ -4,12 +4,14 @@
 //   - the collision-free node–timestamp hash and the deduplication
 //     filter of §4.1 (Algorithm 2),
 //   - the sharded, memory-bounded embedding memoization cache of §4.2
-//     with FIFO eviction,
-//   - the precomputed time-encoding table of §4.3, and
+//     with FIFO or TinyLFU admission,
+//   - the precomputed time-encoding table of §4.3,
+//   - the per-node target/support index that keeps the cache exact
+//     under late inserts, appends and deletions on a live graph, and
 //   - Engine, the end-to-end redundancy-aware embedding computation of
 //     Algorithm 1 — a drop-in replacement for the baseline recursive
-//     tgat.Model.Embed whose outputs are identical within
-//     floating-point tolerance.
+//     tgat.Model.Embed whose outputs are bitwise the baseline's on Key's
+//     exact domain (integral times that fit 32 bits).
 package core
 
 import (

@@ -6,71 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// DepTracker records, for every memoized embedding, which node features
-// and which edge interactions its computation consumed. It implements
-// the §7 future-work direction — supporting node-feature changes and
-// edge deletions "in a way that efficiently updates the cache while
-// maximizing reuse" — by enabling *selective* invalidation: only the
-// embeddings that actually read the changed input are dropped; every
-// other cached value keeps being reused.
-//
-// Scope: dependencies are exact for a cached layer whose inputs are
-// layer-0 features — i.e. layer 1, the only cached layer of the paper's
-// 2-layer configuration. Deeper cached layers would need transitive
-// key-to-key dependencies; Engine handles them conservatively (see
-// Engine.InvalidateNode).
-type DepTracker struct {
-	mu       sync.Mutex
-	byNode   map[int32][]uint64
-	byEdge   map[int32][]uint64
-	recorded int64
-}
-
-// NewDepTracker creates an empty tracker.
-func NewDepTracker() *DepTracker {
-	return &DepTracker{
-		byNode: make(map[int32][]uint64),
-		byEdge: make(map[int32][]uint64),
-	}
-}
-
-// Record registers that the embedding under key consumed the given
-// nodes' features and the given edges' features. Zero ids (padding) are
-// skipped.
-func (d *DepTracker) Record(key uint64, nodes []int32, edges []int32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, v := range nodes {
-		if v != 0 {
-			d.byNode[v] = append(d.byNode[v], key)
-		}
-	}
-	for _, e := range edges {
-		if e != 0 {
-			d.byEdge[e] = append(d.byEdge[e], key)
-		}
-	}
-	d.recorded++
-}
-
-// KeysForNode returns (and forgets) the keys dependent on node v.
-func (d *DepTracker) KeysForNode(v int32) []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := d.byNode[v]
-	delete(d.byNode, v)
-	return keys
-}
-
-// KeysForEdge returns (and forgets) the keys dependent on edge e.
-func (d *DepTracker) KeysForEdge(e int32) []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := d.byEdge[e]
-	delete(d.byEdge, e)
-	return keys
-}
-
 // targetIndexShards fixes the index lock striping; recording is one
 // short critical section per record.
 const targetIndexShards = 64
@@ -206,10 +141,9 @@ func (ix *nodeIndex) Reset() {
 // can only change the sampled neighborhood of targets u and v at times
 // after t, so the index turns "which memoized embeddings might now be
 // stale?" into two list scans instead of a full cache sweep — targeted
-// invalidation rather than Cache.Clear, complementing DepTracker
-// (which maps *inputs* to keys and costs k+1 records per entry; this
-// index costs one). Records of keys that aged out of the cache stay
-// until the watermark retires them; removing them is a no-op.
+// invalidation rather than Cache.Clear, at one record per entry.
+// Records of keys that aged out of the cache stay until the watermark
+// retires them; removing them is a no-op.
 type TargetIndex struct{ nodeIndex }
 
 // NewTargetIndex creates an empty index.
@@ -225,20 +159,4 @@ func NewTargetIndex() *TargetIndex {
 // at or before t, and candidates drop declines, stay indexed.
 func (ix *TargetIndex) CollectNewer(v int32, t, floor float64, drop func(key uint64, at float64) bool) []uint64 {
 	return ix.collect(v, t, floor, drop)
-}
-
-// Recorded returns the number of Record calls (diagnostics).
-func (d *DepTracker) Recorded() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recorded
-}
-
-// Reset drops all recorded dependencies.
-func (d *DepTracker) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.byNode = make(map[int32][]uint64)
-	d.byEdge = make(map[int32][]uint64)
-	d.recorded = 0
 }

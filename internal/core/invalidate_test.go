@@ -8,33 +8,6 @@ import (
 	"tgopt/internal/tgat"
 )
 
-func TestDepTrackerRecordAndDrain(t *testing.T) {
-	d := NewDepTracker()
-	d.Record(101, []int32{1, 2, 0}, []int32{7, 0})
-	d.Record(102, []int32{2}, nil)
-	if d.Recorded() != 2 {
-		t.Fatalf("Recorded = %d", d.Recorded())
-	}
-	k1 := d.KeysForNode(2)
-	if len(k1) != 2 {
-		t.Fatalf("node 2 keys = %v", k1)
-	}
-	// Draining forgets.
-	if len(d.KeysForNode(2)) != 0 {
-		t.Fatal("KeysForNode did not drain")
-	}
-	if len(d.KeysForNode(0)) != 0 {
-		t.Fatal("padding node recorded")
-	}
-	if got := d.KeysForEdge(7); len(got) != 1 || got[0] != 101 {
-		t.Fatalf("edge 7 keys = %v", got)
-	}
-	d.Reset()
-	if d.Recorded() != 0 || len(d.KeysForNode(1)) != 0 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
 func TestCacheRemove(t *testing.T) {
 	c := NewCache(10, 2, 2)
 	c.Store([]uint64{1, 2, 3}, tensor.Ones(3, 2))
@@ -55,60 +28,6 @@ func TestCacheRemove(t *testing.T) {
 	}
 }
 
-// invalidationSetup builds a model over a Dynamic graph with dependency
-// tracking enabled and runs one warming pass.
-func invalidationSetup(t *testing.T) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
-	t.Helper()
-	r := tensor.NewRNG(5)
-	const nodes, total = 25, 600
-	stream := make([]graph.Edge, 0, total)
-	clock := 0.0
-	for len(stream) < total {
-		clock += 1 + r.Float64()*10
-		src := int32(1 + r.Intn(nodes))
-		dst := int32(1 + r.Intn(nodes))
-		if src == dst {
-			continue
-		}
-		stream = append(stream, graph.Edge{Src: src, Dst: dst, Time: clock, Idx: int32(len(stream) + 1)})
-	}
-	nodeFeat := tensor.Randn(r, nodes+1, 16)
-	edgeFeat := tensor.Randn(r, total+1, 16)
-	for j := 0; j < 16; j++ {
-		nodeFeat.Set(0, 0, j)
-		edgeFeat.Set(0, 0, j)
-	}
-	cfg := tgat.Config{Layers: 2, Heads: 2, NodeDim: 16, EdgeDim: 16, TimeDim: 16, NumNeighbors: 5, Seed: 11}
-	m, err := tgat.NewModel(cfg, nodeFeat, edgeFeat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := graph.NewDynamic(nodes)
-	for _, e := range stream {
-		if _, err := dyn.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opt := OptAll()
-	opt.TrackDependencies = true
-	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
-	// Warm the cache over the whole stream.
-	for start := 0; start < total; start += 100 {
-		batch := stream[start : start+100]
-		ns := make([]int32, 2*len(batch))
-		ts := make([]float64, 2*len(batch))
-		for i, e := range batch {
-			ns[i], ns[len(batch)+i] = e.Src, e.Dst
-			ts[i], ts[len(batch)+i] = e.Time, e.Time
-		}
-		eng.Embed(ns, ts)
-	}
-	if eng.CacheLen() == 0 || eng.Deps().Recorded() == 0 {
-		t.Fatal("warming pass cached nothing / recorded no deps")
-	}
-	return m, dyn, eng, stream
-}
-
 // freshBaseline recomputes embeddings from scratch on the current graph
 // state, bypassing every cache.
 func freshBaseline(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, ns []int32, ts []float64) *tensor.Tensor {
@@ -117,16 +36,29 @@ func freshBaseline(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, ns []int32, 
 	return m.Embed(s, ns, ts, nil)
 }
 
+// deleteEdge removes e from the graph and runs the engine's deletion
+// invalidation, returning the number of entries it dropped.
+func deleteEdge(t *testing.T, dyn *graph.Dynamic, eng *Engine, e graph.Edge) int {
+	t.Helper()
+	if !dyn.DeleteEdge(e.Idx) {
+		t.Fatalf("DeleteEdge(%d) found nothing", e.Idx)
+	}
+	if dyn.DeleteEdge(e.Idx) {
+		t.Fatal("double delete succeeded")
+	}
+	return eng.InvalidateEdge(e.Src, e.Dst, e.Time)
+}
+
 func TestInvalidateNodeFeatureChange(t *testing.T) {
-	m, dyn, eng, stream := invalidationSetup(t)
+	m, dyn, eng, stream := oooSetup(t, 0)
 	victim := stream[100].Src
 	queryT := dyn.MaxTime() + 1
 	ns := []int32{victim, stream[100].Dst, 1}
 	ts := []float64{queryT, queryT, queryT}
 
 	// Sanity: warm engine agrees with fresh baseline before the change.
-	if d := eng.Embed(ns, ts).MaxAbsDiff(freshBaseline(t, m, dyn, ns, ts)); d > 1e-5 {
-		t.Fatalf("pre-change disagreement %g", d)
+	if !sameBits(eng.Embed(ns, ts), freshBaseline(t, m, dyn, ns, ts)) {
+		t.Fatal("pre-change disagreement")
 	}
 
 	// Mutate the victim's feature row (the §7 node-feature-change event).
@@ -136,121 +68,140 @@ func TestInvalidateNodeFeatureChange(t *testing.T) {
 	}
 
 	// Without invalidation the cache is stale.
-	stale := eng.Embed(ns, ts)
 	fresh := freshBaseline(t, m, dyn, ns, ts)
-	if stale.MaxAbsDiff(fresh) <= 1e-5 {
+	if sameBits(eng.Embed(ns, ts), fresh) {
 		t.Fatal("feature change had no effect (test is vacuous)")
 	}
 
-	// Selective invalidation restores exactness.
+	// A feature row is read at every time, so every layer clears.
 	before := eng.CacheLen()
-	removed := eng.InvalidateNode(victim)
-	if removed == 0 {
-		t.Fatal("nothing invalidated for an active node")
+	if removed := eng.InvalidateNode(victim); removed != before {
+		t.Fatalf("InvalidateNode removed %d of %d entries", removed, before)
 	}
-	if eng.CacheLen() != before-removed {
-		t.Fatalf("cache len %d, want %d", eng.CacheLen(), before-removed)
+	if eng.CacheLen() != 0 || eng.TargetsFor(1).Len() != 0 {
+		t.Fatal("InvalidateNode left cache entries or index records behind")
 	}
-	if removed == before {
-		t.Fatal("invalidation was not selective (entire cache dropped)")
-	}
-	got := eng.Embed(ns, ts)
-	if d := got.MaxAbsDiff(fresh); d > 1e-5 {
-		t.Fatalf("post-invalidation disagreement %g", d)
+	if !sameBits(eng.Embed(ns, ts), fresh) {
+		t.Fatal("post-invalidation disagreement")
 	}
 }
 
 func TestInvalidateEdgeDeletion(t *testing.T) {
-	m, dyn, eng, stream := invalidationSetup(t)
-	// Pick a mid-stream interaction: those sit inside the most-recent
-	// windows of many later cached targets. Probe until one with
-	// recorded dependents is found (the probe itself performs the
-	// selective invalidation).
-	var victim graph.Edge
-	removed := 0
-	for _, e := range stream[len(stream)/2:] {
-		if r := eng.InvalidateEdge(e.Idx); r > 0 {
-			victim, removed = e, r
-			break
-		}
-	}
+	// A lateness window wider than the stream keeps every deletion at or
+	// above ⌊watermark⌋, where it runs the late-edge rule.
+	m, dyn, eng, stream := oooSetup(t, 1e9)
+	victim := stream[len(stream)/2]
+	before := eng.CacheLen()
+	removed := deleteEdge(t, dyn, eng, victim)
 	if removed == 0 {
-		t.Fatal("no mid-stream edge had cached dependents")
+		t.Fatal("a mid-stream deletion invalidated nothing")
 	}
-	if !dyn.DeleteEdge(victim.Idx) {
-		t.Fatal("DeleteEdge failed")
-	}
-	if dyn.DeleteEdge(victim.Idx) {
-		t.Fatal("double delete succeeded")
+	if removed == before || eng.CacheLen() != before-removed {
+		t.Fatalf("deletion was not selective: removed %d of %d, %d left", removed, before, eng.CacheLen())
 	}
 	queryT := dyn.MaxTime() + 1
 	ns := []int32{victim.Src, victim.Dst}
 	ts := []float64{queryT, queryT}
-	fresh := freshBaseline(t, m, dyn, ns, ts)
-	got := eng.Embed(ns, ts)
-	if d := got.MaxAbsDiff(fresh); d > 1e-5 {
-		t.Fatalf("post-deletion disagreement %g", d)
+	if !sameBits(eng.Embed(ns, ts), freshBaseline(t, m, dyn, ns, ts)) {
+		t.Fatal("post-deletion disagreement at the head")
 	}
-	// Also verify at the timestamps that were actually cached: replay
-	// the stream's queries and compare against fresh computation.
-	for start := 0; start < len(stream); start += 150 {
-		batch := stream[start : start+150]
-		bns := make([]int32, 2*len(batch))
-		bts := make([]float64, 2*len(batch))
-		for i, e := range batch {
-			bns[i], bns[len(batch)+i] = e.Src, e.Dst
-			bts[i], bts[len(batch)+i] = e.Time, e.Time
-		}
-		if d := eng.Embed(bns, bts).MaxAbsDiff(freshBaseline(t, m, dyn, bns, bts)); d > 1e-5 {
-			t.Fatalf("replay at offset %d disagrees by %g after deletion", start, d)
-		}
-	}
+	// Also verify at the timestamps that were actually cached.
+	replayExact(t, m, dyn, eng, stream, "deletion")
 }
 
 func TestInvalidateEdgeOutsideWindowsPreservesReuse(t *testing.T) {
-	// Deleting an interaction that no cached embedding sampled must not
-	// drop anything: "maximizing reuse" (§7).
-	_, dyn, eng, stream := invalidationSetup(t)
-	// Edge 1 is the oldest; busy endpoints' most-recent-5 windows at the
-	// times that were cached are very unlikely to still include it —
-	// but rather than assume, pick an edge whose deps list is empty.
-	var target int32 = -1
-	for _, e := range stream[:50] {
-		// Peek without draining by checking a copy via KeysForEdge on a
-		// cloned id is impossible; instead use an edge and accept either
-		// outcome, requiring at least one zero-removal case among the
-		// oldest edges.
-		if removed := eng.InvalidateEdge(e.Idx); removed == 0 {
-			target = e.Idx
-			break
+	// Deleting an interaction that no cached window holds must not drop
+	// anything: "maximizing reuse" (§7). Node 1 interacts with node 9
+	// once, at t=5, then ten times with nodes 2–4; the only query is
+	// ⟨1, 150⟩, whose most-recent-5 window holds none of node 9's edge,
+	// and node 9 itself is never cached.
+	r := tensor.NewRNG(9)
+	const nodes = 9
+	nodeFeat := tensor.Randn(r, nodes+1, 16)
+	edgeFeat := tensor.Randn(r, 64, 16)
+	for j := 0; j < 16; j++ {
+		nodeFeat.Set(0, 0, j)
+		edgeFeat.Set(0, 0, j)
+	}
+	cfg := tgat.Config{Layers: 2, Heads: 2, NodeDim: 16, EdgeDim: 16, TimeDim: 16, NumNeighbors: 5, Seed: 3}
+	m, err := tgat.NewModel(cfg, nodeFeat, edgeFeat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := graph.NewDynamic(nodes)
+	dyn.SetLateness(1_000)
+	old := graph.Edge{Src: 1, Dst: 9, Time: 5, Idx: 1}
+	edges := []graph.Edge{old}
+	for i := 0; i < 10; i++ {
+		edges = append(edges, graph.Edge{Src: 1, Dst: int32(2 + i%3), Time: float64(10 * (i + 1)), Idx: int32(i + 2)})
+	}
+	for _, e := range edges {
+		if _, err := dyn.Append(e); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if target == -1 {
-		t.Skip("every probed old edge was still inside a cached window")
+	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	ns, ts := []int32{1}, []float64{150}
+	eng.Embed(ns, ts)
+	before := eng.CacheLen()
+	if before == 0 {
+		t.Fatal("warming query cached nothing")
 	}
-	if !dyn.DeleteEdge(target) {
-		t.Fatal("DeleteEdge failed")
+	if removed := deleteEdge(t, dyn, eng, old); removed != 0 || eng.CacheLen() != before {
+		t.Fatalf("out-of-window deletion removed %d entries, %d of %d left", removed, eng.CacheLen(), before)
 	}
-	if eng.CacheLen() == 0 {
-		t.Fatal("cache emptied by no-op invalidation")
+	// Only 2 interactions in (80, 150): the window shifts, entries drop.
+	if removed := deleteEdge(t, dyn, eng, edges[8]); removed == 0 {
+		t.Fatal("in-window deletion removed nothing")
+	}
+	if !sameBits(eng.Embed(ns, ts), freshBaseline(t, m, dyn, ns, ts)) {
+		t.Fatal("post-deletion disagreement")
 	}
 }
 
-func TestInvalidateRequiresTracking(t *testing.T) {
-	ds, m, s := engineTestSetup(t, 200)
-	eng := NewEngine(m, s, OptAll())
-	_ = ds
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InvalidateNode without tracking did not panic")
+func TestInvalidateEdgeDeepKeepsUnreachedEntries(t *testing.T) {
+	// L = 3: the deletion runs the late-edge rule with its transitive
+	// rules, so layer 2 keeps every entry no displaced window reaches.
+	m, dyn, eng, stream := transSetup(t, 200, OptAll())
+	victim := stream[len(stream)-20]
+	if victim.Time < dyn.Watermark() {
+		t.Fatal("fixture: the victim lies below the watermark")
+	}
+	if removed := deleteEdge(t, dyn, eng, victim); removed == 0 {
+		t.Fatal("deleting an edge between busy nodes invalidated nothing")
+	}
+	if eng.CacheFor(2).Len() == 0 {
+		t.Fatal("deletion cleared layer 2 whole")
+	}
+	replayExact(t, m, dyn, eng, stream, "deep deletion")
+}
+
+func TestInvalidateEdgeBelowWatermarkClearsAll(t *testing.T) {
+	// Records between an edge below ⌊watermark⌋ and the watermark may be
+	// retired already, so such a deletion clears every layer and reports
+	// everything it dropped.
+	m, dyn, eng, stream := transSetup(t, 200, OptAll())
+	victim := stream[10]
+	if victim.Time >= dyn.Watermark()-1 {
+		t.Fatal("fixture: the victim is not below the watermark")
+	}
+	before := eng.CacheLen()
+	if removed := deleteEdge(t, dyn, eng, victim); removed != before {
+		t.Fatalf("below-watermark deletion removed %d of %d entries", removed, before)
+	}
+	for l := 1; l <= 2; l++ {
+		if eng.CacheFor(l).Len() != 0 || eng.TargetsFor(l).Len() != 0 {
+			t.Fatalf("layer %d kept entries or index records", l)
 		}
-	}()
-	eng.InvalidateNode(1)
+	}
+	if eng.SupportsFor(2).Len() != 0 {
+		t.Fatal("layer 2 kept support records")
+	}
+	replayExact(t, m, dyn, eng, stream, "below-watermark deletion")
 }
 
 func TestInvalidateDeepCachesCleared(t *testing.T) {
-	// A 3-layer model caches layers 1 and 2; invalidation must clear the
-	// layer-2 cache conservatively.
+	// A 3-layer model caches layers 1 and 2; a feature write clears both.
 	ds, _, _ := engineTestSetup(t, 300)
 	cfg := engineTestConfig()
 	cfg.Layers = 3
@@ -259,9 +210,7 @@ func TestInvalidateDeepCachesCleared(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := graph.NewSampler(ds.Graph, cfg.NumNeighbors, graph.MostRecent, 0)
-	opt := OptAll()
-	opt.TrackDependencies = true
-	eng := NewEngine(m, s, opt)
+	eng := NewEngine(m, s, OptAll())
 	edges := ds.Graph.Edges()[:60]
 	ns := make([]int32, 2*len(edges))
 	ts := make([]float64, 2*len(edges))
@@ -273,8 +222,11 @@ func TestInvalidateDeepCachesCleared(t *testing.T) {
 	if eng.CacheFor(2) == nil || eng.CacheFor(2).Len() == 0 {
 		t.Fatal("layer-2 cache not populated")
 	}
-	eng.InvalidateNode(edges[0].Src)
-	if eng.CacheFor(2).Len() != 0 {
-		t.Fatal("layer-2 cache not conservatively cleared")
+	before := eng.CacheLen()
+	if removed := eng.InvalidateNode(edges[0].Src); removed != before {
+		t.Fatalf("InvalidateNode removed %d of %d entries", removed, before)
+	}
+	if eng.CacheFor(1).Len() != 0 || eng.CacheFor(2).Len() != 0 {
+		t.Fatal("a cached layer survived the feature write")
 	}
 }

@@ -112,8 +112,10 @@ func TestTargetIndexPrunesEvictedKeys(t *testing.T) {
 	}
 }
 
-// oooSetup is invalidationSetup with out-of-order ingestion enabled: a
-// lateness window on the graph and the target index on the engine.
+// oooSetup builds a 2-layer model over a live graph with the given
+// lateness window and warms the engine's cache (and its target index)
+// over the whole stream. Timestamps are at least 1 apart, keeping Key
+// injective, so the engine answers bitwise what the baseline does.
 func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
 	t.Helper()
 	r := tensor.NewRNG(5)
@@ -147,9 +149,7 @@ func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Eng
 			t.Fatal(err)
 		}
 	}
-	opt := OptAll()
-	opt.TrackTargets = true
-	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
+	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 	for start := 0; start < total; start += 100 {
 		batch := stream[start : start+100]
 		ns := make([]int32, 2*len(batch))
@@ -248,9 +248,7 @@ func TestInvalidateLateEdgeMostRecentWindowRefinement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opt := OptAll()
-	opt.TrackTargets = true
-	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
+	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 	eng.Embed([]int32{1}, []float64{150})
 	if eng.CacheLen() == 0 {
 		t.Fatal("warming query cached nothing")
@@ -346,9 +344,14 @@ func TestInvalidateAppendAheadOfAllEmbedsIsFree(t *testing.T) {
 }
 
 func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
-	// Without the target index the only sound response is a full clear —
-	// and the count must reflect it.
-	_, _, eng, _ := invalidationSetup(t)
+	// A static-sampler engine builds no index, so the only sound response
+	// is a full clear — and the count must reflect it.
+	ds, m, s := engineTestSetup(t, 300)
+	eng := NewEngine(m, s, OptAll())
+	if eng.TargetsFor(1) != nil {
+		t.Fatal("a static-sampler engine built an index")
+	}
+	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
 	before := eng.CacheLen()
 	if before == 0 {
 		t.Fatal("setup cached nothing")

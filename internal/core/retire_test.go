@@ -99,9 +99,7 @@ func TestIndexRetirementMatchesKeepAll(t *testing.T) {
 		}
 	}
 	sampler := func() *graph.Sampler { return graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0) }
-	opt := OptAll()
-	opt.TrackTargets = true
-	retire, keep := NewEngine(m, sampler(), opt), NewEngine(m, sampler(), opt)
+	retire, keep := NewEngine(m, sampler(), OptAll()), NewEngine(m, sampler(), OptAll())
 	keep.keepAll = true
 	base := m.BaselineEmbedFunc(sampler())
 

@@ -58,11 +58,8 @@ func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 		}
 		f.nextIdx++
 	}
-	opt := OptAll()
-	opt.TrackTargets = true
-	opt.TrackDependencies = true
-	f.eng = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
-	f.ref = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
+	f.eng = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	f.ref = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 	if f.eng.topMemo == nil {
 		t.Fatal("live-graph engine built without a top-layer memo")
 	}
@@ -169,12 +166,11 @@ func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
 			f.check("late insert", nodes, ts)
 
 			// Delete the edge just inserted.
-			victim := f.nextIdx - 1
-			if !f.dyn.DeleteEdge(victim) {
+			if !f.dyn.DeleteEdge(f.nextIdx - 1) {
 				t.Fatal("DeleteEdge found nothing")
 			}
-			f.eng.InvalidateEdge(victim)
-			f.ref.InvalidateEdge(victim)
+			f.eng.InvalidateEdge(1, 4, t0-60)
+			f.ref.InvalidateEdge(1, 4, t0-60)
 			f.check("edge deletion", nodes, ts)
 
 			for j := 0; j < f.m.Cfg.NodeDim; j++ {

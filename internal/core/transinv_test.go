@@ -61,13 +61,6 @@ func transSetup(t *testing.T, lateness float64, opt Options) (*tgat.Model, *grap
 	return m, dyn, eng, stream
 }
 
-// transOpt is the engine option set every transitive test starts from.
-func transOpt() Options {
-	opt := OptAll()
-	opt.TrackTargets = true
-	return opt
-}
-
 // replayExact re-embeds the whole warmed query set and compares against
 // a fresh no-cache baseline, failing on any surviving stale entry.
 func replayExact(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, eng *Engine, stream []graph.Edge, label string) {
@@ -84,14 +77,14 @@ func replayExact(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, eng *Engine, s
 			ns[i], ns[len(batch)+i] = e.Src, e.Dst
 			ts[i], ts[len(batch)+i] = e.Time, e.Time
 		}
-		if d := eng.Embed(ns, ts).MaxAbsDiff(freshBaseline(t, m, dyn, ns, ts)); d > 1e-5 {
-			t.Fatalf("%s: replay at offset %d disagrees by %g", label, start, d)
+		if !sameBits(eng.Embed(ns, ts), freshBaseline(t, m, dyn, ns, ts)) {
+			t.Fatalf("%s: replay at offset %d differs from the recompute", label, start)
 		}
 	}
 }
 
 func TestTransitiveInvalidateLateEdgeDeepExactness(t *testing.T) {
-	m, dyn, eng, stream := transSetup(t, 200, transOpt())
+	m, dyn, eng, stream := transSetup(t, 200, OptAll())
 	if eng.SupportsFor(2) == nil || eng.SupportsFor(2).Len() == 0 {
 		t.Fatal("layer-2 support index recorded nothing")
 	}
@@ -118,7 +111,7 @@ func TestTransitiveInvalidateLateEdgeDeepExactness(t *testing.T) {
 }
 
 func TestTransitiveInvalidateAppendDeepExactness(t *testing.T) {
-	m, dyn, eng, stream := transSetup(t, 0, transOpt())
+	m, dyn, eng, stream := transSetup(t, 0, OptAll())
 	// Embed a few targets in the future so appends have memos to displace.
 	total := len(stream)
 	future := dyn.MaxTime() + 10
@@ -149,7 +142,7 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	// Shedding only arises when the watermark floor never passes a hot
 	// node's records. Simulate the overflow directly instead of running
 	// one: flood a record list past the cap.
-	_, dyn, eng, stream := transSetup(t, 200, transOpt())
+	_, dyn, eng, stream := transSetup(t, 200, OptAll())
 	six := eng.SupportsFor(2)
 	if six == nil {
 		t.Fatal("no layer-2 support index")
@@ -264,9 +257,10 @@ func TestSupportIndexAlivePrune(t *testing.T) {
 }
 
 // FuzzTransitiveInvalidate drives a random interleaving of appends,
-// late inserts, and embed batches through a 3-layer engine and asserts
-// no stale deep entry survives: after every mutation+invalidate pair
-// the full warmed query set must match a fresh no-cache recompute.
+// late inserts, deletions and embed batches through a 3-layer engine
+// and asserts no stale deep entry survives: after every
+// mutation+invalidate pair the full warmed query set must be bitwise a
+// fresh no-cache recompute.
 func FuzzTransitiveInvalidate(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5}, int64(1))
 	f.Add([]byte{9, 9, 9, 0, 0, 0, 7, 7}, int64(42))
@@ -309,8 +303,7 @@ func FuzzTransitiveInvalidate(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		opt := transOpt()
-		eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), opt)
+		eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 
 		// Query set: every stream interaction plus a head-time probe per
 		// node. Re-embedded after every event, so the caches stay warm and
@@ -329,16 +322,28 @@ func FuzzTransitiveInvalidate(f *testing.F) {
 				ns[len(qns)+i] = int32(i + 1)
 				ts[len(qts)+i] = probe
 			}
-			got := eng.Embed(ns, ts)
-			want := freshBaseline(t, m, dyn, ns, ts)
-			if d := got.MaxAbsDiff(want); d > 1e-4 {
-				t.Fatalf("step %d: stale entry survived, diff %g", step, d)
+			if !sameBits(eng.Embed(ns, ts), freshBaseline(t, m, dyn, ns, ts)) {
+				t.Fatalf("step %d: stale entry survived", step)
 			}
 		}
 		check(-1)
 
+		live := append([]graph.Edge{}, stream...)
 		nextIdx := int32(total + 1)
 		for step, b := range ops {
+			if b%5 == 4 {
+				// Delete a live edge: the late-edge rule at its time.
+				i := (int(b)*11 + step) % len(live)
+				e := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if !dyn.DeleteEdge(e.Idx) {
+					t.Fatalf("step %d: DeleteEdge(%d) found nothing", step, e.Idx)
+				}
+				eng.InvalidateEdge(e.Src, e.Dst, e.Time)
+				check(step)
+				continue
+			}
 			u := int32(1 + (int(b)+step)%nodes)
 			v := int32(1 + (int(b>>3)+3*step)%nodes)
 			if u == v {
@@ -357,20 +362,21 @@ func FuzzTransitiveInvalidate(f *testing.F) {
 				lo := stream[(int(b)*7+step)%(total-1)]
 				et = lo.Time + float64(1+b%3)
 			}
-			res, _, err := dyn.Ingest(graph.Edge{Src: u, Dst: v, Time: et, Idx: nextIdx})
+			e := graph.Edge{Src: u, Dst: v, Time: et, Idx: nextIdx}
+			res, _, err := dyn.Ingest(e)
 			if err != nil {
 				t.Fatal(err)
 			}
 			switch res {
 			case graph.IngestAppended:
-				nextIdx++
 				eng.InvalidateAppend(u, v, et)
 			case graph.IngestLate:
-				nextIdx++
 				eng.InvalidateLateEdge(u, v, et)
 			default:
 				continue
 			}
+			nextIdx++
+			live = append(live, e)
 			check(step)
 		}
 	})

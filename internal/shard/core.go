@@ -40,13 +40,12 @@ type Core struct {
 	bat   *batcher.Batcher
 }
 
-// NewCore builds an engine over dyn. The per-node key index is always
-// kept: edge invalidation needs it to be targeted rather than a full
-// cache clear, and even a purely chronological stream needs it — an
-// append must be able to selectively drop memos served at *future*
-// timestamps whose sampled windows it lands in (InvalidateAppend).
+// NewCore builds an engine over dyn. An engine over a live graph always
+// keeps the per-node key index, so edge invalidation is targeted rather
+// than a full cache clear — even on a purely chronological stream, where
+// an append must selectively drop memos served at *future* timestamps
+// whose sampled windows it lands in (InvalidateAppend).
 func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Core {
-	opt.TrackTargets = true
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
 	return &Core{model: model, eng: eng, emb: eng}

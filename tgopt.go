@@ -59,8 +59,10 @@ func NewGraph(numNodes int, edges []Edge) (*Graph, error) {
 }
 
 // Dynamic is a streaming continuous-time dynamic graph supporting
-// chronological appends and (rare) edge deletions. TGOpt's memoization
-// stays sound under appends; deletions require Engine.InvalidateEdge.
+// chronological appends, late inserts and (rare) edge deletions. An
+// engine over it stays exact when every write is followed by its
+// invalidation: Engine.InvalidateAppend, InvalidateLateEdge, or
+// InvalidateEdge(u, v, t) for a deletion.
 type Dynamic = graph.Dynamic
 
 // NewDynamic creates an empty streaming graph over nodes 1..numNodes.
