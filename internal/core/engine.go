@@ -494,7 +494,7 @@ func (e *Engine) shedFrom() int {
 // to run before the graph accepts the next edge, as /v1/ingest and
 // shard.Router.Apply do. An edge replayed after a snapshot load may lie
 // below the watermark: the floor then drops to ⌊t⌋, and replays run in
-// time order (shard.Router.loadSnapshot).
+// time order (Engine.LoadCachesFS).
 func (e *Engine) indexFloor(t float64) float64 {
 	if e.keepAll {
 		return math.Inf(-1)

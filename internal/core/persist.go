@@ -35,6 +35,10 @@ import (
 // the checksum is parsed: a file without the envelope, an envelope of
 // an older snapshot version and a pre-section ("TGCC") blob are all
 // refused with an error and the caches left as they were.
+//
+// The envelope payload says what its entries are valid for: the model
+// version (uint64) and the live graph's watermark W (float64, NaN
+// without a live graph), then the layer count and (layer, blob) pairs.
 
 const (
 	cacheMagicV2 uint32 = 0x32434754 // "TGC2": per-shard sections
@@ -44,8 +48,9 @@ const (
 
 	// cacheSnapshotVersion is the engine snapshot's envelope version.
 	// Version 3 prefixed the layer stream with the model version the
-	// entries were computed under.
-	cacheSnapshotVersion uint32 = 3
+	// entries were computed under; version 4 adds the graph watermark
+	// they are valid from.
+	cacheSnapshotVersion uint32 = 4
 )
 
 // WriteTo serializes every cached entry as a v2 blob. Each shard's
@@ -211,6 +216,12 @@ func (e *Engine) SaveCaches(path string) error {
 
 // SaveCachesFS is SaveCaches over an injectable file system (fault
 // tests drive it through internal/faultfs).
+//
+// The graph watermark W it stamps is read once, before any entry is
+// serialized. W never moves back, so every edge the graph takes
+// afterwards, and one taken but not yet invalidated for, has time ≥ W:
+// replaying every edge at or past W on load covers each edge the saved
+// entries may predate (some redundantly, which is safe).
 func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to save")
@@ -221,15 +232,19 @@ func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 	// blobs.
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
+	wm := math.NaN()
+	if e.dyn != nil {
+		wm = e.dyn.Watermark()
+	}
 	return checkpoint.WriteFS(fsys, path, cacheSnapshotVersion, func(w io.Writer) error {
-		// Payload: model version, number of cached layers, then
-		// (layer, blob) pairs.
-		var mv [8]byte
-		binary.LittleEndian.PutUint64(mv[:], e.model.Version())
-		if _, err := w.Write(mv[:]); err != nil {
+		// Payload: model version, watermark, number of cached layers,
+		// then (layer, blob) pairs.
+		var stamp [16]byte
+		binary.LittleEndian.PutUint64(stamp[:8], e.model.Version())
+		binary.LittleEndian.PutUint64(stamp[8:], math.Float64bits(wm))
+		if _, err := w.Write(stamp[:]); err != nil {
 			return err
 		}
-		// Number of cached layers, then (layer, blob) pairs.
 		var live []int
 		for l, c := range e.caches {
 			if c != nil {
@@ -268,6 +283,12 @@ func (e *Engine) LoadCaches(path string) error {
 // LoadCachesFS is LoadCaches over an injectable file system — the
 // shard supervisor restores a crashed shard's snapshot through it so
 // fault tests can drive the restart leg with internal/faultfs.
+//
+// A live engine refuses a NaN W or a W past MaxTime (its graph is
+// behind the saver's and may lack edges the entries read), and after
+// absorbing the entries runs the late-edge rule for every edge at or
+// past W, which the entries may predate. The caller keeps graph writers
+// out until the load returns. A static-sampler engine ignores W.
 func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to load into")
@@ -280,22 +301,39 @@ func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	// rows computed before or while they were absorbed must not outlive
 	// the load.
 	defer e.memoEpoch.Add(1)
-	return checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
+	var w float64
+	err := checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
 		if version != cacheSnapshotVersion {
 			return fmt.Errorf("core: cache snapshot version %d, engine reads %d", version, cacheSnapshotVersion)
 		}
-		// The model-version stamp precedes the layer stream. A snapshot
-		// taken under other parameters is refused — its memos would be
-		// bitwise-wrong under the current model.
-		var mv [8]byte
-		if _, err := io.ReadFull(r, mv[:]); err != nil {
+		// The model-version and watermark stamps precede the layer
+		// stream. A snapshot taken under other parameters is refused —
+		// its memos would be bitwise-wrong under the current model.
+		var stamp [16]byte
+		if _, err := io.ReadFull(r, stamp[:]); err != nil {
 			return err
 		}
-		if v := binary.LittleEndian.Uint64(mv[:]); v != e.model.Version() {
+		if v := binary.LittleEndian.Uint64(stamp[:8]); v != e.model.Version() {
 			return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.model.Version())
+		}
+		w = math.Float64frombits(binary.LittleEndian.Uint64(stamp[8:]))
+		if e.dyn != nil && (math.IsNaN(w) || w > e.dyn.MaxTime()) {
+			return fmt.Errorf("core: cache snapshot watermark %v outside the graph's clock %v", w, e.dyn.MaxTime())
 		}
 		return e.loadCacheStream(r)
 	})
+	if err != nil || e.dyn == nil {
+		return err
+	}
+	// invalidateNewer rather than InvalidateAppend: the append fast path
+	// skips the scan when no future-time memo was embedded, and the
+	// restored entries are exactly such memos. The graph keeps its edges
+	// in time order, so each scan retires only records below its own
+	// edge, which no later replay can reach (indexFloor).
+	for _, edge := range e.dyn.EdgesFrom(w) {
+		e.invalidateNewer(edge.Src, edge.Dst, edge.Time)
+	}
+	return nil
 }
 
 // loadCacheStream parses a layer stream into staging caches and

@@ -379,7 +379,7 @@ func TestLoadCachesLegacyFile(t *testing.T) {
 	}{
 		{"pre-envelope raw stream", stream.Bytes(), checkpoint.ErrNotCheckpoint},
 		{"envelope version 2", envelope(2, nil), nil},
-		{"current envelope, v1 blob", envelope(cacheSnapshotVersion, make([]byte, 8)), nil},
+		{"current envelope, v1 blob", envelope(cacheSnapshotVersion, make([]byte, 16)), nil},
 	} {
 		path := filepath.Join(t.TempDir(), "legacy.bin")
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {

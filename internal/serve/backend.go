@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tgopt/internal/batcher"
-	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
@@ -24,7 +23,6 @@ type backend interface {
 	EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error)
 	Apply(e graph.Edge, res graph.IngestResult) int
 	SetBatching(cfg batcher.Config)
-	PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParams, error)
 	CommitSwap(sp *tgat.StagedParams, version uint64)
 	SaveSnapshot(path string) error
 	WarmStart(path string) (warmed int, err error)
@@ -68,6 +66,15 @@ func (s *Server) engineTotals() engineTotals {
 		}
 	}
 	return t
+}
+
+// hitRate is the memo caches' hits per lookup, summed over every
+// engine and cached layer since boot (0 before the first lookup).
+func (t engineTotals) hitRate() float64 {
+	if t.cache.Lookups == 0 {
+		return 0
+	}
+	return float64(t.cache.Hits) / float64(t.cache.Lookups)
 }
 
 // stageStatsJSON renders the per-stage latency histograms for

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -205,7 +206,7 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 	}
 	common := map[string]string{} // mode -> the families / keys every mode must share
 	forEachBackend(t, func(t *testing.T, m backendMode, mk func(string) (*Server, *httptest.Server)) {
-		_, ts := mk("")
+		s, ts := mk("")
 		backendScript(t, ts.URL)
 
 		var rest []string
@@ -254,6 +255,24 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 				}
 			}
 		}
+		// hit_rate is the cache section's hits per lookup: no engine
+		// feeds a per-pass tracker.
+		var hitRate float64
+		var cache core.CacheStats
+		if err := json.Unmarshal(st["hit_rate"], &hitRate); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(st["cache"], &cache); err != nil {
+			t.Fatal(err)
+		}
+		if cache.Lookups == 0 || hitRate != float64(cache.Hits)/float64(cache.Lookups) {
+			t.Errorf("hit_rate %v, cache hits %d / lookups %d", hitRate, cache.Hits, cache.Lookups)
+		}
+		for i, eng := range s.backend.Engines() {
+			if eng.Options().HitRate != nil {
+				t.Errorf("engine %d records into a HitRate tracker", i)
+			}
+		}
 		var wire wireStats
 		if err := json.Unmarshal(st["wire"], &wire); err != nil {
 			t.Fatal(err)
@@ -296,29 +315,36 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 	}
 }
 
-// TestBackendSwapPrepareRunsOutsideTheRequestGate: parsing a published
-// checkpoint (once per shard: N file reads and CRC checks) must not
-// stall traffic — only the commit takes the request gate. The pool's
-// prepare hook issues an embed through the handler and needs its 200
-// before prepare returns; with the gate held around prepare that embed
-// can only finish after the hook gives up.
+// hookFS runs hook before every Open: a params read that does work of
+// its own.
+type hookFS struct {
+	checkpoint.FS
+	hook func()
+}
+
+func (h hookFS) Open(name string) (io.ReadCloser, error) {
+	h.hook()
+	return h.FS.Open(name)
+}
+
+// TestBackendSwapPrepareRunsOutsideTheRequestGate: reading and parsing
+// a published checkpoint (a file read and CRC check) must not stall
+// traffic — only the commit takes the request gate. The params read
+// issues an embed through the handler and needs its 200 before the
+// read proceeds; with the gate held around the parse that embed can
+// only finish after the hook gives up.
 func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
-	model, dyn := swapSeedModel(t, 2), swapSeedDyn(t)
-	path := filepath.Join(t.TempDir(), "params-1.tgp")
-	if err := swapSeedModel(t, 3).SaveParamsFS(checkpoint.OS{}, path); err != nil {
-		t.Fatal(err)
-	}
-	var handler http.Handler
-	served := make(chan int, 1)
-	s, err := NewSharded(model, dyn, core.OptAll(), shard.Config{
-		Shards: 2,
-		SwapFS: func(id int) checkpoint.FS {
-			if id != 0 {
-				return nil
-			}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		s, _ := mk("")
+		path := filepath.Join(t.TempDir(), "params-1.tgp")
+		if err := swapSeedModel(t, 3).SaveParamsFS(checkpoint.OS{}, path); err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan int, 1)
+		fsys := hookFS{FS: checkpoint.OS{}, hook: func() {
 			code := make(chan int, 1)
 			go func() {
-				code <- recordJSON(t, handler, http.MethodPost, "/v1/embed",
+				code <- recordJSON(t, s.Handler(), http.MethodPost, "/v1/embed",
 					embedRequest{Nodes: swapQueryNodes, Times: swapQueryTimes}, nil)
 			}()
 			select {
@@ -327,23 +353,17 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				served <- 0
 			}
-			return nil
-		},
+		}}
+		if err := s.SwapParams(fsys, path, 1); err != nil {
+			t.Fatal(err)
+		}
+		if code := <-served; code != http.StatusOK {
+			t.Fatalf("embed issued during the params read: status %d (0 = still blocked after 2s), want 200", code)
+		}
+		if v := s.ModelVersion(); v != 1 {
+			t.Fatalf("version after swap = %d, want 1", v)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	handler = s.Handler()
-	if err := s.SwapParams(checkpoint.OS{}, path, 1); err != nil {
-		t.Fatal(err)
-	}
-	if code := <-served; code != http.StatusOK {
-		t.Fatalf("embed issued during swap prepare: status %d (0 = still blocked after 2s), want 200", code)
-	}
-	if v := s.ModelVersion(); v != 1 {
-		t.Fatalf("version after swap = %d, want 1", v)
-	}
 }
 
 // TestBackendOneModelVersion: the params version is a property of the

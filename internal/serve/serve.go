@@ -46,16 +46,14 @@ import (
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
-	"tgopt/internal/stats"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
 // Server serves TGOpt inference over a live dynamic graph.
 type Server struct {
-	dyn     *graph.Dynamic
-	model   *tgat.Model
-	hitRate *stats.HitRate
+	dyn   *graph.Dynamic
+	model *tgat.Model
 
 	// backend computes, invalidates, swaps and snapshots: one shard.Core
 	// over dyn (New) or a shard.Router of N cores over it (NewSharded).
@@ -124,15 +122,13 @@ type Server struct {
 // newServer is the part of New and NewSharded that does not depend on
 // the backend.
 func newServer(model *tgat.Model, dyn *graph.Dynamic) *Server {
-	return &Server{dyn: dyn, model: model, hitRate: stats.NewHitRate(10), wire: newRowTextMemo(model.Cfg.NodeDim)}
+	return &Server{dyn: dyn, model: model, wire: newRowTextMemo(model.Cfg.NodeDim)}
 }
 
 // New builds a server over a model and a (possibly pre-populated)
-// dynamic graph, computing on one shard.Core over that graph. opt's
-// HitRate is overridden with the server's own instrumentation.
+// dynamic graph, computing on one shard.Core over that graph.
 func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
 	s := newServer(model, dyn)
-	opt.HitRate = s.hitRate
 	s.backend = shard.NewCore(model, dyn, opt)
 	return s
 }
@@ -231,7 +227,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_graph_edges", "Interactions ingested.", float64(s.dyn.NumEdges()))
 	write("tgopt_cache_items", "Memoized embeddings resident.", float64(et.items))
 	write("tgopt_cache_bytes", "Estimated cache footprint in bytes.", float64(et.bytes))
-	write("tgopt_cache_hit_rate", "Average embedding cache hit rate.", s.hitRate.Average())
+	write("tgopt_cache_hit_rate", "Memo cache hits per lookup since boot.", et.hitRate())
 	cs := et.cache
 	write("tgopt_cache_lookups_total", "Memo cache lookups.", float64(cs.Lookups))
 	write("tgopt_cache_hits_total", "Memo cache hits.", float64(cs.Hits))
@@ -639,7 +635,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxTime:       s.dyn.MaxTime(),
 		CacheItems:    et.items,
 		CacheBytes:    et.bytes,
-		HitRate:       s.hitRate.Average(),
+		HitRate:       et.hitRate(),
 		Cache:         cacheSection{et.cache, et.topMemo},
 		Wire:          s.wire.stats(),
 		CacheLayers:   et.layers,

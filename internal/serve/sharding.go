@@ -21,7 +21,6 @@ import (
 // footprint matches the unsharded deployment.
 func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg shard.Config) (*Server, error) {
 	s := newServer(model, dyn)
-	opt.HitRate = s.hitRate // concurrency-safe; shared across shards
 	r, err := shard.NewRouter(model, dyn, opt, cfg)
 	if err != nil {
 		return nil, err

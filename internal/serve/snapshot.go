@@ -10,15 +10,20 @@ import (
 // WarmStart loads the cache snapshot a previous process saved: the
 // file at path, or in sharded mode each shard's own under the router's
 // snapshot directory. A missing snapshot is a normal cold start; a
-// corrupt or unreadable one is logged and also starts cold — the
-// engine's LoadCaches is all-or-nothing, so a damaged snapshot never
-// half-populates a cache. A serving process must come up either way,
-// which is why no error is returned.
+// corrupt or unreadable one, or one the graph cannot vouch for, is
+// logged and also starts cold — the engine's LoadCaches is
+// all-or-nothing, so a refused snapshot never half-populates a cache. A
+// serving process must come up either way, which is why no error is
+// returned. ingestMu keeps ingests out from the load to the end of the
+// engine's replay of edges taken since the save.
 func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	switch warmed, err := s.backend.WarmStart(path); {
+	s.ingestMu.Lock()
+	warmed, err := s.backend.WarmStart(path)
+	s.ingestMu.Unlock()
+	switch {
 	case err == nil:
 		logf("warm-started %d memoized embeddings from %s (%d of %d cores)",
 			s.CacheLen(), path, warmed, len(s.backend.Engines()))

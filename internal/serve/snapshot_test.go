@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,6 +58,60 @@ func TestServeWarmStartRoundTrip(t *testing.T) {
 		s2.WarmStart(path, func(f string, a ...any) { lines = append(lines, f) })
 		if got, want := s2.CacheLen(), s.CacheLen(); got != want {
 			t.Fatalf("warm start restored %d entries, want %d (log: %v)", got, want, lines)
+		}
+	})
+}
+
+// TestServeWarmStartMatchesColdServer: a warm-started server answers
+// byte for byte what a cold server over the same graph answers, when
+// the graph it boots on lost an edge the saver held (the snapshot's
+// watermark is past its clock: a refused, cold start) and when it
+// gained one past the saved watermark (the load replays it).
+func TestServeWarmStartMatchesColdServer(t *testing.T) {
+	base := snapshotEdges()
+	withExtra := append(slices.Clone(base), edgeJSON{Src: 1, Dst: 12, Time: 4500, Idx: int32(len(base) + 1)})
+	req := embedRequest{Nodes: []int32{1, 2, 11}, Times: []float64{5000, 5000, 5000}}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		embed := func(url string) []byte {
+			t.Helper()
+			body, code, err := postBody(url, "/v1/embed", req)
+			if err != nil || code != 200 {
+				t.Fatalf("embed: code %d err %v (%s)", code, err, body)
+			}
+			return body
+		}
+		cold := func(edges []edgeJSON) []byte {
+			_, ts := mk("")
+			ingest(t, ts.URL, edges)
+			return embed(ts.URL)
+		}
+		if bytes.Equal(cold(base), cold(withExtra)) {
+			t.Fatal("the extra edge changes no asked row: the cases test nothing")
+		}
+		for _, tc := range []struct {
+			name        string
+			saved, boot []edgeJSON
+			warm        bool
+		}{
+			{"lost-edge", withExtra, base, false},
+			{"gained-edge", base, withExtra, true},
+		} {
+			path := filepath.Join(t.TempDir(), "cache.bin")
+			s, ts := mk(path)
+			ingest(t, ts.URL, tc.saved)
+			embed(ts.URL)
+			if err := s.SaveSnapshot(path); err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := mk(path)
+			ingest(t, ts2.URL, tc.boot)
+			s2.WarmStart(path, nil)
+			if warm := s2.CacheLen() > 0; warm != tc.warm {
+				t.Fatalf("%s: warm start restored %d entries, want a warm start = %v", tc.name, s2.CacheLen(), tc.warm)
+			}
+			if got, want := embed(ts2.URL), cold(tc.boot); !bytes.Equal(got, want) {
+				t.Fatalf("%s: warm-started body differs from a cold server's\n got %s\nwant %s", tc.name, got, want)
+			}
 		}
 	})
 }

@@ -43,16 +43,16 @@ func (s *Server) ModelVersion() uint64 { return s.model.Version() }
 func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
 
 // SwapParams atomically swaps the serving model to the params
-// checkpoint at path, as the given version. Prepare-then-commit: the
-// backend parses and fully validates the checkpoint (envelope CRC,
-// tensor count, every shape — once per shard, through each shard's own
-// file system, in a pool) with nothing locked and traffic flowing, so a
-// corrupt or torn snapshot rolls back trivially — nothing was mutated,
-// the previous version keeps serving, and the attempt is counted in
-// rollbacks. Only the commit runs under the server's request gate (no
-// in-flight embed/score/ingest/explain straddles it) plus the backend's
-// barriers underneath, and re-derives every params-dependent structure:
-// precomputed time tables and the memo caches.
+// checkpoint at path, as the given version. Parse-then-commit: the
+// checkpoint is parsed and fully validated (envelope CRC, tensor count,
+// every shape) once, into the model every core shares, with nothing
+// locked and traffic flowing, so a corrupt or torn snapshot rolls back
+// trivially — nothing was mutated, the previous version keeps serving,
+// and the attempt is counted in rollbacks. Only the commit runs under
+// the server's request gate (no in-flight embed/score/ingest/explain
+// straddles it) plus the backend's barriers underneath, and re-derives
+// every params-dependent structure: precomputed time tables and the
+// memo caches.
 //
 // fsys is the file system path is read through (nil: checkpoint.OS);
 // fault tests inject faultfs.
@@ -60,7 +60,7 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	if fsys == nil {
 		fsys = checkpoint.OS{}
 	}
-	sp, err := s.backend.PrepareSwap(fsys, path)
+	sp, err := s.model.ParseParamsFS(fsys, path)
 	if err != nil {
 		s.rollbacks.Add(1)
 		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",

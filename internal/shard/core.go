@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"tgopt/internal/batcher"
-	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
@@ -132,15 +131,9 @@ func (c *Core) Apply(e graph.Edge, res graph.IngestResult) int {
 	return 0
 }
 
-// PrepareSwap parses and fully validates the params checkpoint at path
-// (envelope CRC, tensor count, every shape) without touching serving
-// state: a nil error means CommitSwap cannot fail.
-func (c *Core) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParams, error) {
-	return c.model.ParseParamsFS(fsys, path)
-}
-
-// CommitSwap installs staged params as the given version under the
-// engine's swap gate: in-flight passes drain, the model's tensors are
+// CommitSwap installs params the caller parsed and validated
+// (tgat.Model.ParseParamsFS) as the given version under the engine's
+// swap gate: in-flight passes drain, the model's tensors are
 // rewritten, and every version-dependent structure is re-derived
 // (core.Engine.FinishSwap).
 func (c *Core) CommitSwap(sp *tgat.StagedParams, version uint64) {

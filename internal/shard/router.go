@@ -38,18 +38,13 @@ type Config struct {
 	HedgeDelay time.Duration
 	// Breaker configures every shard's circuit breaker.
 	Breaker BreakerConfig
-	// SnapshotDir, when non-empty, is where per-shard cache snapshots
-	// (shard-N.tgc) and the graph watermark each was saved at
-	// (shard-N.pos) live.
+	// SnapshotDir, when non-empty, is where the per-shard cache
+	// snapshots (shard-N.tgc) live, each carrying the model version and
+	// graph watermark it is valid for.
 	SnapshotDir string
 	// FS overrides the snapshot file system (default checkpoint.OS);
 	// fault tests inject faultfs.FS.
 	FS checkpoint.FS
-	// SwapFS, when non-nil, overrides the file system one shard's
-	// PrepareSwap reads a params checkpoint through (nil return falls
-	// back to the caller's). Fault tests inject a bit-flipping faultfs
-	// for exactly one shard to prove the all-or-nothing rollback.
-	SwapFS func(shard int) checkpoint.FS
 	// WrapEmbedder, when non-nil, wraps each shard's engine before a
 	// batcher is attached — the chaos tests use it to inject panics
 	// into exactly one failure domain.
@@ -101,9 +96,10 @@ type Router struct {
 	ring   *ring
 	shards []*Shard
 
-	// ingestMu orders Apply against snapshot loads: a restart's load,
-	// watermark replay and core swap, and a WarmStart, run under it, so
-	// no edge falls between a replay and the core going live.
+	// ingestMu orders Apply against snapshot loads: a restart's load
+	// (the engine's watermark replay included) and core swap, and a
+	// WarmStart, run under it, so no edge falls between a replay and
+	// the core going live.
 	ingestMu sync.Mutex
 
 	// swapMu is the pool-wide hot-swap barrier: Embed holds the read
@@ -484,45 +480,16 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 // ParamsVersion returns the model version the pool currently serves.
 func (r *Router) ParamsVersion() uint64 { return r.model.Version() }
 
-// PrepareSwap is the first phase of swapping the whole pool to the
-// params checkpoint at path: every shard parses and validates its own
-// read of the file through its own file system (Config.SwapFS, else
-// fsys). Validation covers the envelope CRC, the tensor count, and
-// every shape, so a nil error means CommitSwap cannot fail. Any shard
-// failing — a bit-flipped replica of the file, a torn read — aborts the
-// swap before anything mutates: all-or-nothing, the old version keeps
-// serving everywhere. Nothing is locked, so traffic flows meanwhile.
-func (r *Router) PrepareSwap(fsys checkpoint.FS, path string) (*tgat.StagedParams, error) {
-	var staged *tgat.StagedParams
-	for i := range r.shards {
-		shardFS := fsys
-		if r.cfg.SwapFS != nil {
-			if f := r.cfg.SwapFS(i); f != nil {
-				shardFS = f
-			}
-		}
-		sp, err := r.model.ParseParamsFS(shardFS, path)
-		if err != nil {
-			return nil, fmt.Errorf("shard: swap prepare failed on shard %d, rolled back pool-wide: %w", i, err)
-		}
-		// All prepares validated against the same architecture, so any
-		// staged copy commits; they are byte-identical when every
-		// replica of the file is intact.
-		if staged == nil {
-			staged = sp
-		}
-	}
-	return staged, nil
-}
-
-// CommitSwap is the second phase: under the pool swap barrier
-// (in-flight scatter-gathers and supervisor rebuilds drained, new ones
-// blocked) and every live engine's own swap gate, the shared model's
-// tensors and version are rewritten once and each engine re-derives its
+// CommitSwap installs params the caller parsed and validated
+// (tgat.Model.ParseParamsFS, once for the whole pool: every shard
+// shares the model). Under the pool swap barrier (in-flight
+// scatter-gathers and supervisor rebuilds drained, new ones blocked)
+// and every live engine's own swap gate, the shared model's tensors and
+// version are rewritten once and each engine re-derives its
 // version-dependent state — re-built time tables, memo caches dropped
-// (core.Engine.FinishSwap).
-// Crashed shards are absent by design: their supervisor rebuild reads
-// the shared model, so they come back on the new parameters.
+// (core.Engine.FinishSwap). Crashed shards are absent by design: their
+// supervisor rebuild reads the shared model, so they come back on the
+// new parameters.
 func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()

@@ -587,24 +587,34 @@ func TestRouterRestartReplaysFromWatermark(t *testing.T) {
 	}
 }
 
-// TestRouterSnapshotRefusesUntrustedSidecar: a warm start trusts a .pos
-// sidecar only as a watermark it can replay from. A version-1 sidecar
-// (an edge count), a NaN watermark and one past the graph's clock are
-// each a cold start counted in snapshot_errors, and the pool serves the
-// reference rows.
+// TestRouterSnapshotRefusesUntrustedSidecar: a warm start trusts the
+// watermark a shard-N.tgc snapshot carries only as one it can replay
+// from. A version-3 snapshot (written before the watermark was part of
+// it), a NaN watermark and one past the graph's clock are each a cold
+// start counted in snapshot_errors, and the pool serves the reference
+// rows.
 func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40)
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
+	// Each case rewrites a saved snapshot's envelope: the payload is
+	// the model version (8 bytes), the watermark (8 bytes), the layers.
 	for _, tc := range []struct {
-		name    string
-		version uint32
-		bits    uint64
+		name  string
+		craft func(version uint32, payload []byte) (uint32, []byte)
 	}{
-		{"edge-count-v1", 1, uint64(len(edges))},
-		{"nan", posVersion, math.Float64bits(math.NaN())},
-		{"past-the-clock", posVersion, math.Float64bits(1e9)},
+		{"version-3", func(_ uint32, p []byte) (uint32, []byte) {
+			return 3, append(slices.Clone(p[:8]), p[16:]...)
+		}},
+		{"nan", func(v uint32, p []byte) (uint32, []byte) {
+			binary.LittleEndian.PutUint64(p[8:16], math.Float64bits(math.NaN()))
+			return v, p
+		}},
+		{"past-the-clock", func(v uint32, p []byte) (uint32, []byte) {
+			binary.LittleEndian.PutUint64(p[8:16], math.Float64bits(1e9))
+			return v, p
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -614,9 +624,21 @@ func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range r1.shards {
-				_, pos := r1.snapshotPaths(i)
-				err := checkpoint.WriteFS(checkpoint.OS{}, pos, tc.version, func(w io.Writer) error {
-					return binary.Write(w, binary.LittleEndian, tc.bits)
+				path := r1.snapshotPath(i)
+				var version uint32
+				var payload []byte
+				err := checkpoint.ReadFS(checkpoint.OS{}, path, func(v uint32, r io.Reader) (err error) {
+					version = v
+					payload, err = io.ReadAll(r)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				version, payload = tc.craft(version, payload)
+				err = checkpoint.WriteFS(checkpoint.OS{}, path, version, func(w io.Writer) error {
+					_, err := w.Write(payload)
+					return err
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -1,16 +1,11 @@
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
-	"math"
 	"path/filepath"
 	"time"
-
-	"tgopt/internal/checkpoint"
 )
 
 // Supervisor: a shard whose engine panics is torn down wholesale (the
@@ -23,19 +18,15 @@ import (
 //  2. The restart goroutine builds a fresh engine over the router's
 //     graph, which already holds every edge taken so far.
 //  3. Under ingestMu it warms the caches from the shard's last snapshot
-//     (re-running invalidation for every edge at or past the watermark
-//     the snapshot recorded), swaps the core in, and clears crashed, so
-//     no edge falls between the replay and the first live Apply.
+//     (the engine re-runs invalidation for every edge at or past the
+//     watermark the snapshot carries), swaps the core in, and clears
+//     crashed, so no edge falls between the replay and the first live
+//     Apply.
 //  4. The breaker moves Open → HalfOpen: traffic is re-admitted by
 //     probes rather than a thundering herd.
 
 // restartBackoff paces rebuild attempts after a failed rebuild.
 const restartBackoff = 100 * time.Millisecond
-
-// posVersion is the envelope version of the .pos sidecar: the graph's
-// watermark at save time, as 8 little-endian float64 bytes. Version 1
-// held an edge count and is refused.
-const posVersion uint32 = 2
 
 // crash tears a shard down and schedules a single-flight restart. It
 // is safe to call from any number of concurrent observers; only the
@@ -125,40 +116,26 @@ func (r *Router) restartOnce(s *Shard) bool {
 	return true
 }
 
-// snapshotPaths returns the cache blob and watermark sidecar paths for
-// a shard.
-func (r *Router) snapshotPaths(id int) (cache, pos string) {
-	return filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.tgc", id)),
-		filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.pos", id))
+// snapshotPath returns a shard's cache snapshot path.
+func (r *Router) snapshotPath(id int) string {
+	return filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.tgc", id))
 }
 
-// SaveSnapshot persists every live shard's memo caches plus the graph
-// watermark W they are valid from, under Config.SnapshotDir — fixed at
-// construction because supervisor restarts read it, so the path a
-// single Core would write to is not consulted. W is read once, BEFORE
-// any cache save starts. The watermark never moves back, so every edge
-// the graph takes afterwards has time ≥ W, and so does the one edge
-// /v1/ingest may have taken but not yet Applied (each edge is Applied
-// before the next is taken). A restore that re-invalidates every edge
-// at or past W therefore covers each edge the saved entries predate;
-// that some of them were already applied is redundant, and safe.
+// SaveSnapshot persists every live shard's memo caches under
+// Config.SnapshotDir — fixed at construction because supervisor
+// restarts read it, so the path a single Core would write to is not
+// consulted. Each snapshot carries the graph watermark it is valid from
+// (core.Engine.SaveCachesFS).
 func (r *Router) SaveSnapshot(_ string) error {
 	if r.cfg.SnapshotDir == "" {
 		return fmt.Errorf("shard: no snapshot dir configured")
 	}
-	w := r.dyn.Watermark()
 	var first error
 	for _, s := range r.shards {
 		if s.crashed.Load() {
 			continue
 		}
-		c := s.currentCore()
-		cachePath, posPath := r.snapshotPaths(s.id)
-		err := c.eng.SaveCachesFS(r.cfg.FS, cachePath)
-		if err == nil {
-			err = writeWatermark(r.cfg.FS, posPath, w)
-		}
-		if err != nil {
+		if err := s.currentCore().eng.SaveCachesFS(r.cfg.FS, r.snapshotPath(s.id)); err != nil {
 			r.snapshotErrors.Add(1)
 			if first == nil {
 				first = fmt.Errorf("shard %d: %w", s.id, err)
@@ -198,69 +175,22 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 }
 
 // loadSnapshot warms a core from the shard's last snapshot, if it
-// exists and validates, then re-runs invalidation for every edge the
-// graph holds at or past the watermark W the snapshot recorded: the
-// snapshot may hold entries those edges invalidated in the live engine
-// after the save. A missing snapshot file is a silent cold start; an
-// unreadable one, a NaN W or a W past the graph's clock is a counted
-// cold start (correctness never depends on the snapshot). Callers hold
-// ingestMu.
+// exists and validates; the engine refuses a snapshot its graph cannot
+// vouch for and replays the edges taken since the save. A missing
+// snapshot file is a silent cold start, an unusable one a counted cold
+// start (correctness never depends on the snapshot). Callers hold
+// ingestMu, so no Apply lands between the load and its replay.
 func (r *Router) loadSnapshot(id int, c *Core) bool {
 	if r.cfg.SnapshotDir == "" {
 		return false
 	}
-	cachePath, posPath := r.snapshotPaths(id)
-	w, err := readWatermark(r.cfg.FS, posPath)
-	if err == nil && (math.IsNaN(w) || w > r.dyn.MaxTime()) {
-		err = fmt.Errorf("watermark %v outside the graph's clock %v", w, r.dyn.MaxTime())
-	}
-	if err == nil {
-		err = c.eng.LoadCachesFS(r.cfg.FS, cachePath)
-	}
-	if err != nil {
+	if err := c.eng.LoadCachesFS(r.cfg.FS, r.snapshotPath(id)); err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			r.snapshotErrors.Add(1)
 			r.cfg.Logf("shard %d: snapshot load: %v; cold start", id, err)
 		}
 		return false
 	}
-	// InvalidateLateEdge rather than InvalidateAppend: the latter's
-	// no-future-memos fast path would skip the scan on a fresh engine,
-	// and the restored entries are exactly such future memos. The graph
-	// keeps its edges in time order, so each scan retires only records
-	// below its own edge, which no later replay can reach (core.Engine's
-	// indexFloor).
-	for _, e := range r.dyn.EdgesFrom(w) {
-		c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
-	}
 	r.snapshotLoads.Add(1)
 	return true
-}
-
-// writeWatermark persists a watermark through the checkpoint envelope
-// (checksummed, atomically replaced).
-func writeWatermark(fsys checkpoint.FS, path string, w float64) error {
-	return checkpoint.WriteFS(fsys, path, posVersion, func(wr io.Writer) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
-		_, err := wr.Write(buf[:])
-		return err
-	})
-}
-
-// readWatermark reads a watermark written by writeWatermark.
-func readWatermark(fsys checkpoint.FS, path string) (float64, error) {
-	var w float64
-	err := checkpoint.ReadFS(fsys, path, func(version uint32, rd io.Reader) error {
-		if version != posVersion {
-			return fmt.Errorf("shard: pos sidecar version %d, want %d", version, posVersion)
-		}
-		var buf [8]byte
-		if _, err := io.ReadFull(rd, buf[:]); err != nil {
-			return err
-		}
-		w = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		return nil
-	})
-	return w, err
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,13 +16,15 @@ import (
 	"tgopt/internal/tgat"
 )
 
-// testModelSeed is testModel with a caller-chosen parameter seed, so a
-// second seed stands in for a newly fine-tuned version of the same
-// architecture.
-// swapPool is the two-phase pool swap as serving drives it: prepare
-// with nothing locked, then commit.
+// swapPool is the pool swap as serving drives it: parse the params
+// file once with nothing locked, then commit.
 func swapPool(r *Router, path string, version uint64) error {
-	sp, err := r.PrepareSwap(checkpoint.OS{}, path)
+	return swapPoolFS(r, checkpoint.OS{}, path, version)
+}
+
+// swapPoolFS is swapPool reading the params file through fsys.
+func swapPoolFS(r *Router, fsys checkpoint.FS, path string, version uint64) error {
+	sp, err := r.model.ParseParamsFS(fsys, path)
 	if err != nil {
 		return err
 	}
@@ -32,6 +32,9 @@ func swapPool(r *Router, path string, version uint64) error {
 	return nil
 }
 
+// testModelSeed is testModel with a caller-chosen parameter seed, so a
+// second seed stands in for a newly fine-tuned version of the same
+// architecture.
 func testModelSeed(t *testing.T, seed uint64) *tgat.Model {
 	t.Helper()
 	const maxEdges = 4096
@@ -51,7 +54,7 @@ func testModelSeed(t *testing.T, seed uint64) *tgat.Model {
 }
 
 // redirectFS serves Open(from) from a different file — the harness for
-// "one shard's replica of the params checkpoint is corrupt".
+// "the published params checkpoint reads back corrupt".
 type redirectFS struct {
 	checkpoint.FS
 	from, to string
@@ -85,11 +88,11 @@ func requireSlabEqual(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// TestRouterSwapAllOrNothing pins the two-phase pool swap: with one
-// shard's replica of the params checkpoint bit-flipped, prepare fails
-// on that shard and NOTHING changes anywhere — not the pool version,
-// not the shared tensors, not a single served row. Clearing the fault
-// lets the identical call commit everywhere at once.
+// TestRouterSwapAllOrNothing pins the parse-then-commit pool swap:
+// with the params checkpoint reading back bit-flipped, the parse fails
+// and NOTHING changes anywhere — not the pool version, not the shared
+// tensors, not a single served row. Clearing the fault lets the
+// identical call commit everywhere at once.
 func TestRouterSwapAllOrNothing(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(60)
@@ -116,25 +119,11 @@ func TestRouterSwapAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var faulty atomic.Bool
-	faulty.Store(true)
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 3,
-		SwapFS: func(shard int) checkpoint.FS {
-			if shard == 1 && faulty.Load() {
-				return redirectFS{FS: checkpoint.OS{}, from: good, to: bad}
-			}
-			return nil
-		},
-	})
+	r := newTestRouter(t, m, edges, Config{Shards: 3})
 	requireSlabEqual(t, "pre-swap", poolSlab(t, r, nodes, ts), wantOld)
 
-	err = swapPool(r, good, 1)
-	if err == nil {
-		t.Fatal("swap with a corrupt shard replica committed")
-	}
-	if !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("error does not name the failing shard: %v", err)
+	if err := swapPoolFS(r, redirectFS{FS: checkpoint.OS{}, from: good, to: bad}, good, 1); err == nil {
+		t.Fatal("swap of a corrupt checkpoint committed")
 	}
 	if v := r.ParamsVersion(); v != 0 {
 		t.Fatalf("version advanced to %d on a failed swap", v)
@@ -147,7 +136,6 @@ func TestRouterSwapAllOrNothing(t *testing.T) {
 	requireSlabEqual(t, "after rolled-back swap", poolSlab(t, r, nodes, ts), wantOld)
 
 	// Same call with the fault cleared: commits pool-wide.
-	faulty.Store(false)
 	if err := swapPool(r, good, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -337,9 +337,9 @@ func (m *Model) LoadParams(path string) error {
 }
 
 // StagedParams is a fully parsed and shape-validated parameter
-// checkpoint that has not yet been applied to a model — the "prepare"
-// half of the two-phase hot-swap: every shard parses its copy first,
-// and only when all of them succeed does any model mutate
+// checkpoint that has not yet been applied to a model — the parse half
+// of the two-phase hot-swap: the file is parsed once, with nothing
+// locked, and only when it validates does the model mutate
 // (ApplyParams).
 type StagedParams struct {
 	tensors []*tensor.Tensor

@@ -104,7 +104,7 @@ echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates' ./internal/core/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark' \
+go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestLoadCachesWatermarkRefusesAndReplays|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
@@ -120,6 +120,11 @@ fi
 echo "== one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)"
 if grep -rnE 'DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards' --include='*.go' .; then
     echo "a second invalidation structure or a tracking option is back: the lines above"; exit 1
+fi
+
+echo "== one snapshot format (the engine's cache snapshot carries the model version and graph watermark it is valid for; no sidecar, no per-shard params parse)"
+if grep -rnE 'posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap' --include='*.go' .; then
+    echo "a second snapshot validity record or a per-shard params parse is back: the lines above"; exit 1
 fi
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
