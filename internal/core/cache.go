@@ -8,14 +8,6 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// cacheEntryOverhead approximates the per-item bookkeeping bytes beyond
-// the embedding payload: the 8-byte key in the map and FIFO ring, the
-// slice header, and amortized map bucket space. Used by UsedBytes so the
-// reported footprint matches what the paper's Table 3/4 "used cache
-// size" measures (their 100,007 × 100-float items report 46.5 MiB ≈
-// payload × 1.16).
-const cacheEntryOverhead = 64
-
 // splitWeights returns the relative budget weights for cached layers
 // 1..top (index 0 unused). Layer l's share is proportional to
 // k^(top−l): every layer-(l+1) miss fans out into k layer-l lookups, so
@@ -111,7 +103,9 @@ type CacheStats struct {
 // vectors, with a global item limit enforced per shard under either
 // FIFO or TinyLFU admission. Sharding keeps Store and Lookup
 // parallelizable, mirroring the concurrent hash table of the C++
-// implementation.
+// implementation. Each shard holds its rows in a slab of fixed-width
+// slots (cacheShard): a store copies its row into a slot, and once a
+// shard has grown to its limit an evicting store allocates nothing.
 type Cache struct {
 	dim    int
 	shards []cacheShard
@@ -120,26 +114,35 @@ type Cache struct {
 	policy CachePolicy
 }
 
+// A shard's slab grows cacheChunkRows rows at a time, so a large limit
+// costs nothing until it is used.
+const (
+	cacheChunkShift = 8
+	cacheChunkRows  = 1 << cacheChunkShift
+)
+
+// cacheShard is a slab of slots. Slot p holds slots[p].key and row p,
+// which lives at chunks[p/cacheChunkRows][(p%cacheChunkRows)·dim:]. The
+// live slots form a list linked by prev/next from the oldest (head) to
+// the newest (tail), the eviction order; the slots Remove emptied form
+// a free list linked by next. Slots and chunks grow on demand and never
+// past limit.
 type cacheShard struct {
-	mu    sync.Mutex
-	limit int // this shard's slice of the global limit; Σ limits == Cache.limit
-	m     map[uint64][]float32
-	fifo  []uint64 // insertion order; head compacts lazily
-	head  int
-	// dead counts FIFO occurrences orphaned by Remove: re-storing a
-	// removed key appends a fresh occurrence, so the old one must be
-	// skipped by eviction — not treated as the key's position — or a
-	// remove→restore→evict sequence would evict the freshly stored
-	// entry (it looks "oldest" through its stale occurrence).
-	dead  map[uint64]int
-	ndead int
-	// sketch is the TinyLFU admission filter (nil under CacheFIFO).
-	sketch *freqSketch
+	mu               sync.Mutex
+	limit            int              // this shard's slice of the global limit; Σ limits == Cache.limit
+	m                map[uint64]int32 // key → slot
+	slots            []cacheSlot
+	chunks           [][]float32
+	head, tail, free int32       // slot indexes, -1 for none
+	sketch           *freqSketch // the TinyLFU admission filter (nil under CacheFIFO)
 	// Lookup counters, mutated only under mu so they stay exact with
 	// respect to the lookups they count.
-	hits          int64
-	misses        int64
-	admitRejected int64
+	hits, misses, admitRejected int64
+}
+
+type cacheSlot struct {
+	key        uint64
+	prev, next int32
 }
 
 // NewCache creates a FIFO cache for dim-wide embeddings holding at most
@@ -184,7 +187,8 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 	base, rem := cfg.Limit/ns, cfg.Limit%ns
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.m = make(map[uint64][]float32)
+		s.m = make(map[uint64]int32)
+		s.head, s.tail, s.free = -1, -1, -1
 		s.limit = base
 		if i < rem {
 			s.limit++
@@ -206,6 +210,12 @@ func (c *Cache) shardFor(key uint64) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
+// row returns slot p's row.
+func (s *cacheShard) row(p int32, dim int) []float32 {
+	i := int(p&(cacheChunkRows-1)) * dim
+	return s.chunks[p>>cacheChunkShift][i : i+dim]
+}
+
 // Dim returns the embedding width.
 func (c *Cache) Dim() int { return c.dim }
 
@@ -215,36 +225,44 @@ func (c *Cache) Limit() int { return c.limit }
 // Policy returns the eviction policy.
 func (c *Cache) Policy() CachePolicy { return c.policy }
 
-// Len returns the current item count across all shards.
-func (c *Cache) Len() int {
-	total := 0
+// eachShard runs f on every shard in turn, under the shard's lock.
+func (c *Cache) eachShard(f func(s *cacheShard)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		total += len(s.m)
+		f(s)
 		s.mu.Unlock()
 	}
-	return total
 }
 
-// UsedBytes estimates the resident footprint of the cached embeddings,
-// payload plus bookkeeping overhead.
+// Len returns the current item count across all shards.
+func (c *Cache) Len() int {
+	n := 0
+	c.eachShard(func(s *cacheShard) { n += len(s.m) })
+	return n
+}
+
+// UsedBytes returns the slabs' resident footprint: the row chunks
+// allocated so far plus the slot arrays (16 bytes a slot). The key maps
+// are not counted.
 func (c *Cache) UsedBytes() int64 {
-	return int64(c.Len()) * int64(4*c.dim+cacheEntryOverhead)
+	var n int64
+	c.eachShard(func(s *cacheShard) {
+		for _, ch := range s.chunks {
+			n += 4 * int64(len(ch))
+		}
+		n += 16 * int64(cap(s.slots))
+	})
+	return n
 }
 
 // Stats snapshots the cache counters (see CacheStats for the exactness
 // guarantees).
 func (c *Cache) Stats() CacheStats {
 	var st CacheStats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.AdmitRejected += s.admitRejected
-		s.mu.Unlock()
-	}
+	c.eachShard(func(s *cacheShard) {
+		st.Add(CacheStats{Hits: s.hits, Misses: s.misses, AdmitRejected: s.admitRejected})
+	})
 	st.Lookups = st.Hits + st.Misses
 	return st
 }
@@ -268,6 +286,13 @@ func (c *Cache) Lookup(keys []uint64, dst *tensor.Tensor) ([]bool, int) {
 // slice of length len(keys). Every mask element is written (callers may
 // pass dirty arena scratch). Returns the hit count.
 func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
+	return c.lookupExact(keys, nil, dst, hits)
+}
+
+// lookupExact is LookupInto over keys computed from the times ts: a key
+// whose time lies outside Key's domain may be another time's key, so it
+// is a miss that is never looked up. A nil ts has every time inside.
+func (c *Cache) lookupExact(keys []uint64, ts []float64, dst *tensor.Tensor, hits []bool) int {
 	if dst.Dim(0) != len(keys) || dst.Dim(1) != c.dim {
 		panic("core: cache Lookup dst shape mismatch")
 	}
@@ -278,201 +303,159 @@ func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
 	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
 		var nhits atomic.Int64
 		parallel.ForChunked(len(keys), 0, func(lo, hi int) {
-			nhits.Add(int64(c.lookupRange(keys, data, hits, lo, hi)))
+			nhits.Add(int64(c.lookupRange(keys, ts, data, hits, lo, hi)))
 		})
 		return int(nhits.Load())
 	}
-	return c.lookupRange(keys, data, hits, 0, len(keys))
+	return c.lookupRange(keys, ts, data, hits, 0, len(keys))
 }
 
 // lookupRange performs lookups for keys [lo,hi), returning the local
 // hit count. Hit/miss counters are bumped under the shard lock.
-func (c *Cache) lookupRange(keys []uint64, data []float32, hits []bool, lo, hi int) int {
+func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []bool, lo, hi int) int {
 	local := 0
 	for i := lo; i < hi; i++ {
+		hits[i] = false
+		if ts != nil && !inKeyDomain(ts[i]) {
+			continue
+		}
 		key := keys[i]
 		s := c.shardFor(key)
 		s.mu.Lock()
 		if s.sketch != nil {
 			s.sketch.inc(key)
 		}
-		v, ok := s.m[key]
-		if ok {
-			copy(data[i*c.dim:(i+1)*c.dim], v)
+		if p, ok := s.m[key]; ok {
+			copy(data[i*c.dim:(i+1)*c.dim], s.row(p, c.dim))
 			s.hits++
+			hits[i] = true
+			local++
 		} else {
 			s.misses++
 		}
 		s.mu.Unlock()
-		hits[i] = ok
-		if ok {
-			local++
-		}
 	}
 	return local
 }
 
 // Store inserts each (key, row of h) pair, evicting the oldest entries
-// of overfull shards — subject to TinyLFU admission when that policy is
+// of full shards — subject to TinyLFU admission when that policy is
 // active. Rows are copied; h may be reused by the caller. Storing an
 // existing key refreshes its value without re-queueing it.
 func (c *Cache) Store(keys []uint64, h *tensor.Tensor) {
+	c.storeExact(keys, nil, h)
+}
+
+// storeExact is Store over keys computed from the times ts, skipping
+// every key whose time lies outside Key's domain (see lookupExact).
+func (c *Cache) storeExact(keys []uint64, ts []float64, h *tensor.Tensor) {
 	if h.Dim(0) != len(keys) || h.Dim(1) != c.dim {
 		panic("core: cache Store shape mismatch")
 	}
 	data := h.Data()
 	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
-		parallel.ForChunked(len(keys), 0, func(lo, hi int) { c.storeRange(keys, data, lo, hi) })
+		parallel.ForChunked(len(keys), 0, func(lo, hi int) { c.storeRange(keys, ts, data, lo, hi) })
 		return
 	}
-	c.storeRange(keys, data, 0, len(keys))
+	c.storeRange(keys, ts, data, 0, len(keys))
 }
 
-func (c *Cache) storeRange(keys []uint64, data []float32, lo, hi int) {
+func (c *Cache) storeRange(keys []uint64, ts []float64, data []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		c.storeOne(keys[i], data[i*c.dim:(i+1)*c.dim])
+		if ts == nil || inKeyDomain(ts[i]) {
+			c.storeOne(keys[i], data[i*c.dim:(i+1)*c.dim])
+		}
 	}
 }
 
-// storeOne inserts a single entry under the shard's slice of the global
-// limit, so the global item count never settles above Limit(). vec is
-// copied.
+// storeOne is the single insertion point; vec is copied. An existing
+// key is refreshed in place. A new key takes the oldest entry's slot
+// when the shard is full (so the item count never settles above
+// Limit()) — under TinyLFU only if its estimated frequency beats that
+// entry's — else a free slot, else a new one, and queues as the newest.
+// Frequency is recorded by lookups only: counting stores too would
+// double-count every miss+store access, and a bulk load of
+// never-looked-up keys would age resident heavy hitters out of the
+// sketch without a single real access.
 func (c *Cache) storeOne(key uint64, vec []float32) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	c.insertLocked(s, key, vec)
-	s.mu.Unlock()
-}
-
-// insertLocked is the single insertion point (caller holds s.mu). It
-// refreshes existing keys in place, and when the shard is full applies
-// TinyLFU admission against the would-be victim before evicting it.
-// Frequency is recorded by lookups only (lookupRange incs the sketch);
-// counting here too would double-count every miss+store access, and a
-// bulk load of never-looked-up keys would age resident heavy hitters
-// out of the sketch without a single real access.
-func (c *Cache) insertLocked(s *cacheShard, key uint64, vec []float32) {
-	if old, ok := s.m[key]; ok {
-		copy(old, vec)
+	defer s.mu.Unlock()
+	if p, ok := s.m[key]; ok {
+		copy(s.row(p, c.dim), vec)
 		return
 	}
-	if len(s.m) >= s.limit {
-		if s.sketch != nil {
-			if victim, ok := s.oldestLocked(); ok && s.sketch.estimate(key) <= s.sketch.estimate(victim) {
-				s.admitRejected++
-				return
-			}
+	var p int32
+	switch {
+	case len(s.m) >= s.limit:
+		p = s.head
+		victim := s.slots[p].key
+		if s.sketch != nil && s.sketch.estimate(key) <= s.sketch.estimate(victim) {
+			s.admitRejected++
+			return
 		}
-		s.evictOldestLocked()
+		s.unlink(p)
+		delete(s.m, victim)
+	case s.free >= 0:
+		p = s.free
+		s.free = s.slots[p].next
+	default:
+		p = s.grow(c.dim)
 	}
-	v := make([]float32, c.dim)
-	copy(v, vec)
-	s.m[key] = v
-	s.fifo = append(s.fifo, key)
-}
-
-// oldestLocked peeks at the shard's oldest live entry — the eviction
-// victim TinyLFU admission compares against — advancing the head past
-// dead and ghost occurrences without consuming the live one.
-func (s *cacheShard) oldestLocked() (uint64, bool) {
-	for s.head < len(s.fifo) {
-		key := s.fifo[s.head]
-		if n := s.dead[key]; n > 0 {
-			s.markPoppedLocked(key, n)
-			s.head++
-			continue
-		}
-		if _, ok := s.m[key]; !ok {
-			s.head++
-			continue
-		}
-		return key, true
-	}
-	return 0, false
-}
-
-// evictOldestLocked removes the oldest live entry of the shard,
-// skipping dead occurrences left behind by Remove (consuming their
-// dead marks) and any key already gone from the map; the head region
-// compacts once it grows past half the queue.
-func (s *cacheShard) evictOldestLocked() {
-	for s.head < len(s.fifo) {
-		k := s.fifo[s.head]
-		s.head++
-		if n := s.dead[k]; n > 0 {
-			s.markPoppedLocked(k, n)
-			continue
-		}
-		if _, ok := s.m[k]; ok {
-			delete(s.m, k)
-			break
-		}
-	}
-	if s.head > len(s.fifo)/2 && s.head > 1024 {
-		s.fifo = append(s.fifo[:0], s.fifo[s.head:]...)
-		s.head = 0
-	}
-}
-
-// markPoppedLocked consumes one dead mark for a key whose stale FIFO
-// occurrence was just popped or compacted away.
-func (s *cacheShard) markPoppedLocked(key uint64, n int) {
-	if n <= 1 {
-		delete(s.dead, key)
+	copy(s.row(p, c.dim), vec)
+	s.slots[p] = cacheSlot{key: key, prev: s.tail, next: -1}
+	if s.tail < 0 {
+		s.head = p
 	} else {
-		s.dead[key] = n - 1
+		s.slots[s.tail].next = p
 	}
-	s.ndead--
+	s.tail = p
+	s.m[key] = p
 }
 
-// removeLocked deletes one key, marking its FIFO occurrence dead so a
-// later re-store of the same key cannot be mistaken for the old
-// occurrence, then compacts the queue if dead occurrences dominate —
-// an invalidation storm must not grow the FIFO without bound.
-func (s *cacheShard) removeLocked(key uint64) bool {
-	if _, ok := s.m[key]; !ok {
-		return false
+// grow opens a new slot, and the chunk its row starts unless an earlier
+// growth did (Clear keeps the chunks). Nothing is sized past the limit.
+func (s *cacheShard) grow(dim int) int32 {
+	p := len(s.slots)
+	if p == cap(s.slots) {
+		grown := make([]cacheSlot, p, min(max(2*p, 16), s.limit))
+		copy(grown, s.slots)
+		s.slots = grown
 	}
-	delete(s.m, key)
-	if s.dead == nil {
-		s.dead = make(map[uint64]int)
+	s.slots = s.slots[:p+1]
+	if p>>cacheChunkShift == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]float32, min(cacheChunkRows, s.limit-p)*dim))
 	}
-	s.dead[key]++
-	s.ndead++
-	if s.ndead > 64 && s.ndead > (len(s.fifo)-s.head)/2 {
-		s.compactLocked()
-	}
-	return true
+	return int32(p)
 }
 
-// compactLocked rewrites the FIFO without its dead occurrences (and
-// the consumed head region), preserving order.
-func (s *cacheShard) compactLocked() {
-	live := s.fifo[s.head:]
-	w := 0
-	for _, key := range live {
-		if n := s.dead[key]; n > 0 {
-			s.markPoppedLocked(key, n)
-			continue
-		}
-		live[w] = key
-		w++
+// unlink takes slot p out of the age list.
+func (s *cacheShard) unlink(p int32) {
+	sl := s.slots[p]
+	if sl.prev < 0 {
+		s.head = sl.next
+	} else {
+		s.slots[sl.prev].next = sl.next
 	}
-	n := copy(s.fifo, live[:w])
-	s.fifo = s.fifo[:n]
-	s.head = 0
+	if sl.next < 0 {
+		s.tail = sl.prev
+	} else {
+		s.slots[sl.next].prev = sl.prev
+	}
 }
 
 // Remove deletes the given keys if present and returns how many were
-// actually removed. Removed keys' FIFO occurrences are marked dead (and
-// compacted away under churn) so eviction order stays correct if the
-// same keys are stored again.
+// actually removed. A removed key's slot leaves the age list for the
+// free list, so the key queues as the newest if it is stored again.
 func (c *Cache) Remove(keys []uint64) int {
 	removed := 0
 	for _, key := range keys {
 		s := c.shardFor(key)
 		s.mu.Lock()
-		if s.removeLocked(key) {
+		if p, ok := s.m[key]; ok {
+			delete(s.m, key)
+			s.unlink(p)
+			s.slots[p].next, s.free = s.free, p
 			removed++
 		}
 		s.mu.Unlock()
@@ -481,34 +464,26 @@ func (c *Cache) Remove(keys []uint64) int {
 }
 
 // Clear drops every entry (and resets the TinyLFU frequency sketches;
-// counters are cumulative and keep counting).
+// counters are cumulative and keep counting). Shards keep their chunks.
 func (c *Cache) Clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[uint64][]float32)
-		s.fifo = nil
-		s.head = 0
-		s.dead = nil
-		s.ndead = 0
+	c.eachShard(func(s *cacheShard) {
+		clear(s.m)
+		s.slots = s.slots[:0]
+		s.head, s.tail, s.free = -1, -1, -1
 		if s.sketch != nil {
 			s.sketch = newFreqSketch(s.limit)
 		}
-		s.mu.Unlock()
-	}
+	})
 }
 
 // Keys returns every resident key (no particular order, each key once).
 // Used to rebuild derived indexes after a snapshot load.
 func (c *Cache) Keys() []uint64 {
 	out := make([]uint64, 0, c.Len())
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
+	c.eachShard(func(s *cacheShard) {
 		for key := range s.m {
 			out = append(out, key)
 		}
-		s.mu.Unlock()
-	}
+	})
 	return out
 }

@@ -257,7 +257,8 @@ func TestCacheLargeBatchParallelPath(t *testing.T) {
 }
 
 func TestCacheFifoCompaction(t *testing.T) {
-	// Force many evictions through one shard to exercise head compaction.
+	// Many evictions through one shard reuse the oldest slot: the slab
+	// never grows past the limit, and the survivors are the newest keys.
 	c := NewCache(4, 1, 1)
 	for k := uint64(0); k < 5000; k++ {
 		c.Store([]uint64{k}, tensor.FromSlice([]float32{1}, 1, 1))
@@ -265,9 +266,52 @@ func TestCacheFifoCompaction(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d after churn", c.Len())
 	}
-	s := &c.shards[0]
-	if len(s.fifo)-s.head > 16 {
-		t.Fatalf("fifo grew unbounded: len=%d head=%d", len(s.fifo), s.head)
+	c.checkBounded(t)
+	for k := uint64(4996); k < 5000; k++ {
+		if !c.Contains(k) {
+			t.Fatalf("newest key %d evicted", k)
+		}
+	}
+}
+
+// checkBounded fails unless the shard's slots, slot capacity and chunk
+// rows stay within its limit and its age and free lists partition the
+// slots, the age list holding exactly the mapped keys.
+func (c *Cache) checkBounded(t *testing.T) {
+	t.Helper()
+	for i := range c.shards {
+		c.shards[i].checkBounded(t, c.dim)
+	}
+}
+
+func (s *cacheShard) checkBounded(t *testing.T, dim int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	floats := 0
+	for _, ch := range s.chunks {
+		floats += len(ch)
+	}
+	if len(s.slots) > s.limit || cap(s.slots) > s.limit || floats > s.limit*dim {
+		t.Fatalf("slab past its limit %d: %d slots (cap %d), %d rows", s.limit, len(s.slots), cap(s.slots), floats/dim)
+	}
+	live, prev := 0, int32(-1)
+	for p := s.head; p >= 0; p = s.slots[p].next {
+		if s.slots[p].prev != prev || s.m[s.slots[p].key] != p {
+			t.Fatalf("age list broken at slot %d", p)
+		}
+		prev = p
+		live++
+	}
+	if prev != s.tail || live != len(s.m) {
+		t.Fatalf("age list holds %d slots ending at %d, map %d, tail %d", live, prev, len(s.m), s.tail)
+	}
+	free := 0
+	for p := s.free; p >= 0; p = s.slots[p].next {
+		free++
+	}
+	if live+free != len(s.slots) {
+		t.Fatalf("%d live + %d free slots != %d slots", live, free, len(s.slots))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"tgopt/internal/tensor"
@@ -21,7 +22,8 @@ func (d *DedupResult) Unique() int { return len(d.Nodes) }
 // DedupFilter removes duplicate ⟨node, t⟩ pairs from the batch in a
 // single pass, following Algorithm 2 of the paper: it operates jointly
 // on the two parallel arrays (never materializing an intermediate 2-D
-// tensor) and identifies duplicates with the collision-free 64-bit Key.
+// tensor). Two pairs are duplicates when their nodes are equal and
+// their times have equal bits, so no time is ever folded into another.
 // The inverse index lets DedupInvert restore the original batch shape
 // after computation.
 func DedupFilter(nodes []int32, ts []float64) *DedupResult {
@@ -45,7 +47,8 @@ func DedupFilterWith(ar *tensor.Arena, nodes []int32, ts []float64) DedupResult 
 		Times:  ar.Float64s(n),
 		InvIdx: ar.Int32s(n),
 	}
-	// Power-of-two table with load factor <= 1/2; slot -1 is empty.
+	// Power-of-two table of unique-row indexes with load factor <= 1/2;
+	// -1 is empty.
 	size := 4
 	for size < 2*n {
 		size <<= 1
@@ -54,24 +57,22 @@ func DedupFilterWith(ar *tensor.Arena, nodes []int32, ts []float64) DedupResult 
 	for i := range slots {
 		slots[i] = -1
 	}
-	skeys := ar.Uint64s(size)
 	mask := uint64(size - 1)
 	u := 0
 	for i := 0; i < n; i++ {
-		key := Key(nodes[i], ts[i])
-		p := mix64(key) & mask
+		v, tb := nodes[i], math.Float64bits(ts[i])
+		p := pairHash(v, tb) & mask
 		for {
 			idx := slots[p]
 			if idx < 0 {
 				slots[p] = int32(u)
-				skeys[p] = key
-				res.Nodes[u] = nodes[i]
+				res.Nodes[u] = v
 				res.Times[u] = ts[i]
 				res.InvIdx[i] = int32(u)
 				u++
 				break
 			}
-			if skeys[p] == key {
+			if res.Nodes[idx] == v && math.Float64bits(res.Times[idx]) == tb {
 				res.InvIdx[i] = idx
 				break
 			}
@@ -83,9 +84,11 @@ func DedupFilterWith(ar *tensor.Arena, nodes []int32, ts []float64) DedupResult 
 	return res
 }
 
-// mix64 is the splitmix64 finalizer: Key is structured (node id high,
-// time low), so probe positions need full avalanche.
-func mix64(h uint64) uint64 {
+// pairHash hashes ⟨node, Float64bits(t)⟩ for the dedup table and the
+// top-layer memo's slots, through the splitmix64 finalizer: the pairs
+// are structured, so probe positions need full avalanche.
+func pairHash(node int32, tbits uint64) uint64 {
+	h := tbits ^ uint64(uint32(node))*0x9E3779B97F4A7C15
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33
@@ -116,32 +119,33 @@ func DedupInvertWith(ar *tensor.Arena, h *tensor.Tensor, invIdx []int32) *tensor
 }
 
 // DedupFilterSorted is an alternative deduplication strategy used by the
-// ablation benchmarks: sort key order, then compact. It produces the
-// same unique *set* but in key order rather than first-appearance order;
-// the inverse index still restores the original batch exactly. It
-// allocates O(n) scratch and is typically slower than the hash-based
-// single pass for the batch sizes TGAT uses, which is why the paper's
-// Algorithm 2 is hash-based.
+// ablation benchmarks: sort by ⟨node, Float64bits(t)⟩, then compact. It
+// produces the same unique *set* but in that order rather than
+// first-appearance order; the inverse index still restores the original
+// batch exactly. It allocates O(n) scratch and is typically slower than
+// the hash-based single pass for the batch sizes TGAT uses, which is
+// why the paper's Algorithm 2 is hash-based.
 func DedupFilterSorted(nodes []int32, ts []float64) *DedupResult {
 	if len(nodes) != len(ts) {
 		panic("core: DedupFilterSorted nodes/ts length mismatch")
 	}
 	n := len(nodes)
-	keys := make([]uint64, n)
 	order := make([]int32, n)
-	for i := range nodes {
-		keys[i] = Key(nodes[i], ts[i])
+	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	less := func(a, b int32) bool {
+		if nodes[a] != nodes[b] {
+			return nodes[a] < nodes[b]
+		}
+		return math.Float64bits(ts[a]) < math.Float64bits(ts[b])
+	}
+	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
 	res := &DedupResult{InvIdx: make([]int32, n)}
-	var prev uint64
 	for rank, oi := range order {
-		k := keys[oi]
-		if rank == 0 || k != prev {
+		if rank == 0 || less(order[rank-1], oi) {
 			res.Nodes = append(res.Nodes, nodes[oi])
 			res.Times = append(res.Times, ts[oi])
-			prev = k
 		}
 		res.InvIdx[oi] = int32(len(res.Nodes) - 1)
 	}

@@ -18,9 +18,8 @@ import (
 // optimization, making the engine an instrumented re-implementation of
 // the baseline; OptAll enables everything with the paper's defaults.
 // No option trades exactness: every memoized row and time-table row is
-// the float32 row the pass computed, so on Key's exact domain (integral
-// times that fit 32 bits) any combination answers bitwise what the
-// baseline answers.
+// the float32 row the pass computed, so any combination answers bitwise
+// what the baseline answers.
 type Options struct {
 	// EnableDedup turns on the §4.1 deduplication filter.
 	EnableDedup bool
@@ -30,8 +29,9 @@ type Options struct {
 	EnableTimePrecompute bool
 
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
-	// the paper's setting); each is accounted at 4·NodeDim + 64 bytes
-	// (Cache.UsedBytes). With more than one cached layer the limit
+	// the paper's setting); each takes a 4·NodeDim-byte row and a
+	// 16-byte slot of its layer's slab (Cache.UsedBytes), allocated as
+	// the cache fills. With more than one cached layer the limit
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
 	CacheLimit int
@@ -102,8 +102,7 @@ var Stages = []string{
 
 // Engine computes TGAT temporal embeddings with the redundancy-aware
 // optimizations of Algorithm 1. It is a drop-in replacement for the
-// baseline tgat.Model.Embed: same inputs, and on Key's exact domain
-// (integral times that fit 32 bits) bitwise the same outputs.
+// baseline tgat.Model.Embed: same inputs, bitwise the same outputs.
 type Engine struct {
 	model   *tgat.Model
 	sampler *graph.Sampler
@@ -786,19 +785,24 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 	// the miss tensor back directly), so uninitialized scratch is safe.
 	h := ar.Tensor(n, d)
 
-	// §4.2 — look up memoized embeddings.
+	// §4.2 — look up memoized embeddings. A target whose time lies
+	// outside Key's domain is a miss that is never looked up, stored or
+	// indexed: its key may be another time's (inexact is non-nil then).
 	cache := e.CacheFor(l)
 	var keys []uint64
 	var hitMask []bool
+	var inexact []float64
 	nhits := 0
 	if cache != nil {
 		start := time.Now()
 		keys = ar.Uint64s(n)
-		ComputeKeysInto(keys, nodes, ts)
+		if !ComputeKeysInto(keys, nodes, ts) {
+			inexact = ts
+		}
 		e.observe(stats.OpComputeKeys, StageCacheLookup, device.HostOp, 0, start)
 		start = time.Now()
 		hitMask = ar.Bools(n)
-		nhits = cache.LookupInto(keys, h, hitMask)
+		nhits = cache.lookupExact(keys, inexact, h, hitMask)
 		e.observe(stats.OpCacheLookup, StageCacheLookup, device.HostOp, 0, start)
 		if e.opt.CacheOnDevice {
 			// Device-resident cache: every hit is a small on-device copy.
@@ -856,6 +860,9 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		} else if keys != nil {
 			missKeys = keys
 		}
+		if inexact != nil {
+			inexact = missTs // the store below sees the misses only
+		}
 		nm := len(missNodes)
 		k := cfg.NumNeighbors
 
@@ -900,7 +907,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			e.staleSkips.Add(1)
 		} else if cache != nil {
 			start = time.Now()
-			cache.Store(missKeys, hm)
+			cache.storeExact(missKeys, inexact, hm)
 			e.observe(stats.OpCacheStore, StageCacheStore, device.HostOp, 0, start)
 			if tix := e.TargetsFor(l); tix != nil {
 				// Index per-target, and — for deep layers — per
@@ -911,7 +918,9 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 				// steady state stays allocation-free.
 				floor := e.indexFloor(math.Inf(1))
 				for i := 0; i < nm; i++ {
-					tix.Record(missNodes[i], missKeys[i], missTs[i], floor)
+					if inexact == nil || inKeyDomain(missTs[i]) {
+						tix.Record(missNodes[i], missKeys[i], missTs[i], floor)
+					}
 				}
 				if six := e.layerSupports[l]; six != nil {
 					for i := 0; i < nm; i++ {

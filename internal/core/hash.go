@@ -10,22 +10,30 @@
 //     under late inserts, appends and deletions on a live graph, and
 //   - Engine, the end-to-end redundancy-aware embedding computation of
 //     Algorithm 1 — a drop-in replacement for the baseline recursive
-//     tgat.Model.Embed whose outputs are bitwise the baseline's on Key's
-//     exact domain (integral times that fit 32 bits).
+//     tgat.Model.Embed whose outputs are bitwise the baseline's.
 package core
 
 import (
+	"math"
+	"sync/atomic"
+
 	"tgopt/internal/parallel"
 )
 
 // Key packs a 32-bit node id and a 32-bit timestamp into a single
 // collision-free 64-bit cache key by bitwise shifting and OR-ing, as
-// described in §4.1 of the paper. Timestamps in the supported datasets
-// are integral and fit in 32 bits; fractional or out-of-range times are
-// truncated to their low 32 bits, which keeps the function total but
-// forfeits the collision-free guarantee outside the documented domain.
+// described in §4.1 of the paper. The key is collision-free on its
+// domain, the integral times 0 ≤ t < 2³² (those of the supported
+// datasets); outside it t is truncated to its low 32 bits, so the key
+// may equal another time's. ComputeKeysInto reports such times, and the
+// engine never looks one up or stores it.
 func Key(node int32, t float64) uint64 {
 	return uint64(uint32(node))<<32 | uint64(uint32(int64(t)))
+}
+
+// inKeyDomain reports whether t lies in Key's domain.
+func inKeyDomain(t float64) bool {
+	return t >= 0 && t < 1<<32 && t == math.Trunc(t)
 }
 
 // computeKeysParallelThreshold is the batch size above which ComputeKeys
@@ -41,20 +49,31 @@ func ComputeKeys(nodes []int32, ts []float64) []uint64 {
 }
 
 // ComputeKeysInto is ComputeKeys writing into a caller-supplied slice of
-// length len(nodes) (the engine passes arena scratch).
-func ComputeKeysInto(keys []uint64, nodes []int32, ts []float64) {
+// length len(nodes) (the engine passes arena scratch). It reports
+// whether every time lies in Key's domain.
+func ComputeKeysInto(keys []uint64, nodes []int32, ts []float64) bool {
 	if len(keys) != len(nodes) {
 		panic("core: ComputeKeysInto keys length mismatch")
 	}
 	if len(nodes) >= computeKeysParallelThreshold && parallel.Degree() > 1 {
+		var outside atomic.Bool
 		parallel.ForChunked(len(nodes), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				keys[i] = Key(nodes[i], ts[i])
+			if !computeKeys(keys, nodes, ts, lo, hi) {
+				outside.Store(true)
 			}
 		})
-		return
+		return !outside.Load()
 	}
-	for i := range nodes {
+	return computeKeys(keys, nodes, ts, 0, len(nodes))
+}
+
+// computeKeys fills keys[lo:hi], reporting whether each time lies in
+// Key's domain.
+func computeKeys(keys []uint64, nodes []int32, ts []float64, lo, hi int) bool {
+	exact := true
+	for i := lo; i < hi; i++ {
 		keys[i] = Key(nodes[i], ts[i])
+		exact = exact && inKeyDomain(ts[i])
 	}
+	return exact
 }

@@ -46,9 +46,8 @@ func (ix *SupportIndex) CollectWindow(s int32, t, floor float64, drop func(upper
 // displaced lower-layer entry under cache key lower as a support,
 // retiring the records below floor it passes. The support's (node,
 // time) identity is matched through the same Key encoding the caches
-// use, so the comparison shares Key's documented domain (integral
-// timestamps fitting 32 bits) — outside it the cache keying itself
-// already forfeits its guarantees. The floor is an integer for this
+// use; a support time outside Key's domain may match another time's
+// key, which only over-invalidates. The floor is an integer for this
 // match: a displaced key's time truncates to at least ⌊watermark⌋, so
 // every record sharing that key survives retirement.
 func (ix *SupportIndex) CollectUpper(lower uint64, floor float64) []uint64 {

@@ -83,14 +83,10 @@ func (c *Cache) WriteTo(w io.Writer) (int64, error) {
 		scratch.Reset()
 		count := uint32(0)
 		s.mu.Lock()
-		// Write in FIFO order so ages are approximately preserved.
-		for _, key := range s.fifo[s.head:] {
-			v, ok := s.m[key]
-			if !ok {
-				continue
-			}
-			binary.LittleEndian.PutUint64(rec, key)
-			for j, x := range v {
+		// Write oldest first so ages are approximately preserved.
+		for p := s.head; p >= 0; p = s.slots[p].next {
+			binary.LittleEndian.PutUint64(rec, s.slots[p].key)
+			for j, x := range s.row(p, c.dim) {
 				binary.LittleEndian.PutUint32(rec[8+4*j:], math.Float32bits(x))
 			}
 			scratch.Write(rec)
@@ -180,28 +176,14 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// cloneEmpty returns a cache with identical geometry (limit, dim,
-// shard count) and no entries — a staging target for all-or-nothing
-// loads.
-func (c *Cache) cloneEmpty() *Cache {
-	return NewCacheWith(CacheConfig{
-		Limit:  c.limit,
-		Dim:    c.dim,
-		Shards: len(c.shards),
-		Policy: CacheFIFO,
-	})
-}
-
-// absorb merges every entry of other into c in other's FIFO order,
-// under c's usual limit semantics. other must have the same dim and is
-// expected to be a private staging cache (it is read without locking).
+// absorb merges every entry of other into c, oldest first, under c's
+// usual limit semantics. other must have the same dim and is expected
+// to be a private staging cache (it is read without locking).
 func (c *Cache) absorb(other *Cache) {
 	for i := range other.shards {
 		s := &other.shards[i]
-		for _, key := range s.fifo[s.head:] {
-			if v, ok := s.m[key]; ok {
-				c.storeOne(key, v)
-			}
+		for p := s.head; p >= 0; p = s.slots[p].next {
+			c.storeOne(s.slots[p].key, s.row(p, c.dim))
 		}
 	}
 }
@@ -360,7 +342,8 @@ func (e *Engine) loadCacheStream(r io.Reader) error {
 		if _, ok := staged[l]; ok {
 			return fmt.Errorf("core: snapshot lists layer %d twice", l)
 		}
-		sc := e.caches[l].cloneEmpty()
+		c := e.caches[l]
+		sc := NewCache(c.limit, c.dim, len(c.shards)) // the same geometry, empty
 		if _, err := sc.ReadFrom(br); err != nil {
 			return fmt.Errorf("core: layer %d: %w", l, err)
 		}
@@ -385,11 +368,10 @@ func (e *Engine) loadCacheStream(r io.Reader) error {
 
 // rebuildTargetIndex re-derives the layer-1 per-node key index from
 // the layer-1 cache after a snapshot load, so late-edge invalidation
-// also covers warm-started entries. Keys decode exactly within Key's
-// documented domain (integral timestamps fitting 32 bits); outside it
-// the cache keying itself already forfeits its guarantees. Every key is
-// recorded, below the watermark too: the edges a restore replays may
-// predate it (Engine.indexFloor), and the next scans retire the rest.
+// also covers warm-started entries. Keys decode exactly: the engine
+// stores only times inside Key's domain. Every key is recorded, below
+// the watermark too: the edges a restore replays may predate it
+// (Engine.indexFloor), and the next scans retire the rest.
 func (e *Engine) rebuildTargetIndex() {
 	ix := e.TargetsFor(1)
 	if ix == nil {

@@ -36,10 +36,10 @@ type topMemoSlot struct {
 
 // topMemo memoizes top-layer output rows on engines over a live graph:
 // a fixed, pre-allocated, direct-mapped table keyed by the exact
-// ⟨node, Float64bits(t)⟩ (core.Key truncates t, this does not) and
-// validated by a memoStamp. It holds no dependency records and has no
-// invalidation scan — a write invalidates every row by moving the stamp
-// — and lookups and stores allocate nothing. The stored row is the
+// ⟨node, Float64bits(t)⟩ and validated by a memoStamp. It holds no
+// dependency records and has no invalidation scan — a write invalidates
+// every row by moving the stamp — and lookups and stores allocate
+// nothing. The stored row is the
 // float32 row the pass produced, bit for bit.
 type topMemo struct {
 	dim   int
@@ -66,7 +66,7 @@ func newTopMemo(dim int) *topMemo {
 
 // topMemoSlotOf maps a target to its slot.
 func topMemoSlotOf(node int32, tbits uint64) int {
-	return int(mix64(tbits^uint64(uint32(node))*0x9E3779B97F4A7C15) & (topMemoRows - 1))
+	return int(pairHash(node, tbits) & (topMemoRows - 1))
 }
 
 // lookup copies every memoized row whose slot matches the target and

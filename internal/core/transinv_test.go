@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tgopt/internal/graph"
@@ -10,7 +11,7 @@ import (
 
 // transSetup is oooSetup with a 3-layer model: both layer 1 and layer 2
 // are cached, so deep-layer transitive invalidation (DESIGN.md §15) is
-// on the line. Timestamps have gaps > 1, keeping Key injective per node.
+// on the line. Timestamps are distinct integers, inside Key's domain.
 func transSetup(t *testing.T, lateness float64, opt Options) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
 	t.Helper()
 	r := tensor.NewRNG(5)
@@ -24,7 +25,7 @@ func transSetup(t *testing.T, lateness float64, opt Options) (*tgat.Model, *grap
 		if src == dst {
 			continue
 		}
-		stream = append(stream, graph.Edge{Src: src, Dst: dst, Time: clock, Idx: int32(len(stream) + 1)})
+		stream = append(stream, graph.Edge{Src: src, Dst: dst, Time: math.Floor(clock), Idx: int32(len(stream) + 1)})
 	}
 	nodeFeat := tensor.Randn(r, nodes+1, 16)
 	edgeFeat := tensor.Randn(r, total+2, 16)
@@ -272,9 +273,9 @@ func FuzzTransitiveInvalidate(f *testing.F) {
 		r := tensor.NewRNG(uint64(seed))
 		const nodes, total = 12, 120
 		stream := make([]graph.Edge, 0, total)
-		// Integral timestamps: the memo Key is documented sound only when
-		// distinct times truncate distinctly, and late inserts below land
-		// between neighbors, so every time here is a whole number.
+		// Integral timestamps: only times inside Key's domain are
+		// cached, and late inserts below land between neighbors, so
+		// every time here is a whole number.
 		clock := 0.0
 		for len(stream) < total {
 			clock += float64(2 + r.Intn(6))

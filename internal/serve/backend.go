@@ -107,7 +107,7 @@ func writeLayerCacheMetrics(b *strings.Builder, layers []core.LayerCacheStats) {
 		value      func(core.LayerCacheStats) float64
 	}{
 		{"tgopt_cache_layer_entries", "Memoized embeddings resident in RAM for the layer.", func(v core.LayerCacheStats) float64 { return float64(v.Items) }},
-		{"tgopt_cache_layer_bytes", "Approximate RAM footprint of the layer's cache.", func(v core.LayerCacheStats) float64 { return float64(v.Bytes) }},
+		{"tgopt_cache_layer_bytes", "Slab bytes of the layer's cache: row chunks plus slots.", func(v core.LayerCacheStats) float64 { return float64(v.Bytes) }},
 		{"tgopt_cache_layer_index_records", "Live invalidation-index records (target + support) for the layer.", func(v core.LayerCacheStats) float64 { return float64(v.IndexRecords) }},
 		{"tgopt_cache_layer_lookups_total", "Layer cache lookups.", func(v core.LayerCacheStats) float64 { return float64(v.Lookups) }},
 		{"tgopt_cache_layer_hits_total", "Layer cache hits.", func(v core.LayerCacheStats) float64 { return float64(v.Hits) }},

@@ -226,7 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_graph_nodes", "Nodes in the serving graph.", float64(s.dyn.NumNodes()))
 	write("tgopt_graph_edges", "Interactions ingested.", float64(s.dyn.NumEdges()))
 	write("tgopt_cache_items", "Memoized embeddings resident.", float64(et.items))
-	write("tgopt_cache_bytes", "Estimated cache footprint in bytes.", float64(et.bytes))
+	write("tgopt_cache_bytes", "Slab bytes of the caches: row chunks plus slots.", float64(et.bytes))
 	write("tgopt_cache_hit_rate", "Memo cache hits per lookup since boot.", et.hitRate())
 	cs := et.cache
 	write("tgopt_cache_lookups_total", "Memo cache lookups.", float64(cs.Lookups))
@@ -668,9 +668,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// validTimes rejects non-finite timestamps with 400: NaN/Inf truncate
-// to arbitrary low bits in the memo key (core.Key), poisoning the caches
-// with unreachable-yet-resident entries.
+// validTimes rejects non-finite timestamps with 400: no embedding or
+// edge is defined at them.
 func (s *Server) validTimes(w http.ResponseWriter, ts []float64) bool {
 	for _, t := range ts {
 		if math.IsNaN(t) || math.IsInf(t, 0) {

@@ -101,10 +101,10 @@ go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBacke
     ./internal/shard/... ./internal/serve/...
 
 echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
-go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates' ./internal/core/
+go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestLoadCachesWatermarkRefusesAndReplays|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestOutOfDomain|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestLoadCachesWatermarkRefusesAndReplays|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
@@ -115,6 +115,11 @@ go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./inter
 echo "== one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)"
 if grep -rnE 'QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes' --include='*.go' .; then
     echo "a second row format is back: the lines above"; exit 1
+fi
+
+echo "== one row store (each layer cache shard is a slab: rows in fixed chunks, slots in an intrusive age list; no per-entry row slices, dead marks, lazy compaction or overhead guess)"
+if grep -nE 'map\[uint64\]\[\]float32|markPoppedLocked|compactLocked|cacheEntryOverhead|ndead' $(nontest internal/core); then
+    echo "a second row store is back in internal/core: the lines above"; exit 1
 fi
 
 echo "== one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)"
