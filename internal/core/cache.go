@@ -121,12 +121,12 @@ const (
 	cacheChunkRows  = 1 << cacheChunkShift
 )
 
-// cacheShard is a slab of slots. Slot p holds slots[p].key and row p,
-// which lives at chunks[p/cacheChunkRows][(p%cacheChunkRows)·dim:]. The
-// live slots form a list linked by prev/next from the oldest (head) to
-// the newest (tail), the eviction order; the slots Remove emptied form
-// a free list linked by next. Slots and chunks grow on demand and never
-// past limit.
+// cacheShard is a slab of slots. Slot p holds slots[p].key, its tag and
+// row p, which lives at chunks[p/cacheChunkRows][(p%cacheChunkRows)·dim:].
+// The live slots form a list linked by prev/next from the oldest (head)
+// to the newest (tail), the eviction order; the slots Remove emptied
+// form a free list linked by next. Slots and chunks grow on demand and
+// never past limit.
 type cacheShard struct {
 	mu               sync.Mutex
 	limit            int              // this shard's slice of the global limit; Σ limits == Cache.limit
@@ -140,8 +140,12 @@ type cacheShard struct {
 	hits, misses, admitRejected int64
 }
 
+// A slot's tag digests the window its layer-1 row was computed from
+// (windowTag), so a snapshot load can tell whether the row would read
+// the same inputs again; rows of deeper layers and of the public Store
+// carry tag 0.
 type cacheSlot struct {
-	key        uint64
+	key, tag   uint64
 	prev, next int32
 }
 
@@ -243,7 +247,7 @@ func (c *Cache) Len() int {
 }
 
 // UsedBytes returns the slabs' resident footprint: the row chunks
-// allocated so far plus the slot arrays (16 bytes a slot). The key maps
+// allocated so far plus the slot arrays (24 bytes a slot). The key maps
 // are not counted.
 func (c *Cache) UsedBytes() int64 {
 	var n int64
@@ -251,7 +255,7 @@ func (c *Cache) UsedBytes() int64 {
 		for _, ch := range s.chunks {
 			n += 4 * int64(len(ch))
 		}
-		n += 16 * int64(cap(s.slots))
+		n += 24 * int64(cap(s.slots))
 	})
 	return n
 }
@@ -341,48 +345,57 @@ func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []
 // Store inserts each (key, row of h) pair, evicting the oldest entries
 // of full shards — subject to TinyLFU admission when that policy is
 // active. Rows are copied; h may be reused by the caller. Storing an
-// existing key refreshes its value without re-queueing it.
+// existing key refreshes its value without re-queueing it. Rows stored
+// here carry tag 0, which no engine snapshot load keeps.
 func (c *Cache) Store(keys []uint64, h *tensor.Tensor) {
-	c.storeExact(keys, nil, h)
+	c.storeExact(keys, nil, nil, h)
 }
 
 // storeExact is Store over keys computed from the times ts, skipping
-// every key whose time lies outside Key's domain (see lookupExact).
-func (c *Cache) storeExact(keys []uint64, ts []float64, h *tensor.Tensor) {
+// every key whose time lies outside Key's domain (see lookupExact), and
+// tagging row i with tags[i] (nil: tag 0).
+func (c *Cache) storeExact(keys []uint64, ts []float64, tags []uint64, h *tensor.Tensor) {
 	if h.Dim(0) != len(keys) || h.Dim(1) != c.dim {
 		panic("core: cache Store shape mismatch")
 	}
 	data := h.Data()
 	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
-		parallel.ForChunked(len(keys), 0, func(lo, hi int) { c.storeRange(keys, ts, data, lo, hi) })
+		parallel.ForChunked(len(keys), 0, func(lo, hi int) { c.storeRange(keys, ts, tags, data, lo, hi) })
 		return
 	}
-	c.storeRange(keys, ts, data, 0, len(keys))
+	c.storeRange(keys, ts, tags, data, 0, len(keys))
 }
 
-func (c *Cache) storeRange(keys []uint64, ts []float64, data []float32, lo, hi int) {
+func (c *Cache) storeRange(keys []uint64, ts []float64, tags []uint64, data []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if ts == nil || inKeyDomain(ts[i]) {
-			c.storeOne(keys[i], data[i*c.dim:(i+1)*c.dim])
+		if ts != nil && !inKeyDomain(ts[i]) {
+			continue
 		}
+		var tag uint64
+		if tags != nil {
+			tag = tags[i]
+		}
+		c.storeOne(keys[i], tag, data[i*c.dim:(i+1)*c.dim])
 	}
 }
 
 // storeOne is the single insertion point; vec is copied. An existing
-// key is refreshed in place. A new key takes the oldest entry's slot
-// when the shard is full (so the item count never settles above
-// Limit()) — under TinyLFU only if its estimated frequency beats that
-// entry's — else a free slot, else a new one, and queues as the newest.
+// key is refreshed in place and takes the new tag. A new key takes the
+// oldest entry's slot when the shard is full (so the item count never
+// settles above Limit()) — under TinyLFU only if its estimated
+// frequency beats that entry's — else a free slot, else a new one, and
+// queues as the newest.
 // Frequency is recorded by lookups only: counting stores too would
 // double-count every miss+store access, and a bulk load of
 // never-looked-up keys would age resident heavy hitters out of the
 // sketch without a single real access.
-func (c *Cache) storeOne(key uint64, vec []float32) {
+func (c *Cache) storeOne(key, tag uint64, vec []float32) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.m[key]; ok {
 		copy(s.row(p, c.dim), vec)
+		s.slots[p].tag = tag
 		return
 	}
 	var p int32
@@ -403,7 +416,7 @@ func (c *Cache) storeOne(key uint64, vec []float32) {
 		p = s.grow(c.dim)
 	}
 	copy(s.row(p, c.dim), vec)
-	s.slots[p] = cacheSlot{key: key, prev: s.tail, next: -1}
+	s.slots[p] = cacheSlot{key: key, tag: tag, prev: s.tail, next: -1}
 	if s.tail < 0 {
 		s.head = p
 	} else {
@@ -477,7 +490,6 @@ func (c *Cache) Clear() {
 }
 
 // Keys returns every resident key (no particular order, each key once).
-// Used to rebuild derived indexes after a snapshot load.
 func (c *Cache) Keys() []uint64 {
 	out := make([]uint64, 0, c.Len())
 	c.eachShard(func(s *cacheShard) {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestCacheSnapshotWritesEachEntryOnce: a key removed and stored again
-// is one entry, the newest. WriteTo writes it once, and a reload (or an
-// absorb) keeps the age order, so the next eviction takes the oldest
-// key, not the restored one.
+// is one entry, the newest. WriteTo writes it once, and a reload keeps
+// the age order, so the next eviction takes the oldest key, not the
+// restored one.
 func TestCacheSnapshotWritesEachEntryOnce(t *testing.T) {
 	c := NewCache(2, 1, 1)
 	c.Store([]uint64{1, 2}, tensor.FromSlice([]float32{10, 20}, 2, 1))
@@ -26,27 +26,24 @@ func TestCacheSnapshotWritesEachEntryOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
-	// magic, dim, one section count, its records, the end marker.
-	if n := binary.LittleEndian.Uint32(blob[8:]); n != 2 || len(blob) != 12+2*12+4 {
+	// magic, dim, one section count, its records (key, tag, one float),
+	// the end marker.
+	if n := binary.LittleEndian.Uint32(blob[8:]); n != 2 || len(blob) != 12+2*20+4 {
 		t.Fatalf("WriteTo wrote %d records in %d bytes for 2 entries", n, len(blob))
 	}
 
-	reload := NewCache(2, 1, 1)
-	if _, err := reload.ReadFrom(bytes.NewReader(blob)); err != nil {
+	r := NewCache(2, 1, 1)
+	if _, err := r.ReadFrom(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
-	absorbed := NewCache(2, 1, 1)
-	absorbed.absorb(c)
-	for name, r := range map[string]*Cache{"ReadFrom": reload, "absorb": absorbed} {
-		r.Store([]uint64{3}, tensor.FromSlice([]float32{30}, 1, 1))
-		if !r.Contains(1) || r.Contains(2) || !r.Contains(3) {
-			t.Fatalf("%s: after one more store, resident 1/2/3 = %v/%v/%v, want true/false/true",
-				name, r.Contains(1), r.Contains(2), r.Contains(3))
-		}
-		hits, _ := r.Lookup([]uint64{1}, tensor.New(1, 1))
-		if dst := tensor.New(1, 1); r.LookupInto([]uint64{1}, dst, hits) != 1 || dst.At(0, 0) != 11 {
-			t.Fatalf("%s: key 1 holds %v, want the restored row 11", name, dst.At(0, 0))
-		}
+	r.Store([]uint64{3}, tensor.FromSlice([]float32{30}, 1, 1))
+	if !r.Contains(1) || r.Contains(2) || !r.Contains(3) {
+		t.Fatalf("after one more store, resident 1/2/3 = %v/%v/%v, want true/false/true",
+			r.Contains(1), r.Contains(2), r.Contains(3))
+	}
+	hits, _ := r.Lookup([]uint64{1}, tensor.New(1, 1))
+	if dst := tensor.New(1, 1); r.LookupInto([]uint64{1}, dst, hits) != 1 || dst.At(0, 0) != 11 {
+		t.Fatalf("key 1 holds %v, want the restored row 11", dst.At(0, 0))
 	}
 }
 

@@ -30,7 +30,7 @@ type Options struct {
 
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
 	// the paper's setting); each takes a 4·NodeDim-byte row and a
-	// 16-byte slot of its layer's slab (Cache.UsedBytes), allocated as
+	// 24-byte slot of its layer's slab (Cache.UsedBytes), allocated as
 	// the cache fills. With more than one cached layer the limit
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
@@ -148,8 +148,8 @@ type Engine struct {
 	// result could resurrect invalidated state.
 	staleSkips atomic.Int64
 	// maxEmbedBits holds the float bits of the largest query timestamp
-	// ever embedded — an upper bound on any memo's t' at any layer
-	// (neighbor recursion only descends in time). InvalidateAppend
+	// ever embedded or loaded from a snapshot — an upper bound on any
+	// memo's t' at any layer (neighbor recursion only descends in time). InvalidateAppend
 	// consults it so the steady-state append (no future-time memos
 	// outstanding) costs one atomic load.
 	maxEmbedBits atomic.Uint64
@@ -247,8 +247,10 @@ func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.
 }
 
 // ParamsVersion returns the model version the engine currently serves:
-// the shared model's, which stamps cache snapshots so state computed
-// under other parameters is refused at load.
+// the shared model's label, for reporting. Nothing checks it for
+// validity: tgat.Model.LoadParams keeps the label, so two different
+// parameter sets can carry the same one. A cache snapshot carries the
+// digest of the parameters themselves (LoadCachesFS).
 func (e *Engine) ParamsVersion() uint64 { return e.model.Version() }
 
 // SwapLock acquires the hot-swap barrier's write side: every in-flight
@@ -491,9 +493,8 @@ func (e *Engine) shedFrom() int {
 // and collection needs a record time above the edge's, so no write can
 // reach a record below the floor. That takes each edge's invalidation
 // to run before the graph accepts the next edge, as /v1/ingest and
-// shard.Router.Apply do. An edge replayed after a snapshot load may lie
-// below the watermark: the floor then drops to ⌊t⌋, and replays run in
-// time order (Engine.LoadCachesFS).
+// shard.Router.Apply do. An invalidation for an edge below the watermark
+// gets the lower floor ⌊t⌋.
 func (e *Engine) indexFloor(t float64) float64 {
 	if e.keepAll {
 		return math.Inf(-1)
@@ -907,7 +908,16 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			e.staleSkips.Add(1)
 		} else if cache != nil {
 			start = time.Now()
-			cache.storeExact(missKeys, inexact, hm)
+			// A layer-1 row is tagged with the window it read, so a
+			// snapshot load can re-sample and keep it only if unchanged.
+			var tags []uint64
+			if l == 1 {
+				tags = ar.Uint64s(nm)
+				for i := range tags {
+					tags[i] = windowTag(&b, i)
+				}
+			}
+			cache.storeExact(missKeys, inexact, tags, hm)
 			e.observe(stats.OpCacheStore, StageCacheStore, device.HostOp, 0, start)
 			if tix := e.TargetsFor(l); tix != nil {
 				// Index per-target, and — for deep layers — per

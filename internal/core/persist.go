@@ -2,122 +2,169 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"tgopt/internal/checkpoint"
+	"tgopt/internal/graph"
 )
 
 // Cache persistence: a production deployment restarting its serving
 // process would otherwise pay the full warm-up cost again (Figure 7
 // shows hit rates take a while to climb).
 //
-// A cache blob is little-endian. The layout snapshots one shard at a
-// time, each section's count taken under that shard's lock while its
-// entries are serialized, so concurrent stores and evictions can never
-// make a header disagree with the entries actually written:
+// A cache blob is little-endian, one section a shard:
 //
-//	magic    uint32 = 0x32434754 ("TGC2")
+//	magic    uint32 = 0x33434754 ("TGC3")
 //	dim      uint32
-//	sections repeated { count uint32, count × { key uint64, [dim]float32 } }
+//	sections repeated { count uint32, count × { key uint64, tag uint64, [dim]float32 } }
 //	end      uint32 = 0xFFFFFFFF
 //
 // Rows are stored exactly as the cache holds them, so a warm start
 // serves the same bits the cold run computed.
 //
-// Engine snapshots wrap the per-layer blobs in a checkpoint envelope
-// (internal/checkpoint): CRC32-checksummed and atomically replaced, so
-// a crash mid-save preserves the previous snapshot and corruption is
-// detected before any entry reaches a live cache. Nothing that bypasses
-// the checksum is parsed: a file without the envelope, an envelope of
-// an older snapshot version and a pre-section ("TGCC") blob are all
-// refused with an error and the caches left as they were.
+// An engine snapshot is the inputs digest (uint64) and the layer-1
+// blob in a checkpoint envelope (internal/checkpoint): checksummed and
+// atomically replaced, so a crash mid-save keeps the previous snapshot
+// and corruption is caught before any row reaches a live cache. A file
+// without the envelope, an older envelope version and an older blob are
+// refused with the caches left as they were.
 //
-// The envelope payload says what its entries are valid for: the model
-// version (uint64) and the live graph's watermark W (float64, NaN
-// without a live graph), then the layer count and (layer, blob) pairs.
+// What a load keeps follows §3.2: a layer-1 row is a function of
+// ⟨node, t⟩, its most-recent-k window, the feature tables and the
+// parameters. The digest covers the last two (and the architecture),
+// each row's tag its window, so a load keeps exactly the rows that would
+// read the same inputs on the loading engine. Deeper rows read other
+// rows, which no load can check, so they are not saved.
 
 const (
-	cacheMagicV2 uint32 = 0x32434754 // "TGC2": per-shard sections
-	// cacheSectionEnd terminates the v2 section list. Section counts
-	// are bounded by the cache limit, far below this sentinel.
+	cacheMagic uint32 = 0x33434754 // "TGC3": per-shard sections of (key, tag, row)
+	// cacheSectionEnd terminates the section list. Section counts are
+	// bounded by the cache limit, far below this sentinel.
 	cacheSectionEnd uint32 = 0xFFFFFFFF
 
 	// cacheSnapshotVersion is the engine snapshot's envelope version.
-	// Version 3 prefixed the layer stream with the model version the
-	// entries were computed under; version 4 adds the graph watermark
-	// they are valid from.
-	cacheSnapshotVersion uint32 = 4
+	// Version 5 is the inputs digest and one layer-1 TGC3 blob; every
+	// older version is refused.
+	cacheSnapshotVersion uint32 = 5
+
+	// digestMul is the odd multiplier of digest's steps.
+	digestMul = 0x9E3779B97F4A7C15
 )
 
-// WriteTo serializes every cached entry as a v2 blob. Each shard's
-// entries are staged and counted under the shard lock, then streamed
-// out, so a snapshot taken concurrently with stores and evictions is
-// always internally consistent (it captures each shard at one instant,
-// and the whole cache at slightly staggered instants — the usual
-// warm-cache tradeoff, like FIFO age, which survives a restart only
-// approximately).
+// digest folds x into the running digest h. Each step is a bijection of
+// h, so two sequences of equal length that differ in one word digest
+// differently.
+func digest(h, x uint64) uint64 { return (h ^ x) * digestMul }
+
+// windowTag digests target i's sampled window in b: the neighbor, edge
+// id and time bits of each valid slot (most-recent sampling fills the
+// valid slots as a prefix). It is the tag of the layer-1 row computed
+// from that window.
+func windowTag(b *graph.Batch, i int) uint64 {
+	h := uint64(b.K)
+	for j := i * b.K; j < (i+1)*b.K && b.Valid[j]; j++ {
+		h = digest(h, uint64(uint32(b.Nghs[j]))<<32^uint64(uint32(b.EIdxs[j])))
+		h = digest(h, math.Float64bits(b.Times[j]))
+	}
+	return h ^ h>>32
+}
+
+// inputsDigest digests what a layer-1 row reads besides its window: the
+// architecture (layers, heads, the three widths, k), every parameter
+// tensor and both feature tables, bit for bit. Callers hold the swap
+// gate's read side, so no swap rewrites the parameters mid-scan; the
+// feature tables are immutable.
+func (e *Engine) inputsDigest() uint64 {
+	m := e.model
+	c := m.Cfg
+	var h uint64
+	for _, x := range []int{c.Layers, c.Heads, c.NodeDim, c.EdgeDim, c.TimeDim, c.NumNeighbors} {
+		h = digest(h, uint64(x))
+	}
+	for _, t := range append(m.Params(), m.NodeFeat, m.EdgeFeat) {
+		h = digest(h, uint64(len(t.Data())))
+		for _, x := range t.Data() {
+			h = digest(h, uint64(math.Float32bits(x)))
+		}
+	}
+	return h
+}
+
+// WriteTo serializes every cached entry as a TGC3 blob. Each shard's
+// section is built and counted under the shard lock, then written, so a
+// snapshot taken concurrently with stores and evictions is always
+// internally consistent (it captures each shard at one instant, and the
+// whole cache at slightly staggered instants — the usual warm-cache
+// tradeoff, like FIFO age, which survives a restart only approximately).
 func (c *Cache) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	le := binary.LittleEndian
 	var n int64
-	put32 := func(v uint32) error {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		k, err := bw.Write(buf[:])
+	write := func(b []byte) error {
+		k, err := w.Write(b)
 		n += int64(k)
 		return err
 	}
-	if err := put32(cacheMagicV2); err != nil {
+	if err := write(le.AppendUint32(le.AppendUint32(nil, cacheMagic), uint32(c.dim))); err != nil {
 		return n, err
 	}
-	if err := put32(uint32(c.dim)); err != nil {
-		return n, err
-	}
-	var scratch bytes.Buffer
-	rec := make([]byte, 8+4*c.dim)
+	var sec []byte
 	for i := range c.shards {
 		s := &c.shards[i]
-		scratch.Reset()
+		sec = le.AppendUint32(sec[:0], 0) // the count, set below
 		count := uint32(0)
 		s.mu.Lock()
-		// Write oldest first so ages are approximately preserved.
+		// Oldest first, so ages are approximately preserved.
 		for p := s.head; p >= 0; p = s.slots[p].next {
-			binary.LittleEndian.PutUint64(rec, s.slots[p].key)
-			for j, x := range s.row(p, c.dim) {
-				binary.LittleEndian.PutUint32(rec[8+4*j:], math.Float32bits(x))
+			sec = le.AppendUint64(le.AppendUint64(sec, s.slots[p].key), s.slots[p].tag)
+			for _, x := range s.row(p, c.dim) {
+				sec = le.AppendUint32(sec, math.Float32bits(x))
 			}
-			scratch.Write(rec)
 			count++
 		}
 		s.mu.Unlock()
 		if count == 0 {
 			continue
 		}
-		if err := put32(count); err != nil {
-			return n, err
-		}
-		k, err := bw.Write(scratch.Bytes())
-		n += int64(k)
-		if err != nil {
+		le.PutUint32(sec, count)
+		if err := write(sec); err != nil {
 			return n, err
 		}
 	}
-	if err := put32(cacheSectionEnd); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	return n, write(le.AppendUint32(nil, cacheSectionEnd))
+}
+
+// cacheRecords are a parsed blob's entries in the order written; row i
+// is rows[i·dim:(i+1)·dim].
+type cacheRecords struct {
+	keys, tags []uint64
+	rows       []float32
 }
 
 // ReadFrom loads entries written by WriteTo into the cache on top of
-// any existing contents, evicting per the usual FIFO policy if the
-// limit is exceeded. The stored dimension must match. The load is
-// all-or-nothing: the stream is fully parsed into a staging area first,
-// so a mid-stream error leaves the cache exactly as it was.
+// any existing contents, evicting per the usual policy if the limit is
+// exceeded. The stored dimension must match. The load is
+// all-or-nothing: the stream is fully parsed first, so a mid-stream
+// error leaves the cache exactly as it was.
 func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
+	recs, n, err := c.readRecords(r)
+	if err != nil {
+		return n, err
+	}
+	// Rows enter through storeOne so TinyLFU admission behaves exactly
+	// like live stores.
+	for i, key := range recs.keys {
+		c.storeOne(key, recs.tags[i], recs.rows[i*c.dim:(i+1)*c.dim])
+	}
+	return n, nil
+}
+
+// readRecords parses a TGC3 blob of c's dim without touching c.
+func (c *Cache) readRecords(r io.Reader) (cacheRecords, int64, error) {
 	br := bufio.NewReader(r)
+	var recs cacheRecords
 	var n int64
 	get32 := func() (uint32, error) {
 		var buf [4]byte
@@ -127,261 +174,157 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	}
 	magic, err := get32()
 	if err != nil {
-		return n, err
+		return recs, n, err
 	}
-	if magic != cacheMagicV2 {
-		return n, fmt.Errorf("core: bad cache magic %#x", magic)
+	if magic != cacheMagic {
+		return recs, n, fmt.Errorf("core: bad cache magic %#x", magic)
 	}
 	dim, err := get32()
 	if err != nil {
-		return n, err
+		return recs, n, err
 	}
 	if int(dim) != c.dim {
-		return n, fmt.Errorf("core: cached dim %d, cache expects %d", dim, c.dim)
+		return recs, n, fmt.Errorf("core: cached dim %d, cache expects %d", dim, c.dim)
 	}
-
-	// Stage every entry before touching the live shards. Capacities
-	// grow by append: a hostile count in a truncated stream must not
-	// drive a huge allocation.
-	var keys []uint64
-	var rows []float32
-	rec := make([]byte, 8+4*c.dim)
+	// Capacities grow by append: a hostile count in a truncated stream
+	// must not drive a huge allocation.
+	rec := make([]byte, 16+4*c.dim)
 	for {
 		count, err := get32()
 		if err != nil {
-			return n, fmt.Errorf("core: cache section header: %w", err)
+			return recs, n, fmt.Errorf("core: cache section header: %w", err)
 		}
 		if count == cacheSectionEnd {
-			break
+			return recs, n, nil
 		}
 		for i := uint32(0); i < count; i++ {
 			k, err := io.ReadFull(br, rec)
 			n += int64(k)
 			if err != nil {
-				return n, fmt.Errorf("core: cache entry %d: %w", len(keys), err)
+				return recs, n, fmt.Errorf("core: cache entry %d: %w", len(recs.keys), err)
 			}
-			keys = append(keys, binary.LittleEndian.Uint64(rec))
-			for j := 8; j < len(rec); j += 4 {
-				rows = append(rows, math.Float32frombits(binary.LittleEndian.Uint32(rec[j:])))
+			recs.keys = append(recs.keys, binary.LittleEndian.Uint64(rec))
+			recs.tags = append(recs.tags, binary.LittleEndian.Uint64(rec[8:]))
+			for j := 16; j < len(rec); j += 4 {
+				recs.rows = append(recs.rows, math.Float32frombits(binary.LittleEndian.Uint32(rec[j:])))
 			}
-		}
-	}
-
-	// Commit: the stream parsed cleanly; only now do entries enter the
-	// live cache. Rows re-enter through storeOne so TinyLFU admission
-	// behaves exactly like live stores.
-	for i, key := range keys {
-		c.storeOne(key, rows[i*c.dim:(i+1)*c.dim])
-	}
-	return n, nil
-}
-
-// absorb merges every entry of other into c, oldest first, under c's
-// usual limit semantics. other must have the same dim and is expected
-// to be a private staging cache (it is read without locking).
-func (c *Cache) absorb(other *Cache) {
-	for i := range other.shards {
-		s := &other.shards[i]
-		for p := s.head; p >= 0; p = s.slots[p].next {
-			c.storeOne(s.slots[p].key, s.row(p, c.dim))
 		}
 	}
 }
 
-// SaveCaches persists the engine's per-layer caches to path as an
-// atomic, checksummed snapshot: the write goes to path.tmp and is
-// fsynced and renamed into place, so a crash mid-save leaves the
-// previous snapshot intact.
+// SaveCaches persists the engine's layer-1 cache to path as an atomic,
+// checksummed snapshot: the write goes to path.tmp and is fsynced and
+// renamed into place, so a crash mid-save leaves the previous snapshot
+// intact.
 func (e *Engine) SaveCaches(path string) error {
 	return e.SaveCachesFS(checkpoint.OS{}, path)
 }
 
 // SaveCachesFS is SaveCaches over an injectable file system (fault
-// tests drive it through internal/faultfs).
-//
-// The graph watermark W it stamps is read once, before any entry is
-// serialized. W never moves back, so every edge the graph takes
-// afterwards, and one taken but not yet invalidated for, has time ≥ W:
-// replaying every edge at or past W on load covers each edge the saved
-// entries may predate (some redundantly, which is safe).
+// tests drive it through internal/faultfs). It runs under the swap
+// barrier's read side, so the inputs digest it writes is that of the
+// parameters every saved row was computed under.
 func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to save")
 	}
-	// The save runs under the swap barrier's read side so the model
-	// version it stamps is the version every serialized entry was
-	// computed under — a swap cannot land between the stamp and the
-	// blobs.
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
-	wm := math.NaN()
-	if e.dyn != nil {
-		wm = e.dyn.Watermark()
-	}
+	d := e.inputsDigest()
 	return checkpoint.WriteFS(fsys, path, cacheSnapshotVersion, func(w io.Writer) error {
-		// Payload: model version, watermark, number of cached layers,
-		// then (layer, blob) pairs.
-		var stamp [16]byte
-		binary.LittleEndian.PutUint64(stamp[:8], e.model.Version())
-		binary.LittleEndian.PutUint64(stamp[8:], math.Float64bits(wm))
-		if _, err := w.Write(stamp[:]); err != nil {
+		if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, d)); err != nil {
 			return err
 		}
-		var live []int
-		for l, c := range e.caches {
-			if c != nil {
-				live = append(live, l)
-			}
-		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(live)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		for _, l := range live {
-			binary.LittleEndian.PutUint32(hdr[:], uint32(l))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
-			if _, err := e.caches[l].WriteTo(w); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := e.caches[1].WriteTo(w)
+		return err
 	})
 }
 
-// LoadCaches restores caches saved by SaveCaches. The engine's
-// architecture (cached layers and embedding width) must match. The
-// load is all-or-nothing across every layer: entries are parsed into
-// staging caches and committed only after the whole snapshot validates,
-// so a corrupt file leaves the engine's caches untouched. Only
-// enveloped, checksummed snapshots of the current version load; a file
-// without the envelope is checkpoint.ErrNotCheckpoint.
+// LoadCaches restores the rows SaveCaches saved that would read the
+// same inputs on this engine. A snapshot whose inputs digest differs
+// (other parameters, feature tables or architecture) is refused whole;
+// otherwise each row's window is re-sampled on the engine's graph and
+// the row is kept only if its tag still matches. The load is
+// all-or-nothing on error: the snapshot is parsed before any row is
+// committed. Only enveloped, checksummed snapshots of the current
+// version load; a file without the envelope is
+// checkpoint.ErrNotCheckpoint.
 func (e *Engine) LoadCaches(path string) error {
 	return e.LoadCachesFS(checkpoint.OS{}, path)
 }
 
 // LoadCachesFS is LoadCaches over an injectable file system — the
 // shard supervisor restores a crashed shard's snapshot through it so
-// fault tests can drive the restart leg with internal/faultfs.
-//
-// A live engine refuses a NaN W or a W past MaxTime (its graph is
-// behind the saver's and may lack edges the entries read), and after
-// absorbing the entries runs the late-edge rule for every edge at or
-// past W, which the entries may predate. The caller keeps graph writers
-// out until the load returns. A static-sampler engine ignores W.
+// fault tests can drive the restart leg with internal/faultfs. The
+// caller keeps graph writers out until the load returns, so every kept
+// row's window is the graph's when the row is indexed.
 func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to load into")
 	}
-	// Under the swap barrier's read side: the version the snapshot is
-	// validated against cannot change while entries are committed.
+	// Under the swap barrier's read side: the digest the snapshot is
+	// checked against cannot change while rows are committed.
 	e.swapGate.RLock()
 	defer e.swapGate.RUnlock()
 	// Loaded rows change what the lower layers answer: top-layer memo
 	// rows computed before or while they were absorbed must not outlive
 	// the load.
 	defer e.memoEpoch.Add(1)
-	var w float64
-	err := checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
+	return checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
 		if version != cacheSnapshotVersion {
 			return fmt.Errorf("core: cache snapshot version %d, engine reads %d", version, cacheSnapshotVersion)
 		}
-		// The model-version and watermark stamps precede the layer
-		// stream. A snapshot taken under other parameters is refused —
-		// its memos would be bitwise-wrong under the current model.
-		var stamp [16]byte
-		if _, err := io.ReadFull(r, stamp[:]); err != nil {
+		var hdr [8]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return err
 		}
-		if v := binary.LittleEndian.Uint64(stamp[:8]); v != e.model.Version() {
-			return fmt.Errorf("core: cache snapshot is model version %d, engine serves %d — re-warm instead of loading across versions", v, e.model.Version())
+		if binary.LittleEndian.Uint64(hdr[:]) != e.inputsDigest() {
+			return fmt.Errorf("core: cache snapshot was computed from other parameters, features or architecture — re-warm instead of loading it")
 		}
-		w = math.Float64frombits(binary.LittleEndian.Uint64(stamp[8:]))
-		if e.dyn != nil && (math.IsNaN(w) || w > e.dyn.MaxTime()) {
-			return fmt.Errorf("core: cache snapshot watermark %v outside the graph's clock %v", w, e.dyn.MaxTime())
+		recs, _, err := e.caches[1].readRecords(r)
+		if err != nil {
+			return fmt.Errorf("core: layer 1: %w", err)
 		}
-		return e.loadCacheStream(r)
+		e.absorbSameWindows(recs)
+		return nil
 	})
-	if err != nil || e.dyn == nil {
-		return err
-	}
-	// invalidateNewer rather than InvalidateAppend: the append fast path
-	// skips the scan when no future-time memo was embedded, and the
-	// restored entries are exactly such memos. The graph keeps its edges
-	// in time order, so each scan retires only records below its own
-	// edge, which no later replay can reach (indexFloor).
-	for _, edge := range e.dyn.EdgesFrom(w) {
-		e.invalidateNewer(edge.Src, edge.Dst, edge.Time)
-	}
-	return nil
 }
 
-// loadCacheStream parses a layer stream into staging caches and
-// commits them only if every layer parses cleanly.
-func (e *Engine) loadCacheStream(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
-	}
-	layers := binary.LittleEndian.Uint32(hdr[:])
-	if layers > uint32(len(e.caches)) {
-		return fmt.Errorf("core: snapshot has %d cached layers, engine has %d", layers, len(e.caches))
-	}
-	staged := make(map[int]*Cache, layers)
-	for i := uint32(0); i < layers; i++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return err
-		}
-		l := int(binary.LittleEndian.Uint32(hdr[:]))
-		if l < 0 || l >= len(e.caches) || e.caches[l] == nil {
-			return fmt.Errorf("core: snapshot has cache for layer %d, engine does not", l)
-		}
-		if _, ok := staged[l]; ok {
-			return fmt.Errorf("core: snapshot lists layer %d twice", l)
-		}
-		c := e.caches[l]
-		sc := NewCache(c.limit, c.dim, len(c.shards)) // the same geometry, empty
-		if _, err := sc.ReadFrom(br); err != nil {
-			return fmt.Errorf("core: layer %d: %w", l, err)
-		}
-		staged[l] = sc
-	}
-	// Commit: every layer validated; merge into the live caches. Deep
-	// layers are the exception under transitive invalidation: a key
-	// decodes its target and time but not the support set the entry
-	// aggregated, so a warm-started deep entry could never be
-	// selectively invalidated — those layers conservatively re-warm
-	// instead of loading (DESIGN.md §15). Layer 1 keeps its warm
-	// start: its index rebuilds from the keys alone.
-	for l, sc := range staged {
-		if l >= 2 && e.layerSupports != nil {
-			continue
-		}
-		e.caches[l].absorb(sc)
-	}
-	e.rebuildTargetIndex()
-	return nil
-}
+// loadChunk is how many staged rows one SampleTo call re-samples.
+const loadChunk = 1024
 
-// rebuildTargetIndex re-derives the layer-1 per-node key index from
-// the layer-1 cache after a snapshot load, so late-edge invalidation
-// also covers warm-started entries. Keys decode exactly: the engine
-// stores only times inside Key's domain. Every key is recorded, below
-// the watermark too: the edges a restore replays may predate it
-// (Engine.indexFloor), and the next scans retire the rest.
-func (e *Engine) rebuildTargetIndex() {
-	ix := e.TargetsFor(1)
-	if ix == nil {
-		return
+// absorbSameWindows stores the staged rows whose window, re-sampled on
+// the engine's graph, still digests to the row's tag, and records them
+// in the layer-1 index. A row whose window lost or gained an edge
+// would read other inputs, so it is left out.
+func (e *Engine) absorbSameWindows(recs cacheRecords) {
+	c, tix := e.caches[1], e.TargetsFor(1)
+	k, m := e.model.Cfg.NumNeighbors, min(loadChunk, len(recs.keys))
+	nodes, ts := make([]int32, m), make([]float64, m)
+	nghs, eidxs, times, valid := make([]int32, m*k), make([]int32, m*k), make([]float64, m*k), make([]bool, m*k)
+	floor := math.Inf(-1)
+	if tix != nil {
+		floor = e.indexFloor(math.Inf(1))
 	}
-	c := e.CacheFor(1)
-	if c == nil {
-		return
-	}
-	for _, key := range c.Keys() {
-		ix.Record(int32(key>>32), key, float64(uint32(key)), math.Inf(-1))
+	for lo := 0; lo < len(recs.keys); lo += m {
+		n := min(m, len(recs.keys)-lo)
+		for i := range n {
+			key := recs.keys[lo+i]
+			nodes[i], ts[i] = int32(key>>32), float64(uint32(key))
+		}
+		b := graph.Batch{K: k, Nghs: nghs[:n*k], EIdxs: eidxs[:n*k], Times: times[:n*k], Valid: valid[:n*k]}
+		e.sampler.SampleTo(&b, nodes[:n], ts[:n])
+		// A kept row may lie past the graph's clock: appends must scan for it.
+		e.noteEmbedTimes(ts[:n])
+		for i := range n {
+			j := lo + i
+			if windowTag(&b, i) != recs.tags[j] {
+				continue
+			}
+			c.storeOne(recs.keys[j], recs.tags[j], recs.rows[j*c.dim:(j+1)*c.dim])
+			if tix != nil {
+				tix.Record(nodes[i], recs.keys[j], ts[i], floor)
+			}
+		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// fuzzSeedBlobs builds representative cache-blob inputs: a valid v2
-// blob, a (refused) legacy v1 blob, and mutations of each. The same blobs
-// back the checked-in corpus under testdata/fuzz.
+// fuzzSeedBlobs builds representative cache-blob inputs: a valid TGC3
+// blob, (refused) legacy v1 and v2 blobs, and mutations of each. The
+// same blobs back the checked-in corpus under testdata/fuzz, which also
+// keeps the v2 files written before the tagged layout.
 func fuzzSeedBlobs() [][]byte {
 	c := NewCache(16, 3, 4)
 	r := tensor.NewRNG(9)
@@ -18,8 +19,8 @@ func fuzzSeedBlobs() [][]byte {
 		keys[i] = r.Uint64()
 	}
 	c.Store(keys, tensor.Rand(r, 8, 3))
-	var v2 bytes.Buffer
-	if _, err := c.WriteTo(&v2); err != nil {
+	var v3 bytes.Buffer
+	if _, err := c.WriteTo(&v3); err != nil {
 		panic(err)
 	}
 	vals := make([][]float32, len(keys))
@@ -28,18 +29,19 @@ func fuzzSeedBlobs() [][]byte {
 	}
 	v1 := legacyV1Blob(3, keys, vals)
 
-	flipped := append([]byte(nil), v2.Bytes()...)
+	flipped := append([]byte(nil), v3.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x10
 	countLies := append([]byte(nil), v1...)
 	countLies[8] = 0xFF // v1 count header far beyond the entries present
 
 	return [][]byte{
-		v2.Bytes(),
+		v3.Bytes(),
 		v1,
-		v2.Bytes()[:v2.Len()/2],
+		v3.Bytes()[:v3.Len()/2],
 		flipped,
 		countLies,
 		{},
+		legacyTGC2Blob(3, keys, vals),
 	}
 }
 

@@ -41,6 +41,22 @@ func legacyV1Blob(dim int, keys []uint64, vals [][]float32) []byte {
 	return buf.Bytes()
 }
 
+// legacyTGC2Blob builds a cache blob as the untagged v2 writer produced
+// it: per-shard sections of key + row, one section here. No reader
+// accepts it any more: its rows carry no window tag.
+func legacyTGC2Blob(dim int, keys []uint64, vals [][]float32) []byte {
+	blob := binary.LittleEndian.AppendUint32(nil, 0x32434754) // "TGC2"
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(dim))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
+	for i, k := range keys {
+		blob = binary.LittleEndian.AppendUint64(blob, k)
+		for _, f := range vals[i] {
+			blob = binary.LittleEndian.AppendUint32(blob, math.Float32bits(f))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(blob, cacheSectionEnd)
+}
+
 // legacyInt8Blob builds a cache blob as the retired int8 row format
 // wrote it: v2 sections under their own magic, each payload one float32
 // scale and dim int8 codes. No reader accepts it any more.
@@ -150,14 +166,15 @@ func TestCacheReadFromAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestCacheReadFromLegacyV1Blob: the un-sectioned v1 layout and the
-// retired int8 layout are refused by their magic, and the refusal leaves
-// the cache exactly as it was.
+// TestCacheReadFromLegacyV1Blob: the un-sectioned v1 layout, the
+// untagged v2 layout and the retired int8 layout are refused by their
+// magic, and the refusal leaves the cache exactly as it was.
 func TestCacheReadFromLegacyV1Blob(t *testing.T) {
 	keys := []uint64{11, 22, 33}
 	vals := [][]float32{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	for name, blob := range map[string][]byte{
 		"v1":   legacyV1Blob(3, keys, vals),
+		"v2":   legacyTGC2Blob(3, keys, vals),
 		"int8": legacyInt8Blob(3, keys),
 	} {
 		c := NewCache(10, 3, 2)
@@ -181,22 +198,25 @@ func TestCacheReadFromLegacyV1Blob(t *testing.T) {
 	}
 }
 
-// TestCacheReadFromHandBuiltTGC2Blob pins the on-disk layout
-// independently of WriteTo: magic, dim, one section of key + dim
+// TestCacheReadFromHandBuiltTGC3Blob pins the on-disk layout
+// independently of WriteTo: magic, dim, one section of key + tag + dim
 // little-endian float32s, the end marker. The rows load bit for bit,
-// including a NaN payload, a negative zero and a subnormal.
-func TestCacheReadFromHandBuiltTGC2Blob(t *testing.T) {
+// including a NaN payload, a negative zero and a subnormal, and keep
+// their tags.
+func TestCacheReadFromHandBuiltTGC3Blob(t *testing.T) {
 	keys := []uint64{0x0000_0005_0000_03E8, 1<<63 | 9}
+	tags := []uint64{0xDEAD_BEEF_0123_4567, 0}
 	rows := [][]float32{
 		{1.5, float32(math.Copysign(0, -1)), math.Float32frombits(0x7FC0_1234)},
 		{math.SmallestNonzeroFloat32, -3.25e7, math.MaxFloat32},
 	}
 	var blob []byte
-	blob = binary.LittleEndian.AppendUint32(blob, 0x32434754) // "TGC2"
+	blob = binary.LittleEndian.AppendUint32(blob, 0x33434754) // "TGC3"
 	blob = binary.LittleEndian.AppendUint32(blob, 3)          // dim
 	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
 	for i, k := range keys {
 		blob = binary.LittleEndian.AppendUint64(blob, k)
+		blob = binary.LittleEndian.AppendUint64(blob, tags[i])
 		for _, x := range rows[i] {
 			blob = binary.LittleEndian.AppendUint32(blob, math.Float32bits(x))
 		}
@@ -343,8 +363,9 @@ func TestLoadCachesCorruptLeavesEngineCold(t *testing.T) {
 
 // TestLoadCachesLegacyFile: nothing that bypasses the checksummed
 // envelope is parsed. A pre-envelope file (raw layer stream), an
-// envelope of the previous snapshot version, and a current envelope
-// wrapping a v1 blob are each refused with the engine left cold.
+// envelope of an older snapshot version, and a current envelope
+// wrapping the engine's own inputs digest and a v1 blob are each
+// refused with the engine left cold.
 func TestLoadCachesLegacyFile(t *testing.T) {
 	_, m, s := engineTestSetup(t, 300)
 	var stream bytes.Buffer
@@ -358,13 +379,12 @@ func TestLoadCachesLegacyFile(t *testing.T) {
 	keys := []uint64{5, 6}
 	vals := [][]float32{make([]float32, 16), make([]float32, 16)}
 	vals[0][0], vals[1][0] = 1.5, 2.5
-	stream.Write(legacyV1Blob(16, keys, vals))
-	envelope := func(version uint32, prefix []byte) []byte {
+	v1 := legacyV1Blob(16, keys, vals)
+	inputs := binary.LittleEndian.AppendUint64(nil, NewEngine(m, s, OptAll()).inputsDigest())
+	stream.Write(v1)
+	envelope := func(version uint32, payload []byte) []byte {
 		b, err := checkpoint.Encode(version, func(w io.Writer) error {
-			if _, err := w.Write(prefix); err != nil {
-				return err
-			}
-			_, err := w.Write(stream.Bytes())
+			_, err := w.Write(payload)
 			return err
 		})
 		if err != nil {
@@ -378,8 +398,8 @@ func TestLoadCachesLegacyFile(t *testing.T) {
 		wantErr error
 	}{
 		{"pre-envelope raw stream", stream.Bytes(), checkpoint.ErrNotCheckpoint},
-		{"envelope version 2", envelope(2, nil), nil},
-		{"current envelope, v1 blob", envelope(cacheSnapshotVersion, make([]byte, 16)), nil},
+		{"envelope version 2", envelope(2, stream.Bytes()), nil},
+		{"current envelope, v1 blob", envelope(cacheSnapshotVersion, append(inputs, v1...)), nil},
 	} {
 		path := filepath.Join(t.TempDir(), "legacy.bin")
 		if err := os.WriteFile(path, tc.file, 0o644); err != nil {

@@ -156,9 +156,10 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 }
 
 // TestCacheSnapshotVersionStamp pins the snapshot side: a cache
-// snapshot is valid only for the params version that computed its
-// entries, and loading it into an engine serving any other version is
-// refused (cold start, never silent staleness).
+// snapshot is valid for the parameters that computed its entries, not
+// for their version label. The same parameters under another label
+// load; other parameters under the same label are refused (cold start,
+// never silent staleness).
 func TestCacheSnapshotVersionStamp(t *testing.T) {
 	opt := OptAll()
 	eng := swapTestEngine(t, swapTestModelAt(t, 2, 3), opt)
@@ -176,20 +177,22 @@ func TestCacheSnapshotVersionStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	same := swapTestEngine(t, swapTestModelAt(t, 2, 3), opt)
-	if err := same.LoadCachesFS(checkpoint.OS{}, path); err != nil {
-		t.Fatal(err)
-	}
-	if same.CacheLen() == 0 {
-		t.Fatal("same-version snapshot loaded no entries")
+	for _, version := range []uint64{3, 4} {
+		same := swapTestEngine(t, swapTestModelAt(t, 2, version), opt)
+		if err := same.LoadCachesFS(checkpoint.OS{}, path); err != nil {
+			t.Fatalf("same parameters labelled v%d: %v", version, err)
+		}
+		if same.CacheLen() != eng.CacheLen() {
+			t.Fatalf("same parameters labelled v%d loaded %d of %d entries", version, same.CacheLen(), eng.CacheLen())
+		}
 	}
 
-	other := swapTestEngine(t, swapTestModelAt(t, 2, 4), opt)
+	other := swapTestEngine(t, swapTestModelAt(t, 5, 3), opt)
 	err := other.LoadCachesFS(checkpoint.OS{}, path)
 	if err == nil {
-		t.Fatal("v3 snapshot accepted by a v4 engine")
+		t.Fatal("snapshot accepted by an engine over other parameters labelled v3")
 	}
-	if !strings.Contains(err.Error(), "version") {
+	if !strings.Contains(err.Error(), "parameters") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	if other.CacheLen() != 0 {

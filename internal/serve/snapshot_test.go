@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tgopt/internal/checkpoint"
 	"tgopt/internal/faultfs"
 )
 
@@ -63,14 +65,49 @@ func TestServeWarmStartRoundTrip(t *testing.T) {
 }
 
 // TestServeWarmStartMatchesColdServer: a warm-started server answers
-// byte for byte what a cold server over the same graph answers, when
-// the graph it boots on lost an edge the saver held (the snapshot's
-// watermark is past its clock: a refused, cold start) and when it
-// gained one past the saved watermark (the load replays it).
+// byte for byte what a cold server over the same graph and parameters
+// answers. A boot on a graph that lost an edge the saver held (past
+// the clock, or tying it), or that gained one, warm-starts with the
+// rows that edge does not reach; a boot on other parameters under the
+// same version label, and a version-4 file, are refused and counted.
 func TestServeWarmStartMatchesColdServer(t *testing.T) {
 	base := snapshotEdges()
 	withExtra := append(slices.Clone(base), edgeJSON{Src: 1, Dst: 12, Time: 4500, Idx: int32(len(base) + 1)})
+	// The tie lands at the stream's clock, off the last edge's endpoints.
+	withTie := append(slices.Clone(base), edgeJSON{Src: 1, Dst: 12, Time: 4000, Idx: int32(len(base) + 1)})
 	req := embedRequest{Nodes: []int32{1, 2, 11}, Times: []float64{5000, 5000, 5000}}
+
+	other, _ := testModelDyn(t)
+	other.Params()[0].Data()[0] += 1
+	otherParams := filepath.Join(t.TempDir(), "other.tgp")
+	if err := other.SaveParams(otherParams); err != nil {
+		t.Fatal(err)
+	}
+	// asVersion4 rewrites every snapshot file under path into a
+	// version-4 envelope around the same payload.
+	asVersion4 := func(t *testing.T, path string) {
+		files := []string{path}
+		if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+			files, _ = filepath.Glob(filepath.Join(path, "*.tgc"))
+		}
+		for _, f := range files {
+			var payload []byte
+			err := checkpoint.ReadFS(checkpoint.OS{}, f, func(_ uint32, r io.Reader) (err error) {
+				payload, err = io.ReadAll(r)
+				return err
+			})
+			if err == nil {
+				err = checkpoint.WriteFS(checkpoint.OS{}, f, 4, func(w io.Writer) error {
+					_, err := w.Write(payload)
+					return err
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
 		embed := func(url string) []byte {
 			t.Helper()
@@ -80,36 +117,64 @@ func TestServeWarmStartMatchesColdServer(t *testing.T) {
 			}
 			return body
 		}
-		cold := func(edges []edgeJSON) []byte {
-			_, ts := mk("")
+		// boot builds a server over edges, swapped to params when set
+		// (labelled 0, as the saver's are).
+		boot := func(snap string, edges []edgeJSON, params string) (*Server, string) {
+			s, ts := mk(snap)
+			if params != "" {
+				if err := s.SwapParams(nil, params, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
 			ingest(t, ts.URL, edges)
-			return embed(ts.URL)
+			return s, ts.URL
 		}
-		if bytes.Equal(cold(base), cold(withExtra)) {
-			t.Fatal("the extra edge changes no asked row: the cases test nothing")
+		cold := func(edges []edgeJSON, params string) []byte {
+			_, url := boot("", edges, params)
+			return embed(url)
+		}
+		for _, changed := range [][]edgeJSON{withExtra, withTie} {
+			if bytes.Equal(cold(base, ""), cold(changed, "")) {
+				t.Fatal("the extra edge changes no asked row: the cases test nothing")
+			}
 		}
 		for _, tc := range []struct {
 			name        string
 			saved, boot []edgeJSON
+			params      string
+			craft       func(*testing.T, string)
 			warm        bool
 		}{
-			{"lost-edge", withExtra, base, false},
-			{"gained-edge", base, withExtra, true},
+			{"lost-edge", withExtra, base, "", nil, true},
+			{"gained-edge", base, withExtra, "", nil, true},
+			{"lost-edge-tying-the-clock", withTie, base, "", nil, true},
+			{"other-parameters", base, base, otherParams, nil, false},
+			{"version-4-file", base, base, "", asVersion4, false},
 		} {
 			path := filepath.Join(t.TempDir(), "cache.bin")
-			s, ts := mk(path)
-			ingest(t, ts.URL, tc.saved)
-			embed(ts.URL)
+			s, url := boot(path, tc.saved, "")
+			embed(url)
 			if err := s.SaveSnapshot(path); err != nil {
 				t.Fatal(err)
 			}
-			s2, ts2 := mk(path)
-			ingest(t, ts2.URL, tc.boot)
+			if tc.craft != nil {
+				tc.craft(t, path)
+			}
+			s2, url2 := boot(path, tc.boot, tc.params)
 			s2.WarmStart(path, nil)
 			if warm := s2.CacheLen() > 0; warm != tc.warm {
 				t.Fatalf("%s: warm start restored %d entries, want a warm start = %v", tc.name, s2.CacheLen(), tc.warm)
 			}
-			if got, want := embed(ts2.URL), cold(tc.boot); !bytes.Equal(got, want) {
+			var st statsResponse
+			getJSON(t, url2+"/v1/stats", &st)
+			errs := st.SnapErrors
+			if st.Shards != nil {
+				errs += st.Shards.SnapshotErrors
+			}
+			if counted := errs > 0; counted == tc.warm {
+				t.Fatalf("%s: %d snapshot errors counted after a warm start = %v", tc.name, errs, tc.warm)
+			}
+			if got, want := embed(url2), cold(tc.boot, tc.params); !bytes.Equal(got, want) {
 				t.Fatalf("%s: warm-started body differs from a cold server's\n got %s\nwant %s", tc.name, got, want)
 			}
 		}

@@ -97,9 +97,9 @@ type Router struct {
 	shards []*Shard
 
 	// ingestMu orders Apply against snapshot loads: a restart's load
-	// (the engine's watermark replay included) and core swap, and a
-	// WarmStart, run under it, so no edge falls between a replay and
-	// the core going live.
+	// and core swap, and a WarmStart, run under it, so no edge lands
+	// while a load re-samples the windows it keeps rows for, or before
+	// the core goes live.
 	ingestMu sync.Mutex
 
 	// swapMu is the pool-wide hot-swap barrier: Embed holds the read
@@ -464,7 +464,8 @@ func (r *Router) hedged(ctx context.Context, primary int, gn []int32, gt []float
 // once the router's graph has taken it with outcome res, and returns the
 // summed count of memo entries dropped across the pool. Crashed shards
 // are skipped: a restart builds its core over the graph as it then is,
-// and its snapshot replay covers every edge taken since the save.
+// and its snapshot load keeps only rows whose window that graph still
+// gives them.
 func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()

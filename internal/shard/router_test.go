@@ -587,19 +587,20 @@ func TestRouterRestartReplaysFromWatermark(t *testing.T) {
 	}
 }
 
-// TestRouterSnapshotRefusesUntrustedSidecar: a warm start trusts the
-// watermark a shard-N.tgc snapshot carries only as one it can replay
-// from. A version-3 snapshot (written before the watermark was part of
-// it), a NaN watermark and one past the graph's clock are each a cold
-// start counted in snapshot_errors, and the pool serves the reference
-// rows.
+// TestRouterSnapshotRefusesUntrustedSidecar: a shard-N.tgc snapshot
+// the engine cannot read as its own current format is a cold start
+// counted in snapshot_errors, and the pool serves the reference rows.
+// The cases are an older envelope version and bytes 8–16 overwritten
+// where a version-4 payload kept its watermark (a NaN, a time past the
+// clock); in a version-5 payload those bytes are the blob's magic and
+// width.
 func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40)
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
 	// Each case rewrites a saved snapshot's envelope: the payload is
-	// the model version (8 bytes), the watermark (8 bytes), the layers.
+	// the inputs digest (8 bytes), then the layer-1 blob.
 	for _, tc := range []struct {
 		name  string
 		craft func(version uint32, payload []byte) (uint32, []byte)

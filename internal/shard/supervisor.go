@@ -18,10 +18,10 @@ import (
 //  2. The restart goroutine builds a fresh engine over the router's
 //     graph, which already holds every edge taken so far.
 //  3. Under ingestMu it warms the caches from the shard's last snapshot
-//     (the engine re-runs invalidation for every edge at or past the
-//     watermark the snapshot carries), swaps the core in, and clears
-//     crashed, so no edge falls between the replay and the first live
-//     Apply.
+//     (the engine re-samples each saved row's window on the graph and
+//     keeps the rows whose window is unchanged), swaps the core in, and
+//     clears crashed, so no edge falls between the load and the first
+//     live Apply.
 //  4. The breaker moves Open → HalfOpen: traffic is re-admitted by
 //     probes rather than a thundering herd.
 
@@ -93,7 +93,7 @@ func (r *Router) restart(s *Shard, cause error) {
 // restartOnce is one rebuild attempt. It runs under the pool swap
 // barrier's read side: a params swap committing mid-rebuild would
 // otherwise let this core pack its weights from half-written tensors
-// and warm caches stamped with a version the pool no longer serves.
+// and warm caches from rows of parameters the pool no longer serves.
 // Lock order (swapMu → ingestMu → engine gates) holds: the commit path
 // never takes ingestMu.
 func (r *Router) restartOnce(s *Shard) bool {
@@ -104,10 +104,9 @@ func (r *Router) restartOnce(s *Shard) bool {
 		r.cfg.Logf("shard %d: rebuild failed: %v", s.id, err)
 		return false
 	}
-	// Apply skips a crashed shard, so the load, its replay and the swap
-	// share one ingestMu hold: an edge Applied before the hold is in the
-	// graph the replay reads, and one Applied after it reaches the new
-	// core.
+	// Apply skips a crashed shard, so the load and the swap share one
+	// ingestMu hold: an edge Applied before the hold is in the graph the
+	// load re-samples, and one Applied after it reaches the new core.
 	r.ingestMu.Lock()
 	r.loadSnapshot(s.id, c)
 	s.setCore(c)
@@ -124,7 +123,8 @@ func (r *Router) snapshotPath(id int) string {
 // SaveSnapshot persists every live shard's memo caches under
 // Config.SnapshotDir — fixed at construction because supervisor
 // restarts read it, so the path a single Core would write to is not
-// consulted. Each snapshot carries the graph watermark it is valid from
+// consulted. Each snapshot carries the digest of the parameters and
+// features its rows read, and each row its window's tag
 // (core.Engine.SaveCachesFS).
 func (r *Router) SaveSnapshot(_ string) error {
 	if r.cfg.SnapshotDir == "" {
@@ -155,10 +155,10 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	if r.cfg.SnapshotDir == "" {
 		return 0, fmt.Errorf("shard: no snapshot dir configured: %w", fs.ErrNotExist)
 	}
-	// Same barriers as restartOnce: snapshot loads validate their stored
-	// model-version stamp against the engine's, so a swap landing
-	// mid-warm must not interleave, and an Apply must not land between a
-	// load and its replay.
+	// Same barriers as restartOnce: a load checks the snapshot's inputs
+	// digest against the engine's parameters, so a swap landing mid-warm
+	// must not interleave, and an Apply must not land between a row's
+	// re-sample and its index record.
 	r.swapMu.RLock()
 	defer r.swapMu.RUnlock()
 	r.ingestMu.Lock()
@@ -175,11 +175,12 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 }
 
 // loadSnapshot warms a core from the shard's last snapshot, if it
-// exists and validates; the engine refuses a snapshot its graph cannot
-// vouch for and replays the edges taken since the save. A missing
-// snapshot file is a silent cold start, an unusable one a counted cold
-// start (correctness never depends on the snapshot). Callers hold
-// ingestMu, so no Apply lands between the load and its replay.
+// exists and validates; the engine refuses a snapshot of other
+// parameters or features and keeps only the rows whose window the
+// shared graph still gives them. A missing snapshot file is a silent
+// cold start, an unusable one a counted cold start (correctness never
+// depends on the snapshot). Callers hold ingestMu, so no Apply lands
+// while the load re-samples.
 func (r *Router) loadSnapshot(id int, c *Core) bool {
 	if r.cfg.SnapshotDir == "" {
 		return false

@@ -15,52 +15,56 @@ test -z "$(gofmt -l .)" || { echo "gofmt -l . prints:"; gofmt -l .; exit 1; }
 echo "== go build"
 go build ./...
 
-echo "== one backend (internal/serve asks its backend, never which backend it has)"
+echo "== one of each (grep gates: a mechanism a past change deleted or folded into one stays gone)"
 nontest() { ls "$1"/*.go | grep -v _test.go; }
-if grep -nE 'router (!=|==) nil|engine (!=|==) nil' $(nontest internal/serve); then
-    echo "internal/serve forks on its backend again: the lines above"; exit 1
-fi
+# scope WORD...: the Go files a gate reads. "all" is every .go file,
+# tests included; "nontest" every non-test .go file; a directory its
+# non-test .go files, subdirectories included; a file itself; "-FILE"
+# drops FILE from the list.
+scope() {
+    local w files=() drop=()
+    for w in "$@"; do
+        case $w in
+            all) files+=($(find . -name '*.go' -not -path './.git/*')) ;;
+            nontest) files+=($(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*')) ;;
+            -*) drop+=("${w#-}") ;;
+            *) if [ -d "$w" ]; then files+=($(find "$w" -name '*.go' ! -name '*_test.go')); else files+=("$w"); fi ;;
+        esac
+    done
+    printf '%s\n' "${files[@]}" | grep -vxF -f <(printf '%s\n' "${drop[@]:-/}")
+}
+# One gate a row, tab-separated: what must stay single, the grep flags
+# (-E, or -iE to ignore case), the ERE, the scope, the failure message,
+# and how many matching lines are allowed (blank: none).
+gates_failed=0
+while IFS=$'\t' read -r what flags pattern where message max; do
+    [ -z "$what" ] && continue
+    hits=$(grep -nH $flags -- "$pattern" $(scope $where) </dev/null || true)
+    if [ "$(printf '%s' "$hits" | grep -c .)" -gt "${max:-0}" ]; then
+        echo "   $what:"; printf '%s\n' "$hits"
+        echo "$message: the lines above"; gates_failed=1
+    fi
+done <<'GATES'
+one backend (internal/serve asks its backend, never which backend it has)	-E	router (!=|==) nil|engine (!=|==) nil	internal/serve	internal/serve forks on its backend again
+one graph (every shard's core samples the server's graph; internal/shard builds and writes none of its own)	-E	graph\.NewDynamic\(|\.Ingest\(	internal/shard	internal/shard keeps a graph of its own again
+one dedup (the engine's §4.1 filter; the batcher concatenates, and no engine hook reaches into it)	-E	RetireTargets|SetInvalidationHook|map\[uint64\]\*flight	internal/batcher internal/core internal/shard	single-flight attach or its invalidation hook is back
+one version holder (tgat.Model carries the params version; the engine, the shards and the server copy none)	-E	(modelVersion|version) +atomic\.Uint64	internal/core/engine.go internal/shard internal/serve	a second stored params version
+one version holder (the engine copies no model version)	-E	ModelVersion	internal/core/engine.go	internal/core/engine.go copies the params version again
+one cache tier (core.Cache is one in-RAM table: no disk tier, nothing promoted or demoted between tiers)	-iE	SpillStore|CacheSpill|spill|promote	internal/core internal/serve internal/shard cmd	a second cache tier is back
+one pack per params version (the engine's layer pass and score head read packs built in NewEngine/FinishSwap, never repack)	-E	PackLinear|LayerForwardWith|model\.ScoreWith	internal/core	internal/core reaches a per-call weight pack again
+the engine gathers no layer input (the layer pass reads feature tables and deduplicated rows in place)	-E	gatherRows32	internal/core	internal/core gathers a layer input again
+the engine gathers no layer input (one DedupInvertWith restores the caller's batch)	-E	DedupInvertWith\(	internal/core -internal/core/dedup.go	internal/core re-expands a level below the top again	1
+one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)	-E	QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes	all	a second row format is back
+one row store (each layer cache shard is a slab: rows in fixed chunks, slots in an intrusive age list; no per-entry row slices, dead marks, lazy compaction or overhead guess)	-E	map\[uint64\]\[\]float32|markPoppedLocked|compactLocked|cacheEntryOverhead|ndead	internal/core	a second row store is back in internal/core
+one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)	-E	DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards	all	a second invalidation structure or a tracking option is back
+one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap	all	a second snapshot validity record or a per-shard params parse is back
+one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
+one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	internal/core/persist.go	the snapshot's watermark stamp is back
+GATES
+[ "$gates_failed" = 0 ] || exit 1
 for pkg in batcher core serve shard tgat; do
     printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
 done
-
-echo "== one graph (every shard's core samples the server's graph; internal/shard builds and writes none of its own)"
-if grep -nE 'graph\.NewDynamic\(|\.Ingest\(' $(nontest internal/shard); then
-    echo "internal/shard keeps a graph of its own again: the lines above"; exit 1
-fi
-
-echo "== one dedup (the engine's §4.1 filter; the batcher concatenates, and no engine hook reaches into it)"
-if grep -nE 'RetireTargets|SetInvalidationHook|map\[uint64\]\*flight' $(nontest internal/batcher) $(nontest internal/core) $(nontest internal/shard); then
-    echo "single-flight attach or its invalidation hook is back: the lines above"; exit 1
-fi
-
-echo "== one version holder (tgat.Model carries the params version; the engine, the shards and the server copy none)"
-if grep -nE '(modelVersion|version) +atomic\.Uint64' internal/core/engine.go $(nontest internal/shard) $(nontest internal/serve); then
-    echo "a second stored params version: the lines above"; exit 1
-fi
-if grep -n 'ModelVersion' internal/core/engine.go; then
-    echo "internal/core/engine.go copies the params version again: the lines above"; exit 1
-fi
-
-echo "== one cache tier (core.Cache is one in-RAM table: no disk tier, nothing promoted or demoted between tiers)"
-if grep -niE 'SpillStore|CacheSpill|spill|promote' $(nontest internal/core) $(nontest internal/serve) $(nontest internal/shard) $(find cmd -name '*.go' ! -name '*_test.go'); then
-    echo "a second cache tier is back: the lines above"; exit 1
-fi
-
-echo "== one pack per params version (the engine's layer pass and score head read packs built in NewEngine/FinishSwap, never repack)"
-if grep -nE 'PackLinear|LayerForwardWith|model\.ScoreWith' $(nontest internal/core); then
-    echo "internal/core reaches a per-call weight pack again: the lines above"; exit 1
-fi
-
-echo "== the engine gathers no layer input (the layer pass reads feature tables and deduplicated rows in place; one DedupInvertWith restores the caller's batch)"
-if grep -n 'gatherRows32' $(nontest internal/core); then
-    echo "internal/core gathers a layer input again: the lines above"; exit 1
-fi
-engine_files=$(nontest internal/core | grep -v '/dedup.go$')
-if [ "$(grep -h 'DedupInvertWith(' $engine_files | wc -l)" -gt 1 ]; then
-    grep -n 'DedupInvertWith(' $engine_files
-    echo "internal/core re-expands a level below the top again: the lines above"; exit 1
-fi
 
 echo "== go test"
 go test ./...
@@ -104,33 +108,13 @@ echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
 echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestOutOfDomain|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestLoadCachesWatermarkRefusesAndReplays|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestOutOfDomain|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
 go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|TestEngineSwap|TestCacheSnapshotVersion' \
     ./internal/serve/ ./internal/shard/ ./internal/core/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
-
-echo "== one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)"
-if grep -rnE 'QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes' --include='*.go' .; then
-    echo "a second row format is back: the lines above"; exit 1
-fi
-
-echo "== one row store (each layer cache shard is a slab: rows in fixed chunks, slots in an intrusive age list; no per-entry row slices, dead marks, lazy compaction or overhead guess)"
-if grep -nE 'map\[uint64\]\[\]float32|markPoppedLocked|compactLocked|cacheEntryOverhead|ndead' $(nontest internal/core); then
-    echo "a second row store is back in internal/core: the lines above"; exit 1
-fi
-
-echo "== one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)"
-if grep -rnE 'DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards' --include='*.go' .; then
-    echo "a second invalidation structure or a tracking option is back: the lines above"; exit 1
-fi
-
-echo "== one snapshot format (the engine's cache snapshot carries the model version and graph watermark it is valid for; no sidecar, no per-shard params parse)"
-if grep -rnE 'posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap' --include='*.go' .; then
-    echo "a second snapshot validity record or a per-shard params parse is back: the lines above"; exit 1
-fi
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
 go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./internal/graph/ > /dev/null

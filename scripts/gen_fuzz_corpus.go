@@ -43,16 +43,18 @@ func main() {
 		keys[i] = r.Uint64()
 	}
 	c.Store(keys, tensor.Rand(r, 8, 3))
-	var v2 bytes.Buffer
-	if _, err := c.WriteTo(&v2); err != nil {
+	var v3 bytes.Buffer
+	if _, err := c.WriteTo(&v3); err != nil {
 		log.Fatal(err)
 	}
+	// The *-v2 files beside these hold the untagged TGC2 layout; they stay
+	// in the corpus as inputs the reader refuses.
 	coreDir := "internal/core/testdata/fuzz/FuzzCacheReadFrom"
-	writeCorpus(coreDir, "valid-v2", v2.Bytes())
-	writeCorpus(coreDir, "truncated-v2", v2.Bytes()[:v2.Len()/2])
-	flipped := append([]byte(nil), v2.Bytes()...)
+	writeCorpus(coreDir, "valid-v3", v3.Bytes())
+	writeCorpus(coreDir, "truncated-v3", v3.Bytes()[:v3.Len()/2])
+	flipped := append([]byte(nil), v3.Bytes()...)
 	flipped[len(flipped)/2] ^= 0x10
-	writeCorpus(coreDir, "bitflip-v2", flipped)
+	writeCorpus(coreDir, "bitflip-v3", flipped)
 
 	// --- tgat: FuzzLoadParams (full params checkpoint file bytes) ---
 	cfg := tgat.Config{Layers: 1, Heads: 1, NodeDim: 4, EdgeDim: 4, TimeDim: 4, NumNeighbors: 2, Seed: 3}
