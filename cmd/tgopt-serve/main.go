@@ -61,8 +61,6 @@ func main() {
 	batchOff := flag.Bool("batch-off", false, "disable cross-request micro-batching (each request runs its own engine pass)")
 	lateness := flag.Float64("lateness", 0, "out-of-order tolerance: accept late edges within this many time units of the stream maximum (0 = strict chronological ingest; older edges are dropped against the watermark)")
 	shards := flag.Int("shards", 1, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")
-	shardQuorum := flag.Int("shard-quorum", 1, "healthy shards required to accept a request (below it: 503 + Retry-After)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a shard leg to another shard after max(this, the shard's observed p99) (0 disables hedged reads)")
 	swapDir := flag.String("swap-dir", "", "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §16)")
 	swapInterval := flag.Duration("swap-interval", 0, "swap loop cadence: poll -swap-dir (or fine-tune, with -swap-train) this often (0 disables the loop; boot-time load still happens)")
 	swapTrain := flag.Bool("swap-train", false, "run the fine-tuner in-process: each -swap-interval, train a clone of the serving model on the watermarked prefix of the live stream, publish it into -swap-dir, and hot-swap to it")
@@ -132,8 +130,6 @@ func main() {
 		// snapshot DIRECTORY instead of a single snapshot file.
 		srv, err = serve.NewSharded(wl.Model, dyn, opt, shard.Config{
 			Shards:      *shards,
-			Quorum:      *shardQuorum,
-			HedgeDelay:  *hedgeDelay,
 			SnapshotDir: *cacheFile,
 			Logf:        log.Printf,
 		})
@@ -217,7 +213,7 @@ func main() {
 		log.Printf("cross-request batching: window=%s max=%d", *batchWindow, *batchMax)
 	}
 	if srv.Sharded() {
-		log.Printf("sharding: %d shards, quorum %d, hedge-delay %s", *shards, *shardQuorum, *hedgeDelay)
+		log.Printf("sharding: %d shards", *shards)
 		log.Printf("cache: policy=%s per-shard (divided from limit %d)", *cachePolicy, opt.CacheLimit)
 	} else {
 		log.Printf("cache: policy=%s limit=%d", *cachePolicy, srv.Engine().Options().CacheLimit)

@@ -197,7 +197,7 @@ func sortedKeys[V any](m map[string]V) []string {
 func TestBackendMetricsAndStatsShape(t *testing.T) {
 	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
-		for _, p := range []string{"tgopt_shard", "tgopt_hedge", "tgopt_routed_around", "tgopt_partial_responses", "tgopt_degraded_targets", "tgopt_quorum_rejects"} {
+		for _, p := range []string{"tgopt_shard", "tgopt_routed_around", "tgopt_partial_responses", "tgopt_degraded_targets"} {
 			if strings.HasPrefix(f, p) {
 				return true
 			}

@@ -13,8 +13,7 @@ import (
 //     process would only lose the warm caches.
 //   - GET /readyz (readiness): 200 only when the server should receive
 //     traffic: warm-start finished (SetReady), not draining
-//     (BeginDrain), and — in sharded mode — the healthy-shard count
-//     meets the configured quorum.
+//     (BeginDrain), and — in sharded mode — at least one shard is up.
 //
 // Both bypass the in-flight limit and deadline middleware: health
 // checks must answer while the serving path is saturated, which is
@@ -51,10 +50,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "warm-start not complete")
-	case pool != nil && pool.Healthy < pool.Quorum:
+	case pool != nil && pool.Healthy == 0:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable,
-			"%d healthy shards of %d, quorum %d", pool.Healthy, len(pool.Shards), pool.Quorum)
+		httpError(w, http.StatusServiceUnavailable, "no shard of %d is up", len(pool.Shards))
 	default:
 		writeJSON(w, map[string]string{"status": "ready"})
 	}

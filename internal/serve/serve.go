@@ -103,8 +103,9 @@ type Server struct {
 	// Embed/score failure accounting, split by cause so dashboards can
 	// tell "the client hung up" (499) from "we could not serve" (503):
 	// clientCancels counts abandoned requests, unavailable counts
-	// server-side failures. The below-quorum 503s and the 206 degraded
-	// responses are counted where they are decided, in the Router.
+	// server-side failures, a pool with no shard up included. The 206
+	// degraded responses are counted where they are decided, in the
+	// Router.
 	clientCancels atomic.Int64
 	unavailable   atomic.Int64
 
@@ -449,7 +450,8 @@ const statusClientClosedRequest = 499
 //     (previously both were conflated into one 503 path);
 //   - the deadline expired → 504 (the middleware's own 504 response
 //     wins the race; the write here is a discarded buffer);
-//   - the shard pool is below quorum → 503 with a Retry-After hint;
+//   - no shard of the pool is up → 503 with a Retry-After hint,
+//     counted as unavailable;
 //   - anything else → 503, counted as unavailable.
 func (s *Server) writeEmbedError(w http.ResponseWriter, err error) {
 	switch {
@@ -458,9 +460,10 @@ func (s *Server) writeEmbedError(w http.ResponseWriter, err error) {
 		httpError(w, statusClientClosedRequest, "client closed request: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "request exceeded its deadline: %v", err)
-	case errors.Is(err, shard.ErrNoQuorum):
+	case errors.Is(err, shard.ErrNoShardUp):
+		s.unavailable.Add(1)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "degraded below quorum: %v", err)
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		s.unavailable.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "request abandoned: %v", err)
@@ -579,11 +582,10 @@ type statsResponse struct {
 	Timeouts    int64                  `json:"timeouts"`
 	Panics      int64                  `json:"panics"`
 	// ClientCancels (499-style) and Unavailable (real 503s) split the
-	// failed-computation accounting by cause; QuorumRejects and
-	// Partials repeat the router's degradation counters (Shards).
+	// failed-computation accounting by cause; Partials repeats the
+	// router's degradation counter (Shards).
 	ClientCancels int64       `json:"client_cancels"`
 	Unavailable   int64       `json:"unavailable"`
-	QuorumRejects int64       `json:"quorum_rejects,omitempty"`
 	Partials      int64       `json:"partial_responses,omitempty"`
 	Snapshots     int64       `json:"snapshots"`
 	SnapErrors    int64       `json:"snapshot_errors"`
@@ -594,8 +596,8 @@ type statsResponse struct {
 	Model    modelStats            `json:"model"`
 	Stages   map[string]stageStats `json:"stages"`
 	Batching *batchStats           `json:"batching,omitempty"`
-	// Shards reports per-shard breaker/restart state and the router's
-	// hedge/degradation counters in sharded mode.
+	// Shards reports per-shard crash/restart state and the router's
+	// failover/degradation counters in sharded mode.
 	Shards *shard.RouterStats `json:"shards,omitempty"`
 }
 
@@ -663,7 +665,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:   shards,
 	}
 	if shards != nil {
-		resp.QuorumRejects, resp.Partials = shards.QuorumRejects, shards.PartialResponses
+		resp.Partials = shards.PartialResponses
 	}
 	writeJSON(w, resp)
 }

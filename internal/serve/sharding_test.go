@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -113,8 +114,8 @@ func TestServeShardedEquivalence(t *testing.T) {
 	if sr.Shards == nil {
 		t.Fatal("stats missing shards section in sharded mode")
 	}
-	if sr.Shards.Healthy != 4 || sr.Shards.Quorum != 1 {
-		t.Fatalf("healthy/quorum = %d/%d, want 4/1", sr.Shards.Healthy, sr.Shards.Quorum)
+	if sr.Shards.Healthy != 4 {
+		t.Fatalf("healthy = %d, want 4", sr.Shards.Healthy)
 	}
 	if sr.Shards.Batching == nil || sr.Shards.Batching.Enqueued == 0 {
 		t.Fatalf("per-shard batchers unused: %+v", sr.Shards.Batching)
@@ -175,7 +176,7 @@ func (p poisonEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64)
 // TestServeShardedPartialResponse drives the degraded contract over
 // HTTP: a request whose group fails on every shard returns 206 with
 // partial=true, null degraded rows, and exact remaining rows; /v1/stats
-// and /metrics expose the breaker cycle; after the supervisor restarts
+// and /metrics expose the crash and restart; after the supervisor restarts
 // the crashed shards the same request returns 200 bitwise-identical to
 // the unsharded server.
 func TestServeShardedPartialResponse(t *testing.T) {
@@ -183,8 +184,7 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	var armed atomic.Bool
 	_, off := testServer(t)
 	s, on := shardedServer(t, shard.Config{
-		Shards:  4,
-		Breaker: shard.BreakerConfig{Window: 16, MinSamples: 2, Cooldown: 20 * time.Millisecond, Probes: 1},
+		Shards: 4,
 		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
 			return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
 		},
@@ -269,14 +269,13 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	if sr.Partials == 0 || sr.Partials != sr.Shards.PartialResponses || sr.Shards.DegradedTargets == 0 {
 		t.Fatalf("partial counters not booked, or top level and router disagree: server=%d router=%+v", sr.Partials, sr.Shards)
 	}
-	var panics, opens, restarts int64
+	var panics, restarts int64
 	for _, v := range sr.Shards.Shards {
 		panics += v.Panics
-		opens += v.BreakerOpens
 		restarts += v.Restarts
 	}
-	if panics == 0 || opens == 0 || restarts == 0 {
-		t.Fatalf("breaker cycle not visible in stats: panics=%d opens=%d restarts=%d", panics, opens, restarts)
+	if panics == 0 || restarts == 0 {
+		t.Fatalf("crash and restart not visible in stats: panics=%d restarts=%d", panics, restarts)
 	}
 
 	// The same cycle must be scrapeable from /metrics.
@@ -299,93 +298,135 @@ func TestServeShardedPartialResponse(t *testing.T) {
 			t.Fatalf("/metrics missing %q", series)
 		}
 	}
-	for _, gone := range []string{"tgopt_cache_spill", "tgopt_cache_promote", "tgopt_cache_layer_spill"} {
+	for _, gone := range []string{"tgopt_cache_spill", "tgopt_cache_promote", "tgopt_cache_layer_spill", "breaker", "quorum", "hedge"} {
 		if strings.Contains(metrics, gone) {
 			t.Fatalf("/metrics carries a %s* series", gone)
 		}
 	}
 }
 
-// stallEmbedder stalls every shard while armed — used to open every
-// breaker via deadline failures (no crash, so no supervisor involved)
-// and prove the pool recovers through cooldown + half-open probes alone.
-type stallEmbedder struct {
+// crashEmbedder panics on every shard whose id is below down — the
+// tests crash shards in id order with it.
+type crashEmbedder struct {
 	core.Embedder
-	armed *atomic.Bool
-	d     time.Duration
+	id   int32
+	down *atomic.Int32
 }
 
-func (p stallEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
-	if p.armed.Load() {
-		time.Sleep(p.d)
+func (c crashEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
+	if c.id < c.down.Load() {
+		panic("injected shard crash")
 	}
-	return p.Embedder.EmbedWith(ar, nodes, ts)
+	return c.Embedder.EmbedWith(ar, nodes, ts)
+}
+
+// crashedPool is a 2-shard server whose router is closed, so a crashed
+// shard stays down, and whose shards crash in id order as down rises.
+func crashedPool(t *testing.T, snapDir string) (*Server, *httptest.Server, *atomic.Int32) {
+	t.Helper()
+	down := new(atomic.Int32)
+	s, ts := shardedServer(t, shard.Config{
+		Shards:      2,
+		SnapshotDir: snapDir,
+		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+			return crashEmbedder{Embedder: e, id: int32(id), down: down}
+		},
+	})
+	ingest(t, ts.URL, shardTestEdges)
+	s.Router().Close()
+	return s, ts, down
 }
 
 // TestServeHealthEndpoints pins the /healthz and /readyz contract in
-// both serving modes, including the below-quorum 503 and the
-// cooldown-based recovery of a pool whose every breaker opened on
-// error rate (no crash → no supervisor → recovery must come from
-// half-open probes admitted by the quorum check's Eligible semantics).
+// both serving modes, and a pool's readiness rule: ready while at least
+// one shard is up; with none up an embed is a 503 with Retry-After,
+// counted in unavailable, and /readyz is 503.
 func TestServeHealthEndpoints(t *testing.T) {
 	t.Run("lifecycle", func(t *testing.T) {
 		forEachBackend(t, readyzLifecycle)
 	})
 
-	t.Run("quorum", func(t *testing.T) {
-		var armed atomic.Bool
-		s, ts := shardedServer(t, shard.Config{
-			Shards: 2,
-			Quorum: 2,
-			Breaker: shard.BreakerConfig{
-				Window: 4, Threshold: 0.4, MinSamples: 1,
-				Cooldown: 50 * time.Millisecond, Probes: 1,
-			},
-			WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-				return stallEmbedder{Embedder: e, armed: &armed, d: 2 * time.Second}
-			},
-		})
-		s.SetLimits(Limits{Timeout: 100 * time.Millisecond})
-		ingest(t, ts.URL, shardTestEdges)
+	t.Run("no-shard-up", func(t *testing.T) {
+		s, ts, down := crashedPool(t, "")
 		s.SetReady()
+		req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
+
+		// Shard 0 crashes on its first leg; shard 1 answers for both.
+		down.Store(1)
+		if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != 200 {
+			t.Fatalf("embed with shard 0 crashing: code %d err %v, want 200", code, err)
+		}
+		if up := s.Router().Stats().Healthy; up != 1 {
+			t.Fatalf("%d shards up, want 1: shard 0 took no leg", up)
+		}
 		if code := getCode(t, ts.URL+"/readyz"); code != 200 {
-			t.Fatalf("/readyz with full quorum = %d, want 200", code)
+			t.Fatalf("/readyz with one shard up = %d, want 200", code)
 		}
 
-		// Stall both shards: each embed leg exceeds the server deadline,
-		// books a breaker failure, and with MinSamples 1 both breakers
-		// open. Quorum 2 with 0 admitting shards → not ready.
-		req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
-		armed.Store(true)
-		for i := 0; i < 4; i++ {
-			postBody(ts.URL, "/v1/embed", req)
-		}
-		if code := getCode(t, ts.URL+"/readyz"); code != 503 {
-			t.Fatalf("/readyz below quorum = %d, want 503", code)
-		}
+		// Shard 1 crashes too: this embed degrades, the next finds no
+		// shard up.
+		down.Store(2)
+		postBody(ts.URL, "/v1/embed", req)
 		resp, body := post(t, ts.URL+"/v1/embed", req)
 		if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("embed below quorum = %d (%s), want 503 with Retry-After", resp.StatusCode, body)
+			t.Fatalf("embed with no shard up = %d (%s), want 503 with Retry-After", resp.StatusCode, body)
+		}
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("/readyz with no shard up = %d, want 503 with Retry-After", resp.StatusCode)
 		}
 		var sr statsResponse
 		getJSON(t, ts.URL+"/v1/stats", &sr)
-		if sr.QuorumRejects == 0 || sr.QuorumRejects != sr.Shards.QuorumRejects {
-			t.Fatalf("quorum_rejects not booked, or top level %d and router %d disagree", sr.QuorumRejects, sr.Shards.QuorumRejects)
-		}
-
-		// Recovery with no supervisor help: cooldowns elapse, the shards
-		// become quorum-eligible again, and half-open probes re-close the
-		// breakers under live traffic.
-		armed.Store(false)
-		waitForServe(t, 5*time.Second, func() bool {
-			body, code, err := postBody(ts.URL, "/v1/embed", req)
-			_ = body
-			return err == nil && code == 200
-		})
-		if code := getCode(t, ts.URL+"/readyz"); code != 200 {
-			t.Fatalf("/readyz after recovery = %d, want 200", code)
+		if sr.Unavailable != 1 || sr.Shards.Healthy != 0 {
+			t.Fatalf("unavailable = %d, healthy = %d; want 1 and 0", sr.Unavailable, sr.Shards.Healthy)
 		}
 	})
+}
+
+// TestServeSnapshotWithNoShardUpFails: a pool snapshot that finds every
+// shard crashed wrote nothing, so it is an error — the background
+// snapshotter books it in snapshot_errors, never in snapshots.
+func TestServeSnapshotWithNoShardUpFails(t *testing.T) {
+	dir := t.TempDir()
+	s, ts, down := crashedPool(t, dir)
+	req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
+	if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != 200 {
+		t.Fatalf("warm embed: code %d err %v", code, err)
+	}
+	if err := s.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	down.Store(2)
+	postBody(ts.URL, "/v1/embed", req) // both shards crash
+	if s.Router().Stats().Healthy != 0 {
+		t.Fatal("a shard is still up")
+	}
+	if err := s.SaveSnapshot(dir); !errors.Is(err, shard.ErrNoShardUp) {
+		t.Fatalf("SaveSnapshot with no shard up = %v, want ErrNoShardUp", err)
+	}
+
+	var before statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &before)
+	var failed atomic.Int64
+	stop := s.StartSnapshots(dir, 5*time.Millisecond, func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), shard.ErrNoShardUp.Error()) {
+			failed.Add(1)
+		}
+	})
+	waitForServe(t, 5*time.Second, func() bool { return failed.Load() > 0 })
+	stop()
+	var after statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &after)
+	if after.Snapshots != before.Snapshots {
+		t.Fatalf("snapshots = %d after failed saves, was %d", after.Snapshots, before.Snapshots)
+	}
+	if got := after.SnapErrors - before.SnapErrors; got != failed.Load() {
+		t.Fatalf("snapshot_errors rose by %d over %d failed saves", got, failed.Load())
+	}
 }
 
 // readyzLifecycle is the /healthz and /readyz contract that does not
@@ -429,8 +470,8 @@ func getCode(t *testing.T, url string) int {
 
 // TestWriteEmbedErrorAccounting pins the 499/503/504 split: client
 // cancellation is booked as client_cancels (nginx-style 499), never as
-// a server-side 503, and quorum rejections carry a Retry-After hint
-// (they are counted where they are decided, in the Router).
+// a server-side 503, and a pool with no shard up is a 503 counted in
+// unavailable that carries a Retry-After hint.
 func TestWriteEmbedErrorAccounting(t *testing.T) {
 	s := &Server{}
 	cases := []struct {
@@ -441,7 +482,7 @@ func TestWriteEmbedErrorAccounting(t *testing.T) {
 		{context.Canceled, statusClientClosedRequest, false},
 		{fmt.Errorf("leg: %w", context.Canceled), statusClientClosedRequest, false},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, false},
-		{shard.ErrNoQuorum, http.StatusServiceUnavailable, true},
+		{fmt.Errorf("embed: %w", shard.ErrNoShardUp), http.StatusServiceUnavailable, true},
 		{fmt.Errorf("disk on fire"), http.StatusServiceUnavailable, false},
 	}
 	for _, tc := range cases {
@@ -457,7 +498,7 @@ func TestWriteEmbedErrorAccounting(t *testing.T) {
 	if got := s.clientCancels.Load(); got != 2 {
 		t.Errorf("clientCancels = %d, want 2 (cancellation must not book as unavailable)", got)
 	}
-	if got := s.unavailable.Load(); got != 1 {
-		t.Errorf("unavailable = %d, want 1", got)
+	if got := s.unavailable.Load(); got != 2 {
+		t.Errorf("unavailable = %d, want 2", got)
 	}
 }

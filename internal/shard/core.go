@@ -30,8 +30,8 @@ func isPanic(err error) bool {
 // params, snapshot. An unsharded server holds one over its graph; a
 // Router holds one per shard over that same graph and discards it whole
 // on a crash (a panic may have poisoned its engine's locks; the graph's
-// are released by defer). A Core has no ring, breaker or supervisor: it
-// answers or it fails.
+// are released by defer). A Core has no ring or supervisor: it answers
+// or it fails.
 type Core struct {
 	model *tgat.Model
 	eng   *core.Engine

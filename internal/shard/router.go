@@ -17,30 +17,19 @@ import (
 	"tgopt/internal/tgat"
 )
 
-// ErrNoQuorum rejects a request when too few shards are healthy to
-// meet the configured quorum. The serving layer maps it to 503 with a
-// Retry-After hint.
-var ErrNoQuorum = errors.New("shard: healthy shards below quorum")
+// ErrNoShardUp rejects a request, or a snapshot, that finds every
+// shard crashed. The serving layer maps it to 503 with a Retry-After
+// hint.
+var ErrNoShardUp = errors.New("shard: no shard is up")
 
-// Config sizes the shard pool and its robustness envelope.
+// Config sizes the shard pool.
 type Config struct {
 	// Shards is the number of failure domains (>= 2; a single-engine
 	// deployment holds one Core directly).
 	Shards int
-	// Quorum is the minimum number of healthy shards required to accept
-	// a request at all (default 1 — availability-first: serve whatever
-	// can be served, degrade the rest).
-	Quorum int
-	// HedgeDelay enables hedged reads when > 0: if a primary leg has
-	// not answered after max(HedgeDelay, observed p99 of that shard's
-	// leg latency), the same group is speculatively sent to a fallback
-	// shard and the first success wins.
-	HedgeDelay time.Duration
-	// Breaker configures every shard's circuit breaker.
-	Breaker BreakerConfig
 	// SnapshotDir, when non-empty, is where the per-shard cache
-	// snapshots (shard-N.tgc) live, each carrying the model version and
-	// graph watermark it is valid for.
+	// snapshots (shard-N.tgc) live, each carrying the digest of the
+	// inputs its rows read and each row's window tag.
 	SnapshotDir string
 	// FS overrides the snapshot file system (default checkpoint.OS);
 	// fault tests inject faultfs.FS.
@@ -55,12 +44,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Quorum <= 0 {
-		c.Quorum = 1
-	}
-	if c.Quorum > c.Shards {
-		c.Quorum = c.Shards
-	}
 	if c.FS == nil {
 		c.FS = checkpoint.OS{}
 	}
@@ -120,12 +103,9 @@ type Router struct {
 	rebuildDone sync.Cond
 	rebuilds    int
 
-	hedges        atomic.Int64
-	hedgeWins     atomic.Int64
-	routedAround  atomic.Int64
-	degradedTgts  atomic.Int64
-	partials      atomic.Int64
-	quorumRejects atomic.Int64
+	routedAround atomic.Int64
+	degradedTgts atomic.Int64
+	partials     atomic.Int64
 
 	snapshotSaves  atomic.Int64
 	snapshotErrors atomic.Int64
@@ -168,7 +148,7 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 			r.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s := &Shard{id: i, r: r, core: c, breaker: NewBreaker(cfg.Breaker), lat: stats.NewHistogram()}
+		s := &Shard{id: i, r: r, core: c, lat: stats.NewHistogram()}
 		r.shards = append(r.shards, s)
 	}
 	return r, nil
@@ -183,10 +163,10 @@ func (r *Router) buildCore(id int) (c *Core, err error) {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
 		}
 	}()
-	// The rebuilt engine reads the shared model's version, so snapshot
-	// loads validate against what the model holds now. Callers on the
-	// restart path hold swapMu's read side, which keeps tensors and
-	// version still across the build.
+	// The rebuilt engine packs the shared model's tensors, and a
+	// snapshot load checks its inputs digest against them. Callers on
+	// the restart path hold swapMu's read side, which keeps the tensors
+	// still across the build and the load.
 	c = NewCore(r.model, r.dyn, r.opt)
 	if r.cfg.WrapEmbedder != nil {
 		c.emb = r.cfg.WrapEmbedder(id, c.emb)
@@ -216,11 +196,11 @@ func (r *Router) Dim() int { return r.dim }
 // introspection).
 func (r *Router) Owner(node int32) int { return r.ring.Owner(node) }
 
-// HealthyShards counts shards currently eligible for quorum.
-func (r *Router) HealthyShards() int {
+// upShards counts the shards that are up.
+func (r *Router) upShards() int {
 	n := 0
 	for _, s := range r.shards {
-		if s.Healthy() {
+		if s.up() {
 			n++
 		}
 	}
@@ -239,8 +219,8 @@ func (r *Router) Embed(ctx context.Context, nodes []int32, ts []float64) (*Resul
 // EmbedRows scatters (nodes, ts) across the pool by ring owner and
 // gathers the rows back in exact input order as one len(nodes)×dim
 // slab. Shard failures degrade the affected rows (listed in degraded,
-// their slab regions zero) instead of failing the request; only a
-// below-quorum pool (ErrNoQuorum) or the caller's own context expiring
+// their slab regions zero) instead of failing the request; only a pool
+// with no shard up (ErrNoShardUp) or the caller's own context expiring
 // fail the whole call.
 func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error) {
 	if len(nodes) != len(ts) {
@@ -254,16 +234,15 @@ func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (sl
 	// otherwise gather rows from two model versions into one slab.
 	r.swapMu.RLock()
 	defer r.swapMu.RUnlock()
-	if h := r.HealthyShards(); h < r.cfg.Quorum {
-		r.quorumRejects.Add(1)
-		return nil, nil, fmt.Errorf("%w: %d healthy of %d, quorum %d", ErrNoQuorum, h, len(r.shards), r.cfg.Quorum)
+	if r.upShards() == 0 {
+		return nil, nil, fmt.Errorf("%w: all %d crashed", ErrNoShardUp, len(r.shards))
 	}
 	slab = make([]float32, len(nodes)*r.dim)
 	if len(nodes) == 0 {
 		return slab, nil, nil
 	}
 
-	// Group target indices by primary shard.
+	// Group target indices by owner.
 	groups := make([][]int, len(r.shards))
 	last := 0
 	for i, v := range nodes {
@@ -339,125 +318,36 @@ func (r *Router) legContext(ctx context.Context) (context.Context, context.Cance
 	return context.WithDeadline(ctx, time.Now().Add(rem*9/10))
 }
 
-// callWithFailover runs one group on its primary shard, hedging and
-// failing over to the next admitting shard per config. Any shard can
-// serve any group because every core samples the same graph.
-func (r *Router) callWithFailover(ctx context.Context, primary int, gn []int32, gt []float64) ([]float32, error) {
-	p := r.shards[primary]
-	if !p.Admit() {
-		// Breaker open or shard torn down: route around it.
-		r.routedAround.Add(1)
-		if fb := r.admitFallback(primary); fb != nil {
-			return fb.call(ctx, gn, gt)
+// callWithFailover runs one group on its owner if the owner is up, else
+// on the next up shard, and fails a failed leg over once to the next up
+// shard. Any shard can serve any group because every core samples the
+// same graph.
+func (r *Router) callWithFailover(ctx context.Context, owner int, gn []int32, gt []float64) ([]float32, error) {
+	if s := r.shards[owner]; s.up() {
+		rows, err := s.call(ctx, gn, gt)
+		if err == nil || ctx.Err() != nil {
+			// Done, or no budget left to retry elsewhere.
+			return rows, err
 		}
-		return nil, ErrShardDown
+	} else {
+		r.routedAround.Add(1)
 	}
-	if r.cfg.HedgeDelay > 0 {
-		return r.hedged(ctx, primary, gn, gt)
+	if s := r.nextUp(owner); s != nil {
+		return s.call(ctx, gn, gt)
 	}
-	rows, err := p.call(ctx, gn, gt)
-	if err == nil {
-		return rows, nil
-	}
-	if ctx.Err() != nil {
-		// No budget left to retry elsewhere.
-		return nil, err
-	}
-	if fb := r.admitFallback(primary); fb != nil {
-		return fb.call(ctx, gn, gt)
-	}
-	return nil, err
+	return nil, ErrNoShardUp
 }
 
-// admitFallback finds the next shard after primary whose breaker admits
-// a call. A non-nil return has consumed its admission (half-open probe
-// token), so the caller must issue exactly one call on it.
-func (r *Router) admitFallback(primary int) *Shard {
+// nextUp returns the first up shard after owner by shard id, wrapping
+// around, or nil.
+func (r *Router) nextUp(owner int) *Shard {
 	n := len(r.shards)
 	for k := 1; k < n; k++ {
-		s := r.shards[(primary+k)%n]
-		if s.Admit() {
+		if s := r.shards[(owner+k)%n]; s.up() {
 			return s
 		}
 	}
 	return nil
-}
-
-// hedgeDelayFor derives the effective hedge delay for a shard: the
-// configured floor, raised to the shard's observed p99 leg latency so
-// hedges fire on genuine stragglers rather than on every call.
-func (r *Router) hedgeDelayFor(s *Shard) time.Duration {
-	d := r.cfg.HedgeDelay
-	if p99 := s.lat.Quantile(0.99); p99 > d {
-		d = p99
-	}
-	return d
-}
-
-// hedged runs the primary leg and, after the hedge delay (or an early
-// primary failure), a fallback leg; the first success wins and the
-// loser is canceled.
-func (r *Router) hedged(ctx context.Context, primary int, gn []int32, gt []float64) ([]float32, error) {
-	p := r.shards[primary]
-	type legResult struct {
-		rows  []float32
-		err   error
-		hedge bool
-	}
-	legCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan legResult, 2)
-	go func() {
-		rows, err := p.call(legCtx, gn, gt)
-		ch <- legResult{rows, err, false}
-	}()
-	outstanding := 1
-	hedgeFired := false
-	launchHedge := func(speculative bool) {
-		hedgeFired = true
-		fb := r.admitFallback(primary)
-		if fb == nil {
-			return
-		}
-		if speculative {
-			r.hedges.Add(1)
-		}
-		outstanding++
-		go func() {
-			rows, err := fb.call(legCtx, gn, gt)
-			ch <- legResult{rows, err, true}
-		}()
-	}
-	timer := time.NewTimer(r.hedgeDelayFor(p))
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case res := <-ch:
-			if res.err == nil {
-				if res.hedge {
-					r.hedgeWins.Add(1)
-				}
-				return res.rows, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			outstanding--
-			if !hedgeFired && ctx.Err() == nil {
-				launchHedge(false) // primary failed outright: plain failover
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if !hedgeFired {
-				launchHedge(true)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Apply runs, on every live shard, the invalidation an edge requires
@@ -470,10 +360,9 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 	for _, s := range r.shards {
-		if s.crashed.Load() {
-			continue
+		if s.up() {
+			invalidated += s.currentCore().Apply(e, res)
 		}
-		invalidated += s.currentCore().Apply(e, res)
 	}
 	return invalidated
 }
@@ -509,16 +398,16 @@ func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
 
 // RouterStats is the router-level health snapshot for /v1/stats.
 type RouterStats struct {
-	Shards  []Status `json:"shards"`
-	Healthy int      `json:"healthy"`
-	Quorum  int      `json:"quorum"`
+	Shards []Status `json:"shards"`
+	// Healthy counts the shards that are up.
+	Healthy int `json:"healthy"`
 
-	Hedges           int64 `json:"hedges"`
-	HedgeWins        int64 `json:"hedge_wins"`
+	// Hedges is always zero: the router sends no speculative legs. It
+	// stays for the benchmark's trace, which still reads it.
+	Hedges           int64 `json:"-"`
 	RoutedAround     int64 `json:"routed_around"`
 	DegradedTargets  int64 `json:"degraded_targets"`
 	PartialResponses int64 `json:"partial_responses"`
-	QuorumRejects    int64 `json:"quorum_rejects"`
 
 	SnapshotSaves  int64 `json:"snapshot_saves"`
 	SnapshotErrors int64 `json:"snapshot_errors"`
@@ -532,14 +421,10 @@ type RouterStats struct {
 // Stats snapshots per-shard and router-level health.
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{
-		Healthy:          r.HealthyShards(),
-		Quorum:           r.cfg.Quorum,
-		Hedges:           r.hedges.Load(),
-		HedgeWins:        r.hedgeWins.Load(),
+		Healthy:          r.upShards(),
 		RoutedAround:     r.routedAround.Load(),
 		DegradedTargets:  r.degradedTgts.Load(),
 		PartialResponses: r.partials.Load(),
-		QuorumRejects:    r.quorumRejects.Load(),
 		SnapshotSaves:    r.snapshotSaves.Load(),
 		SnapshotErrors:   r.snapshotErrors.Load(),
 		SnapshotLoads:    r.snapshotLoads.Load(),

@@ -339,28 +339,53 @@ func TestRouterDegradedPartial(t *testing.T) {
 	}
 }
 
-// TestRouterQuorum pins ErrNoQuorum: with quorum = shards and one
-// breaker forced open, requests are rejected outright.
-func TestRouterQuorum(t *testing.T) {
+// TestRouterRoutesAroundCrashedOwner: a crashed owner's group goes to
+// the next up shard, whose rows are bitwise the unsharded reference, and
+// the diversion is counted in RoutedAround. With every shard crashed an
+// embed and a snapshot fail with ErrNoShardUp.
+func TestRouterRoutesAroundCrashedOwner(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(30)
-	r := newTestRouter(t, m, edges, Config{Shards: 2, Quorum: 2})
-
 	nodes, ts := embedQuery()
-	if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
-		t.Fatal(err)
+	want := referenceSlab(t, m, edges, nodes, ts)
+	r := newTestRouter(t, m, edges, Config{Shards: 3, SnapshotDir: t.TempDir()})
+	r.Close() // no supervisor: a crashed shard stays down
+
+	owner := r.Owner(nodes[0])
+	next := (owner + 1) % 3
+	r.crash(r.shards[owner], errors.New("injected crash"))
+	wantNextCalls := int64(1) // the owner's group
+	if slices.ContainsFunc(nodes, func(v int32) bool { return r.Owner(v) == next }) {
+		wantNextCalls++ // and its own
 	}
-	r.shards[0].breaker.ForceOpen()
-	_, err := r.Embed(context.Background(), nodes, ts)
-	if !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("err = %v, want ErrNoQuorum", err)
+	res, err := r.Embed(context.Background(), nodes, ts)
+	if err != nil || res.Partial {
+		t.Fatalf("embed around a crashed owner: err=%v partial=%v", err, res != nil && res.Partial)
 	}
-	if r.Stats().QuorumRejects == 0 {
-		t.Fatal("quorum rejection not counted")
+	requireSlabEqual(t, "routed around", res.Slab, want)
+	st := r.Stats()
+	if st.RoutedAround == 0 || st.Healthy != 2 {
+		t.Fatalf("routed_around = %d, healthy = %d; want > 0 and 2", st.RoutedAround, st.Healthy)
+	}
+	if st.Shards[owner].Calls != 0 || st.Shards[next].Calls != wantNextCalls {
+		t.Fatalf("calls: owner %d, next %d; want 0 and %d", st.Shards[owner].Calls, st.Shards[next].Calls, wantNextCalls)
+	}
+
+	for _, s := range r.shards {
+		r.crash(s, errors.New("injected crash"))
+	}
+	if _, err := r.Embed(context.Background(), nodes, ts); !errors.Is(err, ErrNoShardUp) {
+		t.Fatalf("embed with no shard up: err = %v, want ErrNoShardUp", err)
+	}
+	if err := r.SaveSnapshot(""); !errors.Is(err, ErrNoShardUp) {
+		t.Fatalf("snapshot with no shard up: err = %v, want ErrNoShardUp", err)
+	}
+	if st := r.Stats(); st.SnapshotSaves != 0 || st.Healthy != 0 {
+		t.Fatalf("snapshot saves = %d, healthy = %d; want 0 and 0", st.SnapshotSaves, st.Healthy)
 	}
 }
 
-// slowEmbedder stalls while armed — for hedging and deadline tests.
+// slowEmbedder stalls while armed — for the deadline tests.
 type slowEmbedder struct {
 	core.Embedder
 	delay func() time.Duration
@@ -373,10 +398,10 @@ func (s *slowEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 	return s.Embedder.EmbedWith(ar, nodes, ts)
 }
 
-// TestRouterHedgedRead pins hedging: a stalled primary is beaten by a
-// hedge to a healthy shard, the result is still bitwise correct, and
-// the hedge counters move.
-func TestRouterHedgedRead(t *testing.T) {
+// TestRouterStalledOwnerDegrades: a shard that stalls past the leg
+// budget degrades exactly its own rows to a partial response by the
+// caller's deadline, and every other row is the reference's.
+func TestRouterStalledOwnerDegrades(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(60)
 	nodes, ts := embedQuery()
@@ -384,12 +409,11 @@ func TestRouterHedgedRead(t *testing.T) {
 
 	slowShard := -1
 	r := newTestRouter(t, m, edges, Config{
-		Shards:     3,
-		HedgeDelay: 5 * time.Millisecond,
+		Shards: 3,
 		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
 			return &slowEmbedder{Embedder: e, delay: func() time.Duration {
 				if id == slowShard {
-					return 300 * time.Millisecond
+					return 2 * time.Second
 				}
 				return 0
 			}}
@@ -397,27 +421,37 @@ func TestRouterHedgedRead(t *testing.T) {
 	})
 	slowShard = r.Owner(nodes[0])
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	const deadline = 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
 	res, err := r.Embed(ctx, nodes, ts)
+	if elapsed := time.Since(start); elapsed > deadline {
+		t.Fatalf("Embed took %v, past its %v deadline", elapsed, deadline)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partial {
-		t.Fatalf("hedge should have rescued the slow group, got degraded %v", res.Degraded)
-	}
-	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
-		t.Fatalf("hedge did not beat the stalled primary (%v)", elapsed)
-	}
-	for i := range want {
-		if res.Slab[i] != want[i] {
-			t.Fatalf("hedged slab[%d] differs from reference", i)
+	var stalled []int
+	for i, v := range nodes {
+		if r.Owner(v) == slowShard {
+			stalled = append(stalled, i)
 		}
 	}
-	st := r.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedge counters = (%d wins %d), want both > 0", st.Hedges, st.HedgeWins)
+	if !res.Partial || !slices.Equal(res.Degraded, stalled) {
+		t.Fatalf("degraded = %v (partial %v), want the stalled shard's rows %v", res.Degraded, res.Partial, stalled)
+	}
+	d := r.Dim()
+	for i := range nodes {
+		if slices.Contains(stalled, i) {
+			continue
+		}
+		if !slices.Equal(res.Slab[i*d:(i+1)*d], want[i*d:(i+1)*d]) {
+			t.Fatalf("row %d differs from the reference", i)
+		}
+	}
+	if st := r.Stats(); st.Shards[slowShard].Timeouts == 0 || st.Shards[slowShard].Crashed {
+		t.Fatalf("stalled shard: %+v; want a timeout booked and the shard still up", st.Shards[slowShard])
 	}
 }
 

@@ -12,18 +12,16 @@ import (
 // panic may have left the old core's locks or arenas poisoned, so
 // nothing from it is reused) and rebuilt in the background:
 //
-//  1. crash() trips the breaker (ForceOpen) and marks the shard
-//     crashed, so the router routes around it and Apply stops touching
-//     the old core.
+//  1. crash() marks the shard crashed, so the router routes around it
+//     and Apply stops touching the old core.
 //  2. The restart goroutine builds a fresh engine over the router's
 //     graph, which already holds every edge taken so far.
 //  3. Under ingestMu it warms the caches from the shard's last snapshot
 //     (the engine re-samples each saved row's window on the graph and
 //     keeps the rows whose window is unchanged), swaps the core in, and
 //     clears crashed, so no edge falls between the load and the first
-//     live Apply.
-//  4. The breaker moves Open → HalfOpen: traffic is re-admitted by
-//     probes rather than a thundering herd.
+//     live Apply. From then on the shard is up and its owner's legs
+//     reach it again.
 
 // restartBackoff paces rebuild attempts after a failed rebuild.
 const restartBackoff = 100 * time.Millisecond
@@ -33,7 +31,6 @@ const restartBackoff = 100 * time.Millisecond
 // first arms the rebuild.
 func (r *Router) crash(s *Shard, cause error) {
 	s.crashed.Store(true)
-	s.breaker.ForceOpen()
 	if r.closed.Load() {
 		return
 	}
@@ -59,7 +56,7 @@ func (r *Router) crash(s *Shard, cause error) {
 
 // WaitRestarts blocks until no supervisor rebuild is in flight: every
 // crash observed before the call has either been rebuilt (its Restarts
-// counter bumped, its breaker half-open) or abandoned because the
+// counter bumped, the shard up) or abandoned because the
 // router closed. A leg reports its panic to the supervisor before it
 // returns, so after a degraded response this waits for exactly the
 // rebuilds that response's failures armed.
@@ -82,7 +79,6 @@ func (r *Router) restart(s *Shard, cause error) {
 		}
 		if r.restartOnce(s) {
 			s.restarts.Add(1)
-			s.breaker.ToHalfOpen()
 			r.cfg.Logf("shard %d: restarted (attempt %d)", s.id, attempt)
 			return
 		}
@@ -125,16 +121,19 @@ func (r *Router) snapshotPath(id int) string {
 // restarts read it, so the path a single Core would write to is not
 // consulted. Each snapshot carries the digest of the parameters and
 // features its rows read, and each row its window's tag
-// (core.Engine.SaveCachesFS).
+// (core.Engine.SaveCachesFS). With no shard up it writes nothing and
+// returns ErrNoShardUp.
 func (r *Router) SaveSnapshot(_ string) error {
 	if r.cfg.SnapshotDir == "" {
 		return fmt.Errorf("shard: no snapshot dir configured")
 	}
 	var first error
+	live := 0
 	for _, s := range r.shards {
-		if s.crashed.Load() {
+		if !s.up() {
 			continue
 		}
+		live++
 		if err := s.currentCore().eng.SaveCachesFS(r.cfg.FS, r.snapshotPath(s.id)); err != nil {
 			r.snapshotErrors.Add(1)
 			if first == nil {
@@ -143,6 +142,9 @@ func (r *Router) SaveSnapshot(_ string) error {
 			continue
 		}
 		r.snapshotSaves.Add(1)
+	}
+	if live == 0 {
+		return fmt.Errorf("shard: snapshot wrote nothing: %w", ErrNoShardUp)
 	}
 	return first
 }

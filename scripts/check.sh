@@ -60,6 +60,7 @@ one invalidation index (every cache-enabled engine over a live graph keeps the p
 one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap	all	a second snapshot validity record or a per-shard params parse is back
 one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
 one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	internal/core/persist.go	the snapshot's watermark stamp is back
+one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hedged reads)	-E	Breaker|HedgeDelay|hedgeDelayFor|Quorum	internal/shard internal/serve cmd	a second shard health rule is back
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for pkg in batcher core serve shard tgat; do
@@ -100,8 +101,8 @@ go test -count=1 -tags purego ./internal/tensor/ ./internal/nn/ ./internal/tgat/
 GOOS=linux GOARCH=arm64 go build ./...
 echo "   portable stanza wall time: $((SECONDS - portable_start)) s"
 
-echo "== shard chaos gate (panic injection, breaker cycle, restart-from-snapshot, every handler contract on all four backends; race-enabled)"
-go test -race -count=1 -run 'TestChaos|TestRouter|TestBreaker|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeWarmStart' \
+echo "== shard chaos gate (panic injection, crash and restart, routing around a crashed shard, restart-from-snapshot, every handler contract on all four backends; race-enabled)"
+go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeSnapshotWith|TestServeWarmStart' \
     ./internal/shard/... ./internal/serve/...
 
 echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
