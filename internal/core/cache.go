@@ -63,8 +63,9 @@ type CachePolicy int
 
 const (
 	// CacheTinyLFU keeps a 4-bit count-min sketch of key frequencies
-	// per shard and admits a new entry only when its estimated
-	// frequency beats the would-be FIFO victim's. Under skewed reuse
+	// per shard, from the moment the shard is half full, and admits a
+	// new entry into a full shard only when its estimated frequency
+	// beats the would-be FIFO victim's. Under skewed reuse
 	// (the JODIE-style repeat-consumption of production traffic) this
 	// keeps heavy hitters resident where plain FIFO churns them out.
 	// The zero value: new engines get TinyLFU unless they opt out.
@@ -133,8 +134,11 @@ type cacheShard struct {
 	m                map[uint64]int32 // key → slot
 	slots            []cacheSlot
 	chunks           [][]float32
-	head, tail, free int32       // slot indexes, -1 for none
-	sketch           *freqSketch // the TinyLFU admission filter (nil under CacheFIFO)
+	head, tail, free int32 // slot indexes, -1 for none
+	// sketch is the TinyLFU admission filter: nil under CacheFIFO, and
+	// under CacheTinyLFU until the insert that brings the shard to half
+	// its limit (see storeOne).
+	sketch *freqSketch
 	// Lookup counters, mutated only under mu so they stay exact with
 	// respect to the lookups they count.
 	hits, misses, admitRejected int64
@@ -196,9 +200,6 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 		s.limit = base
 		if i < rem {
 			s.limit++
-		}
-		if cfg.Policy == CacheTinyLFU {
-			s.sketch = newFreqSketch(s.limit)
 		}
 	}
 	return c
@@ -389,6 +390,11 @@ func (c *Cache) storeRange(keys []uint64, ts []float64, tags []uint64, data []fl
 // double-count every miss+store access, and a bulk load of
 // never-looked-up keys would age resident heavy hitters out of the
 // sketch without a single real access.
+// A TinyLFU shard builds its sketch on the insert that brings it to
+// half its limit. Admission reads the sketch only in a full shard, which
+// is then always armed, so a shard that stays below half pays neither
+// the sketch's 8 bytes per slot of its limit nor a lookup's four counter
+// writes. Counting from half-full is Caffeine's rule too.
 func (c *Cache) storeOne(key, tag uint64, vec []float32) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -424,6 +430,9 @@ func (c *Cache) storeOne(key, tag uint64, vec []float32) {
 	}
 	s.tail = p
 	s.m[key] = p
+	if s.sketch == nil && c.policy == CacheTinyLFU && 2*len(s.m) >= s.limit {
+		s.sketch = newFreqSketch(s.limit)
+	}
 }
 
 // grow opens a new slot, and the chunk its row starts unless an earlier
@@ -476,16 +485,15 @@ func (c *Cache) Remove(keys []uint64) int {
 	return removed
 }
 
-// Clear drops every entry (and resets the TinyLFU frequency sketches;
-// counters are cumulative and keep counting). Shards keep their chunks.
+// Clear drops every entry and the TinyLFU frequency sketches, so a
+// shard re-arms its sketch once it is half full again (see storeOne);
+// counters are cumulative and keep counting. Shards keep their chunks.
 func (c *Cache) Clear() {
 	c.eachShard(func(s *cacheShard) {
 		clear(s.m)
 		s.slots = s.slots[:0]
 		s.head, s.tail, s.free = -1, -1, -1
-		if s.sketch != nil {
-			s.sketch = newFreqSketch(s.limit)
-		}
+		s.sketch = nil
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -86,6 +87,102 @@ func TestTinyLFUKeepsHeavyHitterUnderScanChurn(t *testing.T) {
 	}
 	if cf.Contains(hot) {
 		t.Fatal("FIFO control unexpectedly kept the heavy hitter (test premise broken)")
+	}
+}
+
+// TestTinyLFUSketchArmsAtHalfLimit pins when a shard holds a sketch:
+// from the insert that brings it to half its limit until Clear, and
+// never under FIFO. A ReadFrom inserts like a live store, so a load of
+// half a shard or more arms it too.
+func TestTinyLFUSketchArmsAtHalfLimit(t *testing.T) {
+	one := tensor.Ones(1, 1)
+	store := func(c *Cache, keys ...uint64) {
+		for _, k := range keys {
+			c.Store([]uint64{k}, one)
+		}
+	}
+	c := NewCacheWith(CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheTinyLFU})
+	s := &c.shards[0]
+	store(c, 1, 2, 3)
+	c.LookupInto([]uint64{1}, tensor.New(1, 1), make([]bool, 1))
+	if s.sketch != nil {
+		t.Fatal("a shard at 3 of 8 holds a sketch")
+	}
+	store(c, 3) // a refresh inserts nothing
+	if s.sketch != nil {
+		t.Fatal("refreshing a key armed the shard")
+	}
+	store(c, 4)
+	sk := s.sketch
+	if sk == nil {
+		t.Fatal("the insert reaching 4 of 8 did not arm the shard")
+	}
+	c.Remove([]uint64{1, 2, 3})
+	store(c, 5, 6, 7)
+	if s.sketch != sk {
+		t.Fatal("Remove below half, or the stores after it, replaced the sketch")
+	}
+	store(c, 8, 9, 10, 11, 12)
+	if c.Len() != 8 || s.sketch != sk {
+		t.Fatalf("a full shard (Len %d) lost its sketch", c.Len())
+	}
+	var snap bytes.Buffer
+	if _, err := c.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	c.Clear()
+	if s.sketch != nil {
+		t.Fatal("Clear kept the sketch")
+	}
+	store(c, 1, 2, 3)
+	if s.sketch != nil {
+		t.Fatal("a cleared shard re-armed below half")
+	}
+	store(c, 4)
+	if s.sketch == nil {
+		t.Fatal("a cleared shard did not re-arm at half")
+	}
+
+	// A load arms each shard it brings to half its limit, and only those:
+	// here shard 0 holds 8 of 16 rows, shard 1 holds 7 and the rest none.
+	multi := NewCacheWith(CacheConfig{Limit: 64, Dim: 1, Shards: 4, Policy: CacheTinyLFU})
+	for k, want := uint64(1), map[*cacheShard]int{&multi.shards[0]: 8, &multi.shards[1]: 7}; len(want) > 0; k++ {
+		if s := multi.shardFor(k); want[s] > 0 {
+			store(multi, k)
+			if want[s]--; want[s] == 0 {
+				delete(want, s)
+			}
+		}
+	}
+	var blob bytes.Buffer
+	if _, err := multi.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewCacheWith(CacheConfig{Limit: 64, Dim: 1, Shards: 4, Policy: CacheTinyLFU})
+	if _, err := loaded.ReadFrom(&blob); err != nil {
+		t.Fatal(err)
+	}
+	for i := range loaded.shards {
+		ls := &loaded.shards[i]
+		if (ls.sketch != nil) != (i == 0) {
+			t.Fatalf("shard %d loaded %d of %d: armed %v", i, len(ls.m), ls.limit, ls.sketch != nil)
+		}
+	}
+	full := NewCacheWith(CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheTinyLFU})
+	if _, err := full.ReadFrom(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if full.shards[0].sketch == nil {
+		t.Fatal("a load of a full shard did not arm it")
+	}
+
+	// FIFO shards never arm, full or evicting.
+	fifo := NewCache(8, 1, 1)
+	for k := uint64(1); k <= 20; k++ {
+		store(fifo, k)
+	}
+	if fifo.shards[0].sketch != nil {
+		t.Fatal("a FIFO shard built a sketch")
 	}
 }
 

@@ -48,7 +48,8 @@ func TestCacheSnapshotWritesEachEntryOnce(t *testing.T) {
 }
 
 // refCache is a naive model of Cache: per shard, the keys in age order
-// and a key → row map, with its own TinyLFU sketch fed the same lookups.
+// and a key → row map, with its own TinyLFU sketch fed the same lookups
+// once the store that brings the shard to half its limit builds it.
 type refCache struct {
 	c      *Cache // the cache modeled, for its shard choice and limits
 	order  [][]uint64
@@ -69,9 +70,14 @@ func (r *refCache) reset() {
 	r.order, r.rows, r.sketch = make([][]uint64, n), make([]map[uint64][]float32, n), make([]*freqSketch, n)
 	for i := range r.rows {
 		r.rows[i] = map[uint64][]float32{}
-		if r.c.policy == CacheTinyLFU {
-			r.sketch[i] = newFreqSketch(r.c.shards[i].limit)
-		}
+	}
+}
+
+// arm builds shard i's sketch if it is a TinyLFU shard at half its limit
+// or above that has none yet.
+func (r *refCache) arm(i int) {
+	if limit := r.c.shards[i].limit; r.sketch[i] == nil && r.c.policy == CacheTinyLFU && 2*len(r.rows[i]) >= limit {
+		r.sketch[i] = newFreqSketch(limit)
 	}
 }
 
@@ -117,6 +123,7 @@ func (r *refCache) store(key uint64, row []float32) {
 	}
 	r.order[i] = append(r.order[i], key)
 	r.rows[i][key] = slices.Clone(row)
+	r.arm(i)
 }
 
 func (r *refCache) remove(key uint64) bool {
@@ -238,12 +245,16 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 						if _, err := reload.ReadFrom(&buf); err != nil {
 							t.Fatal(err)
 						}
-						// A fresh cache: fresh sketches and counters, the
-						// same entries in the same age order.
+						// A fresh cache: fresh counters, the same entries
+						// in the same age order, and a fresh sketch in
+						// every shard the load brought to half its limit.
 						order, rows := ref.order, ref.rows
 						ref.c = reload
 						ref.reset()
 						ref.order, ref.rows, ref.st = order, rows, CacheStats{}
+						for i := range rows {
+							ref.arm(i)
+						}
 					}
 					ref.check(t, step)
 				}

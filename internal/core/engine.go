@@ -31,7 +31,11 @@ type Options struct {
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
 	// the paper's setting); each takes a 4·NodeDim-byte row and a
 	// 24-byte slot of its layer's slab (Cache.UsedBytes), allocated as
-	// the cache fills. With more than one cached layer the limit
+	// the cache fills. Under CacheTinyLFU a cache shard that reaches
+	// half its share of the limit also builds its admission sketch, 8
+	// bytes per slot of that share rounded up to a power of two (16 MiB
+	// across the shards of a 2,000,000-entry cache); a cache that stays
+	// below half builds none. With more than one cached layer the limit
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
 	CacheLimit int

@@ -13,12 +13,7 @@
 //     tgat.Model.Embed whose outputs are bitwise the baseline's.
 package core
 
-import (
-	"math"
-	"sync/atomic"
-
-	"tgopt/internal/parallel"
-)
+import "math"
 
 // Key packs a 32-bit node id and a 32-bit timestamp into a single
 // collision-free 64-bit cache key by bitwise shifting and OR-ing, as
@@ -36,12 +31,7 @@ func inKeyDomain(t float64) bool {
 	return t >= 0 && t < 1<<32 && t == math.Trunc(t)
 }
 
-// computeKeysParallelThreshold is the batch size above which ComputeKeys
-// fans out; each key is independent (§4.2.1).
-const computeKeysParallelThreshold = 1024
-
-// ComputeKeys computes the cache key of every ⟨node, t⟩ pair. Pairs are
-// independent, so large batches are processed in parallel (§4.2.1).
+// ComputeKeys computes the cache key of every ⟨node, t⟩ pair.
 func ComputeKeys(nodes []int32, ts []float64) []uint64 {
 	keys := make([]uint64, len(nodes))
 	ComputeKeysInto(keys, nodes, ts)
@@ -50,28 +40,17 @@ func ComputeKeys(nodes []int32, ts []float64) []uint64 {
 
 // ComputeKeysInto is ComputeKeys writing into a caller-supplied slice of
 // length len(nodes) (the engine passes arena scratch). It reports
-// whether every time lies in Key's domain.
+// whether every time lies in Key's domain. It runs serially: a key is
+// two integer operations and a domain check, so a fan-out costs more
+// than it splits. On 1 784 keys (a stream-reuse layer-1 batch) at
+// GOMAXPROCS=2 on a 2-vCPU x86-64 host, the loop took 6.9 µs and 0
+// allocs, a fan-out across both Ps 10.9 µs and 3 allocs.
 func ComputeKeysInto(keys []uint64, nodes []int32, ts []float64) bool {
 	if len(keys) != len(nodes) {
 		panic("core: ComputeKeysInto keys length mismatch")
 	}
-	if len(nodes) >= computeKeysParallelThreshold && parallel.Degree() > 1 {
-		var outside atomic.Bool
-		parallel.ForChunked(len(nodes), 0, func(lo, hi int) {
-			if !computeKeys(keys, nodes, ts, lo, hi) {
-				outside.Store(true)
-			}
-		})
-		return !outside.Load()
-	}
-	return computeKeys(keys, nodes, ts, 0, len(nodes))
-}
-
-// computeKeys fills keys[lo:hi], reporting whether each time lies in
-// Key's domain.
-func computeKeys(keys []uint64, nodes []int32, ts []float64, lo, hi int) bool {
 	exact := true
-	for i := lo; i < hi; i++ {
+	for i := range nodes {
 		keys[i] = Key(nodes[i], ts[i])
 		exact = exact && inKeyDomain(ts[i])
 	}

@@ -51,7 +51,7 @@ func TestKeyRoundTripComponents(t *testing.T) {
 
 func TestComputeKeysMatchesScalar(t *testing.T) {
 	r := tensor.NewRNG(1)
-	for _, n := range []int{0, 1, 100, computeKeysParallelThreshold + 500} {
+	for _, n := range []int{0, 1, 100, 1784} {
 		nodes := make([]int32, n)
 		ts := make([]float64, n)
 		for i := range nodes {

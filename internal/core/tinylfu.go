@@ -10,7 +10,8 @@ package core
 // sample periods instead of squatting in the cache forever.
 //
 // Counters are packed two per byte. The table is sized at sixteen
-// counters per cached slot: a sample period admits ~10 accesses per
+// counters per slot of the shard's limit (8 bytes a slot), whether or
+// not the slots are filled: a sample period admits ~10 accesses per
 // slot, and each access touches four counters, so anything much
 // smaller drowns the signal in collision noise (every counter ends up
 // near the mean and admission degenerates to "reject all"). A sketch is

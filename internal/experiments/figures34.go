@@ -31,8 +31,8 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 	}
 	opt := optAllScaled(s)
 	opt.CacheLimit = 1 << 30 // unbounded for the redundancy analysis
-	// Nothing is ever evicted, so admission never runs; a TinyLFU sketch
-	// sized for 2³⁰ entries would only cost 8 GiB of counters.
+	// Nothing is ever evicted, so admission never runs: keep the paper's
+	// FIFO policy.
 	opt.CachePolicy = core.CacheFIFO
 	col := stats.NewCollector()
 	opt.Collector = col

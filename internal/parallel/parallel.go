@@ -127,7 +127,7 @@ func ForChunked(n, chunk int, body func(lo, hi int)) {
 	fj.next.Store(0)
 	fj.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go fj.work()
+		go fj.workFn()
 	}
 	fj.run()
 	fj.wg.Wait()
@@ -141,19 +141,25 @@ func ForChunked(n, chunk int, body func(lo, hi int)) {
 	}
 }
 
-// forkJoin is the shared state of one ForChunked fan-out. It is pooled:
-// a fan-out then costs the caller's body closure plus one closure per
-// spawned worker, not a counter, a panic slot, a WaitGroup and two
-// closures of its own. Nested fan-outs each check out their own.
+// forkJoin is the shared state of one ForChunked fan-out. It is pooled,
+// and so is workFn, the method value its spawned workers run: a fan-out
+// then costs the caller's body closure only, not a counter, a panic
+// slot, a WaitGroup and a closure per worker of its own. Nested
+// fan-outs each check out their own.
 type forkJoin struct {
 	n, chunk, nchunks int
 	body              func(lo, hi int)
+	workFn            func() // fj.work, built once per pooled state
 	next              atomic.Int64
 	first             atomic.Pointer[WorkerPanic]
 	wg                sync.WaitGroup
 }
 
-var forkJoinPool = sync.Pool{New: func() any { return new(forkJoin) }}
+var forkJoinPool = sync.Pool{New: func() any {
+	fj := new(forkJoin)
+	fj.workFn = fj.work
+	return fj
+}}
 
 // work is a spawned worker's whole life.
 func (fj *forkJoin) work() {

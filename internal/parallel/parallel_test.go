@@ -257,8 +257,8 @@ func TestNestedParallelForcedDegree(t *testing.T) {
 }
 
 // TestForChunkedFanOutAllocs pins the price of one fan-out: the fork-
-// join state is pooled, so what is left is the caller's body closure
-// and the closure of the one spawned worker.
+// join state and its workers' method value are pooled, so a prebuilt
+// body fans out for nothing, and a body built per call costs itself.
 func TestForChunkedFanOutAllocs(t *testing.T) {
 	prev := SetDegree(2)
 	defer SetDegree(prev)
@@ -267,12 +267,15 @@ func TestForChunkedFanOutAllocs(t *testing.T) {
 	if !WillFanOut(n) {
 		t.Fatalf("WillFanOut(%d) false at degree 2", n)
 	}
-	fanOut := func() {
-		ForChunked(n, 0, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	ForChunked(n, 0, body) // fill the pool
+	if allocs := testing.AllocsPerRun(50, func() { ForChunked(n, 0, body) }); allocs != 0 {
+		t.Errorf("fan-out of a prebuilt body costs %v allocs, want 0", allocs)
 	}
-	fanOut() // fill the pool
-	if allocs := testing.AllocsPerRun(50, fanOut); allocs > 2 {
-		t.Errorf("fan-out costs %v allocs, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(50, func() {
+		ForChunked(n, 0, func(lo, hi int) { sink.Add(int64(hi - lo)) })
+	}); allocs > 1 {
+		t.Errorf("fan-out costs %v allocs, want <= 1 (the body)", allocs)
 	}
 	// Below the cut-off nothing escapes and nothing is spawned.
 	small := MinParallelWork - 1

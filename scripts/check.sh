@@ -61,6 +61,8 @@ one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeW
 one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
 one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	internal/core/persist.go	the snapshot's watermark stamp is back
 one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hedged reads)	-E	Breaker|HedgeDelay|hedgeDelayFor|Quorum	internal/shard internal/serve cmd	a second shard health rule is back
+one sketch site (a TinyLFU sketch is built only where a shard arms it)	-E	= newFreqSketch\(	internal/core	a second TinyLFU sketch site is back: a shard builds its sketch only on the insert that brings it to half its limit	1
+one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for pkg in batcher core serve shard tgat; do
