@@ -6,6 +6,8 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"time"
 )
 
@@ -50,11 +52,12 @@ func exemptFromLimits(r *http.Request) bool {
 // mid-handler can never interleave a 504 with a half-written body.
 func (s *Server) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release := func() {}
-		if s.sem != nil && !exemptFromLimits(r) {
+		exempt := exemptFromLimits(r)
+		admitted := false
+		if s.sem != nil && !exempt {
 			select {
 			case s.sem <- struct{}{}:
-				release = func() { <-s.sem }
+				admitted = true
 			default:
 				s.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
@@ -64,21 +67,14 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 			}
 		}
 		s.inflight.Add(1)
-		finish := func() {
-			s.inflight.Add(-1)
-			release()
-		}
+		bw := getBufferedResponse()
 
-		if s.limits.Timeout <= 0 || exemptFromLimits(r) {
-			defer finish()
+		if s.limits.Timeout <= 0 || exempt {
 			// Buffer even without a deadline so a panic mid-write still
 			// yields a clean 500 instead of a half-committed 200.
-			bw := &bufferedResponse{header: make(http.Header)}
-			func() {
-				defer s.recoverPanic(bw, r)
-				next.ServeHTTP(bw, r)
-			}()
+			s.serveBuffered(next, bw, r, admitted)
 			bw.flushTo(w)
+			bw.release()
 			return
 		}
 
@@ -88,26 +84,37 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 
 		// The handler runs on its own goroutine against a buffered
 		// response. On completion the buffer is flushed; on deadline the
-		// client gets a clean 504 and the buffer is discarded when the
-		// handler eventually returns (it keeps its in-flight slot until
-		// then, so MaxInFlight still counts truly-running work).
-		bw := &bufferedResponse{header: make(http.Header)}
+		// client gets a clean 504 and the buffer is left to the handler,
+		// which may still be writing it (it keeps its in-flight slot until
+		// it returns, so MaxInFlight still counts truly-running work).
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			defer finish()
-			defer s.recoverPanic(bw, r)
-			next.ServeHTTP(bw, r)
+			s.serveBuffered(next, bw, r, admitted)
 		}()
 		select {
 		case <-done:
 			bw.flushTo(w)
+			bw.release()
 		case <-ctx.Done():
 			s.timeouts.Add(1)
 			httpError(w, http.StatusGatewayTimeout,
 				"request exceeded the %s deadline", s.limits.Timeout)
 		}
 	})
+}
+
+// serveBuffered runs next into bw, recovering a panic to a 500, and then
+// gives back the request's in-flight slot.
+func (s *Server) serveBuffered(next http.Handler, bw *bufferedResponse, r *http.Request, admitted bool) {
+	defer func() {
+		s.inflight.Add(-1)
+		if admitted {
+			<-s.sem
+		}
+	}()
+	defer s.recoverPanic(bw, r)
+	next.ServeHTTP(bw, r)
 }
 
 // recoverPanic converts a handler panic into a 500 response and counts
@@ -126,11 +133,28 @@ func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 }
 
 // bufferedResponse is an http.ResponseWriter that accumulates the
-// response in memory until flushTo.
+// response in memory until flushTo. The middleware takes one from
+// bufferedPool per request and gives it back after the flush, unless its
+// body grew past maxPooledBody.
 type bufferedResponse struct {
 	header http.Header
 	code   int
 	body   bytes.Buffer
+}
+
+var bufferedPool = sync.Pool{New: func() any { return &bufferedResponse{header: make(http.Header)} }}
+
+func getBufferedResponse() *bufferedResponse { return bufferedPool.Get().(*bufferedResponse) }
+
+// release empties b and returns it to the pool. The header values
+// flushTo handed to net/http stay as they are: clearing the map drops
+// b's references to them, it does not write to them.
+func (b *bufferedResponse) release() {
+	if b.body.Cap() > maxPooledBody {
+		return
+	}
+	b.reset()
+	bufferedPool.Put(b)
 }
 
 func (b *bufferedResponse) Header() http.Header { return b.header }
@@ -151,17 +175,20 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 // reset discards everything written so far (panic recovery rewrites the
 // response from scratch).
 func (b *bufferedResponse) reset() {
-	b.header = make(http.Header)
+	clear(b.header)
 	b.code = 0
 	b.body.Reset()
 }
 
-// flushTo replays the buffered response onto the real writer.
+// flushTo replays the buffered response onto the real writer. The body
+// is complete, so it goes out with its Content-Length instead of
+// chunked.
 func (b *bufferedResponse) flushTo(w http.ResponseWriter) {
 	dst := w.Header()
 	for k, vs := range b.header {
 		dst[k] = vs
 	}
+	dst["Content-Length"] = []string{strconv.Itoa(b.body.Len())}
 	code := b.code
 	if code == 0 {
 		code = http.StatusOK

@@ -332,8 +332,9 @@ type ingestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ingestRequest
-	if !decode(w, r, &req) {
+	q := getRequest()
+	defer q.release()
+	if !q.decodeEdges(w, r, "edges") {
 		return
 	}
 	// Partial-ingest semantics: edges are absorbed in request order, and
@@ -355,7 +356,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	var resp ingestResponse
-	for i, e := range req.Edges {
+	for i, e := range q.edges {
 		edge := graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx}
 		res, _, err := s.dyn.Ingest(edge)
 		if err != nil {
@@ -384,7 +385,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	resp.NumEdges = s.dyn.NumEdges()
 	resp.MaxTime = s.dyn.MaxTime()
 	resp.Watermark = s.dyn.Watermark()
-	writeJSON(w, resp)
+	writeIngest(w, resp)
 }
 
 type embedRequest struct {
@@ -403,35 +404,38 @@ type embedResponse struct {
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req embedRequest
-	if !decode(w, r, &req) {
+	q := getRequest()
+	defer q.release()
+	if !q.decodeEmbed(w, r) {
 		return
 	}
-	if len(req.Nodes) == 0 || len(req.Nodes) != len(req.Times) {
+	if len(q.nodes) == 0 || len(q.nodes) != len(q.ts) {
 		httpError(w, http.StatusBadRequest, "nodes and times must be non-empty and equal length")
 		return
 	}
-	if !s.validNodes(w, req.Nodes) || !s.validTimes(w, req.Times) {
+	if !s.validNodes(w, q.nodes) || !s.validTimes(w, q.ts) {
 		return
 	}
 	// Read side of the hot-swap barrier: every row of this response is
 	// computed under one params version.
 	s.swapGate.RLock()
 	defer s.swapGate.RUnlock()
-	slab, degraded, ok := s.embedSlab(w, r, req.Nodes, req.Times)
+	slab, degraded, ok := s.embedSlab(w, r, q)
 	if !ok {
 		return
 	}
 	s.writeEmbed(w, slab, degraded)
 }
 
-// embedSlab computes the embeddings of the given targets as one backing
+// embedSlab computes the embeddings of q's nodes and ts as one backing
 // slab (row i at [i*d, (i+1)*d)); degraded lists the rows a shard pool
-// could not serve. On failure it writes the error response and returns
-// ok=false.
-func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, nodes []int32, ts []float64) (slab []float32, degraded []int, ok bool) {
-	slab, degraded, err := s.backend.EmbedRows(r.Context(), nodes, ts)
+// could not serve. On failure it writes the error response, marks q
+// lent — a backend that gave up waiting may still be reading its
+// slices — and returns ok=false.
+func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, q *request) (slab []float32, degraded []int, ok bool) {
+	slab, degraded, err := s.backend.EmbedRows(r.Context(), q.nodes, q.ts)
 	if err != nil {
+		q.lent = true
 		s.writeEmbedError(w, err)
 		return nil, nil, false
 	}
@@ -486,22 +490,22 @@ type scoreResponse struct {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req scoreRequest
-	if !decode(w, r, &req) {
+	q := getRequest()
+	defer q.release()
+	if !q.decodeEdges(w, r, "pairs") {
 		return
 	}
-	if len(req.Pairs) == 0 {
+	if len(q.edges) == 0 {
 		httpError(w, http.StatusBadRequest, "pairs must be non-empty")
 		return
 	}
-	nb := len(req.Pairs)
-	nodes := make([]int32, 2*nb)
-	ts := make([]float64, 2*nb)
-	for i, p := range req.Pairs {
-		nodes[i], nodes[nb+i] = p.Src, p.Dst
-		ts[i], ts[nb+i] = p.Time, p.Time
+	nb := len(q.edges)
+	q.nodes, q.ts = resize(q.nodes, 2*nb), resize(q.ts, 2*nb)
+	for i, p := range q.edges {
+		q.nodes[i], q.nodes[nb+i] = p.Src, p.Dst
+		q.ts[i], q.ts[nb+i] = p.Time, p.Time
 	}
-	if !s.validNodes(w, nodes) || !s.validTimes(w, ts[:nb]) {
+	if !s.validNodes(w, q.nodes) || !s.validTimes(w, q.ts[:nb]) {
 		return
 	}
 	// Read side of the hot-swap barrier. Scoring is two engine calls
@@ -511,7 +515,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	defer s.swapGate.RUnlock()
 	// The src‖dst embeddings come out of the backend as one slab; only
 	// the tiny affinity head runs per-request.
-	slab, degraded, ok := s.embedSlab(w, r, nodes, ts)
+	slab, degraded, ok := s.embedSlab(w, r, q)
 	if !ok {
 		return
 	}
@@ -519,7 +523,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	ar := tensor.GetArena()
 	hSrc := ar.Wrap(slab[:nb*d], nb, d)
 	hDst := ar.Wrap(slab[nb*d:], nb, d)
-	resp := scoreLogits(s.model.ScoreWith(ar, hSrc, hDst), nb)
+	q.f64 = resize(q.f64, 2*nb)
+	resp := scoreLogits(q.f64, s.model.ScoreWith(ar, hSrc, hDst))
 	tensor.PutArena(ar)
 	if len(degraded) > 0 {
 		// A pair is degraded if either endpoint row was (targets are
@@ -541,13 +546,14 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 // scoreLogits renders an affinity-head output column into the score
-// response (logit plus overflow-safe sigmoid probability).
-func scoreLogits(logits *tensor.Tensor, nb int) scoreResponse {
-	resp := scoreResponse{Logits: make([]float64, nb), Probs: make([]float64, nb)}
-	for i := 0; i < nb; i++ {
-		l := float64(logits.At(i, 0))
-		resp.Logits[i] = l
-		resp.Probs[i] = sigmoid(l)
+// response (logit plus overflow-safe sigmoid probability), the logits in
+// the first half of buf and the probabilities in the second.
+func scoreLogits(buf []float64, logits *tensor.Tensor) scoreResponse {
+	nb := len(buf) / 2
+	resp := scoreResponse{Logits: buf[:nb], Probs: buf[nb:]}
+	for i, l := range logits.Data()[:nb] {
+		resp.Logits[i] = float64(l)
+		resp.Probs[i] = sigmoid(float64(l))
 	}
 	return resp
 }
@@ -695,29 +701,6 @@ func (s *Server) validNodes(w http.ResponseWriter, nodes []int32) bool {
 	return true
 }
 
-// maxRequestBytes bounds a request body: far above any batch the
-// engine is sized for, far below what would hurt the process.
-const maxRequestBytes = 16 << 20
-
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // writeJSON encodes v in full before anything reaches the client, so
 // an encoding failure can still produce a clean 500 — encoding straight
 // into a bare ResponseWriter would have already committed a 200 header
@@ -739,7 +722,7 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 			httpError(w, http.StatusInternalServerError, "encode error: %v", err)
 			return
 		}
-		bw.header.Set("Content-Type", "application/json")
+		bw.header["Content-Type"] = jsonContentType
 		bw.WriteHeader(code)
 		return
 	}

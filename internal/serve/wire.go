@@ -8,13 +8,14 @@ import (
 	"sync/atomic"
 )
 
-// The /v1/embed and /v1/score response bodies are appended straight
-// into the middleware's buffer, byte for byte what encoding/json's
-// Encoder writes for embedResponse / scoreResponse (FuzzWireEncode pins
-// it). A served embed row is formatted through the row-text memo: the
-// same row bits re-asked by a later request — the top-layer memo's
-// case, one level up — copy their text instead of calling AppendFloat
-// d times. See DESIGN.md "Wire encoding".
+// The /v1/embed, /v1/score and /v1/ingest response bodies are appended
+// straight into the middleware's buffer, byte for byte what
+// encoding/json's Encoder writes for embedResponse / scoreResponse /
+// ingestResponse (FuzzWireEncode pins it). A served embed row is
+// formatted through the row-text memo: the same row bits re-asked by a
+// later request — the top-layer memo's case, one level up — copy their
+// text instead of calling AppendFloat d times. See DESIGN.md "Wire
+// encoding".
 
 // The row-text memo's geometry is fixed: a slot holds one row's float32
 // bits and up to rowTextPerValue bytes of text per value (served rows
@@ -215,6 +216,32 @@ func appendScore(dst []byte, r scoreResponse) ([]byte, bool) {
 	return append(dst, "}\n"...), true
 }
 
+// appendIngest appends what json.NewEncoder(w).Encode(r) writes. ok is
+// false if a time is non-finite; dst is then returned unextended.
+func appendIngest(dst []byte, r ingestResponse) ([]byte, bool) {
+	start := len(dst)
+	dst = append(dst, `{"accepted":`...)
+	dst = strconv.AppendInt(dst, int64(r.Accepted), 10)
+	dst = append(dst, `,"late":`...)
+	dst = strconv.AppendInt(dst, int64(r.Late), 10)
+	dst = append(dst, `,"dropped":`...)
+	dst = strconv.AppendInt(dst, int64(r.Dropped), 10)
+	dst = append(dst, `,"invalidated":`...)
+	dst = strconv.AppendInt(dst, int64(r.Invalidated), 10)
+	dst = append(dst, `,"num_edges":`...)
+	dst = strconv.AppendInt(dst, int64(r.NumEdges), 10)
+	dst = append(dst, `,"max_time":`...)
+	dst, ok := appendFloat(dst, r.MaxTime, 64)
+	if ok {
+		dst = append(dst, `,"watermark":`...)
+		dst, ok = appendFloat(dst, r.Watermark, 64)
+	}
+	if !ok {
+		return dst[:start], false
+	}
+	return append(dst, "}\n"...), true
+}
+
 func appendFloat64s(dst []byte, vs []float64) ([]byte, bool) {
 	if vs == nil {
 		return append(dst, "null"...), true
@@ -302,6 +329,16 @@ func writeScore(w http.ResponseWriter, r scoreResponse) {
 	sendBody(w, code, body)
 }
 
+// writeIngest is writeScore for an ingest reply, always 200.
+func writeIngest(w http.ResponseWriter, r ingestResponse) {
+	body, ok := appendIngest(bodyBuffer(w, 192), r)
+	if !ok {
+		writeJSON(w, r)
+		return
+	}
+	sendBody(w, http.StatusOK, body)
+}
+
 // bodyBuffer returns an empty slice with room for size bytes to append a
 // body into: behind the middleware the free end of its buffer (grown
 // once), on a bare ResponseWriter a new slice.
@@ -316,12 +353,16 @@ func bodyBuffer(w http.ResponseWriter, size int) []byte {
 // sendBody commits a body appended into bodyBuffer's slice with the
 // status and headers writeJSONStatus sends.
 func sendBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
 	w.Write(body)
 }
+
+// jsonContentType is every JSON reply's Content-Type value. It is shared
+// and never written to: a header map holds it, not a copy of it.
+var jsonContentType = []string{"application/json"}
 
 // wireStats is the /v1/stats "wire" section: embed rows encoded, and how
 // many of them the row-text memo answered.

@@ -32,9 +32,9 @@ func wireFuzzBytes(f32 []float32, f64 []float64) (rows, scores []byte) {
 }
 
 // FuzzWireEncode: the append encoders write exactly what encoding/json's
-// Encoder writes for the same embedResponse / scoreResponse — twice over
-// for embeds, so the second encode answers rows from the row-text memo —
-// and refuse exactly the values it refuses.
+// Encoder writes for the same embedResponse / scoreResponse /
+// ingestResponse — twice over for embeds, so the second encode answers
+// rows from the row-text memo — and refuse exactly the values it refuses.
 func FuzzWireEncode(f *testing.F) {
 	nf32 := func(x, toward float32) float32 { return math.Nextafter32(x, toward) }
 	nf64 := math.Nextafter
@@ -108,6 +108,19 @@ func FuzzWireEncode(f *testing.F) {
 		got, ok := appendScore(nil, sr)
 		if ok != (err == nil) || ok && !bytes.Equal(got, want) || !ok && len(got) != 0 {
 			t.Fatalf("score: encoder ok=%v %q, encoding/json err=%v %q", ok, got, err, want)
+		}
+
+		ir := ingestResponse{
+			Accepted: int(mask & 0xff), Late: int(mask >> 8 & 0xff), Dropped: int(mask >> 16 & 0xffff),
+			Invalidated: int(mask >> 32 & 0xffff), NumEdges: int(int64(mask) >> 48),
+		}
+		if len(sr.Probs) > 0 {
+			ir.MaxTime, ir.Watermark = sr.Probs[0], sr.Probs[len(sr.Probs)-1]
+		}
+		want, err = jsonEncode(ir)
+		got, ok = appendIngest([]byte("prefix"), ir)
+		if ok != (err == nil) || ok && !bytes.Equal(got[len("prefix"):], want) || !ok && string(got) != "prefix" {
+			t.Fatalf("ingest: encoder ok=%v %q, encoding/json err=%v %q", ok, got, err, want)
 		}
 	})
 }

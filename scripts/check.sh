@@ -125,11 +125,12 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./i
 echo "== benchmark smoke (go test ./benchmark: every workload's code path at small op counts, BENCHMARK.json in step with metrics.go)"
 go test -count=1 ./benchmark
 
-echo "== fuzz smoke (persistence parsers, ingest bodies, the response encoders, the cosine kernel; seed corpus + 5s each)"
+echo "== fuzz smoke (persistence parsers, ingest bodies, the request decoder, the response encoders, the cosine kernel; seed corpus + 5s each)"
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/checkpoint/
 go test -run='^$' -fuzz='^FuzzCacheReadFrom$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzLoadParams$' -fuzztime=5s ./internal/tgat/
 go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/serve/
+go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzWireEncode$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzTransitiveInvalidate$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzSwapManifest$' -fuzztime=5s ./internal/swap/
