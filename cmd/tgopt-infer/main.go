@@ -3,7 +3,8 @@
 // chronologically in batches and compute temporal embeddings for every
 // interaction — with or without the TGOpt optimizations, printing
 // runtime and, with --stats, the operation breakdown, hit rate, and
-// cache usage.
+// cache usage; with --gpu --stats also the run's simulated transfers
+// under both cache placements.
 //
 //	tgopt-infer -d snap-msg --opt-all --stats
 //	tgopt-infer -d jodie-wiki --opt-cache --opt-dedup --cache-limit 100000
@@ -41,8 +42,7 @@ func main() {
 	optTime := flag.Bool("opt-time", false, "enable precomputed time encodings")
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
 	window := flag.Int("time-window", 10000, "time-encoding window")
-	gpu := flag.Bool("gpu", false, "run under the simulated accelerator cost model")
-	cacheOnDevice := flag.Bool("cache-on-device", false, "store cache in simulated device memory")
+	gpu := flag.Bool("gpu", false, "price the run on the simulated accelerator")
 	showStats := flag.Bool("stats", false, "print the operation breakdown")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
@@ -77,7 +77,6 @@ func main() {
 		EnableTimePrecompute: *optTime || *optAll,
 		CacheLimit:           setup.EffectiveCacheLimit(),
 		TimeWindow:           *window,
-		CacheOnDevice:        *cacheOnDevice,
 	}
 	kind := experiments.CPU
 	if *gpu {
@@ -107,10 +106,14 @@ func main() {
 			fmt.Printf("cache items:    %d\n", res.Engine.CacheLen())
 			fmt.Printf("cache size:     %.1f MiB\n", float64(res.Engine.CacheBytes())/(1<<20))
 		}
-		if res.Sim != nil {
-			x := res.Sim.Transfers()
-			for _, d := range []device.Direction{device.HtoD, device.DtoH, device.DtoD} {
-				fmt.Printf("memcpy %-5s    %d calls, %d bytes, %v\n", d, x[d].Calls, x[d].Bytes, x[d].Time)
+		if kind == experiments.GPU {
+			for _, place := range []device.Placement{device.CacheOnHost, device.CacheOnDevice} {
+				p := res.Price(place)
+				fmt.Printf("cache on %s:    simulated %v\n", place, p.Total)
+				for _, d := range []device.Direction{device.HtoD, device.DtoH, device.DtoD} {
+					x := p.Transfers[d]
+					fmt.Printf("  memcpy %-5s  %d calls, %d bytes, %v (%.2f%%)\n", d, x.Calls, x.Bytes, x.Time, p.Pct(d))
+				}
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tgopt/internal/device"
 	"tgopt/internal/graph"
 	"tgopt/internal/nn"
 	"tgopt/internal/stats"
@@ -47,19 +46,11 @@ type Options struct {
 	// TimeWindow is the precomputed Δt window (default 10,000).
 	TimeWindow int
 
-	// Collector receives per-operation timings (Table 3). Optional.
+	// Collector receives each operation's wall time, item count and
+	// call count (Table 3; the device model prices the counts). Optional.
 	Collector *stats.Collector
 	// HitRate receives per-lookup hit statistics (Figure 7). Optional.
 	HitRate *stats.HitRate
-
-	// Device, when non-nil, simulates running on an accelerator: op
-	// timings recorded into Collector are converted by the device cost
-	// model and cache/table data movements are charged and counted.
-	Device *device.Sim
-	// CacheOnDevice stores cached embeddings in simulated device memory
-	// instead of host memory (the Table 5 comparison). Only meaningful
-	// with Device set.
-	CacheOnDevice bool
 }
 
 // OptAll returns Options with all three optimizations enabled at the
@@ -224,12 +215,6 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	}
 	if opt.EnableTimePrecompute {
 		e.ttable = NewTimeTable(m.Time, opt.TimeWindow)
-		// Table residency: on a device run the table ships to device
-		// memory once, charged here.
-		if opt.Device != nil {
-			d := opt.Device.TransferTime(device.HtoD, e.ttable.Bytes(), 1)
-			opt.Collector.Add(stats.OpTransfer, d)
-		}
 	}
 	return e
 }
@@ -707,7 +692,7 @@ func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tenso
 	// layer pass reads the unique rows through the inverse index instead.
 	start := time.Now()
 	out := DedupInvertWith(ar, h.Data, h.Idx)
-	e.observe(stats.OpDedupInvert, StageDedup, device.HostOp, 0, start)
+	e.observe(stats.OpDedupInvert, StageDedup, len(h.Idx), start)
 	return out
 }
 
@@ -732,30 +717,21 @@ func (e *Engine) noteEmbedTimes(ts []float64) {
 	}
 }
 
-// observe records an operation that started at `start`: wall time into
-// the stage's latency histogram (stage "" skips that; the histograms
-// stay on even without a Collector so a serving deployment always has
-// per-stage visibility), and the device-model-converted duration into
-// the Collector. It replaces a closure-returning predecessor (timeOp)
-// whose per-call closure was measurable garbage on the embed hot path.
-func (e *Engine) observe(op, stage string, kind device.OpKind, launches int, start time.Time) {
+// observe records one call of an operation that started at `start` and
+// handled n items: wall time into the stage's latency histogram (stage
+// "" skips that; the histograms stay on even without a Collector so a
+// serving deployment always has per-stage visibility), and wall time,
+// n and the call into the Collector. It replaces a closure-returning
+// predecessor (timeOp) whose per-call closure was measurable garbage on
+// the embed hot path.
+func (e *Engine) observe(op, stage string, n int, start time.Time) {
 	h := e.stages[stage]
-	if h == nil && e.opt.Collector == nil && e.opt.Device == nil {
+	if h == nil && e.opt.Collector == nil {
 		return
 	}
 	wall := time.Since(start)
 	h.Observe(wall)
-	if e.opt.Collector != nil || e.opt.Device != nil {
-		e.opt.Collector.Add(op, e.opt.Device.OpTime(kind, wall, launches))
-	}
-}
-
-// chargeTransfer charges a simulated data movement against op.
-func (e *Engine) chargeTransfer(op string, dir device.Direction, bytes int64, calls int) {
-	if e.opt.Device == nil || bytes == 0 {
-		return
-	}
-	e.opt.Collector.Add(op, e.opt.Device.TransferTime(dir, bytes, calls))
+	e.opt.Collector.Observe(op, wall, int64(n))
 }
 
 // embed returns the layer-l embeddings of the targets as rows read in
@@ -769,9 +745,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 	if l == 0 {
 		start := time.Now()
 		h := featureRows(ar, e.model.NodeFeat, nodes)
-		e.observe(stats.OpFeatLookup, "", device.HostOp, 0, start)
-		// Device run: the rows the layer reads still cross to the device.
-		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(len(nodes)*d*4), 1)
+		e.observe(stats.OpFeatLookup, "", len(nodes), start)
 		return h
 	}
 
@@ -781,7 +755,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 	if e.opt.EnableDedup {
 		start := time.Now()
 		res := DedupFilterWith(ar, nodes, ts)
-		e.observe(stats.OpDedupFilter, StageDedup, device.HostOp, 0, start)
+		e.observe(stats.OpDedupFilter, StageDedup, len(nodes), start)
 		nodes, ts, inv = res.Nodes, res.Times, res.InvIdx
 	}
 
@@ -804,21 +778,13 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		if !ComputeKeysInto(keys, nodes, ts) {
 			inexact = ts
 		}
-		e.observe(stats.OpComputeKeys, StageCacheLookup, device.HostOp, 0, start)
+		e.observe(stats.OpComputeKeys, StageCacheLookup, n, start)
 		start = time.Now()
 		hitMask = ar.Bools(n)
 		nhits = cache.lookupExact(keys, inexact, h, hitMask)
-		e.observe(stats.OpCacheLookup, StageCacheLookup, device.HostOp, 0, start)
-		if e.opt.CacheOnDevice {
-			// Device-resident cache: every hit is a small on-device copy.
-			e.chargeTransfer(stats.OpCacheLookup, device.DtoD, int64(nhits*d*4), nhits)
-		} else {
-			// Host-resident cache: assemble on host, ship once (§4.2.2).
-			e.chargeTransfer(stats.OpCacheLookup, device.HtoD, int64(n*d*4), 1)
-		}
+		e.observe(stats.OpCacheLookup, StageCacheLookup, n, start)
 		e.opt.HitRate.Record(nhits, n)
 		e.opt.Collector.Count("cache_hits", int64(nhits))
-		e.opt.Collector.Count("cache_lookups", int64(n))
 	}
 
 	// What this level may keep is computed from here on (wm: cache misses only).
@@ -880,7 +846,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			Valid: ar.Bools(nm * k),
 		}
 		e.sampler.SampleTo(&b, missNodes, missTs)
-		e.observe(stats.OpNghLookup, StageSample, device.HostOp, 0, start)
+		e.observe(stats.OpNghLookup, StageSample, nm, start)
 
 		// Recurse over targets ∪ neighbors (line 12).
 		allNodes := ar.Int32s(nm + nm*k)
@@ -897,13 +863,11 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 
 		start = time.Now()
 		eFeat := featureRows(ar, e.model.EdgeFeat, b.EIdxs)
-		e.observe(stats.OpFeatLookup, "", device.HostOp, 0, start)
-		e.chargeTransfer(stats.OpFeatLookup, device.HtoD, int64(nm*k*cfg.EdgeDim*4), 1)
+		e.observe(stats.OpFeatLookup, "", nm*k, start)
 
 		start = time.Now()
 		hm := e.model.LayerForwardPacked(ar, l, &e.packs[l-1], hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-		e.observe(stats.OpAttention, StageAttention, device.TensorOp, 8, start)
-		e.opt.Collector.Count("attention_rows", int64(nm))
+		e.observe(stats.OpAttention, StageAttention, nm, start)
 
 		if cache != nil && fence.staleFor(missTs) {
 			// The graph moved under this batch (passFence.staleFor).
@@ -922,7 +886,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 				}
 			}
 			cache.storeExact(missKeys, inexact, tags, hm)
-			e.observe(stats.OpCacheStore, StageCacheStore, device.HostOp, 0, start)
+			e.observe(stats.OpCacheStore, StageCacheStore, nm, start)
 			if tix := e.TargetsFor(l); tix != nil {
 				// Index per-target, and — for deep layers — per
 				// support: the (node, time) pairs whose layer-(l−1)
@@ -955,11 +919,6 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 				cache.Remove(missKeys)
 				e.memoEpoch.Add(1)
 				e.staleSkips.Add(1)
-			}
-			if e.opt.CacheOnDevice {
-				e.chargeTransfer(stats.OpCacheStore, device.DtoD, int64(nm*d*4), nm)
-			} else {
-				e.chargeTransfer(stats.OpCacheStore, device.DtoH, int64(nm*d*4), 1)
 			}
 		}
 
@@ -997,21 +956,14 @@ func (e *Engine) encodeZeros(ar *tensor.Arena, n int) *tensor.Tensor {
 	if e.ttable != nil {
 		start := time.Now()
 		e.ttable.EncodeZerosInto(n, out)
-		e.observe(stats.OpTimeEncZero, StageTimeEncode, device.HostOp, 0, start)
-		// Device run: the Φ(0) row is already resident; replicating it is
-		// an on-device broadcast.
-		e.chargeTransfer(stats.OpTimeEncZero, device.DtoD, int64(n*d*4), 1)
+		e.observe(stats.OpTimeEncZero, StageTimeEncode, n, start)
 		return out
 	}
 	start := time.Now()
 	zeros := ar.Float64s(n)
 	clear(zeros) // arena scratch is dirty; the encoder reads it
 	e.model.Time.EncodeInto(zeros, out)
-	e.observe(stats.OpTimeEncZero, StageTimeEncode, device.TensorOp, 2, start)
-	// Baseline on device: materialize the zero-delta tensor host-side
-	// and ship it, then encode (the intermediate-tensor cost the paper
-	// measures for TimeEncode(0) on GPU).
-	e.chargeTransfer(stats.OpTimeEncZero, device.HtoD, int64(n*8+n*d*4), 2)
+	e.observe(stats.OpTimeEncZero, StageTimeEncode, n, start)
 	return out
 }
 
@@ -1028,19 +980,13 @@ func (e *Engine) encodeDeltas(ar *tensor.Arena, ts []float64, b *graph.Batch, n,
 	if e.ttable != nil {
 		start := time.Now()
 		hits := e.ttable.EncodeIntoWith(ar, deltas, out)
-		e.observe(stats.OpTimeEncDelta, StageTimeEncode, device.HostOp, 0, start)
+		e.observe(stats.OpTimeEncDelta, StageTimeEncode, len(deltas), start)
 		e.opt.Collector.Count("ttable_hits", int64(hits))
-		e.opt.Collector.Count("ttable_lookups", int64(len(deltas)))
-		// Table rows are gathered host-side and shipped to the device —
-		// the per-batch overhead behind the paper's observed GPU
-		// regression for this optimization.
-		e.chargeTransfer(stats.OpTimeEncDelta, device.HtoD, int64(n*k*d*4), 1)
 		return out
 	}
 	start := time.Now()
 	e.model.Time.EncodeInto(deltas, out)
-	e.observe(stats.OpTimeEncDelta, StageTimeEncode, device.TensorOp, 2, start)
-	e.chargeTransfer(stats.OpTimeEncDelta, device.HtoD, int64(n*k*8), 1)
+	e.observe(stats.OpTimeEncDelta, StageTimeEncode, len(deltas), start)
 	return out
 }
 

@@ -1,36 +1,17 @@
-// Package device provides a simulated accelerator for the paper's GPU
-// experiments (Figure 5 right, Figure 6 bottom, Table 3 GPU section,
-// Table 5). No GPU exists in this environment, so — per the
-// substitution rule documented in DESIGN.md — this package models one:
-// tensor kernels are executed on the host but *charged* at accelerated
-// rates with per-kernel launch overhead, host-side bookkeeping is
-// charged at host speed, and every cache/table data movement is charged
-// PCIe- or HBM-like transfer costs and counted per direction
-// (host-to-device, device-to-host, device-to-device).
-//
-// The simulation preserves the two behaviours the paper's GPU results
-// hinge on: dense math being relatively cheap (so redundancy elimination
-// saves less than on CPU, and the time-encoding table lookup can be a
-// net regression), and on-device cache storage drowning in many small
-// device-to-device copies (Table 5).
+// Package device prices a run on a simulated V100-class accelerator for
+// the paper's GPU experiments (Figure 5 right, Figure 6 bottom, Tables
+// 3 GPU, 4 and 5). No GPU exists here (DESIGN.md §2), so the engine
+// runs on the host and counts its work per operation, and Price turns
+// the counts into device time: flops and kernel launches, host probes
+// and row copies, and HtoD/DtoH/DtoD transfers. Price reads no clock,
+// so a run prices the same on every machine and every repeat.
 package device
 
 import (
-	"fmt"
-	"sync"
+	"math"
 	"time"
-)
 
-// OpKind classifies where an operation runs under the device model.
-type OpKind int
-
-const (
-	// HostOp runs on the host CPU regardless of device (sampling,
-	// deduplication, hash-table operations, table gathers).
-	HostOp OpKind = iota
-	// TensorOp is dense math that the accelerator executes (attention
-	// projections, time-encoding kernels, the affinity head).
-	TensorOp
+	"tgopt/internal/stats"
 )
 
 // Direction labels a memory transfer.
@@ -56,38 +37,62 @@ func (d Direction) String() string {
 	}
 }
 
-// CostModel holds the simulated accelerator's performance parameters.
+// CostModel holds the simulated machine's per-unit costs.
 type CostModel struct {
-	// TensorSpeedup divides the host wall time of TensorOps.
-	TensorSpeedup float64
-	// HostSlowdown multiplies the host wall time of HostOps (the
-	// paper's GPU machine had slower CPU cores than the CPU server).
-	HostSlowdown float64
+	// FlopsPerSec is the device's dense-math throughput.
+	FlopsPerSec float64
 	// LaunchOverhead is charged once per kernel launch.
 	LaunchOverhead time.Duration
 	// PCIeBytesPerSec is the HtoD/DtoH bandwidth.
 	PCIeBytesPerSec float64
 	// DtoDBytesPerSec is the on-device copy bandwidth.
 	DtoDBytesPerSec float64
-	// TransferLatency is charged once per transfer call; many small
-	// copies are dominated by it, which is exactly the pathology the
-	// paper observes for GPU-resident caches.
+	// TransferLatency is charged once per transfer call: many small
+	// copies drown in it (Table 5's device-resident cache).
 	TransferLatency time.Duration
+	// HostProbe is one host hash or binary-search probe (a cache miss).
+	HostProbe time.Duration
+	// HostBytesPerSec is the host's bandwidth for copying gathered rows.
+	HostBytesPerSec float64
 }
 
-// DefaultCostModel returns parameters loosely shaped after a V100-class
-// card on PCIe 3.0 relative to a single Xeon core: large dense-math
-// speedup, ~10 µs launch overhead, ~12 GB/s PCIe, ~300 GB/s effective
-// small-copy DtoD with ~4 µs per-call latency.
+// DefaultCostModel returns the per-unit costs of the paper's p3.2xlarge
+// (one V100 on PCIe 3.0 beside a 2.3 GHz Xeon), fixed from published
+// figures before any run was priced; DESIGN.md §2 has the derivation.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		TensorSpeedup:   12,
-		HostSlowdown:    1.15,
+		FlopsPerSec:     7.85e12,
 		LaunchOverhead:  10 * time.Microsecond,
 		PCIeBytesPerSec: 12e9,
 		DtoDBytesPerSec: 300e9,
 		TransferLatency: 4 * time.Microsecond,
+		HostProbe:       100 * time.Nanosecond,
+		HostBytesPerSec: 5e9,
 	}
+}
+
+// Shape is what pricing needs of the model: row widths, neighbors per
+// target, and the time table's window (0: encodings are computed).
+type Shape struct {
+	NodeDim, EdgeDim, TimeDim int
+	K                         int
+	TimeWindow                int
+}
+
+// Placement is where the memoization cache keeps its rows (Table 5).
+type Placement int
+
+const (
+	CacheOnHost Placement = iota
+	CacheOnDevice
+)
+
+// String implements fmt.Stringer.
+func (p Placement) String() string {
+	if p == CacheOnDevice {
+		return "GPU"
+	}
+	return "CPU"
 }
 
 // Transfer is an accumulated per-direction transfer account.
@@ -97,106 +102,140 @@ type Transfer struct {
 	Time  time.Duration
 }
 
-// Sim is a simulated device accumulating charged time and transfer
-// accounts. It is safe for concurrent use. A nil *Sim means "no device":
-// OpTime returns wall time unchanged and transfers are free.
-type Sim struct {
-	model CostModel
-
-	mu    sync.Mutex
-	total time.Duration
-	xfers [3]Transfer
+// Priced is the simulated cost of one run.
+type Priced struct {
+	// Ops is each operation's simulated time, its transfers included.
+	Ops map[string]time.Duration
+	// Transfers are the per-direction accounts, indexed by Direction.
+	Transfers [3]Transfer
+	// Total is the simulated runtime: the sum of Ops.
+	Total time.Duration
 }
 
-// NewSim creates a simulated device with the given cost model.
-func NewSim(model CostModel) *Sim { return &Sim{model: model} }
-
-// Model returns the cost model.
-func (s *Sim) Model() CostModel { return s.model }
-
-// OpTime converts a measured host wall duration into the simulated
-// device duration for an operation of the given kind with the given
-// number of kernel launches, accumulates it, and returns it. For a nil
-// Sim it returns wall unchanged.
-func (s *Sim) OpTime(kind OpKind, wall time.Duration, launches int) time.Duration {
-	if s == nil {
-		return wall
-	}
-	var sim time.Duration
-	switch kind {
-	case TensorOp:
-		sim = time.Duration(float64(wall)/s.model.TensorSpeedup) +
-			time.Duration(launches)*s.model.LaunchOverhead
-	default:
-		sim = time.Duration(float64(wall) * s.model.HostSlowdown)
-	}
-	s.mu.Lock()
-	s.total += sim
-	s.mu.Unlock()
-	return sim
-}
-
-// TransferTime charges `calls` transfers moving `bytes` total in the
-// given direction, accumulates both the account and the simulated time,
-// and returns the simulated duration. Nil Sim: free.
-func (s *Sim) TransferTime(dir Direction, bytes int64, calls int) time.Duration {
-	if s == nil {
+// Pct returns direction d's share of the total simulated runtime.
+func (p Priced) Pct(d Direction) float64 {
+	if p.Total <= 0 {
 		return 0
 	}
-	bw := s.model.PCIeBytesPerSec
-	if dir == DtoD {
-		bw = s.model.DtoDBytesPerSec
-	}
-	sim := time.Duration(float64(bytes)/bw*float64(time.Second)) +
-		time.Duration(calls)*s.model.TransferLatency
-	s.mu.Lock()
-	s.total += sim
-	t := &s.xfers[dir]
-	t.Calls += int64(calls)
-	t.Bytes += bytes
-	t.Time += sim
-	s.mu.Unlock()
-	return sim
+	return 100 * float64(p.Transfers[d].Time) / float64(p.Total)
 }
 
-// Total returns the accumulated simulated time.
-func (s *Sim) Total() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+// What a PyTorch TGAT layer launches and what the engine copies.
+const (
+	attentionLaunches  = 8             // q assembly, WQ, WK/WV, scores, softmax, sum, WO, FFN
+	timeEncodeLaunches = 2             // affine map, cosine
+	timeEncodeFlops    = 3             // per element: multiply, add, cosine
+	sampleSlotBytes    = 4 + 4 + 8 + 1 // neighbor, edge id, time, valid flag
+	keyBytes           = 4 + 8 + 8     // ComputeKeys reads a node and a time, writes a key
+)
+
+// attentionFlops returns the dense-math cost of one target row through
+// one TGAT layer: WQ and WO on the query width q = d+dt, WK and WV on
+// each of k neighbors' key width d+de+dt, the k scores and the weighted
+// sum, and the merge FFN (q+d → d → d). A multiply-add is two flops.
+func (s Shape) attentionFlops() int64 {
+	d, de, dt, k := int64(s.NodeDim), int64(s.EdgeDim), int64(s.TimeDim), int64(s.K)
+	q, kv := d+dt, d+de+dt
+	return 2 * (2*q*q + 2*k*kv*q + 2*k*q + (q+d)*d + d*d)
 }
 
-// Transfers returns the accumulated per-direction transfer accounts
-// indexed by Direction.
-func (s *Sim) Transfers() [3]Transfer {
-	if s == nil {
-		return [3]Transfer{}
+// Price turns the work a run counted into c — per operation its items
+// and calls, as core.Engine observes them, plus the "cache_hits"
+// counter — into simulated time and transfer accounts, with the cache
+// kept at p. The collector's measured durations play no part.
+func Price(m CostModel, s Shape, p Placement, c *stats.Collector) Priced {
+	b := bill{m: m, out: Priced{Ops: map[string]time.Duration{}}}
+	d, de, dt, k := int64(s.NodeDim), int64(s.EdgeDim), int64(s.TimeDim), int64(s.K)
+
+	// Sampling binary-searches (two probes) per target and writes k slots.
+	targets := c.Counter(stats.OpNghLookup)
+	b.host(stats.OpNghLookup, 2*targets, targets*k*sampleSlotBytes)
+	b.host(stats.OpDedupFilter, c.Counter(stats.OpDedupFilter), 0)
+	b.host(stats.OpDedupInvert, 0, c.Counter(stats.OpDedupInvert)*d*4)
+	b.host(stats.OpComputeKeys, 0, c.Counter(stats.OpComputeKeys)*keyBytes)
+
+	// The cache's index is a host hash table wherever its rows live. On
+	// the host, rows are copied there, the looked-up batch ships once per
+	// lookup and stored rows come back once per store; on the device,
+	// every hit and every stored row is its own on-device copy.
+	lookups, hits, stored := c.Counter(stats.OpCacheLookup), c.Counter("cache_hits"), c.Counter(stats.OpCacheStore)
+	if p == CacheOnHost {
+		b.host(stats.OpCacheLookup, lookups, hits*d*4)
+		b.move(stats.OpCacheLookup, HtoD, lookups*d*4, c.Calls(stats.OpCacheLookup))
+		b.host(stats.OpCacheStore, 2*stored, stored*d*4)
+		b.move(stats.OpCacheStore, DtoH, stored*d*4, c.Calls(stats.OpCacheStore))
+	} else {
+		b.host(stats.OpCacheLookup, lookups, 0)
+		b.move(stats.OpCacheLookup, DtoD, hits*d*4, hits)
+		b.host(stats.OpCacheStore, 2*stored, 0)
+		b.move(stats.OpCacheStore, DtoD, stored*d*4, stored)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.xfers
+
+	// Feature rows are gathered on the host and shipped: node rows at
+	// layer 0, and k edge rows per attention row.
+	rows := c.Counter(stats.OpAttention)
+	featBytes := (c.Counter(stats.OpFeatLookup)-rows*k)*d*4 + rows*k*de*4
+	b.host(stats.OpFeatLookup, 0, featBytes)
+	b.move(stats.OpFeatLookup, HtoD, featBytes, c.Calls(stats.OpFeatLookup))
+	b.kernel(stats.OpAttention, rows*s.attentionFlops(), c.Calls(stats.OpAttention)*attentionLaunches)
+
+	zeros, zeroCalls := c.Counter(stats.OpTimeEncZero), c.Calls(stats.OpTimeEncZero)
+	deltas, deltaCalls := c.Counter(stats.OpTimeEncDelta), c.Calls(stats.OpTimeEncDelta)
+	if s.TimeWindow > 0 {
+		// The table ships once; Φ(0) is a resident row broadcast on the
+		// device; Δt rows are gathered on the host and shipped, the
+		// overhead behind the paper's GPU regression for §4.3.
+		b.move(stats.OpTransfer, HtoD, int64(s.TimeWindow)*dt*4, 1)
+		b.move(stats.OpTimeEncZero, DtoD, zeros*dt*4, zeroCalls)
+		b.host(stats.OpTimeEncDelta, 0, deltas*dt*4)
+		b.move(stats.OpTimeEncDelta, HtoD, deltas*dt*4, deltaCalls)
+	} else {
+		// The zero deltas ship with their output buffer, the Δt inputs
+		// alone; both are encoded on the device.
+		b.move(stats.OpTimeEncZero, HtoD, zeros*(8+dt*4), 2*zeroCalls)
+		b.kernel(stats.OpTimeEncZero, zeros*dt*timeEncodeFlops, zeroCalls*timeEncodeLaunches)
+		b.move(stats.OpTimeEncDelta, HtoD, deltas*8, deltaCalls)
+		b.kernel(stats.OpTimeEncDelta, deltas*dt*timeEncodeFlops, deltaCalls*timeEncodeLaunches)
+	}
+	return b.out
 }
 
-// Reset clears the accumulated time and transfer accounts.
-func (s *Sim) Reset() {
-	if s == nil {
+// bill accumulates Price's charges.
+type bill struct {
+	m   CostModel
+	out Priced
+}
+
+func (b *bill) charge(op string, t time.Duration) {
+	if t <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total = 0
-	s.xfers = [3]Transfer{}
+	b.out.Ops[op] += t
+	b.out.Total += t
 }
 
-// String summarizes the transfer accounts.
-func (s *Sim) String() string {
-	if s == nil {
-		return "<no device>"
-	}
-	x := s.Transfers()
-	return fmt.Sprintf("HtoD %dB/%v  DtoH %dB/%v  DtoD %dB/%v",
-		x[HtoD].Bytes, x[HtoD].Time, x[DtoH].Bytes, x[DtoH].Time, x[DtoD].Bytes, x[DtoD].Time)
+func (b *bill) host(op string, probes, bytes int64) {
+	b.charge(op, time.Duration(probes)*b.m.HostProbe+seconds(float64(bytes)/b.m.HostBytesPerSec))
 }
+
+func (b *bill) kernel(op string, flops, launches int64) {
+	b.charge(op, seconds(float64(flops)/b.m.FlopsPerSec)+time.Duration(launches)*b.m.LaunchOverhead)
+}
+
+func (b *bill) move(op string, dir Direction, bytes, calls int64) {
+	if bytes == 0 {
+		return
+	}
+	bw := b.m.PCIeBytesPerSec
+	if dir == DtoD {
+		bw = b.m.DtoDBytesPerSec
+	}
+	t := seconds(float64(bytes)/bw) + time.Duration(calls)*b.m.TransferLatency
+	x := &b.out.Transfers[dir]
+	x.Calls += calls
+	x.Bytes += bytes
+	x.Time += t
+	b.charge(op, t)
+}
+
+func seconds(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }

@@ -1,90 +1,156 @@
 package device
 
 import (
-	"sync"
+	"reflect"
 	"testing"
 	"time"
+
+	"tgopt/internal/stats"
 )
 
+// unitModel has round per-unit costs so expected prices are exact.
+func unitModel() CostModel {
+	return CostModel{
+		FlopsPerSec:     1e9,
+		LaunchOverhead:  time.Millisecond,
+		PCIeBytesPerSec: 1e9,
+		DtoDBytesPerSec: 10e9,
+		TransferLatency: time.Microsecond,
+		HostProbe:       time.Microsecond,
+		HostBytesPerSec: 1e9,
+	}
+}
+
+// TestOpTimeTensorSpeedup checks a tensor op's time on the device: its
+// flops at the device's rate plus one launch overhead per kernel.
 func TestOpTimeTensorSpeedup(t *testing.T) {
-	s := NewSim(CostModel{TensorSpeedup: 10, HostSlowdown: 2, LaunchOverhead: time.Millisecond})
-	got := s.OpTime(TensorOp, 100*time.Millisecond, 2)
-	want := 10*time.Millisecond + 2*time.Millisecond
-	if got != want {
-		t.Fatalf("TensorOp time = %v, want %v", got, want)
+	s := Shape{NodeDim: 2, EdgeDim: 1, TimeDim: 2, K: 3}
+	// q = 4, kv = 5: WQ+WO 2·16, WK+WV 2·3·5·4, scores+sum 2·3·4,
+	// FFN (4+2)·2 + 2·2, two flops per multiply-add.
+	if got, want := s.attentionFlops(), int64(2*(32+120+24+12+4)); got != want {
+		t.Fatalf("attentionFlops = %d, want %d", got, want)
 	}
-	host := s.OpTime(HostOp, 100*time.Millisecond, 0)
-	if host != 200*time.Millisecond {
-		t.Fatalf("HostOp time = %v, want 200ms", host)
+	c := stats.NewCollector()
+	c.Observe(stats.OpAttention, time.Hour, 1000)
+	c.Observe(stats.OpAttention, time.Hour, 1000)
+	p := Price(unitModel(), s, CacheOnHost, c)
+	want := time.Duration(2000*s.attentionFlops())*time.Nanosecond + 2*attentionLaunches*time.Millisecond
+	if got := p.Ops[stats.OpAttention]; got != want {
+		t.Fatalf("attention priced %v, want %v", got, want)
 	}
-	if s.Total() != got+host {
-		t.Fatalf("Total = %v, want %v", s.Total(), got+host)
+}
+
+func TestPriceHostOpsPerItem(t *testing.T) {
+	s := Shape{NodeDim: 4, EdgeDim: 4, TimeDim: 4, K: 2}
+	c := stats.NewCollector()
+	c.Observe(stats.OpNghLookup, 0, 10)
+	c.Observe(stats.OpDedupFilter, 0, 7)
+	p := Price(unitModel(), s, CacheOnHost, c)
+	// Two probes per target and k slots written per target.
+	if got, want := p.Ops[stats.OpNghLookup], 20*time.Microsecond+time.Duration(10*2*sampleSlotBytes)*time.Nanosecond; got != want {
+		t.Fatalf("NghLookup priced %v, want %v", got, want)
+	}
+	if got := p.Ops[stats.OpDedupFilter]; got != 7*time.Microsecond {
+		t.Fatalf("DedupFilter priced %v, want 7µs", got)
+	}
+	if p.Total != p.Ops[stats.OpNghLookup]+p.Ops[stats.OpDedupFilter] {
+		t.Fatalf("Total %v is not the sum of %v", p.Total, p.Ops)
+	}
+	if p.Transfers != ([3]Transfer{}) {
+		t.Fatalf("host-only ops moved data: %+v", p.Transfers)
 	}
 }
 
 func TestTransferTimeBandwidthAndLatency(t *testing.T) {
-	s := NewSim(CostModel{PCIeBytesPerSec: 1e9, DtoDBytesPerSec: 10e9, TransferLatency: time.Microsecond})
-	got := s.TransferTime(HtoD, 1e9, 1)
-	want := time.Second + time.Microsecond
-	if got != want {
-		t.Fatalf("HtoD transfer = %v, want %v", got, want)
+	s := Shape{NodeDim: 250, EdgeDim: 1, TimeDim: 1, K: 1}
+	c := stats.NewCollector()
+	c.Observe(stats.OpCacheStore, 0, 1000) // 1000 rows of 1000 bytes, one call
+	host := Price(unitModel(), s, CacheOnHost, c)
+	x := host.Transfers[DtoH]
+	want := time.Millisecond + time.Microsecond
+	if x.Bytes != 1e6 || x.Calls != 1 || x.Time != want {
+		t.Fatalf("DtoH account %+v, want 1e6 bytes, 1 call, %v", x, want)
 	}
-	dd := s.TransferTime(DtoD, 1e9, 1000)
-	wantDD := 100*time.Millisecond + 1000*time.Microsecond
-	if dd != wantDD {
-		t.Fatalf("DtoD transfer = %v, want %v", dd, wantDD)
+	dev := Price(unitModel(), s, CacheOnDevice, c)
+	dd := dev.Transfers[DtoD]
+	wantDD := 100*time.Microsecond + 1000*time.Microsecond
+	if dd.Bytes != 1e6 || dd.Calls != 1000 || dd.Time != wantDD {
+		t.Fatalf("DtoD account %+v, want 1e6 bytes, 1000 calls, %v", dd, wantDD)
 	}
-	x := s.Transfers()
-	if x[HtoD].Bytes != 1e9 || x[HtoD].Calls != 1 || x[HtoD].Time != want {
-		t.Fatalf("HtoD account %+v", x[HtoD])
-	}
-	if x[DtoD].Calls != 1000 {
-		t.Fatalf("DtoD calls = %d", x[DtoD].Calls)
-	}
-	if x[DtoH].Bytes != 0 {
-		t.Fatal("DtoH should be untouched")
+	if dev.Transfers[DtoH].Bytes != 0 || host.Transfers[DtoD].Bytes != 0 {
+		t.Fatal("a placement moved rows in the other placement's direction")
 	}
 }
 
 func TestManySmallCopiesDominatedByLatency(t *testing.T) {
-	// The Table 5 pathology: the same bytes in many small copies cost
-	// far more than one large copy.
-	s := NewSim(DefaultCostModel())
-	one := s.TransferTime(DtoD, 1<<20, 1)
-	s.Reset()
-	many := s.TransferTime(DtoD, 1<<20, 4096)
+	// The Table 5 pathology: a device-resident cache stores each row
+	// with its own copy, so the same bytes cost far more than the one
+	// copy per store a host-resident cache ships.
+	s := Shape{NodeDim: 64, EdgeDim: 64, TimeDim: 64, K: 10}
+	c := stats.NewCollector()
+	c.Observe(stats.OpCacheStore, 0, 4096)
+	one := Price(DefaultCostModel(), s, CacheOnHost, c).Transfers[DtoH].Time
+	many := Price(DefaultCostModel(), s, CacheOnDevice, c).Transfers[DtoD].Time
 	if many < 100*one {
 		t.Fatalf("4096 small copies (%v) not ≫ one large copy (%v)", many, one)
 	}
 }
 
-func TestNilSimIsFree(t *testing.T) {
-	var s *Sim
-	if s.OpTime(TensorOp, time.Second, 5) != time.Second {
-		t.Fatal("nil Sim should pass wall time through")
+func TestTimeTableShipsOnceAndReplacesKernels(t *testing.T) {
+	s := Shape{NodeDim: 4, EdgeDim: 4, TimeDim: 4, K: 2}
+	c := stats.NewCollector()
+	c.Observe(stats.OpTimeEncDelta, 0, 100)
+	computed := Price(unitModel(), s, CacheOnHost, c)
+	if computed.Ops[stats.OpTransfer] != 0 {
+		t.Fatal("a run without the table shipped one")
 	}
-	if s.TransferTime(HtoD, 1e9, 1) != 0 {
-		t.Fatal("nil Sim transfer should be free")
+	want := timeEncodeLaunches*time.Millisecond + 1200*time.Nanosecond + // kernels
+		800*time.Nanosecond + time.Microsecond // Δt inputs shipped
+	if got := computed.Ops[stats.OpTimeEncDelta]; got != want {
+		t.Fatalf("computed TimeEncode(dt) priced %v, want %v", got, want)
 	}
-	if s.Total() != 0 {
-		t.Fatal("nil Total should be 0")
+	s.TimeWindow = 10
+	table := Price(unitModel(), s, CacheOnHost, c)
+	if got := table.Transfers[HtoD]; got.Calls != 2 || got.Bytes != 10*16+100*16 {
+		t.Fatalf("table run HtoD %+v, want the table once and the gathered rows once", got)
 	}
-	if s.Transfers() != ([3]Transfer{}) {
-		t.Fatal("nil Transfers should be zero")
-	}
-	s.Reset() // must not panic
-	if s.String() != "<no device>" {
-		t.Fatal("nil String wrong")
+	if table.Ops[stats.OpTransfer] != 160*time.Nanosecond+time.Microsecond {
+		t.Fatalf("table upload priced %v", table.Ops[stats.OpTransfer])
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	s := NewSim(DefaultCostModel())
-	s.OpTime(TensorOp, time.Second, 1)
-	s.TransferTime(HtoD, 1000, 1)
-	s.Reset()
-	if s.Total() != 0 || s.Transfers()[HtoD].Bytes != 0 {
-		t.Fatal("Reset incomplete")
+func TestEmptyRunPricesFree(t *testing.T) {
+	s := Shape{NodeDim: 8, EdgeDim: 8, TimeDim: 8, K: 4}
+	for _, c := range []*stats.Collector{nil, stats.NewCollector()} {
+		for _, p := range []Placement{CacheOnHost, CacheOnDevice} {
+			got := Price(DefaultCostModel(), s, p, c)
+			if got.Total != 0 || len(got.Ops) != 0 || got.Transfers != ([3]Transfer{}) || got.Pct(HtoD) != 0 {
+				t.Fatalf("empty run priced %+v", got)
+			}
+		}
+	}
+}
+
+func TestPriceIgnoresMeasuredTime(t *testing.T) {
+	s := Shape{NodeDim: 8, EdgeDim: 8, TimeDim: 8, K: 4, TimeWindow: 100}
+	record := func(wall time.Duration) *stats.Collector {
+		c := stats.NewCollector()
+		for _, op := range []string{stats.OpNghLookup, stats.OpAttention, stats.OpFeatLookup,
+			stats.OpCacheLookup, stats.OpCacheStore, stats.OpTimeEncZero, stats.OpTimeEncDelta} {
+			c.Observe(op, wall, 50)
+		}
+		c.Count("cache_hits", 20)
+		return c
+	}
+	fast, slow := record(time.Nanosecond), record(time.Hour)
+	for _, p := range []Placement{CacheOnHost, CacheOnDevice} {
+		a, b := Price(DefaultCostModel(), s, p, fast), Price(DefaultCostModel(), s, p, slow)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s placement: the same counts priced differently:\n%+v\n%+v", p, a, b)
+		}
+		if a.Total <= 0 {
+			t.Fatal("nothing priced")
+		}
 	}
 }
 
@@ -92,39 +158,20 @@ func TestDirectionString(t *testing.T) {
 	if HtoD.String() != "HtoD" || DtoH.String() != "DtoH" || DtoD.String() != "DtoD" || Direction(9).String() != "unknown" {
 		t.Fatal("Direction strings wrong")
 	}
+	if CacheOnHost.String() != "CPU" || CacheOnDevice.String() != "GPU" {
+		t.Fatal("Placement strings wrong")
+	}
 }
 
 func TestDefaultCostModelShape(t *testing.T) {
 	m := DefaultCostModel()
-	if m.TensorSpeedup <= 1 {
-		t.Fatal("accelerator should speed up tensor math")
+	if m.FlopsPerSec <= 0 || m.HostBytesPerSec <= 0 || m.HostProbe <= 0 {
+		t.Fatal("unpriced work")
 	}
-	if m.HostSlowdown < 1 {
-		t.Fatal("GPU-machine host cores should not be faster")
+	if m.LaunchOverhead <= m.TransferLatency {
+		t.Fatal("a kernel launch should cost more than a copy call")
 	}
 	if m.DtoDBytesPerSec <= m.PCIeBytesPerSec {
 		t.Fatal("on-device bandwidth should exceed PCIe")
-	}
-}
-
-func TestSimConcurrentUse(t *testing.T) {
-	s := NewSim(DefaultCostModel())
-	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				s.OpTime(HostOp, time.Microsecond, 0)
-				s.TransferTime(DtoH, 100, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Transfers()[DtoH].Calls != 2000 {
-		t.Fatalf("lost transfer calls: %d", s.Transfers()[DtoH].Calls)
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
 	}
 }

@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"tgopt/internal/core"
@@ -125,8 +126,8 @@ type DeviceKind int
 const (
 	// CPU measures host wall-clock time.
 	CPU DeviceKind = iota
-	// GPU runs the same computation under the simulated accelerator
-	// cost model and reports simulated time (see internal/device).
+	// GPU runs the same computation on the host and reports its
+	// counted work priced on the simulated accelerator (internal/device).
 	GPU
 )
 
@@ -138,39 +139,47 @@ func (d DeviceKind) String() string {
 	return "cpu"
 }
 
-// RunResult is one measured inference pass.
+// RunResult is one inference pass.
 type RunResult struct {
-	Runtime   time.Duration
+	// Runtime is the measured wall time (CPU) or the run priced with
+	// its cache on the host (GPU).
+	Runtime time.Duration
+	// Ops is each operation's time on the same terms.
+	Ops       map[string]time.Duration
 	Collector *stats.Collector
 	HitRate   *stats.HitRate
 	Engine    *core.Engine
-	Sim       *device.Sim
 }
 
 // RunInference executes the standard inference task once under the
-// given options and device kind, returning the measured (CPU) or
-// simulated (GPU) runtime plus all instrumentation.
+// given options, returning the measured (CPU) or priced (GPU) runtime
+// plus all instrumentation.
 func RunInference(w *Workload, opt core.Options, kind DeviceKind) *RunResult {
 	col := stats.NewCollector()
 	hr := stats.NewHitRate(10)
 	opt.Collector = col
 	opt.HitRate = hr
-	var sim *device.Sim
-	if kind == GPU {
-		sim = device.NewSim(device.DefaultCostModel())
-		opt.Device = sim
-	}
 	eng := core.NewEngine(w.Model, w.Sampler, opt)
 	start := time.Now()
 	tgat.StreamInference(w.DS.Graph, w.Model, batchSizeOf(w), eng.EmbedFunc())
-	wall := time.Since(start)
-	res := &RunResult{Collector: col, HitRate: hr, Engine: eng, Sim: sim}
+	res := &RunResult{Runtime: time.Since(start), Ops: col.Durations(), Collector: col, HitRate: hr, Engine: eng}
 	if kind == GPU {
-		res.Runtime = col.Total()
-	} else {
-		res.Runtime = wall
+		p := res.Price(device.CacheOnHost)
+		res.Runtime, res.Ops = p.Total, p.Ops
 	}
 	return res
+}
+
+// Price prices the work the run counted on the simulated accelerator,
+// with the memoization cache kept at p. Only counts are read, so one
+// run prices every placement, the same on every machine.
+func (r *RunResult) Price(p device.Placement) device.Priced {
+	cfg, opt := r.Engine.Model().Cfg, r.Engine.Options()
+	shape := device.Shape{NodeDim: cfg.NodeDim, EdgeDim: cfg.EdgeDim, TimeDim: cfg.TimeDim, K: cfg.NumNeighbors}
+	if opt.EnableTimePrecompute {
+		shape.TimeWindow = opt.TimeWindow
+	}
+	return device.Price(device.DefaultCostModel(), shape, p, r.Collector)
 }
 
 // batchSizeOf lets tests override the batch size per workload via the
@@ -186,14 +195,19 @@ func batchSizeOf(w *Workload) int {
 func (w *Workload) SetBatchSize(n int) { w.batchSize = n }
 
 // MeasureRuns repeats RunInference n times (fresh engine each run, as
-// the paper's run-exp.sh does) and returns mean and standard deviation.
-func MeasureRuns(w *Workload, opt core.Options, kind DeviceKind, n int) (mean, std time.Duration) {
-	if n < 1 {
+// the paper's run-exp.sh does) and returns the runtimes' mean and
+// standard deviation, and the rows the run sent through attention (the
+// same every run). A GPU runtime is priced from counted work, which
+// every run repeats exactly, so on GPU it runs once and std is 0.
+func MeasureRuns(w *Workload, opt core.Options, kind DeviceKind, n int) (mean, std time.Duration, attnRows int64) {
+	if n < 1 || kind == GPU {
 		n = 1
 	}
 	times := make([]float64, n)
-	for i := 0; i < n; i++ {
-		times[i] = RunInference(w, opt, kind).Runtime.Seconds()
+	for i := range times {
+		res := RunInference(w, opt, kind)
+		times[i] = res.Runtime.Seconds()
+		attnRows = res.Collector.Counter(stats.OpAttention)
 	}
 	var sum float64
 	for _, t := range times {
@@ -205,19 +219,7 @@ func MeasureRuns(w *Workload, opt core.Options, kind DeviceKind, n int) (mean, s
 		varsum += (t - m) * (t - m)
 	}
 	return time.Duration(m * float64(time.Second)),
-		time.Duration(sqrt(varsum/float64(n)) * float64(time.Second))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iterations are plenty for reporting purposes.
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+		time.Duration(math.Sqrt(varsum/float64(n)) * float64(time.Second)), attnRows
 }
 
 // fprintf writes formatted output, ignoring nil writers so drivers can

@@ -139,7 +139,7 @@ func Table5CSV(results []Table5Result) ([]string, [][]string) {
 		for d, x := range r.Transfers {
 			dir := device.Direction(d)
 			out = append(out, []string{
-				r.Dataset, fmt.Sprint(r.OnDevice), dir.String(),
+				r.Dataset, fmt.Sprint(r.Placement == device.CacheOnDevice), dir.String(),
 				strconv.FormatInt(x.Calls, 10), strconv.FormatInt(x.Bytes, 10),
 				ftoa(x.Time.Seconds()), ftoa(r.Pct(dir)),
 			})

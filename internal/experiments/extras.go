@@ -166,8 +166,8 @@ func BatchSweep(w io.Writer, s Setup, name string, sizes []int) ([]BatchSweepPoi
 			continue
 		}
 		wl.SetBatchSize(bs)
-		base, _ := MeasureRuns(wl, baselineOptions(), CPU, s.Runs)
-		opt, _ := MeasureRuns(wl, optAllScaled(s), CPU, s.Runs)
+		base, _, _ := MeasureRuns(wl, baselineOptions(), CPU, s.Runs)
+		opt, _, _ := MeasureRuns(wl, optAllScaled(s), CPU, s.Runs)
 		p := BatchSweepPoint{BatchSize: bs, Baseline: base, Optimized: opt}
 		points = append(points, p)
 		fprintf(w, "%10d %11.3fs %11.3fs %8.2fx\n", bs, base.Seconds(), opt.Seconds(), p.Speedup())

@@ -17,6 +17,10 @@ type Figure5Row struct {
 	BaselineStd  time.Duration
 	Optimized    time.Duration
 	OptimizedStd time.Duration
+	// BaselineRows and OptimizedRows are the rows each side sent
+	// through attention in one run: the deterministic quantity behind
+	// the speedup.
+	BaselineRows, OptimizedRows int64
 }
 
 // Speedup returns baseline/optimized.
@@ -29,10 +33,14 @@ func (r Figure5Row) Speedup() float64 {
 
 // Figure5 runs the standard inference task for every named dataset,
 // baseline then TGOpt, averaging over Setup.Runs runs (the paper
-// averages 10), on the given device kind.
+// averages 10; a GPU price needs one), on the given device kind.
 func Figure5(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Figure5Row, error) {
+	runs := s.Runs
+	if kind == GPU {
+		runs = 1
+	}
 	fprintf(w, "Figure 5: inference runtime, baseline vs TGOpt (%s, %d runs, batch %d)\n",
-		kind, s.Runs, s.BatchSize)
+		kind, runs, s.BatchSize)
 	fprintf(w, "%-14s %14s %14s %9s\n", "dataset", "baseline", "tgopt", "speedup")
 	var rows []Figure5Row
 	for _, name := range names {
@@ -41,12 +49,13 @@ func Figure5(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Figure5Ro
 			return nil, err
 		}
 		wl.SetBatchSize(s.BatchSize)
-		base, baseStd := MeasureRuns(wl, baselineOptions(), kind, s.Runs)
-		opt, optStd := MeasureRuns(wl, optAllScaled(s), kind, s.Runs)
+		base, baseStd, baseRows := MeasureRuns(wl, baselineOptions(), kind, s.Runs)
+		opt, optStd, optRows := MeasureRuns(wl, optAllScaled(s), kind, s.Runs)
 		row := Figure5Row{
 			Dataset: name, Device: kind,
 			Baseline: base, BaselineStd: baseStd,
 			Optimized: opt, OptimizedStd: optStd,
+			BaselineRows: baseRows, OptimizedRows: optRows,
 		}
 		rows = append(rows, row)
 		fprintf(w, "%-14s %11.3fs±%.2f %11.3fs±%.2f %8.2fx\n",

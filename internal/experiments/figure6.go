@@ -61,16 +61,9 @@ func Figure6(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Figure6Ro
 		wl.SetBatchSize(s.BatchSize)
 		row := Figure6Row{Dataset: name, Device: kind}
 		for _, st := range steps {
-			runs := max(s.Runs, 1)
-			var total time.Duration
-			var attnRows int64
-			for i := 0; i < runs; i++ {
-				res := RunInference(wl, st.Options, kind)
-				total += res.Runtime
-				attnRows = res.Collector.Counter("attention_rows") // same every run
-			}
+			rt, _, attnRows := MeasureRuns(wl, st.Options, kind, s.Runs)
 			row.Labels = append(row.Labels, st.Label)
-			row.Runtimes = append(row.Runtimes, total/time.Duration(runs))
+			row.Runtimes = append(row.Runtimes, rt)
 			row.AttnRows = append(row.AttnRows, attnRows)
 		}
 		base := row.Runtimes[0]

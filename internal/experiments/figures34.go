@@ -60,7 +60,7 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 		}
 		eng.Embed(nodes, ts)
 		hits := col.Counter("cache_hits")
-		lookups := col.Counter("cache_lookups")
+		lookups := col.Counter(stats.OpCacheLookup)
 		dh := hits - prevHits
 		dl := lookups - prevLookups
 		prevHits, prevLookups = hits, lookups

@@ -7,6 +7,7 @@ import (
 	"tgopt/internal/core"
 	"tgopt/internal/device"
 	"tgopt/internal/graph"
+	"tgopt/internal/stats"
 )
 
 // Table4Cell is one (dataset, cache-limit) measurement: runtime under
@@ -57,7 +58,7 @@ func Table4(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Table4Cell
 				Dataset: name, Limit: limit,
 				Runtime: res.Runtime, Bytes: res.Engine.CacheBytes(),
 				HitRate:  res.HitRate.Average(),
-				AttnRows: res.Collector.Counter("attention_rows"),
+				AttnRows: res.Collector.Counter(stats.OpAttention),
 			})
 		}
 		cells = append(cells, rowCells...)
@@ -74,26 +75,18 @@ func Table4(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Table4Cell
 	return cells, nil
 }
 
-// Table5Result is the transfer-cost account of one dataset under one
-// cache placement (paper Table 5): per-direction bytes, simulated time,
-// and the share of total simulated device activity.
+// Table5Result is one dataset's run priced under one cache placement
+// (paper Table 5): per-direction transfer accounts, their share of the
+// simulated runtime, and the per-op times behind it.
 type Table5Result struct {
 	Dataset   string
-	OnDevice  bool
-	Transfers [3]device.Transfer
-	Total     time.Duration // total simulated runtime including kernels
-}
-
-// Pct returns direction d's share of the total simulated runtime.
-func (r Table5Result) Pct(d device.Direction) float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return 100 * float64(r.Transfers[d].Time) / float64(r.Total)
+	Placement device.Placement
+	device.Priced
 }
 
 // Table5 compares host-resident vs device-resident cache storage under
-// the simulated accelerator for each named dataset.
+// the simulated accelerator for each named dataset: one TGOpt run per
+// dataset, priced under both placements.
 func Table5(w io.Writer, s Setup, names []string) ([]Table5Result, error) {
 	fprintf(w, "Table 5: simulated data movement by cache placement\n")
 	fprintf(w, "%-14s %-8s %22s %22s %22s\n", "dataset", "cache", "HtoD", "DtoH", "DtoD")
@@ -104,21 +97,10 @@ func Table5(w io.Writer, s Setup, names []string) ([]Table5Result, error) {
 			return nil, err
 		}
 		wl.SetBatchSize(s.BatchSize)
-		for _, onDevice := range []bool{false, true} {
-			opt := optAllScaled(s)
-			opt.CacheOnDevice = onDevice
-			res := RunInference(wl, opt, GPU)
-			tr := Table5Result{
-				Dataset:   name,
-				OnDevice:  onDevice,
-				Transfers: res.Sim.Transfers(),
-				Total:     res.Runtime,
-			}
+		res := RunInference(wl, optAllScaled(s), GPU)
+		for _, place := range []device.Placement{device.CacheOnHost, device.CacheOnDevice} {
+			tr := Table5Result{Dataset: name, Placement: place, Priced: res.Price(place)}
 			results = append(results, tr)
-			place := "CPU"
-			if onDevice {
-				place = "GPU"
-			}
 			fprintf(w, "%-14s %-8s", name, place)
 			for _, d := range []device.Direction{device.HtoD, device.DtoH, device.DtoD} {
 				x := tr.Transfers[d]
@@ -165,11 +147,15 @@ func Figure7(w io.Writer, s Setup, names []string) ([]Figure7Series, error) {
 // SamplingComparison contrasts most-recent and uniform sampling (a §7
 // future-work probe): with uniform sampling the memoization cache is
 // unsound, so TGOpt can only apply dedup + time precompute; the row
-// reports the achievable speedup under each strategy.
+// reports the achievable speedup under each strategy, and the rows each
+// optimized run sent through attention (the deterministic quantity
+// behind the speedups: the baselines compute the same rows under either
+// strategy).
 type SamplingComparison struct {
-	Dataset           string
-	MostRecentSpeedup float64
-	UniformSpeedup    float64
+	Dataset                     string
+	MostRecentSpeedup           float64
+	UniformSpeedup              float64
+	MostRecentRows, UniformRows int64
 }
 
 func newUniformSampler(wl *Workload, s Setup) *graph.Sampler {
@@ -183,24 +169,26 @@ func CompareSampling(w io.Writer, s Setup, name string) (*SamplingComparison, er
 		return nil, err
 	}
 	wl.SetBatchSize(s.BatchSize)
-	base, _ := MeasureRuns(wl, baselineOptions(), CPU, s.Runs)
-	full, _ := MeasureRuns(wl, optAllScaled(s), CPU, s.Runs)
+	base, _, _ := MeasureRuns(wl, baselineOptions(), CPU, s.Runs)
+	full, _, fullRows := MeasureRuns(wl, optAllScaled(s), CPU, s.Runs)
 
 	// Uniform sampling: rebuild the workload around a uniform sampler
 	// and disable the (unsound) cache.
 	uwl := &Workload{DS: wl.DS, Model: wl.Model}
 	uwl.Sampler = newUniformSampler(wl, s)
 	uwl.SetBatchSize(s.BatchSize)
-	ubase, _ := MeasureRuns(uwl, baselineOptions(), CPU, s.Runs)
+	ubase, _, _ := MeasureRuns(uwl, baselineOptions(), CPU, s.Runs)
 	uopt := core.Options{EnableDedup: true, EnableTimePrecompute: true, TimeWindow: s.TimeWindow}
-	ufull, _ := MeasureRuns(uwl, uopt, CPU, s.Runs)
+	ufull, _, uRows := MeasureRuns(uwl, uopt, CPU, s.Runs)
 
 	res := &SamplingComparison{
 		Dataset:           name,
 		MostRecentSpeedup: float64(base) / float64(full),
 		UniformSpeedup:    float64(ubase) / float64(ufull),
+		MostRecentRows:    fullRows,
+		UniformRows:       uRows,
 	}
-	fprintf(w, "Sampling ablation (%s): most-recent %.2fx (all opts) vs uniform %.2fx (dedup+time only)\n",
-		name, res.MostRecentSpeedup, res.UniformSpeedup)
+	fprintf(w, "Sampling ablation (%s): most-recent %.2fx (all opts, %d attention rows) vs uniform %.2fx (dedup+time only, %d rows)\n",
+		name, res.MostRecentSpeedup, res.MostRecentRows, res.UniformSpeedup, res.UniformRows)
 	return res, nil
 }

@@ -1,7 +1,8 @@
 // Package stats provides the lightweight operation-level instrumentation
 // behind the paper's breakdown analysis (Table 3) and hit-rate plots
 // (Figure 7): named wall-clock timers and counters, plus a sliding-window
-// hit-rate tracker.
+// hit-rate tracker. An operation observed through Observe also leaves
+// its item count and call count, the work internal/device prices.
 //
 // A nil *Collector is valid and free: every method no-ops, so hot paths
 // can carry an optional collector without branching at call sites.
@@ -31,12 +32,13 @@ const (
 	OpTransfer     = "DeviceTransfer"
 )
 
-// Collector accumulates named durations and counters. It is safe for
-// concurrent use.
+// Collector accumulates named durations and counters, and how many
+// times each operation was observed. It is safe for concurrent use.
 type Collector struct {
 	mu     sync.Mutex
 	durs   map[string]time.Duration
 	counts map[string]int64
+	calls  map[string]int64
 }
 
 // NewCollector returns an empty collector.
@@ -44,6 +46,7 @@ func NewCollector() *Collector {
 	return &Collector{
 		durs:   make(map[string]time.Duration),
 		counts: make(map[string]int64),
+		calls:  make(map[string]int64),
 	}
 }
 
@@ -64,6 +67,20 @@ func (c *Collector) Add(name string, d time.Duration) {
 	}
 	c.mu.Lock()
 	c.durs[name] += d
+	c.mu.Unlock()
+}
+
+// Observe records one call of operation name that took d and handled n
+// items: d into its duration, n into its counter, and one into its
+// call count.
+func (c *Collector) Observe(name string, d time.Duration, n int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.durs[name] += d
+	c.counts[name] += n
+	c.calls[name]++
 	c.mu.Unlock()
 }
 
@@ -97,6 +114,16 @@ func (c *Collector) Counter(name string) int64 {
 	return c.counts[name]
 }
 
+// Calls returns how many times operation name was observed.
+func (c *Collector) Calls(name string) int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[name]
+}
+
 // Reset clears all timers and counters.
 func (c *Collector) Reset() {
 	if c == nil {
@@ -106,11 +133,10 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.durs = make(map[string]time.Duration)
 	c.counts = make(map[string]int64)
+	c.calls = make(map[string]int64)
 }
 
-// Total returns the sum of all accumulated durations — the simulated
-// end-to-end runtime when operations were recorded through a device
-// model.
+// Total returns the sum of all accumulated durations.
 func (c *Collector) Total() time.Duration {
 	if c == nil {
 		return 0

@@ -20,6 +20,15 @@ func TestCollectorAccumulates(t *testing.T) {
 	if c.Counter("embeds") != 12 {
 		t.Fatalf("Counter = %v", c.Counter("embeds"))
 	}
+	c.Observe(OpCacheStore, time.Second, 40)
+	c.Observe(OpCacheStore, time.Second, 2)
+	if c.Duration(OpCacheStore) != 2*time.Second || c.Counter(OpCacheStore) != 42 || c.Calls(OpCacheStore) != 2 {
+		t.Fatalf("Observe: duration %v, count %d, calls %d",
+			c.Duration(OpCacheStore), c.Counter(OpCacheStore), c.Calls(OpCacheStore))
+	}
+	if c.Calls(OpAttention) != 0 {
+		t.Fatal("Add counted a call")
+	}
 }
 
 func TestCollectorTimeMeasuresElapsed(t *testing.T) {
@@ -37,8 +46,9 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.Time("x")()
 	c.Add("x", time.Second)
 	c.Count("x", 1)
+	c.Observe("x", time.Second, 1)
 	c.Reset()
-	if c.Duration("x") != 0 || c.Counter("x") != 0 {
+	if c.Duration("x") != 0 || c.Counter("x") != 0 || c.Calls("x") != 0 {
 		t.Fatal("nil collector returned nonzero")
 	}
 	if c.String() != "<nil collector>" {
@@ -52,6 +62,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 func TestCollectorResetAndDurations(t *testing.T) {
 	c := NewCollector()
 	c.Add("a", time.Second)
+	c.Observe("b", time.Second, 3)
 	m := c.Durations()
 	if m["a"] != time.Second {
 		t.Fatal("Durations copy wrong")
@@ -61,7 +72,7 @@ func TestCollectorResetAndDurations(t *testing.T) {
 		t.Fatal("Durations did not copy")
 	}
 	c.Reset()
-	if c.Duration("a") != 0 {
+	if c.Duration("a") != 0 || c.Counter("b") != 0 || c.Calls("b") != 0 {
 		t.Fatal("Reset did not clear")
 	}
 }
@@ -86,6 +97,7 @@ func TestCollectorConcurrentUse(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				c.Add("op", time.Microsecond)
 				c.Count("n", 1)
+				c.Observe("obs", time.Microsecond, 2)
 			}
 		}()
 	}
@@ -95,6 +107,9 @@ func TestCollectorConcurrentUse(t *testing.T) {
 	}
 	if c.Duration("op") != 5000*time.Microsecond {
 		t.Fatalf("concurrent Add lost updates: %v", c.Duration("op"))
+	}
+	if c.Calls("obs") != 5000 || c.Counter("obs") != 10000 {
+		t.Fatalf("concurrent Observe lost updates: %d calls, %d items", c.Calls("obs"), c.Counter("obs"))
 	}
 }
 

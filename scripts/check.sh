@@ -63,6 +63,7 @@ one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	int
 one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hedged reads)	-E	Breaker|HedgeDelay|hedgeDelayFor|Quorum	internal/shard internal/serve cmd	a second shard health rule is back
 one sketch site (a TinyLFU sketch is built only where a shard arms it)	-E	= newFreqSketch\(	internal/core	a second TinyLFU sketch site is back: a shard builds its sketch only on the insert that brings it to half its limit	1
 one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
+one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for pkg in batcher core serve shard tgat; do
@@ -71,6 +72,11 @@ done
 
 echo "== go test"
 go test ./...
+
+echo "== deterministic experiments (every internal/experiments verdict reads counts or counts priced by internal/device, never a clock: twenty repeats)"
+experiments_start=$SECONDS
+go test -count=20 ./internal/experiments
+echo "   experiments stanza wall time: $((SECONDS - experiments_start)) s"
 
 echo "== go test -race (concurrency-sensitive + fault-injection packages)"
 race_start=$SECONDS
