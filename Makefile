@@ -33,4 +33,4 @@ benchmark-compare:
 # (absorbed vs batched-matmul, DESIGN.md §6.1).
 microbench:
 	$(GO) test -bench=. -benchmem ./internal/tensor/
-	$(GO) test -run '^$$' -bench BenchmarkAttentionKernels -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkAbsorbedVsProjected -benchmem ./internal/nn/

@@ -43,12 +43,6 @@ func Const(t *tensor.Tensor) *Value {
 // produced (no Backward yet, or not reachable from the loss).
 func (v *Value) Grad() *tensor.Tensor { return v.grad }
 
-// ZeroGrad clears the accumulated gradient.
-func (v *Value) ZeroGrad() { v.grad = nil }
-
-// RequiresGrad reports whether gradients flow into this value.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 func (v *Value) ensureGrad() *tensor.Tensor {
 	if v.grad == nil {
 		v.grad = tensor.New(v.T.Shape()...)
@@ -171,33 +165,6 @@ func Linear(x, w, b *Value) *Value {
 	return AddRowBias(y, b)
 }
 
-// Add returns x + y elementwise.
-func Add(x, y *Value) *Value {
-	o := newOp(tensor.Add(x.T, y.T), nil, x, y)
-	if o.requiresGrad {
-		o.back = func() {
-			if x.requiresGrad {
-				tensor.AddInPlace(x.ensureGrad(), o.grad)
-			}
-			if y.requiresGrad {
-				tensor.AddInPlace(y.ensureGrad(), o.grad)
-			}
-		}
-	}
-	return o
-}
-
-// Scale returns x * s.
-func Scale(x *Value, s float32) *Value {
-	o := newOp(tensor.Scale(x.T, s), nil, x)
-	if o.requiresGrad {
-		o.back = func() {
-			tensor.AddInPlace(x.ensureGrad(), tensor.Scale(o.grad, s))
-		}
-	}
-	return o
-}
-
 // ReLU applies max(0, x).
 func ReLU(x *Value) *Value {
 	o := newOp(tensor.ReLU(x.T), nil, x)
@@ -277,22 +244,6 @@ func GatherRows(x *Value, idx []int32) *Value {
 				for j := range row {
 					row[j] += orow[j]
 				}
-			}
-		}
-	}
-	return o
-}
-
-// Sum reduces to a scalar.
-func Sum(x *Value) *Value {
-	out := tensor.Scalar(float32(tensor.Sum(x.T)))
-	o := newOp(out, nil, x)
-	if o.requiresGrad {
-		o.back = func() {
-			g := x.ensureGrad()
-			s := o.grad.Data()[0]
-			for i := range g.Data() {
-				g.Data()[i] += s
 			}
 		}
 	}

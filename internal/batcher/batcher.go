@@ -331,17 +331,6 @@ func (b *Batcher) runPass(c *cohort) {
 	b.occupancy.Observe(int64(nm))
 }
 
-// InFlight reports the live queue state: targets pending in the open
-// cohort and fused passes currently executing.
-func (b *Batcher) InFlight() (pending, running int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.pending != nil {
-		pending = len(b.pending.nodes)
-	}
-	return pending, b.running
-}
-
 // Snapshot is a point-in-time copy of the batcher's counters.
 type Snapshot struct {
 	Enqueued    int64 // targets enqueued

@@ -487,3 +487,14 @@ func TestBatcherMatchesEngineBitwise(t *testing.T) {
 		}
 	}
 }
+
+// InFlight reports the live queue state: targets pending in the open
+// cohort and fused passes currently executing.
+func (b *Batcher) InFlight() (pending, running int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pending != nil {
+		pending = len(b.pending.nodes)
+	}
+	return pending, b.running
+}

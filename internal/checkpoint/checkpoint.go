@@ -139,15 +139,11 @@ func Decode(data []byte, decode func(version uint32, r io.Reader) error) error {
 	return nil
 }
 
-// Write atomically replaces path with a new snapshot. The payload is
-// fully encoded in memory first, so a failing encoder never touches
-// the disk; then the envelope goes through the tmp+fsync+rename+fsync
-// sequence. On any error the previous snapshot at path is untouched.
-func Write(path string, version uint32, encode func(io.Writer) error) error {
-	return WriteFS(OS{}, path, version, encode)
-}
-
-// WriteFS is Write over an injectable file system.
+// WriteFS atomically replaces path on fsys with a new snapshot. The
+// payload is fully encoded in memory first, so a failing encoder never
+// touches the disk; then the envelope goes through the
+// tmp+fsync+rename+fsync sequence. On any error the previous snapshot
+// at path is untouched.
 func WriteFS(fsys FS, path string, version uint32, encode func(io.Writer) error) error {
 	data, err := Encode(version, encode)
 	if err != nil {

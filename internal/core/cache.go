@@ -102,7 +102,7 @@ type CacheStats struct {
 // Cache is the embedding memoization cache of §4.2: a sharded
 // concurrent hash table from 64-bit ⟨node, t⟩ keys to embedding
 // vectors, with a global item limit enforced per shard under either
-// FIFO or TinyLFU admission. Sharding keeps Store and Lookup
+// FIFO or TinyLFU admission. Sharding keeps Store and LookupInto
 // parallelizable, mirroring the concurrent hash table of the C++
 // implementation. Each shard holds its rows in a slab of fixed-width
 // slots (cacheShard): a store copies its row into a slot, and once a
@@ -272,24 +272,17 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// cacheParallelThreshold is the batch size above which Lookup and Store
-// fan out across shards-independent chunks.
+// cacheParallelThreshold is the batch size above which LookupInto and
+// Store fan out across shards-independent chunks.
 const cacheParallelThreshold = 2048
 
-// Lookup searches for every key and copies each hit's embedding into the
-// corresponding row of dst (shape (len(keys), dim)), leaving miss rows
-// untouched. It returns a hit mask and the hit count. The loop
+// LookupInto searches for every key and copies each hit's embedding
+// into the corresponding row of dst (shape (len(keys), dim)), leaving
+// miss rows untouched. It writes the hit mask into hits, a slice of
+// length len(keys) (every element is written, so callers may pass
+// dirty arena scratch), and returns the hit count. The loop
 // parallelizes for large batches; distinct keys never contend on the
 // same row.
-func (c *Cache) Lookup(keys []uint64, dst *tensor.Tensor) ([]bool, int) {
-	hits := make([]bool, len(keys))
-	n := c.LookupInto(keys, dst, hits)
-	return hits, n
-}
-
-// LookupInto is Lookup writing the hit mask into a caller-supplied
-// slice of length len(keys). Every mask element is written (callers may
-// pass dirty arena scratch). Returns the hit count.
 func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
 	return c.lookupExact(keys, nil, dst, hits)
 }
@@ -495,15 +488,4 @@ func (c *Cache) Clear() {
 		s.head, s.tail, s.free = -1, -1, -1
 		s.sketch = nil
 	})
-}
-
-// Keys returns every resident key (no particular order, each key once).
-func (c *Cache) Keys() []uint64 {
-	out := make([]uint64, 0, c.Len())
-	c.eachShard(func(s *cacheShard) {
-		for key := range s.m {
-			out = append(out, key)
-		}
-	})
-	return out
 }

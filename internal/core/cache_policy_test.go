@@ -317,3 +317,15 @@ func ExampleCachePolicy() {
 	fmt.Println(c.Policy() == CacheTinyLFU)
 	// Output: true
 }
+
+// CacheStats aggregates the per-layer cache counters (hit/miss and
+// admission; see CacheStats). Zero when the cache is disabled.
+func (e *Engine) CacheStats() CacheStats {
+	var agg CacheStats
+	for _, c := range e.caches {
+		if c != nil {
+			agg.Add(c.Stats())
+		}
+	}
+	return agg
+}

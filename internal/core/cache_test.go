@@ -345,3 +345,25 @@ func (c *Cache) Contains(key uint64) bool {
 	s.mu.Unlock()
 	return ok
 }
+
+// Lookup searches for every key and copies each hit's embedding into the
+// corresponding row of dst (shape (len(keys), dim)), leaving miss rows
+// untouched. It returns a hit mask and the hit count. The loop
+// parallelizes for large batches; distinct keys never contend on the
+// same row.
+func (c *Cache) Lookup(keys []uint64, dst *tensor.Tensor) ([]bool, int) {
+	hits := make([]bool, len(keys))
+	n := c.LookupInto(keys, dst, hits)
+	return hits, n
+}
+
+// Keys returns every resident key (no particular order, each key once).
+func (c *Cache) Keys() []uint64 {
+	out := make([]uint64, 0, c.Len())
+	c.eachShard(func(s *cacheShard) {
+		for key := range s.m {
+			out = append(out, key)
+		}
+	})
+	return out
+}

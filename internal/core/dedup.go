@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"tgopt/internal/tensor"
 )
@@ -24,8 +23,8 @@ func (d *DedupResult) Unique() int { return len(d.Nodes) }
 // on the two parallel arrays (never materializing an intermediate 2-D
 // tensor). Two pairs are duplicates when their nodes are equal and
 // their times have equal bits, so no time is ever folded into another.
-// The inverse index lets DedupInvert restore the original batch shape
-// after computation.
+// The inverse index lets DedupInvertWith restore the original batch
+// shape after computation.
 func DedupFilter(nodes []int32, ts []float64) *DedupResult {
 	res := DedupFilterWith(nil, nodes, ts)
 	return &res
@@ -97,16 +96,11 @@ func pairHash(node int32, tbits uint64) uint64 {
 	return h
 }
 
-// DedupInvert expands the unique-row tensor H (unique, d) back to the
-// original batch shape using the inverse index, duplicating rows so the
-// output is elementwise identical to what the unoptimized computation
-// would have produced (§4.1).
-func DedupInvert(h *tensor.Tensor, invIdx []int32) *tensor.Tensor {
-	return DedupInvertWith(nil, h, invIdx)
-}
-
-// DedupInvertWith is DedupInvert with the output drawn from ar (heap
-// when ar is nil).
+// DedupInvertWith expands the unique-row tensor H (unique, d) back to
+// the original batch shape using the inverse index, duplicating rows so
+// the output is elementwise identical to what the unoptimized
+// computation would have produced (§4.1). The output is drawn from ar
+// (heap when ar is nil).
 func DedupInvertWith(ar *tensor.Arena, h *tensor.Tensor, invIdx []int32) *tensor.Tensor {
 	d := h.Dim(1)
 	out := ar.Tensor(len(invIdx), d)
@@ -116,40 +110,6 @@ func DedupInvertWith(ar *tensor.Arena, h *tensor.Tensor, invIdx []int32) *tensor
 		copy(dst[i*d:(i+1)*d], src[int(r)*d:(int(r)+1)*d])
 	}
 	return out
-}
-
-// DedupFilterSorted is an alternative deduplication strategy used by the
-// ablation benchmarks: sort by ⟨node, Float64bits(t)⟩, then compact. It
-// produces the same unique *set* but in that order rather than
-// first-appearance order; the inverse index still restores the original
-// batch exactly. It allocates O(n) scratch and is typically slower than
-// the hash-based single pass for the batch sizes TGAT uses, which is
-// why the paper's Algorithm 2 is hash-based.
-func DedupFilterSorted(nodes []int32, ts []float64) *DedupResult {
-	if len(nodes) != len(ts) {
-		panic("core: DedupFilterSorted nodes/ts length mismatch")
-	}
-	n := len(nodes)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	less := func(a, b int32) bool {
-		if nodes[a] != nodes[b] {
-			return nodes[a] < nodes[b]
-		}
-		return math.Float64bits(ts[a]) < math.Float64bits(ts[b])
-	}
-	sort.Slice(order, func(a, b int) bool { return less(order[a], order[b]) })
-	res := &DedupResult{InvIdx: make([]int32, n)}
-	for rank, oi := range order {
-		if rank == 0 || less(order[rank-1], oi) {
-			res.Nodes = append(res.Nodes, nodes[oi])
-			res.Times = append(res.Times, ts[oi])
-		}
-		res.InvIdx[oi] = int32(len(res.Nodes) - 1)
-	}
-	return res
 }
 
 // DuplicationRatio reports the fraction of a batch that DedupFilter

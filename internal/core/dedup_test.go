@@ -126,26 +126,6 @@ func TestDedupFilterRoundTripProperty(t *testing.T) {
 	dedupRoundTripProperty(t, DedupFilter)
 }
 
-func TestDedupFilterSortedRoundTripProperty(t *testing.T) {
-	dedupRoundTripProperty(t, DedupFilterSorted)
-}
-
-func TestDedupStrategiesAgreeOnUniqueCount(t *testing.T) {
-	r := tensor.NewRNG(9)
-	n := 500
-	nodes := make([]int32, n)
-	ts := make([]float64, n)
-	for i := range nodes {
-		nodes[i] = int32(r.Intn(40))
-		ts[i] = float64(r.Intn(20))
-	}
-	a := DedupFilter(nodes, ts)
-	b := DedupFilterSorted(nodes, ts)
-	if a.Unique() != b.Unique() {
-		t.Fatalf("hash dedup %d unique, sorted dedup %d", a.Unique(), b.Unique())
-	}
-}
-
 func TestDuplicationRatio(t *testing.T) {
 	if r := DuplicationRatio([]int32{1, 1, 1, 1}, []float64{0, 0, 0, 0}); r != 0.75 {
 		t.Fatalf("ratio = %v, want 0.75", r)
@@ -170,4 +150,12 @@ func TestNodeDuplicationRatio(t *testing.T) {
 	if NodeDuplicationRatio(nil) != 0 {
 		t.Fatal("empty node ratio should be 0")
 	}
+}
+
+// DedupInvert expands the unique-row tensor H (unique, d) back to the
+// original batch shape using the inverse index, duplicating rows so the
+// output is elementwise identical to what the unoptimized computation
+// would have produced (§4.1).
+func DedupInvert(h *tensor.Tensor, invIdx []int32) *tensor.Tensor {
+	return DedupInvertWith(nil, h, invIdx)
 }

@@ -354,7 +354,7 @@ func (e *Engine) InvalidateEdge(u, v int32, t float64) int {
 
 // InvalidateLateEdge makes the memo cache exact again after an
 // out-of-order edge (u, v, t) was sorted-inserted into the live graph
-// (graph.Dynamic.InsertLate): it drops every memoized embedding
+// (graph.Dynamic.Ingest): it drops every memoized embedding
 // ⟨w, t'⟩ with t' > t whose sampled neighborhood could now include the
 // new edge. At layer 1 only targets u and v qualify — the edge enters
 // no other node's adjacency — and a candidate is kept (reuse
@@ -602,18 +602,6 @@ func (f passFence) staleFor(ts []float64) bool {
 	return false
 }
 
-// CacheStats aggregates the per-layer cache counters (hit/miss and
-// admission; see CacheStats). Zero when the cache is disabled.
-func (e *Engine) CacheStats() CacheStats {
-	var agg CacheStats
-	for _, c := range e.caches {
-		if c != nil {
-			agg.Add(c.Stats())
-		}
-	}
-	return agg
-}
-
 // LayerCacheStats is one cached layer's slice of the cache counters,
 // plus its resident footprint — the per-layer breakdown behind the
 // serving plane's cache_layers stats section and the
@@ -649,10 +637,6 @@ func (e *Engine) LayerCacheStats() []LayerCacheStats {
 
 // EmbedFunc adapts the engine to the inference driver's signature.
 func (e *Engine) EmbedFunc() tgat.EmbedFunc { return e.Embed }
-
-// EmbedArenaFunc adapts the engine to the arena-aware driver signature
-// — the zero-allocation steady-state path.
-func (e *Engine) EmbedArenaFunc() tgat.EmbedArenaFunc { return e.EmbedWith }
 
 // Embed computes top-layer temporal embeddings for the given targets —
 // the paper's Algorithm 1. The result is an ordinary heap tensor owned
@@ -721,9 +705,8 @@ func (e *Engine) noteEmbedTimes(ts []float64) {
 // handled n items: wall time into the stage's latency histogram (stage
 // "" skips that; the histograms stay on even without a Collector so a
 // serving deployment always has per-stage visibility), and wall time,
-// n and the call into the Collector. It replaces a closure-returning
-// predecessor (timeOp) whose per-call closure was measurable garbage on
-// the embed hot path.
+// n and the call into the Collector. It takes the start time rather
+// than returning a closure, so the embed hot path allocates nothing.
 func (e *Engine) observe(op, stage string, n int, start time.Time) {
 	h := e.stages[stage]
 	if h == nil && e.opt.Collector == nil {

@@ -24,7 +24,7 @@ func ExampleDedupFilter() {
 		2, 2, // ⟨9,200⟩
 		3, 3, // ⟨7,300⟩
 	}, 3, 2)
-	full := core.DedupInvert(h, res.InvIdx)
+	full := core.DedupInvertWith(nil, h, res.InvIdx)
 	fmt.Println("restored rows:", full.Dim(0))
 	fmt.Println("row 2 equals row 0:", full.At(2, 0) == full.At(0, 0))
 	// Output:
@@ -49,7 +49,8 @@ func ExampleKey() {
 func ExampleTimeTable() {
 	enc := nn.NewTimeEncoder(4)
 	table := core.NewTimeTable(enc, 1000)
-	out, hits := table.Encode([]float64{0, 42, 999, 1000, 2.5})
+	out := tensor.New(5, 4)
+	hits := table.EncodeIntoWith(nil, []float64{0, 42, 999, 1000, 2.5}, out)
 	fmt.Println("hits:", hits)
 	fmt.Println("exact:", out.AllClose(enc.Encode([]float64{0, 42, 999, 1000, 2.5}), 0))
 	// Output:
@@ -65,7 +66,8 @@ func ExampleCache() {
 	cache.Store(keys, tensor.FromSlice([]float32{1, 1, 2, 2}, 2, 2))
 
 	dst := tensor.New(3, 2)
-	hits, n := cache.Lookup([]uint64{keys[1], core.Key(5, 5), keys[0]}, dst)
+	hits := make([]bool, 3)
+	n := cache.LookupInto([]uint64{keys[1], core.Key(5, 5), keys[0]}, dst, hits)
 	fmt.Println("hits:", n, hits)
 	fmt.Println("row 0:", dst.At(0, 0))
 	// Output:

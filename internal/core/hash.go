@@ -31,18 +31,11 @@ func inKeyDomain(t float64) bool {
 	return t >= 0 && t < 1<<32 && t == math.Trunc(t)
 }
 
-// ComputeKeys computes the cache key of every ⟨node, t⟩ pair.
-func ComputeKeys(nodes []int32, ts []float64) []uint64 {
-	keys := make([]uint64, len(nodes))
-	ComputeKeysInto(keys, nodes, ts)
-	return keys
-}
-
-// ComputeKeysInto is ComputeKeys writing into a caller-supplied slice of
-// length len(nodes) (the engine passes arena scratch). It reports
-// whether every time lies in Key's domain. It runs serially: a key is
-// two integer operations and a domain check, so a fan-out costs more
-// than it splits. On 1 784 keys (a stream-reuse layer-1 batch) at
+// ComputeKeysInto computes the cache key of every ⟨node, t⟩ pair into
+// keys, a slice of length len(nodes) (the engine passes arena scratch),
+// and reports whether every time lies in Key's domain. It runs
+// serially: a key is two integer operations and a domain check, so a
+// fan-out costs more than it splits. On 1 784 keys (a stream-reuse layer-1 batch) at
 // GOMAXPROCS=2 on a 2-vCPU x86-64 host, the loop took 6.9 µs and 0
 // allocs, a fan-out across both Ps 10.9 µs and 3 allocs.
 func ComputeKeysInto(keys []uint64, nodes []int32, ts []float64) bool {

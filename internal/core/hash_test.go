@@ -66,3 +66,10 @@ func TestComputeKeysMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// ComputeKeys computes the cache key of every ⟨node, t⟩ pair.
+func ComputeKeys(nodes []int32, ts []float64) []uint64 {
+	keys := make([]uint64, len(nodes))
+	ComputeKeysInto(keys, nodes, ts)
+	return keys
+}

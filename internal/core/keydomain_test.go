@@ -108,17 +108,13 @@ func TestOutOfDomainEdgeTimeIsAMiss(t *testing.T) {
 func TestDedupFoldsOnlyIdenticalTimes(t *testing.T) {
 	nodes := []int32{5, 5, 5, 5, 5, 6}
 	ts := []float64{10, 10.25, 10 + (1 << 32), 10 - (1 << 33), 10, 10}
-	for name, dedup := range map[string]func([]int32, []float64) *DedupResult{
-		"hash": DedupFilter, "sorted": DedupFilterSorted,
-	} {
-		res := dedup(nodes, ts)
-		if res.Unique() != 5 {
-			t.Fatalf("%s: %d unique of %v, want 5", name, res.Unique(), ts)
-		}
-		for i, r := range res.InvIdx {
-			if res.Nodes[r] != nodes[i] || res.Times[r] != ts[i] {
-				t.Fatalf("%s: target %d restored as ⟨%d, %v⟩", name, i, res.Nodes[r], res.Times[r])
-			}
+	res := DedupFilter(nodes, ts)
+	if res.Unique() != 5 {
+		t.Fatalf("%d unique of %v, want 5", res.Unique(), ts)
+	}
+	for i, r := range res.InvIdx {
+		if res.Nodes[r] != nodes[i] || res.Times[r] != ts[i] {
+			t.Fatalf("target %d restored as ⟨%d, %v⟩", i, res.Nodes[r], res.Times[r])
 		}
 	}
 	if ComputeKeysInto(make([]uint64, len(nodes)), nodes, ts) {

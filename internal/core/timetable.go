@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync/atomic"
 
 	"tgopt/internal/nn"
@@ -34,9 +33,6 @@ func NewTimeTable(enc *nn.TimeEncoder, window int) *TimeTable {
 	return &TimeTable{enc: enc, window: window, table: enc.Encode(dts)}
 }
 
-// Window returns the precomputed range length.
-func (tt *TimeTable) Window() int { return tt.window }
-
 // Dim returns the encoding width d_t.
 func (tt *TimeTable) Dim() int { return tt.enc.Dim() }
 
@@ -52,19 +48,13 @@ func (tt *TimeTable) EncodeZerosInto(n int, dst *tensor.Tensor) {
 	}
 }
 
-// EncodeInto fills dst (len(dts), d) with time encodings, copying
+// EncodeIntoWith fills dst (len(dts), d) with time encodings, copying
 // precomputed rows for integral in-window deltas and computing the rest
-// with the original encoder. It returns the number of table hits
-// (instrumented by the breakdown analysis).
-func (tt *TimeTable) EncodeInto(dts []float64, dst *tensor.Tensor) int {
-	return tt.EncodeIntoWith(nil, dts, dst)
-}
-
-// EncodeIntoWith is EncodeInto on the arena path. Hits and misses are
-// served in one pass over the rows — a miss is encoded straight into
-// its destination row, so there is no miss scratch to draw and ar goes
-// unused; the parameter stays for the callers that thread an arena
-// through every *With call. The row loop parallelizes when
+// with the original encoder, and returns the number of table hits.
+// Hits and misses are served in one pass over the rows — a miss is
+// encoded straight into its destination row, so there is no miss
+// scratch to draw and ar goes unused; the parameter stays for the
+// callers that thread an arena through every *With call. The row loop parallelizes when
 // parallel.WillFanOut(len(dts)): out-of-window deltas are d cosines
 // each, and no window covers a stream whose deltas span six decades.
 func (tt *TimeTable) EncodeIntoWith(_ *tensor.Arena, dts []float64, dst *tensor.Tensor) int {
@@ -98,29 +88,4 @@ func (tt *TimeTable) encodeRows(dts []float64, data []float32, lo, hi int) int {
 		tt.enc.EncodeRow(dt, row)
 	}
 	return hits
-}
-
-// Encode is EncodeInto with allocation.
-func (tt *TimeTable) Encode(dts []float64) (*tensor.Tensor, int) {
-	out := tensor.New(len(dts), tt.Dim())
-	hits := tt.EncodeInto(dts, out)
-	return out, hits
-}
-
-// Bytes returns the memory footprint of the precomputed table.
-func (tt *TimeTable) Bytes() int64 { return int64(tt.table.Len()) * 4 }
-
-// Verify checks that every table row matches a fresh encoder evaluation
-// within tol (used by the self-test and property tests).
-func (tt *TimeTable) Verify(tol float64) bool {
-	d := tt.Dim()
-	for i := 0; i < tt.window; i++ {
-		fresh := tt.enc.EncodeScalar(float64(i))
-		for j := 0; j < d; j++ {
-			if math.Abs(float64(tt.table.At(i, j))-float64(fresh.At(j))) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

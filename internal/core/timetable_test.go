@@ -168,3 +168,39 @@ func TestTimeTableEncodeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// Window returns the precomputed range length.
+func (tt *TimeTable) Window() int { return tt.window }
+
+// Encode is EncodeInto with allocation.
+func (tt *TimeTable) Encode(dts []float64) (*tensor.Tensor, int) {
+	out := tensor.New(len(dts), tt.Dim())
+	hits := tt.EncodeInto(dts, out)
+	return out, hits
+}
+
+// Bytes returns the memory footprint of the precomputed table.
+func (tt *TimeTable) Bytes() int64 { return int64(tt.table.Len()) * 4 }
+
+// Verify checks that every table row matches a fresh encoder evaluation
+// within tol (used by the self-test and property tests).
+func (tt *TimeTable) Verify(tol float64) bool {
+	d := tt.Dim()
+	for i := 0; i < tt.window; i++ {
+		fresh := tt.enc.EncodeScalar(float64(i))
+		for j := 0; j < d; j++ {
+			if math.Abs(float64(tt.table.At(i, j))-float64(fresh.At(j))) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// EncodeInto fills dst (len(dts), d) with time encodings, copying
+// precomputed rows for integral in-window deltas and computing the rest
+// with the original encoder. It returns the number of table hits
+// (instrumented by the breakdown analysis).
+func (tt *TimeTable) EncodeInto(dts []float64, dst *tensor.Tensor) int {
+	return tt.EncodeIntoWith(nil, dts, dst)
+}

@@ -24,15 +24,14 @@ import (
 	"tgopt/internal/device"
 	"tgopt/internal/graph"
 	"tgopt/internal/stats"
-	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
 // Setup holds the experiment-wide knobs. The paper's settings are
 // BatchSize 200, 2 layers, 2 heads, 20 neighbors, d=100, cache limit 2M,
-// time window 10k on the full datasets; DefaultSetup shrinks data size,
-// feature width and neighbor count proportionally so every experiment
-// runs in minutes on one core.
+// time window 10k on the full datasets; the drivers' setups shrink data
+// size, feature width and neighbor count proportionally so every
+// experiment runs in minutes on one core.
 type Setup struct {
 	Scale      float64 // dataset scale factor
 	BatchSize  int
@@ -44,22 +43,6 @@ type Setup struct {
 	CacheLimit int // 0 = paper's 2M scaled by Scale
 	TimeWindow int
 	Seed       uint64
-}
-
-// DefaultSetup returns the laptop-scale configuration used by the
-// committed EXPERIMENTS.md numbers.
-func DefaultSetup() Setup {
-	return Setup{
-		Scale:      0.004,
-		BatchSize:  200,
-		NodeDim:    32,
-		Heads:      2,
-		Layers:     2,
-		K:          10,
-		Runs:       3,
-		TimeWindow: 10_000,
-		Seed:       1,
-	}
 }
 
 // EffectiveCacheLimit resolves the cache limit: explicit value, or the
@@ -242,6 +225,3 @@ func optAllScaled(s Setup) core.Options {
 	opt.TimeWindow = s.TimeWindow
 	return opt
 }
-
-// rngFor derives a deterministic RNG for auxiliary sampling in drivers.
-func rngFor(s Setup, salt uint64) *tensor.RNG { return tensor.NewRNG(s.Seed*1_000_000_007 + salt) }

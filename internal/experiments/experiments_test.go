@@ -609,3 +609,19 @@ func TestCSVEmitters(t *testing.T) {
 		t.Fatal("Table5CSV misaligned")
 	}
 }
+
+// DefaultSetup returns the laptop-scale configuration used by the
+// committed EXPERIMENTS.md numbers.
+func DefaultSetup() Setup {
+	return Setup{
+		Scale:      0.004,
+		BatchSize:  200,
+		NodeDim:    32,
+		Heads:      2,
+		Layers:     2,
+		K:          10,
+		Runs:       3,
+		TimeWindow: 10_000,
+		Seed:       1,
+	}
+}

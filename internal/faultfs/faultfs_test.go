@@ -128,3 +128,69 @@ func TestFlipBitAndTruncate(t *testing.T) {
 		t.Fatalf("len after truncate = %d", len(data))
 	}
 }
+
+// Writer passes bytes through to W until Limit bytes have been
+// written, then fails: the write that crosses the limit is a short
+// write (the prefix up to the limit reaches W) and returns Err. A
+// negative Limit never faults.
+type Writer struct {
+	W       io.Writer
+	Limit   int   // total bytes allowed through (-1 = unlimited)
+	Err     error // error at the fault point (nil = ErrInjected)
+	written int
+}
+
+// Written returns the bytes that actually reached W.
+func (w *Writer) Written() int { return w.written }
+
+func (w *Writer) Write(p []byte) (int, error) {
+	if w.Limit < 0 || w.written+len(p) <= w.Limit {
+		n, err := w.W.Write(p)
+		w.written += n
+		return n, err
+	}
+	allowed := w.Limit - w.written
+	if allowed < 0 {
+		allowed = 0
+	}
+	n, err := w.W.Write(p[:allowed])
+	w.written += n
+	if err == nil {
+		err = w.errOr()
+	}
+	return n, err
+}
+
+func (w *Writer) errOr() error {
+	if w.Err != nil {
+		return w.Err
+	}
+	return ErrInjected
+}
+
+// Reader yields at most Limit bytes from R, then returns Err (use
+// io.ErrUnexpectedEOF or io.EOF to model truncation). A negative Limit
+// never faults.
+type Reader struct {
+	R     io.Reader
+	Limit int
+	Err   error
+	read  int
+}
+
+func (r *Reader) Read(p []byte) (int, error) {
+	if r.Limit >= 0 {
+		if remaining := r.Limit - r.read; remaining < len(p) {
+			p = p[:remaining]
+		}
+	}
+	if len(p) == 0 {
+		if r.Err != nil {
+			return 0, r.Err
+		}
+		return 0, ErrInjected
+	}
+	n, err := r.R.Read(p)
+	r.read += n
+	return n, err
+}

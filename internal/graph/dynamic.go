@@ -25,7 +25,7 @@ var ErrStale = errors.New("graph: edge time below the low-watermark")
 // Real event streams are not chronological. SetLateness opens a
 // bounded-lateness reordering window: an edge whose timestamp trails
 // the stream clock by at most the window is accepted by sorted insert
-// (InsertLate), anything older is dropped against the low-watermark
+// (Ingest), anything older is dropped against the low-watermark
 // and counted (the Flink/StreamTGN allowed-lateness discipline). Late
 // inserts and deletions rewrite history, so both bump the Mutations
 // epoch; cache layers above (core.Engine) use the epoch plus selective
@@ -34,7 +34,7 @@ var ErrStale = errors.New("graph: edge time below the low-watermark")
 // Dynamic is safe for concurrent use: mutations take the write lock,
 // and a Sampler holds the read lock for a whole SampleTo call, copying
 // every window into its Batch before it lets go. No adjacency slice is
-// read outside the lock, so history-rewriting mutations (InsertLate,
+// read outside the lock, so history-rewriting mutations (late inserts,
 // DeleteEdge) shift the affected suffix in place and appends keep their
 // amortized capacity. Embeddings memoized for a target ⟨i, t⟩ remain
 // valid across appends of edges at times ≥ t (the §3.2 property); late
@@ -165,20 +165,6 @@ func (d *Dynamic) LateAccepted() int64 { return d.lateAccepted.Load() }
 // LateDropped returns the number of edges dropped below the watermark.
 func (d *Dynamic) LateDropped() int64 { return d.lateDropped.Load() }
 
-// GrowNodes extends the node id space to newNumNodes (no-op if already
-// at least that large).
-func (d *Dynamic) GrowNodes(newNumNodes int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if newNumNodes <= d.numNodes {
-		return
-	}
-	for len(d.adj) < newNumNodes+1 {
-		d.adj = append(d.adj, dynAdj{})
-	}
-	d.numNodes = newNumNodes
-}
-
 // validateLocked rejects edges the graph must never absorb: endpoints
 // outside 1..numNodes, non-finite timestamps (NaN compares false
 // against every clock check and would poison lastTime and the sorted
@@ -213,8 +199,8 @@ func (d *Dynamic) assignIdxLocked(e *Edge) {
 // Append adds one undirected interaction. Timestamps must be
 // non-decreasing across calls (the CTDG stream order); an Idx of 0 is
 // assigned automatically from a never-reused counter. It returns the
-// edge id used. Out-of-order edges are an error here — use Ingest (or
-// InsertLate) on streams with a configured lateness window.
+// edge id used. Out-of-order edges are an error here — use Ingest on
+// streams with a configured lateness window.
 func (d *Dynamic) Append(e Edge) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -244,12 +230,12 @@ func (d *Dynamic) appendLocked(e Edge) (int32, error) {
 	return e.Idx, nil
 }
 
-// InsertLate adds an out-of-order interaction by sorted insert into the
-// edge stream and both endpoints' adjacency. The edge must carry a
-// timestamp at or above the low-watermark; older edges return ErrStale
-// and are counted as dropped. Equal timestamps order after previously
-// arrived ones (matching Append's tie behavior). Edges at or past the
-// stream clock degrade to a plain append.
+// insertLateLocked adds an out-of-order interaction by sorted insert
+// into the edge stream and both endpoints' adjacency. The edge must
+// carry a timestamp at or above the low-watermark; older edges return
+// ErrStale and are counted as dropped. Equal timestamps order after
+// previously arrived ones (matching Append's tie behavior). Edges at or
+// past the stream clock degrade to a plain append.
 //
 // A late insert rewrites history: it advances the Mutations epoch, and
 // callers holding a TGOpt engine over this graph must invalidate the
@@ -257,12 +243,6 @@ func (d *Dynamic) appendLocked(e Edge) (int32, error) {
 // preserve semantics. Cost is O(window) plus the log-degree searches:
 // the stream and both endpoints' adjacency shift only the suffix the
 // lateness window bounds, in place under the write lock.
-func (d *Dynamic) InsertLate(e Edge) (int32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.insertLateLocked(e)
-}
-
 func (d *Dynamic) insertLateLocked(e Edge) (int32, error) {
 	if err := d.validateLocked(e); err != nil {
 		return 0, err
@@ -345,8 +325,9 @@ func (r IngestResult) String() string {
 
 // Ingest absorbs one edge from a possibly out-of-order live stream:
 // in-order edges append, edges inside the lateness window sorted-insert
-// (the caller must then run cache invalidation — see InsertLate), and
-// edges below the watermark are dropped and counted without error.
+// (the caller must then run cache invalidation — see
+// insertLateLocked), and edges below the watermark are dropped and
+// counted without error.
 // Invalid edges (bad endpoints, non-finite times, duplicate ids) error
 // without touching the graph.
 func (d *Dynamic) Ingest(e Edge) (IngestResult, int32, error) {
@@ -377,14 +358,6 @@ func (d *Dynamic) windowLocked(v int32, t float64) (nghs, eidxs []int32, times [
 	a := &d.adj[v]
 	hi := sort.Search(len(a.times), func(k int) bool { return a.times[k] >= t })
 	return a.nghs[:hi], a.eidxs[:hi], a.times[:hi]
-}
-
-// TemporalDegree returns |N(v, t)|.
-func (d *Dynamic) TemporalDegree(v int32, t float64) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	nghs, _, _ := d.windowLocked(v, t)
-	return len(nghs)
 }
 
 // CountBetween returns how many of v's interactions carry a timestamp
@@ -474,16 +447,6 @@ func (d *Dynamic) copyEdgesLocked() []Edge {
 		}
 	}
 	return out
-}
-
-// Snapshot materializes the current state as an immutable Graph with
-// the same chronological edge stream.
-func (d *Dynamic) Snapshot() (*Graph, error) {
-	d.mu.RLock()
-	edges := d.copyEdgesLocked()
-	n := d.numNodes
-	d.mu.RUnlock()
-	return NewGraph(n, edges)
 }
 
 // Edges returns a copy of the live edge stream in chronological order.

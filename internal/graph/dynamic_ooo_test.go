@@ -542,3 +542,10 @@ func TestDynamicAppendsSequence(t *testing.T) {
 		t.Fatalf("degraded-to-append insert left Appends at %d, want 3", d.Appends())
 	}
 }
+
+// InsertLate is insertLateLocked under the write lock.
+func (d *Dynamic) InsertLate(e Edge) (int32, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.insertLateLocked(e)
+}

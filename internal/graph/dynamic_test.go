@@ -243,3 +243,39 @@ func TestDynamicConcurrentAppendAndSample(t *testing.T) {
 		t.Fatalf("lost appends: %d", d.NumEdges())
 	}
 }
+
+// GrowNodes extends the node id space to newNumNodes (no-op if already
+// at least that large).
+func (d *Dynamic) GrowNodes(newNumNodes int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if newNumNodes <= d.numNodes {
+		return
+	}
+	for len(d.adj) < newNumNodes+1 {
+		d.adj = append(d.adj, dynAdj{})
+	}
+	d.numNodes = newNumNodes
+}
+
+// TemporalDegree returns |N(v, t)|.
+func (d *Dynamic) TemporalDegree(v int32, t float64) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	nghs, _, _ := d.windowLocked(v, t)
+	return len(nghs)
+}
+
+// Snapshot materializes the current state as an immutable Graph with
+// the same chronological edge stream.
+func (d *Dynamic) Snapshot() (*Graph, error) {
+	d.mu.RLock()
+	edges := d.copyEdgesLocked()
+	n := d.numNodes
+	d.mu.RUnlock()
+	return NewGraph(n, edges)
+}
+
+// Graph returns the underlying immutable graph, or nil when the sampler
+// was built over a Dynamic.
+func (s *Sampler) Graph() *Graph { return s.g }

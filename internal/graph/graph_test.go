@@ -331,3 +331,11 @@ func TestLargeBatchParallelSampling(t *testing.T) {
 		}
 	}
 }
+
+// NumTargets returns the number of target pairs in the batch.
+func (b *Batch) NumTargets() int {
+	if b.K == 0 {
+		return 0
+	}
+	return len(b.Nghs) / b.K
+}

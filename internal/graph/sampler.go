@@ -45,14 +45,6 @@ type Batch struct {
 	Valid []bool    // len n*K, slot validity mask
 }
 
-// NumTargets returns the number of target pairs in the batch.
-func (b *Batch) NumTargets() int {
-	if b.K == 0 {
-		return 0
-	}
-	return len(b.Nghs) / b.K
-}
-
 // Sampler draws bounded temporal neighborhoods from a graph — the
 // NghLookup operation of the paper's Algorithm 1. It is safe for
 // concurrent use: sampling state is per-call.
@@ -92,10 +84,6 @@ func (s *Sampler) K() int { return s.k }
 
 // Strategy returns the sampling strategy.
 func (s *Sampler) Strategy() Strategy { return s.strategy }
-
-// Graph returns the underlying immutable graph, or nil when the sampler
-// was built over a Dynamic.
-func (s *Sampler) Graph() *Graph { return s.g }
 
 // Dynamic returns the underlying streaming graph, or nil when the
 // sampler was built over an immutable Graph.

@@ -27,14 +27,10 @@ func (l *Linear) In() int { return l.W.Dim(1) }
 // Out returns the output dimensionality.
 func (l *Linear) Out() int { return l.W.Dim(0) }
 
-// Forward applies the layer to x of shape (n, in), producing (n, out).
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return l.ForwardWith(nil, x)
-}
-
-// ForwardWith is Forward with the output, and the per-call weight pack
-// of the vector kernel, drawn from ar (heap when ar is nil). The result
-// is invalidated by ar.Reset.
+// ForwardWith applies the layer to x of shape (n, in), producing
+// (n, out). The output, and the per-call weight pack of the vector
+// kernel, are drawn from ar (heap when ar is nil). The result is
+// invalidated by ar.Reset.
 func (l *Linear) ForwardWith(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	dst := ar.Tensor(x.Dim(0), l.Out())
 	tensor.LinearIntoWith(ar, x, l.W, l.B, dst)

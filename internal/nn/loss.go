@@ -1,38 +1,5 @@
 package nn
 
-import (
-	"math"
-
-	"tgopt/internal/tensor"
-)
-
-// BCEWithLogits computes the mean binary cross-entropy between logits
-// and {0,1} labels, numerically stable via the log-sum-exp form:
-// loss = max(x,0) - x·y + log(1+e^{-|x|}).
-func BCEWithLogits(logits *tensor.Tensor, labels []float32) float64 {
-	if logits.Len() != len(labels) {
-		panic("nn: BCEWithLogits length mismatch")
-	}
-	var total float64
-	for i, x := range logits.Data() {
-		xf, y := float64(x), float64(labels[i])
-		total += math.Max(xf, 0) - xf*y + math.Log1p(math.Exp(-math.Abs(xf)))
-	}
-	return total / float64(len(labels))
-}
-
-// BCEWithLogitsGrad returns dLoss/dLogits = (sigmoid(x) - y)/n for the
-// mean BCE above, used by the trainer to seed backpropagation.
-func BCEWithLogitsGrad(logits *tensor.Tensor, labels []float32) *tensor.Tensor {
-	n := float32(logits.Len())
-	g := tensor.New(logits.Shape()...)
-	for i, x := range logits.Data() {
-		s := float32(1 / (1 + math.Exp(-float64(x))))
-		g.Data()[i] = (s - labels[i]) / n
-	}
-	return g
-}
-
 // AveragePrecision computes the area under the precision–recall curve
 // for scores with binary labels — the standard link-prediction metric
 // reported for TGAT. Higher scores should indicate positive edges.

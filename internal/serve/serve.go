@@ -450,8 +450,7 @@ const statusClientClosedRequest = 499
 
 // writeEmbedError classifies a failed embed/score computation:
 //
-//   - the client canceled → 499 accounting, not a server-side 503
-//     (previously both were conflated into one 503 path);
+//   - the client canceled → 499 accounting, not a server-side 503;
 //   - the deadline expired → 504 (the middleware's own 504 response
 //     wins the race; the write here is a discarded buffer);
 //   - no shard of the pool is up → 503 with a Retry-After hint,

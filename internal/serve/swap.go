@@ -34,14 +34,6 @@ func (s *Server) modelStatsJSON() modelStats {
 	}
 }
 
-// ModelVersion returns the params version currently serving: the one
-// the shared model carries, so it moves with the tensors, under the gate.
-func (s *Server) ModelVersion() uint64 { return s.model.Version() }
-
-// SwapRollbacks returns how many swaps were rejected with the previous
-// version kept serving.
-func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
-
 // SwapParams atomically swaps the serving model to the params
 // checkpoint at path, as the given version. Parse-then-commit: the
 // checkpoint is parsed and fully validated (envelope CRC, tensor count,

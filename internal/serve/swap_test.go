@@ -454,3 +454,11 @@ func TestServeSwapLoopTrainerRole(t *testing.T) {
 		t.Fatal("rows unchanged after a fine-tune swap")
 	}
 }
+
+// ModelVersion returns the params version currently serving: the one
+// the shared model carries, so it moves with the tensors, under the gate.
+func (s *Server) ModelVersion() uint64 { return s.model.Version() }
+
+// SwapRollbacks returns how many swaps were rejected with the previous
+// version kept serving.
+func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }

@@ -367,9 +367,6 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	return invalidated
 }
 
-// ParamsVersion returns the model version the pool currently serves.
-func (r *Router) ParamsVersion() uint64 { return r.model.Version() }
-
 // CommitSwap installs params the caller parsed and validated
 // (tgat.Model.ParseParamsFS, once for the whole pool: every shard
 // shares the model). Under the pool swap barrier (in-flight

@@ -287,3 +287,6 @@ func slabEqual(a, b []float32) bool {
 	}
 	return true
 }
+
+// ParamsVersion returns the model version the pool currently serves.
+func (r *Router) ParamsVersion() uint64 { return r.model.Version() }

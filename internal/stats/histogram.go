@@ -55,10 +55,6 @@ func BucketBound(i int) time.Duration {
 	return histBase << i
 }
 
-// NumBuckets returns the total bucket count, including the overflow
-// bucket.
-func (h *Histogram) NumBuckets() int { return histBuckets + 1 }
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
@@ -117,23 +113,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return BucketBound(histBuckets)
 }
 
-// Mean returns the average observed duration, or 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Merge adds o's observations into h, bucket by bucket (every Histogram
 // has the same geometry, so counts add): a server reports one latency
 // distribution over the histograms of all its engines. o may be live:
-// as with Snapshot, Count can then differ from the bucket total by the
-// few observations in flight.
+// Count can then differ from the bucket total by the few observations
+// in flight.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return
@@ -143,47 +127,4 @@ func (h *Histogram) Merge(o *Histogram) {
 	for i := range h.buckets {
 		h.buckets[i].Add(o.buckets[i].Load())
 	}
-}
-
-// Reset clears all observations. Concurrent Observes may be partially
-// lost; Reset is intended for between-run bookkeeping, not hot paths.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram, suitable for
-// rendering (per-bucket counts are non-cumulative; Bounds[i] is the
-// exclusive upper bound of Counts[i], with the final bucket unbounded).
-type HistogramSnapshot struct {
-	Count  int64
-	Sum    time.Duration
-	Bounds []time.Duration
-	Counts []int64
-}
-
-// Snapshot copies the histogram's current state. Taken without locking,
-// so concurrent Observes may make Count differ from the bucket total by
-// a few in-flight observations.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Count:  h.count.Load(),
-		Sum:    time.Duration(h.sum.Load()),
-		Bounds: make([]time.Duration, histBuckets+1),
-		Counts: make([]int64, histBuckets+1),
-	}
-	for i := range h.buckets {
-		s.Bounds[i] = BucketBound(i)
-		s.Counts[i] = h.buckets[i].Load()
-	}
-	return s
 }

@@ -177,3 +177,58 @@ func TestHistogramMergeIsThePooledDistribution(t *testing.T) {
 		}
 	}
 }
+
+// Mean returns the average observed duration, or 0 with no observations.
+func (h *Histogram) Mean() time.Duration {
+	if h == nil {
+		return 0
+	}
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(h.sum.Load() / n)
+}
+
+// Reset clears all observations. Concurrent Observes may be partially
+// lost; Reset is intended for between-run bookkeeping, not hot paths.
+func (h *Histogram) Reset() {
+	if h == nil {
+		return
+	}
+	h.count.Store(0)
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+}
+
+// HistogramSnapshot is a point-in-time copy of a histogram, suitable for
+// rendering (per-bucket counts are non-cumulative; Bounds[i] is the
+// exclusive upper bound of Counts[i], with the final bucket unbounded).
+type HistogramSnapshot struct {
+	Count  int64
+	Sum    time.Duration
+	Bounds []time.Duration
+	Counts []int64
+}
+
+// Snapshot copies the histogram's current state. Taken without locking,
+// so concurrent Observes may make Count differ from the bucket total by
+// a few in-flight observations.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	s := HistogramSnapshot{
+		Count:  h.count.Load(),
+		Sum:    time.Duration(h.sum.Load()),
+		Bounds: make([]time.Duration, histBuckets+1),
+		Counts: make([]int64, histBuckets+1),
+	}
+	for i := range h.buckets {
+		s.Bounds[i] = BucketBound(i)
+		s.Counts[i] = h.buckets[i].Load()
+	}
+	return s
+}

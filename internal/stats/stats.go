@@ -124,18 +124,6 @@ func (c *Collector) Calls(name string) int64 {
 	return c.calls[name]
 }
 
-// Reset clears all timers and counters.
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.durs = make(map[string]time.Duration)
-	c.counts = make(map[string]int64)
-	c.calls = make(map[string]int64)
-}
-
 // Total returns the sum of all accumulated durations.
 func (c *Collector) Total() time.Duration {
 	if c == nil {
@@ -262,14 +250,4 @@ func (h *HitRate) Windowed() []float64 {
 		out[i] = sum / float64(n)
 	}
 	return out
-}
-
-// Batches returns the number of batches recorded.
-func (h *HitRate) Batches() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.batches)
 }

@@ -165,3 +165,25 @@ func TestHitRateWindowClamp(t *testing.T) {
 		t.Fatal("window<1 not clamped")
 	}
 }
+
+// Reset clears all timers and counters.
+func (c *Collector) Reset() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.durs = make(map[string]time.Duration)
+	c.counts = make(map[string]int64)
+	c.calls = make(map[string]int64)
+}
+
+// Batches returns the number of batches recorded.
+func (h *HitRate) Batches() int {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.batches)
+}

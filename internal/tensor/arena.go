@@ -91,8 +91,8 @@ func (a *Arena) Reset() {
 }
 
 // Tensor returns a tensor of the given shape with UNINITIALIZED
-// contents (it may hold data from a previous batch). Use TensorZero
-// when the kernel accumulates instead of overwriting.
+// contents (it may hold data from a previous batch): clear it when the
+// kernel accumulates instead of overwriting.
 func (a *Arena) Tensor(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
@@ -111,16 +111,6 @@ func (a *Arena) Tensor(shape ...int) *Tensor {
 	}
 	t.data = t.data[:n]
 	t.setShape(shape)
-	return t
-}
-
-// TensorZero is Tensor with the contents cleared.
-func (a *Arena) TensorZero(shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
-	t := a.Tensor(shape...)
-	clear(t.data)
 	return t
 }
 

@@ -319,34 +319,6 @@ func matmulTRows(a, b, c []float32, lo, hi, k, n int) {
 	}
 }
 
-// MatVec computes y = A·x for A (m,k) and x of length k, returning shape
-// [m].
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: MatVec requires rank-2 matrix")
-	}
-	m, k := a.shape[0], a.shape[1]
-	if x.Len() != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x len %d", a.shape, x.Len()))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		out.data[i] = dot32(a.data[i*k:(i+1)*k], x.data)
-	}
-	return out
-}
-
-// BatchedMatMul computes C[b] = A[b]·B[b] for rank-3 tensors
-// A (B,m,k) and B (B,k,n), producing (B,m,n).
-func BatchedMatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic("tensor: BatchedMatMul requires rank-3 operands")
-	}
-	out := New(a.shape[0], a.shape[1], b.shape[2])
-	BatchedMatMulInto(a, b, out)
-	return out
-}
-
 // BatchedMatMulInto computes C[b] = A[b]·B[b] into dst (B,m,n),
 // overwriting it. Batches are independent; the batch loop parallelizes
 // when parallel.WillFanOut(bs), with a serial blocked kernel per batch.
@@ -403,35 +375,20 @@ func batchedCheck(op string, a, b, dst *Tensor) (bs, m, k, n int) {
 	return bs, m, k, n
 }
 
-// Linear computes x·Wᵀ + bias for x (n, in), W (out, in) and bias [out]
-// (bias may be nil). This matches the PyTorch nn.Linear weight layout so
-// trained parameters round-trip naturally.
-func Linear(x, w, bias *Tensor) *Tensor {
-	if x.Rank() != 2 || w.Rank() != 2 {
-		panic("tensor: Linear requires rank-2 operands")
-	}
-	out := New(x.shape[0], w.shape[0])
-	LinearInto(x, w, bias, out)
-	return out
-}
-
-// LinearInto is Linear writing into dst (n, out), overwriting it. The
+// LinearIntoWith computes x·Wᵀ + bias into dst (n, out), overwriting
+// it, for x (n, in), W (out, in) and bias [out] (bias may be nil; the
+// PyTorch nn.Linear weight layout). It runs the process's vector
+// kernel, where it has one: Wᵀ is packed into scratch drawn from ar
+// (heap when ar is nil) for this call alone, before any fan-out. The
 // row loop parallelizes when parallel.WillFanOut(n); each chunk is one
-// LinearRows call, so the bias rides in the same pass as the product.
-func LinearInto(x, w, bias, dst *Tensor) {
-	linearInto(x, w, nil, bias, dst)
-}
-
-// LinearIntoWith is LinearInto through the process's vector kernel,
-// where it has one: Wᵀ is packed into scratch drawn from ar (heap when
-// ar is nil) for this call alone, before any fan-out. Same bits as
-// LinearInto.
+// LinearRowsPacked call, so the bias rides in the same pass as the
+// product. Same bits as the scalar kernel.
 func LinearIntoWith(ar *Arena, x, w, bias, dst *Tensor) {
 	linearInto(x, w, PackLinear(ar, w), bias, dst)
 }
 
-// LinearIntoPacked is LinearInto over wt = PackLinear(·, w), made since
-// the last write to w; a nil wt is LinearInto. Same bits.
+// LinearIntoPacked is LinearIntoWith over wt = PackLinear(·, w), made
+// since the last write to w; a nil wt is the scalar kernel. Same bits.
 func LinearIntoPacked(x, w *Tensor, wt []float32, bias, dst *Tensor) {
 	linearInto(x, w, wt, bias, dst)
 }
@@ -457,21 +414,17 @@ func linearInto(x, w *Tensor, wt []float32, bias, dst *Tensor) {
 	}
 }
 
-// LinearRows computes dst = x·Wᵀ + bias for the m rows of x (m, in)
-// into dst (m, out), serially on the calling goroutine: the row-range
-// kernel under LinearInto, for callers already inside a parallel region
-// (the fused layer pass hands it one tile at a time). Every output
-// element is one fixed-order sum over its own x row, so a row's bits do
-// not depend on which call computes it. bias may be nil.
-func LinearRows(x []float32, m int, w, bias *Tensor, dst []float32) {
-	LinearRowsPacked(x, m, w, nil, bias, dst)
-}
-
-// LinearRowsPacked is LinearRows with wt = PackLinear(·, w): the first
-// out&^3 columns of each row are AccumRows over Wᵀ — lanes across the
-// outputs, each output the sequential sum from +0 that matmulTRows
-// gives it — and the out%4 tail columns keep matmulTRows' dot32, whose
-// sum associates differently. A nil wt is the scalar kernel throughout.
+// LinearRowsPacked computes dst = x·Wᵀ + bias for the m rows of x
+// (m, in) into dst (m, out), serially on the calling goroutine: the
+// row-range kernel under LinearIntoWith, for callers already inside a
+// parallel region (the fused layer pass hands it one tile at a time).
+// Every output element is one fixed-order sum over its own x row, so a
+// row's bits do not depend on which call computes it. bias may be nil.
+// With wt = PackLinear(·, w) the first out&^3 columns of each row are
+// AccumRows over Wᵀ — lanes across the outputs, each output the
+// sequential sum from +0 that matmulTRows gives it — and the out%4 tail
+// columns keep matmulTRows' dot32, whose sum associates differently. A
+// nil wt is the scalar kernel throughout.
 func LinearRowsPacked(x []float32, m int, w *Tensor, wt []float32, bias *Tensor, dst []float32) {
 	n, k := w.shape[0], w.shape[1]
 	if len(x) != m*k || len(dst) != m*n {

@@ -415,3 +415,13 @@ func ExampleMatMulPackedInto() {
 	fmt.Println(dst)
 	// Output: Tensor[2 2][19 22 43 50]
 }
+
+// TensorZero is Tensor with the contents cleared.
+func (a *Arena) TensorZero(shape ...int) *Tensor {
+	if a == nil {
+		return New(shape...)
+	}
+	t := a.Tensor(shape...)
+	clear(t.data)
+	return t
+}

@@ -1,25 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // binaryCheck panics unless a and b have the same element count.
 func binaryCheck(op string, a, b *Tensor) {
 	if len(a.data) != len(b.data) {
 		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", op, a.shape, b.shape))
 	}
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	binaryCheck("Add", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out
 }
 
 // AddInPlace sets a = a + b elementwise and returns a.
@@ -31,58 +18,10 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	return a
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	binaryCheck("Sub", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	binaryCheck("Mul", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	binaryCheck("Div", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] / b.data[i]
-	}
-	return out
-}
-
-// Scale returns a * s elementwise.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * s
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of a by s and returns a.
 func ScaleInPlace(a *Tensor, s float32) *Tensor {
 	for i := range a.data {
 		a.data[i] *= s
-	}
-	return a
-}
-
-// AXPY performs a += alpha*b elementwise and returns a.
-func AXPY(alpha float32, b, a *Tensor) *Tensor {
-	binaryCheck("AXPY", a, b)
-	for i := range a.data {
-		a.data[i] += alpha * b.data[i]
 	}
 	return a
 }
@@ -101,16 +40,6 @@ func AddRowBias(a, bias *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// AddRowBiasInPlace adds bias to every row of a in place and returns a.
-func AddRowBiasInPlace(a, bias *Tensor) *Tensor {
-	w := a.Dim(-1)
-	if bias.Len() != w {
-		panic(fmt.Sprintf("tensor: AddRowBiasInPlace bias length %d != trailing dim %d", bias.Len(), w))
-	}
-	addRowBias(a.data, bias.data)
-	return a
 }
 
 // addRowBias adds bias to every len(bias)-wide row of data. The vector
@@ -159,22 +88,6 @@ func SumRows(a *Tensor) *Tensor {
 		for j, v := range row {
 			out.data[j] += v
 		}
-	}
-	return out
-}
-
-// SumLast reduces along the trailing dimension: (.., w) -> (..) with the
-// result flattened to rank 1 of length Len()/w.
-func SumLast(a *Tensor) *Tensor {
-	w := a.Dim(-1)
-	rows := a.Len() / w
-	out := New(rows)
-	for i := 0; i < rows; i++ {
-		s := float32(0)
-		for j := 0; j < w; j++ {
-			s += a.data[i*w+j]
-		}
-		out.data[i] = s
 	}
 	return out
 }
@@ -245,32 +158,6 @@ func ConcatColsInto(dst *Tensor, ts ...*Tensor) {
 	}
 }
 
-// ConcatRows concatenates rank-2 tensors with equal column counts along
-// the row dimension.
-func ConcatRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: ConcatRows of nothing")
-	}
-	w := ts[0].shape[1]
-	rows := 0
-	for _, t := range ts {
-		if t.Rank() != 2 {
-			panic("tensor: ConcatRows requires rank 2")
-		}
-		if t.shape[1] != w {
-			panic(fmt.Sprintf("tensor: ConcatRows column mismatch %d vs %d", t.shape[1], w))
-		}
-		rows += t.shape[0]
-	}
-	out := New(rows, w)
-	off := 0
-	for _, t := range ts {
-		copy(out.data[off:off+len(t.data)], t.data)
-		off += len(t.data)
-	}
-	return out
-}
-
 // SplitCols splits a rank-2 tensor into pieces with the given column
 // widths, which must sum to Dim(1). Each piece is a fresh tensor.
 func SplitCols(a *Tensor, widths ...int) []*Tensor {
@@ -296,98 +183,6 @@ func SplitCols(a *Tensor, widths ...int) []*Tensor {
 		off += wd
 	}
 	return outs
-}
-
-// GatherRows selects rows of a rank-2 tensor (n, w) by index, producing
-// shape (len(idx), w). Indices out of range panic.
-func GatherRows(a *Tensor, idx []int) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: GatherRows requires rank 2")
-	}
-	w := a.shape[1]
-	out := New(len(idx), w)
-	GatherRowsInto(a, idx, out)
-	return out
-}
-
-// GatherRowsInto is GatherRows writing into dst, which must have shape
-// (len(idx), w).
-func GatherRowsInto(a *Tensor, idx []int, dst *Tensor) {
-	w := a.shape[1]
-	if dst.shape[0] != len(idx) || dst.shape[1] != w {
-		panic(fmt.Sprintf("tensor: GatherRowsInto dst shape %v, want [%d %d]", dst.shape, len(idx), w))
-	}
-	for i, r := range idx {
-		copy(dst.data[i*w:(i+1)*w], a.data[r*w:(r+1)*w])
-	}
-}
-
-// ScatterAddRows adds each row of src (shape (n, w)) into dst row idx[i].
-// Used by autograd to backpropagate through GatherRows.
-func ScatterAddRows(dst *Tensor, idx []int, src *Tensor) {
-	w := dst.shape[1]
-	if src.shape[1] != w || src.shape[0] != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows src shape %v, want [%d %d]", src.shape, len(idx), w))
-	}
-	for i, r := range idx {
-		d := dst.data[r*w : (r+1)*w]
-		s := src.data[i*w : (i+1)*w]
-		for j := range d {
-			d[j] += s[j]
-		}
-	}
-}
-
-// Map applies f to every element, returning a new tensor.
-func Map(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// Cos returns cos(a) elementwise.
-func Cos(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Cos(float64(v)))
-	}
-	return out
-}
-
-// Sin returns sin(a) elementwise.
-func Sin(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Sin(float64(v)))
-	}
-	return out
-}
-
-// Exp returns e^a elementwise.
-func Exp(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Exp(float64(v)))
-	}
-	return out
-}
-
-// Log returns ln(a) elementwise.
-func Log(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Log(float64(v)))
-	}
-	return out
-}
-
-// Dot returns the inner product of two equal-length tensors, accumulated
-// in float32 to match the rest of the compute path.
-func Dot(a, b *Tensor) float32 {
-	binaryCheck("Dot", a, b)
-	return dot32(a.data, b.data)
 }
 
 func dot32(a, b []float32) float32 {

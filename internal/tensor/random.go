@@ -77,15 +77,6 @@ func (r *RNG) NormFloat64() float64 {
 	return u * m
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // Pareto returns a Pareto (power-law) variate with minimum xm and shape
 // alpha. The synthetic dataset generators use this to reproduce the
 // heavy-tailed inter-event time distribution the paper observes (Fig. 4).

@@ -173,13 +173,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
-
 // CopyFrom copies src's contents into t. Shapes must have equal element
 // counts (shape itself is not checked, enabling reshape-free copies).
 func (t *Tensor) CopyFrom(src *Tensor) {

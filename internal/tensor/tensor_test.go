@@ -1,7 +1,7 @@
 package tensor
 
 import (
-	"math"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"tgopt/internal/parallel"
@@ -173,10 +173,6 @@ func TestSumMeanReductions(t *testing.T) {
 	if sr.Data()[0] != 5 || sr.Data()[2] != 9 {
 		t.Fatalf("SumRows = %v", sr.Data())
 	}
-	sl := SumLast(a)
-	if sl.Data()[0] != 6 || sl.Data()[1] != 15 {
-		t.Fatalf("SumLast = %v", sl.Data())
-	}
 }
 
 func TestTransposeInvolution(t *testing.T) {
@@ -209,15 +205,6 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 		if !parts[i].AllClose(orig, 0) {
 			t.Fatalf("SplitCols part %d does not round-trip", i)
 		}
-	}
-}
-
-func TestConcatRows(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 1, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	cat := ConcatRows(a, b)
-	if cat.Dim(0) != 3 || cat.At(2, 1) != 6 {
-		t.Fatalf("ConcatRows wrong: %v %v", cat.Shape(), cat.Data())
 	}
 }
 
@@ -322,19 +309,6 @@ func TestMatMulTMatchesTranspose(t *testing.T) {
 	}
 }
 
-func TestMatVecMatchesMatMul(t *testing.T) {
-	r := NewRNG(7)
-	a := Rand(r, 13, 9)
-	x := Rand(r, 9)
-	got := MatVec(a, x)
-	want := MatMul(a, x.Reshape(9, 1))
-	for i := 0; i < 13; i++ {
-		if math.Abs(float64(got.At(i))-float64(want.At(i, 0))) > 1e-5 {
-			t.Fatalf("MatVec[%d] = %v, want %v", i, got.At(i), want.At(i, 0))
-		}
-	}
-}
-
 func TestBatchedMatMulMatchesPerBatch(t *testing.T) {
 	r := NewRNG(8)
 	bs, m, k, n := 10, 6, 5, 7
@@ -365,5 +339,143 @@ func TestLinearMatchesManual(t *testing.T) {
 	nb := Linear(x, w, nil)
 	if nb.HasNaN() {
 		t.Fatal("nil-bias Linear produced NaN")
+	}
+}
+
+// BatchedMatMul computes C[b] = A[b]·B[b] for rank-3 tensors
+// A (B,m,k) and B (B,k,n), producing (B,m,n).
+func BatchedMatMul(a, b *Tensor) *Tensor {
+	if a.Rank() != 3 || b.Rank() != 3 {
+		panic("tensor: BatchedMatMul requires rank-3 operands")
+	}
+	out := New(a.shape[0], a.shape[1], b.shape[2])
+	BatchedMatMulInto(a, b, out)
+	return out
+}
+
+// Linear computes x·Wᵀ + bias for x (n, in), W (out, in) and bias [out]
+// (bias may be nil). This matches the PyTorch nn.Linear weight layout so
+// trained parameters round-trip naturally.
+func Linear(x, w, bias *Tensor) *Tensor {
+	if x.Rank() != 2 || w.Rank() != 2 {
+		panic("tensor: Linear requires rank-2 operands")
+	}
+	out := New(x.shape[0], w.shape[0])
+	LinearInto(x, w, bias, out)
+	return out
+}
+
+// LinearInto is Linear writing into dst (n, out), overwriting it. The
+// row loop parallelizes when parallel.WillFanOut(n); each chunk is one
+// LinearRows call, so the bias rides in the same pass as the product.
+func LinearInto(x, w, bias, dst *Tensor) {
+	linearInto(x, w, nil, bias, dst)
+}
+
+// LinearRows computes dst = x·Wᵀ + bias for the m rows of x (m, in)
+// into dst (m, out), serially on the calling goroutine: the row-range
+// kernel under LinearInto, for callers already inside a parallel region
+// (the fused layer pass hands it one tile at a time). Every output
+// element is one fixed-order sum over its own x row, so a row's bits do
+// not depend on which call computes it. bias may be nil.
+func LinearRows(x []float32, m int, w, bias *Tensor, dst []float32) {
+	LinearRowsPacked(x, m, w, nil, bias, dst)
+}
+
+// Add returns a + b elementwise.
+func Add(a, b *Tensor) *Tensor {
+	binaryCheck("Add", a, b)
+	out := New(a.shape...)
+	for i := range a.data {
+		out.data[i] = a.data[i] + b.data[i]
+	}
+	return out
+}
+
+// Sub returns a - b elementwise.
+func Sub(a, b *Tensor) *Tensor {
+	binaryCheck("Sub", a, b)
+	out := New(a.shape...)
+	for i := range a.data {
+		out.data[i] = a.data[i] - b.data[i]
+	}
+	return out
+}
+
+// Mul returns a * b elementwise (Hadamard product).
+func Mul(a, b *Tensor) *Tensor {
+	binaryCheck("Mul", a, b)
+	out := New(a.shape...)
+	for i := range a.data {
+		out.data[i] = a.data[i] * b.data[i]
+	}
+	return out
+}
+
+// Div returns a / b elementwise.
+func Div(a, b *Tensor) *Tensor {
+	binaryCheck("Div", a, b)
+	out := New(a.shape...)
+	for i := range a.data {
+		out.data[i] = a.data[i] / b.data[i]
+	}
+	return out
+}
+
+// Scale returns a * s elementwise.
+func Scale(a *Tensor, s float32) *Tensor {
+	out := New(a.shape...)
+	for i := range a.data {
+		out.data[i] = a.data[i] * s
+	}
+	return out
+}
+
+// AXPY performs a += alpha*b elementwise and returns a.
+func AXPY(alpha float32, b, a *Tensor) *Tensor {
+	binaryCheck("AXPY", a, b)
+	for i := range a.data {
+		a.data[i] += alpha * b.data[i]
+	}
+	return a
+}
+
+// GatherRows selects rows of a rank-2 tensor (n, w) by index, producing
+// shape (len(idx), w). Indices out of range panic.
+func GatherRows(a *Tensor, idx []int) *Tensor {
+	if a.Rank() != 2 {
+		panic("tensor: GatherRows requires rank 2")
+	}
+	w := a.shape[1]
+	out := New(len(idx), w)
+	GatherRowsInto(a, idx, out)
+	return out
+}
+
+// GatherRowsInto is GatherRows writing into dst, which must have shape
+// (len(idx), w).
+func GatherRowsInto(a *Tensor, idx []int, dst *Tensor) {
+	w := a.shape[1]
+	if dst.shape[0] != len(idx) || dst.shape[1] != w {
+		panic(fmt.Sprintf("tensor: GatherRowsInto dst shape %v, want [%d %d]", dst.shape, len(idx), w))
+	}
+	for i, r := range idx {
+		copy(dst.data[i*w:(i+1)*w], a.data[r*w:(r+1)*w])
+	}
+}
+
+// ScatterAddRows adds each row of src (shape (n, w)) into dst row idx[i].
+// Used by autograd to backpropagate through GatherRows.
+func ScatterAddRows(dst *Tensor, idx []int, src *Tensor) {
+	w := dst.shape[1]
+	if src.shape[1] != w || src.shape[0] != len(idx) {
+		panic(fmt.Sprintf("tensor: ScatterAddRows src shape %v, want [%d %d]", src.shape, len(idx), w))
+	}
+	for i, r := range idx {
+		d := dst.data[r*w : (r+1)*w]
+		s := src.data[i*w : (i+1)*w]
+		for j := range d {
+			d[j] += s[j]
+		}
 	}
 }

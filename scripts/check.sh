@@ -66,9 +66,24 @@ one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-ou
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 GATES
 [ "$gates_failed" = 0 ] || exit 1
-for pkg in batcher core serve shard tgat; do
-    printf '   non-test lines, internal/%s: %s\n' "$pkg" "$(cat $(nontest internal/$pkg) | wc -l)"
+for dir in internal/*/; do
+    printf '   non-test lines, %s: %s\n' "${dir%/}" "$(cat $(nontest "${dir%/}") | wc -l)"
 done
+printf '   non-test lines, module: %s\n' "$(cat $(scope nontest) | wc -l)"
+
+echo "== reachability gate (every function, method and type in a non-test file is reached from a main, an init, a package-level var, package tgopt's API, another package's test, or the allowlist: scripts/deadcode.go)"
+deadcode_start=$SECONDS
+# The fixture module plants one unreached function among a used one, a
+# method reached through an interface and a function only another
+# package's test calls: the gate must exit 1 listing exactly it.
+rc=0
+planted=$(cd scripts/testdata/deadcode && go run ../../deadcode.go 2>/dev/null) || rc=$?
+if [ "$rc" != 1 ] || [ "$(printf '%s\n' "$planted" | awk '{print $2}')" != Unused ]; then
+    echo "deadcode on scripts/testdata/deadcode exited $rc, listing (want exit 1 and lib.Unused alone):"
+    printf '%s\n' "$planted"; exit 1
+fi
+go run scripts/deadcode.go
+echo "   reachability stanza wall time: $((SECONDS - deadcode_start)) s"
 
 echo "== go test"
 go test ./...
