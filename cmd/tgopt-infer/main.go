@@ -2,9 +2,10 @@
 // the standard inference task — iterate a dynamic graph's edges
 // chronologically in batches and compute temporal embeddings for every
 // interaction — with or without the TGOpt optimizations, printing
-// runtime and, with --stats, the operation breakdown, hit rate, and
-// cache usage; with --gpu --stats also the run's simulated transfers
-// under both cache placements.
+// runtime and, with --stats, the operation breakdown (per operation its
+// wall time, items and calls), the hit rate from the cache counters,
+// and cache usage; with --gpu --stats also the run's simulated
+// transfers under both cache placements.
 //
 //	tgopt-infer -d snap-msg --opt-all --stats
 //	tgopt-infer -d jodie-wiki --opt-cache --opt-dedup --cache-limit 100000
@@ -43,7 +44,7 @@ func main() {
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
 	window := flag.Int("time-window", 10000, "time-encoding window")
 	gpu := flag.Bool("gpu", false, "price the run on the simulated accelerator")
-	showStats := flag.Bool("stats", false, "print the operation breakdown")
+	showStats := flag.Bool("stats", false, "print per-op wall time, items and calls, and the cache hit rate, items and size")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	flag.Parse()
@@ -99,8 +100,8 @@ func main() {
 	fmt.Println()
 
 	if *showStats {
-		fmt.Println("\noperation breakdown:")
-		fmt.Print(res.Collector.String())
+		fmt.Println("\noperation breakdown (wall time, items, calls):")
+		fmt.Print(res.Engine.Ops().String())
 		if opt.EnableCache {
 			fmt.Printf("avg hit rate:   %.2f%%\n", 100*res.HitRate.Average())
 			fmt.Printf("cache items:    %d\n", res.Engine.CacheLen())

@@ -19,7 +19,7 @@ func ExampleNewEngine() {
 
 	nodes := []int32{1, 2, 3}
 	times := []float64{1e6, 1e6, 2e6}
-	baseline := model.Embed(sampler, nodes, times, nil)
+	baseline := model.Embed(sampler, nodes, times)
 	optimized := engine.Embed(nodes, times)
 
 	fmt.Println("shape:", optimized.Shape())

@@ -57,7 +57,7 @@ func main() {
 	nodes := []int32{1, 2, 3}
 	ts := []float64{90, 90, 90}
 
-	baseline := model.Embed(sampler, nodes, ts, nil)
+	baseline := model.Embed(sampler, nodes, ts)
 	fmt.Println("baseline embedding of node 1:", tensor.FromSlice(baseline.Row(0), 1, d))
 
 	// The TGOpt engine is a drop-in replacement with dedup, memoization

@@ -124,7 +124,7 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	dynSampler := graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0)
-	h := served.Embed(dynSampler, []int32{1, 2}, []float64{now, now}, nil)
+	h := served.Embed(dynSampler, []int32{1, 2}, []float64{now, now})
 	d := cfg.NodeDim
 	hs1 := sliceRows(h, 0, 1, d)
 	hs2 := sliceRows(h, 1, 2, d)

@@ -45,12 +45,6 @@ type Options struct {
 	CachePolicy CachePolicy
 	// TimeWindow is the precomputed Δt window (default 10,000).
 	TimeWindow int
-
-	// Collector receives each operation's wall time, item count and
-	// call count (Table 3; the device model prices the counts). Optional.
-	Collector *stats.Collector
-	// HitRate receives per-lookup hit statistics (Figure 7). Optional.
-	HitRate *stats.HitRate
 }
 
 // OptAll returns Options with all three optimizations enabled at the
@@ -79,7 +73,8 @@ func (o Options) withDefaults() Options {
 // Algorithm 1's per-layer work the way a serving deployment needs to
 // observe it: neighbor sampling, deduplication (filter + invert), cache
 // key computation and lookup, time encoding (zero + delta), the
-// attention operator, and the cache store.
+// attention operator, and the cache store. opStage says which
+// operations each stage pools.
 const (
 	StageSample      = "sample"
 	StageDedup       = "dedup"
@@ -93,6 +88,21 @@ const (
 var Stages = []string{
 	StageSample, StageDedup, StageCacheLookup,
 	StageTimeEncode, StageAttention, StageCacheStore,
+}
+
+// opStage is the stage each operation belongs to; the feature gathers
+// (and the device model's table upload, which the engine never runs)
+// belong to none.
+var opStage = [stats.NumOps]string{
+	stats.OpNghLookup:    StageSample,
+	stats.OpDedupFilter:  StageDedup,
+	stats.OpDedupInvert:  StageDedup,
+	stats.OpComputeKeys:  StageCacheLookup,
+	stats.OpCacheLookup:  StageCacheLookup,
+	stats.OpTimeEncZero:  StageTimeEncode,
+	stats.OpTimeEncDelta: StageTimeEncode,
+	stats.OpAttention:    StageAttention,
+	stats.OpCacheStore:   StageCacheStore,
 }
 
 // Engine computes TGAT temporal embeddings with the redundancy-aware
@@ -154,9 +164,11 @@ type Engine struct {
 	// request observes a mix of old- and new-version tensors (DESIGN.md
 	// §16). The version served is the model's own (tgat.Model.Version).
 	swapGate sync.RWMutex
-	// stages holds always-on per-stage latency histograms (one atomic
-	// observation per op, so the cost is negligible next to the ops).
-	stages map[string]*stats.Histogram
+	// ops is the engine's one record of its work: per operation, a
+	// latency histogram (calls and wall time) and an item count, written
+	// by observe with atomic adds only. Stage histograms, Table 3, the
+	// device price and the experiments all read it.
+	ops stats.Collector
 }
 
 // NewEngine creates an engine over a trained model and a most-recent
@@ -168,10 +180,6 @@ type Engine struct {
 func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{model: m, sampler: s, opt: opt}
-	e.stages = make(map[string]*stats.Histogram, len(Stages))
-	for _, st := range Stages {
-		e.stages[st] = stats.NewHistogram()
-	}
 	if s.K() != m.Cfg.NumNeighbors {
 		panic("core: sampler k differs from model NumNeighbors")
 	}
@@ -312,11 +320,28 @@ func (e *Engine) CacheBytes() int64 {
 	return total
 }
 
-// StageStats returns the engine's live per-stage latency histograms,
-// keyed by the Stage* constants. The histograms are updated on every
-// Embed (at every recursion layer) and are safe for concurrent reads;
-// callers must treat the map itself as read-only.
-func (e *Engine) StageStats() map[string]*stats.Histogram { return e.stages }
+// StageStats returns the engine's per-stage latency histograms, keyed
+// by the Stage* constants: each is the merge of its operations'
+// histograms in the engine's table (opStage), so it is the pooled
+// distribution of every observation of those operations so far. A new
+// map each call, for scrapes.
+func (e *Engine) StageStats() map[string]*stats.Histogram {
+	out := make(map[string]*stats.Histogram, len(Stages))
+	for _, st := range Stages {
+		out[st] = stats.NewHistogram()
+	}
+	for op, st := range opStage {
+		if st != "" {
+			out[st].Merge(e.ops.Hist(stats.Op(op)))
+		}
+	}
+	return out
+}
+
+// Ops returns the engine's per-operation table: every operation's
+// calls, wall time and items since the engine was built (Table 3; the
+// work device.Price prices). Live and safe for concurrent reads.
+func (e *Engine) Ops() *stats.Collector { return &e.ops }
 
 // TimeTable returns the precomputed encoding table, or nil.
 func (e *Engine) TimeTable() *TimeTable { return e.ttable }
@@ -676,7 +701,7 @@ func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tenso
 	// layer pass reads the unique rows through the inverse index instead.
 	start := time.Now()
 	out := DedupInvertWith(ar, h.Data, h.Idx)
-	e.observe(stats.OpDedupInvert, StageDedup, len(h.Idx), start)
+	e.observe(stats.OpDedupInvert, len(h.Idx), start)
 	return out
 }
 
@@ -701,20 +726,11 @@ func (e *Engine) noteEmbedTimes(ts []float64) {
 	}
 }
 
-// observe records one call of an operation that started at `start` and
-// handled n items: wall time into the stage's latency histogram (stage
-// "" skips that; the histograms stay on even without a Collector so a
-// serving deployment always has per-stage visibility), and wall time,
-// n and the call into the Collector. It takes the start time rather
-// than returning a closure, so the embed hot path allocates nothing.
-func (e *Engine) observe(op, stage string, n int, start time.Time) {
-	h := e.stages[stage]
-	if h == nil && e.opt.Collector == nil {
-		return
-	}
-	wall := time.Since(start)
-	h.Observe(wall)
-	e.opt.Collector.Observe(op, wall, int64(n))
+// observe records one call of op that started at `start` and handled
+// n items into the engine's table. It takes the start time rather than
+// returning a closure, so the embed hot path allocates nothing.
+func (e *Engine) observe(op stats.Op, n int, start time.Time) {
+	e.ops.Observe(op, time.Since(start), int64(n))
 }
 
 // embed returns the layer-l embeddings of the targets as rows read in
@@ -728,7 +744,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 	if l == 0 {
 		start := time.Now()
 		h := featureRows(ar, e.model.NodeFeat, nodes)
-		e.observe(stats.OpFeatLookup, "", len(nodes), start)
+		e.observe(stats.OpFeatLookup, len(nodes), start)
 		return h
 	}
 
@@ -738,7 +754,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 	if e.opt.EnableDedup {
 		start := time.Now()
 		res := DedupFilterWith(ar, nodes, ts)
-		e.observe(stats.OpDedupFilter, StageDedup, len(nodes), start)
+		e.observe(stats.OpDedupFilter, len(nodes), start)
 		nodes, ts, inv = res.Nodes, res.Times, res.InvIdx
 	}
 
@@ -761,13 +777,11 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		if !ComputeKeysInto(keys, nodes, ts) {
 			inexact = ts
 		}
-		e.observe(stats.OpComputeKeys, StageCacheLookup, n, start)
+		e.observe(stats.OpComputeKeys, n, start)
 		start = time.Now()
 		hitMask = ar.Bools(n)
 		nhits = cache.lookupExact(keys, inexact, h, hitMask)
-		e.observe(stats.OpCacheLookup, StageCacheLookup, n, start)
-		e.opt.HitRate.Record(nhits, n)
-		e.opt.Collector.Count("cache_hits", int64(nhits))
+		e.observe(stats.OpCacheLookup, n, start)
 	}
 
 	// What this level may keep is computed from here on (wm: cache misses only).
@@ -829,7 +843,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			Valid: ar.Bools(nm * k),
 		}
 		e.sampler.SampleTo(&b, missNodes, missTs)
-		e.observe(stats.OpNghLookup, StageSample, nm, start)
+		e.observe(stats.OpNghLookup, nm, start)
 
 		// Recurse over targets ∪ neighbors (line 12).
 		allNodes := ar.Int32s(nm + nm*k)
@@ -846,11 +860,11 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 
 		start = time.Now()
 		eFeat := featureRows(ar, e.model.EdgeFeat, b.EIdxs)
-		e.observe(stats.OpFeatLookup, "", nm*k, start)
+		e.observe(stats.OpFeatLookup, nm*k, start)
 
 		start = time.Now()
 		hm := e.model.LayerForwardPacked(ar, l, &e.packs[l-1], hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-		e.observe(stats.OpAttention, StageAttention, nm, start)
+		e.observe(stats.OpAttention, nm, start)
 
 		if cache != nil && fence.staleFor(missTs) {
 			// The graph moved under this batch (passFence.staleFor).
@@ -869,7 +883,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 				}
 			}
 			cache.storeExact(missKeys, inexact, tags, hm)
-			e.observe(stats.OpCacheStore, StageCacheStore, nm, start)
+			e.observe(stats.OpCacheStore, nm, start)
 			if tix := e.TargetsFor(l); tix != nil {
 				// Index per-target, and — for deep layers — per
 				// support: the (node, time) pairs whose layer-(l−1)
@@ -939,14 +953,14 @@ func (e *Engine) encodeZeros(ar *tensor.Arena, n int) *tensor.Tensor {
 	if e.ttable != nil {
 		start := time.Now()
 		e.ttable.EncodeZerosInto(n, out)
-		e.observe(stats.OpTimeEncZero, StageTimeEncode, n, start)
+		e.observe(stats.OpTimeEncZero, n, start)
 		return out
 	}
 	start := time.Now()
 	zeros := ar.Float64s(n)
 	clear(zeros) // arena scratch is dirty; the encoder reads it
 	e.model.Time.EncodeInto(zeros, out)
-	e.observe(stats.OpTimeEncZero, StageTimeEncode, n, start)
+	e.observe(stats.OpTimeEncZero, n, start)
 	return out
 }
 
@@ -962,14 +976,13 @@ func (e *Engine) encodeDeltas(ar *tensor.Arena, ts []float64, b *graph.Batch, n,
 	out := ar.Tensor(n*k, d)
 	if e.ttable != nil {
 		start := time.Now()
-		hits := e.ttable.EncodeIntoWith(ar, deltas, out)
-		e.observe(stats.OpTimeEncDelta, StageTimeEncode, len(deltas), start)
-		e.opt.Collector.Count("ttable_hits", int64(hits))
+		e.ttable.EncodeIntoWith(ar, deltas, out)
+		e.observe(stats.OpTimeEncDelta, len(deltas), start)
 		return out
 	}
 	start := time.Now()
 	e.model.Time.EncodeInto(deltas, out)
-	e.observe(stats.OpTimeEncDelta, StageTimeEncode, len(deltas), start)
+	e.observe(stats.OpTimeEncDelta, len(deltas), start)
 	return out
 }
 

@@ -96,7 +96,7 @@ func TestEngineDeepIndexedRowsMatchBaselineBitwise(t *testing.T) {
 	if after.Hits == before.Hits || after.Misses == before.Misses {
 		t.Fatalf("layer-1 cache not partly warm for the measured pass: %+v → %+v", before, after)
 	}
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	for i := range nodes {
 		for j := 0; j < cfg.NodeDim; j++ {
 			if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(i, j)) {
@@ -114,7 +114,7 @@ func TestEngineEmbeddingEquivalenceExact(t *testing.T) {
 	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
 	nodes := []int32{1, 2, 3, 1, 26, 30}
 	ts := []float64{4e4, 4e4, 3e4, 4e4, 4.5e4, 2e4}
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	got := eng.Embed(nodes, ts)
 	if !got.SameShape(want) {
 		t.Fatalf("shape %v vs %v", got.Shape(), want.Shape())
@@ -126,12 +126,7 @@ func TestEngineEmbeddingEquivalenceExact(t *testing.T) {
 
 func TestEngineCachePopulatesAndHits(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 500)
-	hr := stats.NewHitRate(10)
-	col := stats.NewCollector()
-	opt := OptAll()
-	opt.HitRate = hr
-	opt.Collector = col
-	eng := NewEngine(m, s, opt)
+	eng := NewEngine(m, s, OptAll())
 	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
 	if eng.CacheLen() == 0 {
 		t.Fatal("cache empty after a full pass")
@@ -139,13 +134,17 @@ func TestEngineCachePopulatesAndHits(t *testing.T) {
 	if eng.CacheBytes() <= 0 {
 		t.Fatal("cache bytes not positive")
 	}
-	if hr.Average() <= 0 {
+	st := eng.CacheFor(1).Stats()
+	if st.Hits == 0 {
 		t.Fatal("no cache hits recorded on a repetitive dataset")
 	}
-	if col.Counter("cache_hits") == 0 || col.Counter(stats.OpCacheLookup) == 0 {
-		t.Fatal("hit counters not recorded")
+	// The table counts every key the lookup op was handed; the cache
+	// counts every one it looked up (all of them: the times are integral).
+	ops := eng.Ops()
+	if ops.Items(stats.OpCacheLookup) != st.Lookups {
+		t.Fatalf("CacheLookup items %d, cache lookups %d", ops.Items(stats.OpCacheLookup), st.Lookups)
 	}
-	if col.Duration(stats.OpCacheLookup) <= 0 || col.Duration(stats.OpCacheStore) <= 0 {
+	if ops.Duration(stats.OpCacheLookup) <= 0 || ops.Duration(stats.OpCacheStore) <= 0 {
 		t.Fatal("cache op timings missing")
 	}
 	// Only layer 1 of a 2-layer model is cached (§4.2.2).
@@ -162,11 +161,17 @@ func TestEngineCachePopulatesAndHits(t *testing.T) {
 
 func TestEngineHitRateGrowsOverTime(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 1500)
+	eng := NewEngine(m, s, OptAll())
+	// One record per batch from the layer cache's counters.
 	hr := stats.NewHitRate(10)
-	opt := OptAll()
-	opt.HitRate = hr
-	eng := NewEngine(m, s, opt)
-	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
+	var seen CacheStats
+	tgat.StreamInference(ds.Graph, m, 100, func(nodes []int32, ts []float64) *tensor.Tensor {
+		h := eng.Embed(nodes, ts)
+		now := eng.CacheFor(1).Stats()
+		hr.Record(int(now.Hits-seen.Hits), int(now.Lookups-seen.Lookups))
+		seen = now
+		return h
+	})
 	w := hr.Windowed()
 	if len(w) < 4 {
 		t.Fatalf("too few batches recorded: %d", len(w))
@@ -186,7 +191,7 @@ func TestEngineBaselineModeMatchesModelEmbed(t *testing.T) {
 	nodes := []int32{1, 5, 9, 5}
 	ts := []float64{2e4, 2e4, 3e4, 2e4}
 	got := eng.Embed(nodes, ts)
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	if d := got.MaxAbsDiff(want); d != 0 {
 		t.Fatalf("no-opt engine differs from baseline by %g", d)
 	}
@@ -200,7 +205,7 @@ func TestEngineDedupOnlyExactMatch(t *testing.T) {
 	nodes := []int32{3, 3, 3, 7, 7, 3}
 	ts := []float64{1e4, 1e4, 1e4, 2e4, 2e4, 1e4}
 	got := eng.Embed(nodes, ts)
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	if d := got.MaxAbsDiff(want); d != 0 {
 		t.Fatalf("dedup engine differs by %g", d)
 	}
@@ -351,24 +356,76 @@ func TestEngineStageStats(t *testing.T) {
 	}
 }
 
+// TestEngineStageIsTheMergeOfItsOps pins the one record: every stage
+// histogram StageStats reports is exactly the merge of its operations'
+// histograms in the engine's table — same calls, wall time and buckets
+// at every quantile — and every observed op with a stage is pooled.
+func TestEngineStageIsTheMergeOfItsOps(t *testing.T) {
+	ds, m, s := engineTestSetup(t, 400)
+	for _, opt := range []Options{OptAll(), {}} {
+		eng := NewEngine(m, s, opt)
+		tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
+		ops := eng.Ops()
+		want := map[string]*stats.Histogram{}
+		for _, st := range Stages {
+			want[st] = stats.NewHistogram()
+		}
+		for op := range stats.NumOps {
+			st := opStage[op]
+			if st == "" {
+				continue
+			}
+			want[st].Merge(ops.Hist(op))
+		}
+		got := eng.StageStats()
+		if len(got) != len(Stages) {
+			t.Fatalf("StageStats has %d stages, want %d", len(got), len(Stages))
+		}
+		var calls int64
+		for _, st := range Stages {
+			g, w := got[st], want[st]
+			if g.Count() != w.Count() || g.Sum() != w.Sum() {
+				t.Fatalf("%+v stage %s: %d calls / %v, its ops' merge %d / %v", opt, st, g.Count(), g.Sum(), w.Count(), w.Sum())
+			}
+			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+				if g.Quantile(q) != w.Quantile(q) {
+					t.Fatalf("%+v stage %s q=%v: %v, its ops' merge %v", opt, st, q, g.Quantile(q), w.Quantile(q))
+				}
+			}
+			calls += g.Count()
+		}
+		// Every observation of a staged op lands in exactly one stage.
+		var staged int64
+		for op := range stats.NumOps {
+			if opStage[op] != "" {
+				staged += ops.Calls(op)
+			}
+		}
+		if calls != staged || calls == 0 {
+			t.Fatalf("%+v: stages pool %d calls, staged ops made %d", opt, calls, staged)
+		}
+		if ops.Calls(stats.OpFeatLookup) == 0 {
+			t.Fatalf("%+v: the feature gathers were not recorded", opt)
+		}
+	}
+}
+
 // priceEngineRun streams edges through an engine with every
-// optimisation and a Collector, then prices what the engine counted
-// with the cache kept at each placement. The engine knows no device:
-// these checks hold its counts to what the device model needs of them.
+// optimisation, then prices what the engine counted with the cache
+// kept at each placement. The engine knows no device: these checks
+// hold its counts to what the device model needs of them.
 func priceEngineRun(t *testing.T, edges int) (col *stats.Collector, host, dev device.Priced) {
 	t.Helper()
 	ds, m, s := engineTestSetup(t, edges)
-	col = stats.NewCollector()
-	opt := OptAll()
-	opt.Collector = col
-	eng := NewEngine(m, s, opt)
+	eng := NewEngine(m, s, OptAll())
 	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
 	shape := device.Shape{
 		NodeDim: m.Cfg.NodeDim, EdgeDim: m.Cfg.EdgeDim, TimeDim: m.Cfg.TimeDim,
 		K: m.Cfg.NumNeighbors, TimeWindow: eng.Options().TimeWindow,
 	}
-	host = device.Price(device.DefaultCostModel(), shape, device.CacheOnHost, col)
-	dev = device.Price(device.DefaultCostModel(), shape, device.CacheOnDevice, col)
+	col, hits := eng.Ops(), eng.CacheFor(1).Stats().Hits
+	host = device.Price(device.DefaultCostModel(), shape, device.CacheOnHost, col, hits)
+	dev = device.Price(device.DefaultCostModel(), shape, device.CacheOnDevice, col, hits)
 	return col, host, dev
 }
 
@@ -476,7 +533,7 @@ func TestEngineEdgeCases(t *testing.T) {
 	}
 	// Single padding-node target.
 	hp := eng.Embed([]int32{0}, []float64{5})
-	want := m.Embed(s, []int32{0}, []float64{5}, nil)
+	want := m.Embed(s, []int32{0}, []float64{5})
 	if d := hp.MaxAbsDiff(want); d > 1e-6 {
 		t.Fatalf("padding-node embed differs by %g", d)
 	}
@@ -488,7 +545,7 @@ func TestEngineEdgeCases(t *testing.T) {
 	// Same target repeated at far-future times still matches baseline.
 	far := ds.Graph.MaxTime() * 100
 	hf := eng.Embed([]int32{1, 1}, []float64{far, far})
-	wf := m.Embed(s, []int32{1, 1}, []float64{far, far}, nil)
+	wf := m.Embed(s, []int32{1, 1}, []float64{far, far})
 	if d := hf.MaxAbsDiff(wf); d > 1e-5 {
 		t.Fatalf("far-future embed differs by %g", d)
 	}

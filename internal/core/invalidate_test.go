@@ -33,7 +33,7 @@ func TestCacheRemove(t *testing.T) {
 func freshBaseline(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, ns []int32, ts []float64) *tensor.Tensor {
 	t.Helper()
 	s := graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
-	return m.Embed(s, ns, ts, nil)
+	return m.Embed(s, ns, ts)
 }
 
 // deleteEdge removes e from the graph and runs the engine's deletion

@@ -107,7 +107,7 @@ func TestEngineSaveLoadCachesWarmStart(t *testing.T) {
 	}
 	nodes := []int32{1, 2, 3}
 	ts := []float64{4e4, 4e4, 4.9e4}
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	got := eng2.Embed(nodes, ts)
 	if d := got.MaxAbsDiff(want); d > 1e-5 {
 		t.Fatalf("warm-restored embeddings differ by %g", d)

@@ -76,7 +76,7 @@ func TestEngineSoundOnLiveStream(t *testing.T) {
 			ts[i], ts[len(batch)+i] = e.Time, e.Time
 		}
 		live := eng.Embed(ns, ts)
-		ref := m.Embed(refSampler, ns, ts, nil)
+		ref := m.Embed(refSampler, ns, ts)
 		if d := live.MaxAbsDiff(ref); d > 1e-5 {
 			t.Fatalf("chunk at %d: live-stream embeddings diverge from reference by %g", start, d)
 		}

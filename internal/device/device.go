@@ -105,7 +105,7 @@ type Transfer struct {
 // Priced is the simulated cost of one run.
 type Priced struct {
 	// Ops is each operation's simulated time, its transfers included.
-	Ops map[string]time.Duration
+	Ops map[stats.Op]time.Duration
 	// Transfers are the per-direction accounts, indexed by Direction.
 	Transfers [3]Transfer
 	// Total is the simulated runtime: the sum of Ops.
@@ -139,26 +139,27 @@ func (s Shape) attentionFlops() int64 {
 	return 2 * (2*q*q + 2*k*kv*q + 2*k*q + (q+d)*d + d*d)
 }
 
-// Price turns the work a run counted into c — per operation its items
-// and calls, as core.Engine observes them, plus the "cache_hits"
-// counter — into simulated time and transfer accounts, with the cache
-// kept at p. The collector's measured durations play no part.
-func Price(m CostModel, s Shape, p Placement, c *stats.Collector) Priced {
-	b := bill{m: m, out: Priced{Ops: map[string]time.Duration{}}}
+// Price turns the work an engine counted into simulated time and
+// transfer accounts, with the cache kept at p: c is the engine's
+// per-operation table (core.Engine.Ops), of which only the items and
+// calls are read, and hits is its memo caches' hit count
+// (core.Engine.LayerCacheStats). No measured duration plays a part.
+func Price(m CostModel, s Shape, p Placement, c *stats.Collector, hits int64) Priced {
+	b := bill{m: m, out: Priced{Ops: map[stats.Op]time.Duration{}}}
 	d, de, dt, k := int64(s.NodeDim), int64(s.EdgeDim), int64(s.TimeDim), int64(s.K)
 
 	// Sampling binary-searches (two probes) per target and writes k slots.
-	targets := c.Counter(stats.OpNghLookup)
+	targets := c.Items(stats.OpNghLookup)
 	b.host(stats.OpNghLookup, 2*targets, targets*k*sampleSlotBytes)
-	b.host(stats.OpDedupFilter, c.Counter(stats.OpDedupFilter), 0)
-	b.host(stats.OpDedupInvert, 0, c.Counter(stats.OpDedupInvert)*d*4)
-	b.host(stats.OpComputeKeys, 0, c.Counter(stats.OpComputeKeys)*keyBytes)
+	b.host(stats.OpDedupFilter, c.Items(stats.OpDedupFilter), 0)
+	b.host(stats.OpDedupInvert, 0, c.Items(stats.OpDedupInvert)*d*4)
+	b.host(stats.OpComputeKeys, 0, c.Items(stats.OpComputeKeys)*keyBytes)
 
 	// The cache's index is a host hash table wherever its rows live. On
 	// the host, rows are copied there, the looked-up batch ships once per
 	// lookup and stored rows come back once per store; on the device,
 	// every hit and every stored row is its own on-device copy.
-	lookups, hits, stored := c.Counter(stats.OpCacheLookup), c.Counter("cache_hits"), c.Counter(stats.OpCacheStore)
+	lookups, stored := c.Items(stats.OpCacheLookup), c.Items(stats.OpCacheStore)
 	if p == CacheOnHost {
 		b.host(stats.OpCacheLookup, lookups, hits*d*4)
 		b.move(stats.OpCacheLookup, HtoD, lookups*d*4, c.Calls(stats.OpCacheLookup))
@@ -173,14 +174,14 @@ func Price(m CostModel, s Shape, p Placement, c *stats.Collector) Priced {
 
 	// Feature rows are gathered on the host and shipped: node rows at
 	// layer 0, and k edge rows per attention row.
-	rows := c.Counter(stats.OpAttention)
-	featBytes := (c.Counter(stats.OpFeatLookup)-rows*k)*d*4 + rows*k*de*4
+	rows := c.Items(stats.OpAttention)
+	featBytes := (c.Items(stats.OpFeatLookup)-rows*k)*d*4 + rows*k*de*4
 	b.host(stats.OpFeatLookup, 0, featBytes)
 	b.move(stats.OpFeatLookup, HtoD, featBytes, c.Calls(stats.OpFeatLookup))
 	b.kernel(stats.OpAttention, rows*s.attentionFlops(), c.Calls(stats.OpAttention)*attentionLaunches)
 
-	zeros, zeroCalls := c.Counter(stats.OpTimeEncZero), c.Calls(stats.OpTimeEncZero)
-	deltas, deltaCalls := c.Counter(stats.OpTimeEncDelta), c.Calls(stats.OpTimeEncDelta)
+	zeros, zeroCalls := c.Items(stats.OpTimeEncZero), c.Calls(stats.OpTimeEncZero)
+	deltas, deltaCalls := c.Items(stats.OpTimeEncDelta), c.Calls(stats.OpTimeEncDelta)
 	if s.TimeWindow > 0 {
 		// The table ships once; Φ(0) is a resident row broadcast on the
 		// device; Δt rows are gathered on the host and shipped, the
@@ -206,7 +207,7 @@ type bill struct {
 	out Priced
 }
 
-func (b *bill) charge(op string, t time.Duration) {
+func (b *bill) charge(op stats.Op, t time.Duration) {
 	if t <= 0 {
 		return
 	}
@@ -214,15 +215,15 @@ func (b *bill) charge(op string, t time.Duration) {
 	b.out.Total += t
 }
 
-func (b *bill) host(op string, probes, bytes int64) {
+func (b *bill) host(op stats.Op, probes, bytes int64) {
 	b.charge(op, time.Duration(probes)*b.m.HostProbe+seconds(float64(bytes)/b.m.HostBytesPerSec))
 }
 
-func (b *bill) kernel(op string, flops, launches int64) {
+func (b *bill) kernel(op stats.Op, flops, launches int64) {
 	b.charge(op, seconds(float64(flops)/b.m.FlopsPerSec)+time.Duration(launches)*b.m.LaunchOverhead)
 }
 
-func (b *bill) move(op string, dir Direction, bytes, calls int64) {
+func (b *bill) move(op stats.Op, dir Direction, bytes, calls int64) {
 	if bytes == 0 {
 		return
 	}

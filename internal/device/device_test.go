@@ -33,7 +33,7 @@ func TestOpTimeTensorSpeedup(t *testing.T) {
 	c := stats.NewCollector()
 	c.Observe(stats.OpAttention, time.Hour, 1000)
 	c.Observe(stats.OpAttention, time.Hour, 1000)
-	p := Price(unitModel(), s, CacheOnHost, c)
+	p := Price(unitModel(), s, CacheOnHost, c, 0)
 	want := time.Duration(2000*s.attentionFlops())*time.Nanosecond + 2*attentionLaunches*time.Millisecond
 	if got := p.Ops[stats.OpAttention]; got != want {
 		t.Fatalf("attention priced %v, want %v", got, want)
@@ -45,7 +45,7 @@ func TestPriceHostOpsPerItem(t *testing.T) {
 	c := stats.NewCollector()
 	c.Observe(stats.OpNghLookup, 0, 10)
 	c.Observe(stats.OpDedupFilter, 0, 7)
-	p := Price(unitModel(), s, CacheOnHost, c)
+	p := Price(unitModel(), s, CacheOnHost, c, 0)
 	// Two probes per target and k slots written per target.
 	if got, want := p.Ops[stats.OpNghLookup], 20*time.Microsecond+time.Duration(10*2*sampleSlotBytes)*time.Nanosecond; got != want {
 		t.Fatalf("NghLookup priced %v, want %v", got, want)
@@ -65,13 +65,13 @@ func TestTransferTimeBandwidthAndLatency(t *testing.T) {
 	s := Shape{NodeDim: 250, EdgeDim: 1, TimeDim: 1, K: 1}
 	c := stats.NewCollector()
 	c.Observe(stats.OpCacheStore, 0, 1000) // 1000 rows of 1000 bytes, one call
-	host := Price(unitModel(), s, CacheOnHost, c)
+	host := Price(unitModel(), s, CacheOnHost, c, 0)
 	x := host.Transfers[DtoH]
 	want := time.Millisecond + time.Microsecond
 	if x.Bytes != 1e6 || x.Calls != 1 || x.Time != want {
 		t.Fatalf("DtoH account %+v, want 1e6 bytes, 1 call, %v", x, want)
 	}
-	dev := Price(unitModel(), s, CacheOnDevice, c)
+	dev := Price(unitModel(), s, CacheOnDevice, c, 0)
 	dd := dev.Transfers[DtoD]
 	wantDD := 100*time.Microsecond + 1000*time.Microsecond
 	if dd.Bytes != 1e6 || dd.Calls != 1000 || dd.Time != wantDD {
@@ -89,8 +89,8 @@ func TestManySmallCopiesDominatedByLatency(t *testing.T) {
 	s := Shape{NodeDim: 64, EdgeDim: 64, TimeDim: 64, K: 10}
 	c := stats.NewCollector()
 	c.Observe(stats.OpCacheStore, 0, 4096)
-	one := Price(DefaultCostModel(), s, CacheOnHost, c).Transfers[DtoH].Time
-	many := Price(DefaultCostModel(), s, CacheOnDevice, c).Transfers[DtoD].Time
+	one := Price(DefaultCostModel(), s, CacheOnHost, c, 0).Transfers[DtoH].Time
+	many := Price(DefaultCostModel(), s, CacheOnDevice, c, 0).Transfers[DtoD].Time
 	if many < 100*one {
 		t.Fatalf("4096 small copies (%v) not ≫ one large copy (%v)", many, one)
 	}
@@ -100,7 +100,7 @@ func TestTimeTableShipsOnceAndReplacesKernels(t *testing.T) {
 	s := Shape{NodeDim: 4, EdgeDim: 4, TimeDim: 4, K: 2}
 	c := stats.NewCollector()
 	c.Observe(stats.OpTimeEncDelta, 0, 100)
-	computed := Price(unitModel(), s, CacheOnHost, c)
+	computed := Price(unitModel(), s, CacheOnHost, c, 0)
 	if computed.Ops[stats.OpTransfer] != 0 {
 		t.Fatal("a run without the table shipped one")
 	}
@@ -110,7 +110,7 @@ func TestTimeTableShipsOnceAndReplacesKernels(t *testing.T) {
 		t.Fatalf("computed TimeEncode(dt) priced %v, want %v", got, want)
 	}
 	s.TimeWindow = 10
-	table := Price(unitModel(), s, CacheOnHost, c)
+	table := Price(unitModel(), s, CacheOnHost, c, 0)
 	if got := table.Transfers[HtoD]; got.Calls != 2 || got.Bytes != 10*16+100*16 {
 		t.Fatalf("table run HtoD %+v, want the table once and the gathered rows once", got)
 	}
@@ -123,7 +123,7 @@ func TestEmptyRunPricesFree(t *testing.T) {
 	s := Shape{NodeDim: 8, EdgeDim: 8, TimeDim: 8, K: 4}
 	for _, c := range []*stats.Collector{nil, stats.NewCollector()} {
 		for _, p := range []Placement{CacheOnHost, CacheOnDevice} {
-			got := Price(DefaultCostModel(), s, p, c)
+			got := Price(DefaultCostModel(), s, p, c, 0)
 			if got.Total != 0 || len(got.Ops) != 0 || got.Transfers != ([3]Transfer{}) || got.Pct(HtoD) != 0 {
 				t.Fatalf("empty run priced %+v", got)
 			}
@@ -135,16 +135,15 @@ func TestPriceIgnoresMeasuredTime(t *testing.T) {
 	s := Shape{NodeDim: 8, EdgeDim: 8, TimeDim: 8, K: 4, TimeWindow: 100}
 	record := func(wall time.Duration) *stats.Collector {
 		c := stats.NewCollector()
-		for _, op := range []string{stats.OpNghLookup, stats.OpAttention, stats.OpFeatLookup,
+		for _, op := range []stats.Op{stats.OpNghLookup, stats.OpAttention, stats.OpFeatLookup,
 			stats.OpCacheLookup, stats.OpCacheStore, stats.OpTimeEncZero, stats.OpTimeEncDelta} {
 			c.Observe(op, wall, 50)
 		}
-		c.Count("cache_hits", 20)
 		return c
 	}
 	fast, slow := record(time.Nanosecond), record(time.Hour)
 	for _, p := range []Placement{CacheOnHost, CacheOnDevice} {
-		a, b := Price(DefaultCostModel(), s, p, fast), Price(DefaultCostModel(), s, p, slow)
+		a, b := Price(DefaultCostModel(), s, p, fast, 20), Price(DefaultCostModel(), s, p, slow, 20)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s placement: the same counts priced differently:\n%+v\n%+v", p, a, b)
 		}

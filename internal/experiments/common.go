@@ -24,6 +24,7 @@ import (
 	"tgopt/internal/device"
 	"tgopt/internal/graph"
 	"tgopt/internal/stats"
+	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
@@ -122,30 +123,39 @@ func (d DeviceKind) String() string {
 	return "cpu"
 }
 
-// RunResult is one inference pass.
+// RunResult is one inference pass. The engine's per-operation table
+// (Engine.Ops) holds what the run counted.
 type RunResult struct {
 	// Runtime is the measured wall time (CPU) or the run priced with
 	// its cache on the host (GPU).
 	Runtime time.Duration
 	// Ops is each operation's time on the same terms.
-	Ops       map[string]time.Duration
-	Collector *stats.Collector
-	HitRate   *stats.HitRate
-	Engine    *core.Engine
+	Ops map[stats.Op]time.Duration
+	// HitRate has one record per stream batch: the memo caches' hits
+	// and lookups during it (Figure 7). A run without a cache has none.
+	HitRate *stats.HitRate
+	Engine  *core.Engine
 }
 
 // RunInference executes the standard inference task once under the
 // given options, returning the measured (CPU) or priced (GPU) runtime
 // plus all instrumentation.
 func RunInference(w *Workload, opt core.Options, kind DeviceKind) *RunResult {
-	col := stats.NewCollector()
-	hr := stats.NewHitRate(10)
-	opt.Collector = col
-	opt.HitRate = hr
 	eng := core.NewEngine(w.Model, w.Sampler, opt)
+	hr := stats.NewHitRate(10)
+	var seen core.CacheStats
+	embed := func(nodes []int32, ts []float64) *tensor.Tensor {
+		h := eng.Embed(nodes, ts)
+		now := cacheTotals(eng)
+		if now.Lookups > seen.Lookups {
+			hr.Record(int(now.Hits-seen.Hits), int(now.Lookups-seen.Lookups))
+		}
+		seen = now
+		return h
+	}
 	start := time.Now()
-	tgat.StreamInference(w.DS.Graph, w.Model, batchSizeOf(w), eng.EmbedFunc())
-	res := &RunResult{Runtime: time.Since(start), Ops: col.Durations(), Collector: col, HitRate: hr, Engine: eng}
+	tgat.StreamInference(w.DS.Graph, w.Model, batchSizeOf(w), embed)
+	res := &RunResult{Runtime: time.Since(start), Ops: eng.Ops().Durations(), HitRate: hr, Engine: eng}
 	if kind == GPU {
 		p := res.Price(device.CacheOnHost)
 		res.Runtime, res.Ops = p.Total, p.Ops
@@ -162,7 +172,20 @@ func (r *RunResult) Price(p device.Placement) device.Priced {
 	if opt.EnableTimePrecompute {
 		shape.TimeWindow = opt.TimeWindow
 	}
-	return device.Price(device.DefaultCostModel(), shape, p, r.Collector)
+	return device.Price(device.DefaultCostModel(), shape, p, r.Engine.Ops(), cacheTotals(r.Engine).Hits)
+}
+
+// cacheTotals sums the engine's memo-cache counters over its cached
+// layers. It reads the counters alone, so an experiment can take it every
+// batch.
+func cacheTotals(e *core.Engine) core.CacheStats {
+	var t core.CacheStats
+	for l := 1; l <= e.Model().Cfg.Layers; l++ {
+		if c := e.CacheFor(l); c != nil {
+			t.Add(c.Stats())
+		}
+	}
+	return t
 }
 
 // batchSizeOf lets tests override the batch size per workload via the
@@ -190,7 +213,7 @@ func MeasureRuns(w *Workload, opt core.Options, kind DeviceKind, n int) (mean, s
 	for i := range times {
 		res := RunInference(w, opt, kind)
 		times[i] = res.Runtime.Seconds()
-		attnRows = res.Collector.Counter(stats.OpAttention)
+		attnRows = res.Engine.Ops().Items(stats.OpAttention)
 	}
 	var sum float64
 	for _, t := range times {

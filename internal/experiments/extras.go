@@ -8,7 +8,6 @@ import (
 
 	"tgopt/internal/core"
 	"tgopt/internal/dataset"
-	"tgopt/internal/stats"
 	"tgopt/internal/tgat"
 	"tgopt/internal/trainer"
 )
@@ -246,36 +245,24 @@ func WarmStart(w io.Writer, s Setup, name string, batches int) (*WarmStartResult
 		return time.Since(t0)
 	}
 
-	coldOpt := optAllScaled(s)
-	coldHR := stats.NewHitRate(10)
-	coldOpt.HitRate = coldHR
-	coldEng := core.NewEngine(wl.Model, wl.Sampler, coldOpt)
+	coldEng := core.NewEngine(wl.Model, wl.Sampler, optAllScaled(s))
 	coldT := run(coldEng)
 
-	warmOpt := optAllScaled(s)
-	warmHR := stats.NewHitRate(10)
-	warmOpt.HitRate = warmHR
-	restored := core.NewEngine(wl.Model, wl.Sampler, warmOpt)
+	restored := core.NewEngine(wl.Model, wl.Sampler, optAllScaled(s))
 	if err := restored.LoadCaches(snap); err != nil {
 		return nil, err
 	}
 	warmT := run(restored)
 
+	cold, warm := cacheTotals(coldEng), cacheTotals(restored)
 	res := &WarmStartResult{
 		Dataset: name, Batches: (len(tail) + s.BatchSize - 1) / s.BatchSize,
-		Cold: coldT, Warm: warmT, WarmHit: warmHR.Average(),
-		ColdMisses: cacheMisses(coldEng), WarmMisses: cacheMisses(restored),
+		Cold: coldT, Warm: warmT, ColdMisses: cold.Misses, WarmMisses: warm.Misses,
+	}
+	if warm.Lookups > 0 {
+		res.WarmHit = float64(warm.Hits) / float64(warm.Lookups)
 	}
 	fprintf(w, "Warm start (%s, last %d batches): cold %.3fs, warm %.3fs (%.2fx), warm hit rate %.1f%%, misses %d -> %d\n",
 		name, res.Batches, coldT.Seconds(), warmT.Seconds(), res.Speedup(), 100*res.WarmHit, res.ColdMisses, res.WarmMisses)
 	return res, nil
-}
-
-// cacheMisses sums the engine's cache misses over all cached layers.
-func cacheMisses(e *core.Engine) int64 {
-	var n int64
-	for _, ls := range e.LayerCacheStats() {
-		n += ls.Misses
-	}
-	return n
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tgopt/internal/core"
-	"tgopt/internal/stats"
 )
 
 // Figure3Point is one time bucket of the reuse-vs-recompute trend
@@ -34,8 +33,6 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 	// Nothing is ever evicted, so admission never runs: keep the paper's
 	// FIFO policy.
 	opt.CachePolicy = core.CacheFIFO
-	col := stats.NewCollector()
-	opt.Collector = col
 	eng := core.NewEngine(wl.Model, wl.Sampler, opt)
 
 	edges := wl.DS.Graph.Edges()
@@ -44,7 +41,7 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 	for i := range points {
 		points[i].Time = maxT * float64(i+1) / float64(buckets)
 	}
-	var prevHits, prevLookups int64
+	var seen core.CacheStats
 	for start := 0; start < len(edges); start += s.BatchSize {
 		end := start + s.BatchSize
 		if end > len(edges) {
@@ -59,11 +56,9 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 			ts[i], ts[nb+i] = e.Time, e.Time
 		}
 		eng.Embed(nodes, ts)
-		hits := col.Counter("cache_hits")
-		lookups := col.Counter(stats.OpCacheLookup)
-		dh := hits - prevHits
-		dl := lookups - prevLookups
-		prevHits, prevLookups = hits, lookups
+		now := cacheTotals(eng)
+		dh, dl := now.Hits-seen.Hits, now.Lookups-seen.Lookups
+		seen = now
 		bi := bucketOf(batch[nb-1].Time, maxT, buckets)
 		points[bi].Reused += dh
 		points[bi].Recomputed += dl - dh

@@ -14,30 +14,14 @@ import (
 type Table3Result struct {
 	Dataset    string
 	Device     DeviceKind
-	Baseline   map[string]time.Duration
-	Optimized  map[string]time.Duration
+	Baseline   map[stats.Op]time.Duration
+	Optimized  map[stats.Op]time.Duration
 	HitRate    float64
 	CacheBytes int64
 	CacheItems int
 	// BaselineRows and OptimizedRows are the rows each run sent through
 	// attention: the deterministic quantity behind the attention M row.
 	BaselineRows, OptimizedRows int64
-}
-
-// Table3Ops is the row order of the paper's table, then the feature
-// gathers and the time table's upload, which the paper does not list.
-var Table3Ops = []string{
-	stats.OpNghLookup,
-	stats.OpDedupFilter,
-	stats.OpDedupInvert,
-	stats.OpTimeEncZero,
-	stats.OpTimeEncDelta,
-	stats.OpComputeKeys,
-	stats.OpCacheLookup,
-	stats.OpCacheStore,
-	stats.OpAttention,
-	stats.OpFeatLookup,
-	stats.OpTransfer,
 }
 
 // Table3 runs the breakdown analysis for each named dataset on the
@@ -61,13 +45,13 @@ func Table3(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Table3Resu
 			CacheBytes: opt.Engine.CacheBytes(),
 			CacheItems: opt.Engine.CacheLen(),
 
-			BaselineRows:  base.Collector.Counter(stats.OpAttention),
-			OptimizedRows: opt.Collector.Counter(stats.OpAttention),
+			BaselineRows:  base.Engine.Ops().Items(stats.OpAttention),
+			OptimizedRows: opt.Engine.Ops().Items(stats.OpAttention),
 		}
 		results = append(results, res)
 		fprintf(w, "Table 3 (%s, %s): total runtime of operations\n", name, kind)
 		fprintf(w, "%-16s %12s %12s\n", "operation", "base", "ours")
-		for _, op := range Table3Ops {
+		for op := range stats.NumOps { // the paper's row order
 			b, hasB := res.Baseline[op]
 			o, hasO := res.Optimized[op]
 			if !hasB && !hasO {

@@ -58,7 +58,7 @@ func Table4(w io.Writer, s Setup, names []string, kind DeviceKind) ([]Table4Cell
 				Dataset: name, Limit: limit,
 				Runtime: res.Runtime, Bytes: res.Engine.CacheBytes(),
 				HitRate:  res.HitRate.Average(),
-				AttnRows: res.Collector.Counter(stats.OpAttention),
+				AttnRows: res.Engine.Ops().Items(stats.OpAttention),
 			})
 		}
 		cells = append(cells, rowCells...)

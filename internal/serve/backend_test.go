@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -194,6 +196,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // counters. The wire section agrees with the tgopt_wire_* series and,
 // sitting above the backend, reads the same in every mode; each cached
 // layer's index_records agrees with its tgopt_cache_layer_index_records.
+// And /metrics keeps README's contract: every family some backend emits
+// is named in README.md, and every name README.md lists is emitted.
 func TestBackendMetricsAndStatsShape(t *testing.T) {
 	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
@@ -205,13 +209,15 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		return false
 	}
 	common := map[string]string{} // mode -> the families / keys every mode must share
+	emitted := map[string]bool{}  // every family any mode emits
 	forEachBackend(t, func(t *testing.T, m backendMode, mk func(string) (*Server, *httptest.Server)) {
-		s, ts := mk("")
+		_, ts := mk("")
 		backendScript(t, ts.URL)
 
 		var rest []string
 		batch, pool := 0, 0
 		for _, f := range sortedKeys(metricFamilies(t, ts.URL)) {
+			emitted[f] = true
 			switch {
 			case isBatch(f):
 				batch++
@@ -255,8 +261,7 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 				}
 			}
 		}
-		// hit_rate is the cache section's hits per lookup: no engine
-		// feeds a per-pass tracker.
+		// hit_rate is the cache section's hits per lookup.
 		var hitRate float64
 		var cache core.CacheStats
 		if err := json.Unmarshal(st["hit_rate"], &hitRate); err != nil {
@@ -267,11 +272,6 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		}
 		if cache.Lookups == 0 || hitRate != float64(cache.Hits)/float64(cache.Lookups) {
 			t.Errorf("hit_rate %v, cache hits %d / lookups %d", hitRate, cache.Hits, cache.Lookups)
-		}
-		for i, eng := range s.backend.Engines() {
-			if eng.Options().HitRate != nil {
-				t.Errorf("engine %d records into a HitRate tracker", i)
-			}
 		}
 		var wire wireStats
 		if err := json.Unmarshal(st["wire"], &wire); err != nil {
@@ -311,6 +311,56 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		if common[m.name] != common[backendModes[0].name] {
 			t.Errorf("%s and %s differ beyond the batching and shards sections:\n%s\n--\n%s",
 				m.name, backendModes[0].name, common[m.name], common[backendModes[0].name])
+		}
+	}
+	checkReadmeMetrics(t, emitted)
+}
+
+// checkReadmeMetrics holds README.md's metric names to the emitted
+// families both ways. A README name ending in * is a prefix; a name
+// with a _sum or _count suffix documents its summary family.
+func checkReadmeMetrics(t *testing.T, emitted map[string]bool) {
+	t.Helper()
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented, prefixes := map[string]bool{}, []string{}
+	for _, name := range regexp.MustCompile(`tgopt_[a-z0-9_]*\*?`).FindAllString(string(readme), -1) {
+		if p, ok := strings.CutSuffix(name, "*"); ok {
+			prefixes = append(prefixes, p)
+			continue
+		}
+		documented[name] = true
+		documented[strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")] = true
+	}
+	named := func(f string) bool {
+		for _, p := range prefixes {
+			if strings.HasPrefix(f, p) {
+				return true
+			}
+		}
+		return documented[f]
+	}
+	for _, f := range sortedKeys(emitted) {
+		if !named(f) {
+			t.Errorf("/metrics emits %s, which README.md does not name", f)
+		}
+	}
+	for _, name := range sortedKeys(documented) {
+		if !emitted[name] && !emitted[strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")] {
+			t.Errorf("README.md names %s, which no backend emits", name)
+		}
+	}
+	for _, p := range prefixes {
+		n := 0
+		for f := range emitted {
+			if strings.HasPrefix(f, p) {
+				n++
+			}
+		}
+		if n == 0 {
+			t.Errorf("README.md names %s*, which matches no emitted family", p)
 		}
 	}
 }

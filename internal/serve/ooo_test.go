@@ -553,7 +553,7 @@ func TestServeIngestBeyondFeatureTableServes(t *testing.T) {
 	// the engine as in the baseline: a clamp to any other row differs.
 	ns, at := []int32{1, 4, 7}, []float64{100, 100, 100}
 	rows := embedRows(t, ts.URL, ns, at)
-	want := m.Embed(graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), ns, at, nil)
+	want := m.Embed(graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), ns, at)
 	for i, row := range rows {
 		for j, v := range row {
 			if math.Float32bits(v) != math.Float32bits(want.At(i, j)) {

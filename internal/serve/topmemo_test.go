@@ -59,7 +59,7 @@ func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 			ns, at := []int32{1, 2, 3, 4}, []float64{90, 90, 90, 90}
 			baseline := func() [][]float32 {
 				sampler := graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
-				h := m.Embed(sampler, ns, at, nil)
+				h := m.Embed(sampler, ns, at)
 				rows := make([][]float32, len(ns))
 				for i := range rows {
 					rows[i] = h.Row(i)

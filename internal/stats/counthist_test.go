@@ -70,14 +70,14 @@ func TestCountHistogramConcurrent(t *testing.T) {
 
 func TestCountBucketBoundMonotone(t *testing.T) {
 	prev := int64(0)
-	for i := 0; i < countBuckets; i++ {
+	for i := 0; i < histBuckets; i++ {
 		b := CountBucketBound(i)
 		if b <= prev && i > 0 {
 			t.Fatalf("bounds not increasing at %d: %d <= %d", i, b, prev)
 		}
 		prev = b
 	}
-	if CountBucketBound(countBuckets) != CountBucketBound(countBuckets-1) {
+	if CountBucketBound(histBuckets) != CountBucketBound(histBuckets-1) {
 		t.Fatal("overflow bucket must report the largest finite bound")
 	}
 	if CountBucketBound(-1) != 1 {

@@ -1,180 +1,125 @@
-// Package stats provides the lightweight operation-level instrumentation
-// behind the paper's breakdown analysis (Table 3) and hit-rate plots
-// (Figure 7): named wall-clock timers and counters, plus a sliding-window
-// hit-rate tracker. An operation observed through Observe also leaves
-// its item count and call count, the work internal/device prices.
+// Package stats provides the operation-level instrumentation behind the
+// paper's breakdown analysis (Table 3) and hit-rate plots (Figure 7): a
+// fixed per-operation table of latency histograms and item counts, and
+// a sliding-window hit-rate series. Each core.Engine owns one table; an
+// operation's calls and items are the work internal/device prices.
 //
-// A nil *Collector is valid and free: every method no-ops, so hot paths
-// can carry an optional collector without branching at call sites.
+// A nil *Collector, *Histogram or *HitRate is valid and free: every
+// method no-ops or returns zero.
 package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Canonical operation names, matching Algorithm 1 of the paper and the
-// rows of Table 3.
+// Op is one operation of Algorithm 1: a row of Table 3. The values run
+// in the table's row order, then the feature gathers and the time
+// table's upload, which the paper does not list.
+type Op int
+
 const (
-	OpNghLookup    = "NghLookup"
-	OpDedupFilter  = "DedupFilter"
-	OpDedupInvert  = "DedupInvert"
-	OpTimeEncZero  = "TimeEncode(0)"
-	OpTimeEncDelta = "TimeEncode(dt)"
-	OpComputeKeys  = "ComputeKeys"
-	OpCacheLookup  = "CacheLookup"
-	OpCacheStore   = "CacheStore"
-	OpAttention    = "attention M"
-	OpFeatLookup   = "FeatLookup"
-	OpTransfer     = "DeviceTransfer"
+	OpNghLookup Op = iota
+	OpDedupFilter
+	OpDedupInvert
+	OpTimeEncZero
+	OpTimeEncDelta
+	OpComputeKeys
+	OpCacheLookup
+	OpCacheStore
+	OpAttention
+	OpFeatLookup
+	OpTransfer
+	// NumOps is the number of operations.
+	NumOps
 )
 
-// Collector accumulates named durations and counters, and how many
-// times each operation was observed. It is safe for concurrent use.
+var opNames = [NumOps]string{
+	"NghLookup", "DedupFilter", "DedupInvert", "TimeEncode(0)", "TimeEncode(dt)",
+	"ComputeKeys", "CacheLookup", "CacheStore", "attention M", "FeatLookup", "DeviceTransfer",
+}
+
+// String returns the operation's Table 3 row name.
+func (o Op) String() string { return opNames[o] }
+
+// Collector is the per-operation table: for each Op, a latency
+// histogram whose Count is the op's calls and whose Sum is its wall
+// time, and an item counter. Every update is an atomic add, so it is
+// safe for concurrent use and its hot path takes no lock.
 type Collector struct {
-	mu     sync.Mutex
-	durs   map[string]time.Duration
-	counts map[string]int64
-	calls  map[string]int64
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		durs:   make(map[string]time.Duration),
-		counts: make(map[string]int64),
-		calls:  make(map[string]int64),
+	ops [NumOps]struct {
+		wall  Histogram
+		items atomic.Int64
 	}
 }
 
-// Time starts a timer for name and returns a stop function that records
-// the elapsed duration. Usage: defer c.Time(stats.OpAttention)().
-func (c *Collector) Time(name string) func() {
-	if c == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { c.Add(name, time.Since(start)) }
-}
+// NewCollector returns an empty table.
+func NewCollector() *Collector { return &Collector{} }
 
-// Add records d against name.
-func (c *Collector) Add(name string, d time.Duration) {
+// Observe records one call of op that took d and handled n items.
+func (c *Collector) Observe(op Op, d time.Duration, n int64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.durs[name] += d
-	c.mu.Unlock()
+	r := &c.ops[op]
+	r.wall.Observe(d)
+	r.items.Add(n)
 }
 
-// Observe records one call of operation name that took d and handled n
-// items: d into its duration, n into its counter, and one into its
-// call count.
-func (c *Collector) Observe(name string, d time.Duration, n int64) {
+// Hist returns op's latency histogram (nil on a nil table).
+func (c *Collector) Hist(op Op) *Histogram {
 	if c == nil {
-		return
+		return nil
 	}
-	c.mu.Lock()
-	c.durs[name] += d
-	c.counts[name] += n
-	c.calls[name]++
-	c.mu.Unlock()
+	return &c.ops[op].wall
 }
 
-// Count adds n to the named counter.
-func (c *Collector) Count(name string, n int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.counts[name] += n
-	c.mu.Unlock()
-}
-
-// Duration returns the accumulated duration for name.
-func (c *Collector) Duration(name string) time.Duration {
+// Items returns the items op handled.
+func (c *Collector) Items(op Op) int64 {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.durs[name]
+	return c.ops[op].items.Load()
 }
 
-// Counter returns the accumulated counter for name.
-func (c *Collector) Counter(name string) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
+// Calls returns how many times op was observed.
+func (c *Collector) Calls(op Op) int64 { return c.Hist(op).Count() }
 
-// Calls returns how many times operation name was observed.
-func (c *Collector) Calls(name string) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls[name]
-}
+// Duration returns op's accumulated wall time.
+func (c *Collector) Duration(op Op) time.Duration { return c.Hist(op).Sum() }
 
-// Total returns the sum of all accumulated durations.
+// Total returns the wall time of all operations.
 func (c *Collector) Total() time.Duration {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var total time.Duration
-	for _, d := range c.durs {
-		total += d
+	for op := range NumOps {
+		total += c.Duration(op)
 	}
 	return total
 }
 
-// Durations returns a copy of all accumulated durations.
-func (c *Collector) Durations() map[string]time.Duration {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]time.Duration, len(c.durs))
-	for k, v := range c.durs {
-		out[k] = v
+// Durations returns the wall time of every operation observed at least
+// once.
+func (c *Collector) Durations() map[Op]time.Duration {
+	out := make(map[Op]time.Duration)
+	for op := range NumOps {
+		if c.Calls(op) > 0 {
+			out[op] = c.Duration(op)
+		}
 	}
 	return out
 }
 
-// String renders the collector as a sorted, aligned table (seconds).
+// String renders one row per observed operation, in Table 3 order: its
+// wall time, items and calls.
 func (c *Collector) String() string {
-	if c == nil {
-		return "<nil collector>"
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.durs))
-	for k := range c.durs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-16s %10.4fs\n", k, c.durs[k].Seconds())
-	}
-	cnames := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		cnames = append(cnames, k)
-	}
-	sort.Strings(cnames)
-	for _, k := range cnames {
-		fmt.Fprintf(&b, "%-16s %10d\n", k, c.counts[k])
+	for op := range NumOps {
+		if calls := c.Calls(op); calls > 0 {
+			fmt.Fprintf(&b, "%-16s %10.4fs %12d items %8d calls\n", op, c.Duration(op).Seconds(), c.Items(op), calls)
+		}
 	}
 	return b.String()
 }

@@ -10,80 +10,72 @@ import (
 
 func TestCollectorAccumulates(t *testing.T) {
 	c := NewCollector()
-	c.Add(OpAttention, time.Second)
-	c.Add(OpAttention, 2*time.Second)
-	if c.Duration(OpAttention) != 3*time.Second {
-		t.Fatalf("Duration = %v", c.Duration(OpAttention))
-	}
-	c.Count("embeds", 5)
-	c.Count("embeds", 7)
-	if c.Counter("embeds") != 12 {
-		t.Fatalf("Counter = %v", c.Counter("embeds"))
-	}
 	c.Observe(OpCacheStore, time.Second, 40)
 	c.Observe(OpCacheStore, time.Second, 2)
-	if c.Duration(OpCacheStore) != 2*time.Second || c.Counter(OpCacheStore) != 42 || c.Calls(OpCacheStore) != 2 {
-		t.Fatalf("Observe: duration %v, count %d, calls %d",
-			c.Duration(OpCacheStore), c.Counter(OpCacheStore), c.Calls(OpCacheStore))
+	if c.Duration(OpCacheStore) != 2*time.Second || c.Items(OpCacheStore) != 42 || c.Calls(OpCacheStore) != 2 {
+		t.Fatalf("Observe: duration %v, items %d, calls %d",
+			c.Duration(OpCacheStore), c.Items(OpCacheStore), c.Calls(OpCacheStore))
 	}
-	if c.Calls(OpAttention) != 0 {
-		t.Fatal("Add counted a call")
+	// The op's histogram is its call count and wall time.
+	if h := c.Hist(OpCacheStore); h.Count() != 2 || h.Sum() != 2*time.Second {
+		t.Fatalf("histogram %d calls, %v", h.Count(), h.Sum())
 	}
-}
-
-func TestCollectorTimeMeasuresElapsed(t *testing.T) {
-	c := NewCollector()
-	stop := c.Time("op")
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	if c.Duration("op") < 4*time.Millisecond {
-		t.Fatalf("measured %v, want >= ~5ms", c.Duration("op"))
+	if c.Calls(OpAttention) != 0 || c.Items(OpAttention) != 0 {
+		t.Fatal("an unobserved op has calls or items")
+	}
+	c.Observe(OpAttention, time.Second, 1)
+	if c.Total() != 3*time.Second {
+		t.Fatalf("Total = %v", c.Total())
 	}
 }
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Time("x")()
-	c.Add("x", time.Second)
-	c.Count("x", 1)
-	c.Observe("x", time.Second, 1)
+	c.Observe(OpAttention, time.Second, 1)
 	c.Reset()
-	if c.Duration("x") != 0 || c.Counter("x") != 0 || c.Calls("x") != 0 {
+	if c.Duration(OpAttention) != 0 || c.Items(OpAttention) != 0 || c.Calls(OpAttention) != 0 || c.Total() != 0 {
 		t.Fatal("nil collector returned nonzero")
 	}
-	if c.String() != "<nil collector>" {
-		t.Fatal("nil String() wrong")
-	}
-	if c.Durations() != nil {
-		t.Fatal("nil Durations() should be nil")
+	if c.String() != "" || len(c.Durations()) != 0 || c.Hist(OpAttention) != nil {
+		t.Fatal("nil collector rendered something")
 	}
 }
 
 func TestCollectorResetAndDurations(t *testing.T) {
 	c := NewCollector()
-	c.Add("a", time.Second)
-	c.Observe("b", time.Second, 3)
+	c.Observe(OpNghLookup, time.Second, 3)
+	c.Observe(OpFeatLookup, 0, 3) // observed, even in no time
 	m := c.Durations()
-	if m["a"] != time.Second {
-		t.Fatal("Durations copy wrong")
+	if len(m) != 2 || m[OpNghLookup] != time.Second {
+		t.Fatalf("Durations = %v", m)
 	}
-	m["a"] = 0 // must not affect the collector
-	if c.Duration("a") != time.Second {
+	if _, ok := m[OpFeatLookup]; !ok {
+		t.Fatal("Durations dropped an op observed in zero time")
+	}
+	m[OpNghLookup] = 0 // must not affect the collector
+	if c.Duration(OpNghLookup) != time.Second {
 		t.Fatal("Durations did not copy")
 	}
 	c.Reset()
-	if c.Duration("a") != 0 || c.Counter("b") != 0 || c.Calls("b") != 0 {
+	if c.Duration(OpNghLookup) != 0 || c.Items(OpNghLookup) != 0 || c.Calls(OpNghLookup) != 0 {
 		t.Fatal("Reset did not clear")
 	}
 }
 
 func TestCollectorStringContainsOps(t *testing.T) {
 	c := NewCollector()
-	c.Add(OpCacheLookup, time.Millisecond)
-	c.Count("hits", 3)
+	c.Observe(OpCacheLookup, time.Millisecond, 7)
 	s := c.String()
-	if !strings.Contains(s, OpCacheLookup) || !strings.Contains(s, "hits") {
+	if !strings.Contains(s, "CacheLookup") || !strings.Contains(s, "7 items") || !strings.Contains(s, "1 calls") {
 		t.Fatalf("String missing entries: %q", s)
+	}
+	if strings.Contains(s, "attention M") {
+		t.Fatalf("String lists an unobserved op: %q", s)
+	}
+	for op := range NumOps {
+		if op.String() == "" {
+			t.Fatalf("op %d has no name", int(op))
+		}
 	}
 }
 
@@ -95,21 +87,14 @@ func TestCollectorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c.Add("op", time.Microsecond)
-				c.Count("n", 1)
-				c.Observe("obs", time.Microsecond, 2)
+				c.Observe(OpAttention, time.Microsecond, 2)
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Counter("n") != 5000 {
-		t.Fatalf("concurrent Count lost updates: %d", c.Counter("n"))
-	}
-	if c.Duration("op") != 5000*time.Microsecond {
-		t.Fatalf("concurrent Add lost updates: %v", c.Duration("op"))
-	}
-	if c.Calls("obs") != 5000 || c.Counter("obs") != 10000 {
-		t.Fatalf("concurrent Observe lost updates: %d calls, %d items", c.Calls("obs"), c.Counter("obs"))
+	if c.Calls(OpAttention) != 5000 || c.Items(OpAttention) != 10000 || c.Duration(OpAttention) != 5000*time.Microsecond {
+		t.Fatalf("concurrent Observe lost updates: %d calls, %d items, %v",
+			c.Calls(OpAttention), c.Items(OpAttention), c.Duration(OpAttention))
 	}
 }
 
@@ -166,16 +151,16 @@ func TestHitRateWindowClamp(t *testing.T) {
 	}
 }
 
-// Reset clears all timers and counters.
+// Reset clears every operation's record.
 func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.durs = make(map[string]time.Duration)
-	c.counts = make(map[string]int64)
-	c.calls = make(map[string]int64)
+	for op := range NumOps {
+		r := &c.ops[op]
+		r.wall.Reset()
+		r.items.Store(0)
+	}
 }
 
 // Batches returns the number of batches recorded.

@@ -24,7 +24,7 @@ type EmbedArenaFunc func(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.
 // sampler.
 func (m *Model) BaselineEmbedFunc(s *graph.Sampler) EmbedFunc {
 	return func(nodes []int32, ts []float64) *tensor.Tensor {
-		return m.Embed(s, nodes, ts, nil)
+		return m.Embed(s, nodes, ts)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/graph"
 	"tgopt/internal/nn"
-	"tgopt/internal/stats"
 	"tgopt/internal/tensor"
 )
 
@@ -108,24 +107,19 @@ func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, 
 // layer for the given node–timestamp targets, recursively expanding the
 // L-hop temporal subgraph exactly as the original TGAT implementation
 // does: no deduplication, no caching, no precomputed time encodings.
-// col may be nil.
-func (m *Model) Embed(s *graph.Sampler, nodes []int32, ts []float64, col *stats.Collector) *tensor.Tensor {
-	return m.embed(s, m.Cfg.Layers, nodes, ts, col)
+// The instrumented baseline is a core engine with every optimization
+// off.
+func (m *Model) Embed(s *graph.Sampler, nodes []int32, ts []float64) *tensor.Tensor {
+	return m.embed(s, m.Cfg.Layers, nodes, ts)
 }
 
-func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64, col *stats.Collector) *tensor.Tensor {
+func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64) *tensor.Tensor {
 	if l == 0 {
-		stop := col.Time(stats.OpFeatLookup)
-		h := gatherRows32(m.NodeFeat, nodes)
-		stop()
-		return h
+		return gatherRows32(m.NodeFeat, nodes)
 	}
 	n := len(nodes)
 	k := m.Cfg.NumNeighbors
-
-	stop := col.Time(stats.OpNghLookup)
 	b := s.Sample(nodes, ts)
-	stop()
 
 	// Recurse over targets ∪ neighbors at layer l-1.
 	allNodes := make([]int32, n+n*k)
@@ -134,7 +128,7 @@ func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64, col 
 	copy(allTs, ts)
 	copy(allNodes[n:], b.Nghs)
 	copy(allTs[n:], b.Times)
-	hAll := m.embed(s, l-1, allNodes, allTs, col)
+	hAll := m.embed(s, l-1, allNodes, allTs)
 
 	d := m.Cfg.NodeDim
 	hTgt := tensor.FromSlice(hAll.Data()[:n*d], n, d)
@@ -143,12 +137,7 @@ func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64, col 
 	// Time encodings: Φ(0) for targets, Φ(t − t_j) for neighbor slots
 	// (padding slots carry t_j = t, so their delta is 0, matching the
 	// original implementation's zero-padded deltas).
-	stop = col.Time(stats.OpTimeEncZero)
-	zeros := make([]float64, n)
-	tEnc0 := m.Time.Encode(zeros)
-	stop()
-
-	stop = col.Time(stats.OpTimeEncDelta)
+	tEnc0 := m.Time.Encode(make([]float64, n))
 	deltas := make([]float64, n*k)
 	for i := 0; i < n; i++ {
 		for j := 0; j < k; j++ {
@@ -156,16 +145,8 @@ func (m *Model) embed(s *graph.Sampler, l int, nodes []int32, ts []float64, col 
 		}
 	}
 	tEncD := m.Time.Encode(deltas)
-	stop()
-
-	stop = col.Time(stats.OpFeatLookup)
 	eFeat := gatherRows32(m.EdgeFeat, b.EIdxs)
-	stop()
-
-	stop = col.Time(stats.OpAttention)
-	out := m.LayerForward(l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-	stop()
-	return out
+	return m.LayerForward(l, hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
 }
 
 // FeatureRow returns the row of a feature table with the given number of
@@ -237,7 +218,7 @@ func (m *Model) Explain(s *graph.Sampler, node int32, t float64) (*tensor.Tensor
 
 	allNodes := append(append([]int32{}, nodes...), b.Nghs...)
 	allTs := append(append([]float64{}, ts...), b.Times...)
-	hAll := m.embed(s, m.Cfg.Layers-1, allNodes, allTs, nil)
+	hAll := m.embed(s, m.Cfg.Layers-1, allNodes, allTs)
 	d := m.Cfg.NodeDim
 	hTgt := tensor.FromSlice(hAll.Data()[:d], 1, d)
 	hNgh := tensor.FromSlice(hAll.Data()[d:], k, d)

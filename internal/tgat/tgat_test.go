@@ -8,7 +8,6 @@ import (
 	"tgopt/internal/dataset"
 	"tgopt/internal/graph"
 	"tgopt/internal/parallel"
-	"tgopt/internal/stats"
 	"tgopt/internal/tensor"
 )
 
@@ -156,11 +155,11 @@ func TestEmbedShapesAndDeterminism(t *testing.T) {
 	s := graph.NewSampler(ds.Graph, m.Cfg.NumNeighbors, graph.MostRecent, 0)
 	nodes := []int32{1, 2, 3, 31, 32}
 	ts := []float64{5e4, 5e4, 6e4, 7e4, 9e4}
-	h1 := m.Embed(s, nodes, ts, nil)
+	h1 := m.Embed(s, nodes, ts)
 	if h1.Dim(0) != 5 || h1.Dim(1) != 16 {
 		t.Fatalf("Embed shape %v", h1.Shape())
 	}
-	h2 := m.Embed(s, nodes, ts, nil)
+	h2 := m.Embed(s, nodes, ts)
 	if !h1.AllClose(h2, 0) {
 		t.Fatal("Embed is not deterministic for the same targets")
 	}
@@ -183,8 +182,8 @@ func TestEmbedDiffersAcrossTimes(t *testing.T) {
 		}
 	}
 	busy = best
-	early := m.Embed(s, []int32{busy}, []float64{1e3}, nil)
-	late := m.Embed(s, []int32{busy}, []float64{9.9e4}, nil)
+	early := m.Embed(s, []int32{busy}, []float64{1e3})
+	late := m.Embed(s, []int32{busy}, []float64{9.9e4})
 	if early.AllClose(late, 1e-9) {
 		t.Fatal("embeddings identical across very different times (suspicious)")
 	}
@@ -199,26 +198,13 @@ func TestEmbedLayerZeroIsFeatureLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := graph.NewSampler(ds.Graph, cfg.NumNeighbors, graph.MostRecent, 0)
-	h := m.embed(s, 0, []int32{0, 3, 7}, []float64{1, 2, 3}, nil)
+	h := m.embed(s, 0, []int32{0, 3, 7}, []float64{1, 2, 3})
 	for j := 0; j < 16; j++ {
 		if h.At(0, j) != 0 {
 			t.Fatal("padding node features not zero")
 		}
 		if h.At(1, j) != ds.NodeFeat.At(3, j) || h.At(2, j) != ds.NodeFeat.At(7, j) {
 			t.Fatal("layer-0 lookup wrong")
-		}
-	}
-}
-
-func TestEmbedCollectsStats(t *testing.T) {
-	ds := testDataset(t)
-	m := testModel(t, ds)
-	s := graph.NewSampler(ds.Graph, m.Cfg.NumNeighbors, graph.MostRecent, 0)
-	col := stats.NewCollector()
-	m.Embed(s, []int32{1, 2}, []float64{5e4, 5e4}, col)
-	for _, op := range []string{stats.OpNghLookup, stats.OpTimeEncZero, stats.OpTimeEncDelta, stats.OpAttention, stats.OpFeatLookup} {
-		if col.Duration(op) <= 0 {
-			t.Fatalf("no time recorded for %s", op)
 		}
 	}
 }
@@ -248,7 +234,7 @@ func TestSaveLoadParamsRoundTrip(t *testing.T) {
 	s := graph.NewSampler(ds.Graph, m.Cfg.NumNeighbors, graph.MostRecent, 0)
 	nodes := []int32{1, 2, 3}
 	ts := []float64{5e4, 6e4, 7e4}
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := m.SaveParams(path); err != nil {
@@ -261,14 +247,14 @@ func TestSaveLoadParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Embed(s, nodes, ts, nil).AllClose(want, 1e-9) {
+	if m2.Embed(s, nodes, ts).AllClose(want, 1e-9) {
 		t.Fatal("different-seed models embed identically (suspicious)")
 	}
 	// ...until the checkpoint is loaded.
 	if err := m2.LoadParams(path); err != nil {
 		t.Fatal(err)
 	}
-	got := m2.Embed(s, nodes, ts, nil)
+	got := m2.Embed(s, nodes, ts)
 	if !got.AllClose(want, 0) {
 		t.Fatalf("post-load embeddings differ: %g", got.MaxAbsDiff(want))
 	}
@@ -357,7 +343,7 @@ func TestExplainMatchesEmbedAndRanksNeighbors(t *testing.T) {
 	}
 	at := ds.Graph.MaxTime() + 1
 	h, attrs := m.Explain(s, best, at)
-	want := m.Embed(s, []int32{best}, []float64{at}, nil)
+	want := m.Embed(s, []int32{best}, []float64{at})
 	if d := h.MaxAbsDiff(want); d > 1e-6 {
 		t.Fatalf("Explain embedding differs from Embed by %g", d)
 	}
@@ -390,7 +376,7 @@ func TestExplainNodeWithoutHistory(t *testing.T) {
 	if len(attrs) != 0 {
 		t.Fatalf("history-less node has %d attributions", len(attrs))
 	}
-	want := m.Embed(s, []int32{1}, []float64{0}, nil)
+	want := m.Embed(s, []int32{1}, []float64{0})
 	if d := h.MaxAbsDiff(want); d > 1e-6 {
 		t.Fatalf("Explain embedding differs by %g", d)
 	}

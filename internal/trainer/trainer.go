@@ -488,7 +488,7 @@ func Evaluate(m *tgat.Model, s *graph.Sampler, val []graph.Edge, neg *negativeSa
 			nodes[2*nb+i] = neg.sample()
 			ts[i], ts[nb+i], ts[2*nb+i] = e.Time, e.Time, e.Time
 		}
-		h := m.Embed(s, nodes, ts, nil)
+		h := m.Embed(s, nodes, ts)
 		d := m.Cfg.NodeDim
 		hSrc := tensor.FromSlice(h.Data()[:nb*d], nb, d)
 		hDst := tensor.FromSlice(h.Data()[nb*d:2*nb*d], nb, d)

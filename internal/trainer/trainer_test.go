@@ -38,7 +38,7 @@ func TestTapeForwardMatchesInferenceForward(t *testing.T) {
 	ts := []float64{1e4, 2e4, 3e4, 4e4, 4.5e4}
 	tp := NewTape(m)
 	got := Forward(m, s, tp, nodes, ts)
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	if d := got.T.MaxAbsDiff(want); d > 1e-6 {
 		t.Fatalf("tape forward differs from inference forward by %g", d)
 	}
@@ -55,7 +55,7 @@ func TestTapeForwardMatchesTwoLayer(t *testing.T) {
 	nodes := []int32{2, 3, 22}
 	ts := []float64{3e4, 3e4, 4e4}
 	got := Forward(m, s, NewTape(m), nodes, ts)
-	want := m.Embed(s, nodes, ts, nil)
+	want := m.Embed(s, nodes, ts)
 	if d := got.T.MaxAbsDiff(want); d > 1e-6 {
 		t.Fatalf("2-layer tape forward differs by %g", d)
 	}
@@ -227,8 +227,8 @@ func TestTrainWithDropoutConverges(t *testing.T) {
 	}
 	// Inference after dropout training must be deterministic (no dropout
 	// at inference time).
-	a := m.Embed(s, []int32{1, 2}, []float64{4e4, 4e4}, nil)
-	b := m.Embed(s, []int32{1, 2}, []float64{4e4, 4e4}, nil)
+	a := m.Embed(s, []int32{1, 2}, []float64{4e4, 4e4})
+	b := m.Embed(s, []int32{1, 2}, []float64{4e4, 4e4})
 	if !a.AllClose(b, 0) {
 		t.Fatal("inference nondeterministic after dropout training")
 	}

@@ -64,6 +64,8 @@ one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hed
 one sketch site (a TinyLFU sketch is built only where a shard arms it)	-E	= newFreqSketch\(	internal/core	a second TinyLFU sketch site is back: a shard builds its sketch only on the insert that brings it to half its limit	1
 one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
+one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
+one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for dir in internal/*/; do
