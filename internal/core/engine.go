@@ -856,15 +856,32 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		hTgt, hNgh := hAll.Slice(ar, 0, nm), hAll.Slice(ar, nm, nm+nm*k)
 
 		tEnc0 := e.encodeZeros(ar, nm)
-		tEncD := e.encodeDeltas(ar, missTs, &b, nm, k)
 
 		start = time.Now()
 		eFeat := featureRows(ar, e.model.EdgeFeat, b.EIdxs)
 		e.observe(stats.OpFeatLookup, nm*k, start)
 
+		// Φ(t − t_j) is encoded inside the layer pass, one valid slot at
+		// a time, straight into the tile's kv row. The pass's wall time
+		// is split by the tiles' measured encode share: TimeEncode(Δt)
+		// gets that part, as one call over every slot (padded included,
+		// which the device price reads), and attention M the rest.
+		deltas := ar.Float64s(nm * k)
+		for i := 0; i < nm; i++ {
+			for j := 0; j < k; j++ {
+				deltas[i*k+j] = missTs[i] - b.Times[i*k+j]
+			}
+		}
+		tEncD := nn.TimeRows{Deltas: deltas, Source: e.model.Time}
+		if e.ttable != nil {
+			tEncD.Source = e.ttable
+		}
 		start = time.Now()
-		hm := e.model.LayerForwardPacked(ar, l, &e.packs[l-1], hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
-		e.observe(stats.OpAttention, nm, start)
+		hm, encShare := e.model.LayerForwardPacked(ar, l, &e.packs[l-1], hTgt, hNgh, eFeat, tEnc0, tEncD, b.Valid)
+		wall := time.Since(start)
+		enc := time.Duration(float64(wall) * encShare)
+		e.ops.Observe(stats.OpTimeEncDelta, enc, int64(nm*k))
+		e.ops.Observe(stats.OpAttention, wall-enc, int64(nm))
 
 		if cache != nil && fence.staleFor(missTs) {
 			// The graph moved under this batch (passFence.staleFor).
@@ -961,28 +978,6 @@ func (e *Engine) encodeZeros(ar *tensor.Arena, n int) *tensor.Tensor {
 	clear(zeros) // arena scratch is dirty; the encoder reads it
 	e.model.Time.EncodeInto(zeros, out)
 	e.observe(stats.OpTimeEncZero, n, start)
-	return out
-}
-
-// encodeDeltas produces Φ(t − t_j) for every neighbor slot.
-func (e *Engine) encodeDeltas(ar *tensor.Arena, ts []float64, b *graph.Batch, n, k int) *tensor.Tensor {
-	d := e.model.Cfg.TimeDim
-	deltas := ar.Float64s(n * k)
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			deltas[i*k+j] = ts[i] - b.Times[i*k+j]
-		}
-	}
-	out := ar.Tensor(n*k, d)
-	if e.ttable != nil {
-		start := time.Now()
-		e.ttable.EncodeIntoWith(ar, deltas, out)
-		e.observe(stats.OpTimeEncDelta, len(deltas), start)
-		return out
-	}
-	start := time.Now()
-	e.model.Time.EncodeInto(deltas, out)
-	e.observe(stats.OpTimeEncDelta, len(deltas), start)
 	return out
 }
 

@@ -356,6 +356,32 @@ func TestEngineStageStats(t *testing.T) {
 	}
 }
 
+// TestEngineTimeEncodeCounts: the layer pass encodes Φ(Δt) in its
+// tiles, yet TimeEncode(Δt) and TimeEncode(0) keep one call per computed
+// level each, TimeEncode(Δt) counting every neighbor slot (padded
+// included) and TimeEncode(0) every target — the counts the engine
+// recorded when it encoded a dense slab before the pass, which the
+// device price and Table 3 read.
+func TestEngineTimeEncodeCounts(t *testing.T) {
+	ds, m, s := engineTestSetup(t, 600)
+	for _, tc := range []struct {
+		opt                                  Options
+		zeroCalls, zeros, deltaCalls, deltas int64
+	}{
+		{Options{}, 12, 8400, 12, 42000},
+		{Options{EnableTimePrecompute: true}, 12, 8400, 12, 42000},
+		{OptAll(), 12, 2553, 12, 12765},
+	} {
+		eng := NewEngine(m, s, tc.opt)
+		tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())
+		c := eng.Ops()
+		got := [4]int64{c.Calls(stats.OpTimeEncZero), c.Items(stats.OpTimeEncZero), c.Calls(stats.OpTimeEncDelta), c.Items(stats.OpTimeEncDelta)}
+		if want := [4]int64{tc.zeroCalls, tc.zeros, tc.deltaCalls, tc.deltas}; got != want {
+			t.Errorf("%+v: TimeEncode(0) calls/items, TimeEncode(dt) calls/items = %v, want %v", tc.opt, got, want)
+		}
+	}
+}
+
 // TestEngineStageIsTheMergeOfItsOps pins the one record: every stage
 // histogram StageStats reports is exactly the merge of its operations'
 // histograms in the engine's table — same calls, wall time and buckets

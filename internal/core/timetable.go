@@ -54,9 +54,11 @@ func (tt *TimeTable) EncodeZerosInto(n int, dst *tensor.Tensor) {
 // Hits and misses are served in one pass over the rows — a miss is
 // encoded straight into its destination row, so there is no miss
 // scratch to draw and ar goes unused; the parameter stays for the
-// callers that thread an arena through every *With call. The row loop parallelizes when
-// parallel.WillFanOut(len(dts)): out-of-window deltas are d cosines
-// each, and no window covers a stream whose deltas span six decades.
+// callers that thread an arena through every *With call. The row loop
+// parallelizes when parallel.WillFanOut(len(dts)): out-of-window deltas
+// are d cosines each, and no window covers a stream whose deltas span
+// six decades. The engine's layer pass encodes its deltas in its tiles
+// instead, one EncodeRow per valid slot (nn.TimeRows).
 func (tt *TimeTable) EncodeIntoWith(_ *tensor.Arena, dts []float64, dst *tensor.Tensor) int {
 	data := dst.Data()
 	// Closure and counter built only on the fan-out branch, so the
@@ -74,18 +76,32 @@ func (tt *TimeTable) EncodeIntoWith(_ *tensor.Arena, dts []float64, dst *tensor.
 // encodeRows fills rows [lo,hi) of data and returns their table hits.
 func (tt *TimeTable) encodeRows(dts []float64, data []float32, lo, hi int) int {
 	d := tt.Dim()
-	tab := tt.table.Data()
 	hits := 0
 	for i := lo; i < hi; i++ {
-		dt := dts[i]
-		row := data[i*d : (i+1)*d]
-		idx := int(dt)
-		if dt >= 0 && float64(idx) == dt && idx < tt.window {
-			copy(row, tab[idx*d:(idx+1)*d])
+		if tt.encodeRow(dts[i], data[i*d:(i+1)*d]) {
 			hits++
-			continue
 		}
-		tt.enc.EncodeRow(dt, row)
 	}
 	return hits
+}
+
+// EncodeRow writes Φ(dt) into row (length d): the table's row for an
+// integral in-window dt, the encoder's evaluation otherwise — the same
+// bits either way. It makes the table an nn.TimeSource, which the
+// engine's layer pass calls per valid neighbor slot.
+func (tt *TimeTable) EncodeRow(dt float64, row []float32) { tt.encodeRow(dt, row) }
+
+// encodeRow is the table's one hit rule: a dt that is integral,
+// non-negative and below the window indexes the table; anything else
+// (fractional, negative, beyond the window, NaN) is encoded afresh. It
+// reports a hit.
+func (tt *TimeTable) encodeRow(dt float64, row []float32) bool {
+	idx := int(dt)
+	if dt >= 0 && float64(idx) == dt && idx < tt.window {
+		d := tt.Dim()
+		copy(row, tt.table.Data()[idx*d:(idx+1)*d])
+		return true
+	}
+	tt.enc.EncodeRow(dt, row)
+	return false
 }

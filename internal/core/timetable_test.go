@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -9,20 +10,6 @@ import (
 	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 )
-
-func TestTimeTableVerify(t *testing.T) {
-	enc := nn.NewTimeEncoder(8)
-	tt := NewTimeTable(enc, 100)
-	if !tt.Verify(0) {
-		t.Fatal("precomputed rows differ from fresh encoding")
-	}
-	if tt.Window() != 100 || tt.Dim() != 8 {
-		t.Fatalf("accessors wrong: %d %d", tt.Window(), tt.Dim())
-	}
-	if tt.Bytes() <= 0 {
-		t.Fatal("Bytes not positive")
-	}
-}
 
 func TestTimeTableZeroRow(t *testing.T) {
 	enc := nn.NewTimeEncoder(4)
@@ -179,28 +166,70 @@ func (tt *TimeTable) Encode(dts []float64) (*tensor.Tensor, int) {
 	return out, hits
 }
 
-// Bytes returns the memory footprint of the precomputed table.
-func (tt *TimeTable) Bytes() int64 { return int64(tt.table.Len()) * 4 }
-
-// Verify checks that every table row matches a fresh encoder evaluation
-// within tol (used by the self-test and property tests).
-func (tt *TimeTable) Verify(tol float64) bool {
-	d := tt.Dim()
-	for i := 0; i < tt.window; i++ {
-		fresh := tt.enc.EncodeScalar(float64(i))
-		for j := 0; j < d; j++ {
-			if math.Abs(float64(tt.table.At(i, j))-float64(fresh.At(j))) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // EncodeInto fills dst (len(dts), d) with time encodings, copying
 // precomputed rows for integral in-window deltas and computing the rest
 // with the original encoder. It returns the number of table hits
 // (instrumented by the breakdown analysis).
 func (tt *TimeTable) EncodeInto(dts []float64, dst *tensor.Tensor) int {
 	return tt.EncodeIntoWith(nil, dts, dst)
+}
+
+// nanGuard is a time source that counts the NaN deltas it is asked to
+// encode.
+type nanGuard struct {
+	*TimeTable
+	nans *atomic.Int64
+}
+
+func (g nanGuard) EncodeRow(dt float64, row []float32) {
+	if dt != dt {
+		g.nans.Add(1)
+	}
+	g.TimeTable.EncodeRow(dt, row)
+}
+
+// TestTimeTableLayerPassBitwise: the layer pass that encodes its slots'
+// deltas through the table, in its tiles, returns the bits of the dense
+// pass over one TimeEncoder.Encode slab (itself pinned to the composed
+// ops in internal/nn), serial and fanned out. A quarter of the deltas
+// hit the window; every padded slot's delta is NaN and is never
+// encoded.
+func TestTimeTableLayerPassBitwise(t *testing.T) {
+	const heads, d, de, dt, k = 2, 16, 8, 16, 5
+	r := tensor.NewRNG(41)
+	enc := nn.NewTimeEncoder(dt)
+	copy(enc.Phi.Data(), tensor.Randn(r, dt).Data())
+	tt := NewTimeTable(enc, 1000)
+	attn := nn.NewTemporalAttention(r, heads, d+dt, d+de+dt)
+	merge := nn.NewMergeLayer(r, d+dt, d, 24, d)
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	for _, degree := range []int{1, 2, 4} {
+		parallel.SetDegree(degree)
+		for _, n := range []int{40, 700} {
+			hTgt, hNgh, eFeat := tensor.Randn(r, n, d), tensor.Randn(r, n*k, d), tensor.Randn(r, n*k, de)
+			tEnc0 := enc.Encode(make([]float64, n))
+			deltas := mixedDeltas(n * k)
+			mask := make([]bool, n*k)
+			for s := range mask {
+				mask[s] = s%k < (s/k)%(k+1) // target i has i mod (k+1) valid slots
+				if !mask[s] {
+					deltas[s] = math.NaN()
+				}
+			}
+			want := nn.LayerForwardWith(nil, attn, merge, k, hTgt, hNgh, eFeat, tEnc0, enc.Encode(deltas), mask)
+			var nans atomic.Int64
+			pack := nn.PackLayer(nil, attn, merge)
+			got, _ := nn.LayerForwardPacked(nil, attn, merge, &pack, k, nn.Rows{Data: hTgt}, nn.Rows{Data: hNgh}, nn.Rows{Data: eFeat},
+				tEnc0, nn.TimeRows{Deltas: deltas, Source: nanGuard{tt, &nans}}, mask)
+			if nans.Load() != 0 {
+				t.Fatalf("degree %d n=%d: %d padded slots' deltas were encoded", degree, n, nans.Load())
+			}
+			for i, v := range got.Data() {
+				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+					t.Fatalf("degree %d n=%d: element %d is %v through the table, %v over the dense slab", degree, n, i, v, want.Data()[i])
+				}
+			}
+		}
+	}
 }

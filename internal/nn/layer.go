@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"time"
 
 	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
@@ -73,6 +74,40 @@ func (r rowSrc) row(i int) []float32 {
 	return r.data[i*r.w : (i+1)*r.w]
 }
 
+// TimeSource writes Φ(dt) into a row of width Dim(): the model's
+// TimeEncoder, or a precomputed table in front of it that returns the
+// same bits (core.TimeTable).
+type TimeSource interface {
+	Dim() int
+	EncodeRow(dt float64, row []float32)
+}
+
+// TimeRows is the time segment of the neighbor rows z_j: row g of Enc
+// (n*k, dt), or, when Enc is nil, Φ(Deltas[g]) written by Source
+// straight into the tile's kv row. Either way a padded slot's row is
+// never read, and a padded slot's delta is never encoded.
+type TimeRows struct {
+	Enc    *tensor.Tensor
+	Deltas []float64
+	Source TimeSource
+}
+
+// len returns the number of slots the segment addresses.
+func (tr TimeRows) len() int {
+	if tr.Enc != nil {
+		return tr.Enc.Dim(0)
+	}
+	return len(tr.Deltas)
+}
+
+// width returns the segment's row width.
+func (tr TimeRows) width() int {
+	if tr.Enc != nil {
+		return tr.Enc.Dim(1)
+	}
+	return tr.Source.Dim()
+}
+
 // LayerForwardWith runs one TGAT layer for n targets with k neighbor
 // slots each: attention of z_i = hTgt ‖ tEnc0 over z_j = hNgh ‖ eFeat ‖
 // tEncD, then FFN(attention ‖ hTgt).
@@ -85,11 +120,13 @@ func (r rowSrc) row(i int) []float32 {
 // what merge.ForwardWith(attn.ForwardWith(q, kv), hTgt) returns over the
 // concatenated q and kv. Rows of hNgh, eFeat and tEncD under a padded
 // slot are never read. The layer's weights are packed into ar for this
-// call; LayerForwardPacked is the same pass over packs made earlier, and
-// over row sources, of which these dense tensors are the nil-index case.
+// call; LayerForwardPacked is the same pass over packs made earlier, over
+// row sources, of which these dense tensors are the nil-index case, and
+// over a time segment the tiles may encode themselves.
 func LayerForwardWith(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, k int, hTgt, hNgh, eFeat, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
 	pack := PackLayer(ar, attn, merge)
-	return LayerForwardPacked(ar, attn, merge, &pack, k, Rows{Data: hTgt}, Rows{Data: hNgh}, Rows{Data: eFeat}, tEnc0, tEncD, mask)
+	out, _ := LayerForwardPacked(ar, attn, merge, &pack, k, Rows{Data: hTgt}, Rows{Data: hNgh}, Rows{Data: eFeat}, tEnc0, TimeRows{Enc: tEncD}, mask)
+	return out
 }
 
 // LayerPack holds tensor.PackLinear of the five projections a layer pass
@@ -113,18 +150,23 @@ func PackLayer(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer) Lay
 
 // LayerForwardPacked is LayerForwardWith over pack, which PackLayer made
 // from attn and merge's current weights, reading hTgt, hNgh and eFeat
-// where they live. tEnc0 and tEncD are computed per call, so they are
-// dense.
-func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, pack *LayerPack, k int, hTgt, hNgh, eFeat Rows, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+// where they live and the time segment from tEncD. tEnc0 is computed per
+// call, so it is dense.
+//
+// It also returns the share, in [0, 1], of the tiles' time spent
+// writing the time segment. With deltas and a source that is the time
+// encoding done inside the pass, and a caller splits the pass's wall
+// time by it.
+func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeLayer, pack *LayerPack, k int, hTgt, hNgh, eFeat Rows, tEnc0 *tensor.Tensor, tEncD TimeRows, mask []bool) (*tensor.Tensor, float64) {
 	ops := layerOps{wq: attn.WQ, wo: attn.WO, fc1: merge.FC1, fc2: merge.FC2}
 	n, d := hTgt.Len(), hTgt.Width()
 	de, dt := eFeat.Width(), tEnc0.Dim(1)
-	if tEnc0.Dim(0) != n || hNgh.Len() != n*k || eFeat.Len() != n*k || tEncD.Dim(0) != n*k || len(mask) != n*k {
+	if tEnc0.Dim(0) != n || hNgh.Len() != n*k || eFeat.Len() != n*k || tEncD.len() != n*k || len(mask) != n*k {
 		panic(fmt.Sprintf("nn: layer rows: %d targets × %d slots, got tEnc0 %d hNgh %d eFeat %d tEncD %d mask %d",
-			n, k, tEnc0.Dim(0), hNgh.Len(), eFeat.Len(), tEncD.Dim(0), len(mask)))
+			n, k, tEnc0.Dim(0), hNgh.Len(), eFeat.Len(), tEncD.len(), len(mask)))
 	}
-	if hNgh.Width() != d || tEncD.Dim(1) != dt {
-		panic(fmt.Sprintf("nn: layer widths: hNgh %d != hTgt %d, or tEncD %d != tEnc0 %d", hNgh.Width(), d, tEncD.Dim(1), dt))
+	if hNgh.Width() != d || tEncD.width() != dt {
+		panic(fmt.Sprintf("nn: layer widths: hNgh %d != hTgt %d, or tEncD %d != tEnc0 %d", hNgh.Width(), d, tEncD.width(), dt))
 	}
 	e := ops.wq.Out()
 	if ops.wq.In() != d+dt || ops.wo.In() != e || ops.fc1.In() != ops.wo.Out()+d || ops.fc2.In() != ops.fc1.Out() {
@@ -138,32 +180,46 @@ func LayerForwardPacked(ar *tensor.Arena, attn *TemporalAttention, merge *MergeL
 		wqT:      pack.wq, woT: pack.wo, fc1T: pack.fc1, fc2T: pack.fc2,
 		d: d, de: de, dt: dt,
 		hTgt: hTgt.src(), hNgh: hNgh.src(), eFeat: eFeat.src(),
-		tEnc0: tEnc0.Data(), tEncD: tEncD.Data(), mask: mask,
-		out:   out.Data(),
-		tile:  min(layerTile, n),
-		chunk: n,
+		tEnc0: tEnc0.Data(), deltas: tEncD.Deltas, times: tEncD.Source, mask: mask,
+		out:  out.Data(),
+		tile: min(layerTile, n),
 	}
-	fanOut := parallel.WillFanOut(n)
+	if tEncD.Enc != nil {
+		p.tEncD = tEncD.Enc.Data()
+	}
+	// One read of the degree sizes the scratch and caps the workers:
+	// worker w runs every tile it pulls in slot w, so no two workers
+	// share a slot.
+	degree := parallel.Degree()
+	fanOut := parallel.FansOut(n, degree)
 	slots := 1
 	if fanOut {
-		// Two chunks per worker, each a whole number of tiles; chunk c
-		// works in scratch slot c, so no two workers share a slot.
-		chunks := 2 * parallel.Degree()
-		p.chunk = (n + chunks*layerTile - 1) / (chunks * layerTile) * layerTile
-		slots = (n + p.chunk - 1) / p.chunk
+		slots = degree
 	}
-	// All scratch — the tile slots here — is drawn before any fan-out, so
-	// the arena is never bumped inside the parallel region; the weight
-	// packs are read-only to every tile.
+	// All scratch — the tile slots and their clocks — is drawn before
+	// any fan-out, so the arena is never bumped inside the parallel
+	// region; the weight packs are read-only to every tile.
 	p.f32 = ar.Float32s(slots * p.tileFloats())
+	p.clocks = ar.Float64s(2 * slots)
+	clear(p.clocks)
 	// The method value (a heap copy of p) exists only on the fan-out
-	// branch so the serial path stays allocation-free.
+	// branch so the serial path stays allocation-free. Workers pull one
+	// tile at a time, so the join waits for one tile at most.
 	if fanOut {
-		parallel.ForChunked(n, p.chunk, p.rows)
+		parallel.ForWorkers(n, p.tile, degree, p.rows)
 	} else {
-		p.rows(0, n)
+		p.rows(0, 0, n)
 	}
-	return out
+	var timeNs, busyNs float64
+	for w := 0; w < slots; w++ {
+		timeNs += p.clocks[2*w]
+		busyNs += p.clocks[2*w+1]
+	}
+	share := 0.0
+	if busyNs > 0 {
+		share = min(timeNs/busyNs, 1)
+	}
+	return out, share
 }
 
 // layerOps names the four per-target projections of one layer.
@@ -180,13 +236,16 @@ type layerPass struct {
 	wqT, woT, fc1T, fc2T []float32 // the LayerPack's entries: nil runs the scalar kernel
 
 	hTgt, hNgh, eFeat rowSrc // read where they live
-	tEnc0, tEncD      []float32
+	tEnc0             []float32
+	tEncD             []float32 // the dense time segment, or nil: encode deltas with times
+	deltas            []float64
+	times             TimeSource
 	mask              []bool
 	out               []float32
 
-	tile  int // targets per tile
-	chunk int // targets per fan-out chunk; chunk c uses scratch slot c
-	f32   []float32
+	tile   int       // targets per tile
+	f32    []float32 // one tile's scratch per worker slot
+	clocks []float64 // per slot: ns writing the time segment, ns in rows
 }
 
 // tileFloats is the float32 scratch one tile needs: q, qp, kv, the
@@ -198,11 +257,11 @@ func (p layerPass) tileFloats() int {
 	return p.tile * perTarget
 }
 
-// rows computes output rows [lo,hi) tile by tile, in the scratch slot
-// of the chunk that starts at lo.
-func (p layerPass) rows(lo, hi int) {
-	slot := lo / p.chunk
-	buf := p.f32[slot*p.tileFloats():][:p.tileFloats()]
+// rows computes output rows [lo,hi) tile by tile in worker w's scratch
+// slot, adding its time to the slot's clocks.
+func (p layerPass) rows(w, lo, hi int) {
+	start := time.Now()
+	buf := p.f32[w*p.tileFloats():][:p.tileFloats()]
 	carve := func(perTarget int) []float32 {
 		s := buf[:p.tile*perTarget]
 		buf = buf[len(s):]
@@ -214,9 +273,11 @@ func (p layerPass) rows(lo, hi int) {
 		qz: carve(c.kDim), scores: carve(c.k), ctx: carve(c.e),
 		ao: carve(p.wo.Out()), x: carve(p.fc1.In()), h: carve(p.fc1.Out()),
 	}
+	clock := p.clocks[2*w : 2*w+2]
 	for ; lo < hi; lo += p.tile {
-		p.runTile(t, lo, min(lo+p.tile, hi))
+		p.runTile(t, clock, lo, min(lo+p.tile, hi))
 	}
+	clock[1] += float64(time.Since(start))
 }
 
 // layerScratch is one slot's tile-local buffers, each sized for a full
@@ -225,8 +286,9 @@ type layerScratch struct {
 	q, qp, kv, qz, scores, ctx, ao, x, h []float32
 }
 
-// runTile takes targets [lo,hi) through the whole layer.
-func (p layerPass) runTile(t layerScratch, lo, hi int) {
+// runTile takes targets [lo,hi) through the whole layer, adding the time
+// it spends writing the time segment to clock[0].
+func (p layerPass) runTile(t layerScratch, clock []float64, lo, hi int) {
 	m := hi - lo
 	d, de, dt, k := p.d, p.de, p.dt, p.core.k
 	qd, kd := d+dt, p.core.kDim
@@ -243,18 +305,31 @@ func (p layerPass) runTile(t layerScratch, lo, hi int) {
 
 	// z_j = h_j ‖ e_ij ‖ Φ(t−t_j) for valid slots only, each segment
 	// read from its source through its index: the core never reads a
-	// padded slot's row, so it is never assembled.
+	// padded slot's row, so it is never assembled, and its delta is
+	// never encoded. The time segment is written in a loop of its own,
+	// so its share of the tile is measured once per tile.
 	mask := p.mask[lo*k : hi*k]
 	for s, ok := range mask {
 		if !ok {
 			continue
 		}
-		g := lo*k + s
 		row := t.kv[s*kd : (s+1)*kd]
-		copy(row, p.hNgh.row(g))
-		copy(row[d:], p.eFeat.row(g))
-		copy(row[d+de:], p.tEncD[g*dt:(g+1)*dt])
+		copy(row, p.hNgh.row(lo*k+s))
+		copy(row[d:], p.eFeat.row(lo*k+s))
 	}
+	start := time.Now()
+	for s, ok := range mask {
+		if !ok {
+			continue
+		}
+		g, seg := lo*k+s, t.kv[s*kd+d+de:(s+1)*kd]
+		if p.tEncD != nil {
+			copy(seg, p.tEncD[g*dt:(g+1)*dt])
+		} else {
+			p.times.EncodeRow(p.deltas[g], seg)
+		}
+	}
+	clock[0] += float64(time.Since(start))
 
 	c := p.core
 	c.qp, c.kv, c.mask = qp, t.kv, mask

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"tgopt/internal/parallel"
@@ -12,7 +14,9 @@ import (
 // padded, one-slot and dense targets first. Rows under padded slots hold
 // NaN: the pass must never let one reach an output. The *At tables hold
 // the same hTgt, hNgh and eFeat rows where the indexed form reads them
-// (scatterRows).
+// (scatterRows). deltas holds a Δt per slot for the encoding form —
+// integral and fractional, NaN under padded slots — and time the
+// encoder that turns them into the time segment.
 type layerFixture struct {
 	k, d, de, dt                    int
 	attn                            *TemporalAttention
@@ -21,6 +25,9 @@ type layerFixture struct {
 	mask                            []bool
 
 	hTgtAt, hNghAt, eFeatAt *tensor.Tensor
+
+	deltas []float64
+	time   *TimeEncoder
 }
 
 // layerShape is the fixture's widths: 8/6/4 leaves every kernel a scalar
@@ -58,6 +65,19 @@ func newLayerFixtureShape(pool int, sh layerShape) *layerFixture {
 		}
 	}
 	f.hTgtAt, f.hNghAt, f.eFeatAt = scatterRows(f.hTgt), scatterRows(f.hNgh), scatterRows(f.eFeat)
+	f.time = NewTimeEncoder(dt)
+	copy(f.time.Phi.Data(), tensor.Randn(r, dt).Data())
+	f.deltas = make([]float64, pool*k)
+	for s, ok := range f.mask {
+		switch {
+		case !ok:
+			f.deltas[s] = math.NaN()
+		case s%3 == 0:
+			f.deltas[s] = float64(r.Intn(20000)) + 0.5
+		default:
+			f.deltas[s] = float64(r.Intn(20000))
+		}
+	}
 	return f
 }
 
@@ -116,8 +136,25 @@ func (f *layerFixture) fused(ar *tensor.Arena, ids []int) []float32 {
 // eFeat read in place from the scattered tables through indices; a
 // target asked twice reads the same rows twice.
 func (f *layerFixture) indexed(ar *tensor.Arena, ids []int) []float32 {
-	n, k, pool := len(ids), f.k, f.hTgt.Dim(0)
 	_, _, _, tEnc0, tEncD, mask := f.batch(ids)
+	out, _ := f.indexedWith(ar, ids, tEnc0, TimeRows{Enc: tEncD}, mask)
+	return out
+}
+
+// encoding runs the engine's form of the pass over the given targets:
+// rows read in place as indexed reads them, and the time segment
+// encoded in the tiles from the slot deltas by src. It returns the
+// output and the pass's time share.
+func (f *layerFixture) encoding(ar *tensor.Arena, ids []int, src TimeSource) ([]float32, float64) {
+	_, _, _, _, _, mask := f.batch(ids)
+	tEnc0 := f.time.Encode(make([]float64, len(ids)))
+	return f.indexedWith(ar, ids, tEnc0, TimeRows{Deltas: f.batchDeltas(ids), Source: src}, mask)
+}
+
+// indexedWith is the pass over the given targets' rows read through
+// indices, with the time rows given.
+func (f *layerFixture) indexedWith(ar *tensor.Arena, ids []int, tEnc0 *tensor.Tensor, tEncD TimeRows, mask []bool) ([]float32, float64) {
+	n, k, pool := len(ids), f.k, f.hTgt.Dim(0)
 	tgt, ngh := make([]int32, n), make([]int32, n*k)
 	for p, i := range ids {
 		tgt[p] = at(pool, i)
@@ -126,8 +163,47 @@ func (f *layerFixture) indexed(ar *tensor.Arena, ids []int) []float32 {
 		}
 	}
 	pack := PackLayer(ar, f.attn, f.merge)
-	return LayerForwardPacked(ar, f.attn, f.merge, &pack, k, Rows{Data: f.hTgtAt, Idx: tgt},
-		Rows{Data: f.hNghAt, Idx: ngh}, Rows{Data: f.eFeatAt, Idx: ngh}, tEnc0, tEncD, mask).Data()
+	out, share := LayerForwardPacked(ar, f.attn, f.merge, &pack, k, Rows{Data: f.hTgtAt, Idx: tgt},
+		Rows{Data: f.hNghAt, Idx: ngh}, Rows{Data: f.eFeatAt, Idx: ngh}, tEnc0, tEncD, mask)
+	return out.Data(), share
+}
+
+// batchDeltas gathers the given pool targets' slot deltas, in order.
+func (f *layerFixture) batchDeltas(ids []int) []float64 {
+	deltas := make([]float64, 0, len(ids)*f.k)
+	for _, i := range ids {
+		deltas = append(deltas, f.deltas[i*f.k:(i+1)*f.k]...)
+	}
+	return deltas
+}
+
+// composedEncoded is composed with Φ(0) and the slots' Φ(Δt) from one
+// dense TimeEncoder.Encode slab each. A padded slot's NaN delta encodes
+// to a NaN row that ConcatColsInto copies into kv and the core skips.
+func (f *layerFixture) composedEncoded(ids []int) []float32 {
+	hTgt, hNgh, eFeat, _, _, mask := f.batch(ids)
+	tEnc0 := f.time.Encode(make([]float64, len(ids)))
+	tEncD := f.time.Encode(f.batchDeltas(ids))
+	q := tensor.New(len(ids), f.d+f.dt)
+	tensor.ConcatColsInto(q, hTgt, tEnc0)
+	kv := tensor.New(len(ids)*f.k, f.d+f.de+f.dt)
+	tensor.ConcatColsInto(kv, hNgh, eFeat, tEncD)
+	return f.merge.ForwardWith(nil, f.attn.ForwardWith(nil, q, kv, f.k, mask), hTgt).Data()
+}
+
+// guardedTimes is a TimeSource that counts the NaN deltas it is asked to
+// encode: the fixture puts one under every padded slot, and the pass
+// must encode valid slots only.
+type guardedTimes struct {
+	TimeSource
+	nans *atomic.Int64
+}
+
+func (g guardedTimes) EncodeRow(dt float64, row []float32) {
+	if dt != dt {
+		g.nans.Add(1)
+	}
+	g.TimeSource.EncodeRow(dt, row)
 }
 
 // composed runs the same layer one public op at a time over the
@@ -177,23 +253,64 @@ func TestLayerPassMatchesComposedOpsBitwise(t *testing.T) {
 	}
 }
 
+// TestLayerEncodingPassMatchesComposedOpsBitwise: encoding Φ(Δt) in the
+// tile, one valid slot at a time, gives the bits of the composed ops
+// over a dense TimeEncoder.Encode slab, serial and fanned out, at both
+// fixture shapes. Every padded slot's delta is NaN: none is encoded,
+// and none reaches an output. (The engine's other time source, the
+// precomputed table, is pinned the same way in internal/core.)
+func TestLayerEncodingPassMatchesComposedOpsBitwise(t *testing.T) {
+	const pool = 64
+	prev := parallel.Degree()
+	defer parallel.SetDegree(prev)
+	for _, sh := range []layerShape{shape864, shape323232} {
+		f := newLayerFixtureShape(pool, sh)
+		for _, degree := range []int{1, 2} {
+			parallel.SetDegree(degree)
+			for _, n := range []int{1, 3, layerTile, layerTile + 1, 200, 700} {
+				ids := seq(n, pool, 5, 1)
+				want := f.composedEncoded(ids)
+				var nans atomic.Int64
+				got, share := f.encoding(nil, ids, guardedTimes{f.time, &nans})
+				if nans.Load() != 0 {
+					t.Fatalf("%v degree=%d n=%d: %d padded slots' deltas were encoded", sh, degree, n, nans.Load())
+				}
+				if at := sameBits(got, want); at >= 0 {
+					t.Fatalf("%v degree=%d n=%d: encoding pass differs from the composed ops at element %d (%v vs %v)", sh, degree, n, at, got[at], want[at])
+				}
+				for _, v := range got {
+					if v != v {
+						t.Fatalf("%v degree=%d n=%d: a padded slot's NaN reached the output", sh, degree, n)
+					}
+				}
+				if share < 0 || share > 1 {
+					t.Fatalf("%v degree=%d n=%d: time share %v outside [0, 1]", sh, degree, n, share)
+				}
+			}
+		}
+	}
+}
+
 // TestLayerRowIndependenceBitwise extends the attention core's
 // row-independence pin to the whole layer: a target's output bits
 // depend only on its own rows and mask — not on the batch length (one
 // target, either side of a tile boundary, either side of the fan-out
 // cut-off), its position in the batch, the scratch slot its chunk was
 // given, the parallel degree, or whether its rows were read in place
-// through indices. The all-padded and one-slot targets sit at pool ids 0
-// and 1 and land on every kind of position.
+// through indices, or whether its time segment was copied from a slab
+// or encoded in its tile (the encoding form against its own solo bits).
+// The all-padded and one-slot targets sit at pool ids 0 and 1 and land
+// on every kind of position.
 func TestLayerRowIndependenceBitwise(t *testing.T) {
 	const pool = 48
 	prev := parallel.Degree()
 	defer parallel.SetDegree(prev)
 	for _, sh := range []layerShape{shape864, shape323232} {
 		f := newLayerFixtureShape(pool, sh)
-		alone := make([][]float32, pool)
+		alone, aloneEnc := make([][]float32, pool), make([][]float32, pool)
 		for i := range alone {
 			alone[i] = f.fused(nil, []int{i})
+			aloneEnc[i], _ = f.encoding(nil, []int{i}, f.time)
 		}
 		w := len(alone[0])
 		ar := tensor.NewArena() // reused dirty across calls, as the engine's is
@@ -204,16 +321,21 @@ func TestLayerRowIndependenceBitwise(t *testing.T) {
 				// every residue of position mod tile.
 				for _, stride := range []int{1, 7} {
 					ids := seq(n, pool, stride, n%pool)
-					for _, form := range []string{"dense", "indexed"} {
+					for _, form := range []string{"dense", "indexed", "encoding"} {
 						ar.Reset()
 						var out []float32
-						if form == "dense" {
+						solo := alone
+						switch form {
+						case "dense":
 							out = f.fused(ar, ids)
-						} else {
+						case "indexed":
 							out = f.indexed(ar, ids)
+						default:
+							out, _ = f.encoding(ar, ids, f.time)
+							solo = aloneEnc
 						}
 						for p, i := range ids {
-							if at := sameBits(out[p*w:(p+1)*w], alone[i]); at >= 0 {
+							if at := sameBits(out[p*w:(p+1)*w], solo[i]); at >= 0 {
 								t.Fatalf("%v %s degree=%d n=%d: target %d at position %d differs from its solo bits (col %d)",
 									sh, form, degree, n, i, p, at)
 							}
@@ -229,7 +351,7 @@ func TestLayerRowIndependenceBitwise(t *testing.T) {
 // any degree and must not touch the heap once the arena is warm; past
 // it a call costs the fork-join (the pass's heap copy and one spawned
 // worker at degree 2; thirty allocations before the fusion), nothing
-// per tile.
+// per tile — whether the tiles copy the time segment or encode it.
 func TestLayerPassAllocs(t *testing.T) {
 	const pool = 64
 	f := newLayerFixture(pool)
@@ -240,14 +362,24 @@ func TestLayerPassAllocs(t *testing.T) {
 		{1, 64, 0}, {2, 64, 0}, {1, 512, 0}, {2, 512, 3},
 	} {
 		parallel.SetDegree(tc.degree)
-		hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(seq(tc.n, pool, 5, 0))
-		run := func() {
-			ar.Reset()
-			LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
-		}
-		run() // warm the arena
-		if allocs := testing.AllocsPerRun(20, run); allocs > float64(tc.max) {
-			t.Errorf("degree=%d n=%d: %v allocs/op, want <= %d", tc.degree, tc.n, allocs, tc.max)
+		ids := seq(tc.n, pool, 5, 0)
+		hTgt, hNgh, eFeat, tEnc0, tEncD, mask := f.batch(ids)
+		pack := PackLayer(nil, f.attn, f.merge)
+		tEnc := TimeRows{Deltas: f.batchDeltas(ids), Source: f.time}
+		for form, run := range map[string]func(){
+			"dense": func() {
+				ar.Reset()
+				LayerForwardWith(ar, f.attn, f.merge, f.k, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
+			},
+			"encoding": func() {
+				ar.Reset()
+				LayerForwardPacked(ar, f.attn, f.merge, &pack, f.k, Rows{Data: hTgt}, Rows{Data: hNgh}, Rows{Data: eFeat}, tEnc0, tEnc, mask)
+			},
+		} {
+			run() // warm the arena
+			if allocs := testing.AllocsPerRun(20, run); allocs > float64(tc.max) {
+				t.Errorf("%s degree=%d n=%d: %v allocs/op, want <= %d", form, tc.degree, tc.n, allocs, tc.max)
+			}
 		}
 	}
 }

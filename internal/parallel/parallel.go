@@ -4,7 +4,8 @@
 //
 // It plays the role that OpenMP and Intel TBB play in the original TGOpt
 // C++ extension. The one primitive is deliberately simple: a structured
-// fork-join parallel-for (ForChunked) that spawns a bounded number of
+// fork-join parallel-for (ForChunked, and ForWorkers, its form that
+// tells each chunk which worker runs it) that spawns a bounded number of
 // goroutines. It also runs chunks on the calling goroutine, so nesting
 // it never deadlocks; it merely oversubscribes slightly, which the Go
 // scheduler absorbs. It falls back to a serial loop when the configured
@@ -82,9 +83,11 @@ func record(first *atomic.Pointer[WorkerPanic]) {
 // the body closure escapes through ForChunked, so callers on a
 // zero-allocation path build it only when this is true and call their
 // row kernel directly otherwise.
-func WillFanOut(n int) bool {
-	return n >= MinParallelWork && Degree() > 1
-}
+func WillFanOut(n int) bool { return FansOut(n, Degree()) }
+
+// FansOut is WillFanOut at a degree the caller read once: whether
+// ForWorkers(n, chunk, degree, body) may use more than one worker.
+func FansOut(n, degree int) bool { return degree > 1 && n >= MinParallelWork }
 
 // ForChunked splits [0, n) into contiguous chunks and executes
 // body(lo, hi) for each chunk, potentially in parallel. chunk <= 0 picks
@@ -99,49 +102,60 @@ func WillFanOut(n int) bool {
 // the remaining chunks are abandoned, every in-flight sibling finishes,
 // and the first panic is re-raised as a *WorkerPanic.
 func ForChunked(n, chunk int, body func(lo, hi int)) {
+	forkJoinRun(n, chunk, Degree(), body, nil)
+}
+
+// ForWorkers is ForChunked at a degree the caller read once, telling
+// each body call which worker runs it: body(w, lo, hi) with
+// 0 <= w < degree, and no two concurrent calls share a w. A caller
+// sizes per-worker scratch from the same degree it passes here and
+// indexes it by w. The serial fallback (!FansOut(n, degree), or a chunk
+// covering n) is a single body(0, 0, n) call.
+func ForWorkers(n, chunk, degree int, body func(w, lo, hi int)) {
+	forkJoinRun(n, chunk, degree, nil, body)
+}
+
+// forkJoinRun is the one fork-join behind ForChunked and ForWorkers:
+// exactly one of body and wbody is non-nil.
+func forkJoinRun(n, chunk, degree int, body func(lo, hi int), wbody func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	degree := Degree()
-	if degree == 1 || n < MinParallelWork {
-		body(0, n)
-		return
+	if chunk <= 0 && degree > 0 {
+		chunk = max(n/(2*degree), 1)
 	}
-	if chunk <= 0 {
-		chunk = n / (2 * degree)
-		if chunk < 1 {
-			chunk = 1
+	if !FansOut(n, degree) || chunk >= n {
+		if body != nil {
+			body(0, n)
+		} else {
+			wbody(0, 0, n)
 		}
-	}
-	if chunk >= n {
-		body(0, n)
 		return
 	}
 	nchunks := (n + chunk - 1) / chunk
-	workers := degree - 1 // the calling goroutine is the final worker
-	if workers > nchunks-1 {
-		workers = nchunks - 1
-	}
+	// The calling goroutine is the final worker.
+	workers := min(degree-1, nchunks-1)
 	fj := forkJoinPool.Get().(*forkJoin)
-	fj.n, fj.chunk, fj.nchunks, fj.body = n, chunk, nchunks, body
+	fj.n, fj.chunk, fj.nchunks, fj.body, fj.wbody = n, chunk, nchunks, body, wbody
 	fj.next.Store(0)
+	fj.worker.Store(0)
 	fj.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go fj.workFn()
 	}
-	fj.run()
+	fj.run(0)
 	fj.wg.Wait()
 	// Every worker has left run: the state can go back to the pool
 	// before the panic, if any, unwinds this frame.
 	wp := fj.first.Swap(nil)
-	fj.body = nil
+	fj.body, fj.wbody = nil, nil
 	forkJoinPool.Put(fj)
 	if wp != nil {
 		panic(wp)
 	}
 }
 
-// forkJoin is the shared state of one ForChunked fan-out. It is pooled,
+// forkJoin is the shared state of one fan-out. It is pooled,
 // and so is workFn, the method value its spawned workers run: a fan-out
 // then costs the caller's body closure only, not a counter, a panic
 // slot, a WaitGroup and a closure per worker of its own. Nested
@@ -149,8 +163,10 @@ func ForChunked(n, chunk int, body func(lo, hi int)) {
 type forkJoin struct {
 	n, chunk, nchunks int
 	body              func(lo, hi int)
+	wbody             func(w, lo, hi int)
 	workFn            func() // fj.work, built once per pooled state
 	next              atomic.Int64
+	worker            atomic.Int64 // spawned workers taken: worker w runs as index w
 	first             atomic.Pointer[WorkerPanic]
 	wg                sync.WaitGroup
 }
@@ -161,15 +177,17 @@ var forkJoinPool = sync.Pool{New: func() any {
 	return fj
 }}
 
-// work is a spawned worker's whole life.
+// work is a spawned worker's whole life. Spawned workers number
+// themselves 1, 2, … off a counter (the caller is worker 0), so the go
+// statement passes no argument and the fan-out allocates nothing.
 func (fj *forkJoin) work() {
 	defer fj.wg.Done()
-	fj.run()
+	fj.run(int(fj.worker.Add(1)))
 }
 
-// run pulls chunks off the shared counter until they run out or a
-// sibling has panicked, capturing its own panic into fj.first.
-func (fj *forkJoin) run() {
+// run pulls chunks off the shared counter as worker w until they run
+// out or a sibling has panicked, capturing its own panic into fj.first.
+func (fj *forkJoin) run(w int) {
 	defer record(&fj.first)
 	for fj.first.Load() == nil {
 		c := int(fj.next.Add(1)) - 1
@@ -177,10 +195,11 @@ func (fj *forkJoin) run() {
 			return
 		}
 		lo := c * fj.chunk
-		hi := lo + fj.chunk
-		if hi > fj.n {
-			hi = fj.n
+		hi := min(lo+fj.chunk, fj.n)
+		if fj.body != nil {
+			fj.body(lo, hi)
+		} else {
+			fj.wbody(w, lo, hi)
 		}
-		fj.body(lo, hi)
 	}
 }

@@ -310,3 +310,123 @@ func TestForChunkedStateReusedAfterPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestForWorkersCoversEveryIndexOnce: the worker-indexed form covers
+// [0, n) exactly once at any chunk and degree, and every worker index
+// is below the degree the caller passed, whatever Degree() says.
+func TestForWorkersCoversEveryIndexOnce(t *testing.T) {
+	prev := SetDegree(1) // ForWorkers must use the degree it is given
+	defer SetDegree(prev)
+	prop := func(n uint16, chunk uint8, deg uint8) bool {
+		nn, degree := int(n)%5000, int(deg)%8+1
+		seen := make([]int32, nn)
+		ok := atomic.Bool{}
+		ok.Store(true)
+		ForWorkers(nn, int(chunk), degree, func(w, lo, hi int) {
+			if w < 0 || w >= degree {
+				ok.Store(false)
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&seen[i], 1)
+			}
+		})
+		for _, c := range seen {
+			if c != 1 {
+				return false
+			}
+		}
+		return ok.Load()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	ForWorkers(MinParallelWork-1, 1, 4, func(w, lo, hi int) {
+		if w != 0 || lo != 0 || hi != MinParallelWork-1 {
+			t.Errorf("serial fallback ran body(%d, %d, %d)", w, lo, hi)
+		}
+		calls++
+	})
+	if calls != 1 {
+		t.Fatalf("below the cut-off: %d body calls, want 1", calls)
+	}
+}
+
+// TestForWorkersNoSharedIndex: a worker index is a worker's own for the
+// whole fan-out, so bodies write per-index scratch without atomics. The
+// plain writes to owner[w] are what the race detector watches; the
+// claim flags catch a shared index without it.
+func TestForWorkersNoSharedIndex(t *testing.T) {
+	for _, degree := range []int{2, 3, 4} {
+		claimed := make([]atomic.Bool, degree)
+		owner := make([]int, degree)
+		var bad atomic.Int32
+		ForWorkers(20*MinParallelWork, 1, degree, func(w, lo, hi int) {
+			if !claimed[w].CompareAndSwap(false, true) {
+				bad.Add(1)
+				return
+			}
+			for i := lo; i < hi; i++ {
+				owner[w] += i
+			}
+			claimed[w].Store(false)
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("degree %d: %d body calls ran on an index another call held", degree, bad.Load())
+		}
+		sum := 0
+		for _, s := range owner {
+			sum += s
+		}
+		if n := 20 * MinParallelWork; sum != n*(n-1)/2 {
+			t.Fatalf("degree %d: per-index sums total %d, want %d", degree, sum, n*(n-1)/2)
+		}
+	}
+}
+
+// TestForWorkersPanicPropagates: the worker-indexed form shares
+// ForChunked's panic path: wrapped once, re-raised after the join, and
+// the pooled state comes back clean.
+func TestForWorkersPanicPropagates(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			ForWorkers(MinParallelWork*4, 7, 4, func(w, lo, hi int) {
+				if lo >= MinParallelWork {
+					panic(lo)
+				}
+			})
+			return nil
+		}()
+		wp, ok := recovered.(*WorkerPanic)
+		if !ok {
+			t.Fatalf("recovered %T %v, want *WorkerPanic", recovered, recovered)
+		}
+		if _, ok := wp.Value.(int); !ok {
+			t.Fatalf("WorkerPanic.Value = %v, want the body's int", wp.Value)
+		}
+		var total atomic.Int64
+		ForWorkers(MinParallelWork*2, 8, 4, func(w, lo, hi int) { total.Add(int64(hi - lo)) })
+		if total.Load() != MinParallelWork*2 {
+			t.Fatalf("round %d: after a panicked fan-out the next covered %d of %d", round, total.Load(), MinParallelWork*2)
+		}
+	}
+}
+
+// TestForWorkersFanOutAllocs: the worker-indexed fan-out costs what
+// ForChunked's does — nothing for a prebuilt body, the body when built
+// per call — since spawned workers take their index off a counter.
+func TestForWorkersFanOutAllocs(t *testing.T) {
+	var sink atomic.Int64
+	n := 4 * MinParallelWork
+	body := func(w, lo, hi int) { sink.Add(int64(w + hi - lo)) }
+	ForWorkers(n, 32, 2, body) // fill the pool
+	if allocs := testing.AllocsPerRun(50, func() { ForWorkers(n, 32, 2, body) }); allocs != 0 {
+		t.Errorf("fan-out of a prebuilt body costs %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		ForWorkers(n, 32, 2, func(w, lo, hi int) { sink.Add(int64(w + hi - lo)) })
+	}); allocs > 1 {
+		t.Errorf("fan-out costs %v allocs, want <= 1 (the body)", allocs)
+	}
+}

@@ -98,8 +98,10 @@ func (m *Model) PackLayers() []nn.LayerPack {
 
 // LayerForwardPacked is LayerForwardWith over layer l's entry of a
 // PackLayers result made since the last ApplyParams, reading hTgt, hNgh
-// and eFeat where they live (nn.Rows).
-func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, hTgt, hNgh, eFeat nn.Rows, tEnc0, tEncD *tensor.Tensor, mask []bool) *tensor.Tensor {
+// and eFeat where they live (nn.Rows) and the time segment from tEncD
+// (nn.TimeRows). It also returns the share of the pass spent writing
+// the time segment (nn.LayerForwardPacked).
+func (m *Model) LayerForwardPacked(ar *tensor.Arena, l int, pack *nn.LayerPack, hTgt, hNgh, eFeat nn.Rows, tEnc0 *tensor.Tensor, tEncD nn.TimeRows, mask []bool) (*tensor.Tensor, float64) {
 	return nn.LayerForwardPacked(ar, m.Attn[l-1], m.Merge[l-1], pack, m.Cfg.NumNeighbors, hTgt, hNgh, eFeat, tEnc0, tEncD, mask)
 }
 

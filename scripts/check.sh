@@ -65,6 +65,7 @@ one sketch site (a TinyLFU sketch is built only where a shard arms it)	-E	= newF
 one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
+one time encoding pass (the engine encodes Δt in the layer tile: no delta slab, no fork-join of its own)	-E	encodeDeltas|\.EncodeIntoWith\(	internal/core -internal/core/timetable.go	internal/core encodes Δt outside the layer pass again
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 GATES
 [ "$gates_failed" = 0 ] || exit 1
@@ -101,11 +102,12 @@ go test -race ./internal/parallel/... ./internal/serve/... ./internal/core/... \
     ./internal/batcher/... ./internal/graph/... ./internal/shard/... \
     ./internal/stats/... ./internal/checkpoint/... ./internal/faultfs/... \
     ./internal/trainer/... ./internal/tensor/... ./internal/nn/... ./internal/tgat/...
-# The fused layer pass, the row-parallel time encoding and the pooled
-# fork-join state at one, two and four Ps: the bitwise row-independence
-# and parallel-vs-serial pins must hold whatever the scheduler does.
+# The fused layer pass (dense and encoding its own Δt), the row-parallel
+# time encoding and the pooled fork-join state, plain and worker-indexed,
+# at one, two and four Ps: the bitwise row-independence and
+# parallel-vs-serial pins must hold whatever the scheduler does.
 go test -race -count=1 -cpu 1,2,4 \
-    -run 'TestLayer|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestLinearRows|TestKernelAllocs|TestForChunked' \
+    -run 'TestLayer|TestLayerEncodingPassMatchesComposedOpsBitwise|TestAttentionRowIndependence|TestTimeTableParallel|TestTimeTableEncodeAllocs|TestTimeTableLayerPassBitwise|TestLinearRows|TestKernelAllocs|TestForChunked|TestForWorkers' \
     ./internal/parallel/ ./internal/tensor/ ./internal/nn/ ./internal/tgat/ ./internal/core/
 # Late edges and deletes shift adjacency in place under the write lock;
 # a sampler reads it only under the read lock. The torn-read checks must
