@@ -92,7 +92,7 @@ func main() {
 			if sp, perr := wl.Model.ParseParamsFS(checkpoint.OS{}, p); perr != nil {
 				log.Printf("swap: published v%d unreadable (%v); serving boot params as v0", v, perr)
 			} else {
-				wl.Model.ApplyParams(sp, v)
+				wl.Model = wl.Model.WithParams(sp, v)
 				log.Printf("swap: booted on published params v%d from %s", v, *swapDir)
 			}
 		case errors.Is(err, fs.ErrNotExist):

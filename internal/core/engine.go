@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -127,8 +126,8 @@ type Engine struct {
 	ttable    *TimeTable
 	// packs[l-1] is layer l's weight pack (tgat.Model.PackLayers) and
 	// scorePack the affinity head's (tgat.Model.PackScore). Like ttable
-	// they are derived from the parameters, so they are built once per
-	// params version: in NewEngine and again in FinishSwap.
+	// they are derived from the parameters, so they are built once, in
+	// NewEngine: a new params version is a new engine.
 	packs     []nn.LayerPack
 	scorePack nn.MergePack
 	// layerTargets[l] indexes layer l's cached keys by target node and
@@ -158,12 +157,6 @@ type Engine struct {
 	// consults it so the steady-state append (no future-time memos
 	// outstanding) costs one atomic load.
 	maxEmbedBits atomic.Uint64
-	// swapGate is the parameter hot-swap barrier: every embed and score
-	// pass holds the read side for its whole duration, and SwapLock
-	// takes the write side, so a swap can never tear a request — no
-	// request observes a mix of old- and new-version tensors (DESIGN.md
-	// §16). The version served is the model's own (tgat.Model.Version).
-	swapGate sync.RWMutex
 	// ops is the engine's one record of its work: per operation, a
 	// latency histogram (calls and wall time) and an item count, written
 	// by observe with atomic adds only. Stage histograms, Table 3, the
@@ -175,8 +168,8 @@ type Engine struct {
 // sampler. Using a Uniform sampler with EnableCache panics: memoization
 // is only sound when re-sampling a target reproduces the same temporal
 // subgraph (§3.2, §7). The engine packs the model's layer weights here,
-// so their values may change afterwards only through SwapParams (or
-// SwapLock, ApplyParams and FinishSwap).
+// so the model's parameters must not change afterwards: a params swap
+// builds a new model (tgat.Model.WithParams) and a new engine over it.
 func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{model: m, sampler: s, opt: opt}
@@ -234,61 +227,17 @@ func (e *Engine) Options() Options { return e.opt }
 func (e *Engine) Model() *tgat.Model { return e.model }
 
 // ScoreWith computes link-prediction logits with the model's affinity
-// head, over the engine's pack of it, while holding the swap barrier's
-// read side: a concurrent parameter hot-swap waits the pass out rather
-// than tearing its tensors.
+// head, over the engine's pack of it.
 func (e *Engine) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
-	e.swapGate.RLock()
-	defer e.swapGate.RUnlock()
 	return e.model.ScorePacked(ar, &e.scorePack, hSrc, hDst)
 }
 
-// ParamsVersion returns the model version the engine currently serves:
-// the shared model's label, for reporting. Nothing checks it for
-// validity: tgat.Model.LoadParams keeps the label, so two different
-// parameter sets can carry the same one. A cache snapshot carries the
-// digest of the parameters themselves (LoadCachesFS).
+// ParamsVersion returns the version of the model the engine was built
+// over, for reporting. Nothing checks it for validity:
+// tgat.Model.LoadParams keeps the label, so two different parameter
+// sets can carry the same one. A cache snapshot carries the digest of
+// the parameters themselves (LoadCachesFS).
 func (e *Engine) ParamsVersion() uint64 { return e.model.Version() }
-
-// SwapLock acquires the hot-swap barrier's write side: every in-flight
-// embed/score pass drains first and new passes block until SwapUnlock.
-// While held, the caller may rewrite the shared model's parameters
-// (tgat.ApplyParams) and must then call FinishSwap on every engine
-// sharing them before unlocking.
-func (e *Engine) SwapLock() { e.swapGate.Lock() }
-
-// SwapUnlock releases the hot-swap barrier.
-func (e *Engine) SwapUnlock() { e.swapGate.Unlock() }
-
-// FinishSwap completes a parameter swap on this engine while SwapLock
-// is held and the shared model already carries the new parameters and
-// their version: the time table and the layers' and score head's weight
-// packs are rebuilt from the swapped parameters, every memo-cache layer is
-// cleared, and the target/support indexes reset with them.
-// Memoized embeddings are only valid for the parameters that computed
-// them, so a swap is the cache-wide invalidation event.
-func (e *Engine) FinishSwap() {
-	if e.ttable != nil {
-		e.ttable = NewTimeTable(e.model.Time, e.opt.TimeWindow)
-	}
-	e.packs, e.scorePack = e.model.PackLayers(), e.model.PackScore()
-	e.clearCaches()
-	e.memoEpoch.Add(1)
-}
-
-// SwapParams atomically swaps this engine to new parameters: apply
-// mutates the shared model's tensors and version (typically
-// tgat.ApplyParams) under the barrier, then FinishSwap invalidates
-// every version-dependent derived structure. Single-engine
-// deployments use this directly; a shard pool coordinates the same
-// three steps across engines itself (shard.Router.CommitSwap), since
-// all its engines share one model.
-func (e *Engine) SwapParams(apply func()) {
-	e.SwapLock()
-	defer e.SwapUnlock()
-	apply()
-	e.FinishSwap()
-}
 
 // CacheFor returns the memoization cache serving layer l, or nil.
 func (e *Engine) CacheFor(l int) *Cache {
@@ -684,12 +633,6 @@ func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tenso
 	if len(nodes) != len(ts) {
 		panic("core: Embed nodes/ts length mismatch")
 	}
-	// The whole pass runs under the swap barrier's read side: a
-	// parameter hot-swap (SwapLock) drains in-flight passes and blocks
-	// new ones, so no pass ever mixes tensors from two versions or
-	// stores a memo under the wrong version stamp.
-	e.swapGate.RLock()
-	defer e.swapGate.RUnlock()
 	if e.caches != nil {
 		e.noteEmbedTimes(ts)
 	}

@@ -74,9 +74,9 @@ func windowTag(b *graph.Batch, i int) uint64 {
 
 // inputsDigest digests what a layer-1 row reads besides its window: the
 // architecture (layers, heads, the three widths, k), every parameter
-// tensor and both feature tables, bit for bit. Callers hold the swap
-// gate's read side, so no swap rewrites the parameters mid-scan; the
-// feature tables are immutable.
+// tensor and both feature tables, bit for bit. A served model's
+// parameters never change after its engines are built, and the feature
+// tables are immutable.
 func (e *Engine) inputsDigest() uint64 {
 	m := e.model
 	c := m.Cfg
@@ -221,15 +221,13 @@ func (e *Engine) SaveCaches(path string) error {
 }
 
 // SaveCachesFS is SaveCaches over an injectable file system (fault
-// tests drive it through internal/faultfs). It runs under the swap
-// barrier's read side, so the inputs digest it writes is that of the
-// parameters every saved row was computed under.
+// tests drive it through internal/faultfs). The inputs digest it writes
+// is that of the parameters every saved row was computed under: the
+// engine's model never changes.
 func (e *Engine) SaveCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to save")
 	}
-	e.swapGate.RLock()
-	defer e.swapGate.RUnlock()
 	d := e.inputsDigest()
 	return checkpoint.WriteFS(fsys, path, cacheSnapshotVersion, func(w io.Writer) error {
 		if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, d)); err != nil {
@@ -262,10 +260,6 @@ func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to load into")
 	}
-	// Under the swap barrier's read side: the digest the snapshot is
-	// checked against cannot change while rows are committed.
-	e.swapGate.RLock()
-	defer e.swapGate.RUnlock()
 	// Loaded rows change what the lower layers answer: top-layer memo
 	// rows computed before or while they were absorbed must not outlive
 	// the load.

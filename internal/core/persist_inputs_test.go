@@ -67,7 +67,7 @@ func (in warmInputs) engine(t *testing.T) (*Engine, *tgat.Model, *graph.Dynamic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.ApplyParams(sp, in.version)
+		m = m.WithParams(sp, in.version)
 	}
 	dyn := graph.NewDynamic(inputsNodes)
 	for _, e := range in.edges {

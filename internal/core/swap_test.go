@@ -35,8 +35,8 @@ func swapTestModel(t *testing.T, seed uint64) *tgat.Model {
 }
 
 // swapTestModelAt is swapTestModel carrying the given params version,
-// set the only way a version is ever set: by applying a staged
-// checkpoint (here the model's own parameters) as that version.
+// set the only way a version is ever set: by building a model over a
+// staged checkpoint (here the model's own parameters) as that version.
 func swapTestModelAt(t *testing.T, seed, version uint64) *tgat.Model {
 	t.Helper()
 	m := swapTestModel(t, seed)
@@ -48,8 +48,7 @@ func swapTestModelAt(t *testing.T, seed, version uint64) *tgat.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ApplyParams(sp, version)
-	return m
+	return m.WithParams(sp, version)
 }
 
 func swapTestDyn(t *testing.T, n int) *graph.Dynamic {
@@ -77,9 +76,10 @@ func swapTestEngine(t *testing.T, m *tgat.Model, opt Options) *Engine {
 }
 
 // TestEngineSwapBitwiseEquivalence pins the hot-swap contract on one
-// engine: after SwapParams, rows are bitwise-identical to a fresh
-// engine built directly on the new parameters — no stale memo, no
-// stale precomputed time table survives the swap.
+// graph: the engine a swap builds over the staged parameters
+// (tgat.Model.WithParams, then NewEngine over the same sampler) answers
+// bitwise what an engine over a model initialized to those parameters
+// does — no stale memo, no stale precomputed time table, no stale pack.
 func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
 		opt := OptAll()
@@ -110,7 +110,7 @@ func TestEngineSwapBitwiseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SwapParams(func() { mA.ApplyParams(sp, 1) })
+		eng = NewEngine(mA.WithParams(sp, 1), eng.sampler, opt)
 		if eng.ParamsVersion() != 1 {
 			t.Fatalf("version after swap: %d", eng.ParamsVersion())
 		}

@@ -47,7 +47,7 @@ func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 	}
 	dyn := graph.NewDynamic(topMemoNodes)
 	dyn.SetLateness(500)
-	f := &topMemoFixture{t: t, m: m, dyn: dyn, nextIdx: 1}
+	f := &topMemoFixture{t: t, dyn: dyn, nextIdx: 1}
 	// Integral times: core.Key is exact on them, so the lower caches are
 	// and the engine equals the baseline bit for bit.
 	for i := 0; i < edges; i++ {
@@ -58,13 +58,22 @@ func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 		}
 		f.nextIdx++
 	}
-	f.eng = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
-	f.ref = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	f.build(m)
+	return f
+}
+
+// build makes the fixture's two engines over m and the fixture's graph:
+// at construction, and again after a params swap, which builds a new
+// model and new engines over it.
+func (f *topMemoFixture) build(m *tgat.Model) {
+	f.t.Helper()
+	f.m = m
+	f.eng = NewEngine(m, graph.NewDynamicSampler(f.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	f.ref = NewEngine(m, graph.NewDynamicSampler(f.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 	if f.eng.topMemo == nil {
-		t.Fatal("live-graph engine built without a top-layer memo")
+		f.t.Fatal("live-graph engine built without a top-layer memo")
 	}
 	f.ref.topMemo = nil
-	return f
 }
 
 // ingest applies one edge the way the serving plane does: into the
@@ -192,8 +201,7 @@ func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.eng.SwapParams(func() { f.m.ApplyParams(sp, 1) })
-			f.ref.SwapParams(func() {})
+			f.build(f.m.WithParams(sp, 1))
 			f.check("params swap", nodes, ts)
 
 			snap := filepath.Join(t.TempDir(), "caches.tgc")

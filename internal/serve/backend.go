@@ -11,29 +11,29 @@ import (
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
 	"tgopt/internal/stats"
-	"tgopt/internal/tgat"
 )
 
-// backend is the compute plane under the handlers. *shard.Core (one
-// engine over the server's graph) and *shard.Router (N cores over that
-// graph behind a scatter-gather) both satisfy it as they are; their
-// methods say what each call means there. Engines and Batchers are the
-// live cores' parts, for the per-scrape totals.
+// backend is the compute plane under the handlers, one per params
+// version. *shard.Core (one engine over the server's graph) and
+// *shard.Router (N cores over that graph behind a scatter-gather) both
+// satisfy it as they are; their methods say what each call means there.
+// Engines and Batchers are the live cores' parts, for the per-scrape
+// totals.
 type backend interface {
 	EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error)
 	Apply(e graph.Edge, res graph.IngestResult) int
 	SetBatching(cfg batcher.Config)
-	CommitSwap(sp *tgat.StagedParams, version uint64)
 	SaveSnapshot(path string) error
 	WarmStart(path string) (warmed int, err error)
 	Engines() []*core.Engine
 	Batchers() []*batcher.Batcher
 }
 
-// engineTotals is one scrape's view of the live engines: every cache,
-// memo and stage figure /v1/stats and /metrics report, summed over
-// backend.Engines() once. Stage histograms share one bucket geometry,
-// so the merged quantiles are those of the pooled observations.
+// engineTotals is one scrape's view of the serving version's live
+// engines: every cache, memo and stage figure /v1/stats and /metrics
+// report, summed over backend.Engines() once. Stage histograms share
+// one bucket geometry, so the merged quantiles are those of the pooled
+// observations.
 type engineTotals struct {
 	items      int
 	bytes      int64
@@ -44,8 +44,8 @@ type engineTotals struct {
 	stages     map[string]*stats.Histogram
 }
 
-func (s *Server) engineTotals() engineTotals {
-	engs := s.backend.Engines()
+func newEngineTotals(b backend) engineTotals {
+	engs := b.Engines()
 	t := engineTotals{
 		layers: shard.MergeLayerCacheStats(engs),
 		stages: make(map[string]*stats.Histogram, len(core.Stages)),
@@ -69,7 +69,8 @@ func (s *Server) engineTotals() engineTotals {
 }
 
 // hitRate is the memo caches' hits per lookup, summed over every
-// engine and cached layer since boot (0 before the first lookup).
+// engine and cached layer of the serving version (0 before the first
+// lookup).
 func (t engineTotals) hitRate() float64 {
 	if t.cache.Lookups == 0 {
 		return 0

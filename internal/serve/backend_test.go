@@ -21,6 +21,7 @@ import (
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/shard"
+	"tgopt/internal/tgat"
 )
 
 // backendMode is one of the four configurations every handler-level
@@ -378,11 +379,12 @@ func (h hookFS) Open(name string) (io.ReadCloser, error) {
 }
 
 // TestBackendSwapPrepareRunsOutsideTheRequestGate: reading and parsing
-// a published checkpoint (a file read and CRC check) must not stall
-// traffic — only the commit takes the request gate. The params read
-// issues an embed through the handler and needs its 200 before the
-// read proceeds; with the gate held around the parse that embed can
-// only finish after the hook gives up.
+// a published checkpoint (a file read and CRC check) and building the
+// new version's backend must not stall traffic — a swap takes no lock a
+// request waits on before its one publish. The params read and the
+// backend build each issue an embed through the handler and need its
+// 200 before they proceed; with a lock held around either, that embed
+// could only finish after the hook gives up.
 func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
 		s, _ := mk("")
@@ -390,8 +392,8 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 		if err := swapSeedModel(t, 3).SaveParamsFS(checkpoint.OS{}, path); err != nil {
 			t.Fatal(err)
 		}
-		served := make(chan int, 1)
-		fsys := hookFS{FS: checkpoint.OS{}, hook: func() {
+		served := make(chan int, 2)
+		hook := func() {
 			code := make(chan int, 1)
 			go func() {
 				code <- recordJSON(t, s.Handler(), http.MethodPost, "/v1/embed",
@@ -403,12 +405,19 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				served <- 0
 			}
-		}}
-		if err := s.SwapParams(fsys, path, 1); err != nil {
+		}
+		build := s.newBackend
+		s.newBackend = func(m *tgat.Model) (backend, error) {
+			hook()
+			return build(m)
+		}
+		if err := s.SwapParams(hookFS{FS: checkpoint.OS{}, hook: hook}, path, 1); err != nil {
 			t.Fatal(err)
 		}
-		if code := <-served; code != http.StatusOK {
-			t.Fatalf("embed issued during the params read: status %d (0 = still blocked after 2s), want 200", code)
+		for _, during := range []string{"the params read", "the backend build"} {
+			if code := <-served; code != http.StatusOK {
+				t.Fatalf("embed issued during %s: status %d (0 = still blocked after 2s), want 200", during, code)
+			}
 		}
 		if v := s.ModelVersion(); v != 1 {
 			t.Fatalf("version after swap = %d, want 1", v)
@@ -417,10 +426,13 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 }
 
 // TestBackendOneModelVersion: the params version is a property of the
-// shared model, so every place that reports it — Server.ModelVersion,
+// published model, so every place that reports it — Server.ModelVersion,
 // /v1/stats model.version and shards.model_version, tgopt_model_version
 // and each live engine — reads one number: at boot, after a swap, and
 // after the supervisor has rebuilt crashed shards on the swapped model.
+// /v1/stats and /metrics agree on the counters each reports, and a
+// swap restarts the per-version ones (the engines' and batchers') while
+// the since-boot ones (ingested, swaps) carry on.
 func TestBackendOneModelVersion(t *testing.T) {
 	const poisoned = 3
 	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
@@ -431,7 +443,8 @@ func TestBackendOneModelVersion(t *testing.T) {
 			},
 		})
 		ingest(t, ts.URL, shardTestEdges)
-		check := func(when string, want uint64) {
+		// check returns the scrape's unlabeled /metrics samples.
+		check := func(when string, want uint64) map[string]float64 {
 			t.Helper()
 			var sr statsResponse
 			getJSON(t, ts.URL+"/v1/stats", &sr)
@@ -446,13 +459,31 @@ func TestBackendOneModelVersion(t *testing.T) {
 			var buf bytes.Buffer
 			buf.ReadFrom(resp.Body)
 			resp.Body.Close()
+			metrics := map[string]float64{}
 			for _, line := range strings.Split(buf.String(), "\n") {
-				if v, ok := strings.CutPrefix(line, "tgopt_model_version "); ok {
-					f, _ := strconv.ParseFloat(v, 64)
-					got["tgopt_model_version"] = uint64(f)
+				if f := strings.Fields(line); len(f) == 2 && !strings.ContainsAny(f[0], "{#") {
+					metrics[f[0]], _ = strconv.ParseFloat(f[1], 64)
 				}
 			}
-			engs := s.backend.Engines()
+			if v, ok := metrics["tgopt_model_version"]; ok {
+				got["tgopt_model_version"] = uint64(v)
+			}
+			agree := map[string]int64{
+				"tgopt_cache_items":            int64(sr.CacheItems),
+				"tgopt_cache_lookups_total":    sr.Cache.Lookups,
+				"tgopt_top_memo_lookups_total": sr.Cache.TopMemo.Lookups,
+				"tgopt_ingested_total":         sr.Ingested,
+				"tgopt_model_swaps_total":      sr.Model.Swaps,
+			}
+			if sr.Batching != nil {
+				agree["tgopt_batch_enqueued_total"] = sr.Batching.Enqueued
+			}
+			for name, v := range agree {
+				if metrics[name] != float64(v) {
+					t.Errorf("%s: /metrics %s = %g, /v1/stats says %d", when, name, metrics[name], v)
+				}
+			}
+			engs := s.cur.Load().backend.Engines()
 			if len(engs) != max(m.shards, 1) {
 				t.Fatalf("%s: %d live engines, want %d", when, len(engs), max(m.shards, 1))
 			}
@@ -467,6 +498,7 @@ func TestBackendOneModelVersion(t *testing.T) {
 					t.Errorf("%s: %s = %d, want %d (all: %v)", when, where, v, want, got)
 				}
 			}
+			return metrics
 		}
 		swapTo := func(seed, version uint64) {
 			t.Helper()
@@ -479,8 +511,22 @@ func TestBackendOneModelVersion(t *testing.T) {
 			}
 		}
 		check("boot", 0)
+		if _, code, err := postBody(ts.URL, "/v1/embed", swapBackendEmbed); err != nil || code != http.StatusOK {
+			t.Fatalf("embed: code %d err %v", code, err)
+		}
+		if check("before swap", 0)["tgopt_cache_lookups_total"] == 0 {
+			t.Fatal("the embed looked nothing up: the per-version check below would be vacuous")
+		}
 		swapTo(3, 5)
-		check("after swap", 5)
+		metrics := check("after swap", 5)
+		for _, name := range []string{"tgopt_cache_lookups_total", "tgopt_top_memo_lookups_total", "tgopt_cache_items"} {
+			if metrics[name] != 0 {
+				t.Errorf("after swap: %s = %g, want 0 on the new version", name, metrics[name])
+			}
+		}
+		if metrics["tgopt_ingested_total"] != float64(len(shardTestEdges)) || metrics["tgopt_model_swaps_total"] != 1 {
+			t.Errorf("after swap: ingested %g, swaps %g: since-boot counters restarted", metrics["tgopt_ingested_total"], metrics["tgopt_model_swaps_total"])
+		}
 
 		if r := s.Router(); r != nil {
 			// Crash every shard that sees the poisoned target, let the

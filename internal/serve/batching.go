@@ -12,20 +12,24 @@ import (
 // and /v1/score targets are enqueued into a batcher per core that fuses
 // concurrent requests into single engine passes (see package batcher).
 // Call before Handler, like SetLimits; it is not safe to toggle while
-// requests are in flight.
-func (s *Server) SetBatching(cfg batcher.Config) { s.backend.SetBatching(cfg) }
+// requests are in flight. A swap batches its new version alike.
+func (s *Server) SetBatching(cfg batcher.Config) {
+	s.batch = &cfg
+	s.cur.Load().backend.SetBatching(cfg)
+}
 
 // Batcher returns an unsharded server's batcher; nil when batching is
 // off, and in sharded mode, where every shard has its own.
 func (s *Server) Batcher() *batcher.Batcher {
-	if c, ok := s.backend.(*shard.Core); ok {
+	if c, ok := s.cur.Load().backend.(*shard.Core); ok {
 		return c.Batcher()
 	}
 	return nil
 }
 
-// batchTotals is one scrape's view of the live batchers: counters
-// summed over cores, occupancy and queue wait merged bucket by bucket.
+// batchTotals is one scrape's view of the serving version's live
+// batchers: counters summed over cores, occupancy and queue wait merged
+// bucket by bucket.
 type batchTotals struct {
 	cfg batcher.Config
 	batcher.Snapshot
@@ -33,9 +37,9 @@ type batchTotals struct {
 	queueWait stats.Histogram
 }
 
-// batchTotals returns nil while batching is off.
-func (s *Server) batchTotals() *batchTotals {
-	bs := s.backend.Batchers()
+// newBatchTotals returns nil while batching is off.
+func newBatchTotals(b backend) *batchTotals {
+	bs := b.Batchers()
 	if len(bs) == 0 {
 		return nil
 	}

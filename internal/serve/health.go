@@ -42,7 +42,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	pool := s.shardHealth()
+	pool := shardHealth(s.cur.Load().backend)
 	switch {
 	case s.draining.Load():
 		w.Header().Set("Retry-After", "1")

@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
@@ -52,34 +53,32 @@ import (
 
 // Server serves TGOpt inference over a live dynamic graph.
 type Server struct {
-	dyn   *graph.Dynamic
-	model *tgat.Model
+	dyn *graph.Dynamic
 
-	// backend computes, invalidates, swaps and snapshots: one shard.Core
-	// over dyn (New) or a shard.Router of N cores over it (NewSharded).
-	// Nothing below the constructors depends on which.
-	backend backend
+	// cur is the params version serving. A request loads it once and
+	// runs wholly on it; SwapParams publishes a new one (swap.go).
+	cur atomic.Pointer[published]
+	// newBackend builds a backend over a model with the constructor and
+	// config the server booted with: one shard.Core over dyn (New) or a
+	// shard.Router of N cores over it (NewSharded). Nothing below the
+	// constructors depends on which. batch is the batching config
+	// SetBatching recorded (nil: off), which every version gets.
+	newBackend func(*tgat.Model) (backend, error)
+	batch      *batcher.Config
 
 	// wire formats /v1/embed rows (wire.go); it sits above the backend
 	// and outlives swaps, ingest and shard restarts unchanged.
 	wire *rowTextMemo
 
-	// swapGate is the request-level hot-swap barrier (swap.go): embed,
-	// score, ingest, and explain hold the read side for their whole
-	// handler body, SwapParams' commit takes the write side. The backend
-	// has its own gates, but this one is still needed — /v1/score runs
-	// embedSlab and the affinity head as two separate calls, and a swap
-	// landing between them would score new-version logits over
-	// old-version embeddings. Lock order: swapGate before the backend's
-	// (DESIGN.md §13).
-	swapGate sync.RWMutex
 	// ingestMu serializes /v1/ingest, so each edge's invalidation runs
 	// before the graph accepts the next: the invalidation indexes retire
 	// records at the watermark, and an edge accepted but not yet applied
-	// must not see the watermark moved past it (core.TargetIndex).
+	// must not see the watermark moved past it (core.TargetIndex). A
+	// swap publishes under it too, so an ingest writes the graph and
+	// invalidates the version it loaded before another can serve.
 	ingestMu sync.Mutex
 	// swaps, rollbacks, and lastSwapUnix are the /v1/stats "model"
-	// section, beside the version model itself carries.
+	// section, beside the version the published model carries.
 	swaps        atomic.Int64
 	rollbacks    atomic.Int64
 	lastSwapUnix atomic.Int64
@@ -120,24 +119,59 @@ type Server struct {
 	snapshotErrors atomic.Int64
 }
 
+// published is one params version: a model and the backend computing
+// over it. Neither changes after it is published.
+type published struct {
+	model   *tgat.Model
+	backend backend
+}
+
+// close stops what the version runs in the background: a shard pool's
+// supervisor. A single core has nothing to stop.
+func (p *published) close() {
+	if r, ok := p.backend.(*shard.Router); ok {
+		r.Close()
+	}
+}
+
 // newServer is the part of New and NewSharded that does not depend on
-// the backend.
-func newServer(model *tgat.Model, dyn *graph.Dynamic) *Server {
-	return &Server{dyn: dyn, model: model, wire: newRowTextMemo(model.Cfg.NodeDim)}
+// the backend: it publishes the boot version over model.
+func newServer(model *tgat.Model, dyn *graph.Dynamic, newBackend func(*tgat.Model) (backend, error)) (*Server, error) {
+	s := &Server{dyn: dyn, newBackend: newBackend, wire: newRowTextMemo(model.Cfg.NodeDim)}
+	p, err := s.build(model)
+	if err != nil {
+		return nil, err
+	}
+	s.cur.Store(p)
+	return s, nil
+}
+
+// build makes a version over m with the server's backend constructor,
+// batched as SetBatching asked.
+func (s *Server) build(m *tgat.Model) (*published, error) {
+	b, err := s.newBackend(m)
+	if err != nil {
+		return nil, err
+	}
+	if s.batch != nil {
+		b.SetBatching(*s.batch)
+	}
+	return &published{model: m, backend: b}, nil
 }
 
 // New builds a server over a model and a (possibly pre-populated)
 // dynamic graph, computing on one shard.Core over that graph.
 func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
-	s := newServer(model, dyn)
-	s.backend = shard.NewCore(model, dyn, opt)
+	s, _ := newServer(model, dyn, func(m *tgat.Model) (backend, error) {
+		return shard.NewCore(m, dyn, opt), nil
+	}) // building a single core returns no error
 	return s
 }
 
-// Engine exposes the underlying TGOpt engine (cache persistence,
+// Engine exposes the serving version's TGOpt engine (cache persistence,
 // introspection). Nil in sharded mode — use Router then.
 func (s *Server) Engine() *core.Engine {
-	if c, ok := s.backend.(*shard.Core); ok {
+	if c, ok := s.cur.Load().backend.(*shard.Core); ok {
 		return c.Engine()
 	}
 	return nil
@@ -147,9 +181,7 @@ func (s *Server) Engine() *core.Engine {
 // it returns; an unsharded server has nothing to stop. Call it after the
 // HTTP server has drained. The error is always nil.
 func (s *Server) Close() error {
-	if r := s.Router(); r != nil {
-		r.Close()
-	}
+	s.cur.Load().close()
 	return nil
 }
 
@@ -197,10 +229,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.validNodes(w, []int32{req.Node}) {
 		return
 	}
-	s.swapGate.RLock()
-	defer s.swapGate.RUnlock()
-	sampler := graph.NewDynamicSampler(s.dyn, s.model.Cfg.NumNeighbors, graph.MostRecent, 0)
-	h, attrs := s.model.Explain(sampler, req.Node, req.Time)
+	m := s.cur.Load().model
+	sampler := graph.NewDynamicSampler(s.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
+	h, attrs := m.Explain(sampler, req.Node, req.Time)
 	resp := explainResponse{Embedding: append([]float32(nil), h.Row(0)...)}
 	for _, a := range attrs {
 		resp.Attributions = append(resp.Attributions, attribution{
@@ -223,7 +254,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write := func(name, help string, value float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, value)
 	}
-	et := s.engineTotals()
+	cur := s.cur.Load()
+	et := newEngineTotals(cur.backend)
 	write("tgopt_graph_nodes", "Nodes in the serving graph.", float64(s.dyn.NumNodes()))
 	write("tgopt_graph_edges", "Interactions ingested.", float64(s.dyn.NumEdges()))
 	write("tgopt_cache_items", "Memoized embeddings resident.", float64(et.items))
@@ -258,11 +290,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("tgopt_unavailable_total", "Computations failed server-side (503), client cancels excluded.", float64(s.unavailable.Load()))
 	write("tgopt_snapshots_total", "Background cache snapshots written.", float64(s.snapshotSaves.Load()))
 	write("tgopt_snapshot_errors_total", "Cache snapshot or warm-start failures.", float64(s.snapshotErrors.Load()))
-	write("tgopt_model_version", "Params version currently serving.", float64(s.model.Version()))
+	write("tgopt_model_version", "Params version currently serving.", float64(cur.model.Version()))
 	write("tgopt_model_swaps_total", "Successful parameter hot-swaps since boot.", float64(s.swaps.Load()))
 	write("tgopt_model_rollbacks_total", "Hot-swaps rejected (corrupt or failed snapshot); the previous version kept serving.", float64(s.rollbacks.Load()))
 	write("tgopt_model_last_swap_timestamp_seconds", "Unix time of the last successful hot-swap (0 = never).", float64(s.lastSwapUnix.Load()))
-	if bt := s.batchTotals(); bt != nil {
+	if bt := newBatchTotals(cur.backend); bt != nil {
 		write("tgopt_batch_enqueued_total", "Targets enqueued into the micro-batcher.", float64(bt.Enqueued))
 		write("tgopt_batch_coalesced_total", "Targets that joined a fused pass another request opened.", float64(bt.Coalesced))
 		write("tgopt_batch_coalesce_ratio", "Fraction of targets that joined a fused pass another request opened.", bt.CoalesceRatio())
@@ -279,7 +311,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds_sum %g\ntgopt_batch_queue_wait_seconds_count %d\n", bt.queueWait.Sum().Seconds(), bt.queueWait.Count())
 	}
-	if st := s.shardHealth(); st != nil {
+	if st := shardHealth(cur.backend); st != nil {
 		writeShardMetrics(&b, write, st)
 	}
 	fmt.Fprintf(&b, "# HELP tgopt_stage_latency_seconds Engine per-stage latency quantiles.\n")
@@ -346,15 +378,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// invalidate the memoized embeddings they could reach; edges below
 	// the watermark are dropped and counted, never silently applied.
 	//
-	// The whole batch runs under the swap gate's read side: a params
-	// swap drops every memo, so an invalidation interleaved with the
-	// commit could neither resurrect an old-version entry nor miss a
-	// new one — but holding the gate keeps the batch's invalidation
-	// accounting attributable to one model version.
-	s.swapGate.RLock()
-	defer s.swapGate.RUnlock()
+	// The version is loaded under ingestMu, which a swap publishes
+	// under: no other version can serve, and cache rows, between this
+	// batch's graph writes and their invalidation (swap.go).
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	b := s.cur.Load().backend
 	var resp ingestResponse
 	for i, e := range q.edges {
 		edge := graph.Edge{Src: e.Src, Dst: e.Dst, Time: e.Time, Idx: e.Idx}
@@ -377,7 +406,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		// The graph took the edge: the backend drops the memoized
 		// embeddings it could reach (a Router, on every shard).
-		n := s.backend.Apply(edge, res)
+		n := b.Apply(edge, res)
 		resp.Invalidated += n
 		s.invalidated.Add(int64(n))
 	}
@@ -416,24 +445,20 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	if !s.validNodes(w, q.nodes) || !s.validTimes(w, q.ts) {
 		return
 	}
-	// Read side of the hot-swap barrier: every row of this response is
-	// computed under one params version.
-	s.swapGate.RLock()
-	defer s.swapGate.RUnlock()
-	slab, degraded, ok := s.embedSlab(w, r, q)
+	slab, degraded, ok := s.embedSlab(w, r, s.cur.Load().backend, q)
 	if !ok {
 		return
 	}
 	s.writeEmbed(w, slab, degraded)
 }
 
-// embedSlab computes the embeddings of q's nodes and ts as one backing
-// slab (row i at [i*d, (i+1)*d)); degraded lists the rows a shard pool
-// could not serve. On failure it writes the error response, marks q
-// lent — a backend that gave up waiting may still be reading its
-// slices — and returns ok=false.
-func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, q *request) (slab []float32, degraded []int, ok bool) {
-	slab, degraded, err := s.backend.EmbedRows(r.Context(), q.nodes, q.ts)
+// embedSlab computes the embeddings of q's nodes and ts on b as one
+// backing slab (row i at [i*d, (i+1)*d)); degraded lists the rows a
+// shard pool could not serve. On failure it writes the error response,
+// marks q lent — a backend that gave up waiting may still be reading
+// its slices — and returns ok=false.
+func (s *Server) embedSlab(w http.ResponseWriter, r *http.Request, b backend, q *request) (slab []float32, degraded []int, ok bool) {
+	slab, degraded, err := b.EmbedRows(r.Context(), q.nodes, q.ts)
 	if err != nil {
 		q.lent = true
 		s.writeEmbedError(w, err)
@@ -507,23 +532,20 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.validNodes(w, q.nodes) || !s.validTimes(w, q.ts[:nb]) {
 		return
 	}
-	// Read side of the hot-swap barrier. Scoring is two engine calls
-	// (embed the slab, then the affinity head) — without this gate a
-	// swap could land between them and mix versions inside one logit.
-	s.swapGate.RLock()
-	defer s.swapGate.RUnlock()
 	// The src‖dst embeddings come out of the backend as one slab; only
-	// the tiny affinity head runs per-request.
-	slab, degraded, ok := s.embedSlab(w, r, q)
+	// the tiny affinity head runs per-request, with the same version's
+	// model, so one logit never mixes two versions.
+	cur := s.cur.Load()
+	slab, degraded, ok := s.embedSlab(w, r, cur.backend, q)
 	if !ok {
 		return
 	}
-	d := s.model.Cfg.NodeDim
+	d := cur.model.Cfg.NodeDim
 	ar := tensor.GetArena()
 	hSrc := ar.Wrap(slab[:nb*d], nb, d)
 	hDst := ar.Wrap(slab[nb*d:], nb, d)
 	q.f64 = resize(q.f64, 2*nb)
-	resp := scoreLogits(q.f64, s.model.ScoreWith(ar, hSrc, hDst))
+	resp := scoreLogits(q.f64, cur.model.ScoreWith(ar, hSrc, hDst))
 	tensor.PutArena(ar)
 	if len(degraded) > 0 {
 		// A pair is degraded if either endpoint row was (targets are
@@ -634,8 +656,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	et := s.engineTotals()
-	shards := s.shardHealth()
+	cur := s.cur.Load()
+	et := newEngineTotals(cur.backend)
+	shards := shardHealth(cur.backend)
 	resp := statsResponse{
 		NumNodes:      s.dyn.NumNodes(),
 		NumEdges:      s.dyn.NumEdges(),
@@ -664,9 +687,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Invalidated:     s.invalidated.Load(),
 			StaleStoreSkips: et.staleSkips,
 		},
-		Model:    s.modelStatsJSON(),
+		Model:    s.modelStatsJSON(cur.model),
 		Stages:   et.stageStatsJSON(),
-		Batching: s.batchTotals().json(),
+		Batching: newBatchTotals(cur.backend).json(),
 		Shards:   shards,
 	}
 	if shards != nil {

@@ -20,18 +20,15 @@ import (
 // takes — per-shard cache capacities are derived from it so total
 // footprint matches the unsharded deployment.
 func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg shard.Config) (*Server, error) {
-	s := newServer(model, dyn)
-	r, err := shard.NewRouter(model, dyn, opt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.backend = r
-	return s, nil
+	return newServer(model, dyn, func(m *tgat.Model) (backend, error) {
+		return shard.NewRouter(m, dyn, opt, cfg)
+	})
 }
 
-// Router exposes the shard router in sharded mode (nil otherwise).
+// Router exposes the serving version's shard router in sharded mode (nil
+// otherwise).
 func (s *Server) Router() *shard.Router {
-	r, _ := s.backend.(*shard.Router)
+	r, _ := s.cur.Load().backend.(*shard.Router)
 	return r
 }
 
@@ -42,9 +39,9 @@ func (s *Server) Sharded() bool { return s.Router() != nil }
 // shardHealth snapshots the pool's per-shard crash/restart state and
 // the router's failover/degradation counters — what a Router
 // has and a single Core does not. Nil on an unsharded server.
-func (s *Server) shardHealth() *shard.RouterStats {
-	r := s.Router()
-	if r == nil {
+func shardHealth(b backend) *shard.RouterStats {
+	r, ok := b.(*shard.Router)
+	if !ok {
 		return nil
 	}
 	st := r.Stats()

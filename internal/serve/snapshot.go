@@ -22,12 +22,13 @@ func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
 		logf = func(string, ...any) {}
 	}
 	s.ingestMu.Lock()
-	warmed, err := s.backend.WarmStart(path)
+	b := s.cur.Load().backend
+	warmed, err := b.WarmStart(path)
 	s.ingestMu.Unlock()
 	switch {
 	case err == nil:
 		logf("warm-started %d memoized embeddings from %s (%d of %d cores)",
-			s.CacheLen(), path, warmed, len(s.backend.Engines()))
+			s.CacheLen(), path, warmed, len(b.Engines()))
 	case errors.Is(err, fs.ErrNotExist):
 		logf("no warm cache at %s; starting cold", path)
 	default:
@@ -37,9 +38,9 @@ func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
 }
 
 // CacheLen returns the memoized embeddings resident across the
-// server's engines.
+// serving version's engines.
 func (s *Server) CacheLen() (n int) {
-	for _, eng := range s.backend.Engines() {
+	for _, eng := range s.cur.Load().backend.Engines() {
 		n += eng.CacheLen()
 	}
 	return n
@@ -50,7 +51,7 @@ func (s *Server) CacheLen() (n int) {
 // directory. Saves go through the atomic checkpoint writer, so a crash
 // mid-snapshot (or a snapshot racing ingestion) always leaves the
 // previous snapshot intact on disk.
-func (s *Server) SaveSnapshot(path string) error { return s.backend.SaveSnapshot(path) }
+func (s *Server) SaveSnapshot(path string) error { return s.cur.Load().backend.SaveSnapshot(path) }
 
 // StartSnapshots begins periodic background SaveSnapshot calls to path
 // and returns a stop function that halts the snapshotter and waits for

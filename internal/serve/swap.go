@@ -8,14 +8,15 @@ import (
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/swap"
+	"tgopt/internal/tgat"
 	"tgopt/internal/trainer"
 )
 
 // This file is the serving side of the online-learning loop (DESIGN.md
-// §16): SwapParams atomically hot-swaps the model to a published
-// parameter snapshot, and StartSwapLoop runs the background cadence —
-// either fine-tuning locally and publishing, or watching a swap
-// directory another process publishes into.
+// §16): SwapParams publishes a new params version built from a
+// published parameter snapshot, and StartSwapLoop runs the background
+// cadence — either fine-tuning locally and publishing, or watching a
+// swap directory another process publishes into.
 
 // modelStats is the /v1/stats "model" section.
 type modelStats struct {
@@ -25,26 +26,26 @@ type modelStats struct {
 	LastSwapUnix int64  `json:"last_swap_unix"`
 }
 
-func (s *Server) modelStatsJSON() modelStats {
+func (s *Server) modelStatsJSON(m *tgat.Model) modelStats {
 	return modelStats{
-		Version:      s.model.Version(),
+		Version:      m.Version(),
 		Swaps:        s.swaps.Load(),
 		Rollbacks:    s.rollbacks.Load(),
 		LastSwapUnix: s.lastSwapUnix.Load(),
 	}
 }
 
-// SwapParams atomically swaps the serving model to the params
-// checkpoint at path, as the given version. Parse-then-commit: the
-// checkpoint is parsed and fully validated (envelope CRC, tensor count,
-// every shape) once, into the model every core shares, with nothing
-// locked and traffic flowing, so a corrupt or torn snapshot rolls back
-// trivially — nothing was mutated, the previous version keeps serving,
-// and the attempt is counted in rollbacks. Only the commit runs under
-// the server's request gate (no in-flight embed/score/ingest/explain
-// straddles it) plus the backend's barriers underneath, and re-derives
-// every params-dependent structure: precomputed time tables and the
-// memo caches.
+// SwapParams makes the params checkpoint at path, as the given version,
+// the one serving. The checkpoint is parsed and fully validated
+// (envelope CRC, tensor count, every shape), and a new model over it
+// and a new backend over that model are built the way boot built
+// them, all with nothing locked and traffic flowing on the old
+// version. A corrupt or torn snapshot therefore rolls back trivially:
+// nothing was published, the previous version keeps serving, and the
+// attempt is counted in rollbacks. Publishing is one pointer store; a
+// request that loaded the old version finishes on it, and the new
+// version starts with empty caches, time tables and packs of its own
+// parameters.
 //
 // fsys is the file system path is read through (nil: checkpoint.OS);
 // fault tests inject faultfs.
@@ -52,15 +53,27 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	if fsys == nil {
 		fsys = checkpoint.OS{}
 	}
-	sp, err := s.model.ParseParamsFS(fsys, path)
+	m := s.cur.Load().model
+	sp, err := m.ParseParamsFS(fsys, path)
+	var next *published
+	if err == nil {
+		next, err = s.build(m.WithParams(sp, version))
+	}
 	if err != nil {
 		s.rollbacks.Add(1)
 		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
-			version, s.model.Version(), err)
+			version, m.Version(), err)
 	}
-	s.swapGate.Lock()
-	s.backend.CommitSwap(sp, version)
-	s.swapGate.Unlock()
+	// The store is made under ingestMu, under which an ingest loads the
+	// version it invalidates: every edge an ingest writes is invalidated
+	// on a version no request could read from before the write. Without
+	// the lock, a version published between an ingest's load and its
+	// graph write could cache a row over the graph without the edge, and
+	// nothing would invalidate it.
+	s.ingestMu.Lock()
+	old := s.cur.Swap(next)
+	s.ingestMu.Unlock()
+	old.close()
 	s.swaps.Add(1)
 	s.lastSwapUnix.Store(time.Now().Unix())
 	return nil
@@ -112,7 +125,7 @@ func (s *Server) swapTick(cfg SwapConfig) {
 			}
 			return // nothing published yet
 		}
-		if v == s.model.Version() {
+		if v == s.cur.Load().model.Version() {
 			return
 		}
 		if err := s.SwapParams(cfg.FS, path, v); err != nil {
@@ -127,12 +140,13 @@ func (s *Server) swapTick(cfg SwapConfig) {
 	// prefix (the serving tensors are read, never written, so this runs
 	// concurrently with traffic), publish, then swap through the same
 	// validated path a watcher would take.
-	clone, res, err := swap.FineTune(s.model, s.dyn, cfg.Trainer)
+	m := s.cur.Load().model
+	clone, res, err := swap.FineTune(m, s.dyn, cfg.Trainer)
 	if err != nil {
 		cfg.Logf("swap: fine-tune skipped: %v", err)
 		return
 	}
-	version := s.model.Version() + 1
+	version := m.Version() + 1
 	if v, _, lerr := swap.Latest(cfg.FS, cfg.Dir); lerr == nil && v >= version {
 		version = v + 1 // never republish an existing version number
 	}

@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,9 +460,382 @@ func TestServeSwapLoopTrainerRole(t *testing.T) {
 }
 
 // ModelVersion returns the params version currently serving: the one
-// the shared model carries, so it moves with the tensors, under the gate.
-func (s *Server) ModelVersion() uint64 { return s.model.Version() }
+// the published version's model carries.
+func (s *Server) ModelVersion() uint64 { return s.cur.Load().model.Version() }
 
 // SwapRollbacks returns how many swaps were rejected with the previous
 // version kept serving.
 func (s *Server) SwapRollbacks() int64 { return s.rollbacks.Load() }
+
+// swapBackendEmbed is the read the ported pool-swap tests ask, over
+// shardTestEdges: repeated nodes, two times past the stream's end.
+var swapBackendEmbed = embedRequest{
+	Nodes: []int32{7, 1, 7, 3, 5, 2, 8, 1, 6, 4},
+	Times: []float64{90, 90, 90, 95, 95, 90, 95, 95, 90, 95},
+}
+
+// swapRefBody is the body a fresh single-core server on params seed
+// answers for req at path after ingesting edges: what every backend,
+// after a swap to that seed, must answer byte for byte.
+func swapRefBody(t *testing.T, seed uint64, edges []edgeJSON, path string, req any) []byte {
+	t.Helper()
+	s := New(swapSeedModel(t, seed), graph.NewDynamic(20), core.OptAll())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ingest(t, ts.URL, edges)
+	body, code, err := postBody(ts.URL, path, req)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("reference %s: code %d err %v (%s)", path, code, err, body)
+	}
+	return body
+}
+
+// requireBody posts req and requires a 200 whose body is want.
+func requireBody(t *testing.T, what, url, path string, req any, want []byte) {
+	t.Helper()
+	body, code, err := postBody(url, path, req)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("%s: code %d err %v (%s)", what, code, err, body)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("%s: body differs\n got: %s\nwant: %s", what, body, want)
+	}
+}
+
+// saveSeed publishes params seed as a checkpoint file and returns its
+// path.
+func saveSeed(t *testing.T, seed uint64, name string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := swapSeedModel(t, seed).SaveParamsFS(checkpoint.OS{}, path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// redirectFS serves Open(from) from a different file — the harness for
+// "the published params checkpoint reads back corrupt".
+type redirectFS struct {
+	checkpoint.FS
+	from, to string
+}
+
+func (r redirectFS) Open(name string) (io.ReadCloser, error) {
+	if name == r.from {
+		name = r.to
+	}
+	return r.FS.Open(name)
+}
+
+// TestRouterSwapAllOrNothing pins the parse-then-publish swap in every
+// backend mode: with the params checkpoint reading back bit-flipped,
+// the parse fails and NOTHING changes anywhere — not the version, not
+// a live engine's, not a single served row. Clearing the fault lets the
+// identical call publish the new version whole.
+func TestRouterSwapAllOrNothing(t *testing.T) {
+	wantOld := swapRefBody(t, 2, shardTestEdges, "/v1/embed", swapBackendEmbed)
+	wantNew := swapRefBody(t, 9, shardTestEdges, "/v1/embed", swapBackendEmbed)
+	good := saveSeed(t, 9, "params-1.tgp")
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "params-1-corrupt.tgp")
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Flip one bit in the middle of the tensor payload, past the
+	// envelope header.
+	if err := faultfs.FlipBit(bad, int64(len(b))/2*8+3); err != nil {
+		t.Fatal(err)
+	}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		s, ts := mk("")
+		ingest(t, ts.URL, shardTestEdges)
+		requireBody(t, "pre-swap", ts.URL, "/v1/embed", swapBackendEmbed, wantOld)
+
+		if err := s.SwapParams(redirectFS{FS: checkpoint.OS{}, from: good, to: bad}, good, 1); err == nil {
+			t.Fatal("swap of a corrupt checkpoint committed")
+		}
+		if v := s.ModelVersion(); v != 0 {
+			t.Fatalf("version advanced to %d on a failed swap", v)
+		}
+		for i, eng := range s.cur.Load().backend.Engines() {
+			if ev := eng.ParamsVersion(); ev != 0 {
+				t.Fatalf("engine %d at version %d after rollback", i, ev)
+			}
+		}
+		requireBody(t, "after rolled-back swap", ts.URL, "/v1/embed", swapBackendEmbed, wantOld)
+
+		// Same call with the fault cleared: publishes the new version.
+		if err := s.SwapParams(checkpoint.OS{}, good, 1); err != nil {
+			t.Fatal(err)
+		}
+		if v := s.ModelVersion(); v != 1 {
+			t.Fatalf("version %d after commit", v)
+		}
+		requireBody(t, "post-swap", ts.URL, "/v1/embed", swapBackendEmbed, wantNew)
+	})
+}
+
+// TestRestartAfterSwapServesCurrentVersion: a shard rebuilt by the
+// supervisor AFTER a hot-swap comes back on the swapped (current)
+// params version, not the boot-time one — the pool a swap publishes is
+// built over the new model, and its supervisor rebuilds from it. A
+// single core has no supervisor: its leg checks the swapped rows.
+func TestRestartAfterSwapServesCurrentVersion(t *testing.T) {
+	const poisoned = 3
+	wantNew := swapRefBody(t, 9, shardTestEdges, "/v1/embed", swapBackendEmbed)
+	path := saveSeed(t, 9, "params-5.tgp")
+	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
+		var armed atomic.Bool
+		s, ts := m.newServerWith(t, shard.Config{
+			WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+				return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
+			},
+		})
+		ingest(t, ts.URL, shardTestEdges)
+		if _, code, err := postBody(ts.URL, "/v1/embed", swapBackendEmbed); err != nil || code != http.StatusOK {
+			t.Fatalf("warm: code %d err %v", code, err)
+		}
+		if err := s.SwapParams(checkpoint.OS{}, path, 5); err != nil {
+			t.Fatal(err)
+		}
+		if r := s.Router(); r != nil {
+			armed.Store(true)
+			req := embedRequest{Nodes: []int32{1, 2, poisoned, 4}, Times: []float64{90, 90, 90, 90}}
+			if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != http.StatusPartialContent {
+				t.Fatalf("poisoned embed: code %d err %v, want 206", code, err)
+			}
+			armed.Store(false)
+			r.WaitRestarts()
+			var restarts int64
+			for _, st := range r.Stats().Shards {
+				if st.Crashed {
+					t.Fatalf("shard %d still crashed after WaitRestarts", st.ID)
+				}
+				restarts += st.Restarts
+			}
+			if restarts == 0 {
+				t.Fatal("the poisoned embed crashed no shard")
+			}
+		}
+		for i, eng := range s.cur.Load().backend.Engines() {
+			if ev := eng.ParamsVersion(); ev != 5 {
+				t.Fatalf("engine %d at version %d, server at %d", i, ev, s.ModelVersion())
+			}
+		}
+		requireBody(t, "after restart", ts.URL, "/v1/embed", swapBackendEmbed, wantNew)
+	})
+}
+
+// TestRouterSwapDuringTraffic hammers every backend mode with embeds and
+// ingests while swapping back and forth between two published
+// versions, under the race detector: every response must be bitwise one
+// version's — never a mix — and after the last swap the server must
+// answer exactly the final params.
+func TestRouterSwapDuringTraffic(t *testing.T) {
+	wantA := swapRefBody(t, 2, shardTestEdges, "/v1/embed", swapBackendEmbed)
+	wantB := swapRefBody(t, 9, shardTestEdges, "/v1/embed", swapBackendEmbed)
+	pathA, pathB := saveSeed(t, 2, "params-a.tgp"), saveSeed(t, 9, "params-b.tgp")
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		s, ts := mk("")
+		ingest(t, ts.URL, shardTestEdges)
+
+		stop := make(chan struct{})
+		errc := make(chan error, 8)
+		hammer := func(f func() error) {
+			go func() {
+				for {
+					select {
+					case <-stop:
+						errc <- nil
+						return
+					default:
+					}
+					if err := f(); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			hammer(func() error {
+				body, code, err := postBody(ts.URL, "/v1/embed", swapBackendEmbed)
+				if err != nil || code != http.StatusOK {
+					return fmt.Errorf("embed: code %d err %v (%s)", code, err, body)
+				}
+				if !bytes.Equal(body, wantA) && !bytes.Equal(body, wantB) {
+					return errors.New("embed body matches neither version: mixed-version rows")
+				}
+				return nil
+			})
+		}
+		// Edges strictly after the asked times: invalidation churns
+		// while the expected rows stay pinned.
+		tm := 2000.0
+		hammer(func() error {
+			tm += 10
+			body, code, err := postBody(ts.URL, "/v1/ingest", ingestRequest{Edges: []edgeJSON{{Src: 2, Dst: 3, Time: tm}}})
+			if err != nil || code != http.StatusOK {
+				return fmt.Errorf("ingest: code %d err %v (%s)", code, err, body)
+			}
+			return nil
+		})
+
+		version := uint64(0)
+		for i := 0; i < 12; i++ {
+			version++
+			p := pathB
+			if version%2 == 0 {
+				p = pathA
+			}
+			if err := s.SwapParams(checkpoint.OS{}, p, version); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		close(stop)
+		for i := 0; i < 5; i++ {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		}
+		// 12 swaps: the last version is even, so params A.
+		requireBody(t, "converged", ts.URL, "/v1/embed", swapBackendEmbed, wantA)
+		if err := s.SwapParams(checkpoint.OS{}, pathB, version+1); err != nil {
+			t.Fatal(err)
+		}
+		requireBody(t, "final", ts.URL, "/v1/embed", swapBackendEmbed, wantB)
+	})
+}
+
+// slowApply is a backend whose invalidation takes a while, so an
+// ingest batch spans many reads: the window in which a version
+// published mid-batch could cache rows the batch's later edges change.
+type slowApply struct{ backend }
+
+func (b slowApply) Apply(e graph.Edge, res graph.IngestResult) int {
+	time.Sleep(500 * time.Microsecond)
+	return b.backend.Apply(e, res)
+}
+
+// TestServeSwapIngestPublishOrdering pins why a swap publishes under
+// ingestMu. Each round hammers three kinds of request while one swap
+// lands: ingests of 32 edges, in order at times below the asked ones
+// and late inside the lateness window, and re-asked reads and scores
+// at timestamps beyond the stream clock. Once the round is quiet, every
+// row and logit the server answers — from what it warmed — must be
+// bitwise a fresh server's on the params now serving, over the graph
+// as it now is. An ingest that loaded the old version and wrote the
+// graph after the new one had cached rows would leave those rows
+// uninvalidated, and the fresh server would tell them apart; slowApply
+// leaves room for such rows. TestServeSwapEquivalenceUnderLoad cannot
+// see that: its ingests land above every asked time.
+func TestServeSwapIngestPublishOrdering(t *testing.T) {
+	const (
+		rounds   = 8
+		lateness = 150
+		asked    = 1e6 // past every edge time the rounds reach
+	)
+	paths := map[uint64]string{2: saveSeed(t, 2, "params-a.tgp"), 9: saveSeed(t, 9, "params-b.tgp")}
+	var embed embedRequest
+	var score scoreRequest
+	for v := int32(1); v <= 20; v++ {
+		embed.Nodes = append(embed.Nodes, v, v)
+		embed.Times = append(embed.Times, asked, asked+1)
+		score.Pairs = append(score.Pairs, edgeJSON{Src: v, Dst: v%20 + 1, Time: asked})
+	}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		s, ts := mk("")
+		s.dyn.SetLateness(lateness)
+		boot := s.cur.Load()
+		s.cur.Store(&published{model: boot.model, backend: slowApply{boot.backend}})
+		build := s.newBackend
+		s.newBackend = func(m *tgat.Model) (backend, error) {
+			b, err := build(m)
+			return slowApply{b}, err
+		}
+		ingest(t, ts.URL, shardTestEdges)
+		rng := rand.New(rand.NewSource(5))
+		clock := 100.0
+		seed := uint64(2)
+		for round := 1; round <= rounds; round++ {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var failed atomic.Pointer[error]
+			hammer := func(f func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := f(); err != nil {
+							failed.CompareAndSwap(nil, &err)
+							return
+						}
+					}
+				}()
+			}
+			post := func(path string, req any) error {
+				body, code, err := postBody(ts.URL, path, req)
+				if err != nil || code != http.StatusOK {
+					return fmt.Errorf("round %d %s: code %d err %v (%s)", round, path, code, err, body)
+				}
+				return nil
+			}
+			hammer(func() error {
+				var req ingestRequest
+				for range 32 {
+					e := edgeJSON{Src: int32(1 + rng.Intn(20)), Dst: int32(1 + rng.Intn(20))}
+					if rng.Intn(3) == 0 {
+						e.Time = clock - 1 - float64(rng.Intn(lateness))
+					} else {
+						clock++
+						e.Time = clock
+					}
+					req.Edges = append(req.Edges, e)
+				}
+				return post("/v1/ingest", req)
+			})
+			for g := 0; g < 2; g++ {
+				hammer(func() error {
+					i := 2 * rand.Intn(len(embed.Nodes)/2)
+					return post("/v1/embed", embedRequest{Nodes: embed.Nodes[i : i+2], Times: embed.Times[i : i+2]})
+				})
+			}
+			hammer(func() error { return post("/v1/score", score) })
+
+			time.Sleep(3 * time.Millisecond)
+			seed = 11 - seed // 2 ↔ 9
+			if err := s.SwapParams(checkpoint.OS{}, paths[seed], uint64(round)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(3 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+			if err := failed.Load(); err != nil {
+				t.Fatal(*err)
+			}
+
+			ref := New(swapSeedModel(t, seed), s.dyn, core.OptAll())
+			refTS := httptest.NewServer(ref.Handler())
+			for _, q := range []struct {
+				path string
+				req  any
+			}{{"/v1/embed", embed}, {"/v1/score", score}} {
+				want, code, err := postBody(refTS.URL, q.path, q.req)
+				if err != nil || code != http.StatusOK {
+					t.Fatalf("round %d reference %s: code %d err %v", round, q.path, code, err)
+				}
+				requireBody(t, fmt.Sprintf("round %d %s after the swap to v%d", round, q.path, round), ts.URL, q.path, q.req, want)
+			}
+			refTS.Close()
+		}
+	})
+}

@@ -26,17 +26,16 @@ func isPanic(err error) bool {
 
 // Core is the one compute unit under serving: an engine over one
 // dynamic graph, an optional batcher in front of the engine, and what a
-// serving plane asks of the pair — embed, invalidate for an edge, swap
-// params, snapshot. An unsharded server holds one over its graph; a
-// Router holds one per shard over that same graph and discards it whole
-// on a crash (a panic may have poisoned its engine's locks; the graph's
-// are released by defer). A Core has no ring or supervisor: it answers
-// or it fails.
+// serving plane asks of the pair — embed, invalidate for an edge,
+// snapshot. An unsharded server holds one over its graph; a Router
+// holds one per shard over that same graph and discards it whole on a
+// crash (a panic may have poisoned its engine's locks; the graph's are
+// released by defer). A Core has no ring or supervisor: it answers or
+// it fails. Its model never changes: a params swap builds a new Core.
 type Core struct {
-	model *tgat.Model
-	eng   *core.Engine
-	emb   core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
-	bat   *batcher.Batcher
+	eng *core.Engine
+	emb core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
+	bat *batcher.Batcher
 }
 
 // NewCore builds an engine over dyn. An engine over a live graph always
@@ -47,7 +46,7 @@ type Core struct {
 func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Core {
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
-	return &Core{model: model, eng: eng, emb: eng}
+	return &Core{eng: eng, emb: eng}
 }
 
 // Engine returns the core's engine (cache persistence, introspection).
@@ -129,15 +128,6 @@ func (c *Core) Apply(e graph.Edge, res graph.IngestResult) int {
 		return c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
 	}
 	return 0
-}
-
-// CommitSwap installs params the caller parsed and validated
-// (tgat.Model.ParseParamsFS) as the given version under the engine's
-// swap gate: in-flight passes drain, the model's tensors are
-// rewritten, and every version-dependent structure is re-derived
-// (core.Engine.FinishSwap).
-func (c *Core) CommitSwap(sp *tgat.StagedParams, version uint64) {
-	c.eng.SwapParams(func() { c.model.ApplyParams(sp, version) })
 }
 
 // SaveSnapshot writes the engine's memo caches to path through the

@@ -85,14 +85,6 @@ type Router struct {
 	// the core goes live.
 	ingestMu sync.Mutex
 
-	// swapMu is the pool-wide hot-swap barrier: Embed holds the read
-	// side across its whole scatter-gather (no response ever mixes
-	// rows from two model versions) and so does a supervisor rebuild
-	// (a core built mid-commit would pack stale weights); CommitSwap
-	// takes the write side. Lock order: swapMu before ingestMu before
-	// any engine's swap gate — never the reverse.
-	swapMu sync.RWMutex
-
 	closed atomic.Bool
 
 	// rebuilds counts supervisor rebuilds in flight and rebuildDone
@@ -163,10 +155,6 @@ func (r *Router) buildCore(id int) (c *Core, err error) {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
 		}
 	}()
-	// The rebuilt engine packs the shared model's tensors, and a
-	// snapshot load checks its inputs digest against them. Callers on
-	// the restart path hold swapMu's read side, which keeps the tensors
-	// still across the build and the load.
 	c = NewCore(r.model, r.dyn, r.opt)
 	if r.cfg.WrapEmbedder != nil {
 		c.emb = r.cfg.WrapEmbedder(id, c.emb)
@@ -229,11 +217,6 @@ func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (sl
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// The whole scatter-gather runs under the pool swap barrier: a
-	// params swap committing between two legs of one request would
-	// otherwise gather rows from two model versions into one slab.
-	r.swapMu.RLock()
-	defer r.swapMu.RUnlock()
 	if r.upShards() == 0 {
 		return nil, nil, fmt.Errorf("%w: all %d crashed", ErrNoShardUp, len(r.shards))
 	}
@@ -365,32 +348,6 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 		}
 	}
 	return invalidated
-}
-
-// CommitSwap installs params the caller parsed and validated
-// (tgat.Model.ParseParamsFS, once for the whole pool: every shard
-// shares the model). Under the pool swap barrier (in-flight
-// scatter-gathers and supervisor rebuilds drained, new ones blocked)
-// and every live engine's own swap gate, the shared model's tensors and
-// version are rewritten once and each engine re-derives its
-// version-dependent state — re-built time tables, memo caches dropped
-// (core.Engine.FinishSwap). Crashed shards are absent by design: their
-// supervisor rebuild reads the shared model, so they come back on the
-// new parameters.
-func (r *Router) CommitSwap(sp *tgat.StagedParams, version uint64) {
-	r.swapMu.Lock()
-	defer r.swapMu.Unlock()
-	locked := r.Engines()
-	for _, eng := range locked {
-		eng.SwapLock()
-	}
-	r.model.ApplyParams(sp, version)
-	for _, eng := range locked {
-		eng.FinishSwap()
-	}
-	for i := len(locked) - 1; i >= 0; i-- {
-		locked[i].SwapUnlock()
-	}
 }
 
 // RouterStats is the router-level health snapshot for /v1/stats.

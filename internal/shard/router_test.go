@@ -127,6 +127,27 @@ func newTestRouter(t *testing.T, m *tgat.Model, edges []graph.Edge, cfg Config) 
 	return r
 }
 
+func poolSlab(t *testing.T, r *Router, nodes []int32, ts []float64) []float32 {
+	t.Helper()
+	res, err := r.Embed(context.Background(), nodes, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Partial {
+		t.Fatalf("degraded rows %v", res.Degraded)
+	}
+	return res.Slab
+}
+
+func requireSlabEqual(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: slab[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // poolTopMemoStats sums the top-layer memo counters over the pool's
 // live engines, as the serving layer does per scrape.
 func poolTopMemoStats(r *Router) core.TopMemoStats {

@@ -1,6 +1,6 @@
 // Package shard holds serving's compute plane. A Core is the unit: one
 // engine over one dynamic graph, an optional batcher, and
-// the embed / invalidate / swap / snapshot operations serving asks of
+// the embed / invalidate / snapshot operations serving asks of
 // the pair. An unsharded server runs one Core over its graph. A Router
 // partitions serving into N independent failure domains, each a Shard
 // owning a Core with private memo caches and arena pool; every core

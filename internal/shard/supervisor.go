@@ -86,15 +86,10 @@ func (r *Router) restart(s *Shard, cause error) {
 	}
 }
 
-// restartOnce is one rebuild attempt. It runs under the pool swap
-// barrier's read side: a params swap committing mid-rebuild would
-// otherwise let this core pack its weights from half-written tensors
-// and warm caches from rows of parameters the pool no longer serves.
-// Lock order (swapMu → ingestMu → engine gates) holds: the commit path
-// never takes ingestMu.
+// restartOnce is one rebuild attempt. The core it builds reads the
+// router's model, which never changes: a params swap builds a new
+// Router instead.
 func (r *Router) restartOnce(s *Shard) bool {
-	r.swapMu.RLock()
-	defer r.swapMu.RUnlock()
 	c, err := r.buildCore(s.id)
 	if err != nil {
 		r.cfg.Logf("shard %d: rebuild failed: %v", s.id, err)
@@ -157,12 +152,8 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 	if r.cfg.SnapshotDir == "" {
 		return 0, fmt.Errorf("shard: no snapshot dir configured: %w", fs.ErrNotExist)
 	}
-	// Same barriers as restartOnce: a load checks the snapshot's inputs
-	// digest against the engine's parameters, so a swap landing mid-warm
-	// must not interleave, and an Apply must not land between a row's
-	// re-sample and its index record.
-	r.swapMu.RLock()
-	defer r.swapMu.RUnlock()
+	// An Apply must not land between a row's re-sample and its index
+	// record.
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 	for _, s := range r.shards {

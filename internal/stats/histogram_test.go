@@ -90,30 +90,11 @@ func TestHistogramExtremes(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram not zero")
 	}
-	h.Reset()
 	if s := h.Snapshot(); s.Count != 0 || s.Bounds != nil {
 		t.Fatal("nil snapshot not empty")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Millisecond)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("Reset left observations")
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(2 * time.Millisecond)
-	h.Observe(4 * time.Millisecond)
-	if h.Mean() != 3*time.Millisecond {
-		t.Fatalf("Mean = %v", h.Mean())
 	}
 }
 
@@ -175,31 +156,6 @@ func TestHistogramMergeIsThePooledDistribution(t *testing.T) {
 		if merged.Quantile(q) != pooled.Quantile(q) || cmerged.Quantile(q) != cpooled.Quantile(q) {
 			t.Fatalf("q=%v: merged %v/%d, pooled %v/%d", q, merged.Quantile(q), cmerged.Quantile(q), pooled.Quantile(q), cpooled.Quantile(q))
 		}
-	}
-}
-
-// Mean returns the average observed duration, or 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Reset clears all observations. Concurrent Observes may be partially
-// lost; Reset is intended for between-run bookkeeping, not hot paths.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
 	}
 }
 

@@ -32,7 +32,6 @@ func TestCollectorAccumulates(t *testing.T) {
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Observe(OpAttention, time.Second, 1)
-	c.Reset()
 	if c.Duration(OpAttention) != 0 || c.Items(OpAttention) != 0 || c.Calls(OpAttention) != 0 || c.Total() != 0 {
 		t.Fatal("nil collector returned nonzero")
 	}
@@ -55,10 +54,6 @@ func TestCollectorResetAndDurations(t *testing.T) {
 	m[OpNghLookup] = 0 // must not affect the collector
 	if c.Duration(OpNghLookup) != time.Second {
 		t.Fatal("Durations did not copy")
-	}
-	c.Reset()
-	if c.Duration(OpNghLookup) != 0 || c.Items(OpNghLookup) != 0 || c.Calls(OpNghLookup) != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -148,18 +143,6 @@ func TestHitRateWindowClamp(t *testing.T) {
 	h.Record(1, 2)
 	if len(h.Windowed()) != 1 {
 		t.Fatal("window<1 not clamped")
-	}
-}
-
-// Reset clears every operation's record.
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	for op := range NumOps {
-		r := &c.ops[op]
-		r.wall.Reset()
-		r.items.Store(0)
 	}
 }
 

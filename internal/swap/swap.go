@@ -112,9 +112,9 @@ func Latest(fsys checkpoint.FS, dir string) (version uint64, path string, err er
 // watermark participate: later ones may still be reordered by late
 // arrivals inside the lateness window, and training on a prefix that
 // later rewrites would bake unstable history into the parameters. m's
-// own tensors are never touched — the caller swaps the clone's values
-// in through the barrier (tgat.ApplyParams under core.Engine.SwapLock)
-// once it decides to publish.
+// own tensors are never touched: the caller publishes the clone, and a
+// server swaps to it by building a new model over the published file
+// (tgat.Model.WithParams), never by writing m.
 func FineTune(m *tgat.Model, dyn *graph.Dynamic, cfg trainer.Config) (*tgat.Model, *trainer.Result, error) {
 	edges := dyn.Edges()
 	wm := dyn.Watermark()
@@ -126,10 +126,7 @@ func FineTune(m *tgat.Model, dyn *graph.Dynamic, cfg trainer.Config) (*tgat.Mode
 	if err != nil {
 		return nil, nil, fmt.Errorf("swap: building training graph: %w", err)
 	}
-	clone, err := m.Clone()
-	if err != nil {
-		return nil, nil, fmt.Errorf("swap: cloning model: %w", err)
-	}
+	clone := m.Clone()
 	s := graph.NewSampler(g, clone.Cfg.NumNeighbors, graph.MostRecent, cfg.Seed)
 	res, err := trainer.Train(clone, g, s, cfg)
 	if err != nil {

@@ -92,7 +92,7 @@ func TestPublishLatestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.ApplyParams(sp, v)
+	m2 = m2.WithParams(sp, v)
 	a, b := paramBytes(m), paramBytes(m2)
 	for i := range a {
 		if a[i] != b[i] {

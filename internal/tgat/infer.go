@@ -35,8 +35,8 @@ type StreamResult struct {
 }
 
 // Scorer computes affinity logits for paired embedding rows. *Model and
-// core.Engine satisfy it; the engine's is the model's head read under
-// its swap gate, so a stream scores with the weights that embedded it.
+// core.Engine satisfy it; the engine's is the head of the model it
+// embeds with, so a stream scores with the weights that embedded it.
 type Scorer interface {
 	ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.Tensor
 }

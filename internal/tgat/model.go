@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/graph"
@@ -28,9 +27,10 @@ type Model struct {
 	Affinity *nn.MergeLayer          // link-prediction head -> 1 logit
 
 	// version names the parameter values the tensors above hold. It is
-	// written only by ApplyParams, next to the tensors it describes, so
-	// every engine, router and server sharing the model reads one number.
-	version atomic.Uint64
+	// set when the model is built (WithParams) and never changes: a new
+	// params version is a new model, so every engine, router and server
+	// built over this one reads one number.
+	version uint64
 }
 
 // NewModel creates a model with Xavier-initialized parameters over the
@@ -86,8 +86,8 @@ func (m *Model) LayerForwardWith(ar *tensor.Arena, l int, hTgt, hNgh, eFeat, tEn
 }
 
 // PackLayers returns each layer's weight packs (nn.PackLayer), indexed
-// l−1 and drawn from the heap. They hold the parameters' current values:
-// a holder rebuilds them after every ApplyParams.
+// l−1 and drawn from the heap. They hold the parameters' current values,
+// which a served model never changes after its engines are built.
 func (m *Model) PackLayers() []nn.LayerPack {
 	packs := make([]nn.LayerPack, m.Cfg.Layers)
 	for l := range packs {
@@ -97,7 +97,7 @@ func (m *Model) PackLayers() []nn.LayerPack {
 }
 
 // LayerForwardPacked is LayerForwardWith over layer l's entry of a
-// PackLayers result made since the last ApplyParams, reading hTgt, hNgh
+// PackLayers result of this model, reading hTgt, hNgh
 // and eFeat where they live (nn.Rows) and the time segment from tEncD
 // (nn.TimeRows). It also returns the share of the pass spent writing
 // the time segment (nn.LayerForwardPacked).
@@ -187,11 +187,10 @@ func (m *Model) ScoreWith(ar *tensor.Arena, hSrc, hDst *tensor.Tensor) *tensor.T
 
 // PackScore returns the affinity head's weight pack (nn.PackMerge),
 // drawn from the heap. Like PackLayers it holds the parameters' current
-// values: a holder rebuilds it after every ApplyParams.
+// values.
 func (m *Model) PackScore() nn.MergePack { return nn.PackMerge(nil, m.Affinity) }
 
-// ScorePacked is ScoreWith over a PackScore result made since the last
-// ApplyParams.
+// ScorePacked is ScoreWith over a PackScore result of this model.
 func (m *Model) ScorePacked(ar *tensor.Arena, pack *nn.MergePack, hSrc, hDst *tensor.Tensor) *tensor.Tensor {
 	return m.Affinity.ForwardPacked(ar, pack, hSrc, hDst)
 }
@@ -309,21 +308,22 @@ func (m *Model) SaveParamsFS(fsys checkpoint.FS, path string) error {
 // the first one is applied, so a corrupt or mismatched checkpoint
 // leaves the model's parameters untouched. Only enveloped, checksummed
 // checkpoints load; a file without the envelope is
-// checkpoint.ErrNotCheckpoint.
+// checkpoint.ErrNotCheckpoint. The tensors are overwritten in place, so
+// load before building an engine over the model; a served model takes
+// new params as a new model (WithParams).
 func (m *Model) LoadParams(path string) error {
 	sp, err := m.ParseParamsFS(checkpoint.OS{}, path)
 	if err != nil {
 		return err
 	}
-	m.ApplyParams(sp, m.Version())
+	copyParams(m.Params(), sp.tensors)
 	return nil
 }
 
 // StagedParams is a fully parsed and shape-validated parameter
-// checkpoint that has not yet been applied to a model — the parse half
-// of the two-phase hot-swap: the file is parsed once, with nothing
-// locked, and only when it validates does the model mutate
-// (ApplyParams).
+// checkpoint that no model holds yet: the file is parsed once, with
+// nothing locked, and only when it validates is a model built over it
+// (WithParams).
 type StagedParams struct {
 	tensors []*tensor.Tensor
 }
@@ -357,8 +357,8 @@ func (m *Model) parseParamStream(r io.Reader) (*StagedParams, error) {
 
 // ParseParamsFS reads and fully validates a parameter checkpoint
 // (envelope, checksum, tensor count, shapes) against m's architecture
-// WITHOUT applying it. A nil error means ApplyParams cannot fail — the
-// separation that makes an all-or-nothing multi-engine swap possible.
+// WITHOUT applying it. A nil error means WithParams cannot fail, so a
+// swap that parses first is all-or-nothing.
 func (m *Model) ParseParamsFS(fsys checkpoint.FS, path string) (*StagedParams, error) {
 	var sp *StagedParams
 	err := checkpoint.ReadFS(fsys, path, func(version uint32, r io.Reader) error {
@@ -375,35 +375,34 @@ func (m *Model) ParseParamsFS(fsys checkpoint.FS, path string) (*StagedParams, e
 	return sp, nil
 }
 
-// ApplyParams copies a staged checkpoint into the model's parameter
-// tensors and names the result version. The tensors mutate in place, so
-// every engine sharing this model sees the new values and the new
-// version; callers must hold the engines' swap barriers
-// (core.Engine.SwapLock) around the call.
-func (m *Model) ApplyParams(sp *StagedParams, version uint64) {
-	for i, p := range m.Params() {
-		p.CopyFrom(sp.tensors[i])
+// WithParams returns a new model with m's architecture and feature
+// tables (shared) holding the staged parameters, named version. m is
+// untouched: a params swap builds the new version beside the one
+// serving and publishes it whole.
+func (m *Model) WithParams(sp *StagedParams, version uint64) *Model {
+	c, err := NewModel(m.Cfg, m.NodeFeat, m.EdgeFeat)
+	if err != nil {
+		panic("tgat: a built model's config no longer validates: " + err.Error())
 	}
-	m.version.Store(version)
+	copyParams(c.Params(), sp.tensors)
+	c.version = version
+	return c
 }
 
 // Version returns the version of the parameters the model holds: 0
-// until an ApplyParams names another.
-func (m *Model) Version() uint64 { return m.version.Load() }
+// unless WithParams named another.
+func (m *Model) Version() uint64 { return m.version }
 
 // Clone returns a model with the same architecture and feature tables
 // (shared — they are immutable dataset state) but private copies of
 // every trainable parameter, initialized to m's current values. The
 // background fine-tuner trains a clone so the serving model's tensors
-// are never touched outside the swap barrier.
-func (m *Model) Clone() (*Model, error) {
-	c, err := NewModel(m.Cfg, m.NodeFeat, m.EdgeFeat)
-	if err != nil {
-		return nil, err
-	}
-	src := m.Params()
-	for i, p := range c.Params() {
+// are never written.
+func (m *Model) Clone() *Model { return m.WithParams(&StagedParams{tensors: m.Params()}, 0) }
+
+// copyParams copies src's tensors into dst's, index by index.
+func copyParams(dst, src []*tensor.Tensor) {
+	for i, p := range dst {
 		p.CopyFrom(src[i])
 	}
-	return c, nil
 }

@@ -50,8 +50,9 @@ one graph (every shard's core samples the server's graph; internal/shard builds 
 one dedup (the engine's §4.1 filter; the batcher concatenates, and no engine hook reaches into it)	-E	RetireTargets|SetInvalidationHook|map\[uint64\]\*flight	internal/batcher internal/core internal/shard	single-flight attach or its invalidation hook is back
 one version holder (tgat.Model carries the params version; the engine, the shards and the server copy none)	-E	(modelVersion|version) +atomic\.Uint64	internal/core/engine.go internal/shard internal/serve	a second stored params version
 one version holder (the engine copies no model version)	-E	ModelVersion	internal/core/engine.go	internal/core/engine.go copies the params version again
+one publish (a params version is a value: no swap barrier)	-E	swapGate|swapMu|SwapLock|SwapUnlock|FinishSwap|CommitSwap|ApplyParams	nontest	a params swap mutates a served model or fences readers again
 one cache tier (core.Cache is one in-RAM table: no disk tier, nothing promoted or demoted between tiers)	-iE	SpillStore|CacheSpill|spill|promote	internal/core internal/serve internal/shard cmd	a second cache tier is back
-one pack per params version (the engine's layer pass and score head read packs built in NewEngine/FinishSwap, never repack)	-E	PackLinear|LayerForwardWith|model\.ScoreWith	internal/core	internal/core reaches a per-call weight pack again
+one pack per params version (the engine's layer pass and score head read packs built in NewEngine, never repack)	-E	PackLinear|LayerForwardWith|model\.ScoreWith	internal/core	internal/core reaches a per-call weight pack again
 the engine gathers no layer input (the layer pass reads feature tables and deduplicated rows in place)	-E	gatherRows32	internal/core	internal/core gathers a layer input again
 the engine gathers no layer input (one DedupInvertWith restores the caller's batch)	-E	DedupInvertWith\(	internal/core -internal/core/dedup.go	internal/core re-expands a level below the top again	1
 one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)	-E	QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes	all	a second row format is back
