@@ -159,3 +159,26 @@ func TestNodeDuplicationRatio(t *testing.T) {
 func DedupInvert(h *tensor.Tensor, invIdx []int32) *tensor.Tensor {
 	return DedupInvertWith(nil, h, invIdx)
 }
+
+// TestDedupFoldsOnlyIdenticalTimes: §4.1 dedup folds two targets only
+// if their nodes are equal and their times have equal bits, whatever
+// Key they share.
+func TestDedupFoldsOnlyIdenticalTimes(t *testing.T) {
+	nodes := []int32{5, 5, 5, 5, 5, 6}
+	ts := []float64{10, 10.25, 10 + (1 << 32), 10 - (1 << 33), 10, 10}
+	res := DedupFilter(nodes, ts)
+	if res.Unique() != 5 {
+		t.Fatalf("%d unique of %v, want 5", res.Unique(), ts)
+	}
+	for i, r := range res.InvIdx {
+		if res.Nodes[r] != nodes[i] || res.Times[r] != ts[i] {
+			t.Fatalf("target %d restored as ⟨%d, %v⟩", i, res.Nodes[r], res.Times[r])
+		}
+	}
+	if ComputeKeysInto(make([]uint64, len(nodes)), nodes, ts) {
+		t.Fatal("ComputeKeysInto reported out-of-domain times as inside")
+	}
+	if !ComputeKeysInto(make([]uint64, 2), []int32{5, 6}, []float64{0, (1 << 32) - 1}) {
+		t.Fatal("ComputeKeysInto reported in-domain times as outside")
+	}
+}

@@ -1,0 +1,486 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"tgopt/internal/checkpoint"
+	"tgopt/internal/graph"
+	"tgopt/internal/stats"
+	"tgopt/internal/tensor"
+	"tgopt/internal/tgat"
+)
+
+// The steps of an engine-oracle history, one per op byte: b % numSteps
+// is the kind, b / numSteps its parameter p.
+const (
+	stepAppend      = iota // an edge at or past the clock, then its invalidation
+	stepLate               // an edge below the clock, then its invalidation
+	stepDelete             // a live edge goes, then its invalidation
+	stepEmbed              // a batch at one time class, with targets Key folds
+	stepReask              // one batch asked twice: the top memo answers
+	stepReadBetween        // an ingest, a read of every query, then the invalidation
+	stepSnapshot           // save, the graph changes, load into a fresh engine
+	stepSwap               // other parameters: Model.WithParams, then NewEngine
+	stepParkedRead         // a read's layer-1 index records land after a write's scan
+	stepFeature            // a node's feature row is written, then InvalidateNode
+	numSteps
+)
+
+var stepNames = [numSteps]string{"append", "late", "delete", "embed", "re-ask", "read between", "snapshot", "swap", "parked read", "feature"}
+
+// Time classes. Key is collision-free only on the integral times in
+// [0, 2³²); a time of the other three shares its key with one inside.
+// An embed draws one of the four (p % 4), an edge one of three (p % 3):
+// an append is never negative, a late edge never ≥ 2³².
+const (
+	timeIntegral = iota
+	timeFractional
+	timeHuge // an append's third class
+	timeNegative
+)
+
+// edgeClass is an edge step's time class.
+func edgeClass(late bool, p int) int {
+	if late && p%3 == 2 {
+		return timeNegative
+	}
+	return p % 3
+}
+
+// oracleConfig is the engine configuration a history runs under.
+type oracleConfig struct {
+	layers  int
+	opt     Options
+	topMemo bool
+}
+
+// decodeOracleConfig reads a configuration byte: bits 0–1 pick L, bit 2
+// FIFO over TinyLFU, bit 3 turns dedup off, bit 4 the top memo off (so
+// every answer goes through the layer caches), bit 5 the tight limit.
+func decodeOracleConfig(c byte) oracleConfig {
+	opt := OptAll()
+	opt.CachePolicy = [2]CachePolicy{CacheTinyLFU, CacheFIFO}[c>>2&1]
+	opt.EnableDedup = c>>3&1 == 0
+	opt.CacheLimit = [2]int{1 << 16, oracleTightLimit}[c>>5&1]
+	return oracleConfig{layers: 2 + int(c&3)%3, opt: opt, topMemo: c>>4&1 == 0}
+}
+
+// oracleTightLimit is the cache limit under which the warm pass alone
+// evicts.
+const oracleTightLimit = 96
+
+// oracleSeeds is FuzzEngineOracle's committed corpus. Between them the
+// seeds draw every configuration value and every step kind at every
+// time class (TestEngineOracleSeedsCoverEveryStep).
+var oracleSeeds = []struct {
+	conf byte
+	ops  []byte
+	seed int64
+}{
+	{0x00, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1},
+	{0x01, []byte{13, 10, 21, 11, 14, 16, 17, 18, 19, 12, 15}, 2},
+	{0x02, []byte{1, 11, 21, 12, 22, 2, 8, 18, 28, 5, 15, 25}, 3},
+	{0x2d, []byte{23, 33, 43, 24, 3, 4, 26, 36, 0, 10, 20, 7, 17}, 4},
+	{0x1a, []byte{0, 10, 20, 30, 1, 11, 21, 31, 35, 45, 55, 27, 37}, 5},
+	{0x36, []byte{3, 13, 14, 5, 6, 16, 7, 8, 18, 9}, 6},
+}
+
+// FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §15):
+// every history it generates runs one engine configuration through
+// appends, late edges, deletes, feature writes, embeds at every time
+// class, re-asks, reads between a write and its invalidation, parked
+// reads, snapshot save and load, and params swaps. After every step the
+// engine answers the whole query set bitwise as the baseline does on
+// the current graph and parameters.
+func FuzzEngineOracle(f *testing.F) {
+	for _, s := range oracleSeeds {
+		f.Add(s.conf, s.ops, s.seed)
+	}
+	f.Fuzz(runEngineOracle)
+}
+
+func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
+	if len(ops) > 24 {
+		ops = ops[:24] // bound per-input work
+	}
+	cfg := decodeOracleConfig(conf)
+	r := tensor.NewRNG(uint64(seed))
+	const nodes, total, k = 12, 64, 3
+	stream := make([]graph.Edge, 0, total)
+	clock := 0.0
+	for len(stream) < total {
+		clock += float64(2 + r.Intn(6))
+		src, dst := int32(1+r.Intn(nodes)), int32(1+r.Intn(nodes))
+		if src != dst {
+			stream = append(stream, graph.Edge{Src: src, Dst: dst, Time: clock, Idx: int32(len(stream) + 1)})
+		}
+	}
+	ms := oracleModels(t, r, cfg.layers, k, nodes, total+len(ops)+2)
+	dyn := graph.NewDynamic(nodes)
+	dyn.SetLateness(1e12) // every late edge, the negative ones too, is accepted
+	for _, e := range stream {
+		if _, err := dyn.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sampler := graph.NewDynamicSampler(dyn, k, graph.MostRecent, 0)
+	newEngine := func(m *tgat.Model) *Engine {
+		e := NewEngine(m, sampler, cfg.opt)
+		if !cfg.topMemo {
+			e.topMemo = nil
+		}
+		return e
+	}
+	// cur is the engine's model; ref is a model built independently with
+	// the same parameters, so the baseline is not computed through the
+	// swap under test.
+	which, version := 0, uint64(0)
+	cur, ref := ms[0], ms[0]
+	eng := newEngine(cur)
+	dir := t.TempDir()
+
+	// The query set: every interaction and every embedded batch, plus a
+	// probe per node one past the clock. Each check re-asks all of it, so
+	// the caches and the memo stay warm and a stale row surfaces as a hit.
+	var qns []int32
+	var qts []float64
+	ask := func(ns []int32, ts []float64) { qns, qts = append(qns, ns...), append(qts, ts...) }
+	for _, e := range stream {
+		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
+	}
+	queries := func() ([]int32, []float64) {
+		ns, ts := append([]int32(nil), qns...), append([]float64(nil), qts...)
+		for v := int32(1); v <= nodes; v++ {
+			ns, ts = append(ns, v), append(ts, dyn.MaxTime()+1)
+		}
+		return ns, ts
+	}
+	exact := func(what string, ns []int32, ts []float64) {
+		t.Helper()
+		if !sameBits(eng.Embed(ns, ts), freshBaseline(t, ref, dyn, ns, ts)) {
+			t.Fatalf("%s: an answer differs from the baseline", what)
+		}
+	}
+	ns, ts := queries()
+	exact("warm", ns, ts)
+	if cfg.opt.CacheLimit == oracleTightLimit {
+		if c := eng.CacheFor(1); distinctKeys(&eng.TargetsFor(1).nodeIndex) <= c.Limit() {
+			t.Fatalf("the warm pass stored no more layer-1 keys than the %d the tight limit holds", c.Limit())
+		}
+	}
+
+	// selective runs the invalidation of a write to (u, v) and checks
+	// that it dropped no layer-1 row of another node: only u's and v's
+	// own windows can move.
+	selective := func(u, v int32, invalidate func()) {
+		t.Helper()
+		c := eng.CacheFor(1)
+		var keep []uint64
+		for _, key := range c.Keys() {
+			if w := int32(key >> 32); w != u && w != v {
+				keep = append(keep, key)
+			}
+		}
+		invalidate()
+		for _, key := range keep {
+			if !c.Contains(key) {
+				t.Fatalf("a write to (%d, %d) dropped node %d's layer-1 row", u, v, int32(key>>32))
+			}
+		}
+	}
+	live := append([]graph.Edge(nil), stream...)
+	nextIdx := int32(total + 1)
+	// ingest writes e to the graph and returns its invalidation.
+	ingest := func(e graph.Edge) func() {
+		t.Helper()
+		e.Idx = nextIdx
+		nextIdx++
+		res, _, err := dyn.Ingest(e)
+		if err != nil || res == graph.IngestDropped {
+			t.Fatalf("ingest %+v: %v, %v", e, res, err)
+		}
+		live = append(live, e)
+		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
+		invalidate := func() { eng.InvalidateAppend(e.Src, e.Dst, e.Time) }
+		if res == graph.IngestLate {
+			invalidate = func() { eng.InvalidateLateEdge(e.Src, e.Dst, e.Time) }
+		}
+		return func() { selective(e.Src, e.Dst, invalidate) }
+	}
+	// edge draws step's edge: an append at or past the clock, or a late
+	// edge below it.
+	edge := func(step, p int, late bool) graph.Edge {
+		u, v := int32(1+(p+step)%nodes), int32(1+(p/3+3*step+1)%nodes)
+		if u == v {
+			v = v%nodes + 1
+		}
+		e := graph.Edge{Src: u, Dst: v}
+		lo := stream[(p*7+step)%total].Time
+		switch edgeClass(late, p) {
+		case timeIntegral:
+			e.Time = math.Floor(dyn.MaxTime()) + float64(1+p%4)
+			if late {
+				e.Time = lo + 1 // an append if that passes the clock
+			}
+		case timeFractional:
+			e.Time = dyn.MaxTime() + 0.5
+			if late {
+				e.Time = lo + 0.5
+			}
+		case timeHuge:
+			e.Time = dyn.MaxTime() + 1<<32
+		case timeNegative:
+			e.Time = -1 - float64(p)
+		}
+		return e
+	}
+	deleteLive := func(step, p int) func() {
+		t.Helper()
+		i := (p*11 + step) % len(live)
+		e := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		if !dyn.DeleteEdge(e.Idx) {
+			t.Fatalf("DeleteEdge(%d) found nothing", e.Idx)
+		}
+		return func() { selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }) }
+	}
+	// write is the snapshot step's graph change: it gains or loses an edge.
+	write := func(step, p int) func() {
+		if p%3 == 2 {
+			return deleteLive(step, p)
+		}
+		return ingest(edge(step, p/3, p%3 == 1))
+	}
+	// batch is an embed at time class p % 4: two nodes at an in-domain
+	// time and at one of that class, plus a repeat. The base time is an
+	// interaction's or one ahead of the clock, where appends land beneath.
+	batch := func(step, p int) ([]int32, []float64) {
+		a, b := int32(1+(p+step)%nodes), int32(1+(p+2*step+5)%nodes)
+		base := stream[(p*5+step)%total].Time
+		if p/4%2 == 1 {
+			base = math.Floor(dyn.MaxTime()) + float64(2+step)
+		}
+		off := base + [4]float64{3, 0.25, 1 << 32, -(1 << 33)}[p%4]
+		return []int32{a, a, b, b, a}, []float64{base, off, base, off, base}
+	}
+
+	// skips counts the stores the engine abandoned because a write moved
+	// under the pass; on one goroutine only a parked read can cause one.
+	skips := func() int64 { return eng.StaleStoreSkips() + eng.TopMemoStats().StaleSkips }
+	for step, op := range ops {
+		kind, p := int(op)%numSteps, int(op)/numSteps
+		label := fmt.Sprintf("step %d (%s)", step, stepNames[kind])
+		before, skipped := eng, skips()
+		switch kind {
+		case stepAppend, stepLate:
+			ingest(edge(step, p, kind == stepLate))()
+		case stepDelete:
+			deleteLive(step, p)()
+		case stepEmbed, stepReask:
+			ns, ts := batch(step, p)
+			ask(ns, ts)
+			exact(label, ns, ts)
+			if kind == stepReask {
+				hits := eng.TopMemoStats().Hits
+				exact(label+", asked again", ns, ts)
+				if cfg.topMemo && eng.TopMemoStats().Hits == hits {
+					t.Fatalf("%s: an immediate re-ask hit no memo row", label)
+				}
+			}
+		case stepReadBetween:
+			// The read may see the write before its invalidation; what it
+			// stores must not outlive the invalidation.
+			inval := ingest(edge(step, p/2, p%2 == 1))
+			eng.Embed(queries())
+			inval()
+		case stepSnapshot:
+			path := filepath.Join(dir, "caches.tgc")
+			if err := eng.SaveCachesFS(checkpoint.OS{}, path); err != nil {
+				t.Fatal(err)
+			}
+			write(step, p)()
+			other := newEngine(ms[1-which])
+			if err := other.LoadCachesFS(checkpoint.OS{}, path); err == nil || other.CacheLen() != 0 {
+				t.Fatalf("%s: loaded over other parameters: err %v, %d rows", label, err, other.CacheLen())
+			}
+			// The same parameters under another version label load.
+			version++
+			cur = restage(t, dir, cur, cur, version)
+			eng = newEngine(cur)
+			if err := eng.LoadCachesFS(checkpoint.OS{}, path); err != nil {
+				t.Fatalf("%s: refused over its own parameters: %v", label, err)
+			}
+		case stepSwap:
+			which, version = 1-which, version+1
+			cur, ref = restage(t, dir, cur, ms[which], version), ms[which]
+			eng = newEngine(cur)
+			if eng.ParamsVersion() != version {
+				t.Fatalf("%s: the engine serves v%d, want v%d", label, eng.ParamsVersion(), version)
+			}
+			ns, ts := queries()
+			h := freshBaseline(t, ref, dyn, ns[len(ns)-nodes:], ts[len(ts)-nodes:])
+			d := h.Dim(1)
+			src, dst := tensor.FromSlice(h.Data()[:nodes/2*d], nodes/2, d), tensor.FromSlice(h.Data()[nodes/2*d:], nodes/2, d)
+			if !sameBits(eng.ScoreWith(nil, src, dst), NewEngine(ref, sampler, cfg.opt).ScoreWith(nil, src, dst)) {
+				t.Fatalf("%s: scores differ from a fresh engine's over the same parameters", label)
+			}
+		case stepParkedRead:
+			parkedRead(t, eng, dyn, step, p, ingest, ask)
+		case stepFeature:
+			v := int32(1 + (p+step)%nodes)
+			for j, x := range cur.NodeFeat.Row(int(v)) {
+				cur.NodeFeat.Set(x+0.5, int(v), j)
+			}
+			eng.InvalidateNode(v)
+		}
+		ns, ts = queries()
+		exact(label, ns, ts)
+		if kind == stepSwap && eng.CacheLen() == 0 {
+			t.Fatalf("%s: the new engine re-warmed no cache", label)
+		}
+		if eng != before {
+			skipped = 0
+		}
+		if kind != stepParkedRead && skips() != skipped {
+			t.Fatalf("%s: a pass with no write beside it skipped a store", label)
+		}
+	}
+}
+
+// parkedRead runs a read whose layer-1 rows are stored before a late
+// edge lands and indexed only after that edge's invalidation scan:
+// the read is parked on the layer-1 target index's lock for its first
+// target x, whose shard no endpoint of the edge shares. The scan finds
+// nothing to drop, so the read itself must take its rows back
+// (passFence.staleFor after the store).
+func parkedRead(t *testing.T, eng *Engine, dyn *graph.Dynamic, step, p int, ingest func(graph.Edge) func(), ask func([]int32, []float64)) {
+	t.Helper()
+	n := dyn.NumNodes()
+	u, v := int32(1+(p+step)%n), int32(1+(p+step+1)%n)
+	tix := eng.TargetsFor(1)
+	var x int32
+	for w := int32(1); int(w) <= n && x == 0; w++ {
+		if s := tix.shardFor(w); s != tix.shardFor(u) && s != tix.shardFor(v) {
+			x = w
+		}
+	}
+	// A time no step asks otherwise, so every layer misses on ⟨x, T⟩.
+	T := float64(1<<31 + step)
+	if x == 0 || T <= dyn.MaxTime() {
+		return
+	}
+	ns, ts := []int32{x, u}, []float64{T, T}
+	ask(ns, ts)
+	stores := eng.Ops().Calls(stats.OpCacheStore)
+	s := tix.shardFor(x)
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		eng.Embed(ns, ts)
+	}()
+	for eng.Ops().Calls(stats.OpCacheStore) == stores { // layer 1 stores first
+		select {
+		case <-done:
+			s.mu.Unlock()
+			t.Fatalf("step %d: the parked read stored nothing", step)
+		default:
+			runtime.Gosched()
+		}
+	}
+	ingest(graph.Edge{Src: u, Dst: v, Time: dyn.MaxTime() - 0.5})()
+	s.mu.Unlock()
+	<-done
+}
+
+// oracleModels builds the two parameter sets a swap moves between, over
+// one pair of feature tables. The second also moves the time encoder,
+// which a seed alone leaves at its fixed init, so a swap that kept the
+// old time table would show.
+func oracleModels(t *testing.T, r *tensor.RNG, layers, k, nodes, edges int) [2]*tgat.Model {
+	t.Helper()
+	const d = 8
+	nodeFeat, edgeFeat := tensor.Randn(r, nodes+1, d), tensor.Randn(r, edges+1, d)
+	for j := 0; j < d; j++ {
+		nodeFeat.Set(0, 0, j)
+		edgeFeat.Set(0, 0, j)
+	}
+	var ms [2]*tgat.Model
+	for i := range ms {
+		cfg := tgat.Config{Layers: layers, Heads: 2, NodeDim: d, EdgeDim: d, TimeDim: d, NumNeighbors: k, Seed: uint64(11 + i)}
+		m, err := tgat.NewModel(cfg, nodeFeat, edgeFeat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	for _, p := range ms[1].Time.Params() {
+		for j, x := range p.Data() {
+			p.Data()[j] = x*1.5 + 0.01*float32(j)
+		}
+	}
+	return ms
+}
+
+// restage is the model half of a params swap (serve.Server.SwapParams):
+// src's parameters, checkpointed and staged over m as version.
+func restage(t *testing.T, dir string, m, src *tgat.Model, version uint64) *tgat.Model {
+	t.Helper()
+	path := filepath.Join(dir, "params.tgp")
+	if err := src.SaveParamsFS(checkpoint.OS{}, path); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := m.ParseParamsFS(checkpoint.OS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.WithParams(sp, version)
+}
+
+// distinctKeys counts the distinct keys ix holds records for.
+func distinctKeys(ix *nodeIndex) int {
+	seen := map[uint64]bool{}
+	for i := range ix.shards {
+		for _, list := range ix.shards[i].m {
+			for _, r := range list {
+				seen[r.key] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestEngineOracleSeedsCoverEveryStep: the committed corpus draws every
+// configuration value, every step kind, and every time class of the
+// steps that draw one.
+func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range oracleSeeds {
+		c := decodeOracleConfig(s.conf)
+		for name, v := range map[string]any{"L": c.layers, "fifo": c.opt.CachePolicy == CacheFIFO, "dedup": c.opt.EnableDedup, "memo": c.topMemo, "tight": c.opt.CacheLimit == oracleTightLimit} {
+			seen[fmt.Sprint(name, "=", v)] = true
+		}
+		for _, op := range s.ops {
+			kind, p := int(op)%numSteps, int(op)/numSteps
+			seen[stepNames[kind]] = true
+			switch kind {
+			case stepAppend, stepLate:
+				seen[fmt.Sprint(stepNames[kind], "=", edgeClass(kind == stepLate, p))] = true
+			case stepEmbed:
+				seen[fmt.Sprint("embed=", p%4)] = true
+			}
+		}
+	}
+	want := []string{"L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false",
+		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3"}
+	for _, w := range append(want, stepNames[:]...) {
+		if !seen[w] {
+			t.Errorf("no seed draws %q", w)
+		}
+	}
+}

@@ -3,13 +3,11 @@ package core
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"tgopt/internal/checkpoint"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -17,10 +15,8 @@ import (
 
 // topMemoFixture is one model over one live graph with two engines that
 // differ only in the memo: ref has it removed, so whatever ref returns
-// is the recompute the memo'd engine must match bit for bit. Both are
-// driven through the same writes.
+// is the recompute the memo'd engine must match bit for bit.
 type topMemoFixture struct {
-	t        *testing.T
 	m        *tgat.Model
 	dyn      *graph.Dynamic
 	eng, ref *Engine
@@ -47,7 +43,7 @@ func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 	}
 	dyn := graph.NewDynamic(topMemoNodes)
 	dyn.SetLateness(500)
-	f := &topMemoFixture{t: t, dyn: dyn, nextIdx: 1}
+	f := &topMemoFixture{m: m, dyn: dyn, nextIdx: 1}
 	// Integral times: core.Key is exact on them, so the lower caches are
 	// and the engine equals the baseline bit for bit.
 	for i := 0; i < edges; i++ {
@@ -58,45 +54,13 @@ func newTopMemoFixture(t *testing.T, layers int) *topMemoFixture {
 		}
 		f.nextIdx++
 	}
-	f.build(m)
-	return f
-}
-
-// build makes the fixture's two engines over m and the fixture's graph:
-// at construction, and again after a params swap, which builds a new
-// model and new engines over it.
-func (f *topMemoFixture) build(m *tgat.Model) {
-	f.t.Helper()
-	f.m = m
-	f.eng = NewEngine(m, graph.NewDynamicSampler(f.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
-	f.ref = NewEngine(m, graph.NewDynamicSampler(f.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	f.eng = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
+	f.ref = NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
 	if f.eng.topMemo == nil {
-		f.t.Fatal("live-graph engine built without a top-layer memo")
+		t.Fatal("live-graph engine built without a top-layer memo")
 	}
 	f.ref.topMemo = nil
-}
-
-// ingest applies one edge the way the serving plane does: into the
-// graph, then the matching invalidation on every engine over it.
-func (f *topMemoFixture) ingest(src, dst int32, tm float64) graph.IngestResult {
-	f.t.Helper()
-	res, _, err := f.dyn.Ingest(graph.Edge{Src: src, Dst: dst, Time: tm, Idx: f.nextIdx})
-	if err != nil {
-		f.t.Fatal(err)
-	}
-	f.nextIdx++
-	for _, e := range []*Engine{f.eng, f.ref} {
-		switch res {
-		case graph.IngestAppended:
-			e.InvalidateAppend(src, dst, tm)
-		case graph.IngestLate:
-			e.InvalidateLateEdge(src, dst, tm)
-		}
-	}
-	if tm > f.now {
-		f.now = tm
-	}
-	return res
+	return f
 }
 
 func sameBits(a, b *tensor.Tensor) bool {
@@ -109,151 +73,6 @@ func sameBits(a, b *tensor.Tensor) bool {
 		}
 	}
 	return true
-}
-
-// check asks the targets twice after a write: the first ask must miss
-// the memo whole, the second must be answered whole from it, and both
-// must be bitwise the recompute — ref's and the baseline's on the
-// current graph. The second ask is also the "before" of the next
-// write.
-func (f *topMemoFixture) check(label string, nodes []int32, ts []float64) {
-	f.t.Helper()
-	before := f.eng.TopMemoStats()
-	first := f.eng.Embed(nodes, ts)
-	mid := f.eng.TopMemoStats()
-	if got := mid.Hits - before.Hits; got != 0 {
-		f.t.Fatalf("%s: first ask after the write hit %d memo rows", label, got)
-	}
-	second := f.eng.Embed(nodes, ts)
-	after := f.eng.TopMemoStats()
-	if asked := after.Lookups - mid.Lookups; after.Hits-mid.Hits != asked || asked == 0 {
-		f.t.Fatalf("%s: re-ask hit %d of %d memo lookups", label, after.Hits-mid.Hits, asked)
-	}
-	want := f.ref.Embed(nodes, ts)
-	if !sameBits(first, want) {
-		f.t.Fatalf("%s: computed rows differ from the memo-less twin", label)
-	}
-	if !sameBits(second, want) {
-		f.t.Fatalf("%s: memo hit differs from the recompute", label)
-	}
-	s := graph.NewDynamicSampler(f.dyn, f.m.Cfg.NumNeighbors, graph.MostRecent, 0)
-	base := f.m.BaselineEmbedFunc(s)(nodes, ts)
-	if !sameBits(second, base) {
-		f.t.Fatalf("%s: memo hit differs from the baseline on the current graph", label)
-	}
-}
-
-// TestTopMemoHitIsBitwiseTheRecompute walks one memo through every
-// kind of write the engine knows and checks, before and after each,
-// that a hit is bitwise what recomputing on the current graph returns.
-func TestTopMemoHitIsBitwiseTheRecompute(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		layers int
-	}{{"float32", 2}, {"float32-3layer", 3}} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newTopMemoFixture(t, tc.layers)
-			// Targets behind, at and ahead of the stream clock, so every
-			// append below lands at, ahead of and behind an asked t.
-			t0 := f.now
-			nodes := []int32{1, 2, 3, 4, 5, 6, 1, 2, 3, 7, 8, 9}
-			ts := []float64{t0, t0, t0, t0, t0, t0, t0 - 40, t0 - 40, t0 - 40, t0 + 60, t0 + 60, t0 + 60}
-			f.check("cold", nodes, ts)
-
-			if res := f.ingest(1, 7, t0); res != graph.IngestAppended {
-				t.Fatalf("append at the clock: %v", res)
-			}
-			f.check("append at t", nodes, ts)
-			f.ingest(2, 8, t0+20)
-			f.check("append between asked times", nodes, ts)
-			f.ingest(3, 9, t0+90)
-			f.check("append ahead of every asked t", nodes, ts)
-
-			if res := f.ingest(1, 4, t0-60); res != graph.IngestLate {
-				t.Fatalf("late insert: %v", res)
-			}
-			f.check("late insert", nodes, ts)
-
-			// Delete the edge just inserted.
-			if !f.dyn.DeleteEdge(f.nextIdx - 1) {
-				t.Fatal("DeleteEdge found nothing")
-			}
-			f.eng.InvalidateEdge(1, 4, t0-60)
-			f.ref.InvalidateEdge(1, 4, t0-60)
-			f.check("edge deletion", nodes, ts)
-
-			for j := 0; j < f.m.Cfg.NodeDim; j++ {
-				f.m.NodeFeat.Set(f.m.NodeFeat.At(2, j)+0.5, 2, j)
-			}
-			f.eng.InvalidateNode(2)
-			f.ref.InvalidateNode(2)
-			f.check("feature write", nodes, ts)
-
-			other, err := tgat.NewModel(tgat.Config{Layers: tc.layers, Heads: 2, NodeDim: 16, EdgeDim: 16, TimeDim: 16, NumNeighbors: 4, Seed: 99}, f.m.NodeFeat, f.m.EdgeFeat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "params.tgp")
-			if err := other.SaveParamsFS(checkpoint.OS{}, path); err != nil {
-				t.Fatal(err)
-			}
-			sp, err := f.m.ParseParamsFS(checkpoint.OS{}, path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.build(f.m.WithParams(sp, 1))
-			f.check("params swap", nodes, ts)
-
-			snap := filepath.Join(t.TempDir(), "caches.tgc")
-			if err := f.eng.SaveCaches(snap); err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range []*Engine{f.eng, f.ref} {
-				if err := e.LoadCaches(snap); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f.check("snapshot load", nodes, ts)
-
-			if sk := f.eng.TopMemoStats().StaleSkips; sk != 0 {
-				t.Fatalf("%d rows skipped as stale with no concurrent writer", sk)
-			}
-		})
-	}
-}
-
-// TestTopMemoKeysOnTheFullTime: ⟨v, t⟩, ⟨v, t+0.25⟩ and ⟨v, t+2³²⟩ share
-// one core.Key and are three memo entries.
-func TestTopMemoKeysOnTheFullTime(t *testing.T) {
-	f := newTopMemoFixture(t, 2)
-	const v = 5
-	times := []float64{f.now, f.now + 0.25, f.now + (1 << 32)}
-	if Key(v, times[0]) != Key(v, times[1]) || Key(v, times[0]) != Key(v, times[2]) {
-		t.Fatal("fixture: the three times no longer share a core.Key")
-	}
-	var rows [3]*tensor.Tensor
-	for i, tm := range times {
-		rows[i] = f.eng.Embed([]int32{v}, []float64{tm})
-		if want := f.ref.Embed([]int32{v}, []float64{tm}); !sameBits(rows[i], want) {
-			t.Fatalf("t[%d]: computed row differs from the memo-less twin", i)
-		}
-	}
-	if st := f.eng.TopMemoStats(); st.Stores != 3 || st.Hits != 0 {
-		t.Fatalf("three distinct times stored %d rows with %d hits", st.Stores, st.Hits)
-	}
-	for i, tm := range times {
-		if got := f.eng.Embed([]int32{v}, []float64{tm}); !sameBits(got, rows[i]) {
-			t.Fatalf("t[%d]: hit returned another time's row", i)
-		}
-		for j := 0; j < i; j++ {
-			if sameBits(rows[i], rows[j]) {
-				t.Fatalf("rows for t[%d] and t[%d] are identical: the fixture tells nothing apart", i, j)
-			}
-		}
-	}
-	if st := f.eng.TopMemoStats(); st.Hits != 3 {
-		t.Fatalf("re-asking three stored times hit %d", st.Hits)
-	}
 }
 
 // TestTopMemoSlotCollisionEvicts: two targets that map to one slot

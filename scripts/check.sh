@@ -115,8 +115,8 @@ go test -race -count=1 -cpu 1,2,4 \
 # hold at one, two and four Ps.
 go test -race -count=1 -cpu 1,2,4 \
     -run 'TestDynamicConcurrentMutationsAndSampling|TestDynamicLateEditsAtHubAllocateNothing' ./internal/graph/
-# The top-layer memo's bitwise pins and its readers-vs-writers stress
-# test, repeated: a stamp race shows only on some schedules.
+# The top-layer memo's parked-pass pins and its readers-vs-writers
+# stress test, repeated: a stamp race shows only on some schedules.
 go test -race -count=5 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
 # The row-text memo under concurrent store/hit/evict, the encoders' byte
 # identity, and the batcher's one-channel-per-cohort publication.
@@ -136,13 +136,13 @@ go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServe
 echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
-echo "== deep-invalidation gate (3-layer transitive invalidation exactness, index retirement at the watermark; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestOutOfDomain|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+echo "== deep-invalidation gate (the engine oracle's seed corpus, transitive invalidation, index retirement at the watermark; race-enabled)"
+go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestReadBetween|FuzzEngineOracle|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
-go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|TestEngineSwap|TestCacheSnapshotVersion' \
-    ./internal/serve/ ./internal/shard/ ./internal/core/
+go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|FuzzEngineOracle' \
+    ./internal/serve/ ./internal/core/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
 
 echo "== bench smoke (compile + one iteration of every benchmark)"
@@ -151,14 +151,18 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/tensor/ ./internal/core/ ./i
 echo "== benchmark smoke (go test ./benchmark: every workload's code path at small op counts, BENCHMARK.json in step with metrics.go)"
 go test -count=1 ./benchmark
 
-echo "== fuzz smoke (persistence parsers, ingest bodies, the request decoder, the response encoders, the cosine kernel; seed corpus + 5s each)"
+echo "== fuzz smoke (persistence parsers, ingest bodies, the request decoder, the response encoders, the cosine kernel: seed corpus + 5s each; the engine oracle: 30s)"
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/checkpoint/
 go test -run='^$' -fuzz='^FuzzCacheReadFrom$' -fuzztime=5s ./internal/core/
 go test -run='^$' -fuzz='^FuzzLoadParams$' -fuzztime=5s ./internal/tgat/
 go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzWireEncode$' -fuzztime=5s ./internal/serve/
-go test -run='^$' -fuzz='^FuzzTransitiveInvalidate$' -fuzztime=5s ./internal/core/
+# The engine oracle: generated histories of writes, reads, snapshots and
+# swaps, every answer bitwise the baseline's after every step.
+oracle_start=$SECONDS
+go test -run='^$' -fuzz='^FuzzEngineOracle$' -fuzztime=30s ./internal/core/
+echo "   engine oracle fuzz wall time: $((SECONDS - oracle_start)) s"
 go test -run='^$' -fuzz='^FuzzSwapManifest$' -fuzztime=5s ./internal/swap/
 go test -run='^$' -fuzz='^FuzzCosRow$' -fuzztime=5s ./internal/tensor/
 
