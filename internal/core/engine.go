@@ -137,7 +137,7 @@ type Engine struct {
 	// they are the engine's one invalidation index: every cache-enabled
 	// engine over a live graph builds them, and they make late inserts,
 	// appends and deletions selective, transitively across cached layers
-	// (DESIGN.md §15). A static-sampler engine builds none: no edge can
+	// (DESIGN.md §11). A static-sampler engine builds none: no edge can
 	// arrive. Every index keeps a record until the watermark floor
 	// passes it (indexFloor), cached or not: an upper entry may still
 	// depend on an evicted value.
@@ -153,9 +153,9 @@ type Engine struct {
 	staleSkips atomic.Int64
 	// maxEmbedBits holds the float bits of the largest query timestamp
 	// ever embedded or loaded from a snapshot — an upper bound on any
-	// memo's t' at any layer (neighbor recursion only descends in time). InvalidateAppend
-	// consults it so the steady-state append (no future-time memos
-	// outstanding) costs one atomic load.
+	// memo's t' at any layer (neighbor recursion only descends in time).
+	// InvalidateEdge consults it so the steady-state append (no
+	// future-time memos outstanding) costs one atomic load.
 	maxEmbedBits atomic.Uint64
 	// ops is the engine's one record of its work: per operation, a
 	// latency histogram (calls and wall time) and an item count, written
@@ -306,18 +306,25 @@ func (e *Engine) InvalidateNode(v int32) int {
 }
 
 // InvalidateEdge makes the memo cache exact again after the interaction
-// (u, v, t) was deleted from the live graph (graph.Dynamic.DeleteEdge,
-// the §7 edge-deletion event). A deletion moves most-recent-k windows
-// exactly as a late insert at t does — CountBetween counts only edges
-// strictly between t and t', so the edge at t is excluded either way —
-// so it runs InvalidateLateEdge's rule, transitive rules included, and
-// every entry whose window never held the edge stays (reuse maximized,
-// §7). The exception is an edge below ⌊watermark⌋: records in
-// (t, ⌊watermark⌋) may already be retired, so that deletion clears every
-// layer. Returns the number of entries removed.
+// (u, v, t) was written to the live graph: appended, sorted-inserted
+// late, or deleted (graph.Dynamic.Ingest and DeleteEdge, the graph
+// changes of §7). It is the engine's one invalidation rule (DESIGN.md
+// §11): a memoized ⟨w, t'⟩ read only edges before t', so the write can
+// stale only rows with t' > t, and of those only the ones whose
+// most-recent-k window the edge enters (CountBetween counts only edges
+// strictly between t and t', so an insert and a delete at t move a
+// window alike). Every other row stays (reuse maximized, §7). Returns
+// the number of entries removed.
+//
+// Every row's time is at most the largest query time ever embedded or
+// loaded (neighbor recursion only descends in time), so when that bound
+// is at or below t nothing can hold the edge and the call costs one
+// atomic load: the steady-state append. An edge below ⌊watermark⌋
+// clears every layer, since records in (t, ⌊watermark⌋) may already be
+// retired.
 func (e *Engine) InvalidateEdge(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
-	if e.caches == nil {
+	if e.caches == nil || math.Float64frombits(e.maxEmbedBits.Load()) <= t {
 		return 0
 	}
 	if e.dyn != nil && t < math.Floor(e.dyn.Watermark()) {
@@ -326,51 +333,13 @@ func (e *Engine) InvalidateEdge(u, v int32, t float64) int {
 	return e.invalidateNewer(u, v, t)
 }
 
-// InvalidateLateEdge makes the memo cache exact again after an
-// out-of-order edge (u, v, t) was sorted-inserted into the live graph
-// (graph.Dynamic.Ingest): it drops every memoized embedding
-// ⟨w, t'⟩ with t' > t whose sampled neighborhood could now include the
-// new edge. At layer 1 only targets u and v qualify — the edge enters
-// no other node's adjacency — and a candidate is kept (reuse
-// maximized, §7) when k or more of the target's interactions already
-// lie strictly between t and t': the most-recent-k window is then full
-// of newer edges and the insert cannot surface in it. Deeper cached
-// layers propagate the same refinement transitively through their
-// recorded support sets instead of clearing whole (DESIGN.md §15).
-// Returns the number of entries removed.
-//
-// A static-sampler engine has no index to consult, so there the only
-// sound response is dropping every cache.
-func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int {
-	defer e.memoEpoch.Add(1)
-	if e.caches == nil {
-		return 0
-	}
-	return e.invalidateNewer(u, v, t)
-}
+// InvalidateLateEdge is InvalidateEdge for a sorted-inserted late edge.
+func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int { return e.InvalidateEdge(u, v, t) }
 
-// InvalidateAppend makes the memo cache exact again after a
-// chronological append of edge (u, v, t): any memoized embedding
-// ⟨w, t'⟩ with t' strictly in the future (t' > t) was computed before
-// the append and its most-recent-k window may now be wrong — the exact
-// same displacement condition as a late insert, so the same selective
-// scan applies. Unlike InsertLate, appends are the steady-state
-// serving event, so the scan is gated on a monotonic bound over every
-// embedded query timestamp: when no future-time memo can exist (the
-// common case — queries at t' ≤ now), the call costs one atomic load.
-func (e *Engine) InvalidateAppend(u, v int32, t float64) int {
-	defer e.memoEpoch.Add(1)
-	if e.caches == nil {
-		return 0
-	}
-	if math.Float64frombits(e.maxEmbedBits.Load()) <= t {
-		return 0
-	}
-	return e.invalidateNewer(u, v, t)
-}
+// InvalidateAppend is InvalidateEdge for a chronological append.
+func (e *Engine) InvalidateAppend(u, v int32, t float64) int { return e.InvalidateEdge(u, v, t) }
 
-// invalidateNewer is the shared selective-invalidation body behind
-// InvalidateLateEdge, InvalidateAppend and InvalidateEdge. Layers are
+// invalidateNewer is InvalidateEdge's selective body. Layers are
 // processed bottom up; a layer-l entry is dropped when (i) its own
 // most-recent-k window is displaced by the written edge (found through
 // layerTargets), or (ii) one of its recorded support values
@@ -553,7 +522,7 @@ func (f passFence) moved() bool {
 // predate it, and storing them would resurrect just-invalidated state),
 // or an append landed while a row lies beyond the opening watermark — a
 // row at a *future* timestamp may have sampled a window the append lands
-// in, and InvalidateAppend's scan can run before the row is indexed. The
+// in, and InvalidateEdge's scan can run before the row is indexed. The
 // append sequence, not MaxTime, detects the append (one at exactly the
 // stream clock leaves MaxTime unchanged). Any append after the fence
 // opened carries a time >= wm, so rows at t' > wm cover its every window.
@@ -649,7 +618,7 @@ func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tenso
 }
 
 // noteEmbedTimes advances the monotonic bound on embedded query
-// timestamps (see InvalidateAppend). One scan and at most a few CAS
+// timestamps (see InvalidateEdge). One scan and at most a few CAS
 // attempts per batch.
 func (e *Engine) noteEmbedTimes(ts []float64) {
 	mx := math.Inf(-1)

@@ -24,7 +24,7 @@ const nodeRecordCap = 1 << 16
 // (collection needs a record time above the edge's, and an accepted edge
 // is never below the watermark). Record skips such records, and every
 // scan and the every-1024 compaction retire them as they walk, so a
-// list holds only what a write can still reach (DESIGN.md §15).
+// list holds only what a write can still reach (DESIGN.md §11).
 type nodeIndex struct {
 	records atomic.Int64 // live records, for stats without a shard walk
 	shed    atomic.Bool

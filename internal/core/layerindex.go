@@ -3,7 +3,7 @@ package core
 import "math"
 
 // SupportIndex is the transitive half of deep-layer invalidation
-// (DESIGN.md §15). For a cached layer l ≥ 2 it records, under every
+// (DESIGN.md §11). For a cached layer l ≥ 2 it records, under every
 // support node s, the layer-l cache keys whose computation aggregated
 // s's layer-(l−1) embedding, together with the support's own query time
 // t_s — the (node, time) pair identifying the exact lower-layer value

@@ -163,7 +163,7 @@ func TestInvalidateLateEdgeFutureTimeRemovesNothing(t *testing.T) {
 	// the head invalidates nothing and preserves every entry.
 	_, dyn, eng, _ := oooSetup(t, 200)
 	before := eng.CacheLen()
-	if removed := eng.InvalidateLateEdge(1, 2, dyn.MaxTime()+1); removed != 0 {
+	if removed := eng.InvalidateEdge(1, 2, dyn.MaxTime()+1); removed != 0 {
 		t.Fatalf("future-time invalidation removed %d entries", removed)
 	}
 	if eng.CacheLen() != before {
@@ -206,14 +206,14 @@ func TestInvalidateLateEdgeMostRecentWindowRefinement(t *testing.T) {
 	// Ten interactions separate t=5 from the query at 150: the late edge
 	// cannot displace the most-recent-5 window, entry kept. Node 9 has
 	// no cached entries at all.
-	if removed := eng.InvalidateLateEdge(1, 9, 5); removed != 0 {
+	if removed := eng.InvalidateEdge(1, 9, 5); removed != 0 {
 		t.Fatalf("out-of-window late edge removed %d entries", removed)
 	}
 	if eng.CacheLen() == 0 {
 		t.Fatal("refinement dropped the cache anyway")
 	}
 	// Only 3 interactions in (75, 150): the window shifts, entry dropped.
-	if removed := eng.InvalidateLateEdge(1, 9, 75); removed == 0 {
+	if removed := eng.InvalidateEdge(1, 9, 75); removed == 0 {
 		t.Fatal("in-window late edge removed nothing")
 	}
 }
@@ -225,7 +225,7 @@ func TestInvalidateAppendAheadOfAllEmbedsIsFree(t *testing.T) {
 	// is ahead of them all.
 	_, dyn, eng, _ := oooSetup(t, 0)
 	before := eng.CacheLen()
-	if removed := eng.InvalidateAppend(3, 4, dyn.MaxTime()+1); removed != 0 {
+	if removed := eng.InvalidateEdge(3, 4, dyn.MaxTime()+1); removed != 0 {
 		t.Fatalf("ahead-of-embeds append invalidated %d entries", removed)
 	}
 	if eng.CacheLen() != before {
@@ -246,7 +246,7 @@ func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
 	if before == 0 {
 		t.Fatal("setup cached nothing")
 	}
-	if removed := eng.InvalidateLateEdge(1, 2, 0); removed != before {
+	if removed := eng.InvalidateEdge(1, 2, 0); removed != before {
 		t.Fatalf("fallback clear reported %d, want %d", removed, before)
 	}
 	if eng.CacheLen() != 0 {

@@ -53,21 +53,29 @@ func edgeClass(late bool, p int) int {
 
 // oracleConfig is the engine configuration a history runs under.
 type oracleConfig struct {
-	layers  int
-	opt     Options
-	topMemo bool
+	layers   int
+	opt      Options
+	topMemo  bool
+	lateness float64
 }
 
 // decodeOracleConfig reads a configuration byte: bits 0–1 pick L, bit 2
 // FIFO over TinyLFU, bit 3 turns dedup off, bit 4 the top memo off (so
-// every answer goes through the layer caches), bit 5 the tight limit.
+// every answer goes through the layer caches), bit 5 the tight limit,
+// bit 6 a finite lateness, so the watermark moves and index records
+// retire.
 func decodeOracleConfig(c byte) oracleConfig {
 	opt := OptAll()
 	opt.CachePolicy = [2]CachePolicy{CacheTinyLFU, CacheFIFO}[c>>2&1]
 	opt.EnableDedup = c>>3&1 == 0
 	opt.CacheLimit = [2]int{1 << 16, oracleTightLimit}[c>>5&1]
-	return oracleConfig{layers: 2 + int(c&3)%3, opt: opt, topMemo: c>>4&1 == 0}
+	lateness := [2]float64{1e12, oracleFiniteLateness}[c>>6&1] // 1e12: every late edge, negative ones too, is accepted
+	return oracleConfig{layers: 2 + int(c&3)%3, opt: opt, topMemo: c>>4&1 == 0, lateness: lateness}
 }
+
+// oracleFiniteLateness is bit 6's lateness window: a few interactions
+// deep, so the stream's early records fall below the watermark.
+const oracleFiniteLateness = 40
 
 // oracleTightLimit is the cache limit under which the warm pass alone
 // evicts.
@@ -81,15 +89,15 @@ var oracleSeeds = []struct {
 	ops  []byte
 	seed int64
 }{
-	{0x00, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1},
-	{0x01, []byte{13, 10, 21, 11, 14, 16, 17, 18, 19, 12, 15}, 2},
-	{0x02, []byte{1, 11, 21, 12, 22, 2, 8, 18, 28, 5, 15, 25}, 3},
+	{0x40, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1},
+	{0x41, []byte{13, 10, 21, 11, 14, 16, 17, 18, 19, 12, 15}, 2},
+	{0x42, []byte{1, 11, 21, 12, 22, 2, 8, 18, 28, 5, 15, 25}, 3},
 	{0x2d, []byte{23, 33, 43, 24, 3, 4, 26, 36, 0, 10, 20, 7, 17}, 4},
 	{0x1a, []byte{0, 10, 20, 30, 1, 11, 21, 31, 35, 45, 55, 27, 37}, 5},
 	{0x36, []byte{3, 13, 14, 5, 6, 16, 7, 8, 18, 9}, 6},
 }
 
-// FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §15):
+// FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §11):
 // every history it generates runs one engine configuration through
 // appends, late edges, deletes, feature writes, embeds at every time
 // class, re-asks, reads between a write and its invalidation, parked
@@ -121,7 +129,8 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	}
 	ms := oracleModels(t, r, cfg.layers, k, nodes, total+len(ops)+2)
 	dyn := graph.NewDynamic(nodes)
-	dyn.SetLateness(1e12) // every late edge, the negative ones too, is accepted
+	dyn.SetLateness(cfg.lateness)
+	finite := cfg.lateness == oracleFiniteLateness
 	for _, e := range stream {
 		if _, err := dyn.Append(e); err != nil {
 			t.Fatal(err)
@@ -144,20 +153,31 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	dir := t.TempDir()
 
 	// The query set: every interaction and every embedded batch, plus a
-	// probe per node one past the clock. Each check re-asks all of it, so
-	// the caches and the memo stay warm and a stale row surfaces as a hit.
+	// probe per node one past the clock, for every clock the history has
+	// had: a later write lands beneath the earlier probes. Each check
+	// re-asks all of it, so the caches and the memo stay warm and a stale
+	// row surfaces as a hit.
 	var qns []int32
 	var qts []float64
 	ask := func(ns []int32, ts []float64) { qns, qts = append(qns, ns...), append(qts, ts...) }
 	for _, e := range stream {
 		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
 	}
-	queries := func() ([]int32, []float64) {
-		ns, ts := append([]int32(nil), qns...), append([]float64(nil), qts...)
+	probes := func() ([]int32, []float64) {
+		var ns []int32
+		var ts []float64
 		for v := int32(1); v <= nodes; v++ {
 			ns, ts = append(ns, v), append(ts, dyn.MaxTime()+1)
 		}
 		return ns, ts
+	}
+	probedAt := math.NaN()
+	queries := func() ([]int32, []float64) {
+		if at := dyn.MaxTime() + 1; at != probedAt {
+			probedAt = at
+			ask(probes())
+		}
+		return append([]int32(nil), qns...), append([]float64(nil), qts...)
 	}
 	exact := func(what string, ns []int32, ts []float64) {
 		t.Helper()
@@ -167,7 +187,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	}
 	ns, ts := queries()
 	exact("warm", ns, ts)
-	if cfg.opt.CacheLimit == oracleTightLimit {
+	if cfg.opt.CacheLimit == oracleTightLimit && !finite { // retired records are not counted
 		if c := eng.CacheFor(1); distinctKeys(&eng.TargetsFor(1).nodeIndex) <= c.Limit() {
 			t.Fatalf("the warm pass stored no more layer-1 keys than the %d the tight limit holds", c.Limit())
 		}
@@ -205,14 +225,10 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		}
 		live = append(live, e)
 		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
-		invalidate := func() { eng.InvalidateAppend(e.Src, e.Dst, e.Time) }
-		if res == graph.IngestLate {
-			invalidate = func() { eng.InvalidateLateEdge(e.Src, e.Dst, e.Time) }
-		}
-		return func() { selective(e.Src, e.Dst, invalidate) }
+		return func() { selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }) }
 	}
 	// edge draws step's edge: an append at or past the clock, or a late
-	// edge below it.
+	// edge below it, raised to the watermark under a finite lateness.
 	edge := func(step, p int, late bool) graph.Edge {
 		u, v := int32(1+(p+step)%nodes), int32(1+(p/3+3*step+1)%nodes)
 		if u == v {
@@ -236,6 +252,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		case timeNegative:
 			e.Time = -1 - float64(p)
 		}
+		e.Time = max(e.Time, math.Ceil(dyn.Watermark()))
 		return e
 	}
 	deleteLive := func(step, p int) func() {
@@ -247,7 +264,11 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		if !dyn.DeleteEdge(e.Idx) {
 			t.Fatalf("DeleteEdge(%d) found nothing", e.Idx)
 		}
-		return func() { selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }) }
+		invalidate := func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }
+		if e.Time < math.Floor(dyn.Watermark()) {
+			return invalidate // below the watermark every layer clears
+		}
+		return func() { selective(e.Src, e.Dst, invalidate) }
 	}
 	// write is the snapshot step's graph change: it gains or loses an edge.
 	write := func(step, p int) func() {
@@ -322,8 +343,8 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 			if eng.ParamsVersion() != version {
 				t.Fatalf("%s: the engine serves v%d, want v%d", label, eng.ParamsVersion(), version)
 			}
-			ns, ts := queries()
-			h := freshBaseline(t, ref, dyn, ns[len(ns)-nodes:], ts[len(ts)-nodes:])
+			ns, ts := probes()
+			h := freshBaseline(t, ref, dyn, ns, ts)
 			d := h.Dim(1)
 			src, dst := tensor.FromSlice(h.Data()[:nodes/2*d], nodes/2, d), tensor.FromSlice(h.Data()[nodes/2*d:], nodes/2, d)
 			if !sameBits(eng.ScoreWith(nil, src, dst), NewEngine(ref, sampler, cfg.opt).ScoreWith(nil, src, dst)) {
@@ -462,7 +483,7 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range oracleSeeds {
 		c := decodeOracleConfig(s.conf)
-		for name, v := range map[string]any{"L": c.layers, "fifo": c.opt.CachePolicy == CacheFIFO, "dedup": c.opt.EnableDedup, "memo": c.topMemo, "tight": c.opt.CacheLimit == oracleTightLimit} {
+		for name, v := range map[string]any{"L": c.layers, "fifo": c.opt.CachePolicy == CacheFIFO, "dedup": c.opt.EnableDedup, "memo": c.topMemo, "tight": c.opt.CacheLimit == oracleTightLimit, "finite": c.lateness == oracleFiniteLateness} {
 			seen[fmt.Sprint(name, "=", v)] = true
 		}
 		for _, op := range s.ops {
@@ -476,7 +497,7 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false",
+	want := []string{"L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false",
 		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3"}
 	for _, w := range append(want, stepNames[:]...) {
 		if !seen[w] {

@@ -157,7 +157,7 @@ func TestWarmStartKeepsOnlyRowsWithTheSameInputs(t *testing.T) {
 				if _, err := dyn.Append(e); err != nil {
 					t.Fatal(err)
 				}
-				eng.InvalidateAppend(e.Src, e.Dst, e.Time)
+				eng.InvalidateEdge(e.Src, e.Dst, e.Time)
 			}
 
 			s := graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)

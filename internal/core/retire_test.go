@@ -149,11 +149,7 @@ func TestIndexRetirementMatchesKeepAll(t *testing.T) {
 		now = max(now, tm)
 		var n [2]int
 		for i, e := range []*Engine{retire, keep} {
-			if res == graph.IngestAppended {
-				n[i] = e.InvalidateAppend(src, dst, tm)
-			} else {
-				n[i] = e.InvalidateLateEdge(src, dst, tm)
-			}
+			n[i] = e.InvalidateEdge(src, dst, tm)
 		}
 		if n[0] != n[1] {
 			t.Fatalf("step %d: edge at %v dropped %d entries retiring, %d keeping every record", step, tm, n[0], n[1])

@@ -116,7 +116,7 @@ func TestEngineConcurrentStreamMatchesSerial(t *testing.T) {
 	ds, m, s := engineTestSetup(t, 600)
 	serial := tgat.StreamInference(ds.Graph, m, 100, m.BaselineEmbedFunc(s))
 	eng := NewEngine(m, s, OptAll())
-	conc := tgat.StreamInferenceConcurrent(ds.Graph, m, 100, 4, eng.EmbedFunc())
+	conc := tgat.StreamInferenceArenaScored(ds.Graph, m, 100, 4, eng.EmbedWith, eng)
 	for i := range serial.Scores {
 		d := serial.Scores[i] - conc.Scores[i]
 		if d < 0 {

@@ -149,7 +149,7 @@ func TestTopMemoStraddlingPassStoresNothing(t *testing.T) {
 			case "epoch":
 				// At or past every embedded time: the fast path, which
 				// touches no cache lock and still ends with the bump.
-				f.eng.InvalidateAppend(9, 10, f.now+5)
+				f.eng.InvalidateEdge(9, 10, f.now+5)
 			}
 			for i := range l1.shards {
 				l1.shards[i].mu.Unlock()
@@ -291,11 +291,8 @@ func TestTopMemoStressReadersAndWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				switch res {
-				case graph.IngestAppended:
-					eng.InvalidateAppend(src, dst, tm)
-				case graph.IngestLate:
-					eng.InvalidateLateEdge(src, dst, tm)
+				if res != graph.IngestDropped {
+					eng.InvalidateEdge(src, dst, tm)
 				}
 			}
 		}()

@@ -10,7 +10,7 @@ import (
 )
 
 // transSetup is oooSetup with a 3-layer model: both layer 1 and layer 2
-// are cached, so deep-layer transitive invalidation (DESIGN.md §15) is
+// are cached, so deep-layer transitive invalidation (DESIGN.md §11) is
 // on the line. Timestamps are distinct integers, inside Key's domain.
 func transSetup(t *testing.T, lateness float64, opt Options) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
 	t.Helper()
@@ -115,7 +115,7 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	if _, _, err := dyn.Ingest(graph.Edge{Src: u, Dst: v, Time: tLate, Idx: int32(total + 1)}); err != nil {
 		t.Fatal(err)
 	}
-	eng.InvalidateLateEdge(u, v, tLate)
+	eng.InvalidateEdge(u, v, tLate)
 	if n := eng.CacheFor(2).Len(); n != 0 {
 		t.Fatalf("shed fallback left %d layer-2 entries", n)
 	}
@@ -203,7 +203,7 @@ func TestSupportIndexAlivePrune(t *testing.T) {
 }
 
 // TestReadBetweenIngestAndInvalidateL3: at L = 3 a read placed between
-// dyn.Ingest of a late edge and its InvalidateLateEdge builds a layer-2
+// dyn.Ingest of a late edge and its InvalidateEdge builds a layer-2
 // row from a layer-1 row the pending invalidation drops. On one
 // goroutine the read indexes that row's support before the scan runs,
 // so the scan drops the layer-2 row with it, and every answer after the
@@ -235,7 +235,7 @@ func TestReadBetweenIngestAndInvalidateL3(t *testing.T) {
 	if l1.Stats().Hits == hits || !l2.Contains(Key(y, T+1)) {
 		t.Fatal("the read hit no layer-1 row or stored no layer-2 row")
 	}
-	f.eng.InvalidateLateEdge(u, v, tl)
+	f.eng.InvalidateEdge(u, v, tl)
 	if l1.Contains(Key(u, T)) || l2.Contains(Key(y, T+1)) {
 		t.Fatal("the invalidation left the stale layer-1 row or the layer-2 row built on it")
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -9,11 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// ErrStale marks an out-of-order edge older than the stream's
-// low-watermark: it cannot be inserted without unbounded reordering
-// state, so it is dropped and counted instead of applied.
-var ErrStale = errors.New("graph: edge time below the low-watermark")
 
 // Dynamic is a continuous-time dynamic graph that grows by appending
 // chronological edge interactions — the streaming counterpart of the
@@ -28,8 +22,9 @@ var ErrStale = errors.New("graph: edge time below the low-watermark")
 // (Ingest), anything older is dropped against the low-watermark
 // and counted (the Flink/StreamTGN allowed-lateness discipline). Late
 // inserts and deletions rewrite history, so both bump the Mutations
-// epoch; cache layers above (core.Engine) use the epoch plus selective
-// invalidation to stay exact — see DESIGN.md §11.
+// epoch; cache layers above use the epoch plus one selective
+// invalidation per write (core.Engine.InvalidateEdge) to stay exact —
+// see DESIGN.md §11.
 //
 // Dynamic is safe for concurrent use: mutations take the write lock,
 // and a Sampler holds the read lock for a whole SampleTo call, copying
@@ -37,8 +32,8 @@ var ErrStale = errors.New("graph: edge time below the low-watermark")
 // read outside the lock, so history-rewriting mutations (late inserts,
 // DeleteEdge) shift the affected suffix in place and appends keep their
 // amortized capacity. Embeddings memoized for a target ⟨i, t⟩ remain
-// valid across appends of edges at times ≥ t (the §3.2 property); late
-// inserts require the selective invalidation above.
+// valid across any write of an edge at a time ≥ t (the §3.2 property);
+// a write below t requires the invalidation above.
 type Dynamic struct {
 	mu       sync.RWMutex
 	numNodes int
@@ -204,16 +199,17 @@ func (d *Dynamic) assignIdxLocked(e *Edge) {
 func (d *Dynamic) Append(e Edge) (int32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.appendLocked(e)
-}
-
-func (d *Dynamic) appendLocked(e Edge) (int32, error) {
 	if err := d.validateLocked(e); err != nil {
 		return 0, err
 	}
 	if e.Time < d.lastTime {
 		return 0, fmt.Errorf("graph: edge time %v precedes stream time %v", e.Time, d.lastTime)
 	}
+	return d.appendLocked(e), nil
+}
+
+// appendLocked adds a validated edge at or past the stream clock.
+func (d *Dynamic) appendLocked(e Edge) int32 {
 	d.assignIdxLocked(&e)
 	src := &d.adj[e.Src]
 	src.nghs = append(src.nghs, e.Dst)
@@ -227,34 +223,21 @@ func (d *Dynamic) appendLocked(e Edge) (int32, error) {
 	d.byIdx[e.Idx] = e.Time
 	d.lastTime = e.Time
 	d.appends.Add(1)
-	return e.Idx, nil
+	return e.Idx
 }
 
-// insertLateLocked adds an out-of-order interaction by sorted insert
-// into the edge stream and both endpoints' adjacency. The edge must
-// carry a timestamp at or above the low-watermark; older edges return
-// ErrStale and are counted as dropped. Equal timestamps order after
-// previously arrived ones (matching Append's tie behavior). Edges at or
-// past the stream clock degrade to a plain append.
+// insertLateLocked adds a validated out-of-order edge, at or above the
+// low-watermark and below the stream clock, by sorted insert into the
+// edge stream and both endpoints' adjacency. Equal timestamps order
+// after previously arrived ones (matching Append's tie behavior).
 //
 // A late insert rewrites history: it advances the Mutations epoch, and
 // callers holding a TGOpt engine over this graph must invalidate the
-// dependent memoized embeddings (core.Engine.InvalidateLateEdge) to
+// dependent memoized embeddings (core.Engine.InvalidateEdge) to
 // preserve semantics. Cost is O(window) plus the log-degree searches:
 // the stream and both endpoints' adjacency shift only the suffix the
 // lateness window bounds, in place under the write lock.
-func (d *Dynamic) insertLateLocked(e Edge) (int32, error) {
-	if err := d.validateLocked(e); err != nil {
-		return 0, err
-	}
-	if e.Time >= d.lastTime {
-		return d.appendLocked(e)
-	}
-	if e.Time < d.lastTime-d.lateness {
-		d.lateDropped.Add(1)
-		return 0, fmt.Errorf("%w: time %v < watermark %v (stream time %v, lateness %v)",
-			ErrStale, e.Time, d.lastTime-d.lateness, d.lastTime, d.lateness)
-	}
+func (d *Dynamic) insertLateLocked(e Edge) int32 {
 	d.assignIdxLocked(&e)
 	// Sorted insert into the edge stream: upper bound by time, so ties
 	// keep arrival order. The shift is bounded by the lateness window.
@@ -269,7 +252,7 @@ func (d *Dynamic) insertLateLocked(e Edge) (int32, error) {
 	d.byIdx[e.Idx] = e.Time
 	d.lateAccepted.Add(1)
 	d.mutations.Add(1)
-	return e.Idx, nil
+	return e.Idx
 }
 
 // insert places a neighbor slot after every slot at or before time t,
@@ -325,9 +308,9 @@ func (r IngestResult) String() string {
 
 // Ingest absorbs one edge from a possibly out-of-order live stream:
 // in-order edges append, edges inside the lateness window sorted-insert
-// (the caller must then run cache invalidation — see
-// insertLateLocked), and edges below the watermark are dropped and
-// counted without error.
+// (see insertLateLocked), and edges below the watermark are dropped and
+// counted without error. The caller then runs the edge's cache
+// invalidation unless it was dropped.
 // Invalid edges (bad endpoints, non-finite times, duplicate ids) error
 // without touching the graph.
 func (d *Dynamic) Ingest(e Edge) (IngestResult, int32, error) {
@@ -337,15 +320,13 @@ func (d *Dynamic) Ingest(e Edge) (IngestResult, int32, error) {
 		return IngestDropped, 0, err
 	}
 	if e.Time >= d.lastTime {
-		idx, err := d.appendLocked(e)
-		return IngestAppended, idx, err
+		return IngestAppended, d.appendLocked(e), nil
 	}
 	if e.Time < d.lastTime-d.lateness {
 		d.lateDropped.Add(1)
 		return IngestDropped, 0, nil
 	}
-	idx, err := d.insertLateLocked(e)
-	return IngestLate, idx, err
+	return IngestLate, d.insertLateLocked(e), nil
 }
 
 // windowLocked returns the temporal prefix N(v, t). The slices alias

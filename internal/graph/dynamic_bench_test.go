@@ -148,8 +148,8 @@ func BenchmarkInsertLate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm := d.MaxTime() - window/2
-				if _, err := d.InsertLate(Edge{Src: int32(1 + i%(nodes-1)), Dst: int32(2 + i%(nodes-2)), Time: tm}); err != nil {
-					b.Fatal(err)
+				if res, _, err := d.Ingest(Edge{Src: int32(1 + i%(nodes-1)), Dst: int32(2 + i%(nodes-2)), Time: tm}); err != nil || res != IngestLate {
+					b.Fatal(res, err)
 				}
 			}
 		})
@@ -167,8 +167,8 @@ func BenchmarkInsertLate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.InsertLate(Edge{Src: 1, Dst: int32(2 + i%hubDegree), Time: tm}); err != nil {
-				b.Fatal(err)
+			if res, _, err := d.Ingest(Edge{Src: 1, Dst: int32(2 + i%hubDegree), Time: tm}); err != nil || res != IngestLate {
+				b.Fatal(res, err)
 			}
 		}
 	})

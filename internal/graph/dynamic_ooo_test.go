@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"sync"
@@ -19,9 +18,9 @@ func TestDynamicInsertLateSortedOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx, err := d.InsertLate(Edge{Src: 1, Dst: 3, Time: 25})
-	if err != nil {
-		t.Fatal(err)
+	res, idx, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 25})
+	if err != nil || res != IngestLate {
+		t.Fatalf("late ingest: %v, %v", res, err)
 	}
 	if idx == 0 {
 		t.Fatal("late insert assigned no edge id")
@@ -55,12 +54,12 @@ func TestDynamicInsertLateAtOrPastClockAppends(t *testing.T) {
 	d.SetLateness(10)
 	d.Append(Edge{Src: 1, Dst: 2, Time: 10})
 	// At the clock: a plain append, no history rewrite.
-	if _, err := d.InsertLate(Edge{Src: 2, Dst: 3, Time: 10}); err != nil {
-		t.Fatal(err)
+	if res, _, err := d.Ingest(Edge{Src: 2, Dst: 3, Time: 10}); err != nil || res != IngestAppended {
+		t.Fatalf("at the clock: %v, %v", res, err)
 	}
 	// Past the clock: also an append, and the clock advances.
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 3, Time: 15}); err != nil {
-		t.Fatal(err)
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 15}); err != nil || res != IngestAppended {
+		t.Fatalf("past the clock: %v, %v", res, err)
 	}
 	if d.Mutations() != 0 || d.LateAccepted() != 0 {
 		t.Fatalf("in-order inserts counted as rewrites: mutations=%d late=%d",
@@ -78,8 +77,8 @@ func TestDynamicWatermarkDrop(t *testing.T) {
 	if w := d.Watermark(); w != 95 {
 		t.Fatalf("Watermark = %v, want 95", w)
 	}
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 3, Time: 90}); !errors.Is(err, ErrStale) {
-		t.Fatalf("below-watermark insert: err = %v, want ErrStale", err)
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 90}); err != nil || res != IngestDropped {
+		t.Fatalf("below-watermark insert: %v, %v, want dropped", res, err)
 	}
 	if d.NumEdges() != 1 {
 		t.Fatal("dropped edge reached the graph")
@@ -91,8 +90,8 @@ func TestDynamicWatermarkDrop(t *testing.T) {
 		t.Fatal("drop advanced the mutation epoch")
 	}
 	// Exactly at the watermark is still inside the window.
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 3, Time: 95}); err != nil {
-		t.Fatalf("at-watermark insert rejected: %v", err)
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 95}); err != nil || res != IngestLate {
+		t.Fatalf("at-watermark insert rejected: %v, %v", res, err)
 	}
 }
 
@@ -109,8 +108,8 @@ func TestDynamicSetLatenessAfterEdgePanics(t *testing.T) {
 	if panics(d, 5) || panics(d, 50) {
 		t.Fatal("SetLateness on an empty graph panicked")
 	}
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 2, Time: -10}); err != nil {
-		t.Fatal(err) // late against the empty graph's clock of 0
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 2, Time: -10}); err != nil || res != IngestLate {
+		t.Fatal(res, err) // late against the empty graph's clock of 0
 	}
 	if !panics(d, 500) {
 		t.Fatal("SetLateness after a late insert did not panic")
@@ -232,9 +231,6 @@ func TestDynamicAppendRejectsNonFiniteTime(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := d.Append(Edge{Src: 1, Dst: 2, Time: bad}); err == nil {
 			t.Fatalf("Append accepted time %v", bad)
-		}
-		if _, err := d.InsertLate(Edge{Src: 1, Dst: 2, Time: bad}); err == nil {
-			t.Fatalf("InsertLate accepted time %v", bad)
 		}
 		if _, _, err := d.Ingest(Edge{Src: 1, Dst: 2, Time: bad}); err == nil {
 			t.Fatalf("Ingest accepted time %v", bad)
@@ -409,10 +405,10 @@ func TestDynamicConcurrentMutationsAndSampling(t *testing.T) {
 		tm := d.MaxTime() - lateRNG.Float64()*150
 		lateIdx++
 		e := Edge{Src: int32(1 + lateRNG.Intn(15)), Dst: int32(1 + lateRNG.Intn(15)), Time: tm, Idx: lateIdx}
-		if err := write(e, d.InsertLate); err != nil && !errors.Is(err, ErrStale) {
-			return err
-		}
-		return nil
+		return write(e, func(e Edge) (int32, error) { // a drop below the watermark is no error
+			_, idx, err := d.Ingest(e)
+			return idx, err
+		})
 	})
 	delRNG := tensor.NewRNG(4)
 	writer(func() error { // deletes among the newest appends, where the windows end
@@ -487,8 +483,8 @@ func TestDynamicLateEditsAtHubAllocateNothing(t *testing.T) {
 	}
 	late := d.MaxTime() - 50
 	allocs := testing.AllocsPerRun(1000, func() {
-		idx, err := d.InsertLate(Edge{Src: 1, Dst: 2, Time: late})
-		if err != nil || !d.DeleteEdge(idx) {
+		res, idx, err := d.Ingest(Edge{Src: 1, Dst: 2, Time: late})
+		if err != nil || res != IngestLate || !d.DeleteEdge(idx) {
 			t.Fatalf("late insert %d (%v) or its delete failed", idx, err)
 		}
 	})
@@ -525,8 +521,8 @@ func TestDynamicAppendsSequence(t *testing.T) {
 	}
 	muts := d.Mutations()
 	// A genuinely late insert is a history rewrite, not an append.
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 3, Time: 5}); err != nil {
-		t.Fatal(err)
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 5}); err != nil || res != IngestLate {
+		t.Fatal(res, err)
 	}
 	if d.Appends() != 2 {
 		t.Fatalf("late insert bumped Appends to %d", d.Appends())
@@ -534,18 +530,11 @@ func TestDynamicAppendsSequence(t *testing.T) {
 	if d.Mutations() == muts {
 		t.Fatal("late insert did not bump Mutations")
 	}
-	// InsertLate at/past the clock degrades to an append and counts.
-	if _, err := d.InsertLate(Edge{Src: 1, Dst: 4, Time: 10}); err != nil {
-		t.Fatal(err)
+	// Ingest at the clock is an append and counts.
+	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 4, Time: 10}); err != nil || res != IngestAppended {
+		t.Fatal(res, err)
 	}
 	if d.Appends() != 3 {
 		t.Fatalf("degraded-to-append insert left Appends at %d, want 3", d.Appends())
 	}
-}
-
-// InsertLate is insertLateLocked under the write lock.
-func (d *Dynamic) InsertLate(e Edge) (int32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.insertLateLocked(e)
 }

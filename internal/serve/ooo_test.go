@@ -68,7 +68,7 @@ func TestServeOutOfOrderIngestConvergesToSorted(t *testing.T) {
 
 // TestServeOutOfOrderIngestConvergesToSortedDeep repeats the
 // convergence pin with a 3-layer model, so the layer-2 memo cache and
-// its transitive invalidation (DESIGN.md §15) are under the same
+// its transitive invalidation (DESIGN.md §11) are under the same
 // concurrent ingest/embed race. Run with -race.
 func TestServeOutOfOrderIngestConvergesToSortedDeep(t *testing.T) {
 	serveOOOConvergence(t, 3, 300)

@@ -12,16 +12,16 @@
 //	POST /v1/score   {"pairs":[{"src":1,"dst":2,"time":50}]}
 //	GET  /v1/stats
 //
-// Because the engine's memoization is sound under chronological appends
-// (§3.2 of the paper), embeddings served before an in-order ingest
-// remain valid after it. Real event streams are not chronological:
-// with a lateness window configured on the dynamic graph
-// (graph.Dynamic.SetLateness), /v1/ingest also accepts bounded
-// out-of-order edges by sorted insert and keeps the cache exact by
-// selective invalidation of the embeddings whose sampled neighborhoods
-// the late edge could reach (core.Engine.InvalidateLateEdge); edges
-// older than the low-watermark are dropped and counted, never silently
-// applied. See DESIGN.md §11.
+// The engine's memoization is sound under any edge write (§3.2 of the
+// paper): a row memoized at t' read only edges before t', so an edge at
+// t can stale only rows with t' > t. With a lateness window configured
+// on the dynamic graph (graph.Dynamic.SetLateness), /v1/ingest also
+// accepts bounded out-of-order edges by sorted insert; edges older than
+// the low-watermark are dropped and counted, never silently applied.
+// Every accepted edge, in order or late, runs the engine's one
+// invalidation (core.Engine.InvalidateEdge), which drops exactly the
+// rows whose sampled neighborhoods the edge could reach. See DESIGN.md
+// §11.
 //
 // Every endpoint is wrapped in the serving middleware (middleware.go):
 // a semaphore-based in-flight limit (429 at saturation), a per-request

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the serving side of the online-learning loop (DESIGN.md
-// §16): SwapParams publishes a new params version built from a
+// §15): SwapParams publishes a new params version built from a
 // published parameter snapshot, and StartSwapLoop runs the background
 // cadence — either fine-tuning locally and publishing, or watching a
 // swap directory another process publishes into.

@@ -42,7 +42,7 @@ type Core struct {
 // keeps the per-node key index, so edge invalidation is targeted rather
 // than a full cache clear — even on a purely chronological stream, where
 // an append must selectively drop memos served at *future* timestamps
-// whose sampled windows it lands in (InvalidateAppend).
+// whose sampled windows it lands in (core.Engine.InvalidateEdge).
 func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Core {
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
@@ -115,19 +115,15 @@ func (c *Core) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab
 
 // Apply runs the cache invalidation an edge requires once the core's
 // graph has absorbed it with outcome res, and returns how many memoized
-// embeddings it dropped. A chronological append can still invalidate:
-// memos served at timestamps beyond the new edge were computed before
-// it and their sampled windows may now be wrong. The engine's watermark
-// fast path makes that a single atomic load when no future-time memo
-// exists (the steady state).
+// embeddings it dropped: none for a dropped edge, else the engine's one
+// rule (core.Engine.InvalidateEdge). An append can still invalidate
+// memos served at timestamps beyond it; when none exists (the steady
+// state) that is a single atomic load.
 func (c *Core) Apply(e graph.Edge, res graph.IngestResult) int {
-	switch res {
-	case graph.IngestAppended:
-		return c.eng.InvalidateAppend(e.Src, e.Dst, e.Time)
-	case graph.IngestLate:
-		return c.eng.InvalidateLateEdge(e.Src, e.Dst, e.Time)
+	if res == graph.IngestDropped {
+		return 0
 	}
-	return 0
+	return c.eng.InvalidateEdge(e.Src, e.Dst, e.Time)
 }
 
 // SaveSnapshot writes the engine's memo caches to path through the

@@ -15,7 +15,7 @@
 // write the params file BEFORE the manifest; consumers read the
 // manifest and then open the file it names, so the manifest never
 // points at a file that was not fully durable first. See DESIGN.md
-// §16.
+// §15.
 package swap
 
 import (

@@ -49,30 +49,21 @@ func arenaAdapter(embed EmbedFunc) EmbedArenaFunc {
 	}
 }
 
-// StreamInferenceConcurrent is StreamInference with up to `workers`
-// batches in flight at once. Temporal embeddings depend only on the
-// (immutable) graph and model — the TGOpt cache changes how fast a
-// value is produced, never what it is — so batches may be computed in
-// any order or in parallel without changing a single score; results are
-// written into stream order. The embed function must be safe for
-// concurrent use (both the baseline and the TGOpt engine are).
-func StreamInferenceConcurrent(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedFunc) *StreamResult {
-	return StreamInferenceArena(g, m, batchSize, workers, arenaAdapter(embed))
-}
-
-// StreamInferenceArena is StreamInferenceConcurrent for an arena-aware
-// embed function. A fixed pool of `workers` goroutines claims batch
-// indices off an atomic counter; each worker owns one arena and one set
-// of batch buffers for its whole lifetime, reset/reused per batch, so
-// steady-state batches perform no heap allocation in the driver. With
-// workers <= 1 the stream runs on the calling goroutine.
-func StreamInferenceArena(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedArenaFunc) *StreamResult {
-	return StreamInferenceArenaScored(g, m, batchSize, workers, embed, m)
-}
-
-// StreamInferenceArenaScored is StreamInferenceArena scoring through an
-// explicit Scorer instead of m's own affinity head — a caller passes
-// the engine so embeddings and logits come from one model version.
+// StreamInferenceArenaScored is StreamInference for an arena-aware
+// embed function, with up to `workers` batches in flight at once and
+// scoring through an explicit Scorer instead of m's own affinity head —
+// a caller passes the engine so embeddings and logits come from one
+// model version. Temporal embeddings depend only on the graph and the
+// model — the TGOpt cache changes how fast a value is produced, never
+// what it is — so batches may be computed in any order or in parallel
+// without changing a single score; results are written into stream
+// order. The embed function must be safe for concurrent use (both the
+// baseline and the TGOpt engine are). A fixed pool of `workers`
+// goroutines claims batch indices off an atomic counter; each worker
+// owns one arena and one set of batch buffers for its whole lifetime,
+// reset/reused per batch, so steady-state batches perform no heap
+// allocation in the driver. With workers <= 1 the stream runs on the
+// calling goroutine.
 func StreamInferenceArenaScored(g *graph.Graph, m *Model, batchSize, workers int, embed EmbedArenaFunc, scorer Scorer) *StreamResult {
 	edges := g.Edges()
 	nBatches := (len(edges) + batchSize - 1) / batchSize
@@ -165,5 +156,5 @@ func (w *streamWorker) runBatch(edges []graph.Edge, bi, batchSize int, embed Emb
 // and score each (source, destination) pair with the model's affinity
 // head.
 func StreamInference(g *graph.Graph, m *Model, batchSize int, embed EmbedFunc) *StreamResult {
-	return StreamInferenceArena(g, m, batchSize, 1, arenaAdapter(embed))
+	return StreamInferenceArenaScored(g, m, batchSize, 1, arenaAdapter(embed), m)
 }

@@ -57,6 +57,8 @@ the engine gathers no layer input (the layer pass reads feature tables and dedup
 the engine gathers no layer input (one DedupInvertWith restores the caller's batch)	-E	DedupInvertWith\(	internal/core -internal/core/dedup.go	internal/core re-expands a level below the top again	1
 one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)	-E	QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes	all	a second row format is back
 one row store (each layer cache shard is a slab: rows in fixed chunks, slots in an intrusive age list; no per-entry row slices, dead marks, lazy compaction or overhead guess)	-E	map\[uint64\]\[\]float32|markPoppedLocked|compactLocked|cacheEntryOverhead|ndead	internal/core	a second row store is back in internal/core
+one invalidation rule (every edge write runs Engine.InvalidateEdge; its two forwards serve only benchmark/serving_trace.go)	-E	\.Invalidate(Append|LateEdge)\(	all -./benchmark/serving_trace.go	an edge write calls a second invalidation entry point again
+one invalidation rule (InvalidateEdge is invalidateNewer's one caller)	-E	\.invalidateNewer\(	internal/core	a second path reaches the selective invalidation body	1
 one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)	-E	DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards	all	a second invalidation structure or a tracking option is back
 one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap	all	a second snapshot validity record or a per-shard params parse is back
 one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
@@ -136,13 +138,13 @@ go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServe
 echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
-echo "== deep-invalidation gate (the engine oracle's seed corpus, transitive invalidation, index retirement at the watermark; race-enabled)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestReadBetween|FuzzEngineOracle|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
+go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestReadBetween|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
-echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled)"
-go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap|FuzzEngineOracle' \
-    ./internal/serve/ ./internal/core/
+echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled; the engine oracle's swap step runs in the race stanza)"
+go test -race -count=1 -run 'TestServeSwap|TestRouterSwap|TestRestartAfterSwap' \
+    ./internal/serve/
 go test -count=1 -run 'TestPublishLatest|TestLatestRejects|TestFineTune' ./internal/swap/
 
 echo "== bench smoke (compile + one iteration of every benchmark)"

@@ -55,7 +55,6 @@ import (
 // type also keeps its methods and its New<Type> constructor.
 var allowlist = map[string]string{
 	"tgopt/internal/core.IntervalTimeTable":     "DESIGN §1's related-work comparator (Zhou et al.'s interval table), kept as a reproduction surface",
-	"tgopt/internal/core.Engine.InvalidateEdge": "the §7 edge-deletion event: FuzzTransitiveInvalidate drives it, and the engine-owned write path will call it",
 	"tgopt/internal/core.Engine.InvalidateNode": "the §7 node-feature event: the engine-owned write path will call it",
 }
 

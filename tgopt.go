@@ -60,9 +60,9 @@ func NewGraph(numNodes int, edges []Edge) (*Graph, error) {
 
 // Dynamic is a streaming continuous-time dynamic graph supporting
 // chronological appends, late inserts and (rare) edge deletions. An
-// engine over it stays exact when every write is followed by its
-// invalidation: Engine.InvalidateAppend, InvalidateLateEdge, or
-// InvalidateEdge(u, v, t) for a deletion.
+// engine over it stays exact when every edge write (an append, a late
+// insert or a deletion) is followed by one call,
+// Engine.InvalidateEdge(u, v, t).
 type Dynamic = graph.Dynamic
 
 // NewDynamic creates an empty streaming graph over nodes 1..numNodes.
