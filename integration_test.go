@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tgopt"
-	"tgopt/internal/core"
 	"tgopt/internal/dataset"
 	"tgopt/internal/graph"
 	"tgopt/internal/npy"
@@ -99,7 +98,10 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := serve.New(served, dyn, core.OptAll())
+	srv, err := serve.NewFromConfig(served, dyn, serve.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 

@@ -133,9 +133,6 @@ func New(eng core.Embedder, dim int, cfg Config) *Batcher {
 // Dim returns the embedding width of the batcher's rows.
 func (b *Batcher) Dim() int { return b.dim }
 
-// Config returns the (defaulted) configuration.
-func (b *Batcher) Config() Config { return b.cfg }
-
 // Embed computes the embeddings of the given targets through the fused
 // serving path, blocking until their cohort's pass completes or ctx is
 // cancelled. The result is one backing slab with target i's row at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -74,6 +75,29 @@ const (
 	// oldest-first, admit everything.
 	CacheFIFO
 )
+
+// cachePolicyNames are the policies' text forms: the -cache-policy
+// flag's values and /v1/stats' rendering.
+var cachePolicyNames = [...]string{CacheTinyLFU: "tinylfu", CacheFIFO: "fifo"}
+
+// MarshalText renders the policy's name.
+func (p CachePolicy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(cachePolicyNames) {
+		return nil, fmt.Errorf("core: unknown cache policy %d", int(p))
+	}
+	return []byte(cachePolicyNames[p]), nil
+}
+
+// UnmarshalText parses a policy name MarshalText wrote.
+func (p *CachePolicy) UnmarshalText(text []byte) error {
+	for i, name := range cachePolicyNames {
+		if string(text) == name {
+			*p = CachePolicy(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown cache policy %q (want tinylfu or fifo)", text)
+}
 
 // CacheConfig configures a memo cache.
 type CacheConfig struct {

@@ -312,6 +312,28 @@ func TestEngineCacheStatsAggregates(t *testing.T) {
 	}
 }
 
+// TestCachePolicyTextRoundTrip: every policy's name parses back to the
+// policy, and an unknown name or value is refused.
+func TestCachePolicyTextRoundTrip(t *testing.T) {
+	for _, p := range []CachePolicy{CacheTinyLFU, CacheFIFO} {
+		text, err := p.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back CachePolicy = -1
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Fatalf("%q parsed to %d (%v), want %d", text, back, err, p)
+		}
+	}
+	var p CachePolicy
+	if err := p.UnmarshalText([]byte("lru")); err == nil {
+		t.Fatal("unknown policy name \"lru\" parsed")
+	}
+	if _, err := CachePolicy(7).MarshalText(); err == nil {
+		t.Fatal("unknown policy value 7 rendered")
+	}
+}
+
 func ExampleCachePolicy() {
 	c := NewCacheWith(CacheConfig{Limit: 4, Dim: 1, Shards: 1}) // zero Policy
 	fmt.Println(c.Policy() == CacheTinyLFU)

@@ -20,11 +20,11 @@ import (
 // what the baseline answers.
 type Options struct {
 	// EnableDedup turns on the §4.1 deduplication filter.
-	EnableDedup bool
+	EnableDedup bool `json:"dedup"`
 	// EnableCache turns on the §4.2 embedding memoization cache.
-	EnableCache bool
+	EnableCache bool `json:"cache"`
 	// EnableTimePrecompute turns on the §4.3 precomputed time encodings.
-	EnableTimePrecompute bool
+	EnableTimePrecompute bool `json:"time_precompute"`
 
 	// CacheLimit bounds the total cached embeddings (default 2,000,000,
 	// the paper's setting); each takes a 4·NodeDim-byte row and a
@@ -36,14 +36,14 @@ type Options struct {
 	// below half builds none. With more than one cached layer the limit
 	// is divided across per-layer caches in proportion to expected
 	// lookup traffic (SplitCacheLimit).
-	CacheLimit int
+	CacheLimit int `json:"cache_limit"`
 	// CachePolicy picks the cache eviction policy. The zero value is
 	// CacheTinyLFU — sketch-based admission that keeps heavy hitters
 	// resident under skewed reuse; CacheFIFO restores the paper's
 	// original policy.
-	CachePolicy CachePolicy
+	CachePolicy CachePolicy `json:"cache_policy"`
 	// TimeWindow is the precomputed Δt window (default 10,000).
-	TimeWindow int
+	TimeWindow int `json:"time_window"`
 }
 
 // OptAll returns Options with all three optimizations enabled at the

@@ -22,9 +22,8 @@ import (
 type backend interface {
 	EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error)
 	Apply(e graph.Edge, res graph.IngestResult) int
-	SetBatching(cfg batcher.Config)
-	SaveSnapshot(path string) error
-	WarmStart(path string) (warmed int, err error)
+	SaveSnapshot() error
+	WarmStart() (warmed int, err error)
 	Engines() []*core.Engine
 	Batchers() []*batcher.Batcher
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,7 +22,6 @@ import (
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/shard"
-	"tgopt/internal/tgat"
 )
 
 // backendMode is one of the four configurations every handler-level
@@ -45,32 +45,21 @@ var backendModes = []backendMode{
 // file of a single core, the per-shard snapshot directory of a pool.
 func (m backendMode) newServer(t *testing.T, snap string) (*Server, *httptest.Server) {
 	t.Helper()
-	return m.newServerWith(t, shard.Config{SnapshotDir: snap})
+	return m.newServerWith(t, func(c *Config) { c.CacheFile = snap })
 }
 
-// newServerWith is newServer with the rest of the pool's configuration
-// (fault injection) chosen by the caller; a single core ignores it.
-func (m backendMode) newServerWith(t *testing.T, cfg shard.Config) (*Server, *httptest.Server) {
+// newServerWith is newServer with the rest of the configuration (fault
+// injection, logging) chosen by set; the mode's shards and batching
+// override it.
+func (m backendMode) newServerWith(t *testing.T, set func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	model, dyn := testModelDyn(t)
-	var s *Server
-	if m.shards > 0 {
-		var err error
-		cfg.Shards = m.shards
-		s, err = NewSharded(model, dyn, core.OptAll(), cfg)
-		if err != nil {
-			t.Fatal(err)
+	return testServerWith(t, func(c *Config) {
+		set(c)
+		c.Shards = max(1, m.shards)
+		if m.batched {
+			c.Batching, c.Batch = true, batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32}
 		}
-	} else {
-		s = New(model, dyn, core.OptAll())
-	}
-	if m.batched {
-		s.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32})
-	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	})
 }
 
 // forEachBackend runs f as one subtest per backendMode; mk builds a
@@ -243,12 +232,25 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		if _, ok := st["shards"]; ok != (m.shards > 0) {
 			t.Errorf("stats has shards section = %v with %d shards", ok, m.shards)
 		}
+		// The configuration is reported in one place: "config", never
+		// in the batching section.
+		var cfg configStats
+		if err := json.Unmarshal(st["config"], &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Shards != max(1, m.shards) || cfg.Batching != m.batched || cfg.MaxBatch != 32 && m.batched ||
+			cfg.WindowMs != 2 && m.batched || cfg.Engine != core.OptAll() {
+			t.Errorf("config section %+v, want mode %+v over core.OptAll()", cfg, m)
+		}
+		if bytes.Contains(st["batching"], []byte("max_batch")) || bytes.Contains(st["batching"], []byte("window_ms")) {
+			t.Errorf("batching section repeats the configuration: %s", st["batching"])
+		}
 		if m.batched {
 			var top batchStats
 			if err := json.Unmarshal(st["batching"], &top); err != nil {
 				t.Fatal(err)
 			}
-			if top.Enqueued == 0 || top.Batches == 0 || top.MaxBatch != 32 || top.WindowMs != 2 {
+			if top.Enqueued == 0 || top.Batches == 0 {
 				t.Errorf("batching section not live: %+v", top)
 			}
 			if m.shards > 0 {
@@ -386,14 +388,26 @@ func (h hookFS) Open(name string) (io.ReadCloser, error) {
 // 200 before they proceed; with a lock held around either, that embed
 // could only finish after the hook gives up.
 func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
-		s, _ := mk("")
+	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
+		// The backend build wraps each engine: once armed, the first
+		// wrap runs the build's hook.
+		var armed atomic.Bool
+		var buildHook sync.Once
+		var hook func()
+		s, _ := m.newServerWith(t, func(c *Config) {
+			c.WrapEmbedder = func(_ int, e core.Embedder) core.Embedder {
+				if armed.Load() {
+					buildHook.Do(hook)
+				}
+				return e
+			}
+		})
 		path := filepath.Join(t.TempDir(), "params-1.tgp")
 		if err := swapSeedModel(t, 3).SaveParamsFS(checkpoint.OS{}, path); err != nil {
 			t.Fatal(err)
 		}
 		served := make(chan int, 2)
-		hook := func() {
+		hook = func() {
 			code := make(chan int, 1)
 			go func() {
 				code <- recordJSON(t, s.Handler(), http.MethodPost, "/v1/embed",
@@ -406,11 +420,7 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 				served <- 0
 			}
 		}
-		build := s.newBackend
-		s.newBackend = func(m *tgat.Model) (backend, error) {
-			hook()
-			return build(m)
-		}
+		armed.Store(true)
 		if err := s.SwapParams(hookFS{FS: checkpoint.OS{}, hook: hook}, path, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -437,10 +447,10 @@ func TestBackendOneModelVersion(t *testing.T) {
 	const poisoned = 3
 	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
 		var armed atomic.Bool
-		s, ts := m.newServerWith(t, shard.Config{
-			WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+		s, ts := m.newServerWith(t, func(c *Config) {
+			c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
 				return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
-			},
+			}
 		})
 		ingest(t, ts.URL, shardTestEdges)
 		// check returns the scrape's unlabeled /metrics samples.

@@ -20,8 +20,7 @@ import (
 func batchedAndSerialServers(t *testing.T, cfg batcher.Config) (off, on *httptest.Server) {
 	t.Helper()
 	_, off = testServer(t)
-	sOn, on := testServer(t)
-	sOn.SetBatching(cfg)
+	_, on = testServerWith(t, func(c *Config) { c.Batching, c.Batch = true, cfg })
 	edges := []edgeJSON{
 		{Src: 1, Dst: 2, Time: 10}, {Src: 1, Dst: 3, Time: 20},
 		{Src: 2, Dst: 4, Time: 30}, {Src: 3, Dst: 5, Time: 40},

@@ -4,34 +4,13 @@ import (
 	"time"
 
 	"tgopt/internal/batcher"
-	"tgopt/internal/shard"
 	"tgopt/internal/stats"
 )
-
-// SetBatching enables cross-request dynamic micro-batching: /v1/embed
-// and /v1/score targets are enqueued into a batcher per core that fuses
-// concurrent requests into single engine passes (see package batcher).
-// Call before Handler, like SetLimits; it is not safe to toggle while
-// requests are in flight. A swap batches its new version alike.
-func (s *Server) SetBatching(cfg batcher.Config) {
-	s.batch = &cfg
-	s.cur.Load().backend.SetBatching(cfg)
-}
-
-// Batcher returns an unsharded server's batcher; nil when batching is
-// off, and in sharded mode, where every shard has its own.
-func (s *Server) Batcher() *batcher.Batcher {
-	if c, ok := s.cur.Load().backend.(*shard.Core); ok {
-		return c.Batcher()
-	}
-	return nil
-}
 
 // batchTotals is one scrape's view of the serving version's live
 // batchers: counters summed over cores, occupancy and queue wait merged
 // bucket by bucket.
 type batchTotals struct {
-	cfg batcher.Config
 	batcher.Snapshot
 	occupancy stats.CountHistogram
 	queueWait stats.Histogram
@@ -43,7 +22,7 @@ func newBatchTotals(b backend) *batchTotals {
 	if len(bs) == 0 {
 		return nil
 	}
-	t := &batchTotals{cfg: bs[0].Config()} // SetBatching gave every core the same
+	t := &batchTotals{}
 	for _, b := range bs {
 		t.Add(b.Stats())
 		t.occupancy.Merge(b.Occupancy())
@@ -52,10 +31,9 @@ func newBatchTotals(b backend) *batchTotals {
 	return t
 }
 
-// batchStats is the JSON rendering of the batchers' state on /v1/stats.
+// batchStats is the JSON rendering of the batchers' state on
+// /v1/stats; their window and size trigger are in its "config".
 type batchStats struct {
-	WindowMs      float64 `json:"window_ms"`
-	MaxBatch      int     `json:"max_batch"`
 	Enqueued      int64   `json:"enqueued"`
 	Coalesced     int64   `json:"coalesced"`
 	CoalesceRatio float64 `json:"coalesce_ratio"`
@@ -78,8 +56,6 @@ func (t *batchTotals) json() *batchStats {
 		return nil
 	}
 	return &batchStats{
-		WindowMs:      float64(t.cfg.Window) / float64(time.Millisecond),
-		MaxBatch:      t.cfg.MaxBatch,
 		Enqueued:      t.Enqueued,
 		Coalesced:     t.Coalesced,
 		CoalesceRatio: t.CoalesceRatio(),

@@ -12,9 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"tgopt/internal/batcher"
-	"tgopt/internal/core"
 )
 
 // stubWriter is a reusable http.ResponseWriter: its header map is
@@ -81,9 +78,7 @@ func TestServeRequestAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	m, dyn := testModelDyn(t)
-	s := New(m, dyn, core.OptAll())
-	s.SetBatching(batcher.Config{Window: batcher.DefaultWindow, MaxBatch: batcher.DefaultMaxBatch})
-	h := s.Handler()
+	h := newTestServer(t, m, dyn, func(c *Config) { c.Batching = true }).Handler()
 	seed := newReplay(h, "/v1/ingest", []byte(`{"edges":[{"src":1,"dst":2,"time":10},{"src":3,"dst":4,"time":20},{"src":2,"dst":5,"time":30}]}`))
 	seed.serve()
 	if seed.w.code != http.StatusOK {
@@ -262,7 +257,7 @@ func TestServeAbandonedRequestIsNotReused(t *testing.T) {
 	cur := s.cur.Load()
 	lag := laggingBackend{backend: cur.backend, release: make(chan struct{}), seen: make(chan []int32, 1)}
 	s.cur.Store(&published{model: cur.model, backend: lag})
-	s.SetLimits(Limits{Timeout: 20 * time.Millisecond})
+	s.cfg.Limits.Timeout = 20 * time.Millisecond // the seed ingest above ran without one
 	resp, _ := post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1, 2, 3}, Times: []float64{20, 20, 20}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)

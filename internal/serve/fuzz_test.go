@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -43,7 +42,9 @@ func fuzzIngestTarget(f *testing.F) (*Server, *httptest.Server) {
 		}
 		dyn := graph.NewDynamic(nodes)
 		dyn.SetLateness(100)
-		fuzzSrv = New(m, dyn, core.OptAll())
+		if fuzzSrv, err = NewFromConfig(m, dyn, testConfig()); err != nil {
+			f.Fatal(err)
+		}
 		fuzzTS = httptest.NewServer(fuzzSrv.Handler())
 	})
 	return fuzzSrv, fuzzTS

@@ -12,17 +12,12 @@ import (
 //     with every shard down is degraded, not dead, and restarting the
 //     process would only lose the warm caches.
 //   - GET /readyz (readiness): 200 only when the server should receive
-//     traffic: warm-start finished (SetReady), not draining
-//     (BeginDrain), and — in sharded mode — at least one shard is up.
+//     traffic: Start has warm-started, it is not draining (BeginDrain),
+//     and — in sharded mode — at least one shard is up.
 //
 // Both bypass the in-flight limit and deadline middleware: health
 // checks must answer while the serving path is saturated, which is
 // exactly when the orchestrator most needs the signal.
-
-// SetReady marks warm-start complete: /readyz starts answering 200.
-// Call it after WarmStart (and any other boot work) but before
-// accepting traffic matters.
-func (s *Server) SetReady() { s.ready.Store(true) }
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing new
 // requests here, without affecting requests already in flight. Call it

@@ -25,17 +25,6 @@ type Limits struct {
 	MaxInFlight int
 }
 
-// SetLimits configures the server's request bounds. Call it before
-// Handler; it is not safe to change limits while requests are in flight.
-func (s *Server) SetLimits(l Limits) {
-	s.limits = l
-	if l.MaxInFlight > 0 {
-		s.sem = make(chan struct{}, l.MaxInFlight)
-	} else {
-		s.sem = nil
-	}
-}
-
 // exemptFromLimits reports whether a request bypasses the in-flight
 // semaphore and deadline: observability endpoints must stay scrapeable
 // while the serving path is saturated, which is exactly when their data
@@ -62,14 +51,14 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 				s.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
 				httpError(w, http.StatusTooManyRequests,
-					"server saturated: %d requests in flight", s.limits.MaxInFlight)
+					"server saturated: %d requests in flight", s.cfg.Limits.MaxInFlight)
 				return
 			}
 		}
 		s.inflight.Add(1)
 		bw := getBufferedResponse()
 
-		if s.limits.Timeout <= 0 || exempt {
+		if s.cfg.Limits.Timeout <= 0 || exempt {
 			// Buffer even without a deadline so a panic mid-write still
 			// yields a clean 500 instead of a half-committed 200.
 			s.serveBuffered(next, bw, r, admitted)
@@ -78,7 +67,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 			return
 		}
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.limits.Timeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Limits.Timeout)
 		defer cancel()
 		r = r.WithContext(ctx)
 
@@ -99,7 +88,7 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 		case <-ctx.Done():
 			s.timeouts.Add(1)
 			httpError(w, http.StatusGatewayTimeout,
-				"request exceeded the %s deadline", s.limits.Timeout)
+				"request exceeded the %s deadline", s.cfg.Limits.Timeout)
 		}
 	})
 }

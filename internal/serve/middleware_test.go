@@ -15,8 +15,7 @@ import (
 )
 
 func TestServeMaxInFlightRejectsWith429(t *testing.T) {
-	s, ts := testServer(t)
-	s.SetLimits(Limits{MaxInFlight: 1})
+	s, ts := testServerWith(t, func(c *Config) { c.Limits = Limits{MaxInFlight: 1} })
 	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 2, Time: 1}})
 
 	// Occupy the single slot directly, then drive concurrent embed
@@ -91,8 +90,7 @@ func TestServeMaxInFlightRejectsWith429(t *testing.T) {
 }
 
 func TestServeTimeoutReturns504(t *testing.T) {
-	s, _ := testServer(t)
-	s.SetLimits(Limits{Timeout: 30 * time.Millisecond})
+	s, _ := testServerWith(t, func(c *Config) { c.Limits = Limits{Timeout: 30 * time.Millisecond} })
 	var sawDeadline atomic.Bool
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if _, ok := r.Context().Deadline(); ok {
@@ -127,8 +125,7 @@ func TestServeTimeoutReturns504(t *testing.T) {
 }
 
 func TestServeTimeoutFastRequestUnaffected(t *testing.T) {
-	s, ts := testServer(t)
-	s.SetLimits(Limits{Timeout: 5 * time.Second, MaxInFlight: 4})
+	s, ts := testServerWith(t, func(c *Config) { c.Limits = Limits{Timeout: 5 * time.Second, MaxInFlight: 4} })
 	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 2, Time: 1}})
 	resp, body := post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1}, Times: []float64{5}})
 	if resp.StatusCode != 200 {
@@ -150,8 +147,7 @@ func TestServePanicRecoveredTo500(t *testing.T) {
 	log.SetOutput(&bytes.Buffer{}) // silence the recovery stack trace
 	defer log.SetOutput(nil)
 	for _, timeout := range []time.Duration{0, time.Second} {
-		s, _ := testServer(t)
-		s.SetLimits(Limits{Timeout: timeout})
+		s, _ := testServerWith(t, func(c *Config) { c.Limits = Limits{Timeout: timeout} })
 		boom := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Write([]byte("partial output before the panic"))
 			panic("handler boom")
@@ -232,8 +228,7 @@ func afterLine(body, prefix string) string {
 }
 
 func TestServeStatsIncludesStageAndLimitFields(t *testing.T) {
-	s, ts := testServer(t)
-	s.SetLimits(Limits{Timeout: time.Minute, MaxInFlight: 8})
+	_, ts := testServerWith(t, func(c *Config) { c.Limits = Limits{Timeout: time.Minute, MaxInFlight: 8} })
 	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 2, Time: 1}})
 	post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1}, Times: []float64{5}})
 	resp, err := http.Get(ts.URL + "/v1/stats")

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -107,13 +106,13 @@ func serveOOOConvergence(t *testing.T, layers, total int) {
 	sort.Slice(rels, func(i, j int) bool { return rels[i].at < rels[j].at })
 
 	sortedDyn := graph.NewDynamic(nodes)
-	sortedSrv := New(m, sortedDyn, core.OptAll())
+	sortedSrv := newTestServer(t, m, sortedDyn, nil)
 	sortedTS := httptest.NewServer(sortedSrv.Handler())
 	t.Cleanup(sortedTS.Close)
 
 	oooDyn := graph.NewDynamic(nodes)
 	oooDyn.SetLateness(lateness)
-	oooSrv := New(m, oooDyn, core.OptAll())
+	oooSrv := newTestServer(t, m, oooDyn, nil)
 	oooTS := httptest.NewServer(oooSrv.Handler())
 	t.Cleanup(oooTS.Close)
 
@@ -253,7 +252,7 @@ func TestServeIngestLateEdgeInvalidatesStaleEmbedding(t *testing.T) {
 		if lateness > 0 {
 			dyn.SetLateness(lateness)
 		}
-		srv := New(m, dyn, core.OptAll())
+		srv := newTestServer(t, m, dyn, nil)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		return srv, ts
@@ -382,7 +381,7 @@ func TestServeStatsReportIngestSection(t *testing.T) {
 	m := oooModel(t, nodes, 64, dim)
 	dyn := graph.NewDynamic(nodes)
 	dyn.SetLateness(50)
-	srv := New(m, dyn, core.OptAll())
+	srv := newTestServer(t, m, dyn, nil)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -451,7 +450,7 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 	m := oooModelLayers(t, nodes, 64, dim, 3)
 	dyn := graph.NewDynamic(nodes)
 	dyn.SetLateness(50)
-	srv := New(m, dyn, core.OptAll())
+	srv := newTestServer(t, m, dyn, nil)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -534,7 +533,7 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 func TestServeIngestBeyondFeatureTableServes(t *testing.T) {
 	m := oooModel(t, 10, 2, 8) // feature table holds 2 edges + padding
 	dyn := graph.NewDynamic(10)
-	srv := New(m, dyn, core.OptAll())
+	srv := newTestServer(t, m, dyn, nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -43,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
@@ -55,16 +54,12 @@ import (
 type Server struct {
 	dyn *graph.Dynamic
 
+	// cfg is the validated configuration the server was built from, FS
+	// and Logf filled; every params version is built from it.
+	cfg Config
 	// cur is the params version serving. A request loads it once and
 	// runs wholly on it; SwapParams publishes a new one (swap.go).
 	cur atomic.Pointer[published]
-	// newBackend builds a backend over a model with the constructor and
-	// config the server booted with: one shard.Core over dyn (New) or a
-	// shard.Router of N cores over it (NewSharded). Nothing below the
-	// constructors depends on which. batch is the batching config
-	// SetBatching recorded (nil: off), which every version gets.
-	newBackend func(*tgat.Model) (backend, error)
-	batch      *batcher.Config
 
 	// wire formats /v1/embed rows (wire.go); it sits above the backend
 	// and outlives swaps, ingest and shard restarts unchanged.
@@ -83,10 +78,9 @@ type Server struct {
 	rollbacks    atomic.Int64
 	lastSwapUnix atomic.Int64
 
-	// Request bounds (SetLimits) and the middleware's counters: the
-	// admission semaphore, the live in-flight gauge, and totals for
-	// 429-rejected, 504-timed-out, and panic-500 requests.
-	limits   Limits
+	// The middleware's admission semaphore (nil: unlimited), the live
+	// in-flight gauge, and totals for 429-rejected, 504-timed-out, and
+	// panic-500 requests.
 	sem      chan struct{}
 	inflight atomic.Int64
 	rejected atomic.Int64
@@ -109,7 +103,7 @@ type Server struct {
 	unavailable   atomic.Int64
 
 	// Readiness state for /readyz (health.go): ready flips on once
-	// warm-start (or explicit SetReady) completes; draining flips on at
+	// Start has warm-started; draining flips on at
 	// shutdown so load balancers stop sending new work.
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -134,52 +128,32 @@ func (p *published) close() {
 	}
 }
 
-// newServer is the part of New and NewSharded that does not depend on
-// the backend: it publishes the boot version over model.
-func newServer(model *tgat.Model, dyn *graph.Dynamic, newBackend func(*tgat.Model) (backend, error)) (*Server, error) {
-	s := &Server{dyn: dyn, newBackend: newBackend, wire: newRowTextMemo(model.Cfg.NodeDim)}
-	p, err := s.build(model)
-	if err != nil {
-		return nil, err
-	}
-	s.cur.Store(p)
-	return s, nil
-}
-
-// build makes a version over m with the server's backend constructor,
-// batched as SetBatching asked.
+// build makes a version over m: one shard.Core over the server's
+// graph, or a shard.Router of cfg.Shards cores over it. Nothing below
+// it depends on which.
 func (s *Server) build(m *tgat.Model) (*published, error) {
-	b, err := s.newBackend(m)
+	if s.cfg.Shards == 1 {
+		return &published{model: m, backend: shard.NewCore(m, s.dyn, s.cfg.Engine, s.cfg.Config)}, nil
+	}
+	r, err := shard.NewRouter(m, s.dyn, s.cfg.Engine, s.cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	if s.batch != nil {
-		b.SetBatching(*s.batch)
-	}
-	return &published{model: m, backend: b}, nil
-}
-
-// New builds a server over a model and a (possibly pre-populated)
-// dynamic graph, computing on one shard.Core over that graph.
-func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
-	s, _ := newServer(model, dyn, func(m *tgat.Model) (backend, error) {
-		return shard.NewCore(m, dyn, opt), nil
-	}) // building a single core returns no error
-	return s
+	return &published{model: m, backend: r}, nil
 }
 
 // Engine exposes the serving version's TGOpt engine (cache persistence,
 // introspection). Nil in sharded mode — use Router then.
 func (s *Server) Engine() *core.Engine {
 	if c, ok := s.cur.Load().backend.(*shard.Core); ok {
-		return c.Engine()
+		return c.Engines()[0]
 	}
 	return nil
 }
 
 // Close stops a sharded server's supervisor, so no shard restarts after
-// it returns; an unsharded server has nothing to stop. Call it after the
-// HTTP server has drained. The error is always nil.
+// it returns; an unsharded server has nothing to stop. Start's stop
+// calls it. The error is always nil.
 func (s *Server) Close() error {
 	s.cur.Load().close()
 	return nil
@@ -623,6 +597,8 @@ type statsResponse struct {
 	Model    modelStats            `json:"model"`
 	Stages   map[string]stageStats `json:"stages"`
 	Batching *batchStats           `json:"batching,omitempty"`
+	// Config is the value of every serving knob (config.go).
+	Config configStats `json:"config"`
 	// Shards reports per-shard crash/restart state and the router's
 	// failover/degradation counters in sharded mode.
 	Shards *shard.RouterStats `json:"shards,omitempty"`
@@ -690,6 +666,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Model:    s.modelStatsJSON(cur.model),
 		Stages:   et.stageStatsJSON(),
 		Batching: newBatchTotals(cur.backend).json(),
+		Config:   s.cfg.stats(),
 		Shards:   shards,
 	}
 	if shards != nil {

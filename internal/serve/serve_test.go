@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -38,10 +37,37 @@ func testModelDyn(t *testing.T) (*tgat.Model, *graph.Dynamic) {
 	return m, graph.NewDynamic(nodes)
 }
 
-func testServer(t *testing.T) (*Server, *httptest.Server) {
+// testConfig is DefaultConfig for tests: one unbatched core and no
+// request limits; each test turns on what it exercises.
+func testConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Batching, cfg.Limits = false, Limits{}
+	return cfg
+}
+
+// newTestServer builds a server over m and dyn from testConfig as set
+// changes it (set may be nil), closed when the test ends.
+func newTestServer(t testing.TB, m *tgat.Model, dyn *graph.Dynamic, set func(*Config)) *Server {
+	t.Helper()
+	cfg := testConfig()
+	if set != nil {
+		set(&cfg)
+	}
+	s, err := NewFromConfig(m, dyn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func testServer(t *testing.T) (*Server, *httptest.Server) { return testServerWith(t, nil) }
+
+// testServerWith is testServer over a configuration set changes.
+func testServerWith(t *testing.T, set func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	m, dyn := testModelDyn(t)
-	s := New(m, dyn, core.OptAll())
+	s := newTestServer(t, m, dyn, set)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -4,26 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"tgopt/internal/core"
-	"tgopt/internal/graph"
 	"tgopt/internal/shard"
-	"tgopt/internal/tgat"
 )
-
-// NewSharded builds a server whose serving plane is partitioned into
-// cfg.Shards fault-isolated engine shards behind a scatter-gather
-// router (package shard): every shard's engine samples dyn and keeps
-// its private memo caches, the router routes around a crashed shard,
-// and a supervisor restarts it from its last snapshot.
-// /v1/ingest writes dyn, and the router runs each accepted edge's
-// invalidation on every shard. opt is the same engine option set New
-// takes — per-shard cache capacities are derived from it so total
-// footprint matches the unsharded deployment.
-func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg shard.Config) (*Server, error) {
-	return newServer(model, dyn, func(m *tgat.Model) (backend, error) {
-		return shard.NewRouter(m, dyn, opt, cfg)
-	})
-}
 
 // Router exposes the serving version's shard router in sharded mode (nil
 // otherwise).
@@ -31,10 +13,6 @@ func (s *Server) Router() *shard.Router {
 	r, _ := s.cur.Load().backend.(*shard.Router)
 	return r
 }
-
-// Sharded reports whether this server scatter-gathers across a shard
-// pool.
-func (s *Server) Sharded() bool { return s.Router() != nil }
 
 // shardHealth snapshots the pool's per-shard crash/restart state and
 // the router's failover/degradation counters — what a Router

@@ -25,15 +25,7 @@ import (
 // two serving planes.
 func shardedServer(t *testing.T, cfg shard.Config) (*Server, *httptest.Server) {
 	t.Helper()
-	m, dyn := testModelDyn(t)
-	s, err := NewSharded(m, dyn, core.OptAll(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return testServerWith(t, func(c *Config) { c.Config = cfg })
 }
 
 var shardTestEdges = []edgeJSON{
@@ -62,8 +54,7 @@ func waitForServe(t *testing.T, timeout time.Duration, cond func() bool) {
 // and under concurrent identical requests through per-shard batchers.
 func TestServeShardedEquivalence(t *testing.T) {
 	_, off := testServer(t)
-	sOn, on := shardedServer(t, shard.Config{Shards: 4})
-	sOn.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32})
+	sOn, on := shardedServer(t, shard.Config{Shards: 4, Batching: true, Batch: batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32}})
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)
 
@@ -321,16 +312,19 @@ func (c crashEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 }
 
 // crashedPool is a 2-shard server whose router is closed, so a crashed
-// shard stays down, and whose shards crash in id order as down rises.
-func crashedPool(t *testing.T, snapDir string) (*Server, *httptest.Server, *atomic.Int32) {
+// shard stays down, and whose shards crash in id order as down rises;
+// set configures the rest (nil: nothing).
+func crashedPool(t *testing.T, set func(*Config)) (*Server, *httptest.Server, *atomic.Int32) {
 	t.Helper()
 	down := new(atomic.Int32)
-	s, ts := shardedServer(t, shard.Config{
-		Shards:      2,
-		SnapshotDir: snapDir,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+	s, ts := testServerWith(t, func(c *Config) {
+		if set != nil {
+			set(c)
+		}
+		c.Shards = 2
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
 			return crashEmbedder{Embedder: e, id: int32(id), down: down}
-		},
+		}
 	})
 	ingest(t, ts.URL, shardTestEdges)
 	s.Router().Close()
@@ -347,8 +341,8 @@ func TestServeHealthEndpoints(t *testing.T) {
 	})
 
 	t.Run("no-shard-up", func(t *testing.T) {
-		s, ts, down := crashedPool(t, "")
-		s.SetReady()
+		s, ts, down := crashedPool(t, nil)
+		s.Start()
 		req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
 
 		// Shard 0 crashes on its first leg; shard 1 answers for both.
@@ -392,12 +386,20 @@ func TestServeHealthEndpoints(t *testing.T) {
 // snapshotter books it in snapshot_errors, never in snapshots.
 func TestServeSnapshotWithNoShardUpFails(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, down := crashedPool(t, dir)
+	var failed atomic.Int64
+	s, ts, down := crashedPool(t, func(c *Config) {
+		c.CacheFile, c.SnapshotInterval = dir, 5*time.Millisecond
+		c.Logf = func(format string, args ...any) {
+			if strings.Contains(fmt.Sprintf(format, args...), shard.ErrNoShardUp.Error()) {
+				failed.Add(1)
+			}
+		}
+	})
 	req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
 	if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != 200 {
 		t.Fatalf("warm embed: code %d err %v", code, err)
 	}
-	if err := s.SaveSnapshot(dir); err != nil {
+	if err := s.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	down.Store(2)
@@ -405,20 +407,17 @@ func TestServeSnapshotWithNoShardUpFails(t *testing.T) {
 	if s.Router().Stats().Healthy != 0 {
 		t.Fatal("a shard is still up")
 	}
-	if err := s.SaveSnapshot(dir); !errors.Is(err, shard.ErrNoShardUp) {
+	if err := s.SaveSnapshot(); !errors.Is(err, shard.ErrNoShardUp) {
 		t.Fatalf("SaveSnapshot with no shard up = %v, want ErrNoShardUp", err)
 	}
 
 	var before statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &before)
-	var failed atomic.Int64
-	stop := s.StartSnapshots(dir, 5*time.Millisecond, func(format string, args ...any) {
-		if strings.Contains(fmt.Sprintf(format, args...), shard.ErrNoShardUp.Error()) {
-			failed.Add(1)
-		}
-	})
+	stop := s.Start() // the snapshotter's ticks find no shard up
 	waitForServe(t, 5*time.Second, func() bool { return failed.Load() > 0 })
-	stop()
+	if err := stop(); !errors.Is(err, shard.ErrNoShardUp) {
+		t.Fatalf("final save with no shard up = %v, want ErrNoShardUp", err)
+	}
 	var after statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &after)
 	if after.Snapshots != before.Snapshots {
@@ -430,7 +429,7 @@ func TestServeSnapshotWithNoShardUpFails(t *testing.T) {
 }
 
 // readyzLifecycle is the /healthz and /readyz contract that does not
-// depend on shard health: not ready until SetReady, not ready again
+// depend on shard health: not ready until Start, not ready again
 // once draining, alive throughout.
 func readyzLifecycle(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
 	s, ts := mk("")
@@ -438,11 +437,11 @@ func readyzLifecycle(t *testing.T, _ backendMode, mk func(string) (*Server, *htt
 		t.Fatalf("/healthz = %d, want 200", code)
 	}
 	if code := getCode(t, ts.URL+"/readyz"); code != 503 {
-		t.Fatalf("/readyz before SetReady = %d, want 503", code)
+		t.Fatalf("/readyz before Start = %d, want 503", code)
 	}
-	s.SetReady()
+	s.Start()
 	if code := getCode(t, ts.URL+"/readyz"); code != 200 {
-		t.Fatalf("/readyz after SetReady = %d, want 200", code)
+		t.Fatalf("/readyz after Start = %d, want 200", code)
 	}
 	s.BeginDrain()
 	resp, err := http.Get(ts.URL + "/readyz")

@@ -7,23 +7,18 @@ import (
 	"time"
 )
 
-// WarmStart loads the cache snapshot a previous process saved: the
-// file at path, or in sharded mode each shard's own under the router's
-// snapshot directory. A missing snapshot is a normal cold start; a
-// corrupt or unreadable one, or one computed from other parameters or
-// features, is logged and also starts cold — the engine's LoadCaches is
-// all-or-nothing, so a refused snapshot never half-populates a cache.
-// Of an accepted snapshot the engine keeps the rows whose window the
-// graph still gives them. A serving process must come up either way,
-// which is why no error is returned. ingestMu keeps ingests out while
-// the load re-samples those windows.
-func (s *Server) WarmStart(path string, logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// warmStart loads the cache snapshot a previous process saved to
+// CacheFile. A missing snapshot is a normal cold start; a corrupt or
+// unreadable one, or one computed from other parameters or features, is
+// logged and also starts cold — the engine's LoadCaches is
+// all-or-nothing. Of an accepted snapshot the engine keeps the rows
+// whose window the graph still gives them. ingestMu keeps ingests out
+// while the load re-samples those windows.
+func (s *Server) warmStart() {
+	path, logf := s.cfg.CacheFile, s.cfg.Logf
 	s.ingestMu.Lock()
 	b := s.cur.Load().backend
-	warmed, err := b.WarmStart(path)
+	warmed, err := b.WarmStart()
 	s.ingestMu.Unlock()
 	switch {
 	case err == nil:
@@ -46,32 +41,22 @@ func (s *Server) CacheLen() (n int) {
 	return n
 }
 
-// SaveSnapshot writes the cache snapshot WarmStart reads: the single
-// engine's at path, or one per shard in the router's snapshot
-// directory. Saves go through the atomic checkpoint writer, so a crash
-// mid-snapshot (or a snapshot racing ingestion) always leaves the
-// previous snapshot intact on disk.
-func (s *Server) SaveSnapshot(path string) error { return s.cur.Load().backend.SaveSnapshot(path) }
+// SaveSnapshot writes the cache snapshot warmStart reads: the single
+// engine's to the CacheFile, or one per shard in that directory. Saves
+// go through the atomic checkpoint writer, so a crash mid-snapshot (or
+// a snapshot racing ingestion) always leaves the previous snapshot
+// intact on disk.
+func (s *Server) SaveSnapshot() error { return s.cur.Load().backend.SaveSnapshot() }
 
-// StartSnapshots begins periodic background SaveSnapshot calls to path
-// and returns a stop function that halts the snapshotter and waits for
-// any in-progress save. Failures are counted (snapshot_errors in
-// /v1/stats) and logged, never fatal.
-func (s *Server) StartSnapshots(path string, interval time.Duration, logf func(format string, args ...any)) (stop func()) {
-	if path == "" || interval <= 0 {
-		return func() {}
+// snapshotTick is one background save. Failures are counted
+// (snapshot_errors in /v1/stats) and logged, never fatal.
+func (s *Server) snapshotTick() {
+	if err := s.SaveSnapshot(); err != nil {
+		s.snapshotErrors.Add(1)
+		s.cfg.Logf("cache snapshot to %s failed: %v", s.cfg.CacheFile, err)
+	} else {
+		s.snapshotSaves.Add(1)
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return every(interval, func() {
-		if err := s.SaveSnapshot(path); err != nil {
-			s.snapshotErrors.Add(1)
-			logf("cache snapshot to %s failed: %v", path, err)
-		} else {
-			s.snapshotSaves.Add(1)
-		}
-	})
 }
 
 // every runs tick on its own goroutine once per interval — the
@@ -79,11 +64,9 @@ func (s *Server) StartSnapshots(path string, interval time.Duration, logf func(f
 // is called. stop waits out a tick in progress and may be called more
 // than once.
 func every(interval time.Duration, tick func()) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -95,11 +78,8 @@ func every(interval time.Duration, tick func()) (stop func()) {
 			}
 		}
 	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-		})
-	}
+	return sync.OnceFunc(func() {
+		close(done)
+		<-exited
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,22 +43,24 @@ func warmCache(t *testing.T, s *Server, url string) {
 	}
 }
 
-// TestServeWarmStartRoundTrip: what SaveSnapshot writes, WarmStart of a
+// TestServeWarmStartRoundTrip: what SaveSnapshot writes, the Start of a
 // second process in the same mode restores — one file for a single
 // core, a directory of per-shard snapshots for a pool.
 func TestServeWarmStartRoundTrip(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+	forEachBackend(t, func(t *testing.T, m backendMode, mk func(string) (*Server, *httptest.Server)) {
 		path := filepath.Join(t.TempDir(), "cache.bin")
 		s, ts := mk(path)
 		warmCache(t, s, ts.URL)
-		if err := s.SaveSnapshot(path); err != nil {
+		if err := s.SaveSnapshot(); err != nil {
 			t.Fatal(err)
 		}
 
-		s2, ts2 := mk(path)
-		ingest(t, ts2.URL, snapshotEdges())
 		var lines []string
-		s2.WarmStart(path, func(f string, a ...any) { lines = append(lines, f) })
+		s2, ts2 := m.newServerWith(t, func(c *Config) {
+			c.CacheFile, c.Logf = path, func(f string, a ...any) { lines = append(lines, f) }
+		})
+		ingest(t, ts2.URL, snapshotEdges())
+		s2.Start()
 		if got, want := s2.CacheLen(), s.CacheLen(); got != want {
 			t.Fatalf("warm start restored %d entries, want %d (log: %v)", got, want, lines)
 		}
@@ -154,14 +157,14 @@ func TestServeWarmStartMatchesColdServer(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "cache.bin")
 			s, url := boot(path, tc.saved, "")
 			embed(url)
-			if err := s.SaveSnapshot(path); err != nil {
+			if err := s.SaveSnapshot(); err != nil {
 				t.Fatal(err)
 			}
 			if tc.craft != nil {
 				tc.craft(t, path)
 			}
 			s2, url2 := boot(path, tc.boot, tc.params)
-			s2.WarmStart(path, nil)
+			s2.Start()
 			if warm := s2.CacheLen() > 0; warm != tc.warm {
 				t.Fatalf("%s: warm start restored %d entries, want a warm start = %v", tc.name, s2.CacheLen(), tc.warm)
 			}
@@ -217,10 +220,12 @@ func TestServeWarmStartColdOnMissingAndCorrupt(t *testing.T) {
 		{"garbage", garbage},
 		{"bit-flipped", flipped},
 	} {
-		s2, ts2 := testServer(t)
-		ingest(t, ts2.URL, snapshotEdges())
 		logged := 0
-		s2.WarmStart(tc.path, func(string, ...any) { logged++ })
+		s2, ts2 := testServerWith(t, func(c *Config) {
+			c.CacheFile, c.Logf = tc.path, func(string, ...any) { logged++ }
+		})
+		ingest(t, ts2.URL, snapshotEdges())
+		s2.Start()
 		if s2.Engine().CacheLen() != 0 {
 			t.Fatalf("%s: cache not cold after failed warm start (%d entries)", tc.name, s2.Engine().CacheLen())
 		}
@@ -231,10 +236,10 @@ func TestServeWarmStartColdOnMissingAndCorrupt(t *testing.T) {
 }
 
 func TestServeStartSnapshotsWritesLoadableSnapshot(t *testing.T) {
-	s, ts := testServer(t)
-	warmCache(t, s, ts.URL)
 	path := filepath.Join(t.TempDir(), "cache.bin")
-	stop := s.StartSnapshots(path, 5*time.Millisecond, nil)
+	s, ts := testServerWith(t, func(c *Config) { c.CacheFile, c.SnapshotInterval = path, 5*time.Millisecond })
+	warmCache(t, s, ts.URL)
+	stop := s.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.snapshotSaves.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -274,11 +279,16 @@ func TestServeStartSnapshotsWritesLoadableSnapshot(t *testing.T) {
 // writes must stay fully loadable (the per-shard counts are taken
 // under the shard locks).
 func TestServeSnapshotsDuringIngest(t *testing.T) {
-	s, ts := testServer(t)
 	path := filepath.Join(t.TempDir(), "cache.bin")
-	stop := s.StartSnapshots(path, time.Millisecond, func(f string, a ...any) {
-		t.Errorf("snapshot failure: "+f, a...)
+	s, ts := testServerWith(t, func(c *Config) {
+		c.CacheFile, c.SnapshotInterval = path, time.Millisecond
+		c.Logf = func(f string, a ...any) {
+			if strings.HasPrefix(f, "cache snapshot to") {
+				t.Errorf("snapshot failure: "+f, a...)
+			}
+		}
 	})
+	stop := s.Start()
 	edges := snapshotEdges()
 	for i, e := range edges {
 		ingest(t, ts.URL, []edgeJSON{e})
@@ -289,13 +299,23 @@ func TestServeSnapshotsDuringIngest(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	stop()
 	if s.snapshotSaves.Load() == 0 {
+		stop()
 		t.Skip("no snapshot fired during the run")
+	}
+	// The last background snapshot, before stop's final save replaces it.
+	during := filepath.Join(t.TempDir(), "during.bin")
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = os.WriteFile(during, raw, 0o644)
+	}
+	stop()
+	if err != nil {
+		t.Fatal(err)
 	}
 	s2, ts2 := testServer(t)
 	ingest(t, ts2.URL, edges)
-	if err := s2.Engine().LoadCaches(path); err != nil {
+	if err := s2.Engine().LoadCaches(during); err != nil {
 		t.Fatalf("snapshot taken during ingest not loadable: %v", err)
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // This file is the serving side of the online-learning loop (DESIGN.md
 // §15): SwapParams publishes a new params version built from a
-// published parameter snapshot, and StartSwapLoop runs the background
-// cadence — either fine-tuning locally and publishing, or watching a
+// published parameter snapshot, and swapTick is the background loop
+// Start runs — either fine-tuning locally and publishing, or watching a
 // swap directory another process publishes into.
 
 // modelStats is the /v1/stats "model" section.
@@ -79,15 +79,15 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	return nil
 }
 
-// SwapConfig configures the background swap loop.
+// SwapConfig configures the background swap loop. Every tick failure
+// is logged and non-fatal: a fine-tune that cannot run (stream too
+// short), a publish that cannot land, or a swap rejected on a corrupt
+// snapshot all leave the current version serving.
 type SwapConfig struct {
 	// Dir is the swap directory (params-<version>.tgp + CURRENT).
 	Dir string
-	// Interval is the tick cadence (must be > 0).
+	// Interval is the tick cadence; 0 runs no loop.
 	Interval time.Duration
-	// FS overrides the swap-directory file system (default
-	// checkpoint.OS); fault tests inject faultfs.
-	FS checkpoint.FS
 	// Train selects the loop's role. True: fine-tune a clone of the
 	// serving model on the watermarked prefix of the live stream each
 	// tick, publish it into Dir, and swap to it. False: watch Dir's
@@ -96,43 +96,27 @@ type SwapConfig struct {
 	Train bool
 	// Trainer configures the fine-tune when Train is set.
 	Trainer trainer.Config
-	// Logf receives swap events. Optional.
-	Logf func(format string, args ...any)
-}
-
-// StartSwapLoop runs the online-learning loop in the background and
-// returns a stop function that quiesces it (waiting out an in-progress
-// tick). Every tick failure is logged and non-fatal: a fine-tune that
-// cannot run (stream too short), a publish that cannot land, or a swap
-// rejected on a corrupt snapshot all leave the current version serving.
-func (s *Server) StartSwapLoop(cfg SwapConfig) (stop func()) {
-	if cfg.FS == nil {
-		cfg.FS = checkpoint.OS{}
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	return every(cfg.Interval, func() { s.swapTick(cfg) })
 }
 
 // swapTick is one loop iteration: train-publish-swap, or poll-swap.
-func (s *Server) swapTick(cfg SwapConfig) {
+func (s *Server) swapTick() {
+	cfg, fsys, logf := s.cfg.Swap, s.cfg.FS, s.cfg.Logf
 	if !cfg.Train {
-		v, path, err := swap.Latest(cfg.FS, cfg.Dir)
+		v, path, err := swap.Latest(fsys, cfg.Dir)
 		if err != nil {
 			if !errors.Is(err, fs.ErrNotExist) {
-				cfg.Logf("swap: manifest read: %v", err)
+				logf("swap: manifest read: %v", err)
 			}
 			return // nothing published yet
 		}
 		if v == s.cur.Load().model.Version() {
 			return
 		}
-		if err := s.SwapParams(cfg.FS, path, v); err != nil {
-			cfg.Logf("%v", err)
+		if err := s.SwapParams(fsys, path, v); err != nil {
+			logf("%v", err)
 			return
 		}
-		cfg.Logf("swap: picked up published params v%d from %s", v, cfg.Dir)
+		logf("swap: picked up published params v%d from %s", v, cfg.Dir)
 		return
 	}
 
@@ -143,24 +127,24 @@ func (s *Server) swapTick(cfg SwapConfig) {
 	m := s.cur.Load().model
 	clone, res, err := swap.FineTune(m, s.dyn, cfg.Trainer)
 	if err != nil {
-		cfg.Logf("swap: fine-tune skipped: %v", err)
+		logf("swap: fine-tune skipped: %v", err)
 		return
 	}
 	version := m.Version() + 1
-	if v, _, lerr := swap.Latest(cfg.FS, cfg.Dir); lerr == nil && v >= version {
+	if v, _, lerr := swap.Latest(fsys, cfg.Dir); lerr == nil && v >= version {
 		version = v + 1 // never republish an existing version number
 	}
-	if err := swap.Publish(cfg.FS, cfg.Dir, clone, version); err != nil {
-		cfg.Logf("swap: publish v%d: %v", version, err)
+	if err := swap.Publish(fsys, cfg.Dir, clone, version); err != nil {
+		logf("swap: publish v%d: %v", version, err)
 		return
 	}
-	if err := s.SwapParams(cfg.FS, swap.ParamsPath(cfg.Dir, version), version); err != nil {
-		cfg.Logf("%v", err)
+	if err := s.SwapParams(fsys, swap.ParamsPath(cfg.Dir, version), version); err != nil {
+		logf("%v", err)
 		return
 	}
 	loss := 0.0
 	if len(res.EpochLoss) > 0 {
 		loss = res.EpochLoss[len(res.EpochLoss)-1]
 	}
-	cfg.Logf("swap: fine-tuned (loss %.4f, val AP %.4f) and swapped to v%d", loss, res.ValAP, version)
+	logf("swap: fine-tuned (loss %.4f, val AP %.4f) and swapped to v%d", loss, res.ValAP, version)
 }

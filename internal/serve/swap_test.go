@@ -20,7 +20,6 @@ import (
 	"tgopt/internal/core"
 	"tgopt/internal/faultfs"
 	"tgopt/internal/graph"
-	"tgopt/internal/shard"
 	"tgopt/internal/swap"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -103,9 +102,7 @@ func recordJSON(t *testing.T, h http.Handler, method, path string, body, out any
 // take (so comparisons are exact bitwise, encoding included).
 func swapRefRows(t *testing.T, seed uint64) ([][]float32, []float64) {
 	t.Helper()
-	s := New(swapSeedModel(t, seed), swapSeedDyn(t), core.OptAll())
-	t.Cleanup(func() { s.Close() })
-	h := s.Handler()
+	h := newTestServer(t, swapSeedModel(t, seed), swapSeedDyn(t), nil).Handler()
 	var er embedResponse
 	if code := recordJSON(t, h, http.MethodPost, "/v1/embed", embedRequest{Nodes: swapQueryNodes, Times: swapQueryTimes}, &er); code != 200 {
 		t.Fatalf("ref embed: %d", code)
@@ -165,23 +162,13 @@ func postE(url string, body any) (int, []byte, error) {
 }
 
 // buildSwapServer builds the server under test over the shared fixture:
-// single-engine when shards == 0, a shard pool otherwise.
-func buildSwapServer(t *testing.T, m *tgat.Model, shards int) (*Server, *httptest.Server) {
+// single-engine when shards == 0, a shard pool otherwise, with the swap
+// loop swap configures (a zero SwapConfig: none).
+func buildSwapServer(t *testing.T, m *tgat.Model, shards int, swap SwapConfig) (*Server, *httptest.Server) {
 	t.Helper()
-	opt := core.OptAll()
-	var (
-		s   *Server
-		err error
-	)
-	if shards > 0 {
-		s, err = NewSharded(m, swapSeedDyn(t), opt, shard.Config{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		s = New(m, swapSeedDyn(t), opt)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := newTestServer(t, m, swapSeedDyn(t), func(c *Config) {
+		c.Shards, c.Swap = max(1, shards), swap
+	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -223,7 +210,7 @@ func runSwapEquiv(t *testing.T, shards int) {
 		t.Fatal(err)
 	}
 
-	srv, ts := buildSwapServer(t, swapSeedModel(t, 2), shards)
+	srv, ts := buildSwapServer(t, swapSeedModel(t, 2), shards, SwapConfig{})
 
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
@@ -370,7 +357,7 @@ func runSwapEquiv(t *testing.T, shards int) {
 // were, and the attempt is counted.
 func TestServeSwapRollbackOnCorruptSnapshot(t *testing.T) {
 	rowsA, _ := swapRefRows(t, 2)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0, SwapConfig{})
 
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "params-bad.tgp")
@@ -409,11 +396,9 @@ func TestServeSwapRollbackOnCorruptSnapshot(t *testing.T) {
 // restart.
 func TestServeSwapLoopPicksUpPublished(t *testing.T) {
 	rowsB, _ := swapRefRows(t, 9)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
-
 	dir := t.TempDir()
-	stopLoop := srv.StartSwapLoop(SwapConfig{Dir: dir, Interval: 2 * time.Millisecond})
-	defer stopLoop()
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0, SwapConfig{Dir: dir, Interval: 2 * time.Millisecond})
+	defer srv.Start()()
 
 	if err := swap.Publish(checkpoint.OS{}, dir, swapSeedModel(t, 9), 3); err != nil {
 		t.Fatal(err)
@@ -435,14 +420,12 @@ func TestServeSwapLoopPicksUpPublished(t *testing.T) {
 // it in — and the served rows move off the boot params.
 func TestServeSwapLoopTrainerRole(t *testing.T) {
 	rowsA, _ := swapRefRows(t, 2)
-	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0)
-
 	tcfg := trainer.DefaultConfig()
 	tcfg.Epochs = 1
 	tcfg.BatchSize = 16
 	dir := t.TempDir()
-	stopLoop := srv.StartSwapLoop(SwapConfig{Dir: dir, Interval: 5 * time.Millisecond, Train: true, Trainer: tcfg})
-	defer stopLoop()
+	srv, _ := buildSwapServer(t, swapSeedModel(t, 2), 0, SwapConfig{Dir: dir, Interval: 5 * time.Millisecond, Train: true, Trainer: tcfg})
+	defer srv.Start()()
 
 	waitForServe(t, 30*time.Second, func() bool { return srv.ModelVersion() >= 1 })
 	v, _, err := swap.Latest(checkpoint.OS{}, dir)
@@ -479,7 +462,7 @@ var swapBackendEmbed = embedRequest{
 // after a swap to that seed, must answer byte for byte.
 func swapRefBody(t *testing.T, seed uint64, edges []edgeJSON, path string, req any) []byte {
 	t.Helper()
-	s := New(swapSeedModel(t, seed), graph.NewDynamic(20), core.OptAll())
+	s := newTestServer(t, swapSeedModel(t, seed), graph.NewDynamic(20), nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	ingest(t, ts.URL, edges)
@@ -589,10 +572,10 @@ func TestRestartAfterSwapServesCurrentVersion(t *testing.T) {
 	path := saveSeed(t, 9, "params-5.tgp")
 	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
 		var armed atomic.Bool
-		s, ts := m.newServerWith(t, shard.Config{
-			WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+		s, ts := m.newServerWith(t, func(c *Config) {
+			c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
 				return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
-			},
+			}
 		})
 		ingest(t, ts.URL, shardTestEdges)
 		if _, code, err := postBody(ts.URL, "/v1/embed", swapBackendEmbed); err != nil || code != http.StatusOK {
@@ -750,13 +733,13 @@ func TestServeSwapIngestPublishOrdering(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
 		s, ts := mk("")
 		s.dyn.SetLateness(lateness)
-		boot := s.cur.Load()
-		s.cur.Store(&published{model: boot.model, backend: slowApply{boot.backend}})
-		build := s.newBackend
-		s.newBackend = func(m *tgat.Model) (backend, error) {
-			b, err := build(m)
-			return slowApply{b}, err
+		// Every version serves through slowApply: the boot one, and each
+		// one a swap publishes, wrapped before the next swap.
+		slow := func() {
+			cur := s.cur.Load()
+			s.cur.Store(&published{model: cur.model, backend: slowApply{cur.backend}})
 		}
+		slow()
 		ingest(t, ts.URL, shardTestEdges)
 		rng := rand.New(rand.NewSource(5))
 		clock := 100.0
@@ -816,6 +799,7 @@ func TestServeSwapIngestPublishOrdering(t *testing.T) {
 			if err := s.SwapParams(checkpoint.OS{}, paths[seed], uint64(round)); err != nil {
 				t.Fatal(err)
 			}
+			slow()
 			time.Sleep(3 * time.Millisecond)
 			close(stop)
 			wg.Wait()
@@ -823,7 +807,7 @@ func TestServeSwapIngestPublishOrdering(t *testing.T) {
 				t.Fatal(*err)
 			}
 
-			ref := New(swapSeedModel(t, seed), s.dyn, core.OptAll())
+			ref := newTestServer(t, swapSeedModel(t, seed), s.dyn, nil)
 			refTS := httptest.NewServer(ref.Handler())
 			for _, q := range []struct {
 				path string

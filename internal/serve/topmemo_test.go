@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"tgopt/internal/batcher"
-	"tgopt/internal/core"
 	"tgopt/internal/graph"
-	"tgopt/internal/shard"
 )
 
 func getStats(t *testing.T, url string) statsResponse {
@@ -38,20 +36,14 @@ func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			m, dyn := testModelDyn(t)
 			dyn.SetLateness(100)
-			var s *Server
-			switch mode {
-			case "sharded":
-				var err error
-				if s, err = NewSharded(m, dyn, core.OptAll(), shard.Config{Shards: 2}); err != nil {
-					t.Fatal(err)
+			s := newTestServer(t, m, dyn, func(c *Config) {
+				switch mode {
+				case "sharded":
+					c.Shards = 2
+				case "batched":
+					c.Batching, c.Batch = true, batcher.Config{Window: time.Millisecond, MaxBatch: 64}
 				}
-			default:
-				s = New(m, dyn, core.OptAll())
-				if mode == "batched" {
-					s.SetBatching(batcher.Config{Window: time.Millisecond, MaxBatch: 64})
-				}
-			}
-			t.Cleanup(func() { s.Close() })
+			})
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(ts.Close)
 

@@ -240,9 +240,9 @@ func TestChaosRestartFromSnapshot(t *testing.T) {
 			var mode, victim atomic.Int32
 			victim.Store(-1)
 			r := newTestRouter(t, m, edges, Config{
-				Shards:      3,
-				SnapshotDir: dir,
-				FS:          ffs,
+				Shards:    3,
+				CacheFile: dir,
+				FS:        ffs,
 				WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
 					return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode}
 				},
@@ -253,7 +253,7 @@ func TestChaosRestartFromSnapshot(t *testing.T) {
 			if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.SaveSnapshot(dir); err != nil {
+			if err := r.SaveSnapshot(); err != nil {
 				t.Fatal(err)
 			}
 			if corrupt {

@@ -36,27 +36,35 @@ type Core struct {
 	eng *core.Engine
 	emb core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
 	bat *batcher.Batcher
+	cfg Config // the snapshot file is cfg.CacheFile
 }
 
-// NewCore builds an engine over dyn. An engine over a live graph always
+// NewCore builds an engine over dyn, batched and snapshotting as cfg
+// says (cfg.Shards is not read). An engine over a live graph always
 // keeps the per-node key index, so edge invalidation is targeted rather
 // than a full cache clear — even on a purely chronological stream, where
 // an append must selectively drop memos served at *future* timestamps
 // whose sampled windows it lands in (core.Engine.InvalidateEdge).
-func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Core {
-	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
-	eng := core.NewEngine(model, sampler, opt)
-	return &Core{eng: eng, emb: eng}
+func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config) *Core {
+	return newCore(model, dyn, opt, cfg.WithDefaults(), 0)
 }
 
-// Engine returns the core's engine (cache persistence, introspection).
-func (c *Core) Engine() *core.Engine { return c.eng }
+// newCore is NewCore for shard id, whose cfg has its defaults.
+func newCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config, id int) *Core {
+	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
+	eng := core.NewEngine(model, sampler, opt)
+	c := &Core{eng: eng, emb: eng, cfg: cfg}
+	if cfg.WrapEmbedder != nil {
+		c.emb = cfg.WrapEmbedder(id, c.emb)
+	}
+	if cfg.Batching {
+		c.bat = batcher.New(c.emb, eng.Dim(), cfg.Batch)
+	}
+	return c
+}
 
 // Engines returns the one engine, in the shape a pool reports its many.
 func (c *Core) Engines() []*core.Engine { return []*core.Engine{c.eng} }
-
-// Batcher returns the core's batcher, or nil when batching is off.
-func (c *Core) Batcher() *batcher.Batcher { return c.bat }
 
 // Batchers returns the batcher when batching is on, in the shape a pool
 // reports its many.
@@ -65,13 +73,6 @@ func (c *Core) Batchers() []*batcher.Batcher {
 		return nil
 	}
 	return []*batcher.Batcher{c.bat}
-}
-
-// SetBatching routes EmbedRows through a micro-batcher that fuses
-// concurrent requests into shared engine passes (package batcher). Call
-// before traffic; it is not safe to toggle while requests are in flight.
-func (c *Core) SetBatching(cfg batcher.Config) {
-	c.bat = batcher.New(c.emb, c.eng.Dim(), cfg)
 }
 
 // EmbedRows computes the embeddings of the targets as one slab, row i
@@ -126,14 +127,19 @@ func (c *Core) Apply(e graph.Edge, res graph.IngestResult) int {
 	return c.eng.InvalidateEdge(e.Src, e.Dst, e.Time)
 }
 
-// SaveSnapshot writes the engine's memo caches to path through the
-// atomic checkpoint writer.
-func (c *Core) SaveSnapshot(path string) error { return c.eng.SaveCaches(path) }
+// SaveSnapshot writes the engine's memo caches to Config.CacheFile
+// through the atomic checkpoint writer.
+func (c *Core) SaveSnapshot() error {
+	if c.cfg.CacheFile == "" {
+		return fmt.Errorf("shard: no cache file configured")
+	}
+	return c.eng.SaveCachesFS(c.cfg.FS, c.cfg.CacheFile)
+}
 
-// WarmStart loads a snapshot SaveSnapshot wrote, all-or-nothing, and
+// WarmStart loads the snapshot SaveSnapshot wrote, all-or-nothing, and
 // reports how many cores it warmed (one, or none with the error).
-func (c *Core) WarmStart(path string) (int, error) {
-	if err := c.eng.LoadCaches(path); err != nil {
+func (c *Core) WarmStart() (int, error) {
+	if err := c.eng.LoadCachesFS(c.cfg.FS, c.cfg.CacheFile); err != nil {
 		return 0, err
 	}
 	return 1, nil

@@ -37,7 +37,7 @@ func TestCoreDirectPassCancelAndPanic(t *testing.T) {
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
 
-	c := NewCore(m, seededDynamic(t, edges), core.OptAll())
+	c := NewCore(m, seededDynamic(t, edges), core.OptAll(), Config{})
 	gate := &gateEmbedder{Embedder: c.emb, entered: make(chan struct{}, 1), open: make(chan struct{})}
 	var armed atomic.Bool
 	c.emb = &panicEmbedder{Embedder: gate, armed: armed.Load}
@@ -78,8 +78,8 @@ func TestCoreDirectPassCancelAndPanic(t *testing.T) {
 	}
 }
 
-// TestRouterSetBatchingCoversRestartedCores: SetBatching batches every
-// core the pool has and every core the supervisor builds later.
+// TestRouterSetBatchingCoversRestartedCores: Config.Batching batches
+// every core the pool has and every core the supervisor builds later.
 func TestRouterSetBatchingCoversRestartedCores(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(60)
@@ -89,14 +89,15 @@ func TestRouterSetBatchingCoversRestartedCores(t *testing.T) {
 	var victim atomic.Int64 // the shard that panics; -1 = none
 	victim.Store(-1)
 	r := newTestRouter(t, m, edges, Config{
-		Shards: 3,
+		Shards:   3,
+		Batching: true,
+		Batch:    batcher.Config{Window: time.Millisecond, MaxBatch: 64},
 		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
 			return &panicEmbedder{Embedder: e, armed: func() bool { return victim.Load() == int64(id) }}
 		},
 	})
-	r.SetBatching(batcher.Config{Window: time.Millisecond, MaxBatch: 64})
 	if n := len(r.Batchers()); n != 3 {
-		t.Fatalf("%d batchers after SetBatching, want one per shard", n)
+		t.Fatalf("%d batchers with Config.Batching, want one per shard", n)
 	}
 
 	crashed := r.Owner(nodes[0])

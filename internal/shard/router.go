@@ -22,28 +22,34 @@ import (
 // hint.
 var ErrNoShardUp = errors.New("shard: no shard is up")
 
-// Config sizes the shard pool.
+// Config is the compute plane's part of a serving configuration;
+// serve.Config embeds it.
 type Config struct {
-	// Shards is the number of failure domains (>= 2; a single-engine
-	// deployment holds one Core directly).
+	// Shards is the number of engines: 1 serves one Core, >= 2 a
+	// Router (NewRouter refuses fewer).
 	Shards int
-	// SnapshotDir, when non-empty, is where the per-shard cache
-	// snapshots (shard-N.tgc) live, each carrying the digest of the
-	// inputs its rows read and each row's window tag.
-	SnapshotDir string
+	// Batching puts a batcher configured by Batch in front of every
+	// engine (a target always hashes to the same primary, so it meets
+	// its duplicates in one engine's passes and memo).
+	Batching bool
+	Batch    batcher.Config
+	// CacheFile is where the memo caches snapshot: a Core's file, or a
+	// Router's directory of per-shard snapshots (shard-N.tgc). Empty:
+	// none.
+	CacheFile string
 	// FS overrides the snapshot file system (default checkpoint.OS);
 	// fault tests inject faultfs.FS.
 	FS checkpoint.FS
 	// WrapEmbedder, when non-nil, wraps each shard's engine before a
-	// batcher is attached — the chaos tests use it to inject panics
-	// into exactly one failure domain.
+	// batcher is attached; the chaos tests inject panics with it.
 	WrapEmbedder func(shard int, e core.Embedder) core.Embedder
-	// Logf receives supervisor events (crashes, restarts, snapshot
+	// Logf receives serving events (crashes, restarts, snapshot
 	// problems). Optional.
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the optional FS and Logf.
+func (c Config) WithDefaults() Config {
 	if c.FS == nil {
 		c.FS = checkpoint.OS{}
 	}
@@ -72,9 +78,6 @@ type Router struct {
 	opt   core.Options   // per-shard options (cache limits already divided)
 	cfg   Config
 	dim   int
-	// batch is the per-core batcher config SetBatching recorded, nil
-	// while batching is off; supervisor rebuilds read it.
-	batch *batcher.Config
 
 	ring   *ring
 	shards []*Shard
@@ -115,9 +118,9 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("shard: need at least 2 shards, got %d", cfg.Shards)
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if opt.CacheLimit <= 0 {
-		opt.CacheLimit = 2_000_000 // engine default, divided below
+		opt.CacheLimit = core.OptAll().CacheLimit // the engine's default, divided below
 	}
 	opt.CacheLimit = max(1, opt.CacheLimit/cfg.Shards)
 	r := &Router{
@@ -129,8 +132,8 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 		ring:  newRing(cfg.Shards),
 	}
 	r.rebuildDone.L = &r.rebuildMu
-	if cfg.SnapshotDir != "" {
-		if err := cfg.FS.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
+	if cfg.CacheFile != "" {
+		if err := cfg.FS.MkdirAll(cfg.CacheFile, 0o755); err != nil {
 			return nil, fmt.Errorf("shard: snapshot dir: %w", err)
 		}
 	}
@@ -155,26 +158,7 @@ func (r *Router) buildCore(id int) (c *Core, err error) {
 			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
 		}
 	}()
-	c = NewCore(r.model, r.dyn, r.opt)
-	if r.cfg.WrapEmbedder != nil {
-		c.emb = r.cfg.WrapEmbedder(id, c.emb)
-	}
-	if r.batch != nil {
-		c.SetBatching(*r.batch)
-	}
-	return c, nil
-}
-
-// SetBatching gives every core its own batcher (targets always hash to
-// the same primary, so a repeated target meets its duplicates in one
-// engine's passes and memo) and records cfg for the cores supervisor
-// restarts build.
-// Call before traffic, like Core.SetBatching.
-func (r *Router) SetBatching(cfg batcher.Config) {
-	r.batch = &cfg
-	for _, s := range r.shards {
-		s.currentCore().SetBatching(cfg)
-	}
+	return newCore(r.model, r.dyn, r.opt, r.cfg, id), nil
 }
 
 // Dim returns the embedding width of gathered rows.
@@ -387,7 +371,7 @@ func (r *Router) Stats() RouterStats {
 	for _, s := range r.shards {
 		st.Shards = append(st.Shards, s.status())
 	}
-	if r.batch != nil {
+	if r.cfg.Batching {
 		agg := &batcher.Snapshot{}
 		for _, b := range r.Batchers() {
 			agg.Add(b.Stats())

@@ -207,8 +207,7 @@ func TestRouterBatchedMatchesUnsharded(t *testing.T) {
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
 
-	r := newTestRouter(t, m, edges, Config{Shards: 4})
-	r.SetBatching(batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 64})
+	r := newTestRouter(t, m, edges, Config{Shards: 4, Batching: true, Batch: batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 64}})
 
 	const reqs = 16
 	errs := make(chan error, reqs)
@@ -369,7 +368,7 @@ func TestRouterRoutesAroundCrashedOwner(t *testing.T) {
 	edges := testEdges(30)
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
-	r := newTestRouter(t, m, edges, Config{Shards: 3, SnapshotDir: t.TempDir()})
+	r := newTestRouter(t, m, edges, Config{Shards: 3, CacheFile: t.TempDir()})
 	r.Close() // no supervisor: a crashed shard stays down
 
 	owner := r.Owner(nodes[0])
@@ -398,7 +397,7 @@ func TestRouterRoutesAroundCrashedOwner(t *testing.T) {
 	if _, err := r.Embed(context.Background(), nodes, ts); !errors.Is(err, ErrNoShardUp) {
 		t.Fatalf("embed with no shard up: err = %v, want ErrNoShardUp", err)
 	}
-	if err := r.SaveSnapshot(""); !errors.Is(err, ErrNoShardUp) {
+	if err := r.SaveSnapshot(); !errors.Is(err, ErrNoShardUp) {
 		t.Fatalf("snapshot with no shard up: err = %v, want ErrNoShardUp", err)
 	}
 	if st := r.Stats(); st.SnapshotSaves != 0 || st.Healthy != 0 {
@@ -486,11 +485,11 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	nodes, ts := embedQuery()
 	dir := t.TempDir()
 
-	r1 := newTestRouter(t, m, edges, Config{Shards: 3, SnapshotDir: dir})
+	r1 := newTestRouter(t, m, edges, Config{Shards: 3, CacheFile: dir})
 	if _, err := r1.Embed(context.Background(), nodes, ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.SaveSnapshot(dir); err != nil {
+	if err := r1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if r1.CacheLen() == 0 {
@@ -501,8 +500,8 @@ func TestRouterSnapshotRoundTrip(t *testing.T) {
 	// snapshot predates them, so WarmStart must replay invalidation.
 	extra := []graph.Edge{{Src: 1, Dst: 5, Time: 850}, {Src: 3, Dst: 9, Time: 950}}
 	all := append(append([]graph.Edge(nil), edges...), extra...)
-	r2 := newTestRouter(t, m, all, Config{Shards: 3, SnapshotDir: dir})
-	if warmed, _ := r2.WarmStart(dir); warmed != 3 {
+	r2 := newTestRouter(t, m, all, Config{Shards: 3, CacheFile: dir})
+	if warmed, _ := r2.WarmStart(); warmed != 3 {
 		t.Fatalf("warmed %d shards, want 3", warmed)
 	}
 	want := referenceSlab(t, m, all, nodes, ts)
@@ -540,7 +539,7 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 		return core.NewEngine(m, graph.NewDynamicSampler(dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), core.OptAll()).Embed(nodes, ts).Data()
 	}
 	router := func() *Router {
-		r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 2, SnapshotDir: dir})
+		r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 2, CacheFile: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +550,7 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 	if _, err := r1.Embed(context.Background(), nodes, ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.SaveSnapshot(dir); err != nil {
+	if err := r1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// A second process boots on the snapshot's stream, absorbs the later
@@ -564,7 +563,7 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 	if slices.Equal(want, fresh(edges)) {
 		t.Fatal("the late edge changed no asked row: the test exercises no invalidation")
 	}
-	if warmed, _ := r2.WarmStart(dir); warmed != 2 {
+	if warmed, _ := r2.WarmStart(); warmed != 2 {
 		t.Fatalf("warmed %d shards, want 2", warmed)
 	}
 	res, err := r2.Embed(context.Background(), nodes, ts)
@@ -608,13 +607,13 @@ func TestRouterRestartReplaysFromWatermark(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 3, SnapshotDir: dir})
+	r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 3, CacheFile: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
 	poolSlab(t, r, nodes, ts) // warm
-	if err := r.SaveSnapshot(dir); err != nil {
+	if err := r.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, r, late)
@@ -674,9 +673,9 @@ func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			r1 := newTestRouter(t, m, edges, Config{Shards: 2, SnapshotDir: dir})
+			r1 := newTestRouter(t, m, edges, Config{Shards: 2, CacheFile: dir})
 			poolSlab(t, r1, nodes, ts)
-			if err := r1.SaveSnapshot(dir); err != nil {
+			if err := r1.SaveSnapshot(); err != nil {
 				t.Fatal(err)
 			}
 			for i := range r1.shards {
@@ -700,8 +699,8 @@ func TestRouterSnapshotRefusesUntrustedSidecar(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			r2 := newTestRouter(t, m, edges, Config{Shards: 2, SnapshotDir: dir})
-			if warmed, err := r2.WarmStart(dir); warmed != 0 || !errors.Is(err, fs.ErrNotExist) {
+			r2 := newTestRouter(t, m, edges, Config{Shards: 2, CacheFile: dir})
+			if warmed, err := r2.WarmStart(); warmed != 0 || !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("WarmStart = %d, %v; want 0 shards and a cold start", warmed, err)
 			}
 			if st := r2.Stats(); st.SnapshotLoads != 0 || st.SnapshotErrors != 2 {

@@ -108,18 +108,16 @@ func (r *Router) restartOnce(s *Shard) bool {
 
 // snapshotPath returns a shard's cache snapshot path.
 func (r *Router) snapshotPath(id int) string {
-	return filepath.Join(r.cfg.SnapshotDir, fmt.Sprintf("shard-%d.tgc", id))
+	return filepath.Join(r.cfg.CacheFile, fmt.Sprintf("shard-%d.tgc", id))
 }
 
-// SaveSnapshot persists every live shard's memo caches under
-// Config.SnapshotDir — fixed at construction because supervisor
-// restarts read it, so the path a single Core would write to is not
-// consulted. Each snapshot carries the digest of the parameters and
-// features its rows read, and each row its window's tag
-// (core.Engine.SaveCachesFS). With no shard up it writes nothing and
-// returns ErrNoShardUp.
-func (r *Router) SaveSnapshot(_ string) error {
-	if r.cfg.SnapshotDir == "" {
+// SaveSnapshot persists every live shard's memo caches under the
+// Config.CacheFile directory, which supervisor restarts read back. Each
+// snapshot carries the digest of the parameters and features its rows
+// read, and each row its window's tag (core.Engine.SaveCachesFS). With
+// no shard up it writes nothing and returns ErrNoShardUp.
+func (r *Router) SaveSnapshot() error {
+	if r.cfg.CacheFile == "" {
 		return fmt.Errorf("shard: no snapshot dir configured")
 	}
 	var first error
@@ -144,14 +142,11 @@ func (r *Router) SaveSnapshot(_ string) error {
 	return first
 }
 
-// WarmStart loads every shard's snapshot from Config.SnapshotDir at
-// boot (before traffic). Missing snapshots cold-start silently; corrupt
-// ones are logged, counted and cold-start. Returns the number of shards
-// warmed, and fs.ErrNotExist when that is none.
-func (r *Router) WarmStart(_ string) (warmed int, err error) {
-	if r.cfg.SnapshotDir == "" {
-		return 0, fmt.Errorf("shard: no snapshot dir configured: %w", fs.ErrNotExist)
-	}
+// WarmStart loads every shard's snapshot from the Config.CacheFile
+// directory at boot (before traffic). Missing snapshots cold-start
+// silently; corrupt ones are logged, counted and cold-start. Returns
+// the number of shards warmed, and fs.ErrNotExist when that is none.
+func (r *Router) WarmStart() (warmed int, err error) {
 	// An Apply must not land between a row's re-sample and its index
 	// record.
 	r.ingestMu.Lock()
@@ -162,7 +157,7 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 		}
 	}
 	if warmed == 0 {
-		return 0, fmt.Errorf("shard: no loadable snapshot under %s: %w", r.cfg.SnapshotDir, fs.ErrNotExist)
+		return 0, fmt.Errorf("shard: no loadable snapshot under %s: %w", r.cfg.CacheFile, fs.ErrNotExist)
 	}
 	return warmed, nil
 }
@@ -175,7 +170,7 @@ func (r *Router) WarmStart(_ string) (warmed int, err error) {
 // depends on the snapshot). Callers hold ingestMu, so no Apply lands
 // while the load re-samples.
 func (r *Router) loadSnapshot(id int, c *Core) bool {
-	if r.cfg.SnapshotDir == "" {
+	if r.cfg.CacheFile == "" {
 		return false
 	}
 	if err := c.eng.LoadCachesFS(r.cfg.FS, r.snapshotPath(id)); err != nil {

@@ -20,14 +20,14 @@ nontest() { ls "$1"/*.go | grep -v _test.go; }
 # scope WORD...: the Go files a gate reads. "all" is every .go file,
 # tests included; "nontest" every non-test .go file; a directory its
 # non-test .go files, subdirectories included; a file itself; "-FILE"
-# drops FILE from the list.
+# drops FILE from the list, "-DIR" every .go file under DIR.
 scope() {
     local w files=() drop=()
     for w in "$@"; do
         case $w in
             all) files+=($(find . -name '*.go' -not -path './.git/*')) ;;
             nontest) files+=($(find . -name '*.go' ! -name '*_test.go' -not -path './.git/*')) ;;
-            -*) drop+=("${w#-}") ;;
+            -*) w=${w#-}; if [ -d "$w" ]; then drop+=($(find "$w" -name '*.go')); else drop+=("$w"); fi ;;
             *) if [ -d "$w" ]; then files+=($(find "$w" -name '*.go' ! -name '*_test.go')); else files+=("$w"); fi ;;
         esac
     done
@@ -69,6 +69,9 @@ one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-ou
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
 one time encoding pass (the engine encodes Δt in the layer tile: no delta slab, no fork-join of its own)	-E	encodeDeltas|\.EncodeIntoWith\(	internal/core -internal/core/timetable.go	internal/core encodes Δt outside the layer pass again
+one default (every serving default is written in serve.DefaultConfig; the batcher declares its own)	-E	batcher\.Default(Window|MaxBatch)	all -./benchmark	a serving default is restated outside serve.DefaultConfig	1
+one constructor (serve.NewFromConfig builds every server; New, NewSharded and SetBatching serve benchmark/ alone)	-E	serve\.New\(|NewSharded\(|\.SetBatching\(	all -./benchmark -./internal/serve/benchcompat.go	a server is built or batched outside NewFromConfig
+one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal/serve/*.go -./internal/serve/benchcompat.go	package serve builds a server outside NewFromConfig
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 GATES
 [ "$gates_failed" = 0 ] || exit 1
