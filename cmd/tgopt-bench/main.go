@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 
+	"tgopt/internal/core"
 	"tgopt/internal/dataset"
 	"tgopt/internal/experiments"
 	"tgopt/internal/tensor"
@@ -54,7 +55,7 @@ func main() {
 	deviceFlag := fs.String("device", "cpu", "cpu or gpu (simulated accelerator)")
 	ds := fs.String("d", "", "restrict to one dataset (default: experiment-appropriate set)")
 	cacheLimit := fs.Int("cache-limit", 0, "cache item limit (0 = paper's 2M scaled)")
-	window := fs.Int("time-window", 10000, "precomputed time-encoding window")
+	window := fs.Int("time-window", core.DefaultTimeWindow, "precomputed time-encoding window")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	plotDir := fs.String("plot", "", "also write figure SVGs into this directory")
 	csvDir := fs.String("csv", "", "also write machine-readable result CSVs into this directory")

@@ -42,7 +42,7 @@ func main() {
 	optCache := flag.Bool("opt-cache", false, "enable embedding memoization")
 	optTime := flag.Bool("opt-time", false, "enable precomputed time encodings")
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
-	window := flag.Int("time-window", 10000, "time-encoding window")
+	window := flag.Int("time-window", core.DefaultTimeWindow, "time-encoding window")
 	gpu := flag.Bool("gpu", false, "price the run on the simulated accelerator")
 	showStats := flag.Bool("stats", false, "print per-op wall time, items and calls, and the cache hit rate, items and size")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")

@@ -66,7 +66,7 @@ func main() {
 
 	setup := experiments.Setup{
 		Scale: *scale, NodeDim: *dim, Heads: *heads, Layers: *layers,
-		K: *k, TimeWindow: 10_000, Seed: 1, CacheLimit: *cacheLimit,
+		K: *k, TimeWindow: cfg.Engine.TimeWindow, Seed: 1, CacheLimit: *cacheLimit,
 	}
 	cfg.Engine.CacheLimit = *cacheLimit
 	if *cacheLimit == 0 {

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"tgopt/internal/checkpoint"
+	"tgopt/internal/core"
 	"tgopt/internal/experiments"
 	"tgopt/internal/swap"
 	"tgopt/internal/trainer"
@@ -51,7 +52,7 @@ func main() {
 
 	setup := experiments.Setup{
 		Scale: *scale, BatchSize: *batch, NodeDim: *dim, Heads: *heads,
-		Layers: *layers, K: *k, Seed: *seed, TimeWindow: 10_000,
+		Layers: *layers, K: *k, Seed: *seed, TimeWindow: core.DefaultTimeWindow,
 	}
 	wl, err := experiments.LoadWorkload(*name, setup)
 	if err != nil {

@@ -328,16 +328,17 @@ func (b *Batcher) runPass(c *cohort) {
 	b.occupancy.Observe(int64(nm))
 }
 
-// Snapshot is a point-in-time copy of the batcher's counters.
+// Snapshot is a point-in-time copy of the batcher's counters, named as
+// /v1/stats reports them.
 type Snapshot struct {
-	Enqueued    int64 // targets enqueued
-	Coalesced   int64 // targets that joined a cohort another request opened
-	Batches     int64 // fused passes completed
-	FlushSize   int64 // flushes triggered by MaxBatch
-	FlushWindow int64 // flushes triggered by the window timer
-	FlushIdle   int64 // flushes by the idle fast path
-	FlushDrain  int64 // flushes draining the queue after a pass
-	Panics      int64 // recovered fused-pass panics
+	Enqueued    int64 `json:"enqueued"`     // targets enqueued
+	Coalesced   int64 `json:"coalesced"`    // targets that joined a cohort another request opened
+	Batches     int64 `json:"batches"`      // fused passes completed
+	FlushSize   int64 `json:"flush_size"`   // flushes triggered by MaxBatch
+	FlushWindow int64 `json:"flush_window"` // flushes triggered by the window timer
+	FlushIdle   int64 `json:"flush_idle"`   // flushes by the idle fast path
+	FlushDrain  int64 `json:"flush_drain"`  // flushes draining the queue after a pass
+	Panics      int64 `json:"panics"`       // recovered fused-pass panics
 }
 
 // CoalesceRatio is the fraction of enqueued targets that rode in a pass

@@ -26,25 +26,34 @@ type Options struct {
 	// EnableTimePrecompute turns on the §4.3 precomputed time encodings.
 	EnableTimePrecompute bool `json:"time_precompute"`
 
-	// CacheLimit bounds the total cached embeddings (default 2,000,000,
-	// the paper's setting); each takes a 4·NodeDim-byte row and a
-	// 24-byte slot of its layer's slab (Cache.UsedBytes), allocated as
-	// the cache fills. Under CacheTinyLFU a cache shard that reaches
-	// half its share of the limit also builds its admission sketch, 8
-	// bytes per slot of that share rounded up to a power of two (16 MiB
-	// across the shards of a 2,000,000-entry cache); a cache that stays
-	// below half builds none. With more than one cached layer the limit
-	// is divided across per-layer caches in proportion to expected
-	// lookup traffic (SplitCacheLimit).
+	// CacheLimit bounds the total cached embeddings (default
+	// DefaultCacheLimit, the paper's setting); each takes a
+	// 4·NodeDim-byte row and a 24-byte slot of its layer's slab
+	// (Cache.UsedBytes), allocated as the cache fills. Under
+	// CacheTinyLFU a cache shard that reaches half its share of the
+	// limit also builds its admission sketch, 8 bytes per slot of that
+	// share rounded up to a power of two (16 MiB across the shards of a
+	// 2,000,000-entry cache); a cache that stays below half builds
+	// none. With more than one cached layer the limit is divided across
+	// per-layer caches in proportion to expected lookup traffic
+	// (SplitCacheLimit).
 	CacheLimit int `json:"cache_limit"`
 	// CachePolicy picks the cache eviction policy. The zero value is
 	// CacheTinyLFU — sketch-based admission that keeps heavy hitters
 	// resident under skewed reuse; CacheFIFO restores the paper's
 	// original policy.
 	CachePolicy CachePolicy `json:"cache_policy"`
-	// TimeWindow is the precomputed Δt window (default 10,000).
+	// TimeWindow is the precomputed Δt window (default
+	// DefaultTimeWindow).
 	TimeWindow int `json:"time_window"`
 }
+
+// The paper's default settings: the cache's item limit and the
+// precomputed Δt window. OptAll and every unset Options field take them.
+const (
+	DefaultCacheLimit = 2_000_000
+	DefaultTimeWindow = 10_000
+)
 
 // OptAll returns Options with all three optimizations enabled at the
 // paper's default settings.
@@ -53,17 +62,17 @@ func OptAll() Options {
 		EnableDedup:          true,
 		EnableCache:          true,
 		EnableTimePrecompute: true,
-		CacheLimit:           2_000_000,
-		TimeWindow:           10_000,
+		CacheLimit:           DefaultCacheLimit,
+		TimeWindow:           DefaultTimeWindow,
 	}
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheLimit <= 0 {
-		o.CacheLimit = 2_000_000
+		o.CacheLimit = DefaultCacheLimit
 	}
 	if o.TimeWindow <= 0 {
-		o.TimeWindow = 10_000
+		o.TimeWindow = DefaultTimeWindow
 	}
 	return o
 }

@@ -52,7 +52,7 @@ func (s Setup) EffectiveCacheLimit() int {
 	if s.CacheLimit > 0 {
 		return s.CacheLimit
 	}
-	lim := int(2_000_000 * s.Scale)
+	lim := int(core.DefaultCacheLimit * s.Scale)
 	if lim < 1024 {
 		lim = 1024
 	}

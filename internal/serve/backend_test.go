@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,7 +21,6 @@ import (
 	"tgopt/internal/batcher"
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
-	"tgopt/internal/shard"
 )
 
 // backendMode is one of the four configurations every handler-level
@@ -168,13 +167,115 @@ func metricFamilies(t *testing.T, url string) map[string]bool {
 	return sampled
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// scrapeBoth reads /v1/stats and then /metrics from one server and
+// holds them to metricTable: every row's samples are the /v1/stats
+// fields it names, units converted, and /metrics carries no other
+// sample. Only tgopt_requests_total moves between the two reads, by the
+// /metrics request itself. No figure is reported twice: the shards
+// section carries neither batching nor model_version, and the top level
+// no partial_responses. It returns both reads, the /metrics samples
+// keyed by name and labels.
+func scrapeBoth(t *testing.T, url string) (statsResponse, map[string]float64) {
+	t.Helper()
+	get := func(path string) []byte {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	sort.Strings(keys)
-	return keys
+	stats := get("/v1/stats")
+	var snap map[string]any
+	var sr statsResponse
+	if err := errors.Join(json.Unmarshal(stats, &snap), json.Unmarshal(stats, &sr)); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(get("/metrics"))), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			got[f[0]], _ = strconv.ParseFloat(f[1], 64)
+		}
+	}
+
+	want := map[string]float64{}
+	for _, m := range metricTable {
+		cols := make([][]sample, len(m.fields))
+		for i, f := range m.fields {
+			if cols[i] = samples(snap, f); len(cols[i]) != len(cols[0]) {
+				t.Fatalf("%s: field %s reads %d samples, its first field %d", m.name, f, len(cols[i]), len(cols[0]))
+			}
+		}
+		for j, s := range cols[0] {
+			if len(cols) == 1 {
+				want[m.name+braced(s.labels)] = s.value
+				continue
+			}
+			for i, q := range []string{"0.5", "0.9", "0.99"} {
+				want[m.name+"{"+joinLabel(s.labels, "quantile", q)+"}"] = cols[i][j].value
+			}
+			want[m.name+"_sum"+braced(s.labels)] = cols[3][j].value
+			want[m.name+"_count"+braced(s.labels)] = cols[4][j].value
+		}
+	}
+	want["tgopt_requests_total"]++
+	for _, k := range sortedKeys(want) {
+		if v, ok := got[k]; !ok || v != want[k] {
+			t.Errorf("/metrics %s = %v (present %v), /v1/stats field says %v", k, v, ok, want[k])
+		}
+	}
+	for _, k := range sortedKeys(got) {
+		if _, ok := want[k]; !ok {
+			t.Errorf("/metrics sample %s is no metricTable row's", k)
+		}
+	}
+
+	// The units and the one negation, computed here from the typed read.
+	direct := map[string]float64{
+		"tgopt_wire_rows_total": float64(sr.Wire.Rows),
+		`tgopt_stage_latency_seconds{stage="attention",quantile="0.9"}`: sr.Stages["attention"].P90us / 1e6,
+		`tgopt_stage_latency_seconds_sum{stage="attention"}`:            sr.Stages["attention"].TotalMs / 1e3,
+		`tgopt_stage_latency_seconds_count{stage="attention"}`:          float64(sr.Stages["attention"].Count),
+	}
+	for _, l := range sr.CacheLayers {
+		direct[fmt.Sprintf(`tgopt_cache_layer_index_records{layer="%d"}`, l.Layer)] = float64(l.IndexRecords)
+	}
+	if b := sr.Batching; b != nil {
+		direct[`tgopt_batch_queue_wait_seconds{quantile="0.9"}`] = b.QueueWaitP90 / 1e6
+		direct["tgopt_batch_queue_wait_seconds_sum"] = b.QueueWaitSum / 1e6
+		direct["tgopt_batch_occupancy_count"] = float64(b.OccupancyCount)
+	}
+	if p := sr.Shards; p != nil {
+		direct["tgopt_shards"] = float64(len(p.Shards))
+		for _, sh := range p.Shards {
+			up := 1.0
+			if sh.Crashed {
+				up = 0
+			}
+			direct[fmt.Sprintf(`tgopt_shard_up{shard="%d"}`, sh.ID)] = up
+		}
+	}
+	for k, v := range direct {
+		if got[k] != v {
+			t.Errorf("/metrics %s = %v, want %v", k, got[k], v)
+		}
+	}
+
+	if _, ok := snap["partial_responses"]; ok {
+		t.Error("/v1/stats repeats partial_responses at the top level")
+	}
+	if pool, ok := snap["shards"].(map[string]any); ok {
+		for _, k := range []string{"batching", "model_version"} {
+			if _, ok := pool[k]; ok {
+				t.Errorf("/v1/stats shards section repeats %s", k)
+			}
+		}
+	}
+	return sr, got
 }
 
 // TestBackendMetricsAndStatsShape: /metrics parses and /v1/stats has
@@ -182,12 +283,12 @@ func sortedKeys[V any](m map[string]V) []string {
 // ones the mode names — the batching section and tgopt_batch_* families
 // exactly when batching is on (sharded or not: they used to vanish
 // under -shards), the shards section and shard-health families exactly
-// when there is a pool — and shards.batching is the top-level section's
-// counters. The wire section agrees with the tgopt_wire_* series and,
-// sitting above the backend, reads the same in every mode; each cached
-// layer's index_records agrees with its tgopt_cache_layer_index_records.
-// And /metrics keeps README's contract: every family some backend emits
-// is named in README.md, and every name README.md lists is emitted.
+// when there is a pool. Every /metrics sample is the /v1/stats field
+// its metricTable row names (scrapeBoth). The wire section, sitting
+// above the backend, reads the same in every mode, and every cached
+// layer holds index records. And /metrics keeps README's contract:
+// every family some backend emits is named in README.md, and every name
+// README.md lists is emitted.
 func TestBackendMetricsAndStatsShape(t *testing.T) {
 	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
@@ -253,16 +354,6 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 			if top.Enqueued == 0 || top.Batches == 0 {
 				t.Errorf("batching section not live: %+v", top)
 			}
-			if m.shards > 0 {
-				var pool shard.RouterStats
-				if err := json.Unmarshal(st["shards"], &pool); err != nil {
-					t.Fatal(err)
-				}
-				if b := pool.Batching; b == nil || b.Enqueued != top.Enqueued || b.Coalesced != top.Coalesced ||
-					b.Batches != top.Batches || b.Panics != top.Panics {
-					t.Errorf("shards.batching %+v differs from batching %+v", b, top)
-				}
-			}
 		}
 		// hit_rate is the cache section's hits per lookup.
 		var hitRate float64
@@ -276,33 +367,16 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		if cache.Lookups == 0 || hitRate != float64(cache.Hits)/float64(cache.Lookups) {
 			t.Errorf("hit_rate %v, cache hits %d / lookups %d", hitRate, cache.Hits, cache.Lookups)
 		}
-		var wire wireStats
-		if err := json.Unmarshal(st["wire"], &wire); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		rows, _ := strconv.ParseInt(afterLine(buf.String(), "tgopt_wire_rows_total "), 10, 64)
-		hits, _ := strconv.ParseInt(afterLine(buf.String(), "tgopt_wire_row_text_hits_total "), 10, 64)
-		if (wireStats{rows, hits}) != wire {
-			t.Errorf("/metrics wire rows %d, row-text hits %d; /v1/stats wire %+v", rows, hits, wire)
-		}
-		if wire.Rows != 36 || wire.RowTextHits < 12 {
+		sr, _ := scrapeBoth(t, ts.URL)
+		if wire := sr.Wire; wire.Rows != 36 || wire.RowTextHits < 12 {
 			t.Errorf("wire %+v after three 12-row embeds, the second a repeat of the first: want 36 rows, >= 12 hits", wire)
 		}
-		var layers []core.LayerCacheStats
-		if err := json.Unmarshal(st["cache_layers"], &layers); err != nil || len(layers) == 0 {
-			t.Fatalf("cache_layers %s: %v", st["cache_layers"], err)
+		if len(sr.CacheLayers) == 0 {
+			t.Fatal("no cache_layers section")
 		}
-		for _, ls := range layers {
-			series := afterLine(buf.String(), fmt.Sprintf("tgopt_cache_layer_index_records{layer=%q} ", strconv.Itoa(ls.Layer)))
-			if n, err := strconv.Atoi(series); err != nil || n != ls.IndexRecords || n == 0 {
-				t.Errorf("layer %d: /metrics index records %q, /v1/stats %d; want equal and nonzero", ls.Layer, series, ls.IndexRecords)
+		for _, ls := range sr.CacheLayers {
+			if ls.IndexRecords == 0 {
+				t.Errorf("layer %d holds no index records", ls.Layer)
 			}
 		}
 
@@ -437,12 +511,12 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 
 // TestBackendOneModelVersion: the params version is a property of the
 // published model, so every place that reports it — Server.ModelVersion,
-// /v1/stats model.version and shards.model_version, tgopt_model_version
-// and each live engine — reads one number: at boot, after a swap, and
-// after the supervisor has rebuilt crashed shards on the swapped model.
-// /v1/stats and /metrics agree on the counters each reports, and a
-// swap restarts the per-version ones (the engines' and batchers') while
-// the since-boot ones (ingested, swaps) carry on.
+// /v1/stats model.version, tgopt_model_version and each live engine —
+// reads one number: at boot, after a swap, and after the supervisor has
+// rebuilt crashed shards on the swapped model. Each scrape's /metrics is
+// its /v1/stats (scrapeBoth), and a swap restarts the per-version
+// counters (the engines' and batchers') while the since-boot ones
+// (ingested, swaps) carry on.
 func TestBackendOneModelVersion(t *testing.T) {
 	const poisoned = 3
 	forEachBackend(t, func(t *testing.T, m backendMode, _ func(string) (*Server, *httptest.Server)) {
@@ -453,45 +527,13 @@ func TestBackendOneModelVersion(t *testing.T) {
 			}
 		})
 		ingest(t, ts.URL, shardTestEdges)
-		// check returns the scrape's unlabeled /metrics samples.
+		// check returns the scrape's /metrics samples.
 		check := func(when string, want uint64) map[string]float64 {
 			t.Helper()
-			var sr statsResponse
-			getJSON(t, ts.URL+"/v1/stats", &sr)
+			sr, metrics := scrapeBoth(t, ts.URL)
 			got := map[string]uint64{"Server.ModelVersion": s.ModelVersion(), "stats model.version": sr.Model.Version}
-			if sr.Shards != nil {
-				got["stats shards.model_version"] = sr.Shards.ModelVersion
-			}
-			resp, err := http.Get(ts.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			buf.ReadFrom(resp.Body)
-			resp.Body.Close()
-			metrics := map[string]float64{}
-			for _, line := range strings.Split(buf.String(), "\n") {
-				if f := strings.Fields(line); len(f) == 2 && !strings.ContainsAny(f[0], "{#") {
-					metrics[f[0]], _ = strconv.ParseFloat(f[1], 64)
-				}
-			}
 			if v, ok := metrics["tgopt_model_version"]; ok {
 				got["tgopt_model_version"] = uint64(v)
-			}
-			agree := map[string]int64{
-				"tgopt_cache_items":            int64(sr.CacheItems),
-				"tgopt_cache_lookups_total":    sr.Cache.Lookups,
-				"tgopt_top_memo_lookups_total": sr.Cache.TopMemo.Lookups,
-				"tgopt_ingested_total":         sr.Ingested,
-				"tgopt_model_swaps_total":      sr.Model.Swaps,
-			}
-			if sr.Batching != nil {
-				agree["tgopt_batch_enqueued_total"] = sr.Batching.Enqueued
-			}
-			for name, v := range agree {
-				if metrics[name] != float64(v) {
-					t.Errorf("%s: /metrics %s = %g, /v1/stats says %d", when, name, metrics[name], v)
-				}
 			}
 			engs := s.cur.Load().backend.Engines()
 			if len(engs) != max(m.shards, 1) {

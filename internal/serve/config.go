@@ -150,7 +150,6 @@ type configStats struct {
 }
 
 func (c Config) stats() configStats {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return configStats{c.Engine, c.Shards, c.Batching, ms(c.Batch.Window), c.Batch.MaxBatch,
 		ms(c.Limits.Timeout), c.Limits.MaxInFlight, c.CacheFile, ms(c.SnapshotInterval),
 		c.Swap.Dir, ms(c.Swap.Interval), c.Swap.Train, c.Swap.Trainer.Epochs}

@@ -37,7 +37,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	pool := shardHealth(s.cur.Load().backend)
+	pool := s.Router()
 	switch {
 	case s.draining.Load():
 		w.Header().Set("Retry-After", "1")
@@ -45,9 +45,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "warm-start not complete")
-	case pool != nil && pool.Healthy == 0:
+	case pool != nil && pool.Up() == 0:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no shard of %d is up", len(pool.Shards))
+		httpError(w, http.StatusServiceUnavailable, "no shard of %d is up", s.cfg.Shards)
 	default:
 		writeJSON(w, map[string]string{"status": "ready"})
 	}

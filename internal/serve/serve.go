@@ -36,10 +36,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -89,8 +87,8 @@ type Server struct {
 
 	requests atomic.Int64
 	ingested atomic.Int64
-	// invalidated counts cache entries dropped by late-edge selective
-	// invalidation.
+	// invalidated counts the memo rows dropped by the invalidation of
+	// every accepted edge, appended or late.
 	invalidated atomic.Int64
 
 	// Embed/score failure accounting, split by cause so dashboards can
@@ -140,6 +138,13 @@ func (s *Server) build(m *tgat.Model) (*published, error) {
 		return nil, err
 	}
 	return &published{model: m, backend: r}, nil
+}
+
+// Router exposes the serving version's shard router in sharded mode (nil
+// otherwise).
+func (s *Server) Router() *shard.Router {
+	r, _ := s.cur.Load().backend.(*shard.Router)
+	return r
 }
 
 // Engine exposes the serving version's TGOpt engine (cache persistence,
@@ -214,99 +219,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, resp)
 }
-
-// handleMetrics exposes the serving counters in the Prometheus text
-// exposition format, so standard scrapers can monitor a deployment.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	write := func(name, help string, value float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, value)
-	}
-	cur := s.cur.Load()
-	et := newEngineTotals(cur.backend)
-	write("tgopt_graph_nodes", "Nodes in the serving graph.", float64(s.dyn.NumNodes()))
-	write("tgopt_graph_edges", "Interactions ingested.", float64(s.dyn.NumEdges()))
-	write("tgopt_cache_items", "Memoized embeddings resident.", float64(et.items))
-	write("tgopt_cache_bytes", "Slab bytes of the caches: row chunks plus slots.", float64(et.bytes))
-	write("tgopt_cache_hit_rate", "Memo cache hits per lookup since boot.", et.hitRate())
-	cs := et.cache
-	write("tgopt_cache_lookups_total", "Memo cache lookups.", float64(cs.Lookups))
-	write("tgopt_cache_hits_total", "Memo cache hits.", float64(cs.Hits))
-	write("tgopt_cache_misses_total", "Memo cache misses.", float64(cs.Misses))
-	write("tgopt_cache_admit_rejected_total", "Stores refused admission by the TinyLFU filter.", float64(cs.AdmitRejected))
-	writeLayerCacheMetrics(&b, et.layers)
-	tm := et.topMemo
-	write("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", float64(tm.Lookups))
-	write("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", float64(tm.Hits))
-	write("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", float64(tm.Stores))
-	write("tgopt_top_memo_stale_skips_total", "Top-layer rows computed but not stored because a write landed during their pass.", float64(tm.StaleSkips))
-	ws := s.wire.stats()
-	write("tgopt_wire_rows_total", "Embedding rows encoded into /v1/embed responses.", float64(ws.Rows))
-	write("tgopt_wire_row_text_hits_total", "Encoded embedding rows whose text was copied from the row-text memo instead of formatted.", float64(ws.RowTextHits))
-	write("tgopt_requests_total", "API requests handled.", float64(s.requests.Load()))
-	write("tgopt_ingested_total", "Edges accepted via /v1/ingest.", float64(s.ingested.Load()))
-	write("tgopt_ingest_late_accepted_total", "Out-of-order edges absorbed inside the lateness window.", float64(s.dyn.LateAccepted()))
-	write("tgopt_ingest_late_dropped_total", "Edges dropped below the low-watermark.", float64(s.dyn.LateDropped()))
-	write("tgopt_ingest_watermark", "Low-watermark: edges older than this are dropped.", s.dyn.Watermark())
-	write("tgopt_cache_invalidated_total", "Memoized embeddings dropped by late-edge invalidation.", float64(s.invalidated.Load()))
-	write("tgopt_cache_stale_store_skips_total", "Memo stores skipped or rolled back because a mutation raced the compute.", float64(et.staleSkips))
-	write("tgopt_inflight_requests", "Requests currently executing.", float64(s.inflight.Load()))
-	write("tgopt_rejected_total", "Requests rejected with 429 at the in-flight limit.", float64(s.rejected.Load()))
-	write("tgopt_timeouts_total", "Requests that exceeded the deadline (504).", float64(s.timeouts.Load()))
-	write("tgopt_panics_total", "Handler panics recovered to 500.", float64(s.panics.Load()))
-	write("tgopt_client_cancels_total", "Computations abandoned because the client went away (499-style).", float64(s.clientCancels.Load()))
-	write("tgopt_unavailable_total", "Computations failed server-side (503), client cancels excluded.", float64(s.unavailable.Load()))
-	write("tgopt_snapshots_total", "Background cache snapshots written.", float64(s.snapshotSaves.Load()))
-	write("tgopt_snapshot_errors_total", "Cache snapshot or warm-start failures.", float64(s.snapshotErrors.Load()))
-	write("tgopt_model_version", "Params version currently serving.", float64(cur.model.Version()))
-	write("tgopt_model_swaps_total", "Successful parameter hot-swaps since boot.", float64(s.swaps.Load()))
-	write("tgopt_model_rollbacks_total", "Hot-swaps rejected (corrupt or failed snapshot); the previous version kept serving.", float64(s.rollbacks.Load()))
-	write("tgopt_model_last_swap_timestamp_seconds", "Unix time of the last successful hot-swap (0 = never).", float64(s.lastSwapUnix.Load()))
-	if bt := newBatchTotals(cur.backend); bt != nil {
-		write("tgopt_batch_enqueued_total", "Targets enqueued into the micro-batcher.", float64(bt.Enqueued))
-		write("tgopt_batch_coalesced_total", "Targets that joined a fused pass another request opened.", float64(bt.Coalesced))
-		write("tgopt_batch_coalesce_ratio", "Fraction of targets that joined a fused pass another request opened.", bt.CoalesceRatio())
-		write("tgopt_batch_passes_total", "Fused engine passes executed.", float64(bt.Batches))
-		write("tgopt_batch_panics_total", "Fused passes that panicked (recovered to errors).", float64(bt.Panics))
-		fmt.Fprintf(&b, "# HELP tgopt_batch_occupancy Targets per fused pass.\n# TYPE tgopt_batch_occupancy summary\n")
-		for _, q := range summaryQuantiles {
-			fmt.Fprintf(&b, "tgopt_batch_occupancy{quantile=%q} %d\n", q.label, bt.occupancy.Quantile(q.q))
-		}
-		fmt.Fprintf(&b, "tgopt_batch_occupancy_sum %d\ntgopt_batch_occupancy_count %d\n", bt.occupancy.Sum(), bt.occupancy.Count())
-		fmt.Fprintf(&b, "# HELP tgopt_batch_queue_wait_seconds Enqueue-to-flush wait per request.\n# TYPE tgopt_batch_queue_wait_seconds summary\n")
-		for _, q := range summaryQuantiles {
-			fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds{quantile=%q} %g\n", q.label, bt.queueWait.Quantile(q.q).Seconds())
-		}
-		fmt.Fprintf(&b, "tgopt_batch_queue_wait_seconds_sum %g\ntgopt_batch_queue_wait_seconds_count %d\n", bt.queueWait.Sum().Seconds(), bt.queueWait.Count())
-	}
-	if st := shardHealth(cur.backend); st != nil {
-		writeShardMetrics(&b, write, st)
-	}
-	fmt.Fprintf(&b, "# HELP tgopt_stage_latency_seconds Engine per-stage latency quantiles.\n")
-	fmt.Fprintf(&b, "# TYPE tgopt_stage_latency_seconds summary\n")
-	for _, st := range core.Stages {
-		h := et.stages[st]
-		for _, q := range summaryQuantiles {
-			fmt.Fprintf(&b, "tgopt_stage_latency_seconds{stage=%q,quantile=%q} %g\n",
-				st, q.label, h.Quantile(q.q).Seconds())
-		}
-		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_sum{stage=%q} %g\n", st, h.Sum().Seconds())
-		fmt.Fprintf(&b, "tgopt_stage_latency_seconds_count{stage=%q} %d\n", st, h.Count())
-	}
-	io.WriteString(w, b.String())
-}
-
-// summaryQuantiles are the quantiles every /metrics summary reports.
-var summaryQuantiles = []struct {
-	label string
-	q     float64
-}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
 
 // edgeJSON is the wire form of one interaction.
 type edgeJSON struct {
@@ -551,128 +463,6 @@ func scoreLogits(buf []float64, logits *tensor.Tensor) scoreResponse {
 		resp.Probs[i] = sigmoid(float64(l))
 	}
 	return resp
-}
-
-// cacheSection is the "cache" object of /v1/stats: the memo caches'
-// aggregate counters plus the top-layer memo's, which is not a Cache
-// and so has no cache_layers entry.
-type cacheSection struct {
-	core.CacheStats
-	TopMemo core.TopMemoStats `json:"top_memo"`
-}
-
-type statsResponse struct {
-	NumNodes   int          `json:"num_nodes"`
-	NumEdges   int          `json:"num_edges"`
-	MaxTime    float64      `json:"max_time"`
-	CacheItems int          `json:"cache_items"`
-	CacheBytes int64        `json:"cache_bytes"`
-	HitRate    float64      `json:"hit_rate"`
-	Cache      cacheSection `json:"cache"`
-	// Wire counts the /v1/embed rows encoded and those whose text the
-	// row-text memo held.
-	Wire wireStats `json:"wire"`
-	// CacheLayers breaks the cache section down per memoized layer
-	// (summed across cores); deep layers (>= 2) only appear when
-	// serving a model with -layers >= 3.
-	CacheLayers []core.LayerCacheStats `json:"cache_layers,omitempty"`
-	Requests    int64                  `json:"requests"`
-	Ingested    int64                  `json:"ingested"`
-	InFlight    int64                  `json:"in_flight"`
-	Rejected    int64                  `json:"rejected"`
-	Timeouts    int64                  `json:"timeouts"`
-	Panics      int64                  `json:"panics"`
-	// ClientCancels (499-style) and Unavailable (real 503s) split the
-	// failed-computation accounting by cause; Partials repeats the
-	// router's degradation counter (Shards).
-	ClientCancels int64       `json:"client_cancels"`
-	Unavailable   int64       `json:"unavailable"`
-	Partials      int64       `json:"partial_responses,omitempty"`
-	Snapshots     int64       `json:"snapshots"`
-	SnapErrors    int64       `json:"snapshot_errors"`
-	Ingest        ingestStats `json:"ingest"`
-	// Model reports the online-learning loop: the params version
-	// serving, successful hot-swaps, rejected (rolled-back) swaps, and
-	// when the last swap landed.
-	Model    modelStats            `json:"model"`
-	Stages   map[string]stageStats `json:"stages"`
-	Batching *batchStats           `json:"batching,omitempty"`
-	// Config is the value of every serving knob (config.go).
-	Config configStats `json:"config"`
-	// Shards reports per-shard crash/restart state and the router's
-	// failover/degradation counters in sharded mode.
-	Shards *shard.RouterStats `json:"shards,omitempty"`
-}
-
-// ingestStats reports the out-of-order ingestion state: the configured
-// lateness window, the current low-watermark, the late-edge outcome
-// counters, and the invalidation work late edges have caused.
-type ingestStats struct {
-	Lateness        float64 `json:"lateness"`
-	Watermark       float64 `json:"watermark"`
-	LateAccepted    int64   `json:"late_accepted"`
-	LateDropped     int64   `json:"late_dropped"`
-	Invalidated     int64   `json:"invalidated"`
-	StaleStoreSkips int64   `json:"stale_store_skips"`
-}
-
-// stageStats is the JSON rendering of one engine stage's latency
-// histogram (quantiles are upper bounds, see stats.Histogram.Quantile).
-type stageStats struct {
-	Count   int64   `json:"count"`
-	TotalMs float64 `json:"total_ms"`
-	P50us   float64 `json:"p50_us"`
-	P90us   float64 `json:"p90_us"`
-	P99us   float64 `json:"p99_us"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	cur := s.cur.Load()
-	et := newEngineTotals(cur.backend)
-	shards := shardHealth(cur.backend)
-	resp := statsResponse{
-		NumNodes:      s.dyn.NumNodes(),
-		NumEdges:      s.dyn.NumEdges(),
-		MaxTime:       s.dyn.MaxTime(),
-		CacheItems:    et.items,
-		CacheBytes:    et.bytes,
-		HitRate:       et.hitRate(),
-		Cache:         cacheSection{et.cache, et.topMemo},
-		Wire:          s.wire.stats(),
-		CacheLayers:   et.layers,
-		Requests:      s.requests.Load(),
-		Ingested:      s.ingested.Load(),
-		InFlight:      s.inflight.Load(),
-		Rejected:      s.rejected.Load(),
-		Timeouts:      s.timeouts.Load(),
-		Panics:        s.panics.Load(),
-		ClientCancels: s.clientCancels.Load(),
-		Unavailable:   s.unavailable.Load(),
-		Snapshots:     s.snapshotSaves.Load(),
-		SnapErrors:    s.snapshotErrors.Load(),
-		Ingest: ingestStats{
-			Lateness:        s.dyn.Lateness(),
-			Watermark:       s.dyn.Watermark(),
-			LateAccepted:    s.dyn.LateAccepted(),
-			LateDropped:     s.dyn.LateDropped(),
-			Invalidated:     s.invalidated.Load(),
-			StaleStoreSkips: et.staleSkips,
-		},
-		Model:    s.modelStatsJSON(cur.model),
-		Stages:   et.stageStatsJSON(),
-		Batching: newBatchTotals(cur.backend).json(),
-		Config:   s.cfg.stats(),
-		Shards:   shards,
-	}
-	if shards != nil {
-		resp.Partials = shards.PartialResponses
-	}
-	writeJSON(w, resp)
 }
 
 // validTimes rejects non-finite timestamps with 400: no embedding or

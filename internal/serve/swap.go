@@ -8,7 +8,6 @@ import (
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/swap"
-	"tgopt/internal/tgat"
 	"tgopt/internal/trainer"
 )
 
@@ -17,23 +16,6 @@ import (
 // published parameter snapshot, and swapTick is the background loop
 // Start runs — either fine-tuning locally and publishing, or watching a
 // swap directory another process publishes into.
-
-// modelStats is the /v1/stats "model" section.
-type modelStats struct {
-	Version      uint64 `json:"version"`
-	Swaps        int64  `json:"swaps"`
-	Rollbacks    int64  `json:"rollbacks"`
-	LastSwapUnix int64  `json:"last_swap_unix"`
-}
-
-func (s *Server) modelStatsJSON(m *tgat.Model) modelStats {
-	return modelStats{
-		Version:      m.Version(),
-		Swaps:        s.swaps.Load(),
-		Rollbacks:    s.rollbacks.Load(),
-		LastSwapUnix: s.lastSwapUnix.Load(),
-	}
-}
 
 // SwapParams makes the params checkpoint at path, as the given version,
 // the one serving. The checkpoint is parsed and fully validated

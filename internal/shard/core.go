@@ -145,23 +145,20 @@ func (c *Core) WarmStart() (int, error) {
 	return 1, nil
 }
 
-// MergeLayerCacheStats sums per-layer cache counters across the cores
-// of one server. They run the same cached-layer layout and each engine
-// reports in layer order, so section i of one adds to section i of the
-// next.
-func MergeLayerCacheStats(engs []*core.Engine) []core.LayerCacheStats {
-	var out []core.LayerCacheStats
-	for _, eng := range engs {
-		for i, ls := range eng.LayerCacheStats() {
-			if i == len(out) {
-				out = append(out, ls)
-				continue
-			}
-			out[i].Items += ls.Items
-			out[i].Bytes += ls.Bytes
-			out[i].IndexRecords += ls.IndexRecords
-			out[i].CacheStats.Add(ls.CacheStats)
+// AddLayerCacheStats adds one engine's per-layer cache counters into
+// sum. The cores of one server run the same cached-layer layout and each
+// engine reports in layer order, so section i of one adds to section i
+// of the next.
+func AddLayerCacheStats(sum, layers []core.LayerCacheStats) []core.LayerCacheStats {
+	for i, ls := range layers {
+		if i == len(sum) {
+			sum = append(sum, ls)
+			continue
 		}
+		sum[i].Items += ls.Items
+		sum[i].Bytes += ls.Bytes
+		sum[i].IndexRecords += ls.IndexRecords
+		sum[i].CacheStats.Add(ls.CacheStats)
 	}
-	return out
+	return sum
 }

@@ -120,7 +120,7 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	}
 	cfg = cfg.WithDefaults()
 	if opt.CacheLimit <= 0 {
-		opt.CacheLimit = core.OptAll().CacheLimit // the engine's default, divided below
+		opt.CacheLimit = core.DefaultCacheLimit // divided below
 	}
 	opt.CacheLimit = max(1, opt.CacheLimit/cfg.Shards)
 	r := &Router{
@@ -168,8 +168,8 @@ func (r *Router) Dim() int { return r.dim }
 // introspection).
 func (r *Router) Owner(node int32) int { return r.ring.Owner(node) }
 
-// upShards counts the shards that are up.
-func (r *Router) upShards() int {
+// Up counts the shards that are up.
+func (r *Router) Up() int {
 	n := 0
 	for _, s := range r.shards {
 		if s.up() {
@@ -201,7 +201,7 @@ func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (sl
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if r.upShards() == 0 {
+	if r.Up() == 0 {
 		return nil, nil, fmt.Errorf("%w: all %d crashed", ErrNoShardUp, len(r.shards))
 	}
 	slab = make([]float32, len(nodes)*r.dim)
@@ -334,7 +334,8 @@ func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	return invalidated
 }
 
-// RouterStats is the router-level health snapshot for /v1/stats.
+// RouterStats is the pool's health for /v1/stats: per-shard state and
+// the router's failover, degradation and snapshot counters.
 type RouterStats struct {
 	Shards []Status `json:"shards"`
 	// Healthy counts the shards that are up.
@@ -350,33 +351,22 @@ type RouterStats struct {
 	SnapshotSaves  int64 `json:"snapshot_saves"`
 	SnapshotErrors int64 `json:"snapshot_errors"`
 	SnapshotLoads  int64 `json:"snapshot_loads"`
-
-	ModelVersion uint64 `json:"model_version"`
-
-	Batching *batcher.Snapshot `json:"batching,omitempty"`
 }
 
-// Stats snapshots per-shard and router-level health.
+// Stats snapshots per-shard and router-level health. It reads no
+// engine and no batcher.
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{
-		Healthy:          r.upShards(),
+		Healthy:          r.Up(),
 		RoutedAround:     r.routedAround.Load(),
 		DegradedTargets:  r.degradedTgts.Load(),
 		PartialResponses: r.partials.Load(),
 		SnapshotSaves:    r.snapshotSaves.Load(),
 		SnapshotErrors:   r.snapshotErrors.Load(),
 		SnapshotLoads:    r.snapshotLoads.Load(),
-		ModelVersion:     r.model.Version(),
 	}
 	for _, s := range r.shards {
 		st.Shards = append(st.Shards, s.status())
-	}
-	if r.cfg.Batching {
-		agg := &batcher.Snapshot{}
-		for _, b := range r.Batchers() {
-			agg.Add(b.Stats())
-		}
-		st.Batching = agg
 	}
 	return st
 }
@@ -403,18 +393,13 @@ func (r *Router) Batchers() []*batcher.Batcher {
 	return out
 }
 
-// CacheLen sums live memo entries across the pool.
-func (r *Router) CacheLen() int {
-	n := 0
-	for _, eng := range r.Engines() {
-		n += eng.CacheLen()
-	}
-	return n
-}
-
-// LayerCacheStats merges the per-layer cache counters across the pool.
+// LayerCacheStats sums the per-layer cache counters across the pool.
 func (r *Router) LayerCacheStats() []core.LayerCacheStats {
-	return MergeLayerCacheStats(r.Engines())
+	var sum []core.LayerCacheStats
+	for _, eng := range r.Engines() {
+		sum = AddLayerCacheStats(sum, eng.LayerCacheStats())
+	}
+	return sum
 }
 
 // Close stops the supervisor: no shard restarts after it returns, and

@@ -236,9 +236,12 @@ func TestRouterBatchedMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
-	if st.Batching == nil || st.Batching.Enqueued == 0 {
-		t.Fatalf("per-shard batchers unused: %+v", st.Batching)
+	var enqueued int64
+	for _, b := range r.Batchers() {
+		enqueued += b.Stats().Enqueued
+	}
+	if len(r.Batchers()) != 4 || enqueued == 0 {
+		t.Fatalf("per-shard batchers unused: %d batchers, %d targets enqueued", len(r.Batchers()), enqueued)
 	}
 }
 
@@ -473,6 +476,15 @@ func TestRouterStalledOwnerDegrades(t *testing.T) {
 	if st := r.Stats(); st.Shards[slowShard].Timeouts == 0 || st.Shards[slowShard].Crashed {
 		t.Fatalf("stalled shard: %+v; want a timeout booked and the shard still up", st.Shards[slowShard])
 	}
+}
+
+// CacheLen sums live memo entries across the pool.
+func (r *Router) CacheLen() int {
+	n := 0
+	for _, eng := range r.Engines() {
+		n += eng.CacheLen()
+	}
+	return n
 }
 
 // TestRouterSnapshotRoundTrip pins warm restarts: snapshots saved with

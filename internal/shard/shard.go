@@ -119,6 +119,9 @@ type Status struct {
 	Panics   int64 `json:"panics"`
 	Restarts int64 `json:"restarts"`
 
+	// CacheItems and CacheBytes are the shard's engine's resident rows
+	// and slab bytes. Router.Stats leaves them zero: serving fills them
+	// from the scrape's one read of each engine.
 	CacheItems int   `json:"cache_items"`
 	CacheBytes int64 `json:"cache_bytes"`
 
@@ -127,7 +130,6 @@ type Status struct {
 }
 
 func (s *Shard) status() Status {
-	c := s.currentCore()
 	return Status{
 		ID:           s.id,
 		Crashed:      !s.up(),
@@ -136,8 +138,6 @@ func (s *Shard) status() Status {
 		Timeouts:     s.timeouts.Load(),
 		Panics:       s.panics.Load(),
 		Restarts:     s.restarts.Load(),
-		CacheItems:   c.eng.CacheLen(),
-		CacheBytes:   c.eng.CacheBytes(),
 		LatencyP50Ms: float64(s.lat.Quantile(0.5)) / float64(time.Millisecond),
 		LatencyP99Ms: float64(s.lat.Quantile(0.99)) / float64(time.Millisecond),
 	}

@@ -73,6 +73,8 @@ one default (every serving default is written in serve.DefaultConfig; the batche
 one constructor (serve.NewFromConfig builds every server; New, NewSharded and SetBatching serve benchmark/ alone)	-E	serve\.New\(|NewSharded\(|\.SetBatching\(	all -./benchmark -./internal/serve/benchcompat.go	a server is built or batched outside NewFromConfig
 one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal/serve/*.go -./internal/serve/benchcompat.go	package serve builds a server outside NewFromConfig
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
+one scrape (internal/shard sums no batcher: serving's scrape sums each once)	-E	batcher\.Snapshot	internal/shard	internal/shard re-sums the batchers again
+one scrape (internal/serve reads its engines' and batchers' figures in Server.scrape alone, one line each)	-E	\.(LayerCacheStats|TopMemoStats|StaleStoreSkips|StageStats|Occupancy|QueueWait)\(|newEngineTotals|newBatchTotals	internal/serve	a second pass gathers engine or batcher totals in internal/serve	6
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for dir in internal/*/; do
