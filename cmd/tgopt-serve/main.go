@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -77,8 +78,8 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	if *lateness < 0 {
-		fatal(fmt.Errorf("-lateness = %g: want >= 0", *lateness))
+	if *lateness < 0 || math.IsNaN(*lateness) || math.IsInf(*lateness, 0) {
+		fatal(fmt.Errorf("-lateness = %g: want finite and >= 0", *lateness))
 	}
 	wl, err := experiments.LoadWorkload(*name, setup)
 	if err != nil {

@@ -126,10 +126,10 @@ type Engine struct {
 	caches []*Cache
 	// topMemo memoizes the top layer's rows where that premise fails: an
 	// engine over a live graph serves requests, and requests re-ask the
-	// same ⟨node, t⟩. Nil on static-sampler engines. memoEpoch is the
-	// engine half of its validity stamp (see passFence): every path that
-	// repairs or drops memo state bumps it as its last step, so a row
-	// computed while such a path ran can never be served after it.
+	// same ⟨node, t⟩. Nil on static-sampler engines. memoEpoch is its
+	// validity stamp: every path that repairs or drops memo state bumps
+	// it as its last step, so a row computed while such a path ran can
+	// never be served after it.
 	topMemo   *topMemo
 	memoEpoch atomic.Int64
 	ttable    *TimeTable
@@ -155,11 +155,6 @@ type Engine struct {
 	dyn           *graph.Dynamic
 	// keepAll pins indexFloor at −∞ (tests: the no-retirement baseline).
 	keepAll bool
-	// staleSkips counts memoizations abandoned because the graph's
-	// mutation epoch advanced between sampling and store: the sampled
-	// neighborhoods may predate a history rewrite, so caching the
-	// result could resurrect invalidated state.
-	staleSkips atomic.Int64
 	// maxEmbedBits holds the float bits of the largest query timestamp
 	// ever embedded or loaded from a snapshot — an upper bound on any
 	// memo's t' at any layer (neighbor recursion only descends in time).
@@ -433,8 +428,8 @@ func (e *Engine) shedFrom() int {
 // above the watermark, which never moves back (graph.Dynamic.SetLateness),
 // and collection needs a record time above the edge's, so no write can
 // reach a record below the floor. That takes each edge's invalidation
-// to run before the graph accepts the next edge, as /v1/ingest and
-// shard.Router.Apply do. An invalidation for an edge below the watermark
+// to run before the graph accepts the next edge, as /v1/ingest does
+// under the graph's write gate. An invalidation for an edge below the watermark
 // gets the lower floor ⌊t⌋.
 func (e *Engine) indexFloor(t float64) float64 {
 	if e.keepAll {
@@ -445,10 +440,6 @@ func (e *Engine) indexFloor(t float64) float64 {
 	}
 	return math.Floor(t)
 }
-
-// StaleStoreSkips returns how many batch memoizations were abandoned
-// (or rolled back) because a history rewrite raced the computation.
-func (e *Engine) StaleStoreSkips() int64 { return e.staleSkips.Load() }
 
 // TargetsFor returns layer l's per-node key index, or nil.
 func (e *Engine) TargetsFor(l int) *TargetIndex {
@@ -491,67 +482,6 @@ func (e *Engine) clearLayer(l int) int {
 		six.Reset()
 	}
 	return n
-}
-
-// passFence is what one level of an embed pass holds against the live
-// graph moving under it, read once where the level starts computing —
-// before the memo lookup, before it samples. What the level computes is
-// kept only if the fence still holds afterwards, by the rule of the
-// store that keeps it: moved for the top-layer memo, staleFor for a
-// layer cache. A static-graph engine's fence always holds.
-type passFence struct {
-	e             *Engine
-	muts, appends int64   // dyn.Mutations(), dyn.Appends()
-	wm            float64 // dyn.MaxTime(); read only for staleFor (it takes the graph lock)
-	epoch         int64   // e.memoEpoch
-}
-
-func (e *Engine) openFence(withClock bool) passFence {
-	f := passFence{e: e}
-	if e.dyn != nil {
-		f.muts, f.appends, f.epoch = e.dyn.Mutations(), e.dyn.Appends(), e.memoEpoch.Load()
-		if withClock {
-			f.wm = e.dyn.MaxTime()
-		}
-	}
-	return f
-}
-
-// stamp is the fence as a memo row's validity stamp.
-func (f passFence) stamp() memoStamp { return memoStamp{g: f.muts + f.appends, e: f.epoch} }
-
-// moved is the memo's rule: anything changed. The counters only grow, so
-// reads that agree with the fence bracket an interval in which none moved.
-func (f passFence) moved() bool {
-	return f.e.openFence(false).stamp() != f.stamp()
-}
-
-// staleFor is the cache's rule for a level that embedded the
-// timestamps ts: a history rewrite landed (the sampled neighborhoods may
-// predate it, and storing them would resurrect just-invalidated state),
-// or an append landed while a row lies beyond the opening watermark — a
-// row at a *future* timestamp may have sampled a window the append lands
-// in, and InvalidateEdge's scan can run before the row is indexed. The
-// append sequence, not MaxTime, detects the append (one at exactly the
-// stream clock leaves MaxTime unchanged). Any append after the fence
-// opened carries a time >= wm, so rows at t' > wm cover its every window.
-func (f passFence) staleFor(ts []float64) bool {
-	dyn := f.e.dyn
-	if dyn == nil {
-		return false
-	}
-	if dyn.Mutations() != f.muts {
-		return true
-	}
-	if dyn.Appends() == f.appends {
-		return false
-	}
-	for _, t := range ts {
-		if t > f.wm {
-			return true
-		}
-	}
-	return false
 }
 
 // LayerCacheStats is one cached layer's slice of the cache counters,
@@ -607,9 +537,18 @@ func (e *Engine) Embed(nodes []int32, ts []float64) *tensor.Tensor {
 // steady-state batch of the same shape performs zero heap allocations
 // end to end (see DESIGN.md §9). Concurrent callers need distinct
 // arenas; the engine itself stays safe for concurrent use.
+//
+// On a live graph the pass holds the read side of the graph's write
+// gate from start to end (graph.Dynamic.Gate), so a gated writer's
+// edge and its invalidation land both before the pass or both after it.
 func (e *Engine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
 	if len(nodes) != len(ts) {
 		panic("core: Embed nodes/ts length mismatch")
+	}
+	if e.dyn != nil {
+		gate := e.dyn.Gate()
+		gate.RLock()
+		defer gate.RUnlock()
 	}
 	if e.caches != nil {
 		e.noteEmbedTimes(ts)
@@ -705,19 +644,16 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		e.observe(stats.OpCacheLookup, n, start)
 	}
 
-	// What this level may keep is computed from here on (wm: cache misses only).
-	fence := e.openFence(cache != nil && nhits < n)
-
 	// Top layer on a live graph: answer re-asked targets from the memo.
-	// A row hits only if it was stored under exactly this level's fence
-	// stamp, and the rows computed below are stored only if the fence has
-	// not moved afterwards — so an all-hit pass samples, looks up, encodes
-	// and attends nothing.
+	// A row hits only if it was stored under the current epoch, and the
+	// rows computed below are stored under the epoch read here — so an
+	// all-hit pass samples, looks up, encodes and attends nothing.
 	var memo *topMemo
+	var epoch int64
 	if l == cfg.Layers && e.topMemo != nil {
-		memo = e.topMemo
+		memo, epoch = e.topMemo, e.memoEpoch.Load()
 		hitMask = ar.Bools(n)
-		nhits = memo.lookup(fence.stamp(), nodes, ts, h, hitMask)
+		nhits = memo.lookup(epoch, nodes, ts, h, hitMask)
 	}
 
 	if nhits < n {
@@ -804,12 +740,7 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		e.ops.Observe(stats.OpTimeEncDelta, enc, int64(nm*k))
 		e.ops.Observe(stats.OpAttention, wall-enc, int64(nm))
 
-		if cache != nil && fence.staleFor(missTs) {
-			// The graph moved under this batch (passFence.staleFor).
-			// Recompute-next-time is cheap, a stale memo would be
-			// permanent, so skip memoizing the whole batch.
-			e.staleSkips.Add(1)
-		} else if cache != nil {
+		if cache != nil {
 			start = time.Now()
 			// A layer-1 row is tagged with the window it read, so a
 			// snapshot load can re-sample and keep it only if unchanged.
@@ -844,27 +775,11 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 					}
 				}
 			}
-			if fence.staleFor(missTs) {
-				// The graph moved during the store itself, and its
-				// invalidation scan may have run before our entries
-				// were indexed, so roll the whole batch back: once they
-				// are stored and indexed with the fence still holding,
-				// any later rewrite is guaranteed to see them. Until then
-				// they could be hit, so the rollback moves the epoch too.
-				cache.Remove(missKeys)
-				e.memoEpoch.Add(1)
-				e.staleSkips.Add(1)
-			}
 		}
 
-		if memo != nil {
-			if !fence.moved() {
-				memo.store(fence.stamp(), missNodes, missTs, hm)
-			} else {
-				// A write landed while the pass ran: the rows may predate
-				// it, and the stamp they were computed under is gone.
-				memo.staleSkips.Add(int64(nm))
-			}
+		// A row stored under an epoch that has moved could never hit.
+		if memo != nil && e.memoEpoch.Load() == epoch {
+			memo.store(epoch, missNodes, missTs, hm)
 		}
 
 		// Copy miss results into the output (line 18).

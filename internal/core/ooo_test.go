@@ -254,37 +254,28 @@ func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
 	}
 }
 
+// TestStaleByAppendDetectsEqualTimeAppend: an append at exactly the
+// stream clock leaves MaxTime where it was, yet it lands in the window
+// of every row memoized past the clock. Its invalidation must drop
+// those rows. (A pass cannot run between the append and that
+// invalidation when the writer holds the graph's write gate:
+// TestReadBetweenIngestAndInvalidateL3.)
 func TestStaleByAppendDetectsEqualTimeAppend(t *testing.T) {
-	// Regression: the append-staleness guard compared MaxTime against the
-	// pre-sampling watermark, so an append at *exactly* the stream clock
-	// — legal for Append (e.Time >= lastTime) and common in coarse-
-	// grained event streams — changed adjacency without tripping the
-	// guard, and a future-time batch racing it could memoize pre-append
-	// windows. The guard now compares the append sequence.
-	_, dyn, eng, stream := oooSetup(t, 0)
-	fence := eng.openFence(true)
-	wm, aseq := fence.wm, fence.appends
+	m, dyn, eng, stream := oooSetup(t, 0)
+	wm := dyn.MaxTime()
 	last := stream[len(stream)-1]
-
+	nodes, ts := []int32{last.Src, last.Dst}, []float64{wm + 1, wm + 1}
+	eng.Embed(nodes, ts)
 	if _, err := dyn.Append(graph.Edge{Src: last.Src, Dst: last.Dst, Time: wm}); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.MaxTime() != wm {
 		t.Fatal("test premise broken: equal-time append advanced MaxTime")
 	}
-	if dyn.Appends() == aseq {
-		t.Fatal("equal-time append did not advance the append sequence")
+	if eng.InvalidateEdge(last.Src, last.Dst, wm) == 0 {
+		t.Fatal("the equal-time append invalidated no row memoized past the clock")
 	}
-	if !fence.staleFor([]float64{wm + 1}) {
-		t.Fatal("equal-time append invisible to the staleness guard (seed behavior)")
-	}
-	// Rows at or below the watermark cannot have sampled the new edge's
-	// window and stay memoizable.
-	if fence.staleFor([]float64{wm}) {
-		t.Fatal("non-future rows flagged stale by an equal-time append")
-	}
-	// A fence opened after the append sees nothing stale.
-	if eng.openFence(true).staleFor([]float64{wm + 1}) {
-		t.Fatal("guard fired with no append since the snapshot")
+	if !sameBits(eng.Embed(nodes, ts), freshBaseline(t, m, dyn, nodes, ts)) {
+		t.Fatal("rows past the clock differ from the baseline after an equal-time append")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/graph"
@@ -17,20 +18,19 @@ import (
 // The steps of an engine-oracle history, one per op byte: b % numSteps
 // is the kind, b / numSteps its parameter p.
 const (
-	stepAppend      = iota // an edge at or past the clock, then its invalidation
-	stepLate               // an edge below the clock, then its invalidation
-	stepDelete             // a live edge goes, then its invalidation
-	stepEmbed              // a batch at one time class, with targets Key folds
-	stepReask              // one batch asked twice: the top memo answers
-	stepReadBetween        // an ingest, a read of every query, then the invalidation
-	stepSnapshot           // save, the graph changes, load into a fresh engine
-	stepSwap               // other parameters: Model.WithParams, then NewEngine
-	stepParkedRead         // a read's layer-1 index records land after a write's scan
-	stepFeature            // a node's feature row is written, then InvalidateNode
+	stepAppend     = iota // an edge at or past the clock, (odd p) a read of every query, then its invalidation
+	stepLate              // an edge below the clock, (odd p) a read of every query, then its invalidation
+	stepDelete            // a live edge goes, then its invalidation
+	stepEmbed             // a batch at one time class, with targets Key folds
+	stepReask             // one batch asked twice: the top memo answers
+	stepSnapshot          // save, the graph changes, load into a fresh engine
+	stepSwap              // other parameters: Model.WithParams, then NewEngine
+	stepParkedRead        // a write issued during a parked read waits for it
+	stepFeature           // a node's feature row is written, then InvalidateNode
 	numSteps
 )
 
-var stepNames = [numSteps]string{"append", "late", "delete", "embed", "re-ask", "read between", "snapshot", "swap", "parked read", "feature"}
+var stepNames = [numSteps]string{"append", "late", "delete", "embed", "re-ask", "snapshot", "swap", "parked read", "feature"}
 
 // Time classes. Key is collision-free only on the integral times in
 // [0, 2³²); a time of the other three shares its key with one inside.
@@ -89,21 +89,22 @@ var oracleSeeds = []struct {
 	ops  []byte
 	seed int64
 }{
-	{0x40, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 1},
-	{0x41, []byte{13, 10, 21, 11, 14, 16, 17, 18, 19, 12, 15}, 2},
-	{0x42, []byte{1, 11, 21, 12, 22, 2, 8, 18, 28, 5, 15, 25}, 3},
-	{0x2d, []byte{23, 33, 43, 24, 3, 4, 26, 36, 0, 10, 20, 7, 17}, 4},
-	{0x1a, []byte{0, 10, 20, 30, 1, 11, 21, 31, 35, 45, 55, 27, 37}, 5},
-	{0x36, []byte{3, 13, 14, 5, 6, 16, 7, 8, 18, 9}, 6},
+	{0x40, []byte{0, 1, 2, 3, 4, 27, 5, 6, 7, 8}, 1},
+	{0x41, []byte{12, 9, 19, 10, 13, 14, 15, 16, 17, 11, 28}, 2},
+	{0x42, []byte{1, 10, 19, 11, 20, 2, 7, 16, 25, 27, 28, 9}, 3},
+	{0x2d, []byte{21, 30, 39, 22, 3, 4, 23, 32, 0, 9, 18, 6, 15}, 4},
+	{0x1a, []byte{0, 9, 18, 27, 1, 10, 19, 28, 10, 45, 46, 24, 33}, 5},
+	{0x36, []byte{3, 12, 13, 27, 5, 14, 6, 7, 16, 8}, 6},
 }
 
 // FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §11):
 // every history it generates runs one engine configuration through
 // appends, late edges, deletes, feature writes, embeds at every time
-// class, re-asks, reads between a write and its invalidation, parked
-// reads, snapshot save and load, and params swaps. After every step the
-// engine answers the whole query set bitwise as the baseline does on
-// the current graph and parameters.
+// class, re-asks, reads between a write and its invalidation on one
+// goroutine, writes issued during a parked read, snapshot save and
+// load, and params swaps. After every step the engine answers the whole
+// query set bitwise as the baseline does on the current graph and
+// parameters.
 func FuzzEngineOracle(f *testing.F) {
 	for _, s := range oracleSeeds {
 		f.Add(s.conf, s.ops, s.seed)
@@ -238,7 +239,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		lo := stream[(p*7+step)%total].Time
 		switch edgeClass(late, p) {
 		case timeIntegral:
-			e.Time = math.Floor(dyn.MaxTime()) + float64(1+p%4)
+			e.Time = math.Ceil(dyn.MaxTime()) + float64(p%4) // p%4 == 0: at the clock
 			if late {
 				e.Time = lo + 1 // an append if that passes the clock
 			}
@@ -290,16 +291,20 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		return []int32{a, a, b, b, a}, []float64{base, off, base, off, base}
 	}
 
-	// skips counts the stores the engine abandoned because a write moved
-	// under the pass; on one goroutine only a parked read can cause one.
-	skips := func() int64 { return eng.StaleStoreSkips() + eng.TopMemoStats().StaleSkips }
 	for step, op := range ops {
 		kind, p := int(op)%numSteps, int(op)/numSteps
 		label := fmt.Sprintf("step %d (%s)", step, stepNames[kind])
-		before, skipped := eng, skips()
 		switch kind {
 		case stepAppend, stepLate:
-			ingest(edge(step, p, kind == stepLate))()
+			inval := ingest(edge(step, p, kind == stepLate))
+			if p%2 == 1 {
+				// On one goroutine a read may come between the write and
+				// its invalidation; what it stores must not outlive the
+				// invalidation. (A concurrent read cannot: the writer
+				// holds the graph's write gate, see parkedRead.)
+				eng.Embed(queries())
+			}
+			inval()
 		case stepDelete:
 			deleteLive(step, p)()
 		case stepEmbed, stepReask:
@@ -313,12 +318,6 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 					t.Fatalf("%s: an immediate re-ask hit no memo row", label)
 				}
 			}
-		case stepReadBetween:
-			// The read may see the write before its invalidation; what it
-			// stores must not outlive the invalidation.
-			inval := ingest(edge(step, p/2, p%2 == 1))
-			eng.Embed(queries())
-			inval()
 		case stepSnapshot:
 			path := filepath.Join(dir, "caches.tgc")
 			if err := eng.SaveCachesFS(checkpoint.OS{}, path); err != nil {
@@ -351,7 +350,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 				t.Fatalf("%s: scores differ from a fresh engine's over the same parameters", label)
 			}
 		case stepParkedRead:
-			parkedRead(t, eng, dyn, step, p, ingest, ask)
+			parkedRead(t, eng, ref, dyn, step, p, ingest, ask)
 		case stepFeature:
 			v := int32(1 + (p+step)%nodes)
 			for j, x := range cur.NodeFeat.Row(int(v)) {
@@ -364,22 +363,16 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		if kind == stepSwap && eng.CacheLen() == 0 {
 			t.Fatalf("%s: the new engine re-warmed no cache", label)
 		}
-		if eng != before {
-			skipped = 0
-		}
-		if kind != stepParkedRead && skips() != skipped {
-			t.Fatalf("%s: a pass with no write beside it skipped a store", label)
-		}
 	}
 }
 
-// parkedRead runs a read whose layer-1 rows are stored before a late
-// edge lands and indexed only after that edge's invalidation scan:
-// the read is parked on the layer-1 target index's lock for its first
-// target x, whose shard no endpoint of the edge shares. The scan finds
-// nothing to drop, so the read itself must take its rows back
-// (passFence.staleFor after the store).
-func parkedRead(t *testing.T, eng *Engine, dyn *graph.Dynamic, step, p int, ingest func(graph.Edge) func(), ask func([]int32, []float64)) {
+// parkedRead parks a read on the layer-1 target index's lock for its
+// first target x, after its layer-1 store, and issues a late edge's
+// write from another goroutine: the writer takes the graph's write
+// gate, which the read holds, so the write and its invalidation wait
+// for the read, and the read answers bitwise as the baseline does on
+// the graph before the write.
+func parkedRead(t *testing.T, eng *Engine, ref *tgat.Model, dyn *graph.Dynamic, step, p int, ingest func(graph.Edge) func(), ask func([]int32, []float64)) {
 	t.Helper()
 	n := dyn.NumNodes()
 	u, v := int32(1+(p+step)%n), int32(1+(p+step+1)%n)
@@ -397,13 +390,15 @@ func parkedRead(t *testing.T, eng *Engine, dyn *graph.Dynamic, step, p int, inge
 	}
 	ns, ts := []int32{x, u}, []float64{T, T}
 	ask(ns, ts)
+	want := freshBaseline(t, ref, dyn, ns, ts)
 	stores := eng.Ops().Calls(stats.OpCacheStore)
 	s := tix.shardFor(x)
 	s.mu.Lock()
+	var got *tensor.Tensor
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		eng.Embed(ns, ts)
+		got = eng.Embed(ns, ts)
 	}()
 	for eng.Ops().Calls(stats.OpCacheStore) == stores { // layer 1 stores first
 		select {
@@ -414,9 +409,27 @@ func parkedRead(t *testing.T, eng *Engine, dyn *graph.Dynamic, step, p int, inge
 			runtime.Gosched()
 		}
 	}
-	ingest(graph.Edge{Src: u, Dst: v, Time: dyn.MaxTime() - 0.5})()
+	gate, locked := dyn.Gate(), make(chan struct{})
+	go func() {
+		gate.Lock()
+		close(locked)
+	}()
+	select {
+	case <-locked:
+		s.mu.Unlock()
+		<-done
+		gate.Unlock()
+		t.Fatalf("step %d: a writer took the graph's write gate while a read was parked", step)
+	case <-time.After(10 * time.Millisecond):
+	}
 	s.mu.Unlock()
 	<-done
+	<-locked
+	ingest(graph.Edge{Src: u, Dst: v, Time: dyn.MaxTime() - 0.5})()
+	gate.Unlock()
+	if !sameBits(got, want) {
+		t.Fatalf("step %d: the parked read differs from the baseline on the graph before the write", step)
+	}
 }
 
 // oracleModels builds the two parameter sets a swap moves between, over
@@ -492,13 +505,20 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 			switch kind {
 			case stepAppend, stepLate:
 				seen[fmt.Sprint(stepNames[kind], "=", edgeClass(kind == stepLate, p))] = true
+				if p%2 == 1 {
+					seen[fmt.Sprint(stepNames[kind], " read between")] = true
+				}
+				if kind == stepAppend && edgeClass(false, p) == timeIntegral && p%4 == 0 {
+					seen["append at the clock"] = true
+				}
 			case stepEmbed:
 				seen[fmt.Sprint("embed=", p%4)] = true
 			}
 		}
 	}
 	want := []string{"L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false",
-		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3"}
+		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3",
+		"append read between", "late read between", "append at the clock"}
 	for _, w := range append(want, stepNames[:]...) {
 		if !seen[w] {
 			t.Errorf("no seed draws %q", w)

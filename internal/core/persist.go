@@ -253,9 +253,10 @@ func (e *Engine) LoadCaches(path string) error {
 
 // LoadCachesFS is LoadCaches over an injectable file system — the
 // shard supervisor restores a crashed shard's snapshot through it so
-// fault tests can drive the restart leg with internal/faultfs. The
-// caller keeps graph writers out until the load returns, so every kept
-// row's window is the graph's when the row is indexed.
+// fault tests can drive the restart leg with internal/faultfs. On a
+// live graph the caller holds the read side of the graph's write gate
+// (graph.Dynamic.Gate) until the load returns, so every kept row's
+// window is the graph's when the row is indexed.
 func (e *Engine) LoadCachesFS(fsys checkpoint.FS, path string) error {
 	if e.caches == nil {
 		return fmt.Errorf("core: engine has no caches to load into")

@@ -18,28 +18,23 @@ const (
 	topMemoStripes = 64
 )
 
-// memoStamp is the validity stamp of a top-layer memo row: g is the
-// live graph's change count (Mutations + Appends, which moves the
-// instant the graph changes) and e the engine's memo epoch (bumped at
-// the end of every path that repairs or drops memo state). Both only
-// grow, so a pair read while a write is in flight can never equal a
-// pair read after that write finished.
-type memoStamp struct{ g, e int64 }
-
 // topMemoSlot is one slot's header; its row lives at the same index in
-// topMemo.rows. A zeroed slot never matches: epochs start at 1.
+// topMemo.rows. epoch is the engine's memo epoch the row was computed
+// under (Engine.memoEpoch, bumped at the end of every path that repairs
+// or drops memo state, edge invalidations included). A zeroed slot
+// never matches: epochs start at 1.
 type topMemoSlot struct {
 	node  int32
 	tbits uint64
-	stamp memoStamp
+	epoch int64
 }
 
 // topMemo memoizes top-layer output rows on engines over a live graph:
 // a fixed, pre-allocated, direct-mapped table keyed by the exact
-// ⟨node, Float64bits(t)⟩ and validated by a memoStamp. It holds no
-// dependency records and has no invalidation scan — a write invalidates
-// every row by moving the stamp — and lookups and stores allocate
-// nothing. The stored row is the
+// ⟨node, Float64bits(t)⟩ and validated by the memo epoch. It holds no
+// dependency records and has no invalidation scan — a write's
+// invalidation drops every row by moving the epoch — and lookups and
+// stores allocate nothing. The stored row is the
 // float32 row the pass produced, bit for bit.
 type topMemo struct {
 	dim   int
@@ -47,7 +42,7 @@ type topMemo struct {
 	rows  []float32
 	mu    [topMemoStripes]stripeMutex
 
-	lookups, hits, stores, staleSkips atomic.Int64
+	lookups, hits, stores atomic.Int64
 }
 
 // stripeMutex pads each stripe lock to its own cache line.
@@ -70,9 +65,9 @@ func topMemoSlotOf(node int32, tbits uint64) int {
 }
 
 // lookup copies every memoized row whose slot matches the target and
-// the stamp exactly into the same row of h, marks it in hit, and
+// the epoch exactly into the same row of h, marks it in hit, and
 // returns the hit count. hit is fully overwritten.
-func (m *topMemo) lookup(st memoStamp, nodes []int32, ts []float64, h *tensor.Tensor, hit []bool) int {
+func (m *topMemo) lookup(epoch int64, nodes []int32, ts []float64, h *tensor.Tensor, hit []bool) int {
 	d := m.dim
 	dst := h.Data()
 	nhits := 0
@@ -82,7 +77,7 @@ func (m *topMemo) lookup(st memoStamp, nodes []int32, ts []float64, h *tensor.Te
 		mu := &m.mu[p%topMemoStripes]
 		mu.Lock()
 		s := &m.slots[p]
-		ok := s.node == v && s.tbits == tb && s.stamp == st
+		ok := s.node == v && s.tbits == tb && s.epoch == epoch
 		if ok {
 			copy(dst[i*d:(i+1)*d], m.rows[p*d:(p+1)*d])
 		}
@@ -97,9 +92,9 @@ func (m *topMemo) lookup(st memoStamp, nodes []int32, ts []float64, h *tensor.Te
 	return nhits
 }
 
-// store writes the rows of h under the given stamp, each evicting
+// store writes the rows of h under the given epoch, each evicting
 // whatever its slot held.
-func (m *topMemo) store(st memoStamp, nodes []int32, ts []float64, h *tensor.Tensor) {
+func (m *topMemo) store(epoch int64, nodes []int32, ts []float64, h *tensor.Tensor) {
 	d := m.dim
 	src := h.Data()
 	for i, v := range nodes {
@@ -107,7 +102,7 @@ func (m *topMemo) store(st memoStamp, nodes []int32, ts []float64, h *tensor.Ten
 		p := topMemoSlotOf(v, tb)
 		mu := &m.mu[p%topMemoStripes]
 		mu.Lock()
-		m.slots[p] = topMemoSlot{node: v, tbits: tb, stamp: st}
+		m.slots[p] = topMemoSlot{node: v, tbits: tb, epoch: epoch}
 		copy(m.rows[p*d:(p+1)*d], src[i*d:(i+1)*d])
 		mu.Unlock()
 	}
@@ -115,13 +110,11 @@ func (m *topMemo) store(st memoStamp, nodes []int32, ts []float64, h *tensor.Ten
 }
 
 // TopMemoStats counts the top-layer memo's traffic in target rows:
-// lookups and hits, rows stored, and rows computed but not stored
-// because the stamp moved while their pass ran.
+// lookups and hits, and rows stored.
 type TopMemoStats struct {
-	Lookups    int64 `json:"lookups"`
-	Hits       int64 `json:"hits"`
-	Stores     int64 `json:"stores"`
-	StaleSkips int64 `json:"stale_skips"`
+	Lookups int64 `json:"lookups"`
+	Hits    int64 `json:"hits"`
+	Stores  int64 `json:"stores"`
 }
 
 // Add accumulates o into s (per-shard aggregation).
@@ -129,7 +122,6 @@ func (s *TopMemoStats) Add(o TopMemoStats) {
 	s.Lookups += o.Lookups
 	s.Hits += o.Hits
 	s.Stores += o.Stores
-	s.StaleSkips += o.StaleSkips
 }
 
 // TopMemoStats returns the top-layer memo's counters; zero on engines
@@ -140,9 +132,8 @@ func (e *Engine) TopMemoStats() TopMemoStats {
 		return TopMemoStats{}
 	}
 	return TopMemoStats{
-		Lookups:    m.lookups.Load(),
-		Hits:       m.hits.Load(),
-		Stores:     m.stores.Load(),
-		StaleSkips: m.staleSkips.Load(),
+		Lookups: m.lookups.Load(),
+		Hits:    m.hits.Load(),
+		Stores:  m.stores.Load(),
 	}
 }

@@ -115,132 +115,53 @@ search:
 
 // TestTopMemoStraddlingPassStoresNothing parks a pass between its memo
 // lookup and its store — on the layer-1 cache's shard locks, which the
-// recursion needs next — moves the stamp, and lets it finish: the table
-// must come out byte for byte as it went in.
+// recursion needs next — moves the memo epoch, and lets it finish: the
+// table must come out byte for byte as it went in. The move is an
+// invalidation at or past every embedded time, the fast path, which
+// writes nothing and still ends with the bump; a graph write cannot
+// straddle a pass, since the pass holds the graph's write gate.
 func TestTopMemoStraddlingPassStoresNothing(t *testing.T) {
-	for _, move := range []string{"graph", "epoch"} {
-		t.Run(move, func(t *testing.T) {
-			f := newTopMemoFixture(t, 2)
-			f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to preserve
-			memo := f.eng.topMemo
-			slots := append([]topMemoSlot(nil), memo.slots...)
-			rows := append([]float32(nil), memo.rows...)
-			before := f.eng.TopMemoStats()
+	t.Run("epoch", func(t *testing.T) {
+		f := newTopMemoFixture(t, 2)
+		f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to preserve
+		memo := f.eng.topMemo
+		slots := append([]topMemoSlot(nil), memo.slots...)
+		rows := append([]float32(nil), memo.rows...)
+		before := f.eng.TopMemoStats()
 
-			l1 := f.eng.caches[1]
-			for i := range l1.shards {
-				l1.shards[i].mu.Lock()
-			}
-			nodes, ts := []int32{3, 4, 5}, []float64{f.now, f.now, f.now}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				f.eng.Embed(nodes, ts)
-			}()
-			// The lookup counter moves after the pass has read its stamp.
-			for f.eng.TopMemoStats().Lookups == before.Lookups {
-				runtime.Gosched()
-			}
-			switch move {
-			case "graph":
-				if _, err := f.dyn.Append(graph.Edge{Src: 9, Dst: 10, Time: f.now + 5, Idx: f.nextIdx}); err != nil {
-					t.Fatal(err)
-				}
-			case "epoch":
-				// At or past every embedded time: the fast path, which
-				// touches no cache lock and still ends with the bump.
-				f.eng.InvalidateEdge(9, 10, f.now+5)
-			}
-			for i := range l1.shards {
-				l1.shards[i].mu.Unlock()
-			}
-			<-done
+		l1 := f.eng.caches[1]
+		for i := range l1.shards {
+			l1.shards[i].mu.Lock()
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f.eng.Embed([]int32{3, 4, 5}, []float64{f.now, f.now, f.now})
+		}()
+		// The lookup counter moves after the pass has read its epoch.
+		for f.eng.TopMemoStats().Lookups == before.Lookups {
+			runtime.Gosched()
+		}
+		f.eng.InvalidateEdge(9, 10, f.now+5)
+		for i := range l1.shards {
+			l1.shards[i].mu.Unlock()
+		}
+		<-done
 
-			after := f.eng.TopMemoStats()
-			if after.Stores != before.Stores || after.StaleSkips-before.StaleSkips != int64(len(nodes)) {
-				t.Fatalf("straddling pass: stores %d→%d, stale skips %d→%d", before.Stores, after.Stores, before.StaleSkips, after.StaleSkips)
+		if after := f.eng.TopMemoStats(); after.Stores != before.Stores {
+			t.Fatalf("straddling pass: stores %d→%d", before.Stores, after.Stores)
+		}
+		for i := range slots {
+			if memo.slots[i] != slots[i] {
+				t.Fatalf("slot %d rewritten by a pass whose epoch moved", i)
 			}
-			for i := range slots {
-				if memo.slots[i] != slots[i] {
-					t.Fatalf("slot %d rewritten by a pass whose stamp moved", i)
-				}
+		}
+		for i := range rows {
+			if math.Float32bits(memo.rows[i]) != math.Float32bits(rows[i]) {
+				t.Fatalf("row data rewritten at %d by a pass whose epoch moved", i)
 			}
-			for i := range rows {
-				if math.Float32bits(memo.rows[i]) != math.Float32bits(rows[i]) {
-					t.Fatalf("row data rewritten at %d by a pass whose stamp moved", i)
-				}
-			}
-		})
-	}
-}
-
-// TestTransitiveRollbackBuildsNoLayer2Entry: at L = 3, a layer-2 pass
-// aggregates the layer-1 rows its recursion computed. Park that
-// recursion after its layer-1 store and before its index records land
-// (on the layer-1 target index's locks), move the graph, and let it
-// finish: the layer-1 store rolls back, and the layer-2 entries built
-// from its rows must not be stored either. They are not, because the
-// layer-2 fence opened before the recursion's and the graph's counters
-// only grow, so the move the inner check saw is one the outer check sees.
-// No invalidation scan runs, so any surviving entry would be served.
-func TestTransitiveRollbackBuildsNoLayer2Entry(t *testing.T) {
-	for _, move := range []string{"append", "late"} {
-		t.Run(move, func(t *testing.T) {
-			f := newTopMemoFixture(t, 3)
-			f.eng.Embed([]int32{1, 2}, []float64{f.now, f.now}) // something to keep
-			l1, l2 := f.eng.caches[1], f.eng.caches[2]
-			len1, len2 := l1.Len(), l2.Len()
-			skips := f.eng.staleSkips.Load()
-
-			tix := f.eng.layerTargets[1]
-			for i := range tix.shards {
-				tix.shards[i].mu.Lock()
-			}
-			// Ahead of the clock, so the append below lands in their windows.
-			nodes, ts := []int32{3, 4, 5}, []float64{f.now + 100, f.now + 100, f.now + 100}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				f.eng.Embed(nodes, ts)
-			}()
-			for l1.Len() == len1 { // stored, now blocked on the index
-				runtime.Gosched()
-			}
-			var err error
-			switch move {
-			case "append":
-				_, err = f.dyn.Append(graph.Edge{Src: 3, Dst: 4, Time: f.now + 5, Idx: f.nextIdx})
-			case "late":
-				var res graph.IngestResult
-				res, _, err = f.dyn.Ingest(graph.Edge{Src: 3, Dst: 4, Time: f.now - 10, Idx: f.nextIdx})
-				if err == nil && res != graph.IngestLate {
-					t.Fatalf("late insert classified %v", res)
-				}
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.nextIdx++
-			for i := range tix.shards {
-				tix.shards[i].mu.Unlock()
-			}
-			<-done
-
-			if l1.Len() != len1 {
-				t.Fatalf("layer 1 holds %d entries after the rollback, want %d", l1.Len(), len1)
-			}
-			if l2.Len() != len2 {
-				t.Fatalf("layer 2 holds %d entries built from rolled-back rows, want %d", l2.Len(), len2)
-			}
-			if got := f.eng.staleSkips.Load() - skips; got != 2 {
-				t.Fatalf("%d stale skips, want 2 (the layer-1 rollback and the layer-2 skip)", got)
-			}
-			s := graph.NewDynamicSampler(f.dyn, f.m.Cfg.NumNeighbors, graph.MostRecent, 0)
-			if got, want := f.eng.Embed(nodes, ts), f.m.BaselineEmbedFunc(s)(nodes, ts); !sameBits(got, want) {
-				t.Fatal("re-ask after the rollback differs from the baseline on the current graph")
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestTopMemoAbsentOnStaticSampler: stream, experiment and tgopt-infer
@@ -256,12 +177,14 @@ func TestTopMemoAbsentOnStaticSampler(t *testing.T) {
 	}
 }
 
-// TestTopMemoStressReadersAndWriters: two writers ingest in-order and
-// late edges while four readers re-ask a Zipf-weighted 64-target pool at
-// a moving "now". Once the writers stop, every target's answer — first
-// ask and memo hit — must equal the baseline on the final graph.
+// TestTopMemoStressReadersAndWriters: at L = 3, two writers ingest
+// in-order and late edges, each edge and its invalidation under the
+// graph's write gate, while four readers re-ask a Zipf-weighted
+// 64-target pool at a moving "now". Once the writers stop, every
+// target's answer — first ask and memo hit — must equal the baseline on
+// the final graph, and so must every resident layer-1 and layer-2 row.
 func TestTopMemoStressReadersAndWriters(t *testing.T) {
-	f := newTopMemoFixture(t, 2)
+	f := newTopMemoFixture(t, 3)
 	eng := f.eng
 	const pool, perWriter = 64, 120
 	targets := make([]int32, pool)
@@ -280,19 +203,22 @@ func TestTopMemoStressReadersAndWriters(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			r := rand.New(rand.NewSource(int64(100 + w)))
+			gate := f.dyn.Gate()
 			for i := 0; i < perWriter; i++ {
 				tm := float64(clock.Add(int64(1 + r.Intn(3))))
 				if i%3 == 2 {
 					tm -= float64(10 + r.Intn(200)) // late, inside the window
 				}
 				src, dst := int32(1+r.Intn(topMemoNodes)), int32(1+r.Intn(topMemoNodes))
+				gate.Lock()
 				res, _, err := f.dyn.Ingest(graph.Edge{Src: src, Dst: dst, Time: tm, Idx: idx.Add(1)})
+				if err == nil && res != graph.IngestDropped {
+					eng.InvalidateEdge(src, dst, tm)
+				}
+				gate.Unlock()
 				if err != nil {
 					t.Error(err)
 					return
-				}
-				if res != graph.IngestDropped {
-					eng.InvalidateEdge(src, dst, tm)
 				}
 			}
 		}()
@@ -329,6 +255,26 @@ func TestTopMemoStressReadersAndWriters(t *testing.T) {
 		hits := eng.TopMemoStats().Hits
 		if got := eng.Embed(ns, ts); !sameBits(got, want) || eng.TopMemoStats().Hits != hits+1 {
 			t.Fatalf("node %d at the final now: re-ask was not a baseline-exact memo hit", v)
+		}
+	}
+	// A fresh engine without caches computes each level from scratch.
+	fresh := NewEngine(f.m, s, Options{})
+	for l := 1; l <= 2; l++ {
+		c := eng.CacheFor(l)
+		keys := c.Keys()
+		if len(keys) == 0 {
+			t.Fatalf("layer %d holds no row after the stress run", l)
+		}
+		got := tensor.New(len(keys), f.m.Cfg.NodeDim)
+		if _, n := c.Lookup(keys, got); n != len(keys) {
+			t.Fatalf("layer %d: %d of %d resident rows looked up", l, n, len(keys))
+		}
+		nodes, ts := make([]int32, len(keys)), make([]float64, len(keys))
+		for i, key := range keys {
+			nodes[i], ts[i] = int32(key>>32), float64(uint32(key))
+		}
+		if !sameBits(got, fresh.embed(nil, l, nodes, ts).Data) {
+			t.Fatalf("layer %d: a resident row differs from its recompute on the final graph", l)
 		}
 	}
 	st := eng.TopMemoStats()

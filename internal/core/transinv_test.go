@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
@@ -202,44 +204,102 @@ func TestSupportIndexAlivePrune(t *testing.T) {
 	}
 }
 
-// TestReadBetweenIngestAndInvalidateL3: at L = 3 a read placed between
-// dyn.Ingest of a late edge and its InvalidateEdge builds a layer-2
-// row from a layer-1 row the pending invalidation drops. On one
-// goroutine the read indexes that row's support before the scan runs,
-// so the scan drops the layer-2 row with it, and every answer after the
-// invalidation is the baseline's. (Whether a concurrent read can index
-// it after the scan is the open half; this pins the sequential one.)
+// TestReadBetweenIngestAndInvalidateL3: at L = 3 a pass that ran
+// between dyn.Ingest of a late edge and its InvalidateEdge would hit
+// the layer-1 row ⟨u, T⟩ the edge displaces and build y's layer-2 row
+// at T+1 on it. Parked on the layer-2 support index before it records
+// u as that row's support, it would index the row only after the
+// invalidation's scan, and the row would outlive the invalidation. The
+// writer holds the graph's write gate across both steps, so the pass
+// starts only after the invalidation: the pass and every later answer
+// are the baseline's.
 func TestReadBetweenIngestAndInvalidateL3(t *testing.T) {
 	f := newTopMemoFixture(t, 3)
+	u, y, v, w, T := readBetweenCase(t, f)
 	l1, l2 := f.eng.CacheFor(1), f.eng.CacheFor(2)
-	// ⟨u, T⟩ is cached at layer 1, and y's layer-2 row at T+1 reads it:
-	// (u, y, T) is y's latest interaction before T+1.
-	edges := f.dyn.Edges()
-	e := edges[len(edges)-20]
-	u, y, T := e.Src, e.Dst, e.Time
 	f.eng.Embed([]int32{u}, []float64{T})
 	if !l1.Contains(Key(u, T)) {
 		t.Fatal("warming left ⟨u, T⟩ out of layer 1")
 	}
-	// A late edge just below T enters u's window at T.
-	v, tl := u%topMemoNodes+1, T-0.5
-	if res, _, err := f.dyn.Ingest(graph.Edge{Src: u, Dst: v, Time: tl, Idx: f.nextIdx}); err != nil || res != graph.IngestLate {
-		t.Fatalf("late ingest: %v, %v", res, err)
-	}
 	nodes, ts := []int32{y}, []float64{T + 1}
-	baseline := func() *tensor.Tensor { return freshBaseline(t, f.m, f.dyn, nodes, ts) }
-	hits := l1.Stats().Hits
-	if sameBits(f.eng.Embed(nodes, ts), baseline()) {
-		t.Fatal("the read between the ingest and its invalidation saw no stale row")
+	s := f.eng.SupportsFor(2).shardFor(w)
+	s.mu.Lock()
+	ingested, parked, wrote := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		gate := f.dyn.Gate()
+		gate.Lock()
+		if res, _, err := f.dyn.Ingest(graph.Edge{Src: u, Dst: v, Time: T - 0.5, Idx: f.nextIdx}); err != nil || res != graph.IngestLate {
+			t.Errorf("late ingest: %v, %v", res, err)
+		}
+		close(ingested)
+		select { // a pass that got in would park by now
+		case <-parked:
+		case <-time.After(50 * time.Millisecond):
+		}
+		f.eng.InvalidateEdge(u, v, T-0.5)
+		close(wrote) // before the gate opens to the pass
+		gate.Unlock()
+	}()
+	<-ingested
+	var got *tensor.Tensor
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		got = f.eng.Embed(nodes, ts)
+	}()
+	for !l2.Contains(Key(y, T+1)) { // stored, now parked on the support index
+		select {
+		case <-done:
+			s.mu.Unlock()
+			t.Fatal("the pass finished without storing y's layer-2 row")
+		default:
+			runtime.Gosched()
+		}
 	}
-	if l1.Stats().Hits == hits || !l2.Contains(Key(y, T+1)) {
-		t.Fatal("the read hit no layer-1 row or stored no layer-2 row")
+	select {
+	case <-wrote:
+	default:
+		t.Error("the pass stored a layer-2 row between the write and its invalidation")
 	}
-	f.eng.InvalidateEdge(u, v, tl)
-	if l1.Contains(Key(u, T)) || l2.Contains(Key(y, T+1)) {
-		t.Fatal("the invalidation left the stale layer-1 row or the layer-2 row built on it")
+	close(parked)
+	<-wrote
+	s.mu.Unlock()
+	<-done
+	want := freshBaseline(t, f.m, f.dyn, nodes, ts)
+	if !sameBits(got, want) {
+		t.Error("the pass issued between the write and its invalidation differs from the baseline")
 	}
-	if !sameBits(f.eng.Embed(nodes, ts), baseline()) {
-		t.Fatal("the answer after the invalidation differs from the baseline")
+	if !sameBits(f.eng.Embed(nodes, ts), want) {
+		t.Fatal("the re-ask differs from the baseline: a layer-2 row built on the displaced layer-1 row survived")
 	}
+}
+
+// readBetweenCase finds a late-edge target for the test above: y's
+// latest interaction before T+1 is (u, y, T), v is the late edge's other
+// endpoint, and w sits in y's window at T+1 in a slot before u's, in a
+// support-index shard neither u's nor v's, so a pass parked on w's
+// shard has not recorded u yet while the invalidation's scan runs.
+func readBetweenCase(t *testing.T, f *topMemoFixture) (u, y, v, w int32, T float64) {
+	t.Helper()
+	six := f.eng.SupportsFor(2)
+	edges := f.dyn.Edges()
+	k := f.m.Cfg.NumNeighbors
+	b := graph.Batch{K: k, Nghs: make([]int32, k), EIdxs: make([]int32, k), Times: make([]float64, k), Valid: make([]bool, k)}
+	sampler := graph.NewDynamicSampler(f.dyn, k, graph.MostRecent, 0)
+	for i := len(edges) - 20; i > len(edges)-120; i-- {
+		u, y, T = edges[i].Src, edges[i].Dst, edges[i].Time
+		if u == y {
+			continue
+		}
+		for v = 1; v == u || v == y; v++ {
+		}
+		sampler.SampleTo(&b, []int32{y}, []float64{T + 1})
+		for j := 0; j < k && b.Nghs[j] != u; j++ {
+			if c := b.Nghs[j]; c != 0 && six.shardFor(c) != six.shardFor(u) && six.shardFor(c) != six.shardFor(v) {
+				return u, y, v, c, T
+			}
+		}
+	}
+	t.Fatal("no late-edge target with a parking support before u")
+	return
 }

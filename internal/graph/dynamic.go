@@ -20,11 +20,9 @@ import (
 // bounded-lateness reordering window: an edge whose timestamp trails
 // the stream clock by at most the window is accepted by sorted insert
 // (Ingest), anything older is dropped against the low-watermark
-// and counted (the Flink/StreamTGN allowed-lateness discipline). Late
-// inserts and deletions rewrite history, so both bump the Mutations
-// epoch; cache layers above use the epoch plus one selective
-// invalidation per write (core.Engine.InvalidateEdge) to stay exact —
-// see DESIGN.md §11.
+// and counted (the Flink/StreamTGN allowed-lateness discipline). Cache
+// layers above stay exact through one selective invalidation per write
+// (core.Engine.InvalidateEdge) — see DESIGN.md §11.
 //
 // Dynamic is safe for concurrent use: mutations take the write lock,
 // and a Sampler holds the read lock for a whole SampleTo call, copying
@@ -34,7 +32,14 @@ import (
 // amortized capacity. Embeddings memoized for a target ⟨i, t⟩ remain
 // valid across any write of an edge at a time ≥ t (the §3.2 property);
 // a write below t requires the invalidation above.
+//
+// That lock guards one call. The write gate (Gate) spans many: a
+// writer that runs concurrently with engine passes holds its write
+// side across a write and the write's invalidation, and every engine
+// pass over the graph holds its read side, so no pass sees a write
+// without its invalidation.
 type Dynamic struct {
+	gate     sync.RWMutex
 	mu       sync.RWMutex
 	numNodes int
 	lastTime float64
@@ -52,16 +57,6 @@ type Dynamic struct {
 	// stays O(degree + log E) amortized.
 	deadEdges int
 
-	// mutations counts history rewrites (late inserts + deletions).
-	// Cache layers snapshot it before sampling and skip memoizing any
-	// result whose sampled neighborhoods may predate a rewrite.
-	mutations atomic.Int64
-	// appends counts every accepted chronological append, including
-	// appends at a timestamp equal to the current stream clock — which
-	// change adjacency without advancing MaxTime. Cache layers compare
-	// this sequence (not the clock) to detect appends that raced a
-	// future-time batch.
-	appends      atomic.Int64
 	lateAccepted atomic.Int64
 	lateDropped  atomic.Int64
 }
@@ -121,7 +116,7 @@ func (d *Dynamic) SetLateness(w float64) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.appends.Load()+d.lateAccepted.Load() > 0 {
+	if d.nextIdx > 1 { // an edge id was handed out
 		panic("graph: SetLateness after the graph has held an edge")
 	}
 	d.lateness = w
@@ -143,15 +138,12 @@ func (d *Dynamic) Watermark() float64 {
 	return d.lastTime - d.lateness
 }
 
-// Mutations returns the history-rewrite epoch: it advances on every
-// late insert and deletion, and never on plain appends.
-func (d *Dynamic) Mutations() int64 { return d.mutations.Load() }
-
-// Appends returns the append sequence: it advances on every accepted
-// chronological append (including one at exactly the current stream
-// clock, which MaxTime cannot distinguish) and never on history
-// rewrites, which advance Mutations instead.
-func (d *Dynamic) Appends() int64 { return d.appends.Load() }
+// Gate returns the graph's write gate. An engine pass holds its read
+// side from start to end (core.Engine.EmbedWith); a writer running
+// beside passes holds its write side across each write and that
+// write's invalidation. Nothing takes the read side while holding it:
+// a nested RLock deadlocks once a writer waits.
+func (d *Dynamic) Gate() *sync.RWMutex { return &d.gate }
 
 // LateAccepted returns the number of out-of-order edges accepted by
 // sorted insert.
@@ -222,7 +214,6 @@ func (d *Dynamic) appendLocked(e Edge) int32 {
 	d.edges = append(d.edges, e)
 	d.byIdx[e.Idx] = e.Time
 	d.lastTime = e.Time
-	d.appends.Add(1)
 	return e.Idx
 }
 
@@ -231,10 +222,9 @@ func (d *Dynamic) appendLocked(e Edge) int32 {
 // edge stream and both endpoints' adjacency. Equal timestamps order
 // after previously arrived ones (matching Append's tie behavior).
 //
-// A late insert rewrites history: it advances the Mutations epoch, and
-// callers holding a TGOpt engine over this graph must invalidate the
-// dependent memoized embeddings (core.Engine.InvalidateEdge) to
-// preserve semantics. Cost is O(window) plus the log-degree searches:
+// A late insert rewrites history: callers holding a TGOpt engine over
+// this graph must invalidate the dependent memoized embeddings
+// (core.Engine.InvalidateEdge) to preserve semantics. Cost is O(window) plus the log-degree searches:
 // the stream and both endpoints' adjacency shift only the suffix the
 // lateness window bounds, in place under the write lock.
 func (d *Dynamic) insertLateLocked(e Edge) int32 {
@@ -251,7 +241,6 @@ func (d *Dynamic) insertLateLocked(e Edge) int32 {
 	}
 	d.byIdx[e.Idx] = e.Time
 	d.lateAccepted.Add(1)
-	d.mutations.Add(1)
 	return e.Idx
 }
 
@@ -364,10 +353,10 @@ func (d *Dynamic) CountBetween(v int32, lo, hi float64) int {
 // DeleteEdge removes the interaction with the given 1-based edge id
 // from the graph — the §7 edge-deletion event. It reports whether the
 // edge existed. The id index plus a binary search over the time-sorted
-// stream make removal O(degree + log E). Deletion rewrites history: it
-// advances the Mutations epoch, and callers holding a TGOpt engine over
-// this graph must invalidate dependent cache entries
-// (core.Engine.InvalidateEdge) to preserve semantics.
+// stream make removal O(degree + log E). Deletion rewrites history:
+// callers holding a TGOpt engine over this graph must invalidate
+// dependent cache entries (core.Engine.InvalidateEdge) to preserve
+// semantics.
 func (d *Dynamic) DeleteEdge(eidx int32) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -400,7 +389,6 @@ func (d *Dynamic) DeleteEdge(eidx int32) bool {
 		d.adj[e.Dst].remove(eidx, t)
 	}
 	delete(d.byIdx, eidx)
-	d.mutations.Add(1)
 	return true
 }
 

@@ -44,9 +44,6 @@ func TestDynamicInsertLateSortedOrder(t *testing.T) {
 	if d.LateAccepted() != 1 || d.LateDropped() != 0 {
 		t.Fatalf("counters: accepted=%d dropped=%d", d.LateAccepted(), d.LateDropped())
 	}
-	if d.Mutations() != 1 {
-		t.Fatalf("Mutations = %d after one late insert", d.Mutations())
-	}
 }
 
 func TestDynamicInsertLateAtOrPastClockAppends(t *testing.T) {
@@ -61,9 +58,8 @@ func TestDynamicInsertLateAtOrPastClockAppends(t *testing.T) {
 	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 15}); err != nil || res != IngestAppended {
 		t.Fatalf("past the clock: %v, %v", res, err)
 	}
-	if d.Mutations() != 0 || d.LateAccepted() != 0 {
-		t.Fatalf("in-order inserts counted as rewrites: mutations=%d late=%d",
-			d.Mutations(), d.LateAccepted())
+	if d.LateAccepted() != 0 {
+		t.Fatalf("in-order inserts counted as late: %d", d.LateAccepted())
 	}
 	if d.MaxTime() != 15 {
 		t.Fatalf("MaxTime = %v", d.MaxTime())
@@ -85,9 +81,6 @@ func TestDynamicWatermarkDrop(t *testing.T) {
 	}
 	if d.LateDropped() != 1 {
 		t.Fatalf("LateDropped = %d", d.LateDropped())
-	}
-	if d.Mutations() != 0 {
-		t.Fatal("drop advanced the mutation epoch")
 	}
 	// Exactly at the watermark is still inside the window.
 	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 95}); err != nil || res != IngestLate {
@@ -286,9 +279,6 @@ func TestDynamicDeleteEdge(t *testing.T) {
 		if e.Idx == ids[1] {
 			t.Fatal("deleted edge still in the stream")
 		}
-	}
-	if d.Mutations() != 1 {
-		t.Fatalf("Mutations = %d after one delete", d.Mutations())
 	}
 	// The freed id is never reused by auto-assignment.
 	idx, err := d.Append(Edge{Src: 1, Dst: 2, Time: 50})
@@ -493,48 +483,5 @@ func TestDynamicLateEditsAtHubAllocateNothing(t *testing.T) {
 	}
 	if got := d.TemporalDegree(1, math.Inf(1)); got != hubDegree {
 		t.Fatalf("hub degree %d after the pairs, want %d", got, hubDegree)
-	}
-}
-
-func TestDynamicAppendsSequence(t *testing.T) {
-	// The append sequence is the cache layer's only reliable signal that
-	// adjacency changed via the chronological path: an append at exactly
-	// the stream clock leaves MaxTime unchanged (and never bumps the
-	// mutation epoch), so both must be distinguishable through Appends.
-	d := NewDynamic(4)
-	d.SetLateness(100)
-	if d.Appends() != 0 {
-		t.Fatalf("fresh graph Appends = %d", d.Appends())
-	}
-	if _, err := d.Append(Edge{Src: 1, Dst: 2, Time: 10}); err != nil {
-		t.Fatal(err)
-	}
-	// Equal-time append: MaxTime stays put, the sequence must not.
-	if _, err := d.Append(Edge{Src: 2, Dst: 3, Time: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if d.MaxTime() != 10 {
-		t.Fatalf("MaxTime = %v, want 10", d.MaxTime())
-	}
-	if d.Appends() != 2 {
-		t.Fatalf("Appends = %d, want 2", d.Appends())
-	}
-	muts := d.Mutations()
-	// A genuinely late insert is a history rewrite, not an append.
-	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 3, Time: 5}); err != nil || res != IngestLate {
-		t.Fatal(res, err)
-	}
-	if d.Appends() != 2 {
-		t.Fatalf("late insert bumped Appends to %d", d.Appends())
-	}
-	if d.Mutations() == muts {
-		t.Fatal("late insert did not bump Mutations")
-	}
-	// Ingest at the clock is an append and counts.
-	if res, _, err := d.Ingest(Edge{Src: 1, Dst: 4, Time: 10}); err != nil || res != IngestAppended {
-		t.Fatal(res, err)
-	}
-	if d.Appends() != 3 {
-		t.Fatalf("degraded-to-append insert left Appends at %d, want 3", d.Appends())
 	}
 }

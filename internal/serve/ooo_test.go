@@ -59,8 +59,8 @@ func embedRows(t *testing.T, url string, ns []int32, ts []float64) [][]float32 {
 // converge to bitwise-identical embeddings against a server that
 // ingested the same stream fully sorted. Bitwise equality holds because
 // per-row computation is deterministic, the converged adjacency is
-// identical, and selective invalidation plus the mutation-epoch store
-// guard leave no stale memo behind. Run with -race.
+// identical, and selective invalidation under the graph's write gate
+// leaves no stale memo behind. Run with -race.
 func TestServeOutOfOrderIngestConvergesToSorted(t *testing.T) {
 	serveOOOConvergence(t, 2, 500)
 }
@@ -432,7 +432,6 @@ func TestServeStatsReportIngestSection(t *testing.T) {
 		"tgopt_ingest_late_dropped_total 1",
 		"tgopt_ingest_watermark 50",
 		"tgopt_cache_invalidated_total",
-		"tgopt_cache_stale_store_skips_total",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
@@ -517,7 +516,6 @@ func TestServeStatsReportPerLayerCache(t *testing.T) {
 		"tgopt_top_memo_lookups_total 9",
 		"tgopt_top_memo_hits_total 3",
 		"tgopt_top_memo_stores_total 6",
-		"tgopt_top_memo_stale_skips_total 0",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"tgopt/internal/core"
@@ -63,13 +62,6 @@ type Server struct {
 	// and outlives swaps, ingest and shard restarts unchanged.
 	wire *rowTextMemo
 
-	// ingestMu serializes /v1/ingest, so each edge's invalidation runs
-	// before the graph accepts the next: the invalidation indexes retire
-	// records at the watermark, and an edge accepted but not yet applied
-	// must not see the watermark moved past it (core.TargetIndex). A
-	// swap publishes under it too, so an ingest writes the graph and
-	// invalidates the version it loaded before another can serve.
-	ingestMu sync.Mutex
 	// swaps, rollbacks, and lastSwapUnix are the /v1/stats "model"
 	// section, beside the version the published model carries.
 	swaps        atomic.Int64
@@ -264,11 +256,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// invalidate the memoized embeddings they could reach; edges below
 	// the watermark are dropped and counted, never silently applied.
 	//
-	// The version is loaded under ingestMu, which a swap publishes
-	// under: no other version can serve, and cache rows, between this
-	// batch's graph writes and their invalidation (swap.go).
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	// The graph's write gate is held, write side, from the version load
+	// to the last invalidation: no engine pass runs between an edge and
+	// its invalidation, each edge's invalidation runs before the graph
+	// accepts the next (the indexes retire records at the watermark,
+	// core.TargetIndex), and a version a swap publishes meanwhile
+	// computes nothing before the hold ends: its passes wait here too.
+	gate := s.dyn.Gate()
+	gate.Lock()
+	defer gate.Unlock()
 	b := s.cur.Load().backend
 	var resp ingestResponse
 	for i, e := range q.edges {

@@ -12,14 +12,13 @@ import (
 // unreadable one, or one computed from other parameters or features, is
 // logged and also starts cold — the engine's LoadCaches is
 // all-or-nothing. Of an accepted snapshot the engine keeps the rows
-// whose window the graph still gives them. ingestMu keeps ingests out
-// while the load re-samples those windows.
+// whose window the graph still gives them; the backend holds the
+// graph's write gate, read side, while the load re-samples those
+// windows.
 func (s *Server) warmStart() {
 	path, logf := s.cfg.CacheFile, s.cfg.Logf
-	s.ingestMu.Lock()
 	b := s.cur.Load().backend
 	warmed, err := b.WarmStart()
-	s.ingestMu.Unlock()
 	switch {
 	case err == nil:
 		logf("warm-started %d memoized embeddings from %s (%d of %d cores)",

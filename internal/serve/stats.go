@@ -74,12 +74,11 @@ type cacheSection struct {
 // counters, and the memo rows every accepted edge's invalidation has
 // dropped.
 type ingestStats struct {
-	Lateness        float64 `json:"lateness"`
-	Watermark       float64 `json:"watermark"`
-	LateAccepted    int64   `json:"late_accepted"`
-	LateDropped     int64   `json:"late_dropped"`
-	Invalidated     int64   `json:"invalidated"`
-	StaleStoreSkips int64   `json:"stale_store_skips"`
+	Lateness     float64 `json:"lateness"`
+	Watermark    float64 `json:"watermark"`
+	LateAccepted int64   `json:"late_accepted"`
+	LateDropped  int64   `json:"late_dropped"`
+	Invalidated  int64   `json:"invalidated"`
 }
 
 // modelStats is the /v1/stats "model" section.
@@ -179,7 +178,6 @@ func (s *Server) scrape() statsResponse {
 		}
 		st.CacheItems, st.CacheBytes = st.CacheItems+items, st.CacheBytes+bytes
 		st.Cache.TopMemo.Add(eng.TopMemoStats())
-		st.Ingest.StaleStoreSkips += eng.StaleStoreSkips()
 		for name, h := range eng.StageStats() {
 			stages[name].Merge(h)
 		}
@@ -283,7 +281,6 @@ var metricTable = []metric{
 	gauge("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", "cache.top_memo.lookups"),
 	gauge("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", "cache.top_memo.hits"),
 	gauge("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", "cache.top_memo.stores"),
-	gauge("tgopt_top_memo_stale_skips_total", "Top-layer rows computed but not stored because a write landed during their pass.", "cache.top_memo.stale_skips"),
 	gauge("tgopt_wire_rows_total", "Embedding rows encoded into /v1/embed responses.", "wire.rows"),
 	gauge("tgopt_wire_row_text_hits_total", "Encoded embedding rows whose text was copied from the row-text memo instead of formatted.", "wire.row_text_hits"),
 	gauge("tgopt_requests_total", "API requests handled.", "requests"),
@@ -292,7 +289,6 @@ var metricTable = []metric{
 	gauge("tgopt_ingest_late_dropped_total", "Edges dropped below the low-watermark.", "ingest.late_dropped"),
 	gauge("tgopt_ingest_watermark", "Low-watermark: edges older than this are dropped.", "ingest.watermark"),
 	gauge("tgopt_cache_invalidated_total", "Memoized embeddings dropped by the invalidation of accepted edges, appended or late.", "ingest.invalidated"),
-	gauge("tgopt_cache_stale_store_skips_total", "Memo stores skipped or rolled back because a mutation raced the compute.", "ingest.stale_store_skips"),
 	gauge("tgopt_inflight_requests", "Requests currently executing.", "in_flight"),
 	gauge("tgopt_rejected_total", "Requests rejected with 429 at the in-flight limit.", "rejected"),
 	gauge("tgopt_timeouts_total", "Requests that exceeded the deadline (504).", "timeouts"),

@@ -46,15 +46,12 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
 			version, m.Version(), err)
 	}
-	// The store is made under ingestMu, under which an ingest loads the
-	// version it invalidates: every edge an ingest writes is invalidated
-	// on a version no request could read from before the write. Without
-	// the lock, a version published between an ingest's load and its
-	// graph write could cache a row over the graph without the edge, and
-	// nothing would invalidate it.
-	s.ingestMu.Lock()
+	// The store takes no lock. An ingest holds the graph's write gate
+	// from loading the version it invalidates to its last invalidation,
+	// and every pass of every version holds the read side, so a version
+	// published inside that hold computes and caches nothing until the
+	// ingest's edges are written and invalidated.
 	old := s.cur.Swap(next)
-	s.ingestMu.Unlock()
 	old.close()
 	s.swaps.Add(1)
 	s.lastSwapUnix.Store(time.Now().Unix())

@@ -704,8 +704,10 @@ func (b slowApply) Apply(e graph.Edge, res graph.IngestResult) int {
 	return b.backend.Apply(e, res)
 }
 
-// TestServeSwapIngestPublishOrdering pins why a swap publishes under
-// ingestMu. Each round hammers three kinds of request while one swap
+// TestServeSwapIngestPublishOrdering pins that a version published
+// during an ingest serves nothing the ingest's edges stale: the ingest
+// holds the graph's write gate, and the new version's passes wait at
+// it. Each round hammers three kinds of request while one swap
 // lands: ingests of 32 edges, in order at times below the asked ones
 // and late inside the lateness window, and re-asked reads and scores
 // at timestamps beyond the stream clock. Once the round is quiet, every

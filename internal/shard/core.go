@@ -33,6 +33,7 @@ func isPanic(err error) bool {
 // released by defer). A Core has no ring or supervisor: it answers or
 // it fails. Its model never changes: a params swap builds a new Core.
 type Core struct {
+	dyn *graph.Dynamic
 	eng *core.Engine
 	emb core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
 	bat *batcher.Batcher
@@ -53,7 +54,7 @@ func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config
 func newCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config, id int) *Core {
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
-	c := &Core{eng: eng, emb: eng, cfg: cfg}
+	c := &Core{dyn: dyn, eng: eng, emb: eng, cfg: cfg}
 	if cfg.WrapEmbedder != nil {
 		c.emb = cfg.WrapEmbedder(id, c.emb)
 	}
@@ -137,8 +138,13 @@ func (c *Core) SaveSnapshot() error {
 }
 
 // WarmStart loads the snapshot SaveSnapshot wrote, all-or-nothing, and
-// reports how many cores it warmed (one, or none with the error).
+// reports how many cores it warmed (one, or none with the error). It
+// holds the read side of the graph's write gate, so no gated write
+// lands between a row's re-sample and its index record.
 func (c *Core) WarmStart() (int, error) {
+	gate := c.dyn.Gate()
+	gate.RLock()
+	defer gate.RUnlock()
 	if err := c.eng.LoadCachesFS(c.cfg.FS, c.cfg.CacheFile); err != nil {
 		return 0, err
 	}

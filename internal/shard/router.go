@@ -82,12 +82,6 @@ type Router struct {
 	ring   *ring
 	shards []*Shard
 
-	// ingestMu orders Apply against snapshot loads: a restart's load
-	// and core swap, and a WarmStart, run under it, so no edge lands
-	// while a load re-samples the windows it keeps rows for, or before
-	// the core goes live.
-	ingestMu sync.Mutex
-
 	closed atomic.Bool
 
 	// rebuilds counts supervisor rebuilds in flight and rebuildDone
@@ -322,10 +316,10 @@ func (r *Router) nextUp(owner int) *Shard {
 // summed count of memo entries dropped across the pool. Crashed shards
 // are skipped: a restart builds its core over the graph as it then is,
 // and its snapshot load keeps only rows whose window that graph still
-// gives them.
+// gives them. A caller that writes beside passes or restarts holds the
+// graph's write gate (graph.Dynamic.Gate) across the write and this
+// call.
 func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
-	r.ingestMu.Lock()
-	defer r.ingestMu.Unlock()
 	for _, s := range r.shards {
 		if s.up() {
 			invalidated += s.currentCore().Apply(e, res)

@@ -16,12 +16,12 @@ import (
 //     and Apply stops touching the old core.
 //  2. The restart goroutine builds a fresh engine over the router's
 //     graph, which already holds every edge taken so far.
-//  3. Under ingestMu it warms the caches from the shard's last snapshot
-//     (the engine re-samples each saved row's window on the graph and
-//     keeps the rows whose window is unchanged), swaps the core in, and
-//     clears crashed, so no edge falls between the load and the first
-//     live Apply. From then on the shard is up and its owner's legs
-//     reach it again.
+//  3. Under the read side of the graph's write gate it warms the
+//     caches from the shard's last snapshot (the engine re-samples each
+//     saved row's window on the graph and keeps the rows whose window is
+//     unchanged), swaps the core in, and clears crashed, so no gated
+//     write falls between the load and the first live Apply. From then
+//     on the shard is up and its owner's legs reach it again.
 
 // restartBackoff paces rebuild attempts after a failed rebuild.
 const restartBackoff = 100 * time.Millisecond
@@ -96,13 +96,14 @@ func (r *Router) restartOnce(s *Shard) bool {
 		return false
 	}
 	// Apply skips a crashed shard, so the load and the swap share one
-	// ingestMu hold: an edge Applied before the hold is in the graph the
-	// load re-samples, and one Applied after it reaches the new core.
-	r.ingestMu.Lock()
+	// hold of the gate: an edge written before the hold is in the graph
+	// the load re-samples, and one written after it reaches the new core.
+	gate := r.dyn.Gate()
+	gate.RLock()
 	r.loadSnapshot(s.id, c)
 	s.setCore(c)
 	s.crashed.Store(false)
-	r.ingestMu.Unlock()
+	gate.RUnlock()
 	return true
 }
 
@@ -147,10 +148,11 @@ func (r *Router) SaveSnapshot() error {
 // silently; corrupt ones are logged, counted and cold-start. Returns
 // the number of shards warmed, and fs.ErrNotExist when that is none.
 func (r *Router) WarmStart() (warmed int, err error) {
-	// An Apply must not land between a row's re-sample and its index
-	// record.
-	r.ingestMu.Lock()
-	defer r.ingestMu.Unlock()
+	// A gated write must not land between a row's re-sample and its
+	// index record.
+	gate := r.dyn.Gate()
+	gate.RLock()
+	defer gate.RUnlock()
 	for _, s := range r.shards {
 		if r.loadSnapshot(s.id, s.currentCore()) {
 			warmed++
@@ -167,8 +169,8 @@ func (r *Router) WarmStart() (warmed int, err error) {
 // parameters or features and keeps only the rows whose window the
 // shared graph still gives them. A missing snapshot file is a silent
 // cold start, an unusable one a counted cold start (correctness never
-// depends on the snapshot). Callers hold ingestMu, so no Apply lands
-// while the load re-samples.
+// depends on the snapshot). Callers hold the gate's read side, so no
+// gated write lands while the load re-samples.
 func (r *Router) loadSnapshot(id int, c *Core) bool {
 	if r.cfg.CacheFile == "" {
 		return false

@@ -74,7 +74,8 @@ one constructor (serve.NewFromConfig builds every server; New, NewSharded and Se
 one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal/serve/*.go -./internal/serve/benchcompat.go	package serve builds a server outside NewFromConfig
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 one scrape (internal/shard sums no batcher: serving's scrape sums each once)	-E	batcher\.Snapshot	internal/shard	internal/shard re-sums the batchers again
-one scrape (internal/serve reads its engines' and batchers' figures in Server.scrape alone, one line each)	-E	\.(LayerCacheStats|TopMemoStats|StaleStoreSkips|StageStats|Occupancy|QueueWait)\(|newEngineTotals|newBatchTotals	internal/serve	a second pass gathers engine or batcher totals in internal/serve	6
+one scrape (internal/serve reads its engines' and batchers' figures in Server.scrape alone, one line each)	-E	\.(LayerCacheStats|TopMemoStats|StageStats|Occupancy|QueueWait)\(|newEngineTotals|newBatchTotals	internal/serve	a second pass gathers engine or batcher totals in internal/serve	5
+one write gate (no engine pass overlaps a gated graph write: no pass fence, no store rollback or skip counter, no ingest mutex, no graph change counters)	-E	passFence|staleFor|StaleStoreSkips|staleSkips|ingestMu|\.Mutations\(\)|\.Appends\(\)	nontest	a lock-free fence against graph writes, or an ingest mutex, is back
 GATES
 [ "$gates_failed" = 0 ] || exit 1
 for dir in internal/*/; do
@@ -122,9 +123,10 @@ go test -race -count=1 -cpu 1,2,4 \
 # hold at one, two and four Ps.
 go test -race -count=1 -cpu 1,2,4 \
     -run 'TestDynamicConcurrentMutationsAndSampling|TestDynamicLateEditsAtHubAllocateNothing' ./internal/graph/
-# The top-layer memo's parked-pass pins and its readers-vs-writers
-# stress test, repeated: a stamp race shows only on some schedules.
-go test -race -count=5 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
+# The top-layer memo's parked-pass pin and its L = 3 readers-vs-writers
+# stress test under the write gate, repeated at two and four Ps: a race
+# between a pass and a write shows only on some schedules.
+go test -race -count=5 -cpu 2,4 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
 # The row-text memo under concurrent store/hit/evict, the encoders' byte
 # identity, and the batcher's one-channel-per-cohort publication.
 go test -race -count=3 -run 'TestWire|TestBatcher' ./internal/serve ./internal/batcher
@@ -144,7 +146,7 @@ echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
 echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
-go test -race -count=1 -run 'TestTransitive|TestInvalidate|TestSupport|TestReadBetween|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled; the engine oracle's swap step runs in the race stanza)"

@@ -62,7 +62,9 @@ func NewGraph(numNodes int, edges []Edge) (*Graph, error) {
 // chronological appends, late inserts and (rare) edge deletions. An
 // engine over it stays exact when every edge write (an append, a late
 // insert or a deletion) is followed by one call,
-// Engine.InvalidateEdge(u, v, t).
+// Engine.InvalidateEdge(u, v, t). A writer running beside engine
+// passes holds the graph's write gate (Dynamic.Gate, write side) across
+// the write and its InvalidateEdge; every pass holds the read side.
 type Dynamic = graph.Dynamic
 
 // NewDynamic creates an empty streaming graph over nodes 1..numNodes.
