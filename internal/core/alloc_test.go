@@ -31,7 +31,7 @@ func TestEngineEmbedSteadyStateAllocs(t *testing.T) {
 	ts := []float64{4e4, 4e4, 3e4, 4e4, 4.5e4, 2e4, 3.5e4, 4.2e4}
 
 	// A 3-layer model exercises the deep-memo dependency recording
-	// (target + support indexes, DESIGN.md §11), over the live graph
+	// (the window indexes, DESIGN.md §11), over the live graph
 	// below since a static sampler builds no index: recording happens
 	// only on the miss/store path, so the all-hit steady state must stay
 	// allocation-free there too.

@@ -139,20 +139,18 @@ type Engine struct {
 	// NewEngine: a new params version is a new engine.
 	packs     []nn.LayerPack
 	scorePack nn.MergePack
-	// layerTargets[l] indexes layer l's cached keys by target node and
-	// layerSupports[l] (l ≥ 2) indexes them by support node — the
-	// (node, time) pairs whose layer-(l−1) embeddings the entry
-	// aggregated. dyn is the live graph when serving a stream. Together
-	// they are the engine's one invalidation index: every cache-enabled
-	// engine over a live graph builds them, and they make late inserts,
-	// appends and deletions selective, transitively across cached layers
+	// indexes[l] is layer l's WindowIndex: every window each cached
+	// entry read, its target's and (l ≥ 2) its sampled neighbours'. dyn
+	// is the live graph when serving a stream. The indexes are the
+	// engine's one invalidation structure: every cache-enabled engine
+	// over a live graph builds them, and they make late inserts, appends
+	// and deletions selective, transitively across cached layers
 	// (DESIGN.md §11). A static-sampler engine builds none: no edge can
-	// arrive. Every index keeps a record until the watermark floor
-	// passes it (indexFloor), cached or not: an upper entry may still
-	// depend on an evicted value.
-	layerTargets  []*TargetIndex
-	layerSupports []*SupportIndex
-	dyn           *graph.Dynamic
+	// arrive. A record lives until the watermark floor passes it
+	// (indexFloor), cached or not: an upper entry may still depend on an
+	// evicted value.
+	indexes []*WindowIndex
+	dyn     *graph.Dynamic
 	// keepAll pins indexFloor at −∞ (tests: the no-retirement baseline).
 	keepAll bool
 	// maxEmbedBits holds the float bits of the largest query timestamp
@@ -206,15 +204,10 @@ func NewEngine(m *tgat.Model, s *graph.Sampler, opt Options) *Engine {
 		e.topMemo = newTopMemo(m.Cfg.NodeDim)
 	}
 	if e.caches != nil && e.dyn != nil {
-		e.layerTargets = make([]*TargetIndex, len(e.caches))
-		e.layerSupports = make([]*SupportIndex, len(e.caches))
+		e.indexes = make([]*WindowIndex, len(e.caches))
 		for l, c := range e.caches {
-			if c == nil {
-				continue
-			}
-			e.layerTargets[l] = NewTargetIndex()
-			if l >= 2 { // deep layers also track supports
-				e.layerSupports[l] = NewSupportIndex()
+			if c != nil {
+				e.indexes[l] = NewWindowIndex()
 			}
 		}
 	}
@@ -344,24 +337,21 @@ func (e *Engine) InvalidateLateEdge(u, v int32, t float64) int { return e.Invali
 func (e *Engine) InvalidateAppend(u, v int32, t float64) int { return e.InvalidateEdge(u, v, t) }
 
 // invalidateNewer is InvalidateEdge's selective body. Layers are
-// processed bottom up; a layer-l entry is dropped when (i) its own
-// most-recent-k window is displaced by the written edge (found through
-// layerTargets), or (ii) one of its recorded support values
-// ⟨s, t_s⟩ with s ∈ {u, v} had its window displaced (the same
-// CountBetween refinement one hop down), or (iii) one of its supports
-// is itself a layer-(l−1) entry dropped in the previous pass. Rule
-// (ii) makes the propagation exact for L = 3 — layer-1 values depend
-// only on their own window and layer-0 features, whose writes clear
-// every layer (InvalidateNode) — and rule
-// (iii) carries deeper models, relying on support records outliving
-// the eviction of their entries (see SupportIndex).
+// processed bottom up; a layer-l entry is dropped when a window it read
+// — its target's or a sampled neighbour's — is displaced by the written
+// edge (one scan of each endpoint's records), or when a layer-(l−1)
+// value it read was dropped in the previous pass (CollectUpper). The
+// first rule is exact for L = 3 — layer-1 values depend only on their
+// own window and layer-0 features, whose writes clear every layer
+// (InvalidateNode) — and the second carries deeper models, relying on
+// records outliving the eviction of their entries (see WindowIndex).
 func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	// A shed record means some entry's dependencies are unknown: that
 	// layer and every layer above it clear this one time (their indexes
 	// reset with them, so tracking restarts clean). A static-sampler
 	// engine has no index, so every layer clears.
 	clearFrom, floor := 1, 0.0
-	if e.layerTargets != nil {
+	if e.indexes != nil {
 		clearFrom, floor = e.shedFrom(), e.indexFloor(t)
 	}
 	k := e.model.Cfg.NumNeighbors
@@ -390,17 +380,12 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 			continue
 		}
 		var drop []uint64
-		tix := e.layerTargets[l]
+		ix := e.indexes[l]
 		for _, w := range endpoints[:n] {
-			drop = append(drop, tix.CollectNewer(w, t, floor, displacesWindow(w))...)
+			drop = append(drop, ix.collect(w, t, floor, displacesWindow(w))...)
 		}
-		if six := e.layerSupports[l]; six != nil {
-			for _, w := range endpoints[:n] {
-				drop = append(drop, six.CollectWindow(w, t, floor, displacesWindow(w))...)
-			}
-			for _, lower := range displaced {
-				drop = append(drop, six.CollectUpper(lower, floor)...)
-			}
+		for _, lower := range displaced {
+			drop = append(drop, ix.CollectUpper(lower, floor)...)
 		}
 		removed += c.Remove(drop)
 		// Propagate every displaced value, cached or not: an upper
@@ -410,11 +395,11 @@ func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	return removed
 }
 
-// shedFrom returns the lowest cached layer whose target or support
-// index shed a record since its last reset, or len(e.caches) if none.
+// shedFrom returns the lowest cached layer whose index shed a record
+// since its last reset, or len(e.caches) if none.
 func (e *Engine) shedFrom() int {
 	for l := 1; l < len(e.caches); l++ {
-		if tix, six := e.TargetsFor(l), e.SupportsFor(l); (tix != nil && tix.Shed()) || (six != nil && six.Shed()) {
+		if ix := e.IndexFor(l); ix != nil && ix.Shed() {
 			return l
 		}
 	}
@@ -441,24 +426,15 @@ func (e *Engine) indexFloor(t float64) float64 {
 	return math.Floor(t)
 }
 
-// TargetsFor returns layer l's per-node key index, or nil.
-func (e *Engine) TargetsFor(l int) *TargetIndex {
-	if e.layerTargets == nil || l < 1 || l >= len(e.layerTargets) {
+// IndexFor returns layer l's window index, or nil.
+func (e *Engine) IndexFor(l int) *WindowIndex {
+	if e.indexes == nil || l < 1 || l >= len(e.indexes) {
 		return nil
 	}
-	return e.layerTargets[l]
+	return e.indexes[l]
 }
 
-// SupportsFor returns layer l's support index (l ≥ 2 on deep models
-// over a live graph), or nil.
-func (e *Engine) SupportsFor(l int) *SupportIndex {
-	if e.layerSupports == nil || l < 1 || l >= len(e.layerSupports) {
-		return nil
-	}
-	return e.layerSupports[l]
-}
-
-// clearCaches empties every cached layer and resets its indexes,
+// clearCaches empties every cached layer and resets its index,
 // returning the number of entries dropped.
 func (e *Engine) clearCaches() int {
 	n := 0
@@ -470,16 +446,13 @@ func (e *Engine) clearCaches() int {
 	return n
 }
 
-// clearLayer empties layer l's cache and resets its indexes, returning
+// clearLayer empties layer l's cache and resets its index, returning
 // the number of entries dropped.
 func (e *Engine) clearLayer(l int) int {
 	n := e.caches[l].Len()
 	e.caches[l].Clear()
-	if tix := e.TargetsFor(l); tix != nil {
-		tix.Reset()
-	}
-	if six := e.SupportsFor(l); six != nil {
-		six.Reset()
+	if ix := e.IndexFor(l); ix != nil {
+		ix.Reset()
 	}
 	return n
 }
@@ -492,7 +465,7 @@ type LayerCacheStats struct {
 	Layer int   `json:"layer"`
 	Items int   `json:"items"`
 	Bytes int64 `json:"bytes"`
-	// IndexRecords counts the layer's live target and support records.
+	// IndexRecords counts the layer's live window-index records.
 	IndexRecords int `json:"index_records"`
 	CacheStats
 }
@@ -506,11 +479,8 @@ func (e *Engine) LayerCacheStats() []LayerCacheStats {
 			continue
 		}
 		ls := LayerCacheStats{Layer: l, Items: c.Len(), Bytes: c.UsedBytes(), CacheStats: c.Stats()}
-		if tix := e.TargetsFor(l); tix != nil {
-			ls.IndexRecords = tix.Len()
-		}
-		if six := e.SupportsFor(l); six != nil {
-			ls.IndexRecords += six.Len()
+		if ix := e.IndexFor(l); ix != nil {
+			ls.IndexRecords = ix.Len()
 		}
 		out = append(out, ls)
 	}
@@ -753,24 +723,23 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 			}
 			cache.storeExact(missKeys, inexact, tags, hm)
 			e.observe(stats.OpCacheStore, nm, start)
-			if tix := e.TargetsFor(l); tix != nil {
-				// Index per-target, and — for deep layers — per
-				// support: the (node, time) pairs whose layer-(l−1)
-				// embeddings this entry aggregated, read straight off
-				// the sampled batch (padding slots carry node 0).
+			if ix := e.IndexFor(l); ix != nil {
+				// Record every window the entry read: its target's and,
+				// on a deep layer, each sampled neighbour's, read
+				// straight off the batch (padding slots carry node 0).
+				// A target outside Key's domain is never stored, so it
+				// files no record of its own; its neighbours' records
+				// still carry its folded key up to CollectUpper.
 				// Recording only runs on the miss path, so the all-hit
 				// steady state stays allocation-free.
 				floor := e.indexFloor(math.Inf(1))
 				for i := 0; i < nm; i++ {
 					if inexact == nil || inKeyDomain(missTs[i]) {
-						tix.Record(missNodes[i], missKeys[i], missTs[i], floor)
+						ix.Record(missNodes[i], missKeys[i], missTs[i], floor)
 					}
-				}
-				if six := e.layerSupports[l]; six != nil {
-					for i := 0; i < nm; i++ {
-						base := i * k
-						for j := 0; j < k; j++ {
-							six.Record(b.Nghs[base+j], missKeys[i], b.Times[base+j], floor)
+					if l >= 2 {
+						for j := i * k; j < (i+1)*k; j++ {
+							ix.Record(b.Nghs[j], missKeys[i], b.Times[j], floor)
 						}
 					}
 				}

@@ -6,8 +6,9 @@
 //   - the sharded, memory-bounded embedding memoization cache of §4.2
 //     with FIFO or TinyLFU admission,
 //   - the precomputed time-encoding table of §4.3,
-//   - the per-node target/support index that keeps the cache exact
-//     under late inserts, appends and deletions on a live graph, and
+//   - one window index per cached layer, recording every window each
+//     entry read, that keeps the cache exact under late inserts,
+//     appends and deletions on a live graph, and
 //   - Engine, the end-to-end redundancy-aware embedding computation of
 //     Algorithm 1 — a drop-in replacement for the baseline recursive
 //     tgat.Model.Embed whose outputs are bitwise the baseline's.

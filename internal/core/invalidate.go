@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// targetIndexShards fixes the index lock striping; recording is one
-// short critical section per record.
-const targetIndexShards = 64
+// indexShards fixes the index lock striping; recording is one short
+// critical section per record.
+const indexShards = 64
 
 // nodeRecordCap bounds one node's record list. The watermark keeps lists
 // short; only a lateness window wide enough that the floor never passes
@@ -17,18 +17,34 @@ const targetIndexShards = 64
 // cap degrades to the conservative clear rather than to unsoundness.
 const nodeRecordCap = 1 << 16
 
-// nodeIndex is the striped node → [(key, t)] map both invalidation
-// indexes are built on. A record lives only until the stream's
-// watermark passes it: the engine hands every call a floor, ⌊watermark⌋,
-// below which no edge the graph can still accept reaches a record
-// (collection needs a record time above the edge's, and an accepted edge
-// is never below the watermark). Record skips such records, and every
-// scan and the every-1024 compaction retire them as they walk, so a
-// list holds only what a write can still reach (DESIGN.md §11).
-type nodeIndex struct {
+// WindowIndex is one cached layer's dependency index, the engine's one
+// invalidation structure (DESIGN.md §11). A record ⟨key, t_x⟩ filed
+// under node x means "the layer entry under key read x's most-recent-k
+// window at t_x". Every entry records its own target ⟨v, t′⟩; an entry
+// at layer l ≥ 2 also records each sampled non-padding neighbour
+// ⟨s, t_s⟩ whose layer-(l−1) embedding it aggregated. So a layer-l
+// entry costs one record, plus at most k on a deep layer.
+//
+// An edge (u, v, t) moves x's window at t_x exactly when x ∈ {u, v},
+// t_x > t and fewer than k of x's interactions lie strictly between t
+// and t_x: one collect per endpoint finds every entry that read such a
+// window, target or support alike. CollectUpper carries the drop one
+// layer up: a lower-layer entry displaced in the previous pass drags
+// every entry that recorded its ⟨node, time⟩.
+//
+// A record lives only until the stream's watermark passes it, whether
+// or not its entry is still cached (an upper entry may depend on an
+// evicted lower value, and CollectUpper must still reach it): the
+// engine hands every call a floor, ⌊watermark⌋, below which no edge the
+// graph can still accept reaches a record (collection needs a record
+// time above the edge's, and an accepted edge is never below the
+// watermark). Record skips such records, and every scan and the
+// every-1024 compaction retire them as they walk, so a list holds only
+// what a write can still reach.
+type WindowIndex struct {
 	records atomic.Int64 // live records, for stats without a shard walk
 	shed    atomic.Bool
-	shards  [targetIndexShards]indexShard
+	shards  [indexShards]indexShard
 }
 
 type indexShard struct {
@@ -41,27 +57,30 @@ type keyAt struct {
 	t   float64
 }
 
-func (ix *nodeIndex) init() {
+// NewWindowIndex creates an empty index.
+func NewWindowIndex() *WindowIndex {
+	ix := &WindowIndex{}
 	for i := range ix.shards {
 		ix.shards[i].m = make(map[int32][]keyAt)
 	}
+	return ix
 }
 
-func (ix *nodeIndex) shardFor(v int32) *indexShard {
-	h := uint64(uint32(v)) * 0x9E3779B97F4A7C15
-	return &ix.shards[(h>>32)%targetIndexShards]
+func (ix *WindowIndex) shardFor(x int32) *indexShard {
+	h := uint64(uint32(x)) * 0x9E3779B97F4A7C15
+	return &ix.shards[(h>>32)%indexShards]
 }
 
-// Record registers key under node v at time t, unless v is padding (0)
-// or t lies below floor. A list at nodeRecordCap sheds the record.
-func (ix *nodeIndex) Record(v int32, key uint64, t, floor float64) {
-	if v == 0 || t < floor {
+// Record files key under node x at time t, unless x is padding (0) or
+// t lies below floor. A list at nodeRecordCap sheds the record.
+func (ix *WindowIndex) Record(x int32, key uint64, t, floor float64) {
+	if x == 0 || t < floor {
 		return
 	}
-	s := ix.shardFor(v)
+	s := ix.shardFor(x)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	list := s.m[v]
+	list := s.m[x]
 	if len(list) >= nodeRecordCap {
 		ix.shed.Store(true)
 		return
@@ -72,26 +91,46 @@ func (ix *nodeIndex) Record(v int32, key uint64, t, floor float64) {
 		// A node no edge touches is never scanned: compact it as it grows.
 		list, _ = ix.sweep(list, math.Inf(1), floor, nil)
 	}
-	s.m[v] = list
+	s.m[x] = list
 }
 
-// collect removes and returns the keys recorded under v at times
+// collect removes and returns the keys recorded under x at times
 // strictly after `after` that drop approves (nil approves every one),
-// and retires the records below floor it passes.
-func (ix *nodeIndex) collect(v int32, after, floor float64, drop func(key uint64, at float64) bool) []uint64 {
-	s := ix.shardFor(v)
+// and retires the records below floor it passes. Records at or before
+// `after`, and ones drop declines, stay indexed.
+func (ix *WindowIndex) collect(x int32, after, floor float64, drop func(key uint64, at float64) bool) []uint64 {
+	s := ix.shardFor(x)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	list, out := ix.sweep(s.m[v], after, floor, drop)
+	list, out := ix.sweep(s.m[x], after, floor, drop)
 	if list != nil {
-		s.m[v] = list // an emptied list keeps its backing array
+		s.m[x] = list // an emptied list keeps its backing array
 	}
 	return out
 }
 
+// CollectUpper removes and returns the keys that recorded the displaced
+// lower-layer entry under cache key lower, retiring the records below
+// floor it passes. The ⟨node, time⟩ identity is matched through the
+// same Key encoding the caches use: a time outside Key's domain may
+// match another time's key, which only over-invalidates. An entry's own
+// target record matches when the layer-(l−1) row at its ⟨v, t′⟩ was
+// displaced; that row is the entry's input, read over the same windows,
+// so the entry's other records drop it in the same pass anyway. The
+// floor is an integer for this match: a displaced key's time truncates
+// to at least ⌊watermark⌋, so every record sharing that key survives
+// retirement.
+func (ix *WindowIndex) CollectUpper(lower uint64, floor float64) []uint64 {
+	x := int32(lower >> 32)
+	if x == 0 {
+		return nil
+	}
+	return ix.collect(x, math.Inf(-1), floor, func(_ uint64, t float64) bool { return Key(x, t) == lower })
+}
+
 // sweep is the walk collect and Record's compaction share: it compacts
 // one list in place and returns what it collected.
-func (ix *nodeIndex) sweep(list []keyAt, after, floor float64, drop func(uint64, float64) bool) ([]keyAt, []uint64) {
+func (ix *WindowIndex) sweep(list []keyAt, after, floor float64, drop func(uint64, float64) bool) ([]keyAt, []uint64) {
 	var out []uint64
 	w := 0
 	for _, ka := range list {
@@ -110,17 +149,17 @@ func (ix *nodeIndex) sweep(list []keyAt, after, floor float64, drop func(uint64,
 }
 
 // Len returns the number of live records.
-func (ix *nodeIndex) Len() int { return int(ix.records.Load()) }
+func (ix *WindowIndex) Len() int { return int(ix.records.Load()) }
 
 // Shed reports whether a record was dropped at nodeRecordCap since the
 // last Reset — the signal that the layer's tracking is incomplete and
 // invalidation must fall back to the conservative clear.
-func (ix *nodeIndex) Shed() bool { return ix.shed.Load() }
+func (ix *WindowIndex) Shed() bool { return ix.shed.Load() }
 
 // Reset drops every record and clears the shed flag. Called alongside a
 // clear of the layer the index serves: the records describe entries
 // that no longer exist.
-func (ix *nodeIndex) Reset() {
+func (ix *WindowIndex) Reset() {
 	for i := range ix.shards {
 		s := &ix.shards[i]
 		s.mu.Lock()
@@ -133,30 +172,4 @@ func (ix *nodeIndex) Reset() {
 		s.mu.Unlock()
 	}
 	ix.shed.Store(false)
-}
-
-// TargetIndex is the per-node key index behind late-edge invalidation:
-// for every node it lists the cache keys memoized *with that node as
-// target*, together with their query timestamps. A late edge (u,v,t)
-// can only change the sampled neighborhood of targets u and v at times
-// after t, so the index turns "which memoized embeddings might now be
-// stale?" into two list scans instead of a full cache sweep — targeted
-// invalidation rather than Cache.Clear, at one record per entry.
-// Records of keys that aged out of the cache stay until the watermark
-// retires them; removing them is a no-op.
-type TargetIndex struct{ nodeIndex }
-
-// NewTargetIndex creates an empty index.
-func NewTargetIndex() *TargetIndex {
-	ix := &TargetIndex{}
-	ix.init()
-	return ix
-}
-
-// CollectNewer removes and returns the keys recorded for node v at
-// times strictly after t for which drop returns true (nil drop keeps
-// every candidate), retiring the records below floor it passes. Entries
-// at or before t, and candidates drop declines, stay indexed.
-func (ix *TargetIndex) CollectNewer(v int32, t, floor float64, drop func(key uint64, at float64) bool) []uint64 {
-	return ix.collect(v, t, floor, drop)
 }

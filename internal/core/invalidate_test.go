@@ -78,7 +78,7 @@ func TestInvalidateNodeFeatureChange(t *testing.T) {
 	if removed := eng.InvalidateNode(victim); removed != before {
 		t.Fatalf("InvalidateNode removed %d of %d entries", removed, before)
 	}
-	if eng.CacheLen() != 0 || eng.TargetsFor(1).Len() != 0 {
+	if eng.CacheLen() != 0 || eng.IndexFor(1).Len() != 0 {
 		t.Fatal("InvalidateNode left cache entries or index records behind")
 	}
 	if !sameBits(eng.Embed(ns, ts), fresh) {
@@ -190,12 +190,9 @@ func TestInvalidateEdgeBelowWatermarkClearsAll(t *testing.T) {
 		t.Fatalf("below-watermark deletion removed %d of %d entries", removed, before)
 	}
 	for l := 1; l <= 2; l++ {
-		if eng.CacheFor(l).Len() != 0 || eng.TargetsFor(l).Len() != 0 {
+		if eng.CacheFor(l).Len() != 0 || eng.IndexFor(l).Len() != 0 {
 			t.Fatalf("layer %d kept entries or index records", l)
 		}
-	}
-	if eng.SupportsFor(2).Len() != 0 {
-		t.Fatal("layer 2 kept support records")
 	}
 	replayExact(t, m, dyn, eng, stream, "below-watermark deletion")
 }

@@ -49,8 +49,8 @@ func TestCacheRemoveChurnCompactsFIFO(t *testing.T) {
 	c.checkBounded(t)
 }
 
-func TestTargetIndexRecordCollect(t *testing.T) {
-	ix := NewTargetIndex()
+func TestWindowIndexRecordCollect(t *testing.T) {
+	ix := NewWindowIndex()
 	ix.Record(5, 100, 10, 0)
 	ix.Record(5, 101, 20, 0)
 	ix.Record(5, 102, 30, 0)
@@ -59,37 +59,37 @@ func TestTargetIndexRecordCollect(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	got := ix.CollectNewer(5, 15, 0, nil)
+	got := ix.collect(5, 15, 0, nil)
 	if len(got) != 2 {
-		t.Fatalf("CollectNewer(5, 15) = %v, want keys 101,102", got)
+		t.Fatalf("collect(5, 15) = %v, want keys 101,102", got)
 	}
 	seen := map[uint64]bool{got[0]: true, got[1]: true}
 	if !seen[101] || !seen[102] {
 		t.Fatalf("wrong keys collected: %v", got)
 	}
 	// Collected entries left the index; older ones stayed.
-	if rest := ix.CollectNewer(5, 0, 0, nil); len(rest) != 1 || rest[0] != 100 {
+	if rest := ix.collect(5, 0, 0, nil); len(rest) != 1 || rest[0] != 100 {
 		t.Fatalf("second collect = %v, want [100]", rest)
 	}
 	// Other nodes are untouched.
-	if keys := ix.CollectNewer(7, 0, 0, nil); len(keys) != 1 || keys[0] != 103 {
+	if keys := ix.collect(7, 0, 0, nil); len(keys) != 1 || keys[0] != 103 {
 		t.Fatalf("node 7 = %v", keys)
 	}
 	// A declining drop predicate keeps candidates indexed.
 	ix.Record(9, 200, 50, 0)
-	if keys := ix.CollectNewer(9, 0, 0, func(uint64, float64) bool { return false }); len(keys) != 0 {
+	if keys := ix.collect(9, 0, 0, func(uint64, float64) bool { return false }); len(keys) != 0 {
 		t.Fatalf("declined candidates collected: %v", keys)
 	}
-	if keys := ix.CollectNewer(9, 0, 0, nil); len(keys) != 1 || keys[0] != 200 {
+	if keys := ix.collect(9, 0, 0, nil); len(keys) != 1 || keys[0] != 200 {
 		t.Fatal("declined candidate was dropped from the index")
 	}
 }
 
-func TestTargetIndexPrunesEvictedKeys(t *testing.T) {
+func TestWindowIndexPrunesEvictedKeys(t *testing.T) {
 	// A hot node no edge touches is compacted as it grows instead of
 	// accumulating records no write can reach: the 1024th record carries
 	// a floor of 1000, which retires every record below it.
-	ix := NewTargetIndex()
+	ix := NewWindowIndex()
 	for i := 0; i < 1023; i++ {
 		ix.Record(1, uint64(i), float64(i), 0)
 	}
@@ -99,13 +99,13 @@ func TestTargetIndexPrunesEvictedKeys(t *testing.T) {
 	}
 	// A scan at floor 0 retires nothing, so every key it sees survived
 	// the compaction.
-	if got := ix.CollectNewer(1, math.Inf(-1), 0, nil); len(got) != 24 || slices.Min(got) != 1000 {
-		t.Fatalf("CollectNewer after compaction = %v, want keys 1000..1023", got)
+	if got := ix.collect(1, math.Inf(-1), 0, nil); len(got) != 24 || slices.Min(got) != 1000 {
+		t.Fatalf("collect after compaction = %v, want keys 1000..1023", got)
 	}
 }
 
 // oooSetup builds a 2-layer model over a live graph with the given
-// lateness window and warms the engine's cache (and its target index)
+// lateness window and warms the engine's cache (and its window index)
 // over the whole stream. Timestamps are distinct integers, inside Key's
 // domain, so the layer caches hold the rows the invalidations act on.
 func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
@@ -152,7 +152,7 @@ func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Eng
 		}
 		eng.Embed(ns, ts)
 	}
-	if eng.CacheLen() == 0 || eng.TargetsFor(1).Len() == 0 {
+	if eng.CacheLen() == 0 || eng.IndexFor(1).Len() == 0 {
 		t.Fatal("warming pass cached nothing / indexed nothing")
 	}
 	return m, dyn, eng, stream
@@ -238,7 +238,7 @@ func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
 	// is a full clear — and the count must reflect it.
 	ds, m, s := engineTestSetup(t, 300)
 	eng := NewEngine(m, s, OptAll())
-	if eng.TargetsFor(1) != nil {
+	if eng.IndexFor(1) != nil {
 		t.Fatal("a static-sampler engine built an index")
 	}
 	tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,27 +190,68 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	ns, ts := queries()
 	exact("warm", ns, ts)
 	if cfg.opt.CacheLimit == oracleTightLimit && !finite { // retired records are not counted
-		if c := eng.CacheFor(1); distinctKeys(&eng.TargetsFor(1).nodeIndex) <= c.Limit() {
+		if c := eng.CacheFor(1); distinctKeys(eng.IndexFor(1)) <= c.Limit() {
 			t.Fatalf("the warm pass stored no more layer-1 keys than the %d the tight limit holds", c.Limit())
 		}
 	}
 
+	// touched is, per node, the earliest time a write reached it.
+	touched := map[int32]float64{}
+	touch := func(e graph.Edge) {
+		for _, w := range []int32{e.Src, e.Dst} {
+			if first, ok := touched[w]; !ok || e.Time < first {
+				touched[w] = e.Time
+			}
+		}
+	}
 	// selective runs the invalidation of a write to (u, v) and checks
-	// that it dropped no layer-1 row of another node: only u's and v's
-	// own windows can move.
+	// that it dropped no row that read neither u's nor v's window: no
+	// layer-1 row of another node and, for L ≥ 3, no layer-2 row whose
+	// target and sampled neighbours all avoid u and v. The write touches
+	// only u's and v's adjacency, so another target's neighbours are the
+	// same before it as after it, when they are sampled here. A layer-2
+	// row is checked only if every time its key was computed it read
+	// this window: its key folds no other time the history asked (an
+	// out-of-domain time's neighbours file records under the folded key)
+	// and no earlier write reached its target below its time (records
+	// of an older window may linger, and only over-invalidate).
 	selective := func(u, v int32, invalidate func()) {
 		t.Helper()
-		c := eng.CacheFor(1)
-		var keep []uint64
-		for _, key := range c.Keys() {
-			if w := int32(key >> 32); w != u && w != v {
-				keep = append(keep, key)
+		avoids := func(w int32) bool { return w != u && w != v }
+		var keep [3][]uint64
+		for _, key := range eng.CacheFor(1).Keys() {
+			if avoids(int32(key >> 32)) {
+				keep[1] = append(keep[1], key)
+			}
+		}
+		if cfg.layers >= 3 {
+			folded := map[uint64]bool{}
+			for i, at := range qts {
+				if !inKeyDomain(at) {
+					folded[Key(qns[i], at)] = true
+				}
+			}
+			var ns []int32
+			var ts []float64
+			for _, key := range eng.CacheFor(2).Keys() {
+				w, at := int32(key>>32), float64(uint32(key))
+				if first, ok := touched[w]; avoids(w) && !folded[key] && (!ok || first >= at) {
+					ns, ts = append(ns, w), append(ts, at)
+				}
+			}
+			b := sampler.Sample(ns, ts)
+			for i := range ns {
+				if !slices.ContainsFunc(b.Nghs[i*k:(i+1)*k], func(x int32) bool { return !avoids(x) }) {
+					keep[2] = append(keep[2], Key(ns[i], ts[i]))
+				}
 			}
 		}
 		invalidate()
-		for _, key := range keep {
-			if !c.Contains(key) {
-				t.Fatalf("a write to (%d, %d) dropped node %d's layer-1 row", u, v, int32(key>>32))
+		for l := 1; l <= 2; l++ {
+			for _, key := range keep[l] {
+				if !eng.CacheFor(l).Contains(key) {
+					t.Fatalf("a write to (%d, %d) dropped node %d's layer-%d row at %d, which read neither window", u, v, int32(key>>32), l, uint32(key))
+				}
 			}
 		}
 	}
@@ -226,7 +268,10 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		}
 		live = append(live, e)
 		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
-		return func() { selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }) }
+		return func() {
+			selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) })
+			touch(e)
+		}
 	}
 	// edge draws step's edge: an append at or past the clock, or a late
 	// edge below it, raised to the watermark under a finite lateness.
@@ -265,7 +310,10 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		if !dyn.DeleteEdge(e.Idx) {
 			t.Fatalf("DeleteEdge(%d) found nothing", e.Idx)
 		}
-		invalidate := func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) }
+		invalidate := func() {
+			eng.InvalidateEdge(e.Src, e.Dst, e.Time)
+			touch(e)
+		}
 		if e.Time < math.Floor(dyn.Watermark()) {
 			return invalidate // below the watermark every layer clears
 		}
@@ -366,7 +414,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	}
 }
 
-// parkedRead parks a read on the layer-1 target index's lock for its
+// parkedRead parks a read on the layer-1 window index's lock for its
 // first target x, after its layer-1 store, and issues a late edge's
 // write from another goroutine: the writer takes the graph's write
 // gate, which the read holds, so the write and its invalidation wait
@@ -376,10 +424,10 @@ func parkedRead(t *testing.T, eng *Engine, ref *tgat.Model, dyn *graph.Dynamic, 
 	t.Helper()
 	n := dyn.NumNodes()
 	u, v := int32(1+(p+step)%n), int32(1+(p+step+1)%n)
-	tix := eng.TargetsFor(1)
+	ix := eng.IndexFor(1)
 	var x int32
 	for w := int32(1); int(w) <= n && x == 0; w++ {
-		if s := tix.shardFor(w); s != tix.shardFor(u) && s != tix.shardFor(v) {
+		if s := ix.shardFor(w); s != ix.shardFor(u) && s != ix.shardFor(v) {
 			x = w
 		}
 	}
@@ -392,7 +440,7 @@ func parkedRead(t *testing.T, eng *Engine, ref *tgat.Model, dyn *graph.Dynamic, 
 	ask(ns, ts)
 	want := freshBaseline(t, ref, dyn, ns, ts)
 	stores := eng.Ops().Calls(stats.OpCacheStore)
-	s := tix.shardFor(x)
+	s := ix.shardFor(x)
 	s.mu.Lock()
 	var got *tensor.Tensor
 	done := make(chan struct{})
@@ -477,7 +525,7 @@ func restage(t *testing.T, dir string, m, src *tgat.Model, version uint64) *tgat
 }
 
 // distinctKeys counts the distinct keys ix holds records for.
-func distinctKeys(ix *nodeIndex) int {
+func distinctKeys(ix *WindowIndex) int {
 	seen := map[uint64]bool{}
 	for i := range ix.shards {
 		for _, list := range ix.shards[i].m {

@@ -293,12 +293,12 @@ const loadChunk = 1024
 // in the layer-1 index. A row whose window lost or gained an edge
 // would read other inputs, so it is left out.
 func (e *Engine) absorbSameWindows(recs cacheRecords) {
-	c, tix := e.caches[1], e.TargetsFor(1)
+	c, ix := e.caches[1], e.IndexFor(1)
 	k, m := e.model.Cfg.NumNeighbors, min(loadChunk, len(recs.keys))
 	nodes, ts := make([]int32, m), make([]float64, m)
 	nghs, eidxs, times, valid := make([]int32, m*k), make([]int32, m*k), make([]float64, m*k), make([]bool, m*k)
 	floor := math.Inf(-1)
-	if tix != nil {
+	if ix != nil {
 		floor = e.indexFloor(math.Inf(1))
 	}
 	for lo := 0; lo < len(recs.keys); lo += m {
@@ -317,8 +317,8 @@ func (e *Engine) absorbSameWindows(recs cacheRecords) {
 				continue
 			}
 			c.storeOne(recs.keys[j], recs.tags[j], recs.rows[j*c.dim:(j+1)*c.dim])
-			if tix != nil {
-				tix.Record(nodes[i], recs.keys[j], ts[i], floor)
+			if ix != nil {
+				ix.Record(nodes[i], recs.keys[j], ts[i], floor)
 			}
 		}
 	}

@@ -12,10 +12,11 @@ import (
 
 // TestIndexRetiresBelowWatermark: a record below the floor is never
 // recorded, one at or above it survives, and once the floor passes a
-// record the next scan of its node retires it — in both indexes.
+// record the next scan of its node retires it — the window scan's and
+// CollectUpper's alike.
 func TestIndexRetiresBelowWatermark(t *testing.T) {
-	tix, six := NewTargetIndex(), NewSupportIndex()
-	for _, ix := range []*nodeIndex{&tix.nodeIndex, &six.nodeIndex} {
+	win, up := NewWindowIndex(), NewWindowIndex()
+	for _, ix := range []*WindowIndex{win, up} {
 		ix.Record(5, 100, 9.9, 10) // below the floor: never recorded
 		ix.Record(5, 101, 10, 10)  // at the floor
 		ix.Record(5, 102, 14, 10)
@@ -24,20 +25,20 @@ func TestIndexRetiresBelowWatermark(t *testing.T) {
 		}
 	}
 	// The floor rises to 12: a scan that collects nothing still retires 101.
-	if got := tix.CollectNewer(5, 20, 12, nil); len(got) != 0 || tix.Len() != 1 {
-		t.Fatalf("CollectNewer past every record = %v, Len %d; want nothing collected and 101 retired", got, tix.Len())
+	if got := win.collect(5, 20, 12, nil); len(got) != 0 || win.Len() != 1 {
+		t.Fatalf("collect past every record = %v, Len %d; want nothing collected and 101 retired", got, win.Len())
 	}
-	if got := tix.CollectNewer(5, 11, 12, nil); len(got) != 1 || got[0] != 102 {
-		t.Fatalf("CollectNewer(5, 11) = %v, want [102]", got)
+	if got := win.collect(5, 11, 12, nil); len(got) != 1 || got[0] != 102 {
+		t.Fatalf("collect(5, 11) = %v, want [102]", got)
 	}
-	if got := six.CollectWindow(5, 20, 12, nil); len(got) != 0 || six.Len() != 1 {
-		t.Fatalf("CollectWindow past every record = %v, Len %d; want nothing collected and 101 retired", got, six.Len())
+	if got := up.collect(5, 20, 12, nil); len(got) != 0 || up.Len() != 1 {
+		t.Fatalf("collect past every record = %v, Len %d; want nothing collected and 101 retired", got, up.Len())
 	}
-	if got := six.CollectUpper(Key(5, 14), 12); len(got) != 1 || got[0] != 102 {
+	if got := up.CollectUpper(Key(5, 14), 12); len(got) != 1 || got[0] != 102 {
 		t.Fatalf("CollectUpper(5@14) = %v, want [102]", got)
 	}
 	// An emptied list keeps its map slot and backing array.
-	if list, ok := tix.shardFor(5).m[5]; !ok || cap(list) == 0 {
+	if list, ok := win.shardFor(5).m[5]; !ok || cap(list) == 0 {
 		t.Fatal("an emptied list left the map")
 	}
 }
@@ -57,9 +58,9 @@ func TestCollectUpperMatchesAcrossIntegerFloor(t *testing.T) {
 	if dyn.Watermark() != 10.5 || floor != 10 {
 		t.Fatalf("watermark %v, floor %v; want 10.5 and 10", dyn.Watermark(), floor)
 	}
-	six := NewSupportIndex()
-	six.Record(3, 200, 10.3, floor)
-	if got := six.CollectUpper(Key(3, 10.7), eng.indexFloor(10.5)); len(got) != 1 || got[0] != 200 {
+	ix := NewWindowIndex()
+	ix.Record(3, 200, 10.3, floor)
+	if got := ix.CollectUpper(Key(3, 10.7), eng.indexFloor(10.5)); len(got) != 1 || got[0] != 200 {
 		t.Fatalf("CollectUpper(3@10.7) = %v, want [200]", got)
 	}
 }

@@ -91,14 +91,14 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	// node's records. Simulate the overflow directly instead of running
 	// one: flood a record list past the cap.
 	_, dyn, eng, stream := transSetup(t, 200, OptAll())
-	six := eng.SupportsFor(2)
-	if six == nil {
-		t.Fatal("no layer-2 support index")
+	ix := eng.IndexFor(2)
+	if ix == nil {
+		t.Fatal("no layer-2 window index")
 	}
-	if six.Shed() {
+	if ix.Shed() {
 		t.Fatal("shed flag set before overflow")
 	}
-	retained := NewSupportIndex()
+	retained := NewWindowIndex()
 	for i := 0; i <= nodeRecordCap; i++ {
 		retained.Record(7, uint64(i), float64(i), 0)
 	}
@@ -107,7 +107,7 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	}
 	// Splice the shed index in as if it were a middle layer's and verify
 	// the next invalidation degrades to the conservative deep clear.
-	eng.layerSupports[2] = retained
+	eng.indexes[2] = retained
 	total := len(stream)
 	tLate := (stream[total-20].Time + stream[total-19].Time) / 2
 	u, v := stream[total-20].Src, stream[total-19].Dst
@@ -126,8 +126,8 @@ func TestSupportShedFallsBackToDeepClear(t *testing.T) {
 	}
 }
 
-func TestSupportIndexRecordCollect(t *testing.T) {
-	ix := NewSupportIndex()
+func TestWindowIndexCollectUpper(t *testing.T) {
+	ix := NewWindowIndex()
 	ix.Record(0, 1, 1, 0) // padding: skipped
 	if ix.Len() != 0 {
 		t.Fatal("padding node recorded")
@@ -139,16 +139,16 @@ func TestSupportIndexRecordCollect(t *testing.T) {
 	ix.Record(3, 102, 20, 0)
 	ix.Record(4, 200, 15, 0)
 
-	// CollectWindow: strictly-after t, drop consulted per record.
-	got := ix.CollectWindow(3, 10, 0, func(upper uint64, st float64) bool { return upper != 102 })
+	// collect: strictly-after t, drop consulted per record.
+	got := ix.collect(3, 10, 0, func(upper uint64, st float64) bool { return upper != 102 })
 	if len(got) != 1 || got[0] != 101 {
-		t.Fatalf("CollectWindow = %v, want [101]", got)
+		t.Fatalf("collect = %v, want [101]", got)
 	}
-	if got := ix.CollectWindow(3, 10, 0, nil); len(got) != 1 || got[0] != 102 {
+	if got := ix.collect(3, 10, 0, nil); len(got) != 1 || got[0] != 102 {
 		t.Fatalf("declined record not retained: %v", got)
 	}
 	// Record at st == t is not displaced (window is strictly-before-t').
-	if got := ix.CollectWindow(3, 10, 0, nil); len(got) != 0 {
+	if got := ix.collect(3, 10, 0, nil); len(got) != 0 {
 		t.Fatalf("st == t collected: %v", got)
 	}
 
@@ -179,11 +179,11 @@ func TestSupportIndexRecordCollect(t *testing.T) {
 	}
 }
 
-func TestSupportIndexAlivePrune(t *testing.T) {
-	// A support record is alive until the watermark floor passes it. The
+func TestWindowIndexAlivePrune(t *testing.T) {
+	// A record is alive until the watermark floor passes it. The
 	// every-1024 compaction under one node retires the dead ones even if
 	// no edge ever scans that node.
-	ix := NewSupportIndex()
+	ix := NewWindowIndex()
 	for i := 0; i < 1500; i++ {
 		floor := 0.0
 		if i >= 1023 {
@@ -207,8 +207,8 @@ func TestSupportIndexAlivePrune(t *testing.T) {
 // TestReadBetweenIngestAndInvalidateL3: at L = 3 a pass that ran
 // between dyn.Ingest of a late edge and its InvalidateEdge would hit
 // the layer-1 row ⟨u, T⟩ the edge displaces and build y's layer-2 row
-// at T+1 on it. Parked on the layer-2 support index before it records
-// u as that row's support, it would index the row only after the
+// at T+1 on it. Parked on the layer-2 window index before it records
+// u as that row's neighbour, it would index the row only after the
 // invalidation's scan, and the row would outlive the invalidation. The
 // writer holds the graph's write gate across both steps, so the pass
 // starts only after the invalidation: the pass and every later answer
@@ -222,7 +222,7 @@ func TestReadBetweenIngestAndInvalidateL3(t *testing.T) {
 		t.Fatal("warming left ⟨u, T⟩ out of layer 1")
 	}
 	nodes, ts := []int32{y}, []float64{T + 1}
-	s := f.eng.SupportsFor(2).shardFor(w)
+	s := f.eng.IndexFor(2).shardFor(w)
 	s.mu.Lock()
 	ingested, parked, wrote := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
@@ -247,7 +247,7 @@ func TestReadBetweenIngestAndInvalidateL3(t *testing.T) {
 		defer close(done)
 		got = f.eng.Embed(nodes, ts)
 	}()
-	for !l2.Contains(Key(y, T+1)) { // stored, now parked on the support index
+	for !l2.Contains(Key(y, T+1)) { // stored, now parked on the window index
 		select {
 		case <-done:
 			s.mu.Unlock()
@@ -277,11 +277,11 @@ func TestReadBetweenIngestAndInvalidateL3(t *testing.T) {
 // readBetweenCase finds a late-edge target for the test above: y's
 // latest interaction before T+1 is (u, y, T), v is the late edge's other
 // endpoint, and w sits in y's window at T+1 in a slot before u's, in a
-// support-index shard neither u's nor v's, so a pass parked on w's
+// window-index shard neither u's nor v's, so a pass parked on w's
 // shard has not recorded u yet while the invalidation's scan runs.
 func readBetweenCase(t *testing.T, f *topMemoFixture) (u, y, v, w int32, T float64) {
 	t.Helper()
-	six := f.eng.SupportsFor(2)
+	ix := f.eng.IndexFor(2)
 	edges := f.dyn.Edges()
 	k := f.m.Cfg.NumNeighbors
 	b := graph.Batch{K: k, Nghs: make([]int32, k), EIdxs: make([]int32, k), Times: make([]float64, k), Valid: make([]bool, k)}
@@ -295,7 +295,7 @@ func readBetweenCase(t *testing.T, f *topMemoFixture) (u, y, v, w int32, T float
 		}
 		sampler.SampleTo(&b, []int32{y}, []float64{T + 1})
 		for j := 0; j < k && b.Nghs[j] != u; j++ {
-			if c := b.Nghs[j]; c != 0 && six.shardFor(c) != six.shardFor(u) && six.shardFor(c) != six.shardFor(v) {
+			if c := b.Nghs[j]; c != 0 && ix.shardFor(c) != ix.shardFor(u) && ix.shardFor(c) != ix.shardFor(v) {
 				return u, y, v, c, T
 			}
 		}

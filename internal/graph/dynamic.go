@@ -109,7 +109,7 @@ func (d *Dynamic) MaxTime() float64 {
 // (the default) keeps the strict chronological contract. Set it before
 // the first edge: afterwards it panics, because a wider window would
 // move the watermark back, and the caches above retire state the
-// watermark has passed (core.TargetIndex).
+// watermark has passed (core.WindowIndex).
 func (d *Dynamic) SetLateness(w float64) {
 	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		panic("graph: lateness window must be finite and >= 0")

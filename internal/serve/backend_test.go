@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,6 +22,8 @@ import (
 	"tgopt/internal/batcher"
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
+	"tgopt/internal/graph"
+	"tgopt/internal/tensor"
 )
 
 // backendMode is one of the four configurations every handler-level
@@ -120,6 +123,40 @@ func TestBackendScriptBitwiseAcrossModes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBackendScoreIsEngineScoreWith: on every backend, /v1/score's
+// logits are bitwise Engine.ScoreWith over the same rows: the handler
+// runs the affinity head over the pack its params version was built
+// with.
+func TestBackendScoreIsEngineScoreWith(t *testing.T) {
+	pairs := []edgeJSON{{Src: 1, Dst: 2, Time: 90}, {Src: 3, Dst: 8, Time: 95}, {Src: 7, Dst: 7, Time: 90}}
+	forEachBackend(t, func(t *testing.T, _ backendMode, mk func(string) (*Server, *httptest.Server)) {
+		s, ts := mk("")
+		ingest(t, ts.URL, shardTestEdges)
+		body, code, err := postBody(ts.URL, "/v1/score", scoreRequest{Pairs: pairs})
+		if err != nil || code != 200 {
+			t.Fatalf("score: %d %v %s", code, err, body)
+		}
+		var sr scoreResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		nb := len(pairs)
+		ns, at := make([]int32, 2*nb), make([]float64, 2*nb)
+		for i, p := range pairs {
+			ns[i], ns[nb+i], at[i], at[nb+i] = p.Src, p.Dst, p.Time, p.Time
+		}
+		m := s.cur.Load().model
+		eng := core.NewEngine(m, graph.NewDynamicSampler(s.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), core.Options{})
+		h, d := eng.Embed(ns, at), m.Cfg.NodeDim
+		want := eng.ScoreWith(nil, tensor.FromSlice(h.Data()[:nb*d], nb, d), tensor.FromSlice(h.Data()[nb*d:], nb, d)).Data()
+		for i := range pairs {
+			if math.Float64bits(sr.Logits[i]) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("pair %d: logit %v, Engine.ScoreWith %v", i, sr.Logits[i], want[i])
+			}
+		}
+	})
 }
 
 // metricFamilies scrapes /metrics and checks the exposition parses:

@@ -254,9 +254,10 @@ func (b laggingBackend) EmbedRows(ctx context.Context, nodes []int32, ts []float
 func TestServeAbandonedRequestIsNotReused(t *testing.T) {
 	s, ts := testServer(t)
 	ingest(t, ts.URL, []edgeJSON{{Src: 1, Dst: 2, Time: 10}})
-	cur := s.cur.Load()
-	lag := laggingBackend{backend: cur.backend, release: make(chan struct{}), seen: make(chan []int32, 1)}
-	s.cur.Store(&published{model: cur.model, backend: lag})
+	lagged := *s.cur.Load()
+	lag := laggingBackend{backend: lagged.backend, release: make(chan struct{}), seen: make(chan []int32, 1)}
+	lagged.backend = lag
+	s.cur.Store(&lagged)
 	s.cfg.Limits.Timeout = 20 * time.Millisecond // the seed ingest above ran without one
 	resp, _ := post(t, ts.URL+"/v1/embed", embedRequest{Nodes: []int32{1, 2, 3}, Times: []float64{20, 20, 20}})
 	if resp.StatusCode != http.StatusGatewayTimeout {

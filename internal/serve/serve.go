@@ -42,6 +42,7 @@ import (
 
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
+	"tgopt/internal/nn"
 	"tgopt/internal/shard"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
@@ -103,11 +104,13 @@ type Server struct {
 	snapshotErrors atomic.Int64
 }
 
-// published is one params version: a model and the backend computing
-// over it. Neither changes after it is published.
+// published is one params version: a model, the backend computing
+// over it, and the model's affinity-head pack, which /v1/score reads.
+// None changes after it is published.
 type published struct {
 	model   *tgat.Model
 	backend backend
+	score   nn.MergePack
 }
 
 // close stops what the version runs in the background: a shard pool's
@@ -122,14 +125,17 @@ func (p *published) close() {
 // graph, or a shard.Router of cfg.Shards cores over it. Nothing below
 // it depends on which.
 func (s *Server) build(m *tgat.Model) (*published, error) {
+	p := &published{model: m, score: m.PackScore()}
 	if s.cfg.Shards == 1 {
-		return &published{model: m, backend: shard.NewCore(m, s.dyn, s.cfg.Engine, s.cfg.Config)}, nil
+		p.backend = shard.NewCore(m, s.dyn, s.cfg.Engine, s.cfg.Config)
+		return p, nil
 	}
 	r, err := shard.NewRouter(m, s.dyn, s.cfg.Engine, s.cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	return &published{model: m, backend: r}, nil
+	p.backend = r
+	return p, nil
 }
 
 // Router exposes the serving version's shard router in sharded mode (nil
@@ -202,7 +208,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.cur.Load().model
 	sampler := graph.NewDynamicSampler(s.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0)
-	h, attrs := m.Explain(sampler, req.Node, req.Time)
+	// Explain samples once per level: the read side of the write gate
+	// keeps every level on one graph version, and a panic frees it. It
+	// runs no engine pass, so no read side nests in this one.
+	h, attrs := func() (*tensor.Tensor, []tgat.Attribution) {
+		gate := s.dyn.Gate()
+		gate.RLock()
+		defer gate.RUnlock()
+		return m.Explain(sampler, req.Node, req.Time)
+	}()
 	resp := explainResponse{Embedding: append([]float32(nil), h.Row(0)...)}
 	for _, a := range attrs {
 		resp.Attributions = append(resp.Attributions, attribution{
@@ -260,8 +274,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// to the last invalidation: no engine pass runs between an edge and
 	// its invalidation, each edge's invalidation runs before the graph
 	// accepts the next (the indexes retire records at the watermark,
-	// core.TargetIndex), and a version a swap publishes meanwhile
+	// core.WindowIndex), and a version a swap publishes meanwhile
 	// computes nothing before the hold ends: its passes wait here too.
+	// A hold per edge instead cost throughput (DESIGN.md §11).
 	gate := s.dyn.Gate()
 	gate.Lock()
 	defer gate.Unlock()
@@ -415,8 +430,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The src‖dst embeddings come out of the backend as one slab; only
-	// the tiny affinity head runs per-request, with the same version's
-	// model, so one logit never mixes two versions.
+	// the tiny affinity head runs per-request, over the same version's
+	// pack, so one logit never mixes two versions.
 	cur := s.cur.Load()
 	slab, degraded, ok := s.embedSlab(w, r, cur.backend, q)
 	if !ok {
@@ -427,7 +442,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	hSrc := ar.Wrap(slab[:nb*d], nb, d)
 	hDst := ar.Wrap(slab[nb*d:], nb, d)
 	q.f64 = resize(q.f64, 2*nb)
-	resp := scoreLogits(q.f64, cur.model.ScoreWith(ar, hSrc, hDst))
+	resp := scoreLogits(q.f64, cur.model.ScorePacked(ar, &cur.score, hSrc, hDst))
 	tensor.PutArena(ar)
 	if len(degraded) > 0 {
 		// A pair is degraded if either endpoint row was (targets are

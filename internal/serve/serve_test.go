@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
@@ -436,5 +437,60 @@ func TestServeExplain(t *testing.T) {
 	r2, _ := post(t, ts.URL+"/v1/explain", explainRequest{Node: 99, Time: 40})
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range explain: %d", r2.StatusCode)
+	}
+}
+
+// TestServeExplainHoldsTheWriteGate: /v1/explain samples once per level
+// under the read side of the graph's write gate, so a request issued
+// while a writer holds the write side waits for it, and then explains
+// the graph after the write: its embedding is bitwise Model.Embed's.
+func TestServeExplainHoldsTheWriteGate(t *testing.T) {
+	s, ts := testServer(t)
+	ingest(t, ts.URL, shardTestEdges)
+	gate := s.dyn.Gate()
+	gate.Lock()
+	type reply struct {
+		body []byte
+		code int
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		body, code, err := postBody(ts.URL, "/v1/explain", explainRequest{Node: 1, Time: 90})
+		done <- reply{body, code, err}
+	}()
+	select {
+	case <-done:
+		gate.Unlock()
+		t.Fatal("/v1/explain returned while the write side of the gate was held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// A write under the hold lands in node 1's window at 90.
+	if _, _, err := s.dyn.Ingest(graph.Edge{Src: 1, Dst: 9, Time: 85}); err != nil {
+		gate.Unlock()
+		t.Fatal(err)
+	}
+	gate.Unlock()
+	r := <-done
+	if r.err != nil || r.code != 200 {
+		t.Fatalf("explain: %d %v %s", r.code, r.err, r.body)
+	}
+	var er explainResponse
+	if err := json.Unmarshal(r.body, &er); err != nil {
+		t.Fatal(err)
+	}
+	m := s.cur.Load().model
+	want := m.Embed(graph.NewDynamicSampler(s.dyn, m.Cfg.NumNeighbors, graph.MostRecent, 0), []int32{1}, []float64{90}).Row(0)
+	for j := range want {
+		if math.Float32bits(er.Embedding[j]) != math.Float32bits(want[j]) {
+			t.Fatalf("embedding col %d = %v, Model.Embed after the write %v", j, er.Embedding[j], want[j])
+		}
+	}
+	found := false
+	for _, a := range er.Attributions {
+		found = found || a.EdgeTime == 85
+	}
+	if !found {
+		t.Fatal("the explanation does not attend to the edge written under the hold")
 	}
 }

@@ -738,8 +738,9 @@ func TestServeSwapIngestPublishOrdering(t *testing.T) {
 		// Every version serves through slowApply: the boot one, and each
 		// one a swap publishes, wrapped before the next swap.
 		slow := func() {
-			cur := s.cur.Load()
-			s.cur.Store(&published{model: cur.model, backend: slowApply{cur.backend}})
+			p := *s.cur.Load()
+			p.backend = slowApply{p.backend}
+			s.cur.Store(&p)
 		}
 		slow()
 		ingest(t, ts.URL, shardTestEdges)

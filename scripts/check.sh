@@ -52,14 +52,14 @@ one version holder (tgat.Model carries the params version; the engine, the shard
 one version holder (the engine copies no model version)	-E	ModelVersion	internal/core/engine.go	internal/core/engine.go copies the params version again
 one publish (a params version is a value: no swap barrier)	-E	swapGate|swapMu|SwapLock|SwapUnlock|FinishSwap|CommitSwap|ApplyParams	nontest	a params swap mutates a served model or fences readers again
 one cache tier (core.Cache is one in-RAM table: no disk tier, nothing promoted or demoted between tiers)	-iE	SpillStore|CacheSpill|spill|promote	internal/core internal/serve internal/shard cmd	a second cache tier is back
-one pack per params version (the engine's layer pass and score head read packs built in NewEngine, never repack)	-E	PackLinear|LayerForwardWith|model\.ScoreWith	internal/core	internal/core reaches a per-call weight pack again
+one pack per params version (the engine's layer pass and score head read packs built in NewEngine, and /v1/score the pack built with its params version, never repack)	-E	PackLinear|LayerForwardWith|model\.ScoreWith	internal/core internal/serve	internal/core or internal/serve reaches a per-call weight pack again
 the engine gathers no layer input (the layer pass reads feature tables and deduplicated rows in place)	-E	gatherRows32	internal/core	internal/core gathers a layer input again
 the engine gathers no layer input (one DedupInvertWith restores the caller's batch)	-E	DedupInvertWith\(	internal/core -internal/core/dedup.go	internal/core re-expands a level below the top again	1
 one row format (the memo cache, its snapshots and the time table hold float32 rows: no int8 format, no entry codec, no byte-budget knob)	-E	QuantInt8|QuantMode|TGQ1|QuantizeVec|entryCodec|CacheBudgetBytes	all	a second row format is back
 one row store (each layer cache shard is a slab: rows in fixed chunks, slots in an intrusive age list; no per-entry row slices, dead marks, lazy compaction or overhead guess)	-E	map\[uint64\]\[\]float32|markPoppedLocked|compactLocked|cacheEntryOverhead|ndead	internal/core	a second row store is back in internal/core
 one invalidation rule (every edge write runs Engine.InvalidateEdge; its two forwards serve only benchmark/serving_trace.go)	-E	\.Invalidate(Append|LateEdge)\(	all -./benchmark/serving_trace.go	an edge write calls a second invalidation entry point again
 one invalidation rule (InvalidateEdge is invalidateNewer's one caller)	-E	\.invalidateNewer\(	internal/core	a second path reaches the selective invalidation body	1
-one invalidation index (every cache-enabled engine over a live graph keeps the per-node target/support index; no dependency tracker, no tracking or cache-shard option)	-E	DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards	all	a second invalidation structure or a tracking option is back
+one invalidation index (every cache-enabled engine over a live graph keeps one window index per cached layer, targets and sampled neighbours in one record list; no second index, dependency tracker, tracking or cache-shard option)	-E	DepTracker|TrackDependencies|TrackTargets|KeysForNode|KeysForEdge|clearDeepCaches|CacheShards|TargetIndex|SupportIndex|CollectNewer|CollectWindow|SupportsFor|TargetsFor	all	a second invalidation structure or a tracking option is back
 one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeWatermark|readWatermark|SwapFS|PrepareSwap	all	a second snapshot validity record or a per-shard params parse is back
 one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
 one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	internal/core/persist.go	the snapshot's watermark stamp is back
@@ -146,7 +146,7 @@ echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses
 go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
 echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
-go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestTargetIndexPrunesEvictedKeys|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled; the engine oracle's swap step runs in the race stanza)"
