@@ -54,7 +54,7 @@ func main() {
 	flag.DurationVar(&cfg.Limits.Timeout, "timeout", cfg.Limits.Timeout, "per-request deadline (0 disables; exceeded requests get 504)")
 	flag.IntVar(&cfg.Limits.MaxInFlight, "max-inflight", cfg.Limits.MaxInFlight, "max concurrently-executing requests (0 = unlimited; excess gets 429)")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for draining in-flight requests")
-	flag.DurationVar(&cfg.Batch.Window, "batch-window", cfg.Batch.Window, "max wait before flushing a partial cross-request batch (only applies while another fused pass is executing)")
+	flag.DurationVar(&cfg.Batch.Window, "batch-window", cfg.Batch.Window, "max wait before flushing a partial cross-request batch (only applies while every core already runs a fused pass; a request runs at once while a core is free)")
 	flag.IntVar(&cfg.Batch.MaxBatch, "batch-max", cfg.Batch.MaxBatch, "flush a cross-request batch at this many targets")
 	batchOff := flag.Bool("batch-off", !cfg.Batching, "disable cross-request micro-batching (each request runs its own engine pass)")
 	lateness := flag.Float64("lateness", 0, "out-of-order tolerance: accept late edges within this many time units of the stream maximum (0 = strict chronological ingest; older edges are dropped against the watermark)")

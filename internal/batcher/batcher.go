@@ -8,14 +8,17 @@
 // of their targets — which is flushed as a single Engine.EmbedWith pass
 // when it reaches Config.MaxBatch targets, when Config.Window has
 // elapsed since the cohort opened, when the pass ahead of it completes
-// (drain), or immediately when no pass is currently executing (the idle
-// fast path — an unloaded server adds no batching latency, so p99 at
-// concurrency 1 matches the direct path). Idle-path passes run inline on
-// the caller's goroutine; every other flush schedules a runner that
-// yields to the scheduler once before capturing the cohort, so
-// concurrent callers that are already runnable join it (without this,
-// cohorts degenerate to single requests on a saturated machine). Each
-// caller takes its row range out of the pass's result slab.
+// (drain), or immediately while a core is free: fewer passes execute
+// than GOMAXPROCS at construction (the idle fast path — a request never
+// waits behind a pass while a core could run its own, so an unloaded
+// server adds no batching latency and two connections on two cores run
+// two passes). Coalescing therefore starts only once every core runs a
+// pass. Idle-path passes run inline on the caller's goroutine; every
+// other flush schedules a runner that yields to the scheduler once
+// before capturing the cohort, so concurrent callers that are already
+// runnable join it (without this, cohorts degenerate to single requests
+// on a saturated machine). Each caller takes its row range out of the
+// pass's result slab.
 //
 // The batcher does no deduplication of its own: a ⟨node, t⟩ repeated
 // across the cohort's requests reaches the engine as repeated targets,
@@ -59,8 +62,8 @@ var ErrPassPanicked = errors.New("batcher: fused pass panicked")
 // falls back to DefaultMaxBatch.
 type Config struct {
 	// Window is the maximum time a pending batch may wait for more
-	// targets before flushing. It only matters while another pass is
-	// executing; an idle batcher flushes immediately.
+	// targets before flushing. It only matters while every core already
+	// runs a pass; while a core is free a request flushes immediately.
 	Window time.Duration
 	// MaxBatch flushes the pending batch as soon as it holds this many
 	// targets. A single request with more targets than MaxBatch still
@@ -91,9 +94,10 @@ type cohort struct {
 // Batcher coalesces Embed calls into fused Embedder passes. Safe for
 // concurrent use; create with New.
 type Batcher struct {
-	eng core.Embedder
-	dim int
-	cfg Config
+	eng   core.Embedder
+	dim   int
+	cfg   Config
+	slots int // GOMAXPROCS at New: inline passes that run before any request queues
 
 	mu         sync.Mutex
 	pending    *cohort // the cohort currently accumulating; nil when empty
@@ -125,6 +129,7 @@ func New(eng core.Embedder, dim int, cfg Config) *Batcher {
 		eng:       eng,
 		dim:       dim,
 		cfg:       cfg,
+		slots:     runtime.GOMAXPROCS(0),
 		queueWait: stats.NewHistogram(),
 		occupancy: stats.NewCountHistogram(),
 	}
@@ -172,12 +177,12 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 	case len(c.nodes) >= b.cfg.MaxBatch:
 		b.flushSize.Add(1)
 		b.scheduleLocked()
-	case b.running == 0:
-		// Idle fast path: nothing is computing, so waiting could only
-		// add latency — run the pass inline on this goroutine, like the
+	case b.running < b.slots:
+		// Idle fast path: a core is free, so waiting could only add
+		// latency — run the pass inline on this goroutine, like the
 		// direct path (no spawn, no handoff: an unloaded server pays
-		// one Gosched for batching). Under load (running > 0) the cohort
-		// keeps accumulating until size, window, or drain.
+		// one Gosched for batching). Once every core runs a pass the
+		// cohort keeps accumulating until size, window, or drain.
 		b.flushIdle.Add(1)
 		b.running++
 		inline = true
@@ -189,14 +194,13 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 	if inline {
 		// Cohort formation, same as runLoop: yield once before capturing
 		// the cohort so concurrent callers that are already runnable get
-		// to enqueue into this pass (running is already 1, so they
-		// queue instead of going inline themselves). An unloaded
-		// batcher has nothing else runnable and proceeds immediately.
+		// to enqueue into this pass. An unloaded batcher has nothing else
+		// runnable and proceeds immediately.
 		runtime.Gosched()
 		b.mu.Lock()
 		run := b.takeLocked()
 		b.mu.Unlock()
-		if run != nil { // a size flush may have raced the capture
+		if run != nil { // a size flush or another inline caller took it
 			b.runPass(run)
 		}
 		b.mu.Lock()

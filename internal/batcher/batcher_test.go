@@ -2,6 +2,7 @@ package batcher
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,9 +133,41 @@ func TestBatcherDuplicateTargetsWithinRequest(t *testing.T) {
 	}
 }
 
-func TestBatcherSizeTrigger(t *testing.T) {
+// holdSlots occupies every core's inline pass: it starts b.slots lone
+// requests one at a time, waiting until each one's pass executes inside
+// the gated fake, so each opens its own cohort and runs inline. Every
+// request after it queues.
+func holdSlots(t *testing.T, b *Batcher, f *fakeEmbedder, start func()) {
+	t.Helper()
+	for i := 1; i <= b.slots; i++ {
+		start()
+		waitUntil(t, "inline pass executing", func() bool { return f.numCalls() == i })
+	}
+}
+
+// release lets n gated passes finish.
+func release(f *fakeEmbedder, n int) {
+	for i := 0; i < n; i++ {
+		f.gate <- struct{}{}
+	}
+}
+
+// newGated builds a batcher over a gated fake running at most slots
+// inline passes.
+func newGated(cfg Config, slots int) (*Batcher, *fakeEmbedder) {
 	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 4})
+	b := New(f, fakeDim, cfg)
+	b.slots = slots
+	return b, f
+}
+
+// The queueing scenarios below each hold every inline pass, drive the
+// queue behind them and return the final counters. Each TestBatcher*
+// runs its scenario at GOMAXPROCS slots (the count New reads);
+// TestBatcherOneSlotKeepsFlushCounts runs all of them at one slot.
+
+func sizeTrigger(t *testing.T, slots int) Snapshot {
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 4}, slots)
 	var wg sync.WaitGroup
 	embed := func(node int32) {
 		wg.Add(1)
@@ -148,29 +181,29 @@ func TestBatcherSizeTrigger(t *testing.T) {
 			checkSlab(t, slab, []int32{node}, []float64{1})
 		}()
 	}
-	embed(1) // idle flush; blocks inside the fake
-	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
+	holdSlots(t, b, f, func() { embed(1) }) // idle flushes; block inside the fake
 	for n := int32(2); n <= 5; n++ {
-		embed(n) // queues behind the executing pass
+		embed(n) // queues behind the executing passes
 	}
-	// The 4th queued target hits MaxBatch and flushes while pass 1 is
-	// still executing.
-	waitUntil(t, "size-triggered pass", func() bool { return f.numCalls() == 2 })
-	if got := f.call(1); len(got) != 4 {
+	// The 4th queued target hits MaxBatch and flushes while every held
+	// pass is still executing.
+	waitUntil(t, "size-triggered pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != 4 {
 		t.Fatalf("size-triggered pass had %d targets, want 4", len(got))
 	}
-	f.gate <- struct{}{}
-	f.gate <- struct{}{}
+	release(f, slots+1)
 	wg.Wait()
 	s := b.Stats()
-	if s.FlushSize != 1 || s.FlushIdle != 1 || s.Batches != 2 {
-		t.Fatalf("stats %+v: want one idle and one size flush", s)
+	if s.FlushSize != 1 || s.FlushIdle != int64(slots) || s.Batches != int64(slots)+1 {
+		t.Fatalf("stats %+v: want %d idle flushes and one size flush", s, slots)
 	}
+	return s
 }
 
-func TestBatcherWindowTrigger(t *testing.T) {
-	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: 10 * time.Millisecond, MaxBatch: 1024})
+func TestBatcherSizeTrigger(t *testing.T) { sizeTrigger(t, runtime.GOMAXPROCS(0)) }
+
+func windowTrigger(t *testing.T, slots int) Snapshot {
+	b, f := newGated(Config{Window: 10 * time.Millisecond, MaxBatch: 1024}, slots)
 	var wg sync.WaitGroup
 	embed := func(node int32) {
 		wg.Add(1)
@@ -181,27 +214,28 @@ func TestBatcherWindowTrigger(t *testing.T) {
 			}
 		}()
 	}
-	embed(1)
-	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
+	holdSlots(t, b, f, func() { embed(1) })
 	embed(2)
 	embed(3)
 	// Far below MaxBatch: only the window timer can flush these two.
-	waitUntil(t, "window-triggered pass", func() bool { return f.numCalls() == 2 })
-	if got := f.call(1); len(got) != 2 {
+	waitUntil(t, "window-triggered pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != 2 {
 		t.Fatalf("window pass had %d targets, want 2", len(got))
 	}
-	f.gate <- struct{}{}
-	f.gate <- struct{}{}
+	release(f, slots+1)
 	wg.Wait()
-	if s := b.Stats(); s.FlushWindow != 1 {
+	s := b.Stats()
+	if s.FlushWindow != 1 {
 		t.Fatalf("stats %+v: want one window flush", s)
 	}
+	return s
 }
 
-func TestBatcherDrainAfterPass(t *testing.T) {
-	f := &fakeEmbedder{gate: make(chan struct{})}
+func TestBatcherWindowTrigger(t *testing.T) { windowTrigger(t, runtime.GOMAXPROCS(0)) }
+
+func drainAfterPass(t *testing.T, slots int) Snapshot {
 	// Window 0: queued work can only flush via size or drain.
-	b := New(f, fakeDim, Config{Window: 0, MaxBatch: 1024})
+	b, f := newGated(Config{Window: 0, MaxBatch: 1024}, slots)
 	var wg sync.WaitGroup
 	embed := func(node int32) {
 		wg.Add(1)
@@ -212,35 +246,39 @@ func TestBatcherDrainAfterPass(t *testing.T) {
 			}
 		}()
 	}
-	embed(1)
-	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
+	holdSlots(t, b, f, func() { embed(1) })
 	embed(2)
 	embed(3)
 	embed(4)
 	waitUntil(t, "queue filled", func() bool { p, _ := b.InFlight(); return p == 3 })
-	f.gate <- struct{}{} // finish pass 1; completion must drain the queue
-	waitUntil(t, "drain pass", func() bool { return f.numCalls() == 2 })
-	if got := f.call(1); len(got) != 3 {
+	release(f, 1) // finish one held pass; its completion must drain the queue
+	waitUntil(t, "drain pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != 3 {
 		t.Fatalf("drain pass had %d targets, want 3", len(got))
 	}
-	f.gate <- struct{}{}
+	release(f, slots)
 	wg.Wait()
-	if s := b.Stats(); s.FlushDrain != 1 {
+	s := b.Stats()
+	if s.FlushDrain != 1 {
 		t.Fatalf("stats %+v: want one drain flush", s)
 	}
+	return s
 }
 
-func TestBatcherFusesQueuedRequests(t *testing.T) {
-	// Requests queued behind an executing pass run as one pass — the
+func TestBatcherDrainAfterPass(t *testing.T) { drainAfterPass(t, runtime.GOMAXPROCS(0)) }
+
+func fusesQueuedRequests(t *testing.T, slots int) Snapshot {
+	// Requests queued behind the executing passes run as one pass — the
 	// concatenation of their targets, duplicates included — and every
 	// caller gets its own correct rows.
-	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
 	const queued = 16
 	var wg sync.WaitGroup
-	results := make([][]float32, queued+1)
-	for i := 0; i <= queued; i++ {
-		i := i
+	results := make([][]float32, slots+queued)
+	next := 0
+	embed := func() {
+		i := next
+		next++
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -251,30 +289,35 @@ func TestBatcherFusesQueuedRequests(t *testing.T) {
 			}
 			results[i] = slab
 		}()
-		if i == 0 {
-			waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
-		}
+	}
+	holdSlots(t, b, f, embed)
+	for i := 0; i < queued; i++ {
+		embed()
 	}
 	waitUntil(t, "all requests queued", func() bool { p, _ := b.InFlight(); return p == 2*queued })
-	f.gate <- struct{}{} // finish pass 1; completion drains the queue
-	waitUntil(t, "fused pass", func() bool { return f.numCalls() == 2 })
-	if got := f.call(1); len(got) != 2*queued {
+	release(f, 1) // finish one held pass; its completion drains the queue
+	waitUntil(t, "fused pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != 2*queued {
 		t.Fatalf("fused pass had %d targets, want %d", len(got), 2*queued)
 	}
-	f.gate <- struct{}{}
+	release(f, slots)
 	wg.Wait()
 	for i, slab := range results {
 		checkSlab(t, slab, []int32{42, int32(i)}, []float64{7, 7})
 	}
 	s := b.Stats()
-	// The first queued request opened pass 2; the other queued-1 joined it.
-	if s.Enqueued != 2*(queued+1) || s.Coalesced != 2*(queued-1) || s.Batches != 2 || s.FlushDrain != 1 {
+	// The first queued request opened the fused pass; the other queued-1
+	// joined it. Each held pass is a lone request.
+	if s.Enqueued != int64(2*(slots+queued)) || s.Coalesced != 2*(queued-1) || s.Batches != int64(slots)+1 || s.FlushDrain != 1 {
 		t.Fatalf("stats %+v", s)
 	}
-	if b.QueueWait().Count() != queued+1 {
-		t.Fatalf("queue wait observed %d times, want once per request (%d)", b.QueueWait().Count(), queued+1)
+	if b.QueueWait().Count() != int64(slots+queued) {
+		t.Fatalf("queue wait observed %d times, want once per request (%d)", b.QueueWait().Count(), slots+queued)
 	}
+	return s
 }
+
+func TestBatcherFusesQueuedRequests(t *testing.T) { fusesQueuedRequests(t, runtime.GOMAXPROCS(0)) }
 
 func TestBatcherReadYourWrites(t *testing.T) {
 	// A request that arrives after a write was acknowledged must see it,
@@ -319,21 +362,21 @@ func TestBatcherReadYourWrites(t *testing.T) {
 	}
 }
 
-func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
-	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
+func cancellationLeavesNoStuckWaiters(t *testing.T, slots int) Snapshot {
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := b.Embed(context.Background(), []int32{1}, []float64{1}); err != nil {
-			t.Error(err)
-		}
-	}()
-	waitUntil(t, "first pass executing", func() bool { return f.numCalls() == 1 })
+	holdSlots(t, b, f, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Embed(context.Background(), []int32{1}, []float64{1}); err != nil {
+				t.Error(err)
+			}
+		}()
+	})
 
 	// A queued caller whose context is cancelled must return promptly
-	// even though the pass ahead of it is still blocked.
+	// even though the passes ahead of it are still blocked.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelled := make(chan error, 1)
 	go func() {
@@ -361,8 +404,8 @@ func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
 		patient <- slab
 	}()
 	waitUntil(t, "patient caller queued", func() bool { p, _ := b.InFlight(); return p == 2 })
-	f.gate <- struct{}{} // pass 1
-	f.gate <- struct{}{} // the drain pass carrying both queued callers
+	release(f, slots) // the held passes
+	release(f, 1)     // the drain pass carrying both queued callers
 	select {
 	case slab := <-patient:
 		checkSlab(t, slab, []int32{1}, []float64{1})
@@ -374,25 +417,28 @@ func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
 		p, r := b.InFlight()
 		return p == 0 && r == 0
 	})
+	return b.Stats()
 }
 
-func TestBatcherPanicPublishesErrors(t *testing.T) {
-	f := &fakeEmbedder{gate: make(chan struct{}), panicOn: true}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
-	errs := make(chan error, 3)
+func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
+	cancellationLeavesNoStuckWaiters(t, runtime.GOMAXPROCS(0))
+}
+
+func panicPublishesErrors(t *testing.T, slots int) Snapshot {
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
+	f.panicOn = true
+	errs := make(chan error, slots+2)
 	embed := func() {
 		_, err := b.Embed(context.Background(), []int32{9}, []float64{3})
 		errs <- err
 	}
-	go embed()
-	waitUntil(t, "pass executing", func() bool { return f.numCalls() == 1 })
+	holdSlots(t, b, f, func() { go embed() })
 	// Two more callers share the next cohort; its panic reaches both.
 	go embed()
 	go embed()
 	waitUntil(t, "two callers queued", func() bool { p, _ := b.InFlight(); return p == 2 })
-	f.gate <- struct{}{}
-	f.gate <- struct{}{}
-	for i := 0; i < 3; i++ {
+	release(f, slots+1)
+	for i := 0; i < slots+2; i++ {
 		select {
 		case err := <-errs:
 			if err == nil {
@@ -402,8 +448,8 @@ func TestBatcherPanicPublishesErrors(t *testing.T) {
 			t.Fatal("caller stuck after pass panic")
 		}
 	}
-	if b.Stats().Panics != 2 {
-		t.Fatalf("panics = %d, want 2", b.Stats().Panics)
+	if b.Stats().Panics != int64(slots)+1 {
+		t.Fatalf("panics = %d, want %d", b.Stats().Panics, slots+1)
 	}
 	waitUntil(t, "queue drained", func() bool {
 		p, r := b.InFlight()
@@ -419,6 +465,81 @@ func TestBatcherPanicPublishesErrors(t *testing.T) {
 		t.Fatalf("retry after panic: %v", err)
 	}
 	checkSlab(t, slab, []int32{9}, []float64{3})
+	return b.Stats()
+}
+
+func TestBatcherPanicPublishesErrors(t *testing.T) { panicPublishesErrors(t, runtime.GOMAXPROCS(0)) }
+
+func TestBatcherRunsOnePassPerFreeCore(t *testing.T) {
+	// While a core is free a request runs its own pass inline: slots lone
+	// requests in flight together run as slots passes, none coalesced.
+	// (Each starts once the one before it executes; started in the same
+	// instant, one could join another's cohort during its Gosched.)
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, runtime.GOMAXPROCS(0))
+	slots := b.slots
+	var wg sync.WaitGroup
+	embed := func(node int32) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slab, err := b.Embed(context.Background(), []int32{node}, []float64{1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkSlab(t, slab, []int32{node}, []float64{1})
+		}()
+	}
+	node := int32(0)
+	holdSlots(t, b, f, func() { node++; embed(node) })
+	if p, r := b.InFlight(); p != 0 || r != slots {
+		t.Fatalf("pending %d, running %d: want 0 and %d", p, r, slots)
+	}
+	if s := b.Stats(); s.Coalesced != 0 || s.FlushIdle != int64(slots) {
+		t.Fatalf("stats %+v: want %d idle flushes, nothing coalesced", s, slots)
+	}
+	// Every core runs a pass: the next request queues, and the first
+	// pass to finish drains it.
+	embed(node + 1)
+	waitUntil(t, "request queued", func() bool { p, _ := b.InFlight(); return p == 1 })
+	if f.numCalls() != slots {
+		t.Fatalf("%d passes started, want %d: a request ran with every core busy", f.numCalls(), slots)
+	}
+	release(f, 1)
+	waitUntil(t, "drain pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != 1 || got[0] != node+1 {
+		t.Fatalf("drain pass saw %v, want [%d]", got, node+1)
+	}
+	release(f, slots)
+	wg.Wait()
+	s := b.Stats()
+	if s.Batches != int64(slots)+1 || s.FlushIdle != int64(slots) || s.FlushDrain != 1 || s.Coalesced != 0 {
+		t.Fatalf("stats %+v: want %d idle flushes and one drain flush", s, slots)
+	}
+}
+
+func TestBatcherOneSlotKeepsFlushCounts(t *testing.T) {
+	// At one slot the idle path fires only while no pass executes, so
+	// each scenario's counters are those of a batcher that runs one
+	// inline pass at a time.
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T, int) Snapshot
+		want Snapshot
+	}{
+		{"size", sizeTrigger, Snapshot{Enqueued: 5, Coalesced: 3, Batches: 2, FlushSize: 1, FlushIdle: 1}},
+		{"window", windowTrigger, Snapshot{Enqueued: 3, Coalesced: 1, Batches: 2, FlushWindow: 1, FlushIdle: 1}},
+		{"drain", drainAfterPass, Snapshot{Enqueued: 4, Coalesced: 2, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
+		{"fuse", fusesQueuedRequests, Snapshot{Enqueued: 34, Coalesced: 30, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
+		{"cancel", cancellationLeavesNoStuckWaiters, Snapshot{Enqueued: 3, Coalesced: 1, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
+		{"panic", panicPublishesErrors, Snapshot{Enqueued: 4, Coalesced: 1, Batches: 1, FlushIdle: 2, FlushDrain: 1, Panics: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.run(t, 1); got != tc.want {
+				t.Fatalf("stats %+v, want %+v", got, tc.want)
+			}
+		})
+	}
 }
 
 // newTestEngine builds a tiny real engine over a dynamic graph, the

@@ -128,8 +128,10 @@ go test -race -count=1 -cpu 1,2,4 \
 # between a pass and a write shows only on some schedules.
 go test -race -count=5 -cpu 2,4 -run 'TopMemo' ./internal/core ./internal/serve ./internal/shard
 # The row-text memo under concurrent store/hit/evict, the encoders' byte
-# identity, and the batcher's one-channel-per-cohort publication.
-go test -race -count=3 -run 'TestWire|TestBatcher' ./internal/serve ./internal/batcher
+# identity, and the batcher's one-channel-per-cohort publication, at
+# one, two and four Ps: the batcher runs one inline pass per P before
+# any request queues, so each slot count drives a different queue.
+go test -race -count=3 -cpu 1,2,4 -run 'TestWire|TestBatcher' ./internal/serve ./internal/batcher
 echo "   race stanza wall time: $((SECONDS - race_start)) s"
 
 echo "== portable kernels (the scalar leaves run, not just compile: purego tests, arm64 cross-build of the generic files)"
