@@ -424,8 +424,9 @@ func BenchmarkAttentionKernels(b *testing.B) {
 		mask[i] = i%7 != 0
 	}
 	// The leaves under the absorbed core are whatever the process
-	// dispatches to (DESIGN.md §6.3): "avx2" here, "generic" when the
-	// benchmark is built with -tags purego.
+	// dispatches to (DESIGN.md §6.3), named by tensor.Kernels():
+	// "avx512" or "avx2" on amd64, "generic" when the benchmark is built
+	// with -tags purego.
 	b.Run("absorbed/"+tensor.Kernels(), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			attn.Forward(q, kv, k, mask, false)

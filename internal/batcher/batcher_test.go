@@ -473,8 +473,8 @@ func TestBatcherPanicPublishesErrors(t *testing.T) { panicPublishesErrors(t, run
 func TestBatcherRunsOnePassPerFreeCore(t *testing.T) {
 	// While a core is free a request runs its own pass inline: slots lone
 	// requests in flight together run as slots passes, none coalesced.
-	// (Each starts once the one before it executes; started in the same
-	// instant, one could join another's cohort during its Gosched.)
+	// (Each starts once the one before it executes, so the count of
+	// passes is known when the next request arrives.)
 	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, runtime.GOMAXPROCS(0))
 	slots := b.slots
 	var wg sync.WaitGroup
@@ -515,6 +515,41 @@ func TestBatcherRunsOnePassPerFreeCore(t *testing.T) {
 	s := b.Stats()
 	if s.Batches != int64(slots)+1 || s.FlushIdle != int64(slots) || s.FlushDrain != 1 || s.Coalesced != 0 {
 		t.Fatalf("stats %+v: want %d idle flushes and one drain flush", s, slots)
+	}
+}
+
+func TestBatcherSecondCallerTakesTheFreeCore(t *testing.T) {
+	// Two lone requests started in the same instant at two slots run two
+	// passes: the first takes its cohort before it lets go of the lock,
+	// so the second opens its own on the free core instead of joining
+	// the first's pass and waiting on it while that core idles. One P
+	// runs the second caller exactly where a caller that yielded before
+	// taking its cohort would let it in.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, 2)
+	var wg sync.WaitGroup
+	for _, node := range []int32{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slab, err := b.Embed(context.Background(), []int32{node}, []float64{1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkSlab(t, slab, []int32{node}, []float64{1})
+		}()
+	}
+	waitUntil(t, "two passes executing", func() bool { return f.numCalls() == 2 })
+	for i := 0; i < 2; i++ {
+		if got := f.call(i); len(got) != 1 {
+			t.Fatalf("pass %d saw %v, want one request's target", i, got)
+		}
+	}
+	release(f, 2)
+	wg.Wait()
+	if s := b.Stats(); s.Batches != 2 || s.FlushIdle != 2 || s.Coalesced != 0 {
+		t.Fatalf("stats %+v: want two idle passes, nothing coalesced", s)
 	}
 }
 

@@ -103,8 +103,10 @@ func BenchmarkMatMulT(b *testing.B) {
 // BenchmarkLeafKernels prices the leaf kernels of DESIGN.md §6.3 at the
 // benchmark shape (a 32-target tile, widths 64 and 96, ten slots). The
 // sub-benchmark named after Kernels() runs what the process dispatches
-// to — "avx2" here, "generic" under -tags purego — and "scalar" is the
-// Go loop it reproduces, where this package has one.
+// to — "avx512" or "avx2" on amd64, "generic" under -tags purego —
+// "avx2" beside an "avx512" one runs AccumRows and CosRow without their
+// AVX-512 tier, and "scalar" is the Go loop they reproduce, where this
+// package has one.
 func BenchmarkLeafKernels(b *testing.B) {
 	r := NewRNG(6)
 	const m, k, n, slots = 32, 96, 64, 10
@@ -118,7 +120,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 			LinearRows(x.data, m, w, bias, dst)
 		}
 	})
-	b.Run("linear/"+Kernels(), func(b *testing.B) {
+	benchTiers(b, "linear", func(b *testing.B) {
 		wt := PackLinear(ar, w)
 		for i := 0; i < b.N; i++ {
 			LinearRowsPacked(x.data, m, w, wt, bias, dst)
@@ -131,7 +133,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 		}
 	})
 	y := make([]float32, k)
-	b.Run("accum/"+Kernels(), func(b *testing.B) {
+	benchTiers(b, "accum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			AccumRows(y, x.data[:m], w.data, k)
 		}
@@ -155,7 +157,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cos/"+Kernels(), func(b *testing.B) {
+	benchTiers(b, "cos", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			CosRow(row, float64(20_000+i), om, ph)
 		}

@@ -8,18 +8,23 @@ import (
 // This file is the portable face of the leaf kernels (DESIGN.md §6.3).
 // Each function below is complete on every platform: where the process
 // runs the AVX2 kernels (amd64 with AVX2 and OS-saved YMM state, built
-// without the purego tag) the vector part of the work goes through
-// them and the loop here finishes the rest; elsewhere the loop does all
-// of it. Either way the result is the same float32 bits as the scalar
+// without the purego tag, with AccumRows and CosRow taking their wide
+// columns through an AVX-512F tier where the CPU has it and the OS
+// saves the ZMM state) the vector part of the work goes through them
+// and the loop here finishes the rest; elsewhere the loop does all of
+// it. Either way the result is the same float32 bits as the scalar
 // kernel each one stands in for — matmulTRows here, and addRowsScaled,
 // axpy, rowDots, dot and the time encoder's cosine loop in package nn.
 
 // Kernels names the leaf kernels this process runs, for start-up logs:
-// "avx2" or "generic". Code does not branch on it: a caller with a
-// blocked scalar kernel of its own asks PackLinear for a pack and runs
-// the scalar kernel when it gets nil — the portable loops here are
-// correct, not tuned.
+// "avx512", "avx2" or "generic". Code does not branch on it: a caller
+// with a blocked scalar kernel of its own asks PackLinear for a pack
+// and runs the scalar kernel when it gets nil — the portable loops here
+// are correct, not tuned.
 func Kernels() string {
+	if useAVX512 {
+		return "avx512"
+	}
 	if useAVX2 {
 		return "avx2"
 	}
@@ -120,8 +125,8 @@ func dotRows4Go(s *[4]float32, q, z []float32, o *[4]int) {
 }
 
 // CosRow writes dst[j] = float32(math.Cos(dt·float64(omega[j]) +
-// float64(phi[j]))): one row of the time encoding. The AVX2 kernel
-// follows math.Cos's own steps below its Payne–Hanek threshold, lane by
+// float64(phi[j]))): one row of the time encoding. The vector kernels
+// follow math.Cos's own steps below its Payne–Hanek threshold, lane by
 // lane in float64; a row holding an argument that is NaN, ±Inf or at
 // least 2^28 in magnitude goes through math.Cos whole.
 func CosRow(dst []float32, dt float64, omega, phi []float32) {

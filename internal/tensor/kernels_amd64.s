@@ -171,6 +171,166 @@ accumDone:
 	VZEROUPPER
 	RET
 
+// ZACC: one row's term into the accumulator of the 16 columns at byte
+// offset off: acc += Z8·w[off:], the product rounded, then the sum.
+#define ZACC(off, acc, tmp) \
+	VMULPS off(R11), Z8, tmp; \
+	VADDPS tmp, acc, acc
+
+// ZROWS: set up the row loop of one column block: R10 walks a, R11 the
+// block's column of w, R12 counts the rows.
+#define ZROWS \
+	MOVQ SI, R10; \
+	MOVQ DX, R11; \
+	MOVQ R8, R12
+
+// ZNEXT: step to the next row and loop back to label while rows remain.
+#define ZNEXT(label) \
+	ADDQ $4, R10; \
+	ADDQ R9, R11; \
+	DECQ R12; \
+	JNZ  label
+
+// func accumRowsAVX512(y *float32, n int, a *float32, rows int, w *float32, stride int)
+//
+// accumRowsAVX2 in ZMM: y[x] += a[r]·w[r·stride+x] for x < n (n a
+// positive multiple of 16), r = 0..rows-1 in order. Blocks of 8 ZMM
+// (128 floats) repeat; what is left, under 128, takes at most one block
+// each of 6, 4, 2 and 1 ZMM (96/64/32/16 floats).
+TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-48
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ a+16(FP), SI
+	MOVQ rows+24(FP), R8
+	MOVQ w+32(FP), DX
+	MOVQ stride+40(FP), R9
+	SHLQ $2, R9
+
+zcols128:
+	CMPQ CX, $128
+	JLT  zcols96
+	VMOVUPS 0(DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS 256(DI), Z4
+	VMOVUPS 320(DI), Z5
+	VMOVUPS 384(DI), Z6
+	VMOVUPS 448(DI), Z7
+	ZROWS
+
+zrows128:
+	VBROADCASTSS (R10), Z8
+	ZACC(0, Z0, Z16)
+	ZACC(64, Z1, Z17)
+	ZACC(128, Z2, Z18)
+	ZACC(192, Z3, Z19)
+	ZACC(256, Z4, Z20)
+	ZACC(320, Z5, Z21)
+	ZACC(384, Z6, Z22)
+	ZACC(448, Z7, Z23)
+	ZNEXT(zrows128)
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, DX
+	SUBQ $128, CX
+	JMP  zcols128
+
+zcols96:
+	CMPQ CX, $96
+	JLT  zcols64
+	VMOVUPS 0(DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS 256(DI), Z4
+	VMOVUPS 320(DI), Z5
+	ZROWS
+
+zrows96:
+	VBROADCASTSS (R10), Z8
+	ZACC(0, Z0, Z16)
+	ZACC(64, Z1, Z17)
+	ZACC(128, Z2, Z18)
+	ZACC(192, Z3, Z19)
+	ZACC(256, Z4, Z20)
+	ZACC(320, Z5, Z21)
+	ZNEXT(zrows96)
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	ADDQ $384, DI
+	ADDQ $384, DX
+	SUBQ $96, CX
+
+zcols64:
+	CMPQ CX, $64
+	JLT  zcols32
+	VMOVUPS 0(DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	ZROWS
+
+zrows64:
+	VBROADCASTSS (R10), Z8
+	ZACC(0, Z0, Z16)
+	ZACC(64, Z1, Z17)
+	ZACC(128, Z2, Z18)
+	ZACC(192, Z3, Z19)
+	ZNEXT(zrows64)
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, CX
+
+zcols32:
+	CMPQ CX, $32
+	JLT  zcols16
+	VMOVUPS 0(DI), Z0
+	VMOVUPS 64(DI), Z1
+	ZROWS
+
+zrows32:
+	VBROADCASTSS (R10), Z8
+	ZACC(0, Z0, Z16)
+	ZACC(64, Z1, Z17)
+	ZNEXT(zrows32)
+	VMOVUPS Z0, 0(DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+
+zcols16:
+	CMPQ CX, $16
+	JLT  zaccumDone
+	VMOVUPS (DI), Z0
+	ZROWS
+
+zrows16:
+	VBROADCASTSS (R10), Z8
+	ZACC(0, Z0, Z16)
+	ZNEXT(zrows16)
+	VMOVUPS Z0, (DI)
+
+zaccumDone:
+	VZEROUPPER
+	RET
+
 // func dotRows4AVX2(out *[4]float32, q *float32, n int, z *float32, o0, o1, o2, o3 int)
 //
 // out[i] = (s0+s1)+(s2+s3) over the first n (a multiple of 4, possibly
@@ -443,6 +603,104 @@ cosLoop:
 	JLT  cosLoop
 	VMOVMSKPD Y14, AX
 	TESTL AX, AX
+	SETEQ ok+40(FP)
+	VZEROUPPER
+	RET
+
+// The AVX-512F forms of COSARG, COSREDUCE and COSFINISH: eight float64
+// lanes in a ZMM, the float constants broadcast from the first eight
+// bytes of the tables above, the int32 lanes of j eight to a YMM and
+// still VEX (their registers stay below Y16). A bad argument sets its
+// bit in K, or-ed into K3; the sin/cos choice and the sign take the
+// same bits of j as in COSFINISH.
+#define ZCOSARG(off, X, T, K) \
+	VCVTPS2PD off(SI)(AX*1), X; \
+	VMULPD Z15, X, X; \
+	VCVTPS2PD off(DX)(AX*1), T; \
+	VADDPD T, X, X; \
+	VPANDQ.BCST cosAbs<>(SB), X, X; \
+	VCMPPD.BCST $5, cosLimit<>(SB), X, K; \
+	KORW K, K3, K3
+
+#define ZCOSREDUCE(X, ZZ, JY, T, U, UY) \
+	VMULPD.BCST cosFourOverPi<>(SB), X, T; \
+	VCVTTPD2DQ T, JY; \
+	VPAND cosInt1<>(SB), JY, UY; \
+	VPADDD UY, JY, JY; \
+	VCVTDQ2PD JY, T; \
+	VMULPD.BCST cosPI4A<>(SB), T, U; \
+	VSUBPD U, X, X; \
+	VMULPD.BCST cosPI4B<>(SB), T, U; \
+	VSUBPD U, X, X; \
+	VMULPD.BCST cosPI4C<>(SB), T, U; \
+	VSUBPD U, X, X; \
+	VMULPD X, X, ZZ
+
+#define ZCOSPOLY(ZZ, P, c0, c1, c2, c3, c4, c5) \
+	VMULPD.BCST c0<>(SB), ZZ, P; \
+	VADDPD.BCST c1<>(SB), P, P; \
+	VMULPD ZZ, P, P; \
+	VADDPD.BCST c2<>(SB), P, P; \
+	VMULPD ZZ, P, P; \
+	VADDPD.BCST c3<>(SB), P, P; \
+	VMULPD ZZ, P, P; \
+	VADDPD.BCST c4<>(SB), P, P; \
+	VMULPD ZZ, P, P; \
+	VADDPD.BCST c5<>(SB), P, P
+
+#define ZCOSFINISH(off, X, ZZ, JY, P, Q, QY, T, TY, U, UY, K) \
+	VMULPD ZZ, X, T; \
+	VMULPD P, T, T; \
+	VADDPD T, X, P; \
+	VMULPD.BCST cosHalf<>(SB), ZZ, T; \
+	VBROADCASTSD cosOne<>(SB), U; \
+	VSUBPD T, U, U; \
+	VMULPD ZZ, ZZ, T; \
+	VMULPD Q, T, T; \
+	VADDPD T, U, Q; \
+	VPAND cosInt2<>(SB), JY, TY; \
+	VPMOVZXDQ TY, T; \
+	VPTESTMQ T, T, K; \
+	VBLENDMPD P, Q, K, Q; \
+	VPSRLD $1, JY, TY; \
+	VPSRLD $2, JY, UY; \
+	VPXOR UY, TY, TY; \
+	VPMOVZXDQ TY, T; \
+	VPSLLQ $63, T, T; \
+	VPXORQ T, Q, Q; \
+	VCVTPD2PS Q, QY; \
+	VMOVUPS QY, off(DI)(AX*1)
+
+// func cosRowAVX512(dst *float32, n int, dt float64, omega, phi *float32) (ok bool)
+//
+// cosRowAVX2 in two interleaved eight-lane groups: dst[j] for j < n (a
+// positive multiple of 16), each lane the same float64 steps as there.
+// ok is false when some argument is NaN, ±Inf or ≥ 2^28 in magnitude.
+TEXT ·cosRowAVX512(SB), NOSPLIT, $0-41
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD dt+16(FP), Z15
+	MOVQ omega+24(FP), SI
+	MOVQ phi+32(FP), DX
+	KXORW K3, K3, K3
+	SHLQ $2, CX
+	XORQ AX, AX
+
+zcosLoop:
+	ZCOSARG(0, Z0, Z5, K1)
+	ZCOSARG(32, Z7, Z12, K2)
+	ZCOSREDUCE(Z0, Z1, Y2, Z5, Z6, Y6)
+	ZCOSREDUCE(Z7, Z8, Y9, Z12, Z13, Y13)
+	ZCOSPOLY(Z1, Z3, cosS0, cosS1, cosS2, cosS3, cosS4, cosS5)
+	ZCOSPOLY(Z8, Z10, cosS0, cosS1, cosS2, cosS3, cosS4, cosS5)
+	ZCOSPOLY(Z1, Z4, cosC0, cosC1, cosC2, cosC3, cosC4, cosC5)
+	ZCOSPOLY(Z8, Z11, cosC0, cosC1, cosC2, cosC3, cosC4, cosC5)
+	ZCOSFINISH(0, Z0, Z1, Y2, Z3, Z4, Y4, Z5, Y5, Z6, Y6, K1)
+	ZCOSFINISH(32, Z7, Z8, Y9, Z10, Z11, Y11, Z12, Y12, Z13, Y13, K2)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JLT  zcosLoop
+	KORTESTW K3, K3
 	SETEQ ok+40(FP)
 	VZEROUPPER
 	RET

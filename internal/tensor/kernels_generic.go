@@ -3,7 +3,7 @@
 package tensor
 
 // Without the assembly kernels every leaf runs its portable Go loop.
-const useAVX2 = false
+const useAVX2, useAVX512 = false, false
 
 func accumRowsVec(y, a, w []float32, stride int) int { return 0 }
 

@@ -46,12 +46,16 @@ func sameBits(a, b []float32) int {
 }
 
 // TestAccumRowsMatchesSequentialSumBitwise sweeps AccumRows over the
-// shapes either side of every column-block boundary of the kernel, at
+// shapes either side of every column-block boundary of either tier, at
 // every alignment of y, a and w, with and without non-finite inputs,
 // against the sum it is defined as.
 func TestAccumRowsMatchesSequentialSumBitwise(t *testing.T) {
+	eachTier(t, testAccumRowsMatchesSequentialSumBitwise)
+}
+
+func testAccumRowsMatchesSequentialSumBitwise(t *testing.T) {
 	r := NewRNG(31)
-	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 64, 96, 100} {
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 47, 48, 49, 63, 64, 65, 95, 96, 97, 100, 127, 128, 129, 160} {
 		for _, rows := range []int{1, 3, 4, 32, 64, 96} {
 			for _, pad := range []int{0, 1, 5} {
 				stride := n + pad
@@ -166,6 +170,10 @@ func TestDotRowsMatchesFourLaneDotBitwise(t *testing.T) {
 // the pack against matmulTRows, output widths that are all dot32 tail,
 // tail plus vector columns, and vector columns alone.
 func TestLinearRowsPackedMatchesScalarBitwise(t *testing.T) {
+	eachTier(t, testLinearRowsPackedMatchesScalarBitwise)
+}
+
+func testLinearRowsPackedMatchesScalarBitwise(t *testing.T) {
 	r := NewRNG(33)
 	ar := NewArena()
 	for _, n := range []int{1, 3, 4, 30, 32, 64} {
@@ -206,6 +214,10 @@ func TestLinearRowsPackedMatchesScalarBitwise(t *testing.T) {
 // TestAddRowBiasMatchesScalarBitwise: the bias add as row += 1·bias
 // through the accumulate kernel against the plain loop.
 func TestAddRowBiasMatchesScalarBitwise(t *testing.T) {
+	eachTier(t, testAddRowBiasMatchesScalarBitwise)
+}
+
+func testAddRowBiasMatchesScalarBitwise(t *testing.T) {
 	r := NewRNG(36)
 	for _, w := range []int{1, 3, 4, 7, 8, 33, 64, 100} {
 		for off := 0; off < 8; off++ {
@@ -293,6 +305,10 @@ func tgatOmega(d int) []float32 {
 // 2^29, or hold NaN or ±Inf, which must fall back to math.Cos and still
 // agree.
 func TestCosRowMatchesMathCosBitwise(t *testing.T) {
+	eachTier(t, testCosRowMatchesMathCosBitwise)
+}
+
+func testCosRowMatchesMathCosBitwise(t *testing.T) {
 	r := NewRNG(35)
 	const d = 32
 	dst, intact := guarded(d, 3)
@@ -361,8 +377,8 @@ func TestCosRowMatchesMathCosBitwise(t *testing.T) {
 	ph[17] = float32(math.Inf(-1))
 	checked += cosRowCheck(t, dst, intact, 12345, om, ph)
 
-	// Widths around the eight-column step.
-	for _, w := range []int{1, 7, 8, 9, 15, 16, 17, 100} {
+	// Widths around the eight- and sixteen-column steps.
+	for _, w := range []int{1, 7, 8, 9, 15, 16, 17, 24, 40, 100} {
 		for off := 0; off < 8; off++ {
 			row, ok := guarded(w, off)
 			o, _ := guarded(w, (off+1)%8)
@@ -374,13 +390,33 @@ func TestCosRowMatchesMathCosBitwise(t *testing.T) {
 			checked += cosRowCheck(t, row, ok, float64(r.Intn(1_000_000))+0.5, o, p)
 		}
 	}
+	// One bad argument in each column of rows 8, 16, 24 and 40 wide:
+	// in the AVX-512 part of a row, in its AVX2 tail of eight, or in a
+	// row the AVX2 kernel takes whole. Each must send the whole row to
+	// math.Cos.
+	for _, w := range []int{8, 16, 24, 40} {
+		row, ok := guarded(w, 2)
+		o, p := make([]float32, w), make([]float32, w)
+		for j := range o {
+			o[j] = geo[j%d]
+			p[j] = float32(r.Float64())
+		}
+		for bad := 0; bad < w; bad++ {
+			for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), 1 << 28} {
+				keep := p[bad]
+				p[bad] = v
+				checked += cosRowCheck(t, row, ok, 98765.5, o, p)
+				p[bad] = keep
+			}
+		}
+	}
 	if checked < 10_000_000 {
 		t.Fatalf("checked %d arguments, want at least 10M", checked)
 	}
 }
 
-// FuzzCosRow: one lane of a vector row is the fuzzed argument; the
-// corpus seeds are the edges the test above walks.
+// FuzzCosRow: one lane of a vector row is the fuzzed argument, under
+// each vector tier; the corpus seeds are the edges the test above walks.
 func FuzzCosRow(f *testing.F) {
 	for _, dt := range []float64{0, 1, -1, 0.5, 10_000, 2_678_400, math.Pi / 4, 3 * math.Pi / 4, 1 << 28, 1 << 29, 1e300, math.Inf(1), math.NaN()} {
 		f.Add(dt, float32(1), float32(0))
@@ -389,11 +425,13 @@ func FuzzCosRow(f *testing.F) {
 	}
 	geo := tgatOmega(16)
 	f.Fuzz(func(t *testing.T, dt float64, omega, phi float32) {
-		dst, intact := guarded(16, 1)
-		om := append([]float32(nil), geo...)
-		ph := make([]float32, 16)
-		om[6], ph[6] = omega, phi
-		cosRowCheck(t, dst, intact, dt, om, ph)
+		eachTier(t, func(t *testing.T) {
+			dst, intact := guarded(16, 1)
+			om := append([]float32(nil), geo...)
+			ph := make([]float32, 16)
+			om[6], ph[6] = omega, phi
+			cosRowCheck(t, dst, intact, dt, om, ph)
+		})
 	})
 }
 

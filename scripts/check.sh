@@ -12,6 +12,10 @@ echo "== go vet (asmdecl checks the .s files against their Go declarations) + go
 go vet ./...
 test -z "$(gofmt -l .)" || { echo "gofmt -l . prints:"; gofmt -l .; exit 1; }
 
+echo "== no fused multiply-add in the vector kernels (DESIGN.md §6.3: every product and every sum rounds on its own, so the bitwise tests are not the only guard)"
+fma=$(grep -ci vfmadd internal/tensor/kernels_amd64.s || true)
+[ "$fma" = 0 ] || { echo "grep -ci vfmadd internal/tensor/kernels_amd64.s prints $fma, want 0:"; grep -ni vfmadd internal/tensor/kernels_amd64.s; exit 1; }
+
 echo "== go build"
 go build ./...
 
