@@ -56,7 +56,6 @@ func main() {
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period for draining in-flight requests")
 	flag.DurationVar(&cfg.Batch.Window, "batch-window", cfg.Batch.Window, "max wait before flushing a partial cross-request batch (only applies while every core already runs a fused pass; a request runs at once while a core is free)")
 	flag.IntVar(&cfg.Batch.MaxBatch, "batch-max", cfg.Batch.MaxBatch, "flush a cross-request batch at this many targets")
-	batchOff := flag.Bool("batch-off", !cfg.Batching, "disable cross-request micro-batching (each request runs its own engine pass)")
 	lateness := flag.Float64("lateness", 0, "out-of-order tolerance: accept late edges within this many time units of the stream maximum (0 = strict chronological ingest; older edges are dropped against the watermark)")
 	flag.IntVar(&cfg.Shards, "shards", cfg.Shards, "partition serving into this many fault-isolated engine shards (1 = single engine; >= 2 enables the scatter-gather router)")
 	flag.StringVar(&cfg.Swap.Dir, "swap-dir", cfg.Swap.Dir, "online-learning swap directory (params-<version>.tgp + CURRENT manifest): load the latest published params at boot and hot-swap to new versions while serving (see DESIGN.md §15)")
@@ -73,7 +72,6 @@ func main() {
 	if *cacheLimit == 0 {
 		cfg.Engine.CacheLimit = setup.EffectiveCacheLimit()
 	}
-	cfg.Batching = !*batchOff
 	cfg.Logf = log.Printf
 	if err := cfg.Validate(); err != nil {
 		fatal(err)

@@ -80,16 +80,20 @@ const DefaultMaxBatch = 256
 const DefaultWindow = 2 * time.Millisecond
 
 // cohort is one pending batch: the targets of every request that
-// enqueued before a flush captured it, in arrival order, and one
-// enqueue instant per request. done is closed exactly once, after slab
-// or err is set; callers read them only after done.
+// enqueued before a flush captured it, in arrival order, and each
+// request's enqueue instant. The opening request's slices are used in
+// place, capped at their length, so the first joiner's append copies
+// them rather than writing into the caller's array. done is closed
+// exactly once, after slab or err is set; callers read them only after
+// done.
 type cohort struct {
-	nodes []int32
-	ts    []float64
-	enq   []time.Time // per request, for the queue-wait histogram
-	done  chan struct{}
-	slab  []float32 // row i of the pass at [i*dim, (i+1)*dim)
-	err   error
+	nodes  []int32
+	ts     []float64
+	opened time.Time   // the opening request's enqueue instant
+	enq    []time.Time // one per joiner, for the queue-wait histogram
+	done   chan struct{}
+	slab   []float32 // row i of the pass at [i*dim, (i+1)*dim)
+	err    error
 }
 
 // Batcher coalesces Embed calls into fused Embedder passes. Safe for
@@ -148,7 +152,9 @@ func (b *Batcher) Dim() int { return b.dim }
 //
 // On cancellation the error is ctx.Err(); the targets this call
 // enqueued are still computed with the rest of the cohort, they are
-// simply no longer waited for.
+// simply no longer waited for. Embed may read nodes and ts until that
+// cohort's pass ends, also after a cancelled return: the caller must
+// not reuse them before then.
 func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]float32, error) {
 	if len(nodes) != len(ts) {
 		panic("batcher: Embed nodes/ts length mismatch")
@@ -161,16 +167,17 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 	now := time.Now()
 	b.mu.Lock()
 	c := b.pending
+	off := 0
 	if c == nil {
-		c = &cohort{done: make(chan struct{})}
+		c = &cohort{nodes: nodes[:n:n], ts: ts[:n:n], opened: now, done: make(chan struct{})}
 		b.pending = c
 	} else {
 		b.coalesced.Add(int64(n))
+		off = len(c.nodes)
+		c.nodes = append(c.nodes, nodes...)
+		c.ts = append(c.ts, ts...)
+		c.enq = append(c.enq, now)
 	}
-	off := len(c.nodes)
-	c.nodes = append(c.nodes, nodes...)
-	c.ts = append(c.ts, ts...)
-	c.enq = append(c.enq, now)
 	b.enqueued.Add(int64(n))
 
 	var inline *cohort
@@ -180,13 +187,12 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 		b.scheduleLocked()
 	case b.running < b.slots:
 		// Idle fast path: a core is free, so waiting could only add
-		// latency — run the pass inline on this goroutine, like the
-		// direct path (no spawn, no handoff). The cohort is taken
-		// under this same lock: a caller that arrives next opens a
-		// fresh one, and runs it inline too while another core is
-		// free, instead of joining this pass and waiting on it. Once
-		// every core runs a pass the cohort keeps accumulating until
-		// size, window, or drain.
+		// latency — run the pass inline on this goroutine (no spawn,
+		// no handoff). The cohort is taken under this same lock: a
+		// caller that arrives next opens a fresh one, and runs it
+		// inline too while another core is free, instead of joining
+		// this pass and waiting on it. Once every core runs a pass the
+		// cohort keeps accumulating until size, window, or drain.
 		b.flushIdle.Add(1)
 		b.running++
 		inline = b.takeLocked()
@@ -318,6 +324,7 @@ func (b *Batcher) runPass(c *cohort) {
 		close(c.done)
 	}()
 
+	b.queueWait.Observe(start.Sub(c.opened))
 	for _, t := range c.enq {
 		b.queueWait.Observe(start.Sub(t))
 	}

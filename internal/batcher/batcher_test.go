@@ -270,19 +270,23 @@ func TestBatcherDrainAfterPass(t *testing.T) { drainAfterPass(t, runtime.GOMAXPR
 func fusesQueuedRequests(t *testing.T, slots int) Snapshot {
 	// Requests queued behind the executing passes run as one pass — the
 	// concatenation of their targets, duplicates included — and every
-	// caller gets its own correct rows.
+	// caller gets its own correct rows. The cohort's opener lends its
+	// slices in place: its joiners' appends leave a sentinel past their
+	// length alone.
 	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
-	const queued = 16
+	const queued, sentinel = 16, -7
 	var wg sync.WaitGroup
 	results := make([][]float32, slots+queued)
+	nodes := make([][]int32, slots+queued)
 	next := 0
 	embed := func() {
 		i := next
 		next++
+		nodes[i] = []int32{42, int32(i), sentinel, sentinel}[:2] // room for one joiner
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			slab, err := b.Embed(context.Background(), []int32{42, int32(i)}, []float64{7, 7})
+			slab, err := b.Embed(context.Background(), nodes[i], []float64{7, 7})
 			if err != nil {
 				t.Error(err)
 				return
@@ -295,6 +299,11 @@ func fusesQueuedRequests(t *testing.T, slots int) Snapshot {
 		embed()
 	}
 	waitUntil(t, "all requests queued", func() bool { p, _ := b.InFlight(); return p == 2*queued })
+	for _, n := range nodes {
+		if got := n[:4][2]; got != sentinel {
+			t.Fatalf("a joiner wrote %d past the opener's length", got)
+		}
+	}
 	release(f, 1) // finish one held pass; its completion drains the queue
 	waitUntil(t, "fused pass", func() bool { return f.numCalls() == slots+1 })
 	if got := f.call(slots); len(got) != 2*queued {
@@ -318,6 +327,32 @@ func fusesQueuedRequests(t *testing.T, slots int) Snapshot {
 }
 
 func TestBatcherFusesQueuedRequests(t *testing.T) { fusesQueuedRequests(t, runtime.GOMAXPROCS(0)) }
+
+// fixedEmbedder answers every pass with one preallocated tensor: an
+// embedder that allocates nothing, so a lone request's allocations are
+// the batcher's own.
+type fixedEmbedder struct{ out *tensor.Tensor }
+
+func (f fixedEmbedder) EmbedWith(*tensor.Arena, []int32, []float64) *tensor.Tensor { return f.out }
+func (f fixedEmbedder) Dim() int                                                   { return fakeDim }
+
+func TestBatcherLoneRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	// A lone request allocates its cohort, the cohort's done channel
+	// and the result slab; its node and time slices are the cohort's.
+	b := New(fixedEmbedder{tensor.New(2, fakeDim)}, fakeDim, Config{})
+	nodes, ts := []int32{1, 2}, []float64{3, 4}
+	embed := func() {
+		if _, err := b.Embed(context.Background(), nodes, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(200, embed); got != 3 {
+		t.Fatalf("a lone request allocates %v objects, want 3", got)
+	}
+}
 
 func TestBatcherReadYourWrites(t *testing.T) {
 	// A request that arrives after a write was acknowledged must see it,

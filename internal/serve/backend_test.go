@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
@@ -27,8 +26,13 @@ import (
 )
 
 // backendMode is one of the four configurations every handler-level
-// contract must hold in: the single core and the shard pool, each with
-// and without cross-request batching.
+// contract must hold in: the single core and the shard pool, each
+// running its passes the two ways a batcher runs them. By default a
+// request's pass runs inline on its own goroutine while a core is free,
+// as on an unloaded server; "+batched" sets MaxBatch to 1, so every
+// request flushes by the size trigger and its pass runs on the
+// batcher's runner, the path by which cohorts of several requests form
+// under load.
 type backendMode struct {
 	name    string
 	shards  int
@@ -51,15 +55,15 @@ func (m backendMode) newServer(t *testing.T, snap string) (*Server, *httptest.Se
 }
 
 // newServerWith is newServer with the rest of the configuration (fault
-// injection, logging) chosen by set; the mode's shards and batching
-// override it.
+// injection, logging) chosen by set; the mode's shards and size
+// trigger override it.
 func (m backendMode) newServerWith(t *testing.T, set func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	return testServerWith(t, func(c *Config) {
 		set(c)
 		c.Shards = max(1, m.shards)
 		if m.batched {
-			c.Batching, c.Batch = true, batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32}
+			c.Batch.MaxBatch = 1
 		}
 	})
 }
@@ -281,11 +285,9 @@ func scrapeBoth(t *testing.T, url string) (statsResponse, map[string]float64) {
 	for _, l := range sr.CacheLayers {
 		direct[fmt.Sprintf(`tgopt_cache_layer_index_records{layer="%d"}`, l.Layer)] = float64(l.IndexRecords)
 	}
-	if b := sr.Batching; b != nil {
-		direct[`tgopt_batch_queue_wait_seconds{quantile="0.9"}`] = b.QueueWaitP90 / 1e6
-		direct["tgopt_batch_queue_wait_seconds_sum"] = b.QueueWaitSum / 1e6
-		direct["tgopt_batch_occupancy_count"] = float64(b.OccupancyCount)
-	}
+	direct[`tgopt_batch_queue_wait_seconds{quantile="0.9"}`] = sr.Batching.QueueWaitP90 / 1e6
+	direct["tgopt_batch_queue_wait_seconds_sum"] = sr.Batching.QueueWaitSum / 1e6
+	direct["tgopt_batch_occupancy_count"] = float64(sr.Batching.OccupancyCount)
 	if p := sr.Shards; p != nil {
 		direct["tgopt_shards"] = float64(len(p.Shards))
 		for _, sh := range p.Shards {
@@ -316,18 +318,17 @@ func scrapeBoth(t *testing.T, url string) (statsResponse, map[string]float64) {
 }
 
 // TestBackendMetricsAndStatsShape: /metrics parses and /v1/stats has
-// the same top-level keys in every mode. The only differences are the
-// ones the mode names — the batching section and tgopt_batch_* families
-// exactly when batching is on (sharded or not: they used to vanish
-// under -shards), the shards section and shard-health families exactly
-// when there is a pool. Every /metrics sample is the /v1/stats field
+// the same top-level keys in every mode, the live batching section and
+// all seven tgopt_batch_* families included. The only differences are
+// the ones the mode names — the shards section and shard-health
+// families exactly when there is a pool, and which trigger flushed the
+// passes. Every /metrics sample is the /v1/stats field
 // its metricTable row names (scrapeBoth). The wire section, sitting
 // above the backend, reads the same in every mode, and every cached
 // layer holds index records. And /metrics keeps README's contract:
 // every family some backend emits is named in README.md, and every name
 // README.md lists is emitted.
 func TestBackendMetricsAndStatsShape(t *testing.T) {
-	isBatch := func(f string) bool { return strings.HasPrefix(f, "tgopt_batch_") }
 	isShard := func(f string) bool {
 		for _, p := range []string{"tgopt_shard", "tgopt_routed_around", "tgopt_partial_responses", "tgopt_degraded_targets"} {
 			if strings.HasPrefix(f, p) {
@@ -346,17 +347,17 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		batch, pool := 0, 0
 		for _, f := range sortedKeys(metricFamilies(t, ts.URL)) {
 			emitted[f] = true
-			switch {
-			case isBatch(f):
+			if strings.HasPrefix(f, "tgopt_batch_") {
 				batch++
-			case isShard(f):
-				pool++
-			default:
-				rest = append(rest, f)
 			}
+			if isShard(f) {
+				pool++
+				continue
+			}
+			rest = append(rest, f)
 		}
-		if (batch > 0) != m.batched || (m.batched && batch != 7) {
-			t.Errorf("%d tgopt_batch_* families with batched=%v, want 7 exactly when batched", batch, m.batched)
+		if batch != 7 {
+			t.Errorf("%d tgopt_batch_* families, want 7", batch)
 		}
 		if (pool > 0) != (m.shards > 0) {
 			t.Errorf("%d shard-health families with %d shards", pool, m.shards)
@@ -364,9 +365,6 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 
 		var st map[string]json.RawMessage
 		getJSON(t, ts.URL+"/v1/stats", &st)
-		if _, ok := st["batching"]; ok != m.batched {
-			t.Errorf("stats has batching section = %v with batched=%v", ok, m.batched)
-		}
 		if _, ok := st["shards"]; ok != (m.shards > 0) {
 			t.Errorf("stats has shards section = %v with %d shards", ok, m.shards)
 		}
@@ -376,21 +374,23 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		if err := json.Unmarshal(st["config"], &cfg); err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Shards != max(1, m.shards) || cfg.Batching != m.batched || cfg.MaxBatch != 32 && m.batched ||
-			cfg.WindowMs != 2 && m.batched || cfg.Engine != core.OptAll() {
+		wantMax := DefaultConfig().Batch.MaxBatch
+		if m.batched {
+			wantMax = 1
+		}
+		if cfg.Shards != max(1, m.shards) || cfg.MaxBatch != wantMax || cfg.WindowMs != 2 || cfg.Engine != core.OptAll() {
 			t.Errorf("config section %+v, want mode %+v over core.OptAll()", cfg, m)
 		}
 		if bytes.Contains(st["batching"], []byte("max_batch")) || bytes.Contains(st["batching"], []byte("window_ms")) {
 			t.Errorf("batching section repeats the configuration: %s", st["batching"])
 		}
-		if m.batched {
-			var top batchStats
-			if err := json.Unmarshal(st["batching"], &top); err != nil {
-				t.Fatal(err)
-			}
-			if top.Enqueued == 0 || top.Batches == 0 {
-				t.Errorf("batching section not live: %+v", top)
-			}
+		var top batchStats
+		if err := json.Unmarshal(st["batching"], &top); err != nil {
+			t.Fatal(err)
+		}
+		idle, size := top.FlushIdle > 0, top.FlushSize > 0
+		if top.Enqueued == 0 || top.Batches == 0 || idle == m.batched || size != m.batched {
+			t.Errorf("batching section %+v: want live passes, idle-flushed by default and size-flushed with MaxBatch 1", top)
 		}
 		// hit_rate is the cache section's hits per lookup.
 		var hitRate float64
@@ -417,13 +417,12 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 			}
 		}
 
-		delete(st, "batching")
 		delete(st, "shards")
 		common[m.name] = strings.Join(rest, " ") + "\n" + strings.Join(sortedKeys(st), " ") + "\n" + string(st["wire"])
 	})
 	for _, m := range backendModes[1:] {
 		if common[m.name] != common[backendModes[0].name] {
-			t.Errorf("%s and %s differ beyond the batching and shards sections:\n%s\n--\n%s",
+			t.Errorf("%s and %s differ beyond the shards section:\n%s\n--\n%s",
 				m.name, backendModes[0].name, common[m.name], common[backendModes[0].name])
 		}
 	}

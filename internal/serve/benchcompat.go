@@ -2,7 +2,9 @@ package serve
 
 // benchmark/ only; ROADMAP item 18 deletes this file. It keeps the
 // benchmark's construction compiling with the meaning it was written
-// against: no request limits, and batching off until SetBatching.
+// against: no request limits. Every core batches, New's and
+// NewSharded's under DefaultConfig's batch configuration until
+// SetBatching.
 
 import (
 	"tgopt/internal/batcher"
@@ -18,31 +20,33 @@ func New(model *tgat.Model, dyn *graph.Dynamic, opt core.Options) *Server {
 	return s
 }
 
-// NewSharded builds a server on c.Shards cores over dyn.
+// NewSharded builds a server on c.Shards cores over dyn; it reads no
+// other field of c.
 func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, c shard.Config) (*Server, error) {
 	cfg := DefaultConfig()
-	cfg.Engine, cfg.Config, cfg.Limits = opt, c, Limits{}
+	cfg.Engine, cfg.Shards, cfg.Limits = opt, c.Shards, Limits{}
 	return NewFromConfig(model, dyn, cfg)
 }
 
-// SetBatching rebuilds the serving version with batching on, as cfg
-// says, and publishes it the way a swap does; a failed rebuild is
-// logged and keeps the version serving unbatched. Call it before traffic.
+// SetBatching rebuilds the serving version with its batchers
+// configured as cfg says, and publishes it the way a swap does; a
+// failed rebuild is logged and keeps the version serving as it was.
+// Call it before traffic.
 func (s *Server) SetBatching(cfg batcher.Config) {
-	unbatched := s.cfg
-	s.cfg.Batching, s.cfg.Batch = true, cfg
+	prev := s.cfg
+	s.cfg.Batch = cfg
 	next, err := s.build(s.cur.Load().model)
 	if err != nil {
-		s.cfg = unbatched
-		s.cfg.Logf("serve: batching stays off: %v", err)
+		s.cfg = prev
+		s.cfg.Logf("serve: batch configuration unchanged: %v", err)
 		return
 	}
 	s.cur.Swap(next).close()
 }
 
-// Batcher returns an unsharded server's batcher (nil: batching off).
+// Batcher returns an unsharded server's batcher (nil for a pool).
 func (s *Server) Batcher() *batcher.Batcher {
-	if c, ok := s.cur.Load().backend.(*shard.Core); ok && c.Batchers() != nil {
+	if c, ok := s.cur.Load().backend.(*shard.Core); ok {
 		return c.Batchers()[0]
 	}
 	return nil

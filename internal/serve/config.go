@@ -20,7 +20,7 @@ type Config struct {
 	// Engine is every engine's option set; a pool divides its cache
 	// limit across the shards.
 	Engine core.Options
-	// Config is the compute plane: Shards, Batching with Batch, the
+	// Config is the compute plane: Shards, every core's Batch, the
 	// snapshot location CacheFile (a file, or a directory when
 	// Shards > 1), Logf, and the test seams FS and WrapEmbedder.
 	shard.Config
@@ -41,9 +41,8 @@ func DefaultConfig() Config {
 	return Config{
 		Engine: core.OptAll(),
 		Config: shard.Config{
-			Shards:   1,
-			Batching: true,
-			Batch:    batcher.Config{Window: batcher.DefaultWindow, MaxBatch: batcher.DefaultMaxBatch},
+			Shards: 1,
+			Batch:  batcher.Config{Window: batcher.DefaultWindow, MaxBatch: batcher.DefaultMaxBatch},
 		},
 		Limits: Limits{Timeout: 30 * time.Second, MaxInFlight: 256},
 		Swap:   SwapConfig{Trainer: tcfg},
@@ -51,7 +50,7 @@ func DefaultConfig() Config {
 }
 
 // Validate reports the first value no server can run with, naming its
-// field. A batch configuration is checked only while batching is on.
+// field.
 func (c Config) Validate() error {
 	for _, r := range []struct {
 		bad         bool
@@ -60,8 +59,8 @@ func (c Config) Validate() error {
 	}{
 		{c.Shards < 1, "Shards", "want >= 1", c.Shards},
 		{c.Engine.CacheLimit < 0, "Engine.CacheLimit", "want >= 0 (0: the engine's default)", c.Engine.CacheLimit},
-		{c.Batching && c.Batch.MaxBatch <= 0, "Batch.MaxBatch", "want >= 1", c.Batch.MaxBatch},
-		{c.Batching && c.Batch.Window < 0, "Batch.Window", "want >= 0", c.Batch.Window},
+		{c.Batch.MaxBatch <= 0, "Batch.MaxBatch", "want >= 1", c.Batch.MaxBatch},
+		{c.Batch.Window < 0, "Batch.Window", "want >= 0", c.Batch.Window},
 		{c.Limits.Timeout < 0, "Limits.Timeout", "want >= 0 (0: no deadline)", c.Limits.Timeout},
 		{c.Limits.MaxInFlight < 0, "Limits.MaxInFlight", "want >= 0 (0: unlimited)", c.Limits.MaxInFlight},
 		{c.SnapshotInterval < 0, "SnapshotInterval", "want >= 0", c.SnapshotInterval},
@@ -136,7 +135,6 @@ func (s *Server) Start() (stop func() error) {
 type configStats struct {
 	Engine             core.Options `json:"engine"`
 	Shards             int          `json:"shards"`
-	Batching           bool         `json:"batching"`
 	WindowMs           float64      `json:"window_ms"`
 	MaxBatch           int          `json:"max_batch"`
 	TimeoutMs          float64      `json:"timeout_ms"`
@@ -150,7 +148,7 @@ type configStats struct {
 }
 
 func (c Config) stats() configStats {
-	return configStats{c.Engine, c.Shards, c.Batching, ms(c.Batch.Window), c.Batch.MaxBatch,
+	return configStats{c.Engine, c.Shards, ms(c.Batch.Window), c.Batch.MaxBatch,
 		ms(c.Limits.Timeout), c.Limits.MaxInFlight, c.CacheFile, ms(c.SnapshotInterval),
 		c.Swap.Dir, ms(c.Swap.Interval), c.Swap.Train, c.Swap.Trainer.Epochs}
 }

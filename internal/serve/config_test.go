@@ -46,12 +46,6 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: NewFromConfig built a server", tc.field)
 		}
 	}
-	// A batch configuration is checked only while batching is on.
-	cfg := DefaultConfig()
-	cfg.Batching, cfg.Batch.MaxBatch = false, 0
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("unused batch configuration refused: %v", err)
-	}
 }
 
 // TestConfigStringIsStatsSection: the one-line rendering is the

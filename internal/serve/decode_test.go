@@ -66,19 +66,20 @@ func (p *replay) serve() {
 }
 
 // TestServeRequestAllocs pins what the middleware plus handler allocate
-// on warmed /v1/embed, /v1/score and /v1/ingest requests, batching on as
-// serve-read runs it: every row answered by the top-layer memo, every row
-// text by the row-text memo, every body in the canonical shape. Each
-// read is the batcher's six (a cohort, its channel, its node, time and
-// enqueue-time slices, the result slab) and the Content-Length value
-// (its string and its []string); the ingest reply is under 100 bytes,
-// whose decimal strconv does not allocate, and its edges are all dropped.
+// on warmed /v1/embed, /v1/score and /v1/ingest requests, as serve-read
+// runs them: every row answered by the top-layer memo, every row text
+// by the row-text memo, every body in the canonical shape. Each read is
+// the batcher's three (a cohort, its channel, the result slab: a lone
+// request's nodes and times are the cohort's) and the Content-Length
+// value (its string and its []string); the ingest reply is under 100
+// bytes, whose decimal strconv does not allocate, and its edges are all
+// dropped.
 func TestServeRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	m, dyn := testModelDyn(t)
-	h := newTestServer(t, m, dyn, func(c *Config) { c.Batching = true }).Handler()
+	h := newTestServer(t, m, dyn, nil).Handler()
 	seed := newReplay(h, "/v1/ingest", []byte(`{"edges":[{"src":1,"dst":2,"time":10},{"src":3,"dst":4,"time":20},{"src":2,"dst":5,"time":30}]}`))
 	seed.serve()
 	if seed.w.code != http.StatusOK {
@@ -89,8 +90,8 @@ func TestServeRequestAllocs(t *testing.T) {
 		path, body string
 		want       float64
 	}{
-		{"/v1/embed", `{"nodes":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16],"times":[40,40,40,40,40,40,40,40,40,40,40,40,40,40,40,40.0]}`, 8},
-		{"/v1/score", `{"pairs":[{"src":1,"dst":9,"time":40},{"src":2,"dst":10,"time":40},{"src":3,"dst":11,"time":40},{"src":4,"dst":12,"time":40},{"src":5,"dst":13,"time":40},{"src":6,"dst":14,"time":40},{"src":7,"dst":15,"time":40},{"src":8,"dst":16,"time":4e1}]}`, 8},
+		{"/v1/embed", `{"nodes":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16],"times":[40,40,40,40,40,40,40,40,40,40,40,40,40,40,40,40.0]}`, 5},
+		{"/v1/score", `{"pairs":[{"src":1,"dst":9,"time":40},{"src":2,"dst":10,"time":40},{"src":3,"dst":11,"time":40},{"src":4,"dst":12,"time":40},{"src":5,"dst":13,"time":40},{"src":6,"dst":14,"time":40},{"src":7,"dst":15,"time":40},{"src":8,"dst":16,"time":4e1}]}`, 5},
 		{"/v1/ingest", edges, 1},
 	} {
 		p := newReplay(h, c.path, []byte(c.body))
@@ -230,8 +231,9 @@ func TestServeTrailingBytesRejected(t *testing.T) {
 }
 
 // laggingBackend gives up on every embed at the request's deadline and,
-// like an unbatched shard.Core, leaves a pass behind that reads the
-// targets later: when release closes.
+// like a shard.Core whose caller stopped waiting on a queued cohort,
+// leaves a pass behind that reads the targets later: when release
+// closes.
 type laggingBackend struct {
 	backend
 	release chan struct{}

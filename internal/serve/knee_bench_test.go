@@ -74,61 +74,59 @@ func kneeBodies(b *testing.B, g *graph.Graph, n int) [][]byte {
 }
 
 // BenchmarkServeKnee drives /v1/embed through the handler in process —
-// no socket, closed loop — at 2, 16 and 64 concurrent clients, batching
-// on and off. Each cell reports req/s and the p50 and p99 request
-// latency; the client count where batching's req/s overtakes the
-// unbatched path's is the knee. Run it with a fixed op count, so every
-// cell serves the same requests:
+// no socket, closed loop — at 2, 16 and 64 concurrent clients. Each
+// cell reports req/s and the p50 and p99 request latency: below the
+// knee a request runs its own pass inline while a core is free, past
+// it requests coalesce into shared passes. Run it with a fixed op
+// count, so every cell serves the same requests:
 //
 //	go test -run '^$' -bench ServeKnee -benchtime 6000x ./internal/serve
 func BenchmarkServeKnee(b *testing.B) {
 	m, g := kneeFixture(b)
 	for _, clients := range []int{2, 16, 64} {
-		for _, batching := range []bool{false, true} {
-			b.Run(fmt.Sprintf("clients=%d/batching=%v", clients, batching), func(b *testing.B) {
-				dyn := graph.NewDynamic(g.NumNodes())
-				for _, ed := range g.Edges() {
-					if _, err := dyn.Append(ed); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			dyn := graph.NewDynamic(g.NumNodes())
+			for _, ed := range g.Edges() {
+				if _, err := dyn.Append(ed); err != nil {
+					b.Fatal(err)
 				}
-				h := newTestServer(b, m, dyn, func(c *Config) { c.Batching = batching }).Handler()
-				bodies := kneeBodies(b, g, b.N)
-				lat := make([]time.Duration, b.N)
-				var next, failed atomic.Int64
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				start := time.Now()
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						p := newReplay(h, "/v1/embed", nil)
-						for i := int(next.Add(1) - 1); i < b.N; i = int(next.Add(1) - 1) {
-							p.raw = bodies[i]
-							t0 := time.Now()
-							p.serve()
-							lat[i] = time.Since(t0)
-							if p.w.code != http.StatusOK {
-								failed.Add(1)
-							}
+			}
+			h := newTestServer(b, m, dyn, nil).Handler()
+			bodies := kneeBodies(b, g, b.N)
+			lat := make([]time.Duration, b.N)
+			var next, failed atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			start := time.Now()
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					p := newReplay(h, "/v1/embed", nil)
+					for i := int(next.Add(1) - 1); i < b.N; i = int(next.Add(1) - 1) {
+						p.raw = bodies[i]
+						t0 := time.Now()
+						p.serve()
+						lat[i] = time.Since(t0)
+						if p.w.code != http.StatusOK {
+							failed.Add(1)
 						}
-					}()
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				b.StopTimer()
-				if n := failed.Load(); n > 0 {
-					b.Fatalf("%d of %d requests failed", n, b.N)
-				}
-				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-				quantile := func(q float64) float64 {
-					return float64(lat[int(math.Ceil(q*float64(len(lat))))-1]) / 1e6
-				}
-				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
-				b.ReportMetric(quantile(0.5), "p50-ms")
-				b.ReportMetric(quantile(0.99), "p99-ms")
-			})
-		}
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			b.StopTimer()
+			if n := failed.Load(); n > 0 {
+				b.Fatalf("%d of %d requests failed", n, b.N)
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			quantile := func(q float64) float64 {
+				return float64(lat[int(math.Ceil(q*float64(len(lat))))-1]) / 1e6
+			}
+			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
+			b.ReportMetric(quantile(0.5), "p50-ms")
+			b.ReportMetric(quantile(0.99), "p99-ms")
+		})
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // testModelDyn builds the shared test model and an empty dynamic graph
-// — the same fixture whether the server under test is single-engine
-// (testServer) or sharded (shardedServer in sharding_test.go).
+// — the same fixture whether the server under test is single-engine or
+// sharded, so bodies are directly comparable between the two.
 func testModelDyn(t *testing.T) (*tgat.Model, *graph.Dynamic) {
 	t.Helper()
 	const nodes, maxEdges, d = 20, 4096, 16
@@ -38,11 +38,11 @@ func testModelDyn(t *testing.T) (*tgat.Model, *graph.Dynamic) {
 	return m, graph.NewDynamic(nodes)
 }
 
-// testConfig is DefaultConfig for tests: one unbatched core and no
-// request limits; each test turns on what it exercises.
+// testConfig is DefaultConfig for tests: one core and no request
+// limits; each test turns on what it exercises.
 func testConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Batching, cfg.Limits = false, Limits{}
+	cfg.Limits = Limits{}
 	return cfg
 }
 

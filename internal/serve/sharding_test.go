@@ -20,14 +20,6 @@ import (
 	"tgopt/internal/tensor"
 )
 
-// shardedServer builds a server over a shard pool with the same model
-// fixture as testServer, so bodies are directly comparable between the
-// two serving planes.
-func shardedServer(t *testing.T, cfg shard.Config) (*Server, *httptest.Server) {
-	t.Helper()
-	return testServerWith(t, func(c *Config) { c.Config = cfg })
-}
-
 var shardTestEdges = []edgeJSON{
 	{Src: 1, Dst: 2, Time: 10}, {Src: 1, Dst: 3, Time: 20},
 	{Src: 2, Dst: 4, Time: 30}, {Src: 3, Dst: 5, Time: 40},
@@ -54,7 +46,7 @@ func waitForServe(t *testing.T, timeout time.Duration, cond func() bool) {
 // and under concurrent identical requests through per-shard batchers.
 func TestServeShardedEquivalence(t *testing.T) {
 	_, off := testServer(t)
-	sOn, on := shardedServer(t, shard.Config{Shards: 4, Batching: true, Batch: batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32}})
+	sOn, on := testServerWith(t, func(c *Config) { c.Shards, c.Batch = 4, batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32} })
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)
 
@@ -108,7 +100,7 @@ func TestServeShardedEquivalence(t *testing.T) {
 	if sr.Shards.Healthy != 4 {
 		t.Fatalf("healthy = %d, want 4", sr.Shards.Healthy)
 	}
-	if sr.Batching == nil || sr.Batching.Enqueued == 0 {
+	if sr.Batching.Enqueued == 0 {
 		t.Fatalf("per-shard batchers unused: %+v", sr.Batching)
 	}
 	if sOn.CacheLen() == 0 {
@@ -174,11 +166,11 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	const poisoned = 3
 	var armed atomic.Bool
 	_, off := testServer(t)
-	s, on := shardedServer(t, shard.Config{
-		Shards: 4,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+	s, on := testServerWith(t, func(c *Config) {
+		c.Shards = 4
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
 			return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
-		},
+		}
 	})
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)

@@ -53,7 +53,7 @@ type statsResponse struct {
 	// when the last swap landed.
 	Model    modelStats            `json:"model"`
 	Stages   map[string]stageStats `json:"stages"`
-	Batching *batchStats           `json:"batching,omitempty"`
+	Batching batchStats            `json:"batching"`
 	// Config is the value of every serving knob (config.go).
 	Config configStats `json:"config"`
 	// Shards reports per-shard crash/restart state and the router's
@@ -198,30 +198,28 @@ func (s *Server) scrape() statsResponse {
 		}
 	}
 
-	if bs := cur.backend.Batchers(); len(bs) > 0 {
-		var sum batcher.Snapshot
-		var occ stats.CountHistogram
-		var wait stats.Histogram
-		for _, b := range bs {
-			sum.Add(b.Stats())
-			occ.Merge(b.Occupancy())
-			wait.Merge(b.QueueWait())
-		}
-		st.Batching = &batchStats{
-			Snapshot:       sum,
-			CoalesceRatio:  sum.CoalesceRatio(),
-			OccupancyMean:  occ.Mean(),
-			OccupancyP50:   occ.Quantile(0.5),
-			OccupancyP90:   occ.Quantile(0.9),
-			OccupancyP99:   occ.Quantile(0.99),
-			OccupancySum:   occ.Sum(),
-			OccupancyCount: occ.Count(),
-			QueueWaitP50:   us(wait.Quantile(0.5)),
-			QueueWaitP90:   us(wait.Quantile(0.9)),
-			QueueWaitP99:   us(wait.Quantile(0.99)),
-			QueueWaitSum:   us(wait.Sum()),
-			QueueWaitCount: wait.Count(),
-		}
+	var sum batcher.Snapshot
+	var occ stats.CountHistogram
+	var wait stats.Histogram
+	for _, b := range cur.backend.Batchers() {
+		sum.Add(b.Stats())
+		occ.Merge(b.Occupancy())
+		wait.Merge(b.QueueWait())
+	}
+	st.Batching = batchStats{
+		Snapshot:       sum,
+		CoalesceRatio:  sum.CoalesceRatio(),
+		OccupancyMean:  occ.Mean(),
+		OccupancyP50:   occ.Quantile(0.5),
+		OccupancyP90:   occ.Quantile(0.9),
+		OccupancyP99:   occ.Quantile(0.99),
+		OccupancySum:   occ.Sum(),
+		OccupancyCount: occ.Count(),
+		QueueWaitP50:   us(wait.Quantile(0.5)),
+		QueueWaitP90:   us(wait.Quantile(0.9)),
+		QueueWaitP99:   us(wait.Quantile(0.99)),
+		QueueWaitSum:   us(wait.Sum()),
+		QueueWaitCount: wait.Count(),
 	}
 	return st
 }

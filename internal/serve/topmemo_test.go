@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/graph"
 )
 
@@ -28,9 +26,10 @@ func getStats(t *testing.T, url string) statsResponse {
 }
 
 // TestServeTopMemoSharedAcrossEndpoints: /v1/embed, /v1/score, the
-// batcher's fused passes and every shard leg answer from one memo per
-// engine, and an acknowledged ingest is visible to the very next ask —
-// rows equal the baseline on the post-ingest graph, bit for bit.
+// batcher's passes — inline on the request ("direct") or on its runner
+// ("batched") — and every shard leg answer from one memo per engine,
+// and an acknowledged ingest is visible to the very next ask — rows
+// equal the baseline on the post-ingest graph, bit for bit.
 func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 	for _, mode := range []string{"direct", "batched", "sharded"} {
 		t.Run(mode, func(t *testing.T) {
@@ -41,7 +40,7 @@ func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 				case "sharded":
 					c.Shards = 2
 				case "batched":
-					c.Batching, c.Batch = true, batcher.Config{Window: time.Millisecond, MaxBatch: 64}
+					c.Batch.MaxBatch = 1 // every pass on the batcher's runner, none inline
 				}
 			})
 			ts := httptest.NewServer(s.Handler())

@@ -2,30 +2,16 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
-	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
 
-// errCorePanic wraps a panic recovered on a core's direct (unbatched)
-// compute path. The batched path surfaces batcher.ErrPassPanicked
-// instead; isPanic recognizes both.
-var errCorePanic = errors.New("shard: engine pass panicked")
-
-// isPanic reports whether err means the core's engine panicked (on
-// either the direct or the batched path) — the signal that tears a
-// shard down and triggers a supervisor restart.
-func isPanic(err error) bool {
-	return errors.Is(err, errCorePanic) || errors.Is(err, batcher.ErrPassPanicked)
-}
-
 // Core is the one compute unit under serving: an engine over one
-// dynamic graph, an optional batcher in front of the engine, and what a
+// dynamic graph, the batcher in front of the engine, and what a
 // serving plane asks of the pair — embed, invalidate for an edge,
 // snapshot. An unsharded server holds one over its graph; a Router
 // holds one per shard over that same graph and discards it whole on a
@@ -35,9 +21,8 @@ func isPanic(err error) bool {
 type Core struct {
 	dyn *graph.Dynamic
 	eng *core.Engine
-	emb core.Embedder // eng, possibly wrapped by Config.WrapEmbedder
-	bat *batcher.Batcher
-	cfg Config // the snapshot file is cfg.CacheFile
+	bat *batcher.Batcher // over eng, possibly wrapped by Config.WrapEmbedder
+	cfg Config           // the snapshot file is cfg.CacheFile
 }
 
 // NewCore builds an engine over dyn, batched and snapshotting as cfg
@@ -54,65 +39,28 @@ func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config
 func newCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config, id int) *Core {
 	sampler := graph.NewDynamicSampler(dyn, model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	eng := core.NewEngine(model, sampler, opt)
-	c := &Core{dyn: dyn, eng: eng, emb: eng, cfg: cfg}
+	var emb core.Embedder = eng
 	if cfg.WrapEmbedder != nil {
-		c.emb = cfg.WrapEmbedder(id, c.emb)
+		emb = cfg.WrapEmbedder(id, emb)
 	}
-	if cfg.Batching {
-		c.bat = batcher.New(c.emb, eng.Dim(), cfg.Batch)
-	}
-	return c
+	return &Core{dyn: dyn, eng: eng, bat: batcher.New(emb, eng.Dim(), cfg.Batch), cfg: cfg}
 }
 
 // Engines returns the one engine, in the shape a pool reports its many.
 func (c *Core) Engines() []*core.Engine { return []*core.Engine{c.eng} }
 
-// Batchers returns the batcher when batching is on, in the shape a pool
-// reports its many.
-func (c *Core) Batchers() []*batcher.Batcher {
-	if c.bat == nil {
-		return nil
-	}
-	return []*batcher.Batcher{c.bat}
-}
+// Batchers returns the one batcher, in the shape a pool reports its
+// many.
+func (c *Core) Batchers() []*batcher.Batcher { return []*batcher.Batcher{c.bat} }
 
 // EmbedRows computes the embeddings of the targets as one slab, row i
-// of nodes[i] at [i*dim, (i+1)*dim): through the batcher when batching
-// is on, else by a direct engine pass in its own goroutine (the panic
-// domain) while the caller stays cancelable on ctx. An engine panic
-// comes back as an error on either path. degraded is always nil — rows
-// degrade only where a Router has a shard to lose.
+// of nodes[i] at [i*dim, (i+1)*dim), through the batcher
+// (batcher.Batcher.Embed, which says how long it reads nodes and ts).
+// An engine panic comes back as batcher.ErrPassPanicked. degraded is
+// always nil — rows degrade only where a Router has a shard to lose.
 func (c *Core) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error) {
-	if c.bat != nil {
-		slab, err = c.bat.Embed(ctx, nodes, ts)
-		return slab, nil, err
-	}
-	type result struct {
-		slab []float32
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				// The arena is deliberately not returned to the pool: a
-				// panic mid-pass may have left it in an arbitrary state.
-				ch <- result{nil, fmt.Errorf("%w: %v", errCorePanic, rec)}
-			}
-		}()
-		ar := tensor.GetArena()
-		h := c.emb.EmbedWith(ar, nodes, ts)
-		slab := make([]float32, len(nodes)*c.emb.Dim())
-		copy(slab, h.Data()[:len(slab)])
-		tensor.PutArena(ar)
-		ch <- result{slab, nil}
-	}()
-	select {
-	case r := <-ch:
-		return r.slab, nil, r.err
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
+	slab, err = c.bat.Embed(ctx, nodes, ts)
+	return slab, nil, err
 }
 
 // Apply runs the cache invalidation an edge requires once the core's

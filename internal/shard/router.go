@@ -28,11 +28,10 @@ type Config struct {
 	// Shards is the number of engines: 1 serves one Core, >= 2 a
 	// Router (NewRouter refuses fewer).
 	Shards int
-	// Batching puts a batcher configured by Batch in front of every
-	// engine (a target always hashes to the same primary, so it meets
-	// its duplicates in one engine's passes and memo).
-	Batching bool
-	Batch    batcher.Config
+	// Batch configures the batcher in front of every engine (a target
+	// always hashes to the same primary, so it meets its duplicates in
+	// one engine's passes and memo).
+	Batch batcher.Config
 	// CacheFile is where the memo caches snapshot: a Core's file, or a
 	// Router's directory of per-shard snapshots (shard-N.tgc). Empty:
 	// none.
@@ -240,9 +239,9 @@ func (r *Router) EmbedRows(ctx context.Context, nodes []int32, ts []float64) (sl
 		}
 	}
 	// The last non-empty leg runs on the caller's goroutine: it would
-	// only wait for it anyway, and the engine pass behind it keeps its
-	// own goroutine or batcher, so the leg stays cancelable and
-	// panic-isolated.
+	// only wait for it anyway, and Shard.call runs the pass behind it
+	// on a goroutine of its own, so the leg stays cancelable; the
+	// batcher turns a panic into an error.
 	for sid, idxs := range groups[:last] {
 		if len(idxs) == 0 {
 			continue
@@ -375,14 +374,11 @@ func (r *Router) Engines() []*core.Engine {
 	return out
 }
 
-// Batchers returns the live shards' batchers, none while batching is
-// off.
+// Batchers returns the shards' current batchers.
 func (r *Router) Batchers() []*batcher.Batcher {
-	var out []*batcher.Batcher
+	out := make([]*batcher.Batcher, 0, len(r.shards))
 	for _, s := range r.shards {
-		if c := s.currentCore(); c.bat != nil {
-			out = append(out, c.bat)
-		}
+		out = append(out, s.currentCore().bat)
 	}
 	return out
 }

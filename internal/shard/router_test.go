@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"math"
@@ -15,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
@@ -199,53 +197,6 @@ func TestRouterMatchesUnshardedBitwise(t *testing.T) {
 				t.Fatalf("shards=%d: slab[%d] = %v, want %v (not bitwise identical)", shards, i, res.Slab[i], want[i])
 			}
 		}
-	}
-}
-
-// TestRouterBatchedMatchesUnsharded repeats the bitwise check with
-// per-shard batchers enabled and concurrent requests, and checks the
-// requests went through them.
-func TestRouterBatchedMatchesUnsharded(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(60)
-	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
-
-	r := newTestRouter(t, m, edges, Config{Shards: 4, Batching: true, Batch: batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 64}})
-
-	const reqs = 16
-	errs := make(chan error, reqs)
-	for i := 0; i < reqs; i++ {
-		go func() {
-			res, err := r.Embed(context.Background(), nodes, ts)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if res.Partial {
-				errs <- errors.New("unexpected partial")
-				return
-			}
-			for i := range want {
-				if res.Slab[i] != want[i] {
-					errs <- fmt.Errorf("slab[%d] = %v, want %v", i, res.Slab[i], want[i])
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for i := 0; i < reqs; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	var enqueued int64
-	for _, b := range r.Batchers() {
-		enqueued += b.Stats().Enqueued
-	}
-	if len(r.Batchers()) != 4 || enqueued == 0 {
-		t.Fatalf("per-shard batchers unused: %d batchers, %d targets enqueued", len(r.Batchers()), enqueued)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package shard holds serving's compute plane. A Core is the unit: one
-// engine over one dynamic graph, an optional batcher, and
+// engine over one dynamic graph, the batcher in front of it, and
 // the embed / invalidate / snapshot operations serving asks of
 // the pair. An unsharded server runs one Core over its graph. A Router
 // partitions serving into N independent failure domains, each a Shard
@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tgopt/internal/batcher"
 	"tgopt/internal/stats"
 )
 
@@ -78,7 +79,11 @@ func (s *Shard) setCore(c *Core) {
 func (s *Shard) up() bool { return !s.crashed.Load() }
 
 // call runs one embed leg on this shard. The returned slab is
-// len(nodes)×dim, row i for nodes[i].
+// len(nodes)×dim, row i for nodes[i]. The core runs on a goroutine of
+// its own while the leg waits for it or for ctx: the batcher runs an
+// idle pass inline on its caller, and a leg must end at its deadline
+// budget, not when a stalled pass does. The core keeps reading nodes
+// and ts after a leg gives up; a leg's slices are its own.
 func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float32, error) {
 	c := s.currentCore()
 	if !s.up() {
@@ -87,9 +92,23 @@ func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float3
 	}
 	s.calls.Add(1)
 	start := time.Now()
-	slab, _, err := c.EmbedRows(ctx, nodes, ts)
-	s.observe(start, err)
-	return slab, err
+	type result struct {
+		slab []float32
+		err  error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		slab, _, err := c.EmbedRows(ctx, nodes, ts)
+		ch <- result{slab, err}
+	}()
+	var r result
+	select {
+	case r = <-ch:
+	case <-ctx.Done():
+		r.err = ctx.Err()
+	}
+	s.observe(start, r.err)
+	return r.slab, r.err
 }
 
 // observe counts one finished leg by outcome and escalates a panic to
@@ -101,7 +120,7 @@ func (s *Shard) observe(start time.Time, err error) {
 	case err == nil, errors.Is(err, context.Canceled):
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
-	case isPanic(err):
+	case errors.Is(err, batcher.ErrPassPanicked):
 		s.panics.Add(1)
 		s.r.crash(s, err)
 	default:

@@ -79,6 +79,7 @@ one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 one scrape (internal/shard sums no batcher: serving's scrape sums each once)	-E	batcher\.Snapshot	internal/shard	internal/shard re-sums the batchers again
 one scrape (internal/serve reads its engines' and batchers' figures in Server.scrape alone, one line each)	-E	\.(LayerCacheStats|TopMemoStats|StageStats|Occupancy|QueueWait)\(|newEngineTotals|newBatchTotals	internal/serve	a second pass gathers engine or batcher totals in internal/serve	5
+one compute path per core (every core's pass is its batcher's: no unbatched pass beside it, no switch between them, no core without a batcher)	-E	errCorePanic|Batching +bool|batch-off|bat (==|!=) nil	internal/shard internal/serve cmd	a second compute path or a batching switch is back in a core
 one write gate (no engine pass overlaps a gated graph write: no pass fence, no store rollback or skip counter, no ingest mutex, no graph change counters)	-E	passFence|staleFor|StaleStoreSkips|staleSkips|ingestMu|\.Mutations\(\)|\.Appends\(\)	nontest	a lock-free fence against graph writes, or an ingest mutex, is back
 GATES
 [ "$gates_failed" = 0 ] || exit 1
@@ -136,6 +137,10 @@ go test -race -count=5 -cpu 2,4 -run 'TopMemo' ./internal/core ./internal/serve 
 # one, two and four Ps: the batcher runs one inline pass per P before
 # any request queues, so each slot count drives a different queue.
 go test -race -count=3 -cpu 1,2,4 -run 'TestWire|TestBatcher' ./internal/serve ./internal/batcher
+# A router leg must end at its deadline budget even when the stalled
+# pass is the batcher's inline one: slots = GOMAXPROCS decides which
+# passes run inline, so each P count drives a different mix.
+go test -race -count=1 -cpu 1,2,4 -run 'TestRouterStalledOwnerDegrades|TestRouterDeadlineNeverHangs' ./internal/shard
 echo "   race stanza wall time: $((SECONDS - race_start)) s"
 
 echo "== portable kernels (the scalar leaves run, not just compile: purego tests, arm64 cross-build of the generic files)"
@@ -144,7 +149,9 @@ go test -count=1 -tags purego ./internal/tensor/ ./internal/nn/ ./internal/tgat/
 GOOS=linux GOARCH=arm64 go build ./...
 echo "   portable stanza wall time: $((SECONDS - portable_start)) s"
 
-echo "== shard chaos gate (panic injection, crash and restart, routing around a crashed shard, restart-from-snapshot, every handler contract on all four backends; race-enabled)"
+echo "== shard chaos gate (panic injection, crash and restart, routing around a crashed shard, restart-from-snapshot, every handler contract on all four backend modes; race-enabled)"
+# TestCore and TestRouter include the one path's panic and cancel pins,
+# TestCorePassPanicIsErrPassPanicked and TestRouterLegCancelableMidPass.
 go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeSnapshotWith|TestServeWarmStart' \
     ./internal/shard/... ./internal/serve/...
 
