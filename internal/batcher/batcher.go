@@ -4,22 +4,23 @@
 // pass and none is large enough to amortize the blocked-matmul and
 // batched-attention kernels.
 //
-// Requests accumulate into one pending cohort — the plain concatenation
-// of their targets — which is flushed as a single Engine.EmbedWith pass
-// when it reaches Config.MaxBatch targets, when Config.Window has
-// elapsed since the cohort opened, when the pass ahead of it completes
-// (drain), or immediately while a core is free: fewer passes execute
-// than GOMAXPROCS at construction (the idle fast path — a request never
-// waits behind a pass while a core could run its own, so an unloaded
-// server adds no batching latency and two connections on two cores run
-// two passes). Coalescing therefore starts only once every core runs a
-// pass. Idle-path passes take their cohort at once and run it inline
-// on the caller's goroutine after one yield; every other flush
+// A batcher has no settings. A request runs its pass at once while a
+// core is free: fewer passes execute than GOMAXPROCS at construction
+// (the idle fast path — a request never waits behind a pass while a
+// core could run its own, so an unloaded server adds no batching
+// latency and two connections on two cores run two passes). Once every
+// core runs a pass, requests accumulate into one pending cohort — the
+// plain concatenation of their targets — and the next pass to end
+// flushes it as a single Engine.EmbedWith pass (drain). So no more
+// passes run at once than there are cores, and coalescing starts only
+// once every core is busy. Idle-path passes take their cohort at once
+// and run it inline on the caller's goroutine after one yield; a drain
 // schedules a runner that yields to the scheduler once before
 // capturing the cohort, so concurrent callers that are already runnable
 // join it (without this, cohorts degenerate to single requests on a
 // saturated machine). Each caller takes its row range out of the
-// pass's result slab.
+// pass's result slab. The admission limit above the batcher bounds how
+// large a cohort can grow.
 //
 // The batcher does no deduplication of its own: a ⟨node, t⟩ repeated
 // across the cohort's requests reaches the engine as repeated targets,
@@ -57,28 +58,6 @@ import (
 // a crashed engine from an ordinary failure.
 var ErrPassPanicked = errors.New("batcher: fused pass panicked")
 
-// Config bounds a batcher's coalescing behavior. The zero value is
-// usable: Window 0 disables the timer (flushes still happen on the size
-// trigger, the idle fast path, and pass-completion drain), MaxBatch 0
-// falls back to DefaultMaxBatch.
-type Config struct {
-	// Window is the maximum time a pending batch may wait for more
-	// targets before flushing. It only matters while every core already
-	// runs a pass; while a core is free a request flushes immediately.
-	Window time.Duration
-	// MaxBatch flushes the pending batch as soon as it holds this many
-	// targets. A single request with more targets than MaxBatch still
-	// runs as one fused pass (the cap is a flush trigger, not a split
-	// point — the engine handles arbitrary batch sizes).
-	MaxBatch int
-}
-
-// DefaultMaxBatch is the size trigger used when Config.MaxBatch <= 0.
-const DefaultMaxBatch = 256
-
-// DefaultWindow is the flush window used by the serving CLI default.
-const DefaultWindow = 2 * time.Millisecond
-
 // cohort is one pending batch: the targets of every request that
 // enqueued before a flush captured it, in arrival order, and each
 // request's enqueue instant. The opening request's slices are used in
@@ -101,24 +80,19 @@ type cohort struct {
 type Batcher struct {
 	eng   core.Embedder
 	dim   int
-	cfg   Config
-	slots int // GOMAXPROCS at New: inline passes that run before any request queues
+	slots int // GOMAXPROCS at New: the most passes that run at once
 
-	mu         sync.Mutex
-	pending    *cohort // the cohort currently accumulating; nil when empty
-	running    int     // fused passes currently executing
-	batchGen   uint64  // invalidates stale window timers
-	timerArmed bool    // a window timer covers the open cohort
+	mu      sync.Mutex
+	pending *cohort // the cohort currently accumulating; nil when empty
+	running int     // fused passes currently executing
 
 	// Counters (atomic so Stats never contends with the hot path).
-	enqueued    atomic.Int64 // targets enqueued
-	coalesced   atomic.Int64 // targets that joined a cohort another request opened
-	batches     atomic.Int64 // fused passes completed
-	flushSize   atomic.Int64 // flushes triggered by MaxBatch
-	flushWindow atomic.Int64 // flushes triggered by the window timer
-	flushIdle   atomic.Int64 // flushes by the idle fast path
-	flushDrain  atomic.Int64 // flushes draining the queue after a pass
-	panics      atomic.Int64 // recovered fused-pass panics
+	enqueued   atomic.Int64 // targets enqueued
+	coalesced  atomic.Int64 // targets that joined a cohort another request opened
+	batches    atomic.Int64 // fused passes completed
+	flushIdle  atomic.Int64 // flushes by the idle fast path
+	flushDrain atomic.Int64 // flushes draining the queue after a pass
+	panics     atomic.Int64 // recovered fused-pass panics
 
 	queueWait *stats.Histogram      // enqueue -> flush start, per request
 	occupancy *stats.CountHistogram // targets per fused pass
@@ -126,14 +100,10 @@ type Batcher struct {
 
 // New builds a batcher over an embedder producing dim-wide rows
 // (model.Cfg.NodeDim for a TGOpt engine).
-func New(eng core.Embedder, dim int, cfg Config) *Batcher {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
+func New(eng core.Embedder, dim int) *Batcher {
 	return &Batcher{
 		eng:       eng,
 		dim:       dim,
-		cfg:       cfg,
 		slots:     runtime.GOMAXPROCS(0),
 		queueWait: stats.NewHistogram(),
 		occupancy: stats.NewCountHistogram(),
@@ -181,23 +151,17 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 	b.enqueued.Add(int64(n))
 
 	var inline *cohort
-	switch {
-	case len(c.nodes) >= b.cfg.MaxBatch:
-		b.flushSize.Add(1)
-		b.scheduleLocked()
-	case b.running < b.slots:
+	if b.running < b.slots {
 		// Idle fast path: a core is free, so waiting could only add
 		// latency — run the pass inline on this goroutine (no spawn,
 		// no handoff). The cohort is taken under this same lock: a
 		// caller that arrives next opens a fresh one, and runs it
 		// inline too while another core is free, instead of joining
 		// this pass and waiting on it. Once every core runs a pass the
-		// cohort keeps accumulating until size, window, or drain.
+		// cohort keeps accumulating until a pass ends and drains it.
 		b.flushIdle.Add(1)
 		b.running++
 		inline = b.takeLocked()
-	default:
-		b.armTimerLocked()
 	}
 	b.mu.Unlock()
 
@@ -214,7 +178,7 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 		if b.pending != nil {
 			// Work queued up behind the inline pass: hand it to a
 			// detached runner rather than serving it on this caller's
-			// time (and rather than letting it wait out the window).
+			// time.
 			b.flushDrain.Add(1)
 			b.scheduleLocked()
 		}
@@ -251,21 +215,18 @@ func (b *Batcher) scheduleLocked() {
 func (b *Batcher) takeLocked() *cohort {
 	c := b.pending
 	b.pending = nil
-	b.batchGen++ // any armed window timer is now stale
-	b.timerArmed = false
 	return c
 }
 
 // runLoop is one runner: it captures and executes fused passes until the
 // queue is empty, then exits. Deferred capture is what makes batches
-// actually form under load: a flush trigger schedules the runner, the
-// runner yields once, and every caller the scheduler had runnable gets
-// to enqueue before the cohort is taken. Without the yield, Go's
+// actually form under load: an ending inline pass schedules the runner,
+// the runner yields once, and every caller the scheduler had runnable
+// gets to enqueue before the cohort is taken. Without the yield, Go's
 // spawned-goroutine-runs-next scheduling lets a fresh pass execute
 // before sibling requests ever reach the queue — on a saturated box
 // every batch would hold a single request's targets. After each pass
-// the loop drains whatever accumulated during it (the drain trigger),
-// so queued targets never wait out the window behind a long pass.
+// the loop drains whatever accumulated during it.
 func (b *Batcher) runLoop() {
 	first := true
 	for {
@@ -284,31 +245,6 @@ func (b *Batcher) runLoop() {
 		b.mu.Unlock()
 		b.runPass(c)
 	}
-}
-
-// armTimerLocked schedules a window flush for the current pending cohort
-// if one is not already armed. The generation check makes a fired timer
-// a no-op when its cohort was already flushed by another trigger.
-func (b *Batcher) armTimerLocked() {
-	if b.cfg.Window <= 0 {
-		return // no timer: size, idle, and drain triggers still flush
-	}
-	if b.timerArmed {
-		return
-	}
-	b.timerArmed = true
-	gen := b.batchGen
-	time.AfterFunc(b.cfg.Window, func() {
-		b.mu.Lock()
-		if b.batchGen != gen || b.pending == nil {
-			b.mu.Unlock()
-			return
-		}
-		b.timerArmed = false
-		b.flushWindow.Add(1)
-		b.scheduleLocked()
-		b.mu.Unlock()
-	})
 }
 
 // runPass executes one fused pass over the claimed cohort and publishes
@@ -342,14 +278,12 @@ func (b *Batcher) runPass(c *cohort) {
 // Snapshot is a point-in-time copy of the batcher's counters, named as
 // /v1/stats reports them.
 type Snapshot struct {
-	Enqueued    int64 `json:"enqueued"`     // targets enqueued
-	Coalesced   int64 `json:"coalesced"`    // targets that joined a cohort another request opened
-	Batches     int64 `json:"batches"`      // fused passes completed
-	FlushSize   int64 `json:"flush_size"`   // flushes triggered by MaxBatch
-	FlushWindow int64 `json:"flush_window"` // flushes triggered by the window timer
-	FlushIdle   int64 `json:"flush_idle"`   // flushes by the idle fast path
-	FlushDrain  int64 `json:"flush_drain"`  // flushes draining the queue after a pass
-	Panics      int64 `json:"panics"`       // recovered fused-pass panics
+	Enqueued   int64 `json:"enqueued"`    // targets enqueued
+	Coalesced  int64 `json:"coalesced"`   // targets that joined a cohort another request opened
+	Batches    int64 `json:"batches"`     // fused passes completed
+	FlushIdle  int64 `json:"flush_idle"`  // flushes by the idle fast path
+	FlushDrain int64 `json:"flush_drain"` // flushes draining the queue after a pass
+	Panics     int64 `json:"panics"`      // recovered fused-pass panics
 }
 
 // CoalesceRatio is the fraction of enqueued targets that rode in a pass
@@ -367,8 +301,6 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.Enqueued += o.Enqueued
 	s.Coalesced += o.Coalesced
 	s.Batches += o.Batches
-	s.FlushSize += o.FlushSize
-	s.FlushWindow += o.FlushWindow
 	s.FlushIdle += o.FlushIdle
 	s.FlushDrain += o.FlushDrain
 	s.Panics += o.Panics
@@ -377,14 +309,12 @@ func (s *Snapshot) Add(o Snapshot) {
 // Stats returns the batcher's counters.
 func (b *Batcher) Stats() Snapshot {
 	return Snapshot{
-		Enqueued:    b.enqueued.Load(),
-		Coalesced:   b.coalesced.Load(),
-		Batches:     b.batches.Load(),
-		FlushSize:   b.flushSize.Load(),
-		FlushWindow: b.flushWindow.Load(),
-		FlushIdle:   b.flushIdle.Load(),
-		FlushDrain:  b.flushDrain.Load(),
-		Panics:      b.panics.Load(),
+		Enqueued:   b.enqueued.Load(),
+		Coalesced:  b.coalesced.Load(),
+		Batches:    b.batches.Load(),
+		FlushIdle:  b.flushIdle.Load(),
+		FlushDrain: b.flushDrain.Load(),
+		Panics:     b.panics.Load(),
 	}
 }
 

@@ -2,6 +2,7 @@ package batcher
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,8 @@ const fakeDim = 4
 type fakeEmbedder struct {
 	gate    chan struct{}
 	version atomic.Int64 // bumped by a test to stand in for an acknowledged write
+	active  atomic.Int64 // passes inside EmbedWith now
+	peak    atomic.Int64 // the most passes ever inside EmbedWith at once
 
 	mu      sync.Mutex
 	calls   [][]int32 // node list of each pass, in call order
@@ -35,6 +38,10 @@ func fakeRowAt(version int64, node int32, t float64, j int) float32 {
 
 func (f *fakeEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
 	version := f.version.Load()
+	n := f.active.Add(1)
+	defer f.active.Add(-1)
+	for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
+	}
 	f.mu.Lock()
 	f.calls = append(f.calls, append([]int32(nil), nodes...))
 	doPanic := f.panicOn
@@ -97,14 +104,14 @@ func checkSlab(t *testing.T, slab []float32, nodes []int32, ts []float64) {
 
 func TestBatcherIdleFastPath(t *testing.T) {
 	f := &fakeEmbedder{}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 64})
+	b := New(f, fakeDim)
 	slab, err := b.Embed(context.Background(), []int32{3, 7}, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSlab(t, slab, []int32{3, 7}, []float64{1, 2})
 	s := b.Stats()
-	if s.Batches != 1 || s.FlushIdle != 1 || s.FlushSize != 0 || s.FlushWindow != 0 {
+	if s.Batches != 1 || s.FlushIdle != 1 || s.FlushDrain != 0 {
 		t.Fatalf("stats %+v: idle request must flush immediately, once", s)
 	}
 	if b.Occupancy().Sum() != 2 {
@@ -114,7 +121,7 @@ func TestBatcherIdleFastPath(t *testing.T) {
 
 func TestBatcherDuplicateTargetsWithinRequest(t *testing.T) {
 	f := &fakeEmbedder{}
-	b := New(f, fakeDim, Config{})
+	b := New(f, fakeDim)
 	slab, err := b.Embed(context.Background(), []int32{5, 5, 9}, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +160,10 @@ func release(f *fakeEmbedder, n int) {
 }
 
 // newGated builds a batcher over a gated fake running at most slots
-// inline passes.
-func newGated(cfg Config, slots int) (*Batcher, *fakeEmbedder) {
+// passes at once.
+func newGated(slots int) (*Batcher, *fakeEmbedder) {
 	f := &fakeEmbedder{gate: make(chan struct{})}
-	b := New(f, fakeDim, cfg)
+	b := New(f, fakeDim)
 	b.slots = slots
 	return b, f
 }
@@ -166,76 +173,8 @@ func newGated(cfg Config, slots int) (*Batcher, *fakeEmbedder) {
 // runs its scenario at GOMAXPROCS slots (the count New reads);
 // TestBatcherOneSlotKeepsFlushCounts runs all of them at one slot.
 
-func sizeTrigger(t *testing.T, slots int) Snapshot {
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 4}, slots)
-	var wg sync.WaitGroup
-	embed := func(node int32) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			slab, err := b.Embed(context.Background(), []int32{node}, []float64{1})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			checkSlab(t, slab, []int32{node}, []float64{1})
-		}()
-	}
-	holdSlots(t, b, f, func() { embed(1) }) // idle flushes; block inside the fake
-	for n := int32(2); n <= 5; n++ {
-		embed(n) // queues behind the executing passes
-	}
-	// The 4th queued target hits MaxBatch and flushes while every held
-	// pass is still executing.
-	waitUntil(t, "size-triggered pass", func() bool { return f.numCalls() == slots+1 })
-	if got := f.call(slots); len(got) != 4 {
-		t.Fatalf("size-triggered pass had %d targets, want 4", len(got))
-	}
-	release(f, slots+1)
-	wg.Wait()
-	s := b.Stats()
-	if s.FlushSize != 1 || s.FlushIdle != int64(slots) || s.Batches != int64(slots)+1 {
-		t.Fatalf("stats %+v: want %d idle flushes and one size flush", s, slots)
-	}
-	return s
-}
-
-func TestBatcherSizeTrigger(t *testing.T) { sizeTrigger(t, runtime.GOMAXPROCS(0)) }
-
-func windowTrigger(t *testing.T, slots int) Snapshot {
-	b, f := newGated(Config{Window: 10 * time.Millisecond, MaxBatch: 1024}, slots)
-	var wg sync.WaitGroup
-	embed := func(node int32) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := b.Embed(context.Background(), []int32{node}, []float64{1}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	holdSlots(t, b, f, func() { embed(1) })
-	embed(2)
-	embed(3)
-	// Far below MaxBatch: only the window timer can flush these two.
-	waitUntil(t, "window-triggered pass", func() bool { return f.numCalls() == slots+1 })
-	if got := f.call(slots); len(got) != 2 {
-		t.Fatalf("window pass had %d targets, want 2", len(got))
-	}
-	release(f, slots+1)
-	wg.Wait()
-	s := b.Stats()
-	if s.FlushWindow != 1 {
-		t.Fatalf("stats %+v: want one window flush", s)
-	}
-	return s
-}
-
-func TestBatcherWindowTrigger(t *testing.T) { windowTrigger(t, runtime.GOMAXPROCS(0)) }
-
 func drainAfterPass(t *testing.T, slots int) Snapshot {
-	// Window 0: queued work can only flush via size or drain.
-	b, f := newGated(Config{Window: 0, MaxBatch: 1024}, slots)
+	b, f := newGated(slots)
 	var wg sync.WaitGroup
 	embed := func(node int32) {
 		wg.Add(1)
@@ -267,13 +206,70 @@ func drainAfterPass(t *testing.T, slots int) Snapshot {
 
 func TestBatcherDrainAfterPass(t *testing.T) { drainAfterPass(t, runtime.GOMAXPROCS(0)) }
 
+// capRequests requests of capPer targets queue behind the held passes:
+// more targets than any flush size the batcher ever had.
+const capRequests, capPer = 20, 16
+const capQueued = capRequests * capPer
+
+func atMostOnePassPerCore(t *testing.T, slots int) Snapshot {
+	// With every core running a held pass, no queued target starts a
+	// pass however many queue and however long they wait; the pass that
+	// ends drains the whole queue as one.
+	b, f := newGated(slots)
+	var wg sync.WaitGroup
+	embed := func(nodes []int32, ts []float64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slab, err := b.Embed(context.Background(), nodes, ts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkSlab(t, slab, nodes, ts)
+		}()
+	}
+	holdSlots(t, b, f, func() { embed([]int32{1}, []float64{1}) })
+	for i := range capRequests {
+		nodes, ts := make([]int32, capPer), make([]float64, capPer)
+		for j := range nodes {
+			nodes[j], ts[j] = int32(i*capPer+j), float64(j)
+		}
+		embed(nodes, ts)
+	}
+	waitUntil(t, "queue filled", func() bool { p, _ := b.InFlight(); return p == capQueued })
+	time.Sleep(10 * time.Millisecond) // well past any flush window
+	if n := f.numCalls(); n != slots {
+		t.Fatalf("%d passes started with %d cores each running one", n, slots)
+	}
+	release(f, 1)
+	waitUntil(t, "drain pass", func() bool { return f.numCalls() == slots+1 })
+	if got := f.call(slots); len(got) != capQueued {
+		t.Fatalf("drain pass had %d targets, want the whole queue's %d", len(got), capQueued)
+	}
+	release(f, slots)
+	wg.Wait()
+	if peak := f.peak.Load(); peak > int64(slots) {
+		t.Fatalf("%d passes ran at once on %d slots", peak, slots)
+	}
+	s := b.Stats()
+	if s.Batches != int64(slots)+1 || s.FlushIdle != int64(slots) || s.FlushDrain != 1 {
+		t.Fatalf("stats %+v: want %d idle flushes and one drain flush", s, slots)
+	}
+	return s
+}
+
+func TestBatcherRunsAtMostOnePassPerCore(t *testing.T) {
+	atMostOnePassPerCore(t, runtime.GOMAXPROCS(0))
+}
+
 func fusesQueuedRequests(t *testing.T, slots int) Snapshot {
 	// Requests queued behind the executing passes run as one pass — the
 	// concatenation of their targets, duplicates included — and every
 	// caller gets its own correct rows. The cohort's opener lends its
 	// slices in place: its joiners' appends leave a sentinel past their
 	// length alone.
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
+	b, f := newGated(slots)
 	const queued, sentinel = 16, -7
 	var wg sync.WaitGroup
 	results := make([][]float32, slots+queued)
@@ -342,7 +338,7 @@ func TestBatcherLoneRequestAllocs(t *testing.T) {
 	}
 	// A lone request allocates its cohort, the cohort's done channel
 	// and the result slab; its node and time slices are the cohort's.
-	b := New(fixedEmbedder{tensor.New(2, fakeDim)}, fakeDim, Config{})
+	b := New(fixedEmbedder{tensor.New(2, fakeDim)}, fakeDim)
 	nodes, ts := []int32{1, 2}, []float64{3, 4}
 	embed := func() {
 		if _, err := b.Embed(context.Background(), nodes, ts); err != nil {
@@ -362,7 +358,7 @@ func TestBatcherReadYourWrites(t *testing.T) {
 	// token per pass, so releasing a second pass cannot block if a
 	// batcher never starts one.
 	f := &fakeEmbedder{gate: make(chan struct{}, 2)}
-	b := New(f, fakeDim, Config{Window: time.Hour, MaxBatch: 1024})
+	b := New(f, fakeDim)
 	first := make(chan []float32, 1)
 	go func() {
 		slab, err := b.Embed(context.Background(), []int32{42}, []float64{7})
@@ -398,7 +394,7 @@ func TestBatcherReadYourWrites(t *testing.T) {
 }
 
 func cancellationLeavesNoStuckWaiters(t *testing.T, slots int) Snapshot {
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
+	b, f := newGated(slots)
 	var wg sync.WaitGroup
 	holdSlots(t, b, f, func() {
 		wg.Add(1)
@@ -460,7 +456,7 @@ func TestBatcherCancellationLeavesNoStuckWaiters(t *testing.T) {
 }
 
 func panicPublishesErrors(t *testing.T, slots int) Snapshot {
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, slots)
+	b, f := newGated(slots)
 	f.panicOn = true
 	errs := make(chan error, slots+2)
 	embed := func() {
@@ -510,7 +506,7 @@ func TestBatcherRunsOnePassPerFreeCore(t *testing.T) {
 	// requests in flight together run as slots passes, none coalesced.
 	// (Each starts once the one before it executes, so the count of
 	// passes is known when the next request arrives.)
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, runtime.GOMAXPROCS(0))
+	b, f := newGated(runtime.GOMAXPROCS(0))
 	slots := b.slots
 	var wg sync.WaitGroup
 	embed := func(node int32) {
@@ -561,7 +557,7 @@ func TestBatcherSecondCallerTakesTheFreeCore(t *testing.T) {
 	// runs the second caller exactly where a caller that yielded before
 	// taking its cohort would let it in.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	b, f := newGated(Config{Window: time.Hour, MaxBatch: 1024}, 2)
+	b, f := newGated(2)
 	var wg sync.WaitGroup
 	for _, node := range []int32{1, 2} {
 		wg.Add(1)
@@ -591,14 +587,13 @@ func TestBatcherSecondCallerTakesTheFreeCore(t *testing.T) {
 func TestBatcherOneSlotKeepsFlushCounts(t *testing.T) {
 	// At one slot the idle path fires only while no pass executes, so
 	// each scenario's counters are those of a batcher that runs one
-	// inline pass at a time.
+	// pass at a time: every flush is the idle path's or a drain.
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T, int) Snapshot
 		want Snapshot
 	}{
-		{"size", sizeTrigger, Snapshot{Enqueued: 5, Coalesced: 3, Batches: 2, FlushSize: 1, FlushIdle: 1}},
-		{"window", windowTrigger, Snapshot{Enqueued: 3, Coalesced: 1, Batches: 2, FlushWindow: 1, FlushIdle: 1}},
+		{"cap", atMostOnePassPerCore, Snapshot{Enqueued: 1 + capQueued, Coalesced: capQueued - capPer, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
 		{"drain", drainAfterPass, Snapshot{Enqueued: 4, Coalesced: 2, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
 		{"fuse", fusesQueuedRequests, Snapshot{Enqueued: 34, Coalesced: 30, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
 		{"cancel", cancellationLeavesNoStuckWaiters, Snapshot{Enqueued: 3, Coalesced: 1, Batches: 2, FlushIdle: 1, FlushDrain: 1}},
@@ -646,7 +641,7 @@ func newTestEngine(t *testing.T) *core.Engine {
 func TestBatcherMatchesEngineBitwise(t *testing.T) {
 	eng := newTestEngine(t)
 	d := eng.Model().Cfg.NodeDim
-	b := New(eng, d, Config{Window: time.Millisecond, MaxBatch: 8})
+	b := New(eng, d)
 
 	nodes := []int32{1, 2, 3, 1, 4, 5}
 	ts := []float64{70, 70, 65, 70, 80, 80}
@@ -674,6 +669,73 @@ func TestBatcherMatchesEngineBitwise(t *testing.T) {
 		for j := 0; j < d; j++ {
 			if slabs[i][j] != want.At(i, j) {
 				t.Fatalf("target %d differs from direct engine pass at col %d", i, j)
+			}
+		}
+	}
+}
+
+// gatedEngine holds each pass over a real engine until the test sends
+// a token.
+type gatedEngine struct {
+	core.Embedder
+	gate    chan struct{}
+	entered atomic.Int64
+}
+
+func (g *gatedEngine) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
+	g.entered.Add(1)
+	<-g.gate
+	return g.Embedder.EmbedWith(ar, nodes, ts)
+}
+
+func TestBatcherDrainedPassMatchesEngineBitwise(t *testing.T) {
+	// Requests queued behind every core's held pass run on the batcher's
+	// runner, all in the one pass that drains them, and each gets the
+	// direct pass's rows bit for bit.
+	eng := newTestEngine(t)
+	d := eng.Model().Cfg.NodeDim
+	g := &gatedEngine{Embedder: eng, gate: make(chan struct{})}
+	b := New(g, d)
+
+	nodes := []int32{1, 2, 3, 1, 4, 5}
+	ts := []float64{70, 70, 65, 70, 80, 80}
+	want := eng.Embed(nodes, ts)
+
+	var wg sync.WaitGroup
+	embed := func(i int, out *[]float32) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slab, err := b.Embed(context.Background(), nodes[i:i+1], ts[i:i+1])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			*out = slab
+		}()
+	}
+	for i := 1; i <= b.slots; i++ {
+		embed(0, new([]float32))
+		waitUntil(t, "held pass executing", func() bool { return g.entered.Load() == int64(i) })
+	}
+	slabs := make([][]float32, len(nodes))
+	for i := range nodes {
+		embed(i, &slabs[i])
+	}
+	waitUntil(t, "requests queued", func() bool { p, _ := b.InFlight(); return p == len(nodes) })
+	g.gate <- struct{}{} // one held pass ends; the drain pass takes the queue
+	waitUntil(t, "drain pass executing", func() bool { return g.entered.Load() == int64(b.slots)+1 })
+	for range b.slots {
+		g.gate <- struct{}{}
+	}
+	wg.Wait()
+	if s := b.Stats(); s.Batches != int64(b.slots)+1 || s.FlushDrain == 0 {
+		t.Fatalf("stats %+v: want the queued requests in one drained pass", s)
+	}
+	for i := range nodes {
+		for j := 0; j < d; j++ {
+			if math.Float32bits(slabs[i][j]) != math.Float32bits(want.At(i, j)) {
+				t.Fatalf("target %d differs from the direct engine pass at col %d", i, j)
 			}
 		}
 	}

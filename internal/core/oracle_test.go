@@ -60,7 +60,9 @@ type oracleConfig struct {
 	lateness float64
 }
 
-// decodeOracleConfig reads a configuration byte: bits 0–1 pick L, bit 2
+// decodeOracleConfig reads a configuration byte: bits 0–1 pick L (2, 3,
+// 4 or 1; at L = 1 the engine caches its only layer in layer 1's
+// cache, with a window index and no top memo), bit 2
 // FIFO over TinyLFU, bit 3 turns dedup off, bit 4 the top memo off (so
 // every answer goes through the layer caches), bit 5 the tight limit,
 // bit 6 a finite lateness, so the watermark moves and index records
@@ -71,7 +73,7 @@ func decodeOracleConfig(c byte) oracleConfig {
 	opt.EnableDedup = c>>3&1 == 0
 	opt.CacheLimit = [2]int{1 << 16, oracleTightLimit}[c>>5&1]
 	lateness := [2]float64{1e12, oracleFiniteLateness}[c>>6&1] // 1e12: every late edge, negative ones too, is accepted
-	return oracleConfig{layers: 2 + int(c&3)%3, opt: opt, topMemo: c>>4&1 == 0, lateness: lateness}
+	return oracleConfig{layers: [4]int{2, 3, 4, 1}[c&3], opt: opt, topMemo: c>>4&1 == 0, lateness: lateness}
 }
 
 // oracleFiniteLateness is bit 6's lateness window: a few interactions
@@ -96,6 +98,7 @@ var oracleSeeds = []struct {
 	{0x2d, []byte{21, 30, 39, 22, 3, 4, 23, 32, 0, 9, 18, 6, 15}, 4},
 	{0x1a, []byte{0, 9, 18, 27, 1, 10, 19, 28, 10, 45, 46, 24, 33}, 5},
 	{0x36, []byte{3, 12, 13, 27, 5, 14, 6, 7, 16, 8}, 6},
+	{0x43, []byte{0, 9, 3, 13, 28, 19, 4, 7, 5, 6, 17, 8, 11}, 7},
 }
 
 // FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §11):
@@ -362,7 +365,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 			if kind == stepReask {
 				hits := eng.TopMemoStats().Hits
 				exact(label+", asked again", ns, ts)
-				if cfg.topMemo && eng.TopMemoStats().Hits == hits {
+				if eng.topMemo != nil && eng.TopMemoStats().Hits == hits {
 					t.Fatalf("%s: an immediate re-ask hit no memo row", label)
 				}
 			}
@@ -564,7 +567,7 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false",
+	want := []string{"L=1", "L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false",
 		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3",
 		"append read between", "late read between", "append at the clock"}
 	for _, w := range append(want, stepNames[:]...) {

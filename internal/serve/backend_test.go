@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,18 +21,21 @@ import (
 	"testing"
 	"time"
 
+	"tgopt/internal/batcher"
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
+	"tgopt/internal/tgat"
 )
 
 // backendMode is one of the four configurations every handler-level
 // contract must hold in: the single core and the shard pool, each
 // running its passes the two ways a batcher runs them. By default a
 // request's pass runs inline on its own goroutine while a core is free,
-// as on an unloaded server; "+batched" sets MaxBatch to 1, so every
-// request flushes by the size trigger and its pass runs on the
+// as on an unloaded server. "+batched" answers every embedding request
+// while each batcher's inline slots are held (runnerHolds), so the
+// request's targets queue and run in the pass that drains them on the
 // batcher's runner, the path by which cohorts of several requests form
 // under load.
 type backendMode struct {
@@ -55,17 +60,154 @@ func (m backendMode) newServer(t *testing.T, snap string) (*Server, *httptest.Se
 }
 
 // newServerWith is newServer with the rest of the configuration (fault
-// injection, logging) chosen by set; the mode's shards and size
-// trigger override it.
+// injection, logging) chosen by set; the mode's shards override it, and
+// "+batched" wraps every engine set's WrapEmbedder returns.
 func (m backendMode) newServerWith(t *testing.T, set func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	return testServerWith(t, func(c *Config) {
+	if !m.batched {
+		return testServerWith(t, func(c *Config) {
+			set(c)
+			c.Shards = max(1, m.shards)
+		})
+	}
+	model, dyn := testModelDyn(t)
+	return newRunnerServer(t, model, dyn, func(c *Config) {
 		set(c)
 		c.Shards = max(1, m.shards)
-		if m.batched {
-			c.Batch.MaxBatch = 1
+	})
+}
+
+// newRunnerServer is newTestServer over m and dyn, served through
+// runnerHolds: it wraps every engine set's WrapEmbedder returns.
+func newRunnerServer(t *testing.T, m *tgat.Model, dyn *graph.Dynamic, set func(*Config)) (*Server, *httptest.Server) {
+	t.Helper()
+	h := &runnerHolds{t: t}
+	s := newTestServer(t, m, dyn, func(c *Config) {
+		set(c)
+		wrap := c.WrapEmbedder
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+			if wrap != nil {
+				e = wrap(id, e)
+			}
+			return heldEmbedder{Embedder: e, holds: &h.holds}
 		}
 	})
+	h.s, h.next = s, s.Handler()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// runnerHolds puts the passes of a server's embedding requests on its
+// batchers' runners. Requests to /v1/embed and /v1/score pass one at a
+// time: before each, every batcher of the serving version runs
+// GOMAXPROCS held passes, one per inline slot, so the request's
+// targets queue. Once the request has enqueued at a batcher, one of
+// that batcher's holds ends, and its end drains the queue on the
+// batcher's runner. The other holds end with the request.
+type runnerHolds struct {
+	t     *testing.T
+	s     *Server
+	next  http.Handler
+	mu    sync.Mutex // one held request at a time
+	holds sync.Map   // a hold's node (*int32) -> *hold
+}
+
+// hold is one held pass: closed entered once it runs, closed release
+// to end it.
+type hold struct{ entered, release chan struct{} }
+
+// heldEmbedder parks a hold's pass, known by its node slice, and
+// answers it with a row of its own; every other pass reaches the
+// engine.
+type heldEmbedder struct {
+	core.Embedder
+	holds *sync.Map
+}
+
+func (e heldEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
+	if v, ok := e.holds.Load(&nodes[0]); ok && len(nodes) == 1 {
+		h := v.(*hold)
+		close(h.entered)
+		<-h.release
+		return ar.Tensor(1, e.Dim())
+	}
+	return e.Embedder.EmbedWith(ar, nodes, ts)
+}
+
+// start runs one hold on b and returns once its pass runs.
+func (h *runnerHolds) start(b *batcher.Batcher, wg *sync.WaitGroup) *hold {
+	node := []int32{0}
+	hd := &hold{entered: make(chan struct{}), release: make(chan struct{})}
+	h.holds.Store(&node[0], hd)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer h.holds.Delete(&node[0])
+		b.Embed(context.Background(), node, []float64{0})
+	}()
+	select {
+	case <-hd.entered:
+	case <-time.After(5 * time.Second):
+		h.t.Errorf("a hold's pass did not start: more holds than inline slots")
+	}
+	return hd
+}
+
+func (h *runnerHolds) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/embed" && r.URL.Path != "/v1/score" {
+		h.next.ServeHTTP(w, r)
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	type held struct {
+		b        *batcher.Batcher
+		holds    []*hold
+		enqueued int64 // before the request
+		drained  int64 // drain flushes before the request
+		released bool  // one hold ended once the request enqueued
+	}
+	var wg sync.WaitGroup
+	var bs []*held
+	for _, b := range h.s.cur.Load().backend.Batchers() {
+		hb := &held{b: b}
+		for range runtime.GOMAXPROCS(0) {
+			hb.holds = append(hb.holds, h.start(b, &wg))
+		}
+		st := b.Stats()
+		hb.enqueued, hb.drained = st.Enqueued, st.FlushDrain
+		bs = append(bs, hb)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.next.ServeHTTP(w, r)
+	}()
+	for served := false; !served; {
+		select {
+		case <-done:
+			served = true
+		case <-time.After(100 * time.Microsecond):
+			for _, hb := range bs {
+				if !hb.released && hb.b.Stats().Enqueued > hb.enqueued {
+					close(hb.holds[0].release)
+					hb.released = true
+				}
+			}
+		}
+	}
+	for _, hb := range bs {
+		if hb.released && hb.b.Stats().FlushDrain == hb.drained {
+			h.t.Errorf("%s: a batcher took the request's targets, and no drain ran them", r.URL.Path)
+		}
+		for i, hd := range hb.holds {
+			if i > 0 || !hb.released {
+				close(hd.release)
+			}
+		}
+	}
+	wg.Wait()
 }
 
 // forEachBackend runs f as one subtest per backendMode; mk builds a
@@ -321,8 +463,8 @@ func scrapeBoth(t *testing.T, url string) (statsResponse, map[string]float64) {
 // the same top-level keys in every mode, the live batching section and
 // all seven tgopt_batch_* families included. The only differences are
 // the ones the mode names — the shards section and shard-health
-// families exactly when there is a pool, and which trigger flushed the
-// passes. Every /metrics sample is the /v1/stats field
+// families exactly when there is a pool, and whether passes drained on
+// the runner. Every /metrics sample is the /v1/stats field
 // its metricTable row names (scrapeBoth). The wire section, sitting
 // above the backend, reads the same in every mode, and every cached
 // layer holds index records. And /metrics keeps README's contract:
@@ -374,23 +516,21 @@ func TestBackendMetricsAndStatsShape(t *testing.T) {
 		if err := json.Unmarshal(st["config"], &cfg); err != nil {
 			t.Fatal(err)
 		}
-		wantMax := DefaultConfig().Batch.MaxBatch
-		if m.batched {
-			wantMax = 1
-		}
-		if cfg.Shards != max(1, m.shards) || cfg.MaxBatch != wantMax || cfg.WindowMs != 2 || cfg.Engine != core.OptAll() {
+		if cfg.Shards != max(1, m.shards) || cfg.Engine != core.OptAll() {
 			t.Errorf("config section %+v, want mode %+v over core.OptAll()", cfg, m)
 		}
-		if bytes.Contains(st["batching"], []byte("max_batch")) || bytes.Contains(st["batching"], []byte("window_ms")) {
-			t.Errorf("batching section repeats the configuration: %s", st["batching"])
+		// The batcher has no settings, and no trigger but two.
+		for _, key := range []string{"max_batch", "window_ms", "flush_size", "flush_window"} {
+			if bytes.Contains(st["config"], []byte(key)) || bytes.Contains(st["batching"], []byte(key)) {
+				t.Errorf("/v1/stats reports %s: config %s, batching %s", key, st["config"], st["batching"])
+			}
 		}
 		var top batchStats
 		if err := json.Unmarshal(st["batching"], &top); err != nil {
 			t.Fatal(err)
 		}
-		idle, size := top.FlushIdle > 0, top.FlushSize > 0
-		if top.Enqueued == 0 || top.Batches == 0 || idle == m.batched || size != m.batched {
-			t.Errorf("batching section %+v: want live passes, idle-flushed by default and size-flushed with MaxBatch 1", top)
+		if top.Enqueued == 0 || top.Batches == 0 || top.FlushIdle == 0 || (top.FlushDrain > 0) != m.batched {
+			t.Errorf("batching section %+v: want live passes, idle-flushed, and drained on the runner exactly in +batched", top)
 		}
 		// hit_rate is the cache section's hits per lookup.
 		var hitRate float64

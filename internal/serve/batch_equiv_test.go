@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 )
@@ -30,15 +29,15 @@ func (b engineBackend) EmbedRows(_ context.Context, nodes []int32, ts []float64)
 
 // batchedAndSerialServers builds two servers with identical weights and
 // history: one whose handlers read an uncached engine, request by
-// request, and one whose batcher runs as cfg says.
-func batchedAndSerialServers(t *testing.T, cfg batcher.Config) (off, on *httptest.Server) {
+// request, and one serving through its batcher.
+func batchedAndSerialServers(t *testing.T) (off, on *httptest.Server) {
 	t.Helper()
 	ref, off := testServer(t)
 	p := *ref.cur.Load()
 	sampler := graph.NewDynamicSampler(ref.dyn, p.model.Cfg.NumNeighbors, graph.MostRecent, 0)
 	p.backend = engineBackend{backend: p.backend, eng: core.NewEngine(p.model, sampler, core.Options{})}
 	ref.cur.Store(&p)
-	_, on = testServerWith(t, func(c *Config) { c.Batch = cfg })
+	_, on = testServer(t)
 	edges := []edgeJSON{
 		{Src: 1, Dst: 2, Time: 10}, {Src: 1, Dst: 3, Time: 20},
 		{Src: 2, Dst: 4, Time: 30}, {Src: 3, Dst: 5, Time: 40},
@@ -97,7 +96,7 @@ func postBody(url, path string, body any) ([]byte, int, error) {
 // bitwise-identical bodies to the same requests answered one by one by
 // an uncached engine. Run under -race in scripts/check.sh.
 func TestServeBatchedEquivalence(t *testing.T) {
-	off, on := batchedAndSerialServers(t, batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 16})
+	off, on := batchedAndSerialServers(t)
 	reqs := equivWorkload()
 
 	// Ground truth: the engine, one request at a time.
@@ -158,7 +157,7 @@ func TestServeBatchedEquivalence(t *testing.T) {
 // that sibling requests sharing the fused pass still complete correctly
 // and the server keeps serving — no stuck waiters.
 func TestServeBatchedCancellation(t *testing.T) {
-	off, on := batchedAndSerialServers(t, batcher.Config{Window: 5 * time.Millisecond, MaxBatch: 64})
+	off, on := batchedAndSerialServers(t)
 
 	embedBody, _ := json.Marshal(embedRequest{Nodes: []int32{1, 2}, Times: []float64{95, 95}})
 	want, code, err := postBody(off.URL, "/v1/embed", embedRequest{Nodes: []int32{1, 2}, Times: []float64{95, 95}})

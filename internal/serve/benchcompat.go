@@ -2,9 +2,7 @@ package serve
 
 // benchmark/ only; ROADMAP item 18 deletes this file. It keeps the
 // benchmark's construction compiling with the meaning it was written
-// against: no request limits. Every core batches, New's and
-// NewSharded's under DefaultConfig's batch configuration until
-// SetBatching.
+// against: no request limits, and every core batching.
 
 import (
 	"tgopt/internal/batcher"
@@ -28,21 +26,9 @@ func NewSharded(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, c shard
 	return NewFromConfig(model, dyn, cfg)
 }
 
-// SetBatching rebuilds the serving version with its batchers
-// configured as cfg says, and publishes it the way a swap does; a
-// failed rebuild is logged and keeps the version serving as it was.
-// Call it before traffic.
-func (s *Server) SetBatching(cfg batcher.Config) {
-	prev := s.cfg
-	s.cfg.Batch = cfg
-	next, err := s.build(s.cur.Load().model)
-	if err != nil {
-		s.cfg = prev
-		s.cfg.Logf("serve: batch configuration unchanged: %v", err)
-		return
-	}
-	s.cur.Swap(next).close()
-}
+// SetBatching does nothing: the batcher has no settings. The
+// benchmark still calls it with the values the batcher once took.
+func (s *Server) SetBatching(batcher.Config) {}
 
 // Batcher returns an unsharded server's batcher (nil for a pool).
 func (s *Server) Batcher() *batcher.Batcher {

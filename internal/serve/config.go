@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/graph"
 	"tgopt/internal/shard"
@@ -20,9 +19,9 @@ type Config struct {
 	// Engine is every engine's option set; a pool divides its cache
 	// limit across the shards.
 	Engine core.Options
-	// Config is the compute plane: Shards, every core's Batch, the
-	// snapshot location CacheFile (a file, or a directory when
-	// Shards > 1), Logf, and the test seams FS and WrapEmbedder.
+	// Config is the compute plane: Shards, the snapshot location
+	// CacheFile (a file, or a directory when Shards > 1), Logf, and the
+	// test seams FS and WrapEmbedder.
 	shard.Config
 	// Limits bounds request handling (middleware.go).
 	Limits Limits
@@ -40,10 +39,7 @@ func DefaultConfig() Config {
 	tcfg.Epochs = 1
 	return Config{
 		Engine: core.OptAll(),
-		Config: shard.Config{
-			Shards: 1,
-			Batch:  batcher.Config{Window: batcher.DefaultWindow, MaxBatch: batcher.DefaultMaxBatch},
-		},
+		Config: shard.Config{Shards: 1},
 		Limits: Limits{Timeout: 30 * time.Second, MaxInFlight: 256},
 		Swap:   SwapConfig{Trainer: tcfg},
 	}
@@ -59,8 +55,6 @@ func (c Config) Validate() error {
 	}{
 		{c.Shards < 1, "Shards", "want >= 1", c.Shards},
 		{c.Engine.CacheLimit < 0, "Engine.CacheLimit", "want >= 0 (0: the engine's default)", c.Engine.CacheLimit},
-		{c.Batch.MaxBatch <= 0, "Batch.MaxBatch", "want >= 1", c.Batch.MaxBatch},
-		{c.Batch.Window < 0, "Batch.Window", "want >= 0", c.Batch.Window},
 		{c.Limits.Timeout < 0, "Limits.Timeout", "want >= 0 (0: no deadline)", c.Limits.Timeout},
 		{c.Limits.MaxInFlight < 0, "Limits.MaxInFlight", "want >= 0 (0: unlimited)", c.Limits.MaxInFlight},
 		{c.SnapshotInterval < 0, "SnapshotInterval", "want >= 0", c.SnapshotInterval},
@@ -135,8 +129,6 @@ func (s *Server) Start() (stop func() error) {
 type configStats struct {
 	Engine             core.Options `json:"engine"`
 	Shards             int          `json:"shards"`
-	WindowMs           float64      `json:"window_ms"`
-	MaxBatch           int          `json:"max_batch"`
 	TimeoutMs          float64      `json:"timeout_ms"`
 	MaxInFlight        int          `json:"max_inflight"`
 	CacheFile          string       `json:"cache_file"`
@@ -148,9 +140,9 @@ type configStats struct {
 }
 
 func (c Config) stats() configStats {
-	return configStats{c.Engine, c.Shards, ms(c.Batch.Window), c.Batch.MaxBatch,
-		ms(c.Limits.Timeout), c.Limits.MaxInFlight, c.CacheFile, ms(c.SnapshotInterval),
-		c.Swap.Dir, ms(c.Swap.Interval), c.Swap.Train, c.Swap.Trainer.Epochs}
+	return configStats{c.Engine, c.Shards, ms(c.Limits.Timeout), c.Limits.MaxInFlight,
+		c.CacheFile, ms(c.SnapshotInterval), c.Swap.Dir, ms(c.Swap.Interval), c.Swap.Train,
+		c.Swap.Trainer.Epochs}
 }
 
 // String renders the configuration as /v1/stats' "config" section does,

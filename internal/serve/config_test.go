@@ -30,9 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		{"Shards", func(c *Config) { c.Shards = 0 }},
 		{"Limits.MaxInFlight", func(c *Config) { c.Limits.MaxInFlight = -1 }},
 		{"Limits.Timeout", func(c *Config) { c.Limits.Timeout = -time.Second }},
-		{"Batch.MaxBatch", func(c *Config) { c.Batch.MaxBatch = 0 }},
-		{"Batch.MaxBatch", func(c *Config) { c.Batch.MaxBatch = -3 }},
-		{"Batch.Window", func(c *Config) { c.Batch.Window = -time.Millisecond }},
 		{"Engine.CacheLimit", func(c *Config) { c.Engine.CacheLimit = -1 }},
 	} {
 		cfg := DefaultConfig()

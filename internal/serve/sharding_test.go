@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"tgopt/internal/batcher"
 	"tgopt/internal/core"
 	"tgopt/internal/shard"
 	"tgopt/internal/tensor"
@@ -46,7 +45,7 @@ func waitForServe(t *testing.T, timeout time.Duration, cond func() bool) {
 // and under concurrent identical requests through per-shard batchers.
 func TestServeShardedEquivalence(t *testing.T) {
 	_, off := testServer(t)
-	sOn, on := testServerWith(t, func(c *Config) { c.Shards, c.Batch = 4, batcher.Config{Window: 2 * time.Millisecond, MaxBatch: 32} })
+	sOn, on := testServerWith(t, func(c *Config) { c.Shards = 4 })
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)
 

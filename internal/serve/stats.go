@@ -100,8 +100,7 @@ type stageStats struct {
 }
 
 // batchStats is the batchers' state on /v1/stats: their summed
-// counters and merged distributions. Their window and size trigger are
-// in its "config".
+// counters and merged distributions. A batcher has no settings.
 type batchStats struct {
 	batcher.Snapshot
 	CoalesceRatio  float64 `json:"coalesce_ratio"`

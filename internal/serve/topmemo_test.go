@@ -35,16 +35,17 @@ func TestServeTopMemoSharedAcrossEndpoints(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			m, dyn := testModelDyn(t)
 			dyn.SetLateness(100)
-			s := newTestServer(t, m, dyn, func(c *Config) {
-				switch mode {
-				case "sharded":
-					c.Shards = 2
-				case "batched":
-					c.Batch.MaxBatch = 1 // every pass on the batcher's runner, none inline
-				}
-			})
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(ts.Close)
+			set := func(*Config) {}
+			if mode == "sharded" {
+				set = func(c *Config) { c.Shards = 2 }
+			}
+			var ts *httptest.Server
+			if mode == "batched" { // every embedding pass on the batcher's runner, none inline
+				_, ts = newRunnerServer(t, m, dyn, set)
+			} else {
+				ts = httptest.NewServer(newTestServer(t, m, dyn, set).Handler())
+				t.Cleanup(ts.Close)
+			}
 
 			ingest(t, ts.URL, shardTestEdges)
 			ns, at := []int32{1, 2, 3, 4}, []float64{90, 90, 90, 90}

@@ -25,11 +25,11 @@ type Core struct {
 	cfg Config           // the snapshot file is cfg.CacheFile
 }
 
-// NewCore builds an engine over dyn, batched and snapshotting as cfg
-// says (cfg.Shards is not read). An engine over a live graph always
-// keeps the per-node key index, so edge invalidation is targeted rather
-// than a full cache clear — even on a purely chronological stream, where
-// an append must selectively drop memos served at *future* timestamps
+// NewCore builds a batched engine over dyn, snapshotting as cfg says
+// (cfg.Shards is not read). An engine over a live graph always keeps
+// the per-node key index, so edge invalidation is targeted rather than
+// a full cache clear — even on a purely chronological stream, where an
+// append must selectively drop memos served at *future* timestamps
 // whose sampled windows it lands in (core.Engine.InvalidateEdge).
 func NewCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config) *Core {
 	return newCore(model, dyn, opt, cfg.WithDefaults(), 0)
@@ -43,7 +43,7 @@ func newCore(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Config
 	if cfg.WrapEmbedder != nil {
 		emb = cfg.WrapEmbedder(id, emb)
 	}
-	return &Core{dyn: dyn, eng: eng, bat: batcher.New(emb, eng.Dim(), cfg.Batch), cfg: cfg}
+	return &Core{dyn: dyn, eng: eng, bat: batcher.New(emb, eng.Dim()), cfg: cfg}
 }
 
 // Engines returns the one engine, in the shape a pool reports its many.

@@ -87,6 +87,48 @@ func TestRouterLegCancelableMidPass(t *testing.T) {
 	}
 }
 
+// TestRouterPanicAfterLegDeadlineCrashesShard: a pass that panics
+// after its leg gave up at the deadline has still poisoned its core.
+// The leg books a timeout; the pass's panic is counted once and the
+// supervisor rebuilds the shard, which then answers bitwise.
+func TestRouterPanicAfterLegDeadlineCrashesShard(t *testing.T) {
+	m := testModel(t)
+	edges := testEdges(60)
+	nodes, ts := embedQuery()
+	want := referenceSlab(t, m, edges, nodes, ts)
+	var armed atomic.Bool
+	r := newTestRouter(t, m, edges, Config{
+		Shards: 2,
+		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
+			// Stall 300 ms, then panic, once, on shard 0.
+			late := &panicEmbedder{Embedder: e, armed: func() bool { return id == 0 && armed.Swap(false) }}
+			return &slowEmbedder{Embedder: late, delay: func() time.Duration {
+				if id == 0 && armed.Load() {
+					return 300 * time.Millisecond
+				}
+				return 0
+			}}
+		},
+	})
+	s := r.shards[0]
+	armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := s.call(ctx, nodes, ts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leg past its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().Shards[0].Restarts > 0 })
+	r.WaitRestarts()
+	if st := r.Stats().Shards[0]; st.Panics != 1 || st.Restarts != 1 || st.Timeouts != 1 || st.Crashed {
+		t.Fatalf("shard 0 after a pass panicked past its leg's deadline: %+v; want one timeout, one panic, one restart, up", st)
+	}
+	slab, err := s.call(context.Background(), nodes, ts)
+	if err != nil {
+		t.Fatalf("after the restart: %v", err)
+	}
+	requireSlabEqual(t, "after the restart", slab, want)
+}
+
 // TestRouterSetBatchingCoversRestartedCores: every core the pool has
 // batches, and so does every core the supervisor builds later.
 func TestRouterSetBatchingCoversRestartedCores(t *testing.T) {
@@ -99,7 +141,6 @@ func TestRouterSetBatchingCoversRestartedCores(t *testing.T) {
 	victim.Store(-1)
 	r := newTestRouter(t, m, edges, Config{
 		Shards: 3,
-		Batch:  batcher.Config{Window: time.Millisecond, MaxBatch: 64},
 		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
 			return &panicEmbedder{Embedder: e, armed: func() bool { return victim.Load() == int64(id) }}
 		},

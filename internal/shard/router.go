@@ -28,10 +28,6 @@ type Config struct {
 	// Shards is the number of engines: 1 serves one Core, >= 2 a
 	// Router (NewRouter refuses fewer).
 	Shards int
-	// Batch configures the batcher in front of every engine (a target
-	// always hashes to the same primary, so it meets its duplicates in
-	// one engine's passes and memo).
-	Batch batcher.Config
 	// CacheFile is where the memo caches snapshot: a Core's file, or a
 	// Router's directory of per-shard snapshots (shard-N.tgc). Empty:
 	// none.

@@ -82,8 +82,11 @@ func (s *Shard) up() bool { return !s.crashed.Load() }
 // len(nodes)×dim, row i for nodes[i]. The core runs on a goroutine of
 // its own while the leg waits for it or for ctx: the batcher runs an
 // idle pass inline on its caller, and a leg must end at its deadline
-// budget, not when a stalled pass does. The core keeps reading nodes
-// and ts after a leg gives up; a leg's slices are its own.
+// budget, not when a stalled pass does. That goroutine waits for the
+// pass whatever becomes of the leg, and escalates a panic itself: a
+// pass that panics after its leg gave up has still poisoned the core.
+// The core keeps reading nodes and ts after a leg gives up; a leg's
+// slices are its own.
 func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float32, error) {
 	c := s.currentCore()
 	if !s.up() {
@@ -98,7 +101,13 @@ func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float3
 	}
 	ch := make(chan result, 1)
 	go func() {
-		slab, _, err := c.EmbedRows(ctx, nodes, ts)
+		// Not the leg's ctx: the batcher reads a context only for its
+		// Done, and this wait must outlast the leg.
+		slab, _, err := c.EmbedRows(context.Background(), nodes, ts)
+		if errors.Is(err, batcher.ErrPassPanicked) {
+			s.panics.Add(1)
+			s.r.crash(s, err)
+		}
 		ch <- result{slab, err}
 	}()
 	var r result
@@ -111,18 +120,15 @@ func (s *Shard) call(ctx context.Context, nodes []int32, ts []float64) ([]float3
 	return r.slab, r.err
 }
 
-// observe counts one finished leg by outcome and escalates a panic to
-// the supervisor. A client cancellation counts nowhere: it says nothing
-// about the shard.
+// observe counts one finished leg by outcome. A client cancellation
+// counts nowhere: it says nothing about the shard; a panic was counted
+// and escalated by the pass's goroutine in call.
 func (s *Shard) observe(start time.Time, err error) {
 	s.lat.Observe(time.Since(start))
 	switch {
-	case err == nil, errors.Is(err, context.Canceled):
+	case err == nil, errors.Is(err, context.Canceled), errors.Is(err, batcher.ErrPassPanicked):
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
-	case errors.Is(err, batcher.ErrPassPanicked):
-		s.panics.Add(1)
-		s.r.crash(s, err)
 	default:
 		s.errs.Add(1)
 	}

@@ -73,7 +73,7 @@ one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-ou
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
 one time encoding pass (the engine encodes Δt in the layer tile: no delta slab, no fork-join of its own)	-E	encodeDeltas|\.EncodeIntoWith\(	internal/core -internal/core/timetable.go	internal/core encodes Δt outside the layer pass again
-one default (every serving default is written in serve.DefaultConfig; the batcher declares its own)	-E	batcher\.Default(Window|MaxBatch)	all -./benchmark	a serving default is restated outside serve.DefaultConfig	1
+one flush rule (a queued request runs when a pass ends: no window timer, no size trigger, no batcher settings)	-E	AfterFunc|flushWindow|flushSize|timerArmed|batch-window|batch-max|Batch\.(Window|MaxBatch)	internal/batcher internal/shard internal/serve cmd -internal/batcher/benchcompat.go -internal/serve/benchcompat.go	a second flush trigger or a batcher setting is back
 one constructor (serve.NewFromConfig builds every server; New, NewSharded and SetBatching serve benchmark/ alone)	-E	serve\.New\(|NewSharded\(|\.SetBatching\(	all -./benchmark -./internal/serve/benchcompat.go	a server is built or batched outside NewFromConfig
 one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal/serve/*.go -./internal/serve/benchcompat.go	package serve builds a server outside NewFromConfig
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
@@ -83,6 +83,12 @@ one compute path per core (every core's pass is its batcher's: no unbatched pass
 one write gate (no engine pass overlaps a gated graph write: no pass fence, no store rollback or skip counter, no ingest mutex, no graph change counters)	-E	passFence|staleFor|StaleStoreSkips|staleSkips|ingestMu|\.Mutations\(\)|\.Appends\(\)	nontest	a lock-free fence against graph writes, or an ingest mutex, is back
 GATES
 [ "$gates_failed" = 0 ] || exit 1
+# Flag ratchet: tgopt-serve defines at most this many flags. A change
+# may lower the limit; it may not raise it.
+max_serve_flags=22
+serve_flags=$(grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' cmd/tgopt-serve/main.go | grep -vc '^flag\.Parse(' || true)
+echo "   tgopt-serve flags: $serve_flags (at most $max_serve_flags)"
+[ "$serve_flags" -le "$max_serve_flags" ] || { echo "cmd/tgopt-serve/main.go defines $serve_flags flags, over the limit of $max_serve_flags"; exit 1; }
 for dir in internal/*/; do
     printf '   non-test lines, %s: %s\n' "${dir%/}" "$(cat $(nontest "${dir%/}") | wc -l)"
 done
