@@ -48,7 +48,7 @@ func main() {
 	empty := flag.Bool("empty", false, "start with an empty graph instead of pre-ingesting history")
 	modelPath := flag.String("model", "", "load trained parameters from this checkpoint")
 	cacheLimit := flag.Int("cache-limit", 0, "cache item limit (0 = 2M scaled)")
-	flag.TextVar(&cfg.Engine.CachePolicy, "cache-policy", cfg.Engine.CachePolicy, "cache eviction policy: tinylfu (sketch-based admission) or fifo (the paper's policy)")
+	flag.TextVar(&cfg.Engine.CachePolicy, "cache-policy", cfg.Engine.CachePolicy, "cache eviction policy: clock (second-chance FIFO: a row hit since it was queued is kept once more) or fifo (the paper's policy)")
 	flag.StringVar(&cfg.CacheFile, "cache-file", cfg.CacheFile, "warm-start file: load memoized embeddings at boot, save on SIGINT/SIGTERM")
 	flag.DurationVar(&cfg.SnapshotInterval, "snapshot-interval", cfg.SnapshotInterval, "background cache snapshot cadence to -cache-file (0 disables; snapshots are atomic, a crash never corrupts the file)")
 	flag.DurationVar(&cfg.Limits.Timeout, "timeout", cfg.Limits.Timeout, "per-request deadline (0 disables; exceeded requests get 504)")

@@ -85,6 +85,9 @@ type Batcher struct {
 	mu      sync.Mutex
 	pending *cohort // the cohort currently accumulating; nil when empty
 	running int     // fused passes currently executing
+	// draining is set while a scheduled runner has yet to capture: the
+	// queued cohort is its, and no other pass schedules another.
+	draining bool
 
 	// Counters (atomic so Stats never contends with the hot path).
 	enqueued   atomic.Int64 // targets enqueued
@@ -175,10 +178,10 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 		b.runPass(inline)
 		b.mu.Lock()
 		b.running--
-		if b.pending != nil {
+		if b.pending != nil && !b.draining {
 			// Work queued up behind the inline pass: hand it to a
 			// detached runner rather than serving it on this caller's
-			// time.
+			// time — unless one is already on its way to it.
 			b.flushDrain.Add(1)
 			b.scheduleLocked()
 		}
@@ -207,6 +210,7 @@ func (b *Batcher) Embed(ctx context.Context, nodes []int32, ts []float64) ([]flo
 // that are already runnable get to enqueue into the same pass.
 func (b *Batcher) scheduleLocked() {
 	b.running++
+	b.draining = true
 	go b.runLoop()
 }
 
@@ -232,6 +236,9 @@ func (b *Batcher) runLoop() {
 	for {
 		runtime.Gosched() // let runnable callers join this cohort
 		b.mu.Lock()
+		if first {
+			b.draining = false
+		}
 		c := b.takeLocked()
 		if c == nil {
 			b.running--

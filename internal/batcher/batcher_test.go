@@ -549,6 +549,46 @@ func TestBatcherRunsOnePassPerFreeCore(t *testing.T) {
 	}
 }
 
+func TestBatcherOneDrainForTwoEndingPasses(t *testing.T) {
+	// Two held passes end together with one request queued: the first
+	// to take the lock schedules a drain runner, and the second finds
+	// that runner still waiting to capture and leaves the cohort to it,
+	// so no second runner spawns to capture nothing. The lock is held
+	// while both passes end, so both see the cohort queued.
+	for round := 0; round < 20; round++ {
+		b, f := newGated(2)
+		var wg sync.WaitGroup
+		embed := func(node int32) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				slab, err := b.Embed(context.Background(), []int32{node}, []float64{1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				checkSlab(t, slab, []int32{node}, []float64{1})
+			}()
+		}
+		node := int32(0)
+		holdSlots(t, b, f, func() { node++; embed(node) })
+		embed(node + 1)
+		waitUntil(t, "request queued", func() bool { p, _ := b.InFlight(); return p == 1 })
+		b.mu.Lock()
+		release(f, 2)
+		for b.batches.Load() != 2 {
+			runtime.Gosched()
+		}
+		b.mu.Unlock()
+		waitUntil(t, "drain pass", func() bool { return f.numCalls() == 3 })
+		release(f, 1)
+		wg.Wait()
+		if s := b.Stats(); s.FlushDrain != 1 || s.Batches != 3 {
+			t.Fatalf("round %d: stats %+v: want one drain flush and three passes", round, s)
+		}
+	}
+}
+
 func TestBatcherSecondCallerTakesTheFreeCore(t *testing.T) {
 	// Two lone requests started in the same instant at two slots run two
 	// passes: the first takes its cohort before it lets go of the lock,

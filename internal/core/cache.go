@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -56,29 +57,30 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Lookups += o.Lookups
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.AdmitRejected += o.AdmitRejected
 }
 
-// CachePolicy selects the cache's admission/eviction policy.
+// CachePolicy selects the cache's eviction policy. Both admit every
+// store.
 type CachePolicy int
 
 const (
-	// CacheTinyLFU keeps a 4-bit count-min sketch of key frequencies
-	// per shard, from the moment the shard is half full, and admits a
-	// new entry into a full shard only when its estimated frequency
-	// beats the would-be FIFO victim's. Under skewed reuse
-	// (the JODIE-style repeat-consumption of production traffic) this
-	// keeps heavy hitters resident where plain FIFO churns them out.
-	// The zero value: new engines get TinyLFU unless they opt out.
-	CacheTinyLFU CachePolicy = iota
+	// CacheClock is second-chance FIFO: a lookup hit marks its entry
+	// referenced, and a store into a full shard re-queues each
+	// referenced entry at the age list's head as the newest, clearing
+	// its mark, and evicts the first unreferenced one. An entry asked
+	// for again since it was queued outlives a run of rows nobody asks
+	// for twice — the recency-driven reuse of an edge stream, where an
+	// event is re-sampled as a neighbour soon after it appears.
+	// The zero value: new engines get CLOCK unless they opt out.
+	CacheClock CachePolicy = iota
 	// CacheFIFO is the original paper policy (§4.2.2): evict strictly
-	// oldest-first, admit everything.
+	// oldest-first — CacheClock with no entry ever marked.
 	CacheFIFO
 )
 
 // cachePolicyNames are the policies' text forms: the -cache-policy
 // flag's values and /v1/stats' rendering.
-var cachePolicyNames = [...]string{CacheTinyLFU: "tinylfu", CacheFIFO: "fifo"}
+var cachePolicyNames = [...]string{CacheClock: "clock", CacheFIFO: "fifo"}
 
 // MarshalText renders the policy's name.
 func (p CachePolicy) MarshalText() ([]byte, error) {
@@ -96,7 +98,7 @@ func (p *CachePolicy) UnmarshalText(text []byte) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("core: unknown cache policy %q (want tinylfu or fifo)", text)
+	return fmt.Errorf("core: unknown cache policy %q (want clock or fifo)", text)
 }
 
 // CacheConfig configures a memo cache.
@@ -108,7 +110,7 @@ type CacheConfig struct {
 	// Shards is the concurrency sharding degree (<= 0 picks 16;
 	// rounded to a power of two and shrunk so each shard holds >= 1).
 	Shards int
-	// Policy picks the eviction policy (default CacheTinyLFU).
+	// Policy picks the eviction policy (default CacheClock).
 	Policy CachePolicy
 }
 
@@ -117,20 +119,22 @@ type CacheConfig struct {
 // the lookups and stores they count, so Lookups == Hits + Misses always
 // holds.
 type CacheStats struct {
-	Lookups       int64 `json:"lookups"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	AdmitRejected int64 `json:"admit_rejected"`
+	Lookups int64 `json:"lookups"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	// AdmitRejected is always 0: every policy admits every store. It
+	// stays only while the benchmark harness reads it.
+	AdmitRejected int64 `json:"-"`
 }
 
 // Cache is the embedding memoization cache of §4.2: a sharded
 // concurrent hash table from 64-bit ⟨node, t⟩ keys to embedding
-// vectors, with a global item limit enforced per shard under either
-// FIFO or TinyLFU admission. Sharding keeps Store and LookupInto
-// parallelizable, mirroring the concurrent hash table of the C++
-// implementation. Each shard holds its rows in a slab of fixed-width
-// slots (cacheShard): a store copies its row into a slot, and once a
-// shard has grown to its limit an evicting store allocates nothing.
+// vectors, with a global item limit enforced per shard by CLOCK or FIFO
+// eviction. Sharding keeps Store and LookupInto parallelizable,
+// mirroring the concurrent hash table of the C++ implementation. Each
+// shard holds its rows in a slab of fixed-width slots (cacheShard): a
+// store copies its row into a slot, and once a shard has grown to its
+// limit an evicting store allocates nothing.
 type Cache struct {
 	dim    int
 	shards []cacheShard
@@ -150,22 +154,29 @@ const (
 // row p, which lives at chunks[p/cacheChunkRows][(p%cacheChunkRows)·dim:].
 // The live slots form a list linked by prev/next from the oldest (head)
 // to the newest (tail), the eviction order; the slots Remove emptied
-// form a free list linked by next. Slots and chunks grow on demand and
-// never past limit.
+// form a free list linked by next. Bit p of ref is slot p's CLOCK
+// reference mark. Slots, ref and chunks grow on demand and never past
+// limit.
+//
+// index maps each live key to its slot: an open-addressed table of
+// slot+1 (0: empty) probed linearly from the key's Fibonacci hash, at
+// most half full, rebuilt only when the slot array grows. Deletion
+// shifts later entries back (no tombstones), so the delete and insert
+// of every evicting store allocate nothing, where a Go map's churn
+// rehashes now and then.
 type cacheShard struct {
 	mu               sync.Mutex
-	limit            int              // this shard's slice of the global limit; Σ limits == Cache.limit
-	m                map[uint64]int32 // key → slot
+	limit            int // this shard's slice of the global limit; Σ limits == Cache.limit
+	n                int // live slots
+	index            []int32
+	shift            uint8 // 64 − log2(len(index))
 	slots            []cacheSlot
 	chunks           [][]float32
-	head, tail, free int32 // slot indexes, -1 for none
-	// sketch is the TinyLFU admission filter: nil under CacheFIFO, and
-	// under CacheTinyLFU until the insert that brings the shard to half
-	// its limit (see storeOne).
-	sketch *freqSketch
+	ref              []uint64 // one bit a slot of cap(slots)
+	head, tail, free int32    // slot indexes, -1 for none
 	// Lookup counters, mutated only under mu so they stay exact with
 	// respect to the lookups they count.
-	hits, misses, admitRejected int64
+	hits, misses int64
 }
 
 // A slot's tag digests the window its layer-1 row was computed from
@@ -180,7 +191,7 @@ type cacheSlot struct {
 // NewCache creates a FIFO cache for dim-wide embeddings holding at most
 // limit items across the given number of shards (rounded up to a power
 // of two; <=0 picks a default of 16). It preserves the original paper
-// policy exactly — callers wanting TinyLFU admission use NewCacheWith.
+// policy exactly — callers wanting CLOCK use NewCacheWith.
 // The global limit is enforced exactly: it is distributed across the
 // shards — remainder items to the lowest shard indices — so the
 // per-shard FIFO limits sum to limit and Len() can never settle above
@@ -219,8 +230,8 @@ func NewCacheWith(cfg CacheConfig) *Cache {
 	base, rem := cfg.Limit/ns, cfg.Limit%ns
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.m = make(map[uint64]int32)
 		s.head, s.tail, s.free = -1, -1, -1
+		s.reindex(32)
 		s.limit = base
 		if i < rem {
 			s.limit++
@@ -267,20 +278,20 @@ func (c *Cache) eachShard(f func(s *cacheShard)) {
 // Len returns the current item count across all shards.
 func (c *Cache) Len() int {
 	n := 0
-	c.eachShard(func(s *cacheShard) { n += len(s.m) })
+	c.eachShard(func(s *cacheShard) { n += s.n })
 	return n
 }
 
 // UsedBytes returns the slabs' resident footprint: the row chunks
-// allocated so far plus the slot arrays (24 bytes a slot). The key maps
-// are not counted.
+// allocated so far plus the slot arrays (24 bytes a slot), their
+// reference bits and the key indexes.
 func (c *Cache) UsedBytes() int64 {
 	var n int64
 	c.eachShard(func(s *cacheShard) {
 		for _, ch := range s.chunks {
 			n += 4 * int64(len(ch))
 		}
-		n += 24 * int64(cap(s.slots))
+		n += 24*int64(cap(s.slots)) + 8*int64(len(s.ref)) + 4*int64(len(s.index))
 	})
 	return n
 }
@@ -290,7 +301,7 @@ func (c *Cache) UsedBytes() int64 {
 func (c *Cache) Stats() CacheStats {
 	var st CacheStats
 	c.eachShard(func(s *cacheShard) {
-		st.Add(CacheStats{Hits: s.hits, Misses: s.misses, AdmitRejected: s.admitRejected})
+		st.Add(CacheStats{Hits: s.hits, Misses: s.misses})
 	})
 	st.Lookups = st.Hits + st.Misses
 	return st
@@ -333,7 +344,8 @@ func (c *Cache) lookupExact(keys []uint64, ts []float64, dst *tensor.Tensor, hit
 }
 
 // lookupRange performs lookups for keys [lo,hi), returning the local
-// hit count. Hit/miss counters are bumped under the shard lock.
+// hit count. Hit/miss counters and CLOCK marks are set under the shard
+// lock.
 func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []bool, lo, hi int) int {
 	local := 0
 	for i := lo; i < hi; i++ {
@@ -344,11 +356,11 @@ func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []
 		key := keys[i]
 		s := c.shardFor(key)
 		s.mu.Lock()
-		if s.sketch != nil {
-			s.sketch.inc(key)
-		}
-		if p, ok := s.m[key]; ok {
+		if p := s.find(key); p >= 0 {
 			copy(data[i*c.dim:(i+1)*c.dim], s.row(p, c.dim))
+			if c.policy == CacheClock {
+				s.ref[p>>6] |= 1 << (p & 63)
+			}
 			s.hits++
 			hits[i] = true
 			local++
@@ -360,11 +372,10 @@ func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []
 	return local
 }
 
-// Store inserts each (key, row of h) pair, evicting the oldest entries
-// of full shards — subject to TinyLFU admission when that policy is
-// active. Rows are copied; h may be reused by the caller. Storing an
-// existing key refreshes its value without re-queueing it. Rows stored
-// here carry tag 0, which no engine snapshot load keeps.
+// Store inserts each (key, row of h) pair, evicting from full shards by
+// the cache's policy. Rows are copied; h may be reused by the caller.
+// Storing an existing key refreshes its value without re-queueing it.
+// Rows stored here carry tag 0, which no engine snapshot load keeps.
 func (c *Cache) Store(keys []uint64, h *tensor.Tensor) {
 	c.storeExact(keys, nil, nil, h)
 }
@@ -398,40 +409,34 @@ func (c *Cache) storeRange(keys []uint64, ts []float64, tags []uint64, data []fl
 }
 
 // storeOne is the single insertion point; vec is copied. An existing
-// key is refreshed in place and takes the new tag. A new key takes the
-// oldest entry's slot when the shard is full (so the item count never
-// settles above Limit()) — under TinyLFU only if its estimated
-// frequency beats that entry's — else a free slot, else a new one, and
-// queues as the newest.
-// Frequency is recorded by lookups only: counting stores too would
-// double-count every miss+store access, and a bulk load of
-// never-looked-up keys would age resident heavy hitters out of the
-// sketch without a single real access.
-// A TinyLFU shard builds its sketch on the insert that brings it to
-// half its limit. Admission reads the sketch only in a full shard, which
-// is then always armed, so a shard that stays below half pays neither
-// the sketch's 8 bytes per slot of its limit nor a lookup's four counter
-// writes. Counting from half-full is Caffeine's rule too.
+// key is refreshed in place and takes the new tag, keeping its place
+// and mark. A new key takes the victim's slot when the shard is full
+// (so the item count never settles above Limit()), else a free slot,
+// else a new one, and queues as the newest, unmarked. The victim is
+// found by walking the age list from its head: a marked slot loses its
+// mark and re-queues as the newest, and the first unmarked slot goes.
+// Each step clears a mark, so the walk ends; under FIFO nothing is
+// marked and the victim is the head.
 func (c *Cache) storeOne(key, tag uint64, vec []float32) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.m[key]; ok {
+	if p := s.find(key); p >= 0 {
 		copy(s.row(p, c.dim), vec)
 		s.slots[p].tag = tag
 		return
 	}
 	var p int32
 	switch {
-	case len(s.m) >= s.limit:
-		p = s.head
-		victim := s.slots[p].key
-		if s.sketch != nil && s.sketch.estimate(key) <= s.sketch.estimate(victim) {
-			s.admitRejected++
-			return
+	case s.n >= s.limit:
+		for p = s.head; s.ref[p>>6]&(1<<(p&63)) != 0; p = s.head {
+			s.ref[p>>6] &^= 1 << (p & 63)
+			s.unlink(p)
+			s.push(p)
 		}
 		s.unlink(p)
-		delete(s.m, victim)
+		s.unindex(s.slots[p].key)
+		s.n--
 	case s.free >= 0:
 		p = s.free
 		s.free = s.slots[p].next
@@ -439,33 +444,87 @@ func (c *Cache) storeOne(key, tag uint64, vec []float32) {
 		p = s.grow(c.dim)
 	}
 	copy(s.row(p, c.dim), vec)
-	s.slots[p] = cacheSlot{key: key, tag: tag, prev: s.tail, next: -1}
+	s.slots[p] = cacheSlot{key: key, tag: tag}
+	s.ref[p>>6] &^= 1 << (p & 63)
+	s.push(p)
+	s.index[s.probe(key)] = p + 1
+	s.n++
+}
+
+// push queues slot p as the newest.
+func (s *cacheShard) push(p int32) {
+	s.slots[p].prev, s.slots[p].next = s.tail, -1
 	if s.tail < 0 {
 		s.head = p
 	} else {
 		s.slots[s.tail].next = p
 	}
 	s.tail = p
-	s.m[key] = p
-	if s.sketch == nil && c.policy == CacheTinyLFU && 2*len(s.m) >= s.limit {
-		s.sketch = newFreqSketch(s.limit)
-	}
 }
 
 // grow opens a new slot, and the chunk its row starts unless an earlier
-// growth did (Clear keeps the chunks). Nothing is sized past the limit.
+// growth did (Clear keeps the chunks). The reference bits grow with the
+// slot array. Nothing is sized past the limit.
 func (s *cacheShard) grow(dim int) int32 {
 	p := len(s.slots)
 	if p == cap(s.slots) {
 		grown := make([]cacheSlot, p, min(max(2*p, 16), s.limit))
 		copy(grown, s.slots)
 		s.slots = grown
+		ref := make([]uint64, (cap(grown)+63)/64)
+		copy(ref, s.ref)
+		s.ref = ref
+		if size := 2 * cap(grown); size > len(s.index) {
+			s.reindex(1 << bits.Len(uint(size-1)))
+		}
 	}
 	s.slots = s.slots[:p+1]
 	if p>>cacheChunkShift == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]float32, min(cacheChunkRows, s.limit-p)*dim))
 	}
 	return int32(p)
+}
+
+// home is key's first index position.
+func (s *cacheShard) home(key uint64) int {
+	return int(key * 0x9E3779B97F4A7C15 >> s.shift)
+}
+
+// probe returns the index position holding key, or the empty one where
+// its probe ends.
+func (s *cacheShard) probe(key uint64) int {
+	mask := len(s.index) - 1
+	i := s.home(key)
+	for q := s.index[i]; q != 0 && s.slots[q-1].key != key; q = s.index[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// find returns key's slot, or -1.
+func (s *cacheShard) find(key uint64) int32 { return s.index[s.probe(key)] - 1 }
+
+// unindex drops key, which is indexed, moving back into the hole each
+// later entry of the run whose probe passes it.
+func (s *cacheShard) unindex(key uint64) {
+	mask := len(s.index) - 1
+	i := s.probe(key)
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		if h := s.home(s.slots[s.index[j]-1].key); (j-h)&mask >= (j-i)&mask {
+			s.index[i], i = s.index[j], j
+		}
+	}
+	s.index[i] = 0
+}
+
+// reindex rebuilds the index at size positions, a power of two, from
+// the live slots.
+func (s *cacheShard) reindex(size int) {
+	s.index = make([]int32, size)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for p := s.head; p >= 0; p = s.slots[p].next {
+		s.index[s.probe(s.slots[p].key)] = p + 1
+	}
 }
 
 // unlink takes slot p out of the age list.
@@ -491,8 +550,9 @@ func (c *Cache) Remove(keys []uint64) int {
 	for _, key := range keys {
 		s := c.shardFor(key)
 		s.mu.Lock()
-		if p, ok := s.m[key]; ok {
-			delete(s.m, key)
+		if p := s.find(key); p >= 0 {
+			s.unindex(key)
+			s.n--
 			s.unlink(p)
 			s.slots[p].next, s.free = s.free, p
 			removed++
@@ -502,14 +562,14 @@ func (c *Cache) Remove(keys []uint64) int {
 	return removed
 }
 
-// Clear drops every entry and the TinyLFU frequency sketches, so a
-// shard re-arms its sketch once it is half full again (see storeOne);
-// counters are cumulative and keep counting. Shards keep their chunks.
+// Clear drops every entry; counters are cumulative and keep counting.
+// Shards keep their chunks, and a slot's mark is cleared when a key
+// takes it (storeOne).
 func (c *Cache) Clear() {
 	c.eachShard(func(s *cacheShard) {
-		clear(s.m)
+		clear(s.index)
+		s.n = 0
 		s.slots = s.slots[:0]
 		s.head, s.tail, s.free = -1, -1, -1
-		s.sketch = nil
 	})
 }

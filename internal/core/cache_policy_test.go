@@ -1,14 +1,16 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"testing"
 
+	"tgopt/internal/dataset"
+	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
+	"tgopt/internal/tgat"
 )
 
 // replayTrace drives a key trace through the cache the way the engine
@@ -51,171 +53,64 @@ func zipfTrace(n, keyspace int, s float64, seed uint64) []uint64 {
 	return trace
 }
 
-func TestTinyLFUKeepsHeavyHitterUnderScanChurn(t *testing.T) {
-	// A key accessed repeatedly must survive a one-hit-wonder scan that
-	// would flush the entire FIFO. This is the whole point of admission.
-	cfg := CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheTinyLFU}
-	c := NewCacheWith(cfg)
+// TestClockKeepsReferencedRowUnderScanChurn: a row looked up since it
+// was queued survives a sweep of rows nobody asks for twice that evicts
+// everything else, once — the sweep cleared its mark, so the next
+// eviction takes it. Under FIFO the sweep's first store evicts it.
+func TestClockKeepsReferencedRowUnderScanChurn(t *testing.T) {
+	const limit = 8
 	one := tensor.Ones(1, 1)
-	hot := uint64(7)
-	// Build frequency for the hot key and make it resident.
-	row := tensor.New(1, 1)
-	hits := make([]bool, 1)
-	c.Store([]uint64{hot}, one)
-	for i := 0; i < 20; i++ {
-		c.LookupInto([]uint64{hot}, row, hits)
-	}
-	// Scan: 1000 distinct cold keys, each stored once.
-	for i := 0; i < 1000; i++ {
-		c.Store([]uint64{uint64(1000 + i)}, one)
-	}
-	if !c.Contains(hot) {
-		t.Fatal("TinyLFU evicted the heavy hitter during a cold scan")
-	}
-	st := c.Stats()
-	if st.AdmitRejected == 0 {
-		t.Fatal("cold scan triggered no admission rejections")
-	}
-	// FIFO control: same churn flushes the hot key.
-	cf := NewCacheWith(CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheFIFO})
-	cf.Store([]uint64{hot}, one)
-	for i := 0; i < 20; i++ {
-		cf.LookupInto([]uint64{hot}, row, hits)
-	}
-	for i := 0; i < 1000; i++ {
-		cf.Store([]uint64{uint64(1000 + i)}, one)
-	}
-	if cf.Contains(hot) {
-		t.Fatal("FIFO control unexpectedly kept the heavy hitter (test premise broken)")
-	}
-}
-
-// TestTinyLFUSketchArmsAtHalfLimit pins when a shard holds a sketch:
-// from the insert that brings it to half its limit until Clear, and
-// never under FIFO. A ReadFrom inserts like a live store, so a load of
-// half a shard or more arms it too.
-func TestTinyLFUSketchArmsAtHalfLimit(t *testing.T) {
-	one := tensor.Ones(1, 1)
-	store := func(c *Cache, keys ...uint64) {
-		for _, k := range keys {
+	for _, policy := range []CachePolicy{CacheClock, CacheFIFO} {
+		c := NewCacheWith(CacheConfig{Limit: limit, Dim: 1, Shards: 1, Policy: policy})
+		hot := uint64(1) // the oldest entry
+		for k := hot; k <= limit; k++ {
 			c.Store([]uint64{k}, one)
 		}
-	}
-	c := NewCacheWith(CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheTinyLFU})
-	s := &c.shards[0]
-	store(c, 1, 2, 3)
-	c.LookupInto([]uint64{1}, tensor.New(1, 1), make([]bool, 1))
-	if s.sketch != nil {
-		t.Fatal("a shard at 3 of 8 holds a sketch")
-	}
-	store(c, 3) // a refresh inserts nothing
-	if s.sketch != nil {
-		t.Fatal("refreshing a key armed the shard")
-	}
-	store(c, 4)
-	sk := s.sketch
-	if sk == nil {
-		t.Fatal("the insert reaching 4 of 8 did not arm the shard")
-	}
-	c.Remove([]uint64{1, 2, 3})
-	store(c, 5, 6, 7)
-	if s.sketch != sk {
-		t.Fatal("Remove below half, or the stores after it, replaced the sketch")
-	}
-	store(c, 8, 9, 10, 11, 12)
-	if c.Len() != 8 || s.sketch != sk {
-		t.Fatalf("a full shard (Len %d) lost its sketch", c.Len())
-	}
-	var snap bytes.Buffer
-	if _, err := c.WriteTo(&snap); err != nil {
-		t.Fatal(err)
-	}
-	c.Clear()
-	if s.sketch != nil {
-		t.Fatal("Clear kept the sketch")
-	}
-	store(c, 1, 2, 3)
-	if s.sketch != nil {
-		t.Fatal("a cleared shard re-armed below half")
-	}
-	store(c, 4)
-	if s.sketch == nil {
-		t.Fatal("a cleared shard did not re-arm at half")
-	}
-
-	// A load arms each shard it brings to half its limit, and only those:
-	// here shard 0 holds 8 of 16 rows, shard 1 holds 7 and the rest none.
-	multi := NewCacheWith(CacheConfig{Limit: 64, Dim: 1, Shards: 4, Policy: CacheTinyLFU})
-	for k, want := uint64(1), map[*cacheShard]int{&multi.shards[0]: 8, &multi.shards[1]: 7}; len(want) > 0; k++ {
-		if s := multi.shardFor(k); want[s] > 0 {
-			store(multi, k)
-			if want[s]--; want[s] == 0 {
-				delete(want, s)
+		if c.LookupInto([]uint64{hot}, tensor.New(1, 1), make([]bool, 1)) != 1 {
+			t.Fatal("the hot row is not resident")
+		}
+		for i := uint64(0); i < limit-1; i++ {
+			c.Store([]uint64{100 + i}, one)
+		}
+		if policy == CacheFIFO {
+			if c.Contains(hot) {
+				t.Fatal("FIFO kept the oldest row through the sweep")
+			}
+			continue
+		}
+		for k := hot + 1; k <= limit; k++ {
+			if c.Contains(k) {
+				t.Fatalf("the sweep left row %d", k)
 			}
 		}
-	}
-	var blob bytes.Buffer
-	if _, err := multi.WriteTo(&blob); err != nil {
-		t.Fatal(err)
-	}
-	loaded := NewCacheWith(CacheConfig{Limit: 64, Dim: 1, Shards: 4, Policy: CacheTinyLFU})
-	if _, err := loaded.ReadFrom(&blob); err != nil {
-		t.Fatal(err)
-	}
-	for i := range loaded.shards {
-		ls := &loaded.shards[i]
-		if (ls.sketch != nil) != (i == 0) {
-			t.Fatalf("shard %d loaded %d of %d: armed %v", i, len(ls.m), ls.limit, ls.sketch != nil)
+		if !c.Contains(hot) || c.Len() != limit {
+			t.Fatalf("CLOCK evicted the row looked up since it was queued (Len %d)", c.Len())
 		}
-	}
-	full := NewCacheWith(CacheConfig{Limit: 8, Dim: 1, Shards: 1, Policy: CacheTinyLFU})
-	if _, err := full.ReadFrom(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if full.shards[0].sketch == nil {
-		t.Fatal("a load of a full shard did not arm it")
-	}
-
-	// FIFO shards never arm, full or evicting.
-	fifo := NewCache(8, 1, 1)
-	for k := uint64(1); k <= 20; k++ {
-		store(fifo, k)
-	}
-	if fifo.shards[0].sketch != nil {
-		t.Fatal("a FIFO shard built a sketch")
+		c.Store([]uint64{200}, one)
+		if c.Contains(hot) || !c.Contains(100) {
+			t.Fatal("the mark bought more than one second chance")
+		}
 	}
 }
 
-func TestZipfTraceTinyLFUBeatsFIFO(t *testing.T) {
-	// The satellite property test: replay a Zipf-skewed trace at equal
-	// byte budget and require (a) TinyLFU hit-rate >= FIFO and (b) the
-	// heavy hitters resident at the end.
+func TestZipfTraceClockBeatsFIFO(t *testing.T) {
+	// Replay a Zipf-skewed trace at equal limits and require CLOCK's
+	// hit rate >= FIFO's at every limit and above it at one at least.
 	const keyspace = 4096
 	trace := zipfTrace(60_000, keyspace, 1.1, 3)
+	above := false
 	for _, limit := range []int{64, 256, 1024} {
 		fifo := NewCacheWith(CacheConfig{Limit: limit, Dim: 4, Shards: 4, Policy: CacheFIFO})
-		tlfu := NewCacheWith(CacheConfig{Limit: limit, Dim: 4, Shards: 4, Policy: CacheTinyLFU})
+		clock := NewCacheWith(CacheConfig{Limit: limit, Dim: 4, Shards: 4, Policy: CacheClock})
 		hrFIFO := replayTrace(t, fifo, trace)
-		hrTLFU := replayTrace(t, tlfu, trace)
-		t.Logf("limit %4d: fifo %.4f tinylfu %.4f", limit, hrFIFO, hrTLFU)
-		if hrTLFU < hrFIFO {
-			t.Fatalf("limit %d: TinyLFU hit-rate %.4f below FIFO %.4f", limit, hrTLFU, hrFIFO)
+		hrClock := replayTrace(t, clock, trace)
+		t.Logf("limit %4d: fifo %.4f clock %.4f", limit, hrFIFO, hrClock)
+		if hrClock < hrFIFO {
+			t.Fatalf("limit %d: CLOCK hit rate %.4f below FIFO %.4f", limit, hrClock, hrFIFO)
 		}
-		if limit == 64 && hrTLFU <= hrFIFO {
-			t.Fatalf("smallest budget: TinyLFU %.4f not strictly above FIFO %.4f", hrTLFU, hrFIFO)
-		}
-		// Heavy hitters (the top ranks dominate a Zipf trace) resident.
-		resident := 0
-		for k := uint64(1); k <= 8; k++ {
-			if tlfu.Contains(k) {
-				resident++
-			}
-		}
-		if resident < 6 {
-			t.Fatalf("limit %d: only %d/8 heavy hitters resident under TinyLFU", limit, resident)
-		}
+		above = above || hrClock > hrFIFO
 		// Counter invariant, both policies.
-		for name, c := range map[string]*Cache{"fifo": fifo, "tinylfu": tlfu} {
+		for name, c := range map[string]*Cache{"fifo": fifo, "clock": clock} {
 			st := c.Stats()
 			if st.Lookups != st.Hits+st.Misses {
 				t.Fatalf("%s: lookups %d != hits %d + misses %d", name, st.Lookups, st.Hits, st.Misses)
@@ -225,13 +120,67 @@ func TestZipfTraceTinyLFUBeatsFIFO(t *testing.T) {
 			}
 		}
 	}
+	if !above {
+		t.Fatal("CLOCK is nowhere above FIFO")
+	}
+}
+
+// TestEngineClockHitsAtLeastFIFOOnColdStream replays a snap-reddit-shaped
+// stream whose layer-1 cache evicts through Engine.EmbedWith in
+// 200-edge batches: the default policy hits layer 1 at least as often
+// as the paper's FIFO, and admits every row it computes.
+func TestEngineClockHitsAtLeastFIFOOnColdStream(t *testing.T) {
+	spec, err := dataset.SpecByName("snap-reddit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Generate(spec.Scale(0.01), dataset.Options{FeatureDim: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tgat.Config{Layers: 2, Heads: 1, NodeDim: 8, EdgeDim: 8, TimeDim: 8, NumNeighbors: 10, Seed: 1}
+	m, err := tgat.NewModel(cfg, ds.NodeFeat, ds.EdgeFeat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := graph.NewSampler(ds.Graph, cfg.NumNeighbors, graph.MostRecent, 0)
+	edges := ds.Graph.Edges()
+	layer1 := func(policy CachePolicy) CacheStats {
+		opt := OptAll()
+		opt.CacheLimit, opt.CachePolicy = 4000, policy
+		eng := NewEngine(m, s, opt)
+		ar := tensor.NewArena()
+		const batch = 200
+		nodes, ts := make([]int32, 2*batch), make([]float64, 2*batch)
+		for lo := 0; lo+batch <= len(edges); lo += batch {
+			for i, ed := range edges[lo : lo+batch] {
+				nodes[i], nodes[batch+i] = ed.Src, ed.Dst
+				ts[i], ts[batch+i] = ed.Time, ed.Time
+			}
+			ar.Reset()
+			eng.EmbedWith(ar, nodes, ts)
+		}
+		ls := eng.LayerCacheStats()
+		if len(ls) != 1 || ls[0].Layer != 1 || ls[0].Items != 4000 {
+			t.Fatalf("policy %d: layer caches %+v, want layer 1 full at 4000", policy, ls)
+		}
+		return ls[0].CacheStats
+	}
+	clock, fifo := layer1(CacheClock), layer1(CacheFIFO)
+	t.Logf("layer-1 hits: clock %d of %d, fifo %d of %d", clock.Hits, clock.Lookups, fifo.Hits, fifo.Lookups)
+	if clock.Hits < fifo.Hits {
+		t.Fatalf("the default policy hit layer 1 %d times, FIFO %d", clock.Hits, fifo.Hits)
+	}
+	if clock.AdmitRejected != 0 {
+		t.Fatalf("the default policy refused %d rows", clock.AdmitRejected)
+	}
 }
 
 func TestCacheStatsInvariantUnderConcurrency(t *testing.T) {
 	// Randomized mixed workload on four goroutines while a fifth reads
 	// the counters: Lookups == Hits + Misses must hold at every read,
 	// and no lookup may go uncounted.
-	c := NewCacheWith(CacheConfig{Limit: 16, Dim: 2, Shards: 4, Policy: CacheTinyLFU})
+	c := NewCacheWith(CacheConfig{Limit: 16, Dim: 2, Shards: 4, Policy: CacheClock})
 	const workers, ops = 4, 5000
 	var wg, reader sync.WaitGroup
 	var want [workers]int64
@@ -315,7 +264,7 @@ func TestEngineCacheStatsAggregates(t *testing.T) {
 // TestCachePolicyTextRoundTrip: every policy's name parses back to the
 // policy, and an unknown name or value is refused.
 func TestCachePolicyTextRoundTrip(t *testing.T) {
-	for _, p := range []CachePolicy{CacheTinyLFU, CacheFIFO} {
+	for _, p := range []CachePolicy{CacheClock, CacheFIFO} {
 		text, err := p.MarshalText()
 		if err != nil {
 			t.Fatal(err)
@@ -336,12 +285,12 @@ func TestCachePolicyTextRoundTrip(t *testing.T) {
 
 func ExampleCachePolicy() {
 	c := NewCacheWith(CacheConfig{Limit: 4, Dim: 1, Shards: 1}) // zero Policy
-	fmt.Println(c.Policy() == CacheTinyLFU)
+	fmt.Println(c.Policy() == CacheClock)
 	// Output: true
 }
 
 // CacheStats aggregates the per-layer cache counters (hit/miss and
-// admission; see CacheStats). Zero when the cache is disabled.
+// eviction; see CacheStats). Zero when the cache is disabled.
 func (e *Engine) CacheStats() CacheStats {
 	var agg CacheStats
 	for _, c := range e.caches {

@@ -297,14 +297,20 @@ func (s *cacheShard) checkBounded(t *testing.T, dim int) {
 	}
 	live, prev := 0, int32(-1)
 	for p := s.head; p >= 0; p = s.slots[p].next {
-		if s.slots[p].prev != prev || s.m[s.slots[p].key] != p {
+		if s.slots[p].prev != prev || s.find(s.slots[p].key) != p {
 			t.Fatalf("age list broken at slot %d", p)
 		}
 		prev = p
 		live++
 	}
-	if prev != s.tail || live != len(s.m) {
-		t.Fatalf("age list holds %d slots ending at %d, map %d, tail %d", live, prev, len(s.m), s.tail)
+	indexed := 0
+	for _, q := range s.index {
+		if q != 0 {
+			indexed++
+		}
+	}
+	if prev != s.tail || live != s.n || live != indexed {
+		t.Fatalf("age list holds %d slots ending at %d, count %d, index %d, tail %d", live, prev, s.n, indexed, s.tail)
 	}
 	free := 0
 	for p := s.free; p >= 0; p = s.slots[p].next {
@@ -337,11 +343,11 @@ func TestSplitCacheLimitPolicies(t *testing.T) {
 }
 
 // Contains reports whether key is resident — a probe for tests that
-// does not touch the lookup counters or the TinyLFU sketch.
+// does not touch the lookup counters or the CLOCK marks.
 func (c *Cache) Contains(key uint64) bool {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	_, ok := s.m[key]
+	ok := s.find(key) >= 0
 	s.mu.Unlock()
 	return ok
 }
@@ -361,8 +367,10 @@ func (c *Cache) Lookup(keys []uint64, dst *tensor.Tensor) ([]bool, int) {
 func (c *Cache) Keys() []uint64 {
 	out := make([]uint64, 0, c.Len())
 	c.eachShard(func(s *cacheShard) {
-		for key := range s.m {
-			out = append(out, key)
+		for _, q := range s.index {
+			if q != 0 {
+				out = append(out, s.slots[q-1].key)
+			}
 		}
 	})
 	return out

@@ -4,7 +4,7 @@
 //   - the collision-free node–timestamp hash and the deduplication
 //     filter of §4.1 (Algorithm 2),
 //   - the sharded, memory-bounded embedding memoization cache of §4.2
-//     with FIFO or TinyLFU admission,
+//     with CLOCK or FIFO eviction,
 //   - the precomputed time-encoding table of §4.3,
 //   - one window index per cached layer, recording every window each
 //     entry read, that keeps the cache exact under late inserts,

@@ -63,13 +63,13 @@ type oracleConfig struct {
 // decodeOracleConfig reads a configuration byte: bits 0–1 pick L (2, 3,
 // 4 or 1; at L = 1 the engine caches its only layer in layer 1's
 // cache, with a window index and no top memo), bit 2
-// FIFO over TinyLFU, bit 3 turns dedup off, bit 4 the top memo off (so
+// FIFO over CLOCK, bit 3 turns dedup off, bit 4 the top memo off (so
 // every answer goes through the layer caches), bit 5 the tight limit,
 // bit 6 a finite lateness, so the watermark moves and index records
 // retire.
 func decodeOracleConfig(c byte) oracleConfig {
 	opt := OptAll()
-	opt.CachePolicy = [2]CachePolicy{CacheTinyLFU, CacheFIFO}[c>>2&1]
+	opt.CachePolicy = [2]CachePolicy{CacheClock, CacheFIFO}[c>>2&1]
 	opt.EnableDedup = c>>3&1 == 0
 	opt.CacheLimit = [2]int{1 << 16, oracleTightLimit}[c>>5&1]
 	lateness := [2]float64{1e12, oracleFiniteLateness}[c>>6&1] // 1e12: every late edge, negative ones too, is accepted

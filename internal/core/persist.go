@@ -153,8 +153,8 @@ func (c *Cache) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	// Rows enter through storeOne so TinyLFU admission behaves exactly
-	// like live stores.
+	// Rows enter through storeOne so eviction behaves exactly like
+	// live stores; a loaded row starts unmarked.
 	for i, key := range recs.keys {
 		c.storeOne(key, recs.tags[i], recs.rows[i*c.dim:(i+1)*c.dim])
 	}

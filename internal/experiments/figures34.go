@@ -30,7 +30,7 @@ func Figure3(w io.Writer, s Setup, name string, buckets int) ([]Figure3Point, er
 	}
 	opt := optAllScaled(s)
 	opt.CacheLimit = 1 << 30 // unbounded for the redundancy analysis
-	// Nothing is ever evicted, so admission never runs: keep the paper's
+	// Nothing is ever evicted, so the policy never acts: keep the paper's
 	// FIFO policy.
 	opt.CachePolicy = core.CacheFIFO
 	eng := core.NewEngine(wl.Model, wl.Sampler, opt)

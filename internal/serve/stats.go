@@ -262,19 +262,17 @@ var metricTable = []metric{
 	gauge("tgopt_graph_nodes", "Nodes in the serving graph.", "num_nodes"),
 	gauge("tgopt_graph_edges", "Interactions ingested.", "num_edges"),
 	gauge("tgopt_cache_items", "Memoized embeddings resident.", "cache_items"),
-	gauge("tgopt_cache_bytes", "Slab bytes of the caches: row chunks plus slots.", "cache_bytes"),
+	gauge("tgopt_cache_bytes", "Slab bytes of the caches: row chunks, slots and key index.", "cache_bytes"),
 	gauge("tgopt_cache_hit_rate", "Memo cache hits per lookup since boot.", "hit_rate"),
 	gauge("tgopt_cache_lookups_total", "Memo cache lookups.", "cache.lookups"),
 	gauge("tgopt_cache_hits_total", "Memo cache hits.", "cache.hits"),
 	gauge("tgopt_cache_misses_total", "Memo cache misses.", "cache.misses"),
-	gauge("tgopt_cache_admit_rejected_total", "Stores refused admission by the TinyLFU filter.", "cache.admit_rejected"),
 	gauge("tgopt_cache_layer_entries", "Memoized embeddings resident in RAM for the layer.", "cache_layers[layer].items"),
-	gauge("tgopt_cache_layer_bytes", "Slab bytes of the layer's cache: row chunks plus slots.", "cache_layers[layer].bytes"),
+	gauge("tgopt_cache_layer_bytes", "Slab bytes of the layer's cache: row chunks, slots and key index.", "cache_layers[layer].bytes"),
 	gauge("tgopt_cache_layer_index_records", "Live invalidation-index records (target + support) for the layer.", "cache_layers[layer].index_records"),
 	gauge("tgopt_cache_layer_lookups_total", "Layer cache lookups.", "cache_layers[layer].lookups"),
 	gauge("tgopt_cache_layer_hits_total", "Layer cache hits.", "cache_layers[layer].hits"),
 	gauge("tgopt_cache_layer_misses_total", "Layer cache misses.", "cache_layers[layer].misses"),
-	gauge("tgopt_cache_layer_admit_rejected_total", "Layer stores rejected by TinyLFU admission.", "cache_layers[layer].admit_rejected"),
 	gauge("tgopt_top_memo_lookups_total", "Top-layer memo lookups (target rows).", "cache.top_memo.lookups"),
 	gauge("tgopt_top_memo_hits_total", "Top-layer rows answered from the memo without recomputing.", "cache.top_memo.hits"),
 	gauge("tgopt_top_memo_stores_total", "Top-layer rows stored into the memo.", "cache.top_memo.stores"),

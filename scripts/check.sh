@@ -68,7 +68,7 @@ one snapshot format (no sidecar, no per-shard params parse)	-E	posVersion|writeW
 one snapshot rule (a load keeps a row only if it would read the same inputs: no edge replay)	-E	EdgesFrom	nontest	the snapshot's edge replay is back
 one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	internal/core/persist.go	the snapshot's watermark stamp is back
 one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hedged reads)	-E	Breaker|HedgeDelay|hedgeDelayFor|Quorum	internal/shard internal/serve cmd	a second shard health rule is back
-one sketch site (a TinyLFU sketch is built only where a shard arms it)	-E	= newFreqSketch\(	internal/core	a second TinyLFU sketch site is back: a shard builds its sketch only on the insert that brings it to half its limit	1
+one admission rule (the memo cache admits every store: no frequency sketch, no admission filter)	-E	freqSketch|admitRejected|CacheTinyLFU	internal/core internal/serve cmd	an admission filter is back in the memo cache
 one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
@@ -161,8 +161,8 @@ echo "== shard chaos gate (panic injection, crash and restart, routing around a 
 go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeSnapshotWith|TestServeWarmStart' \
     ./internal/shard/... ./internal/serve/...
 
-echo "== cache admission and counters (TinyLFU vs FIFO, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
-go test -race -count=5 -run 'TestTinyLFU|TestZipfTrace|TestFreqSketch|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
+echo "== cache eviction and counters (CLOCK's second chance, CLOCK >= FIFO on a Zipf trace and on an evicting engine stream, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
+go test -race -count=5 -run 'TestClockKeepsReferencedRow|TestZipfTrace|TestEngineClockHits|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
 
 echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
 go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
