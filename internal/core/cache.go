@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
-	"tgopt/internal/parallel"
 	"tgopt/internal/tensor"
 )
 
@@ -307,17 +305,13 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// cacheParallelThreshold is the batch size above which LookupInto and
-// Store fan out across shards-independent chunks.
-const cacheParallelThreshold = 2048
-
 // LookupInto searches for every key and copies each hit's embedding
 // into the corresponding row of dst (shape (len(keys), dim)), leaving
 // miss rows untouched. It writes the hit mask into hits, a slice of
 // length len(keys) (every element is written, so callers may pass
-// dirty arena scratch), and returns the hit count. The loop
-// parallelizes for large batches; distinct keys never contend on the
-// same row.
+// dirty arena scratch), and returns the hit count. Keys are looked up
+// in order on the caller's goroutine, so the CLOCK marks a call sets,
+// like the rows a Store evicts, are a function of the calls alone.
 func (c *Cache) LookupInto(keys []uint64, dst *tensor.Tensor, hits []bool) int {
 	return c.lookupExact(keys, nil, dst, hits)
 }
@@ -333,22 +327,9 @@ func (c *Cache) lookupExact(keys []uint64, ts []float64, dst *tensor.Tensor, hit
 		panic("core: cache Lookup hits length mismatch")
 	}
 	data := dst.Data()
-	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
-		var nhits atomic.Int64
-		parallel.ForChunked(len(keys), 0, func(lo, hi int) {
-			nhits.Add(int64(c.lookupRange(keys, ts, data, hits, lo, hi)))
-		})
-		return int(nhits.Load())
-	}
-	return c.lookupRange(keys, ts, data, hits, 0, len(keys))
-}
-
-// lookupRange performs lookups for keys [lo,hi), returning the local
-// hit count. Hit/miss counters and CLOCK marks are set under the shard
-// lock.
-func (c *Cache) lookupRange(keys []uint64, ts []float64, data []float32, hits []bool, lo, hi int) int {
+	// Hit/miss counters and CLOCK marks are set under the shard lock.
 	local := 0
-	for i := lo; i < hi; i++ {
+	for i := range keys {
 		hits[i] = false
 		if ts != nil && !inKeyDomain(ts[i]) {
 			continue
@@ -388,15 +369,7 @@ func (c *Cache) storeExact(keys []uint64, ts []float64, tags []uint64, h *tensor
 		panic("core: cache Store shape mismatch")
 	}
 	data := h.Data()
-	if len(keys) >= cacheParallelThreshold && parallel.Degree() > 1 {
-		parallel.ForChunked(len(keys), 0, func(lo, hi int) { c.storeRange(keys, ts, tags, data, lo, hi) })
-		return
-	}
-	c.storeRange(keys, ts, tags, data, 0, len(keys))
-}
-
-func (c *Cache) storeRange(keys []uint64, ts []float64, tags []uint64, data []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range keys {
 		if ts != nil && !inKeyDomain(ts[i]) {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"tgopt/internal/parallel"
@@ -232,11 +233,14 @@ func TestCacheConcurrentStoreLookup(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCacheLargeBatchParallelPath: a batch of thousands of keys, the
+// size that once fanned out across goroutines, stores and reads back
+// every row under a parallel degree of 4.
 func TestCacheLargeBatchParallelPath(t *testing.T) {
 	prevDeg := parallel.SetDegree(4)
 	defer parallel.SetDegree(prevDeg)
 	c := NewCache(100000, 2, 16)
-	n := cacheParallelThreshold + 1000
+	n := 3048
 	keys := make([]uint64, n)
 	h := tensor.New(n, 2)
 	for i := range keys {
@@ -252,6 +256,51 @@ func TestCacheLargeBatchParallelPath(t *testing.T) {
 	for i := 0; i < n; i += 997 {
 		if !hits[i] || dst.At(i, 0) != float32(i) {
 			t.Fatalf("parallel row %d wrong", i)
+		}
+	}
+}
+
+// TestCacheLargeCallIsAFunctionOfItsInputs: the rows a call of
+// thousands of keys evicts, and the CLOCK marks its lookups set, follow
+// from the calls alone. Twenty fresh caches take the same calls — a
+// store that overflows the cache, a lookup of every third key, a
+// second overflowing store — and each must hold the same keys in the
+// same age order, shard by shard; check.sh runs it at 1, 2 and 4 Ps.
+func TestCacheLargeCallIsAFunctionOfItsInputs(t *testing.T) {
+	const n = 8192 + 1000
+	keys := make([]uint64, 2*n)
+	for i := range keys {
+		keys[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	h := tensor.New(n, 2)
+	for _, policy := range []CachePolicy{CacheClock, CacheFIFO} {
+		var want [][]uint64
+		for run := 0; run < 20; run++ {
+			c := NewCacheWith(CacheConfig{Limit: n / 3, Dim: 2, Shards: 16, Policy: policy})
+			c.Store(keys[:n], h)
+			every3 := make([]uint64, 0, n/3+1)
+			for i := 0; i < n; i += 3 {
+				every3 = append(every3, keys[i])
+			}
+			c.Lookup(every3, tensor.New(len(every3), 2))
+			c.Store(keys[n:], h)
+			var got [][]uint64
+			c.eachShard(func(s *cacheShard) {
+				var order []uint64
+				for p := s.head; p >= 0; p = s.slots[p].next {
+					order = append(order, s.slots[p].key)
+				}
+				got = append(got, order)
+			})
+			if run == 0 {
+				want = got
+				continue
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("policy %v, run %d: shard %d holds %d keys in another order than run 0's %d", policy, run, i, len(got[i]), len(want[i]))
+				}
+			}
 		}
 	}
 }

@@ -251,9 +251,9 @@ func (e *Engine) LoadCaches(path string) error {
 	return e.LoadCachesFS(checkpoint.OS{}, path)
 }
 
-// LoadCachesFS is LoadCaches over an injectable file system — the
-// shard supervisor restores a crashed shard's snapshot through it so
-// fault tests can drive the restart leg with internal/faultfs. On a
+// LoadCachesFS is LoadCaches over an injectable file system — a
+// server's warm start reads its snapshots through it, so fault tests
+// can drive the restart leg with internal/faultfs. On a
 // live graph the caller holds the read side of the graph's write gate
 // (graph.Dynamic.Gate) until the load returns, so every kept row's
 // window is the graph's when the row is indexed.

@@ -47,24 +47,6 @@ func TestDynamicAppendValidation(t *testing.T) {
 	}
 }
 
-func TestDynamicGrowNodes(t *testing.T) {
-	d := NewDynamic(2)
-	if _, err := d.Append(Edge{Src: 1, Dst: 2, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	d.GrowNodes(5)
-	if d.NumNodes() != 5 {
-		t.Fatalf("NumNodes = %d", d.NumNodes())
-	}
-	if _, err := d.Append(Edge{Src: 5, Dst: 1, Time: 2}); err != nil {
-		t.Fatal(err)
-	}
-	d.GrowNodes(3) // shrink attempts are no-ops
-	if d.NumNodes() != 5 {
-		t.Fatal("GrowNodes shrank the graph")
-	}
-}
-
 func TestDynamicWindowMatchesGraph(t *testing.T) {
 	// Build the same edge stream both ways; temporal degrees must agree
 	// everywhere.
@@ -177,31 +159,6 @@ func TestDynamicAppendsDoNotChangePastWindows(t *testing.T) {
 	}
 }
 
-func TestDynamicSnapshotRoundTrip(t *testing.T) {
-	d := NewDynamic(4)
-	d.Append(Edge{Src: 1, Dst: 2, Time: 5})
-	d.Append(Edge{Src: 3, Dst: 4, Time: 7})
-	d.Append(Edge{Src: 2, Dst: 3, Time: 9})
-	g, err := d.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 3 || g.NumNodes() != 4 {
-		t.Fatalf("snapshot: %d edges %d nodes", g.NumEdges(), g.NumNodes())
-	}
-	ge := g.Edges()
-	de := d.Edges()
-	for i := range ge {
-		if ge[i] != de[i] {
-			t.Fatalf("edge %d differs: %+v vs %+v", i, ge[i], de[i])
-		}
-	}
-	// Snapshot preserves src/dst orientation.
-	if ge[0].Src != 1 || ge[0].Dst != 2 {
-		t.Fatal("snapshot flipped edge orientation")
-	}
-}
-
 func TestDynamicConcurrentAppendAndSample(t *testing.T) {
 	d := NewDynamic(10)
 	for i := 0; i < 50; i++ {
@@ -244,36 +201,12 @@ func TestDynamicConcurrentAppendAndSample(t *testing.T) {
 	}
 }
 
-// GrowNodes extends the node id space to newNumNodes (no-op if already
-// at least that large).
-func (d *Dynamic) GrowNodes(newNumNodes int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if newNumNodes <= d.numNodes {
-		return
-	}
-	for len(d.adj) < newNumNodes+1 {
-		d.adj = append(d.adj, dynAdj{})
-	}
-	d.numNodes = newNumNodes
-}
-
 // TemporalDegree returns |N(v, t)|.
 func (d *Dynamic) TemporalDegree(v int32, t float64) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nghs, _, _ := d.windowLocked(v, t)
 	return len(nghs)
-}
-
-// Snapshot materializes the current state as an immutable Graph with
-// the same chronological edge stream.
-func (d *Dynamic) Snapshot() (*Graph, error) {
-	d.mu.RLock()
-	edges := d.copyEdgesLocked()
-	n := d.numNodes
-	d.mu.RUnlock()
-	return NewGraph(n, edges)
 }
 
 // Graph returns the underlying immutable graph, or nil when the sampler

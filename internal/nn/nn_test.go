@@ -291,40 +291,6 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 	}
 }
 
-func TestBCEWithLogitsKnownValues(t *testing.T) {
-	logits := tensor.FromSlice([]float32{0, 0}, 2)
-	loss := BCEWithLogits(logits, []float32{1, 0})
-	if math.Abs(loss-math.Log(2)) > 1e-6 {
-		t.Fatalf("BCE at logit 0 = %v, want ln2", loss)
-	}
-	confident := tensor.FromSlice([]float32{20, -20}, 2)
-	if l := BCEWithLogits(confident, []float32{1, 0}); l > 1e-6 {
-		t.Fatalf("confident correct BCE = %v, want ~0", l)
-	}
-	wrong := tensor.FromSlice([]float32{-20, 20}, 2)
-	if l := BCEWithLogits(wrong, []float32{1, 0}); l < 19 {
-		t.Fatalf("confident wrong BCE = %v, want ~20", l)
-	}
-}
-
-func TestBCEGradMatchesFiniteDifference(t *testing.T) {
-	r := tensor.NewRNG(10)
-	logits := tensor.Randn(r, 5)
-	labels := []float32{1, 0, 1, 1, 0}
-	g := BCEWithLogitsGrad(logits, labels)
-	eps := 1e-3
-	for i := 0; i < 5; i++ {
-		plus := logits.Clone()
-		plus.Data()[i] += float32(eps)
-		minus := logits.Clone()
-		minus.Data()[i] -= float32(eps)
-		fd := (BCEWithLogits(plus, labels) - BCEWithLogits(minus, labels)) / (2 * eps)
-		if math.Abs(fd-float64(g.Data()[i])) > 1e-3 {
-			t.Fatalf("grad[%d] = %v, finite diff %v", i, g.Data()[i], fd)
-		}
-	}
-}
-
 func TestAveragePrecisionPerfectAndRandom(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.2, 0.1}
 	labels := []bool{true, true, false, false}
@@ -350,33 +316,6 @@ func TestAccuracy(t *testing.T) {
 	if Accuracy(nil, nil) != 0 {
 		t.Fatal("empty Accuracy should be 0")
 	}
-}
-
-// BCEWithLogits computes the mean binary cross-entropy between logits
-// and {0,1} labels, numerically stable via the log-sum-exp form:
-// loss = max(x,0) - x·y + log(1+e^{-|x|}).
-func BCEWithLogits(logits *tensor.Tensor, labels []float32) float64 {
-	if logits.Len() != len(labels) {
-		panic("nn: BCEWithLogits length mismatch")
-	}
-	var total float64
-	for i, x := range logits.Data() {
-		xf, y := float64(x), float64(labels[i])
-		total += math.Max(xf, 0) - xf*y + math.Log1p(math.Exp(-math.Abs(xf)))
-	}
-	return total / float64(len(labels))
-}
-
-// BCEWithLogitsGrad returns dLoss/dLogits = (sigmoid(x) - y)/n for the
-// mean BCE above, used by the trainer to seed backpropagation.
-func BCEWithLogitsGrad(logits *tensor.Tensor, labels []float32) *tensor.Tensor {
-	n := float32(logits.Len())
-	g := tensor.New(logits.Shape()...)
-	for i, x := range logits.Data() {
-		s := float32(1 / (1 + math.Exp(-float64(x))))
-		g.Data()[i] = (s - labels[i]) / n
-	}
-	return g
 }
 
 // Forward applies the layer to x of shape (n, in), producing (n, out).

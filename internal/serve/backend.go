@@ -12,8 +12,9 @@ import (
 // version. *shard.Core (one engine over the server's graph) and
 // *shard.Router (N cores over that graph behind a scatter-gather) both
 // satisfy it as they are; their methods say what each call means there.
-// Engines and Batchers are the live cores' parts, which a scrape reads
-// (stats.go).
+// Engines and Batchers are the cores' parts, which a scrape reads
+// (stats.go). Up counts the cores that take calls, and OnDown is how the
+// server learns that one went down (swap.go's restart).
 type backend interface {
 	EmbedRows(ctx context.Context, nodes []int32, ts []float64) (slab []float32, degraded []int, err error)
 	Apply(e graph.Edge, res graph.IngestResult) int
@@ -21,4 +22,6 @@ type backend interface {
 	WarmStart() (warmed int, err error)
 	Engines() []*core.Engine
 	Batchers() []*batcher.Batcher
+	Up() int
+	OnDown(f func())
 }

@@ -688,8 +688,8 @@ func TestBackendSwapPrepareRunsOutsideTheRequestGate(t *testing.T) {
 // TestBackendOneModelVersion: the params version is a property of the
 // published model, so every place that reports it — Server.ModelVersion,
 // /v1/stats model.version, tgopt_model_version and each live engine —
-// reads one number: at boot, after a swap, and after the supervisor has
-// rebuilt crashed shards on the swapped model. Each scrape's /metrics is
+// reads one number: at boot, after a swap, and after the server has
+// replaced a version with a core down on the swapped model. Each scrape's /metrics is
 // its /v1/stats (scrapeBoth), and a swap restarts the per-version
 // counters (the engines' and batchers') while the since-boot ones
 // (ingested, swaps) carry on.
@@ -756,25 +756,13 @@ func TestBackendOneModelVersion(t *testing.T) {
 			t.Errorf("after swap: ingested %g, swaps %g: since-boot counters restarted", metrics["tgopt_ingested_total"], metrics["tgopt_model_swaps_total"])
 		}
 
-		if r := s.Router(); r != nil {
-			// Crash every shard that sees the poisoned target, let the
-			// supervisor rebuild them, and ask again.
-			armed.Store(true)
-			req := embedRequest{Nodes: []int32{1, 2, poisoned, 4}, Times: []float64{90, 90, 90, 90}}
-			if _, code, err := postBody(ts.URL, "/v1/embed", req); err != nil || code != http.StatusPartialContent {
-				t.Fatalf("poisoned embed: code %d err %v, want 206", code, err)
-			}
-			armed.Store(false)
-			r.WaitRestarts()
-			waitForServe(t, 5*time.Second, func() bool {
-				var restarts int64
-				for _, st := range r.Stats().Shards {
-					restarts += st.Restarts
-				}
-				return restarts > 0 && len(r.Engines()) == m.shards
-			})
-			check("after supervisor rebuild", 5)
-		}
+		// Take down every core that sees the poisoned target, let the
+		// server replace the version, and ask again.
+		armed.Store(true)
+		poisonedEmbed(t, m, ts.URL)
+		armed.Store(false)
+		waitRestarts(t, s, 1)
+		check("after restart", 5)
 		swapTo(9, 6)
 		check("after second swap", 6)
 	})

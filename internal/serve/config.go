@@ -96,10 +96,13 @@ func NewFromConfig(model *tgat.Model, dyn *graph.Dynamic, cfg Config) (*Server, 
 // snapshotter and the swap loop, each only for a positive interval.
 // Call stop once the HTTP server has drained: it stops the swap loop,
 // so no swap lands before the final save, then the snapshotter, then
-// saves to CacheFile (returning that error) and closes the pool.
+// saves to CacheFile (returning that error) and stops restarts (Close).
 func (s *Server) Start() (stop func() error) {
 	if s.cfg.CacheFile != "" {
-		s.warmStart()
+		gate := s.dyn.Gate()
+		gate.RLock()
+		s.warmStart(s.cur.Load().backend)
+		gate.RUnlock()
 	}
 	s.ready.Store(true)
 	stopSnapshots, stopSwaps := func() {}, func() {}

@@ -8,12 +8,14 @@ import (
 // orchestrator drives restarts and traffic by:
 //
 //   - GET /healthz (liveness): 200 as long as the process can serve
-//     HTTP at all. It deliberately checks nothing else — a deployment
-//     with every shard down is degraded, not dead, and restarting the
-//     process would only lose the warm caches.
+//     HTTP at all. It deliberately checks nothing else — a server with
+//     a core down is replacing it, not dead, and restarting the process
+//     would only lose the warm caches.
 //   - GET /readyz (readiness): 200 only when the server should receive
 //     traffic: Start has warm-started, it is not draining (BeginDrain),
-//     and — in sharded mode — at least one shard is up.
+//     and a core of the serving version is up. A down single core reads
+//     503 until its replacement is published; a pool, until every shard
+//     is down.
 //
 // Both bypass the in-flight limit and deadline middleware: health
 // checks must answer while the serving path is saturated, which is
@@ -37,7 +39,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	pool := s.Router()
 	switch {
 	case s.draining.Load():
 		w.Header().Set("Retry-After", "1")
@@ -45,9 +46,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case !s.ready.Load():
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "warm-start not complete")
-	case pool != nil && pool.Up() == 0:
+	case s.cur.Load().backend.Up() == 0:
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no shard of %d is up", s.cfg.Shards)
+		httpError(w, http.StatusServiceUnavailable, "no core of %d is up", s.cfg.Shards)
 	default:
 		writeJSON(w, map[string]string{"status": "ready"})
 	}

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"tgopt/internal/core"
@@ -55,12 +56,18 @@ type Server struct {
 	// cfg is the validated configuration the server was built from, FS
 	// and Logf filled; every params version is built from it.
 	cfg Config
-	// cur is the params version serving. A request loads it once and
-	// runs wholly on it; SwapParams publishes a new one (swap.go).
+	// cur is the version serving. A request loads it once and runs
+	// wholly on it; SwapParams and restart publish a new one (swap.go).
 	cur atomic.Pointer[published]
 
+	// restartMu serializes restarts; closed, under it, stops them
+	// (Close). restarts counts the versions a restart published.
+	restartMu sync.Mutex
+	closed    bool
+	restarts  atomic.Int64
+
 	// wire formats /v1/embed rows (wire.go); it sits above the backend
-	// and outlives swaps, ingest and shard restarts unchanged.
+	// and outlives swaps, ingest and restarts unchanged.
 	wire *rowTextMemo
 
 	// swaps, rollbacks, and lastSwapUnix are the /v1/stats "model"
@@ -87,7 +94,7 @@ type Server struct {
 	// Embed/score failure accounting, split by cause so dashboards can
 	// tell "the client hung up" (499) from "we could not serve" (503):
 	// clientCancels counts abandoned requests, unavailable counts
-	// server-side failures, a pool with no shard up included. The 206
+	// server-side failures, a down core included. The 206
 	// degraded responses are counted where they are decided, in the
 	// Router.
 	clientCancels atomic.Int64
@@ -104,37 +111,33 @@ type Server struct {
 	snapshotErrors atomic.Int64
 }
 
-// published is one params version: a model, the backend computing
-// over it, and the model's affinity-head pack, which /v1/score reads.
-// None changes after it is published.
+// published is one version: a model, the backend computing over it,
+// and the model's affinity-head pack, which /v1/score reads. None
+// changes after it is published; restarting is the single-flight latch
+// of its replacement once a core of its backend goes down.
 type published struct {
-	model   *tgat.Model
-	backend backend
-	score   nn.MergePack
-}
-
-// close stops what the version runs in the background: a shard pool's
-// supervisor. A single core has nothing to stop.
-func (p *published) close() {
-	if r, ok := p.backend.(*shard.Router); ok {
-		r.Close()
-	}
+	model      *tgat.Model
+	backend    backend
+	score      nn.MergePack
+	restarting atomic.Bool
 }
 
 // build makes a version over m: one shard.Core over the server's
 // graph, or a shard.Router of cfg.Shards cores over it. Nothing below
-// it depends on which.
-func (s *Server) build(m *tgat.Model) (*published, error) {
-	p := &published{model: m, score: m.PackScore()}
+// it depends on which. A build that panics is an error.
+func (s *Server) build(m *tgat.Model) (p *published, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			p, err = nil, fmt.Errorf("serve: build panicked: %v", rec)
+		}
+	}()
+	p = &published{model: m, score: m.PackScore()}
 	if s.cfg.Shards == 1 {
 		p.backend = shard.NewCore(m, s.dyn, s.cfg.Engine, s.cfg.Config)
-		return p, nil
-	}
-	r, err := shard.NewRouter(m, s.dyn, s.cfg.Engine, s.cfg.Config)
-	if err != nil {
+	} else if p.backend, err = shard.NewRouter(m, s.dyn, s.cfg.Engine, s.cfg.Config); err != nil {
 		return nil, err
 	}
-	p.backend = r
+	p.backend.OnDown(func() { s.restart(p) })
 	return p, nil
 }
 
@@ -154,11 +157,13 @@ func (s *Server) Engine() *core.Engine {
 	return nil
 }
 
-// Close stops a sharded server's supervisor, so no shard restarts after
-// it returns; an unsharded server has nothing to stop. Start's stop
-// calls it. The error is always nil.
+// Close stops restarts: a restart in flight finishes first, and no
+// version is published by one after Close returns. Start's stop calls
+// it. The error is always nil.
 func (s *Server) Close() error {
-	s.cur.Load().close()
+	s.restartMu.Lock()
+	s.closed = true
+	s.restartMu.Unlock()
 	return nil
 }
 
@@ -375,8 +380,8 @@ const statusClientClosedRequest = 499
 //   - the client canceled → 499 accounting, not a server-side 503;
 //   - the deadline expired → 504 (the middleware's own 504 response
 //     wins the race; the write here is a discarded buffer);
-//   - no shard of the pool is up → 503 with a Retry-After hint,
-//     counted as unavailable;
+//   - the core is down, or no shard of the pool is up → 503 with a
+//     Retry-After hint, counted as unavailable;
 //   - anything else → 503, counted as unavailable.
 func (s *Server) writeEmbedError(w http.ResponseWriter, err error) {
 	switch {
@@ -385,7 +390,7 @@ func (s *Server) writeEmbedError(w http.ResponseWriter, err error) {
 		httpError(w, statusClientClosedRequest, "client closed request: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "request exceeded its deadline: %v", err)
-	case errors.Is(err, shard.ErrNoShardUp):
+	case errors.Is(err, shard.ErrShardDown), errors.Is(err, shard.ErrNoShardUp):
 		s.unavailable.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "%v", err)

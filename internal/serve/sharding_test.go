@@ -26,6 +26,30 @@ var shardTestEdges = []edgeJSON{
 	{Src: 6, Dst: 8, Time: 70}, {Src: 7, Dst: 1, Time: 80},
 }
 
+// waitRestarts waits until the server has published n restarts and
+// every core of the serving version is up.
+func waitRestarts(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	waitForServe(t, 5*time.Second, func() bool {
+		b := s.cur.Load().backend
+		return s.restarts.Load() >= n && b.Up() == len(b.Engines())
+	})
+}
+
+// poisonedEmbed asks for poisonEmbedder's node beside three others: a
+// single core answers 503, a pool 206.
+func poisonedEmbed(t *testing.T, m backendMode, url string) {
+	t.Helper()
+	want := http.StatusPartialContent
+	if m.shards == 0 {
+		want = http.StatusServiceUnavailable
+	}
+	req := embedRequest{Nodes: []int32{1, 2, 3, 4}, Times: []float64{90, 90, 90, 90}}
+	if _, code, err := postBody(url, "/v1/embed", req); err != nil || code != want {
+		t.Fatalf("poisoned embed: code %d err %v, want %d", code, err, want)
+	}
+}
+
 func waitForServe(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -158,19 +182,26 @@ func (p poisonEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64)
 // TestServeShardedPartialResponse drives the degraded contract over
 // HTTP: a request whose group fails on every shard returns 206 with
 // partial=true, null degraded rows, and exact remaining rows; /v1/stats
-// and /metrics expose the crash and restart; after the supervisor restarts
-// the crashed shards the same request returns 200 bitwise-identical to
-// the unsharded server.
+// and /metrics expose the crash and restart; once the server has
+// replaced the version the same request returns 200 bitwise-identical
+// to the unsharded server.
 func TestServeShardedPartialResponse(t *testing.T) {
 	const poisoned = 3
-	var armed atomic.Bool
+	var armed, holdBuild atomic.Bool
+	release := make(chan struct{})
+	releaseBuild := sync.OnceFunc(func() { close(release) })
 	_, off := testServer(t)
 	s, on := testServerWith(t, func(c *Config) {
 		c.Shards = 4
 		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+			if holdBuild.Load() {
+				<-release // the replacement's build waits for the scrape below
+			}
 			return poisonEmbedder{Embedder: e, node: poisoned, armed: &armed}
 		}
 	})
+	t.Cleanup(releaseBuild) // before the server's Close, which waits out the restart
+	holdBuild.Store(true)
 	ingest(t, off.URL, shardTestEdges)
 	ingest(t, on.URL, shardTestEdges)
 
@@ -233,30 +264,28 @@ func TestServeShardedPartialResponse(t *testing.T) {
 	}
 	armed.Store(false)
 
-	// The poisoned group's shards crashed; the supervisor restarts them
-	// and the pool settles back to full clean 200s. The healthy replicas
-	// can serve that 200 before any rebuild has finished, so wait for
-	// the rebuilds themselves before reading the restart counters.
-	s.Router().WaitRestarts()
-	waitForServe(t, 5*time.Second, func() bool {
-		body, code, err := postBody(on.URL, "/v1/embed", req)
-		return err == nil && code == 200 && bytes.Equal(body, want)
-	})
-
-	sr, _ := scrapeBoth(t, on.URL)
-	if sr.Shards == nil {
-		t.Fatal("stats missing shards section")
+	// The poisoned group's shards went down, and the replacement's build
+	// waits: /v1/stats shows the version that lost them. Its counters go
+	// with it when the server replaces it.
+	down, _ := scrapeBoth(t, on.URL)
+	if down.Shards == nil || down.Shards.Healthy == 4 || down.Restarts != 0 {
+		t.Fatalf("before the restart: %+v, restarts %d; want a shard down and no restart", down.Shards, down.Restarts)
 	}
-	if sr.Shards.PartialResponses == 0 || sr.Shards.DegradedTargets == 0 {
-		t.Fatalf("partial counters not booked: %+v", sr.Shards)
+	if down.Shards.PartialResponses == 0 || down.Shards.DegradedTargets == 0 {
+		t.Fatalf("partial counters not booked: %+v", down.Shards)
 	}
-	var panics, restarts int64
-	for _, v := range sr.Shards.Shards {
+	var panics int64
+	for _, v := range down.Shards.Shards {
 		panics += v.Panics
-		restarts += v.Restarts
 	}
-	if panics == 0 || restarts == 0 {
-		t.Fatalf("crash and restart not visible in stats: panics=%d restarts=%d", panics, restarts)
+	if panics == 0 {
+		t.Fatal("the shards' panics are not visible in stats")
+	}
+	releaseBuild()
+	waitRestarts(t, s, 1)
+	requireBody(t, "after the restart", on.URL, "/v1/embed", req, want)
+	if sr, _ := scrapeBoth(t, on.URL); sr.Restarts != 1 || sr.Shards.Healthy != 4 {
+		t.Fatalf("after the restart: restarts = %d, healthy = %d; want 1 and 4", sr.Restarts, sr.Shards.Healthy)
 	}
 
 	// The same cycle must be scrapeable from /metrics.
@@ -273,7 +302,7 @@ func TestServeShardedPartialResponse(t *testing.T) {
 		"tgopt_partial_responses_total",
 		"tgopt_shard_up{shard=\"0\"}",
 		"tgopt_shard_panics_total{shard=",
-		"tgopt_shard_restarts_total{shard=",
+		"tgopt_restarts_total 1",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Fatalf("/metrics missing %q", series)
@@ -301,9 +330,9 @@ func (c crashEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) 
 	return c.Embedder.EmbedWith(ar, nodes, ts)
 }
 
-// crashedPool is a 2-shard server whose router is closed, so a crashed
-// shard stays down, and whose shards crash in id order as down rises;
-// set configures the rest (nil: nothing).
+// crashedPool is a 2-shard server that is closed, so no restart
+// replaces a version with a shard down, and whose shards crash in id
+// order as down rises; set configures the rest (nil: nothing).
 func crashedPool(t *testing.T, set func(*Config)) (*Server, *httptest.Server, *atomic.Int32) {
 	t.Helper()
 	down := new(atomic.Int32)
@@ -317,7 +346,7 @@ func crashedPool(t *testing.T, set func(*Config)) (*Server, *httptest.Server, *a
 		}
 	})
 	ingest(t, ts.URL, shardTestEdges)
-	s.Router().Close()
+	s.Close()
 	return s, ts, down
 }
 

@@ -7,22 +7,25 @@ import (
 	"time"
 )
 
-// warmStart loads the cache snapshot a previous process saved to
-// CacheFile. A missing snapshot is a normal cold start; a corrupt or
-// unreadable one, or one computed from other parameters or features, is
-// logged and also starts cold — the engine's LoadCaches is
-// all-or-nothing. Of an accepted snapshot the engine keeps the rows
-// whose window the graph still gives them; the backend holds the
-// graph's write gate, read side, while the load re-samples those
-// windows.
-func (s *Server) warmStart() {
+// warmStart loads into b the cache snapshot a previous process, or the
+// version b replaces, saved to CacheFile. A missing snapshot is a
+// normal cold start; a corrupt or unreadable one, or one computed from
+// other parameters or features, is logged and also starts cold — the
+// engine's LoadCaches is all-or-nothing. Of an accepted snapshot the
+// engine keeps the rows whose window the graph still gives them; the
+// caller holds the graph's write gate, read side, while the load
+// re-samples those windows.
+func (s *Server) warmStart(b backend) {
 	path, logf := s.cfg.CacheFile, s.cfg.Logf
-	b := s.cur.Load().backend
 	warmed, err := b.WarmStart()
 	switch {
 	case err == nil:
+		n := 0
+		for _, eng := range b.Engines() {
+			n += eng.CacheLen()
+		}
 		logf("warm-started %d memoized embeddings from %s (%d of %d cores)",
-			s.CacheLen(), path, warmed, len(b.Engines()))
+			n, path, warmed, len(b.Engines()))
 	case errors.Is(err, fs.ErrNotExist):
 		logf("no warm cache at %s; starting cold", path)
 	default:

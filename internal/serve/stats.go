@@ -43,11 +43,14 @@ type statsResponse struct {
 	// ClientCancels (499-style) and Unavailable (real 503s) split the
 	// failed-computation accounting by cause; a pool's 206 partials are
 	// under Shards.
-	ClientCancels int64       `json:"client_cancels"`
-	Unavailable   int64       `json:"unavailable"`
-	Snapshots     int64       `json:"snapshots"`
-	SnapErrors    int64       `json:"snapshot_errors"`
-	Ingest        ingestStats `json:"ingest"`
+	ClientCancels int64 `json:"client_cancels"`
+	Unavailable   int64 `json:"unavailable"`
+	// Restarts counts the versions published to replace one with a
+	// core down (swap.go's restart).
+	Restarts   int64       `json:"restarts"`
+	Snapshots  int64       `json:"snapshots"`
+	SnapErrors int64       `json:"snapshot_errors"`
+	Ingest     ingestStats `json:"ingest"`
 	// Model reports the online-learning loop: the params version
 	// serving, successful hot-swaps, rejected (rolled-back) swaps, and
 	// when the last swap landed.
@@ -56,7 +59,7 @@ type statsResponse struct {
 	Batching batchStats            `json:"batching"`
 	// Config is the value of every serving knob (config.go).
 	Config configStats `json:"config"`
-	// Shards reports per-shard crash/restart state and the router's
+	// Shards reports per-shard state and the router's
 	// failover/degradation counters in sharded mode.
 	Shards *shard.RouterStats `json:"shards,omitempty"`
 }
@@ -138,6 +141,7 @@ func (s *Server) scrape() statsResponse {
 		Panics:        s.panics.Load(),
 		ClientCancels: s.clientCancels.Load(),
 		Unavailable:   s.unavailable.Load(),
+		Restarts:      s.restarts.Load(),
 		Snapshots:     s.snapshotSaves.Load(),
 		SnapErrors:    s.snapshotErrors.Load(),
 		Ingest: ingestStats{
@@ -290,6 +294,7 @@ var metricTable = []metric{
 	gauge("tgopt_panics_total", "Handler panics recovered to 500.", "panics"),
 	gauge("tgopt_client_cancels_total", "Computations abandoned because the client went away (499-style).", "client_cancels"),
 	gauge("tgopt_unavailable_total", "Computations failed server-side (503), client cancels excluded.", "unavailable"),
+	gauge("tgopt_restarts_total", "Versions published to replace one with a core down.", "restarts"),
 	gauge("tgopt_snapshots_total", "Background cache snapshots written.", "snapshots"),
 	gauge("tgopt_snapshot_errors_total", "Cache snapshot or warm-start failures.", "snapshot_errors"),
 	gauge("tgopt_model_version", "Params version currently serving.", "model.version"),
@@ -313,12 +318,11 @@ var metricTable = []metric{
 	gauge("tgopt_shard_snapshot_saves_total", "Per-shard cache snapshots written.", "shards.snapshot_saves"),
 	gauge("tgopt_shard_snapshot_errors_total", "Per-shard snapshot save/load failures.", "shards.snapshot_errors"),
 	gauge("tgopt_shard_snapshot_loads_total", "Shards warm-started from a snapshot.", "shards.snapshot_loads"),
-	gauge("tgopt_shard_up", "1 if the shard is live, 0 while crashed/rebuilding.", "!shards.shards[shard=id].crashed"),
+	gauge("tgopt_shard_up", "1 if the shard is live, 0 once its core is down.", "!shards.shards[shard=id].crashed"),
 	gauge("tgopt_shard_calls_total", "Embed legs executed by the shard.", "shards.shards[shard=id].calls"),
 	gauge("tgopt_shard_errors_total", "Failed legs (timeouts and panics excluded).", "shards.shards[shard=id].errors"),
 	gauge("tgopt_shard_timeouts_total", "Legs that exceeded their deadline budget.", "shards.shards[shard=id].timeouts"),
 	gauge("tgopt_shard_panics_total", "Engine panics contained by the shard boundary.", "shards.shards[shard=id].panics"),
-	gauge("tgopt_shard_restarts_total", "Supervisor restarts completed.", "shards.shards[shard=id].restarts"),
 	summary("tgopt_stage_latency_seconds", "Engine per-stage latency quantiles.",
 		"stages[stage].p50_us", "stages[stage].p90_us", "stages[stage].p99_us", "stages[stage].total_ms", "stages[stage].count"),
 }

@@ -8,14 +8,20 @@ import (
 
 	"tgopt/internal/checkpoint"
 	"tgopt/internal/swap"
+	"tgopt/internal/tgat"
 	"tgopt/internal/trainer"
 )
 
-// This file is the serving side of the online-learning loop (DESIGN.md
-// §15): SwapParams publishes a new params version built from a
-// published parameter snapshot, and swapTick is the background loop
-// Start runs — either fine-tuning locally and publishing, or watching a
-// swap directory another process publishes into.
+// This file is how a version comes to serve (DESIGN.md §13, §15):
+// publish builds, warms and publishes a version, and its two callers
+// are SwapParams, which publishes a new params version, and restart,
+// which replaces a version one of whose cores went down. swapTick is
+// the background loop Start runs — either fine-tuning locally and
+// publishing, or watching a swap directory another process publishes
+// into.
+
+// restartPause paces restart attempts after a build that failed.
+const restartPause = 100 * time.Millisecond
 
 // SwapParams makes the params checkpoint at path, as the given version,
 // the one serving. The checkpoint is parsed and fully validated
@@ -37,25 +43,84 @@ func (s *Server) SwapParams(fsys checkpoint.FS, path string, version uint64) err
 	}
 	m := s.cur.Load().model
 	sp, err := m.ParseParamsFS(fsys, path)
-	var next *published
 	if err == nil {
-		next, err = s.build(m.WithParams(sp, version))
+		_, err = s.publish(m.WithParams(sp, version), nil)
 	}
 	if err != nil {
 		s.rollbacks.Add(1)
 		return fmt.Errorf("serve: swap to v%d rejected, serving v%d unchanged: %w",
 			version, m.Version(), err)
 	}
-	// The store takes no lock. An ingest holds the graph's write gate
-	// from loading the version it invalidates to its last invalidation,
-	// and every pass of every version holds the read side, so a version
-	// published inside that hold computes and caches nothing until the
-	// ingest's edges are written and invalidated.
-	old := s.cur.Swap(next)
-	old.close()
 	s.swaps.Add(1)
 	s.lastSwapUnix.Store(time.Now().Unix())
 	return nil
+}
+
+// publish builds a version over m and makes it the one serving, and
+// reports whether it did. A swap (crashed nil) publishes whatever
+// serves, and its version starts with empty caches. A restart replaces
+// crashed, a version with a core down, by one over crashed's model: it
+// first saves crashed's live cores to CacheFile (a down core refuses,
+// so its last snapshot stands), then warms the new version from
+// CacheFile and publishes it only if crashed still serves, so a swap
+// that landed first wins.
+//
+// A swap's publish takes no lock. An ingest holds the
+// graph's write gate from loading the version it invalidates to its
+// last invalidation, and every pass of every version holds the read
+// side, so a version published inside that hold computes and caches
+// nothing until the ingest's edges are written and invalidated. A
+// restart's warm and publish share one hold of the read side: an edge
+// written before it is in the graph the warm re-samples, and one
+// written after it is invalidated on the new version.
+func (s *Server) publish(m *tgat.Model, crashed *published) (bool, error) {
+	warm := crashed != nil && s.cfg.CacheFile != ""
+	if warm {
+		// A save that fails (a down core always refuses) leaves the last
+		// snapshot standing, which the warm checks like any other.
+		_ = crashed.backend.SaveSnapshot()
+	}
+	next, err := s.build(m)
+	if err != nil {
+		return false, err
+	}
+	if crashed == nil {
+		s.cur.Store(next)
+		return true, nil
+	}
+	gate := s.dyn.Gate()
+	gate.RLock()
+	defer gate.RUnlock()
+	if warm {
+		s.warmStart(next.backend)
+	}
+	return s.cur.CompareAndSwap(crashed, next), nil
+}
+
+// restart replaces p, whose core just went down, on a goroutine of its
+// own; it runs once per version, whichever pass saw the panic. A build
+// that fails is logged and retried after restartPause until p no longer
+// serves or the server closes.
+func (s *Server) restart(p *published) {
+	if !p.restarting.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		s.restartMu.Lock()
+		defer s.restartMu.Unlock()
+		s.cfg.Logf("restart: a core of params v%d is down; rebuilding", p.model.Version())
+		for attempt := 1; !s.closed && s.cur.Load() == p; attempt++ {
+			ok, err := s.publish(p.model, p)
+			switch {
+			case err != nil:
+				s.cfg.Logf("restart: attempt %d: %v", attempt, err)
+				time.Sleep(restartPause)
+			case ok:
+				s.restarts.Add(1)
+				s.cfg.Logf("restart: published (attempt %d)", attempt)
+			}
+		}
+	}()
 }
 
 // SwapConfig configures the background swap loop. Every tick failure

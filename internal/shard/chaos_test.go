@@ -1,8 +1,16 @@
-package shard
+package shard_test
+
+// The chaos tests crash shards of a pool that a serve.Server runs: a
+// core that panics goes down for good, the router routes around it,
+// and the server replaces the whole version, as a params swap does.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -13,99 +21,186 @@ import (
 	"tgopt/internal/core"
 	"tgopt/internal/faultfs"
 	"tgopt/internal/graph"
+	"tgopt/internal/serve"
+	"tgopt/internal/shard"
 	"tgopt/internal/tensor"
+	"tgopt/internal/tgat"
 )
 
 // chaosEmbedder injects faults into exactly one failure domain: while
-// mode is non-zero, calls on the target shard panic (mode 1) or stall
-// (mode 2). Every other shard computes normally.
+// mode is chaosPanic, passes on the target shard panic, and each panic
+// is counted. Every other shard computes normally.
 type chaosEmbedder struct {
 	core.Embedder
-	shard  int
-	target *atomic.Int32 // which shard id misbehaves (set after ring build)
-	mode   *atomic.Int32
+	shard    int
+	target   *atomic.Int32 // which shard id misbehaves (set after ring build)
+	mode     *atomic.Int32
+	panicked *atomic.Int64
 }
 
 const (
 	chaosOff   int32 = 0
 	chaosPanic int32 = 1
-	chaosStall int32 = 2
 )
 
 func (c *chaosEmbedder) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
-	if int32(c.shard) == c.target.Load() {
-		switch c.mode.Load() {
-		case chaosPanic:
-			panic(fmt.Sprintf("chaos: injected panic on shard %d", c.shard))
-		case chaosStall:
-			time.Sleep(200 * time.Millisecond)
-		}
+	if int32(c.shard) == c.target.Load() && c.mode.Load() == chaosPanic {
+		c.panicked.Add(1)
+		panic(fmt.Sprintf("chaos: injected panic on shard %d", c.shard))
 	}
 	return c.Embedder.EmbedWith(ar, nodes, ts)
 }
 
+// chaosServer serves a pool over a graph seeded with edges, configured
+// by set, and returns the server and its URL. Both close with the test.
+func chaosServer(t *testing.T, m *tgat.Model, edges []graph.Edge, set func(*serve.Config)) (*serve.Server, string) {
+	t.Helper()
+	cfg := serve.DefaultConfig()
+	cfg.Limits = serve.Limits{}
+	set(&cfg)
+	s, err := serve.NewFromConfig(m, shard.SeededDynamic(t, edges), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts.URL
+}
+
+// embedReply is a /v1/embed body; a degraded row is null.
+type embedReply struct {
+	Embeddings [][]float32 `json:"embeddings"`
+	Partial    bool        `json:"partial"`
+	Degraded   []int       `json:"degraded"`
+}
+
+// embed posts the targets to /v1/embed and returns the status and, for
+// a 200 or 206, the decoded body.
+func embed(ctx context.Context, url string, nodes []int32, ts []float64) (int, embedReply, error) {
+	var rep embedReply
+	body, err := json.Marshal(map[string]any{"nodes": nodes, "times": ts})
+	if err != nil {
+		return 0, rep, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/embed", bytes.NewReader(body))
+	if err != nil {
+		return 0, rep, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, rep, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusPartialContent {
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+	}
+	return resp.StatusCode, rep, err
+}
+
+// matches reports whether every row of rep is want's or, listed in
+// Degraded, null.
+func (rep embedReply) matches(want []float32) bool {
+	if len(rep.Embeddings) == 0 {
+		return false
+	}
+	d := len(want) / len(rep.Embeddings)
+	for i, row := range rep.Embeddings {
+		if slices.Contains(rep.Degraded, i) {
+			if row != nil {
+				return false
+			}
+		} else if !slices.Equal(row, want[i*d:(i+1)*d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// requireClean embeds the targets and fails the test unless the answer
+// is a 200 whose every row is want's.
+func requireClean(t *testing.T, what, url string, nodes []int32, ts []float64, want []float32) {
+	t.Helper()
+	code, rep, err := embed(context.Background(), url, nodes, ts)
+	if err != nil || code != http.StatusOK || !rep.matches(want) {
+		t.Fatalf("%s: code %d err %v partial %v: want a 200 bitwise the unsharded reference", what, code, err, rep.Partial)
+	}
+}
+
+// restarts reads the server's restart count from /v1/stats.
+func restarts(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Restarts int64 `json:"restarts"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Restarts
+}
+
+func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("condition not reached in time")
+}
+
 // TestChaosShardPanicUnderLoad is the headline robustness test: under
 // concurrent deadline-bounded load, one shard's engine panics
-// repeatedly. The run must show (a) every non-degraded row of every
-// response bitwise-identical to an unsharded single-engine run, (b) no
-// whole-request failures beyond context expiry — shard death degrades,
-// never errors, (c) no request outliving its deadline by more than
-// scheduling slack, and (d) the victim crashing, the supervisor
-// restarting it, and its own legs reaching it again.
+// repeatedly — each version the server publishes loses the same shard
+// again until the fault clears. The run must show (a) every response a
+// 200 or 206 (or a 504 at the deadline) whose non-degraded rows are
+// bitwise an unsharded single-engine run's, (b) no request outliving
+// its deadline by more than scheduling slack, and (c) the server
+// replacing the version, after which every shard is up, the victim's
+// rebuilt core — and its batcher — serves its own rows again, bitwise.
 func TestChaosShardPanicUnderLoad(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(60)
-	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
-
-	var mode, victim atomic.Int32
-	victim.Store(-1)
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 4,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-			return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode}
-		},
-	})
-	// Make the primary of the first queried node the victim so the
-	// fault is guaranteed to sit on the request path.
-	victim.Store(int32(r.Owner(nodes[0])))
+	m := shard.ModelForTest(t)
+	edges := shard.EdgesForTest(60)
+	nodes, ts := shard.EmbedQuery()
+	want := shard.ReferenceSlab(t, m, edges, nodes, ts)
 
 	const (
 		workers    = 8
 		perWorker  = 30
 		reqTimeout = 500 * time.Millisecond
 	)
+	var mode, victim atomic.Int32
+	var panicked atomic.Int64
+	victim.Store(-1)
+	s, url := chaosServer(t, m, edges, func(c *serve.Config) {
+		c.Shards = 4
+		c.Limits.Timeout = reqTimeout
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+			return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode, panicked: &panicked}
+		}
+	})
+	// Make the primary of the first queried node the victim so the
+	// fault is guaranteed to sit on the request path. The ring is a
+	// function of the shard count, so every version puts it there.
+	vid := s.Router().Owner(nodes[0])
+	victim.Store(int32(vid))
+	bootBatcher := s.Router().Batchers()[vid]
+
 	var (
-		wg          sync.WaitGroup
-		hardFails   atomic.Int64
-		overruns    atomic.Int64
-		misrows     atomic.Int64
-		clean       atomic.Int64
-		degradedSum atomic.Int64
+		wg        sync.WaitGroup
+		hardFails atomic.Int64
+		overruns  atomic.Int64
+		misrows   atomic.Int64
+		clean     atomic.Int64
+		completed atomic.Int64
 	)
-	d := r.Dim()
-	check := func(res *Result) {
-		bad := map[int]bool{}
-		for _, i := range res.Degraded {
-			bad[i] = true
-		}
-		degradedSum.Add(int64(len(res.Degraded)))
-		for i := range nodes {
-			if bad[i] {
-				continue
-			}
-			for j := 0; j < d; j++ {
-				if res.Slab[i*d+j] != want[i*d+j] {
-					misrows.Add(1)
-					return
-				}
-			}
-		}
-		if !res.Partial {
-			clean.Add(1)
-		}
-	}
-	var completed atomic.Int64
 	total := int64(workers * perWorker)
 	// armed closes once the panic is armed. Workers hold at the quarter
 	// mark until then: a workload that answers from memo finishes in less
@@ -119,22 +214,23 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 				if completed.Load() >= total/4 {
 					<-armed
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), reqTimeout)
 				start := time.Now()
-				res, err := r.Embed(ctx, nodes, ts)
-				elapsed := time.Since(start)
-				cancel()
-				completed.Add(1)
-				if elapsed > reqTimeout+300*time.Millisecond {
+				code, rep, err := embed(context.Background(), url, nodes, ts)
+				if time.Since(start) > reqTimeout+300*time.Millisecond {
 					overruns.Add(1)
 				}
-				if err != nil {
-					if ctx.Err() == nil {
-						hardFails.Add(1) // failed for a non-deadline reason
-					}
-					continue
+				completed.Add(1)
+				switch {
+				case err != nil:
+					hardFails.Add(1)
+				case code == http.StatusGatewayTimeout:
+				case code != http.StatusOK && code != http.StatusPartialContent:
+					hardFails.Add(1) // failed for a non-deadline reason
+				case !rep.matches(want):
+					misrows.Add(1)
+				case code == http.StatusOK:
+					clean.Add(1)
 				}
-				check(res)
 			}
 		}()
 	}
@@ -142,14 +238,12 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 	// Mid-load: arm the panic once a quarter of the workload has flowed
 	// (progress-synchronized, not wall-clock — the workload may be
 	// arbitrarily fast), keep it armed until the victim demonstrably
-	// panicked, then disarm and let the supervisor bring it back while
-	// the remaining load keeps flowing.
+	// panicked, then disarm and let the server bring it back while the
+	// remaining load keeps flowing.
 	waitFor(t, 10*time.Second, func() bool { return completed.Load() >= total/4 })
 	mode.Store(chaosPanic)
 	close(armed)
-	waitFor(t, 10*time.Second, func() bool {
-		return r.shards[int(victim.Load())].panics.Load() > 0
-	})
+	waitFor(t, 10*time.Second, func() bool { return panicked.Load() > 0 })
 	mode.Store(chaosOff)
 	wg.Wait()
 
@@ -166,202 +260,204 @@ func TestChaosShardPanicUnderLoad(t *testing.T) {
 		t.Error("no clean full responses at all; pool never recovered")
 	}
 
-	// The victim must have crashed and restarted. The restart runs on
-	// the supervisor goroutine, so wait rather than assert
-	// instantaneously.
-	vid := int(victim.Load())
-	waitFor(t, 5*time.Second, func() bool {
-		v := r.Stats().Shards[vid]
-		return v.Panics > 0 && v.Restarts > 0
-	})
-
-	// After the storm the pool must settle back to full clean service.
-	waitFor(t, 2*time.Second, func() bool {
-		res, err := r.Embed(context.Background(), nodes, ts)
-		return err == nil && !res.Partial
-	})
-	res, err := r.Embed(context.Background(), nodes, ts)
-	if err != nil || res.Partial {
-		t.Fatalf("post-recovery embed: err=%v partial=%v", err, res.Partial)
-	}
-	for i := range want {
-		if res.Slab[i] != want[i] {
-			t.Fatalf("post-restart slab[%d] = %v, want %v (not bitwise identical)", i, res.Slab[i], want[i])
-		}
-	}
-	// The victim may have panicked again between its first restart and
-	// the disarm — healthy shards serve the clean embeds above while
-	// that second rebuild is still in flight — so wait for the
-	// supervisor, then check the victim is up and serves its own rows
-	// again.
-	r.WaitRestarts()
-	if v := r.Stats().Shards[vid]; v.Crashed {
-		t.Fatalf("victim still crashed after its restarts: %+v", v)
-	}
+	// The version that lost the victim last may still be being replaced
+	// when the load ends: wait until the serving version has every
+	// shard up. With the fault cleared nothing takes one down again.
+	waitFor(t, 5*time.Second, func() bool { return restarts(t, url) > 0 && s.Router().Up() == 4 })
+	r := s.Router()
 	calls := r.Stats().Shards[vid].Calls
-	res, err = r.Embed(context.Background(), nodes, ts)
-	if err != nil || res.Partial {
-		t.Fatalf("embed after the victim's restart: err=%v partial=%v", err, res != nil && res.Partial)
-	}
+	requireClean(t, "after the restart", url, nodes, ts, want)
 	if r.Stats().Shards[vid].Calls == calls {
 		t.Fatal("the restarted victim served none of its own rows")
 	}
-	if !slices.Equal(res.Slab, want) {
-		t.Fatal("rows served by the restarted victim differ from the unsharded reference")
+	if b := r.Batchers()[vid]; b == bootBatcher || b.Stats().Enqueued == 0 {
+		t.Fatalf("the rebuilt victim's batcher (%p, boot %p) served nothing: %+v", b, bootBatcher, b.Stats())
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("condition not reached in time")
-}
-
-// TestChaosRestartFromSnapshot pins the restart-from-snapshot leg: a
-// crashed shard warms its rebuilt caches from its last snapshot (saved
-// through a fault-injecting FS to prove the envelope survives), and a
-// bit-flipped snapshot is detected and demoted to a cold start — the
-// shard still comes back serving bitwise-correct rows either way.
+// TestChaosRestartFromSnapshot pins the restart-from-snapshot leg: the
+// version that replaces one with a shard down warms from the snapshot
+// directory — the live shards' rows saved by the restart itself, the
+// victim's from its last save, written through a fault-injecting FS to
+// prove the envelope survives — and a bit-flipped snapshot of the
+// victim is detected and demoted to a cold start. The replacement
+// serves bitwise-correct rows either way.
 func TestChaosRestartFromSnapshot(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(50)
-	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
+	m := shard.ModelForTest(t)
+	edges := shard.EdgesForTest(50)
+	nodes, ts := shard.EmbedQuery()
+	want := shard.ReferenceSlab(t, m, edges, nodes, ts)
 	for name, corrupt := range map[string]bool{"warm": false, "corrupt-cold": true} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			ffs := faultfs.NewFS()
 			var mode, victim atomic.Int32
+			var panicked atomic.Int64
 			victim.Store(-1)
-			r := newTestRouter(t, m, edges, Config{
-				Shards:    3,
-				CacheFile: dir,
-				FS:        ffs,
-				WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-					return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode}
-				},
+			s, url := chaosServer(t, m, edges, func(c *serve.Config) {
+				c.Shards = 3
+				c.CacheFile = dir
+				c.FS = faultfs.NewFS()
+				c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+					return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode, panicked: &panicked}
+				}
 			})
-			victim.Store(int32(r.Owner(nodes[0])))
-			vid := int(victim.Load())
+			vid := s.Router().Owner(nodes[0])
+			victim.Store(int32(vid))
 
-			if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.SaveSnapshot(); err != nil {
+			requireClean(t, "warm-up", url, nodes, ts, want)
+			if err := s.SaveSnapshot(); err != nil {
 				t.Fatal(err)
 			}
 			if corrupt {
-				path := filepath.Join(dir, fmt.Sprintf("shard-%d.tgc", vid))
-				if err := faultfs.FlipBit(path, 120); err != nil {
+				if err := faultfs.FlipBit(filepath.Join(dir, fmt.Sprintf("shard-%d.tgc", vid)), 120); err != nil {
 					t.Fatal(err)
 				}
 			}
-			loadsBefore := r.Stats().SnapshotLoads
 
-			// Kill the victim once.
+			// Kill the victim once: its rows fail over or degrade.
 			mode.Store(chaosPanic)
-			res, err := r.Embed(context.Background(), nodes, ts)
+			code, rep, err := embed(context.Background(), url, nodes, ts)
 			mode.Store(chaosOff)
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || (code != http.StatusOK && code != http.StatusPartialContent) || !rep.matches(want) {
+				t.Fatalf("embed as the victim panics: code %d err %v", code, err)
 			}
-			_ = res // may be partial or rescued by failover; both fine
+			if panicked.Load() != 1 {
+				t.Fatalf("the victim panicked %d times, want 1", panicked.Load())
+			}
 
-			waitFor(t, 2*time.Second, func() bool {
-				return r.Stats().Shards[vid].Restarts > 0 && !r.shards[vid].crashed.Load()
-			})
-			st := r.Stats()
-			loads := st.SnapshotLoads - loadsBefore
+			waitFor(t, 5*time.Second, func() bool { return restarts(t, url) > 0 })
+			if n := restarts(t, url); n != 1 {
+				t.Fatalf("restarts = %d, want 1", n)
+			}
+			st := s.Router().Stats()
 			if corrupt {
-				if loads != 0 {
-					t.Fatalf("corrupt snapshot was loaded (%d loads)", loads)
+				if st.SnapshotLoads != 2 || st.SnapshotErrors != 1 {
+					t.Fatalf("corrupt victim snapshot: %d loads, %d errors; want 2 and 1", st.SnapshotLoads, st.SnapshotErrors)
 				}
-				if st.SnapshotErrors == 0 {
-					t.Fatal("corrupt snapshot not counted")
-				}
-			} else if loads != 1 {
-				t.Fatalf("snapshot loads = %d, want 1", loads)
+			} else if st.SnapshotLoads != 3 || st.SnapshotErrors != 0 {
+				t.Fatalf("snapshot loads = %d, errors = %d; want 3 and 0", st.SnapshotLoads, st.SnapshotErrors)
 			}
-
-			// Either way the rebuilt shard serves bitwise-correct rows.
-			waitFor(t, 2*time.Second, func() bool {
-				res, err := r.Embed(context.Background(), nodes, ts)
-				return err == nil && !res.Partial
-			})
-			res, err = r.Embed(context.Background(), nodes, ts)
-			if err != nil || res.Partial {
-				t.Fatalf("post-restart embed: err=%v partial=%v", err, res != nil && res.Partial)
-			}
-			for i := range want {
-				if res.Slab[i] != want[i] {
-					t.Fatalf("post-restart slab[%d] differs from reference", i)
-				}
-			}
+			requireClean(t, "after the restart", url, nodes, ts, want)
 		})
 	}
 }
 
 // TestChaosIngestDuringRestart pins that a restart misses no write:
-// edges the graph takes while a shard is down are in the graph its
-// rebuilt core samples, so post-restart rows reflect the full stream.
+// edges the graph takes while a shard is down and its replacement is
+// still being built are in the graph the replacement samples, so rows
+// after the restart reflect the full stream.
 func TestChaosIngestDuringRestart(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(40)
-	nodes, ts := embedQuery()
+	m := shard.ModelForTest(t)
+	edges := shard.EdgesForTest(40)
+	nodes, ts := shard.EmbedQuery()
 
 	var mode, victim atomic.Int32
+	var panicked atomic.Int64
+	var holdBuild atomic.Bool
+	release := make(chan struct{})
+	releaseBuild := sync.OnceFunc(func() { close(release) })
 	victim.Store(-1)
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 3,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-			return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode}
-		},
+	s, url := chaosServer(t, m, edges, func(c *serve.Config) {
+		c.Shards = 3
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+			if holdBuild.Load() {
+				<-release
+			}
+			return &chaosEmbedder{Embedder: e, shard: id, target: &victim, mode: &mode, panicked: &panicked}
+		}
 	})
-	victim.Store(int32(r.Owner(nodes[0])))
-	vid := int(victim.Load())
+	t.Cleanup(releaseBuild) // before the server's Close, which waits out the restart
+	victim.Store(int32(s.Router().Owner(nodes[0])))
+	requireClean(t, "warm-up", url, nodes, ts, shard.ReferenceSlab(t, m, edges, nodes, ts))
 
-	if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash the victim, then ingest edges while it is (possibly still)
-	// down.
+	// Crash the victim, then ingest while its replacement's build waits.
+	holdBuild.Store(true)
 	mode.Store(chaosPanic)
-	if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
-		t.Fatal(err)
+	if code, _, err := embed(context.Background(), url, nodes, ts); err != nil || (code != http.StatusOK && code != http.StatusPartialContent) {
+		t.Fatalf("embed as the victim panics: code %d err %v", code, err)
 	}
 	mode.Store(chaosOff)
 	extra := []graph.Edge{
 		{Src: nodes[0], Dst: 5, Time: 850},
 		{Src: 3, Dst: nodes[0], Time: 950},
 	}
-	for _, e := range extra {
-		ingest(t, r, e)
+	body, err := json.Marshal(map[string]any{"edges": extra})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	waitFor(t, 2*time.Second, func() bool {
-		return r.Stats().Shards[vid].Restarts > 0 && !r.shards[vid].crashed.Load()
-	})
-	waitFor(t, 2*time.Second, func() bool {
-		res, err := r.Embed(context.Background(), nodes, ts)
-		return err == nil && !res.Partial
-	})
-
-	all := append(append([]graph.Edge(nil), edges...), extra...)
-	want := referenceSlab(t, m, all, nodes, ts)
-	res, err := r.Embed(context.Background(), nodes, ts)
-	if err != nil || res.Partial {
-		t.Fatalf("embed: err=%v partial=%v", err, res.Partial)
+	resp, err := http.Post(url+"/v1/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if res.Slab[i] != want[i] {
-			t.Fatalf("slab[%d] = %v, want %v (restarted shard missed an ingested edge)", i, res.Slab[i], want[i])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest during the restart: %d", resp.StatusCode)
+	}
+	if n := restarts(t, url); n != 0 {
+		t.Fatalf("restarts = %d before the replacement's build was released", n)
+	}
+	releaseBuild()
+
+	waitFor(t, 5*time.Second, func() bool { return restarts(t, url) > 0 })
+	all := append(slices.Clone(edges), extra...)
+	requireClean(t, "after the restart", url, nodes, ts, shard.ReferenceSlab(t, m, all, nodes, ts))
+}
+
+// lateFault stalls shard 0's first pass once armed for 300 ms, then
+// panics.
+type lateFault struct {
+	core.Embedder
+	id    int
+	armed *atomic.Bool
+}
+
+func (f lateFault) EmbedWith(ar *tensor.Arena, nodes []int32, ts []float64) *tensor.Tensor {
+	if f.id == 0 && f.armed.Swap(false) {
+		time.Sleep(300 * time.Millisecond)
+		panic("injected late fault")
+	}
+	return f.Embedder.EmbedWith(ar, nodes, ts)
+}
+
+// TestRouterPanicAfterLegDeadlineCrashesShard: a pass that panics
+// after its leg gave up at the deadline has still taken its core down.
+// The leg books a timeout; the pass's panic is counted once, and the
+// server replaces the version, whose shards are all up and answer
+// bitwise.
+func TestRouterPanicAfterLegDeadlineCrashesShard(t *testing.T) {
+	m := shard.ModelForTest(t)
+	edges := shard.EdgesForTest(60)
+	nodes, ts := shard.EmbedQuery()
+	want := shard.ReferenceSlab(t, m, edges, nodes, ts)
+	var armed atomic.Bool
+	s, url := chaosServer(t, m, edges, func(c *serve.Config) {
+		c.Shards = 2
+		c.WrapEmbedder = func(id int, e core.Embedder) core.Embedder {
+			return lateFault{Embedder: e, id: id, armed: &armed}
 		}
+	})
+	boot := s.Router()
+	if !slices.ContainsFunc(nodes, func(v int32) bool { return boot.Owner(v) == 0 }) {
+		t.Fatal("fixture has no target on shard 0")
+	}
+	armed.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	boot.Embed(ctx, nodes, ts) // shard 0's leg gives up at its budget
+	cancel()
+
+	waitFor(t, 5*time.Second, func() bool { return restarts(t, url) > 0 && boot.Stats().Shards[0].Panics > 0 })
+	if st := boot.Stats().Shards[0]; st.Panics != 1 || st.Timeouts != 1 || !st.Crashed {
+		t.Fatalf("shard 0 after a pass panicked past its leg's deadline: %+v; want one timeout, one panic, down", st)
+	}
+	r := s.Router()
+	if r == boot || r.Up() != 2 {
+		t.Fatalf("the replacement: same router %v, %d shards up; want a new one with 2", r == boot, r.Up())
+	}
+	requireClean(t, "after the restart", url, nodes, ts, want)
+	if r.Stats().Shards[0].Calls == 0 {
+		t.Fatal("the rebuilt shard 0 served no leg")
+	}
+	if n := restarts(t, url); n != 1 {
+		t.Fatalf("restarts = %d, want 1", n)
 	}
 }

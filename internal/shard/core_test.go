@@ -3,44 +3,71 @@ package shard
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tgopt/internal/batcher"
 	"tgopt/internal/core"
+	"tgopt/internal/graph"
 )
 
 // TestCorePassPanicIsErrPassPanicked: an engine panic inside a core's
-// pass comes back as batcher.ErrPassPanicked — the error a Shard
-// escalates to its supervisor — and the core keeps answering bitwise
-// afterwards. Cancelling a caller mid-pass is pinned where a caller
-// must not wait out a pass, at Shard.call
-// (TestRouterLegCancelableMidPass).
+// pass comes back as batcher.ErrPassPanicked, takes the core down once —
+// its OnDown hook runs one time — and the core is never called again:
+// an embed is ErrShardDown without reaching the engine, an edge
+// invalidates nothing, and a save is refused. Cancelling a caller
+// mid-pass is pinned where a caller must not wait out a pass, at
+// Shard.call (TestRouterLegCancelableMidPass).
 func TestCorePassPanicIsErrPassPanicked(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(60)
 	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
 
 	var armed atomic.Bool
+	var calls, downs atomic.Int64
 	c := NewCore(m, seededDynamic(t, edges), core.OptAll(), Config{
+		CacheFile: filepath.Join(t.TempDir(), "cache.tgc"),
 		WrapEmbedder: func(_ int, e core.Embedder) core.Embedder {
-			return &panicEmbedder{Embedder: e, armed: armed.Load}
+			return &panicEmbedder{Embedder: e, armed: func() bool {
+				calls.Add(1)
+				return armed.Load()
+			}}
 		},
 	})
+	c.OnDown(func() { downs.Add(1) })
+	if _, _, err := c.EmbedRows(context.Background(), nodes, ts); err != nil || c.Up() != 1 {
+		t.Fatalf("healthy core: err = %v, up = %d", err, c.Up())
+	}
 	armed.Store(true)
 	_, _, err := c.EmbedRows(context.Background(), nodes, ts)
-	armed.Store(false)
 	if !errors.Is(err, batcher.ErrPassPanicked) {
 		t.Fatalf("engine panic: err = %v, want batcher.ErrPassPanicked", err)
 	}
-
-	slab, degraded, err := c.EmbedRows(context.Background(), nodes, ts)
-	if err != nil || degraded != nil {
-		t.Fatalf("after the panic: err=%v degraded=%v", err, degraded)
+	if c.Up() != 0 || downs.Load() != 1 {
+		t.Fatalf("after the panic: up = %d, OnDown ran %d times; want 0 and 1", c.Up(), downs.Load())
 	}
-	requireSlabEqual(t, "after the panic", slab, want)
+	armed.Store(false)
+
+	before := calls.Load()
+	for range 3 {
+		if _, _, err := c.EmbedRows(context.Background(), nodes, ts); !errors.Is(err, ErrShardDown) {
+			t.Fatalf("embed on a down core: err = %v, want ErrShardDown", err)
+		}
+	}
+	if n := calls.Load() - before; n != 0 {
+		t.Fatalf("the down core's engine was called %d more times", n)
+	}
+	if n := c.Apply(graph.Edge{Src: nodes[0], Dst: 2, Time: 5000}, graph.IngestAppended); n != 0 {
+		t.Fatalf("a down core invalidated %d rows", n)
+	}
+	if err := c.SaveSnapshot(); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("save on a down core: err = %v, want ErrShardDown", err)
+	}
+	if downs.Load() != 1 {
+		t.Fatalf("OnDown ran %d times, want 1", downs.Load())
+	}
 }
 
 // TestRouterLegCancelableMidPass: a leg whose context ends while its
@@ -84,85 +111,5 @@ func TestRouterLegCancelableMidPass(t *testing.T) {
 	}
 	if st := r.Stats().Shards[0]; st.Errors != 0 || st.Timeouts != 0 || st.Panics != 0 || st.Crashed {
 		t.Fatalf("a cancelled leg was booked against the shard: %+v", st)
-	}
-}
-
-// TestRouterPanicAfterLegDeadlineCrashesShard: a pass that panics
-// after its leg gave up at the deadline has still poisoned its core.
-// The leg books a timeout; the pass's panic is counted once and the
-// supervisor rebuilds the shard, which then answers bitwise.
-func TestRouterPanicAfterLegDeadlineCrashesShard(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(60)
-	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
-	var armed atomic.Bool
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 2,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-			// Stall 300 ms, then panic, once, on shard 0.
-			late := &panicEmbedder{Embedder: e, armed: func() bool { return id == 0 && armed.Swap(false) }}
-			return &slowEmbedder{Embedder: late, delay: func() time.Duration {
-				if id == 0 && armed.Load() {
-					return 300 * time.Millisecond
-				}
-				return 0
-			}}
-		},
-	})
-	s := r.shards[0]
-	armed.Store(true)
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if _, err := s.call(ctx, nodes, ts); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("leg past its deadline: err = %v, want context.DeadlineExceeded", err)
-	}
-	waitFor(t, 5*time.Second, func() bool { return r.Stats().Shards[0].Restarts > 0 })
-	r.WaitRestarts()
-	if st := r.Stats().Shards[0]; st.Panics != 1 || st.Restarts != 1 || st.Timeouts != 1 || st.Crashed {
-		t.Fatalf("shard 0 after a pass panicked past its leg's deadline: %+v; want one timeout, one panic, one restart, up", st)
-	}
-	slab, err := s.call(context.Background(), nodes, ts)
-	if err != nil {
-		t.Fatalf("after the restart: %v", err)
-	}
-	requireSlabEqual(t, "after the restart", slab, want)
-}
-
-// TestRouterSetBatchingCoversRestartedCores: every core the pool has
-// batches, and so does every core the supervisor builds later.
-func TestRouterSetBatchingCoversRestartedCores(t *testing.T) {
-	m := testModel(t)
-	edges := testEdges(60)
-	nodes, ts := embedQuery()
-	want := referenceSlab(t, m, edges, nodes, ts)
-
-	var victim atomic.Int64 // the shard that panics; -1 = none
-	victim.Store(-1)
-	r := newTestRouter(t, m, edges, Config{
-		Shards: 3,
-		WrapEmbedder: func(id int, e core.Embedder) core.Embedder {
-			return &panicEmbedder{Embedder: e, armed: func() bool { return victim.Load() == int64(id) }}
-		},
-	})
-	crashed := r.Owner(nodes[0])
-	before := r.Batchers()[crashed]
-	victim.Store(int64(crashed))
-	if _, err := r.Embed(context.Background(), nodes, ts); err != nil {
-		t.Fatal(err)
-	}
-	victim.Store(-1)
-	r.WaitRestarts()
-	if n := r.Stats().Shards[crashed].Restarts; n != 1 {
-		t.Fatalf("shard %d restarts = %d, want 1", crashed, n)
-	}
-	res, err := r.Embed(context.Background(), nodes, ts)
-	if err != nil || res.Partial {
-		t.Fatalf("after restart: err=%v partial=%v", err, res != nil && res.Partial)
-	}
-	requireSlabEqual(t, "after restart", res.Slab, want)
-	after := r.Batchers()[crashed]
-	if after == before || after.Stats().Enqueued == 0 {
-		t.Fatalf("the rebuilt core's batcher (%p, was %p) served nothing: %+v", after, before, after.Stats())
 	}
 }

@@ -64,28 +64,17 @@ type Result struct {
 }
 
 // Router owns the shard pool: it scatters embed calls by ring owner,
-// gathers rows back in request order, runs every accepted edge's
-// invalidation on each live shard, and supervises crashed shards back
-// to life.
+// gathers rows back in request order, routes around a down shard, and
+// runs every accepted edge's invalidation on each live shard. A
+// Router's shards never change: the server replaces a Router with a
+// shard down by a new one.
 type Router struct {
-	model *tgat.Model
-	dyn   *graph.Dynamic // the server's graph, which every core samples
-	opt   core.Options   // per-shard options (cache limits already divided)
-	cfg   Config
-	dim   int
+	dyn *graph.Dynamic // the server's graph, which every core samples
+	cfg Config
+	dim int
 
 	ring   *ring
 	shards []*Shard
-
-	closed atomic.Bool
-
-	// rebuilds counts supervisor rebuilds in flight and rebuildDone
-	// signals the count reaching zero. Not a WaitGroup: WaitRestarts
-	// may be waiting at zero while a crash arms the next rebuild, the
-	// one interleaving WaitGroup forbids.
-	rebuildMu   sync.Mutex
-	rebuildDone sync.Cond
-	rebuilds    int
 
 	routedAround atomic.Int64
 	degradedTgts atomic.Int64
@@ -113,41 +102,30 @@ func NewRouter(model *tgat.Model, dyn *graph.Dynamic, opt core.Options, cfg Conf
 	}
 	opt.CacheLimit = max(1, opt.CacheLimit/cfg.Shards)
 	r := &Router{
-		model: model,
-		dyn:   dyn,
-		opt:   opt,
-		cfg:   cfg,
-		dim:   model.Cfg.NodeDim,
-		ring:  newRing(cfg.Shards),
+		dyn:  dyn,
+		cfg:  cfg,
+		dim:  model.Cfg.NodeDim,
+		ring: newRing(cfg.Shards),
 	}
-	r.rebuildDone.L = &r.rebuildMu
 	if cfg.CacheFile != "" {
 		if err := cfg.FS.MkdirAll(cfg.CacheFile, 0o755); err != nil {
 			return nil, fmt.Errorf("shard: snapshot dir: %w", err)
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		c, err := r.buildCore(i)
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s := &Shard{id: i, r: r, core: c, lat: stats.NewHistogram()}
-		r.shards = append(r.shards, s)
+		c := newCore(model, dyn, opt, cfg, i)
+		r.shards = append(r.shards, &Shard{id: i, core: c, lat: stats.NewHistogram()})
 	}
 	return r, nil
 }
 
-// buildCore constructs one shard's Core over the router's graph. Engine
-// construction panics are converted to errors so a failed rebuild
-// cannot take the supervisor down with it.
-func (r *Router) buildCore(id int) (c *Core, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			c, err = nil, fmt.Errorf("shard: core build panicked: %v", rec)
-		}
-	}()
-	return newCore(r.model, r.dyn, r.opt, r.cfg, id), nil
+// OnDown makes f run on the goroutine whose pass panicked each time a
+// shard's core goes down (once per shard). Call it before the first
+// call.
+func (r *Router) OnDown(f func()) {
+	for _, s := range r.shards {
+		s.core.OnDown(f)
+	}
 }
 
 // Dim returns the embedding width of gathered rows.
@@ -308,17 +286,15 @@ func (r *Router) nextUp(owner int) *Shard {
 
 // Apply runs, on every live shard, the invalidation an edge requires
 // once the router's graph has taken it with outcome res, and returns the
-// summed count of memo entries dropped across the pool. Crashed shards
-// are skipped: a restart builds its core over the graph as it then is,
-// and its snapshot load keeps only rows whose window that graph still
-// gives them. A caller that writes beside passes or restarts holds the
-// graph's write gate (graph.Dynamic.Gate) across the write and this
-// call.
+// summed count of memo entries dropped across the pool. A down shard's
+// core skips it (Core.Apply): the version that replaces the router is built over the
+// graph as it then is, and its snapshot load keeps only rows whose
+// window that graph still gives them. A caller that writes beside
+// passes or restarts holds the graph's write gate (graph.Dynamic.Gate)
+// across the write and this call.
 func (r *Router) Apply(e graph.Edge, res graph.IngestResult) (invalidated int) {
 	for _, s := range r.shards {
-		if s.up() {
-			invalidated += s.currentCore().Apply(e, res)
-		}
+		invalidated += s.core.Apply(e, res)
 	}
 	return invalidated
 }
@@ -360,21 +336,21 @@ func (r *Router) Stats() RouterStats {
 	return st
 }
 
-// Engines returns the shards' current engines — the serving layer sums
-// cache, memo and stage figures across them.
+// Engines returns the shards' engines — the serving layer sums cache,
+// memo and stage figures across them.
 func (r *Router) Engines() []*core.Engine {
 	out := make([]*core.Engine, 0, len(r.shards))
 	for _, s := range r.shards {
-		out = append(out, s.currentCore().eng)
+		out = append(out, s.core.eng)
 	}
 	return out
 }
 
-// Batchers returns the shards' current batchers.
+// Batchers returns the shards' batchers.
 func (r *Router) Batchers() []*batcher.Batcher {
 	out := make([]*batcher.Batcher, 0, len(r.shards))
 	for _, s := range r.shards {
-		out = append(out, s.currentCore().bat)
+		out = append(out, s.core.bat)
 	}
 	return out
 }
@@ -388,10 +364,6 @@ func (r *Router) LayerCacheStats() []core.LayerCacheStats {
 	return sum
 }
 
-// Close stops the supervisor: no shard restarts after it returns, and
-// the restarts already in flight have finished. Safe to call more than
-// once.
-func (r *Router) Close() {
-	r.closed.Store(true)
-	r.WaitRestarts()
-}
+// Close does nothing: a Router runs nothing in the background. It
+// remains for benchmark/ until ROADMAP item 18.
+func (r *Router) Close() {}

@@ -327,11 +327,10 @@ func TestRouterRoutesAroundCrashedOwner(t *testing.T) {
 	nodes, ts := embedQuery()
 	want := referenceSlab(t, m, edges, nodes, ts)
 	r := newTestRouter(t, m, edges, Config{Shards: 3, CacheFile: t.TempDir()})
-	r.Close() // no supervisor: a crashed shard stays down
 
 	owner := r.Owner(nodes[0])
 	next := (owner + 1) % 3
-	r.crash(r.shards[owner], errors.New("injected crash"))
+	r.shards[owner].core.crash()
 	wantNextCalls := int64(1) // the owner's group
 	if slices.ContainsFunc(nodes, func(v int32) bool { return r.Owner(v) == next }) {
 		wantNextCalls++ // and its own
@@ -350,7 +349,7 @@ func TestRouterRoutesAroundCrashedOwner(t *testing.T) {
 	}
 
 	for _, s := range r.shards {
-		r.crash(s, errors.New("injected crash"))
+		s.core.crash()
 	}
 	if _, err := r.Embed(context.Background(), nodes, ts); !errors.Is(err, ErrNoShardUp) {
 		t.Fatalf("embed with no shard up: err = %v, want ErrNoShardUp", err)
@@ -545,9 +544,11 @@ func TestRouterSnapshotReplayBelowWatermark(t *testing.T) {
 // TestRouterRestartReplaysFromWatermark pins the warm restart over the
 // shared graph. After a snapshot, the graph takes a late edge and an
 // append, each changing an asked row, and every live shard invalidates
-// for them. Then the owner crashes, and its rebuilt core loads the
-// pre-write snapshot: only replaying the edges at or past the saved
-// watermark makes its rows the reference's.
+// for them. Then the owner goes down, and a restart saves the live
+// shards and builds a new router over the same graph, as the server
+// does: the owner's core loads the pre-write snapshot, and only
+// replaying the edges at or past the saved watermark makes its rows the
+// reference's.
 func TestRouterRestartReplaysFromWatermark(t *testing.T) {
 	m := testModel(t)
 	edges := testEdges(40) // times 10..400
@@ -574,33 +575,37 @@ func TestRouterRestartReplaysFromWatermark(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	r, err := NewRouter(m, lateGraph(t, edges), core.OptAll(), Config{Shards: 3, CacheFile: dir})
+	cfg := Config{Shards: 3, CacheFile: dir}
+	dyn := lateGraph(t, edges)
+	r, err := NewRouter(m, dyn, core.OptAll(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Close() })
 	poolSlab(t, r, nodes, ts) // warm
 	if err := r.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	ingest(t, r, late)
 	ingest(t, r, appended)
-	if n := r.dyn.LateAccepted(); n != 1 {
+	if n := dyn.LateAccepted(); n != 1 {
 		t.Fatalf("graph accepted %d late edges, want 1", n)
 	}
 
-	owner := r.shards[r.Owner(v)]
-	r.crash(owner, errors.New("injected crash"))
-	r.WaitRestarts()
-	if owner.restarts.Load() != 1 || owner.crashed.Load() {
-		t.Fatalf("owner restarts = %d, crashed = %v", owner.restarts.Load(), owner.crashed.Load())
+	owner := r.Owner(v)
+	r.shards[owner].core.crash()
+	if err := r.SaveSnapshot(); err != nil {
+		t.Fatal(err)
 	}
-	if n := r.Stats().SnapshotLoads; n != 1 {
-		t.Fatalf("snapshot loads = %d, want 1: the restart started cold", n)
+	next, err := NewRouter(m, dyn, core.OptAll(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	calls := owner.calls.Load()
-	got := poolSlab(t, r, nodes, ts)
-	if owner.calls.Load() == calls {
+	if warmed, err := next.WarmStart(); warmed != 3 || err != nil {
+		t.Fatalf("warmed %d shards (err %v), want 3", warmed, err)
+	}
+	calls := next.shards[owner].calls.Load()
+	got := poolSlab(t, next, nodes, ts)
+	if next.shards[owner].calls.Load() == calls {
 		t.Fatal("the rebuilt owner served no leg: the check below would not reach its caches")
 	}
 	if !slices.Equal(got, want) {

@@ -70,6 +70,7 @@ one snapshot rule (the snapshot carries no graph watermark)	-E	Watermark\(\)	int
 one shard health rule (up or crashed: no circuit breaker, no quorum knob, no hedged reads)	-E	Breaker|HedgeDelay|hedgeDelayFor|Quorum	internal/shard internal/serve cmd	a second shard health rule is back
 one admission rule (the memo cache admits every store: no frequency sketch, no admission filter)	-E	freqSketch|admitRejected|CacheTinyLFU	internal/core internal/serve cmd	an admission filter is back in the memo cache
 one key loop (core.ComputeKeysInto runs serially: a key is cheaper than a fan-out)	-E	computeKeysParallelThreshold	nontest	ComputeKeysInto fans out again
+one cache walk (a core.Cache call walks its keys in order on the caller's goroutine, so the rows it evicts are a function of the calls)	-E	cacheParallelThreshold	nontest	core.Cache fans a call out again
 one device model (the engine counts, internal/device prices)	-E	internal/device|CacheOnDevice|chargeTransfer|OpKind	internal/core	internal/core prices device work again
 one instrument (each engine owns its per-op table; nothing injects a Collector or a HitRate into the engine or the model)	-E	[A-Za-z0-9_] +\*stats\.(Collector|HitRate)|stats\.HitRate	internal/core internal/tgat	an injected instrument is back in internal/core or internal/tgat
 one time encoding pass (the engine encodes Δt in the layer tile: no delta slab, no fork-join of its own)	-E	encodeDeltas|\.EncodeIntoWith\(	internal/core -internal/core/timetable.go	internal/core encodes Δt outside the layer pass again
@@ -79,6 +80,7 @@ one constructor (inside package serve too)	-E	(^|[^A-Za-z0-9_.])New\(	./internal
 one histogram (Histogram and CountHistogram are typed fronts over one bucketing function and one atomic bucket array)	-E	func [A-Za-z]*[bB]ucketIdx\(|\[[A-Za-z]*[bB]uckets \+ 1\]atomic	internal/stats	a second histogram implementation is back in internal/stats	2
 one scrape (internal/shard sums no batcher: serving's scrape sums each once)	-E	batcher\.Snapshot	internal/shard	internal/shard re-sums the batchers again
 one scrape (internal/serve reads its engines' and batchers' figures in Server.scrape alone, one line each)	-E	\.(LayerCacheStats|TopMemoStats|StageStats|Occupancy|QueueWait)\(|newEngineTotals|newBatchTotals	internal/serve	a second pass gathers engine or batcher totals in internal/serve	5
+one restart (a core that panics goes down for good, and the server replaces its version as a swap does: internal/shard rebuilds no core of its own)	-E	restartOnce|WaitRestarts|restartBackoff|setCore|rebuildDone	internal/shard	a shard supervisor is back in internal/shard
 one compute path per core (every core's pass is its batcher's: no unbatched pass beside it, no switch between them, no core without a batcher)	-E	errCorePanic|Batching +bool|batch-off|bat (==|!=) nil	internal/shard internal/serve cmd	a second compute path or a batching switch is back in a core
 one write gate (no engine pass overlaps a gated graph write: no pass fence, no store rollback or skip counter, no ingest mutex, no graph change counters)	-E	passFence|staleFor|StaleStoreSkips|staleSkips|ingestMu|\.Mutations\(\)|\.Appends\(\)	nontest	a lock-free fence against graph writes, or an ingest mutex, is back
 GATES
@@ -155,17 +157,22 @@ go test -count=1 -tags purego ./internal/tensor/ ./internal/nn/ ./internal/tgat/
 GOOS=linux GOARCH=arm64 go build ./...
 echo "   portable stanza wall time: $((SECONDS - portable_start)) s"
 
-echo "== shard chaos gate (panic injection, crash and restart, routing around a crashed shard, restart-from-snapshot, every handler contract on all four backend modes; race-enabled)"
+echo "== shard chaos gate (panic injection, a core going down, the server's restart of its version, routing around a down shard, restart-from-snapshot, every handler contract on all four backend modes; race-enabled)"
 # TestCore and TestRouter include the one path's panic and cancel pins,
 # TestCorePassPanicIsErrPassPanicked and TestRouterLegCancelableMidPass.
-go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeSnapshotWith|TestServeWarmStart' \
+# TestChaos drives a pool through a serve.Server (internal/shard's
+# external tests); TestServeCorePanic and TestServeRestart a single core.
+go test -race -count=1 -run 'TestChaos|TestRouter|TestCore|TestBackend|TestServeSharded|TestServeHealth|TestServeSnapshotWith|TestServeWarmStart|TestServeCorePanic|TestServeRestart' \
     ./internal/shard/... ./internal/serve/...
 
 echo "== cache eviction and counters (CLOCK's second chance, CLOCK >= FIFO on a Zipf trace and on an evicting engine stream, lookups == hits + misses under concurrent lookup/store/remove; race-enabled, repeated)"
 go test -race -count=5 -run 'TestClockKeepsReferencedRow|TestZipfTrace|TestEngineClockHits|TestCacheStatsInvariant|TestCacheConcurrent|TestCacheWriteToConcurrentStores|TestEngineCacheStatsAggregates|TestCacheMatchesReferenceModel|TestCacheSnapshotWritesEachEntryOnce' ./internal/core/
+# A call of thousands of keys evicts the same rows in the same order at
+# one, two and four Ps.
+go test -race -count=1 -cpu 1,2,4 -run 'TestCacheLargeCallIsAFunctionOfItsInputs' ./internal/core/
 
 echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
-go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestRouterRestartReplaysFromWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled; the engine oracle's swap step runs in the race stanza)"
