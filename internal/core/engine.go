@@ -667,13 +667,22 @@ func (e *Engine) embed(ar *tensor.Arena, l int, nodes []int32, ts []float64) nn.
 		e.sampler.SampleTo(&b, missNodes, missTs)
 		e.observe(stats.OpNghLookup, nm, start)
 
-		// Recurse over targets ∪ neighbors (line 12).
+		// Recurse over targets ∪ neighbors (line 12). A padded slot
+		// recurses as ⟨0, 0⟩ rather than the ⟨0, t⟩ it carries: the layer
+		// pass never reads its row, node 0 has no edges so its embedding
+		// is the same at every time, and dedup then folds a level's
+		// padding into one row, which the cache holds exactly.
 		allNodes := ar.Int32s(nm + nm*k)
 		allTs := ar.Float64s(nm + nm*k)
 		copy(allNodes, missNodes)
 		copy(allTs, missTs)
 		copy(allNodes[nm:], b.Nghs)
-		copy(allTs[nm:], b.Times)
+		for j, ok := range b.Valid {
+			allTs[nm+j] = 0
+			if ok {
+				allTs[nm+j] = b.Times[j]
+			}
+		}
 		hAll := e.embed(ar, l-1, allNodes, allTs)
 		hTgt, hNgh := hAll.Slice(ar, 0, nm), hAll.Slice(ar, nm, nm+nm*k)
 

@@ -370,7 +370,7 @@ func TestEngineTimeEncodeCounts(t *testing.T) {
 	}{
 		{Options{}, 12, 8400, 12, 42000},
 		{Options{EnableTimePrecompute: true}, 12, 8400, 12, 42000},
-		{OptAll(), 12, 2553, 12, 12765},
+		{OptAll(), 12, 2401, 12, 12005},
 	} {
 		eng := NewEngine(m, s, tc.opt)
 		tgat.StreamInference(ds.Graph, m, 100, eng.EmbedFunc())

@@ -113,8 +113,8 @@ func absorbedAttention(ar *tensor.Arena, wk, wv *Linear, heads int, qp, kv *tens
 	c.qp, c.kv, c.mask, c.ctx = qp.Data(), kv.Data(), mask, ctx.Data()
 	// All scratch is drawn before any fan-out: chunk bodies index
 	// disjoint rows and the arena is never bumped inside the parallel
-	// region. qz holds one head's q̃ and then, in place, z̄.
-	c.qz = ar.Float32s(n * kDim)
+	// region. qz holds each head's q̃ and then, in place, its z̄.
+	c.qz = ar.Float32s(n * heads * kDim)
 	c.scores = ar.Float32s(n * k)
 	if weights != nil {
 		c.weights = weights.Data()
@@ -168,123 +168,193 @@ type attnCore struct {
 	qp, kv, ctx           []float32
 	mask                  []bool
 	weights               []float32 // (n, heads, k) or nil
-	qz, scores            []float32
+	qz                    []float32 // (n, heads, kDim): q̃_h, then z̄_h
+	scores                []float32 // (n, k)
 }
 
-// rows computes context rows [lo,hi), one target at a time.
+// rows computes context rows [lo,hi). With the WVᵀ pack it takes the
+// targets four at a time, so each WK and WV weight row is loaded once
+// for four targets (tensor.AccumRows4), and the last hi-lo mod 4 one
+// at a time; the scalar leaves take every target alone.
 func (c attnCore) rows(lo, hi int) {
-	for i := lo; i < hi; i++ {
+	i := lo
+	if c.wvT != nil {
+		for ; i+4 <= hi; i += 4 {
+			c.group(i)
+		}
+	}
+	for ; i < hi; i++ {
 		c.row(i)
 	}
 }
 
 // row computes target i's context: per head, absorb WK into the query,
 // score and softmax over the valid kv rows, sum those rows by weight,
-// and project the sum through WV. Padded kv rows are never read. Each of
-// the four leaves runs either as the scalar function at the bottom of
-// this file or, when the core holds the WVᵀ pack, as the vector kernel
-// that gives every element the same sum in the same order.
+// and project the sum through WV. Padded kv rows are never read. Each
+// leaf runs either as the scalar function at the bottom of this file
+// or, when the core holds the WVᵀ pack, as the vector kernel that gives
+// every element the same sum in the same order.
 func (c attnCore) row(i int) {
-	k, kd, hd := c.k, c.kDim, c.hd
-	mask := c.mask[i*k : (i+1)*k]
-	ctx := c.ctx[i*c.e : (i+1)*c.e]
-	if !slices.Contains(mask, true) {
-		clear(ctx)
-		if c.weights != nil {
-			clear(c.weights[i*c.heads*k : (i+1)*c.heads*k])
-		}
+	if c.empty(i) {
 		return
 	}
-	vec := c.wvT != nil
-	scores := c.scores[i*k : (i+1)*k]
-	zs := c.kv[i*k*kd : (i+1)*k*kd]
-	qt := c.qz[i*kd : (i+1)*kd]
+	hk, hd := c.heads*c.kDim, c.hd
 	for h := 0; h < c.heads; h++ {
-		qh := c.qp[i*c.e+h*hd : i*c.e+(h+1)*hd]
 		// q̃_h = Σ_d qp[h·hd+d]·WK[h·hd+d,:], d ascending.
-		wkh := c.wk[h*hd*kd : (h+1)*hd*kd]
+		qt := c.qz[i*hk+h*c.kDim:][:c.kDim]
+		qh := c.qp[i*c.e+h*hd:][:hd]
+		wkh := c.wk[h*hd*c.kDim : (h+1)*hd*c.kDim]
 		clear(qt)
-		if vec {
-			tensor.AccumRows(qt, qh, wkh, kd)
+		if c.wvT != nil {
+			tensor.AccumRows(qt, qh, wkh, c.kDim)
 		} else {
 			addRowsScaled(qt, qh, wkh)
 		}
-		var ch float32
-		if c.bk != nil {
-			ch = dot(qh, c.bk[h*hd:(h+1)*hd])
-		}
-		// q̃_h·z_j for the valid slots, then the scaled scores in place.
-		if vec {
-			tensor.DotRows(scores, qt, zs, kd, mask)
-		} else {
-			for j, ok := range mask {
-				if ok {
-					scores[j] = dot(qt, zs[j*kd:(j+1)*kd])
-				}
-			}
-		}
-		maxv := float32(math.Inf(-1))
-		for j, ok := range mask {
-			if !ok {
-				continue
-			}
-			s := (scores[j] + ch) * c.scale
-			scores[j] = s
-			if s > maxv {
-				maxv = s
-			}
-		}
-		// Stable softmax over valid slots.
-		var sum float64
-		for j, ok := range mask {
-			if !ok {
-				continue
-			}
-			ex := math.Exp(float64(scores[j] - maxv))
-			scores[j] = float32(ex)
-			sum += ex
-		}
-		inv := float32(1 / sum)
-		for j, ok := range mask {
-			var alpha float32
-			if ok {
-				alpha = scores[j] * inv
-				scores[j] = alpha
-			}
-			if c.weights != nil {
-				c.weights[(i*c.heads+h)*k+j] = alpha
-			}
-		}
-		// z̄_h = Σ_j α_j z_j, j ascending, replaces q̃_h in place: one
-		// accumulate per run of valid slots, or one axpy per slot.
-		clear(qt)
-		for j := 0; j < k; j++ {
-			if !mask[j] {
-				continue
-			}
-			if !vec {
-				axpy(scores[j], zs[j*kd:(j+1)*kd], qt)
-				continue
-			}
-			j0 := j
-			for j < k && mask[j] {
-				j++
-			}
-			tensor.AccumRows(qt, scores[j0:j], zs[j0*kd:j*kd], kd)
-		}
+		c.attend(i, h)
 		// ctx_h = WV_h·z̄_h + bV_h.
-		ctxh := ctx[h*hd : (h+1)*hd]
-		if vec {
+		ctxh := c.ctx[i*c.e+h*hd:][:hd]
+		if c.wvT != nil {
 			clear(ctxh)
 			tensor.AccumRows(ctxh, qt, c.wvT[h*hd:], c.e)
 		} else {
-			rowDots(ctxh, c.wv[h*hd*kd:(h+1)*hd*kd], qt)
+			rowDots(ctxh, c.wv[h*hd*c.kDim:(h+1)*hd*c.kDim], qt)
 		}
-		if c.bv != nil {
-			for d, b := range c.bv[h*hd : (h+1)*hd] {
-				ctxh[d] += b
+	}
+	c.addBias(i)
+}
+
+// group computes the contexts of targets i..i+3 through the vector
+// kernels: row's steps, with the WK absorption and the WV projection of
+// each head one AccumRows4 call for the four targets. A target without
+// a valid slot rides along in those calls, reading only its own qp row
+// and scratch, and its context is cleared afterwards.
+func (c attnCore) group(i int) {
+	hk, hd := c.heads*c.kDim, c.hd
+	qz := c.qz[i*hk : (i+4)*hk]
+	clear(qz)
+	for h := 0; h < c.heads; h++ {
+		tensor.AccumRows4(qz[h*c.kDim:], c.kDim, hk, c.qp[i*c.e+h*hd:], hd, c.e, c.wk[h*hd*c.kDim:(h+1)*hd*c.kDim], c.kDim)
+	}
+	var empty [4]bool
+	for t := range empty {
+		if empty[t] = c.empty(i + t); !empty[t] {
+			for h := 0; h < c.heads; h++ {
+				c.attend(i+t, h)
 			}
 		}
+	}
+	ctx := c.ctx[i*c.e : (i+4)*c.e]
+	clear(ctx)
+	for h := 0; h < c.heads; h++ {
+		tensor.AccumRows4(ctx[h*hd:], hd, c.e, qz[h*c.kDim:], c.kDim, hk, c.wvT[h*hd:], c.e)
+	}
+	for t, e := range empty {
+		if e {
+			clear(ctx[t*c.e : (t+1)*c.e])
+		} else {
+			c.addBias(i + t)
+		}
+	}
+}
+
+// empty reports whether target i has no valid slot; if so it zeroes
+// the target's context and weights, the masked-softmax result.
+func (c attnCore) empty(i int) bool {
+	k := c.k
+	if slices.Contains(c.mask[i*k:(i+1)*k], true) {
+		return false
+	}
+	clear(c.ctx[i*c.e : (i+1)*c.e])
+	if c.weights != nil {
+		clear(c.weights[i*c.heads*k : (i+1)*c.heads*k])
+	}
+	return true
+}
+
+// attend turns target i's q̃_h, in its qz slot for head h, into z̄_h in
+// place: the scores q̃_h·z_j + c_h of the valid slots, scaled, their
+// softmax α, and z̄_h = Σ_j α_j z_j.
+func (c attnCore) attend(i, h int) {
+	k, kd, hd := c.k, c.kDim, c.hd
+	vec := c.wvT != nil
+	mask := c.mask[i*k : (i+1)*k]
+	scores := c.scores[i*k : (i+1)*k]
+	zs := c.kv[i*k*kd : (i+1)*k*kd]
+	qt := c.qz[(i*c.heads+h)*kd:][:kd]
+	var ch float32
+	if c.bk != nil {
+		ch = dot(c.qp[i*c.e+h*hd:][:hd], c.bk[h*hd:(h+1)*hd])
+	}
+	// q̃_h·z_j for the valid slots, then the scaled scores in place.
+	if vec {
+		tensor.DotRows(scores, qt, zs, kd, mask)
+	} else {
+		for j, ok := range mask {
+			if ok {
+				scores[j] = dot(qt, zs[j*kd:(j+1)*kd])
+			}
+		}
+	}
+	maxv := float32(math.Inf(-1))
+	for j, ok := range mask {
+		if !ok {
+			continue
+		}
+		s := (scores[j] + ch) * c.scale
+		scores[j] = s
+		if s > maxv {
+			maxv = s
+		}
+	}
+	// Stable softmax over valid slots.
+	var sum float64
+	for j, ok := range mask {
+		if !ok {
+			continue
+		}
+		ex := math.Exp(float64(scores[j] - maxv))
+		scores[j] = float32(ex)
+		sum += ex
+	}
+	inv := float32(1 / sum)
+	for j, ok := range mask {
+		var alpha float32
+		if ok {
+			alpha = scores[j] * inv
+			scores[j] = alpha
+		}
+		if c.weights != nil {
+			c.weights[(i*c.heads+h)*k+j] = alpha
+		}
+	}
+	// z̄_h = Σ_j α_j z_j, j ascending, replaces q̃_h in place: one
+	// accumulate per run of valid slots, or one axpy per slot.
+	clear(qt)
+	for j := 0; j < k; j++ {
+		if !mask[j] {
+			continue
+		}
+		if !vec {
+			axpy(scores[j], zs[j*kd:(j+1)*kd], qt)
+			continue
+		}
+		j0 := j
+		for j < k && mask[j] {
+			j++
+		}
+		tensor.AccumRows(qt, scores[j0:j], zs[j0*kd:j*kd], kd)
+	}
+}
+
+// addBias adds bV to target i's context: Σα = 1, so the bias enters
+// once.
+func (c attnCore) addBias(i int) {
+	if c.bv == nil {
+		return
+	}
+	ctx := c.ctx[i*c.e : (i+1)*c.e]
+	for d, b := range c.bv {
+		ctx[d] += b
 	}
 }
 

@@ -149,13 +149,15 @@ func TestDotRowsMatchesDotBitwise(t *testing.T) {
 // over masks with leading, trailing and interior padding, head widths
 // with and without a vector remainder, and kv widths that are not a
 // multiple of the lane count. Context rows and attention weights must
-// agree bit for bit.
+// agree bit for bit. The vector core takes targets four at a time:
+// targets 0 and 6, which have no valid slot, ride in the groups 0..3
+// and 4..7, and the last three targets of 43 run one at a time.
 func TestAttentionCoreVectorMatchesScalarBitwise(t *testing.T) {
 	for _, tc := range []struct{ heads, e, kDim, k int }{
 		{2, 64, 96, 10}, {2, 16, 20, 5}, {4, 12, 21, 7}, {1, 8, 9, 1}, {3, 9, 33, 12},
 	} {
 		r := tensor.NewRNG(uint64(54 + tc.e))
-		const n = 40
+		const n = 43
 		wk := NewLinear(r, tc.kDim, tc.e, true)
 		wv := NewLinear(r, tc.kDim, tc.e, true)
 		copy(wk.B.Data(), randFloats(r, tc.e))
@@ -163,6 +165,7 @@ func TestAttentionCoreVectorMatchesScalarBitwise(t *testing.T) {
 		qp := tensor.Randn(r, n, tc.e)
 		kv := tensor.Randn(r, n*tc.k, tc.kDim)
 		mask := edgeMask(r, n, tc.k)
+		clear(mask[6*tc.k : 7*tc.k])
 		for i, ok := range mask { // a padded slot's row is never read: poison it
 			if !ok {
 				for x := 0; x < tc.kDim; x++ {
@@ -179,7 +182,7 @@ func TestAttentionCoreVectorMatchesScalarBitwise(t *testing.T) {
 			c.qp, c.kv, c.mask = qp.Data(), kv.Data(), mask
 			c.ctx = make([]float32, n*tc.e)
 			c.weights = make([]float32, n*tc.heads*tc.k)
-			c.qz, c.scores = make([]float32, n*tc.kDim), make([]float32, n*tc.k)
+			c.qz, c.scores = make([]float32, n*tc.heads*tc.kDim), make([]float32, n*tc.k)
 			c.rows(0, n)
 			return c.ctx, c.weights
 		}

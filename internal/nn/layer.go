@@ -74,6 +74,15 @@ func (r rowSrc) row(i int) []float32 {
 	return r.data[i*r.w : (i+1)*r.w]
 }
 
+// prefetch hints rows [lo,hi) of an indexed source toward L2. A dense
+// source is read in order, which the hardware prefetcher already
+// follows.
+func (r rowSrc) prefetch(lo, hi int) {
+	if r.idx != nil {
+		tensor.PrefetchRows(r.data, r.w, r.idx[lo:hi])
+	}
+}
+
 // TimeSource writes Φ(dt) into a row of width Dim(): the model's
 // TimeEncoder, or a precomputed table in front of it that returns the
 // same bits (core.TimeTable).
@@ -249,11 +258,11 @@ type layerPass struct {
 }
 
 // tileFloats is the float32 scratch one tile needs: q, qp, kv, the
-// core's qz and scores, ctx, the WO output, the merge input and the
-// FC1 output.
+// core's qz (heads × kDim a target) and scores, ctx, the WO output, the
+// merge input and the FC1 output.
 func (p layerPass) tileFloats() int {
 	c := p.core
-	perTarget := (p.d + p.dt) + c.e + c.k*c.kDim + c.kDim + c.k + c.e + p.wo.Out() + p.fc1.In() + p.fc1.Out()
+	perTarget := (p.d + p.dt) + c.e + c.k*c.kDim + c.heads*c.kDim + c.k + c.e + p.wo.Out() + p.fc1.In() + p.fc1.Out()
 	return p.tile * perTarget
 }
 
@@ -270,7 +279,7 @@ func (p layerPass) rows(w, lo, hi int) {
 	c := p.core
 	t := layerScratch{
 		q: carve(p.d + p.dt), qp: carve(c.e), kv: carve(c.k * c.kDim),
-		qz: carve(c.kDim), scores: carve(c.k), ctx: carve(c.e),
+		qz: carve(c.heads * c.kDim), scores: carve(c.k), ctx: carve(c.e),
 		ao: carve(p.wo.Out()), x: carve(p.fc1.In()), h: carve(p.fc1.Out()),
 	}
 	clock := p.clocks[2*w : 2*w+2]
@@ -292,6 +301,12 @@ func (p layerPass) runTile(t layerScratch, clock []float64, lo, hi int) {
 	m := hi - lo
 	d, de, dt, k := p.d, p.de, p.dt, p.core.k
 	qd, kd := d+dt, p.core.kDim
+
+	// The tile's neighbour and edge-feature rows are gathered through
+	// their indices from tables larger than L2: hint them in now, so
+	// their misses overlap q assembly and the query projection.
+	p.hNgh.prefetch(lo*k, hi*k)
+	p.eFeat.prefetch(lo*k, hi*k)
 
 	// z_i = h_i ‖ Φ(0), then the query projection.
 	for r := 0; r < m; r++ {

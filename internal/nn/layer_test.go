@@ -415,3 +415,55 @@ func TestLayerPassRejectsMismatchedShapes(t *testing.T) {
 		}()
 	}
 }
+
+// BenchmarkLayerPass prices the fused layer pass at stream-cold's
+// shape: two heads, node, edge and time widths 32 (query 64, kv 96),
+// FC1 96 → 32 → 32, k = 10 with about a third of the slots padded,
+// 32-target tiles. The neighbour and target rows are read through an
+// index from a 2 MB table of deduplicated rows, the edge rows through
+// the edge ids from a 6 MB feature table — both past L2, as in the
+// engine. "encode" encodes Φ(Δt) in the tiles as the engine does;
+// "dense-time" copies a precomputed time segment instead, so the
+// difference is the time encoding. It reports ns per target.
+func BenchmarkLayerPass(b *testing.B) {
+	const n, k, d, heads = 2048, 10, 32, 2
+	const tableRows, edgeRows = 16 << 10, 48 << 10
+	r := tensor.NewRNG(98)
+	attn := NewTemporalAttention(r, heads, 2*d, 3*d)
+	merge := NewMergeLayer(r, 2*d, d, d, d)
+	for _, l := range []*Linear{attn.WQ, attn.WK, attn.WV, attn.WO, merge.FC1, merge.FC2} {
+		copy(l.B.Data(), tensor.Randn(r, l.Out()).Data())
+	}
+	table, edges := tensor.Randn(r, tableRows, d), tensor.Randn(r, edgeRows, d)
+	tgtIdx, nghIdx, eIdx := make([]int32, n), make([]int32, n*k), make([]int32, n*k)
+	mask, deltas := make([]bool, n*k), make([]float64, n*k)
+	for i := range tgtIdx {
+		tgtIdx[i] = int32(r.Intn(tableRows))
+	}
+	for s := range mask {
+		if mask[s] = r.Float64() > 0.3; mask[s] {
+			nghIdx[s], eIdx[s] = int32(r.Intn(tableRows)), int32(r.Intn(edgeRows))
+			deltas[s] = float64(r.Intn(3_000_000))
+		}
+	}
+	tEnc0, tEncD := tensor.Randn(r, n, d), tensor.Randn(r, n*k, d)
+	ar := tensor.NewArena()
+	pack := PackLayer(nil, attn, merge)
+	hTgt, hNgh, eFeat := Rows{Data: table, Idx: tgtIdx}, Rows{Data: table, Idx: nghIdx}, Rows{Data: edges, Idx: eIdx}
+	for _, tc := range []struct {
+		name string
+		time TimeRows
+	}{
+		{"encode", TimeRows{Deltas: deltas, Source: NewTimeEncoder(d)}},
+		{"dense-time", TimeRows{Enc: tEncD}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				LayerForwardPacked(ar, attn, merge, &pack, k, hTgt, hNgh, eFeat, tEnc0, tc.time, mask)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/target")
+		})
+	}
+}

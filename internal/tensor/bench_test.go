@@ -104,9 +104,11 @@ func BenchmarkMatMulT(b *testing.B) {
 // benchmark shape (a 32-target tile, widths 64 and 96, ten slots). The
 // sub-benchmark named after Kernels() runs what the process dispatches
 // to — "avx512" or "avx2" on amd64, "generic" under -tags purego —
-// "avx2" beside an "avx512" one runs AccumRows and CosRow without their
-// AVX-512 tier, and "scalar" is the Go loop they reproduce, where this
-// package has one.
+// "avx2" beside an "avx512" one runs AccumRows, AccumRows4, DotRows and
+// CosRow without their AVX-512 tier, and "scalar" is the Go loop they
+// reproduce, where this package has one. "accum4x4" is the four
+// AccumRows calls that one AccumRows4 call replaces; "dot" scores ten
+// valid slots in one DotRows call.
 func BenchmarkLeafKernels(b *testing.B) {
 	r := NewRNG(6)
 	const m, k, n, slots = 32, 96, 64, 10
@@ -138,12 +140,28 @@ func BenchmarkLeafKernels(b *testing.B) {
 			AccumRows(y, x.data[:m], w.data, k)
 		}
 	})
+	// Four targets' AccumRows over one weight, as the attention core
+	// runs WV: 96 rows deep into 32 columns, the targets' inputs and
+	// outputs a tile's row width apart.
+	y4 := make([]float32, 4*n)
+	b.Run("accum4x4/"+Kernels(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for t := 0; t < 4; t++ {
+				AccumRows(y4[t*n:][:32], x.data[t*k:][:k], w.data, n)
+			}
+		}
+	})
+	benchTiers(b, "accum4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AccumRows4(y4, 32, n, x.data, k, k, w.data, n)
+		}
+	})
 	mask := make([]bool, slots)
 	for j := range mask {
 		mask[j] = true
 	}
 	out := make([]float32, slots)
-	b.Run("dot/"+Kernels(), func(b *testing.B) {
+	benchTiers(b, "dot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			DotRows(out, y, w.data, k, mask)
 		}

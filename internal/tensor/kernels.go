@@ -60,11 +60,43 @@ func AccumRows(y, a, w []float32, stride int) {
 	}
 }
 
+// AccumRows4 is AccumRows for four targets over one w: for t < 4,
+//
+//	AccumRows(y[t*ldy:][:n], a[t*lda:][:rows], w, stride)
+//
+// every element the same sum in the same order. Where the AVX-512 tier
+// runs, the leading n&^15 columns load each weight row once for all
+// four targets; the rest, and every column elsewhere, go through
+// AccumRows.
+func AccumRows4(y []float32, n, ldy int, a []float32, rows, lda int, w []float32, stride int) {
+	if n == 0 || rows == 0 {
+		return
+	}
+	if ldy < n || lda < rows || len(y) < 3*ldy+n || len(a) < 3*lda+rows {
+		panic(fmt.Sprintf("tensor: AccumRows4 y %d (ldy %d), a %d (lda %d): want four rows of %d and of %d", len(y), ldy, len(a), lda, n, rows))
+	}
+	if stride < n || len(w) < (rows-1)*stride+n {
+		panic(fmt.Sprintf("tensor: AccumRows4 w length %d, stride %d: want %d rows of %d", len(w), stride, rows, n))
+	}
+	done := accumRows4Vec(y, n, ldy, a, rows, lda, w, stride)
+	if done == n {
+		return
+	}
+	for t := 0; t < 4; t++ {
+		AccumRows(y[t*ldy+done:][:n-done], a[t*lda:][:rows], w[done:], stride)
+	}
+}
+
+// dotChunk is the number of slots DotRows hands one kernel call: every
+// valid slot of a target with up to dotChunk of them.
+const dotChunk = 16
+
 // DotRows writes out[j] = q·z[j·stride:][:len(q)] for every j with
 // mask[j] set, and leaves the other elements of out and the other rows
 // of z untouched and unread. Each dot is four interleaved partial sums
 // over len(q)&^3 elements, combined (s0+s1)+(s2+s3), then the remaining
-// elements added in order.
+// elements added in order. One kernel call scores up to dotChunk valid
+// slots, four at a time.
 func DotRows(out, q, z []float32, stride int, mask []bool) {
 	k, m := len(mask), len(q)
 	if k == 0 {
@@ -74,45 +106,42 @@ func DotRows(out, q, z []float32, stride int, mask []bool) {
 		panic(fmt.Sprintf("tensor: DotRows out %d, z %d, stride %d: want %d rows of %d", len(out), len(z), stride, k, m))
 	}
 	m4 := m &^ 3
-	var (
-		slot, off [4]int
-		sums      [4]float32
-	)
-	g := 0
-	for j, ok := range mask {
-		if ok {
-			slot[g] = j
-			g++
+	var slots [dotChunk]int
+	for lo := 0; lo < k; lo += dotChunk {
+		g := 0
+		for j, ok := range mask[lo:min(lo+dotChunk, k)] {
+			if ok {
+				slots[g] = lo + j
+				g++
+			}
 		}
-		if g < 4 && (g == 0 || j < k-1) {
+		if g == 0 {
 			continue
 		}
-		// Four slots per kernel call; a short last group repeats its
-		// first slot in the idle lanes.
-		for i := range slot {
-			if i >= g {
-				slot[i] = slot[0]
-			}
-			off[i] = slot[i] * stride
+		// A short last group of four repeats the first slot.
+		for i := g; i&3 != 0; i++ {
+			slots[i] = slots[0]
 		}
-		dotRows4(&sums, q[:m4], z, &off)
-		for i := 0; i < g; i++ {
-			row := z[off[i]:][:m]
-			s := sums[i]
+		dotRows(out, q[:m4], z, stride, slots[:(g+3)&^3])
+		if m4 == m {
+			continue
+		}
+		for _, j := range slots[:g] {
+			row := z[j*stride:][:m]
+			s := out[j]
 			for x := m4; x < m; x++ {
 				s += q[x] * row[x]
 			}
-			out[slot[i]] = s
+			out[j] = s
 		}
-		g = 0
 	}
 }
 
-// dotRows4Go is dotRows4 in Go: per slot, four interleaved partial sums
+// dotRowsGo is dotRows in Go: per slot, four interleaved partial sums
 // over q (its length a multiple of 4) combined (s0+s1)+(s2+s3).
-func dotRows4Go(s *[4]float32, q, z []float32, o *[4]int) {
-	for i, off := range o {
-		b := z[off:][:len(q)]
+func dotRowsGo(out, q, z []float32, stride int, slots []int) {
+	for _, j := range slots {
+		b := z[j*stride:][:len(q)]
 		var s0, s1, s2, s3 float32
 		for x := 0; x+4 <= len(q); x += 4 {
 			s0 += q[x] * b[x]
@@ -120,8 +149,20 @@ func dotRows4Go(s *[4]float32, q, z []float32, o *[4]int) {
 			s2 += q[x+2] * b[x+2]
 			s3 += q[x+3] * b[x+3]
 		}
-		s[i] = (s0 + s1) + (s2 + s3)
+		out[j] = (s0 + s1) + (s2 + s3)
 	}
+}
+
+// PrefetchRows hints rows idx of the row-major data, w floats a row,
+// into L2 (PREFETCHT1 on each of their cache lines) where the process
+// runs the assembly kernels, and does nothing elsewhere. It reads no
+// row and changes nothing a caller can observe but time; an index out
+// of range is not an error, since nothing is read.
+func PrefetchRows(data []float32, w int, idx []int32) {
+	if len(data) == 0 || w <= 0 || len(idx) == 0 {
+		return
+	}
+	prefetch(data, w, idx)
 }
 
 // CosRow writes dst[j] = float32(math.Cos(dt·float64(omega[j]) +

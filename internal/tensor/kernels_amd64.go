@@ -53,7 +53,13 @@ func accumRowsAVX2(y *float32, n int, a *float32, rows int, w *float32, stride i
 func accumRowsAVX512(y *float32, n int, a *float32, rows int, w *float32, stride int)
 
 //go:noescape
-func dotRows4AVX2(out *[4]float32, q *float32, n int, z *float32, o0, o1, o2, o3 int)
+func accumRows4AVX512(y *float32, n, ldy int, a *float32, rows, lda int, w *float32, stride int)
+
+//go:noescape
+func dotRowsAVX2(out *float32, q *float32, n int, z *float32, stride int, slots *int, cnt int)
+
+//go:noescape
+func prefetchRows(data *float32, w int, idx *int32, n int)
 
 //go:noescape
 func transposeAVX2(dst *float32, dstStride int, src *float32, srcStride int, rows, cols int)
@@ -86,15 +92,35 @@ func accumRowsVec(y, a, w []float32, stride int) int {
 	return n
 }
 
-// dotRows4 sets s[i] to (s0+s1)+(s2+s3) over q·z[o[i]:], q's length a
-// multiple of 4: the part of four slots' dots that precedes the scalar
-// tail. The caller has checked that every z[o[i]:][:len(q)] exists.
-func dotRows4(s *[4]float32, q, z []float32, o *[4]int) {
+// accumRows4Vec runs AccumRows4's leading n&^15 columns through the
+// AVX-512 kernel where it runs and returns how many it did. The caller
+// has checked the slices.
+func accumRows4Vec(y []float32, n, ldy int, a []float32, rows, lda int, w []float32, stride int) int {
+	done := n &^ 15
+	if !useAVX512 || done == 0 {
+		return 0
+	}
+	accumRows4AVX512(&y[0], done, ldy, &a[0], rows, lda, &w[0], stride)
+	return done
+}
+
+// dotRows sets out[j] to (s0+s1)+(s2+s3) over q·z[j·stride:], for
+// every j in slots (its length a multiple of 4) and q's length a
+// multiple of 4: the part of each slot's dot that precedes the scalar
+// tail, in one kernel call. The caller has checked that every
+// z[j·stride:][:len(q)] and out[j] exists.
+func dotRows(out, q, z []float32, stride int, slots []int) {
 	if !useAVX2 || len(q) == 0 {
-		dotRows4Go(s, q, z, o)
+		dotRowsGo(out, q, z, stride, slots)
 		return
 	}
-	dotRows4AVX2(s, &q[0], len(q), &z[0], o[0], o[1], o[2], o[3])
+	dotRowsAVX2(&out[0], &q[0], len(q), &z[0], stride, &slots[0], len(slots))
+}
+
+// prefetch hints rows idx of data, w floats each, toward L2. The
+// caller has checked that data, w and idx are non-empty.
+func prefetch(data []float32, w int, idx []int32) {
+	prefetchRows(&data[0], w, &idx[0], len(idx))
 }
 
 // transposeVec transposes the leading (rows&^7, cols&^7) block of src

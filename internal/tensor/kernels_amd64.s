@@ -331,35 +331,196 @@ zaccumDone:
 	VZEROUPPER
 	RET
 
-// func dotRows4AVX2(out *[4]float32, q *float32, n int, z *float32, o0, o1, o2, o3 int)
+// Four-target accumulate: Z24..Z27 hold row r's a[t][r] for targets
+// t = 0..3, ZROWS and ZNEXT walk a and the column block of w as above,
+// and each block keeps its 4 × (block/16) accumulators across the whole
+// row loop. One weight load
+// feeds four products: the block is four targets' AccumRows, each
+// product and each sum rounded on its own.
+
+// QBCAST: broadcast a[t][r] for the four targets (R10 walks a at t = 0,
+// R14 is lda and BX 3·lda in bytes).
+#define QBCAST \
+	VBROADCASTSS (R10), Z24; \
+	VBROADCASTSS (R10)(R14*1), Z25; \
+	VBROADCASTSS (R10)(R14*2), Z26; \
+	VBROADCASTSS (R10)(BX*1), Z27
+
+// QACC: the 16 columns at byte offset off into the accumulators
+// a0..a3 of targets 0..3.
+#define QACC(off, a0, a1, a2, a3) \
+	VMULPS off(R11), Z24, Z28; \
+	VADDPS Z28, a0, a0; \
+	VMULPS off(R11), Z25, Z29; \
+	VADDPS Z29, a1, a1; \
+	VMULPS off(R11), Z26, Z30; \
+	VADDPS Z30, a2, a2; \
+	VMULPS off(R11), Z27, Z31; \
+	VADDPS Z31, a3, a3
+
+// QLOAD, QSTORE: the 16 columns at byte offset off of targets 0..3's y
+// rows (DI at t = 0, R13 is ldy and AX 3·ldy in bytes).
+#define QLOAD(off, a0, a1, a2, a3) \
+	VMOVUPS off(DI), a0; \
+	VMOVUPS off(DI)(R13*1), a1; \
+	VMOVUPS off(DI)(R13*2), a2; \
+	VMOVUPS off(DI)(AX*1), a3
+
+#define QSTORE(off, a0, a1, a2, a3) \
+	VMOVUPS a0, off(DI); \
+	VMOVUPS a1, off(DI)(R13*1); \
+	VMOVUPS a2, off(DI)(R13*2); \
+	VMOVUPS a3, off(DI)(AX*1)
+
+// func accumRows4AVX512(y *float32, n, ldy int, a *float32, rows, lda int, w *float32, stride int)
 //
-// out[i] = (s0+s1)+(s2+s3) over the first n (a multiple of 4, possibly
-// 0) elements of q·z[o_i:], where lane l of slot i's XMM accumulator
-// holds s_l = Σ q[4t+l]·z[o_i+4t+l], t ascending: the four partial sums
-// of the scalar dot, four slots in flight.
-TEXT ·dotRows4AVX2(SB), NOSPLIT, $0-64
+// For t = 0..3: y[t·ldy+x] += a[t·lda+r]·w[r·stride+x] for x < n (a
+// positive multiple of 16), r = 0..rows-1 in order. Blocks of 96
+// columns (24 accumulators) repeat; what is left, under 96, takes at
+// most one block each of 64, 32 and 16.
+TEXT ·accumRows4AVX512(SB), NOSPLIT, $0-64
+	MOVQ y+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ ldy+16(FP), R13
+	MOVQ a+24(FP), SI
+	MOVQ rows+32(FP), R8
+	MOVQ lda+40(FP), R14
+	MOVQ w+48(FP), DX
+	MOVQ stride+56(FP), R9
+	SHLQ $2, R13
+	SHLQ $2, R14
+	SHLQ $2, R9
+	LEAQ (R13)(R13*2), AX
+	LEAQ (R14)(R14*2), BX
+
+qcols96:
+	CMPQ CX, $96
+	JLT  qcols64
+	QLOAD(0, Z0, Z6, Z12, Z18)
+	QLOAD(64, Z1, Z7, Z13, Z19)
+	QLOAD(128, Z2, Z8, Z14, Z20)
+	QLOAD(192, Z3, Z9, Z15, Z21)
+	QLOAD(256, Z4, Z10, Z16, Z22)
+	QLOAD(320, Z5, Z11, Z17, Z23)
+	ZROWS
+
+qrows96:
+	QBCAST
+	QACC(0, Z0, Z6, Z12, Z18)
+	QACC(64, Z1, Z7, Z13, Z19)
+	QACC(128, Z2, Z8, Z14, Z20)
+	QACC(192, Z3, Z9, Z15, Z21)
+	QACC(256, Z4, Z10, Z16, Z22)
+	QACC(320, Z5, Z11, Z17, Z23)
+	ZNEXT(qrows96)
+	QSTORE(0, Z0, Z6, Z12, Z18)
+	QSTORE(64, Z1, Z7, Z13, Z19)
+	QSTORE(128, Z2, Z8, Z14, Z20)
+	QSTORE(192, Z3, Z9, Z15, Z21)
+	QSTORE(256, Z4, Z10, Z16, Z22)
+	QSTORE(320, Z5, Z11, Z17, Z23)
+	ADDQ $384, DI
+	ADDQ $384, DX
+	SUBQ $96, CX
+	JMP  qcols96
+
+qcols64:
+	CMPQ CX, $64
+	JLT  qcols32
+	QLOAD(0, Z0, Z4, Z8, Z12)
+	QLOAD(64, Z1, Z5, Z9, Z13)
+	QLOAD(128, Z2, Z6, Z10, Z14)
+	QLOAD(192, Z3, Z7, Z11, Z15)
+	ZROWS
+
+qrows64:
+	QBCAST
+	QACC(0, Z0, Z4, Z8, Z12)
+	QACC(64, Z1, Z5, Z9, Z13)
+	QACC(128, Z2, Z6, Z10, Z14)
+	QACC(192, Z3, Z7, Z11, Z15)
+	ZNEXT(qrows64)
+	QSTORE(0, Z0, Z4, Z8, Z12)
+	QSTORE(64, Z1, Z5, Z9, Z13)
+	QSTORE(128, Z2, Z6, Z10, Z14)
+	QSTORE(192, Z3, Z7, Z11, Z15)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, CX
+
+qcols32:
+	CMPQ CX, $32
+	JLT  qcols16
+	QLOAD(0, Z0, Z2, Z4, Z6)
+	QLOAD(64, Z1, Z3, Z5, Z7)
+	ZROWS
+
+qrows32:
+	QBCAST
+	QACC(0, Z0, Z2, Z4, Z6)
+	QACC(64, Z1, Z3, Z5, Z7)
+	ZNEXT(qrows32)
+	QSTORE(0, Z0, Z2, Z4, Z6)
+	QSTORE(64, Z1, Z3, Z5, Z7)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, CX
+
+qcols16:
+	CMPQ CX, $16
+	JLT  qaccumDone
+	QLOAD(0, Z0, Z1, Z2, Z3)
+	ZROWS
+
+qrows16:
+	QBCAST
+	QACC(0, Z0, Z1, Z2, Z3)
+	ZNEXT(qrows16)
+	QSTORE(0, Z0, Z1, Z2, Z3)
+
+qaccumDone:
+	VZEROUPPER
+	RET
+
+// func dotRowsAVX2(out *float32, q *float32, n int, z *float32, stride int, slots *int, cnt int)
+//
+// out[j] = (s0+s1)+(s2+s3) over the first n (a positive multiple of 4)
+// elements of q·z[j·stride:], for j = slots[0..cnt) (cnt a positive
+// multiple of 4), where lane l of a slot's XMM accumulator holds
+// s_l = Σ q[4t+l]·z[j·stride+4t+l], t ascending: the four partial sums
+// of the scalar dot, four slots in flight, every group of four in the
+// one call.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
 	MOVQ out+0(FP), DI
 	MOVQ q+8(FP), SI
 	MOVQ n+16(FP), CX
 	MOVQ z+24(FP), DX
-	MOVQ o0+32(FP), R8
-	MOVQ o1+40(FP), R9
-	MOVQ o2+48(FP), R10
-	MOVQ o3+56(FP), R11
-	LEAQ (DX)(R8*4), R8
-	LEAQ (DX)(R9*4), R9
-	LEAQ (DX)(R10*4), R10
-	LEAQ (DX)(R11*4), R11
+	MOVQ stride+32(FP), BX
+	MOVQ slots+40(FP), R12
+	MOVQ cnt+48(FP), R13
+	SHLQ $2, CX
+	SHLQ $2, BX
+
+dotGroup:
+	MOVQ 0(R12), R8
+	MOVQ 8(R12), R9
+	MOVQ 16(R12), R10
+	MOVQ 24(R12), R11
+	IMULQ BX, R8
+	IMULQ BX, R9
+	IMULQ BX, R10
+	IMULQ BX, R11
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	ADDQ DX, R11
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
 	VXORPS X2, X2, X2
 	VXORPS X3, X3, X3
-	SHLQ $2, CX
 	XORQ AX, AX
 
 dotLoop:
-	CMPQ AX, CX
-	JGE  dotReduce
 	VMOVUPS (SI)(AX*1), X4
 	VMULPS (R8)(AX*1), X4, X5
 	VADDPS X5, X0, X0
@@ -370,15 +531,54 @@ dotLoop:
 	VMULPS (R11)(AX*1), X4, X8
 	VADDPS X8, X3, X3
 	ADDQ $16, AX
-	JMP  dotLoop
+	CMPQ AX, CX
+	JLT  dotLoop
 
-dotReduce:
 	// [a0+a1 a2+a3 b0+b1 b2+b3], [c.. d..], then one more pairwise add.
 	VHADDPS X1, X0, X0
 	VHADDPS X3, X2, X2
 	VHADDPS X2, X0, X0
-	VMOVUPS X0, (DI)
+	MOVQ 0(R12), R8
+	MOVQ 8(R12), R9
+	MOVQ 16(R12), R10
+	MOVQ 24(R12), R11
+	VMOVSS X0, (DI)(R8*4)
+	VEXTRACTPS $1, X0, (DI)(R9*4)
+	VEXTRACTPS $2, X0, (DI)(R10*4)
+	VEXTRACTPS $3, X0, (DI)(R11*4)
+	ADDQ $32, R12
+	SUBQ $4, R13
+	JNZ  dotGroup
 	VZEROUPPER
+	RET
+
+// func prefetchRows(data *float32, w int, idx *int32, n int)
+//
+// PREFETCHT1 on every cache line of rows idx[0..n) of the row-major
+// data, w floats a row (n and w positive). A prefetch reads nothing into
+// a register and never faults.
+TEXT ·prefetchRows(SB), NOSPLIT, $0-32
+	MOVQ data+0(FP), SI
+	MOVQ w+8(FP), CX
+	MOVQ idx+16(FP), DX
+	MOVQ n+24(FP), R8
+	SHLQ $2, CX
+
+pfRow:
+	MOVLQSX (DX), AX
+	IMULQ CX, AX
+	LEAQ (SI)(AX*1), R9
+	LEAQ (R9)(CX*1), R10
+	ANDQ $-64, R9
+
+pfLine:
+	PREFETCHT1 (R9)
+	ADDQ $64, R9
+	CMPQ R9, R10
+	JLT  pfLine
+	ADDQ $4, DX
+	DECQ R8
+	JNZ  pfRow
 	RET
 
 // func transposeAVX2(dst *float32, dstStride int, src *float32, srcStride int, rows, cols int)

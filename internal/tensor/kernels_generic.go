@@ -7,7 +7,13 @@ const useAVX2, useAVX512 = false, false
 
 func accumRowsVec(y, a, w []float32, stride int) int { return 0 }
 
-func dotRows4(s *[4]float32, q, z []float32, o *[4]int) { dotRows4Go(s, q, z, o) }
+func accumRows4Vec(y []float32, n, ldy int, a []float32, rows, lda int, w []float32, stride int) int {
+	return 0
+}
+
+func dotRows(out, q, z []float32, stride int, slots []int) { dotRowsGo(out, q, z, stride, slots) }
+
+func prefetch(data []float32, w int, idx []int32) {}
 
 func transposeVec(dst, src []float32, rows, cols int) (r8, c8 int) { return 0, 0 }
 

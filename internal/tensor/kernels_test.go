@@ -96,6 +96,55 @@ func testAccumRowsMatchesSequentialSumBitwise(t *testing.T) {
 	}
 }
 
+// TestAccumRows4MatchesAccumRowsBitwise: one AccumRows4 call against
+// four AccumRows calls, at every column-block size of the AVX-512
+// kernel (96, 64, 32 and 16, alone and chained, with an AVX2 or scalar
+// remainder), rows 1, 7, 32 and 96, and ldy, lda and stride wider than
+// the block. The gaps between the targets' rows of y must come back
+// untouched.
+func TestAccumRows4MatchesAccumRowsBitwise(t *testing.T) {
+	eachTier(t, testAccumRows4MatchesAccumRowsBitwise)
+}
+
+func testAccumRows4MatchesAccumRowsBitwise(t *testing.T) {
+	r := NewRNG(37)
+	fill := func(s []float32) {
+		for i := range s {
+			s[i] = float32(r.NormFloat64())
+		}
+	}
+	for _, n := range []int{1, 4, 15, 16, 17, 32, 48, 64, 80, 96, 100, 112, 160, 192, 208, 213} {
+		for _, rows := range []int{1, 7, 32, 96} {
+			for _, pad := range []int{0, 3, 16} {
+				ldy, lda, stride := n+pad, rows+pad+1, n+2*pad
+				y, yOK := guarded(3*ldy+n, pad%8)
+				a, _ := guarded(3*lda+rows, (pad+3)%8)
+				w, _ := guarded((rows-1)*stride+n, (pad+5)%8)
+				fill(y)
+				fill(a)
+				fill(w)
+				if pad == 3 {
+					spiced(y, n)
+					spiced(a, rows)
+					spiced(w, n+rows)
+				}
+				want := append([]float32(nil), y...)
+				for tt := 0; tt < 4; tt++ {
+					AccumRows(want[tt*ldy:][:n], a[tt*lda:][:rows], w, stride)
+				}
+				AccumRows4(y, n, ldy, a, rows, lda, w, stride)
+				if i := sameBits(y, want); i >= 0 {
+					t.Fatalf("n=%d rows=%d ldy=%d lda=%d stride=%d: y[%d] (target %d, column %d) = %x, want %x",
+						n, rows, ldy, lda, stride, i, i/ldy, i%ldy, math.Float32bits(y[i]), math.Float32bits(want[i]))
+				}
+				if !yOK() {
+					t.Fatalf("n=%d rows=%d ldy=%d: wrote outside y", n, rows, ldy)
+				}
+			}
+		}
+	}
+}
+
 // dotRef is nn.dot: four interleaved partial sums, (s0+s1)+(s2+s3),
 // then the tail in order.
 func dotRef(a, b []float32) float32 {
@@ -118,6 +167,10 @@ func dotRef(a, b []float32) float32 {
 // slots, widths either side of the four-lane step, rows under a padded
 // slot poisoned and out under one left alone.
 func TestDotRowsMatchesFourLaneDotBitwise(t *testing.T) {
+	eachTier(t, testDotRowsMatchesFourLaneDotBitwise)
+}
+
+func testDotRowsMatchesFourLaneDotBitwise(t *testing.T) {
 	r := NewRNG(32)
 	const k = 10
 	for _, m := range []int{3, 4, 5, 95, 96, 97} {
@@ -163,6 +216,84 @@ func TestDotRowsMatchesFourLaneDotBitwise(t *testing.T) {
 				t.Fatalf("m=%d mask=%010b: wrote outside out", m, bits)
 			}
 		}
+	}
+}
+
+// TestDotRowsSlotCounts: k ∈ {1, 4, 10, 16, 17} slots — one group of
+// four short, whole groups, a short last group, the one-call limit and
+// one past it — under full masks, masks with gaps, and single slots,
+// against the scalar dot.
+func TestDotRowsSlotCounts(t *testing.T) {
+	eachTier(t, testDotRowsSlotCounts)
+}
+
+func testDotRowsSlotCounts(t *testing.T) {
+	r := NewRNG(38)
+	for _, k := range []int{1, 4, 10, 16, 17} {
+		for _, m := range []int{3, 8, 32, 96, 99} {
+			stride := m + 5
+			q, _ := guarded(m, k%8)
+			z, _ := guarded((k-1)*stride+m, (k+m)%8)
+			masks := [][]bool{make([]bool, k), make([]bool, k), make([]bool, k), make([]bool, k)}
+			for j := 0; j < k; j++ {
+				masks[0][j] = true           // full
+				masks[1][j] = j%3 != 1       // gaps
+				masks[2][j] = j == k-1       // the last slot alone
+				masks[3][j] = r.Intn(2) == 0 // random
+			}
+			for mi, mask := range masks {
+				for i := range q {
+					q[i] = float32(r.NormFloat64())
+				}
+				for i := range z {
+					z[i] = float32(math.NaN())
+				}
+				for j, ok := range mask {
+					if ok {
+						for x := 0; x < m; x++ {
+							z[j*stride+x] = float32(r.NormFloat64())
+						}
+					}
+				}
+				out, outOK := guarded(k, mi)
+				for j := range out {
+					out[j] = sentinel
+				}
+				DotRows(out, q, z, stride, mask)
+				for j, ok := range mask {
+					want := sentinel
+					if ok {
+						want = dotRef(q, z[j*stride:][:m])
+					}
+					if math.Float32bits(out[j]) != math.Float32bits(want) {
+						t.Fatalf("k=%d m=%d mask %d %v: out[%d] = %x, want %x", k, m, mi, mask, j, math.Float32bits(out[j]), math.Float32bits(want))
+					}
+				}
+				if !outOK() {
+					t.Fatalf("k=%d m=%d mask %d: wrote outside out", k, m, mi)
+				}
+			}
+		}
+	}
+}
+
+// TestPrefetchRowsChangesNothing: a hint over rows in range, rows past
+// the end of the table and an empty table neither panics nor writes.
+func TestPrefetchRowsChangesNothing(t *testing.T) {
+	data, ok := guarded(40*33, 3)
+	for i := range data {
+		data[i] = float32(i)
+	}
+	PrefetchRows(data, 33, []int32{0, 39, 7, 7, 1 << 20, -5})
+	PrefetchRows(nil, 33, []int32{1})
+	PrefetchRows(data, 33, nil)
+	for i, v := range data {
+		if v != float32(i) {
+			t.Fatalf("data[%d] = %v after a prefetch", i, v)
+		}
+	}
+	if !ok() {
+		t.Fatal("a prefetch wrote outside the table")
 	}
 }
 
@@ -450,6 +581,11 @@ func TestKernelWrappersRejectShortSlices(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	mustPanic("AccumRows short w", func() { AccumRows(f(8), f(3), f(2*8+7), 8) })
 	mustPanic("AccumRows stride < width", func() { AccumRows(f(8), f(3), f(64), 7) })
+	mustPanic("AccumRows4 short y", func() { AccumRows4(f(3*8+7), 8, 8, f(16), 4, 4, f(32), 8) })
+	mustPanic("AccumRows4 ldy < width", func() { AccumRows4(f(64), 8, 7, f(16), 4, 4, f(32), 8) })
+	mustPanic("AccumRows4 short a", func() { AccumRows4(f(32), 8, 8, f(3*4+3), 4, 4, f(32), 8) })
+	mustPanic("AccumRows4 lda < rows", func() { AccumRows4(f(32), 8, 8, f(64), 4, 3, f(32), 8) })
+	mustPanic("AccumRows4 short w", func() { AccumRows4(f(32), 8, 8, f(16), 4, 4, f(3*8+7), 8) })
 	mustPanic("DotRows short z", func() { DotRows(f(3), f(8), f(2*8+7), 8, []bool{true, true, true}) })
 	mustPanic("DotRows short out", func() { DotRows(f(2), f(8), f(24), 8, []bool{true, true, true}) })
 	mustPanic("DotRows stride < width", func() { DotRows(f(3), f(8), f(64), 7, []bool{true, true, true}) })

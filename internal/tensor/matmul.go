@@ -421,10 +421,10 @@ func linearInto(x, w *Tensor, wt []float32, bias, dst *Tensor) {
 // Every output element is one fixed-order sum over its own x row, so a
 // row's bits do not depend on which call computes it. bias may be nil.
 // With wt = PackLinear(·, w) the first out&^3 columns of each row are
-// AccumRows over Wᵀ — lanes across the outputs, each output the
-// sequential sum from +0 that matmulTRows gives it — and the out%4 tail
-// columns keep matmulTRows' dot32, whose sum associates differently. A
-// nil wt is the scalar kernel throughout.
+// AccumRows over Wᵀ, four rows to an AccumRows4 call — lanes across the
+// outputs, each output the sequential sum from +0 that matmulTRows
+// gives it — and the out%4 tail columns keep matmulTRows' dot32, whose
+// sum associates differently. A nil wt is the scalar kernel throughout.
 func LinearRowsPacked(x []float32, m int, w *Tensor, wt []float32, bias *Tensor, dst []float32) {
 	n, k := w.shape[0], w.shape[1]
 	if len(x) != m*k || len(dst) != m*n {
@@ -440,10 +440,16 @@ func LinearRowsPacked(x []float32, m int, w *Tensor, wt []float32, bias *Tensor,
 		for i := 0; i < m; i++ {
 			xr, dr := x[i*k:(i+1)*k], dst[i*n:(i+1)*n]
 			clear(dr[:n4])
-			AccumRows(dr[:n4], xr, wt, n)
 			for j := n4; j < n; j++ {
 				dr[j] = dot32(xr, w.data[j*k:(j+1)*k])
 			}
+		}
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			AccumRows4(dst[i*n:], n4, n, x[i*k:], k, k, wt, n)
+		}
+		for ; i < m; i++ {
+			AccumRows(dst[i*n:][:n4], x[i*k:(i+1)*k], wt, n)
 		}
 	}
 	if bias == nil {
