@@ -254,7 +254,7 @@ func TestNewCacheWithValidation(t *testing.T) {
 }
 
 func TestEngineCacheStatsAggregates(t *testing.T) {
-	_, _, eng, _ := oooSetup(t, 0)
+	_, _, eng, _ := transSetup(t, 200, OptAll())
 	st := eng.CacheStats()
 	if st.Lookups == 0 || st.Lookups != st.Hits+st.Misses {
 		t.Fatalf("engine cache stats inconsistent: %+v", st)

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"tgopt/internal/parallel"
 
 	"tgopt/internal/tensor"
 )
@@ -35,6 +34,26 @@ func TestCacheStoreLookupRoundTrip(t *testing.T) {
 	// Miss row untouched (stays zero).
 	if dst.At(1, 0) != 0 {
 		t.Fatal("miss row was written")
+	}
+
+	// One call of thousands of keys stores and reads back every row.
+	const big = 3048
+	c = NewCache(100000, 2, 16)
+	keys = make([]uint64, big)
+	h = tensor.New(big, 2)
+	for i := range keys {
+		keys[i] = uint64(i)
+		h.Set(float32(i), i, 0)
+	}
+	c.Store(keys, h)
+	dst = tensor.New(big, 2)
+	if hits, n = c.Lookup(keys, dst); n != big {
+		t.Fatalf("%d-key lookup hits = %d", big, n)
+	}
+	for i := range keys {
+		if !hits[i] || dst.At(i, 0) != float32(i) {
+			t.Fatalf("%d-key call: row %d wrong", big, i)
+		}
 	}
 }
 
@@ -197,8 +216,6 @@ func TestCacheShardRounding(t *testing.T) {
 }
 
 func TestCacheConcurrentStoreLookup(t *testing.T) {
-	prevDeg := parallel.SetDegree(4)
-	defer parallel.SetDegree(prevDeg)
 	c := NewCache(10000, 4, 16)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -231,33 +248,6 @@ func TestCacheConcurrentStoreLookup(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCacheLargeBatchParallelPath: a batch of thousands of keys, the
-// size that once fanned out across goroutines, stores and reads back
-// every row under a parallel degree of 4.
-func TestCacheLargeBatchParallelPath(t *testing.T) {
-	prevDeg := parallel.SetDegree(4)
-	defer parallel.SetDegree(prevDeg)
-	c := NewCache(100000, 2, 16)
-	n := 3048
-	keys := make([]uint64, n)
-	h := tensor.New(n, 2)
-	for i := range keys {
-		keys[i] = uint64(i)
-		h.Set(float32(i), i, 0)
-	}
-	c.Store(keys, h)
-	dst := tensor.New(n, 2)
-	hits, nh := c.Lookup(keys, dst)
-	if nh != n {
-		t.Fatalf("parallel lookup hits = %d, want %d", nh, n)
-	}
-	for i := 0; i < n; i += 997 {
-		if !hits[i] || dst.At(i, 0) != float32(i) {
-			t.Fatalf("parallel row %d wrong", i)
-		}
-	}
 }
 
 // TestCacheLargeCallIsAFunctionOfItsInputs: the rows a call of

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"tgopt/internal/graph"
 	"tgopt/internal/tensor"
 	"tgopt/internal/tgat"
 )
@@ -104,135 +103,6 @@ func TestWindowIndexPrunesEvictedKeys(t *testing.T) {
 	}
 }
 
-// oooSetup builds a 2-layer model over a live graph with the given
-// lateness window and warms the engine's cache (and its window index)
-// over the whole stream. Timestamps are distinct integers, inside Key's
-// domain, so the layer caches hold the rows the invalidations act on.
-func oooSetup(t *testing.T, lateness float64) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
-	t.Helper()
-	r := tensor.NewRNG(5)
-	const nodes, total = 25, 600
-	stream := make([]graph.Edge, 0, total)
-	clock := 0.0
-	for len(stream) < total {
-		clock += 1 + r.Float64()*10
-		src := int32(1 + r.Intn(nodes))
-		dst := int32(1 + r.Intn(nodes))
-		if src == dst {
-			continue
-		}
-		stream = append(stream, graph.Edge{Src: src, Dst: dst, Time: math.Floor(clock), Idx: int32(len(stream) + 1)})
-	}
-	nodeFeat := tensor.Randn(r, nodes+1, 16)
-	edgeFeat := tensor.Randn(r, total+2, 16)
-	for j := 0; j < 16; j++ {
-		nodeFeat.Set(0, 0, j)
-		edgeFeat.Set(0, 0, j)
-	}
-	cfg := tgat.Config{Layers: 2, Heads: 2, NodeDim: 16, EdgeDim: 16, TimeDim: 16, NumNeighbors: 5, Seed: 11}
-	m, err := tgat.NewModel(cfg, nodeFeat, edgeFeat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := graph.NewDynamic(nodes)
-	dyn.SetLateness(lateness)
-	for _, e := range stream {
-		if _, err := dyn.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
-	for start := 0; start < total; start += 100 {
-		batch := stream[start : start+100]
-		ns := make([]int32, 2*len(batch))
-		ts := make([]float64, 2*len(batch))
-		for i, e := range batch {
-			ns[i], ns[len(batch)+i] = e.Src, e.Dst
-			ts[i], ts[len(batch)+i] = e.Time, e.Time
-		}
-		eng.Embed(ns, ts)
-	}
-	if eng.CacheLen() == 0 || eng.IndexFor(1).Len() == 0 {
-		t.Fatal("warming pass cached nothing / indexed nothing")
-	}
-	return m, dyn, eng, stream
-}
-
-func TestInvalidateLateEdgeFutureTimeRemovesNothing(t *testing.T) {
-	// No cached query is newer than the stream head, so an "insert" at
-	// the head invalidates nothing and preserves every entry.
-	_, dyn, eng, _ := oooSetup(t, 200)
-	before := eng.CacheLen()
-	if removed := eng.InvalidateEdge(1, 2, dyn.MaxTime()+1); removed != 0 {
-		t.Fatalf("future-time invalidation removed %d entries", removed)
-	}
-	if eng.CacheLen() != before {
-		t.Fatal("cache shrank on a no-op invalidation")
-	}
-}
-
-func TestInvalidateLateEdgeMostRecentWindowRefinement(t *testing.T) {
-	// Node 1 interacts 10 times before the only cached query time. A
-	// late edge older than all of them cannot enter the most-recent-k
-	// window, so the CountBetween refinement keeps the entry; a late
-	// edge inside the window drops it.
-	r := tensor.NewRNG(9)
-	const nodes = 9
-	nodeFeat := tensor.Randn(r, nodes+1, 16)
-	edgeFeat := tensor.Randn(r, 64, 16)
-	for j := 0; j < 16; j++ {
-		nodeFeat.Set(0, 0, j)
-		edgeFeat.Set(0, 0, j)
-	}
-	cfg := tgat.Config{Layers: 2, Heads: 2, NodeDim: 16, EdgeDim: 16, TimeDim: 16, NumNeighbors: 5, Seed: 3}
-	m, err := tgat.NewModel(cfg, nodeFeat, edgeFeat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := graph.NewDynamic(nodes)
-	dyn.SetLateness(1_000)
-	for i := 0; i < 10; i++ {
-		// Alternate partners so node 1's degree is 10.
-		if _, err := dyn.Append(graph.Edge{Src: 1, Dst: int32(2 + i%3), Time: float64(10 * (i + 1))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := NewEngine(m, graph.NewDynamicSampler(dyn, cfg.NumNeighbors, graph.MostRecent, 0), OptAll())
-	eng.Embed([]int32{1}, []float64{150})
-	if eng.CacheLen() == 0 {
-		t.Fatal("warming query cached nothing")
-	}
-
-	// Ten interactions separate t=5 from the query at 150: the late edge
-	// cannot displace the most-recent-5 window, entry kept. Node 9 has
-	// no cached entries at all.
-	if removed := eng.InvalidateEdge(1, 9, 5); removed != 0 {
-		t.Fatalf("out-of-window late edge removed %d entries", removed)
-	}
-	if eng.CacheLen() == 0 {
-		t.Fatal("refinement dropped the cache anyway")
-	}
-	// Only 3 interactions in (75, 150): the window shifts, entry dropped.
-	if removed := eng.InvalidateEdge(1, 9, 75); removed == 0 {
-		t.Fatal("in-window late edge removed nothing")
-	}
-}
-
-func TestInvalidateAppendAheadOfAllEmbedsIsFree(t *testing.T) {
-	// The common case — appends strictly ahead of every embedded query
-	// time — must take the O(1) fast path: nothing removed, no index
-	// scan. oooSetup only embeds at edge times, so an append at the head
-	// is ahead of them all.
-	_, dyn, eng, _ := oooSetup(t, 0)
-	before := eng.CacheLen()
-	if removed := eng.InvalidateEdge(3, 4, dyn.MaxTime()+1); removed != 0 {
-		t.Fatalf("ahead-of-embeds append invalidated %d entries", removed)
-	}
-	if eng.CacheLen() != before {
-		t.Fatal("cache shrank on an ahead-of-embeds append")
-	}
-}
-
 func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
 	// A static-sampler engine builds no index, so the only sound response
 	// is a full clear — and the count must reflect it.
@@ -251,31 +121,5 @@ func TestInvalidateLateEdgeWithoutIndexClearsAll(t *testing.T) {
 	}
 	if eng.CacheLen() != 0 {
 		t.Fatal("fallback did not clear the cache")
-	}
-}
-
-// TestStaleByAppendDetectsEqualTimeAppend: an append at exactly the
-// stream clock leaves MaxTime where it was, yet it lands in the window
-// of every row memoized past the clock. Its invalidation must drop
-// those rows. (A pass cannot run between the append and that
-// invalidation when the writer holds the graph's write gate:
-// TestReadBetweenIngestAndInvalidateL3.)
-func TestStaleByAppendDetectsEqualTimeAppend(t *testing.T) {
-	m, dyn, eng, stream := oooSetup(t, 0)
-	wm := dyn.MaxTime()
-	last := stream[len(stream)-1]
-	nodes, ts := []int32{last.Src, last.Dst}, []float64{wm + 1, wm + 1}
-	eng.Embed(nodes, ts)
-	if _, err := dyn.Append(graph.Edge{Src: last.Src, Dst: last.Dst, Time: wm}); err != nil {
-		t.Fatal(err)
-	}
-	if dyn.MaxTime() != wm {
-		t.Fatal("test premise broken: equal-time append advanced MaxTime")
-	}
-	if eng.InvalidateEdge(last.Src, last.Dst, wm) == 0 {
-		t.Fatal("the equal-time append invalidated no row memoized past the clock")
-	}
-	if !sameBits(eng.Embed(nodes, ts), freshBaseline(t, m, dyn, nodes, ts)) {
-		t.Fatal("rows past the clock differ from the baseline after an equal-time append")
 	}
 }

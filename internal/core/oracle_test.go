@@ -24,7 +24,7 @@ const (
 	stepDelete            // a live edge goes, then its invalidation
 	stepEmbed             // a batch at one time class, with targets Key folds
 	stepReask             // one batch asked twice: the top memo answers
-	stepSnapshot          // save, the graph changes, load into a fresh engine
+	stepSnapshot          // save, the graph or (p % 6 == 5) a feature changes, load into a fresh engine, (p ≥ 6) append at the clock
 	stepSwap              // other parameters: Model.WithParams, then NewEngine
 	stepParkedRead        // a write issued during a parked read waits for it
 	stepFeature           // a node's feature row is written, then InvalidateNode
@@ -66,11 +66,15 @@ type oracleConfig struct {
 // FIFO over CLOCK, bit 3 turns dedup off, bit 4 the top memo off (so
 // every answer goes through the layer caches), bit 5 the tight limit,
 // bit 6 a finite lateness, so the watermark moves and index records
-// retire.
+// retire, bit 7 the time table off (Φ is evaluated afresh). With bits 3
+// and 7 the configurations draw the paper's option combinations with
+// the cache on. The cache stays on: an engine without it runs no code a
+// cold cache-enabled pass does not, and the checks read its layers.
 func decodeOracleConfig(c byte) oracleConfig {
 	opt := OptAll()
 	opt.CachePolicy = [2]CachePolicy{CacheClock, CacheFIFO}[c>>2&1]
 	opt.EnableDedup = c>>3&1 == 0
+	opt.EnableTimePrecompute = c>>7&1 == 0
 	opt.CacheLimit = [2]int{1 << 16, oracleTightLimit}[c>>5&1]
 	lateness := [2]float64{1e12, oracleFiniteLateness}[c>>6&1] // 1e12: every late edge, negative ones too, is accepted
 	return oracleConfig{layers: [4]int{2, 3, 4, 1}[c&3], opt: opt, topMemo: c>>4&1 == 0, lateness: lateness}
@@ -99,6 +103,8 @@ var oracleSeeds = []struct {
 	{0x1a, []byte{0, 9, 18, 27, 1, 10, 19, 28, 10, 45, 46, 24, 33}, 5},
 	{0x36, []byte{3, 12, 13, 27, 5, 14, 6, 7, 16, 8}, 6},
 	{0x43, []byte{0, 9, 3, 13, 28, 19, 4, 7, 5, 6, 17, 8, 11}, 7},
+	{0x80, []byte{0, 27, 21, 50, 3, 1, 68, 8, 4, 18, 2, 7, 6}, 8},
+	{0xc9, []byte{1, 10, 18, 104, 12, 30, 2, 59, 8, 4, 3, 21, 6}, 9},
 }
 
 // FuzzEngineOracle is the engine's exactness oracle (DESIGN.md §11):
@@ -144,6 +150,9 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	sampler := graph.NewDynamicSampler(dyn, k, graph.MostRecent, 0)
 	newEngine := func(m *tgat.Model) *Engine {
 		e := NewEngine(m, sampler, cfg.opt)
+		if e.CacheFor(1) == nil {
+			t.Fatal("the engine caches no layer 1")
+		}
 		if !cfg.topMemo {
 			e.topMemo = nil
 		}
@@ -157,17 +166,42 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	eng := newEngine(cur)
 	dir := t.TempDir()
 
-	// The query set: every interaction and every embedded batch, plus a
-	// probe per node one past the clock, for every clock the history has
-	// had: a later write lands beneath the earlier probes. Each check
-	// re-asks all of it, so the caches and the memo stay warm and a stale
-	// row surfaces as a hit.
+	// live is the graph's edges in arrival order. The baseline samples an
+	// immutable graph.Graph built from it (NewGraph sorts stably by time,
+	// and the live graph orders equal times by arrival too), so it shares
+	// no code with the live graph's adjacency, windows or counts.
+	live := append([]graph.Edge(nil), stream...)
+	baseline := func(m *tgat.Model, ns []int32, ts []float64) *tensor.Tensor {
+		t.Helper()
+		g, err := graph.NewGraph(nodes, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Embed(graph.NewSampler(g, k, graph.MostRecent, 0), ns, ts)
+	}
+	// newer counts w's live interactions strictly between lo and hi.
+	newer := func(w int32, lo, hi float64) int {
+		n := 0
+		for _, e := range live {
+			if (e.Src == w || e.Dst == w) && lo < e.Time && e.Time < hi {
+				n++
+			}
+		}
+		return n
+	}
+
+	// The query set: every interaction, the padding node once, every
+	// embedded batch, plus a probe per node one past the clock, for every
+	// clock the history has had: a later write lands beneath the earlier
+	// probes. Each check re-asks all of it, so the caches and the memo
+	// stay warm and a stale row surfaces as a hit.
 	var qns []int32
 	var qts []float64
 	ask := func(ns []int32, ts []float64) { qns, qts = append(qns, ns...), append(qts, ts...) }
 	for _, e := range stream {
 		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
 	}
+	ask([]int32{0}, []float64{stream[total/2].Time})
 	probes := func() ([]int32, []float64) {
 		var ns []int32
 		var ts []float64
@@ -186,7 +220,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 	}
 	exact := func(what string, ns []int32, ts []float64) {
 		t.Helper()
-		if !sameBits(eng.Embed(ns, ts), freshBaseline(t, ref, dyn, ns, ts)) {
+		if !sameBits(eng.Embed(ns, ts), baseline(ref, ns, ts)) {
 			t.Fatalf("%s: an answer differs from the baseline", what)
 		}
 	}
@@ -207,23 +241,28 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 			}
 		}
 	}
-	// selective runs the invalidation of a write to (u, v) and checks
-	// that it dropped no row that read neither u's nor v's window: no
-	// layer-1 row of another node and, for L ≥ 3, no layer-2 row whose
-	// target and sampled neighbours all avoid u and v. The write touches
-	// only u's and v's adjacency, so another target's neighbours are the
-	// same before it as after it, when they are sampled here. A layer-2
-	// row is checked only if every time its key was computed it read
-	// this window: its key folds no other time the history asked (an
-	// out-of-domain time's neighbours file records under the folded key)
-	// and no earlier write reached its target below its time (records
-	// of an older window may linger, and only over-invalidate).
-	selective := func(u, v int32, invalidate func()) {
+	// selective runs the invalidation of a write e to (u, v) and checks
+	// that it dropped no row whose window it left alone: no layer-1 row
+	// of another node, no layer-1 row of u or v at or before e's time or
+	// with k of its node's interactions strictly between e and the row
+	// (the most-recent-k window holds newer ones), and, for L ≥ 3, no
+	// layer-2 row whose target and sampled neighbours all avoid u and v.
+	// The write touches only u's and v's adjacency, so another target's
+	// neighbours are the same before it as after it, when they are
+	// sampled here. A layer-2 row is checked only if every time its key
+	// was computed it read this window: its key folds no other time the
+	// history asked (an out-of-domain time's neighbours file records
+	// under the folded key) and no earlier write reached its target below
+	// its time (records of an older window may linger, and only
+	// over-invalidate).
+	selective := func(e graph.Edge, invalidate func()) {
 		t.Helper()
+		u, v := e.Src, e.Dst
 		avoids := func(w int32) bool { return w != u && w != v }
 		var keep [3][]uint64
 		for _, key := range eng.CacheFor(1).Keys() {
-			if avoids(int32(key >> 32)) {
+			w, at := int32(key>>32), float64(uint32(key))
+			if avoids(w) || at <= e.Time || newer(w, e.Time, at) >= k {
 				keep[1] = append(keep[1], key)
 			}
 		}
@@ -253,12 +292,11 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		for l := 1; l <= 2; l++ {
 			for _, key := range keep[l] {
 				if !eng.CacheFor(l).Contains(key) {
-					t.Fatalf("a write to (%d, %d) dropped node %d's layer-%d row at %d, which read neither window", u, v, int32(key>>32), l, uint32(key))
+					t.Fatalf("a write to (%d, %d) at %v dropped node %d's layer-%d row at %d, whose window it left alone", u, v, e.Time, int32(key>>32), l, uint32(key))
 				}
 			}
 		}
 	}
-	live := append([]graph.Edge(nil), stream...)
 	nextIdx := int32(total + 1)
 	// ingest writes e to the graph and returns its invalidation.
 	ingest := func(e graph.Edge) func() {
@@ -272,7 +310,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		live = append(live, e)
 		ask([]int32{e.Src, e.Dst}, []float64{e.Time, e.Time})
 		return func() {
-			selective(e.Src, e.Dst, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) })
+			selective(e, func() { eng.InvalidateEdge(e.Src, e.Dst, e.Time) })
 			touch(e)
 		}
 	}
@@ -308,8 +346,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		t.Helper()
 		i := (p*11 + step) % len(live)
 		e := live[i]
-		live[i] = live[len(live)-1]
-		live = live[:len(live)-1]
+		live = slices.Delete(live, i, i+1)
 		if !dyn.DeleteEdge(e.Idx) {
 			t.Fatalf("DeleteEdge(%d) found nothing", e.Idx)
 		}
@@ -320,7 +357,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 		if e.Time < math.Floor(dyn.Watermark()) {
 			return invalidate // below the watermark every layer clears
 		}
-		return func() { selective(e.Src, e.Dst, invalidate) }
+		return func() { selective(e, invalidate) }
 	}
 	// write is the snapshot step's graph change: it gains or loses an edge.
 	write := func(step, p int) func() {
@@ -328,6 +365,14 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 			return deleteLive(step, p)
 		}
 		return ingest(edge(step, p/3, p%3 == 1))
+	}
+	// feature writes a new feature row for one node and returns it.
+	feature := func(step, p int) int32 {
+		v := int32(1 + (p+step)%nodes)
+		for j, x := range cur.NodeFeat.Row(int(v)) {
+			cur.NodeFeat.Set(x+0.5, int(v), j)
+		}
+		return v
 	}
 	// batch is an embed at time class p % 4: two nodes at an in-domain
 	// time and at one of that class, plus a repeat. The base time is an
@@ -374,17 +419,31 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 			if err := eng.SaveCachesFS(checkpoint.OS{}, path); err != nil {
 				t.Fatal(err)
 			}
-			write(step, p)()
-			other := newEngine(ms[1-which])
-			if err := other.LoadCachesFS(checkpoint.OS{}, path); err == nil || other.CacheLen() != 0 {
-				t.Fatalf("%s: loaded over other parameters: err %v, %d rows", label, err, other.CacheLen())
+			// Every saved row read the feature table: after a feature
+			// write the load is refused.
+			featureWrite := p%6 == 5
+			if featureWrite {
+				feature(step, p)
+			} else {
+				write(step, p)()
+			}
+			for what, m := range map[string]*tgat.Model{"other parameters": ms[1-which], "another head count": reheaded(t, cur)} {
+				other := newEngine(m)
+				if err := other.LoadCachesFS(checkpoint.OS{}, path); err == nil || other.CacheLen() != 0 {
+					t.Fatalf("%s: loaded over %s: err %v, %d rows", label, what, err, other.CacheLen())
+				}
 			}
 			// The same parameters under another version label load.
 			version++
 			cur = restage(t, dir, cur, cur, version)
 			eng = newEngine(cur)
-			if err := eng.LoadCachesFS(checkpoint.OS{}, path); err != nil {
-				t.Fatalf("%s: refused over its own parameters: %v", label, err)
+			if err := eng.LoadCachesFS(checkpoint.OS{}, path); (err != nil) != featureWrite || (featureWrite && eng.CacheLen() != 0) {
+				t.Fatalf("%s: load over its own parameters, feature written %v: err %v, %d rows", label, featureWrite, err, eng.CacheLen())
+			}
+			if p >= 6 {
+				// A loaded row may lie past the clock, and no read has
+				// run since the load: an append at the clock must reach it.
+				ingest(edge(step, 0, false))()
 			}
 		case stepSwap:
 			which, version = 1-which, version+1
@@ -394,20 +453,16 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 				t.Fatalf("%s: the engine serves v%d, want v%d", label, eng.ParamsVersion(), version)
 			}
 			ns, ts := probes()
-			h := freshBaseline(t, ref, dyn, ns, ts)
+			h := baseline(ref, ns, ts)
 			d := h.Dim(1)
 			src, dst := tensor.FromSlice(h.Data()[:nodes/2*d], nodes/2, d), tensor.FromSlice(h.Data()[nodes/2*d:], nodes/2, d)
 			if !sameBits(eng.ScoreWith(nil, src, dst), NewEngine(ref, sampler, cfg.opt).ScoreWith(nil, src, dst)) {
 				t.Fatalf("%s: scores differ from a fresh engine's over the same parameters", label)
 			}
 		case stepParkedRead:
-			parkedRead(t, eng, ref, dyn, step, p, ingest, ask)
+			parkedRead(t, eng, dyn, step, p, ingest, ask, func(ns []int32, ts []float64) *tensor.Tensor { return baseline(ref, ns, ts) })
 		case stepFeature:
-			v := int32(1 + (p+step)%nodes)
-			for j, x := range cur.NodeFeat.Row(int(v)) {
-				cur.NodeFeat.Set(x+0.5, int(v), j)
-			}
-			eng.InvalidateNode(v)
+			eng.InvalidateNode(feature(step, p))
 		}
 		ns, ts = queries()
 		exact(label, ns, ts)
@@ -423,7 +478,7 @@ func runEngineOracle(t *testing.T, conf byte, ops []byte, seed int64) {
 // gate, which the read holds, so the write and its invalidation wait
 // for the read, and the read answers bitwise as the baseline does on
 // the graph before the write.
-func parkedRead(t *testing.T, eng *Engine, ref *tgat.Model, dyn *graph.Dynamic, step, p int, ingest func(graph.Edge) func(), ask func([]int32, []float64)) {
+func parkedRead(t *testing.T, eng *Engine, dyn *graph.Dynamic, step, p int, ingest func(graph.Edge) func(), ask func([]int32, []float64), baseline func([]int32, []float64) *tensor.Tensor) {
 	t.Helper()
 	n := dyn.NumNodes()
 	u, v := int32(1+(p+step)%n), int32(1+(p+step+1)%n)
@@ -441,7 +496,7 @@ func parkedRead(t *testing.T, eng *Engine, ref *tgat.Model, dyn *graph.Dynamic, 
 	}
 	ns, ts := []int32{x, u}, []float64{T, T}
 	ask(ns, ts)
-	want := freshBaseline(t, ref, dyn, ns, ts)
+	want := baseline(ns, ts)
 	stores := eng.Ops().Calls(stats.OpCacheStore)
 	s := ix.shardFor(x)
 	s.mu.Lock()
@@ -512,6 +567,26 @@ func oracleModels(t *testing.T, r *tensor.RNG, layers, k, nodes, edges int) [2]*
 	return ms
 }
 
+// reheaded returns a model with m's parameters and feature tables under
+// twice its head count: the tensors are the same shapes, so only the
+// architecture tells its rows from m's.
+func reheaded(t *testing.T, m *tgat.Model) *tgat.Model {
+	t.Helper()
+	cfg := m.Cfg
+	cfg.Heads *= 2
+	h, err := tgat.NewModel(cfg, m.NodeFeat, m.EdgeFeat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range h.Params() {
+		if len(p.Data()) != len(m.Params()[i].Data()) {
+			t.Fatalf("parameter %d: %d values under %d heads, %d under %d", i, len(p.Data()), cfg.Heads, len(m.Params()[i].Data()), m.Cfg.Heads)
+		}
+		copy(p.Data(), m.Params()[i].Data())
+	}
+	return h
+}
+
 // restage is the model half of a params swap (serve.Server.SwapParams):
 // src's parameters, checkpointed and staged over m as version.
 func restage(t *testing.T, dir string, m, src *tgat.Model, version uint64) *tgat.Model {
@@ -547,7 +622,7 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range oracleSeeds {
 		c := decodeOracleConfig(s.conf)
-		for name, v := range map[string]any{"L": c.layers, "fifo": c.opt.CachePolicy == CacheFIFO, "dedup": c.opt.EnableDedup, "memo": c.topMemo, "tight": c.opt.CacheLimit == oracleTightLimit, "finite": c.lateness == oracleFiniteLateness} {
+		for name, v := range map[string]any{"L": c.layers, "fifo": c.opt.CachePolicy == CacheFIFO, "dedup": c.opt.EnableDedup, "memo": c.topMemo, "tight": c.opt.CacheLimit == oracleTightLimit, "finite": c.lateness == oracleFiniteLateness, "precompute": c.opt.EnableTimePrecompute} {
 			seen[fmt.Sprint(name, "=", v)] = true
 		}
 		for _, op := range s.ops {
@@ -564,12 +639,18 @@ func TestEngineOracleSeedsCoverEveryStep(t *testing.T) {
 				}
 			case stepEmbed:
 				seen[fmt.Sprint("embed=", p%4)] = true
+			case stepSnapshot:
+				seen[[6]string{"snapshot append", "snapshot late", "snapshot delete", "snapshot append", "snapshot late", "snapshot feature"}[p%6]] = true
+				if p >= 6 {
+					seen["snapshot then append"] = true
+				}
 			}
 		}
 	}
-	want := []string{"L=1", "L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false",
+	want := []string{"L=1", "L=2", "L=3", "L=4", "fifo=true", "fifo=false", "dedup=true", "dedup=false", "memo=true", "memo=false", "tight=true", "tight=false", "finite=true", "finite=false", "precompute=true", "precompute=false",
 		"append=0", "append=1", "append=2", "late=0", "late=1", "late=3", "embed=0", "embed=1", "embed=2", "embed=3",
-		"append read between", "late read between", "append at the clock"}
+		"append read between", "late read between", "append at the clock",
+		"snapshot append", "snapshot late", "snapshot delete", "snapshot feature", "snapshot then append"}
 	for _, w := range append(want, stepNames[:]...) {
 		if !seen[w] {
 			t.Errorf("no seed draws %q", w)

@@ -11,9 +11,11 @@ import (
 	"tgopt/internal/tgat"
 )
 
-// transSetup is oooSetup with a 3-layer model: both layer 1 and layer 2
-// are cached, so deep-layer transitive invalidation (DESIGN.md §11) is
-// on the line. Timestamps are distinct integers, inside Key's domain.
+// transSetup builds a 3-layer model over a live graph with the given
+// lateness window and warms the engine's caches and window indexes over
+// the whole stream: both layer 1 and layer 2 are cached, so deep-layer
+// transitive invalidation (DESIGN.md §11) is on the line. Timestamps
+// are distinct integers, inside Key's domain.
 func transSetup(t *testing.T, lateness float64, opt Options) (*tgat.Model, *graph.Dynamic, *Engine, []graph.Edge) {
 	t.Helper()
 	r := tensor.NewRNG(5)

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestReLUAndLeaky(t *testing.T) {
+func TestReLU(t *testing.T) {
 	a := FromSlice([]float32{-2, -0.5, 0, 1, 3}, 5)
 	r := ReLU(a)
 	want := []float32{0, 0, 0, 1, 3}
@@ -15,29 +15,6 @@ func TestReLUAndLeaky(t *testing.T) {
 		if v != want[i] {
 			t.Fatalf("ReLU[%d] = %v, want %v", i, v, want[i])
 		}
-	}
-	l := LeakyReLU(a, 0.2)
-	wantL := []float32{-0.4, -0.1, 0, 1, 3}
-	for i, v := range l.Data() {
-		if math.Abs(float64(v-wantL[i])) > 1e-6 {
-			t.Fatalf("LeakyReLU[%d] = %v, want %v", i, v, wantL[i])
-		}
-	}
-}
-
-func TestSigmoidBounds(t *testing.T) {
-	a := FromSlice([]float32{-100, -1, 0, 1, 100}, 5)
-	s := Sigmoid(a)
-	if s.At(2) != 0.5 {
-		t.Fatalf("sigmoid(0) = %v", s.At(2))
-	}
-	for i, v := range s.Data() {
-		if v < 0 || v > 1 {
-			t.Fatalf("sigmoid[%d] = %v out of [0,1]", i, v)
-		}
-	}
-	if s.At(0) > 1e-6 || s.At(4) < 1-1e-6 {
-		t.Fatal("sigmoid saturation wrong")
 	}
 }
 
@@ -114,87 +91,6 @@ func TestMaskedSoftmaxMatchesUnmaskedWhenAllValid(t *testing.T) {
 	}
 }
 
-func TestLogSigmoidStable(t *testing.T) {
-	a := FromSlice([]float32{-80, 0, 80}, 3)
-	ls := LogSigmoid(a)
-	if ls.HasNaN() {
-		t.Fatal("LogSigmoid produced NaN/Inf")
-	}
-	if math.Abs(float64(ls.At(1))-math.Log(0.5)) > 1e-6 {
-		t.Fatalf("LogSigmoid(0) = %v", ls.At(1))
-	}
-	if ls.At(2) > 0 || ls.At(2) < -1e-6 {
-		t.Fatalf("LogSigmoid(80) = %v, want ~0-", ls.At(2))
-	}
-	if math.Abs(float64(ls.At(0))+80) > 1 {
-		t.Fatalf("LogSigmoid(-80) = %v, want ~-80", ls.At(0))
-	}
-}
-
-func TestCosSinExpLog(t *testing.T) {
-	a := FromSlice([]float32{0, float32(math.Pi)}, 2)
-	c := Cos(a)
-	if math.Abs(float64(c.At(0))-1) > 1e-6 || math.Abs(float64(c.At(1))+1) > 1e-6 {
-		t.Fatalf("Cos wrong: %v", c.Data())
-	}
-	s := Sin(a)
-	if math.Abs(float64(s.At(0))) > 1e-6 {
-		t.Fatalf("Sin wrong: %v", s.Data())
-	}
-	e := Exp(FromSlice([]float32{0, 1}, 2))
-	if math.Abs(float64(e.At(1))-math.E) > 1e-5 {
-		t.Fatalf("Exp wrong: %v", e.Data())
-	}
-	l := Log(FromSlice([]float32{1, float32(math.E)}, 2))
-	if math.Abs(float64(l.At(1))-1) > 1e-5 {
-		t.Fatalf("Log wrong: %v", l.Data())
-	}
-}
-
-func TestTanhRange(t *testing.T) {
-	a := FromSlice([]float32{-10, 0, 10}, 3)
-	h := Tanh(a)
-	if h.At(1) != 0 || h.At(0) >= -0.999 || h.At(2) <= 0.999 {
-		t.Fatalf("Tanh wrong: %v", h.Data())
-	}
-}
-
-// LeakyReLU returns a where a > 0, otherwise slope*a. TGAT's attention
-// uses slope 0.2 (the GAT default) before the softmax.
-func LeakyReLU(a *Tensor, slope float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		if v > 0 {
-			out.data[i] = v
-		} else {
-			out.data[i] = slope * v
-		}
-	}
-	return out
-}
-
-// Sigmoid returns 1/(1+e^-a) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = sigmoid32(v)
-	}
-	return out
-}
-
-func sigmoid32(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
-}
-
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Tanh(float64(v)))
-	}
-	return out
-}
-
 // SoftmaxLastDim computes a numerically stable softmax along the trailing
 // dimension, treating the tensor as (rows, w).
 func SoftmaxLastDim(a *Tensor) *Tensor {
@@ -225,62 +121,5 @@ func SoftmaxLastDimInto(a, dst *Tensor) {
 func MaskedSoftmaxLastDim(a *Tensor, mask []bool) *Tensor {
 	out := New(a.shape...)
 	MaskedSoftmaxLastDimInto(a, mask, out)
-	return out
-}
-
-// LogSigmoid returns log(sigmoid(a)) elementwise, computed stably as
-// -softplus(-a). Used by the binary-cross-entropy loss in training.
-func LogSigmoid(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(-softplus(-float64(v)))
-	}
-	return out
-}
-
-// softplus computes log(1+e^x) without overflow.
-func softplus(x float64) float64 {
-	if x > 30 {
-		return x
-	}
-	if x < -30 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
-}
-
-// Cos returns cos(a) elementwise.
-func Cos(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Cos(float64(v)))
-	}
-	return out
-}
-
-// Sin returns sin(a) elementwise.
-func Sin(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Sin(float64(v)))
-	}
-	return out
-}
-
-// Exp returns e^a elementwise.
-func Exp(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Exp(float64(v)))
-	}
-	return out
-}
-
-// Log returns ln(a) elementwise.
-func Log(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Log(float64(v)))
-	}
 	return out
 }

@@ -235,11 +235,6 @@ func BenchmarkElementwise(b *testing.B) {
 			AddInPlace(x, y)
 		}
 	})
-	b.Run("Cos", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Cos(x)
-		}
-	})
 	b.Run("ReLU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ReLU(x)

@@ -96,6 +96,29 @@ for dir in internal/*/; do
 done
 printf '   non-test lines, module: %s\n' "$(cat $(scope nontest) | wc -l)"
 
+echo "== -run guard (every alternative of every -run pattern below matches a test, fuzz target, example or benchmark in the packages its line names: go test passes silently on a pattern that matches nothing)"
+# run_lines prints PATTERN<TAB>PACKAGES for every go test line of this
+# script with a -run flag, continuation lines joined; '^$' runs nothing
+# on purpose and is skipped.
+run_lines() {
+    sed -e ':a' -e '/\\$/N; s/\\\n//; ta' scripts/check.sh | grep -E '^ *go test .*-run[= ]' | while read -r line; do
+        pattern=$(printf '%s\n' "$line" | sed -E "s/.*-run[= ]'?([^' ]*)'?.*/\\1/")
+        [ "$pattern" = '^$' ] && continue
+        printf '%s\t%s\n' "$pattern" "$(printf '%s\n' "$line" | grep -oE '\./[^ ]*' | tr '\n' ' ')"
+    done
+}
+run_guard_failed=0
+while IFS=$'\t' read -r pattern pkgs; do
+    names=$(go test -list '.*' $pkgs | grep -E '^(Test|Fuzz|Example|Benchmark)')
+    IFS='|' read -ra alts <<< "$pattern"
+    for alt in "${alts[@]}"; do
+        if ! printf '%s\n' "$names" | grep -qE -- "${alt%%/*}"; then
+            echo "   -run alternative '$alt' matches nothing in $pkgs"; run_guard_failed=1
+        fi
+    done
+done < <(run_lines)
+[ "$run_guard_failed" = 0 ] || exit 1
+
 echo "== reachability gate (every function, method and type in a non-test file is reached from a main, an init, a package-level var, package tgopt's API, another package's test, or the allowlist: scripts/deadcode.go)"
 deadcode_start=$SECONDS
 # The fixture module plants one unreached function among a used one, a
@@ -172,7 +195,7 @@ go test -race -count=5 -run 'TestClockKeepsReferencedRow|TestZipfTrace|TestEngin
 go test -race -count=1 -cpu 1,2,4 -run 'TestCacheLargeCallIsAFunctionOfItsInputs' ./internal/core/
 
 echo "== deep-invalidation gate (transitive invalidation, index retirement at the watermark; race-enabled; the engine oracle's seed corpus runs once, in the race stanza)"
-go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestStaleByAppend|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestRouterRestartReplaysFromWatermark|TestWarmStartKeepsOnlyRowsWithTheSameInputs|TestServeWarmStartMatchesColdServer' \
+go test -race -count=1 -run 'TestInvalidate|TestSupport|TestReadBetween|TestServeOutOfOrderIngestConvergesToSortedDeep|TestIndexRetire|TestWindowIndex|TestCollectUpperMatchesAcrossIntegerFloor|TestDynamicSetLatenessAfterEdgePanics|TestRouterSnapshotReplayBelowWatermark|TestRouterRestartReplaysFromWatermark|TestServeWarmStartMatchesColdServer' \
     ./internal/core/ ./internal/serve/ ./internal/graph/ ./internal/shard/
 
 echo "== hot-swap gate (atomic model swap under load: no mixed-version rows, no stale cache; race-enabled; the engine oracle's swap step runs in the race stanza)"
