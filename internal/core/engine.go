@@ -313,13 +313,14 @@ func (e *Engine) InvalidateNode(v int32) int {
 // is at or below t nothing can hold the edge and the call costs one
 // atomic load: the steady-state append. An edge below ⌊watermark⌋
 // clears every layer, since records in (t, ⌊watermark⌋) may already be
-// retired.
+// retired, and so does any edge on a static-sampler engine, which keeps
+// no index.
 func (e *Engine) InvalidateEdge(u, v int32, t float64) int {
 	defer e.memoEpoch.Add(1)
 	if e.caches == nil || math.Float64frombits(e.maxEmbedBits.Load()) <= t {
 		return 0
 	}
-	if e.dyn != nil && t < math.Floor(e.dyn.Watermark()) {
+	if e.dyn == nil || t < math.Floor(e.dyn.Watermark()) {
 		return e.clearCaches()
 	}
 	return e.invalidateNewer(u, v, t)
@@ -343,12 +344,8 @@ func (e *Engine) InvalidateAppend(u, v int32, t float64) int { return e.Invalida
 func (e *Engine) invalidateNewer(u, v int32, t float64) int {
 	// A shed record means some entry's dependencies are unknown: that
 	// layer and every layer above it clear this one time (their indexes
-	// reset with them, so tracking restarts clean). A static-sampler
-	// engine has no index, so every layer clears.
-	clearFrom, floor := 1, 0.0
-	if e.indexes != nil {
-		clearFrom, floor = e.shedFrom(), e.indexFloor(t)
-	}
+	// reset with them, so tracking restarts clean).
+	clearFrom, floor := e.shedFrom(), e.indexFloor(t)
 	k := e.model.Cfg.NumNeighbors
 	endpoints := [2]int32{u, v}
 	n := 2

@@ -201,20 +201,6 @@ func BenchmarkSoftmax(b *testing.B) {
 	})
 }
 
-func BenchmarkGatherRows(b *testing.B) {
-	r := NewRNG(5)
-	table := Rand(r, 10000, 64)
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = r.Intn(10000)
-	}
-	dst := New(len(idx), 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GatherRowsInto(table, idx, dst)
-	}
-}
-
 func BenchmarkConcatCols(b *testing.B) {
 	r := NewRNG(6)
 	x := Rand(r, 4096, 32)

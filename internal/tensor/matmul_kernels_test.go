@@ -162,9 +162,6 @@ func TestBatchedMatMulVariantsMatchNaive(t *testing.T) {
 	if d := sparse.MaxAbsDiff(want); d != 0 {
 		t.Errorf("BatchedMatMulSparseInto: max diff %g from naive", d)
 	}
-	if got := BatchedMatMul(a, b); got.MaxAbsDiff(want) != 0 {
-		t.Errorf("BatchedMatMul: max diff %g from naive", got.MaxAbsDiff(want))
-	}
 }
 
 func TestLinearIntoMatchesLinear(t *testing.T) {
@@ -318,14 +315,15 @@ func TestArenaTensorZeroAndShapes(t *testing.T) {
 	x := ar.Tensor(2, 3)
 	x.Fill(7)
 	ar.Reset()
-	z := ar.TensorZero(3, 2)
+	z := ar.Tensor(3, 2)
+	clear(z.Data())
 	for _, v := range z.Data() {
 		if v != 0 {
-			t.Fatal("TensorZero returned dirty storage")
+			t.Fatal("cleared arena tensor holds dirty storage")
 		}
 	}
 	if z.Dim(0) != 3 || z.Dim(1) != 2 {
-		t.Fatalf("TensorZero shape %v", z.Shape())
+		t.Fatalf("arena tensor shape %v", z.Shape())
 	}
 	w := ar.Wrap(make([]float32, 6), 2, 3)
 	if w.Dim(0) != 2 || w.Dim(1) != 3 {
@@ -336,7 +334,8 @@ func TestArenaTensorZeroAndShapes(t *testing.T) {
 func TestNilArenaFallsBackToHeap(t *testing.T) {
 	var ar *Arena
 	x := ar.Tensor(2, 2)
-	y := ar.TensorZero(2, 2)
+	y := ar.Tensor(2, 2)
+	clear(y.Data())
 	if x.Len() != 4 || y.Len() != 4 {
 		t.Fatal("nil arena Tensor failed")
 	}
@@ -352,7 +351,8 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 	work := func() {
 		ar.Reset()
 		q := ar.Tensor(16, 32)
-		kv := ar.TensorZero(160, 64)
+		kv := ar.Tensor(160, 64)
+		clear(kv.Data())
 		_ = ar.Float64s(160)
 		_ = ar.Int32s(160)
 		_ = ar.Bools(160)
@@ -414,14 +414,4 @@ func ExampleMatMulPackedInto() {
 	MatMulPackedInto(a, b, dst, pack)
 	fmt.Println(dst)
 	// Output: Tensor[2 2][19 22 43 50]
-}
-
-// TensorZero is Tensor with the contents cleared.
-func (a *Arena) TensorZero(shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
-	t := a.Tensor(shape...)
-	clear(t.data)
-	return t
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 	"tgopt/internal/parallel"
@@ -113,33 +112,9 @@ func TestReshapeBadShapePanics(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{10, 20, 30, 40}, 2, 2)
-	if got := Add(a, b).Data(); got[3] != 44 {
-		t.Fatalf("Add wrong: %v", got)
-	}
-	if got := Sub(b, a).Data(); got[0] != 9 {
-		t.Fatalf("Sub wrong: %v", got)
-	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul wrong: %v", got)
-	}
-	if got := Div(b, a).Data(); got[1] != 10 {
-		t.Fatalf("Div wrong: %v", got)
-	}
-	if got := Scale(a, 2).Data(); got[3] != 8 {
-		t.Fatalf("Scale wrong: %v", got)
-	}
 	AddInPlace(a, b)
 	if a.At(0, 0) != 11 {
 		t.Fatalf("AddInPlace wrong: %v", a.Data())
-	}
-}
-
-func TestAXPY(t *testing.T) {
-	a := FromSlice([]float32{1, 1}, 2)
-	b := FromSlice([]float32{2, 4}, 2)
-	AXPY(0.5, b, a)
-	if a.Data()[0] != 2 || a.Data()[1] != 3 {
-		t.Fatalf("AXPY wrong: %v", a.Data())
 	}
 }
 
@@ -205,32 +180,6 @@ func TestConcatSplitRoundTrip(t *testing.T) {
 		if !parts[i].AllClose(orig, 0) {
 			t.Fatalf("SplitCols part %d does not round-trip", i)
 		}
-	}
-}
-
-func TestGatherScatterInverse(t *testing.T) {
-	r := NewRNG(3)
-	a := Rand(r, 6, 4)
-	idx := []int{5, 0, 3, 3}
-	g := GatherRows(a, idx)
-	if g.Dim(0) != 4 {
-		t.Fatalf("gather shape %v", g.Shape())
-	}
-	for i, ri := range idx {
-		for j := 0; j < 4; j++ {
-			if g.At(i, j) != a.At(ri, j) {
-				t.Fatalf("gather mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	// ScatterAdd accumulates duplicate rows.
-	dst := New(6, 4)
-	ScatterAddRows(dst, idx, Ones(4, 4))
-	if dst.At(3, 0) != 2 {
-		t.Fatalf("ScatterAddRows duplicate accumulation = %v, want 2", dst.At(3, 0))
-	}
-	if dst.At(1, 0) != 0 {
-		t.Fatal("ScatterAddRows touched an unindexed row")
 	}
 }
 
@@ -314,7 +263,8 @@ func TestBatchedMatMulMatchesPerBatch(t *testing.T) {
 	bs, m, k, n := 10, 6, 5, 7
 	a := Rand(r, bs, m, k)
 	b := Rand(r, bs, k, n)
-	c := BatchedMatMul(a, b)
+	c := New(bs, m, n)
+	BatchedMatMulInto(a, b, c)
 	for bi := 0; bi < bs; bi++ {
 		av := FromSlice(a.Data()[bi*m*k:(bi+1)*m*k], m, k)
 		bv := FromSlice(b.Data()[bi*k*n:(bi+1)*k*n], k, n)
@@ -340,17 +290,6 @@ func TestLinearMatchesManual(t *testing.T) {
 	if nb.HasNaN() {
 		t.Fatal("nil-bias Linear produced NaN")
 	}
-}
-
-// BatchedMatMul computes C[b] = A[b]·B[b] for rank-3 tensors
-// A (B,m,k) and B (B,k,n), producing (B,m,n).
-func BatchedMatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 3 || b.Rank() != 3 {
-		panic("tensor: BatchedMatMul requires rank-3 operands")
-	}
-	out := New(a.shape[0], a.shape[1], b.shape[2])
-	BatchedMatMulInto(a, b, out)
-	return out
 }
 
 // Linear computes x·Wᵀ + bias for x (n, in), W (out, in) and bias [out]
@@ -380,102 +319,4 @@ func LinearInto(x, w, bias, dst *Tensor) {
 // not depend on which call computes it. bias may be nil.
 func LinearRows(x []float32, m int, w, bias *Tensor, dst []float32) {
 	LinearRowsPacked(x, m, w, nil, bias, dst)
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	binaryCheck("Add", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	binaryCheck("Sub", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	binaryCheck("Mul", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	binaryCheck("Div", a, b)
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] / b.data[i]
-	}
-	return out
-}
-
-// Scale returns a * s elementwise.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * s
-	}
-	return out
-}
-
-// AXPY performs a += alpha*b elementwise and returns a.
-func AXPY(alpha float32, b, a *Tensor) *Tensor {
-	binaryCheck("AXPY", a, b)
-	for i := range a.data {
-		a.data[i] += alpha * b.data[i]
-	}
-	return a
-}
-
-// GatherRows selects rows of a rank-2 tensor (n, w) by index, producing
-// shape (len(idx), w). Indices out of range panic.
-func GatherRows(a *Tensor, idx []int) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: GatherRows requires rank 2")
-	}
-	w := a.shape[1]
-	out := New(len(idx), w)
-	GatherRowsInto(a, idx, out)
-	return out
-}
-
-// GatherRowsInto is GatherRows writing into dst, which must have shape
-// (len(idx), w).
-func GatherRowsInto(a *Tensor, idx []int, dst *Tensor) {
-	w := a.shape[1]
-	if dst.shape[0] != len(idx) || dst.shape[1] != w {
-		panic(fmt.Sprintf("tensor: GatherRowsInto dst shape %v, want [%d %d]", dst.shape, len(idx), w))
-	}
-	for i, r := range idx {
-		copy(dst.data[i*w:(i+1)*w], a.data[r*w:(r+1)*w])
-	}
-}
-
-// ScatterAddRows adds each row of src (shape (n, w)) into dst row idx[i].
-// Used by autograd to backpropagate through GatherRows.
-func ScatterAddRows(dst *Tensor, idx []int, src *Tensor) {
-	w := dst.shape[1]
-	if src.shape[1] != w || src.shape[0] != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows src shape %v, want [%d %d]", src.shape, len(idx), w))
-	}
-	for i, r := range idx {
-		d := dst.data[r*w : (r+1)*w]
-		s := src.data[i*w : (i+1)*w]
-		for j := range d {
-			d[j] += s[j]
-		}
-	}
 }

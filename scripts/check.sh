@@ -91,6 +91,16 @@ max_serve_flags=22
 serve_flags=$(grep -oE '\bflag\.[A-Z][A-Za-z0-9]*\(' cmd/tgopt-serve/main.go | grep -vc '^flag\.Parse(' || true)
 echo "   tgopt-serve flags: $serve_flags (at most $max_serve_flags)"
 [ "$serve_flags" -le "$max_serve_flags" ] || { echo "cmd/tgopt-serve/main.go defines $serve_flags flags, over the limit of $max_serve_flags"; exit 1; }
+# Size ratchet: DESIGN.md describes the present in at most this many
+# lines, and CHANGES.md keeps each change in about 1.5 KB. A change may
+# lower a limit; it may not raise it.
+max_design_lines=1400
+max_changes_bytes=60000
+design_lines=$(wc -l < DESIGN.md)
+changes_bytes=$(wc -c < CHANGES.md)
+echo "   DESIGN.md lines: $design_lines (at most $max_design_lines); CHANGES.md bytes: $changes_bytes (at most $max_changes_bytes)"
+[ "$design_lines" -le "$max_design_lines" ] || { echo "DESIGN.md has $design_lines lines, over the limit of $max_design_lines"; exit 1; }
+[ "$changes_bytes" -le "$max_changes_bytes" ] || { echo "CHANGES.md has $changes_bytes bytes, over the limit of $max_changes_bytes"; exit 1; }
 for dir in internal/*/; do
     printf '   non-test lines, %s: %s\n' "${dir%/}" "$(cat $(nontest "${dir%/}") | wc -l)"
 done
@@ -119,15 +129,17 @@ while IFS=$'\t' read -r pattern pkgs; do
 done < <(run_lines)
 [ "$run_guard_failed" = 0 ] || exit 1
 
-echo "== reachability gate (every function, method and type in a non-test file is reached from a main, an init, a package-level var, package tgopt's API, another package's test, or the allowlist: scripts/deadcode.go)"
+echo "== reachability and docs-name gate (every function, method and type in a non-test file is reached from a main, an init, a package-level var, package tgopt's API, another package's test, or the allowlist; every Go name backticked in DESIGN.md, README.md and EXPERIMENTS.md resolves to a declaration: scripts/deadcode.go)"
 deadcode_start=$SECONDS
 # The fixture module plants one unreached function among a used one, a
 # method reached through an interface and a function only another
-# package's test calls: the gate must exit 1 listing exactly it.
+# package's test calls, and a README naming one declared and one stale
+# name beside a history block: the gate must exit 1 listing exactly
+# lib.Unused and the stale lib.Gone.
 rc=0
 planted=$(cd scripts/testdata/deadcode && go run ../../deadcode.go 2>/dev/null) || rc=$?
-if [ "$rc" != 1 ] || [ "$(printf '%s\n' "$planted" | awk '{print $2}')" != Unused ]; then
-    echo "deadcode on scripts/testdata/deadcode exited $rc, listing (want exit 1 and lib.Unused alone):"
+if [ "$rc" != 1 ] || [ "$(printf '%s\n' "$planted" | awk '{print $2}' | tr '\n' ' ')" != 'Unused lib.Gone ' ]; then
+    echo "deadcode on scripts/testdata/deadcode exited $rc, listing (want exit 1, lib.Unused and the doc name lib.Gone alone):"
     printf '%s\n' "$planted"; exit 1
 fi
 go run scripts/deadcode.go
@@ -217,9 +229,11 @@ go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/serve/
 go test -run='^$' -fuzz='^FuzzWireEncode$' -fuzztime=5s ./internal/serve/
 # The engine oracle: generated histories of writes, reads, snapshots and
-# swaps, every answer bitwise the baseline's after every step.
+# swaps, every answer bitwise the baseline's after every step. An input
+# costs about 0.1 s, so minimizing each new one (60 s by default) would
+# eat the whole budget: one execution each keeps 30 s exploring.
 oracle_start=$SECONDS
-go test -run='^$' -fuzz='^FuzzEngineOracle$' -fuzztime=30s ./internal/core/
+go test -run='^$' -fuzz='^FuzzEngineOracle$' -fuzztime=30s -fuzzminimizetime=1x ./internal/core/
 echo "   engine oracle fuzz wall time: $((SECONDS - oracle_start)) s"
 go test -run='^$' -fuzz='^FuzzSwapManifest$' -fuzztime=5s ./internal/swap/
 go test -run='^$' -fuzz='^FuzzCosRow$' -fuzztime=5s ./internal/tensor/

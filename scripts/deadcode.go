@@ -31,10 +31,24 @@
 // Packages are type-checked from source with go/types, test variants
 // as `go list -deps -test` describes them; the standard library comes
 // from the "source" importer. Nothing is downloaded.
+//
+// The same load checks the Go names in the module's documents
+// (docFiles). Every backticked span that is a Go identifier or selector
+// (Name, pkg.Name, Type.Method or pkg.Type.Method, optionally ending
+// in "()"), whose last identifier is exported and not all upper case,
+// must resolve to a declaration: a func, method, type, field, const or
+// var of the module, a Test/Fuzz/Benchmark/Example function of one of
+// its _test.go files, or an exported name of a standard-library package
+// it imports. A qualifier must match the declaration's package (its
+// name or the last element of its import path) or its receiver type.
+// Each span that resolves to nothing is listed as "file:line span doc".
+// A line holding historyMarker exempts the lines after it up to the
+// next blank line: a table of deleted names, kept as a record.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -43,9 +57,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -57,6 +73,13 @@ var allowlist = map[string]string{
 	"tgopt/internal/core.IntervalTimeTable":     "DESIGN §1's related-work comparator (Zhou et al.'s interval table), kept as a reproduction surface",
 	"tgopt/internal/core.Engine.InvalidateNode": "the §7 node-feature event: the engine-owned write path will call it",
 }
+
+// docFiles are the documents whose Go names must resolve.
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+
+// historyMarker opens a block of a document that names what is gone on
+// purpose; the block ends at the next blank line.
+const historyMarker = "<!-- docs-names: history -->"
 
 // listedPackage is the part of `go list -json` this tool reads.
 type listedPackage struct {
@@ -97,6 +120,7 @@ type analysis struct {
 	stdIfaces     []*types.Interface
 	stdSeen       map[*types.Package]bool
 	typeErrs      []string
+	docs          *docIndex
 }
 
 func main() {
@@ -112,12 +136,13 @@ func main() {
 
 	decls := map[token.Pos]*decl{}
 	reached := map[token.Pos]bool{}
+	docs := &docIndex{fset: fset, pkgs: map[string][]*types.Package{}, bare: map[string]bool{}, seen: map[*types.Package]bool{}}
 	for _, tags := range []string{"", "purego"} {
 		a := &analysis{root: root, modPath: modPath, fset: fset, std: std, files: files,
 			decls: map[token.Pos]*decl{}, spans: map[string][]*decl{},
 			edges: map[token.Pos]map[token.Pos]bool{}, roots: map[token.Pos]bool{},
 			ifaceNames: map[string]bool{}, named: map[token.Pos]*types.TypeName{},
-			stdSeen: map[*types.Package]bool{}}
+			stdSeen: map[*types.Package]bool{}, docs: docs}
 		a.load(tags)
 		if len(a.typeErrs) > 0 {
 			fmt.Fprintf(os.Stderr, "deadcode: %d type errors (build tags %q), first: %s\n", len(a.typeErrs), tags, a.typeErrs[0])
@@ -149,7 +174,15 @@ func main() {
 		total += d.lines
 	}
 	fmt.Fprintf(os.Stderr, "deadcode: %d unreached declarations, %d lines\n", len(dead), total)
-	if len(dead) > 0 {
+	stale := 0
+	for _, doc := range docFiles {
+		for _, s := range docs.stale(filepath.Join(root, doc)) {
+			fmt.Printf("%s:%d %s doc\n", doc, s.line, s.span)
+			stale++
+		}
+	}
+	fmt.Fprintf(os.Stderr, "deadcode: %d doc names resolve to nothing\n", stale)
+	if len(dead) > 0 || stale > 0 {
 		os.Exit(1)
 	}
 }
@@ -255,6 +288,14 @@ func (a *analysis) check(id, name string, paths []string, importMap map[string]s
 		Error: func(err error) { a.typeErrs = append(a.typeErrs, err.Error()) },
 	}
 	pkg, _ := conf.Check(pkgPath(id), a.fset, files, info)
+	if pkg != nil {
+		a.docs.addModule(pkg)
+		for _, imp := range pkg.Imports() {
+			if imp.Path() != a.modPath && !strings.HasPrefix(imp.Path(), a.modPath+"/") {
+				a.docs.addStd(imp)
+			}
+		}
+	}
 
 	for id, obj := range info.Uses {
 		to := a.declAt(obj.Pos())
@@ -523,4 +564,190 @@ func check(err error) {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
 	}
+}
+
+// docIndex holds what a doc span may resolve to: every variant of every
+// module package, the standard packages the module imports, and the
+// bare names of both (a standard package contributes its package-level
+// names only).
+type docIndex struct {
+	fset *token.FileSet
+	// pkgs holds each package under its name (an external test package
+	// under its package's) and the last element of its import path.
+	pkgs map[string][]*types.Package
+	bare map[string]bool
+	// seen maps every package added to whether it is a standard one.
+	seen map[*types.Package]bool
+}
+
+func (x *docIndex) add(p *types.Package, std bool) bool {
+	if _, ok := x.seen[p]; ok {
+		return false
+	}
+	x.seen[p] = std
+	for _, q := range []string{strings.TrimSuffix(p.Name(), "_test"), filepath.Base(p.Path())} {
+		x.pkgs[q] = append(x.pkgs[q], p)
+	}
+	return true
+}
+
+func (x *docIndex) addModule(p *types.Package) {
+	if !x.add(p, false) {
+		return
+	}
+	for _, n := range p.Scope().Names() {
+		if obj := p.Scope().Lookup(n); x.declared(obj) {
+			x.addObject(obj)
+		}
+	}
+}
+
+func (x *docIndex) addStd(p *types.Package) {
+	if !x.add(p, true) {
+		return
+	}
+	for _, n := range p.Scope().Names() {
+		if token.IsExported(n) {
+			x.bare[n] = true
+		}
+	}
+}
+
+// addObject records a module package-level name and, for a type, its
+// methods and fields.
+func (x *docIndex) addObject(obj types.Object) {
+	x.bare[obj.Name()] = true
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return
+	}
+	if n, ok := tn.Type().(*types.Named); ok {
+		for i := 0; i < n.NumMethods(); i++ {
+			x.bare[n.Method(i).Name()] = true
+		}
+	}
+	switch u := tn.Type().Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			x.bare[u.Field(i).Name()] = true
+		}
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			x.bare[u.Method(i).Name()] = true
+		}
+	}
+}
+
+var testFuncName = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)`)
+
+// declared reports whether a module object counts as a declaration: a
+// _test.go file declares only its Test, Fuzz, Benchmark and Example
+// functions.
+func (x *docIndex) declared(obj types.Object) bool {
+	if obj == nil || !obj.Pos().IsValid() {
+		return false
+	}
+	if !isTest(x.fset.File(obj.Pos()).Name()) {
+		return true
+	}
+	_, isFunc := obj.(*types.Func)
+	return isFunc && testFuncName.MatchString(obj.Name())
+}
+
+// member reports whether a type named name in p has a method or field
+// called m.
+func (x *docIndex) member(p *types.Package, name, m string) bool {
+	tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+	if !ok || !x.visible(tn) {
+		return false
+	}
+	obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, p, m)
+	return obj != nil && x.visible(obj)
+}
+
+// visible reports whether obj may be named: a declaration of the module
+// or an exported name of a standard package.
+func (x *docIndex) visible(obj types.Object) bool {
+	if obj.Pkg() != nil && x.seen[obj.Pkg()] {
+		return obj.Exported()
+	}
+	return x.declared(obj)
+}
+
+// resolves reports whether a span's dotted parts name a declaration.
+func (x *docIndex) resolves(parts []string) bool {
+	switch len(parts) {
+	case 1:
+		return x.bare[parts[0]]
+	case 2:
+		q, n := parts[0], parts[1]
+		for _, p := range x.pkgs[q] {
+			if obj := p.Scope().Lookup(n); obj != nil && x.visible(obj) {
+				return true
+			}
+		}
+		for _, list := range x.pkgs {
+			for _, p := range list {
+				if x.member(p, q, n) {
+					return true
+				}
+			}
+		}
+	case 3:
+		for _, p := range x.pkgs[parts[0]] {
+			if x.member(p, parts[1], parts[2]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+var goSpan = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*(\(\))?$`)
+
+type staleSpan struct {
+	line int
+	span string
+}
+
+// stale returns the spans of one document that resolve to nothing, in
+// order; a missing document has none.
+func (x *docIndex) stale(path string) []staleSpan {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	check(err)
+	var out []staleSpan
+	fenced, history := false, false
+	for i, line := range strings.Split(string(data), "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+			continue
+		case strings.Contains(line, historyMarker):
+			history = true
+		case strings.TrimSpace(line) == "":
+			history = false
+		}
+		if fenced || history {
+			continue
+		}
+		fields := strings.Split(line, "`")
+		for j := 1; j < len(fields)-1; j += 2 {
+			span := fields[j]
+			if !goSpan.MatchString(span) {
+				continue
+			}
+			parts := strings.Split(strings.TrimSuffix(span, "()"), ".")
+			last := parts[len(parts)-1]
+			if !token.IsExported(last) || strings.ToUpper(last) == last {
+				continue
+			}
+			if !x.resolves(parts) {
+				out = append(out, staleSpan{i + 1, span})
+			}
+		}
+	}
+	return out
 }
